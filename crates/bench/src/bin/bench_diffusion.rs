@@ -9,7 +9,8 @@
 //! at 64³). Every run also re-verifies the bitwise parity contract
 //! between the two engines — a divergence fails loudly before any
 //! metrics are emitted. A final section times a multi-substance scene
-//! batched through one rayon scope against serial per-grid stepping.
+//! batched through one rayon scope against per-grid stepping — two
+//! schedules of the same work on the same workers (informational).
 //!
 //! `--json[=DIR]` serializes `BENCH_diffusion.json` for
 //! `scripts/bench_gate.sh`.
@@ -209,7 +210,7 @@ fn main() {
     }
 
     // Multi-substance batching: one rayon scope over all grids
-    // (DiffusionOp's batch) vs stepping the same grids serially.
+    // (DiffusionOp's batch) vs stepping the same grids one after another.
     const BATCH: usize = 6;
     let mut sim = Simulation::new(SimParams::cube(32.0));
     let dt = sim.params().mech.timestep;
@@ -237,6 +238,12 @@ fn main() {
     println!("\n== batching: {BATCH} substances per step ==");
     println!("{:<18} {:>10.3}", "batched ms", batched_ms);
     println!("{:<18} {:>10.3}", "serial ms", serial_ms);
+    println!(
+        "wall clocks on {} workers, informational (never gated): batched forks once over \
+         the substances and sweeps each one's z-tiles inline; serial steps the substances \
+         one after another, forking over z-tiles each time.",
+        rayon::current_num_threads()
+    );
     reg.set_gauge("diffusion.batch_substances", &[], BATCH as f64);
     reg.set_gauge(
         "diffusion.batch_wall_ms",

@@ -325,7 +325,10 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
 /// speedup is reported through the System A machine model at 20
 /// threads, capped at the shard count — the repo's standard way to
 /// record parallel scaling independent of the host's core count. Wall
-/// clocks are informational; the modeled milliseconds and the shard-map
+/// clocks are informational (they depend on the host's worker count:
+/// a 1-shard row is one task however many workers exist, while the
+/// unsharded pass forks over 4 Ki-agent chunks); the modeled
+/// milliseconds and the shard-map
 /// telemetry (imbalance, imported ghost-halo fraction) are
 /// deterministic functions of the trajectory and gate at 2 %.
 fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
@@ -458,6 +461,12 @@ fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         "", speedup
     );
     reg.set_gauge("layouts.shard_speedup_modeled_x", &[], speedup);
+    println!(
+        "step / mech ms are wall clocks on {} workers, informational (never gated): shards \
+         are the parallel tasks, so a row's wall time tracks min(shards, workers); the gated \
+         columns are the modeled ms, imbalance and halo fraction.",
+        rayon::current_num_threads()
+    );
 }
 
 fn behaviors_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {

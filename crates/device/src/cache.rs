@@ -9,9 +9,11 @@
 //! across densities, §VI).
 //!
 //! Real GPU L2s are physically partitioned into slices addressed by a hash
-//! of the line address; [`ShardedCache`] mirrors that, which conveniently
-//! also gives the rayon-parallel warp simulation a low-contention locking
-//! scheme (one `parking_lot::Mutex` per slice).
+//! of the line address; [`ShardedCache`] mirrors that with one
+//! `parking_lot::Mutex` per slice. The engine simulates warps one after
+//! another on the calling thread (no `par_*` call exists in `bdm-gpu` or
+//! this crate), so the locks are uncontended today; the slicing is what
+//! would keep contention low if warp simulation were ever forked.
 
 use parking_lot::Mutex;
 

@@ -1,10 +1,12 @@
 //! Analytic multicore CPU timing model.
 //!
-//! This environment has a single CPU core, so the paper's 4–64-thread
-//! sweeps cannot be wall-clocked. Instead, each CPU-side operation of the
-//! simulation is *executed for real* (so its algorithmic work counters —
-//! FLOPs, bytes touched, random accesses — are genuine) and its runtime on
-//! the Table I Xeons is then *modeled* from those counters.
+//! This environment has two processors, so the paper's 4–64-thread
+//! sweeps cannot be wall-clocked (the one step that can, 1 → 2 workers,
+//! is measured beside this model's prediction by `bench_threads`).
+//! Instead, each CPU-side operation of the simulation is *executed for
+//! real* (so its algorithmic work counters — FLOPs, bytes touched, random
+//! accesses — are genuine) and its runtime on the Table I Xeons is then
+//! *modeled* from those counters.
 //!
 //! The model is a three-term roofline: a phase's time at `T` threads is
 //! the maximum of

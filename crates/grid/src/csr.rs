@@ -18,9 +18,9 @@
 //! the CPU, coalesced loads on the (simulated) GPU. The build is a
 //! two-pass counting sort — count per voxel, exclusive prefix sum,
 //! scatter — which is *stable*, so the parallel build produces output
-//! bitwise identical to the serial build (the linked-list
-//! `build_parallel` cannot promise that: its per-voxel order depends on
-//! atomic interleaving).
+//! bitwise identical to the serial build with no fix-up (the
+//! linked-list `build_parallel` gets there by relinking the lists its
+//! racing insertions leave out of order).
 //!
 //! # Incremental maintenance
 //!
@@ -633,9 +633,21 @@ mod tests {
         let n = 3 * BUILD_CHUNK + 1234;
         let (xs, ys, zs) = cloud(n, 3, 60.0);
         let s = CsrGrid::build_serial(&xs, &ys, &zs, space(60.0), 3.0);
-        let p = CsrGrid::build_parallel(&xs, &ys, &zs, space(60.0), 3.0);
-        assert_eq!(s.cell_starts, p.cell_starts);
-        assert_eq!(s.cell_agents, p.cell_agents);
+        let build = || CsrGrid::build_parallel(&xs, &ys, &zs, space(60.0), 3.0);
+        // The four chunks' disjoint scatters on 1, 2 and 4 (oversubscribed)
+        // workers, several times each, then in shuffled chunk orders.
+        for round in 0..12 {
+            let workers = [1, 2, 4][round % 3];
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(workers);
+            let p = pool.build().expect("pool").install(build);
+            assert_eq!(s.cell_starts, p.cell_starts, "{workers} workers");
+            assert_eq!(s.cell_agents, p.cell_agents, "{workers} workers");
+        }
+        for seed in 0..4 {
+            let p = rayon::with_shuffled_schedule(seed, build);
+            assert_eq!(s.cell_starts, p.cell_starts, "shuffle {seed}");
+            assert_eq!(s.cell_agents, p.cell_agents, "shuffle {seed}");
+        }
     }
 
     #[test]

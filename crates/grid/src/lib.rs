@@ -24,8 +24,11 @@
 //! for either layout: serial (the apples-to-apples comparison against the
 //! serial kd-tree build) and rayon-parallel — for [`UniformGrid`] the
 //! lock-free atomic head-insertion the paper credits for the 4.3×
-//! multithreaded advantage over the kd-tree, for [`CsrGrid`] a
-//! chunked counting sort that is deterministic by construction.
+//! multithreaded advantage over the kd-tree (followed by a pass that
+//! puts each voxel's list back into the serial build's order), for
+//! [`CsrGrid`] a chunked counting sort that is deterministic by
+//! construction. Either parallel build equals its serial one bit for
+//! bit at every worker count.
 
 mod csr;
 mod geometry;
@@ -37,6 +40,9 @@ use bdm_math::{Aabb, Scalar, Vec3};
 use bdm_soa::AgentId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Voxels per task of the parallel build's conversion pass.
+const CONVERT_CHUNK: usize = 4 * 1024;
 
 /// One voxel of the grid — the paper's `Box` class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,12 +141,12 @@ impl<R: Scalar> UniformGrid<R> {
     /// construction of the uniform grid as opposed to the serial
     /// construction of the kd-tree" (paper §VI).
     ///
-    /// The resulting per-voxel list *order* depends on the interleaving of
-    /// insertions and is therefore nondeterministic across runs; the set of
-    /// agents per voxel is always exact. Force accumulation sums over the
-    /// set, so only floating-point summation order differs. (For
-    /// deterministic parallel builds, use [`CsrGrid::build_parallel`],
-    /// whose counting sort is stable by construction.)
+    /// The insertions race, so the order they leave a voxel's list in
+    /// depends on the schedule. The conversion pass therefore relinks
+    /// every list that is not in descending id order — the order
+    /// [`Self::build_serial`]'s ascending head-insertions produce — and
+    /// the result is the serial build's grid bit for bit, whatever the
+    /// worker count: force accumulation over a voxel sums in one order.
     pub fn build_parallel(xs: &[R], ys: &[R], zs: &[R], space: Aabb<R>, box_length: R) -> Self {
         let geom = GridGeometry::new(space, box_length);
         let num_boxes = geom.num_boxes();
@@ -149,29 +155,54 @@ impl<R: Scalar> UniformGrid<R> {
         let heads: Vec<AtomicU32> = (0..num_boxes)
             .map(|_| AtomicU32::new(AgentId::NULL.0))
             .collect();
-        let counts: Vec<AtomicU32> = (0..num_boxes).map(|_| AtomicU32::new(0)).collect();
         let successors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(AgentId::NULL.0)).collect();
 
         (0..n).into_par_iter().for_each(|i| {
             let b = geom.box_index(Vec3::new(xs[i], ys[i], zs[i]));
-            // Lock-free push-front: publish the old head as our successor,
-            // then swap ourselves in. Relaxed suffices for the counter;
-            // the head swap is AcqRel so readers of `start` see the
-            // successor write (the final conversion below is a barrier
-            // anyway, but keep the intent explicit).
+            // Lock-free push-front: swap ourselves in as the head, then
+            // publish the old head as our successor. The head swap is
+            // AcqRel so readers of `start` see the successor write (the
+            // fork-join barrier before the conversion below publishes
+            // everything anyway, but keep the intent explicit).
             let old = heads[b].swap(i as u32, Ordering::AcqRel);
             successors[i].store(old, Ordering::Release);
-            counts[b].fetch_add(1, Ordering::Relaxed);
         });
 
-        let boxes: Vec<GridBox> = heads
-            .iter()
-            .zip(counts.iter())
-            .map(|(h, c)| GridBox {
-                start: AgentId::from_raw(h.load(Ordering::Acquire)),
-                length: c.load(Ordering::Acquire),
-            })
-            .collect();
+        // Conversion (parallel over voxel blocks): plain boxes, lists
+        // relinked into descending id order where the race left another.
+        let mut boxes = vec![GridBox::EMPTY; num_boxes];
+        boxes
+            .par_chunks_mut(CONVERT_CHUNK)
+            .enumerate()
+            .for_each(|(c, chunk)| {
+                let mut ids: Vec<u32> = Vec::new();
+                for (k, slot) in chunk.iter_mut().enumerate() {
+                    ids.clear();
+                    let mut id = heads[c * CONVERT_CHUNK + k].load(Ordering::Acquire);
+                    while id != AgentId::NULL.0 {
+                        ids.push(id);
+                        id = successors[id as usize].load(Ordering::Acquire);
+                    }
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    if !ids.is_sorted_by(|a, b| a > b) {
+                        ids.sort_unstable_by(|a, b| b.cmp(a));
+                        // Each agent is in exactly one voxel, so no two
+                        // tasks touch the same successor slot; Relaxed,
+                        // the join at the end of the pass publishes them.
+                        for w in ids.windows(2) {
+                            successors[w[0] as usize].store(w[1], Ordering::Relaxed);
+                        }
+                        let last = ids[ids.len() - 1];
+                        successors[last as usize].store(AgentId::NULL.0, Ordering::Relaxed);
+                    }
+                    *slot = GridBox {
+                        start: AgentId::from_raw(ids[0]),
+                        length: ids.len() as u32,
+                    };
+                }
+            });
         let successors: Vec<AgentId> = successors
             .into_iter()
             .map(|a| AgentId::from_raw(a.into_inner()))
@@ -385,20 +416,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_same_sets_as_serial() {
-        let (xs, ys, zs) = cloud(1000, 4, 25.0);
-        let s = UniformGrid::build_serial(&xs, &ys, &zs, space(25.0), 3.0);
-        let p = UniformGrid::build_parallel(&xs, &ys, &zs, space(25.0), 3.0);
-        assert_eq!(s.dims(), p.dims());
-        for flat in 0..s.num_boxes() {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            s.for_each_in_box(flat, |id| a.push(id.0));
-            p.for_each_in_box(flat, |id| b.push(id.0));
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "voxel {flat} differs");
+    fn parallel_build_is_the_serial_build_at_every_worker_count() {
+        // Dense: ~40 agents per voxel, so racing insertions interleave.
+        let (xs, ys, zs) = cloud(20_000, 4, 24.0);
+        let s = UniformGrid::build_serial(&xs, &ys, &zs, space(24.0), 3.0);
+        for workers in [1, 2, 4] {
+            let p = rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build()
+                .expect("pool")
+                .install(|| UniformGrid::build_parallel(&xs, &ys, &zs, space(24.0), 3.0));
+            assert_eq!(s.boxes(), p.boxes(), "{workers} workers");
+            assert_eq!(s.successors(), p.successors(), "{workers} workers");
         }
+        // Blocks of insertions in a shuffled order: lists that are
+        // certainly not descending before the conversion pass.
+        let p = rayon::with_shuffled_schedule(9, || {
+            UniformGrid::build_parallel(&xs, &ys, &zs, space(24.0), 3.0)
+        });
+        assert_eq!(s.boxes(), p.boxes());
+        assert_eq!(s.successors(), p.successors());
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! search + Eq. 1 forces + displacement) → bound space → diffusion —
 //! where every stage is a first-class [`Operation`] with per-op
 //! frequency and enable/disable, and the agent loops run chunked under
-//! rayon with per-thread execution contexts ([`exec`]) that merge in
-//! chunk order: parallel and serial scheduling produce bitwise-identical
-//! trajectories.
+//! rayon with per-chunk execution contexts ([`exec`]) that merge in
+//! chunk order: every worker count produces the bitwise-identical
+//! trajectory.
 
 pub mod behavior;
 pub mod cell;
@@ -62,3 +62,10 @@ pub use scheduler::{ExecMode, OpStats, Scheduler};
 pub use shard::ShardedEnvironment;
 pub use simulation::Simulation;
 pub use timeseries::TimeSeries;
+
+/// The worker pool under every `par_*` loop of a step (the vendored
+/// fork-join `rayon`), re-exported so a caller can pin a run's worker
+/// count the upstream way — `rayon::ThreadPoolBuilder::new()
+/// .num_threads(n).build()?.install(|| sim.simulate(k))` — without a
+/// dependency of its own. The trajectory does not depend on `n`.
+pub use rayon;

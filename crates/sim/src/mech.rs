@@ -355,44 +355,62 @@ pub fn mechanical_step_with_scratch(
     }
 }
 
-/// Force evaluation over cached neighbor lists (shared by both CPU
-/// environments). Returns (displacements, contacts).
+/// The neighbor lists of one [`CSR_PASS_CHUNK`]-agent chunk, flat: agent
+/// `k` of the chunk owns `ids[offsets[k]..offsets[k + 1]]`. One buffer
+/// pair per chunk instead of one `Vec` per agent — a worker thread then
+/// allocates twice per 4 Ki agents, not once per agent for the caller to
+/// free.
+struct ChunkLists {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+/// Force evaluation over cached neighbor lists, chunk by chunk. Returns
+/// (displacements, contacts).
 fn force_phase(
     rm: &ResourceManager,
     params: &SimParams,
-    lists: &[Vec<u32>],
+    lists: &[ChunkLists],
 ) -> (Vec<Vec3<f64>>, u64) {
     let (xs, ys, zs) = rm.position_columns();
     let diam = rm.diameter_column();
     let adh = rm.adherence_column();
     let mech = &params.mech;
-    let results: Vec<(Vec3<f64>, u64)> = (0..rm.len())
-        .into_par_iter()
-        .map(|i| {
-            let p1 = Vec3::new(xs[i], ys[i], zs[i]);
-            let r1 = diam[i] * 0.5;
-            let mut force = Vec3::zero();
+    let mut disp = vec![Vec3::zero(); rm.len()];
+    let contacts: Vec<u64> = disp
+        .par_chunks_mut(CSR_PASS_CHUNK)
+        .zip(lists.par_iter())
+        .enumerate()
+        .map(|(c, (out, lists))| {
+            let base = c * CSR_PASS_CHUNK;
             let mut contacts = 0u64;
-            for &j in &lists[i] {
-                let j = j as usize;
-                let p2 = Vec3::new(xs[j], ys[j], zs[j]);
-                if let Some(f) = interaction::collision_force(
-                    p1,
-                    r1,
-                    p2,
-                    diam[j] * 0.5,
-                    mech.repulsion,
-                    mech.attraction,
-                ) {
-                    force += f;
-                    contacts += 1;
+            for (k, slot) in out.iter_mut().enumerate() {
+                let i = base + k;
+                let p1 = Vec3::new(xs[i], ys[i], zs[i]);
+                let r1 = diam[i] * 0.5;
+                let mut force = Vec3::zero();
+                let list = lists.offsets[k] as usize..lists.offsets[k + 1] as usize;
+                for &j in &lists.ids[list] {
+                    let j = j as usize;
+                    let p2 = Vec3::new(xs[j], ys[j], zs[j]);
+                    if let Some(f) = interaction::collision_force(
+                        p1,
+                        r1,
+                        p2,
+                        diam[j] * 0.5,
+                        mech.repulsion,
+                        mech.attraction,
+                    ) {
+                        force += f;
+                        contacts += 1;
+                    }
                 }
+                *slot = interaction::displacement(force, adh[i], mech);
             }
-            (interaction::displacement(force, adh[i], mech), contacts)
+            contacts
         })
         .collect();
-    let contacts = results.iter().map(|r| r.1).sum();
-    (results.into_iter().map(|r| r.0).collect(), contacts)
+    (disp, contacts.iter().sum())
 }
 
 pub(crate) fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>]) {
@@ -422,19 +440,28 @@ fn cpu_kdtree_step(rm: &mut ResourceManager, params: &SimParams) -> MechWork {
     // which keeps kd trajectories invariant under the host reorder.
     let uids = rm.uid_column();
     let t1 = Instant::now();
-    let query_results: Vec<(Vec<u32>, bdm_kdtree::QueryCounters)> = (0..n)
+    let query_results: Vec<(ChunkLists, bdm_kdtree::QueryCounters)> = (0..n
+        .div_ceil(CSR_PASS_CHUNK))
         .into_par_iter()
-        .map(|i| {
-            let q = Vec3::new(xs[i], ys[i], zs[i]);
-            let mut out = Vec::new();
-            let c = tree.radius_search(q, radius, Some(i as u32), &mut out);
-            out.sort_unstable_by_key(|&j| uids[j as usize]);
-            (out, c)
+        .map(|c| {
+            let chunk = c * CSR_PASS_CHUNK..((c + 1) * CSR_PASS_CHUNK).min(n);
+            let mut counters = bdm_kdtree::QueryCounters::default();
+            let mut offsets = Vec::with_capacity(chunk.len() + 1);
+            let mut ids = Vec::new();
+            offsets.push(0);
+            for i in chunk {
+                let q = Vec3::new(xs[i], ys[i], zs[i]);
+                let first = ids.len();
+                counters.merge(&tree.for_each_within(q, radius, Some(i as u32), |j| ids.push(j)));
+                ids[first..].sort_unstable_by_key(|&j| uids[j as usize]);
+                offsets.push(ids.len() as u32);
+            }
+            (ChunkLists { offsets, ids }, counters)
         })
         .collect();
     let wall_search = t1.elapsed().as_secs_f64();
     let mut counters = bdm_kdtree::QueryCounters::default();
-    let mut lists = Vec::with_capacity(n);
+    let mut lists = Vec::with_capacity(query_results.len());
     for (list, c) in query_results {
         counters.merge(&c);
         lists.push(list);

@@ -13,9 +13,10 @@
 //! The behaviors and bound-space operations are parallelized with the
 //! execution-context architecture of [`crate::exec`]: fixed-size agent
 //! chunks, one rayon task per chunk, chunk-ordered merge — bitwise
-//! identical to serial execution by construction, because the parallel
-//! and serial paths run the *same* closure over the *same* partition and
-//! only the (deterministically ordered) merge touches shared state.
+//! identical at every worker count by construction, because there is
+//! one closure over one partition (the scheduler's serial mode is the
+//! same loop under a one-worker pool) and only the (deterministically
+//! ordered) merge touches shared state.
 
 use crate::behavior::{diameter_of, volume_of, Behavior};
 use crate::cell::CellBuilder;
@@ -56,8 +57,6 @@ pub struct OpContext<'a> {
     pub rm: &'a mut ResourceManager,
     /// Substance grids (order of `add_diffusion_grid` calls).
     pub substances: &'a mut [DiffusionGrid],
-    /// `true` when the scheduler runs chunked agent loops under rayon.
-    pub parallel: bool,
     pub(crate) pipeline: Option<&'a mut MechanicalPipeline>,
     pub(crate) mech_scratch: &'a mut MechScratch,
     pub(crate) last_mech: &'a mut Option<MechWork>,
@@ -248,9 +247,9 @@ impl Operation for ShardRebalanceOp {
 /// The agent loop is chunked ([`AGENT_CHUNK`]); each chunk owns its
 /// agents' position/diameter columns ([`AgentChunkMut`]) and buffers
 /// births, deaths, and secretions in an [`ExecutionContext`]. Chunks run
-/// under rayon when the scheduler is in parallel mode, serially
-/// otherwise — the same closure either way — and the contexts merge in
-/// chunk order, so both modes produce bitwise-identical trajectories.
+/// under rayon (on the calling thread in the scheduler's serial mode)
+/// and the contexts merge in chunk order, so every worker count produces
+/// the bitwise-identical trajectory.
 ///
 /// Deferred-secretion semantics: substance deposits land at merge time,
 /// so every gradient read inside the pass sees the field as of the start
@@ -338,7 +337,7 @@ impl Operation for BehaviorOp {
 
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
         let t = Instant::now();
-        let (seed, step, parallel) = (ctx.params.seed, ctx.step, ctx.parallel);
+        let (seed, step) = (ctx.params.seed, ctx.step);
         // Shard-then-chunk when sharding is on: each execution context
         // stays shard-local and the contexts merge in shard-then-chunk
         // order. Both partitions are ascending tilings of the agent
@@ -351,12 +350,10 @@ impl Operation for BehaviorOp {
                 Some(cuts) => ctx.rm.behavior_chunks_at(cuts),
                 None => ctx.rm.behavior_chunks(AGENT_CHUNK),
             };
-            let run = |chunk| run_behavior_chunk(chunk, &shared, substances, seed, step);
-            if parallel {
-                chunks.into_par_iter().map(run).collect()
-            } else {
-                chunks.into_iter().map(run).collect()
-            }
+            chunks
+                .into_par_iter()
+                .map(|chunk| run_behavior_chunk(chunk, &shared, substances, seed, step))
+                .collect()
         };
         let outcome = ExecutionContext::merge_in_order(contexts, ctx.rm, ctx.substances);
         vec![OpRecord {
@@ -482,11 +479,7 @@ impl Operation for BoundSpaceOp {
             Some(cuts) => ctx.rm.behavior_chunks_at(cuts),
             None => ctx.rm.behavior_chunks(AGENT_CHUNK),
         };
-        let counts: Vec<u64> = if ctx.parallel {
-            chunks.into_par_iter().map(clamp_chunk).collect()
-        } else {
-            chunks.into_iter().map(clamp_chunk).collect()
-        };
+        let counts: Vec<u64> = chunks.into_par_iter().map(clamp_chunk).collect();
         let clamped: u64 = counts.iter().sum();
         vec![OpRecord {
             name: self.name().into(),
@@ -532,17 +525,11 @@ impl Operation for DiffusionOp {
         let t = Instant::now();
         let dt = ctx.params.mech.timestep;
         let precision = ctx.params.precision;
-        let runs: Vec<DiffusionStats> = if ctx.parallel {
-            ctx.substances
-                .par_iter_mut()
-                .map(|g| g.step_in(dt, precision))
-                .collect()
-        } else {
-            ctx.substances
-                .iter_mut()
-                .map(|g| g.step_in(dt, precision))
-                .collect()
-        };
+        let runs: Vec<DiffusionStats> = ctx
+            .substances
+            .par_iter_mut()
+            .map(|g| g.step_in(dt, precision))
+            .collect();
         let updates: u64 = runs.iter().map(|r| r.voxel_updates).sum();
         let interior: u64 = runs.iter().map(|r| r.interior_updates).sum();
         let faces = updates - interior;

@@ -1,7 +1,7 @@
 //! The operation scheduler.
 //!
 //! Owns the ordered list of [`Operation`]s a step executes and the
-//! execution mode for chunked agent loops. Each operation carries a
+//! execution mode of their `par_*` loops. Each operation carries a
 //! frequency (run every k-th step, like BioDynaMo's operation frequency)
 //! and an enabled flag; the scheduler times every run and accumulates
 //! per-operation totals ([`Scheduler::stats`]) independently of the
@@ -11,14 +11,19 @@ use crate::operation::{BehaviorOp, BoundSpaceOp, DiffusionOp, MechanicalOp, OpCo
 use crate::profiler::StepProfile;
 use std::time::Instant;
 
-/// How chunked agent loops execute.
+/// How the `par_*` loops of a step execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Chunks run one after another on the calling thread.
+    /// Every `par_*` loop any operation reaches — agent chunks, the
+    /// fused force passes, grid builds, diffusion tiles, key passes and
+    /// column gathers — runs on the calling thread: the step executes
+    /// under a one-worker pool.
     Serial,
-    /// Chunks run under rayon. Bitwise identical to [`ExecMode::Serial`]
-    /// by construction: the fixed chunk partition and the chunk-ordered
-    /// context merge make the trajectory independent of thread count.
+    /// The loops fork onto the ambient worker count
+    /// (`RAYON_NUM_THREADS`, else the processor count). Bitwise
+    /// identical to [`ExecMode::Serial`] by construction: fixed chunk
+    /// partitions and chunk-ordered merges make the trajectory
+    /// independent of the worker count.
     #[default]
     Parallel,
 }
@@ -103,7 +108,7 @@ impl Scheduler {
         );
     }
 
-    /// Execution mode for chunked agent loops.
+    /// Execution mode of the step's `par_*` loops.
     pub fn mode(&self) -> ExecMode {
         self.mode
     }
@@ -206,7 +211,17 @@ impl Scheduler {
     /// Execute one step: run every enabled, due operation in order and
     /// collect the records they emit.
     pub(crate) fn execute(&mut self, ctx: &mut OpContext<'_>) -> StepProfile {
-        ctx.parallel = self.mode == ExecMode::Parallel;
+        match self.mode {
+            ExecMode::Parallel => self.run_ops(ctx),
+            ExecMode::Serial => rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .expect("a one-worker pool spawns nothing")
+                .install(|| self.run_ops(ctx)),
+        }
+    }
+
+    fn run_ops(&mut self, ctx: &mut OpContext<'_>) -> StepProfile {
         let mut profile = StepProfile::default();
         for slot in &mut self.ops {
             if !slot.enabled || !ctx.step.is_multiple_of(slot.frequency) {

@@ -232,7 +232,9 @@ impl ShardedEnvironment {
     /// One sharded CSR mechanical step (f64). Drop-in replacement for
     /// the unsharded fused CSR pass — bitwise-identical displacements,
     /// identical work counters — with the build + force phases running
-    /// per shard.
+    /// per shard. `parallel` is the environment's build flag: it only
+    /// labels the modeled phases — the shards always run as `par_*`
+    /// tasks, on however many workers the step executes under.
     pub(crate) fn step(
         &mut self,
         rm: &mut ResourceManager,
@@ -351,19 +353,12 @@ impl ShardedEnvironment {
             grid.rebuild_from_members(xs, ys, zs, &st.members, space, radius, &mut st.build);
             halo
         };
-        let halo_per_shard: Vec<u64> = if parallel {
-            self.shards
-                .par_iter_mut()
-                .enumerate()
-                .map(|(s, st)| build_shard(s, st))
-                .collect()
-        } else {
-            self.shards
-                .iter_mut()
-                .enumerate()
-                .map(|(s, st)| build_shard(s, st))
-                .collect()
-        };
+        let halo_per_shard: Vec<u64> = self
+            .shards
+            .par_iter_mut()
+            .enumerate()
+            .map(|(s, st)| build_shard(s, st))
+            .collect();
         let wall_build = t1.elapsed().as_secs_f64();
 
         // Phase 3: fused neighbor scan + force pass, per shard over its
@@ -429,19 +424,11 @@ impl ShardedEnvironment {
             }
             (counters, contacts, gap_sum)
         };
-        let shard_stats: Vec<(QueryCounters, u64, u64)> = if parallel {
-            slices
-                .into_par_iter()
-                .enumerate()
-                .map(|(s, out)| force_shard(s, out))
-                .collect()
-        } else {
-            slices
-                .into_iter()
-                .enumerate()
-                .map(|(s, out)| force_shard(s, out))
-                .collect()
-        };
+        let shard_stats: Vec<(QueryCounters, u64, u64)> = slices
+            .into_par_iter()
+            .enumerate()
+            .map(|(s, out)| force_shard(s, out))
+            .collect();
         let mut counters = QueryCounters::default();
         let mut contacts = 0u64;
         let mut gap_sum = 0u64;

@@ -126,8 +126,9 @@ impl Simulation {
         &mut self.scheduler
     }
 
-    /// Select how chunked agent loops execute (serial or rayon-parallel;
-    /// the trajectories are bitwise identical either way).
+    /// Select how the step's `par_*` loops execute (on the calling thread
+    /// or forked onto the worker pool; the trajectories are bitwise
+    /// identical either way).
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.scheduler.set_mode(mode);
     }
@@ -299,7 +300,6 @@ impl Simulation {
             env: &self.env,
             rm: &mut self.rm,
             substances: &mut self.diffusion,
-            parallel: false,
             pipeline: self.pipeline.as_mut(),
             mech_scratch: &mut self.mech_scratch,
             last_mech: &mut self.last_mech,

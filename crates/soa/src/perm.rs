@@ -93,23 +93,30 @@ impl Permutation {
 
     /// Out-of-place gather: returns `new` with `new[i] = data[perm[i]]`.
     pub fn apply<T: Clone + Send + Sync>(&self, data: &[T]) -> Vec<T> {
+        let mut out = Vec::new();
+        self.gather(data, &mut out);
+        out
+    }
+
+    /// `dst[i] = src[perm[i]]` into `dst`'s own buffer (cleared first) —
+    /// no intermediate vector, so a reused `dst` costs one pass over the
+    /// column and no allocation.
+    fn gather<T: Clone + Send + Sync>(&self, src: &[T], dst: &mut Vec<T>) {
         assert_eq!(
-            data.len(),
+            src.len(),
             self.gather.len(),
             "column length {} does not match permutation length {}",
-            data.len(),
+            src.len(),
             self.gather.len()
         );
-        if data.len() >= PAR_THRESHOLD {
+        if src.len() >= PAR_THRESHOLD {
             self.gather
                 .par_iter()
-                .map(|&g| data[g as usize].clone())
-                .collect()
+                .map(|&g| src[g as usize].clone())
+                .collect_into_vec(dst);
         } else {
-            self.gather
-                .iter()
-                .map(|&g| data[g as usize].clone())
-                .collect()
+            dst.clear();
+            dst.extend(self.gather.iter().map(|&g| src[g as usize].clone()));
         }
     }
 
@@ -118,8 +125,7 @@ impl Permutation {
     pub fn gather_into<T: Clone + Send + Sync>(&self, src: &[T], dst: &mut Vec<T>) {
         // Check the length up front — including on the identity fast
         // path — so a mismatched column fails here with a clear message
-        // instead of deep inside the gather (or, worse for identity,
-        // silently copying a wrong-sized column).
+        // instead of silently copying a wrong-sized column.
         assert_eq!(
             src.len(),
             self.gather.len(),
@@ -127,12 +133,12 @@ impl Permutation {
             src.len(),
             self.gather.len()
         );
-        dst.clear();
         if self.is_identity() {
+            dst.clear();
             dst.extend_from_slice(src);
-            return;
+        } else {
+            self.gather(src, dst);
         }
-        dst.extend(self.gather.iter().map(|&g| src[g as usize].clone()));
     }
 
     /// In-place gather through a scratch buffer (reuses `scratch`'s
@@ -144,19 +150,7 @@ impl Permutation {
     /// untouched — an amortized reorder pass that finds the population
     /// already sorted costs one O(n) index scan and zero element moves.
     pub fn apply_in_place<T: Clone + Send + Sync>(&self, data: &mut Vec<T>, scratch: &mut Vec<T>) {
-        if self.is_identity() {
-            assert_eq!(
-                data.len(),
-                self.gather.len(),
-                "column length {} does not match permutation length {}",
-                data.len(),
-                self.gather.len()
-            );
-            return;
-        }
-        scratch.clear();
-        scratch.extend(self.apply(data.as_slice()));
-        std::mem::swap(data, scratch);
+        self.apply_columns_in_place(&mut [data], scratch);
     }
 
     /// Apply the permutation to several same-typed columns, cascading one
@@ -182,8 +176,7 @@ impl Permutation {
             return;
         }
         for col in columns.iter_mut() {
-            scratch.clear();
-            scratch.extend(self.apply(col.as_slice()));
+            self.gather(col.as_slice(), scratch);
             std::mem::swap(*col, scratch);
         }
     }

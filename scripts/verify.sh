@@ -6,5 +6,14 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# Thread matrix: the bitwise suites again at 1, 2 and 4 workers (the
+# default run above used the processor count).
+for threads in 1 2 4; do
+    RAYON_NUM_THREADS=$threads cargo test -q --offline --release \
+        --test csr_determinism --test scheduler_determinism \
+        --test f32simd_determinism --test thread_determinism
+    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim \
+        --test shard_determinism --test diffusion_parity --test resume_equivalence
+done
 cargo clippy --offline --workspace --all-targets -- -D warnings
 ./scripts/fmt.sh --check
