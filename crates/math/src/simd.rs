@@ -36,7 +36,7 @@
 //! Tails shorter than [`LANES`] are the *caller's* job (the "masked load
 //! via tail-scalar fallback" of the design): run the same per-lane scalar
 //! arithmetic on the remainder rather than constructing a partial vector
-//! load. See `bdm_sim::mech::cpu_grid_csr_step_simd`.
+//! load. See `bdm_sim::mech::simd_lanes`.
 
 // Every lane kernel is written as `for l in 0..LANES { out[l] = … }`:
 // the index form keeps the ops visually uniform across one- and

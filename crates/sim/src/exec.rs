@@ -21,7 +21,7 @@
 //!
 //! Precision note: the same fixed-chunk discipline is what lets the
 //! mixed-precision force pass (`SimParams::precision = F32Simd`, see
-//! `crate::mech::cpu_grid_csr_step_simd`) stay bitwise deterministic —
+//! `crate::mech::simd_lanes`) stay bitwise deterministic —
 //! its f32 lane packing and f64 lane-ordered reductions are functions of
 //! the chunk geometry, never of thread scheduling — so every merge
 //! performed here receives identical inputs across serial and parallel

@@ -7,10 +7,18 @@
 //!    uniform grid: serial or parallel);
 //! 2. **search** — update each agent's neighbor list by radius query
 //!    (36 % of the baseline runtime);
-//! 3. **force** — evaluate Eq. 1 over the cached lists and integrate the
-//!    displacements (51 % of the baseline runtime).
+//! 3. **force** — evaluate Eq. 1 over each agent's candidates and
+//!    integrate the displacements (51 % of the baseline runtime).
 //!
-//! The GPU path replaces all three with the offload pipeline of
+//! The paper swaps the structure that answers "who is near agent *i*"
+//! under an unchanged Eq. 1, and so does this module: every CPU path
+//! builds its structure, then runs the one `force_sweep` over a
+//! partition of `0..n`, with a `NeighborSource` per part (kd lists,
+//! linked-list chains, CSR x-runs — global or shard-local) feeding a
+//! lane body: scalar `f64` (`scalar_lanes`, any source) or 8-lane `f32`
+//! (`simd_lanes`, CSR only).
+//!
+//! The GPU path replaces all three phases with the offload pipeline of
 //! `bdm-gpu`.
 //!
 //! Besides producing displacements, every phase reports a
@@ -22,14 +30,15 @@
 use crate::environment::{EnvironmentKind, GridLayout};
 use crate::param::{Precision, SimParams};
 use crate::rm::ResourceManager;
+use crate::shard::ShardedEnvironment;
 use bdm_device::cpu::Phase;
 use bdm_gpu::pipeline::{GpuStepReport, MechanicalPipeline, SceneRef};
-use bdm_grid::{CsrBuildScratch, CsrGrid, UniformGrid};
+use bdm_grid::{CsrBuildScratch, CsrGrid, QueryCounters, UniformGrid};
 use bdm_kdtree::KdTree;
-use bdm_math::interaction::{self};
+use bdm_math::interaction;
 use bdm_math::simd::{F32x8, F64x8, U32x8, LANES};
-use bdm_math::Vec3;
-use bdm_soa::{AgentId, F32Mirror, F32x4Mirror};
+use bdm_math::{Aabb, Vec3};
+use bdm_soa::{F32Mirror, F32x4Mirror};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -157,8 +166,9 @@ pub struct SimdWork {
     pub refresh_copies: u64,
 }
 
-/// Outcome of one mechanical step.
-#[derive(Debug, Clone)]
+/// Outcome of one mechanical step. The default is the empty outcome (no
+/// agents, nothing ran).
+#[derive(Debug, Clone, Default)]
 pub struct MechWork {
     /// Work phases for the CPU timing model (empty for the GPU path —
     /// its cost lives in [`MechWork::gpu`]).
@@ -188,6 +198,15 @@ pub struct MechWork {
 }
 
 impl MechWork {
+    /// The offload path's outcome: no host phases or counters — the
+    /// step's cost lives in the report.
+    fn offloaded(report: GpuStepReport) -> Self {
+        Self {
+            gpu: Some(report),
+            ..Self::default()
+        }
+    }
+
     /// Mean neighbors per agent — the paper's density metric `n`.
     pub fn mean_density(&self, agents: usize) -> f64 {
         if agents == 0 {
@@ -251,18 +270,20 @@ pub fn interaction_radius(rm: &ResourceManager, params: &SimParams) -> f64 {
         .max(1e-9)
 }
 
-/// Reusable per-step working memory for the CSR mechanical path: the
-/// grid's CSR arrays, the counting-sort build scratch, and the per-agent
-/// displacement buffer all persist across steps, so a steady-state step
-/// allocates nothing. The [`crate::Simulation`] owns one of these for
-/// its lifetime; one-shot callers can pass a fresh default.
+/// Reusable per-step working memory for the CPU mechanical paths: the
+/// per-agent displacement buffer every sweep writes into, plus the CSR
+/// path's grid arrays, counting-sort build scratch and f32 mirrors, all
+/// persist across steps, so a steady-state CSR step allocates nothing.
+/// The [`crate::Simulation`] owns one of these for its lifetime;
+/// one-shot callers can pass a fresh default.
 #[derive(Default)]
 pub struct MechScratch {
-    /// CSR grid, rebuilt in place every step.
+    /// Global CSR grid, rebuilt in place every unsharded step.
     csr: Option<CsrGrid<f64>>,
     /// Counting-sort working memory (voxel ids + chunk histograms).
     build: CsrBuildScratch,
-    /// Per-agent displacements of the fused pass.
+    /// Per-agent displacements of the force sweep (every CPU path,
+    /// sharded or not).
     disp: Vec<Vec3<f64>>,
     /// `f32` shadows of the hot columns for the mixed-precision pass,
     /// refreshed lazily on the resource manager's dirty epochs. Epochs
@@ -303,7 +324,7 @@ impl SimdMirrors {
 /// applying the resulting displacements to the agents.
 ///
 /// Convenience wrapper over [`mechanical_step_with_scratch`] that pays
-/// the CSR path's buffer allocations every call; loops should hold a
+/// the buffer allocations every call; loops should hold a
 /// [`MechScratch`] instead.
 pub fn mechanical_step(
     rm: &mut ResourceManager,
@@ -322,31 +343,36 @@ pub fn mechanical_step_with_scratch(
     pipeline: Option<&mut MechanicalPipeline>,
     scratch: &mut MechScratch,
 ) -> MechWork {
+    mechanical_step_sharded(rm, params, env, pipeline, scratch, None)
+}
+
+/// [`mechanical_step_with_scratch`] for a simulation that may own a
+/// sharded driver. Shards apply where per-voxel id slices shard
+/// losslessly — the CSR environments, at either precision; kd,
+/// linked-list and GPU environments run their one global pass.
+pub(crate) fn mechanical_step_sharded(
+    rm: &mut ResourceManager,
+    params: &SimParams,
+    env: &EnvironmentKind,
+    pipeline: Option<&mut MechanicalPipeline>,
+    scratch: &mut MechScratch,
+    shards: Option<&mut ShardedEnvironment>,
+) -> MechWork {
     if rm.is_empty() {
-        return MechWork {
-            phases: Vec::new(),
-            wall_s: Vec::new(),
-            gpu: None,
-            candidates: 0,
-            contacts: 0,
-            neighbors: 0,
-            index_gap: None,
-            simd: None,
-            csr_rebuilds_skipped: 0,
-        };
+        return MechWork::default();
     }
     match env {
-        EnvironmentKind::KdTree => cpu_kdtree_step(rm, params),
+        EnvironmentKind::KdTree => cpu_kdtree_step(rm, params, scratch),
         EnvironmentKind::UniformGrid {
             layout: GridLayout::LinkedList,
             parallel,
-        } => cpu_grid_step(rm, params, *parallel),
+        } => cpu_grid_step(rm, params, *parallel, scratch),
         EnvironmentKind::UniformGrid {
             layout: GridLayout::Csr,
             parallel,
-        } => match params.precision {
-            Precision::F64 => cpu_grid_csr_step(rm, params, *parallel, scratch),
-            Precision::F32Simd => cpu_grid_csr_step_simd(rm, params, *parallel, scratch),
+        } => match shards {
+            Some(shards) => shards.step(rm, params, *parallel, scratch),
+            None => cpu_grid_csr_step(rm, params, *parallel, scratch),
         },
         EnvironmentKind::Gpu { .. } => {
             let pipeline = pipeline.expect("GPU environment requires a pipeline");
@@ -355,65 +381,217 @@ pub fn mechanical_step_with_scratch(
     }
 }
 
+/// The question the paper swaps answers to (§IV): which agents might be
+/// within the interaction radius of agent `i`? One implementation per
+/// structure; the force sweep is written once against this.
+trait NeighborSource: Sync {
+    /// `true` when every yielded id is already known to be within the
+    /// radius (cached neighbor lists): the sweep skips its distance gate.
+    const WITHIN_RADIUS: bool = false;
+
+    /// Visit the candidate ids of agent `i` at `p` (the lanes skip `i`
+    /// itself) in the source's fixed order — the agent's f64
+    /// accumulation order. Returns the voxels scanned.
+    fn for_each_candidate(&self, i: usize, p: Vec3<f64>, visit: impl FnMut(usize)) -> u64;
+}
+
+/// Agents per part of a global (unsharded) sweep. Fixed (not derived
+/// from the thread count) so the sweep is chunked identically no matter
+/// how rayon schedules it; each agent's FP64 accumulation is independent,
+/// so the displacements are bitwise reproducible across serial and
+/// parallel runs.
+pub(crate) const CSR_PASS_CHUNK: usize = 4 * 1024;
+
+/// Cut points of the global sweep: `0..n` every [`CSR_PASS_CHUNK`].
+fn chunk_cuts(n: usize) -> Vec<usize> {
+    (0..n).step_by(CSR_PASS_CHUNK).chain([n]).collect()
+}
+
 /// The neighbor lists of one [`CSR_PASS_CHUNK`]-agent chunk, flat: agent
-/// `k` of the chunk owns `ids[offsets[k]..offsets[k + 1]]`. One buffer
-/// pair per chunk instead of one `Vec` per agent — a worker thread then
+/// `base + k` owns `ids[offsets[k]..offsets[k + 1]]`. One buffer pair
+/// per chunk instead of one `Vec` per agent — a worker thread then
 /// allocates twice per 4 Ki agents, not once per agent for the caller to
 /// free.
 struct ChunkLists {
+    base: usize,
     offsets: Vec<u32>,
     ids: Vec<u32>,
 }
 
-/// Force evaluation over cached neighbor lists, chunk by chunk. Returns
-/// (displacements, contacts).
-fn force_phase(
-    rm: &ResourceManager,
-    params: &SimParams,
-    lists: &[ChunkLists],
-) -> (Vec<Vec3<f64>>, u64) {
-    let (xs, ys, zs) = rm.position_columns();
-    let diam = rm.diameter_column();
-    let adh = rm.adherence_column();
-    let mech = &params.mech;
-    let mut disp = vec![Vec3::zero(); rm.len()];
-    let contacts: Vec<u64> = disp
-        .par_chunks_mut(CSR_PASS_CHUNK)
-        .zip(lists.par_iter())
-        .enumerate()
-        .map(|(c, (out, lists))| {
-            let base = c * CSR_PASS_CHUNK;
-            let mut contacts = 0u64;
-            for (k, slot) in out.iter_mut().enumerate() {
-                let i = base + k;
-                let p1 = Vec3::new(xs[i], ys[i], zs[i]);
-                let r1 = diam[i] * 0.5;
-                let mut force = Vec3::zero();
-                let list = lists.offsets[k] as usize..lists.offsets[k + 1] as usize;
-                for &j in &lists.ids[list] {
-                    let j = j as usize;
-                    let p2 = Vec3::new(xs[j], ys[j], zs[j]);
-                    if let Some(f) = interaction::collision_force(
-                        p1,
-                        r1,
-                        p2,
-                        diam[j] * 0.5,
-                        mech.repulsion,
-                        mech.attraction,
-                    ) {
-                        force += f;
-                        contacts += 1;
-                    }
-                }
-                *slot = interaction::displacement(force, adh[i], mech);
-            }
-            contacts
-        })
-        .collect();
-    (disp, contacts.iter().sum())
+impl NeighborSource for ChunkLists {
+    const WITHIN_RADIUS: bool = true;
+
+    #[inline]
+    fn for_each_candidate(&self, i: usize, _p: Vec3<f64>, mut visit: impl FnMut(usize)) -> u64 {
+        let k = i - self.base;
+        for &j in &self.ids[self.offsets[k] as usize..self.offsets[k + 1] as usize] {
+            visit(j as usize);
+        }
+        0
+    }
 }
 
-pub(crate) fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>]) {
+/// The Fig. 5 linked list: 27 head lookups, then one dependent successor
+/// hop per candidate.
+impl NeighborSource for UniformGrid<f64> {
+    #[inline]
+    fn for_each_candidate(&self, _i: usize, p: Vec3<f64>, mut visit: impl FnMut(usize)) -> u64 {
+        let boxes = self.neighbor_boxes(p);
+        let scanned = boxes.len() as u64;
+        for flat in boxes {
+            self.for_each_in_box(flat, |id| visit(id.index()));
+        }
+        scanned
+    }
+}
+
+/// The stencil as ≤ 9 contiguous id slices (x-adjacent voxels
+/// concatenate in the x-major CSR order): the linked list's walk minus
+/// the successor chases and two thirds of the per-voxel head lookups.
+/// Global and shard-local grids alike.
+impl NeighborSource for CsrGrid<f64> {
+    #[inline]
+    fn for_each_candidate(&self, _i: usize, p: Vec3<f64>, mut visit: impl FnMut(usize)) -> u64 {
+        let mut scanned = 0u64;
+        for (first, count) in self.geometry().x_runs(p) {
+            scanned += count as u64;
+            for id in self.run_range(first, count) {
+                visit(id.index());
+            }
+        }
+        scanned
+    }
+}
+
+/// An empty CSR grid for a scratch slot to rebuild in place.
+pub(crate) fn empty_csr(space: Aabb<f64>, radius: f64) -> CsrGrid<f64> {
+    CsrGrid::build_serial(&[], &[], &[], space, radius)
+}
+
+/// What one part of a sweep counted. Integer sums, so any partition of
+/// the agents reduces to the same totals.
+#[derive(Default)]
+struct SweepStats {
+    counters: QueryCounters,
+    contacts: u64,
+    gap_sum: u64,
+    simd: SimdWork,
+}
+
+/// The modeled flavour of a sweep: which work-model constants price its
+/// force phase, and which statistics its [`MechWork`] reports.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ForceModel {
+    /// Cached kd neighbor lists (the v0.0.9 baseline's force pass).
+    Lists,
+    /// Fused pass over the linked-list grid.
+    LinkedList,
+    /// Fused pass over CSR runs, scalar f64.
+    Csr,
+    /// Fused pass over CSR runs, 8-lane f32.
+    CsrF32,
+}
+
+/// The one host force sweep. Splits the displacement buffer at `cuts` (a
+/// tiling of `0..n`), runs `lanes(agents, part, first agent, part's
+/// slice)` on every part as its own rayon task, sums the statistics,
+/// integrates, and builds the step's [`MechWork`] — the one place the
+/// force phase is priced. `timed` holds the phases that already ran
+/// (build, search, shard sort, mirror refresh) with their wall clocks;
+/// `parallel` is the force phase's flag in the machine model. The sweep's
+/// own wall clock stops before integration, on every path.
+///
+/// Per-agent results are independent writes into disjoint slices and the
+/// statistics are integer sums, so neither the partition (every
+/// [`CSR_PASS_CHUNK`] globally, the shard ranges when sharded) nor the
+/// schedule can affect a bit.
+fn force_sweep(
+    rm: &mut ResourceManager,
+    disp: &mut Vec<Vec3<f64>>,
+    mut timed: Vec<(Phase, f64)>,
+    cuts: &[usize],
+    model: ForceModel,
+    parallel: bool,
+    lanes: impl Fn(&ResourceManager, usize, usize, &mut [Vec3<f64>]) -> SweepStats + Sync,
+) -> MechWork {
+    let t = Instant::now();
+    disp.clear();
+    disp.resize(rm.len(), Vec3::zero());
+    let agents = &*rm;
+    let parts: Vec<SweepStats> = bdm_soa::split_mut_at(disp, cuts)
+        .into_par_iter()
+        .enumerate()
+        .map(|(part, out)| lanes(agents, part, cuts[part], out))
+        .collect();
+    let wall_sweep = t.elapsed().as_secs_f64();
+    let mut stats = SweepStats::default();
+    for s in &parts {
+        stats.counters.merge(&s.counters);
+        stats.contacts += s.contacts;
+        stats.gap_sum += s.gap_sum;
+        stats.simd.lanes_utilized += s.simd.lanes_utilized;
+        stats.simd.pad_lanes += s.simd.pad_lanes;
+    }
+    apply_displacements(rm, disp);
+
+    use work_model as wm;
+    let n = rm.len() as f64;
+    let candidates = stats.counters.points_tested as f64;
+    let contacts = stats.contacts as f64;
+    let neighbors = stats.counters.neighbors_found as f64;
+    let boxes = stats.counters.boxes_scanned as f64;
+    let fused_flops = |per_candidate: f64| {
+        per_candidate * candidates
+            + wm::UG_FLOPS_PER_CONTACT * contacts
+            + wm::UG_FIXED_FLOPS_PER_AGENT * n
+    };
+    let (flops, bytes, random_accesses) = match model {
+        ForceModel::Lists => (
+            wm::FORCE_FLOPS_PER_NEIGHBOR * neighbors + wm::FORCE_FIXED_FLOPS_PER_AGENT * n,
+            wm::FORCE_BYTES_PER_NEIGHBOR * neighbors + wm::FORCE_FIXED_BYTES_PER_AGENT * n,
+            neighbors,
+        ),
+        ForceModel::LinkedList => (
+            fused_flops(wm::UG_FLOPS_PER_CANDIDATE),
+            wm::UG_BYTES_PER_CANDIDATE * candidates + wm::UG_FIXED_BYTES_PER_AGENT * n,
+            boxes,
+        ),
+        ForceModel::Csr => (
+            fused_flops(wm::CSR_FLOPS_PER_CANDIDATE),
+            wm::CSR_BYTES_PER_CANDIDATE * candidates + wm::UG_FIXED_BYTES_PER_AGENT * n,
+            wm::CSR_RANDOM_PER_BOX * boxes,
+        ),
+        ForceModel::CsrF32 => (
+            fused_flops(wm::CSR_FLOPS_PER_CANDIDATE),
+            wm::SIMD_BYTES_PER_CANDIDATE * candidates + wm::SIMD_FIXED_BYTES_PER_AGENT * n,
+            wm::CSR_RANDOM_PER_BOX * boxes,
+        ),
+    };
+    let forces = Phase {
+        name: "mechanical forces",
+        flops,
+        bytes,
+        random_accesses,
+        parallel,
+        fp64: model != ForceModel::CsrF32,
+    };
+    timed.push((forces, wall_sweep));
+    let (phases, wall_s) = timed.into_iter().unzip();
+    let csr = matches!(model, ForceModel::Csr | ForceModel::CsrF32);
+    MechWork {
+        phases,
+        wall_s,
+        candidates: stats.counters.points_tested,
+        contacts: stats.contacts,
+        neighbors: stats.counters.neighbors_found,
+        index_gap: (csr && stats.counters.points_tested > 0)
+            .then(|| stats.gap_sum as f64 / candidates),
+        simd: (model == ForceModel::CsrF32).then_some(stats.simd),
+        ..Default::default()
+    }
+}
+
+fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>]) {
     for (i, &d) in disp.iter().enumerate() {
         if d != Vec3::zero() {
             rm.translate(i, d);
@@ -421,7 +599,321 @@ pub(crate) fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>]) 
     }
 }
 
-fn cpu_kdtree_step(rm: &mut ResourceManager, params: &SimParams) -> MechWork {
+/// Scalar `f64` lanes: Eq. 1 over the candidates of agents
+/// `base..base + out.len()`, from any source, accumulated in the
+/// source's candidate order. The grid pipelines never materialize
+/// neighbor lists — scan and force fuse here, the same structure the GPU
+/// kernel uses, and why the UG rewrite beats the kd pipeline even
+/// serially (§VI).
+fn scalar_lanes<S: NeighborSource>(
+    rm: &ResourceManager,
+    params: &SimParams,
+    source: &S,
+    base: usize,
+    out: &mut [Vec3<f64>],
+) -> SweepStats {
+    let (xs, ys, zs) = rm.position_columns();
+    let (diam, adh, mech) = (rm.diameter_column(), rm.adherence_column(), &params.mech);
+    let radius = interaction_radius(rm, params);
+    let r2 = radius * radius;
+    let mut counters = QueryCounters::default();
+    let mut contacts = 0u64;
+    let mut gap_sum = 0u64;
+    for (k, slot) in out.iter_mut().enumerate() {
+        let i = base + k;
+        let p1 = Vec3::new(xs[i], ys[i], zs[i]);
+        let r1 = diam[i] * 0.5;
+        let mut force = Vec3::zero();
+        counters.boxes_scanned += source.for_each_candidate(i, p1, |j| {
+            if j == i {
+                return;
+            }
+            counters.points_tested += 1;
+            gap_sum += i.abs_diff(j) as u64;
+            let p2 = Vec3::new(xs[j], ys[j], zs[j]);
+            if S::WITHIN_RADIUS || (p2 - p1).norm_squared() <= r2 {
+                counters.neighbors_found += 1;
+                if let Some(f) = interaction::collision_force(
+                    p1,
+                    r1,
+                    p2,
+                    diam[j] * 0.5,
+                    mech.repulsion,
+                    mech.attraction,
+                ) {
+                    force += f;
+                    contacts += 1;
+                }
+            }
+        });
+        *slot = interaction::displacement(force, adh[i], mech);
+    }
+    SweepStats {
+        counters,
+        contacts,
+        gap_sum,
+        ..Default::default()
+    }
+}
+
+/// 8-lane `f32` lanes — the paper's Improvement I (FP64→FP32) applied to
+/// the CPU hot path. Needs a source whose candidates are contiguous id
+/// runs, i.e. a CSR grid.
+///
+/// Same skeleton as [`scalar_lanes`] over the same f64 CSR build
+/// (candidate enumeration is bit-identical to the f64 path — precision
+/// must never change *which* pairs are tested, only the test
+/// arithmetic). The differences:
+///
+/// * per-candidate state is gathered from the lazily refreshed `f32`
+///   column mirrors and streamed through the 8-wide lane types of
+///   [`bdm_math::simd`] — the memory-bound gather term halves
+///   ([`work_model::SIMD_BYTES_PER_CANDIDATE`]);
+/// * each agent's force accumulates **per lane in f64** ([`F64x8`]) and
+///   reduces in lane-index order. The accumulation order is a pure
+///   function of the candidate sequence and the batching geometry —
+///   never of thread scheduling or of how the agents are partitioned —
+///   so the path is bitwise deterministic (serial ≡ parallel ≡ sharded,
+///   run ≡ rerun). It *differs* from the f64 path within the ±1e-5
+///   per-step envelope pinned by `tests/precision_claims.rs`, and
+///   because storage order changes lane packing (hence rounding), f32
+///   trajectories are also a function of the reorder policy — unlike the
+///   f64 path, which is reorder-invariant;
+/// * displacement integration stays f64: `interaction::displacement`
+///   over the f64-accumulated force, with the (f32-mirrored) adherence
+///   widened back — the per-step tolerance budget is spent on the force
+///   kernel, not on the integrator.
+fn simd_lanes(
+    rm: &ResourceManager,
+    params: &SimParams,
+    mirrors: &SimdMirrors,
+    grid: &CsrGrid<f64>,
+    base: usize,
+    out: &mut [Vec3<f64>],
+) -> SweepStats {
+    let (xs64, ys64, zs64) = rm.position_columns();
+    let posd = mirrors.posd.as_slice();
+    let adh = mirrors.adh.as_slice();
+    let mech = &params.mech;
+    let radius = interaction_radius(rm, params);
+    let rep32 = mech.repulsion as f32;
+    let att32 = mech.attraction as f32;
+    let r2f = (radius as f32) * (radius as f32);
+    let halfv = F32x8::splat(0.5);
+    let r2v = F32x8::splat(r2f);
+    let repv = F32x8::splat(rep32);
+    let attv = F32x8::splat(att32);
+    let epsv = F32x8::splat(f32::EPSILON);
+    // Raw CSR views for the candidate-append fast path: offsets plus the
+    // id array as plain `u32`s (zero-copy; `AgentId` is transparent).
+    let starts = grid.cell_starts();
+    let ids_raw = bdm_soa::ids_as_raw(grid.cell_agents());
+    let mut stats = SweepStats::default();
+    // Per-chunk candidate buffer, reused across agents. In the
+    // benchmark regime an x-run holds only ~6 agents — below
+    // one lane width — so batching run-by-run would push nearly
+    // every candidate through the scalar tail. Concatenating
+    // the ≤9 stencil runs first (in run order, so the candidate
+    // sequence is identical to the scalar pass) turns a typical
+    // ~54-candidate stencil into ~6 full batches + one tail.
+    let mut cand: Vec<u32> = Vec::with_capacity(128);
+    // Per-candidate f32 force contributions, staged contiguously
+    // between the two passes below (grow-only; pass A overwrites
+    // every slot it will read back in pass B).
+    let mut fxb: Vec<f32> = Vec::with_capacity(128);
+    let mut fyb: Vec<f32> = Vec::with_capacity(128);
+    let mut fzb: Vec<f32> = Vec::with_capacity(128);
+    for (k, slot) in out.iter_mut().enumerate() {
+        let i = base + k;
+        // Stencil runs come from the f64 geometry, like the build.
+        let p1_64 = Vec3::new(xs64[i], ys64[i], zs64[i]);
+        let rec = posd[i];
+        let q = Vec3::new(rec[0], rec[1], rec[2]);
+        let r1 = rec[3] * 0.5f32;
+        let iv = U32x8::splat(i as u32);
+        let (qx, qy, qz) = (F32x8::splat(q.x), F32x8::splat(q.y), F32x8::splat(q.z));
+        let r1v = F32x8::splat(r1);
+        let (mut ax, mut ay, mut az) = (F64x8::zero(), F64x8::zero(), F64x8::zero());
+        // Per-agent statistic accumulators, vertical form: each
+        // batch adds its masks as 0/1 lanes ([`M32x8::ones`], a
+        // `vpand`+`vpaddd` per counter) and the horizontal
+        // reduction happens once per agent. A per-batch
+        // horizontal `count()` looks cheap (movmsk+popcnt) but
+        // the optimizer narrows the masks through the blend
+        // lowering and expands it into a cross-lane shuffle tree
+        // that dominates the batch. The scope matters too: these
+        // must be *inside* the agent loop — hoisted to chunk
+        // scope, scalar-replacement splits the lanes into
+        // twenty-four GPR/stack slots that get re-inserted and
+        // re-extracted every batch. Lane sums stay far below u32
+        // range for any realistic stencil (counts gain ≤1 per
+        // batch; the index gap is bounded by agent count per
+        // candidate, ≤ ~10⁹ per lane).
+        let (mut lane_acc, mut neigh_acc, mut contact_acc) =
+            (U32x8::splat(0), U32x8::splat(0), U32x8::splat(0));
+        let mut gap_acc = U32x8::splat(0);
+        cand.clear();
+        for (first, count) in grid.geometry().x_runs(p1_64) {
+            stats.counters.boxes_scanned += count as u64;
+            let lo = starts[first] as usize;
+            let hi = starts[first + count as usize] as usize;
+            let rl = hi - lo;
+            let old = cand.len();
+            // Append the run with LANES-wide block copies instead
+            // of `extend`: a stencil is ~9 runs of ~6 ids, and a
+            // million per-element append loops per step cost more
+            // than the force arithmetic they feed. The copy may
+            // read up to LANES−1 ids past the run (never past the
+            // CSR array — the guard falls back to an exact tail
+            // copy there) and write as far past `rl` into
+            // reserved capacity; the final `set_len` keeps
+            // exactly the run's ids, so the candidate sequence
+            // is identical to the scalar pass's.
+            cand.reserve(rl + LANES);
+            // SAFETY: capacity ≥ old + rl + LANES (the reserve
+            // above), so every write below — including the
+            // LANES-wide over-write — lands inside allocated
+            // capacity; reads stay inside `ids_raw` by the
+            // `src_end` guard; `set_len(old + rl)` only exposes
+            // lanes the loop wrote (`o` covers `0..rl`).
+            unsafe {
+                let dst = cand.as_mut_ptr().add(old);
+                let src = ids_raw.as_ptr().add(lo);
+                let mut o = 0usize;
+                while o < rl {
+                    if lo + o + LANES <= ids_raw.len() {
+                        core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), LANES);
+                        o += LANES;
+                    } else {
+                        core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), rl - o);
+                        break;
+                    }
+                }
+                cand.set_len(old + rl);
+            }
+        }
+        // Masked-load fallback for the stencil remainder: fill
+        // the last partial batch with the agent's own id. Self
+        // lanes are already discarded by the `valid` mask (the
+        // agent really is in its own stencil), so padding lanes
+        // contribute exactly +0.0 force and 0 to every counter —
+        // no separate scalar tail path exists.
+        let len = cand.len();
+        let pad = len.next_multiple_of(LANES) - len;
+        if pad > 0 {
+            // SAFETY: a non-multiple length means at least one
+            // run appended above, whose reserve left ≥ LANES
+            // spare capacity past `len`; one LANES-wide splat
+            // write plus `set_len` replaces up to LANES−1
+            // scalar pushes.
+            unsafe {
+                let dst = cand.as_mut_ptr().add(len);
+                for l in 0..LANES {
+                    dst.add(l).write(i as u32);
+                }
+                cand.set_len(len + pad);
+            }
+        }
+        stats.simd.pad_lanes += pad as u64;
+        {
+            // Pass A: 8-wide f32 math, contributions *stored* to
+            // the contiguous staging buffers instead of being
+            // accumulated here — keeping six f64 accumulator
+            // registers live across a gather-heavy loop is what
+            // spills it; a store-only loop leaves the register
+            // file to the gathers and the Eq. 1 arithmetic.
+            let batched = cand.len();
+            if fxb.len() < batched {
+                fxb.resize(batched, 0.0);
+                fyb.resize(batched, 0.0);
+                fzb.resize(batched, 0.0);
+            }
+            // Pin each buffer to exactly `batched` elements: the
+            // loop bound then *proves* every 8-lane window is in
+            // range, so the stores and reloads below compile
+            // without per-batch bounds-check branches.
+            let cs = &cand[..batched];
+            let (fxs, fys, fzs) = (
+                &mut fxb[..batched],
+                &mut fyb[..batched],
+                &mut fzb[..batched],
+            );
+            let mut off = 0usize;
+            while off + LANES <= batched {
+                let idv = U32x8::from_slice(&cs[off..off + LANES]);
+                let valid = idv.ne(iv);
+                let [px, py, pz, dj] = F32x8::gather4(posd, idv);
+                let dx = qx - px;
+                let dy = qy - py;
+                let dz = qz - pz;
+                let dist2 = dx * dx + dy * dy + dz * dz;
+                let neighbor = dist2.le(r2v).and(valid);
+                let rj = dj * halfv;
+                let sum_r = r1v + rj;
+                let dist = dist2.sqrt();
+                // Eq. 1 evaluated unconditionally on every lane;
+                // the contact mask (the scalar kernel's two
+                // early-outs plus the radius gate) discards the
+                // NaN/inf garbage of non-contact lanes bitwise.
+                // The batch is latency-bound, not port-bound
+                // (measured IPC ≈ 0.5 — the gathers dominate),
+                // so exact IEEE `vsqrtps`/`vdivps` cost nothing
+                // extra: a Newton-refined `rsqrt_nr`/`recip_nr`
+                // variant of this block measured *slower* by
+                // lengthening the dependency chain. The two
+                // divisions do fold into one algebraically:
+                // with r_eff = r1·rj/sum_r,
+                //   mag/dist = (rep·δ·sum_r − att·√(r1·rj·δ·sum_r))
+                //              / (sum_r·dist)
+                // because √(r_eff·δ)·sum_r = √(r1·rj·δ·sum_r).
+                let contact = dist2.lt(sum_r * sum_r).and(dist.gt(epsv)).and(neighbor);
+                let delta = sum_r - dist;
+                let dsum = delta * sum_r;
+                let inv = F32x8::splat(1.0) / (sum_r * dist);
+                let scale = (repv * dsum - attv * ((r1v * rj) * dsum).sqrt()) * inv;
+                let zero = F32x8::zero();
+                fxs[off..off + LANES].copy_from_slice(&contact.select(dx * scale, zero).0);
+                fys[off..off + LANES].copy_from_slice(&contact.select(dy * scale, zero).0);
+                fzs[off..off + LANES].copy_from_slice(&contact.select(dz * scale, zero).0);
+                lane_acc = lane_acc + valid.ones();
+                neigh_acc = neigh_acc + neighbor.ones();
+                contact_acc = contact_acc + contact.ones();
+                // The self lane contributes |i − i| = 0: no mask.
+                gap_acc = gap_acc + idv.abs_diff(iv);
+                off += LANES;
+            }
+            // Pass B: widen and accumulate the staged
+            // contributions in f64. Lane assignment and reduce
+            // order are exactly pass A's, so the result is
+            // bit-identical to a fused accumulate; the loads are
+            // contiguous, which SLP compiles to clean 8-wide
+            // load→cvt→add chains.
+            let mut off2 = 0usize;
+            while off2 + LANES <= batched {
+                ax.accumulate(F32x8::from_slice(&fxs[off2..off2 + LANES]));
+                ay.accumulate(F32x8::from_slice(&fys[off2..off2 + LANES]));
+                az.accumulate(F32x8::from_slice(&fzs[off2..off2 + LANES]));
+                off2 += LANES;
+            }
+            let lanes_n = lane_acc.reduce_sum();
+            stats.counters.points_tested += lanes_n;
+            stats.simd.lanes_utilized += lanes_n;
+            stats.counters.neighbors_found += neigh_acc.reduce_sum();
+            stats.contacts += contact_acc.reduce_sum();
+            stats.gap_sum += gap_acc.reduce_sum();
+        }
+        let force = Vec3::new(ax.reduce(), ay.reduce(), az.reduce());
+        *slot = interaction::displacement(force, adh[i] as f64, mech);
+    }
+
+    stats
+}
+
+fn cpu_kdtree_step(
+    rm: &mut ResourceManager,
+    params: &SimParams,
+    scratch: &mut MechScratch,
+) -> MechWork {
     let n = rm.len();
     let radius = interaction_radius(rm, params);
 
@@ -440,11 +932,11 @@ fn cpu_kdtree_step(rm: &mut ResourceManager, params: &SimParams) -> MechWork {
     // which keeps kd trajectories invariant under the host reorder.
     let uids = rm.uid_column();
     let t1 = Instant::now();
-    let query_results: Vec<(ChunkLists, bdm_kdtree::QueryCounters)> = (0..n
-        .div_ceil(CSR_PASS_CHUNK))
+    let cuts = chunk_cuts(n);
+    let query_results: Vec<(ChunkLists, bdm_kdtree::QueryCounters)> = (0..cuts.len() - 1)
         .into_par_iter()
         .map(|c| {
-            let chunk = c * CSR_PASS_CHUNK..((c + 1) * CSR_PASS_CHUNK).min(n);
+            let chunk = cuts[c]..cuts[c + 1];
             let mut counters = bdm_kdtree::QueryCounters::default();
             let mut offsets = Vec::with_capacity(chunk.len() + 1);
             let mut ids = Vec::new();
@@ -456,7 +948,8 @@ fn cpu_kdtree_step(rm: &mut ResourceManager, params: &SimParams) -> MechWork {
                 ids[first..].sort_unstable_by_key(|&j| uids[j as usize]);
                 offsets.push(ids.len() as u32);
             }
-            (ChunkLists { offsets, ids }, counters)
+            let base = cuts[c];
+            (ChunkLists { base, offsets, ids }, counters)
         })
         .collect();
     let wall_search = t1.elapsed().as_secs_f64();
@@ -466,166 +959,88 @@ fn cpu_kdtree_step(rm: &mut ResourceManager, params: &SimParams) -> MechWork {
         counters.merge(&c);
         lists.push(list);
     }
+    let build = Phase::serial_fp64(
+        "neighborhood build",
+        work_model::KD_BUILD_FLOPS_PER_POINT_LEVEL
+            * build_stats.points as f64
+            * build_stats.depth as f64,
+        work_model::KD_BUILD_BYTES_PER_POINT_LEVEL
+            * build_stats.points as f64
+            * build_stats.depth as f64,
+        build_stats.nodes as f64 / 4.0,
+    );
+    let search = Phase::parallel_fp64(
+        "neighborhood search",
+        work_model::KD_SEARCH_FLOPS_PER_CANDIDATE * counters.points_tested as f64,
+        work_model::KD_SEARCH_BYTES_PER_CANDIDATE * counters.points_tested as f64,
+        // Upper tree levels stay cache-resident; only about half the
+        // node hops go to memory.
+        counters.nodes_visited as f64 / 2.0,
+    );
+    let timed = vec![(build, wall_build), (search, wall_search)];
 
     // Phase 3: forces over the cached lists.
-    let t2 = Instant::now();
-    let (disp, contacts) = force_phase(rm, params, &lists);
-    let wall_force = t2.elapsed().as_secs_f64();
-    apply_displacements(rm, &disp);
-
-    let neighbors = counters.neighbors_found;
-    let phases = vec![
-        Phase::serial_fp64(
-            "neighborhood build",
-            work_model::KD_BUILD_FLOPS_PER_POINT_LEVEL
-                * build_stats.points as f64
-                * build_stats.depth as f64,
-            work_model::KD_BUILD_BYTES_PER_POINT_LEVEL
-                * build_stats.points as f64
-                * build_stats.depth as f64,
-            build_stats.nodes as f64 / 4.0,
-        ),
-        Phase::parallel_fp64(
-            "neighborhood search",
-            work_model::KD_SEARCH_FLOPS_PER_CANDIDATE * counters.points_tested as f64,
-            work_model::KD_SEARCH_BYTES_PER_CANDIDATE * counters.points_tested as f64,
-            // Upper tree levels stay cache-resident; only about half the
-            // node hops go to memory.
-            counters.nodes_visited as f64 / 2.0,
-        ),
-        Phase::parallel_fp64(
-            "mechanical forces",
-            work_model::FORCE_FLOPS_PER_NEIGHBOR * neighbors as f64
-                + work_model::FORCE_FIXED_FLOPS_PER_AGENT * n as f64,
-            work_model::FORCE_BYTES_PER_NEIGHBOR * neighbors as f64
-                + work_model::FORCE_FIXED_BYTES_PER_AGENT * n as f64,
-            neighbors as f64,
-        ),
-    ];
-    MechWork {
-        phases,
-        wall_s: vec![wall_build, wall_search, wall_force],
-        gpu: None,
-        candidates: counters.points_tested,
-        contacts,
-        neighbors,
-        index_gap: None,
-        simd: None,
-        csr_rebuilds_skipped: 0,
-    }
+    let (disp, model) = (&mut scratch.disp, ForceModel::Lists);
+    let mut work = force_sweep(rm, disp, timed, &cuts, model, true, |rm, c, base, out| {
+        scalar_lanes(rm, params, &lists[c], base, out)
+    });
+    debug_assert_eq!(work.neighbors, counters.neighbors_found);
+    // The sweep only saw the search's survivors; the path's candidates
+    // are the points the tree distance-tested.
+    work.candidates = counters.points_tested;
+    work
 }
 
-fn cpu_grid_step(rm: &mut ResourceManager, params: &SimParams, parallel: bool) -> MechWork {
+fn cpu_grid_step(
+    rm: &mut ResourceManager,
+    params: &SimParams,
+    parallel: bool,
+    scratch: &mut MechScratch,
+) -> MechWork {
     let n = rm.len();
     let radius = interaction_radius(rm, params);
-    let space = params.space;
 
     // Phase 1: grid build (Fig. 5 structure).
     let t0 = Instant::now();
     let (xs, ys, zs) = rm.position_columns();
     let grid = if parallel {
-        UniformGrid::build_parallel(xs, ys, zs, space, radius)
+        UniformGrid::build_parallel(xs, ys, zs, params.space, radius)
     } else {
-        UniformGrid::build_serial(xs, ys, zs, space, radius)
+        UniformGrid::build_serial(xs, ys, zs, params.space, radius)
     };
-    let wall_build = t0.elapsed().as_secs_f64();
+    let bytes = work_model::GRID_BUILD_BYTES_PER_AGENT * n as f64;
+    let build = Phase {
+        parallel,
+        ..Phase::parallel_fp64("neighborhood build", 0.0, bytes, n as f64)
+    };
+    let timed = vec![(build, t0.elapsed().as_secs_f64())];
 
-    // Phase 2: fused neighbor scan + force computation — the uniform-grid
-    // pipeline never materializes neighbor lists; each agent walks its 27
-    // voxels and accumulates Eq. 1 inline (this is the same structure the
-    // GPU kernel uses, and it is why the UG rewrite beats the kd pipeline
-    // even serially, §VI).
-    let t1 = Instant::now();
-    let diam = rm.diameter_column();
-    let adh = rm.adherence_column();
-    let mech = &params.mech;
-    struct PerAgent {
-        disp: Vec3<f64>,
-        counters: bdm_grid::QueryCounters,
-        contacts: u64,
-    }
-    let results: Vec<PerAgent> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let p1 = Vec3::new(xs[i], ys[i], zs[i]);
-            let r1 = diam[i] * 0.5;
-            let mut force = Vec3::zero();
-            let mut contacts = 0u64;
-            let counters =
-                grid.for_each_within(xs, ys, zs, p1, radius, Some(AgentId(i as u32)), |id| {
-                    let j = id.index();
-                    if let Some(f) = interaction::collision_force(
-                        p1,
-                        r1,
-                        Vec3::new(xs[j], ys[j], zs[j]),
-                        diam[j] * 0.5,
-                        mech.repulsion,
-                        mech.attraction,
-                    ) {
-                        force += f;
-                        contacts += 1;
-                    }
-                });
-            PerAgent {
-                disp: interaction::displacement(force, adh[i], mech),
-                counters,
-                contacts,
-            }
-        })
-        .collect();
-    let wall_fused = t1.elapsed().as_secs_f64();
-
-    let mut counters = bdm_grid::QueryCounters::default();
-    let mut contacts = 0u64;
-    let disp: Vec<Vec3<f64>> = results
-        .iter()
-        .map(|r| {
-            counters.merge(&r.counters);
-            contacts += r.contacts;
-            r.disp
-        })
-        .collect();
-    apply_displacements(rm, &disp);
-
-    let neighbors = counters.neighbors_found;
-    let phases = vec![
-        Phase {
-            name: "neighborhood build",
-            flops: 0.0,
-            bytes: work_model::GRID_BUILD_BYTES_PER_AGENT * n as f64,
-            random_accesses: n as f64,
-            parallel,
-            fp64: true,
-        },
-        Phase::parallel_fp64(
-            "mechanical forces",
-            work_model::UG_FLOPS_PER_CANDIDATE * counters.points_tested as f64
-                + work_model::UG_FLOPS_PER_CONTACT * contacts as f64
-                + work_model::UG_FIXED_FLOPS_PER_AGENT * n as f64,
-            work_model::UG_BYTES_PER_CANDIDATE * counters.points_tested as f64
-                + work_model::UG_FIXED_BYTES_PER_AGENT * n as f64,
-            counters.boxes_scanned as f64,
-        ),
-    ];
-    MechWork {
-        phases,
-        wall_s: vec![wall_build, wall_fused],
-        gpu: None,
-        candidates: counters.points_tested,
-        contacts,
-        neighbors,
-        index_gap: None,
-        simd: None,
-        csr_rebuilds_skipped: 0,
-    }
+    // Phase 2: fused neighbor scan + force computation.
+    let (disp, cuts, model) = (&mut scratch.disp, chunk_cuts(n), ForceModel::LinkedList);
+    force_sweep(rm, disp, timed, &cuts, model, true, |rm, _, base, out| {
+        scalar_lanes(rm, params, &grid, base, out)
+    })
 }
 
-/// Agents per work item of the fused CSR pass. Fixed (not derived from
-/// the thread count) so the pass is chunked identically no matter how
-/// rayon schedules it; each agent's FP64 accumulation is independent, so
-/// the displacements are bitwise reproducible across serial and parallel
-/// runs.
-pub(crate) const CSR_PASS_CHUNK: usize = 4 * 1024;
+/// The modeled counting-sort build over `members` agents (a shard's
+/// members include its halo); a skipped incremental rebuild only
+/// streams the voxel-key compare.
+pub(crate) fn csr_build_phase(members: usize, skipped: bool, parallel: bool) -> Phase {
+    use work_model as wm;
+    let m = members as f64;
+    let (bytes, random) = if skipped {
+        (wm::CSR_BUILD_SKIP_BYTES_PER_AGENT * m, 0.0)
+    } else {
+        (
+            wm::CSR_BUILD_BYTES_PER_AGENT * m,
+            wm::CSR_BUILD_RANDOM_PER_AGENT * m,
+        )
+    };
+    Phase {
+        parallel,
+        ..Phase::parallel_fp64("neighborhood build", 0.0, bytes, random)
+    }
+}
 
 fn cpu_grid_csr_step(
     rm: &mut ResourceManager,
@@ -637,498 +1052,79 @@ fn cpu_grid_csr_step(
     let radius = interaction_radius(rm, params);
     let space = params.space;
 
-    // Phase 1: counting-sort CSR build, reusing the scratch arrays.
+    // Counting-sort CSR build, reusing the scratch arrays. The grid
+    // leaves its slot for the sweep (which borrows the rest of the
+    // scratch) and returns to it afterwards.
     let t0 = Instant::now();
     let (xs, ys, zs) = rm.position_columns();
-    let grid = scratch
+    let mut grid = scratch
         .csr
-        .get_or_insert_with(|| CsrGrid::build_serial(&[], &[], &[], space, radius));
-    let build_skipped = if parallel {
+        .take()
+        .unwrap_or_else(|| empty_csr(space, radius));
+    let skipped = if parallel {
         grid.rebuild_parallel(xs, ys, zs, space, radius, &mut scratch.build)
     } else {
         grid.rebuild_serial(xs, ys, zs, space, radius, &mut scratch.build)
     };
-    let wall_build = t0.elapsed().as_secs_f64();
+    let build = (
+        csr_build_phase(n, skipped, parallel),
+        t0.elapsed().as_secs_f64(),
+    );
 
-    // Phase 2: fused neighbor scan + force computation, streaming the
-    // stencil as ≤ 9 contiguous id slices (x-adjacent voxels concatenate
-    // in the x-major CSR order). Same structure as the linked-list fused
-    // pass, minus the successor chases and two thirds of the per-voxel
-    // head lookups.
-    let t1 = Instant::now();
-    let diam = rm.diameter_column();
-    let adh = rm.adherence_column();
-    let mech = &params.mech;
-    let r2 = radius * radius;
-    let grid = &*grid;
-    scratch.disp.clear();
-    scratch.disp.resize(n, Vec3::zero());
-    let chunk_stats: Vec<(bdm_grid::QueryCounters, u64, u64)> = scratch
-        .disp
-        .par_chunks_mut(CSR_PASS_CHUNK)
-        .enumerate()
-        .map(|(c, out)| {
-            let base = c * CSR_PASS_CHUNK;
-            let mut counters = bdm_grid::QueryCounters::default();
-            let mut contacts = 0u64;
-            let mut gap_sum = 0u64;
-            for (k, slot) in out.iter_mut().enumerate() {
-                let i = base + k;
-                let p1 = Vec3::new(xs[i], ys[i], zs[i]);
-                let r1 = diam[i] * 0.5;
-                let mut force = Vec3::zero();
-                for (first, count) in grid.geometry().x_runs(p1) {
-                    counters.boxes_scanned += count as u64;
-                    for &id in grid.run_range(first, count) {
-                        let j = id.index();
-                        if j == i {
-                            continue;
-                        }
-                        counters.points_tested += 1;
-                        gap_sum += i.abs_diff(j) as u64;
-                        let p2 = Vec3::new(xs[j], ys[j], zs[j]);
-                        if (p2 - p1).norm_squared() <= r2 {
-                            counters.neighbors_found += 1;
-                            if let Some(f) = interaction::collision_force(
-                                p1,
-                                r1,
-                                p2,
-                                diam[j] * 0.5,
-                                mech.repulsion,
-                                mech.attraction,
-                            ) {
-                                force += f;
-                                contacts += 1;
-                            }
-                        }
-                    }
-                }
-                *slot = interaction::displacement(force, adh[i], mech);
-            }
-            (counters, contacts, gap_sum)
-        })
-        .collect();
-    let wall_fused = t1.elapsed().as_secs_f64();
-
-    let mut counters = bdm_grid::QueryCounters::default();
-    let mut contacts = 0u64;
-    let mut gap_sum = 0u64;
-    for (c, k, g) in &chunk_stats {
-        counters.merge(c);
-        contacts += k;
-        gap_sum += g;
-    }
-    let disp = std::mem::take(&mut scratch.disp);
-    apply_displacements(rm, &disp);
-    scratch.disp = disp;
-
-    let neighbors = counters.neighbors_found;
-    let phases = vec![
-        Phase {
-            name: "neighborhood build",
-            flops: 0.0,
-            bytes: if build_skipped {
-                work_model::CSR_BUILD_SKIP_BYTES_PER_AGENT * n as f64
-            } else {
-                work_model::CSR_BUILD_BYTES_PER_AGENT * n as f64
-            },
-            random_accesses: if build_skipped {
-                0.0
-            } else {
-                work_model::CSR_BUILD_RANDOM_PER_AGENT * n as f64
-            },
-            parallel,
-            fp64: true,
-        },
-        Phase::parallel_fp64(
-            "mechanical forces",
-            work_model::CSR_FLOPS_PER_CANDIDATE * counters.points_tested as f64
-                + work_model::UG_FLOPS_PER_CONTACT * contacts as f64
-                + work_model::UG_FIXED_FLOPS_PER_AGENT * n as f64,
-            work_model::CSR_BYTES_PER_CANDIDATE * counters.points_tested as f64
-                + work_model::UG_FIXED_BYTES_PER_AGENT * n as f64,
-            work_model::CSR_RANDOM_PER_BOX * counters.boxes_scanned as f64,
-        ),
-    ];
-    MechWork {
-        phases,
-        wall_s: vec![wall_build, wall_fused],
-        gpu: None,
-        candidates: counters.points_tested,
-        contacts,
-        neighbors,
-        index_gap: (counters.points_tested > 0)
-            .then(|| gap_sum as f64 / counters.points_tested as f64),
-        simd: None,
-        csr_rebuilds_skipped: build_skipped as u64,
-    }
+    // The global pass is the sweep's degenerate partition: one grid, cut
+    // every `CSR_PASS_CHUNK`.
+    let cuts = chunk_cuts(n);
+    let mut work = csr_sweep(rm, params, scratch, vec![build], &cuts, |_| &grid, true);
+    work.csr_rebuilds_skipped = skipped as u64;
+    scratch.csr = Some(grid);
+    work
 }
 
-/// Mixed-precision SIMD variant of [`cpu_grid_csr_step`] — the paper's
-/// Improvement I (FP64→FP32) applied to the CPU hot path.
-///
-/// Same skeleton as the scalar pass: the f64 CSR build (candidate
-/// enumeration is bit-identical to the f64 path — precision must never
-/// change *which* pairs are tested, only the test arithmetic), the same
-/// fixed [`CSR_PASS_CHUNK`] chunking. The differences:
-///
-/// * per-candidate state is gathered from the lazily refreshed `f32`
-///   column mirrors and streamed through the 8-wide lane types of
-///   [`bdm_math::simd`] — the memory-bound gather term halves
-///   ([`work_model::SIMD_BYTES_PER_CANDIDATE`]);
-/// * each agent's force accumulates **per lane in f64** ([`F64x8`]) and
-///   reduces in lane-index order; run remainders shorter than one vector
-///   width fall back to a scalar-f32 tail running the *exact same
-///   algebra* (`collision_force::<f32>` — the vector kernel replicates it
-///   op-for-op), whose f64-widened contributions are added after the
-///   lane reduction. The accumulation order is a pure function of the
-///   candidate sequence and the batching geometry — never of thread
-///   scheduling — so the path is bitwise deterministic (serial ≡
-///   parallel, run ≡ rerun). It *differs* from the f64 path within the
-///   ±1e-5 per-step envelope pinned by `tests/precision_claims.rs`, and
-///   because storage order changes lane packing (hence rounding), f32
-///   trajectories are also a function of the reorder policy — unlike the
-///   f64 path, which is reorder-invariant;
-/// * displacement integration stays f64: `interaction::displacement`
-///   over the f64-accumulated force, with the (f32-mirrored) adherence
-///   widened back — the per-step tolerance budget is spent on the force
-///   kernel, not on the integrator.
-fn cpu_grid_csr_step_simd(
+/// What every CSR step does once its grid(s) exist: bring the f32
+/// mirrors up to date when the precision asks for them, run the sweep
+/// over `cuts` with part `c` reading `grid_of(c)`, integrate, and report.
+/// Shared by the global pass and [`ShardedEnvironment::step`], which is
+/// why sharding works at either precision.
+pub(crate) fn csr_sweep<'a>(
     rm: &mut ResourceManager,
     params: &SimParams,
-    parallel: bool,
     scratch: &mut MechScratch,
+    mut timed: Vec<(Phase, f64)>,
+    cuts: &[usize],
+    grid_of: impl Fn(usize) -> &'a CsrGrid<f64> + Sync,
+    parallel: bool,
 ) -> MechWork {
-    let n = rm.len();
-    let radius = interaction_radius(rm, params);
-    let space = params.space;
-
-    // Phase 1: the same f64 CSR build as the scalar pass.
-    let t0 = Instant::now();
-    let (xs64, ys64, zs64) = rm.position_columns();
-    let grid = scratch
-        .csr
-        .get_or_insert_with(|| CsrGrid::build_serial(&[], &[], &[], space, radius));
-    let build_skipped = if parallel {
-        grid.rebuild_parallel(xs64, ys64, zs64, space, radius, &mut scratch.build)
-    } else {
-        grid.rebuild_serial(xs64, ys64, zs64, space, radius, &mut scratch.build)
+    let mut refresh_copies = 0;
+    let model = match params.precision {
+        Precision::F64 => ForceModel::Csr,
+        Precision::F32Simd => {
+            // Lazy on the dirty epochs: columns untouched since the
+            // previous step cost nothing (diameters/adherences of a
+            // non-growing population).
+            let t = Instant::now();
+            refresh_copies = scratch.mirrors.refresh(rm);
+            let refresh = Phase {
+                name: "f32 mirror refresh",
+                flops: refresh_copies as f64,
+                bytes: work_model::SIMD_REFRESH_BYTES_PER_ELEMENT * refresh_copies as f64,
+                random_accesses: 0.0,
+                parallel: false,
+                fp64: false,
+            };
+            timed.push((refresh, t.elapsed().as_secs_f64()));
+            ForceModel::CsrF32
+        }
     };
-    let wall_build = t0.elapsed().as_secs_f64();
-
-    // Phase 2: bring the f32 mirrors up to date. Lazy on the dirty
-    // epochs: columns untouched since the previous step cost nothing
-    // (diameters/adherences of a non-growing population).
-    let t1 = Instant::now();
-    let refresh_copies = scratch.mirrors.refresh(rm);
-    let wall_refresh = t1.elapsed().as_secs_f64();
-
-    // Phase 3: fused scan + force over the mirrors.
-    let t2 = Instant::now();
-    let posd = scratch.mirrors.posd.as_slice();
-    let adh = scratch.mirrors.adh.as_slice();
-    let mech = &params.mech;
-    let rep32 = mech.repulsion as f32;
-    let att32 = mech.attraction as f32;
-    let r2f = (radius as f32) * (radius as f32);
-    let halfv = F32x8::splat(0.5);
-    let r2v = F32x8::splat(r2f);
-    let repv = F32x8::splat(rep32);
-    let attv = F32x8::splat(att32);
-    let epsv = F32x8::splat(f32::EPSILON);
-    let grid = &*grid;
-    // Raw CSR views for the candidate-append fast path: offsets plus the
-    // id array as plain `u32`s (zero-copy; `AgentId` is transparent).
-    let starts = grid.cell_starts();
-    let ids_raw = bdm_soa::ids_as_raw(grid.cell_agents());
-    scratch.disp.clear();
-    scratch.disp.resize(n, Vec3::zero());
-
-    #[derive(Default)]
-    struct ChunkStats {
-        counters: bdm_grid::QueryCounters,
-        contacts: u64,
-        gap_sum: u64,
-        lanes_utilized: u64,
-        pad_lanes: u64,
-    }
-
-    let chunk_stats: Vec<ChunkStats> = scratch
-        .disp
-        .par_chunks_mut(CSR_PASS_CHUNK)
-        .enumerate()
-        .map(|(c, out)| {
-            let base = c * CSR_PASS_CHUNK;
-            let mut stats = ChunkStats::default();
-            // Per-chunk candidate buffer, reused across agents. In the
-            // benchmark regime an x-run holds only ~6 agents — below
-            // one lane width — so batching run-by-run would push nearly
-            // every candidate through the scalar tail. Concatenating
-            // the ≤9 stencil runs first (in run order, so the candidate
-            // sequence is identical to the scalar pass) turns a typical
-            // ~54-candidate stencil into ~6 full batches + one tail.
-            let mut cand: Vec<u32> = Vec::with_capacity(128);
-            // Per-candidate f32 force contributions, staged contiguously
-            // between the two passes below (grow-only; pass A overwrites
-            // every slot it will read back in pass B).
-            let mut fxb: Vec<f32> = Vec::with_capacity(128);
-            let mut fyb: Vec<f32> = Vec::with_capacity(128);
-            let mut fzb: Vec<f32> = Vec::with_capacity(128);
-            for (k, slot) in out.iter_mut().enumerate() {
-                let i = base + k;
-                // Stencil runs come from the f64 geometry, like the build.
-                let p1_64 = Vec3::new(xs64[i], ys64[i], zs64[i]);
-                let rec = posd[i];
-                let q = Vec3::new(rec[0], rec[1], rec[2]);
-                let r1 = rec[3] * 0.5f32;
-                let iv = U32x8::splat(i as u32);
-                let (qx, qy, qz) = (F32x8::splat(q.x), F32x8::splat(q.y), F32x8::splat(q.z));
-                let r1v = F32x8::splat(r1);
-                let (mut ax, mut ay, mut az) = (F64x8::zero(), F64x8::zero(), F64x8::zero());
-                // Per-agent statistic accumulators, vertical form: each
-                // batch adds its masks as 0/1 lanes ([`M32x8::ones`], a
-                // `vpand`+`vpaddd` per counter) and the horizontal
-                // reduction happens once per agent. A per-batch
-                // horizontal `count()` looks cheap (movmsk+popcnt) but
-                // the optimizer narrows the masks through the blend
-                // lowering and expands it into a cross-lane shuffle tree
-                // that dominates the batch. The scope matters too: these
-                // must be *inside* the agent loop — hoisted to chunk
-                // scope, scalar-replacement splits the lanes into
-                // twenty-four GPR/stack slots that get re-inserted and
-                // re-extracted every batch. Lane sums stay far below u32
-                // range for any realistic stencil (counts gain ≤1 per
-                // batch; the index gap is bounded by agent count per
-                // candidate, ≤ ~10⁹ per lane).
-                let (mut lane_acc, mut neigh_acc, mut contact_acc) =
-                    (U32x8::splat(0), U32x8::splat(0), U32x8::splat(0));
-                let mut gap_acc = U32x8::splat(0);
-                cand.clear();
-                for (first, count) in grid.geometry().x_runs(p1_64) {
-                    stats.counters.boxes_scanned += count as u64;
-                    let lo = starts[first] as usize;
-                    let hi = starts[first + count as usize] as usize;
-                    let rl = hi - lo;
-                    let old = cand.len();
-                    // Append the run with LANES-wide block copies instead
-                    // of `extend`: a stencil is ~9 runs of ~6 ids, and a
-                    // million per-element append loops per step cost more
-                    // than the force arithmetic they feed. The copy may
-                    // read up to LANES−1 ids past the run (never past the
-                    // CSR array — the guard falls back to an exact tail
-                    // copy there) and write as far past `rl` into
-                    // reserved capacity; the final `set_len` keeps
-                    // exactly the run's ids, so the candidate sequence
-                    // is identical to the scalar pass's.
-                    cand.reserve(rl + LANES);
-                    // SAFETY: capacity ≥ old + rl + LANES (the reserve
-                    // above), so every write below — including the
-                    // LANES-wide over-write — lands inside allocated
-                    // capacity; reads stay inside `ids_raw` by the
-                    // `src_end` guard; `set_len(old + rl)` only exposes
-                    // lanes the loop wrote (`o` covers `0..rl`).
-                    unsafe {
-                        let dst = cand.as_mut_ptr().add(old);
-                        let src = ids_raw.as_ptr().add(lo);
-                        let mut o = 0usize;
-                        while o < rl {
-                            if lo + o + LANES <= ids_raw.len() {
-                                core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), LANES);
-                                o += LANES;
-                            } else {
-                                core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), rl - o);
-                                break;
-                            }
-                        }
-                        cand.set_len(old + rl);
-                    }
-                }
-                // Masked-load fallback for the stencil remainder: fill
-                // the last partial batch with the agent's own id. Self
-                // lanes are already discarded by the `valid` mask (the
-                // agent really is in its own stencil), so padding lanes
-                // contribute exactly +0.0 force and 0 to every counter —
-                // no separate scalar tail path exists.
-                let len = cand.len();
-                let pad = len.next_multiple_of(LANES) - len;
-                if pad > 0 {
-                    // SAFETY: a non-multiple length means at least one
-                    // run appended above, whose reserve left ≥ LANES
-                    // spare capacity past `len`; one LANES-wide splat
-                    // write plus `set_len` replaces up to LANES−1
-                    // scalar pushes.
-                    unsafe {
-                        let dst = cand.as_mut_ptr().add(len);
-                        for l in 0..LANES {
-                            dst.add(l).write(i as u32);
-                        }
-                        cand.set_len(len + pad);
-                    }
-                }
-                stats.pad_lanes += pad as u64;
-                {
-                    // Pass A: 8-wide f32 math, contributions *stored* to
-                    // the contiguous staging buffers instead of being
-                    // accumulated here — keeping six f64 accumulator
-                    // registers live across a gather-heavy loop is what
-                    // spills it; a store-only loop leaves the register
-                    // file to the gathers and the Eq. 1 arithmetic.
-                    let batched = cand.len();
-                    if fxb.len() < batched {
-                        fxb.resize(batched, 0.0);
-                        fyb.resize(batched, 0.0);
-                        fzb.resize(batched, 0.0);
-                    }
-                    // Pin each buffer to exactly `batched` elements: the
-                    // loop bound then *proves* every 8-lane window is in
-                    // range, so the stores and reloads below compile
-                    // without per-batch bounds-check branches.
-                    let cs = &cand[..batched];
-                    let (fxs, fys, fzs) = (
-                        &mut fxb[..batched],
-                        &mut fyb[..batched],
-                        &mut fzb[..batched],
-                    );
-                    let mut off = 0usize;
-                    while off + LANES <= batched {
-                        let idv = U32x8::from_slice(&cs[off..off + LANES]);
-                        let valid = idv.ne(iv);
-                        let [px, py, pz, dj] = F32x8::gather4(posd, idv);
-                        let dx = qx - px;
-                        let dy = qy - py;
-                        let dz = qz - pz;
-                        let dist2 = dx * dx + dy * dy + dz * dz;
-                        let neighbor = dist2.le(r2v).and(valid);
-                        let rj = dj * halfv;
-                        let sum_r = r1v + rj;
-                        let dist = dist2.sqrt();
-                        // Eq. 1 evaluated unconditionally on every lane;
-                        // the contact mask (the scalar kernel's two
-                        // early-outs plus the radius gate) discards the
-                        // NaN/inf garbage of non-contact lanes bitwise.
-                        // The batch is latency-bound, not port-bound
-                        // (measured IPC ≈ 0.5 — the gathers dominate),
-                        // so exact IEEE `vsqrtps`/`vdivps` cost nothing
-                        // extra: a Newton-refined `rsqrt_nr`/`recip_nr`
-                        // variant of this block measured *slower* by
-                        // lengthening the dependency chain. The two
-                        // divisions do fold into one algebraically:
-                        // with r_eff = r1·rj/sum_r,
-                        //   mag/dist = (rep·δ·sum_r − att·√(r1·rj·δ·sum_r))
-                        //              / (sum_r·dist)
-                        // because √(r_eff·δ)·sum_r = √(r1·rj·δ·sum_r).
-                        let contact = dist2.lt(sum_r * sum_r).and(dist.gt(epsv)).and(neighbor);
-                        let delta = sum_r - dist;
-                        let dsum = delta * sum_r;
-                        let inv = F32x8::splat(1.0) / (sum_r * dist);
-                        let scale = (repv * dsum - attv * ((r1v * rj) * dsum).sqrt()) * inv;
-                        let zero = F32x8::zero();
-                        fxs[off..off + LANES].copy_from_slice(&contact.select(dx * scale, zero).0);
-                        fys[off..off + LANES].copy_from_slice(&contact.select(dy * scale, zero).0);
-                        fzs[off..off + LANES].copy_from_slice(&contact.select(dz * scale, zero).0);
-                        lane_acc = lane_acc + valid.ones();
-                        neigh_acc = neigh_acc + neighbor.ones();
-                        contact_acc = contact_acc + contact.ones();
-                        // The self lane contributes |i − i| = 0: no mask.
-                        gap_acc = gap_acc + idv.abs_diff(iv);
-                        off += LANES;
-                    }
-                    // Pass B: widen and accumulate the staged
-                    // contributions in f64. Lane assignment and reduce
-                    // order are exactly pass A's, so the result is
-                    // bit-identical to a fused accumulate; the loads are
-                    // contiguous, which SLP compiles to clean 8-wide
-                    // load→cvt→add chains.
-                    let mut off2 = 0usize;
-                    while off2 + LANES <= batched {
-                        ax.accumulate(F32x8::from_slice(&fxs[off2..off2 + LANES]));
-                        ay.accumulate(F32x8::from_slice(&fys[off2..off2 + LANES]));
-                        az.accumulate(F32x8::from_slice(&fzs[off2..off2 + LANES]));
-                        off2 += LANES;
-                    }
-                    let lanes_n = lane_acc.reduce_sum();
-                    stats.counters.points_tested += lanes_n;
-                    stats.lanes_utilized += lanes_n;
-                    stats.counters.neighbors_found += neigh_acc.reduce_sum();
-                    stats.contacts += contact_acc.reduce_sum();
-                    stats.gap_sum += gap_acc.reduce_sum();
-                }
-                let force = Vec3::new(ax.reduce(), ay.reduce(), az.reduce());
-                *slot = interaction::displacement(force, adh[i] as f64, mech);
-            }
-            stats
-        })
-        .collect();
-    let wall_fused = t2.elapsed().as_secs_f64();
-
-    let mut counters = bdm_grid::QueryCounters::default();
-    let mut contacts = 0u64;
-    let mut gap_sum = 0u64;
-    let mut simd = SimdWork {
-        refresh_copies,
-        ..Default::default()
+    let (disp, mirrors) = (&mut scratch.disp, &scratch.mirrors);
+    let lanes = |rm: &ResourceManager, c: usize, base: usize, out: &mut [Vec3<f64>]| match model {
+        ForceModel::CsrF32 => simd_lanes(rm, params, mirrors, grid_of(c), base, out),
+        _ => scalar_lanes(rm, params, grid_of(c), base, out),
     };
-    for s in &chunk_stats {
-        counters.merge(&s.counters);
-        contacts += s.contacts;
-        gap_sum += s.gap_sum;
-        simd.lanes_utilized += s.lanes_utilized;
-        simd.pad_lanes += s.pad_lanes;
+    let mut work = force_sweep(rm, disp, timed, cuts, model, parallel, lanes);
+    if let Some(simd) = &mut work.simd {
+        simd.refresh_copies = refresh_copies;
     }
-    let disp = std::mem::take(&mut scratch.disp);
-    apply_displacements(rm, &disp);
-    scratch.disp = disp;
-
-    let neighbors = counters.neighbors_found;
-    let phases = vec![
-        Phase {
-            name: "neighborhood build",
-            flops: 0.0,
-            bytes: if build_skipped {
-                work_model::CSR_BUILD_SKIP_BYTES_PER_AGENT * n as f64
-            } else {
-                work_model::CSR_BUILD_BYTES_PER_AGENT * n as f64
-            },
-            random_accesses: if build_skipped {
-                0.0
-            } else {
-                work_model::CSR_BUILD_RANDOM_PER_AGENT * n as f64
-            },
-            parallel,
-            fp64: true,
-        },
-        Phase {
-            name: "f32 mirror refresh",
-            flops: refresh_copies as f64,
-            bytes: work_model::SIMD_REFRESH_BYTES_PER_ELEMENT * refresh_copies as f64,
-            random_accesses: 0.0,
-            parallel: false,
-            fp64: false,
-        },
-        Phase {
-            name: "mechanical forces",
-            flops: work_model::CSR_FLOPS_PER_CANDIDATE * counters.points_tested as f64
-                + work_model::UG_FLOPS_PER_CONTACT * contacts as f64
-                + work_model::UG_FIXED_FLOPS_PER_AGENT * n as f64,
-            bytes: work_model::SIMD_BYTES_PER_CANDIDATE * counters.points_tested as f64
-                + work_model::SIMD_FIXED_BYTES_PER_AGENT * n as f64,
-            random_accesses: work_model::CSR_RANDOM_PER_BOX * counters.boxes_scanned as f64,
-            parallel: true,
-            fp64: false,
-        },
-    ];
-    MechWork {
-        phases,
-        wall_s: vec![wall_build, wall_refresh, wall_fused],
-        gpu: None,
-        candidates: counters.points_tested,
-        contacts,
-        neighbors,
-        index_gap: (counters.points_tested > 0)
-            .then(|| gap_sum as f64 / counters.points_tested as f64),
-        simd: Some(simd),
-        csr_rebuilds_skipped: build_skipped as u64,
-    }
+    work
 }
 
 fn gpu_step(
@@ -1136,26 +1132,23 @@ fn gpu_step(
     params: &SimParams,
     pipeline: &mut MechanicalPipeline,
 ) -> MechWork {
-    let radius = interaction_radius(rm, params);
+    let (xs, ys, zs) = rm.position_columns();
+    let scene = SceneRef {
+        xs,
+        ys,
+        zs,
+        diameters: rm.diameter_column(),
+        adherences: rm.adherence_column(),
+        space: params.space,
+        box_len: interaction_radius(rm, params),
+    };
     let report = if params.gpu_resident {
         // Resident path: the pipeline diffs the host columns against
         // its device mirrors (uploading only births/deaths/edits),
         // integrates on-device, and hands back the *new positions* —
         // which are installed verbatim so host and device stay bitwise
         // in lockstep for the next step's diff.
-        let (positions, report) = {
-            let (xs, ys, zs) = rm.position_columns();
-            let scene = SceneRef {
-                xs,
-                ys,
-                zs,
-                diameters: rm.diameter_column(),
-                adherences: rm.adherence_column(),
-                space: params.space,
-                box_len: radius,
-            };
-            pipeline.step_resident(&scene, rm.uid_column(), &params.mech)
-        };
+        let (positions, report) = pipeline.step_resident(&scene, rm.uid_column(), &params.mech);
         for (i, &p) in positions.iter().enumerate() {
             if p != rm.position(i) {
                 rm.set_position(i, p);
@@ -1163,33 +1156,11 @@ fn gpu_step(
         }
         report
     } else {
-        let (disp, report) = {
-            let (xs, ys, zs) = rm.position_columns();
-            let scene = SceneRef {
-                xs,
-                ys,
-                zs,
-                diameters: rm.diameter_column(),
-                adherences: rm.adherence_column(),
-                space: params.space,
-                box_len: radius,
-            };
-            pipeline.step(&scene, &params.mech)
-        };
+        let (disp, report) = pipeline.step(&scene, &params.mech);
         apply_displacements(rm, &disp);
         report
     };
-    MechWork {
-        phases: Vec::new(),
-        wall_s: Vec::new(),
-        gpu: Some(report),
-        candidates: 0,
-        contacts: 0,
-        neighbors: 0,
-        index_gap: None,
-        simd: None,
-        csr_rebuilds_skipped: 0,
-    }
+    MechWork::offloaded(report)
 }
 
 #[cfg(test)]
@@ -1219,124 +1190,211 @@ mod tests {
         (0..rm.len()).map(|i| rm.position(i)).collect()
     }
 
+    /// Sort storage by (voxel key along `curve`, uid), like the host
+    /// reorder op and the shard sort do.
+    fn sort_along(rm: &mut ResourceManager, params: &SimParams, curve: bdm_morton::Curve) {
+        let radius = interaction_radius(rm, params);
+        let (xs, ys, zs) = rm.position_columns();
+        let cells = bdm_morton::cell_keys(xs, ys, zs, &params.space, radius, curve);
+        let keys: Vec<(u64, u64)> = cells.into_iter().zip(rm.uid_column().to_vec()).collect();
+        let perm = bdm_soa::Permutation::sorting_by_key(&keys);
+        rm.apply_permutation(&perm, &mut crate::rm::ReorderScratch::default());
+    }
+
+    /// Everything a `MechWork` reports except wall clocks, as one
+    /// string; `{:?}` prints the shortest round-trip form of an `f64`,
+    /// so equal strings are equal bits.
+    fn fingerprint(w: &MechWork) -> String {
+        let phase = |p: &Phase| {
+            let Phase {
+                name,
+                flops,
+                bytes,
+                random_accesses,
+                parallel,
+                fp64,
+            } = p;
+            format!("{name}:{flops:?}:{bytes:?}:{random_accesses:?}:{parallel}:{fp64}")
+        };
+        let phases: Vec<String> = w.phases.iter().map(phase).collect();
+        let simd = w
+            .simd
+            .map(|s| (s.lanes_utilized, s.pad_lanes, s.refresh_copies));
+        format!(
+            "{} | c={} k={} n={} gap={:?} simd={simd:?} skip={}",
+            phases.join(" "),
+            w.candidates,
+            w.contacts,
+            w.neighbors,
+            w.index_gap,
+            w.csr_rebuilds_skipped
+        )
+    }
+
+    /// One scene through every neighbor source and lane body the sweep
+    /// has: kd lists, the linked list and CSR (serial / parallel build;
+    /// CSR at both precisions) and the sharded driver at 1 and 4 shards.
+    /// Storage is Hilbert-sorted up front, so the sharded sort is the
+    /// identity and the index gap is comparable with the global pass.
+    /// The expected fingerprints are the parent commit's (five
+    /// hand-copied loops) output on this scene: the one sweep must model
+    /// and count exactly what they did.
     #[test]
-    fn kdtree_and_grid_move_agents_identically() {
+    fn every_source_through_the_one_sweep_agrees() {
         let params = SimParams::cube(6.0);
-        let mut a = random_population(300, 5.5, 3);
-        let mut b = a.clone();
-        let wa = mechanical_step(&mut a, &params, &EnvironmentKind::KdTree, None);
-        let wb = mechanical_step(
-            &mut b,
-            &params,
-            &EnvironmentKind::uniform_grid_serial(),
-            None,
+        let mut rm = random_population(600, 5.5, 77);
+        sort_along(&mut rm, &params, bdm_morton::Curve::Hilbert);
+
+        let global = |env: EnvironmentKind, precision: Precision| {
+            let mut rm = rm.clone();
+            let params = params.clone().with_precision(precision);
+            let work = mechanical_step(&mut rm, &params, &env, None);
+            (work, positions(&rm))
+        };
+        let sharded = |shards: usize| {
+            let mut rm = rm.clone();
+            // Threshold 1.0 re-splits the degenerate even key-space map
+            // into populated shards with real halos.
+            let params = params
+                .clone()
+                .with_shards(shards)
+                .with_shard_rebalance(1, 1.0);
+            let mut driver = ShardedEnvironment::new(shards);
+            driver.rebalance(&rm, &params);
+            let work = driver.step(&mut rm, &params, true, &mut MechScratch::default());
+            assert_eq!(driver.halo_agents() > 0, shards > 1, "halos iff shards");
+            (work, positions(&rm))
+        };
+        use EnvironmentKind as Env;
+        let (f64_, f32_) = (Precision::F64, Precision::F32Simd);
+        let kd = global(Env::KdTree, f64_);
+        let ll = [false, true].map(|parallel| {
+            let layout = GridLayout::LinkedList;
+            global(Env::UniformGrid { layout, parallel }, f64_)
+        });
+        let csr = [false, true].map(|parallel| {
+            let layout = GridLayout::Csr;
+            let env = Env::UniformGrid { layout, parallel };
+            (global(env, f64_), global(env, f32_))
+        });
+        let shards = [sharded(1), sharded(4)];
+
+        // Parent values, phase by phase: name:flops:bytes:random:parallel:fp64.
+        let build =
+            |work: &str, parallel: bool| format!("neighborhood build:0.0:{work}:{parallel}:true");
+        let grid = "c=37186 k=7716 n=7716";
+        let gap = "gap=Some(96.8303124831926)";
+        let sort = "shard sort:18000.0:19200.0:0.0:true:true";
+        let csr_forces = "mechanical forces:648132.0:1386696.0:4101.666666666666";
+        assert_eq!(
+            fingerprint(&kd.0),
+            "neighborhood build:16800.0:201600.0:31.75:false:true \
+             neighborhood search:425536.0:1276608.0:7962.5:true:true \
+             mechanical forces:994500.0:812736.0:7716.0:true:true \
+             | c=53192 k=7716 n=7716 gap=None simd=None skip=0"
         );
-        assert_eq!(wa.neighbors, wb.neighbors, "same neighbor sets expected");
-        let pa = positions(&a);
-        let pb = positions(&b);
-        let mut max_err = 0.0f64;
-        for i in 0..pa.len() {
-            max_err = max_err.max((pa[i] - pb[i]).norm());
+        for (parallel, ll) in [false, true].into_iter().zip(&ll) {
+            let want = format!(
+                "{} mechanical forces:648132.0:1237952.0:12305.0:true:true \
+                 | {grid} gap=None simd=None skip=0",
+                build("36000.0:600.0", parallel)
+            );
+            assert_eq!(fingerprint(&ll.0), want, "ll, parallel build {parallel}");
         }
-        // Summation order differs (tree vs grid visit order): tiny FP skew.
-        assert!(max_err < 1e-9, "divergence {max_err}");
-        // The scene is dense enough that something moved.
-        assert!(wa.contacts > 0);
-    }
-
-    #[test]
-    fn parallel_grid_matches_serial_grid() {
-        let params = SimParams::cube(6.0);
-        let mut a = random_population(400, 5.5, 9);
-        let mut b = a.clone();
-        let wa = mechanical_step(
-            &mut a,
-            &params,
-            &EnvironmentKind::uniform_grid_serial(),
-            None,
-        );
-        let wb = mechanical_step(
-            &mut b,
-            &params,
-            &EnvironmentKind::uniform_grid_parallel(),
-            None,
-        );
-        assert_eq!(wa.neighbors, wb.neighbors);
-        let pa = positions(&a);
-        let pb = positions(&b);
-        for i in 0..pa.len() {
-            assert!((pa[i] - pb[i]).norm() < 1e-9);
+        for (parallel, (csr64, csr32)) in [false, true].into_iter().zip(&csr) {
+            let build = build("26400.0:75.0", parallel);
+            let want = format!("{build} {csr_forces}:true:true | {grid} {gap} simd=None skip=0");
+            assert_eq!(
+                fingerprint(&csr64.0),
+                want,
+                "csr f64, parallel build {parallel}"
+            );
+            let want = format!(
+                "{build} f32 mirror refresh:3000.0:36000.0:0.0:false:false \
+                 mechanical forces:648132.0:770120.0:4101.666666666666:true:false \
+                 | {grid} {gap} simd=Some((37186, 2110, 3000)) skip=0"
+            );
+            assert_eq!(
+                fingerprint(&csr32.0),
+                want,
+                "csr f32, parallel build {parallel}"
+            );
         }
-    }
-
-    #[test]
-    fn csr_grid_matches_linked_list_grid() {
-        let params = SimParams::cube(6.0);
-        let mut a = random_population(400, 5.5, 9);
-        let mut b = a.clone();
-        let wa = mechanical_step(
-            &mut a,
-            &params,
-            &EnvironmentKind::uniform_grid_serial(),
-            None,
-        );
-        let wb = mechanical_step(
-            &mut b,
-            &params,
-            &EnvironmentKind::uniform_grid_csr_serial(),
-            None,
-        );
-        // Identical stencil and acceptance test ⇒ identical work counters.
-        assert_eq!(wa.neighbors, wb.neighbors);
-        assert_eq!(wa.candidates, wb.candidates);
-        assert_eq!(wa.contacts, wb.contacts);
-        let pa = positions(&a);
-        let pb = positions(&b);
-        for i in 0..pa.len() {
-            // Per-voxel visit order differs (reverse-insertion list vs
-            // ascending id): tiny FP summation skew only.
-            assert!((pa[i] - pb[i]).norm() < 1e-9);
+        for (sharded, (members, parallel)) in shards
+            .iter()
+            .zip([("26400.0:75.0", false), ("56716.0:161.125", true)])
+        {
+            let want = format!(
+                "{sort} {} {csr_forces}:{parallel}:true | {grid} {gap} simd=None skip=0",
+                build(members, parallel)
+            );
+            assert_eq!(
+                fingerprint(&sharded.0),
+                want,
+                "sharded, parallel {parallel}"
+            );
         }
+
+        // What the pinned numbers say, in words. Every source finds the
+        // same neighbors and contacts (the grid family also tests the
+        // same candidates); the CSR layout charges less dependent random
+        // access than the linked list in build and query alike; the f32
+        // lanes carry every candidate, pad stencil remainders with the
+        // agent's own id, convert all 5 mirrored columns on a first step,
+        // and roughly halve the candidate gather traffic (Improvement I).
+        let (ll_w, csr_w, f32_w) = (&ll[1].0, &csr[1].0 .0, &csr[1].1 .0);
+        assert!(kd.0.contacts > 0, "the scene is dense enough to move");
+        assert!(csr_w.phases[0].random_accesses < ll_w.phases[0].random_accesses);
+        assert!(csr_w.phases[1].random_accesses < ll_w.phases[1].random_accesses);
+        assert!(f32_w.phases[2].bytes < csr_w.phases[1].bytes * 0.7);
+
+        // Displacements. The build flavour never changes a bit, and the
+        // shard-local grids reproduce every per-voxel id slice, so CSR
+        // serial ≡ parallel ≡ sharded@1 ≡ sharded@4 bit for bit, per lane
+        // body. Across sources only the summation order differs (tree vs
+        // reverse-insertion list vs ascending id): tiny FP skew. The f32
+        // lanes stay inside their 1e-5 envelope — and must actually
+        // round differently.
+        let max_err = |a: &[Vec3<f64>], b: &[Vec3<f64>]| {
+            let errs = a.iter().zip(b).map(|(a, b)| (*a - *b).norm());
+            errs.fold(0.0f64, f64::max)
+        };
+        assert_eq!(ll[0].1, ll[1].1, "ll serial vs parallel build");
+        assert_eq!(csr[0].0 .1, csr[1].0 .1, "csr f64 serial vs parallel build");
+        assert_eq!(csr[0].1 .1, csr[1].1 .1, "csr f32 serial vs parallel build");
+        assert_eq!(shards[0].1, csr[0].0 .1, "sharded@1 vs csr");
+        assert_eq!(shards[1].1, csr[0].0 .1, "sharded@4 vs csr");
+        assert!(max_err(&kd.1, &ll[0].1) < 1e-9);
+        assert!(max_err(&kd.1, &csr[0].0 .1) < 1e-9);
+        let f32_err = max_err(&csr[0].0 .1, &csr[0].1 .1);
+        assert!(f32_err > 0.0 && f32_err < 1e-5, "f32 envelope: {f32_err}");
     }
 
     #[test]
-    fn csr_serial_and_parallel_are_bitwise_identical() {
-        let params = SimParams::cube(6.0);
-        let mut a = random_population(500, 5.5, 21);
-        let mut b = a.clone();
-        mechanical_step(
-            &mut a,
-            &params,
-            &EnvironmentKind::uniform_grid_csr_serial(),
-            None,
-        );
-        mechanical_step(
-            &mut b,
-            &params,
-            &EnvironmentKind::uniform_grid_csr_parallel(),
-            None,
-        );
-        // The parallel counting sort is deterministic and the fused pass
-        // accumulates per agent in CSR order either way: every FP64
-        // displacement must be bit-for-bit equal, not merely close.
-        assert_eq!(positions(&a), positions(&b));
-    }
-
-    #[test]
-    fn csr_scratch_is_reused_across_steps() {
-        let params = SimParams::cube(6.0);
-        let mut rm = random_population(300, 5.5, 23);
-        let mut scratch = MechScratch::default();
-        let env = EnvironmentKind::uniform_grid_csr_parallel();
-        let w1 = mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        let w2 = mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        assert!(w1.neighbors > 0);
-        assert!(w2.neighbors > 0);
-        // A second step through the same scratch matches a fresh run.
-        let mut fresh = random_population(300, 5.5, 23);
-        mechanical_step(&mut fresh, &params, &env, None);
-        mechanical_step(&mut fresh, &params, &env, None);
-        assert_eq!(positions(&rm), positions(&fresh));
+    fn scratch_is_reused_across_steps() {
+        // Every CPU path sweeps into the scratch (the CSR paths also keep
+        // their grid and f32 mirrors there): a second step through the
+        // same scratch matches fresh runs.
+        for (env, precision) in [
+            (EnvironmentKind::KdTree, Precision::F64),
+            (EnvironmentKind::uniform_grid_parallel(), Precision::F64),
+            (EnvironmentKind::uniform_grid_csr_parallel(), Precision::F64),
+            (
+                EnvironmentKind::uniform_grid_csr_parallel(),
+                Precision::F32Simd,
+            ),
+        ] {
+            let params = SimParams::cube(6.0).with_precision(precision);
+            let mut rm = random_population(300, 5.5, 23);
+            let mut scratch = MechScratch::default();
+            let w1 = mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+            let w2 = mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+            assert!(w1.neighbors > 0 && w2.neighbors > 0);
+            let mut fresh = random_population(300, 5.5, 23);
+            mechanical_step(&mut fresh, &params, &env, None);
+            mechanical_step(&mut fresh, &params, &env, None);
+            assert_eq!(positions(&rm), positions(&fresh), "{env:?} {precision:?}");
+        }
     }
 
     #[test]
@@ -1432,40 +1490,6 @@ mod tests {
     }
 
     #[test]
-    fn phases_report_work() {
-        let params = SimParams::cube(6.0);
-        let mut rm = random_population(300, 5.5, 11);
-        let w = mechanical_step(&mut rm, &params, &EnvironmentKind::KdTree, None);
-        assert_eq!(w.phases.len(), 3);
-        assert!(!w.phases[0].parallel, "kd build must be serial");
-        assert!(w.phases[1].parallel);
-        assert!(w.phases[1].flops > 0.0);
-        assert!(w.phases[2].flops > 0.0);
-        let wg = mechanical_step(
-            &mut rm,
-            &params,
-            &EnvironmentKind::uniform_grid_parallel(),
-            None,
-        );
-        assert_eq!(wg.phases.len(), 2, "grid pipeline is build + fused pass");
-        assert!(wg.phases[0].parallel, "parallel grid build");
-        assert_eq!(wg.phases[1].name, "mechanical forces");
-        let wc = mechanical_step(
-            &mut rm,
-            &params,
-            &EnvironmentKind::uniform_grid_csr_parallel(),
-            None,
-        );
-        assert_eq!(wc.phases.len(), 2, "CSR pipeline is build + fused pass");
-        assert!(wc.phases[0].parallel);
-        // The CSR layout's whole point: per unit of work it charges less
-        // dependent random access than the linked list (build: no
-        // scattered head update per agent; query: streamed slices).
-        assert!(wc.phases[0].random_accesses < wg.phases[0].random_accesses);
-        assert!(wc.phases[1].random_accesses < wg.phases[1].random_accesses);
-    }
-
-    #[test]
     fn interaction_radius_policy() {
         let mut rm = ResourceManager::new();
         rm.add(crate::cell::CellBuilder::new(Vec3::zero()).diameter(3.0));
@@ -1502,8 +1526,6 @@ mod tests {
 
     #[test]
     fn reorder_shrinks_the_csr_index_gap() {
-        use crate::rm::ReorderScratch;
-        use bdm_soa::Permutation;
         // A random cloud in insertion order has near-random candidate
         // index gaps; after a curve sort the fused pass must report a
         // much smaller mean gap (the reorder op's whole purpose).
@@ -1513,13 +1535,7 @@ mod tests {
         let before = mechanical_step(&mut rm.clone(), &params, &env, None)
             .index_gap
             .expect("CSR path reports a gap");
-        let radius = interaction_radius(&rm, &params);
-        let (xs, ys, zs) = rm.position_columns();
-        let cells =
-            bdm_morton::cell_keys(xs, ys, zs, &params.space, radius, bdm_morton::Curve::ZOrder);
-        let keys: Vec<(u64, u64)> = cells.into_iter().zip(rm.uid_column().to_vec()).collect();
-        let perm = Permutation::sorting_by_key(&keys);
-        rm.apply_permutation(&perm, &mut ReorderScratch::default());
+        sort_along(&mut rm, &params, bdm_morton::Curve::ZOrder);
         let after = mechanical_step(&mut rm, &params, &env, None)
             .index_gap
             .expect("CSR path reports a gap");
@@ -1535,70 +1551,6 @@ mod tests {
         let mut rm = ResourceManager::new();
         let w = mechanical_step(&mut rm, &params, &EnvironmentKind::KdTree, None);
         assert_eq!(w.candidates, 0);
-    }
-
-    #[test]
-    fn f32simd_matches_f64_within_envelope() {
-        let params = SimParams::cube(6.0);
-        let params32 = params.clone().with_precision(Precision::F32Simd);
-        let env = EnvironmentKind::uniform_grid_csr_serial();
-        let mut a = random_population(500, 5.5, 21);
-        let mut b = a.clone();
-        let wa = mechanical_step(&mut a, &params, &env, None);
-        let wb = mechanical_step(&mut b, &params32, &env, None);
-        // Precision must never change *which* pairs get tested: the f64
-        // CSR build is shared, so candidate enumeration is identical.
-        assert_eq!(wa.candidates, wb.candidates);
-        assert_eq!(wa.index_gap, wb.index_gap);
-        assert!(wa.simd.is_none(), "f64 path reports no SIMD stats");
-        let simd = wb.simd.expect("f32 path reports SIMD stats");
-        assert_eq!(
-            simd.lanes_utilized, wb.candidates,
-            "every candidate rides a vector lane"
-        );
-        assert!(simd.lanes_utilized > 0, "dense scene fills vector batches");
-        assert!(
-            simd.pad_lanes > 0,
-            "stencil remainders exercise self-id padding"
-        );
-        assert_eq!(
-            simd.refresh_copies,
-            5 * 500,
-            "first step converts all 5 columns"
-        );
-        // The documented envelope: per-step displacement skew stays
-        // below 1e-5 (forces are O(1) here, so absolute ≈ relative).
-        assert!(wb.contacts > 0);
-        let pa = positions(&a);
-        let pb = positions(&b);
-        let mut max_err = 0.0f64;
-        for i in 0..pa.len() {
-            max_err = max_err.max((pa[i] - pb[i]).norm());
-        }
-        assert!(max_err < 1e-5, "f32 envelope exceeded: {max_err}");
-        assert!(max_err > 0.0, "narrowing must actually change rounding");
-    }
-
-    #[test]
-    fn f32simd_serial_and_parallel_are_bitwise_identical() {
-        let params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
-        let mut a = random_population(500, 5.5, 21);
-        let mut b = a.clone();
-        mechanical_step(
-            &mut a,
-            &params,
-            &EnvironmentKind::uniform_grid_csr_serial(),
-            None,
-        );
-        mechanical_step(
-            &mut b,
-            &params,
-            &EnvironmentKind::uniform_grid_csr_parallel(),
-            None,
-        );
-        // Lane packing and reduction order depend only on the candidate
-        // sequence and the fixed chunking — not on thread scheduling.
-        assert_eq!(positions(&a), positions(&b));
     }
 
     #[test]
@@ -1635,20 +1587,6 @@ mod tests {
     }
 
     #[test]
-    fn f32simd_scratch_reuse_matches_fresh_runs() {
-        let params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
-        let mut rm = random_population(300, 5.5, 23);
-        let mut scratch = MechScratch::default();
-        let env = EnvironmentKind::uniform_grid_csr_parallel();
-        mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        let mut fresh = random_population(300, 5.5, 23);
-        mechanical_step(&mut fresh, &params, &env, None);
-        mechanical_step(&mut fresh, &params, &env, None);
-        assert_eq!(positions(&rm), positions(&fresh));
-    }
-
-    #[test]
     fn precision_knob_only_reaches_the_csr_path() {
         // The other environments have no vectorized pass: the knob is
         // documented to be a no-op there, bitwise.
@@ -1666,38 +1604,6 @@ mod tests {
             assert!(wa.simd.is_none() && wb.simd.is_none());
             assert_eq!(positions(&a), positions(&b), "{}", env.label());
         }
-    }
-
-    #[test]
-    fn f32simd_phases_report_narrowed_traffic() {
-        let params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
-        let mut rm = random_population(300, 5.5, 11);
-        let w64 = mechanical_step(
-            &mut rm.clone(),
-            &SimParams::cube(6.0),
-            &EnvironmentKind::uniform_grid_csr_parallel(),
-            None,
-        );
-        let w = mechanical_step(
-            &mut rm,
-            &params,
-            &EnvironmentKind::uniform_grid_csr_parallel(),
-            None,
-        );
-        assert_eq!(w.phases.len(), 3, "build + mirror refresh + fused pass");
-        assert_eq!(w.phases[1].name, "f32 mirror refresh");
-        assert!(!w.phases[1].fp64);
-        let force64 = &w64.phases[1];
-        let force32 = &w.phases[2];
-        assert_eq!(force32.name, "mechanical forces");
-        assert!(!force32.fp64, "force phase runs at fp32 throughput");
-        assert!(
-            force32.bytes < force64.bytes * 0.7,
-            "Improvement I: the candidate gather traffic roughly halves \
-             ({} vs {})",
-            force32.bytes,
-            force64.bytes
-        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::behavior::{diameter_of, volume_of, Behavior};
 use crate::cell::CellBuilder;
 use crate::diffusion::{DiffusionGrid, DiffusionStats};
-use crate::environment::{EnvironmentKind, GridLayout};
+use crate::environment::EnvironmentKind;
 use crate::exec::ExecutionContext;
 use crate::mech::{self, MechScratch, MechWork};
 use crate::param::{Precision, SimParams};
@@ -389,36 +389,17 @@ impl Operation for MechanicalOp {
 
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
         let t = Instant::now();
-        // The sharded driver covers the scalar-f64 CSR pass (the layout
-        // whose per-voxel id slices shard losslessly); every other
-        // environment/precision combination falls through to the global
-        // pass, which is trivially identical to itself under any shard
-        // count — so the serial==sharded determinism contract holds for
-        // all environments.
-        let sharded = matches!(
-            (ctx.env, ctx.params.precision),
-            (
-                EnvironmentKind::UniformGrid {
-                    layout: GridLayout::Csr,
-                    ..
-                },
-                Precision::F64
-            )
+        // `mech` owns the dispatch: a CSR environment steps through the
+        // sharded driver when the simulation has one (either precision);
+        // kd, linked-list and GPU environments run their global pass.
+        let work = mech::mechanical_step_sharded(
+            ctx.rm,
+            ctx.params,
+            ctx.env,
+            ctx.pipeline.as_deref_mut(),
+            ctx.mech_scratch,
+            ctx.shards.as_deref_mut(),
         );
-        let work = match ctx.shards.as_deref_mut() {
-            Some(shards) if sharded => {
-                let parallel =
-                    matches!(ctx.env, EnvironmentKind::UniformGrid { parallel: true, .. });
-                shards.step(ctx.rm, ctx.params, parallel)
-            }
-            _ => mech::mechanical_step_with_scratch(
-                ctx.rm,
-                ctx.params,
-                ctx.env,
-                ctx.pipeline.as_deref_mut(),
-                ctx.mech_scratch,
-            ),
-        };
         let wall = t.elapsed().as_secs_f64();
         let mut records = Vec::new();
         if work.gpu.is_some() {

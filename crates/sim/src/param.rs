@@ -33,11 +33,15 @@ impl Default for ReorderParams {
 /// the shards on their own rayon tasks. `count == 0` (the default)
 /// disables sharding entirely.
 ///
+/// Applies to the CSR environments at either precision; the kd-tree,
+/// linked-list and GPU environments keep their one global pass.
+///
 /// Determinism contract: the sharded mechanical pass is **bitwise
 /// identical** to the unsharded CSR pass for every shard count — each
 /// shard sees exactly the per-voxel agent lists the global grid would
-/// have produced (halo completeness + stable member build), so the f64
-/// force accumulation order per agent never changes.
+/// have produced (halo completeness + stable member build), so each
+/// agent's candidate sequence — its f64 accumulation order, and its f32
+/// lane packing — never changes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardParams {
     /// Number of Hilbert-span shards; `0` = sharding off (the default).

@@ -7,8 +7,11 @@
 //! each shard's population is one contiguous slice of every SoA column —
 //! no gather, no copy — and each shard builds its own CSR grid over its
 //! agents plus a read-only **ghost halo** of boundary agents from
-//! neighboring shards, then runs the fused force pass on its own rayon
-//! task.
+//! neighboring shards. The force pass itself is not this module's: the
+//! driver hands its shard ranges (as cut points) and shard-local grids
+//! to [`crate::mech::csr_sweep`] — the same sweep, at the same two
+//! precisions, the global CSR pass runs — and each shard becomes one
+//! part on its own rayon task.
 //!
 //! # Bitwise determinism (serial == sharded, any shard count)
 //!
@@ -28,17 +31,16 @@
 //!    agent's position — never of the shard partition.
 //!
 //! Together these make each agent's candidate sequence — and hence its
-//! f64 force accumulation order — identical for 1, 2, 4, 8, … shards
-//! and for the unsharded pass, which is what the `shard_determinism`
-//! proptests pin.
+//! f64 force accumulation order, or its f32 lane packing — identical for
+//! 1, 2, 4, 8, … shards and for the unsharded pass, which is what the
+//! `shard_determinism` proptests pin at both precisions.
 
-use crate::mech::{self, MechWork};
+use crate::mech::{self, MechScratch, MechWork};
 use crate::param::SimParams;
 use crate::rm::{ReorderScratch, ResourceManager};
 use bdm_device::cpu::Phase;
-use bdm_grid::{CsrBuildScratch, CsrGrid, GridGeometry, QueryCounters};
-use bdm_math::interaction;
-use bdm_math::{Aabb, Vec3};
+use bdm_grid::{CsrBuildScratch, CsrGrid, GridGeometry};
+use bdm_math::Aabb;
 use bdm_morton::{cell_keys, hilbert_decode3, hilbert_encode3, Curve, ShardMap};
 use bdm_soa::{AgentId, Permutation};
 use rayon::prelude::*;
@@ -61,9 +63,9 @@ struct ShardState {
 /// grids, and the telemetry the `shard.*` metrics publish.
 ///
 /// Owned by [`crate::Simulation`] when `SimParams::shards.count > 0`;
-/// the mechanical operation routes the CSR/f64 path through
-/// [`ShardedEnvironment::step`] and the scheduled rebalance op calls
-/// [`ShardedEnvironment::rebalance`].
+/// the mechanical operation routes the CSR environments (either
+/// precision) through [`ShardedEnvironment::step`] and the scheduled
+/// rebalance op calls [`ShardedEnvironment::rebalance`].
 pub struct ShardedEnvironment {
     map: ShardMap,
     /// Hilbert voxel key of every agent, in (sorted) storage order —
@@ -79,8 +81,6 @@ pub struct ShardedEnvironment {
     key_table_dims: [u32; 3],
     /// Current shard ranges over sorted storage (tile `0..n`).
     ranges: Vec<Range<usize>>,
-    /// Per-agent displacement buffer of the fused pass.
-    disp: Vec<Vec3<f64>>,
     /// `(uid, shard)` snapshot of the last rebalance run, sorted by uid
     /// — the base the migration diff counts against.
     prev_assignment: Vec<(u64, u32)>,
@@ -104,7 +104,6 @@ impl ShardedEnvironment {
             key_of_voxel: Vec::new(),
             key_table_dims: [0; 3],
             ranges: Vec::new(),
-            disp: Vec::new(),
             prev_assignment: Vec::new(),
             agents_per_shard: Vec::new(),
             halo_per_shard: Vec::new(),
@@ -229,32 +228,24 @@ impl ShardedEnvironment {
         geom
     }
 
-    /// One sharded CSR mechanical step (f64). Drop-in replacement for
-    /// the unsharded fused CSR pass — bitwise-identical displacements,
-    /// identical work counters — with the build + force phases running
-    /// per shard. `parallel` is the environment's build flag: it only
-    /// labels the modeled phases — the shards always run as `par_*`
-    /// tasks, on however many workers the step executes under.
+    /// One sharded CSR mechanical step on a non-empty population. Drop-in
+    /// replacement for the global CSR pass — bitwise-identical
+    /// displacements, identical work counters, at either precision —
+    /// with the build + force phases running per shard: sort storage,
+    /// rebuild each shard's grid, then hand the shard ranges and the
+    /// shard-local grids to the same sweep the global pass runs
+    /// ([`mech::csr_sweep`]), writing into the caller's scratch.
+    /// `parallel` is the environment's build flag: it only labels the
+    /// modeled phases — the shards always run as `par_*` tasks, on
+    /// however many workers the step executes under.
     pub(crate) fn step(
         &mut self,
         rm: &mut ResourceManager,
         params: &SimParams,
         parallel: bool,
+        scratch: &mut MechScratch,
     ) -> MechWork {
         let n = rm.len();
-        if n == 0 {
-            return MechWork {
-                phases: Vec::new(),
-                wall_s: Vec::new(),
-                gpu: None,
-                candidates: 0,
-                contacts: 0,
-                neighbors: 0,
-                index_gap: None,
-                simd: None,
-                csr_rebuilds_skipped: 0,
-            };
-        }
         let radius = mech::interaction_radius(rm, params);
         let space = params.space;
 
@@ -349,7 +340,7 @@ impl ShardedEnvironment {
             let halo = (st.members.len() - own.len()) as u64;
             let grid = st
                 .grid
-                .get_or_insert_with(|| CsrGrid::build_serial(&[], &[], &[], space, radius));
+                .get_or_insert_with(|| mech::empty_csr(space, radius));
             grid.rebuild_from_members(xs, ys, zs, &st.members, space, radius, &mut st.build);
             halo
         };
@@ -361,144 +352,52 @@ impl ShardedEnvironment {
             .collect();
         let wall_build = t1.elapsed().as_secs_f64();
 
-        // Phase 3: fused neighbor scan + force pass, per shard over its
-        // owned slice of the displacement buffer. The inner loop is the
-        // unsharded CSR pass verbatim; only the grid it streams ids from
-        // is shard-local.
-        let t2 = Instant::now();
-        let diam = rm.diameter_column();
-        let adh = rm.adherence_column();
-        let mech_p = &params.mech;
-        let r2 = radius * radius;
-        self.disp.clear();
-        self.disp.resize(n, Vec3::zero());
-        let mut cuts = Vec::with_capacity(self.ranges.len() + 1);
-        cuts.push(0);
-        cuts.extend(self.ranges.iter().map(|r| r.end));
-        let slices = bdm_soa::split_mut_at(&mut self.disp, &cuts);
-        let shards = &self.shards;
-        // The shard is the unit of parallelism — each shard's force
-        // sweep runs serially on its own rayon task (the chunked global
-        // pass already covers intra-grid parallelism; the sharded pass
-        // exists to make the *decomposition* the parallel grain). Per
-        // agent results are independent writes into the shard's disjoint
-        // displacement slice, so the schedule cannot affect a bit.
-        let force_shard = |s: usize, out: &mut [Vec3<f64>]| -> (QueryCounters, u64, u64) {
-            let base = ranges[s].start;
-            let grid = shards[s].grid.as_ref().expect("shard grid built this step");
-            let mut counters = QueryCounters::default();
-            let mut contacts = 0u64;
-            let mut gap_sum = 0u64;
-            for (k, slot) in out.iter_mut().enumerate() {
-                let i = base + k;
-                let p1 = Vec3::new(xs[i], ys[i], zs[i]);
-                let r1 = diam[i] * 0.5;
-                let mut force = Vec3::zero();
-                for (first, count) in grid.geometry().x_runs(p1) {
-                    counters.boxes_scanned += count as u64;
-                    for &id in grid.run_range(first, count) {
-                        let j = id.index();
-                        if j == i {
-                            continue;
-                        }
-                        counters.points_tested += 1;
-                        gap_sum += i.abs_diff(j) as u64;
-                        let p2 = Vec3::new(xs[j], ys[j], zs[j]);
-                        if (p2 - p1).norm_squared() <= r2 {
-                            counters.neighbors_found += 1;
-                            if let Some(f) = interaction::collision_force(
-                                p1,
-                                r1,
-                                p2,
-                                diam[j] * 0.5,
-                                mech_p.repulsion,
-                                mech_p.attraction,
-                            ) {
-                                force += f;
-                                contacts += 1;
-                            }
-                        }
-                    }
-                }
-                *slot = interaction::displacement(force, adh[i], mech_p);
-            }
-            (counters, contacts, gap_sum)
-        };
-        let shard_stats: Vec<(QueryCounters, u64, u64)> = slices
-            .into_par_iter()
-            .enumerate()
-            .map(|(s, out)| force_shard(s, out))
-            .collect();
-        let mut counters = QueryCounters::default();
-        let mut contacts = 0u64;
-        let mut gap_sum = 0u64;
-        for (c, k, g) in &shard_stats {
-            counters.merge(c);
-            contacts += k;
-            gap_sum += g;
-        }
-        mech::apply_displacements(rm, &self.disp);
-        let wall_force = t2.elapsed().as_secs_f64();
-
         // Telemetry for the `shard.*` gauges.
         self.agents_per_shard.clear();
         self.agents_per_shard
             .extend(self.ranges.iter().map(|r| r.len() as u64));
         self.halo_per_shard = halo_per_shard;
         self.imbalance = ShardMap::imbalance(&self.ranges);
-        let members_total = n as u64 + self.halo_agents();
+        let members_total = n + self.halo_agents() as usize;
 
-        let neighbors = counters.neighbors_found;
         // Build and force phases parallelize across *shards* (each shard
         // is one serial task), so a single-shard run is honestly serial
         // in the machine model; the sort is a global rayon argsort.
         let shard_parallel = parallel && self.map.shards() > 1;
-        use mech::work_model as wm;
-        let phases = vec![
+        let timed = vec![
             // Key computation + argsort + (amortized) column gathers —
             // the same model as the host reorder op, because it is the
             // same work.
-            Phase {
-                name: "shard sort",
-                flops: 30.0 * n as f64,
-                bytes: 32.0 * n as f64 + 136.0 * moved as f64,
-                random_accesses: moved as f64,
-                parallel,
-                fp64: true,
-            },
+            (
+                Phase {
+                    name: "shard sort",
+                    flops: 30.0 * n as f64,
+                    bytes: 32.0 * n as f64 + 136.0 * moved as f64,
+                    random_accesses: moved as f64,
+                    parallel,
+                    fp64: true,
+                },
+                wall_sort,
+            ),
             // The counting-sort build streams owned + halo members.
-            Phase {
-                name: "neighborhood build",
-                flops: 0.0,
-                bytes: wm::CSR_BUILD_BYTES_PER_AGENT * members_total as f64,
-                random_accesses: wm::CSR_BUILD_RANDOM_PER_AGENT * members_total as f64,
-                parallel: shard_parallel,
-                fp64: true,
-            },
-            Phase {
-                name: "mechanical forces",
-                flops: wm::CSR_FLOPS_PER_CANDIDATE * counters.points_tested as f64
-                    + wm::UG_FLOPS_PER_CONTACT * contacts as f64
-                    + wm::UG_FIXED_FLOPS_PER_AGENT * n as f64,
-                bytes: wm::CSR_BYTES_PER_CANDIDATE * counters.points_tested as f64
-                    + wm::UG_FIXED_BYTES_PER_AGENT * n as f64,
-                random_accesses: wm::CSR_RANDOM_PER_BOX * counters.boxes_scanned as f64,
-                parallel: shard_parallel,
-                fp64: true,
-            },
+            (
+                mech::csr_build_phase(members_total, false, shard_parallel),
+                wall_build,
+            ),
         ];
-        MechWork {
-            phases,
-            wall_s: vec![wall_sort, wall_build, wall_force],
-            gpu: None,
-            candidates: counters.points_tested,
-            contacts,
-            neighbors,
-            index_gap: (counters.points_tested > 0)
-                .then(|| gap_sum as f64 / counters.points_tested as f64),
-            simd: None,
-            csr_rebuilds_skipped: 0,
-        }
+
+        // Phase 3: the force sweep, cut at the shard ranges. The shard
+        // is the unit of parallelism — each shard's agents are one part,
+        // swept serially on its own rayon task against the shard-local
+        // grid (the chunked global pass already covers intra-grid
+        // parallelism; the sharded pass exists to make the
+        // *decomposition* the parallel grain).
+        let cuts: Vec<usize> = std::iter::once(0)
+            .chain(self.ranges.iter().map(|r| r.end))
+            .collect();
+        let shards = &self.shards;
+        let grid_of = |s: usize| shards[s].grid.as_ref().expect("shard grid built this step");
+        mech::csr_sweep(rm, params, scratch, timed, &cuts, grid_of, shard_parallel)
     }
 
     /// Curve-order load rebalancing, run at the scheduled cadence:

@@ -251,28 +251,30 @@ proptest! {
     }
 
     /// Resume-equivalence survives the other determinism-sensitive
-    /// knobs: both precision modes, reorder-every-step, and both
-    /// execution modes.
+    /// knobs: both precision modes — unsharded and through the sharded
+    /// driver — reorder-every-step, and both execution modes.
     #[test]
     fn resume_is_bitwise_across_precision_reorder_and_exec_mode(seed in 0u64..100) {
         for precision in [Precision::F64, Precision::F32Simd] {
-            for mode in [ExecMode::Serial, ExecMode::Parallel] {
-                let build = move || {
-                    let mut sim = Simulation::new(
-                        sharded_params(10.0, seed, 0)
-                            .with_precision(precision)
-                            .with_reorder(1),
+            for shards in [0, 4] {
+                for mode in [ExecMode::Serial, ExecMode::Parallel] {
+                    let build = move || {
+                        let mut sim = Simulation::new(
+                            sharded_params(10.0, seed, shards)
+                                .with_precision(precision)
+                                .with_reorder(1),
+                        );
+                        sim.set_exec_mode(mode);
+                        dense_scene(&mut sim, seed, true);
+                        sim
+                    };
+                    assert_resume_equivalent(
+                        &build,
+                        2,
+                        4,
+                        &format!("{precision:?}, {shards} shards, {mode:?}, reorder every step"),
                     );
-                    sim.set_exec_mode(mode);
-                    dense_scene(&mut sim, seed, true);
-                    sim
-                };
-                assert_resume_equivalent(
-                    &build,
-                    2,
-                    4,
-                    &format!("{precision:?}, {mode:?}, reorder every step"),
-                );
+                }
             }
         }
     }

@@ -10,6 +10,12 @@
 //!    decides where work runs. This holds on any scene — contacts,
 //!    births, deaths, migrations — and for every environment (non-CSR
 //!    environments fall through to the one global pass).
+//!
+//! Every layer takes the precision as an input: the sharded driver hands
+//! its shard-local grids to the same sweep as the global pass, so the
+//! 8-lane `f32` lanes shard exactly like the scalar `f64` ones (each
+//! agent's lane packing is a function of its candidate sequence, which
+//! the canonical sort pins).
 //! 2. **Sharded == unsharded baseline on death-free scenes.** With the
 //!    canonical sort, storage restricted to any voxel is in ascending
 //!    uid order at force time — exactly the order a never-reordered,
@@ -27,7 +33,7 @@ use bdm_sim::behavior::Behavior;
 use bdm_sim::cell::CellBuilder;
 use bdm_sim::diffusion::{BoundaryCondition, DiffusionParams};
 use bdm_sim::environment::EnvironmentKind;
-use bdm_sim::param::SimParams;
+use bdm_sim::param::{Precision, SimParams};
 use bdm_sim::scheduler::ExecMode;
 use bdm_sim::simulation::Simulation;
 use proptest::prelude::*;
@@ -127,8 +133,18 @@ fn churn_scene(sim: &mut Simulation, seed: u64) {
     }
 }
 
-fn sharded_params(half: f64, seed: u64, shards: usize) -> SimParams {
-    let p = SimParams::cube(half).with_seed(seed);
+fn precision_of(simd: bool) -> Precision {
+    if simd {
+        Precision::F32Simd
+    } else {
+        Precision::F64
+    }
+}
+
+fn sharded_params(half: f64, seed: u64, shards: usize, precision: Precision) -> SimParams {
+    let p = SimParams::cube(half)
+        .with_seed(seed)
+        .with_precision(precision);
     if shards > 0 {
         // Aggressive rebalance cadence so the load-balancing path is
         // exercised (it must be observationally pure).
@@ -154,9 +170,10 @@ proptest! {
     /// (the global pass runs, the rebalance op is observational), so the
     /// identity is exact there too.
     #[test]
-    fn sharded_matches_serial_baseline_bitwise_dense(seed in 0u64..200) {
+    fn sharded_matches_serial_baseline_bitwise_dense(seed in 0u64..200, simd in any::<bool>()) {
         let build = |shards: usize, env: EnvironmentKind, mode: ExecMode| {
-            let mut sim = Simulation::new(sharded_params(10.0, seed, shards));
+            let mut sim =
+                Simulation::new(sharded_params(10.0, seed, shards, precision_of(simd)));
             sim.set_environment(env);
             sim.set_exec_mode(mode);
             dense_scene(&mut sim, seed, true);
@@ -173,8 +190,8 @@ proptest! {
                     prop_assert_eq!(baseline.rm().len(), sim.rm().len());
                     prop_assert_eq!(
                         &want, &by_uid(&sim),
-                        "sharded@{} diverged from serial baseline: env {:?} mode {:?}",
-                        shards, env, mode
+                        "sharded@{} diverged from serial baseline: env {:?} mode {:?} simd {}",
+                        shards, env, mode, simd
                     );
                 }
             }
@@ -186,9 +203,10 @@ proptest! {
     /// the diffusion field — stay bitwise equal to the unsharded
     /// baseline at every shard count.
     #[test]
-    fn sharded_matches_serial_baseline_under_churn(seed in 0u64..200) {
+    fn sharded_matches_serial_baseline_under_churn(seed in 0u64..200, simd in any::<bool>()) {
         let build = |shards: usize| {
-            let mut sim = Simulation::new(sharded_params(60.0, seed, shards));
+            let mut sim =
+                Simulation::new(sharded_params(60.0, seed, shards, precision_of(simd)));
             sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
             churn_scene(&mut sim, seed);
             sim
@@ -213,9 +231,13 @@ proptest! {
     /// with division AND stochastic death — the strongest churn — since
     /// every sharded run keeps the same canonical storage order.
     #[test]
-    fn shard_counts_agree_bitwise_under_dense_death_churn(seed in 0u64..200) {
+    fn shard_counts_agree_bitwise_under_dense_death_churn(
+        seed in 0u64..200,
+        simd in any::<bool>(),
+    ) {
         let build = |shards: usize, mode: ExecMode| {
-            let mut sim = Simulation::new(sharded_params(10.0, seed, shards));
+            let mut sim =
+                Simulation::new(sharded_params(10.0, seed, shards, precision_of(simd)));
             sim.set_exec_mode(mode);
             dense_scene(&mut sim, seed, true);
             // Stochastic death on top of the dense divisions.
@@ -243,7 +265,7 @@ proptest! {
                 sim.simulate(4);
                 prop_assert_eq!(reference.rm().len(), sim.rm().len());
                 prop_assert_eq!(&want, &by_uid(&sim),
-                    "sharded@1 vs sharded@{} diverged (mode {:?})", shards, mode);
+                    "sharded@1 vs sharded@{} diverged (mode {:?}, simd {})", shards, mode, simd);
             }
         }
     }
@@ -255,7 +277,7 @@ proptest! {
 /// imbalance gauge.
 #[test]
 fn shard_metrics_are_published_and_consistent() {
-    let mut sim = Simulation::new(sharded_params(10.0, 9, 4));
+    let mut sim = Simulation::new(sharded_params(10.0, 9, 4, Precision::F64));
     dense_scene(&mut sim, 9, false);
     sim.simulate(3);
     let n = sim.rm().len() as f64;
@@ -290,6 +312,27 @@ fn shard_metrics_are_published_and_consistent() {
         .stats()
         .iter()
         .any(|s| s.name == "shard rebalance" && s.runs >= 1));
+}
+
+/// Sharding is a real path at the mixed precision too: the step reports
+/// the driver's `shard sort` phase *and* the SIMD lane statistics, with
+/// every candidate riding a lane.
+#[test]
+fn sharded_f32_simd_runs_the_sharded_driver() {
+    let mut sim = Simulation::new(sharded_params(10.0, 9, 4, Precision::F32Simd));
+    sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
+    dense_scene(&mut sim, 9, false);
+    sim.simulate(2);
+    let work = sim.last_mech_work().expect("a mechanical step ran");
+    assert!(
+        work.phases.iter().any(|p| p.name == "shard sort"),
+        "with_shards(4) + F32Simd must step through the sharded driver: {:?}",
+        work.phases.iter().map(|p| p.name).collect::<Vec<_>>()
+    );
+    let simd = work.simd.expect("the f32 lanes report their statistics");
+    assert!(work.candidates > 0);
+    assert_eq!(simd.lanes_utilized, work.candidates);
+    assert!(sim.sharding().expect("sharded").halo_agents() > 0);
 }
 
 /// Moving agents across the domain between steps crosses shard
@@ -329,7 +372,7 @@ fn cross_shard_migrations_are_counted() {
 /// prefix), and `ShardMap::balanced` re-splits to a usable partition.
 #[test]
 fn rebalance_resplits_a_skewed_population() {
-    let mut sim = Simulation::new(sharded_params(10.0, 4, 4));
+    let mut sim = Simulation::new(sharded_params(10.0, 4, 4, Precision::F64));
     dense_scene(&mut sim, 4, false);
     sim.simulate(2);
     let sh = sim.sharding().unwrap();

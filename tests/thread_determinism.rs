@@ -107,10 +107,12 @@ fn csr_f32_simd_is_schedule_independent() {
 
 #[test]
 fn four_shards_are_schedule_independent() {
+    let csr = EnvironmentKind::uniform_grid_csr_parallel();
+    assert_schedule_independent(10_000, |p| p.with_shards(4), csr);
     assert_schedule_independent(
         10_000,
-        |p| p.with_shards(4),
-        EnvironmentKind::uniform_grid_csr_parallel(),
+        |p| p.with_shards(4).with_precision(Precision::F32Simd),
+        csr,
     );
 }
 
