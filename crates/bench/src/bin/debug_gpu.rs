@@ -37,5 +37,11 @@ fn main() {
             c.total_flops(), c.compute_warp_cycles, c.atomic_serial_cycles,
             c.arithmetic_intensity()
         );
+        println!(
+            "   simulator host cost: exec={:.1}ms coalesce={:.1}ms drain={:.1}ms",
+            g.host.exec_s * 1e3,
+            g.host.coalesce_s * 1e3,
+            g.host.drain_s * 1e3
+        );
     }
 }

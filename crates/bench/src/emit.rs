@@ -55,9 +55,15 @@ fn is_exact(name: &str) -> bool {
 /// The standard gating policy for every emitted document (see the
 /// module docs for the tiers).
 pub fn default_policy(name: &str) -> GatePolicy {
-    if name.contains("wall") || matches!(name, "checkpoint.write_ms" | "checkpoint.read_ms") {
-        // The checkpoint serialize/parse timings are host wall clocks
-        // too — they just don't carry `wall` in their names.
+    if name.contains("wall")
+        || matches!(
+            name,
+            "checkpoint.write_ms" | "checkpoint.read_ms" | "gpu.host_s"
+        )
+    {
+        // The checkpoint serialize/parse timings and the SIMT
+        // simulator's own host cost are host wall clocks too — they
+        // just don't carry `wall` in their names.
         GatePolicy::informational()
     } else if is_exact(name) {
         GatePolicy::with_tol(0.0)
@@ -189,6 +195,7 @@ mod tests {
     fn policy_tiers() {
         assert!(!default_policy("scheduler.op_wall_s").gate);
         assert!(!default_policy("mech.phase_wall_s").gate);
+        assert!(!default_policy("gpu.host_s").gate);
         assert_eq!(default_policy("scheduler.op_runs").tol, Some(0.0));
         assert_eq!(default_policy("sim.agents").tol, Some(0.0));
         assert_eq!(default_policy("mech.candidates").tol, Some(0.02));

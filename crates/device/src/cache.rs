@@ -10,10 +10,17 @@
 //!
 //! Real GPU L2s are physically partitioned into slices addressed by a hash
 //! of the line address; [`ShardedCache`] mirrors that with one
-//! `parking_lot::Mutex` per slice. The engine simulates warps one after
-//! another on the calling thread (no `par_*` call exists in `bdm-gpu` or
-//! this crate), so the locks are uncontended today; the slicing is what
-//! would keep contention low if warp simulation were ever forked.
+//! `parking_lot::Mutex` per slice. Nothing is parallel today: the engine
+//! executes kernel threads, coalesces warps and drains transactions into
+//! this cache on the one calling thread (no `par_*` call exists in
+//! `bdm-gpu` or this crate), and concurrent launches on one `GpuDevice`
+//! serialize on its scratch arena, so these locks are never contended.
+//! The drain must also *stay* one ordered stream — an LRU cache's hit
+//! count depends on the sequence of lines it sees — so what could fork
+//! later is the per-block execute + coalesce phase in front of it, not
+//! the accesses to this cache. The slices model the hardware's
+//! partitioning (and keep `ShardedCache: Sync` for callers that share a
+//! device); they are not a parallel-simulation mechanism.
 
 use parking_lot::Mutex;
 
@@ -157,8 +164,8 @@ impl CacheSim {
 }
 
 /// An L2 cache partitioned into address-hashed slices, each behind its own
-/// mutex — the concurrency structure of a real GPU L2, reused here so
-/// parallel warp simulation contends minimally.
+/// mutex — the partitioning of a real GPU L2. The SIMT engine feeds it
+/// one ordered stream from one thread (see the module docs).
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<Mutex<CacheSim>>,

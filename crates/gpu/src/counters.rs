@@ -160,6 +160,49 @@ impl KernelCounters {
         );
     }
 
+    /// Every field by name as raw bits, for the bit-identity tests (the
+    /// destructuring makes a new field a compile error here, not a
+    /// silently unpinned number).
+    #[cfg(test)]
+    pub(crate) fn field_bits(&self) -> [(&'static str, u64); 16] {
+        let Self {
+            threads_run,
+            warps_run,
+            warps_traced,
+            flops_fp32,
+            flops_fp64,
+            compute_warp_cycles,
+            lane_cycles_total,
+            global_transactions,
+            l2_hits,
+            l2_misses,
+            shared_accesses,
+            atomic_serial_cycles,
+            atomic_ops,
+            occupancy_warps_per_sm,
+            barriers,
+            child_launches,
+        } = *self;
+        [
+            ("threads_run", threads_run),
+            ("warps_run", warps_run),
+            ("warps_traced", warps_traced),
+            ("flops_fp32", flops_fp32.to_bits()),
+            ("flops_fp64", flops_fp64.to_bits()),
+            ("compute_warp_cycles", compute_warp_cycles.to_bits()),
+            ("lane_cycles_total", lane_cycles_total.to_bits()),
+            ("global_transactions", global_transactions.to_bits()),
+            ("l2_hits", l2_hits.to_bits()),
+            ("l2_misses", l2_misses.to_bits()),
+            ("shared_accesses", shared_accesses.to_bits()),
+            ("atomic_serial_cycles", atomic_serial_cycles.to_bits()),
+            ("atomic_ops", atomic_ops.to_bits()),
+            ("occupancy_warps_per_sm", occupancy_warps_per_sm.to_bits()),
+            ("barriers", barriers),
+            ("child_launches", child_launches),
+        ]
+    }
+
     /// Merge another launch's counters (pipeline totals).
     pub fn merge(&mut self, other: &Self) {
         self.threads_run += other.threads_run;

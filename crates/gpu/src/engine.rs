@@ -19,8 +19,29 @@
 //! * Atomic operations to the same address within a slot serialize and
 //!   are charged extra warp cycles.
 //!
-//! Execution is sequential and fully deterministic: identical inputs give
-//! identical counters, which the tests rely on.
+//! Execution is sequential on the calling thread — kernel threads, the
+//! coalescer and the L2 drain alike; nothing here forks — and fully
+//! deterministic: identical inputs give identical counters, which the
+//! tests rely on.
+//!
+//! # The trace path allocates nothing in steady state
+//!
+//! Everything a launch needs between warps lives in one device-owned
+//! `TraceArena`, locked once per launch and grown on first use:
+//!
+//! * **Coalescing is a merge, not a map.** A lane's slot keys never
+//!   decrease (see `Access`), so the warp's slots come out of a k-way
+//!   merge over the lanes' access lists. Per slot the lanes are visited
+//!   in lane order, so its segments are stored in *first appearance,
+//!   lane-major* order.
+//! * **The batch is three flat vectors.** `segs` holds every slot's
+//!   segments back to back, `slot_ends[i]` is slot `i`'s end offset, and
+//!   `order[i] = key << 32 | i`. Slots are appended warp after warp, so
+//!   sorting `order` as plain integers is the drain order: all warps'
+//!   slot-0 transactions, then slot-1, … — ties broken by warp.
+//!
+//! Both orders are the L2 model's *input* — an LRU cache's hit count
+//! depends on the exact sequence of lines it sees — and must not change.
 
 use crate::counters::KernelCounters;
 use crate::mem::{DeviceBuffer, DeviceWord};
@@ -28,7 +49,9 @@ use crate::timing::KernelTiming;
 use bdm_device::cache::ShardedCache;
 use bdm_device::specs::GpuSpec;
 use bdm_math::Scalar;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Extra warp cycles when two atomics in the same slot hit one address.
 const ATOMIC_SERIAL_CYCLES: f64 = 32.0;
@@ -106,15 +129,19 @@ pub trait Kernel {
 }
 
 /// Per-block shared memory: 8-byte words, atomically accessed.
+#[derive(Default)]
 pub struct BlockShared {
     words: Vec<AtomicU64>,
 }
 
 impl BlockShared {
-    fn new(words: usize) -> Self {
-        Self {
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
-        }
+    /// Hand the next block `words` zeroed words. The storage is reused
+    /// (it only ever allocates when a launch asks for more than any
+    /// launch before it), and the length is exact so an out-of-range
+    /// shared index still panics.
+    fn rezero(&mut self, words: usize) {
+        self.words.clear();
+        self.words.resize_with(words, || AtomicU64::new(0));
     }
 
     #[inline(always)]
@@ -138,6 +165,13 @@ impl BlockShared {
 /// executing the same static load in the same loop iteration share a
 /// slot key — the coalescer merges exactly those accesses, like real
 /// SIMT hardware merges the lanes of one memory instruction.
+///
+/// **Invariant the coalescer's merge relies on:** within one lane's
+/// record the keys never decrease — `slot` only grows and `sub` restarts
+/// only when it does (`log_access` asserts it). They are strictly
+/// increasing except at the saturation point: the intra-slot index is
+/// clamped to 255, so the 256th and every later access of one slot share
+/// key `slot << 8 | 255` and coalesce as if they were one instruction.
 #[derive(Debug, Clone, Copy)]
 struct Access {
     key: u32,
@@ -264,6 +298,10 @@ impl<'a> ThreadCtx<'a> {
         if self.traced {
             let key = (self.slot << 8) | self.sub.min(255);
             self.sub += 1;
+            debug_assert!(
+                self.lane.accesses.last().is_none_or(|a| a.key <= key),
+                "a lane's slot keys must never decrease"
+            );
             self.lane.accesses.push(Access { key, addr, atomic });
         }
     }
@@ -339,6 +377,28 @@ impl FromWord for f64 {
     }
 }
 
+/// Host wall clock the simulator itself spent on a launch, by phase.
+/// Kept outside [`KernelCounters`]: it is the only thing here that is not
+/// a deterministic function of the inputs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HostCost {
+    /// Running the kernel's threads (functional work + lane records).
+    pub exec_s: f64,
+    /// Aggregating lanes and coalescing traced warps into the batch.
+    pub coalesce_s: f64,
+    /// Sorting the batch and driving it through the L2 model.
+    pub drain_s: f64,
+}
+
+impl HostCost {
+    /// Element-wise accumulation (pipeline totals).
+    pub fn merge(&mut self, other: &Self) {
+        self.exec_s += other.exec_s;
+        self.coalesce_s += other.coalesce_s;
+        self.drain_s += other.drain_s;
+    }
+}
+
 /// Result of a kernel launch: counters plus modeled timing.
 #[derive(Debug, Clone)]
 pub struct LaunchResult {
@@ -346,6 +406,39 @@ pub struct LaunchResult {
     pub counters: KernelCounters,
     /// Modeled execution time on the device.
     pub timing: KernelTiming,
+    /// Measured host cost of simulating the launch.
+    pub host: HostCost,
+}
+
+/// Launch scratch owned by the device and reused by every launch: the
+/// warp's lane records, the block's shared memory, and the batch of
+/// coalesced transactions awaiting the L2 (layout: module doc). Starts
+/// empty and grows on first use.
+#[derive(Default)]
+struct TraceArena {
+    lanes: Vec<LaneRecord>,
+    shared: BlockShared,
+    /// Per-lane read position of the coalescer's merge.
+    cursors: Vec<usize>,
+    /// Atomic addresses of the slot being coalesced.
+    atomic_addrs: Vec<u64>,
+    /// Coalesced 128-byte segment ids of every batched slot, back to back.
+    segs: Vec<u64>,
+    /// End offset into `segs` of each batched slot.
+    slot_ends: Vec<u32>,
+    /// `key << 32 | slot index` of each batched slot.
+    order: Vec<u64>,
+    /// Traced warps staged since the last drain.
+    batched_warps: usize,
+}
+
+impl TraceArena {
+    fn clear_batch(&mut self) {
+        self.segs.clear();
+        self.slot_ends.clear();
+        self.order.clear();
+        self.batched_warps = 0;
+    }
 }
 
 /// The simulated device: a spec, a live L2 model, and trace configuration.
@@ -354,6 +447,7 @@ pub struct GpuDevice {
     l2: ShardedCache,
     /// Trace every `trace_sample`-th warp (1 = all warps).
     trace_sample: u64,
+    arena: Mutex<TraceArena>,
 }
 
 impl GpuDevice {
@@ -380,6 +474,7 @@ impl GpuDevice {
             spec,
             l2,
             trace_sample: sample,
+            arena: Mutex::default(),
         }
     }
 
@@ -399,6 +494,7 @@ impl GpuDevice {
     }
 
     /// Execute a kernel launch and return counters + modeled timing.
+    /// Launches on one device serialize on its scratch arena.
     pub fn launch<K: Kernel>(&self, kernel: &K, cfg: LaunchConfig) -> LaunchResult {
         assert!(cfg.block_dim > 0 && cfg.grid_dim > 0, "empty launch");
         assert!(
@@ -407,6 +503,7 @@ impl GpuDevice {
             self.spec.shared_mem_per_sm
         );
         let mut counters = KernelCounters::default();
+        let mut host = HostCost::default();
         let phases = kernel.phases();
         let warps_per_block = cfg.block_dim.div_ceil(self.spec.warp_size) as u64;
         let fp64_cost = self.spec.fp64_ratio();
@@ -433,14 +530,23 @@ impl GpuDevice {
         // of this width (scaled down by the trace sampling stride).
         let resident_warps = self.spec.sm_count as u64 * resident_blocks as u64 * warps_per_block;
         let batch_width = (resident_warps / self.trace_sample).max(1) as usize;
-        let mut batch: Vec<Vec<(u32, Vec<u64>)>> = Vec::new();
 
-        let mut lanes: Vec<LaneRecord> = (0..self.spec.warp_size)
-            .map(|_| LaneRecord::default())
-            .collect();
+        let arena = &mut *self.arena.lock();
+        // A kernel that panicked mid-launch leaves a half-staged batch.
+        arena.clear_batch();
+        arena
+            .lanes
+            .resize_with(self.spec.warp_size as usize, LaneRecord::default);
 
+        let mut clock = Instant::now();
+        // Charge the wall clock since the last call to one phase.
+        let mut lap = |phase_s: &mut f64| {
+            let now = Instant::now();
+            *phase_s += (now - clock).as_secs_f64();
+            clock = now;
+        };
         for block in 0..cfg.grid_dim {
-            let shared = BlockShared::new(cfg.shared_words);
+            arena.shared.rezero(cfg.shared_words);
             for phase in 0..phases {
                 if phase > 0 {
                     counters.barriers += 1;
@@ -450,7 +556,7 @@ impl GpuDevice {
                     let traced = warp_id.is_multiple_of(self.trace_sample);
                     let warp_base = warp as u32 * self.spec.warp_size;
 
-                    for (l, lane) in lanes.iter_mut().enumerate() {
+                    for (l, lane) in arena.lanes.iter_mut().enumerate() {
                         lane.reset();
                         let thread = warp_base + l as u32;
                         if thread >= cfg.block_dim {
@@ -464,7 +570,7 @@ impl GpuDevice {
                             grid_dim: cfg.grid_dim,
                         };
                         let mut ctx = ThreadCtx {
-                            shared: &shared,
+                            shared: &arena.shared,
                             lane,
                             traced,
                             fp64_cost,
@@ -475,34 +581,51 @@ impl GpuDevice {
                         kernel.thread(phase, tid, &mut ctx);
                         counters.child_launches += ctx.child_launches;
                     }
+                    lap(&mut host.exec_s);
 
-                    self.retire_warp(&lanes, traced, phase == 0, &mut counters, &mut batch);
-                    if batch.len() >= batch_width {
-                        self.drain_batch(&mut batch, &mut counters);
+                    self.retire_warp(arena, traced, phase == 0, &mut counters);
+                    lap(&mut host.coalesce_s);
+                    if arena.batched_warps >= batch_width {
+                        self.drain_batch(arena, &mut counters);
+                        lap(&mut host.drain_s);
                     }
                 }
             }
         }
-        self.drain_batch(&mut batch, &mut counters);
+        self.drain_batch(arena, &mut counters);
+        lap(&mut host.drain_s);
 
         counters.finalize_scaling();
         let timing = KernelTiming::model(&counters, &self.spec);
-        LaunchResult { counters, timing }
+        LaunchResult {
+            counters,
+            timing,
+            host,
+        }
     }
 
     /// Aggregate a warp's lane records into the launch counters and, for
-    /// traced warps, stage the coalesced transactions into the batch.
+    /// traced warps, coalesce their accesses into the batch.
     fn retire_warp(
         &self,
-        lanes: &[LaneRecord],
+        arena: &mut TraceArena,
         traced: bool,
         count_threads: bool,
         counters: &mut KernelCounters,
-        batch: &mut Vec<Vec<(u32, Vec<u64>)>>,
     ) {
+        let TraceArena {
+            lanes,
+            cursors,
+            atomic_addrs,
+            segs,
+            slot_ends,
+            order,
+            batched_warps,
+            ..
+        } = arena;
         let mut max_cycles = 0.0f64;
         let mut any_active = false;
-        for lane in lanes {
+        for lane in lanes.iter() {
             if !lane.active {
                 continue;
             }
@@ -530,36 +653,44 @@ impl GpuDevice {
         if count_threads {
             counters.warps_traced += 1;
         }
+        *batched_warps += 1;
 
         // Slot-keyed coalescing: lanes' accesses sharing a slot key merge
-        // into transactions (distinct 128-byte segments).
+        // into transactions (distinct 128-byte segments) — a k-way merge,
+        // one pass over the lanes per slot.
         let line = self.spec.l2_line_bytes as u64;
-        let mut slots: std::collections::BTreeMap<u32, (Vec<u64>, Vec<u64>)> =
-            std::collections::BTreeMap::new();
-        for lane in lanes {
-            for a in &lane.accesses {
-                let entry = slots.entry(a.key).or_default();
-                let seg = a.addr / line;
-                if !entry.0.contains(&seg) {
-                    entry.0.push(seg);
+        cursors.clear();
+        cursors.resize(lanes.len(), 0);
+        let mut next_key = lanes
+            .iter()
+            .filter_map(|l| l.accesses.first())
+            .map(|a| a.key)
+            .min();
+        while let Some(key) = next_key {
+            let slot_start = segs.len();
+            atomic_addrs.clear();
+            next_key = None;
+            for (lane, cursor) in lanes.iter().zip(cursors.iter_mut()) {
+                while let Some(a) = lane.accesses.get(*cursor).filter(|a| a.key == key) {
+                    *cursor += 1;
+                    let seg = a.addr / line;
+                    if !segs[slot_start..].contains(&seg) {
+                        segs.push(seg);
+                    }
+                    if a.atomic {
+                        counters.atomic_ops += 1.0;
+                        atomic_addrs.push(a.addr);
+                    }
                 }
-                if a.atomic {
-                    counters.atomic_ops += 1.0;
-                    entry.1.push(a.addr);
+                if let Some(a) = lane.accesses.get(*cursor) {
+                    next_key = Some(next_key.map_or(a.key, |k: u32| k.min(a.key)));
                 }
             }
+            counters.atomic_serial_cycles += serialization_cycles(atomic_addrs);
+            let index = u32::try_from(slot_ends.len()).expect("batch slot count fits 32 bits");
+            slot_ends.push(u32::try_from(segs.len()).expect("batch segment count fits 32 bits"));
+            order.push((key as u64) << 32 | index as u64);
         }
-        let mut warp_txns: Vec<(u32, Vec<u64>)> = Vec::with_capacity(slots.len());
-        for (key, (segs, mut atomic_addrs)) in slots {
-            // Atomics to one address within a slot serialize.
-            if atomic_addrs.len() > 1 {
-                atomic_addrs.sort_unstable();
-                counters.atomic_serial_cycles +=
-                    conflict_cycles(&atomic_addrs) * ATOMIC_SERIAL_CYCLES;
-            }
-            warp_txns.push((key, segs));
-        }
-        batch.push(warp_txns);
 
         // Shared-memory atomic conflicts, slot-aligned by per-lane order.
         let max_sh = lanes
@@ -567,40 +698,25 @@ impl GpuDevice {
             .map(|l| l.shared_atomics.len())
             .max()
             .unwrap_or(0);
-        let mut sh_addrs: Vec<u64> = Vec::with_capacity(32);
         for slot in 0..max_sh {
-            sh_addrs.clear();
-            for lane in lanes {
-                if let Some(&w) = lane.shared_atomics.get(slot) {
-                    sh_addrs.push(w);
-                }
-            }
-            if sh_addrs.len() > 1 {
-                sh_addrs.sort_unstable();
-                counters.atomic_serial_cycles += conflict_cycles(&sh_addrs) * ATOMIC_SERIAL_CYCLES;
-            }
+            atomic_addrs.clear();
+            atomic_addrs.extend(lanes.iter().filter_map(|l| l.shared_atomics.get(slot)));
+            counters.atomic_serial_cycles += serialization_cycles(atomic_addrs);
         }
     }
 
     /// Drain the traced-warp batch: interleave all warps' transactions
     /// round-robin by slot key (modeling concurrent residency) and run
     /// them through the L2 model.
-    fn drain_batch(&self, batch: &mut Vec<Vec<(u32, Vec<u64>)>>, counters: &mut KernelCounters) {
-        if batch.is_empty() {
-            return;
-        }
+    fn drain_batch(&self, arena: &mut TraceArena, counters: &mut KernelCounters) {
         let line = self.spec.l2_line_bytes as u64;
-        // (key, warp index, slot index within warp) orders the merged
-        // stream: all warps' slot-0 transactions, then slot-1, …
-        let mut order: Vec<(u32, usize, usize)> = Vec::new();
-        for (w, warp) in batch.iter().enumerate() {
-            for (k, (key, _)) in warp.iter().enumerate() {
-                order.push((*key, w, k));
-            }
-        }
-        order.sort_unstable();
-        for (_, w, k) in order {
-            for &seg in &batch[w][k].1 {
+        // (key, slot index) orders the merged stream: all warps' slot-0
+        // transactions, then slot-1, …
+        arena.order.sort_unstable();
+        for &word in &arena.order {
+            let slot = word as u32 as usize;
+            let start = slot.checked_sub(1).map_or(0, |p| arena.slot_ends[p]);
+            for &seg in &arena.segs[start as usize..arena.slot_ends[slot] as usize] {
                 counters.global_transactions += 1.0;
                 match self.l2.access(seg * line) {
                     bdm_device::AccessOutcome::Hit => counters.l2_hits += 1.0,
@@ -608,8 +724,15 @@ impl GpuDevice {
                 }
             }
         }
-        batch.clear();
+        arena.clear_batch();
     }
+}
+
+/// Extra warp cycles of one slot's atomics: those to one address
+/// serialize. Sorts `addrs` in place.
+fn serialization_cycles(addrs: &mut [u64]) -> f64 {
+    addrs.sort_unstable();
+    conflict_cycles(addrs) * ATOMIC_SERIAL_CYCLES
 }
 
 /// Serialization count of a sorted address list: Σ over duplicate runs of
@@ -901,6 +1024,32 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_panic_does_not_leak_its_batch_into_the_next_launch() {
+        struct DiesInBlockOne(DeviceBuffer<f32>);
+        impl Kernel for DiesInBlockOne {
+            fn thread(&self, _: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
+                assert!(tid.block == 0, "device-side fault");
+                ctx.ld(&self.0, tid.thread as usize);
+            }
+        }
+        let n = 1024;
+        let dev = GpuDevice::new(SYSTEM_A.gpu);
+        let faulty = DiesInBlockOne(DeviceAllocator::new().alloc::<f32>(64));
+        let cfg = LaunchConfig::for_items(128, 64);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dev.launch(&faulty, cfg);
+        }));
+        assert!(unwound.is_err());
+        let after = dev.launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
+        let fresh =
+            GpuDevice::new(SYSTEM_A.gpu).launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
+        assert_eq!(
+            after.counters.global_transactions,
+            fresh.counters.global_transactions
+        );
+    }
+
+    #[test]
     fn occupancy_reflects_shared_memory_pressure() {
         struct Nop;
         impl Kernel for Nop {
@@ -956,6 +1105,349 @@ mod tests {
             low.timing.total_s,
             high.timing.total_s
         );
+    }
+
+    /// Saturation of the intra-slot index: 300 loads without a
+    /// `begin_slot` give keys 0..=254 one access per lane each, and loads
+    /// 255..300 all alias key 255, so they coalesce as *one* slot.
+    struct LongSlot {
+        x: DeviceBuffer<f32>,
+    }
+
+    impl Kernel for LongSlot {
+        fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
+            for j in 0..300 {
+                // Row j of 32 floats = one segment per load index, except
+                // that rows 255.. alternate between just two segments.
+                let row = if j < 255 { j } else { 255 + j % 2 };
+                ctx.ld(&self.x, row * 32 + tid.thread as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_sub_slot_aliases_into_one_slot() {
+        let mut alloc = DeviceAllocator::new();
+        let k = LongSlot {
+            x: alloc.alloc::<f32>(32 * 257),
+        };
+        let dev = GpuDevice::new(SYSTEM_A.gpu);
+        let cfg = LaunchConfig {
+            grid_dim: 1,
+            block_dim: 32,
+            shared_words: 0,
+        };
+        let c = dev.launch(&k, cfg).counters;
+        // 255 perfectly coalesced slots + the alias slot's two distinct
+        // segments (45 loads per lane folded into it) — not 300.
+        assert_eq!(c.global_transactions, 257.0);
+        assert_eq!(c.l2_misses, 257.0);
+        let reference = launch_reference(&GpuDevice::new(SYSTEM_A.gpu), &k, cfg);
+        assert_eq!(c, reference);
+    }
+
+    /// The trace path this engine had before the flat arenas, kept
+    /// verbatim as the oracle: a `BTreeMap` of per-slot `Vec`s per warp, a
+    /// `Vec` of those per batch, and a `(key, warp, slot)` tuple sort to
+    /// drain. Same execution loop, its own lanes and shared memory.
+    fn launch_reference<K: Kernel>(
+        dev: &GpuDevice,
+        kernel: &K,
+        cfg: LaunchConfig,
+    ) -> KernelCounters {
+        use std::collections::BTreeMap;
+        type Batch = Vec<Vec<(u32, Vec<u64>)>>;
+        let line = dev.spec.l2_line_bytes as u64;
+
+        let drain = |batch: &mut Batch, counters: &mut KernelCounters| {
+            let mut order: Vec<(u32, usize, usize)> = Vec::new();
+            for (w, warp) in batch.iter().enumerate() {
+                for (k, (key, _)) in warp.iter().enumerate() {
+                    order.push((*key, w, k));
+                }
+            }
+            order.sort_unstable();
+            for (_, w, k) in order {
+                for &seg in &batch[w][k].1 {
+                    counters.global_transactions += 1.0;
+                    match dev.l2.access(seg * line) {
+                        bdm_device::AccessOutcome::Hit => counters.l2_hits += 1.0,
+                        bdm_device::AccessOutcome::Miss => counters.l2_misses += 1.0,
+                    }
+                }
+            }
+            batch.clear();
+        };
+
+        let retire = |lanes: &[LaneRecord],
+                      traced: bool,
+                      count_threads: bool,
+                      counters: &mut KernelCounters,
+                      batch: &mut Batch| {
+            let mut max_cycles = 0.0f64;
+            let mut any_active = false;
+            for lane in lanes.iter().filter(|l| l.active) {
+                any_active = true;
+                if count_threads {
+                    counters.threads_run += 1;
+                }
+                counters.flops_fp32 += lane.flops32;
+                counters.flops_fp64 += lane.flops64;
+                counters.shared_accesses += lane.shared_accesses as f64;
+                counters.lane_cycles_total += lane.cycles;
+                max_cycles = max_cycles.max(lane.cycles);
+            }
+            if !any_active {
+                return;
+            }
+            if count_threads {
+                counters.warps_run += 1;
+            }
+            counters.compute_warp_cycles += max_cycles;
+            if !traced {
+                return;
+            }
+            if count_threads {
+                counters.warps_traced += 1;
+            }
+            let mut slots: BTreeMap<u32, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+            for lane in lanes {
+                for a in &lane.accesses {
+                    let entry = slots.entry(a.key).or_default();
+                    let seg = a.addr / line;
+                    if !entry.0.contains(&seg) {
+                        entry.0.push(seg);
+                    }
+                    if a.atomic {
+                        counters.atomic_ops += 1.0;
+                        entry.1.push(a.addr);
+                    }
+                }
+            }
+            let mut warp_txns: Vec<(u32, Vec<u64>)> = Vec::with_capacity(slots.len());
+            for (key, (segs, mut atomic_addrs)) in slots {
+                if atomic_addrs.len() > 1 {
+                    atomic_addrs.sort_unstable();
+                    counters.atomic_serial_cycles +=
+                        conflict_cycles(&atomic_addrs) * ATOMIC_SERIAL_CYCLES;
+                }
+                warp_txns.push((key, segs));
+            }
+            batch.push(warp_txns);
+            let max_sh = lanes
+                .iter()
+                .map(|l| l.shared_atomics.len())
+                .max()
+                .unwrap_or(0);
+            for slot in 0..max_sh {
+                let mut sh_addrs: Vec<u64> = lanes
+                    .iter()
+                    .filter_map(|l| l.shared_atomics.get(slot).copied())
+                    .collect();
+                if sh_addrs.len() > 1 {
+                    sh_addrs.sort_unstable();
+                    counters.atomic_serial_cycles +=
+                        conflict_cycles(&sh_addrs) * ATOMIC_SERIAL_CYCLES;
+                }
+            }
+        };
+
+        let mut counters = KernelCounters::default();
+        let warps_per_block = cfg.block_dim.div_ceil(dev.spec.warp_size) as u64;
+        let resident_blocks = {
+            let by_threads = (dev.spec.max_threads_per_sm / cfg.block_dim).max(1);
+            let by_shared = if cfg.shared_words > 0 {
+                (dev.spec.shared_mem_per_sm as usize / (cfg.shared_words * 8)).max(1) as u32
+            } else {
+                u32::MAX
+            };
+            by_threads.min(by_shared).min(32)
+        };
+        counters.occupancy_warps_per_sm = (resident_blocks as u64 * warps_per_block) as f64;
+        let resident_warps = dev.spec.sm_count as u64 * resident_blocks as u64 * warps_per_block;
+        let batch_width = (resident_warps / dev.trace_sample).max(1) as usize;
+        let mut batch: Batch = Vec::new();
+        let mut lanes: Vec<LaneRecord> = (0..dev.spec.warp_size)
+            .map(|_| LaneRecord::default())
+            .collect();
+        for block in 0..cfg.grid_dim {
+            let shared = BlockShared {
+                words: (0..cfg.shared_words).map(|_| AtomicU64::new(0)).collect(),
+            };
+            for phase in 0..kernel.phases() {
+                if phase > 0 {
+                    counters.barriers += 1;
+                }
+                for warp in 0..warps_per_block {
+                    let warp_id = block as u64 * warps_per_block + warp;
+                    let traced = warp_id.is_multiple_of(dev.trace_sample);
+                    for (l, lane) in lanes.iter_mut().enumerate() {
+                        lane.reset();
+                        let thread = warp as u32 * dev.spec.warp_size + l as u32;
+                        if thread >= cfg.block_dim {
+                            continue;
+                        }
+                        lane.active = true;
+                        let tid = ThreadId {
+                            block,
+                            thread,
+                            block_dim: cfg.block_dim,
+                            grid_dim: cfg.grid_dim,
+                        };
+                        let mut ctx = ThreadCtx {
+                            shared: &shared,
+                            lane,
+                            traced,
+                            fp64_cost: dev.spec.fp64_ratio(),
+                            slot: 0,
+                            sub: 0,
+                            child_launches: 0,
+                        };
+                        kernel.thread(phase, tid, &mut ctx);
+                        counters.child_launches += ctx.child_launches;
+                    }
+                    retire(&lanes, traced, phase == 0, &mut counters, &mut batch);
+                    if batch.len() >= batch_width {
+                        drain(&mut batch, &mut counters);
+                    }
+                }
+            }
+        }
+        drain(&mut batch, &mut counters);
+        counters.finalize_scaling();
+        counters
+    }
+
+    /// One scripted device operation of the table-driven test kernel.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        BeginSlot,
+        Ld(usize),
+        St(usize),
+        AtomicAdd(usize),
+        AtomicExchange(usize),
+        SharedAtomic(usize),
+        Flops(u32),
+    }
+
+    /// Runs `script[phase][global thread]`, whatever it says.
+    struct Scripted {
+        script: Vec<Vec<Vec<Op>>>,
+        buf: DeviceBuffer<u32>,
+    }
+
+    impl Kernel for Scripted {
+        fn phases(&self) -> usize {
+            self.script.len()
+        }
+        fn thread(&self, phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
+            for &op in &self.script[phase][tid.global() as usize] {
+                match op {
+                    Op::BeginSlot => ctx.begin_slot(),
+                    Op::Ld(i) => {
+                        ctx.ld(&self.buf, i);
+                    }
+                    Op::St(i) => ctx.st(&self.buf, i, 1),
+                    Op::AtomicAdd(i) => {
+                        ctx.atomic_add(&self.buf, i, 1);
+                    }
+                    Op::AtomicExchange(i) => {
+                        ctx.atomic_exchange(&self.buf, i, 1);
+                    }
+                    Op::SharedAtomic(w) => {
+                        ctx.sh_atomic_add_u32(w, 1);
+                    }
+                    Op::Flops(n) => ctx.flops::<f64>(n),
+                }
+            }
+        }
+    }
+
+    const SCRIPT_WORDS: usize = 32 * 2048;
+    const SCRIPT_SHARED_WORDS: usize = 4;
+
+    /// A random per-lane access list: uneven trip counts (including
+    /// lanes that return at once), empty and lopsided slots, addresses
+    /// anywhere in a 2048-segment buffer or packed into a few hot words,
+    /// atomics that collide, and now and then a slot long enough to
+    /// saturate the sub-slot index.
+    fn random_lane_script(rng: &mut bdm_math::SplitMix64) -> Vec<Op> {
+        let mut ops = Vec::new();
+        if rng.below(8) == 0 {
+            return ops;
+        }
+        for _ in 0..rng.below(7) {
+            if rng.below(4) != 0 {
+                ops.push(Op::BeginSlot);
+            }
+            let burst = if rng.below(40) == 0 {
+                250 + rng.below(60)
+            } else {
+                rng.below(5)
+            };
+            // A per-slot stride walks one lane across many segments.
+            let stride = [1, 7, 32, 33, 1024][rng.below(5) as usize];
+            let base = rng.below(SCRIPT_WORDS as u64) as usize;
+            for j in 0..burst as usize {
+                let anywhere = (base + j * stride) % SCRIPT_WORDS;
+                let hot = rng.below(6) as usize * 16;
+                ops.push(match rng.below(10) {
+                    0..=3 => Op::Ld(anywhere),
+                    4 => Op::Ld(hot),
+                    5 => Op::St(anywhere),
+                    6 => Op::AtomicAdd(hot),
+                    7 => Op::AtomicExchange(if rng.below(2) == 0 { hot } else { anywhere }),
+                    8 => Op::SharedAtomic(rng.below(SCRIPT_SHARED_WORDS as u64) as usize),
+                    _ => Op::Flops(1 + rng.below(9) as u32),
+                });
+            }
+        }
+        ops
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The arena engine and the retained `BTreeMap` oracle agree on
+        /// every counter, bit for bit, for arbitrary lane scripts on a
+        /// device small enough that batches drain several times per
+        /// launch and the L2 evicts constantly (so any reordering of the
+        /// transaction stream shows up in the hit counts).
+        #[test]
+        fn arena_engine_matches_the_reference_bit_for_bit(
+            seed in proptest::prelude::any::<u64>(),
+            grid_dim in 1u32..6,
+            block_dim in 1u32..=96,
+            phases in 1usize..=3,
+            sampled in proptest::prelude::any::<bool>(),
+        ) {
+            let spec = GpuSpec {
+                sm_count: 1,
+                max_threads_per_sm: 64,
+                l2_bytes: 8 * 1024,
+                l2_ways: 2,
+                ..SYSTEM_A.gpu
+            };
+            let sample = if sampled { 3 } else { 1 };
+            let mut rng = bdm_math::SplitMix64::new(seed);
+            let threads = (grid_dim * block_dim) as usize;
+            let script: Vec<Vec<Vec<Op>>> = (0..phases)
+                .map(|_| (0..threads).map(|_| random_lane_script(&mut rng)).collect())
+                .collect();
+            let mut alloc = DeviceAllocator::new();
+            let k = Scripted { script, buf: alloc.alloc::<u32>(SCRIPT_WORDS) };
+            let cfg = LaunchConfig { grid_dim, block_dim, shared_words: SCRIPT_SHARED_WORDS };
+            let dev = GpuDevice::with_trace_sampling(spec, sample);
+            let oracle = GpuDevice::with_trace_sampling(spec, sample);
+            // Twice, so the second launch runs on warm arenas and a warm L2.
+            for round in 0..2 {
+                let got = dev.launch(&k, cfg).counters;
+                let want = launch_reference(&oracle, &k, cfg);
+                for ((field, g), (_, w)) in got.field_bits().into_iter().zip(want.field_bits()) {
+                    proptest::prop_assert_eq!(g, w, "{} differs in round {}", field, round);
+                }
+            }
+        }
     }
 
     #[test]

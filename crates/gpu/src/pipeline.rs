@@ -44,7 +44,7 @@
 //! because both grid builds are pure functions of the (unchanged) keys.
 
 use crate::counters::KernelCounters;
-use crate::engine::FromWord;
+use crate::engine::{FromWord, HostCost, LaunchResult};
 use crate::frontend::{ApiFrontend, Runtime};
 use crate::kernels::csr::{exclusive_scan_into, CsrCountKernel, CsrScatterKernel, MechCsrKernel};
 use crate::kernels::dynpar::{ChildKernel, CompactKernel, FinishKernel, ParentKernel};
@@ -155,6 +155,9 @@ pub struct GpuStepReport {
     pub midstep_syncs: u32,
     /// Whether this step ran with device-resident agent state.
     pub resident: bool,
+    /// Host wall clock the SIMT simulator spent on the step's launches
+    /// (measured, not modeled — the one nondeterministic field).
+    pub host: HostCost,
 }
 
 impl GpuStepReport {
@@ -184,6 +187,16 @@ impl GpuStepReport {
         );
         self.counters.publish_metrics("gpu.step", labels, reg);
         self.mech_counters.publish_metrics("gpu.mech", labels, reg);
+        // The simulator's own host wall clock: informational, never gated.
+        for (phase, secs) in [
+            ("exec", self.host.exec_s),
+            ("coalesce", self.host.coalesce_s),
+            ("drain", self.host.drain_s),
+        ] {
+            let mut with_phase = labels.to_vec();
+            with_phase.push(("phase", phase));
+            reg.observe("gpu.host_s", &with_phase, secs);
+        }
     }
 }
 
@@ -212,11 +225,21 @@ pub struct SceneRef<'a> {
 struct PhaseCost {
     counters: KernelCounters,
     secs: f64,
+    host: HostCost,
     h2d_bytes: u64,
     h2d_transfers: u32,
     d2h_bytes: u64,
     d2h_transfers: u32,
     midstep_syncs: u32,
+}
+
+impl PhaseCost {
+    /// Account one kernel launch to this phase.
+    fn add_launch(&mut self, r: &LaunchResult) {
+        self.counters.merge(&r.counters);
+        self.secs += r.timing.total_s;
+        self.host.merge(&r.host);
+    }
 }
 
 /// Everything the pipeline keeps alive across steps for one scalar
@@ -548,8 +571,7 @@ fn build_grid<R: Scalar + DeviceWord>(
             128,
             0,
         );
-        cost.counters.merge(&count.counters);
-        cost.secs += count.timing.total_s;
+        cost.add_launch(&count);
 
         st.host_counts.clear();
         st.host_counts.resize(num_boxes, 0);
@@ -576,8 +598,7 @@ fn build_grid<R: Scalar + DeviceWord>(
             128,
             0,
         );
-        cost.counters.merge(&scatter.counters);
-        cost.secs += scatter.timing.total_s;
+        cost.add_launch(&scatter);
     } else {
         reset_grid_buffers(&st.box_start, &st.box_length);
         let build = runtime.dispatch(
@@ -595,8 +616,7 @@ fn build_grid<R: Scalar + DeviceWord>(
             128,
             0,
         );
-        cost.counters.merge(&build.counters);
-        cost.secs += build.timing.total_s;
+        cost.add_launch(&build);
     }
     cost
 }
@@ -641,8 +661,7 @@ fn run_mech<R: Scalar + DeviceWord + FromWord>(
                 128,
                 0,
             );
-            cost.counters.merge(&r.counters);
-            cost.secs += r.timing.total_s;
+            cost.add_launch(&r);
         }
         KernelVersion::V4Csr => {
             let r = runtime.dispatch(
@@ -665,8 +684,7 @@ fn run_mech<R: Scalar + DeviceWord + FromWord>(
                 128,
                 0,
             );
-            cost.counters.merge(&r.counters);
-            cost.secs += r.timing.total_s;
+            cost.add_launch(&r);
         }
         KernelVersion::V3Shared => {
             if refresh_occupancy {
@@ -721,8 +739,7 @@ fn run_mech<R: Scalar + DeviceWord + FromWord>(
             };
             let items = non_empty_len * block_dim as usize;
             let r = runtime.dispatch(&k, items, block_dim, shared_words_for(tile_cap) * 8);
-            cost.counters.merge(&r.counters);
-            cost.secs += r.timing.total_s;
+            cost.add_launch(&r);
         }
         KernelVersion::DynPar => {
             // The queue cursor persists across steps now — zero it.
@@ -751,8 +768,7 @@ fn run_mech<R: Scalar + DeviceWord + FromWord>(
                 128,
                 0,
             );
-            cost.counters.merge(&parent.counters);
-            cost.secs += parent.timing.total_s;
+            cost.add_launch(&parent);
 
             let queue_len = st.queue_count.read(0) as usize;
             cost.midstep_syncs += 1;
@@ -779,8 +795,7 @@ fn run_mech<R: Scalar + DeviceWord + FromWord>(
                     128,
                     0,
                 );
-                cost.counters.merge(&child.counters);
-                cost.secs += child.timing.total_s;
+                cost.add_launch(&child);
                 let finish = runtime.dispatch(
                     &FinishKernel {
                         queue_len,
@@ -796,8 +811,7 @@ fn run_mech<R: Scalar + DeviceWord + FromWord>(
                     128,
                     0,
                 );
-                cost.counters.merge(&finish.counters);
-                cost.secs += finish.timing.total_s;
+                cost.add_launch(&finish);
             }
         }
     }
@@ -1060,6 +1074,8 @@ impl MechanicalPipeline {
         let d2h_s = self.pcie.transfers_time(d2h_transfers, d2h_bytes);
         let mut counters = build.counters.clone();
         counters.merge(&mech.counters);
+        let mut host = build.host;
+        host.merge(&mech.host);
         let report = GpuStepReport {
             h2d_s,
             d2h_s,
@@ -1073,6 +1089,7 @@ impl MechanicalPipeline {
             bytes_d2h: d2h_bytes,
             midstep_syncs,
             resident: false,
+            host,
         };
         (displacements, report)
     }
@@ -1183,8 +1200,7 @@ impl MechanicalPipeline {
                             128,
                             0,
                         );
-                        sync.counters.merge(&r.counters);
-                        sync.secs += r.timing.total_s;
+                        sync.add_launch(&r);
                         for k in 0..n_moves {
                             let dst = st.moves_host[2 * k] as usize;
                             let src = st.moves_host[2 * k + 1] as usize;
@@ -1286,8 +1302,7 @@ impl MechanicalPipeline {
             128,
             0,
         );
-        mech.counters.merge(&integ.counters);
-        mech.secs += integ.timing.total_s;
+        mech.add_launch(&integ);
 
         // --- Inspect: only the three position columns come back.
         st.out_x.clear();
@@ -1327,6 +1342,9 @@ impl MechanicalPipeline {
         build_counters.merge(&build.counters);
         let mut counters = build_counters.clone();
         counters.merge(&mech.counters);
+        let mut host = sync.host;
+        host.merge(&build.host);
+        host.merge(&mech.host);
         let report = GpuStepReport {
             h2d_s,
             d2h_s,
@@ -1340,6 +1358,7 @@ impl MechanicalPipeline {
             bytes_d2h: d2h_bytes,
             midstep_syncs: sync.midstep_syncs + build.midstep_syncs + mech.midstep_syncs,
             resident: true,
+            host,
         };
         (positions, report)
     }
@@ -1636,6 +1655,142 @@ mod tests {
         assert!((r.total_s - (r.h2d_s + r.build_s + r.mech_s + r.d2h_s)).abs() < 1e-15);
         assert!(r.mech_counters.total_flops() > 0.0);
         assert!(r.counters.total_flops() >= r.mech_counters.total_flops());
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every simulated statistic of a step, pinned to the values the
+    /// `BTreeMap`-of-`Vec`s coalescer produced (hard-coded from a run of
+    /// the commit before the engine's trace path moved onto flat arenas):
+    /// all six versions, both frontends, full and sampled tracing. The
+    /// device is System A cut down to one small SM and a 32 KB L2, so
+    /// every launch drains several batches and the L2 evicts — on the
+    /// real System A this scene fits the cache and the hit counts would
+    /// not notice a reordered transaction stream. Row = counters hash,
+    /// mech-counters hash, `build_s` / `mech_s` / `total_s` bits,
+    /// displacement hash.
+    #[test]
+    fn step_reports_match_the_parent_goldens() {
+        const GOLDEN: [(KernelVersion, u64, &str); 12] = [
+            (
+                KernelVersion::V0,
+                1,
+                "7815cd4a8a2aca01 bc2eda9790731f41 3ee10383d050f3f6 \
+                 3efd77f34883be34 3f204800e4929a57 e7e75dffc2a3c910",
+            ),
+            (
+                KernelVersion::V0,
+                4,
+                "9b77fe90d391cf49 5184900088673d4d 3ee110cc52d29cec \
+                 3f0b0ed2e8f7e9c1 3f235d8bbde83790 e7e75dffc2a3c910",
+            ),
+            (
+                KernelVersion::V1Fp32,
+                1,
+                "e53efa96a895aa65 fff0db4711781fa5 3ee0ff10ecf7ec05 \
+                 3ef99a81b09fa7d2 3f1e8ba78cb5af3f 1bbf81831a510735",
+            ),
+            (
+                KernelVersion::V1Fp32,
+                4,
+                "a2f94b602cc323cd 21e233075e6f51e9 3ee0ff8201b9f412 \
+                 3ef9da49ca7e2008 3f1e9ba7b5c58e4e 1bbf81831a510735",
+            ),
+            (
+                KernelVersion::V2Sorted,
+                1,
+                "b3ccdf12a895aa65 51a6bed311781fa5 3ee16abb67ae06a5 \
+                 3eea61482db1cebe 3f1b7ea5759ac276 1bbf81831a510735",
+            ),
+            (
+                KernelVersion::V2Sorted,
+                4,
+                "1ebf10102cc323cd c1ac36f75e6f51e9 3ee173755558c50a \
+                 3ee9ffa94230db7c 3f1b7388d5dffbda 1bbf81831a510735",
+            ),
+            (
+                KernelVersion::V3Shared,
+                1,
+                "36cb2fa7bdb2b3c7 21964c2ade8e2a07 3ee16abb67ae06a5 \
+                 3f09ed49e1cc611e 3f2542e61312a02c 1bbf81831a510735",
+            ),
+            (
+                KernelVersion::V3Shared,
+                4,
+                "6e6b442a0da3d0a3 a1a3468e03d1d33c 3ee173755558c50a \
+                 3f09b0f3c6107eaf 3f25345c2afe5376 1bbf81831a510735",
+            ),
+            (
+                KernelVersion::V4Csr,
+                1,
+                "5f3cc1807dd04825 14f8f25611781fa5 3ef11966c9037f23 \
+                 3eea09206cb7d126 3f2175b6c7cd1ad8 00304e101a510735",
+            ),
+            (
+                KernelVersion::V4Csr,
+                4,
+                "1c9cc8f7393408b1 046116ae5e6f51e9 3ef11dc3bfd8de56 \
+                 3ee9a469efe8a588 3f216ff6fedad404 00304e101a510735",
+            ),
+            (
+                KernelVersion::DynPar,
+                1,
+                "04e1dc3da895aa65 7007a05011781fa5 3ee16abb67ae06a5 \
+                 3eeaed876c56caea 3f1b902d5d6f61fc 1bbf81831a510735",
+            ),
+            (
+                KernelVersion::DynPar,
+                4,
+                "d20920432cc323cd 5bb20f245e6f51e9 3ee173755558c50a \
+                 3eea861237ad48b2 3f1b8455f48f8981 1bbf81831a510735",
+            ),
+        ];
+        let mut system = SYSTEM_A;
+        system.gpu.sm_count = 1;
+        system.gpu.max_threads_per_sm = 512;
+        system.gpu.l2_bytes = 32 * 1024;
+        let n = 1500;
+        let extent = 9.0;
+        let (xs, ys, zs, dm, ad) = scene(n, extent, 2021);
+        let sr = SceneRef {
+            xs: &xs,
+            ys: &ys,
+            zs: &zs,
+            diameters: &dm,
+            adherences: &ad,
+            space: Aabb::new(Vec3::zero(), Vec3::splat(extent)),
+            box_len: 1.0,
+        };
+        for (v, sample, want) in GOLDEN {
+            for frontend in [ApiFrontend::Cuda, ApiFrontend::OpenCl] {
+                let mut p = MechanicalPipeline::new(system, frontend, v, sample);
+                let (disp, r) = p.step(&sr, &MechParams::default_params());
+                let bits = |c: &KernelCounters| fnv(c.field_bits().map(|(_, b)| b));
+                let got = format!(
+                    "{:016x} {:016x} {:016x} {:016x} {:016x} {:016x}",
+                    bits(&r.counters),
+                    bits(&r.mech_counters),
+                    r.build_s.to_bits(),
+                    r.mech_s.to_bits(),
+                    r.total_s.to_bits(),
+                    fnv(disp
+                        .iter()
+                        .flat_map(|d| [d.x.to_bits(), d.y.to_bits(), d.z.to_bits()])),
+                );
+                assert_eq!(
+                    got,
+                    want,
+                    "{v:?} {} trace_sample {sample}: {:?}",
+                    frontend.name(),
+                    r.counters
+                );
+            }
+        }
     }
 
     /// The resident path must be bitwise-invisible: a pipeline that

@@ -15,5 +15,8 @@ for threads in 1 2 4; do
     RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim \
         --test shard_determinism --test diffusion_parity --test resume_equivalence
 done
+# The SIMT engine's steady-state launches must not touch the heap — in
+# release mode, where the optimizer decides what actually allocates.
+cargo test -q --offline --release -p bdm-gpu --test alloc_steady
 cargo clippy --offline --workspace --all-targets -- -D warnings
 ./scripts/fmt.sh --check
