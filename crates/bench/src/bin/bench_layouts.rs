@@ -235,8 +235,8 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         env.label()
     );
     println!(
-        "{:<12} {:>10} {:>10} {:>14} {:>14}",
-        "precision", "step ms", "mech ms", "simd lanes", "f32 copies"
+        "{:<12} {:>10} {:>10} {:>14} {:>14} {:>12} {:>14}",
+        "precision", "step ms", "mech ms", "simd lanes", "f32 copies", "index gap", "stencil reuse"
     );
     let mut mech_by_precision = [0.0f64; 2];
     for (slot, precision) in [Precision::F64, Precision::F32Simd].into_iter().enumerate() {
@@ -287,17 +287,23 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         let env_label = env.label();
         let env_labels = [("env", env_label.as_str())];
         let read = |name: &str| metrics.value(name, &env_labels).unwrap_or(0.0);
-        let (lanes, copies) = (
+        let (lanes, copies, gap) = (
             read("mech.simd_lanes_utilized"),
             read("mech.f32_refresh_copies"),
+            read("mech.csr_index_gap"),
         );
+        // f32 lanes only.
+        let simd = sim.last_mech_work().and_then(|w| w.simd);
+        let reuse = simd.map_or("-".into(), |s| format!("{:.3}", s.stencil_reuse(n)));
         println!(
-            "{:<12} {:>10.3} {:>10.3} {:>14.0} {:>14.0}",
+            "{:<12} {:>10.3} {:>10.3} {:>14.0} {:>14.0} {:>12.2} {:>14}",
             precision.label(),
             step_ms,
             mech_ms,
             lanes,
-            copies
+            copies,
+            gap,
+            reuse
         );
         let labels = [("precision", precision.label())];
         reg.set_gauge("layouts.simd_step_wall_ms", &labels, step_ms);
@@ -305,6 +311,10 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         if precision == Precision::F32Simd {
             reg.set_gauge("mech.simd_lanes_utilized", &labels, lanes);
             reg.set_gauge("mech.f32_refresh_copies", &labels, copies);
+            if let Some(simd) = simd {
+                let staged = simd.stencils_staged as f64;
+                reg.set_gauge("mech.simd_stencils_staged", &labels, staged);
+            }
         }
     }
     let speedup = mech_by_precision[0] / mech_by_precision[1].max(1e-12);

@@ -2,22 +2,37 @@
 //!
 //! The paper's *Improvement I* halves the arithmetic width (FP64→FP32) to
 //! double the effective memory bandwidth of the force kernel. This module
-//! brings that to the CPU hot path: portable 8-wide lane types written as
-//! plain `[T; 8]` arrays with `#[inline]` per-lane loops, which LLVM
-//! autovectorizes into AVX/SSE code on stable Rust — no nightly
-//! `std::simd`. One exception to the no-intrinsics rule: the packed
-//! gather ([`F32x8::gather4`]) uses the stable AVX2 `vgatherdps`
-//! intrinsic behind `cfg(target_feature = "avx2")`, because a hardware
-//! gather is the single load shape LLVM cannot form on its own and the
-//! shuffle-tree alternative dominates the force pass's port pressure;
-//! a portable, bitwise-identical fallback remains for other targets.
+//! brings that to the CPU hot path: 8-wide lane types stored as plain
+//! `[T; 8]` arrays, on stable Rust — no nightly `std::simd`. Every op
+//! the force kernel's batch loop is made of has two bodies computing the
+//! same IEEE operation per lane:
+//!
+//! * a **portable** one — an `#[inline]` per-lane array loop that LLVM
+//!   autovectorizes into AVX/SSE code. It is what the `f64` stencil ops
+//!   of the diffusion engine and every non-AVX2 build run;
+//! * an **AVX2** one behind `cfg(target_feature = "avx2")` — the one
+//!   `core::arch` instruction the op *is* (`vsubps`, `vcmpps`,
+//!   `vpaddd`, …), reached through the safe wrappers of the private
+//!   `avx2` module. Autovectorization is a good default and a poor
+//!   contract: across the force kernel's batch loop, scalar replacement
+//!   splits the array-typed statistic accumulators into thirty-two
+//!   scalar slots and re-packs them every batch, and the voxel-staged
+//!   kernel measured *slower* than the per-agent gather it replaces
+//!   until its instruction selection was pinned here. The packed gather
+//!   ([`F32x8::gather4`], `vgatherdps`) is the one load shape LLVM
+//!   cannot form on its own at all.
+//!
+//! Which body a build compiled never shows in a result: CI runs the
+//! kernel's oracle, the determinism suites and the checkpoint goldens
+//! under both `x86-64-v3` and the portable baseline.
 //!
 //! Design rules that keep the path deterministic:
 //!
 //! * **Strict IEEE ops by default.** The basic operations are plain
 //!   `+ - * /` or `sqrt` — all exactly specified by IEEE 754, so results
 //!   are bitwise reproducible across machines. No FMA contraction (Rust
-//!   never contracts), no fast-math. The two *opt-in* approximate ops
+//!   never contracts, and the AVX2 bodies use no fused intrinsic), no
+//!   fast-math. The two *opt-in* approximate ops
 //!   ([`F32x8::rsqrt_nr`], [`F32x8::recip_nr`]) trade that cross-machine
 //!   bitwise guarantee for divider-port-free throughput: ~2·10⁻⁷
 //!   relative error, same-build determinism only (the hardware seed
@@ -33,10 +48,9 @@
 //!   accumulation order is a function of the candidate sequence alone,
 //!   never of thread scheduling.
 //!
-//! Tails shorter than [`LANES`] are the *caller's* job (the "masked load
-//! via tail-scalar fallback" of the design): run the same per-lane scalar
-//! arithmetic on the remainder rather than constructing a partial vector
-//! load. See `bdm_sim::mech::simd_lanes`.
+//! Tails shorter than [`LANES`] are the *caller's* job: pad the last
+//! batch with lanes a mask already discards rather than constructing a
+//! partial vector load. See `bdm_sim::mech::simd_lanes`.
 
 // Every lane kernel is written as `for l in 0..LANES { out[l] = … }`:
 // the index form keeps the ops visually uniform across one- and
@@ -72,6 +86,107 @@ pub struct M32x8(pub [u32; LANES]);
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(align(64))]
 pub struct F64x8(pub [f64; LANES]);
+
+/// The body of a lane op: `$avx2` (a call into the [`avx2`] module)
+/// where the build targets AVX2, else `$portable` (the
+/// per-lane array loop). Both compute the same IEEE operation per lane,
+/// so which one was compiled never shows in a result bit.
+macro_rules! lanes {
+    ($avx2:expr, $portable:expr) => {{
+        #[cfg(target_feature = "avx2")]
+        let out = $avx2;
+        #[cfg(not(target_feature = "avx2"))]
+        let out = $portable;
+        out
+    }};
+}
+
+/// The AVX2 bodies of the lane ops: each is the lane types bit-cast to
+/// `__m256` / `__m256i` / a `__m256d` pair, one or two register-to-register
+/// intrinsics, and the cast back — safe functions over the lane types, so
+/// the ops above never see a register type. Nothing here touches memory
+/// through a pointer.
+#[cfg(target_feature = "avx2")]
+mod avx2 {
+    use super::{F32x8, F64x8, M32x8, U32x8};
+    use core::arch::x86_64::*;
+
+    macro_rules! bitcasts {
+        ($($name:ident: $from:ty => $to:ty;)*) => {$(
+            #[inline(always)]
+            fn $name(v: $from) -> $to {
+                // SAFETY: both sides are the same number of bytes
+                // (`transmute` checks it) of plain `f32` / `u32` / `f64`
+                // lanes, lane `l` at element `l`, and every bit pattern
+                // is valid for either.
+                unsafe { core::mem::transmute(v) }
+            }
+        )*};
+    }
+    bitcasts! {
+        ps: F32x8 => __m256;
+        f32x8: __m256 => F32x8;
+        epi32: U32x8 => __m256i;
+        u32x8: __m256i => U32x8;
+        mask: M32x8 => __m256i;
+        m32x8: __m256i => M32x8;
+        pd: F64x8 => [__m256d; 2];
+        f64x8: [__m256d; 2] => F64x8;
+    }
+
+    macro_rules! lane_ops {
+        ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $body:expr;)*) => {$(
+            #[inline(always)]
+            pub fn $name($($arg: $ty),*) -> $ret {
+                // SAFETY: register-only intrinsics — no pointer, no
+                // alignment, no value precondition; all they require is
+                // a CPU with AVX2, which `cfg(target_feature = "avx2")`
+                // on this module makes a property of the whole build.
+                unsafe { $body }
+            }
+        )*};
+    }
+    lane_ops! {
+        add_ps(a: F32x8, b: F32x8) -> F32x8 = f32x8(_mm256_add_ps(ps(a), ps(b)));
+        sub_ps(a: F32x8, b: F32x8) -> F32x8 = f32x8(_mm256_sub_ps(ps(a), ps(b)));
+        mul_ps(a: F32x8, b: F32x8) -> F32x8 = f32x8(_mm256_mul_ps(ps(a), ps(b)));
+        div_ps(a: F32x8, b: F32x8) -> F32x8 = f32x8(_mm256_div_ps(ps(a), ps(b)));
+        sqrt_ps(a: F32x8) -> F32x8 = f32x8(_mm256_sqrt_ps(ps(a)));
+        // Ordered, quiet predicates: a NaN lane compares false.
+        le_ps(a: F32x8, b: F32x8) -> M32x8 =
+            m32x8(_mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(ps(a), ps(b))));
+        lt_ps(a: F32x8, b: F32x8) -> M32x8 =
+            m32x8(_mm256_castps_si256(_mm256_cmp_ps::<_CMP_LT_OQ>(ps(a), ps(b))));
+        gt_ps(a: F32x8, b: F32x8) -> M32x8 =
+            m32x8(_mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(ps(a), ps(b))));
+        // `if m != 0 { a } else { b }`, for any lane value of `m`.
+        select_ps(m: M32x8, a: F32x8, b: F32x8) -> F32x8 = f32x8(_mm256_blendv_ps(
+            ps(a),
+            ps(b),
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(mask(m), _mm256_setzero_si256())),
+        ));
+        and_mask(a: M32x8, b: M32x8) -> M32x8 = m32x8(_mm256_and_si256(mask(a), mask(b)));
+        ones(m: M32x8) -> U32x8 = u32x8(_mm256_and_si256(mask(m), _mm256_set1_epi32(1)));
+        add_epi32(a: U32x8, b: U32x8) -> U32x8 = u32x8(_mm256_add_epi32(epi32(a), epi32(b)));
+        ne_epi32(a: U32x8, b: U32x8) -> M32x8 = m32x8(_mm256_xor_si256(
+            _mm256_cmpeq_epi32(epi32(a), epi32(b)),
+            _mm256_set1_epi32(-1),
+        ));
+        abs_diff_epu32(a: U32x8, b: U32x8) -> U32x8 = u32x8(_mm256_sub_epi32(
+            _mm256_max_epu32(epi32(a), epi32(b)),
+            _mm256_min_epu32(epi32(a), epi32(b)),
+        ));
+        // `acc[l] + v[l] as f64`: lanes 0–3 in the first register,
+        // 4–7 in the second (`vcvtps2pd` is exact).
+        add_widened(acc: F64x8, v: F32x8) -> F64x8 = {
+            let (acc, v) = (pd(acc), ps(v));
+            f64x8([
+                _mm256_add_pd(acc[0], _mm256_cvtps_pd(_mm256_castps256_ps128(v))),
+                _mm256_add_pd(acc[1], _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v))),
+            ])
+        };
+    }
+}
 
 impl F32x8 {
     /// All lanes = `v`.
@@ -131,7 +246,7 @@ impl F32x8 {
             "gather4 source too large"
         );
         let last = (src.len() - 1) as u32;
-        // SAFETY (the only unsafe in this crate): every lane offset is
+        // SAFETY: every lane offset is
         // clamped to `last` first (`vpminud`), so each of the eight
         // 16-byte records the hardware gathers touch lies inside `src`,
         // which is immutably borrowed for the whole call. The
@@ -203,11 +318,13 @@ impl F32x8 {
     /// Per-lane square root (`vsqrtps` — exactly rounded per IEEE 754).
     #[inline(always)]
     pub fn sqrt(self) -> Self {
-        let mut out = [0.0f32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l].sqrt();
-        }
-        Self(out)
+        lanes!(avx2::sqrt_ps(self), {
+            let mut out = [0.0f32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l].sqrt();
+            }
+            Self(out)
+        })
     }
 
     /// Per-lane `≈ 1/√x` to ~2·10⁻⁷ relative error: hardware
@@ -289,31 +406,37 @@ impl F32x8 {
     /// Lanewise `self <= rhs`. NaN lanes compare false.
     #[inline(always)]
     pub fn le(self, rhs: Self) -> M32x8 {
-        let mut out = [0u32; LANES];
-        for l in 0..LANES {
-            out[l] = (-((self.0[l] <= rhs.0[l]) as i32)) as u32;
-        }
-        M32x8(out)
+        lanes!(avx2::le_ps(self, rhs), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = (-((self.0[l] <= rhs.0[l]) as i32)) as u32;
+            }
+            M32x8(out)
+        })
     }
 
     /// Lanewise `self < rhs`. NaN lanes compare false.
     #[inline(always)]
     pub fn lt(self, rhs: Self) -> M32x8 {
-        let mut out = [0u32; LANES];
-        for l in 0..LANES {
-            out[l] = (-((self.0[l] < rhs.0[l]) as i32)) as u32;
-        }
-        M32x8(out)
+        lanes!(avx2::lt_ps(self, rhs), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = (-((self.0[l] < rhs.0[l]) as i32)) as u32;
+            }
+            M32x8(out)
+        })
     }
 
     /// Lanewise `self > rhs`. NaN lanes compare false.
     #[inline(always)]
     pub fn gt(self, rhs: Self) -> M32x8 {
-        let mut out = [0u32; LANES];
-        for l in 0..LANES {
-            out[l] = (-((self.0[l] > rhs.0[l]) as i32)) as u32;
-        }
-        M32x8(out)
+        lanes!(avx2::gt_ps(self, rhs), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = (-((self.0[l] > rhs.0[l]) as i32)) as u32;
+            }
+            M32x8(out)
+        })
     }
 }
 
@@ -321,11 +444,13 @@ impl Add for F32x8 {
     type Output = Self;
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        let mut out = [0.0f32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l] + rhs.0[l];
-        }
-        Self(out)
+        lanes!(avx2::add_ps(self, rhs), {
+            let mut out = [0.0f32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l] + rhs.0[l];
+            }
+            Self(out)
+        })
     }
 }
 
@@ -333,11 +458,13 @@ impl Sub for F32x8 {
     type Output = Self;
     #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
-        let mut out = [0.0f32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l] - rhs.0[l];
-        }
-        Self(out)
+        lanes!(avx2::sub_ps(self, rhs), {
+            let mut out = [0.0f32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l] - rhs.0[l];
+            }
+            Self(out)
+        })
     }
 }
 
@@ -345,11 +472,13 @@ impl Mul for F32x8 {
     type Output = Self;
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
-        let mut out = [0.0f32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l] * rhs.0[l];
-        }
-        Self(out)
+        lanes!(avx2::mul_ps(self, rhs), {
+            let mut out = [0.0f32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l] * rhs.0[l];
+            }
+            Self(out)
+        })
     }
 }
 
@@ -357,11 +486,13 @@ impl Div for F32x8 {
     type Output = Self;
     #[inline(always)]
     fn div(self, rhs: Self) -> Self {
-        let mut out = [0.0f32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l] / rhs.0[l];
-        }
-        Self(out)
+        lanes!(avx2::div_ps(self, rhs), {
+            let mut out = [0.0f32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l] / rhs.0[l];
+            }
+            Self(out)
+        })
     }
 }
 
@@ -383,11 +514,13 @@ impl U32x8 {
     /// Lanewise `self != rhs` (branchless, like the float comparisons).
     #[inline(always)]
     pub fn ne(self, rhs: Self) -> M32x8 {
-        let mut out = [0u32; LANES];
-        for l in 0..LANES {
-            out[l] = (-((self.0[l] != rhs.0[l]) as i32)) as u32;
-        }
-        M32x8(out)
+        lanes!(avx2::ne_epi32(self, rhs), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = (-((self.0[l] != rhs.0[l]) as i32)) as u32;
+            }
+            M32x8(out)
+        })
     }
 
     /// Lanewise `|self[l] - rhs[l]|` — the per-candidate index gap. Kept
@@ -396,11 +529,13 @@ impl U32x8 {
     /// ([`Self::reduce_sum`]) once.
     #[inline(always)]
     pub fn abs_diff(self, rhs: Self) -> Self {
-        let mut out = [0u32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l].abs_diff(rhs.0[l]);
-        }
-        Self(out)
+        lanes!(avx2::abs_diff_epu32(self, rhs), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l].abs_diff(rhs.0[l]);
+            }
+            Self(out)
+        })
     }
 
     /// Horizontal sum of the lanes as `u64`. Integer arithmetic, so the
@@ -431,11 +566,13 @@ impl Add for U32x8 {
     type Output = Self;
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        let mut out = [0u32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l].wrapping_add(rhs.0[l]);
-        }
-        Self(out)
+        lanes!(avx2::add_epi32(self, rhs), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l].wrapping_add(rhs.0[l]);
+            }
+            Self(out)
+        })
     }
 }
 
@@ -449,11 +586,13 @@ impl M32x8 {
     /// Lanewise AND.
     #[inline(always)]
     pub fn and(self, rhs: Self) -> Self {
-        let mut out = [0u32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l] & rhs.0[l];
-        }
-        Self(out)
+        lanes!(avx2::and_mask(self, rhs), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l] & rhs.0[l];
+            }
+            Self(out)
+        })
     }
 
     /// The lanes' sign bits packed into the low 8 bits — the
@@ -488,11 +627,13 @@ impl M32x8 {
     /// inside the hot loop every iteration.
     #[inline(always)]
     pub fn ones(self) -> U32x8 {
-        let mut out = [0u32; LANES];
-        for l in 0..LANES {
-            out[l] = self.0[l] & 1;
-        }
-        U32x8(out)
+        lanes!(avx2::ones(self), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l] & 1;
+            }
+            U32x8(out)
+        })
     }
 
     /// `true` if any lane is set.
@@ -508,16 +649,19 @@ impl M32x8 {
     /// non-contact lanes afterwards.
     #[inline(always)]
     pub fn select(self, a: F32x8, b: F32x8) -> F32x8 {
-        let mut out = [0.0f32; LANES];
-        for l in 0..LANES {
-            // Lanes are all-ones or all-zeros by construction, so this
-            // value select *is* the bitwise blend (`vblendvps`) — and
-            // unlike the explicit to_bits/from_bits formulation, LLVM
-            // keeps it in the float domain instead of bouncing every
-            // lane through scalar integer registers.
-            out[l] = if self.0[l] != 0 { a.0[l] } else { b.0[l] };
-        }
-        F32x8(out)
+        lanes!(avx2::select_ps(self, a, b), {
+            let mut out = [0.0f32; LANES];
+            for l in 0..LANES {
+                // Lanes are all-ones or all-zeros by construction, so
+                // this value select *is* the bitwise blend
+                // (`vblendvps`) — and unlike the explicit
+                // to_bits/from_bits formulation, LLVM keeps it in the
+                // float domain instead of bouncing every lane through
+                // scalar integer registers.
+                out[l] = if self.0[l] != 0 { a.0[l] } else { b.0[l] };
+            }
+            F32x8(out)
+        })
     }
 }
 
@@ -555,9 +699,13 @@ impl F64x8 {
     /// lane sum (`vcvtps2pd` + `vaddpd`).
     #[inline(always)]
     pub fn accumulate(&mut self, v: F32x8) {
-        for l in 0..LANES {
-            self.0[l] += v.0[l] as f64;
-        }
+        *self = lanes!(avx2::add_widened(*self, v), {
+            let mut out = self.0;
+            for l in 0..LANES {
+                out[l] += v.0[l] as f64;
+            }
+            Self(out)
+        });
     }
 
     /// Horizontal sum in lane-index order (0, then 1, … then 7) — a fixed
@@ -763,6 +911,40 @@ mod tests {
             ids.abs_diff_sum(U32x8::splat(4)),
             0 + 5 + 2 + 3 + 0 + 4 + 3 + 1
         );
+    }
+
+    #[test]
+    fn integer_and_mask_ops_match_scalar_per_lane() {
+        // Whichever body the build compiled (AVX2 instruction or array
+        // loop), each op is its scalar definition per lane — on the full
+        // unsigned range, and for mask lanes that are neither all-ones
+        // nor all-zeros.
+        let a = U32x8([
+            0,
+            1,
+            7,
+            u32::MAX,
+            1 << 31,
+            (1 << 31) - 1,
+            12345,
+            u32::MAX - 1,
+        ]);
+        let b = U32x8([0, 9, 7, 0, 1, u32::MAX, 54321, u32::MAX]);
+        let (ne, ad, sum) = (a.ne(b), a.abs_diff(b), a + b);
+        let odd = M32x8([0, 1, 2, 1 << 31, u32::MAX, 0, 0x0101_0101, 6]);
+        let (and, ones) = (odd.and(M32x8(b.0)), odd.ones());
+        let x = F32x8([1.0, -2.0, f32::NAN, 4.0, -0.0, 6.0, f32::INFINITY, 8.0]);
+        let y = F32x8([-1.0, 0.5, 3.0, f32::NAN, 0.0, -6.0, 7.0, f32::NEG_INFINITY]);
+        let sel = odd.select(x, y);
+        for l in 0..LANES {
+            assert_eq!(ne.0[l], if a.0[l] != b.0[l] { !0 } else { 0 }, "ne {l}");
+            assert_eq!(ad.0[l], a.0[l].abs_diff(b.0[l]), "abs_diff {l}");
+            assert_eq!(sum.0[l], a.0[l].wrapping_add(b.0[l]), "add {l}");
+            assert_eq!(and.0[l], odd.0[l] & b.0[l], "and {l}");
+            assert_eq!(ones.0[l], odd.0[l] & 1, "ones {l}");
+            let want = if odd.0[l] != 0 { x.0[l] } else { y.0[l] };
+            assert_eq!(sel.0[l].to_bits(), want.to_bits(), "select {l}");
+        }
     }
 
     #[test]

@@ -164,6 +164,23 @@ pub struct SimdWork {
     /// `f64 → f32` mirror elements re-converted this step; `0` for every
     /// column whose dirty epoch did not advance since the previous step.
     pub refresh_copies: u64,
+    /// Stencil stages: how often the lane body had to gather a voxel's
+    /// candidate tile because the agent it reached was not in the voxel
+    /// already staged (see [`Self::stencil_reuse`]). Deterministic for a
+    /// fixed storage order and cut set, but — unlike the sums beside it
+    /// — a function of the partition: every part starts with nothing
+    /// staged, so each cut that splits a voxel's residents adds one.
+    pub stencils_staged: u64,
+}
+
+impl SimdWork {
+    /// `1 − stencils_staged / agents`: the share of the pass's agents
+    /// that found their voxel's candidate tile already staged by the
+    /// agent before them — near `1 − 1/occupancy` on voxel-sorted
+    /// storage, near 0 on scrambled storage.
+    pub fn stencil_reuse(&self, agents: usize) -> f64 {
+        1.0 - self.stencils_staged as f64 / agents as f64
+    }
 }
 
 /// Outcome of one mechanical step. The default is the empty outcome (no
@@ -246,6 +263,11 @@ impl MechWork {
                 &labels,
                 simd.refresh_copies as f64,
             );
+            reg.inc_counter(
+                "mech.simd_stencils_staged",
+                &labels,
+                simd.stencils_staged as f64,
+            );
         }
         for (i, phase) in self.phases.iter().enumerate() {
             let labels = [("env", env), ("phase", phase.name)];
@@ -291,6 +313,8 @@ pub struct MechScratch {
     /// simulation for its lifetime (the `Simulation` owns its scratch,
     /// which enforces this).
     mirrors: SimdMirrors,
+    /// The 8-lane body's stage and pass buffers, one per sweep part.
+    lanes: Vec<LaneScratch>,
 }
 
 /// The `f64 → f32` shadows the SIMD pass gathers from: a packed
@@ -494,9 +518,10 @@ enum ForceModel {
 
 /// The one host force sweep. Splits the displacement buffer at `cuts` (a
 /// tiling of `0..n`), runs `lanes(agents, part, first agent, part's
-/// slice)` on every part as its own rayon task, sums the statistics,
-/// integrates, and builds the step's [`MechWork`] — the one place the
-/// force phase is priced. `timed` holds the phases that already ran
+/// slice, part's lane scratch)` on every part as its own rayon task (the
+/// scratch persists across steps; only the 8-lane body uses it), sums the
+/// statistics, integrates, and builds the step's [`MechWork`] — the one
+/// place the force phase is priced. `timed` holds the phases that already ran
 /// (build, search, shard sort, mirror refresh) with their wall clocks;
 /// `parallel` is the force phase's flag in the machine model. The sweep's
 /// own wall clock stops before integration, on every path.
@@ -504,24 +529,31 @@ enum ForceModel {
 /// Per-agent results are independent writes into disjoint slices and the
 /// statistics are integer sums, so neither the partition (every
 /// [`CSR_PASS_CHUNK`] globally, the shard ranges when sharded) nor the
-/// schedule can affect a bit.
+/// schedule can affect a displacement bit or a modeled counter
+/// ([`SimdWork::stencils_staged`] alone counts something per part).
 fn force_sweep(
     rm: &mut ResourceManager,
-    disp: &mut Vec<Vec3<f64>>,
+    (disp, lane_scratch): (&mut Vec<Vec3<f64>>, &mut Vec<LaneScratch>),
     mut timed: Vec<(Phase, f64)>,
     cuts: &[usize],
     model: ForceModel,
     parallel: bool,
-    lanes: impl Fn(&ResourceManager, usize, usize, &mut [Vec3<f64>]) -> SweepStats + Sync,
+    lanes: impl Fn(&ResourceManager, usize, usize, &mut [Vec3<f64>], &mut LaneScratch) -> SweepStats
+        + Sync,
 ) -> MechWork {
     let t = Instant::now();
     disp.clear();
     disp.resize(rm.len(), Vec3::zero());
+    let parts = cuts.len().saturating_sub(1);
+    if lane_scratch.len() < parts {
+        lane_scratch.resize_with(parts, LaneScratch::default);
+    }
     let agents = &*rm;
     let parts: Vec<SweepStats> = bdm_soa::split_mut_at(disp, cuts)
         .into_par_iter()
+        .zip(lane_scratch[..parts].par_iter_mut())
         .enumerate()
-        .map(|(part, out)| lanes(agents, part, cuts[part], out))
+        .map(|(part, (out, lane))| lanes(agents, part, cuts[part], out, lane))
         .collect();
     let wall_sweep = t.elapsed().as_secs_f64();
     let mut stats = SweepStats::default();
@@ -531,6 +563,7 @@ fn force_sweep(
         stats.gap_sum += s.gap_sum;
         stats.simd.lanes_utilized += s.simd.lanes_utilized;
         stats.simd.pad_lanes += s.simd.pad_lanes;
+        stats.simd.stencils_staged += s.simd.stencils_staged;
     }
     apply_displacements(rm, disp);
 
@@ -656,33 +689,142 @@ fn scalar_lanes<S: NeighborSource>(
     }
 }
 
+/// One sweep part's working memory for the 8-lane body: the staged
+/// voxel stencil and pass A's output. Held per part by [`MechScratch`],
+/// so a steady-state step allocates none of it.
+#[derive(Default)]
+struct LaneScratch {
+    /// Candidate ids of the staged stencil — its ≤ 9 x-runs concatenated
+    /// in run order (the scalar pass's candidate sequence) — padded to a
+    /// [`LANES`] multiple. The pad lanes hold the id of whichever agent
+    /// is being swept (see [`simd_lanes`]).
+    ids: Vec<u32>,
+    /// The candidates' `[x, y, z, diameter]` records, gathered once per
+    /// stage and transposed into columns, so pass A loads contiguously.
+    /// Grow-only; only `..ids.len()` is ever read.
+    px: Vec<f32>,
+    py: Vec<f32>,
+    pz: Vec<f32>,
+    dj: Vec<f32>,
+    /// Per-candidate f32 force contributions, written by pass A and read
+    /// back by pass B (grow-only; pass A overwrites every slot pass B
+    /// reads).
+    fx: Vec<f32>,
+    fy: Vec<f32>,
+    fz: Vec<f32>,
+}
+
+impl LaneScratch {
+    /// Stage the stencil of the voxel holding `p` — a function of the
+    /// voxel alone, never of where in it `p` lies. Returns the candidate
+    /// count (before padding) and the voxels scanned.
+    fn stage(&mut self, grid: &CsrGrid<f64>, posd: &[[f32; 4]], p: Vec3<f64>) -> (usize, u64) {
+        self.ids.clear();
+        let mut boxes = 0u64;
+        for (first, count) in grid.geometry().x_runs(p) {
+            boxes += count as u64;
+            self.ids
+                .extend_from_slice(bdm_soa::ids_as_raw(grid.run_range(first, count)));
+        }
+        let len = self.ids.len();
+        let padded = len.next_multiple_of(LANES);
+        // Any in-range id will do for the pad lanes: it only picks the
+        // record gathered under them, and every agent overwrites the id
+        // with its own before reading.
+        self.ids.resize(padded, 0);
+        for col in [
+            &mut self.px,
+            &mut self.py,
+            &mut self.pz,
+            &mut self.dj,
+            &mut self.fx,
+            &mut self.fy,
+            &mut self.fz,
+        ] {
+            if col.len() < padded {
+                col.resize(padded, 0.0);
+            }
+        }
+        for off in (0..padded).step_by(LANES) {
+            let idv = U32x8::from_slice(&self.ids[off..]);
+            let [x, y, z, d] = F32x8::gather4(posd, idv);
+            x.write_to_slice(&mut self.px[off..]);
+            y.write_to_slice(&mut self.py[off..]);
+            z.write_to_slice(&mut self.pz[off..]);
+            d.write_to_slice(&mut self.dj[off..]);
+        }
+        (len, boxes)
+    }
+}
+
 /// 8-lane `f32` lanes — the paper's Improvement I (FP64→FP32) applied to
-/// the CPU hot path. Needs a source whose candidates are contiguous id
-/// runs, i.e. a CSR grid.
+/// the CPU hot path, fed the way its Improvement III feeds a GPU block:
+/// one staged candidate tile per voxel, shared by the voxel's residents.
+/// Needs a source whose candidates are contiguous id runs, i.e. a CSR
+/// grid.
 ///
 /// Same skeleton as [`scalar_lanes`] over the same f64 CSR build
 /// (candidate enumeration is bit-identical to the f64 path — precision
 /// must never change *which* pairs are tested, only the test
 /// arithmetic). The differences:
 ///
-/// * per-candidate state is gathered from the lazily refreshed `f32`
-///   column mirrors and streamed through the 8-wide lane types of
-///   [`bdm_math::simd`] — the memory-bound gather term halves
-///   ([`work_model::SIMD_BYTES_PER_CANDIDATE`]);
-/// * each agent's force accumulates **per lane in f64** ([`F64x8`]) and
-///   reduces in lane-index order. The accumulation order is a pure
-///   function of the candidate sequence and the batching geometry —
-///   never of thread scheduling or of how the agents are partitioned —
-///   so the path is bitwise deterministic (serial ≡ parallel ≡ sharded,
-///   run ≡ rerun). It *differs* from the f64 path within the ±1e-5
-///   per-step envelope pinned by `tests/precision_claims.rs`, and
-///   because storage order changes lane packing (hence rounding), f32
-///   trajectories are also a function of the reorder policy — unlike the
-///   f64 path, which is reorder-invariant;
+/// * **the unit of staging is the voxel's stencil, not the agent's.**
+///   The ≤ 9 x-runs depend on an agent only through its voxel, so
+///   `lane` holds one voxel's concatenated candidate ids and their
+///   `f32` records (gathered from the lazily refreshed mirrors with
+///   [`F32x8::gather4`], transposed into four contiguous columns) and
+///   is refilled only when the next agent's voxel differs from the
+///   staged one. Nothing asks for this: after the reorder operation the
+///   residents of a voxel are consecutive in storage and ≈ 1 − 1 ∕
+///   occupancy of them find their tile already staged; on scrambled
+///   storage every agent misses and pays one stage — the per-agent
+///   gather this body used to do for everyone.
+///   [`SimdWork::stencils_staged`] counts the refills. This is the
+///   paper's Improvement III, which *loses* 28 % on the GPU — building
+///   the shared-memory tile there takes atomics and its boundary checks
+///   diverge — and wins here, where one thread fills the tile with
+///   plain stores and the agents that share it run one after another;
+/// * **the pad lanes are the agent's.** The tile is padded to a
+///   [`LANES`] multiple; each agent writes its own id into those ≤ 7
+///   lanes before reading. Self lanes are discarded by the `valid` mask
+///   anyway (the agent really is in its own stencil) before any
+///   arithmetic on them is used, so a pad lane contributes exactly +0.0
+///   force, 0 to every counter and |i − i| = 0 to the index gap
+///   whatever record sits under it — there is no scalar tail path, and
+///   `pad_lanes` and the gap are what padding a per-agent gather with
+///   the self id produces, bit for bit;
+/// * pass A runs Eq. 1 on contiguous 8-wide loads through the lane types
+///   of [`bdm_math::simd`] and *stores* its contributions; pass B widens
+///   and accumulates them **per lane in f64** ([`F64x8`]), reduced in
+///   lane-index order. The accumulation order is a pure function of the
+///   candidate sequence and the batching geometry — never of thread
+///   scheduling, of how the agents are partitioned or of what was
+///   staged when — so the path is bitwise deterministic (serial ≡
+///   parallel ≡ sharded, run ≡ rerun). It *differs* from the f64 path
+///   within the ±1e-5 per-step envelope pinned by
+///   `tests/precision_claims.rs`, and because storage order changes
+///   lane packing (hence rounding), f32 trajectories are also a function
+///   of the reorder policy — unlike the f64 path, which is
+///   reorder-invariant;
 /// * displacement integration stays f64: `interaction::displacement`
 ///   over the f64-accumulated force, with the (f32-mirrored) adherence
 ///   widened back — the per-step tolerance budget is spent on the force
 ///   kernel, not on the integrator.
+///
+/// What the batch loop compiles to (x86-64-v3, `objdump` of the
+/// benchmark binary; DESIGN §5.8 has the table). Per 8-lane batch the
+/// per-agent-gather body retired 139 instructions — pass A 86, four of
+/// them `vgatherdps`, pass B 53, mostly `vinsertps` / `vblendps` /
+/// `vextractf128` re-packing scalarised lanes — in ≈ 17.7 ns on one
+/// worker of this host. This body retires 84 (pass A 70 with no gather,
+/// pass B 13.5: `vcvtps2pd` + `vaddpd` from memory) in ≈ 9.1 ns, and
+/// the gathers run once per voxel. The loop is throughput-bound; its
+/// instruction selection is pinned by the `avx2` bodies of the lane
+/// ops, because left to the `[T; 8]` array loops LLVM scalarises the
+/// four `U32x8` statistic accumulators across the batch loop and the
+/// staged body comes out *slower* than the gather it replaces. Exact
+/// IEEE `vsqrtps` / `vdivps` stay: a Newton-refined `rsqrt_nr` /
+/// `recip_nr` variant measured slower.
 fn simd_lanes(
     rm: &ResourceManager,
     params: &SimParams,
@@ -690,6 +832,7 @@ fn simd_lanes(
     grid: &CsrGrid<f64>,
     base: usize,
     out: &mut [Vec3<f64>],
+    lane: &mut LaneScratch,
 ) -> SweepStats {
     let (xs64, ys64, zs64) = rm.position_columns();
     let posd = mirrors.posd.as_slice();
@@ -704,29 +847,24 @@ fn simd_lanes(
     let repv = F32x8::splat(rep32);
     let attv = F32x8::splat(att32);
     let epsv = F32x8::splat(f32::EPSILON);
-    // Raw CSR views for the candidate-append fast path: offsets plus the
-    // id array as plain `u32`s (zero-copy; `AgentId` is transparent).
-    let starts = grid.cell_starts();
-    let ids_raw = bdm_soa::ids_as_raw(grid.cell_agents());
+    let geometry = grid.geometry();
     let mut stats = SweepStats::default();
-    // Per-chunk candidate buffer, reused across agents. In the
-    // benchmark regime an x-run holds only ~6 agents — below
-    // one lane width — so batching run-by-run would push nearly
-    // every candidate through the scalar tail. Concatenating
-    // the ≤9 stencil runs first (in run order, so the candidate
-    // sequence is identical to the scalar pass) turns a typical
-    // ~54-candidate stencil into ~6 full batches + one tail.
-    let mut cand: Vec<u32> = Vec::with_capacity(128);
-    // Per-candidate f32 force contributions, staged contiguously
-    // between the two passes below (grow-only; pass A overwrites
-    // every slot it will read back in pass B).
-    let mut fxb: Vec<f32> = Vec::with_capacity(128);
-    let mut fyb: Vec<f32> = Vec::with_capacity(128);
-    let mut fzb: Vec<f32> = Vec::with_capacity(128);
+    // The stage: which voxel's stencil `lane` holds, its candidate count
+    // before padding and the voxels it spans. Nothing is staged at a
+    // part's start.
+    let mut staged = None;
+    let (mut len, mut boxes) = (0usize, 0u64);
     for (k, slot) in out.iter_mut().enumerate() {
         let i = base + k;
-        // Stencil runs come from the f64 geometry, like the build.
+        // The voxel comes from the f64 geometry, like the build.
         let p1_64 = Vec3::new(xs64[i], ys64[i], zs64[i]);
+        let voxel = geometry.box_index(p1_64);
+        if staged != Some(voxel) {
+            (len, boxes) = lane.stage(grid, posd, p1_64);
+            staged = Some(voxel);
+            stats.simd.stencils_staged += 1;
+        }
+        stats.counters.boxes_scanned += boxes;
         let rec = posd[i];
         let q = Vec3::new(rec[0], rec[1], rec[2]);
         let r1 = rec[3] * 0.5f32;
@@ -734,174 +872,99 @@ fn simd_lanes(
         let (qx, qy, qz) = (F32x8::splat(q.x), F32x8::splat(q.y), F32x8::splat(q.z));
         let r1v = F32x8::splat(r1);
         let (mut ax, mut ay, mut az) = (F64x8::zero(), F64x8::zero(), F64x8::zero());
-        // Per-agent statistic accumulators, vertical form: each
-        // batch adds its masks as 0/1 lanes ([`M32x8::ones`], a
-        // `vpand`+`vpaddd` per counter) and the horizontal
-        // reduction happens once per agent. A per-batch
-        // horizontal `count()` looks cheap (movmsk+popcnt) but
-        // the optimizer narrows the masks through the blend
-        // lowering and expands it into a cross-lane shuffle tree
-        // that dominates the batch. The scope matters too: these
-        // must be *inside* the agent loop — hoisted to chunk
-        // scope, scalar-replacement splits the lanes into
-        // twenty-four GPR/stack slots that get re-inserted and
-        // re-extracted every batch. Lane sums stay far below u32
-        // range for any realistic stencil (counts gain ≤1 per
-        // batch; the index gap is bounded by agent count per
-        // candidate, ≤ ~10⁹ per lane).
+        // Per-agent statistic accumulators, vertical form: each batch
+        // adds its masks as 0/1 lanes ([`M32x8::ones`], a `vpand` +
+        // `vpaddd` per counter) and the horizontal reduction happens
+        // once per agent. Lane sums stay far below u32 range for any
+        // realistic stencil (counts gain ≤ 1 per batch; the index gap
+        // is bounded by agent count per candidate, ≤ ~10⁹ per lane).
         let (mut lane_acc, mut neigh_acc, mut contact_acc) =
             (U32x8::splat(0), U32x8::splat(0), U32x8::splat(0));
         let mut gap_acc = U32x8::splat(0);
-        cand.clear();
-        for (first, count) in grid.geometry().x_runs(p1_64) {
-            stats.counters.boxes_scanned += count as u64;
-            let lo = starts[first] as usize;
-            let hi = starts[first + count as usize] as usize;
-            let rl = hi - lo;
-            let old = cand.len();
-            // Append the run with LANES-wide block copies instead
-            // of `extend`: a stencil is ~9 runs of ~6 ids, and a
-            // million per-element append loops per step cost more
-            // than the force arithmetic they feed. The copy may
-            // read up to LANES−1 ids past the run (never past the
-            // CSR array — the guard falls back to an exact tail
-            // copy there) and write as far past `rl` into
-            // reserved capacity; the final `set_len` keeps
-            // exactly the run's ids, so the candidate sequence
-            // is identical to the scalar pass's.
-            cand.reserve(rl + LANES);
-            // SAFETY: capacity ≥ old + rl + LANES (the reserve
-            // above), so every write below — including the
-            // LANES-wide over-write — lands inside allocated
-            // capacity; reads stay inside `ids_raw` by the
-            // `src_end` guard; `set_len(old + rl)` only exposes
-            // lanes the loop wrote (`o` covers `0..rl`).
-            unsafe {
-                let dst = cand.as_mut_ptr().add(old);
-                let src = ids_raw.as_ptr().add(lo);
-                let mut o = 0usize;
-                while o < rl {
-                    if lo + o + LANES <= ids_raw.len() {
-                        core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), LANES);
-                        o += LANES;
-                    } else {
-                        core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), rl - o);
-                        break;
-                    }
-                }
-                cand.set_len(old + rl);
-            }
+        // The tile's pad lanes take this agent's own id, which is all
+        // `valid` looks at; the records under them are never used.
+        let batched = lane.ids.len();
+        lane.ids[len..].fill(i as u32);
+        stats.simd.pad_lanes += (batched - len) as u64;
+        // Pin every buffer to exactly `batched` elements: the loop
+        // bound then *proves* each 8-lane window is in range.
+        let cs = &lane.ids[..batched];
+        let (pxs, pys, pzs, djs) = (
+            &lane.px[..batched],
+            &lane.py[..batched],
+            &lane.pz[..batched],
+            &lane.dj[..batched],
+        );
+        let (fxs, fys, fzs) = (
+            &mut lane.fx[..batched],
+            &mut lane.fy[..batched],
+            &mut lane.fz[..batched],
+        );
+        // Pass A: 8-wide f32 math, contributions *stored* rather than
+        // accumulated here — six f64 accumulator registers live across
+        // this loop would spill it.
+        let mut off = 0usize;
+        while off + LANES <= batched {
+            let idv = U32x8::from_slice(&cs[off..off + LANES]);
+            let valid = idv.ne(iv);
+            let px = F32x8::from_slice(&pxs[off..off + LANES]);
+            let py = F32x8::from_slice(&pys[off..off + LANES]);
+            let pz = F32x8::from_slice(&pzs[off..off + LANES]);
+            let dj = F32x8::from_slice(&djs[off..off + LANES]);
+            let dx = qx - px;
+            let dy = qy - py;
+            let dz = qz - pz;
+            let dist2 = dx * dx + dy * dy + dz * dz;
+            let neighbor = dist2.le(r2v).and(valid);
+            let rj = dj * halfv;
+            let sum_r = r1v + rj;
+            let dist = dist2.sqrt();
+            // Eq. 1 evaluated unconditionally on every lane; the contact
+            // mask (the scalar kernel's two early-outs plus the radius
+            // gate) discards the NaN/inf garbage of non-contact lanes
+            // bitwise. The two divisions fold into one algebraically:
+            // with r_eff = r1·rj/sum_r,
+            //   mag/dist = (rep·δ·sum_r − att·√(r1·rj·δ·sum_r))
+            //              / (sum_r·dist)
+            // because √(r_eff·δ)·sum_r = √(r1·rj·δ·sum_r).
+            let contact = dist2.lt(sum_r * sum_r).and(dist.gt(epsv)).and(neighbor);
+            let delta = sum_r - dist;
+            let dsum = delta * sum_r;
+            let inv = F32x8::splat(1.0) / (sum_r * dist);
+            let scale = (repv * dsum - attv * ((r1v * rj) * dsum).sqrt()) * inv;
+            let zero = F32x8::zero();
+            contact
+                .select(dx * scale, zero)
+                .write_to_slice(&mut fxs[off..off + LANES]);
+            contact
+                .select(dy * scale, zero)
+                .write_to_slice(&mut fys[off..off + LANES]);
+            contact
+                .select(dz * scale, zero)
+                .write_to_slice(&mut fzs[off..off + LANES]);
+            lane_acc = lane_acc + valid.ones();
+            neigh_acc = neigh_acc + neighbor.ones();
+            contact_acc = contact_acc + contact.ones();
+            // The self lane contributes |i − i| = 0: no mask.
+            gap_acc = gap_acc + idv.abs_diff(iv);
+            off += LANES;
         }
-        // Masked-load fallback for the stencil remainder: fill
-        // the last partial batch with the agent's own id. Self
-        // lanes are already discarded by the `valid` mask (the
-        // agent really is in its own stencil), so padding lanes
-        // contribute exactly +0.0 force and 0 to every counter —
-        // no separate scalar tail path exists.
-        let len = cand.len();
-        let pad = len.next_multiple_of(LANES) - len;
-        if pad > 0 {
-            // SAFETY: a non-multiple length means at least one
-            // run appended above, whose reserve left ≥ LANES
-            // spare capacity past `len`; one LANES-wide splat
-            // write plus `set_len` replaces up to LANES−1
-            // scalar pushes.
-            unsafe {
-                let dst = cand.as_mut_ptr().add(len);
-                for l in 0..LANES {
-                    dst.add(l).write(i as u32);
-                }
-                cand.set_len(len + pad);
-            }
+        // Pass B: widen and accumulate the stored contributions in f64.
+        // Lane assignment and reduce order are exactly pass A's, so the
+        // result is bit-identical to a fused accumulate.
+        let mut off2 = 0usize;
+        while off2 + LANES <= batched {
+            ax.accumulate(F32x8::from_slice(&fxs[off2..off2 + LANES]));
+            ay.accumulate(F32x8::from_slice(&fys[off2..off2 + LANES]));
+            az.accumulate(F32x8::from_slice(&fzs[off2..off2 + LANES]));
+            off2 += LANES;
         }
-        stats.simd.pad_lanes += pad as u64;
-        {
-            // Pass A: 8-wide f32 math, contributions *stored* to
-            // the contiguous staging buffers instead of being
-            // accumulated here — keeping six f64 accumulator
-            // registers live across a gather-heavy loop is what
-            // spills it; a store-only loop leaves the register
-            // file to the gathers and the Eq. 1 arithmetic.
-            let batched = cand.len();
-            if fxb.len() < batched {
-                fxb.resize(batched, 0.0);
-                fyb.resize(batched, 0.0);
-                fzb.resize(batched, 0.0);
-            }
-            // Pin each buffer to exactly `batched` elements: the
-            // loop bound then *proves* every 8-lane window is in
-            // range, so the stores and reloads below compile
-            // without per-batch bounds-check branches.
-            let cs = &cand[..batched];
-            let (fxs, fys, fzs) = (
-                &mut fxb[..batched],
-                &mut fyb[..batched],
-                &mut fzb[..batched],
-            );
-            let mut off = 0usize;
-            while off + LANES <= batched {
-                let idv = U32x8::from_slice(&cs[off..off + LANES]);
-                let valid = idv.ne(iv);
-                let [px, py, pz, dj] = F32x8::gather4(posd, idv);
-                let dx = qx - px;
-                let dy = qy - py;
-                let dz = qz - pz;
-                let dist2 = dx * dx + dy * dy + dz * dz;
-                let neighbor = dist2.le(r2v).and(valid);
-                let rj = dj * halfv;
-                let sum_r = r1v + rj;
-                let dist = dist2.sqrt();
-                // Eq. 1 evaluated unconditionally on every lane;
-                // the contact mask (the scalar kernel's two
-                // early-outs plus the radius gate) discards the
-                // NaN/inf garbage of non-contact lanes bitwise.
-                // The batch is latency-bound, not port-bound
-                // (measured IPC ≈ 0.5 — the gathers dominate),
-                // so exact IEEE `vsqrtps`/`vdivps` cost nothing
-                // extra: a Newton-refined `rsqrt_nr`/`recip_nr`
-                // variant of this block measured *slower* by
-                // lengthening the dependency chain. The two
-                // divisions do fold into one algebraically:
-                // with r_eff = r1·rj/sum_r,
-                //   mag/dist = (rep·δ·sum_r − att·√(r1·rj·δ·sum_r))
-                //              / (sum_r·dist)
-                // because √(r_eff·δ)·sum_r = √(r1·rj·δ·sum_r).
-                let contact = dist2.lt(sum_r * sum_r).and(dist.gt(epsv)).and(neighbor);
-                let delta = sum_r - dist;
-                let dsum = delta * sum_r;
-                let inv = F32x8::splat(1.0) / (sum_r * dist);
-                let scale = (repv * dsum - attv * ((r1v * rj) * dsum).sqrt()) * inv;
-                let zero = F32x8::zero();
-                fxs[off..off + LANES].copy_from_slice(&contact.select(dx * scale, zero).0);
-                fys[off..off + LANES].copy_from_slice(&contact.select(dy * scale, zero).0);
-                fzs[off..off + LANES].copy_from_slice(&contact.select(dz * scale, zero).0);
-                lane_acc = lane_acc + valid.ones();
-                neigh_acc = neigh_acc + neighbor.ones();
-                contact_acc = contact_acc + contact.ones();
-                // The self lane contributes |i − i| = 0: no mask.
-                gap_acc = gap_acc + idv.abs_diff(iv);
-                off += LANES;
-            }
-            // Pass B: widen and accumulate the staged
-            // contributions in f64. Lane assignment and reduce
-            // order are exactly pass A's, so the result is
-            // bit-identical to a fused accumulate; the loads are
-            // contiguous, which SLP compiles to clean 8-wide
-            // load→cvt→add chains.
-            let mut off2 = 0usize;
-            while off2 + LANES <= batched {
-                ax.accumulate(F32x8::from_slice(&fxs[off2..off2 + LANES]));
-                ay.accumulate(F32x8::from_slice(&fys[off2..off2 + LANES]));
-                az.accumulate(F32x8::from_slice(&fzs[off2..off2 + LANES]));
-                off2 += LANES;
-            }
-            let lanes_n = lane_acc.reduce_sum();
-            stats.counters.points_tested += lanes_n;
-            stats.simd.lanes_utilized += lanes_n;
-            stats.counters.neighbors_found += neigh_acc.reduce_sum();
-            stats.contacts += contact_acc.reduce_sum();
-            stats.gap_sum += gap_acc.reduce_sum();
-        }
+        let lanes_n = lane_acc.reduce_sum();
+        stats.counters.points_tested += lanes_n;
+        stats.simd.lanes_utilized += lanes_n;
+        stats.counters.neighbors_found += neigh_acc.reduce_sum();
+        stats.contacts += contact_acc.reduce_sum();
+        stats.gap_sum += gap_acc.reduce_sum();
         let force = Vec3::new(ax.reduce(), ay.reduce(), az.reduce());
         *slot = interaction::displacement(force, adh[i] as f64, mech);
     }
@@ -980,10 +1043,16 @@ fn cpu_kdtree_step(
     let timed = vec![(build, wall_build), (search, wall_search)];
 
     // Phase 3: forces over the cached lists.
-    let (disp, model) = (&mut scratch.disp, ForceModel::Lists);
-    let mut work = force_sweep(rm, disp, timed, &cuts, model, true, |rm, c, base, out| {
-        scalar_lanes(rm, params, &lists[c], base, out)
-    });
+    let (bufs, model) = ((&mut scratch.disp, &mut scratch.lanes), ForceModel::Lists);
+    let mut work = force_sweep(
+        rm,
+        bufs,
+        timed,
+        &cuts,
+        model,
+        true,
+        |rm, c, base, out, _| scalar_lanes(rm, params, &lists[c], base, out),
+    );
     debug_assert_eq!(work.neighbors, counters.neighbors_found);
     // The sweep only saw the search's survivors; the path's candidates
     // are the points the tree distance-tested.
@@ -1016,10 +1085,17 @@ fn cpu_grid_step(
     let timed = vec![(build, t0.elapsed().as_secs_f64())];
 
     // Phase 2: fused neighbor scan + force computation.
-    let (disp, cuts, model) = (&mut scratch.disp, chunk_cuts(n), ForceModel::LinkedList);
-    force_sweep(rm, disp, timed, &cuts, model, true, |rm, _, base, out| {
-        scalar_lanes(rm, params, &grid, base, out)
-    })
+    let bufs = (&mut scratch.disp, &mut scratch.lanes);
+    let (cuts, model) = (chunk_cuts(n), ForceModel::LinkedList);
+    force_sweep(
+        rm,
+        bufs,
+        timed,
+        &cuts,
+        model,
+        true,
+        |rm, _, base, out, _| scalar_lanes(rm, params, &grid, base, out),
+    )
 }
 
 /// The modeled counting-sort build over `members` agents (a shard's
@@ -1115,12 +1191,16 @@ pub(crate) fn csr_sweep<'a>(
             ForceModel::CsrF32
         }
     };
-    let (disp, mirrors) = (&mut scratch.disp, &scratch.mirrors);
-    let lanes = |rm: &ResourceManager, c: usize, base: usize, out: &mut [Vec3<f64>]| match model {
-        ForceModel::CsrF32 => simd_lanes(rm, params, mirrors, grid_of(c), base, out),
+    let (bufs, mirrors) = ((&mut scratch.disp, &mut scratch.lanes), &scratch.mirrors);
+    let lanes = |rm: &ResourceManager,
+                 c: usize,
+                 base: usize,
+                 out: &mut [Vec3<f64>],
+                 lane: &mut LaneScratch| match model {
+        ForceModel::CsrF32 => simd_lanes(rm, params, mirrors, grid_of(c), base, out, lane),
         _ => scalar_lanes(rm, params, grid_of(c), base, out),
     };
-    let mut work = force_sweep(rm, disp, timed, cuts, model, parallel, lanes);
+    let mut work = force_sweep(rm, bufs, timed, cuts, model, parallel, lanes);
     if let Some(simd) = &mut work.simd {
         simd.refresh_copies = refresh_copies;
     }
@@ -1370,6 +1450,508 @@ mod tests {
         assert!(f32_err > 0.0 && f32_err < 1e-5, "f32 envelope: {f32_err}");
     }
 
+    /// The per-agent gather kernel the voxel-staged [`simd_lanes`]
+    /// replaced, verbatim: every agent re-derives its x-runs, re-copies
+    /// its candidate ids and re-gathers their records. Kept as the
+    /// oracle of the tests below — same candidate sequence, same lane
+    /// assignment, so every bit and every counter must agree.
+    fn simd_lanes_reference(
+        rm: &ResourceManager,
+        params: &SimParams,
+        mirrors: &SimdMirrors,
+        grid: &CsrGrid<f64>,
+        base: usize,
+        out: &mut [Vec3<f64>],
+    ) -> SweepStats {
+        let (xs64, ys64, zs64) = rm.position_columns();
+        let posd = mirrors.posd.as_slice();
+        let adh = mirrors.adh.as_slice();
+        let mech = &params.mech;
+        let radius = interaction_radius(rm, params);
+        let rep32 = mech.repulsion as f32;
+        let att32 = mech.attraction as f32;
+        let r2f = (radius as f32) * (radius as f32);
+        let halfv = F32x8::splat(0.5);
+        let r2v = F32x8::splat(r2f);
+        let repv = F32x8::splat(rep32);
+        let attv = F32x8::splat(att32);
+        let epsv = F32x8::splat(f32::EPSILON);
+        // Raw CSR views for the candidate-append fast path: offsets plus the
+        // id array as plain `u32`s (zero-copy; `AgentId` is transparent).
+        let starts = grid.cell_starts();
+        let ids_raw = bdm_soa::ids_as_raw(grid.cell_agents());
+        let mut stats = SweepStats::default();
+        // Per-chunk candidate buffer, reused across agents. In the
+        // benchmark regime an x-run holds only ~6 agents — below
+        // one lane width — so batching run-by-run would push nearly
+        // every candidate through the scalar tail. Concatenating
+        // the ≤9 stencil runs first (in run order, so the candidate
+        // sequence is identical to the scalar pass) turns a typical
+        // ~54-candidate stencil into ~6 full batches + one tail.
+        let mut cand: Vec<u32> = Vec::with_capacity(128);
+        // Per-candidate f32 force contributions, staged contiguously
+        // between the two passes below (grow-only; pass A overwrites
+        // every slot it will read back in pass B).
+        let mut fxb: Vec<f32> = Vec::with_capacity(128);
+        let mut fyb: Vec<f32> = Vec::with_capacity(128);
+        let mut fzb: Vec<f32> = Vec::with_capacity(128);
+        for (k, slot) in out.iter_mut().enumerate() {
+            let i = base + k;
+            // Stencil runs come from the f64 geometry, like the build.
+            let p1_64 = Vec3::new(xs64[i], ys64[i], zs64[i]);
+            let rec = posd[i];
+            let q = Vec3::new(rec[0], rec[1], rec[2]);
+            let r1 = rec[3] * 0.5f32;
+            let iv = U32x8::splat(i as u32);
+            let (qx, qy, qz) = (F32x8::splat(q.x), F32x8::splat(q.y), F32x8::splat(q.z));
+            let r1v = F32x8::splat(r1);
+            let (mut ax, mut ay, mut az) = (F64x8::zero(), F64x8::zero(), F64x8::zero());
+            // Per-agent statistic accumulators, vertical form: each
+            // batch adds its masks as 0/1 lanes ([`M32x8::ones`], a
+            // `vpand`+`vpaddd` per counter) and the horizontal
+            // reduction happens once per agent. A per-batch
+            // horizontal `count()` looks cheap (movmsk+popcnt) but
+            // the optimizer narrows the masks through the blend
+            // lowering and expands it into a cross-lane shuffle tree
+            // that dominates the batch. The scope matters too: these
+            // must be *inside* the agent loop — hoisted to chunk
+            // scope, scalar-replacement splits the lanes into
+            // twenty-four GPR/stack slots that get re-inserted and
+            // re-extracted every batch. Lane sums stay far below u32
+            // range for any realistic stencil (counts gain ≤1 per
+            // batch; the index gap is bounded by agent count per
+            // candidate, ≤ ~10⁹ per lane).
+            let (mut lane_acc, mut neigh_acc, mut contact_acc) =
+                (U32x8::splat(0), U32x8::splat(0), U32x8::splat(0));
+            let mut gap_acc = U32x8::splat(0);
+            cand.clear();
+            for (first, count) in grid.geometry().x_runs(p1_64) {
+                stats.counters.boxes_scanned += count as u64;
+                let lo = starts[first] as usize;
+                let hi = starts[first + count as usize] as usize;
+                let rl = hi - lo;
+                let old = cand.len();
+                // Append the run with LANES-wide block copies instead
+                // of `extend`: a stencil is ~9 runs of ~6 ids, and a
+                // million per-element append loops per step cost more
+                // than the force arithmetic they feed. The copy may
+                // read up to LANES−1 ids past the run (never past the
+                // CSR array — the guard falls back to an exact tail
+                // copy there) and write as far past `rl` into
+                // reserved capacity; the final `set_len` keeps
+                // exactly the run's ids, so the candidate sequence
+                // is identical to the scalar pass's.
+                cand.reserve(rl + LANES);
+                // SAFETY: capacity ≥ old + rl + LANES (the reserve
+                // above), so every write below — including the
+                // LANES-wide over-write — lands inside allocated
+                // capacity; reads stay inside `ids_raw` by the
+                // `src_end` guard; `set_len(old + rl)` only exposes
+                // lanes the loop wrote (`o` covers `0..rl`).
+                unsafe {
+                    let dst = cand.as_mut_ptr().add(old);
+                    let src = ids_raw.as_ptr().add(lo);
+                    let mut o = 0usize;
+                    while o < rl {
+                        if lo + o + LANES <= ids_raw.len() {
+                            core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), LANES);
+                            o += LANES;
+                        } else {
+                            core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), rl - o);
+                            break;
+                        }
+                    }
+                    cand.set_len(old + rl);
+                }
+            }
+            // Masked-load fallback for the stencil remainder: fill
+            // the last partial batch with the agent's own id. Self
+            // lanes are already discarded by the `valid` mask (the
+            // agent really is in its own stencil), so padding lanes
+            // contribute exactly +0.0 force and 0 to every counter —
+            // no separate scalar tail path exists.
+            let len = cand.len();
+            let pad = len.next_multiple_of(LANES) - len;
+            if pad > 0 {
+                // SAFETY: a non-multiple length means at least one
+                // run appended above, whose reserve left ≥ LANES
+                // spare capacity past `len`; one LANES-wide splat
+                // write plus `set_len` replaces up to LANES−1
+                // scalar pushes.
+                unsafe {
+                    let dst = cand.as_mut_ptr().add(len);
+                    for l in 0..LANES {
+                        dst.add(l).write(i as u32);
+                    }
+                    cand.set_len(len + pad);
+                }
+            }
+            stats.simd.pad_lanes += pad as u64;
+            {
+                // Pass A: 8-wide f32 math, contributions *stored* to
+                // the contiguous staging buffers instead of being
+                // accumulated here — keeping six f64 accumulator
+                // registers live across a gather-heavy loop is what
+                // spills it; a store-only loop leaves the register
+                // file to the gathers and the Eq. 1 arithmetic.
+                let batched = cand.len();
+                if fxb.len() < batched {
+                    fxb.resize(batched, 0.0);
+                    fyb.resize(batched, 0.0);
+                    fzb.resize(batched, 0.0);
+                }
+                // Pin each buffer to exactly `batched` elements: the
+                // loop bound then *proves* every 8-lane window is in
+                // range, so the stores and reloads below compile
+                // without per-batch bounds-check branches.
+                let cs = &cand[..batched];
+                let (fxs, fys, fzs) = (
+                    &mut fxb[..batched],
+                    &mut fyb[..batched],
+                    &mut fzb[..batched],
+                );
+                let mut off = 0usize;
+                while off + LANES <= batched {
+                    let idv = U32x8::from_slice(&cs[off..off + LANES]);
+                    let valid = idv.ne(iv);
+                    let [px, py, pz, dj] = F32x8::gather4(posd, idv);
+                    let dx = qx - px;
+                    let dy = qy - py;
+                    let dz = qz - pz;
+                    let dist2 = dx * dx + dy * dy + dz * dz;
+                    let neighbor = dist2.le(r2v).and(valid);
+                    let rj = dj * halfv;
+                    let sum_r = r1v + rj;
+                    let dist = dist2.sqrt();
+                    // Eq. 1 evaluated unconditionally on every lane;
+                    // the contact mask (the scalar kernel's two
+                    // early-outs plus the radius gate) discards the
+                    // NaN/inf garbage of non-contact lanes bitwise.
+                    // The batch is latency-bound, not port-bound
+                    // (measured IPC ≈ 0.5 — the gathers dominate),
+                    // so exact IEEE `vsqrtps`/`vdivps` cost nothing
+                    // extra: a Newton-refined `rsqrt_nr`/`recip_nr`
+                    // variant of this block measured *slower* by
+                    // lengthening the dependency chain. The two
+                    // divisions do fold into one algebraically:
+                    // with r_eff = r1·rj/sum_r,
+                    //   mag/dist = (rep·δ·sum_r − att·√(r1·rj·δ·sum_r))
+                    //              / (sum_r·dist)
+                    // because √(r_eff·δ)·sum_r = √(r1·rj·δ·sum_r).
+                    let contact = dist2.lt(sum_r * sum_r).and(dist.gt(epsv)).and(neighbor);
+                    let delta = sum_r - dist;
+                    let dsum = delta * sum_r;
+                    let inv = F32x8::splat(1.0) / (sum_r * dist);
+                    let scale = (repv * dsum - attv * ((r1v * rj) * dsum).sqrt()) * inv;
+                    let zero = F32x8::zero();
+                    fxs[off..off + LANES].copy_from_slice(&contact.select(dx * scale, zero).0);
+                    fys[off..off + LANES].copy_from_slice(&contact.select(dy * scale, zero).0);
+                    fzs[off..off + LANES].copy_from_slice(&contact.select(dz * scale, zero).0);
+                    lane_acc = lane_acc + valid.ones();
+                    neigh_acc = neigh_acc + neighbor.ones();
+                    contact_acc = contact_acc + contact.ones();
+                    // The self lane contributes |i − i| = 0: no mask.
+                    gap_acc = gap_acc + idv.abs_diff(iv);
+                    off += LANES;
+                }
+                // Pass B: widen and accumulate the staged
+                // contributions in f64. Lane assignment and reduce
+                // order are exactly pass A's, so the result is
+                // bit-identical to a fused accumulate; the loads are
+                // contiguous, which SLP compiles to clean 8-wide
+                // load→cvt→add chains.
+                let mut off2 = 0usize;
+                while off2 + LANES <= batched {
+                    ax.accumulate(F32x8::from_slice(&fxs[off2..off2 + LANES]));
+                    ay.accumulate(F32x8::from_slice(&fys[off2..off2 + LANES]));
+                    az.accumulate(F32x8::from_slice(&fzs[off2..off2 + LANES]));
+                    off2 += LANES;
+                }
+                let lanes_n = lane_acc.reduce_sum();
+                stats.counters.points_tested += lanes_n;
+                stats.simd.lanes_utilized += lanes_n;
+                stats.counters.neighbors_found += neigh_acc.reduce_sum();
+                stats.contacts += contact_acc.reduce_sum();
+                stats.gap_sum += gap_acc.reduce_sum();
+            }
+            let force = Vec3::new(ax.reduce(), ay.reduce(), az.reduce());
+            *slot = interaction::displacement(force, adh[i] as f64, mech);
+        }
+
+        stats
+    }
+
+    /// One part of a sweep: an agent range and the grid it reads.
+    type OraclePart<'a> = (std::ops::Range<usize>, &'a CsrGrid<f64>);
+
+    /// Both lane bodies over `parts`, compared per agent on displacement
+    /// bits and per part on every statistic. `lane` is the caller's, so a
+    /// stage left by one part (or one scene) is what the next starts on.
+    /// Returns the stages the staged body took.
+    fn assert_matches_reference(
+        rm: &ResourceManager,
+        params: &SimParams,
+        parts: &[OraclePart<'_>],
+        lane: &mut LaneScratch,
+    ) -> u64 {
+        let mut mirrors = SimdMirrors::default();
+        mirrors.refresh(rm);
+        let mut staged = 0;
+        for (range, grid) in parts {
+            let mut got = vec![Vec3::zero(); range.len()];
+            let mut want = got.clone();
+            let g = simd_lanes(rm, params, &mirrors, grid, range.start, &mut got, lane);
+            let w = simd_lanes_reference(rm, params, &mirrors, grid, range.start, &mut want);
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                let bits = |v: &Vec3<f64>| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+                assert_eq!(bits(g), bits(w), "agent {} of {range:?}", range.start + k);
+            }
+            let fields = |s: &SweepStats| {
+                [
+                    s.counters.points_tested,
+                    s.counters.neighbors_found,
+                    s.counters.boxes_scanned,
+                    s.contacts,
+                    s.gap_sum,
+                    s.simd.lanes_utilized,
+                    s.simd.pad_lanes,
+                ]
+            };
+            assert_eq!(fields(&g), fields(&w), "statistics of {range:?}");
+            assert!(g.simd.stencils_staged <= range.len() as u64);
+            assert_eq!(g.simd.stencils_staged == 0, range.is_empty());
+            staged += g.simd.stencils_staged;
+        }
+        staged
+    }
+
+    /// Storage orders of the oracle scenes.
+    #[derive(Debug, Clone, Copy)]
+    enum Storage {
+        Sorted(bdm_morton::Curve),
+        Shuffled,
+    }
+
+    fn store(rm: &mut ResourceManager, params: &SimParams, storage: Storage, seed: u64) {
+        match storage {
+            Storage::Sorted(curve) => sort_along(rm, params, curve),
+            Storage::Shuffled => {
+                let mut rng = SplitMix64::new(seed ^ 0x5eed);
+                let keys: Vec<(u64, u64)> = rm
+                    .uid_column()
+                    .iter()
+                    .map(|&uid| (rng.next_u64(), uid))
+                    .collect();
+                let perm = bdm_soa::Permutation::sorting_by_key(&keys);
+                rm.apply_permutation(&perm, &mut crate::rm::ReorderScratch::default());
+            }
+        }
+    }
+
+    type OracleScene = (ResourceManager, SimParams);
+
+    /// A scene with everything the stage has to get right: a random
+    /// cloud of mixed diameters thin enough to leave voxels (and whole
+    /// x-runs) empty; agents exactly on voxel faces, on the upper space
+    /// boundary and beyond it (where `box_coords` clamps); all eight
+    /// corner voxels (8-voxel stencils); coincident pairs (`dist ≤ ε`);
+    /// and, when `crowd`, one voxel with > 128 residents, whose stencil
+    /// outgrows the stage's first allocation.
+    fn oracle_scene(seed: u64, radius_override: Option<f64>, crowd: bool) -> OracleScene {
+        let half = 6.0;
+        let mut params = SimParams::cube(half).with_precision(Precision::F32Simd);
+        if let Some(r) = radius_override {
+            params = params.with_interaction_radius(r);
+        }
+        let mut rng = SplitMix64::new(seed);
+        let mut at = Vec::new();
+        for _ in 0..150 + rng.next_u64() % 250 {
+            at.push(Vec3::new(
+                rng.uniform(-half, half),
+                rng.uniform(-half, half),
+                rng.uniform(-half, half),
+            ));
+        }
+        // Voxel faces: whole multiples of the voxel edge from the lower
+        // corner, on one, two or three axes.
+        let edge = radius_override.unwrap_or(2.5);
+        for k in 0..12u32 {
+            let on_face = |axis: u32, rng: &mut SplitMix64| {
+                if (k >> axis) & 1 == 1 || k % 4 == 0 {
+                    -half + edge * (1 + rng.next_u64() % 4) as f64
+                } else {
+                    rng.uniform(-half, half)
+                }
+            };
+            at.push(Vec3::new(
+                on_face(0, &mut rng),
+                on_face(1, &mut rng),
+                on_face(2, &mut rng),
+            ));
+        }
+        // The upper boundary, exactly and past it, and the corners.
+        for corner in 0..8u32 {
+            let sign = |axis: u32| if (corner >> axis) & 1 == 1 { 1.0 } else { -1.0 };
+            at.push(Vec3::new(sign(0), sign(1), sign(2)) * (half - 0.1));
+            at.push(Vec3::new(
+                half,
+                sign(1) * rng.uniform(0.0, half),
+                if corner < 4 { half + 0.3 } else { half },
+            ));
+        }
+        for _ in 0..10 {
+            at.push(at[(rng.next_u64() % at.len() as u64) as usize]);
+        }
+        if crowd {
+            let centre = Vec3::new(0.3, -0.3, 0.3);
+            for _ in 0..140 {
+                let jitter = Vec3::new(
+                    rng.uniform(-0.25, 0.25),
+                    rng.uniform(-0.25, 0.25),
+                    rng.uniform(-0.25, 0.25),
+                );
+                at.push(centre + jitter);
+            }
+        }
+        let mut rm = ResourceManager::new();
+        for p in at {
+            let diameter = [1.0, 1.6, 2.0, 2.5][(rng.next_u64() % 4) as usize];
+            rm.add(CellBuilder::new(p).diameter(diameter).adherence(0.01));
+        }
+        (rm, params)
+    }
+
+    fn global_grid(rm: &ResourceManager, params: &SimParams) -> CsrGrid<f64> {
+        let (xs, ys, zs) = rm.position_columns();
+        let radius = interaction_radius(rm, params);
+        CsrGrid::build_serial(xs, ys, zs, params.space, radius)
+    }
+
+    /// Cut `0..n` at `cuts` random points — nothing aligns them to voxels,
+    /// so parts split voxels' residents; repeated points make empty parts.
+    fn random_ranges(n: usize, cuts: usize, rng: &mut SplitMix64) -> Vec<std::ops::Range<usize>> {
+        let mut at: Vec<usize> = (0..cuts)
+            .map(|_| (rng.next_u64() % (n as u64 + 1)) as usize)
+            .collect();
+        at.extend([0, n]);
+        at.sort_unstable();
+        at.windows(2).map(|w| w[0]..w[1]).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The voxel-staged lane body against the retained per-agent
+        /// kernel, bit for bit, over global grids in every storage order
+        /// with unaligned cuts. One `LaneScratch` serves the whole case:
+        /// the crowded scene grows it, the thin scene after it runs on
+        /// its stale tail.
+        #[test]
+        fn staged_lanes_match_the_per_agent_kernel_bitwise(
+            seed in 0u64..10_000,
+            order in 0usize..3,
+            derived in proptest::prelude::any::<bool>(),
+            cuts in 0usize..7,
+        ) {
+            let storage = [
+                Storage::Sorted(bdm_morton::Curve::ZOrder),
+                Storage::Sorted(bdm_morton::Curve::Hilbert),
+                Storage::Shuffled,
+            ][order];
+            let radius = (!derived).then_some(2.0 + (seed % 3) as f64 * 0.55);
+            let mut lane = LaneScratch::default();
+            let mut rng = SplitMix64::new(seed ^ 0xc0ffee);
+            for crowd in [true, false] {
+                let (mut rm, params) = oracle_scene(seed, radius, crowd);
+                store(&mut rm, &params, storage, seed);
+                let grid = global_grid(&rm, &params);
+                let parts: Vec<OraclePart<'_>> = random_ranges(rm.len(), cuts, &mut rng)
+                    .into_iter()
+                    .map(|r| (r, &grid))
+                    .collect();
+                assert_matches_reference(&rm, &params, &parts, &mut lane);
+                if crowd {
+                    assert!(lane.px.len() > 128, "the crowded stencil grew the stage");
+                }
+            }
+        }
+
+        /// The same identity on shard-local grids: four shards, each
+        /// part reading its own grid of owned + halo members.
+        #[test]
+        fn staged_lanes_match_the_per_agent_kernel_on_shard_grids(
+            seed in 0u64..10_000,
+            derived in proptest::prelude::any::<bool>(),
+        ) {
+            let radius = (!derived).then_some(2.0 + (seed % 3) as f64 * 0.55);
+            let (mut rm, params) = oracle_scene(seed, radius, seed % 2 == 0);
+            let mut params = params.with_shards(4).with_shard_rebalance(1, 1.0);
+            // Frozen: the step below builds the shard grids (and sorts
+            // storage) but moves nobody, so they stay the grids of `rm`.
+            params.mech.max_displacement = 0.0;
+            let mut driver = ShardedEnvironment::new(4);
+            driver.rebalance(&rm, &params);
+            let work = driver.step(&mut rm, &params, true, &mut MechScratch::default());
+            assert!(driver.halo_agents() > 0, "shards import halos");
+            let parts: Vec<OraclePart<'_>> = driver.parts().collect();
+            assert_eq!(parts.len(), 4);
+            let staged = assert_matches_reference(&rm, &params, &parts, &mut LaneScratch::default());
+            assert_eq!(work.simd.expect("f32 lanes ran").stencils_staged, staged);
+        }
+    }
+
+    #[test]
+    fn a_single_agent_stages_its_own_stencil() {
+        let params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
+        let mut rm = ResourceManager::new();
+        rm.add(CellBuilder::new(Vec3::new(1.0, 2.0, 3.0)).diameter(2.0));
+        let grid = global_grid(&rm, &params);
+        let staged =
+            assert_matches_reference(&rm, &params, &[(0..1, &grid)], &mut LaneScratch::default());
+        assert_eq!(staged, 1);
+        let work = mechanical_step(
+            &mut rm,
+            &params,
+            &EnvironmentKind::uniform_grid_csr_serial(),
+            None,
+        );
+        let simd = work.simd.expect("f32 lanes ran");
+        assert_eq!(
+            (work.candidates, simd.pad_lanes),
+            (0, 7),
+            "one batch: itself + 7 pads"
+        );
+    }
+
+    /// Stencil reuse — the reason-labelled counter of the one host fast
+    /// path: on voxel-sorted storage consecutive agents share a voxel and
+    /// all but the first of its residents reuse the staged tile; on
+    /// shuffled storage almost nobody does. Same bits either way.
+    #[test]
+    fn sorted_storage_reuses_stencils() {
+        let sim = crate::workload::benchmark_b(20_000, 47.0, 11);
+        let params = sim.params().clone().with_precision(Precision::F32Simd);
+        let reuse_of = |storage: Storage| {
+            let mut rm = sim.rm().clone();
+            store(&mut rm, &params, storage, 11);
+            let grid = global_grid(&rm, &params);
+            let cuts = chunk_cuts(rm.len());
+            let parts: Vec<OraclePart<'_>> = cuts.windows(2).map(|w| (w[0]..w[1], &grid)).collect();
+            let staged =
+                assert_matches_reference(&rm, &params, &parts, &mut LaneScratch::default());
+            // The sweep itself reports the same count.
+            let env = EnvironmentKind::uniform_grid_csr_parallel();
+            let work = mechanical_step(&mut rm.clone(), &params, &env, None);
+            let simd = work.simd.expect("f32 lanes ran");
+            assert_eq!(simd.stencils_staged, staged);
+            simd.stencil_reuse(rm.len())
+        };
+        let sorted = reuse_of(Storage::Sorted(bdm_morton::Curve::ZOrder));
+        let shuffled = reuse_of(Storage::Shuffled);
+        assert!(sorted >= 0.85, "sorted storage reuses stencils: {sorted}");
+        assert!(shuffled <= 0.10, "shuffled storage cannot: {shuffled}");
+    }
+
     #[test]
     fn scratch_is_reused_across_steps() {
         // Every CPU path sweeps into the scratch (the CSR paths also keep
@@ -1395,6 +1977,29 @@ mod tests {
             mechanical_step(&mut fresh, &params, &env, None);
             assert_eq!(positions(&rm), positions(&fresh), "{env:?} {precision:?}");
         }
+        // The 8-lane body's per-part stage lives there too: once a step
+        // has sized it, a second step over the same (frozen) scene finds
+        // every buffer large enough — the sweep's tasks allocate nothing.
+        let mut params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
+        params.mech.max_displacement = 0.0;
+        let env = EnvironmentKind::uniform_grid_csr_parallel();
+        let mut rm = random_population(CSR_PASS_CHUNK + 300, 5.5, 23);
+        let mut scratch = MechScratch::default();
+        let capacities = |scratch: &MechScratch| -> Vec<[usize; 8]> {
+            let cap = |l: &LaneScratch| {
+                let f32s = [&l.px, &l.py, &l.pz, &l.dj, &l.fx, &l.fy, &l.fz].map(Vec::capacity);
+                let mut caps = [l.ids.capacity(); 8];
+                caps[1..].copy_from_slice(&f32s);
+                caps
+            };
+            scratch.lanes.iter().map(cap).collect()
+        };
+        mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+        let first = capacities(&scratch);
+        assert_eq!(first.len(), 2, "one stage per sweep part");
+        assert!(first.iter().flatten().all(|&c| c >= LANES));
+        mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+        assert_eq!(capacities(&scratch), first);
     }
 
     #[test]

@@ -181,6 +181,14 @@ impl ShardedEnvironment {
         self.rebalances = rebalances;
     }
 
+    /// The sweep parts of the last sharded step: each shard's agent range
+    /// and its shard-local grid.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> impl Iterator<Item = (Range<usize>, &CsrGrid<f64>)> {
+        let grids = self.shards.iter().map(|s| s.grid.as_ref().expect("built"));
+        self.ranges.iter().cloned().zip(grids)
+    }
+
     /// Shard-then-chunk cut points for the behavior/bound-space agent
     /// loops: every shard range, subdivided at `chunk`. `None` when the
     /// cached ranges don't tile the current population (population
