@@ -292,9 +292,9 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
             read("mech.f32_refresh_copies"),
             read("mech.csr_index_gap"),
         );
-        // f32 lanes only.
-        let simd = sim.last_mech_work().and_then(|w| w.simd);
-        let reuse = simd.map_or("-".into(), |s| format!("{:.3}", s.stencil_reuse(n)));
+        let work = sim.last_mech_work().expect("the CSR step ran");
+        let reuse = work.stencil_reuse(n).expect("a CSR sweep stages stencils");
+        let reuse = format!("{reuse:.3}");
         println!(
             "{:<12} {:>10.3} {:>10.3} {:>14.0} {:>14.0} {:>12.2} {:>14}",
             precision.label(),
@@ -308,13 +308,13 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         let labels = [("precision", precision.label())];
         reg.set_gauge("layouts.simd_step_wall_ms", &labels, step_ms);
         reg.set_gauge("layouts.simd_mech_wall_ms", &labels, mech_ms);
+        let staged = work.stencils_staged.expect("a CSR sweep stages stencils") as f64;
         if precision == Precision::F32Simd {
             reg.set_gauge("mech.simd_lanes_utilized", &labels, lanes);
             reg.set_gauge("mech.f32_refresh_copies", &labels, copies);
-            if let Some(simd) = simd {
-                let staged = simd.stencils_staged as f64;
-                reg.set_gauge("mech.simd_stencils_staged", &labels, staged);
-            }
+            reg.set_gauge("mech.simd_stencils_staged", &labels, staged);
+        } else {
+            reg.set_gauge("mech.stencils_staged", &labels, staged);
         }
     }
     let speedup = mech_by_precision[0] / mech_by_precision[1].max(1e-12);

@@ -28,12 +28,9 @@ fn main() {
             w.neighbors as f64 / n,
             w.contacts as f64 / n
         );
-        if let Some(gap) = w.index_gap {
-            // 8-lane f32 pass only.
-            let reuse = w.simd.map_or("-".into(), |s| {
-                format!("{:.3}", s.stencil_reuse(sim.rm().len()))
-            });
-            println!("  index gap={gap:.1} stencil reuse={reuse}");
+        // The CSR rows, either precision.
+        if let (Some(gap), Some(reuse)) = (w.index_gap, w.stencil_reuse(sim.rm().len())) {
+            println!("  index gap={gap:.1} stencil reuse={reuse:.3}");
         }
         for (k, p) in w.phases.iter().enumerate() {
             println!(

@@ -62,14 +62,16 @@ pub fn default_policy(name: &str) -> GatePolicy {
                 | "checkpoint.read_ms"
                 | "gpu.host_s"
                 | "mech.simd_stencils_staged"
+                | "mech.stencils_staged"
         )
     {
         // The checkpoint serialize/parse timings and the SIMT
         // simulator's own host cost are host wall clocks too — they
         // just don't carry `wall` in their names. The stencil-stage
-        // count is deterministic but a function of the sweep's cut set
-        // (one stage per part start), not of the trajectory alone: it
-        // says why the 8-lane pass was fast, and gates nothing.
+        // counts (one series per lane body) are deterministic but a
+        // function of the sweep's cut set (a cut that splits a voxel's
+        // residents stages it twice), not of the trajectory alone: they
+        // say how many agents shared a staged tile, and gate nothing.
         GatePolicy::informational()
     } else if is_exact(name) {
         GatePolicy::with_tol(0.0)
@@ -213,6 +215,7 @@ mod tests {
         assert_eq!(default_policy("gpu.sort_gathers").tol, Some(0.0));
         assert_eq!(default_policy("layouts.csr_index_gap").tol, Some(0.02));
         assert!(!default_policy("mech.simd_stencils_staged").gate);
+        assert!(!default_policy("mech.stencils_staged").gate);
         assert!(!default_policy("layouts.reorder_mech_wall_ms").gate);
         assert_eq!(default_policy("layouts.shard_imbalance").tol, Some(0.02));
         assert_eq!(

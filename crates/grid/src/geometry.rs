@@ -107,6 +107,18 @@ impl<R: Scalar> GridGeometry<R> {
         (cz as usize * self.dims[1] as usize + cy as usize) * self.dims[0] as usize + cx as usize
     }
 
+    /// Voxel coordinates of a flat index — the inverse of
+    /// [`Self::flat_index`].
+    #[inline]
+    pub fn coords_of(&self, flat: usize) -> [u32; 3] {
+        let (dx, dy) = (self.dims[0] as usize, self.dims[1] as usize);
+        [
+            (flat % dx) as u32,
+            (flat / dx % dy) as u32,
+            (flat / (dx * dy)) as u32,
+        ]
+    }
+
     /// Enumerate the flat indices of the ≤ 27 voxels around `p` (clamped
     /// at the grid boundary, deduplicated).
     pub fn neighbor_boxes(&self, p: Vec3<R>) -> NeighborBoxes {
@@ -123,7 +135,13 @@ impl<R: Scalar> GridGeometry<R> {
     /// [`crate::CsrGrid`] queries touch ≤ 18 offsets where the linked
     /// list dereferences 27 heads.
     pub fn x_runs(&self, p: Vec3<R>) -> XRuns {
-        let [cx, cy, cz] = self.box_coords(p);
+        self.x_runs_of(self.box_coords(p))
+    }
+
+    /// [`Self::x_runs`] of the voxel at coordinates `c`: the stencil is
+    /// a function of the voxel alone, so a sweep that walks voxels asks
+    /// once per voxel instead of once per resident.
+    pub fn x_runs_of(&self, [cx, cy, cz]: [u32; 3]) -> XRuns {
         let range = |c: u32, d: u32| {
             let lo = c.saturating_sub(1);
             let hi = (c + 1).min(d - 1);
@@ -257,6 +275,20 @@ mod tests {
         assert_eq!(g.neighbor_boxes(Vec3::splat(5.5)).count(), 27);
         assert_eq!(g.neighbor_boxes(Vec3::splat(0.1)).count(), 8);
         assert_eq!(g.neighbor_boxes(Vec3::new(5.5, 5.5, 0.1)).count(), 18);
+    }
+
+    #[test]
+    fn coords_of_inverts_flat_index() {
+        let g = GridGeometry::new(Aabb::new(Vec3::zero(), Vec3::new(7.0, 4.0, 9.0)), 1.3);
+        assert_eq!(g.dims(), [6, 4, 7]);
+        for flat in 0..g.num_boxes() {
+            let [cx, cy, cz] = g.coords_of(flat);
+            assert_eq!(g.flat_index(cx, cy, cz), flat);
+        }
+        let p = Vec3::new(6.9, 0.1, 4.0);
+        let by_point: Vec<_> = g.x_runs(p).collect();
+        let by_voxel: Vec<_> = g.x_runs_of(g.coords_of(g.box_index(p))).collect();
+        assert_eq!(by_point, by_voxel);
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Fixed-width SIMD lane types for the mixed-precision CPU force pass.
+//! Fixed-width SIMD lane types for the CPU force pass, at both
+//! precisions.
 //!
 //! The paper's *Improvement I* halves the arithmetic width (FP64→FP32) to
 //! double the effective memory bandwidth of the force kernel. This module
 //! brings that to the CPU hot path: 8-wide lane types stored as plain
 //! `[T; 8]` arrays, on stable Rust — no nightly `std::simd`. Every op
-//! the force kernel's batch loop is made of has two bodies computing the
-//! same IEEE operation per lane:
+//! the force kernels' batch loops are made of has two bodies computing
+//! the same IEEE operation per lane:
 //!
 //! * a **portable** one — an `#[inline]` per-lane array loop that LLVM
-//!   autovectorizes into AVX/SSE code. It is what the `f64` stencil ops
-//!   of the diffusion engine and every non-AVX2 build run;
+//!   autovectorizes into AVX/SSE code. It is what the `f64` arithmetic
+//!   (`+ − × ÷`: the diffusion stencil and the f64 force body; LLVM
+//!   already emits the `vaddpd` / `vmulpd` / `vdivpd` pairs, and pinning
+//!   them measured no better) and every non-AVX2 build run;
 //! * an **AVX2** one behind `cfg(target_feature = "avx2")` — the one
 //!   `core::arch` instruction the op *is* (`vsubps`, `vcmpps`,
 //!   `vpaddd`, …), reached through the safe wrappers of the private
@@ -18,9 +21,12 @@
 //!   splits the array-typed statistic accumulators into thirty-two
 //!   scalar slots and re-packs them every batch, and the voxel-staged
 //!   kernel measured *slower* than the per-agent gather it replaces
-//!   until its instruction selection was pinned here. The packed gather
-//!   ([`F32x8::gather4`], `vgatherdps`) is the one load shape LLVM
-//!   cannot form on its own at all.
+//!   until its instruction selection was pinned here. The indexed
+//!   gathers ([`F32x8::gather4`], [`F64x8::gather`], [`U32x8::gather`]:
+//!   `vgatherdps` / `vgatherdpd` / `vpgatherdd`) are the one load shape
+//!   LLVM cannot form on its own at all, and a compare that should end
+//!   as a bitmask in a general register ([`F64x8::le_bits`]: `vcmppd` +
+//!   `vmovmskpd`) is another it rarely finds.
 //!
 //! Which body a build compiled never shows in a result: CI runs the
 //! kernel's oracle, the determinism suites and the checkpoint goldens
@@ -50,7 +56,9 @@
 //!
 //! Tails shorter than [`LANES`] are the *caller's* job: pad the last
 //! batch with lanes a mask already discards rather than constructing a
-//! partial vector load. See `bdm_sim::mech::simd_lanes`.
+//! partial vector load. See `bdm_sim::mech::simd_lanes` (f32) and
+//! `bdm_sim::mech::f64_lanes` (f64, bitwise the scalar kernel: a
+//! vectorised gate, [`U32x8::compacted`] survivors, Eq. 1 on those).
 
 // Every lane kernel is written as `for l in 0..LANES { out[l] = … }`:
 // the index form keeps the ops visually uniform across one- and
@@ -104,8 +112,8 @@ macro_rules! lanes {
 /// The AVX2 bodies of the lane ops: each is the lane types bit-cast to
 /// `__m256` / `__m256i` / a `__m256d` pair, one or two register-to-register
 /// intrinsics, and the cast back — safe functions over the lane types, so
-/// the ops above never see a register type. Nothing here touches memory
-/// through a pointer.
+/// the ops above never see a register type. Only the two indexed gathers
+/// at the end touch memory through a pointer.
 #[cfg(target_feature = "avx2")]
 mod avx2 {
     use super::{F32x8, F64x8, M32x8, U32x8};
@@ -185,7 +193,107 @@ mod avx2 {
                 _mm256_add_pd(acc[1], _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v))),
             ])
         };
+        // The f64 ops: one instruction per register half.
+        sqrt_pd(a: F64x8) -> F64x8 = {
+            let a = pd(a);
+            f64x8([_mm256_sqrt_pd(a[0]), _mm256_sqrt_pd(a[1])])
+        };
+        // Ordered, quiet predicates straight to a bitmask (`vcmppd` +
+        // `vmovmskpd`): lane `l` is bit `l`; a NaN lane compares false.
+        le_pd_bits(a: F64x8, b: F64x8) -> u32 = {
+            let (a, b) = (pd(a), pd(b));
+            (_mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a[0], b[0]))
+                | _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a[1], b[1])) << 4) as u32
+        };
+        lt_pd_bits(a: F64x8, b: F64x8) -> u32 = {
+            let (a, b) = (pd(a), pd(b));
+            (_mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a[0], b[0]))
+                | _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a[1], b[1])) << 4) as u32
+        };
+        gt_pd_bits(a: F64x8, b: F64x8) -> u32 = {
+            let (a, b) = (pd(a), pd(b));
+            (_mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(a[0], b[0]))
+                | _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(a[1], b[1])) << 4) as u32
+        };
+        // `base + row[l]` per lane: `vpmovzxbd` + `vpaddd`.
+        widen_add(row: [u8; 8], base: u32) -> U32x8 = u32x8(_mm256_add_epi32(
+            _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(i64::from_le_bytes(row))),
+            _mm256_set1_epi32(base as i32),
+        ));
     }
+
+    /// Lane indices clamped to `len − 1` (`vpminud`), so a gather through
+    /// them stays inside a `len`-element slice.
+    #[inline(always)]
+    fn clamped(idx: U32x8, len: usize) -> __m256i {
+        // The hardware reads the lanes as *signed* 32-bit offsets.
+        assert!(
+            (1..=i32::MAX as usize).contains(&len),
+            "gather source must hold 1..=i32::MAX elements"
+        );
+        // SAFETY: register-only, as in `lane_ops!`.
+        unsafe { _mm256_min_epu32(epi32(idx), _mm256_set1_epi32((len - 1) as i32)) }
+    }
+
+    /// `src[idx[l]]` per lane — two `vgatherdpd`.
+    #[inline(always)]
+    pub fn gather_pd(src: &[f64], idx: U32x8) -> F64x8 {
+        let idx = clamped(idx, src.len());
+        // SAFETY: every lane of `idx` is in `0..src.len()` and
+        // non-negative as an `i32` (`clamped`), so each of the eight
+        // 8-byte loads at `src + 8·idx[l]` lies inside `src`, which is
+        // borrowed for the whole call.
+        unsafe {
+            f64x8([
+                _mm256_i32gather_pd::<8>(src.as_ptr(), _mm256_castsi256_si128(idx)),
+                _mm256_i32gather_pd::<8>(src.as_ptr(), _mm256_extracti128_si256::<1>(idx)),
+            ])
+        }
+    }
+
+    /// `src[idx[l]]` per lane — one `vpgatherdd`.
+    #[inline(always)]
+    pub fn gather_epi32(src: &[u32], idx: U32x8) -> U32x8 {
+        let idx = clamped(idx, src.len());
+        // SAFETY: as in `gather_pd`, with 4-byte loads at `src + 4·idx[l]`.
+        unsafe { u32x8(_mm256_i32gather_epi32::<4>(src.as_ptr().cast(), idx)) }
+    }
+}
+
+/// Row `bits` lists the indices of the set bits of `bits`, ascending,
+/// zero-filled — the order-preserving compaction of an 8-lane bitmask as
+/// one table row ([`U32x8::compacted`]).
+const COMPACTED: [[u8; LANES]; 256] = {
+    let mut table = [[0u8; LANES]; 256];
+    let mut bits = 0;
+    while bits < 256 {
+        let (mut lane, mut n) = (0, 0);
+        while lane < LANES {
+            if bits >> lane & 1 == 1 {
+                table[bits][n] = lane as u8;
+                n += 1;
+            }
+            lane += 1;
+        }
+        bits += 1;
+    }
+    table
+};
+
+/// The portable indexed gather: `src[idx[l]]` per lane, out-of-range
+/// lanes clamped to the last element instead of panicking. A per-lane
+/// bounds-check branch is a side exit that forbids LLVM from vectorizing
+/// the load loop; the assert hoists the only side exit out of it, after
+/// which `min(last) < len` is provable and every lane's check drops.
+#[inline(always)]
+fn gather_clamped<T: Copy + Default>(src: &[T], idx: U32x8) -> [T; LANES] {
+    assert!(!src.is_empty(), "gather from empty slice");
+    let last = src.len() - 1;
+    let mut out = [T::default(); LANES];
+    for l in 0..LANES {
+        out[l] = src[(idx.0[l] as usize).min(last)];
+    }
+    out
 }
 
 impl F32x8 {
@@ -210,15 +318,7 @@ impl F32x8 {
     /// no-op there); an empty `src` still panics.
     #[inline(always)]
     pub fn gather(src: &[f32], idx: U32x8) -> Self {
-        // The assert hoists the only side exit out of the loop: after it
-        // LLVM can prove `min(last) < len` and drop every lane's check.
-        assert!(!src.is_empty(), "gather from empty slice");
-        let last = src.len() - 1;
-        let mut out = [0.0f32; LANES];
-        for l in 0..LANES {
-            out[l] = src[(idx.0[l] as usize).min(last)];
-        }
-        Self(out)
+        Self(gather_clamped(src, idx))
     }
 
     /// Gather 8 packed `[f32; 4]` records and transpose them into four
@@ -511,6 +611,38 @@ impl U32x8 {
         Self(out)
     }
 
+    /// Store the 8 lanes contiguously into `dst` (must hold at least 8).
+    #[inline(always)]
+    pub fn write_to_slice(self, dst: &mut [u32]) {
+        dst[..LANES].copy_from_slice(&self.0);
+    }
+
+    /// Gather `src[idx[l]]` per lane (`vpgatherdd`); out-of-range lanes
+    /// clamp to the last element, as in [`F32x8::gather`]. `src` must
+    /// hold between 1 and `i32::MAX` elements.
+    #[inline(always)]
+    pub fn gather(src: &[u32], idx: Self) -> Self {
+        lanes!(avx2::gather_epi32(src, idx), Self(gather_clamped(src, idx)))
+    }
+
+    /// Order-preserving mask compaction: the indices of the set bits of
+    /// `bits` (low 8 bits, lane `l` = bit `l`), ascending, packed into
+    /// the first `bits.count_ones()` lanes, each plus `base`; the other
+    /// lanes hold `base`. A batch loop stores all eight lanes at its
+    /// write cursor and advances the cursor by the popcount — no branch
+    /// on how many lanes survived.
+    #[inline(always)]
+    pub fn compacted(bits: u32, base: u32) -> Self {
+        let row = COMPACTED[(bits & 0xff) as usize];
+        lanes!(avx2::widen_add(row, base), {
+            let mut out = [0u32; LANES];
+            for l in 0..LANES {
+                out[l] = base + row[l] as u32;
+            }
+            Self(out)
+        })
+    }
+
     /// Lanewise `self != rhs` (branchless, like the float comparisons).
     #[inline(always)]
     pub fn ne(self, rhs: Self) -> M32x8 {
@@ -693,6 +825,66 @@ impl F64x8 {
     #[inline(always)]
     pub fn write_to_slice(self, dst: &mut [f64]) {
         dst[..LANES].copy_from_slice(&self.0);
+    }
+
+    /// Gather `src[idx[l]]` per lane (two `vgatherdpd`); out-of-range
+    /// lanes clamp to the last element, as in [`F32x8::gather`]. `src`
+    /// must hold between 1 and `i32::MAX` elements.
+    #[inline(always)]
+    pub fn gather(src: &[f64], idx: U32x8) -> Self {
+        lanes!(avx2::gather_pd(src, idx), Self(gather_clamped(src, idx)))
+    }
+
+    /// Per-lane square root (`vsqrtpd` — exactly rounded per IEEE 754).
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        lanes!(avx2::sqrt_pd(self), {
+            let mut out = [0.0f64; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l].sqrt();
+            }
+            Self(out)
+        })
+    }
+
+    // The comparisons return the bitmask itself (lane `l` = bit `l`):
+    // the f64 force body compacts its survivors and walks its contacts
+    // by bit, and never blends.
+
+    /// Lanewise `self <= rhs` as a bitmask. NaN lanes compare false.
+    #[inline(always)]
+    pub fn le_bits(self, rhs: Self) -> u32 {
+        lanes!(avx2::le_pd_bits(self, rhs), {
+            let mut out = 0u32;
+            for l in 0..LANES {
+                out |= ((self.0[l] <= rhs.0[l]) as u32) << l;
+            }
+            out
+        })
+    }
+
+    /// Lanewise `self < rhs` as a bitmask. NaN lanes compare false.
+    #[inline(always)]
+    pub fn lt_bits(self, rhs: Self) -> u32 {
+        lanes!(avx2::lt_pd_bits(self, rhs), {
+            let mut out = 0u32;
+            for l in 0..LANES {
+                out |= ((self.0[l] < rhs.0[l]) as u32) << l;
+            }
+            out
+        })
+    }
+
+    /// Lanewise `self > rhs` as a bitmask. NaN lanes compare false.
+    #[inline(always)]
+    pub fn gt_bits(self, rhs: Self) -> u32 {
+        lanes!(avx2::gt_pd_bits(self, rhs), {
+            let mut out = 0u32;
+            for l in 0..LANES {
+                out |= ((self.0[l] > rhs.0[l]) as u32) << l;
+            }
+            out
+        })
     }
 
     /// Widen each `f32` lane to `f64` (exact) and add it to the running
@@ -987,6 +1179,55 @@ mod tests {
             let s = (a.0[l] + b.0[l] - 2.0 * a.0[l]) / 1.5625;
             assert_eq!(lap.0[l].to_bits(), s.to_bits(), "lane {l}");
         }
+    }
+
+    #[test]
+    fn f64_sqrt_and_compare_bits_match_scalar_per_lane() {
+        // Whichever body the build compiled, each op is its scalar
+        // definition per lane — NaN, ±inf, ±0 and subnormals included.
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        let a = F64x8([2.0, -1.0, f64::NAN, 0.0, -0.0, tiny, f64::INFINITY, 6.25]);
+        let b = F64x8([2.0, 1.0, 1.0, -0.0, tiny, 0.0, f64::INFINITY, f64::NAN]);
+        let root = a.sqrt();
+        let (le, lt, gt) = (a.le_bits(b), a.lt_bits(b), a.gt_bits(b));
+        for l in 0..LANES {
+            assert_eq!(root.0[l].to_bits(), a.0[l].sqrt().to_bits(), "sqrt {l}");
+            assert_eq!(le >> l & 1 == 1, a.0[l] <= b.0[l], "le {l}");
+            assert_eq!(lt >> l & 1 == 1, a.0[l] < b.0[l], "lt {l}");
+            assert_eq!(gt >> l & 1 == 1, a.0[l] > b.0[l], "gt {l}");
+        }
+        assert_eq!((le | lt | gt) >> LANES, 0, "nothing above the lane bits");
+    }
+
+    #[test]
+    fn indexed_gathers_clamp_out_of_range_lanes() {
+        let wide: Vec<f64> = (0..11).map(|i| 0.5 + i as f64).collect();
+        let ids: Vec<u32> = (0..11).map(|i| 100 + i).collect();
+        let idx = U32x8([10, 0, 3, 3, 11, u32::MAX, 1 << 31, 7]);
+        let want = [10usize, 0, 3, 3, 10, 10, 10, 7];
+        assert_eq!(F64x8::gather(&wide, idx).0, want.map(|i| wide[i]));
+        assert_eq!(U32x8::gather(&ids, idx).0, want.map(|i| ids[i]));
+        // A one-element source clamps every lane onto it.
+        assert_eq!(F64x8::gather(&[7.5], idx).0, [7.5; LANES]);
+    }
+
+    #[test]
+    fn compaction_packs_set_lanes_in_order() {
+        for bits in 0u32..256 {
+            let packed = U32x8::compacted(bits, 40);
+            let want: Vec<u32> = (0..LANES as u32).filter(|l| bits >> l & 1 == 1).collect();
+            let n = bits.count_ones() as usize;
+            assert_eq!(want.len(), n);
+            for (l, &got) in packed.0.iter().enumerate() {
+                let lane = want.get(l).copied().unwrap_or(0);
+                assert_eq!(got, 40 + lane, "bits {bits:#010b} lane {l}");
+            }
+        }
+        // Bits above the lanes are ignored.
+        assert_eq!(U32x8::compacted(0x1_05, 8).0, [8, 10, 8, 8, 8, 8, 8, 8]);
+        let mut out = [0u32; 9];
+        U32x8::compacted(0b1000_0001, 0).write_to_slice(&mut out[1..]);
+        assert_eq!(out, [0, 0, 7, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

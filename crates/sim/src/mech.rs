@@ -13,10 +13,29 @@
 //! The paper swaps the structure that answers "who is near agent *i*"
 //! under an unchanged Eq. 1, and so does this module: every CPU path
 //! builds its structure, then runs the one `force_sweep` over a
-//! partition of `0..n`, with a `NeighborSource` per part (kd lists,
-//! linked-list chains, CSR x-runs — global or shard-local) feeding a
-//! lane body: scalar `f64` (`scalar_lanes`, any source) or 8-lane `f32`
-//! (`simd_lanes`, CSR only).
+//! partition of its displacement buffer.
+//!
+//! * The kd-tree and the linked-list grid are swept **agent by agent** in
+//!   storage order: a `NeighborSource` per part (cached kd lists,
+//!   successor chains) feeds the generic scalar `f64` body
+//!   (`scalar_lanes`), the one host call site of
+//!   `interaction::collision_force`.
+//! * The CSR grid is swept **voxel by voxel** — the paper's last kernel
+//!   (Improvement III: one block per voxel, its neighborhood staged once
+//!   for all residents) as the host's unit of iteration. `cell_agents()`
+//!   *is* the voxel-grouped order, rebuilt every step on the geometry the
+//!   sweep uses, so a part of the global pass is a range of grid *slots*,
+//!   walked non-empty voxel by non-empty voxel (`VoxelGroups`): the
+//!   voxel's stencil is staged once (`LaneScratch::stage`), each resident
+//!   is read *from the tile* (entry `center + rank`: no per-agent voxel
+//!   lookup, no self load), displacements come back in slot order and
+//!   `apply_displacements` maps slot → agent through `cell_agents()`.
+//!   Storage order does not enter. The sharded driver walks the same
+//!   groups in its own `(voxel, id)`-sorted storage order, so its parts
+//!   stay agent ranges. Two lane bodies run under the walk, picked by
+//!   `SimParams::precision`: `f64_lanes` (8-lane `f64`, bit for bit what
+//!   `scalar_lanes` computes over the grid's x-runs — which survives as
+//!   its test oracle) and `simd_lanes` (8-lane `f32`).
 //!
 //! The GPU path replaces all three phases with the offload pipeline of
 //! `bdm-gpu`.
@@ -38,7 +57,7 @@ use bdm_kdtree::KdTree;
 use bdm_math::interaction;
 use bdm_math::simd::{F32x8, F64x8, U32x8, LANES};
 use bdm_math::{Aabb, Vec3};
-use bdm_soa::{F32Mirror, F32x4Mirror};
+use bdm_soa::{AgentId, F32Mirror, F32x4Mirror};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -164,23 +183,6 @@ pub struct SimdWork {
     /// `f64 → f32` mirror elements re-converted this step; `0` for every
     /// column whose dirty epoch did not advance since the previous step.
     pub refresh_copies: u64,
-    /// Stencil stages: how often the lane body had to gather a voxel's
-    /// candidate tile because the agent it reached was not in the voxel
-    /// already staged (see [`Self::stencil_reuse`]). Deterministic for a
-    /// fixed storage order and cut set, but — unlike the sums beside it
-    /// — a function of the partition: every part starts with nothing
-    /// staged, so each cut that splits a voxel's residents adds one.
-    pub stencils_staged: u64,
-}
-
-impl SimdWork {
-    /// `1 − stencils_staged / agents`: the share of the pass's agents
-    /// that found their voxel's candidate tile already staged by the
-    /// agent before them — near `1 − 1/occupancy` on voxel-sorted
-    /// storage, near 0 on scrambled storage.
-    pub fn stencil_reuse(&self, agents: usize) -> f64 {
-        1.0 - self.stencils_staged as f64 / agents as f64
-    }
 }
 
 /// Outcome of one mechanical step. The default is the empty outcome (no
@@ -206,6 +208,11 @@ pub struct MechWork {
     /// hit nearby cache lines). Measured by the fused CSR pass; `None`
     /// on the other paths.
     pub index_gap: Option<f64>,
+    /// Voxel stencils the CSR walk staged (either precision; `None` off
+    /// CSR): the non-empty voxels, plus one for every part boundary that
+    /// splits a voxel's residents — a function of the grid and the cut
+    /// set, never of storage order. See [`Self::stencil_reuse`].
+    pub stencils_staged: Option<u64>,
     /// SIMD-path statistics; `None` for every scalar/GPU path.
     pub simd: Option<SimdWork>,
     /// `1` when the CSR grid rebuild was skipped this step because no
@@ -233,6 +240,15 @@ impl MechWork {
         }
     }
 
+    /// `1 − stencils_staged / agents`: the share of the pass's agents
+    /// that ran on a candidate tile a fellow resident of their voxel had
+    /// already staged — `1 − 1 / occupancy` of the non-empty voxels, up
+    /// to the part splits.
+    pub fn stencil_reuse(&self, agents: usize) -> Option<f64> {
+        let staged = self.stencils_staged?;
+        Some(1.0 - staged as f64 / agents as f64)
+    }
+
     /// Publish the step's work counters and per-phase breakdown into a
     /// metrics registry under an `env` label. The algorithmic counters
     /// (candidates/contacts/neighbors, phase FLOPs/bytes) are exact
@@ -251,6 +267,15 @@ impl MechWork {
         if let Some(gap) = self.index_gap {
             reg.set_gauge("mech.csr_index_gap", &labels, gap);
         }
+        if let Some(staged) = self.stencils_staged {
+            // One series per lane body, under the name the f32 one
+            // already had.
+            let name = match self.simd {
+                Some(_) => "mech.simd_stencils_staged",
+                None => "mech.stencils_staged",
+            };
+            reg.inc_counter(name, &labels, staged as f64);
+        }
         if let Some(simd) = &self.simd {
             reg.inc_counter(
                 "mech.simd_lanes_utilized",
@@ -262,11 +287,6 @@ impl MechWork {
                 "mech.f32_refresh_copies",
                 &labels,
                 simd.refresh_copies as f64,
-            );
-            reg.inc_counter(
-                "mech.simd_stencils_staged",
-                &labels,
-                simd.stencils_staged as f64,
             );
         }
         for (i, phase) in self.phases.iter().enumerate() {
@@ -470,9 +490,11 @@ impl NeighborSource for UniformGrid<f64> {
 }
 
 /// The stencil as ≤ 9 contiguous id slices (x-adjacent voxels
-/// concatenate in the x-major CSR order): the linked list's walk minus
-/// the successor chases and two thirds of the per-voxel head lookups.
-/// Global and shard-local grids alike.
+/// concatenate in the x-major CSR order), per agent: the candidate
+/// sequence [`LaneScratch::stage`] concatenates once per voxel. The CSR
+/// sweep no longer comes through here — this feeds [`scalar_lanes`] as
+/// the oracle of the staged `f64` body.
+#[cfg(test)]
 impl NeighborSource for CsrGrid<f64> {
     #[inline]
     fn for_each_candidate(&self, _i: usize, p: Vec3<f64>, mut visit: impl FnMut(usize)) -> u64 {
@@ -499,6 +521,10 @@ struct SweepStats {
     counters: QueryCounters,
     contacts: u64,
     gap_sum: u64,
+    /// Voxel stencils staged (the CSR walk). Alone among these it counts
+    /// something per part: a cut that splits a voxel's residents stages
+    /// that voxel on both sides.
+    staged: u64,
     simd: SimdWork,
 }
 
@@ -516,26 +542,46 @@ enum ForceModel {
     CsrF32,
 }
 
-/// The one host force sweep. Splits the displacement buffer at `cuts` (a
-/// tiling of `0..n`), runs `lanes(agents, part, first agent, part's
-/// slice, part's lane scratch)` on every part as its own rayon task (the
-/// scratch persists across steps; only the 8-lane body uses it), sums the
-/// statistics, integrates, and builds the step's [`MechWork`] — the one
-/// place the force phase is priced. `timed` holds the phases that already ran
-/// (build, search, shard sort, mirror refresh) with their wall clocks;
-/// `parallel` is the force phase's flag in the machine model. The sweep's
-/// own wall clock stops before integration, on every path.
+/// How a sweep tiles its displacement buffer: part `c` writes entries
+/// `cuts[c]..cuts[c + 1]`, and entry `k` moves agent `agent_of[k]` —
+/// `None` when the buffer is in storage order (entry `k` is agent `k`).
+#[derive(Clone, Copy)]
+struct SweepParts<'a> {
+    cuts: &'a [usize],
+    agent_of: Option<&'a [AgentId]>,
+}
+
+impl<'a> SweepParts<'a> {
+    /// Parts of a buffer in storage order.
+    fn of_storage(cuts: &'a [usize]) -> Self {
+        Self {
+            cuts,
+            agent_of: None,
+        }
+    }
+}
+
+/// The one host force sweep. Splits the displacement buffer at
+/// `parts.cuts` (a tiling of `0..n`), runs `lanes(agents, part, first
+/// entry, part's slice, part's lane scratch)` on every part as its own
+/// rayon task (the scratch persists across steps; only the CSR bodies use
+/// it), sums the statistics, integrates, and builds the step's
+/// [`MechWork`] — the one place the force phase is priced. `timed` holds
+/// the phases that already ran (build, search, shard sort, mirror
+/// refresh) with their wall clocks; `parallel` is the force phase's flag
+/// in the machine model. The sweep's own wall clock stops before
+/// integration, on every path.
 ///
 /// Per-agent results are independent writes into disjoint slices and the
 /// statistics are integer sums, so neither the partition (every
 /// [`CSR_PASS_CHUNK`] globally, the shard ranges when sharded) nor the
 /// schedule can affect a displacement bit or a modeled counter
-/// ([`SimdWork::stencils_staged`] alone counts something per part).
+/// ([`MechWork::stencils_staged`] alone counts something per part).
 fn force_sweep(
     rm: &mut ResourceManager,
     (disp, lane_scratch): (&mut Vec<Vec3<f64>>, &mut Vec<LaneScratch>),
     mut timed: Vec<(Phase, f64)>,
-    cuts: &[usize],
+    parts: SweepParts<'_>,
     model: ForceModel,
     parallel: bool,
     lanes: impl Fn(&ResourceManager, usize, usize, &mut [Vec3<f64>], &mut LaneScratch) -> SweepStats
@@ -544,6 +590,7 @@ fn force_sweep(
     let t = Instant::now();
     disp.clear();
     disp.resize(rm.len(), Vec3::zero());
+    let SweepParts { cuts, agent_of } = parts;
     let parts = cuts.len().saturating_sub(1);
     if lane_scratch.len() < parts {
         lane_scratch.resize_with(parts, LaneScratch::default);
@@ -553,7 +600,19 @@ fn force_sweep(
         .into_par_iter()
         .zip(lane_scratch[..parts].par_iter_mut())
         .enumerate()
-        .map(|(part, (out, lane))| lanes(agents, part, cuts[part], out, lane))
+        .map(|(part, (out, slot))| {
+            // The part runs on a stack copy of its scratch: the `Vec`
+            // headers in `lane_scratch` are adjacent, so a body that
+            // wrote one per stage (a `clear`, a `resize`) would trade
+            // its cache line with the worker on the next part all sweep
+            // long. Today's stages only write a header when a buffer
+            // grows; this keeps the sweep indifferent to that. The
+            // buffers go back afterwards, so capacities persist.
+            let mut lane = std::mem::take(slot);
+            let stats = lanes(agents, part, cuts[part], out, &mut lane);
+            *slot = lane;
+            stats
+        })
         .collect();
     let wall_sweep = t.elapsed().as_secs_f64();
     let mut stats = SweepStats::default();
@@ -563,9 +622,9 @@ fn force_sweep(
         stats.gap_sum += s.gap_sum;
         stats.simd.lanes_utilized += s.simd.lanes_utilized;
         stats.simd.pad_lanes += s.simd.pad_lanes;
-        stats.simd.stencils_staged += s.simd.stencils_staged;
+        stats.staged += s.staged;
     }
-    apply_displacements(rm, disp);
+    apply_displacements(rm, disp, agent_of);
 
     use work_model as wm;
     let n = rm.len() as f64;
@@ -619,15 +678,27 @@ fn force_sweep(
         neighbors: stats.counters.neighbors_found,
         index_gap: (csr && stats.counters.points_tested > 0)
             .then(|| stats.gap_sum as f64 / candidates),
+        stencils_staged: csr.then_some(stats.staged),
         simd: (model == ForceModel::CsrF32).then_some(stats.simd),
         ..Default::default()
     }
 }
 
-fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>]) {
-    for (i, &d) in disp.iter().enumerate() {
+/// Move agent `agent_of[k]` (agent `k` when `None`) by `disp[k]`.
+fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>], agent_of: Option<&[AgentId]>) {
+    let mut translate = |i: usize, d: Vec3<f64>| {
         if d != Vec3::zero() {
             rm.translate(i, d);
+        }
+    };
+    match agent_of {
+        None => disp.iter().enumerate().for_each(|(i, &d)| translate(i, d)),
+        Some(agents) => {
+            debug_assert_eq!(agents.len(), disp.len());
+            agents
+                .iter()
+                .zip(disp)
+                .for_each(|(id, &d)| translate(id.index(), d))
         }
     }
 }
@@ -689,49 +760,242 @@ fn scalar_lanes<S: NeighborSource>(
     }
 }
 
-/// One sweep part's working memory for the 8-lane body: the staged
-/// voxel stencil and pass A's output. Held per part by [`MechScratch`],
-/// so a steady-state step allocates none of it.
+/// One step of the CSR walk: residents `ranks` (positions inside
+/// `grid.cell_range(voxel)`) of one non-empty voxel, all of them unless a
+/// part boundary splits the voxel.
+struct VoxelGroup {
+    /// The voxel's flat index and its coordinates.
+    voxel: usize,
+    coords: [u32; 3],
+    ranks: std::ops::Range<usize>,
+}
+
+/// The CSR walk: one sweep part as the non-empty voxels it covers, in
+/// order, each with the residents the part owns. The lane bodies stage a
+/// voxel's stencil once per group and read every resident *from the
+/// tile*, so nothing in them depends on where an agent sits in storage.
+struct VoxelGroups<'a> {
+    grid: &'a CsrGrid<f64>,
+    /// The part still to walk (see [`GroupOrder`] for what it indexes).
+    next: usize,
+    end: usize,
+    order: GroupOrder<'a>,
+}
+
+enum GroupOrder<'a> {
+    /// `next..end` are slots of `grid.cell_agents()` — the global pass,
+    /// whose displacements come back in slot order. `voxel` (at
+    /// `coords`, stepped along with it: no division per voxel) is at or
+    /// before the voxel holding slot `next`.
+    Slots { voxel: usize, coords: [u32; 3] },
+    /// `next..end` are agents of storage sorted by `(voxel, id)` with
+    /// these position columns — a shard's owned range under its
+    /// shard-local grid, whose `cell_agents()` also holds halo members a
+    /// slot walk would have to skip. Each voxel's residents are then the
+    /// consecutive agents `next..next + cell_range(voxel).len()`.
+    SortedStorage(&'a [f64], &'a [f64], &'a [f64]),
+}
+
+impl<'a> VoxelGroups<'a> {
+    fn of_slots(grid: &'a CsrGrid<f64>, slots: std::ops::Range<usize>) -> Self {
+        // The last voxel starting at or before the first slot.
+        let starts = grid.cell_starts();
+        let voxel = starts.partition_point(|&s| s as usize <= slots.start);
+        let voxel = voxel.saturating_sub(1);
+        let coords = grid.geometry().coords_of(voxel);
+        Self {
+            grid,
+            next: slots.start,
+            end: slots.end,
+            order: GroupOrder::Slots { voxel, coords },
+        }
+    }
+
+    fn of_sorted_storage(
+        grid: &'a CsrGrid<f64>,
+        (xs, ys, zs): (&'a [f64], &'a [f64], &'a [f64]),
+        agents: std::ops::Range<usize>,
+    ) -> Self {
+        Self {
+            grid,
+            next: agents.start,
+            end: agents.end,
+            order: GroupOrder::SortedStorage(xs, ys, zs),
+        }
+    }
+}
+
+impl Iterator for VoxelGroups<'_> {
+    type Item = VoxelGroup;
+
+    fn next(&mut self) -> Option<VoxelGroup> {
+        if self.next >= self.end {
+            return None;
+        }
+        match &mut self.order {
+            GroupOrder::Slots { voxel, coords } => {
+                let starts = self.grid.cell_starts();
+                let [dx, dy, _] = self.grid.dims();
+                while starts[*voxel + 1] as usize <= self.next {
+                    *voxel += 1;
+                    let [cx, cy, cz] = coords;
+                    *cx += 1;
+                    if *cx == dx {
+                        (*cx, *cy) = (0, *cy + 1);
+                        if *cy == dy {
+                            (*cy, *cz) = (0, *cz + 1);
+                        }
+                    }
+                }
+                let first = starts[*voxel] as usize;
+                let last = self.end.min(starts[*voxel + 1] as usize);
+                let ranks = self.next - first..last - first;
+                self.next = last;
+                Some(VoxelGroup {
+                    voxel: *voxel,
+                    coords: *coords,
+                    ranks,
+                })
+            }
+            GroupOrder::SortedStorage(xs, ys, zs) => {
+                let i = self.next;
+                let geometry = self.grid.geometry();
+                let coords = geometry.box_coords(Vec3::new(xs[i], ys[i], zs[i]));
+                let voxel = geometry.flat_index(coords[0], coords[1], coords[2]);
+                let residents = self.grid.cell_range(voxel);
+                // Always on: an agent missing from its own voxel would
+                // stall the walk, not just mis-stage it.
+                assert_eq!(
+                    residents.first().map(|id| id.index()),
+                    Some(i),
+                    "storage is not sorted by (voxel, id)"
+                );
+                debug_assert!(
+                    i + residents.len() <= self.end
+                        && residents
+                            .iter()
+                            .map(|id| id.index())
+                            .eq(i..i + residents.len()),
+                    "voxel {voxel} is not the agent run starting at {i}"
+                );
+                self.next = i + residents.len();
+                Some(VoxelGroup {
+                    voxel,
+                    coords,
+                    ranks: 0..residents.len(),
+                })
+            }
+        }
+    }
+}
+
+/// One sweep part's working memory for the CSR lane bodies: the staged
+/// voxel stencil and what passes between a body's two passes. Held per
+/// part by [`MechScratch`], so a steady-state step allocates none of it.
+/// Every column is grow-only and only read below the staged tile's
+/// padded length.
 #[derive(Default)]
 struct LaneScratch {
     /// Candidate ids of the staged stencil — its ≤ 9 x-runs concatenated
     /// in run order (the scalar pass's candidate sequence) — padded to a
-    /// [`LANES`] multiple. The pad lanes hold the id of whichever agent
-    /// is being swept (see [`simd_lanes`]).
+    /// [`LANES`] multiple ([`Tile::padded`]; the buffer itself is
+    /// grow-only like the columns).
     ids: Vec<u32>,
-    /// The candidates' `[x, y, z, diameter]` records, gathered once per
-    /// stage and transposed into columns, so pass A loads contiguously.
-    /// Grow-only; only `..ids.len()` is ever read.
+    /// `f32` body: the candidates' `[x, y, z, diameter]` records,
+    /// gathered once per stage and transposed into columns, so pass A
+    /// loads contiguously.
     px: Vec<f32>,
     py: Vec<f32>,
     pz: Vec<f32>,
     dj: Vec<f32>,
-    /// Per-candidate f32 force contributions, written by pass A and read
-    /// back by pass B (grow-only; pass A overwrites every slot pass B
+    /// `f32` body: per-candidate force contributions, written by pass A
+    /// and read back by pass B (pass A overwrites every slot pass B
     /// reads).
     fx: Vec<f32>,
     fy: Vec<f32>,
     fz: Vec<f32>,
+    /// `f64` body: the candidates' positions, gathered once per stage.
+    wx: Vec<f64>,
+    wy: Vec<f64>,
+    wz: Vec<f64>,
+    /// `f64` body: tile positions of the candidates inside the radius,
+    /// in candidate order — pass 1's output, pass 2's input.
+    near: Vec<u32>,
+}
+
+/// What [`LaneScratch::stage`] staged.
+struct Tile {
+    /// Candidates, and the [`LANES`] multiple they are padded to.
+    len: usize,
+    padded: usize,
+    /// Voxels the stencil spans.
+    boxes: u64,
+    /// Tile position of the voxel's first resident: resident `rank` of
+    /// `grid.cell_range(voxel)` *is* tile entry `center + rank`.
+    center: usize,
+}
+
+/// Grow `col` to `len` elements; never shrinks it.
+fn grow<T: Clone + Default>(col: &mut Vec<T>, len: usize) {
+    if col.len() < len {
+        col.resize(len, T::default());
+    }
 }
 
 impl LaneScratch {
-    /// Stage the stencil of the voxel holding `p` — a function of the
-    /// voxel alone, never of where in it `p` lies. Returns the candidate
-    /// count (before padding) and the voxels scanned.
-    fn stage(&mut self, grid: &CsrGrid<f64>, posd: &[[f32; 4]], p: Vec3<f64>) -> (usize, u64) {
-        self.ids.clear();
-        let mut boxes = 0u64;
-        for (first, count) in grid.geometry().x_runs(p) {
+    /// Stage the candidate ids of a voxel's stencil — a function of the
+    /// voxel alone.
+    fn stage(&mut self, grid: &CsrGrid<f64>, group: &VoxelGroup) -> Tile {
+        let (starts, voxel) = (grid.cell_starts(), group.voxel);
+        let agents = bdm_soa::ids_as_raw(grid.cell_agents());
+        let (mut len, mut boxes, mut center) = (0usize, 0u64, 0usize);
+        for (first, count) in grid.geometry().x_runs_of(group.coords) {
+            let last = first + count as usize;
+            let (lo, hi) = (starts[first] as usize, starts[last] as usize);
+            if (first..last).contains(&voxel) {
+                center = len + starts[voxel] as usize - lo;
+            }
             boxes += count as u64;
-            self.ids
-                .extend_from_slice(bdm_soa::ids_as_raw(grid.run_range(first, count)));
+            // The run is copied a whole `LANES`-id block at a time, at
+            // least one: it holds a handful of ids (none at all, mostly,
+            // in a sparse scene), and nine `memcpy`s of unpredictable
+            // length cost more than the tile's arithmetic. A block may
+            // carry up to `LANES` ids past its run — real ids of the
+            // voxels behind it — which the next run overwrites, or which
+            // land in the pad lanes and the slack kept past them.
+            grow(&mut self.ids, len + (hi - lo) + 2 * LANES);
+            let mut from = lo;
+            loop {
+                let to = len + from - lo;
+                let Some(block) = agents.get(from..from + LANES) else {
+                    // The last ids of the array: exactly the run's rest.
+                    self.ids[to..to + hi - from].copy_from_slice(&agents[from..hi]);
+                    break;
+                };
+                self.ids[to..to + LANES].copy_from_slice(block);
+                from += LANES;
+                if from >= hi {
+                    break;
+                }
+            }
+            len += hi - lo;
         }
-        let len = self.ids.len();
         let padded = len.next_multiple_of(LANES);
-        // Any in-range id will do for the pad lanes: it only picks the
-        // record gathered under them, and every agent overwrites the id
-        // with its own before reading.
-        self.ids.resize(padded, 0);
+        // Pad lanes: any in-range id will do for the record gathered
+        // under them; the lane bodies never let one count.
+        self.ids[len..padded].fill(0);
+        Tile {
+            len,
+            padded,
+            boxes,
+            center,
+        }
+    }
+
+    /// [`Self::stage`] plus the candidates' `f32` records as columns.
+    fn stage_f32(&mut self, grid: &CsrGrid<f64>, posd: &[[f32; 4]], group: &VoxelGroup) -> Tile {
+        let tile = self.stage(grid, group);
+        let padded = tile.padded;
         for col in [
             &mut self.px,
             &mut self.py,
@@ -741,9 +1005,7 @@ impl LaneScratch {
             &mut self.fy,
             &mut self.fz,
         ] {
-            if col.len() < padded {
-                col.resize(padded, 0.0);
-            }
+            grow(col, padded);
         }
         for off in (0..padded).step_by(LANES) {
             let idv = U32x8::from_slice(&self.ids[off..]);
@@ -753,36 +1015,53 @@ impl LaneScratch {
             z.write_to_slice(&mut self.pz[off..]);
             d.write_to_slice(&mut self.dj[off..]);
         }
-        (len, boxes)
+        tile
+    }
+
+    /// [`Self::stage`] plus the candidates' `f64` positions as columns.
+    /// Diameters stay behind: only the candidates that pass the radius
+    /// gate need one, and pass 2 gathers those by id.
+    fn stage_f64(
+        &mut self,
+        grid: &CsrGrid<f64>,
+        (xs, ys, zs): (&[f64], &[f64], &[f64]),
+        group: &VoxelGroup,
+    ) -> Tile {
+        let tile = self.stage(grid, group);
+        let padded = tile.padded;
+        for col in [&mut self.wx, &mut self.wy, &mut self.wz] {
+            grow(col, padded);
+        }
+        grow(&mut self.near, padded);
+        for off in (0..padded).step_by(LANES) {
+            let idv = U32x8::from_slice(&self.ids[off..]);
+            F64x8::gather(xs, idv).write_to_slice(&mut self.wx[off..]);
+            F64x8::gather(ys, idv).write_to_slice(&mut self.wy[off..]);
+            F64x8::gather(zs, idv).write_to_slice(&mut self.wz[off..]);
+        }
+        tile
     }
 }
 
 /// 8-lane `f32` lanes — the paper's Improvement I (FP64→FP32) applied to
 /// the CPU hot path, fed the way its Improvement III feeds a GPU block:
 /// one staged candidate tile per voxel, shared by the voxel's residents.
-/// Needs a source whose candidates are contiguous id runs, i.e. a CSR
-/// grid.
 ///
-/// Same skeleton as [`scalar_lanes`] over the same f64 CSR build
-/// (candidate enumeration is bit-identical to the f64 path — precision
-/// must never change *which* pairs are tested, only the test
-/// arithmetic). The differences:
+/// Same candidate sequence per agent as the `f64` bodies over the same
+/// f64 CSR build (candidate enumeration is bit-identical to the f64 path
+/// — precision must never change *which* pairs are tested, only the test
+/// arithmetic). How it runs:
 ///
-/// * **the unit of staging is the voxel's stencil, not the agent's.**
-///   The ≤ 9 x-runs depend on an agent only through its voxel, so
-///   `lane` holds one voxel's concatenated candidate ids and their
-///   `f32` records (gathered from the lazily refreshed mirrors with
-///   [`F32x8::gather4`], transposed into four contiguous columns) and
-///   is refilled only when the next agent's voxel differs from the
-///   staged one. Nothing asks for this: after the reorder operation the
-///   residents of a voxel are consecutive in storage and ≈ 1 − 1 ∕
-///   occupancy of them find their tile already staged; on scrambled
-///   storage every agent misses and pays one stage — the per-agent
-///   gather this body used to do for everyone.
-///   [`SimdWork::stencils_staged`] counts the refills. This is the
-///   paper's Improvement III, which *loses* 28 % on the GPU — building
-///   the shared-memory tile there takes atomics and its boundary checks
-///   diverge — and wins here, where one thread fills the tile with
+/// * **the unit of iteration is the voxel.** `groups` is the part as
+///   non-empty voxels ([`VoxelGroups`]); each is staged once
+///   ([`LaneScratch::stage_f32`]: the ≤ 9 x-runs' ids concatenated, their
+///   `f32` records gathered from the lazily refreshed mirrors with
+///   [`F32x8::gather4`] and transposed into four contiguous columns) and
+///   then swept resident by resident. A resident needs no lookup of its
+///   own: it is tile entry `center + rank`, id and record both. This is
+///   the paper's Improvement III, which *loses* 28 % on the GPU —
+///   building the shared-memory tile there takes atomics and its boundary
+///   checks diverge — and wins here, where one thread fills the tile with
 ///   plain stores and the agents that share it run one after another;
 /// * **the pad lanes are the agent's.** The tile is padded to a
 ///   [`LANES`] multiple; each agent writes its own id into those ≤ 7
@@ -830,11 +1109,10 @@ fn simd_lanes(
     params: &SimParams,
     mirrors: &SimdMirrors,
     grid: &CsrGrid<f64>,
-    base: usize,
+    groups: VoxelGroups<'_>,
     out: &mut [Vec3<f64>],
     lane: &mut LaneScratch,
 ) -> SweepStats {
-    let (xs64, ys64, zs64) = rm.position_columns();
     let posd = mirrors.posd.as_slice();
     let adh = mirrors.adh.as_slice();
     let mech = &params.mech;
@@ -847,128 +1125,257 @@ fn simd_lanes(
     let repv = F32x8::splat(rep32);
     let attv = F32x8::splat(att32);
     let epsv = F32x8::splat(f32::EPSILON);
-    let geometry = grid.geometry();
     let mut stats = SweepStats::default();
-    // The stage: which voxel's stencil `lane` holds, its candidate count
-    // before padding and the voxels it spans. Nothing is staged at a
-    // part's start.
-    let mut staged = None;
-    let (mut len, mut boxes) = (0usize, 0u64);
-    for (k, slot) in out.iter_mut().enumerate() {
-        let i = base + k;
-        // The voxel comes from the f64 geometry, like the build.
-        let p1_64 = Vec3::new(xs64[i], ys64[i], zs64[i]);
-        let voxel = geometry.box_index(p1_64);
-        if staged != Some(voxel) {
-            (len, boxes) = lane.stage(grid, posd, p1_64);
-            staged = Some(voxel);
-            stats.simd.stencils_staged += 1;
+    let mut out = out.iter_mut();
+    for group in groups {
+        let tile = lane.stage_f32(grid, posd, &group);
+        let (len, batched, boxes) = (tile.len, tile.padded, tile.boxes);
+        stats.staged += 1;
+        let residents = out.by_ref().take(group.ranks.len());
+        for (t, slot) in (tile.center + group.ranks.start..).zip(residents) {
+            stats.counters.boxes_scanned += boxes;
+            let i = lane.ids[t];
+            let q = Vec3::new(lane.px[t], lane.py[t], lane.pz[t]);
+            let r1 = lane.dj[t] * 0.5f32;
+            let iv = U32x8::splat(i);
+            let (qx, qy, qz) = (F32x8::splat(q.x), F32x8::splat(q.y), F32x8::splat(q.z));
+            let r1v = F32x8::splat(r1);
+            let (mut ax, mut ay, mut az) = (F64x8::zero(), F64x8::zero(), F64x8::zero());
+            // Per-agent statistic accumulators, vertical form: each batch
+            // adds its masks as 0/1 lanes ([`M32x8::ones`], a `vpand` +
+            // `vpaddd` per counter) and the horizontal reduction happens
+            // once per agent. Lane sums stay far below u32 range for any
+            // realistic stencil (counts gain ≤ 1 per batch; the index gap
+            // is bounded by agent count per candidate, ≤ ~10⁹ per lane).
+            let (mut lane_acc, mut neigh_acc, mut contact_acc) =
+                (U32x8::splat(0), U32x8::splat(0), U32x8::splat(0));
+            let mut gap_acc = U32x8::splat(0);
+            // The tile's pad lanes take this agent's own id, which is all
+            // `valid` looks at; the records under them are never used.
+            lane.ids[len..batched].fill(i);
+            stats.simd.pad_lanes += (batched - len) as u64;
+            // Pin every buffer to exactly `batched` elements: the loop
+            // bound then *proves* each 8-lane window is in range.
+            let cs = &lane.ids[..batched];
+            let (pxs, pys, pzs, djs) = (
+                &lane.px[..batched],
+                &lane.py[..batched],
+                &lane.pz[..batched],
+                &lane.dj[..batched],
+            );
+            let (fxs, fys, fzs) = (
+                &mut lane.fx[..batched],
+                &mut lane.fy[..batched],
+                &mut lane.fz[..batched],
+            );
+            // Pass A: 8-wide f32 math, contributions *stored* rather than
+            // accumulated here — six f64 accumulator registers live across
+            // this loop would spill it.
+            let mut off = 0usize;
+            while off + LANES <= batched {
+                let idv = U32x8::from_slice(&cs[off..off + LANES]);
+                let valid = idv.ne(iv);
+                let px = F32x8::from_slice(&pxs[off..off + LANES]);
+                let py = F32x8::from_slice(&pys[off..off + LANES]);
+                let pz = F32x8::from_slice(&pzs[off..off + LANES]);
+                let dj = F32x8::from_slice(&djs[off..off + LANES]);
+                let dx = qx - px;
+                let dy = qy - py;
+                let dz = qz - pz;
+                let dist2 = dx * dx + dy * dy + dz * dz;
+                let neighbor = dist2.le(r2v).and(valid);
+                let rj = dj * halfv;
+                let sum_r = r1v + rj;
+                let dist = dist2.sqrt();
+                // Eq. 1 evaluated unconditionally on every lane; the contact
+                // mask (the scalar kernel's two early-outs plus the radius
+                // gate) discards the NaN/inf garbage of non-contact lanes
+                // bitwise. The two divisions fold into one algebraically:
+                // with r_eff = r1·rj/sum_r,
+                //   mag/dist = (rep·δ·sum_r − att·√(r1·rj·δ·sum_r))
+                //              / (sum_r·dist)
+                // because √(r_eff·δ)·sum_r = √(r1·rj·δ·sum_r).
+                let contact = dist2.lt(sum_r * sum_r).and(dist.gt(epsv)).and(neighbor);
+                let delta = sum_r - dist;
+                let dsum = delta * sum_r;
+                let inv = F32x8::splat(1.0) / (sum_r * dist);
+                let scale = (repv * dsum - attv * ((r1v * rj) * dsum).sqrt()) * inv;
+                let zero = F32x8::zero();
+                contact
+                    .select(dx * scale, zero)
+                    .write_to_slice(&mut fxs[off..off + LANES]);
+                contact
+                    .select(dy * scale, zero)
+                    .write_to_slice(&mut fys[off..off + LANES]);
+                contact
+                    .select(dz * scale, zero)
+                    .write_to_slice(&mut fzs[off..off + LANES]);
+                lane_acc = lane_acc + valid.ones();
+                neigh_acc = neigh_acc + neighbor.ones();
+                contact_acc = contact_acc + contact.ones();
+                // The self lane contributes |i − i| = 0: no mask.
+                gap_acc = gap_acc + idv.abs_diff(iv);
+                off += LANES;
+            }
+            // Pass B: widen and accumulate the stored contributions in f64.
+            // Lane assignment and reduce order are exactly pass A's, so the
+            // result is bit-identical to a fused accumulate.
+            let mut off2 = 0usize;
+            while off2 + LANES <= batched {
+                ax.accumulate(F32x8::from_slice(&fxs[off2..off2 + LANES]));
+                ay.accumulate(F32x8::from_slice(&fys[off2..off2 + LANES]));
+                az.accumulate(F32x8::from_slice(&fzs[off2..off2 + LANES]));
+                off2 += LANES;
+            }
+            let lanes_n = lane_acc.reduce_sum();
+            stats.counters.points_tested += lanes_n;
+            stats.simd.lanes_utilized += lanes_n;
+            stats.counters.neighbors_found += neigh_acc.reduce_sum();
+            stats.contacts += contact_acc.reduce_sum();
+            stats.gap_sum += gap_acc.reduce_sum();
+            let force = Vec3::new(ax.reduce(), ay.reduce(), az.reduce());
+            *slot = interaction::displacement(force, adh[i as usize] as f64, mech);
         }
-        stats.counters.boxes_scanned += boxes;
-        let rec = posd[i];
-        let q = Vec3::new(rec[0], rec[1], rec[2]);
-        let r1 = rec[3] * 0.5f32;
-        let iv = U32x8::splat(i as u32);
-        let (qx, qy, qz) = (F32x8::splat(q.x), F32x8::splat(q.y), F32x8::splat(q.z));
-        let r1v = F32x8::splat(r1);
-        let (mut ax, mut ay, mut az) = (F64x8::zero(), F64x8::zero(), F64x8::zero());
-        // Per-agent statistic accumulators, vertical form: each batch
-        // adds its masks as 0/1 lanes ([`M32x8::ones`], a `vpand` +
-        // `vpaddd` per counter) and the horizontal reduction happens
-        // once per agent. Lane sums stay far below u32 range for any
-        // realistic stencil (counts gain ≤ 1 per batch; the index gap
-        // is bounded by agent count per candidate, ≤ ~10⁹ per lane).
-        let (mut lane_acc, mut neigh_acc, mut contact_acc) =
-            (U32x8::splat(0), U32x8::splat(0), U32x8::splat(0));
-        let mut gap_acc = U32x8::splat(0);
-        // The tile's pad lanes take this agent's own id, which is all
-        // `valid` looks at; the records under them are never used.
-        let batched = lane.ids.len();
-        lane.ids[len..].fill(i as u32);
-        stats.simd.pad_lanes += (batched - len) as u64;
-        // Pin every buffer to exactly `batched` elements: the loop
-        // bound then *proves* each 8-lane window is in range.
-        let cs = &lane.ids[..batched];
-        let (pxs, pys, pzs, djs) = (
-            &lane.px[..batched],
-            &lane.py[..batched],
-            &lane.pz[..batched],
-            &lane.dj[..batched],
-        );
-        let (fxs, fys, fzs) = (
-            &mut lane.fx[..batched],
-            &mut lane.fy[..batched],
-            &mut lane.fz[..batched],
-        );
-        // Pass A: 8-wide f32 math, contributions *stored* rather than
-        // accumulated here — six f64 accumulator registers live across
-        // this loop would spill it.
-        let mut off = 0usize;
-        while off + LANES <= batched {
-            let idv = U32x8::from_slice(&cs[off..off + LANES]);
-            let valid = idv.ne(iv);
-            let px = F32x8::from_slice(&pxs[off..off + LANES]);
-            let py = F32x8::from_slice(&pys[off..off + LANES]);
-            let pz = F32x8::from_slice(&pzs[off..off + LANES]);
-            let dj = F32x8::from_slice(&djs[off..off + LANES]);
-            let dx = qx - px;
-            let dy = qy - py;
-            let dz = qz - pz;
-            let dist2 = dx * dx + dy * dy + dz * dz;
-            let neighbor = dist2.le(r2v).and(valid);
-            let rj = dj * halfv;
-            let sum_r = r1v + rj;
-            let dist = dist2.sqrt();
-            // Eq. 1 evaluated unconditionally on every lane; the contact
-            // mask (the scalar kernel's two early-outs plus the radius
-            // gate) discards the NaN/inf garbage of non-contact lanes
-            // bitwise. The two divisions fold into one algebraically:
-            // with r_eff = r1·rj/sum_r,
-            //   mag/dist = (rep·δ·sum_r − att·√(r1·rj·δ·sum_r))
-            //              / (sum_r·dist)
-            // because √(r_eff·δ)·sum_r = √(r1·rj·δ·sum_r).
-            let contact = dist2.lt(sum_r * sum_r).and(dist.gt(epsv)).and(neighbor);
-            let delta = sum_r - dist;
-            let dsum = delta * sum_r;
-            let inv = F32x8::splat(1.0) / (sum_r * dist);
-            let scale = (repv * dsum - attv * ((r1v * rj) * dsum).sqrt()) * inv;
-            let zero = F32x8::zero();
-            contact
-                .select(dx * scale, zero)
-                .write_to_slice(&mut fxs[off..off + LANES]);
-            contact
-                .select(dy * scale, zero)
-                .write_to_slice(&mut fys[off..off + LANES]);
-            contact
-                .select(dz * scale, zero)
-                .write_to_slice(&mut fzs[off..off + LANES]);
-            lane_acc = lane_acc + valid.ones();
-            neigh_acc = neigh_acc + neighbor.ones();
-            contact_acc = contact_acc + contact.ones();
-            // The self lane contributes |i − i| = 0: no mask.
-            gap_acc = gap_acc + idv.abs_diff(iv);
-            off += LANES;
-        }
-        // Pass B: widen and accumulate the stored contributions in f64.
-        // Lane assignment and reduce order are exactly pass A's, so the
-        // result is bit-identical to a fused accumulate.
-        let mut off2 = 0usize;
-        while off2 + LANES <= batched {
-            ax.accumulate(F32x8::from_slice(&fxs[off2..off2 + LANES]));
-            ay.accumulate(F32x8::from_slice(&fys[off2..off2 + LANES]));
-            az.accumulate(F32x8::from_slice(&fzs[off2..off2 + LANES]));
-            off2 += LANES;
-        }
-        let lanes_n = lane_acc.reduce_sum();
-        stats.counters.points_tested += lanes_n;
-        stats.simd.lanes_utilized += lanes_n;
-        stats.counters.neighbors_found += neigh_acc.reduce_sum();
-        stats.contacts += contact_acc.reduce_sum();
-        stats.gap_sum += gap_acc.reduce_sum();
-        let force = Vec3::new(ax.reduce(), ay.reduce(), az.reduce());
-        *slot = interaction::displacement(force, adh[i] as f64, mech);
     }
+    debug_assert!(out.next().is_none(), "the groups cover the part");
+    stats
+}
 
+/// 8-lane `f64` lanes: [`scalar_lanes`] over a CSR grid, bit for bit —
+/// every displacement, every counter — on the same voxel walk and staged
+/// tile as [`simd_lanes`] (positions only: [`LaneScratch::stage_f64`]).
+/// Per resident, two passes:
+///
+/// 1. **the radius gate, vectorised.** `(p1 − p2)²` over the contiguous
+///    tile columns in `Vec3::dot`'s add order, `≤ r²` straight to a
+///    bitmask ([`F64x8::le_bits`]; the agent's own lane is cleared by
+///    tile position), compacted — order preserved — into tile positions
+///    ([`U32x8::compacted`]), the pad lanes' survivors dropped off the
+///    end. Same IEEE operations per pair as the scalar gate, so the same
+///    pairs pass;
+/// 2. **Eq. 1 on the survivors only** (≈ 15 % of the candidates; run on
+///    all of them, two `vsqrtpd` and two `vdivpd` per four candidates
+///    cost more than the scalar loop they replace).
+///    [`interaction::collision_force`]'s expression tree, operation for
+///    operation — exact `sqrt` and `÷`, no FMA, the distance recomputed
+///    from the same operands rather than stored by pass 1 — on 8
+///    survivors a batch, their records gathered from the tile and their
+///    diameters by id. The contributions of the contact lanes are then
+///    added to **one scalar accumulator in candidate order**: the scalar
+///    loop's additions, in the scalar loop's order, which is why not a bit
+///    moves (per-lane partial sums would re-associate them).
+///
+/// The counters are integer sums over the same pairs: every tile entry
+/// but the agent itself is a tested point, every survivor a neighbor,
+/// every contact lane a contact, and the index gap rides pass 1 on the
+/// id lanes (the pad lanes hold id 0; their share is subtracted).
+///
+/// Nothing in the per-resident loop stores narrow and reloads wide, and
+/// nothing in the stage branches on a run's length: a sparse scene stages
+/// once per agent, and a failed store forward or a mispredicted `memcpy`
+/// per run there costs more than the agent's arithmetic.
+fn f64_lanes(
+    rm: &ResourceManager,
+    params: &SimParams,
+    grid: &CsrGrid<f64>,
+    groups: VoxelGroups<'_>,
+    out: &mut [Vec3<f64>],
+    lane: &mut LaneScratch,
+) -> SweepStats {
+    let positions = rm.position_columns();
+    let (diam, adh, mech) = (rm.diameter_column(), rm.adherence_column(), &params.mech);
+    let radius = interaction_radius(rm, params);
+    let r2v = F64x8::splat(radius * radius);
+    let halfv = F64x8::splat(0.5);
+    let repv = F64x8::splat(mech.repulsion);
+    let attv = F64x8::splat(mech.attraction);
+    let epsv = F64x8::splat(f64::EPSILON);
+    let mut stats = SweepStats::default();
+    let mut out = out.iter_mut();
+    for group in groups {
+        let tile = lane.stage_f64(grid, positions, &group);
+        let (len, batched, boxes) = (tile.len, tile.padded, tile.boxes);
+        stats.staged += 1;
+        let cs = &lane.ids[..batched];
+        let (pxs, pys, pzs) = (
+            &lane.wx[..batched],
+            &lane.wy[..batched],
+            &lane.wz[..batched],
+        );
+        let near = &mut lane.near[..batched];
+        let residents = out.by_ref().take(group.ranks.len());
+        for (t, slot) in (tile.center + group.ranks.start..).zip(residents) {
+            let i = cs[t];
+            let iv = U32x8::splat(i);
+            let (qx, qy, qz) = (
+                F64x8::splat(pxs[t]),
+                F64x8::splat(pys[t]),
+                F64x8::splat(pzs[t]),
+            );
+            // Pass 1: the gate. At most 8 survivors leave a batch, so the
+            // write cursor `found` never passes `off` and each 8-lane
+            // store stays inside `near`.
+            let mut gap_acc = U32x8::splat(0);
+            let mut inside = 0u32;
+            let mut found = 0usize;
+            let mut off = 0usize;
+            while off + LANES <= batched {
+                let dx = qx - F64x8::from_slice(&pxs[off..off + LANES]);
+                let dy = qy - F64x8::from_slice(&pys[off..off + LANES]);
+                let dz = qz - F64x8::from_slice(&pzs[off..off + LANES]);
+                let dist2 = dx * dx + dy * dy + dz * dz;
+                // The agent stands in its own tile: clear its lane.
+                let own = t.wrapping_sub(off);
+                let own_bit = if own < LANES { 1u32 << own } else { 0 };
+                inside = dist2.le_bits(r2v) & !own_bit;
+                U32x8::compacted(inside, off as u32).write_to_slice(&mut near[found..]);
+                found += inside.count_ones() as usize;
+                gap_acc = gap_acc + U32x8::from_slice(&cs[off..off + LANES]).abs_diff(iv);
+                off += LANES;
+            }
+            // Whatever sits under the pad lanes may have passed the gate
+            // too; those are the last survivors of the last batch.
+            found -= (inside >> (len + LANES - batched)).count_ones() as usize;
+            // Pass 2: Eq. 1 on the survivors. The last batch is padded
+            // with the agent itself — distance 0, never a contact.
+            near[found..found.next_multiple_of(LANES)].fill(t as u32);
+            let mut force = Vec3::zero();
+            let mut off = 0usize;
+            while off < found {
+                // Loaded here, not above: an agent with nobody in range
+                // (most of a sparse scene) never touches its diameter.
+                let r1v = F64x8::splat(diam[i as usize] * 0.5);
+                let at = U32x8::from_slice(&near[off..off + LANES]);
+                let rj = F64x8::gather(diam, U32x8::gather(cs, at)) * halfv;
+                let dx = qx - F64x8::gather(pxs, at);
+                let dy = qy - F64x8::gather(pys, at);
+                let dz = qz - F64x8::gather(pzs, at);
+                let dist2 = dx * dx + dy * dy + dz * dz;
+                let sum_r = r1v + rj;
+                let dist = dist2.sqrt();
+                let mut contact = dist2.lt_bits(sum_r * sum_r) & dist.gt_bits(epsv);
+                let delta = sum_r - dist;
+                let r_eff = (r1v * rj) / sum_r;
+                let magnitude = repv * delta - attv * (r_eff * delta).sqrt();
+                let scale = magnitude / dist;
+                let (fx, fy, fz) = (dx * scale, dy * scale, dz * scale);
+                stats.contacts += contact.count_ones() as u64;
+                while contact != 0 {
+                    let l = contact.trailing_zeros() as usize;
+                    force += Vec3::new(fx.0[l], fy.0[l], fz.0[l]);
+                    contact &= contact - 1;
+                }
+                off += LANES;
+            }
+            stats.counters.boxes_scanned += boxes;
+            stats.counters.points_tested += len as u64 - 1;
+            stats.counters.neighbors_found += found as u64;
+            // The pad lanes hold id 0: |0 − i| each.
+            stats.gap_sum += gap_acc.reduce_sum() - i as u64 * (batched - len) as u64;
+            *slot = interaction::displacement(force, adh[i as usize], mech);
+        }
+    }
+    debug_assert!(out.next().is_none(), "the groups cover the part");
     stats
 }
 
@@ -1048,7 +1455,7 @@ fn cpu_kdtree_step(
         rm,
         bufs,
         timed,
-        &cuts,
+        SweepParts::of_storage(&cuts),
         model,
         true,
         |rm, c, base, out, _| scalar_lanes(rm, params, &lists[c], base, out),
@@ -1091,7 +1498,7 @@ fn cpu_grid_step(
         rm,
         bufs,
         timed,
-        &cuts,
+        SweepParts::of_storage(&cuts),
         model,
         true,
         |rm, _, base, out, _| scalar_lanes(rm, params, &grid, base, out),
@@ -1147,27 +1554,43 @@ fn cpu_grid_csr_step(
         t0.elapsed().as_secs_f64(),
     );
 
-    // The global pass is the sweep's degenerate partition: one grid, cut
-    // every `CSR_PASS_CHUNK`.
-    let cuts = chunk_cuts(n);
-    let mut work = csr_sweep(rm, params, scratch, vec![build], &cuts, |_| &grid, true);
+    let parts = CsrParts::Global(&grid);
+    let mut work = csr_sweep(rm, params, scratch, vec![build], parts, true);
     work.csr_rebuilds_skipped = skipped as u64;
     scratch.csr = Some(grid);
     work
 }
 
+/// The two partitions a CSR sweep runs on.
+#[derive(Clone, Copy)]
+pub(crate) enum CsrParts<'a> {
+    /// One grid over every agent, walked in its own order: the parts are
+    /// [`CSR_PASS_CHUNK`]-slot ranges of `grid.cell_agents()` — the
+    /// voxel-grouped order, rebuilt every step on the geometry the sweep
+    /// uses, so every voxel is staged once whatever storage looks like —
+    /// and the displacements come back in slot order.
+    Global(&'a CsrGrid<f64>),
+    /// Storage sorted by `(voxel, id)`, cut at the shard ranges; part `s`
+    /// is agents `cuts[s]..cuts[s + 1]` under the shard-local `grids[s]`,
+    /// walked in storage order.
+    Shards {
+        cuts: &'a [usize],
+        grids: &'a [&'a CsrGrid<f64>],
+    },
+}
+
 /// What every CSR step does once its grid(s) exist: bring the f32
-/// mirrors up to date when the precision asks for them, run the sweep
-/// over `cuts` with part `c` reading `grid_of(c)`, integrate, and report.
-/// Shared by the global pass and [`ShardedEnvironment::step`], which is
-/// why sharding works at either precision.
-pub(crate) fn csr_sweep<'a>(
+/// mirrors up to date when the precision asks for them, walk every part
+/// voxel by voxel ([`VoxelGroups`]) through the precision's lane body,
+/// integrate, and report. Shared by the global pass and
+/// [`ShardedEnvironment::step`], which is why sharding works at either
+/// precision.
+pub(crate) fn csr_sweep(
     rm: &mut ResourceManager,
     params: &SimParams,
     scratch: &mut MechScratch,
     mut timed: Vec<(Phase, f64)>,
-    cuts: &[usize],
-    grid_of: impl Fn(usize) -> &'a CsrGrid<f64> + Sync,
+    parts: CsrParts<'_>,
     parallel: bool,
 ) -> MechWork {
     let mut refresh_copies = 0;
@@ -1196,11 +1619,32 @@ pub(crate) fn csr_sweep<'a>(
                  c: usize,
                  base: usize,
                  out: &mut [Vec3<f64>],
-                 lane: &mut LaneScratch| match model {
-        ForceModel::CsrF32 => simd_lanes(rm, params, mirrors, grid_of(c), base, out, lane),
-        _ => scalar_lanes(rm, params, grid_of(c), base, out),
+                 lane: &mut LaneScratch| {
+        let part = base..base + out.len();
+        let (grid, groups) = match parts {
+            CsrParts::Global(grid) => (grid, VoxelGroups::of_slots(grid, part)),
+            CsrParts::Shards { grids, .. } => {
+                let groups = VoxelGroups::of_sorted_storage(grids[c], rm.position_columns(), part);
+                (grids[c], groups)
+            }
+        };
+        match model {
+            ForceModel::CsrF32 => simd_lanes(rm, params, mirrors, grid, groups, out, lane),
+            _ => f64_lanes(rm, params, grid, groups, out, lane),
+        }
     };
-    let mut work = force_sweep(rm, bufs, timed, cuts, model, parallel, lanes);
+    let global_cuts;
+    let parts = match parts {
+        CsrParts::Global(grid) => {
+            global_cuts = chunk_cuts(rm.len());
+            SweepParts {
+                cuts: &global_cuts,
+                agent_of: Some(grid.cell_agents()),
+            }
+        }
+        CsrParts::Shards { cuts, .. } => SweepParts::of_storage(cuts),
+    };
+    let mut work = force_sweep(rm, bufs, timed, parts, model, parallel, lanes);
     if let Some(simd) = &mut work.simd {
         simd.refresh_copies = refresh_copies;
     }
@@ -1237,7 +1681,7 @@ fn gpu_step(
         report
     } else {
         let (disp, report) = pipeline.step(&scene, &params.mech);
-        apply_displacements(rm, &disp);
+        apply_displacements(rm, &disp, None);
         report
     };
     MechWork::offloaded(report)
@@ -1681,46 +2125,92 @@ mod tests {
         stats
     }
 
-    /// One part of a sweep: an agent range and the grid it reads.
+    /// One part of a sweep: a range of the walk's order and the grid it
+    /// reads.
     type OraclePart<'a> = (std::ops::Range<usize>, &'a CsrGrid<f64>);
 
-    /// Both lane bodies over `parts`, compared per agent on displacement
-    /// bits and per part on every statistic. `lane` is the caller's, so a
-    /// stage left by one part (or one scene) is what the next starts on.
-    /// Returns the stages the staged body took.
+    /// What the ranges of the oracle's parts index.
+    #[derive(Debug, Clone, Copy)]
+    enum Cut {
+        /// Slots of the (global) grid's `cell_agents()`.
+        Slots,
+        /// Agents of `(voxel, id)`-sorted storage, under shard-local
+        /// grids.
+        SortedStorage,
+    }
+
+    /// The staged lane body of `params.precision` over `parts`, against
+    /// the retained per-agent kernel of that precision — the per-agent
+    /// gather body for `f32`, [`scalar_lanes`] over the grid's
+    /// `NeighborSource` for `f64` — run one agent at a time: per agent
+    /// on displacement bits **after mapping the part's entries back to
+    /// agents**, per part on every statistic, and on the stage count,
+    /// which is the part's non-empty voxels. `lane` is the caller's, so
+    /// whatever one part (or one scene) left staged is what the next
+    /// starts on. Returns the stages taken.
     fn assert_matches_reference(
         rm: &ResourceManager,
         params: &SimParams,
+        cut: Cut,
         parts: &[OraclePart<'_>],
         lane: &mut LaneScratch,
     ) -> u64 {
+        let f32_body = params.precision == Precision::F32Simd;
         let mut mirrors = SimdMirrors::default();
-        mirrors.refresh(rm);
+        if f32_body {
+            mirrors.refresh(rm);
+        }
+        let fields = |s: &SweepStats| {
+            [
+                s.counters.points_tested,
+                s.counters.neighbors_found,
+                s.counters.boxes_scanned,
+                s.contacts,
+                s.gap_sum,
+                s.simd.lanes_utilized,
+                s.simd.pad_lanes,
+            ]
+        };
         let mut staged = 0;
         for (range, grid) in parts {
-            let mut got = vec![Vec3::zero(); range.len()];
-            let mut want = got.clone();
-            let g = simd_lanes(rm, params, &mirrors, grid, range.start, &mut got, lane);
-            let w = simd_lanes_reference(rm, params, &mirrors, grid, range.start, &mut want);
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                let bits = |v: &Vec3<f64>| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
-                assert_eq!(bits(g), bits(w), "agent {} of {range:?}", range.start + k);
-            }
-            let fields = |s: &SweepStats| {
-                [
-                    s.counters.points_tested,
-                    s.counters.neighbors_found,
-                    s.counters.boxes_scanned,
-                    s.contacts,
-                    s.gap_sum,
-                    s.simd.lanes_utilized,
-                    s.simd.pad_lanes,
-                ]
+            let (agents, groups): (Vec<usize>, _) = match cut {
+                Cut::Slots => (
+                    grid.cell_agents()[range.clone()]
+                        .iter()
+                        .map(|id| id.index())
+                        .collect(),
+                    VoxelGroups::of_slots(grid, range.clone()),
+                ),
+                Cut::SortedStorage => (
+                    range.clone().collect(),
+                    VoxelGroups::of_sorted_storage(grid, rm.position_columns(), range.clone()),
+                ),
             };
-            assert_eq!(fields(&g), fields(&w), "statistics of {range:?}");
-            assert!(g.simd.stencils_staged <= range.len() as u64);
-            assert_eq!(g.simd.stencils_staged == 0, range.is_empty());
-            staged += g.simd.stencils_staged;
+            let mut got = vec![Vec3::zero(); range.len()];
+            let g = if f32_body {
+                simd_lanes(rm, params, &mirrors, grid, groups, &mut got, lane)
+            } else {
+                f64_lanes(rm, params, grid, groups, &mut got, lane)
+            };
+            let mut want_fields = [0u64; 7];
+            let mut voxels = std::collections::BTreeSet::new();
+            for (&i, got) in agents.iter().zip(&got) {
+                let mut want = [Vec3::zero()];
+                let w = if f32_body {
+                    simd_lanes_reference(rm, params, &mirrors, grid, i, &mut want)
+                } else {
+                    scalar_lanes(rm, params, *grid, i, &mut want)
+                };
+                let bits = |v: &Vec3<f64>| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+                assert_eq!(bits(got), bits(&want[0]), "agent {i} of {cut:?} {range:?}");
+                for (sum, field) in want_fields.iter_mut().zip(fields(&w)) {
+                    *sum += field;
+                }
+                voxels.insert(grid.box_index(rm.position(i)));
+            }
+            assert_eq!(fields(&g), want_fields, "statistics of {cut:?} {range:?}");
+            assert_eq!(g.staged, voxels.len() as u64, "stages of {cut:?} {range:?}");
+            staged += g.staged;
         }
         staged
     }
@@ -1730,23 +2220,48 @@ mod tests {
     enum Storage {
         Sorted(bdm_morton::Curve),
         Shuffled,
+        /// A Z-order-sorted prefix followed by an unsorted tail — what a
+        /// division wave leaves behind (daughters are appended).
+        TwoRuns,
     }
 
     fn store(rm: &mut ResourceManager, params: &SimParams, storage: Storage, seed: u64) {
+        let mut rng = SplitMix64::new(seed ^ 0x5eed);
+        let mut shuffle = |rm: &mut ResourceManager| {
+            let keys: Vec<(u64, u64)> = rm
+                .uid_column()
+                .iter()
+                .map(|&uid| (rng.next_u64(), uid))
+                .collect();
+            let perm = bdm_soa::Permutation::sorting_by_key(&keys);
+            rm.apply_permutation(&perm, &mut crate::rm::ReorderScratch::default());
+        };
         match storage {
             Storage::Sorted(curve) => sort_along(rm, params, curve),
-            Storage::Shuffled => {
-                let mut rng = SplitMix64::new(seed ^ 0x5eed);
-                let keys: Vec<(u64, u64)> = rm
-                    .uid_column()
-                    .iter()
-                    .map(|&uid| (rng.next_u64(), uid))
+            Storage::Shuffled => shuffle(rm),
+            Storage::TwoRuns => {
+                // Sort a random two thirds to the front, by cell key.
+                shuffle(rm);
+                let radius = interaction_radius(rm, params);
+                let (xs, ys, zs) = rm.position_columns();
+                let curve = bdm_morton::Curve::ZOrder;
+                let cells = bdm_morton::cell_keys(xs, ys, zs, &params.space, radius, curve);
+                let sorted = rm.len() as u64 * 2 / 3;
+                let keys: Vec<(u64, u64)> = (cells.into_iter().zip(0u64..))
+                    .map(|(cell, i)| if i < sorted { (0, cell) } else { (1, i) })
                     .collect();
                 let perm = bdm_soa::Permutation::sorting_by_key(&keys);
                 rm.apply_permutation(&perm, &mut crate::rm::ReorderScratch::default());
             }
         }
     }
+
+    const STORAGES: [Storage; 4] = [
+        Storage::Sorted(bdm_morton::Curve::ZOrder),
+        Storage::Sorted(bdm_morton::Curve::Hilbert),
+        Storage::Shuffled,
+        Storage::TwoRuns,
+    ];
 
     type OracleScene = (ResourceManager, SimParams);
 
@@ -1755,11 +2270,18 @@ mod tests {
     /// x-runs) empty; agents exactly on voxel faces, on the upper space
     /// boundary and beyond it (where `box_coords` clamps); all eight
     /// corner voxels (8-voxel stencils); coincident pairs (`dist ≤ ε`);
+    /// pairs exactly one largest diameter apart (`dist² == r²` under the
+    /// derived radius, `dist² == sum_r²` when both have that diameter);
     /// and, when `crowd`, one voxel with > 128 residents, whose stencil
     /// outgrows the stage's first allocation.
-    fn oracle_scene(seed: u64, radius_override: Option<f64>, crowd: bool) -> OracleScene {
+    fn oracle_scene(
+        seed: u64,
+        radius_override: Option<f64>,
+        crowd: bool,
+        precision: Precision,
+    ) -> OracleScene {
         let half = 6.0;
-        let mut params = SimParams::cube(half).with_precision(Precision::F32Simd);
+        let mut params = SimParams::cube(half).with_precision(precision);
         if let Some(r) = radius_override {
             params = params.with_interaction_radius(r);
         }
@@ -1818,6 +2340,19 @@ mod tests {
             let diameter = [1.0, 1.6, 2.0, 2.5][(rng.next_u64() % 4) as usize];
             rm.add(CellBuilder::new(p).diameter(diameter).adherence(0.01));
         }
+        // Touching pairs, on dyadic coordinates so the squared distance
+        // is exactly 2.5².
+        let offsets = [
+            Vec3::new(2.5, 0.0, 0.0),
+            Vec3::new(0.0, 2.5, 0.0),
+            Vec3::new(1.5, 0.0, 2.0),
+        ];
+        for (k, offset) in offsets.into_iter().enumerate() {
+            let p = Vec3::new(-4.0 + k as f64, 0.25 * k as f64, -1.5);
+            for p in [p, p + offset] {
+                rm.add(CellBuilder::new(p).diameter(2.5).adherence(0.01));
+            }
+        }
         (rm, params)
     }
 
@@ -1838,118 +2373,189 @@ mod tests {
         at.windows(2).map(|w| w[0]..w[1]).collect()
     }
 
+    /// The oracle over global grids: crowded scene then thin scene
+    /// through one `LaneScratch` — the crowded one grows it, the thin one
+    /// after it runs on its stale tail — in storage order `order`, cut at
+    /// `cuts` unaligned slots.
+    fn global_oracle_case(
+        seed: u64,
+        order: usize,
+        derived: bool,
+        cuts: usize,
+        precision: Precision,
+    ) {
+        let radius = (!derived).then_some(2.0 + (seed % 3) as f64 * 0.55);
+        let mut lane = LaneScratch::default();
+        let mut rng = SplitMix64::new(seed ^ 0xc0ffee);
+        for crowd in [true, false] {
+            let (mut rm, params) = oracle_scene(seed, radius, crowd, precision);
+            store(&mut rm, &params, STORAGES[order], seed);
+            let grid = global_grid(&rm, &params);
+            let parts: Vec<OraclePart<'_>> = random_ranges(rm.len(), cuts, &mut rng)
+                .into_iter()
+                .map(|r| (r, &grid))
+                .collect();
+            assert_matches_reference(&rm, &params, Cut::Slots, &parts, &mut lane);
+            if crowd {
+                let grown = lane.px.len().max(lane.wx.len());
+                assert!(grown > 128, "the crowded stencil grew the stage");
+            }
+        }
+    }
+
+    /// The oracle on shard-local grids: four shards, each part reading
+    /// its own grid of owned + halo members, in the driver's storage
+    /// order.
+    fn shard_oracle_case(seed: u64, derived: bool, precision: Precision) {
+        let radius = (!derived).then_some(2.0 + (seed % 3) as f64 * 0.55);
+        let (mut rm, params) = oracle_scene(seed, radius, seed.is_multiple_of(2), precision);
+        let mut params = params.with_shards(4).with_shard_rebalance(1, 1.0);
+        // Frozen: the step below builds the shard grids (and sorts
+        // storage) but moves nobody, so they stay the grids of `rm`.
+        params.mech.max_displacement = 0.0;
+        let mut driver = ShardedEnvironment::new(4);
+        driver.rebalance(&rm, &params);
+        let work = driver.step(&mut rm, &params, true, &mut MechScratch::default());
+        assert!(driver.halo_agents() > 0, "shards import halos");
+        let parts: Vec<OraclePart<'_>> = driver.parts().collect();
+        assert_eq!(parts.len(), 4);
+        let cut = Cut::SortedStorage;
+        let staged =
+            assert_matches_reference(&rm, &params, cut, &parts, &mut LaneScratch::default());
+        assert_eq!(work.stencils_staged, Some(staged));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// The voxel-staged lane body against the retained per-agent
-        /// kernel, bit for bit, over global grids in every storage order
-        /// with unaligned cuts. One `LaneScratch` serves the whole case:
-        /// the crowded scene grows it, the thin scene after it runs on
-        /// its stale tail.
+        /// The voxel-staged `f32` lane body against the retained
+        /// per-agent gather kernel, bit for bit, over global grids in
+        /// every storage order with unaligned cuts.
         #[test]
         fn staged_lanes_match_the_per_agent_kernel_bitwise(
             seed in 0u64..10_000,
-            order in 0usize..3,
+            order in 0usize..STORAGES.len(),
             derived in proptest::prelude::any::<bool>(),
             cuts in 0usize..7,
         ) {
-            let storage = [
-                Storage::Sorted(bdm_morton::Curve::ZOrder),
-                Storage::Sorted(bdm_morton::Curve::Hilbert),
-                Storage::Shuffled,
-            ][order];
-            let radius = (!derived).then_some(2.0 + (seed % 3) as f64 * 0.55);
-            let mut lane = LaneScratch::default();
-            let mut rng = SplitMix64::new(seed ^ 0xc0ffee);
-            for crowd in [true, false] {
-                let (mut rm, params) = oracle_scene(seed, radius, crowd);
-                store(&mut rm, &params, storage, seed);
-                let grid = global_grid(&rm, &params);
-                let parts: Vec<OraclePart<'_>> = random_ranges(rm.len(), cuts, &mut rng)
-                    .into_iter()
-                    .map(|r| (r, &grid))
-                    .collect();
-                assert_matches_reference(&rm, &params, &parts, &mut lane);
-                if crowd {
-                    assert!(lane.px.len() > 128, "the crowded stencil grew the stage");
-                }
-            }
+            global_oracle_case(seed, order, derived, cuts, Precision::F32Simd);
         }
 
-        /// The same identity on shard-local grids: four shards, each
-        /// part reading its own grid of owned + halo members.
+        /// The same identity on shard-local grids.
         #[test]
         fn staged_lanes_match_the_per_agent_kernel_on_shard_grids(
             seed in 0u64..10_000,
             derived in proptest::prelude::any::<bool>(),
         ) {
-            let radius = (!derived).then_some(2.0 + (seed % 3) as f64 * 0.55);
-            let (mut rm, params) = oracle_scene(seed, radius, seed % 2 == 0);
-            let mut params = params.with_shards(4).with_shard_rebalance(1, 1.0);
-            // Frozen: the step below builds the shard grids (and sorts
-            // storage) but moves nobody, so they stay the grids of `rm`.
-            params.mech.max_displacement = 0.0;
-            let mut driver = ShardedEnvironment::new(4);
-            driver.rebalance(&rm, &params);
-            let work = driver.step(&mut rm, &params, true, &mut MechScratch::default());
-            assert!(driver.halo_agents() > 0, "shards import halos");
-            let parts: Vec<OraclePart<'_>> = driver.parts().collect();
-            assert_eq!(parts.len(), 4);
-            let staged = assert_matches_reference(&rm, &params, &parts, &mut LaneScratch::default());
-            assert_eq!(work.simd.expect("f32 lanes ran").stencils_staged, staged);
+            shard_oracle_case(seed, derived, Precision::F32Simd);
+        }
+
+        /// The staged `f64` lane body against the scalar kernel it
+        /// replaced under CSR ([`scalar_lanes`] over the grid's x-runs),
+        /// bit for bit, on the same scenes, orders and cuts — and on
+        /// shard-local grids.
+        #[test]
+        fn staged_f64_lanes_match_the_scalar_kernel_bitwise(
+            seed in 0u64..10_000,
+            order in 0usize..STORAGES.len(),
+            derived in proptest::prelude::any::<bool>(),
+            cuts in 0usize..7,
+        ) {
+            global_oracle_case(seed, order, derived, cuts, Precision::F64);
+            if cuts == 0 {
+                shard_oracle_case(seed, derived, Precision::F64);
+            }
         }
     }
 
     #[test]
     fn a_single_agent_stages_its_own_stencil() {
-        let params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
-        let mut rm = ResourceManager::new();
-        rm.add(CellBuilder::new(Vec3::new(1.0, 2.0, 3.0)).diameter(2.0));
-        let grid = global_grid(&rm, &params);
-        let staged =
-            assert_matches_reference(&rm, &params, &[(0..1, &grid)], &mut LaneScratch::default());
-        assert_eq!(staged, 1);
-        let work = mechanical_step(
-            &mut rm,
-            &params,
-            &EnvironmentKind::uniform_grid_csr_serial(),
-            None,
-        );
-        let simd = work.simd.expect("f32 lanes ran");
-        assert_eq!(
-            (work.candidates, simd.pad_lanes),
-            (0, 7),
-            "one batch: itself + 7 pads"
-        );
+        for (precision, pad_lanes) in [(Precision::F32Simd, Some(7)), (Precision::F64, None)] {
+            let params = SimParams::cube(6.0).with_precision(precision);
+            let mut rm = ResourceManager::new();
+            rm.add(CellBuilder::new(Vec3::new(1.0, 2.0, 3.0)).diameter(2.0));
+            let grid = global_grid(&rm, &params);
+            let (parts, lane) = ([(0..1, &grid)], &mut LaneScratch::default());
+            let staged = assert_matches_reference(&rm, &params, Cut::Slots, &parts, lane);
+            assert_eq!(staged, 1);
+            let work = mechanical_step(
+                &mut rm,
+                &params,
+                &EnvironmentKind::uniform_grid_csr_serial(),
+                None,
+            );
+            // One batch: itself + 7 pads.
+            assert_eq!(work.candidates, 0);
+            assert_eq!(work.simd.map(|simd| simd.pad_lanes), pad_lanes);
+            assert_eq!(work.stencils_staged, Some(1));
+        }
     }
 
-    /// Stencil reuse — the reason-labelled counter of the one host fast
-    /// path: on voxel-sorted storage consecutive agents share a voxel and
-    /// all but the first of its residents reuse the staged tile; on
-    /// shuffled storage almost nobody does. Same bits either way.
+    /// The stage count is a function of the grid and the cuts: every
+    /// non-empty voxel is staged once, plus once more per part boundary
+    /// that splits its residents — on sorted and on shuffled storage
+    /// alike, at either precision. Same bits as the oracle either way.
     #[test]
-    fn sorted_storage_reuses_stencils() {
+    fn every_voxel_is_staged_once() {
         let sim = crate::workload::benchmark_b(20_000, 47.0, 11);
-        let params = sim.params().clone().with_precision(Precision::F32Simd);
-        let reuse_of = |storage: Storage| {
-            let mut rm = sim.rm().clone();
-            store(&mut rm, &params, storage, 11);
-            let grid = global_grid(&rm, &params);
-            let cuts = chunk_cuts(rm.len());
-            let parts: Vec<OraclePart<'_>> = cuts.windows(2).map(|w| (w[0]..w[1], &grid)).collect();
-            let staged =
-                assert_matches_reference(&rm, &params, &parts, &mut LaneScratch::default());
-            // The sweep itself reports the same count.
-            let env = EnvironmentKind::uniform_grid_csr_parallel();
-            let work = mechanical_step(&mut rm.clone(), &params, &env, None);
-            let simd = work.simd.expect("f32 lanes ran");
-            assert_eq!(simd.stencils_staged, staged);
-            simd.stencil_reuse(rm.len())
+        for precision in [Precision::F32Simd, Precision::F64] {
+            let params = sim.params().clone().with_precision(precision);
+            let staged_on = |storage: Storage| {
+                let mut rm = sim.rm().clone();
+                store(&mut rm, &params, storage, 11);
+                let grid = global_grid(&rm, &params);
+                let cuts = chunk_cuts(rm.len());
+                let parts: Vec<OraclePart<'_>> =
+                    cuts.windows(2).map(|w| (w[0]..w[1], &grid)).collect();
+                let lane = &mut LaneScratch::default();
+                let staged = assert_matches_reference(&rm, &params, Cut::Slots, &parts, lane);
+                let starts = grid.cell_starts();
+                let occupied = starts.windows(2).filter(|w| w[0] < w[1]).count();
+                let split = cuts[1..cuts.len() - 1]
+                    .iter()
+                    .filter(|&&c| starts.binary_search(&(c as u32)).is_err())
+                    .count();
+                assert_eq!(staged, (occupied + split) as u64, "{storage:?}");
+                // The sweep itself reports the same count.
+                let env = EnvironmentKind::uniform_grid_csr_parallel();
+                let work = mechanical_step(&mut rm.clone(), &params, &env, None);
+                assert_eq!(work.stencils_staged, Some(staged));
+                let reuse = work.stencil_reuse(rm.len()).expect("a CSR sweep");
+                assert!(reuse >= 0.85, "{precision:?} {storage:?}: reuse {reuse}");
+                staged
+            };
+            let sorted = staged_on(Storage::Sorted(bdm_morton::Curve::ZOrder));
+            assert_eq!(sorted, staged_on(Storage::Shuffled), "{precision:?}");
+        }
+    }
+
+    /// The slot → agent apply, end to end: one step of the f64 CSR path
+    /// on shuffled storage moves every agent, by uid, exactly as applying
+    /// the scalar kernel's displacements in storage order does.
+    #[test]
+    fn a_step_on_shuffled_storage_moves_every_agent_as_the_oracle_does() {
+        let (mut rm, params) = oracle_scene(5, None, true, Precision::F64);
+        store(&mut rm, &params, Storage::Shuffled, 5);
+        let grid = global_grid(&rm, &params);
+        let mut want = rm.clone();
+        let mut disp = vec![Vec3::zero(); rm.len()];
+        scalar_lanes(&rm, &params, &grid, 0, &mut disp);
+        apply_displacements(&mut want, &disp, None);
+        let by_uid = |rm: &ResourceManager| -> Vec<(u64, [u64; 3])> {
+            let mut at: Vec<_> = (0..rm.len())
+                .map(|i| {
+                    let p = rm.position(i);
+                    (rm.uid_column()[i], [p.x, p.y, p.z].map(f64::to_bits))
+                })
+                .collect();
+            at.sort_unstable();
+            at
         };
-        let sorted = reuse_of(Storage::Sorted(bdm_morton::Curve::ZOrder));
-        let shuffled = reuse_of(Storage::Shuffled);
-        assert!(sorted >= 0.85, "sorted storage reuses stencils: {sorted}");
-        assert!(shuffled <= 0.10, "shuffled storage cannot: {shuffled}");
+        let before = by_uid(&rm);
+        let env = EnvironmentKind::uniform_grid_csr_parallel();
+        mechanical_step(&mut rm, &params, &env, None);
+        assert_ne!(by_uid(&rm), before, "the scene moves");
+        assert_eq!(by_uid(&rm), by_uid(&want));
     }
 
     #[test]
@@ -1977,29 +2583,36 @@ mod tests {
             mechanical_step(&mut fresh, &params, &env, None);
             assert_eq!(positions(&rm), positions(&fresh), "{env:?} {precision:?}");
         }
-        // The 8-lane body's per-part stage lives there too: once a step
+        // The CSR bodies' per-part stage lives there too: once a step
         // has sized it, a second step over the same (frozen) scene finds
         // every buffer large enough — the sweep's tasks allocate nothing.
-        let mut params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
-        params.mech.max_displacement = 0.0;
-        let env = EnvironmentKind::uniform_grid_csr_parallel();
-        let mut rm = random_population(CSR_PASS_CHUNK + 300, 5.5, 23);
-        let mut scratch = MechScratch::default();
-        let capacities = |scratch: &MechScratch| -> Vec<[usize; 8]> {
-            let cap = |l: &LaneScratch| {
-                let f32s = [&l.px, &l.py, &l.pz, &l.dj, &l.fx, &l.fy, &l.fz].map(Vec::capacity);
-                let mut caps = [l.ids.capacity(); 8];
-                caps[1..].copy_from_slice(&f32s);
-                caps
+        for (precision, columns) in [(Precision::F32Simd, 8), (Precision::F64, 5)] {
+            let mut params = SimParams::cube(6.0).with_precision(precision);
+            params.mech.max_displacement = 0.0;
+            let env = EnvironmentKind::uniform_grid_csr_parallel();
+            let mut rm = random_population(CSR_PASS_CHUNK + 300, 5.5, 23);
+            let mut scratch = MechScratch::default();
+            let capacities = |scratch: &MechScratch| -> Vec<Vec<usize>> {
+                let cap = |l: &LaneScratch| {
+                    let narrow = [&l.px, &l.py, &l.pz, &l.dj, &l.fx, &l.fy, &l.fz];
+                    let wide = [&l.wx, &l.wy, &l.wz];
+                    let caps = [l.ids.capacity(), l.near.capacity()].into_iter();
+                    let caps = caps.chain(narrow.map(Vec::capacity));
+                    caps.chain(wide.map(Vec::capacity)).collect()
+                };
+                scratch.lanes.iter().map(cap).collect()
             };
-            scratch.lanes.iter().map(cap).collect()
-        };
-        mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        let first = capacities(&scratch);
-        assert_eq!(first.len(), 2, "one stage per sweep part");
-        assert!(first.iter().flatten().all(|&c| c >= LANES));
-        mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        assert_eq!(capacities(&scratch), first);
+            mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+            let first = capacities(&scratch);
+            assert_eq!(first.len(), 2, "one stage per sweep part");
+            for caps in &first {
+                // The tile's ids plus the body's own columns, and only those.
+                let sized = caps.iter().filter(|&&c| c >= LANES).count();
+                assert_eq!((sized, caps[0] >= LANES), (columns, true), "{precision:?}");
+            }
+            mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+            assert_eq!(capacities(&scratch), first, "{precision:?}");
+        }
     }
 
     #[test]

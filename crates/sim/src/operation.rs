@@ -140,8 +140,16 @@ impl Operation for ReorderOp {
         let n = ctx.rm.len();
         let mut moved = 0u64;
         if n > 1 {
-            // Quantize at the same cell edge the uniform grid uses, with
-            // the same dims clamp, so "same key" == "same grid voxel".
+            // Quantize at the cell edge the uniform grid uses, with the
+            // same dims clamp, so "same key" == "same grid voxel" — of a
+            // grid cut *now*. The mechanics grid of this very step is cut
+            // on the radius after the step's growth, so the identity
+            // lasts only until the next diameter change: on
+            // `division_growth`'s reorder step only 0.18 of the agents
+            // still follow a resident of their own mechanics voxel in
+            // storage (0.08–0.10 after a division wave appends daughters).
+            // The sort buys gather locality; the CSR sweep takes its
+            // voxel grouping from the grid itself (`mech::VoxelGroups`).
             let radius = mech::interaction_radius(ctx.rm, ctx.params);
             let (xs, ys, zs) = ctx.rm.position_columns();
             let cells = bdm_morton::cell_keys(

@@ -35,7 +35,7 @@
 //! 1, 2, 4, 8, … shards and for the unsharded pass, which is what the
 //! `shard_determinism` proptests pin at both precisions.
 
-use crate::mech::{self, MechScratch, MechWork};
+use crate::mech::{self, CsrParts, MechScratch, MechWork};
 use crate::param::SimParams;
 use crate::rm::{ReorderScratch, ResourceManager};
 use bdm_device::cpu::Phase;
@@ -403,9 +403,16 @@ impl ShardedEnvironment {
         let cuts: Vec<usize> = std::iter::once(0)
             .chain(self.ranges.iter().map(|r| r.end))
             .collect();
-        let shards = &self.shards;
-        let grid_of = |s: usize| shards[s].grid.as_ref().expect("shard grid built this step");
-        mech::csr_sweep(rm, params, scratch, timed, &cuts, grid_of, shard_parallel)
+        let grids: Vec<&CsrGrid<f64>> = self
+            .shards
+            .iter()
+            .map(|st| st.grid.as_ref().expect("shard grid built this step"))
+            .collect();
+        let parts = CsrParts::Shards {
+            cuts: &cuts,
+            grids: &grids,
+        };
+        mech::csr_sweep(rm, params, scratch, timed, parts, shard_parallel)
     }
 
     /// Curve-order load rebalancing, run at the scheduled cadence:

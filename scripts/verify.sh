@@ -15,9 +15,18 @@ for threads in 1 2 4; do
     RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim \
         --test shard_determinism --test diffusion_parity --test resume_equivalence
 done
+# Both lane bodies of the CSR voxel walk against their per-agent
+# oracles, in release mode (the optimizer must not re-associate the
+# in-order f64 accumulation), and the stage count.
+cargo test -q --offline --release -p bdm-sim --lib -- \
+    staged_lanes_match_the_per_agent_kernel \
+    staged_f64_lanes_match_the_scalar_kernel_bitwise \
+    every_voxel_is_staged_once \
+    a_step_on_shuffled_storage_moves_every_agent_as_the_oracle_does
 # Portable baseline: without x86-64-v3 the lane ops compile their
 # `not(avx2)` array bodies, which must produce the same bits — the lane
-# kernel's oracle and pinned fingerprints, the f32 determinism and
+# kernels' oracles (f32 and f64; the f64 ops' array bodies have no
+# other coverage) and pinned fingerprints, the f32 determinism and
 # precision suites, and the checkpoint golden bytes.
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
     -p bdm-math -p bdm-sim --lib
