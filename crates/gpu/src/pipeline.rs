@@ -1664,6 +1664,38 @@ mod tests {
         })
     }
 
+    /// The dense golden scene: ≈ 10 agents per voxel, so version III
+    /// overflows a tile of the cut-down device and DynPar's queue fills.
+    const DENSE_N: usize = 640;
+    const DENSE_EXTENT: f64 = 4.0;
+
+    /// Version III's tile capacity on `system` — the pipeline's formula.
+    fn tile_cap(system: &SystemSpec) -> usize {
+        ((system.gpu.shared_mem_per_sm as usize / 8).saturating_sub(2) / 5).min(2048)
+    }
+
+    fn report_words(r: &GpuStepReport) -> impl Iterator<Item = u64> + '_ {
+        let bits = |c: &KernelCounters| fnv(c.field_bits().map(|(_, b)| b));
+        [
+            bits(&r.counters),
+            bits(&r.mech_counters),
+            r.build_s.to_bits(),
+            r.mech_s.to_bits(),
+            r.total_s.to_bits(),
+            r.h2d_s.to_bits(),
+            r.d2h_s.to_bits(),
+            r.bytes_h2d,
+            r.bytes_d2h,
+            r.midstep_syncs as u64,
+        ]
+        .into_iter()
+    }
+
+    fn vec_words(vs: &[Vec3<f64>]) -> impl Iterator<Item = u64> + '_ {
+        vs.iter()
+            .flat_map(|d| [d.x.to_bits(), d.y.to_bits(), d.z.to_bits()])
+    }
+
     /// Every simulated statistic of a step, pinned to the values the
     /// `BTreeMap`-of-`Vec`s coalescer produced (hard-coded from a run of
     /// the commit before the engine's trace path moved onto flat arenas):
@@ -1674,123 +1706,451 @@ mod tests {
     /// not notice a reordered transaction stream. Row = counters hash,
     /// mech-counters hash, `build_s` / `mech_s` / `total_s` bits,
     /// displacement hash.
+    ///
+    /// The sparse scene (≈ 2 agents per voxel) never overflows version
+    /// III's tile and never fills DynPar's queue, so the `true` rows run
+    /// a dense one on a device with 4 KB of shared memory per SM: the
+    /// tile holds 102 entries, face and interior voxels overflow into
+    /// the global fallback, and most cells go through the child and
+    /// finish kernels (both asserted, so the rows cannot go vacuous).
+    /// The resident rows below pin what no `step` row reaches: the sync
+    /// paths, the grid skip, on-device compaction and integration. All
+    /// hard-coded from a run of the commit before the kernels moved onto
+    /// one force walk.
     #[test]
     fn step_reports_match_the_parent_goldens() {
-        const GOLDEN: [(KernelVersion, u64, &str); 12] = [
+        const GOLDEN: [(bool, KernelVersion, u64, &str); 24] = [
             (
+                false,
                 KernelVersion::V0,
                 1,
                 "7815cd4a8a2aca01 bc2eda9790731f41 3ee10383d050f3f6 \
                  3efd77f34883be34 3f204800e4929a57 e7e75dffc2a3c910",
             ),
             (
+                false,
                 KernelVersion::V0,
                 4,
                 "9b77fe90d391cf49 5184900088673d4d 3ee110cc52d29cec \
                  3f0b0ed2e8f7e9c1 3f235d8bbde83790 e7e75dffc2a3c910",
             ),
             (
+                false,
                 KernelVersion::V1Fp32,
                 1,
                 "e53efa96a895aa65 fff0db4711781fa5 3ee0ff10ecf7ec05 \
                  3ef99a81b09fa7d2 3f1e8ba78cb5af3f 1bbf81831a510735",
             ),
             (
+                false,
                 KernelVersion::V1Fp32,
                 4,
                 "a2f94b602cc323cd 21e233075e6f51e9 3ee0ff8201b9f412 \
                  3ef9da49ca7e2008 3f1e9ba7b5c58e4e 1bbf81831a510735",
             ),
             (
+                false,
                 KernelVersion::V2Sorted,
                 1,
                 "b3ccdf12a895aa65 51a6bed311781fa5 3ee16abb67ae06a5 \
                  3eea61482db1cebe 3f1b7ea5759ac276 1bbf81831a510735",
             ),
             (
+                false,
                 KernelVersion::V2Sorted,
                 4,
                 "1ebf10102cc323cd c1ac36f75e6f51e9 3ee173755558c50a \
                  3ee9ffa94230db7c 3f1b7388d5dffbda 1bbf81831a510735",
             ),
             (
+                false,
                 KernelVersion::V3Shared,
                 1,
                 "36cb2fa7bdb2b3c7 21964c2ade8e2a07 3ee16abb67ae06a5 \
                  3f09ed49e1cc611e 3f2542e61312a02c 1bbf81831a510735",
             ),
             (
+                false,
                 KernelVersion::V3Shared,
                 4,
                 "6e6b442a0da3d0a3 a1a3468e03d1d33c 3ee173755558c50a \
                  3f09b0f3c6107eaf 3f25345c2afe5376 1bbf81831a510735",
             ),
             (
+                false,
                 KernelVersion::V4Csr,
                 1,
                 "5f3cc1807dd04825 14f8f25611781fa5 3ef11966c9037f23 \
                  3eea09206cb7d126 3f2175b6c7cd1ad8 00304e101a510735",
             ),
             (
+                false,
                 KernelVersion::V4Csr,
                 4,
                 "1c9cc8f7393408b1 046116ae5e6f51e9 3ef11dc3bfd8de56 \
                  3ee9a469efe8a588 3f216ff6fedad404 00304e101a510735",
             ),
             (
+                false,
                 KernelVersion::DynPar,
                 1,
                 "04e1dc3da895aa65 7007a05011781fa5 3ee16abb67ae06a5 \
                  3eeaed876c56caea 3f1b902d5d6f61fc 1bbf81831a510735",
             ),
             (
+                false,
                 KernelVersion::DynPar,
                 4,
                 "d20920432cc323cd 5bb20f245e6f51e9 3ee173755558c50a \
                  3eea861237ad48b2 3f1b8455f48f8981 1bbf81831a510735",
+            ),
+            (
+                true,
+                KernelVersion::V0,
+                1,
+                "188c79ef46c4003b f170d28e4e0b7393 3ee0e450c3689de2 \
+                 3ef963c7c04ad4a6 3f1e5342302537b0 a2f827216fb6a760",
+            ),
+            (
+                true,
+                KernelVersion::V0,
+                4,
+                "4204f86309edb0e9 28113dddd451fbca 3ee0e4e5b11eaa93 \
+                 3ef9af60c56fa43a 3f1e663b0f252d2a a2f827216fb6a760",
+            ),
+            (
+                true,
+                KernelVersion::V1Fp32,
+                1,
+                "6d2f06e609131c95 08d005859ef0f61d 3ee0e450c3689de2 \
+                 3ef7224e6cb680a2 3f1d505b8bdf1fc1 1a7a070b4427f925",
+            ),
+            (
+                true,
+                KernelVersion::V1Fp32,
+                4,
+                "df56d6b8d0301667 307f668951236454 3ee0e4e5b11eaa93 \
+                 3ef75a0ad5a241a2 3f1d5e5d43d0d198 1a7a070b4427f925",
+            ),
+            (
+                true,
+                KernelVersion::V2Sorted,
+                1,
+                "4cee62c609131c95 73aa7d759ef0f61d 3ee1336f0c1f5c1f \
+                 3ee74a07a5289dc9 3f1a7aecae6d6b1a 1a7a070b4427f925",
+            ),
+            (
+                true,
+                KernelVersion::V2Sorted,
+                4,
+                "6d258668d0301667 1fbd85d951236454 3ee13276d54546f8 \
+                 3ee76a1619e09ce9 3f1a7ecf76292859 1a7a070b4427f925",
+            ),
+            (
+                true,
+                KernelVersion::V3Shared,
+                1,
+                "b558d8b7c4dcfb5d 863a317646eb69a5 3ee1336f0c1f5c1f \
+                 3efe08f56ebf0c06 3f222a79bcd67d8c 1a7a070b4427f925",
+            ),
+            (
+                true,
+                KernelVersion::V3Shared,
+                4,
+                "ad89c98dc0ad1dc4 a6a9c15da7bb9d75 3ee13276d54546f8 \
+                 3efa163bc10da89e 3f21ac1303b2afcd 1a7a070b4427f925",
+            ),
+            (
+                true,
+                KernelVersion::V4Csr,
+                1,
+                "cd172f9abc2438bd fc07524edef0f61d 3ef0fd6f73b375f6 \
+                 3ee72f5e64d72591 3f20e8c7f3008761 a0714c6f8427f925",
+            ),
+            (
+                true,
+                KernelVersion::V4Csr,
+                4,
+                "f38d94633573a0c6 aeffabfc91236454 3ef0fcf358466b62 \
+                 3ee74863a1335b4f 3f20ea48c358a96b a0714c6f8427f925",
+            ),
+            (
+                true,
+                KernelVersion::DynPar,
+                1,
+                "8a8ef72b7fa1b7b7 102add5346f42a1f 3ee1336f0c1f5c1f \
+                 3f52f7ef86db26e2 3f54710a4277ac58 dc15fec1e427f925",
+            ),
+            (
+                true,
+                KernelVersion::DynPar,
+                4,
+                "3ffbfa72f4b05d73 d6cd5528a4a68628 3ee13276d54546f8 \
+                 3f52d7b669bc3f01 3f5450cf34eb104d dc15fec1e427f925",
             ),
         ];
         let mut system = SYSTEM_A;
         system.gpu.sm_count = 1;
         system.gpu.max_threads_per_sm = 512;
         system.gpu.l2_bytes = 32 * 1024;
-        let n = 1500;
-        let extent = 9.0;
-        let (xs, ys, zs, dm, ad) = scene(n, extent, 2021);
-        let sr = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space: Aabb::new(Vec3::zero(), Vec3::splat(extent)),
-            box_len: 1.0,
-        };
-        for (v, sample, want) in GOLDEN {
+        let mut dense_system = system;
+        dense_system.gpu.shared_mem_per_sm = 4096;
+        let sparse = scene(1500, 9.0, 2021);
+        let dense = scene(DENSE_N, DENSE_EXTENT, 2021);
+        {
+            // The dense rows' reason to exist, checked on the host grid.
+            let (xs, ys, zs, ..) = &dense;
+            let space = Aabb::new(Vec3::zero(), Vec3::splat(DENSE_EXTENT));
+            let grid = bdm_grid::UniformGrid::build_serial(xs, ys, zs, space, 1.0);
+            let fullest_tile = (0..xs.len())
+                .map(|i| {
+                    grid.neighbor_boxes(Vec3::new(xs[i], ys[i], zs[i]))
+                        .map(|b| grid.boxes()[b].length as usize)
+                        .sum::<usize>()
+                })
+                .max()
+                .unwrap();
+            assert!(
+                fullest_tile > tile_cap(&dense_system),
+                "version III never overflows: {fullest_tile} <= {}",
+                tile_cap(&dense_system)
+            );
+        }
+        for (is_dense, v, sample, want) in GOLDEN {
+            let (system, (xs, ys, zs, dm, ad), extent) = if is_dense {
+                (dense_system, &dense, DENSE_EXTENT)
+            } else {
+                (system, &sparse, 9.0)
+            };
+            let sr = SceneRef {
+                xs,
+                ys,
+                zs,
+                diameters: dm,
+                adherences: ad,
+                space: Aabb::new(Vec3::zero(), Vec3::splat(extent)),
+                box_len: 1.0,
+            };
             for frontend in [ApiFrontend::Cuda, ApiFrontend::OpenCl] {
                 let mut p = MechanicalPipeline::new(system, frontend, v, sample);
                 let (disp, r) = p.step(&sr, &MechParams::default_params());
-                let bits = |c: &KernelCounters| fnv(c.field_bits().map(|(_, b)| b));
+                if is_dense && v == KernelVersion::DynPar {
+                    let queued = r.mech_counters.child_launches as usize;
+                    assert!(
+                        0 < queued && queued < xs.len(),
+                        "DynPar must run both its inline path and its queue: {queued}"
+                    );
+                }
+                let w: Vec<u64> = report_words(&r).collect();
                 let got = format!(
                     "{:016x} {:016x} {:016x} {:016x} {:016x} {:016x}",
-                    bits(&r.counters),
-                    bits(&r.mech_counters),
-                    r.build_s.to_bits(),
-                    r.mech_s.to_bits(),
-                    r.total_s.to_bits(),
-                    fnv(disp
-                        .iter()
-                        .flat_map(|d| [d.x.to_bits(), d.y.to_bits(), d.z.to_bits()])),
+                    w[0],
+                    w[1],
+                    w[2],
+                    w[3],
+                    w[4],
+                    fnv(vec_words(&disp)),
                 );
                 assert_eq!(
                     got,
                     want,
-                    "{v:?} {} trace_sample {sample}: {:?}",
+                    "dense {is_dense} {v:?} {} trace_sample {sample}: {:?}",
                     frontend.name(),
                     r.counters
                 );
             }
         }
+
+        // Resident rows: one script per version — cold, steady, 12
+        // births (past the buffers' capacity: a reallocation, so cold
+        // again), 3 swap-remove deaths, cross-voxel edits + growth, a
+        // permutation, an order-breaking removal, 5 births that fit and
+        // are appended. Per step: hash of the report (counters, mech
+        // counters, the five modeled times, bytes each way, mid-step
+        // syncs), hash of the positions.
+        const RESIDENT: [(KernelVersion, [&str; 8]); 6] = [
+            (
+                KernelVersion::V0,
+                [
+                    "7e718fa5b6e160d1 b8cdb91239aa9004",
+                    "e958f8088d3392a3 c5a5f58ca3920812",
+                    "a41d7aef102a51d4 02716b149cd1d4f5",
+                    "035c5ca4821d034c 6818cf0e1d9fe7c4",
+                    "12021eb416cecd09 b0d517312ee46303",
+                    "8e703bc6b228f02e ab636e99c8ea77d0",
+                    "530715ebfc97c221 d017a2d2856731fc",
+                    "4cf90ad5999cd485 0b157171cec01571",
+                ],
+            ),
+            (
+                KernelVersion::V1Fp32,
+                [
+                    "5d218661d14479fc b6574b47e4ac2aed",
+                    "4ac2a884d7106ba8 c473706b44ac2aed",
+                    "6c88366ff258df76 7634a521b776babd",
+                    "8af408c911b891f6 94bd496b7624e5ef",
+                    "f41fe615d7795fd7 5d18342bf624e5ef",
+                    "5abf93eb838a58ab 0cc796dcf624e5ef",
+                    "e8dcae5462ee4cbc 1d28808778ade5cd",
+                    "b14beaf967e6b5a3 22a4422a6e21423f",
+                ],
+            ),
+            (
+                KernelVersion::V2Sorted,
+                [
+                    "5d218661d14479fc b6574b47e4ac2aed",
+                    "4ac2a884d7106ba8 c473706b44ac2aed",
+                    "6c88366ff258df76 7634a521b776babd",
+                    "8af408c911b891f6 94bd496b7624e5ef",
+                    "f41fe615d7795fd7 5d18342bf624e5ef",
+                    "5abf93eb838a58ab 0cc796dcf624e5ef",
+                    "e8dcae5462ee4cbc 1d28808778ade5cd",
+                    "b14beaf967e6b5a3 22a4422a6e21423f",
+                ],
+            ),
+            (
+                KernelVersion::V3Shared,
+                [
+                    "43cdb1c7c4e17244 b6574b47e4ac2aed",
+                    "0e727b3cba7bf56b c473706b44ac2aed",
+                    "fa2851f7b1f49d2b 7634a521b776babd",
+                    "a849a88d53fd884e 94bd496b7624e5ef",
+                    "a9b1b537a8a5fb17 5d18342bf624e5ef",
+                    "2563cc8e189c4df3 0cc796dcf624e5ef",
+                    "57be87dca4c9c370 1d28808778ade5cd",
+                    "f46737dcd22b8cf5 22a4422a6e21423f",
+                ],
+            ),
+            (
+                KernelVersion::V4Csr,
+                [
+                    "71635a9720d19657 b6574b47e4ac2aed",
+                    "6e92fe80ca425699 c473706b44ac2aed",
+                    "50e85550cf51a461 7634a521b776babd",
+                    "38922439d9add783 94bd496b7624e5ef",
+                    "fc4446d7aae39cf1 5d18342bf624e5ef",
+                    "ed63cac16ce7f2fc 0cc796dcf624e5ef",
+                    "de15ab8ea614cb76 1d28808778ade5cd",
+                    "065f42931c521870 22a4422a6e21423f",
+                ],
+            ),
+            (
+                KernelVersion::DynPar,
+                [
+                    "308cb1867776549f b6574b47e4ac2aed",
+                    "b2fd1d755171773e c473706b44ac2aed",
+                    "249c5f000c29fca1 7634a521b776babd",
+                    "ffd40829022c6a52 94bd496b7624e5ef",
+                    "f460dbdb6d5f7a2c 5d18342bf624e5ef",
+                    "ad833889bce807ca 0cc796dcf624e5ef",
+                    "7910170a6640d99f 1d28808778ade5cd",
+                    "c8e322ed59e3ded3 22a4422a6e21423f",
+                ],
+            ),
+        ];
+        for (v, want) in RESIDENT {
+            for frontend in [ApiFrontend::Cuda, ApiFrontend::OpenCl] {
+                let mut p = MechanicalPipeline::new(system, frontend, v, 1);
+                let got = resident_script(&mut p);
+                for (step, (got, want)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(got, want, "{v:?} {} resident step {step}", frontend.name());
+                }
+            }
+        }
+    }
+
+    /// The birth / death / edit script of
+    /// `resident_trajectory_matches_full_rebuild_bitwise`, two resync
+    /// steps and a second birth wave appended, driven through
+    /// `step_resident`; one
+    /// `"report-hash positions-hash"` string per step.
+    fn resident_script(p: &mut MechanicalPipeline) -> Vec<String> {
+        let params = MechParams::default_params();
+        let extent = 8.0;
+        let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
+        let (mut xs, mut ys, mut zs, mut dm, mut ad) = scene(150, extent, 99);
+        let mut uids: Vec<u64> = (0..150).collect();
+        let mut out = Vec::new();
+        for step in 0..8 {
+            let sr = SceneRef {
+                xs: &xs,
+                ys: &ys,
+                zs: &zs,
+                diameters: &dm,
+                adherences: &ad,
+                space,
+                box_len: 1.0,
+            };
+            let (pos, r) = p.step_resident(&sr, &uids, &params);
+            out.push(format!(
+                "{:016x} {:016x}",
+                fnv(report_words(&r)),
+                fnv(vec_words(&pos))
+            ));
+            (xs, ys, zs) = split(&pos);
+            match step {
+                1 => {
+                    let mut rng = SplitMix64::new(1234);
+                    for k in 0..12 {
+                        xs.push(rng.uniform(0.0, extent));
+                        ys.push(rng.uniform(0.0, extent));
+                        zs.push(rng.uniform(0.0, extent));
+                        dm.push(1.0);
+                        ad.push(0.01);
+                        uids.push(150 + k);
+                    }
+                }
+                2 => {
+                    for &i in &[40usize, 17, 3] {
+                        xs.swap_remove(i);
+                        ys.swap_remove(i);
+                        zs.swap_remove(i);
+                        dm.swap_remove(i);
+                        ad.swap_remove(i);
+                        uids.swap_remove(i);
+                    }
+                }
+                3 => {
+                    xs[5] += 2.5;
+                    ys[9] -= 1.5;
+                    for d in dm.iter_mut().take(20) {
+                        *d *= 1.05;
+                    }
+                }
+                4 => {
+                    // Equal length, different sequence: a host reorder.
+                    xs.reverse();
+                    ys.reverse();
+                    zs.reverse();
+                    dm.reverse();
+                    ad.reverse();
+                    uids.reverse();
+                }
+                5 => {
+                    // An order-preserving removal shifts every later
+                    // row: not a swap-remove, so not compactable.
+                    xs.remove(7);
+                    ys.remove(7);
+                    zs.remove(7);
+                    dm.remove(7);
+                    ad.remove(7);
+                    uids.remove(7);
+                }
+                6 => {
+                    let mut rng = SplitMix64::new(4321);
+                    for k in 0..5 {
+                        xs.push(rng.uniform(0.0, extent));
+                        ys.push(rng.uniform(0.0, extent));
+                        zs.push(rng.uniform(0.0, extent));
+                        dm.push(1.0);
+                        ad.push(0.01);
+                        uids.push(200 + k);
+                    }
+                }
+                _ => {}
+            }
+        }
+        out
     }
 
     /// The resident path must be bitwise-invisible: a pipeline that

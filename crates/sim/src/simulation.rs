@@ -715,4 +715,80 @@ mod tests {
             .find(|r| r.gpu.is_some());
         assert!(gpu_rec.is_some(), "GPU report expected in the profile");
     }
+
+    /// The host reorder never tells the pipeline it permuted storage:
+    /// the resident step's uid diff finds the new row order by itself
+    /// and re-uploads. Pinned to the transfers and the final state of
+    /// the commit whose `ReorderOp` still called `invalidate_residency`
+    /// before each permuted step (hard-coded from a run of it).
+    #[test]
+    fn resident_reorder_steps_resync_from_the_uid_diff_alone() {
+        const WANT_STEPS: [(u64, u32); 10] = [
+            (3700, 1),
+            (3700, 1),
+            (3720, 1),
+            (3720, 1),
+            (3720, 1),
+            (3720, 1),
+            (3760, 1),
+            (3800, 1),
+            (3820, 1),
+            (3820, 1),
+        ];
+        const WANT_CHECKPOINT: u64 = 0x0742_9174_da61_1230;
+        let mut sim = Simulation::new(
+            SimParams::cube(10.0)
+                .with_seed(5)
+                .with_reorder(1)
+                .with_interaction_radius(4.5)
+                .with_gpu_resident(true),
+        );
+        // Version IV: its scan round trip makes `midstep_syncs` say
+        // whether the grid was rebuilt.
+        sim.set_environment(EnvironmentKind::Gpu {
+            system: crate::environment::GpuSystem::A,
+            frontend: bdm_gpu::frontend::ApiFrontend::Cuda,
+            version: bdm_gpu::pipeline::KernelVersion::V4Csr,
+            trace_sample: 1,
+        });
+        let mut rng = bdm_math::SplitMix64::new(17);
+        for k in 0..160 {
+            let mut cell = CellBuilder::new(Vec3::new(
+                rng.uniform(-9.0, 9.0),
+                rng.uniform(-9.0, 9.0),
+                rng.uniform(-9.0, 9.0),
+            ))
+            .diameter(rng.uniform(2.0, 4.0))
+            .adherence(0.01);
+            if k % 20 == 0 {
+                cell = cell.behavior(Behavior::GrowthDivision {
+                    growth_rate: 2.0,
+                    division_threshold: 4.1,
+                });
+            }
+            sim.add_cell(cell);
+        }
+        sim.simulate(WANT_STEPS.len() as u64);
+        let got: Vec<(u64, u32)> = sim
+            .profiler()
+            .steps()
+            .iter()
+            .map(|step| {
+                let r = step.records.iter().find_map(|r| r.gpu.as_ref());
+                let r = r.expect("every step offloads");
+                assert!(r.resident);
+                (r.bytes_h2d, r.midstep_syncs)
+            })
+            .collect();
+        assert_eq!(got, WANT_STEPS);
+        let reorders = sim.scheduler().stats();
+        let reorders = reorders.iter().find(|s| s.name == "reorder").unwrap();
+        assert_eq!(reorders.runs, WANT_STEPS.len() as u64);
+        let mut bytes = Vec::new();
+        sim.checkpoint(&mut bytes).expect("checkpoint to Vec");
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(hash, WANT_CHECKPOINT, "final checkpoint bytes moved");
+    }
 }

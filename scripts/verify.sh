@@ -37,5 +37,11 @@ RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
 # The SIMT engine's steady-state launches must not touch the heap — in
 # release mode, where the optimizer decides what actually allocates.
 cargo test -q --offline --release -p bdm-gpu --test alloc_steady
+# Every simulated statistic of every kernel version and resident sync
+# path against its parent-commit golden, and the resident reorder pin.
+cargo test -q --offline --release -p bdm-gpu --lib -- \
+    step_reports_match_the_parent_goldens
+cargo test -q --offline --release -p bdm-sim --lib -- \
+    resident_reorder_steps_resync_from_the_uid_diff_alone
 cargo clippy --offline --workspace --all-targets -- -D warnings
 ./scripts/fmt.sh --check
