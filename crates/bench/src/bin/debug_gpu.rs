@@ -43,5 +43,10 @@ fn main() {
             g.host.coalesce_s * 1e3,
             g.host.drain_s * 1e3
         );
+        println!(
+            "   last step: sync={} grid={}",
+            g.sync.label(),
+            if g.grid_built { "built" } else { "skipped" }
+        );
     }
 }

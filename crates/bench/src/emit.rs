@@ -61,13 +61,18 @@ pub fn default_policy(name: &str) -> GatePolicy {
             "checkpoint.write_ms"
                 | "checkpoint.read_ms"
                 | "gpu.host_s"
+                | "gpu.sync"
+                | "gpu.grid_build"
                 | "mech.simd_stencils_staged"
                 | "mech.stencils_staged"
         )
     {
         // The checkpoint serialize/parse timings and the SIMT
         // simulator's own host cost are host wall clocks too — they
-        // just don't carry `wall` in their names. The stencil-stage
+        // just don't carry `wall` in their names. The GPU sync-kind and
+        // grid-build-outcome counts say *why* the gated transfer
+        // counters read what they read; gating the explanation too
+        // would fail twice for one cause. The stencil-stage
         // counts (one series per lane body) are deterministic but a
         // function of the sweep's cut set (a cut that splits a voxel's
         // residents stages it twice), not of the trajectory alone: they

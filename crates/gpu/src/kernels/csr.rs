@@ -17,10 +17,12 @@
 //!    scanned offsets) and store the agent id into the contiguous
 //!    `cell_agents` array. Once every agent is placed, `cursor[v]` has
 //!    advanced to the *end* offset of voxel `v` — the cursor becomes the
-//!    CSR bounds array for free, no second upload;
-//! 4. [`MechCsrKernel`] — the force kernel streams `cell_agents` slices
-//!    instead of chasing pointers. The 27-voxel stencil collapses to ≤ 9
-//!    x-runs ([`GridGeom::x_runs_of`]): two boundary loads per run (≤ 18
+//!    CSR bounds array ([`CsrCells::cell_ends`]) for free, no second
+//!    upload;
+//! 4. the [`ForceKernel`](super::mech::ForceKernel) over [`CsrCells`]
+//!    streams `cell_agents` slices instead of chasing pointers. The
+//!    27-voxel stencil collapses to ≤ 9 x-runs
+//!    ([`GridGeometry::x_runs_of`]): two boundary loads per run (≤ 18
 //!    total, vs 27 list heads), then a sequential walk whose loads from
 //!    adjacent lanes land in the same 128-byte segments.
 //!
@@ -29,24 +31,20 @@
 //! streaming candidate fetches in exchange.
 
 use crate::engine::{Kernel, ThreadCtx, ThreadId};
-use crate::kernels::geom::GridGeom;
-use crate::kernels::mech::{accumulate_candidate, store_displacement};
+use crate::kernels::layout::{AgentCols, CsrCells};
+use crate::kernels::mech::CandidateSource;
 use crate::mem::{DeviceBuffer, DeviceWord};
-use bdm_math::interaction::MechParams;
-use bdm_math::{Scalar, Vec3};
+use bdm_grid::GridGeometry;
+use bdm_math::Scalar;
 
 /// Pass 1: per-voxel population histogram.
 pub struct CsrCountKernel<'a, R: Scalar + DeviceWord> {
     /// Number of agents.
     pub n: usize,
     /// Grid geometry.
-    pub geom: GridGeom<R>,
-    /// Agent positions (SoA columns).
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
+    pub geom: GridGeometry<R>,
+    /// Agent columns (positions only).
+    pub agents: AgentCols<'a, R>,
     /// Per-voxel population (pre-zeroed).
     pub counts: &'a DeviceBuffer<u32>,
 }
@@ -57,14 +55,7 @@ impl<R: Scalar + DeviceWord> Kernel for CsrCountKernel<'_, R> {
         if i >= self.n {
             return;
         }
-        let p = Vec3::new(
-            ctx.ld(self.pos_x, i),
-            ctx.ld(self.pos_y, i),
-            ctx.ld(self.pos_z, i),
-        );
-        // Voxel index: 3 subs, 3 divs/floors, clamps ≈ 12 integer/address ops.
-        ctx.iops(12);
-        let b = self.geom.box_index(p);
+        let b = self.agents.voxel_of(ctx, &self.geom, i);
         ctx.atomic_add(self.counts, b, 1);
     }
 }
@@ -79,19 +70,12 @@ pub struct CsrScatterKernel<'a, R: Scalar + DeviceWord> {
     /// Number of agents.
     pub n: usize,
     /// Grid geometry.
-    pub geom: GridGeom<R>,
-    /// Agent positions (SoA columns).
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
-    /// Per-voxel write cursor, pre-loaded with the exclusive-scan
-    /// offsets; left holding the voxel *end* offsets when the pass
-    /// completes.
-    pub cursor: &'a DeviceBuffer<u32>,
-    /// CSR payload: agent ids grouped by voxel.
-    pub cell_agents: &'a DeviceBuffer<u32>,
+    pub geom: GridGeometry<R>,
+    /// Agent columns (positions only).
+    pub agents: AgentCols<'a, R>,
+    /// The grid to fill; `cell_ends` arrives holding the exclusive-scan
+    /// *start* offsets and serves as the per-voxel write cursor.
+    pub cells: CsrCells<'a>,
 }
 
 impl<R: Scalar + DeviceWord> Kernel for CsrScatterKernel<'_, R> {
@@ -100,72 +84,25 @@ impl<R: Scalar + DeviceWord> Kernel for CsrScatterKernel<'_, R> {
         if i >= self.n {
             return;
         }
-        let p = Vec3::new(
-            ctx.ld(self.pos_x, i),
-            ctx.ld(self.pos_y, i),
-            ctx.ld(self.pos_z, i),
-        );
-        ctx.iops(12);
-        let v = self.geom.box_index(p);
-        let slot = ctx.atomic_add(self.cursor, v, 1) as usize;
+        let v = self.agents.voxel_of(ctx, &self.geom, i);
+        let slot = ctx.atomic_add(self.cells.cell_ends, v, 1) as usize;
         ctx.iops(2);
-        ctx.st(self.cell_agents, slot, i as u32);
+        ctx.st(self.cells.cell_agents, slot, i as u32);
     }
 }
 
-/// Version IV force kernel: one thread per cell, candidates streamed
-/// from CSR slices.
-pub struct MechCsrKernel<'a, R: Scalar + DeviceWord> {
-    /// Number of cells.
-    pub n: usize,
-    /// Grid geometry.
-    pub geom: GridGeom<R>,
-    /// Cell positions.
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
-    /// Cell diameters.
-    pub diameter: &'a DeviceBuffer<R>,
-    /// Cell adherence thresholds.
-    pub adherence: &'a DeviceBuffer<R>,
-    /// Per-voxel segment *end* offsets (the post-scatter cursor):
-    /// voxel `v` owns `cell_agents[ends[v-1]..ends[v]]`, with an
-    /// implicit 0 before voxel 0.
-    pub cell_ends: &'a DeviceBuffer<u32>,
-    /// CSR payload: agent ids grouped by voxel.
-    pub cell_agents: &'a DeviceBuffer<u32>,
-    /// Output displacements.
-    pub out_x: &'a DeviceBuffer<R>,
-    /// Output displacements (y).
-    pub out_y: &'a DeviceBuffer<R>,
-    /// Output displacements (z).
-    pub out_z: &'a DeviceBuffer<R>,
-    /// Interaction parameters.
-    pub params: MechParams<R>,
-}
-
-impl<R: Scalar + DeviceWord> Kernel for MechCsrKernel<'_, R> {
-    fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
-        let i = tid.global() as usize;
-        if i >= self.n {
-            return;
-        }
-        let p1 = Vec3::new(
-            ctx.ld(self.pos_x, i),
-            ctx.ld(self.pos_y, i),
-            ctx.ld(self.pos_z, i),
-        );
-        let r1 = ctx.ld(self.diameter, i) * R::HALF;
-        let adh = ctx.ld(self.adherence, i);
-        ctx.flops::<R>(1);
-        ctx.iops(12);
-
-        let mut runs = [(0usize, 0u32); 9];
-        let nr = self.geom.x_runs_of(self.geom.box_coords(p1), &mut runs);
-        let mut force = Vec3::zero();
-        for &(first, len) in runs.iter().take(nr) {
+/// CSR slices over ≤ 9 x-runs: two boundary loads per run, then a
+/// sequential stream of agent ids.
+impl CandidateSource for CsrCells<'_> {
+    #[inline(always)]
+    fn for_each_candidate<R: Scalar>(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        geom: &GridGeometry<R>,
+        c: [u32; 3],
+        mut visit: impl FnMut(&mut ThreadCtx<'_>, usize),
+    ) {
+        for (first, len) in geom.x_runs_of(c) {
             ctx.iops(2);
             let lo = if first == 0 {
                 0
@@ -177,28 +114,9 @@ impl<R: Scalar + DeviceWord> Kernel for MechCsrKernel<'_, R> {
                 ctx.begin_slot();
                 let j = ctx.ld(self.cell_agents, k) as usize;
                 ctx.iops(1);
-                if j != i {
-                    let p2 = Vec3::new(
-                        ctx.ld(self.pos_x, j),
-                        ctx.ld(self.pos_y, j),
-                        ctx.ld(self.pos_z, j),
-                    );
-                    let r2 = ctx.ld(self.diameter, j) * R::HALF;
-                    ctx.flops::<R>(1);
-                    accumulate_candidate(ctx, p1, r1, p2, r2, &self.params, &mut force);
-                }
+                visit(ctx, j);
             }
         }
-        store_displacement(
-            ctx,
-            self.out_x,
-            self.out_y,
-            self.out_z,
-            i,
-            force,
-            adh,
-            &self.params,
-        );
     }
 }
 
@@ -227,12 +145,12 @@ pub fn exclusive_scan_into(counts: &[u32], starts: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{GpuDevice, LaunchConfig};
-    use crate::mem::DeviceAllocator;
-    use bdm_device::specs::SYSTEM_A;
+    use crate::engine::LaunchConfig;
+    use crate::kernels::layout::testing::DeviceScene;
+    use crate::kernels::mech::ForceKernel;
     use bdm_grid::CsrGrid;
-    use bdm_math::interaction;
-    use bdm_math::{Aabb, SplitMix64};
+    use bdm_math::interaction::{self, MechParams};
+    use bdm_math::{Aabb, SplitMix64, Vec3};
 
     type SceneCols = (Vec<f64>, Vec<f64>, Vec<f64>);
 
@@ -254,34 +172,20 @@ mod tests {
         let extent = 9.0;
         let (xs, ys, zs) = scene(n, extent, 11);
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
-        let box_len = 1.1;
-        let host = CsrGrid::build_serial(&xs, &ys, &zs, space, box_len);
+        let host = CsrGrid::build_serial(&xs, &ys, &zs, space, 1.1);
 
-        let geom = GridGeom::<f64> {
-            dims: host.dims(),
-            min: space.min,
-            box_len,
-        };
+        let geom = *host.geometry();
         let num_boxes = geom.num_boxes();
-        let mut alloc = DeviceAllocator::new();
-        let px = alloc.alloc::<f64>(n);
-        let py = alloc.alloc::<f64>(n);
-        let pz = alloc.alloc::<f64>(n);
-        px.upload(&xs);
-        py.upload(&ys);
-        pz.upload(&zs);
-        let counts = alloc.alloc::<u32>(num_boxes);
-        let cursor = alloc.alloc::<u32>(num_boxes);
-        let cell_agents = alloc.alloc::<u32>(n);
+        let mut dev = DeviceScene::upload(geom, [&xs, &ys, &zs], 1.0, 0.01);
+        let counts = dev.alloc.alloc::<u32>(num_boxes);
+        let cursor = dev.alloc.alloc::<u32>(num_boxes);
+        let cell_agents = dev.alloc.alloc::<u32>(n);
 
-        let dev = GpuDevice::new(SYSTEM_A.gpu);
-        dev.launch(
+        dev.dev.launch(
             &CsrCountKernel {
                 n,
                 geom,
-                pos_x: &px,
-                pos_y: &py,
-                pos_z: &pz,
+                agents: dev.agents(),
                 counts: &counts,
             },
             LaunchConfig::for_items(n, 128),
@@ -290,15 +194,15 @@ mod tests {
         counts.download(&mut host_counts);
         let starts = exclusive_scan(&host_counts);
         cursor.upload(&starts[..num_boxes]);
-        dev.launch(
+        dev.dev.launch(
             &CsrScatterKernel {
                 n,
                 geom,
-                pos_x: &px,
-                pos_y: &py,
-                pos_z: &pz,
-                cursor: &cursor,
-                cell_agents: &cell_agents,
+                agents: dev.agents(),
+                cells: CsrCells {
+                    cell_ends: &cursor,
+                    cell_agents: &cell_agents,
+                },
             },
             LaunchConfig::for_items(n, 128),
         );
@@ -329,68 +233,38 @@ mod tests {
         let extent = 10.0;
         let radius = 0.6;
         let (xs, ys, zs) = scene(n, extent, 33);
-        let diam = vec![2.0 * radius; n];
-        let adh = vec![0.01; n];
+        let adh = 0.01;
         let params = MechParams::<f64>::default_params();
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
         let box_len = 2.0 * radius;
         let host = CsrGrid::build_serial(&xs, &ys, &zs, space, box_len);
-        let geom = GridGeom::<f64> {
-            dims: host.dims(),
-            min: space.min,
-            box_len,
-        };
-        let num_boxes = geom.num_boxes();
+        let geom = *host.geometry();
 
-        let mut alloc = DeviceAllocator::new();
-        let px = alloc.alloc::<f64>(n);
-        let py = alloc.alloc::<f64>(n);
-        let pz = alloc.alloc::<f64>(n);
-        let d = alloc.alloc::<f64>(n);
-        let a = alloc.alloc::<f64>(n);
-        px.upload(&xs);
-        py.upload(&ys);
-        pz.upload(&zs);
-        d.upload(&diam);
-        a.upload(&adh);
+        let mut dev = DeviceScene::upload(geom, [&xs, &ys, &zs], 2.0 * radius, adh);
         // CSR uploaded directly from the host grid — the build kernels
         // have their own test above.
-        let cell_ends = alloc.alloc::<u32>(num_boxes);
-        let cell_agents = alloc.alloc::<u32>(n);
+        let cell_ends = dev.alloc.alloc::<u32>(geom.num_boxes());
+        let cell_agents = dev.alloc.alloc::<u32>(n);
         cell_ends.upload(&host.cell_starts()[1..]);
         let ids: Vec<u32> = host.cell_agents().iter().map(|id| id.0).collect();
         cell_agents.upload(&ids);
-        let ox = alloc.alloc::<f64>(n);
-        let oy = alloc.alloc::<f64>(n);
-        let oz = alloc.alloc::<f64>(n);
 
-        let dev = GpuDevice::new(SYSTEM_A.gpu);
-        let r = dev.launch(
-            &MechCsrKernel {
+        let r = dev.dev.launch(
+            &ForceKernel {
                 n,
                 geom,
-                pos_x: &px,
-                pos_y: &py,
-                pos_z: &pz,
-                diameter: &d,
-                adherence: &a,
-                cell_ends: &cell_ends,
-                cell_agents: &cell_agents,
-                out_x: &ox,
-                out_y: &oy,
-                out_z: &oz,
+                agents: dev.agents(),
+                source: CsrCells {
+                    cell_ends: &cell_ends,
+                    cell_agents: &cell_agents,
+                },
+                out: dev.out(),
                 params,
             },
             LaunchConfig::for_items(n, 128),
         );
         assert!(r.counters.flops_fp64 > 0.0);
-
-        let mut got_x = vec![0.0; n];
-        let mut got_y = vec![0.0; n];
-        let mut got_z = vec![0.0; n];
-        ox.download(&mut got_x);
-        oy.download(&mut got_y);
-        oz.download(&mut got_z);
+        let [got_x, got_y, got_z] = dev.download(&dev.disp);
 
         for i in 0..n {
             let p1 = Vec3::new(xs[i], ys[i], zs[i]);
@@ -419,7 +293,7 @@ mod tests {
                     force += f;
                 }
             }
-            let disp = interaction::displacement(force, adh[i], &params);
+            let disp = interaction::displacement(force, adh, &params);
             assert!(
                 (disp.x - got_x[i]).abs() < 1e-9
                     && (disp.y - got_y[i]).abs() < 1e-9

@@ -18,9 +18,10 @@
 //! [`ThreadCtx::launch_child`].
 
 use crate::engine::{Kernel, ThreadCtx, ThreadId};
-use crate::kernels::geom::GridGeom;
-use crate::kernels::mech::{accumulate_candidate, store_displacement, NULL_ID};
+use crate::kernels::layout::{AgentCols, ChainGrid, DispCols};
+use crate::kernels::mech::{store_displacement, Subject};
 use crate::mem::{DeviceBuffer, DeviceWord};
+use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
 use bdm_math::{Scalar, Vec3};
 
@@ -29,29 +30,13 @@ pub struct ParentKernel<'a, R: Scalar + DeviceWord> {
     /// Number of cells.
     pub n: usize,
     /// Grid geometry.
-    pub geom: GridGeom<R>,
-    /// Cell positions.
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
-    /// Cell diameters.
-    pub diameter: &'a DeviceBuffer<R>,
-    /// Cell adherence thresholds.
-    pub adherence: &'a DeviceBuffer<R>,
-    /// Grid list heads.
-    pub box_start: &'a DeviceBuffer<u32>,
-    /// Grid voxel populations (for the cheap candidate count).
-    pub box_length: &'a DeviceBuffer<u32>,
-    /// Successor links.
-    pub successors: &'a DeviceBuffer<u32>,
+    pub geom: GridGeometry<R>,
+    /// Agent columns.
+    pub agents: AgentCols<'a, R>,
+    /// The grid (voxel populations give the cheap candidate count).
+    pub chains: ChainGrid<'a>,
     /// Output displacements.
-    pub out_x: &'a DeviceBuffer<R>,
-    /// Output displacements (y).
-    pub out_y: &'a DeviceBuffer<R>,
-    /// Output displacements (z).
-    pub out_z: &'a DeviceBuffer<R>,
+    pub out: DispCols<'a, R>,
     /// Queue of heavy-cell ids.
     pub queue: &'a DeviceBuffer<u32>,
     /// Queue cursor (single element, pre-zeroed).
@@ -68,20 +53,13 @@ impl<R: Scalar + DeviceWord> Kernel for ParentKernel<'_, R> {
         if i >= self.n {
             return;
         }
-        let p1 = Vec3::new(
-            ctx.ld(self.pos_x, i),
-            ctx.ld(self.pos_y, i),
-            ctx.ld(self.pos_z, i),
-        );
+        let p = self.agents.position(ctx, i);
         ctx.iops(12);
-        let mut boxes = [0usize; 27];
-        let nb = self
-            .geom
-            .neighbor_boxes_of(self.geom.box_coords(p1), &mut boxes);
+        let boxes = self.geom.neighbor_boxes_of(self.geom.box_coords(p));
         // Cheap candidate count via voxel populations.
         let mut count = 0u32;
-        for &b in boxes.iter().take(nb) {
-            count += ctx.ld(self.box_length, b);
+        for b in boxes.clone() {
+            count += ctx.ld(self.chains.box_length, b);
             ctx.iops(1);
         }
         if count > self.threshold {
@@ -90,40 +68,13 @@ impl<R: Scalar + DeviceWord> Kernel for ParentKernel<'_, R> {
             ctx.st(self.queue, q, i as u32);
             return;
         }
-        // Inline path — identical to MechKernel.
-        let r1 = ctx.ld(self.diameter, i) * R::HALF;
-        let adh = ctx.ld(self.adherence, i);
+        // Inline path: the fused kernel's walk over the voxels above.
+        let r = self.agents.radius(ctx, i);
+        let a = Subject { i, p, r };
+        let adh = self.agents.adherence(ctx, i);
         ctx.flops::<R>(1);
-        let mut force = Vec3::zero();
-        for &b in boxes.iter().take(nb) {
-            let mut cur = ctx.ld(self.box_start, b);
-            while cur != NULL_ID {
-                ctx.begin_slot();
-                let j = cur as usize;
-                if j != i {
-                    let p2 = Vec3::new(
-                        ctx.ld(self.pos_x, j),
-                        ctx.ld(self.pos_y, j),
-                        ctx.ld(self.pos_z, j),
-                    );
-                    let r2 = ctx.ld(self.diameter, j) * R::HALF;
-                    ctx.flops::<R>(1);
-                    accumulate_candidate(ctx, p1, r1, p2, r2, &self.params, &mut force);
-                }
-                cur = ctx.ld(self.successors, j);
-                ctx.iops(1);
-            }
-        }
-        store_displacement(
-            ctx,
-            self.out_x,
-            self.out_y,
-            self.out_z,
-            i,
-            force,
-            adh,
-            &self.params,
-        );
+        let force = a.chain_force(ctx, self.agents, self.chains, boxes, &self.params);
+        store_displacement(ctx, self.out, i, force, adh, &self.params);
     }
 }
 
@@ -138,19 +89,11 @@ pub struct ChildKernel<'a, R: Scalar + DeviceWord> {
     /// Number of queued cells.
     pub queue_len: usize,
     /// Grid geometry.
-    pub geom: GridGeom<R>,
-    /// Cell positions.
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
-    /// Cell diameters.
-    pub diameter: &'a DeviceBuffer<R>,
-    /// Grid list heads.
-    pub box_start: &'a DeviceBuffer<u32>,
-    /// Successor links.
-    pub successors: &'a DeviceBuffer<u32>,
+    pub geom: GridGeometry<R>,
+    /// Agent columns.
+    pub agents: AgentCols<'a, R>,
+    /// The grid.
+    pub chains: ChainGrid<'a>,
     /// Queue of heavy-cell ids.
     pub queue: &'a DeviceBuffer<u32>,
     /// Per-(cell, voxel) partial forces: `partials[(w*3)..(w*3+3)]`
@@ -167,97 +110,23 @@ impl<R: Scalar + DeviceWord> Kernel for ChildKernel<'_, R> {
             return;
         }
         let cell = ctx.ld(self.queue, w / 27) as usize;
-        let box_rank = w % 27;
-        let p1 = Vec3::new(
-            ctx.ld(self.pos_x, cell),
-            ctx.ld(self.pos_y, cell),
-            ctx.ld(self.pos_z, cell),
-        );
-        let r1 = ctx.ld(self.diameter, cell) * R::HALF;
+        let a = Subject {
+            i: cell,
+            p: self.agents.position(ctx, cell),
+            r: self.agents.radius(ctx, cell),
+        };
         ctx.flops::<R>(1);
         ctx.iops(14);
-        let mut boxes = [0usize; 27];
-        let nb = self
-            .geom
-            .neighbor_boxes_of(self.geom.box_coords(p1), &mut boxes);
-        if box_rank >= nb {
+        let mut boxes = self.geom.neighbor_boxes_of(self.geom.box_coords(a.p));
+        let Some(b) = boxes.nth(w % 27) else {
             return; // edge voxels have fewer than 27 neighbor boxes
-        }
-        let b = boxes[box_rank];
-        let mut force = Vec3::zero();
-        let mut cur = ctx.ld(self.box_start, b);
-        while cur != NULL_ID {
-            ctx.begin_slot();
-            let j = cur as usize;
-            if j != cell {
-                let p2 = Vec3::new(
-                    ctx.ld(self.pos_x, j),
-                    ctx.ld(self.pos_y, j),
-                    ctx.ld(self.pos_z, j),
-                );
-                let r2 = ctx.ld(self.diameter, j) * R::HALF;
-                ctx.flops::<R>(1);
-                accumulate_candidate(ctx, p1, r1, p2, r2, &self.params, &mut force);
-            }
-            cur = ctx.ld(self.successors, j);
-            ctx.iops(1);
-        }
+        };
+        let force = a.chain_force(ctx, self.agents, self.chains, [b], &self.params);
         // Coalesced scatter: work item w owns partials[3w..3w+3].
         if force != Vec3::zero() {
             ctx.st(self.partials, 3 * w, force.x);
             ctx.st(self.partials, 3 * w + 1, force.y);
             ctx.st(self.partials, 3 * w + 2, force.z);
-        }
-    }
-}
-
-/// On-device column compaction after host-side deaths (the resident
-/// step loop's use of the dynamic-parallelism machinery: the host
-/// enqueues a small work list, the device redistributes the rows).
-///
-/// `ResourceManager::remove` is a swap-remove — the freed slot is
-/// back-filled from the tail — so a batch of deaths compacts the SoA
-/// columns with a short list of `(dst, src)` row moves where every `src`
-/// lies in the truncated tail. The host uploads only that move list
-/// (charged by the pipeline); the five agent columns themselves never
-/// cross the bus. Moves are disjoint by construction (distinct dsts,
-/// srcs beyond the new length), so one thread per move needs no
-/// synchronization.
-pub struct CompactKernel<'a, R: Scalar + DeviceWord> {
-    /// Number of `(dst, src)` move pairs.
-    pub n_moves: usize,
-    /// Move list: `moves[2k] = dst`, `moves[2k + 1] = src`.
-    pub moves: &'a DeviceBuffer<u32>,
-    /// Position columns.
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
-    /// Cell diameters.
-    pub diameter: &'a DeviceBuffer<R>,
-    /// Cell adherence thresholds.
-    pub adherence: &'a DeviceBuffer<R>,
-}
-
-impl<R: Scalar + DeviceWord> Kernel for CompactKernel<'_, R> {
-    fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
-        let k = tid.global() as usize;
-        if k >= self.n_moves {
-            return;
-        }
-        let dst = ctx.ld(self.moves, 2 * k) as usize;
-        let src = ctx.ld(self.moves, 2 * k + 1) as usize;
-        ctx.iops(4);
-        for col in [
-            self.pos_x,
-            self.pos_y,
-            self.pos_z,
-            self.diameter,
-            self.adherence,
-        ] {
-            let v = ctx.ld(col, src);
-            ctx.st(col, dst, v);
         }
     }
 }
@@ -271,14 +140,10 @@ pub struct FinishKernel<'a, R: Scalar + DeviceWord> {
     pub queue: &'a DeviceBuffer<u32>,
     /// Per-(cell, voxel) partial forces from the child launch.
     pub partials: &'a DeviceBuffer<R>,
-    /// Cell adherence thresholds.
-    pub adherence: &'a DeviceBuffer<R>,
+    /// Agent columns (adherence only).
+    pub agents: AgentCols<'a, R>,
     /// Output displacements.
-    pub out_x: &'a DeviceBuffer<R>,
-    /// Output displacements (y).
-    pub out_y: &'a DeviceBuffer<R>,
-    /// Output displacements (z).
-    pub out_z: &'a DeviceBuffer<R>,
+    pub out: DispCols<'a, R>,
     /// Interaction parameters.
     pub params: MechParams<R>,
 }
@@ -301,16 +166,7 @@ impl<R: Scalar + DeviceWord> Kernel for FinishKernel<'_, R> {
             );
             ctx.flops::<R>(3);
         }
-        let adh = ctx.ld(self.adherence, cell);
-        store_displacement(
-            ctx,
-            self.out_x,
-            self.out_y,
-            self.out_z,
-            cell,
-            force,
-            adh,
-            &self.params,
-        );
+        let adh = self.agents.adherence(ctx, cell);
+        store_displacement(ctx, self.out, cell, force, adh, &self.params);
     }
 }

@@ -9,68 +9,42 @@
 //! hurt but version III's do.
 
 use crate::engine::{Kernel, ThreadCtx, ThreadId};
-use crate::kernels::geom::GridGeom;
-use crate::mem::DeviceBuffer;
-use bdm_math::{Scalar, Vec3};
-
-use super::mech::NULL_ID;
+use crate::kernels::layout::{AgentCols, ChainGrid};
+use crate::mem::DeviceWord;
+use bdm_grid::GridGeometry;
+use bdm_math::Scalar;
 
 /// Grid-construction kernel.
-pub struct GridBuildKernel<'a, R: Scalar + crate::mem::DeviceWord> {
+pub struct GridBuildKernel<'a, R: Scalar + DeviceWord> {
     /// Number of agents.
     pub n: usize,
     /// Grid geometry.
-    pub geom: GridGeom<R>,
-    /// Agent positions (SoA columns).
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
-    /// Per-voxel list head (pre-filled with [`NULL_ID`]).
-    pub box_start: &'a DeviceBuffer<u32>,
-    /// Per-voxel population (pre-zeroed).
-    pub box_length: &'a DeviceBuffer<u32>,
-    /// Per-agent successor link.
-    pub successors: &'a DeviceBuffer<u32>,
+    pub geom: GridGeometry<R>,
+    /// Agent columns (positions only).
+    pub agents: AgentCols<'a, R>,
+    /// The grid to build ([`ChainGrid::reset`] first).
+    pub grid: ChainGrid<'a>,
 }
 
-impl<R: Scalar + crate::mem::DeviceWord> Kernel for GridBuildKernel<'_, R> {
+impl<R: Scalar + DeviceWord> Kernel for GridBuildKernel<'_, R> {
     fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let i = tid.global() as usize;
         if i >= self.n {
             return;
         }
-        let p = Vec3::new(
-            ctx.ld(self.pos_x, i),
-            ctx.ld(self.pos_y, i),
-            ctx.ld(self.pos_z, i),
-        );
-        // Voxel index: 3 subs, 3 divs/floors, clamps ≈ 12 integer/address ops.
-        ctx.iops(12);
-        let b = self.geom.box_index(p);
-        let old = ctx.atomic_exchange(self.box_start, b, i as u32);
-        ctx.st(self.successors, i, old);
-        ctx.atomic_add(self.box_length, b, 1);
+        let b = self.agents.voxel_of(ctx, &self.geom, i);
+        let old = ctx.atomic_exchange(self.grid.box_start, b, i as u32);
+        ctx.st(self.grid.successors, i, old);
+        ctx.atomic_add(self.grid.box_length, b, 1);
     }
-}
-
-/// Reset the grid buffers for a fresh build (host-side helper; the cost
-/// of the device-side memset is folded into the build launch, it is
-/// bandwidth-trivial next to the position reads).
-pub fn reset_grid_buffers(box_start: &DeviceBuffer<u32>, box_length: &DeviceBuffer<u32>) {
-    box_start.fill(NULL_ID);
-    box_length.fill(0);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::{GpuDevice, LaunchConfig};
-    use crate::mem::DeviceAllocator;
-    use bdm_device::specs::SYSTEM_A;
+    use crate::kernels::layout::testing::DeviceScene;
+    use crate::kernels::layout::NULL_ID;
     use bdm_grid::UniformGrid;
-    use bdm_math::{Aabb, SplitMix64};
+    use bdm_math::{Aabb, SplitMix64, Vec3};
 
     #[test]
     fn device_grid_matches_host_grid() {
@@ -82,45 +56,22 @@ mod tests {
         let zs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
         let host = UniformGrid::build_serial(&xs, &ys, &zs, space, 2.0);
-        let geom = GridGeom::from_grid(&host);
 
-        let mut alloc = DeviceAllocator::new();
-        let px = alloc.alloc::<f64>(n);
-        let py = alloc.alloc::<f64>(n);
-        let pz = alloc.alloc::<f64>(n);
-        px.upload(&xs);
-        py.upload(&ys);
-        pz.upload(&zs);
-        let box_start = alloc.alloc::<u32>(geom.num_boxes());
-        let box_length = alloc.alloc::<u32>(geom.num_boxes());
-        let successors = alloc.alloc::<u32>(n);
-        reset_grid_buffers(&box_start, &box_length);
-
-        let k = GridBuildKernel {
-            n,
-            geom,
-            pos_x: &px,
-            pos_y: &py,
-            pos_z: &pz,
-            box_start: &box_start,
-            box_length: &box_length,
-            successors: &successors,
-        };
-        let dev = GpuDevice::new(SYSTEM_A.gpu);
-        let r = dev.launch(&k, LaunchConfig::for_items(n, 128));
+        let scene = DeviceScene::upload(*host.geometry(), [&xs, &ys, &zs], 1.0, 0.01);
+        let r = scene.build_chains(128);
         assert!(r.counters.atomic_ops > 0.0);
 
         // Same voxel populations...
-        for flat in 0..geom.num_boxes() {
-            assert_eq!(box_length.read(flat), host.boxes()[flat].length);
+        for flat in 0..host.num_boxes() {
+            assert_eq!(scene.box_length.read(flat), host.boxes()[flat].length);
         }
         // ...and the same *sets* per voxel (order may differ).
-        for flat in 0..geom.num_boxes() {
+        for flat in 0..host.num_boxes() {
             let mut dev_ids = Vec::new();
-            let mut cur = box_start.read(flat);
+            let mut cur = scene.box_start.read(flat);
             while cur != NULL_ID {
                 dev_ids.push(cur);
-                cur = successors.read(cur as usize);
+                cur = scene.successors.read(cur as usize);
             }
             let mut host_ids = Vec::new();
             host.for_each_in_box(flat, |id| host_ids.push(id.0));

@@ -1,59 +1,120 @@
-//! The mechanical-interaction kernel: one thread per cell.
+//! The force kernel: one thread per cell, one Eq. 1 body.
 //!
 //! "Each GPU thread handles the mechanical interaction of one cell by
 //! finding the cell's neighborhood and computing the mechanical
 //! forces between the cell and all the cells in its neighborhood"
-//! (paper §IV-B). The same generic kernel realizes three of the paper's
-//! versions:
+//! (paper §IV-B). The paper's versions change the precision, the input
+//! order and where a thread's candidates are staged — never the body —
+//! so there is one [`ForceKernel`], generic over the scalar and over a
+//! [`CandidateSource`], the device twin of the host's `NeighborSource`:
 //!
-//! * **GPU v0** — instantiated at `f64` on insertion-ordered agents;
-//! * **GPU I**  — instantiated at `f32` (Improvement I);
-//! * **GPU II** — instantiated at `f32` on Morton-sorted agents
-//!   (Improvement II; the sorting happens host-side in the pipeline, the
-//!   kernel is unchanged — better locality is purely a data-layout
-//!   effect, which is the paper's point).
+//! * **GPU v0** — `f64` over the [`ChainGrid`], insertion-ordered agents;
+//! * **GPU I**  — `f32` (Improvement I);
+//! * **GPU II** — `f32` on Morton-sorted agents (Improvement II; the
+//!   sorting happens host-side in the pipeline, the kernel is unchanged
+//!   — better locality is purely a data-layout effect, which is the
+//!   paper's point);
+//! * **GPU IV** — `f32`, sorted, over [`CsrCells`](super::layout::CsrCells)
+//!   (see [`super::csr`]).
+//!
+//! Version III and the dynamic-parallelism experiment schedule threads
+//! differently but reuse the pieces below: the chain walk, the
+//! global-candidate load, `accumulate_candidate`, `store_displacement`.
 //!
 //! The per-thread neighbor loop is serial; at high densities the loop
 //! dominates and lanes of a warp diverge in trip count, which the engine's
 //! max-over-lanes warp timing turns into the Fig. 11 stagnation.
 
 use crate::engine::{Kernel, ThreadCtx, ThreadId};
-use crate::kernels::geom::GridGeom;
-use crate::mem::{DeviceBuffer, DeviceWord};
+use crate::kernels::layout::{AgentCols, ChainGrid, DispCols};
+use crate::mem::DeviceWord;
+use bdm_grid::GridGeometry;
 use bdm_math::interaction::{self, MechParams};
 use bdm_math::{Scalar, Vec3};
 
-/// Linked-list terminator (mirrors `bdm_soa::AgentId::NULL`).
-pub const NULL_ID: u32 = u32::MAX;
+/// Where a force thread's candidates come from: a grid layout that can
+/// enumerate the agents of the ≤ 27 voxels around voxel `c`.
+pub trait CandidateSource: Copy {
+    /// Call `visit(ctx, j)` for every agent `j` in the stencil of `c`
+    /// (the thread's own agent included), one slot per candidate.
+    fn for_each_candidate<R: Scalar>(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        geom: &GridGeometry<R>,
+        c: [u32; 3],
+        visit: impl FnMut(&mut ThreadCtx<'_>, usize),
+    );
+}
 
-/// One-thread-per-cell mechanical interaction kernel.
-pub struct MechKernel<'a, R: Scalar + DeviceWord> {
-    /// Number of cells.
-    pub n: usize,
-    /// Grid geometry.
-    pub geom: GridGeom<R>,
-    /// Cell positions.
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
-    /// Cell diameters.
-    pub diameter: &'a DeviceBuffer<R>,
-    /// Cell adherence thresholds.
-    pub adherence: &'a DeviceBuffer<R>,
-    /// Grid: per-voxel list heads.
-    pub box_start: &'a DeviceBuffer<u32>,
-    /// Grid: per-agent successor links.
-    pub successors: &'a DeviceBuffer<u32>,
-    /// Output displacements.
-    pub out_x: &'a DeviceBuffer<R>,
-    /// Output displacements (y).
-    pub out_y: &'a DeviceBuffer<R>,
-    /// Output displacements (z).
-    pub out_z: &'a DeviceBuffer<R>,
-    /// Interaction parameters.
-    pub params: MechParams<R>,
+/// Successor chains over ≤ 27 voxels: one head load per voxel, then a
+/// dependent random access per candidate the coalescer can do nothing
+/// with.
+impl CandidateSource for ChainGrid<'_> {
+    #[inline(always)]
+    fn for_each_candidate<R: Scalar>(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        geom: &GridGeometry<R>,
+        c: [u32; 3],
+        mut visit: impl FnMut(&mut ThreadCtx<'_>, usize),
+    ) {
+        for b in geom.neighbor_boxes_of(c) {
+            ctx.iops(2);
+            self.walk(ctx, b, &mut visit);
+        }
+    }
+}
+
+/// The agent a force thread computes for: its row, position and radius.
+pub(crate) struct Subject<R> {
+    pub i: usize,
+    pub p: Vec3<R>,
+    pub r: R,
+}
+
+impl<R: Scalar + DeviceWord> Subject<R> {
+    /// Load global candidate `j` and accumulate its contribution (the
+    /// subject itself is skipped *inside* the slot, so lanes stay
+    /// aligned).
+    #[inline(always)]
+    pub(crate) fn accumulate(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        agents: AgentCols<'_, R>,
+        j: usize,
+        params: &MechParams<R>,
+        force: &mut Vec3<R>,
+    ) {
+        if j != self.i {
+            let p2 = agents.position(ctx, j);
+            let r2 = agents.radius(ctx, j);
+            ctx.flops::<R>(1);
+            accumulate_candidate(ctx, self.p, self.r, p2, r2, params, force);
+        }
+    }
+
+    /// Eq. 1 summed over the chains of `boxes` — the global walk of the
+    /// kernels that already hold their voxel list in registers
+    /// (dynpar's parent and child, version III's overflow fallback).
+    /// They have never charged the two address ops per voxel the fused
+    /// kernel pays for enumerating its stencil, and the goldens pin it.
+    #[inline(always)]
+    pub(crate) fn chain_force(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        agents: AgentCols<'_, R>,
+        chains: ChainGrid<'_>,
+        boxes: impl IntoIterator<Item = usize>,
+        params: &MechParams<R>,
+    ) -> Vec3<R> {
+        let mut force = Vec3::zero();
+        for b in boxes {
+            chains.walk(ctx, b, |ctx, j| {
+                self.accumulate(ctx, agents, j, params, &mut force)
+            });
+        }
+        force
+    }
 }
 
 /// Accumulate Eq. 1 over one neighbor candidate — the force body shared
@@ -84,12 +145,9 @@ pub(crate) fn accumulate_candidate<R: Scalar>(
 /// Convert an accumulated force to a displacement and store it — shared
 /// epilogue of every kernel version.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn store_displacement<R: Scalar + DeviceWord>(
     ctx: &mut ThreadCtx<'_>,
-    out_x: &DeviceBuffer<R>,
-    out_y: &DeviceBuffer<R>,
-    out_z: &DeviceBuffer<R>,
+    out: DispCols<'_, R>,
     i: usize,
     force: Vec3<R>,
     adherence: R,
@@ -97,73 +155,55 @@ pub(crate) fn store_displacement<R: Scalar + DeviceWord>(
 ) {
     ctx.flops::<R>(8);
     ctx.special::<R>(1);
-    let disp = interaction::displacement(force, adherence, params);
-    ctx.st(out_x, i, disp.x);
-    ctx.st(out_y, i, disp.y);
-    ctx.st(out_z, i, disp.z);
+    out.store(ctx, i, interaction::displacement(force, adherence, params));
 }
 
-impl<R: Scalar + DeviceWord> Kernel for MechKernel<'_, R> {
+/// One-thread-per-cell mechanical interaction kernel.
+pub struct ForceKernel<'a, R: Scalar + DeviceWord, S: CandidateSource> {
+    /// Number of cells.
+    pub n: usize,
+    /// Grid geometry.
+    pub geom: GridGeometry<R>,
+    /// Agent columns.
+    pub agents: AgentCols<'a, R>,
+    /// The grid the candidates are read from.
+    pub source: S,
+    /// Output displacements.
+    pub out: DispCols<'a, R>,
+    /// Interaction parameters.
+    pub params: MechParams<R>,
+}
+
+impl<R: Scalar + DeviceWord, S: CandidateSource> Kernel for ForceKernel<'_, R, S> {
     fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let i = tid.global() as usize;
         if i >= self.n {
             return;
         }
-        let p1 = Vec3::new(
-            ctx.ld(self.pos_x, i),
-            ctx.ld(self.pos_y, i),
-            ctx.ld(self.pos_z, i),
-        );
-        let r1 = ctx.ld(self.diameter, i) * R::HALF;
-        let adh = ctx.ld(self.adherence, i);
+        let a = Subject {
+            i,
+            p: self.agents.position(ctx, i),
+            r: self.agents.radius(ctx, i),
+        };
+        let adh = self.agents.adherence(ctx, i);
         ctx.flops::<R>(1);
         ctx.iops(12);
 
-        let mut boxes = [0usize; 27];
-        let nb = self
-            .geom
-            .neighbor_boxes_of(self.geom.box_coords(p1), &mut boxes);
         let mut force = Vec3::zero();
-        for &b in boxes.iter().take(nb) {
-            ctx.iops(2);
-            let mut cur = ctx.ld(self.box_start, b);
-            while cur != NULL_ID {
-                ctx.begin_slot();
-                let j = cur as usize;
-                if j != i {
-                    let p2 = Vec3::new(
-                        ctx.ld(self.pos_x, j),
-                        ctx.ld(self.pos_y, j),
-                        ctx.ld(self.pos_z, j),
-                    );
-                    let r2 = ctx.ld(self.diameter, j) * R::HALF;
-                    ctx.flops::<R>(1);
-                    accumulate_candidate(ctx, p1, r1, p2, r2, &self.params, &mut force);
-                }
-                cur = ctx.ld(self.successors, j);
-                ctx.iops(1);
-            }
-        }
-        store_displacement(
-            ctx,
-            self.out_x,
-            self.out_y,
-            self.out_z,
-            i,
-            force,
-            adh,
-            &self.params,
-        );
+        let c = self.geom.box_coords(a.p);
+        self.source
+            .for_each_candidate(ctx, &self.geom, c, |ctx, j| {
+                a.accumulate(ctx, self.agents, j, &self.params, &mut force)
+            });
+        store_displacement(ctx, self.out, i, force, adh, &self.params);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{GpuDevice, LaunchConfig};
-    use crate::kernels::grid_build::{reset_grid_buffers, GridBuildKernel};
-    use crate::mem::DeviceAllocator;
-    use bdm_device::specs::SYSTEM_A;
+    use crate::engine::LaunchConfig;
+    use crate::kernels::layout::testing::DeviceScene;
     use bdm_grid::UniformGrid;
     use bdm_math::{Aabb, SplitMix64};
     use bdm_soa::AgentId;
@@ -179,75 +219,29 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
         let ys: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
         let zs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
-        let diam = vec![2.0 * radius; n];
-        let adh = vec![0.01; n];
+        let adh = 0.01;
         let params = MechParams::<f64>::default_params();
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
         let box_len = 2.0 * radius; // largest diameter, BioDynaMo's choice
         let host_grid = UniformGrid::build_serial(&xs, &ys, &zs, space, box_len);
-        let geom = GridGeom::from_grid(&host_grid);
 
         // --- Device path ---
-        let mut alloc = DeviceAllocator::new();
-        let px = alloc.alloc::<f64>(n);
-        let py = alloc.alloc::<f64>(n);
-        let pz = alloc.alloc::<f64>(n);
-        let d = alloc.alloc::<f64>(n);
-        let a = alloc.alloc::<f64>(n);
-        px.upload(&xs);
-        py.upload(&ys);
-        pz.upload(&zs);
-        d.upload(&diam);
-        a.upload(&adh);
-        let box_start = alloc.alloc::<u32>(geom.num_boxes());
-        let box_length = alloc.alloc::<u32>(geom.num_boxes());
-        let successors = alloc.alloc::<u32>(n);
-        reset_grid_buffers(&box_start, &box_length);
-        let ox = alloc.alloc::<f64>(n);
-        let oy = alloc.alloc::<f64>(n);
-        let oz = alloc.alloc::<f64>(n);
-
-        let dev = GpuDevice::new(SYSTEM_A.gpu);
-        dev.launch(
-            &GridBuildKernel {
+        let scene = DeviceScene::upload(*host_grid.geometry(), [&xs, &ys, &zs], 2.0 * radius, adh);
+        scene.build_chains(128);
+        let r = scene.dev.launch(
+            &ForceKernel {
                 n,
-                geom,
-                pos_x: &px,
-                pos_y: &py,
-                pos_z: &pz,
-                box_start: &box_start,
-                box_length: &box_length,
-                successors: &successors,
-            },
-            LaunchConfig::for_items(n, 128),
-        );
-        let r = dev.launch(
-            &MechKernel {
-                n,
-                geom,
-                pos_x: &px,
-                pos_y: &py,
-                pos_z: &pz,
-                diameter: &d,
-                adherence: &a,
-                box_start: &box_start,
-                successors: &successors,
-                out_x: &ox,
-                out_y: &oy,
-                out_z: &oz,
+                geom: scene.geom,
+                agents: scene.agents(),
+                source: scene.chains(),
+                out: scene.out(),
                 params,
             },
             LaunchConfig::for_items(n, 128),
         );
         assert!(r.counters.flops_fp64 > 0.0);
         assert_eq!(r.counters.flops_fp32, 0.0);
-
-        let mut got = vec![0.0; n];
-        let mut got_y = vec![0.0; n];
-        let mut got_z = vec![0.0; n];
-        ox.download(&mut got);
-        oy.download(&mut got_y);
-        oz.download(&mut got_z);
+        let [got, got_y, got_z] = scene.download(&scene.disp);
 
         // --- Host reference ---
         for i in 0..n {
@@ -279,7 +273,7 @@ mod tests {
                     force += f;
                 }
             }
-            let disp = interaction::displacement(force, adh[i], &params);
+            let disp = interaction::displacement(force, adh, &params);
             assert!(
                 (disp.x - got[i]).abs() < 1e-9
                     && (disp.y - got_y[i]).abs() < 1e-9
@@ -302,93 +296,33 @@ mod tests {
         let ys: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
         let zs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
 
-        let run = |fp32: bool| -> Vec<f64> {
-            let space = Aabb::new(Vec3::<f64>::zero(), Vec3::splat(extent));
-            let grid = UniformGrid::build_serial(&xs, &ys, &zs, space, 1.2);
-            if fp32 {
-                run_inner::<f32>(&xs, &ys, &zs, &grid)
-            } else {
-                run_inner::<f64>(&xs, &ys, &zs, &grid)
-            }
-        };
-
-        fn run_inner<R: Scalar + DeviceWord>(
+        fn run<R: Scalar + DeviceWord>(
             xs: &[f64],
             ys: &[f64],
             zs: &[f64],
-            host_grid: &UniformGrid<f64>,
+            extent: f64,
         ) -> Vec<f64> {
-            let n = xs.len();
-            let to_r = |v: &[f64]| -> Vec<R> { v.iter().map(|&x| R::from_f64(x)).collect() };
-            let space = Aabb::new(
-                host_grid.space().min.cast::<R>(),
-                host_grid.space().max.cast::<R>(),
-            );
-            let grid_r = UniformGrid::<R>::build_serial(
-                &to_r(xs),
-                &to_r(ys),
-                &to_r(zs),
-                space,
-                R::from_f64(host_grid.box_length().to_f64()),
-            );
-            let geom = GridGeom::from_grid(&grid_r);
-            let mut alloc = DeviceAllocator::new();
-            let px = alloc.alloc::<R>(n);
-            let py = alloc.alloc::<R>(n);
-            let pz = alloc.alloc::<R>(n);
-            let d = alloc.alloc::<R>(n);
-            let a = alloc.alloc::<R>(n);
-            px.upload(&to_r(xs));
-            py.upload(&to_r(ys));
-            pz.upload(&to_r(zs));
-            d.upload(&vec![R::from_f64(1.2); n]);
-            a.upload(&vec![R::from_f64(0.01); n]);
-            let box_start = alloc.alloc::<u32>(geom.num_boxes());
-            let box_length = alloc.alloc::<u32>(geom.num_boxes());
-            let successors = alloc.alloc::<u32>(n);
-            reset_grid_buffers(&box_start, &box_length);
-            let ox = alloc.alloc::<R>(n);
-            let oy = alloc.alloc::<R>(n);
-            let oz = alloc.alloc::<R>(n);
-            let dev = GpuDevice::new(SYSTEM_A.gpu);
-            dev.launch(
-                &GridBuildKernel {
-                    n,
+            let space = Aabb::new(Vec3::zero(), Vec3::splat(R::from_f64(extent)));
+            let geom = GridGeometry::new(space, R::from_f64(1.2));
+            let scene = DeviceScene::upload(geom, [xs, ys, zs], 1.2, 0.01);
+            scene.build_chains(64);
+            scene.dev.launch(
+                &ForceKernel {
+                    n: scene.n,
                     geom,
-                    pos_x: &px,
-                    pos_y: &py,
-                    pos_z: &pz,
-                    box_start: &box_start,
-                    box_length: &box_length,
-                    successors: &successors,
-                },
-                LaunchConfig::for_items(n, 64),
-            );
-            dev.launch(
-                &MechKernel {
-                    n,
-                    geom,
-                    pos_x: &px,
-                    pos_y: &py,
-                    pos_z: &pz,
-                    diameter: &d,
-                    adherence: &a,
-                    box_start: &box_start,
-                    successors: &successors,
-                    out_x: &ox,
-                    out_y: &oy,
-                    out_z: &oz,
+                    agents: scene.agents(),
+                    source: scene.chains(),
+                    out: scene.out(),
                     params: MechParams::<R>::default_params(),
                 },
-                LaunchConfig::for_items(n, 64),
+                LaunchConfig::for_items(scene.n, 64),
             );
-            let mut out = vec![R::ZERO; n];
-            ox.download(&mut out);
-            out.iter().map(|v| v.to_f64()).collect()
+            let [dx, ..] = scene.download(&scene.disp);
+            dx
         }
 
-        let d64 = run(false);
-        let d32 = run(true);
+        let d64 = run::<f64>(&xs, &ys, &zs, extent);
+        let d32 = run::<f32>(&xs, &ys, &zs, extent);
         let mut max_err = 0.0f64;
         for i in 0..n {
             max_err = max_err.max((d64[i] - d32[i]).abs());

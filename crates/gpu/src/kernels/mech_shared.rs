@@ -21,10 +21,11 @@
 //!   memory. If the tile overflowed its capacity, the thread falls back
 //!   to the global-memory walk so results stay exact.
 
-use crate::engine::{Kernel, ThreadCtx, ThreadId};
-use crate::kernels::geom::GridGeom;
-use crate::kernels::mech::{accumulate_candidate, store_displacement, NULL_ID};
+use crate::engine::{FromWord, Kernel, ThreadCtx, ThreadId};
+use crate::kernels::layout::{AgentCols, ChainGrid, DispCols};
+use crate::kernels::mech::{accumulate_candidate, store_displacement, Subject};
 use crate::mem::{DeviceBuffer, DeviceWord};
+use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
 use bdm_math::{Scalar, Vec3};
 
@@ -39,109 +40,92 @@ pub fn shared_words_for(cap: usize) -> usize {
     TILE_HEADER_WORDS + cap * WORDS_PER_ENTRY
 }
 
+/// The largest tile (in entries) `shared_bytes` of shared memory hold —
+/// the inverse of [`shared_words_for`], capped at 2,048 entries.
+pub fn tile_cap_for(shared_bytes: usize) -> usize {
+    ((shared_bytes / 8).saturating_sub(TILE_HEADER_WORDS) / WORDS_PER_ENTRY).min(2048)
+}
+
 /// Block-per-voxel shared-memory mechanical kernel.
 pub struct SharedMechKernel<'a, R: Scalar + DeviceWord> {
     /// Grid geometry.
-    pub geom: GridGeom<R>,
+    pub geom: GridGeometry<R>,
     /// Flat box index processed by each block (non-empty voxels only).
     pub voxel_ids: &'a DeviceBuffer<u32>,
-    /// Cell positions.
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
-    /// Cell diameters.
-    pub diameter: &'a DeviceBuffer<R>,
-    /// Cell adherence thresholds.
-    pub adherence: &'a DeviceBuffer<R>,
-    /// Grid list heads.
-    pub box_start: &'a DeviceBuffer<u32>,
-    /// Grid voxel populations.
-    pub box_length: &'a DeviceBuffer<u32>,
-    /// Successor links.
-    pub successors: &'a DeviceBuffer<u32>,
+    /// Agent columns.
+    pub agents: AgentCols<'a, R>,
+    /// The grid.
+    pub chains: ChainGrid<'a>,
     /// Output displacements.
-    pub out_x: &'a DeviceBuffer<R>,
-    /// Output displacements (y).
-    pub out_y: &'a DeviceBuffer<R>,
-    /// Output displacements (z).
-    pub out_z: &'a DeviceBuffer<R>,
+    pub out: DispCols<'a, R>,
     /// Tile capacity in entries.
     pub tile_cap: usize,
     /// Interaction parameters.
     pub params: MechParams<R>,
 }
 
-impl<R: Scalar + DeviceWord + crate::engine::FromWord> Kernel for SharedMechKernel<'_, R> {
+impl<R: Scalar + DeviceWord + FromWord> Kernel for SharedMechKernel<'_, R> {
     fn phases(&self) -> usize {
         2
     }
 
     fn thread(&self, phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let center_flat = ctx.ld(self.voxel_ids, tid.block as usize) as usize;
-        let center_coords = self.geom.coords_of(center_flat);
-        let mut boxes = [0usize; 27];
-        let nb = self.geom.neighbor_boxes_of(center_coords, &mut boxes);
+        let mut boxes = self
+            .geom
+            .neighbor_boxes_of(self.geom.coords_of(center_flat));
         ctx.iops(16);
         let t = tid.thread as usize;
 
         if phase == 0 {
             // Cooperative tile build: one thread per neighbor box.
-            if t >= nb {
+            let Some(b) = boxes.nth(t) else {
                 return; // boundary-check divergence (paper §VI)
-            }
-            let b = boxes[t];
-            let mut cur = ctx.ld(self.box_start, b);
-            while cur != NULL_ID {
-                ctx.begin_slot();
-                let j = cur as usize;
-                let x = ctx.ld(self.pos_x, j);
-                let y = ctx.ld(self.pos_y, j);
-                let z = ctx.ld(self.pos_z, j);
-                let r = ctx.ld(self.diameter, j) * R::HALF;
+            };
+            self.chains.walk(ctx, b, |ctx, j| {
+                let p = self.agents.position(ctx, j);
+                let r = self.agents.radius(ctx, j);
                 ctx.flops::<R>(1);
                 let slot = ctx.sh_atomic_add_u32(0, 1) as usize;
                 if slot < self.tile_cap {
                     let base = TILE_HEADER_WORDS + slot * WORDS_PER_ENTRY;
-                    ctx.sh_st::<u32>(base, cur);
-                    ctx.sh_st::<R>(base + 1, x);
-                    ctx.sh_st::<R>(base + 2, y);
-                    ctx.sh_st::<R>(base + 3, z);
+                    ctx.sh_st::<u32>(base, j as u32);
+                    ctx.sh_st::<R>(base + 1, p.x);
+                    ctx.sh_st::<R>(base + 2, p.y);
+                    ctx.sh_st::<R>(base + 3, p.z);
                     ctx.sh_st::<R>(base + 4, r);
                 } else {
                     ctx.sh_st::<u32>(1, 1); // overflow → phase 1 falls back
                 }
-                cur = ctx.ld(self.successors, j);
-                ctx.iops(1);
-            }
+            });
             return;
         }
 
         // ---- Phase 1: per-agent force over the tile ----
-        let len = ctx.ld(self.box_length, center_flat) as usize;
+        let len = ctx.ld(self.chains.box_length, center_flat) as usize;
         if t >= len {
             return; // boundary-check divergence again
         }
         // Walk the center list to the t-th agent.
-        let mut cur = ctx.ld(self.box_start, center_flat);
+        let mut cur = ctx.ld(self.chains.box_start, center_flat);
         for _ in 0..t {
-            cur = ctx.ld(self.successors, cur as usize);
+            cur = ctx.ld(self.chains.successors, cur as usize);
             ctx.iops(1);
         }
         let i = cur as usize;
-        let p1 = Vec3::new(
-            ctx.ld(self.pos_x, i),
-            ctx.ld(self.pos_y, i),
-            ctx.ld(self.pos_z, i),
-        );
-        let r1 = ctx.ld(self.diameter, i) * R::HALF;
-        let adh = ctx.ld(self.adherence, i);
+        let a = Subject {
+            i,
+            p: self.agents.position(ctx, i),
+            r: self.agents.radius(ctx, i),
+        };
+        let adh = self.agents.adherence(ctx, i);
         ctx.flops::<R>(1);
 
         let overflow = ctx.sh_ld::<u32>(1) != 0;
-        let mut force = Vec3::zero();
-        if !overflow {
+        let force = if !overflow {
+            // The third candidate shape: entries staged in the tile
+            // carry their own position and radius.
+            let mut force = Vec3::zero();
             let count = (ctx.sh_ld::<u32>(0) as usize).min(self.tile_cap);
             for e in 0..count {
                 let base = TILE_HEADER_WORDS + e * WORDS_PER_ENTRY;
@@ -155,51 +139,23 @@ impl<R: Scalar + DeviceWord + crate::engine::FromWord> Kernel for SharedMechKern
                     ctx.sh_ld::<R>(base + 3),
                 );
                 let r2 = ctx.sh_ld::<R>(base + 4);
-                accumulate_candidate(ctx, p1, r1, p2, r2, &self.params, &mut force);
+                accumulate_candidate(ctx, a.p, a.r, p2, r2, &self.params, &mut force);
             }
+            force
         } else {
             // Exactness fallback: global-memory walk, v0-style.
-            for &b in boxes.iter().take(nb) {
-                let mut cur = ctx.ld(self.box_start, b);
-                while cur != NULL_ID {
-                    ctx.begin_slot();
-                    let j = cur as usize;
-                    if j != i {
-                        let p2 = Vec3::new(
-                            ctx.ld(self.pos_x, j),
-                            ctx.ld(self.pos_y, j),
-                            ctx.ld(self.pos_z, j),
-                        );
-                        let r2 = ctx.ld(self.diameter, j) * R::HALF;
-                        ctx.flops::<R>(1);
-                        accumulate_candidate(ctx, p1, r1, p2, r2, &self.params, &mut force);
-                    }
-                    cur = ctx.ld(self.successors, j);
-                    ctx.iops(1);
-                }
-            }
-        }
-        store_displacement(
-            ctx,
-            self.out_x,
-            self.out_y,
-            self.out_z,
-            i,
-            force,
-            adh,
-            &self.params,
-        );
+            a.chain_force(ctx, self.agents, self.chains, boxes, &self.params)
+        };
+        store_displacement(ctx, self.out, i, force, adh, &self.params);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{GpuDevice, LaunchConfig};
-    use crate::kernels::grid_build::{reset_grid_buffers, GridBuildKernel};
-    use crate::kernels::mech::MechKernel;
-    use crate::mem::DeviceAllocator;
-    use bdm_device::specs::SYSTEM_A;
+    use crate::engine::LaunchConfig;
+    use crate::kernels::layout::testing::DeviceScene;
+    use crate::kernels::mech::ForceKernel;
     use bdm_grid::UniformGrid;
     use bdm_math::{Aabb, SplitMix64};
 
@@ -215,92 +171,43 @@ mod tests {
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
         let box_len = 1.1;
         let host_grid = UniformGrid::build_serial(&xs, &ys, &zs, space, box_len);
-        let geom = GridGeom::from_grid(&host_grid);
+        let geom = *host_grid.geometry();
         let params = MechParams::<f64>::default_params();
 
-        let mut alloc = DeviceAllocator::new();
-        let px = alloc.alloc::<f64>(n);
-        let py = alloc.alloc::<f64>(n);
-        let pz = alloc.alloc::<f64>(n);
-        let d = alloc.alloc::<f64>(n);
-        let a = alloc.alloc::<f64>(n);
-        px.upload(&xs);
-        py.upload(&ys);
-        pz.upload(&zs);
-        d.upload(&vec![1.1; n]);
-        a.upload(&vec![0.01; n]);
-        let box_start = alloc.alloc::<u32>(geom.num_boxes());
-        let box_length = alloc.alloc::<u32>(geom.num_boxes());
-        let successors = alloc.alloc::<u32>(n);
-        reset_grid_buffers(&box_start, &box_length);
-        let dev = GpuDevice::new(SYSTEM_A.gpu);
-        dev.launch(
-            &GridBuildKernel {
-                n,
-                geom,
-                pos_x: &px,
-                pos_y: &py,
-                pos_z: &pz,
-                box_start: &box_start,
-                box_length: &box_length,
-                successors: &successors,
-            },
-            LaunchConfig::for_items(n, 64),
-        );
+        let mut scene = DeviceScene::upload(geom, [&xs, &ys, &zs], 1.1, 0.01);
+        scene.build_chains(64);
 
         // Reference: per-cell kernel.
-        let rx = alloc.alloc::<f64>(n);
-        let ry = alloc.alloc::<f64>(n);
-        let rz = alloc.alloc::<f64>(n);
-        dev.launch(
-            &MechKernel {
+        scene.dev.launch(
+            &ForceKernel {
                 n,
                 geom,
-                pos_x: &px,
-                pos_y: &py,
-                pos_z: &pz,
-                diameter: &d,
-                adherence: &a,
-                box_start: &box_start,
-                successors: &successors,
-                out_x: &rx,
-                out_y: &ry,
-                out_z: &rz,
+                agents: scene.agents(),
+                source: scene.chains(),
+                out: scene.out(),
                 params,
             },
             LaunchConfig::for_items(n, 64),
         );
+        let [want, ..] = scene.download(&scene.disp);
 
         // Shared-memory kernel over non-empty voxels.
-        let mut non_empty = Vec::new();
-        for flat in 0..geom.num_boxes() {
-            if box_length.read(flat) > 0 {
-                non_empty.push(flat as u32);
-            }
-        }
-        let voxel_ids = alloc.alloc::<u32>(non_empty.len());
+        let non_empty: Vec<u32> = (0..geom.num_boxes() as u32)
+            .filter(|&flat| scene.box_length.read(flat as usize) > 0)
+            .collect();
+        let voxel_ids = scene.alloc.alloc::<u32>(non_empty.len());
         voxel_ids.upload(&non_empty);
-        let sx = alloc.alloc::<f64>(n);
-        let sy = alloc.alloc::<f64>(n);
-        let sz = alloc.alloc::<f64>(n);
+        let shared_out = std::array::from_fn(|_| scene.alloc.alloc::<f64>(n));
         let k = SharedMechKernel {
             geom,
             voxel_ids: &voxel_ids,
-            pos_x: &px,
-            pos_y: &py,
-            pos_z: &pz,
-            diameter: &d,
-            adherence: &a,
-            box_start: &box_start,
-            box_length: &box_length,
-            successors: &successors,
-            out_x: &sx,
-            out_y: &sy,
-            out_z: &sz,
+            agents: scene.agents(),
+            chains: scene.chains(),
+            out: DispCols(&shared_out),
             tile_cap,
             params,
         };
-        let r = dev.launch(
+        let r = scene.dev.launch(
             &k,
             LaunchConfig {
                 grid_dim: non_empty.len() as u32,
@@ -314,11 +221,7 @@ mod tests {
             "tile atomics must conflict"
         );
 
-        let mut want = vec![0.0; n];
-        let mut got = vec![0.0; n];
-        for (dst, src) in [(&mut want, &rx), (&mut got, &sx)] {
-            src.download(dst);
-        }
+        let [got, ..] = scene.download(&shared_out);
         for i in 0..n {
             assert!(
                 (want[i] - got[i]).abs() < 1e-9,

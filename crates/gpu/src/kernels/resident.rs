@@ -8,8 +8,11 @@
 //! agent, three coalesced load/store pairs. It is the device twin of the
 //! host-side `apply_displacements` (a plain add — the displacement
 //! magnitude clamp already happened in `store_displacement`).
+//! [`CompactKernel`] keeps the columns dense after host-side deaths
+//! without re-uploading them.
 
 use crate::engine::{Kernel, ThreadCtx, ThreadId};
+use crate::kernels::layout::{AgentCols, DispCols};
 use crate::mem::{DeviceBuffer, DeviceWord};
 use bdm_math::Scalar;
 
@@ -17,18 +20,10 @@ use bdm_math::Scalar;
 pub struct IntegrateKernel<'a, R: Scalar + DeviceWord> {
     /// Number of agents.
     pub n: usize,
-    /// Position columns (updated in place).
-    pub pos_x: &'a DeviceBuffer<R>,
-    /// Y coordinates.
-    pub pos_y: &'a DeviceBuffer<R>,
-    /// Z coordinates.
-    pub pos_z: &'a DeviceBuffer<R>,
+    /// Agent columns (positions updated in place).
+    pub agents: AgentCols<'a, R>,
     /// Displacement columns (the mech kernels' output).
-    pub disp_x: &'a DeviceBuffer<R>,
-    /// Displacements (y).
-    pub disp_y: &'a DeviceBuffer<R>,
-    /// Displacements (z).
-    pub disp_z: &'a DeviceBuffer<R>,
+    pub disp: DispCols<'a, R>,
 }
 
 impl<R: Scalar + DeviceWord> Kernel for IntegrateKernel<'_, R> {
@@ -37,13 +32,47 @@ impl<R: Scalar + DeviceWord> Kernel for IntegrateKernel<'_, R> {
         if i >= self.n {
             return;
         }
-        let x = ctx.ld(self.pos_x, i) + ctx.ld(self.disp_x, i);
-        let y = ctx.ld(self.pos_y, i) + ctx.ld(self.disp_y, i);
-        let z = ctx.ld(self.pos_z, i) + ctx.ld(self.disp_z, i);
+        let moved: [R; 3] =
+            std::array::from_fn(|k| ctx.ld(&self.agents.0[k], i) + ctx.ld(&self.disp.0[k], i));
         ctx.flops::<R>(3);
-        ctx.st(self.pos_x, i, x);
-        ctx.st(self.pos_y, i, y);
-        ctx.st(self.pos_z, i, z);
+        for (col, v) in self.agents.0[..3].iter().zip(moved) {
+            ctx.st(col, i, v);
+        }
+    }
+}
+
+/// On-device column compaction after host-side deaths.
+///
+/// `ResourceManager::remove` is a swap-remove — the freed slot is
+/// back-filled from the tail — so a batch of deaths compacts the SoA
+/// columns with a short list of `(dst, src)` row moves where every `src`
+/// lies in the truncated tail. The host uploads only that move list
+/// (charged by the pipeline); the five agent columns themselves never
+/// cross the bus. Moves are disjoint by construction (distinct dsts,
+/// srcs beyond the new length), so one thread per move needs no
+/// synchronization.
+pub struct CompactKernel<'a, R: Scalar + DeviceWord> {
+    /// Number of `(dst, src)` move pairs.
+    pub n_moves: usize,
+    /// Move list: `moves[2k] = dst`, `moves[2k + 1] = src`.
+    pub moves: &'a DeviceBuffer<u32>,
+    /// Agent columns (rows moved in place).
+    pub agents: AgentCols<'a, R>,
+}
+
+impl<R: Scalar + DeviceWord> Kernel for CompactKernel<'_, R> {
+    fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
+        let k = tid.global() as usize;
+        if k >= self.n_moves {
+            return;
+        }
+        let dst = ctx.ld(self.moves, 2 * k) as usize;
+        let src = ctx.ld(self.moves, 2 * k + 1) as usize;
+        ctx.iops(4);
+        for col in self.agents.0 {
+            let v = ctx.ld(col, src);
+            ctx.st(col, dst, v);
+        }
     }
 }
 
@@ -58,41 +87,33 @@ mod tests {
     fn integrate_adds_displacements_in_place() {
         let n = 100;
         let mut alloc = DeviceAllocator::new();
-        let px = alloc.alloc::<f64>(n);
-        let py = alloc.alloc::<f64>(n);
-        let pz = alloc.alloc::<f64>(n);
-        let dx = alloc.alloc::<f64>(n);
-        let dy = alloc.alloc::<f64>(n);
-        let dz = alloc.alloc::<f64>(n);
+        let cols = std::array::from_fn(|_| alloc.alloc::<f64>(n));
+        let disp = std::array::from_fn(|_| alloc.alloc::<f64>(n));
         let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        px.upload(&xs);
-        py.upload(&xs);
-        pz.upload(&xs);
-        dx.upload(&vec![0.5; n]);
-        dy.upload(&vec![-0.25; n]);
-        dz.upload(&vec![0.0; n]);
+        for col in &cols[..3] {
+            col.upload(&xs);
+        }
+        for (col, d) in disp.iter().zip([0.5, -0.25, 0.0]) {
+            col.fill(d);
+        }
         let dev = GpuDevice::new(SYSTEM_A.gpu);
         let r = dev.launch(
             &IntegrateKernel {
                 n,
-                pos_x: &px,
-                pos_y: &py,
-                pos_z: &pz,
-                disp_x: &dx,
-                disp_y: &dy,
-                disp_z: &dz,
+                agents: AgentCols(&cols),
+                disp: DispCols(&disp),
             },
             LaunchConfig::for_items(n, 128),
         );
         assert!(r.counters.flops_fp64 > 0.0);
         let mut out = vec![0.0; n];
-        px.download(&mut out);
+        cols[0].download(&mut out);
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, i as f64 + 0.5);
         }
-        py.download(&mut out);
+        cols[1].download(&mut out);
         assert_eq!(out[3], 3.0 - 0.25);
-        pz.download(&mut out);
+        cols[2].download(&mut out);
         assert_eq!(out[7], 7.0);
     }
 }

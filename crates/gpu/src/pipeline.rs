@@ -6,33 +6,38 @@
 //! displacements. Only "a subset of the agents' state data" crosses the
 //! bus (paper §II): positions, diameters, adherence in; displacements out.
 //!
-//! The four paper versions plus the post-paper experiments:
+//! The four paper versions plus the post-paper experiments — one
+//! [`ForceKernel`] body wherever a thread owns a cell, over the grid the
+//! version builds:
 //!
-//! | version | precision | input order | kernel |
-//! |---|---|---|---|
-//! | `V0`       | FP64 | insertion     | [`MechKernel`] |
-//! | `V1Fp32`   | FP32 | insertion     | [`MechKernel`] |
-//! | `V2Sorted` | FP32 | Morton-sorted | [`MechKernel`] |
-//! | `V3Shared` | FP32 | Morton-sorted | [`SharedMechKernel`] |
-//! | `DynPar`   | FP32 | Morton-sorted | [`ParentKernel`]+[`ChildKernel`]+[`FinishKernel`] |
-//! | `V4Csr`    | FP32 | Morton-sorted | [`CsrCountKernel`]+[`CsrScatterKernel`]+[`MechCsrKernel`] |
+//! | version | precision | input order | grid build | force kernel |
+//! |---|---|---|---|---|
+//! | `V0`       | FP64 | insertion     | [`GridBuildKernel`] | [`ForceKernel`] over [`ChainGrid`] |
+//! | `V1Fp32`   | FP32 | insertion     | [`GridBuildKernel`] | [`ForceKernel`] over [`ChainGrid`] |
+//! | `V2Sorted` | FP32 | Morton-sorted | [`GridBuildKernel`] | [`ForceKernel`] over [`ChainGrid`] |
+//! | `V3Shared` | FP32 | Morton-sorted | [`GridBuildKernel`] | [`SharedMechKernel`] |
+//! | `DynPar`   | FP32 | Morton-sorted | [`GridBuildKernel`] | [`ParentKernel`]+[`ChildKernel`]+[`FinishKernel`] |
+//! | `V4Csr`    | FP32 | Morton-sorted | [`CsrCountKernel`]+[`CsrScatterKernel`] | [`ForceKernel`] over [`CsrCells`] |
 //!
 //! # Device residency
 //!
 //! The pipeline owns a persistent [`DeviceState`]: every device buffer is
 //! allocated once and grown geometrically, so steady-state steps perform
-//! zero allocations. Two entry points share it:
+//! zero allocations. Two entry points share it (and one step frame: the
+//! same prologue, grid build, kernels, download and report):
 //!
 //! * [`MechanicalPipeline::step`] — the classic rebuilt step: upload the
 //!   five columns, build, compute, download displacements. Buffers are
 //!   reused but the device copy is treated as scratch.
 //! * [`MechanicalPipeline::step_resident`] — agent state *stays* on the
 //!   device across steps. The host hands in its (FP64) columns plus a
-//!   UID column; the pipeline diffs them against its mirror of the
-//!   device state and moves only the difference over the bus: appended
-//!   births as ranged tail uploads, swap-remove deaths as an uploaded
-//!   `(dst, src)` move list compacted *on the device*
-//!   ([`CompactKernel`]), scalar host-side edits as element patches.
+//!   UID column; the pipeline classifies the UID column against the one
+//!   its device rows were uploaded under ([`SyncPlan`]) and moves only
+//!   the difference over the bus: appended births as ranged tail
+//!   uploads, swap-remove deaths as an uploaded `(dst, src)` move list
+//!   compacted *on the device* ([`CompactKernel`]), scalar host-side
+//!   edits as element patches. A reordered or otherwise unrecognizable
+//!   UID column re-uploads everything — nobody has to tell the pipeline.
 //!   Displacements are folded into the position columns on the device
 //!   ([`IntegrateKernel`]) and only the three position columns come back
 //!   for inspection. A steady-state step therefore uploads nothing.
@@ -44,18 +49,19 @@
 //! because both grid builds are pure functions of the (unchanged) keys.
 
 use crate::counters::KernelCounters;
-use crate::engine::{FromWord, HostCost, LaunchResult};
+use crate::engine::{FromWord, HostCost, Kernel, LaunchResult};
 use crate::frontend::{ApiFrontend, Runtime};
-use crate::kernels::csr::{exclusive_scan_into, CsrCountKernel, CsrScatterKernel, MechCsrKernel};
-use crate::kernels::dynpar::{ChildKernel, CompactKernel, FinishKernel, ParentKernel};
-use crate::kernels::geom::GridGeom;
-use crate::kernels::grid_build::{reset_grid_buffers, GridBuildKernel};
-use crate::kernels::mech::MechKernel;
-use crate::kernels::mech_shared::{shared_words_for, SharedMechKernel};
-use crate::kernels::resident::IntegrateKernel;
+use crate::kernels::csr::{exclusive_scan_into, CsrCountKernel, CsrScatterKernel};
+use crate::kernels::dynpar::{ChildKernel, FinishKernel, ParentKernel};
+use crate::kernels::grid_build::GridBuildKernel;
+use crate::kernels::layout::{AgentCols, ChainGrid, CsrCells, DispCols};
+use crate::kernels::mech::ForceKernel;
+use crate::kernels::mech_shared::{shared_words_for, tile_cap_for, SharedMechKernel};
+use crate::kernels::resident::{CompactKernel, IntegrateKernel};
 use crate::mem::{DeviceAllocator, DeviceBuffer, DeviceWord};
 use bdm_device::specs::SystemSpec;
 use bdm_device::transfer::PcieModel;
+use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
 use bdm_math::{Aabb, Scalar, Vec3};
 use std::collections::HashMap;
@@ -116,6 +122,92 @@ impl KernelVersion {
     }
 }
 
+/// How a step brought the device's agent rows up to date with the host
+/// columns — the decision, the report field and the metric label in one.
+/// A resident step reads it off the UID column (`classify`); a rebuilt
+/// step treats the device as scratch, so it is always [`SyncPlan::Cold`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncPlan {
+    /// No valid device rows (first step, after
+    /// [`MechanicalPipeline::invalidate_residency`], a buffer
+    /// reallocation, or a rebuilt step): upload everything.
+    Cold,
+    /// Same rows in the same order: upload nothing but element patches.
+    Unchanged,
+    /// The old rows, then births: upload only the new tail rows.
+    Appended,
+    /// Swap-remove deaths: upload a `(dst, src)` move list, compact
+    /// on-device.
+    Compacted,
+    /// Same length, different sequence — a host reorder (or as many
+    /// births as deaths, which looks the same from here and costs the
+    /// same): upload everything.
+    Permuted,
+    /// Anything else (births and deaths or a reorder in one step):
+    /// upload everything.
+    Churn,
+}
+
+impl SyncPlan {
+    /// Metric label (`gpu.sync{kind=…}`).
+    pub fn label(&self) -> &'static str {
+        match self {
+            SyncPlan::Cold => "cold",
+            SyncPlan::Unchanged => "unchanged",
+            SyncPlan::Appended => "appended",
+            SyncPlan::Compacted => "compacted",
+            SyncPlan::Permuted => "permuted",
+            SyncPlan::Churn => "churn",
+        }
+    }
+}
+
+/// Classify the host's UID column against `prev`, the column the device
+/// rows were uploaded under (`None`: the device holds nothing valid).
+/// For [`SyncPlan::Compacted`], `moves` receives the flat `(dst, src)`
+/// list that turns the old rows into the new ones; `slots` is scratch.
+fn classify(
+    prev: Option<&[u64]>,
+    uids: &[u64],
+    slots: &mut HashMap<u64, u32>,
+    moves: &mut Vec<u32>,
+) -> SyncPlan {
+    let Some(prev) = prev else {
+        return SyncPlan::Cold;
+    };
+    let n = uids.len();
+    if uids == prev {
+        return SyncPlan::Unchanged;
+    }
+    if n > prev.len() {
+        return if uids[..prev.len()] == *prev {
+            SyncPlan::Appended
+        } else {
+            SyncPlan::Churn
+        };
+    }
+    if n == prev.len() {
+        return SyncPlan::Permuted;
+    }
+    // Deaths: the host's swap-remove leaves a short `(dst, src)` move
+    // list with every source in the truncated tail. Destinations are
+    // distinct rows below `n` and sources distinct rows at or above it,
+    // so the moves are disjoint and can run one thread each.
+    slots.clear();
+    slots.extend(prev.iter().enumerate().map(|(slot, &u)| (u, slot as u32)));
+    moves.clear();
+    for (i, &u) in uids.iter().enumerate() {
+        if u == prev[i] {
+            continue;
+        }
+        match slots.get(&u) {
+            Some(&src) if src as usize >= n => moves.extend([i as u32, src]),
+            _ => return SyncPlan::Churn,
+        }
+    }
+    SyncPlan::Compacted
+}
+
 /// Timing + counters of one offloaded step.
 #[derive(Debug, Clone)]
 pub struct GpuStepReport {
@@ -155,6 +247,11 @@ pub struct GpuStepReport {
     pub midstep_syncs: u32,
     /// Whether this step ran with device-resident agent state.
     pub resident: bool,
+    /// How the agent rows reached the device this step.
+    pub sync: SyncPlan,
+    /// Whether the grid was built this step (`false`: the resident path
+    /// found every voxel key unchanged and reused the device's grid).
+    pub grid_built: bool,
     /// Host wall clock the SIMT simulator spent on the step's launches
     /// (measured, not modeled — the one nondeterministic field).
     pub host: HostCost,
@@ -185,6 +282,11 @@ impl GpuStepReport {
             labels,
             if self.resident { 1.0 } else { 0.0 },
         );
+        let with = |key, value| [labels, &[(key, value)]].concat();
+        // Why a fast path was or was not taken, one count per step.
+        reg.inc_counter("gpu.sync", &with("kind", self.sync.label()), 1.0);
+        let outcome = if self.grid_built { "built" } else { "skipped" };
+        reg.inc_counter("gpu.grid_build", &with("outcome", outcome), 1.0);
         self.counters.publish_metrics("gpu.step", labels, reg);
         self.mech_counters.publish_metrics("gpu.mech", labels, reg);
         // The simulator's own host wall clock: informational, never gated.
@@ -193,9 +295,7 @@ impl GpuStepReport {
             ("coalesce", self.host.coalesce_s),
             ("drain", self.host.drain_s),
         ] {
-            let mut with_phase = labels.to_vec();
-            with_phase.push(("phase", phase));
-            reg.observe("gpu.host_s", &with_phase, secs);
+            reg.observe("gpu.host_s", &with("phase", phase), secs);
         }
     }
 }
@@ -220,8 +320,21 @@ pub struct SceneRef<'a> {
     pub box_len: f64,
 }
 
+impl<'a> SceneRef<'a> {
+    /// The five agent columns in device order ([`AgentCols`]), named.
+    fn columns(&self) -> [(&'static str, &'a [f64]); 5] {
+        [
+            ("xs", self.xs),
+            ("ys", self.ys),
+            ("zs", self.zs),
+            ("diameters", self.diameters),
+            ("adherences", self.adherences),
+        ]
+    }
+}
+
 /// Per-step transfer/launch cost of one pipeline phase.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct PhaseCost {
     counters: KernelCounters,
     secs: f64,
@@ -240,6 +353,47 @@ impl PhaseCost {
         self.secs += r.timing.total_s;
         self.host.merge(&r.host);
     }
+
+    /// Launch `kernel` at one thread per item (128-thread groups, no
+    /// shared memory) and account it to this phase.
+    fn launch<K: Kernel>(&mut self, runtime: &Runtime, kernel: &K, items: usize) {
+        self.add_launch(&runtime.dispatch(kernel, items, 128, 0));
+    }
+
+    /// Account `columns` uploads of `rows` device words of `W` each.
+    fn add_h2d<W: DeviceWord>(&mut self, columns: u32, rows: usize) {
+        self.h2d_bytes += columns as u64 * rows as u64 * W::BYTES as u64;
+        self.h2d_transfers += columns;
+    }
+
+    /// Account `columns` downloads of `rows` device words of `W` each.
+    fn add_d2h<W: DeviceWord>(&mut self, columns: u32, rows: usize) {
+        self.d2h_bytes += columns as u64 * rows as u64 * W::BYTES as u64;
+        self.d2h_transfers += columns;
+    }
+
+    /// Fold a later phase of the same step into this one.
+    fn merge(&mut self, later: &PhaseCost) {
+        self.counters.merge(&later.counters);
+        self.secs += later.secs;
+        self.host.merge(&later.host);
+        self.h2d_bytes += later.h2d_bytes;
+        self.h2d_transfers += later.h2d_transfers;
+        self.d2h_bytes += later.d2h_bytes;
+        self.d2h_transfers += later.d2h_transfers;
+        self.midstep_syncs += later.midstep_syncs;
+    }
+}
+
+/// Read `len` per-voxel counts back to the host: a transfer *and* a
+/// mid-step stall, because the next launch waits on what the host makes
+/// of them.
+fn read_back(buf: &DeviceBuffer<u32>, len: usize, into: &mut Vec<u32>, cost: &mut PhaseCost) {
+    into.clear();
+    into.resize(len, 0);
+    buf.download_at(0, into);
+    cost.add_d2h::<u32>(1, len);
+    cost.midstep_syncs += 1;
 }
 
 /// Everything the pipeline keeps alive across steps for one scalar
@@ -248,6 +402,8 @@ impl PhaseCost {
 /// staging), and the residency bookkeeping (a host mirror of the device
 /// columns, the UID column identifying each device row, and the voxel
 /// keys of the last grid build for the incremental-rebuild check).
+/// Device columns, narrowed host columns and mirror share the
+/// [`AgentCols`] shape, so every per-column job is a loop over a zip.
 struct DeviceState<R: Scalar + DeviceWord> {
     /// One bump allocator for the lifetime of the pipeline. Growth
     /// allocates fresh buffers and abandons the old ranges — addresses
@@ -257,15 +413,9 @@ struct DeviceState<R: Scalar + DeviceWord> {
     cap_agents: usize,
     cap_boxes: usize,
     cap_partials: usize,
-    // Agent-sized device columns (allocated to `cap_agents`).
-    px: DeviceBuffer<R>,
-    py: DeviceBuffer<R>,
-    pz: DeviceBuffer<R>,
-    dd: DeviceBuffer<R>,
-    da: DeviceBuffer<R>,
-    ox: DeviceBuffer<R>,
-    oy: DeviceBuffer<R>,
-    oz: DeviceBuffer<R>,
+    // Agent-sized device buffers (allocated to `cap_agents`).
+    cols: [DeviceBuffer<R>; 5],
+    disp: [DeviceBuffer<R>; 3],
     successors: DeviceBuffer<u32>,
     csr_agents: DeviceBuffer<u32>,
     queue: DeviceBuffer<u32>,
@@ -280,37 +430,28 @@ struct DeviceState<R: Scalar + DeviceWord> {
     queue_count: DeviceBuffer<u32>,
     partials: DeviceBuffer<R>,
     // Host scratch, persistent so the steady state allocates nothing.
-    hx: Vec<R>,
-    hy: Vec<R>,
-    hz: Vec<R>,
-    hd: Vec<R>,
-    ha: Vec<R>,
+    /// This step's host columns, narrowed to `R`.
+    host: [Vec<R>; 5],
     /// Scan/occupancy readback staging (satellite of the mid-step
     /// stall fix: the scan no longer allocates per step).
     host_counts: Vec<u32>,
     starts: Vec<u32>,
-    out_x: Vec<R>,
-    out_y: Vec<R>,
-    out_z: Vec<R>,
+    /// Download staging for the three columns a step returns.
+    down: [Vec<R>; 3],
     perm_scratch: Vec<R>,
     // Residency bookkeeping.
-    /// Device agent columns mirror `m*`/`uids` below.
+    /// Device agent columns mirror `mirror`/`uids` below.
     resident_valid: bool,
     /// Device grid buffers describe the *current* device positions.
     grid_valid: bool,
-    /// Live agent count on the device.
-    n: usize,
-    mx: Vec<R>,
-    my: Vec<R>,
-    mz: Vec<R>,
-    md: Vec<R>,
-    ma: Vec<R>,
+    mirror: [Vec<R>; 5],
+    /// The UID column the device rows were uploaded under.
     uids: Vec<u64>,
     /// Clamped voxel keys at the last grid build (the incremental
     /// check: identical keys ⇒ identical grid ⇒ skip the build).
     prev_keys: Vec<u32>,
     keys_cur: Vec<u32>,
-    prev_geom: Option<GridGeom<R>>,
+    prev_geom: Option<GridGeometry<R>>,
     /// Version III occupancy cache, refreshed whenever the grid is.
     v3_non_empty: Vec<u32>,
     v3_block_dim: u32,
@@ -319,70 +460,37 @@ struct DeviceState<R: Scalar + DeviceWord> {
 }
 
 impl<R: Scalar + DeviceWord> DeviceState<R> {
+    /// Empty state. Zero-length allocations do not advance the bump
+    /// pointer; the one-word `queue_count` comes first and does, so every
+    /// later address (coalescer and L2 model input) follows from it.
     fn new() -> Self {
         let mut alloc = DeviceAllocator::new();
-        let queue_count = alloc.alloc::<u32>(1);
-        let px = alloc.alloc::<R>(0);
-        let py = alloc.alloc::<R>(0);
-        let pz = alloc.alloc::<R>(0);
-        let dd = alloc.alloc::<R>(0);
-        let da = alloc.alloc::<R>(0);
-        let ox = alloc.alloc::<R>(0);
-        let oy = alloc.alloc::<R>(0);
-        let oz = alloc.alloc::<R>(0);
-        let successors = alloc.alloc::<u32>(0);
-        let csr_agents = alloc.alloc::<u32>(0);
-        let queue = alloc.alloc::<u32>(0);
-        let moves = alloc.alloc::<u32>(0);
-        let box_start = alloc.alloc::<u32>(0);
-        let box_length = alloc.alloc::<u32>(0);
-        let csr_cursor = alloc.alloc::<u32>(0);
-        let counts = alloc.alloc::<u32>(0);
-        let voxel_ids = alloc.alloc::<u32>(0);
-        let partials = alloc.alloc::<R>(0);
         Self {
+            queue_count: alloc.alloc(1),
+            cols: std::array::from_fn(|_| alloc.alloc(0)),
+            disp: std::array::from_fn(|_| alloc.alloc(0)),
+            successors: alloc.alloc(0),
+            csr_agents: alloc.alloc(0),
+            queue: alloc.alloc(0),
+            moves: alloc.alloc(0),
+            box_start: alloc.alloc(0),
+            box_length: alloc.alloc(0),
+            csr_cursor: alloc.alloc(0),
+            counts: alloc.alloc(0),
+            voxel_ids: alloc.alloc(0),
+            partials: alloc.alloc(0),
             alloc,
             cap_agents: 0,
             cap_boxes: 0,
             cap_partials: 0,
-            px,
-            py,
-            pz,
-            dd,
-            da,
-            ox,
-            oy,
-            oz,
-            successors,
-            csr_agents,
-            queue,
-            moves,
-            box_start,
-            box_length,
-            csr_cursor,
-            counts,
-            voxel_ids,
-            queue_count,
-            partials,
-            hx: Vec::new(),
-            hy: Vec::new(),
-            hz: Vec::new(),
-            hd: Vec::new(),
-            ha: Vec::new(),
+            host: Default::default(),
             host_counts: Vec::new(),
             starts: Vec::new(),
-            out_x: Vec::new(),
-            out_y: Vec::new(),
-            out_z: Vec::new(),
+            down: Default::default(),
             perm_scratch: Vec::new(),
             resident_valid: false,
             grid_valid: false,
-            n: 0,
-            mx: Vec::new(),
-            my: Vec::new(),
-            mz: Vec::new(),
-            md: Vec::new(),
-            ma: Vec::new(),
+            mirror: Default::default(),
             uids: Vec::new(),
             prev_keys: Vec::new(),
             keys_cur: Vec::new(),
@@ -395,45 +503,37 @@ impl<R: Scalar + DeviceWord> DeviceState<R> {
     }
 
     /// Grow the agent-sized buffers to hold `n` agents (geometric, so
-    /// amortized O(1) allocations). Returns `true` when it reallocated —
-    /// which drops residency: the new buffers hold nothing yet.
-    fn ensure_agents(&mut self, n: usize) -> bool {
+    /// amortized O(1) allocations) — which drops residency: the new
+    /// buffers hold nothing yet. Allocation order is part of the
+    /// simulated result (bump addresses feed the coalescer).
+    fn ensure_agents(&mut self, n: usize) {
         if n <= self.cap_agents {
-            return false;
+            return;
         }
         let cap = n.max(self.cap_agents * 2).max(64);
-        self.px = self.alloc.alloc::<R>(cap);
-        self.py = self.alloc.alloc::<R>(cap);
-        self.pz = self.alloc.alloc::<R>(cap);
-        self.dd = self.alloc.alloc::<R>(cap);
-        self.da = self.alloc.alloc::<R>(cap);
-        self.ox = self.alloc.alloc::<R>(cap);
-        self.oy = self.alloc.alloc::<R>(cap);
-        self.oz = self.alloc.alloc::<R>(cap);
-        self.successors = self.alloc.alloc::<u32>(cap);
-        self.csr_agents = self.alloc.alloc::<u32>(cap);
-        self.queue = self.alloc.alloc::<u32>(cap);
-        self.moves = self.alloc.alloc::<u32>(2 * cap);
+        self.cols = std::array::from_fn(|_| self.alloc.alloc(cap));
+        self.disp = std::array::from_fn(|_| self.alloc.alloc(cap));
+        self.successors = self.alloc.alloc(cap);
+        self.csr_agents = self.alloc.alloc(cap);
+        self.queue = self.alloc.alloc(cap);
+        self.moves = self.alloc.alloc(2 * cap);
         self.cap_agents = cap;
-        self.resident_valid = false;
-        self.grid_valid = false;
-        true
+        self.invalidate();
     }
 
     /// Grow the box-sized buffers to hold `b` voxels.
-    fn ensure_boxes(&mut self, b: usize) -> bool {
+    fn ensure_boxes(&mut self, b: usize) {
         if b <= self.cap_boxes {
-            return false;
+            return;
         }
         let cap = b.max(self.cap_boxes * 2).max(64);
-        self.box_start = self.alloc.alloc::<u32>(cap);
-        self.box_length = self.alloc.alloc::<u32>(cap);
-        self.csr_cursor = self.alloc.alloc::<u32>(cap);
-        self.counts = self.alloc.alloc::<u32>(cap);
-        self.voxel_ids = self.alloc.alloc::<u32>(cap);
+        self.box_start = self.alloc.alloc(cap);
+        self.box_length = self.alloc.alloc(cap);
+        self.csr_cursor = self.alloc.alloc(cap);
+        self.counts = self.alloc.alloc(cap);
+        self.voxel_ids = self.alloc.alloc(cap);
         self.cap_boxes = cap;
         self.grid_valid = false;
-        true
     }
 
     /// Grow the dynpar partial-force scratch to `len` words.
@@ -442,7 +542,7 @@ impl<R: Scalar + DeviceWord> DeviceState<R> {
             return;
         }
         let cap = len.max(self.cap_partials * 2);
-        self.partials = self.alloc.alloc::<R>(cap);
+        self.partials = self.alloc.alloc(cap);
         self.cap_partials = cap;
     }
 
@@ -452,370 +552,122 @@ impl<R: Scalar + DeviceWord> DeviceState<R> {
         self.grid_valid = false;
     }
 
-    /// Upload the full narrowed columns and rebase the mirror on them.
-    fn full_resync(&mut self, uids: &[u64], cost: &mut PhaseCost) {
-        let n = self.hx.len();
-        self.px.upload_at(0, &self.hx);
-        self.py.upload_at(0, &self.hy);
-        self.pz.upload_at(0, &self.hz);
-        self.dd.upload_at(0, &self.hd);
-        self.da.upload_at(0, &self.ha);
-        cost.h2d_bytes += 5 * n as u64 * <R as DeviceWord>::BYTES as u64;
-        cost.h2d_transfers += 5;
-        self.mx.clear();
-        self.mx.extend_from_slice(&self.hx);
-        self.my.clear();
-        self.my.extend_from_slice(&self.hy);
-        self.mz.clear();
-        self.mz.extend_from_slice(&self.hz);
-        self.md.clear();
-        self.md.extend_from_slice(&self.hd);
-        self.ma.clear();
-        self.ma.extend_from_slice(&self.ha);
-        self.uids.clear();
-        self.uids.extend_from_slice(uids);
-        self.n = n;
+    fn agents(&self) -> AgentCols<'_, R> {
+        AgentCols(&self.cols)
+    }
+
+    fn out(&self) -> DispCols<'_, R> {
+        DispCols(&self.disp)
+    }
+
+    fn chains(&self) -> ChainGrid<'_> {
+        ChainGrid {
+            box_start: &self.box_start,
+            box_length: &self.box_length,
+            successors: &self.successors,
+        }
+    }
+
+    fn cells(&self) -> CsrCells<'_> {
+        CsrCells {
+            cell_ends: &self.csr_cursor,
+            cell_agents: &self.csr_agents,
+        }
+    }
+
+    /// Upload rows `[from, n)` of the narrowed columns and rebase the
+    /// mirror on them: `from = 0` is the full resync, `from = old n` the
+    /// appended births.
+    fn upload_rows(&mut self, from: usize, uids: &[u64], cost: &mut PhaseCost) {
+        for ((buf, host), mirror) in self.cols.iter().zip(&self.host).zip(&mut self.mirror) {
+            buf.upload_at(from, &host[from..]);
+            mirror.truncate(from);
+            mirror.extend_from_slice(&host[from..]);
+        }
+        self.uids.truncate(from);
+        self.uids.extend_from_slice(&uids[from..]);
+        cost.add_h2d::<R>(5, uids.len() - from);
         self.resident_valid = true;
         self.grid_valid = false;
     }
-}
 
-/// The two scalar widths a pipeline can hold resident state in. The
-/// width is fixed by the kernel version, so in practice only one
-/// variant is ever constructed per pipeline.
-enum ResidentState {
-    F32(DeviceState<f32>),
-    F64(DeviceState<f64>),
-}
-
-/// Maps a scalar type to its slot in [`ResidentState`] (creating the
-/// state on first use).
-trait ResidentSlot: Scalar + DeviceWord + Sized {
-    fn slot(state: &mut Option<ResidentState>) -> &mut DeviceState<Self>;
-}
-
-impl ResidentSlot for f32 {
-    fn slot(state: &mut Option<ResidentState>) -> &mut DeviceState<f32> {
-        if !matches!(state, Some(ResidentState::F32(_))) {
-            *state = Some(ResidentState::F32(DeviceState::new()));
-        }
-        match state {
-            Some(ResidentState::F32(s)) => s,
-            _ => unreachable!(),
-        }
-    }
-}
-
-impl ResidentSlot for f64 {
-    fn slot(state: &mut Option<ResidentState>) -> &mut DeviceState<f64> {
-        if !matches!(state, Some(ResidentState::F64(_))) {
-            *state = Some(ResidentState::F64(DeviceState::new()));
-        }
-        match state {
-            Some(ResidentState::F64(s)) => s,
-            _ => unreachable!(),
-        }
-    }
-}
-
-fn narrow_into<R: Scalar>(src: &[f64], dst: &mut Vec<R>) {
-    dst.clear();
-    dst.extend(src.iter().map(|&v| R::from_f64(v)));
-}
-
-/// Patch device elements that differ from the mirror; returns how many.
-/// Each patch moves one index + one value over the bus.
-fn patch_column<R: Scalar + DeviceWord>(
-    buf: &DeviceBuffer<R>,
-    host: &[R],
-    mirror: &mut [R],
-) -> u64 {
-    let mut changed = 0u64;
-    for i in 0..host.len() {
-        if host[i] != mirror[i] {
-            buf.write(i, host[i]);
-            mirror[i] = host[i];
-            changed += 1;
-        }
-    }
-    changed
-}
-
-/// Device grid build: atomic list insertion for the paper versions; for
-/// version IV, the two-pass counting sort with a host-side prefix sum
-/// in between. The scan is a grid-wide dependency, so it reads the
-/// counts back and re-uploads the offsets — a PCIe round trip (and a
-/// mid-step sync) charged the same way version III's occupancy readback
-/// is.
-fn build_grid<R: Scalar + DeviceWord>(
-    runtime: &Runtime,
-    version: KernelVersion,
-    st: &mut DeviceState<R>,
-    n: usize,
-    num_boxes: usize,
-    geom: GridGeom<R>,
-) -> PhaseCost {
-    let mut cost = PhaseCost::default();
-    if version == KernelVersion::V4Csr {
-        st.counts.fill_at(0, num_boxes, 0);
-        let count = runtime.dispatch(
-            &CsrCountKernel {
-                n,
-                geom,
-                pos_x: &st.px,
-                pos_y: &st.py,
-                pos_z: &st.pz,
-                counts: &st.counts,
-            },
-            n,
-            128,
-            0,
-        );
-        cost.add_launch(&count);
-
-        st.host_counts.clear();
-        st.host_counts.resize(num_boxes, 0);
-        st.counts.download_at(0, &mut st.host_counts);
-        cost.d2h_bytes += 4 * num_boxes as u64;
-        cost.d2h_transfers += 1;
-        cost.midstep_syncs += 1;
-        exclusive_scan_into(&st.host_counts, &mut st.starts);
-        st.csr_cursor.upload_at(0, &st.starts[..num_boxes]);
-        cost.h2d_bytes += 4 * num_boxes as u64;
-        cost.h2d_transfers += 1;
-
-        let scatter = runtime.dispatch(
-            &CsrScatterKernel {
-                n,
-                geom,
-                pos_x: &st.px,
-                pos_y: &st.py,
-                pos_z: &st.pz,
-                cursor: &st.csr_cursor,
-                cell_agents: &st.csr_agents,
-            },
-            n,
-            128,
-            0,
-        );
-        cost.add_launch(&scatter);
-    } else {
-        reset_grid_buffers(&st.box_start, &st.box_length);
-        let build = runtime.dispatch(
-            &GridBuildKernel {
-                n,
-                geom,
-                pos_x: &st.px,
-                pos_y: &st.py,
-                pos_z: &st.pz,
-                box_start: &st.box_start,
-                box_length: &st.box_length,
-                successors: &st.successors,
-            },
-            n,
-            128,
-            0,
-        );
-        cost.add_launch(&build);
-    }
-    cost
-}
-
-/// The mechanical kernel(s) of one step. `refresh_occupancy` tells
-/// version III whether the grid changed since its cached non-empty
-/// voxel list (the occupancy readback is skipped when the resident path
-/// skipped the build).
-#[allow(clippy::too_many_arguments)]
-fn run_mech<R: Scalar + DeviceWord + FromWord>(
-    runtime: &Runtime,
-    version: KernelVersion,
-    system: &SystemSpec,
-    dynpar_threshold: u32,
-    st: &mut DeviceState<R>,
-    n: usize,
-    num_boxes: usize,
-    geom: GridGeom<R>,
-    params_r: MechParams<R>,
-    refresh_occupancy: bool,
-) -> PhaseCost {
-    let mut cost = PhaseCost::default();
-    match version {
-        KernelVersion::V0 | KernelVersion::V1Fp32 | KernelVersion::V2Sorted => {
-            let r = runtime.dispatch(
-                &MechKernel {
-                    n,
-                    geom,
-                    pos_x: &st.px,
-                    pos_y: &st.py,
-                    pos_z: &st.pz,
-                    diameter: &st.dd,
-                    adherence: &st.da,
-                    box_start: &st.box_start,
-                    successors: &st.successors,
-                    out_x: &st.ox,
-                    out_y: &st.oy,
-                    out_z: &st.oz,
-                    params: params_r,
-                },
-                n,
-                128,
-                0,
-            );
-            cost.add_launch(&r);
-        }
-        KernelVersion::V4Csr => {
-            let r = runtime.dispatch(
-                &MechCsrKernel {
-                    n,
-                    geom,
-                    pos_x: &st.px,
-                    pos_y: &st.py,
-                    pos_z: &st.pz,
-                    diameter: &st.dd,
-                    adherence: &st.da,
-                    cell_ends: &st.csr_cursor,
-                    cell_agents: &st.csr_agents,
-                    out_x: &st.ox,
-                    out_y: &st.oy,
-                    out_z: &st.oz,
-                    params: params_r,
-                },
-                n,
-                128,
-                0,
-            );
-            cost.add_launch(&r);
-        }
-        KernelVersion::V3Shared => {
-            if refresh_occupancy {
-                // Host needs the voxel occupancy to enumerate non-empty
-                // voxels and size the blocks — a D2H readback the fused
-                // version avoids; charge it (and the stall).
-                st.host_counts.clear();
-                st.host_counts.resize(num_boxes, 0);
-                st.box_length.download_at(0, &mut st.host_counts);
-                cost.d2h_bytes += 4 * num_boxes as u64;
-                cost.d2h_transfers += 1;
-                cost.midstep_syncs += 1;
-                st.v3_non_empty.clear();
-                for b in 0..num_boxes as u32 {
-                    if st.host_counts[b as usize] > 0 {
-                        st.v3_non_empty.push(b);
-                    }
+    /// Element-level host edits (growth, chemotaxis nudges): patch the
+    /// device words that differ from the mirror. Each costs an index + a
+    /// value on the wire; a quiet column costs nothing.
+    fn patch_edits(&mut self, cost: &mut PhaseCost) {
+        for ((buf, host), mirror) in self.cols.iter().zip(&self.host).zip(&mut self.mirror) {
+            let mut patched = 0u64;
+            for (i, (h, m)) in host.iter().zip(mirror).enumerate() {
+                if h != m {
+                    buf.write(i, *h);
+                    *m = *h;
+                    patched += 1;
                 }
-                let max_len = st.host_counts.iter().copied().max().unwrap_or(0);
-                st.v3_block_dim = (max_len.max(28)).div_ceil(32) * 32;
-                st.voxel_ids.upload_at(0, &st.v3_non_empty);
-                cost.h2d_bytes += 4 * st.v3_non_empty.len() as u64;
-                cost.h2d_transfers += 1;
             }
-            let block_dim = st.v3_block_dim;
-            let non_empty_len = st.v3_non_empty.len();
-
-            let spec = system.gpu;
-            // The tile is allocated statically for the worst case —
-            // the paper's kernel cannot know per-voxel occupancy at
-            // compile time. The near-full shared-memory footprint
-            // limits residency to ~1 block/SM, which (together with
-            // the cursor atomics and boundary-check divergence) is
-            // why version III loses to version II.
-            let tile_cap = ((spec.shared_mem_per_sm as usize / 8).saturating_sub(2) / 5).min(2048);
-            let k = SharedMechKernel {
-                geom,
-                voxel_ids: &st.voxel_ids,
-                pos_x: &st.px,
-                pos_y: &st.py,
-                pos_z: &st.pz,
-                diameter: &st.dd,
-                adherence: &st.da,
-                box_start: &st.box_start,
-                box_length: &st.box_length,
-                successors: &st.successors,
-                out_x: &st.ox,
-                out_y: &st.oy,
-                out_z: &st.oz,
-                tile_cap,
-                params: params_r,
-            };
-            let items = non_empty_len * block_dim as usize;
-            let r = runtime.dispatch(&k, items, block_dim, shared_words_for(tile_cap) * 8);
-            cost.add_launch(&r);
-        }
-        KernelVersion::DynPar => {
-            // The queue cursor persists across steps now — zero it.
-            st.queue_count.fill_at(0, 1, 0);
-            let parent = runtime.dispatch(
-                &ParentKernel {
-                    n,
-                    geom,
-                    pos_x: &st.px,
-                    pos_y: &st.py,
-                    pos_z: &st.pz,
-                    diameter: &st.dd,
-                    adherence: &st.da,
-                    box_start: &st.box_start,
-                    box_length: &st.box_length,
-                    successors: &st.successors,
-                    out_x: &st.ox,
-                    out_y: &st.oy,
-                    out_z: &st.oz,
-                    queue: &st.queue,
-                    queue_count: &st.queue_count,
-                    threshold: dynpar_threshold,
-                    params: params_r,
-                },
-                n,
-                128,
-                0,
-            );
-            cost.add_launch(&parent);
-
-            let queue_len = st.queue_count.read(0) as usize;
-            cost.midstep_syncs += 1;
-            if queue_len > 0 {
-                st.ensure_partials(queue_len * 27 * 3);
-                // The child kernel only stores nonzero partials, so a
-                // persistent scratch must be re-zeroed each launch.
-                st.partials.fill_at(0, queue_len * 27 * 3, R::ZERO);
-                let child = runtime.dispatch(
-                    &ChildKernel {
-                        queue_len,
-                        geom,
-                        pos_x: &st.px,
-                        pos_y: &st.py,
-                        pos_z: &st.pz,
-                        diameter: &st.dd,
-                        box_start: &st.box_start,
-                        successors: &st.successors,
-                        queue: &st.queue,
-                        partials: &st.partials,
-                        params: params_r,
-                    },
-                    queue_len * 27,
-                    128,
-                    0,
-                );
-                cost.add_launch(&child);
-                let finish = runtime.dispatch(
-                    &FinishKernel {
-                        queue_len,
-                        queue: &st.queue,
-                        partials: &st.partials,
-                        adherence: &st.da,
-                        out_x: &st.ox,
-                        out_y: &st.oy,
-                        out_z: &st.oz,
-                        params: params_r,
-                    },
-                    queue_len,
-                    128,
-                    0,
-                );
-                cost.add_launch(&finish);
-            }
+            cost.h2d_bytes += patched * (4 + <R as DeviceWord>::BYTES as u64);
+            cost.h2d_transfers += (patched > 0) as u32;
         }
     }
-    cost
+}
+
+/// Download the live prefix of three device columns into the staging
+/// columns, charged to `cost`.
+fn download<R: Scalar + DeviceWord>(
+    from: &[DeviceBuffer<R>],
+    into: &mut [Vec<R>; 3],
+    n: usize,
+    cost: &mut PhaseCost,
+) {
+    for (buf, col) in from.iter().zip(into) {
+        col.clear();
+        col.resize(n, R::ZERO);
+        buf.download_at(0, col);
+    }
+    cost.add_d2h::<R>(3, n);
+}
+
+/// The staged x / y / z columns as the caller's FP64 vectors.
+fn widen<R: Scalar>([xs, ys, zs]: &[Vec<R>; 3]) -> Vec<Vec3<f64>> {
+    (0..xs.len())
+        .map(|i| Vec3::new(xs[i].to_f64(), ys[i].to_f64(), zs[i].to_f64()))
+        .collect()
+}
+
+/// What every step derives from its scene before touching the device.
+struct Frame<R> {
+    n: usize,
+    geom: GridGeometry<R>,
+    params: MechParams<R>,
+}
+
+/// The step prologue both entry points share: validate the scene, derive
+/// the grid geometry, size the buffers, narrow the columns to `R`.
+fn begin_step<R: Scalar + DeviceWord>(
+    st: &mut DeviceState<R>,
+    scene: &SceneRef<'_>,
+    params: &MechParams<f64>,
+) -> Frame<R> {
+    let n = scene.xs.len();
+    assert!(n > 0, "empty scene");
+    for (name, col) in scene.columns() {
+        // A short column would leave last step's values in the device
+        // rows it does not cover; a long one would be cut silently.
+        assert_eq!(col.len(), n, "{name} column length mismatch");
+    }
+    let space = Aabb::new(scene.space.min.cast::<R>(), scene.space.max.cast::<R>());
+    // Matches the host grids voxel for voxel: it is their type.
+    let geom = GridGeometry::new(space, R::from_f64(scene.box_len));
+    st.ensure_agents(n);
+    st.ensure_boxes(geom.num_boxes());
+    for ((_, src), dst) in scene.columns().into_iter().zip(&mut st.host) {
+        dst.clear();
+        dst.extend(src.iter().map(|&v| R::from_f64(v)));
+    }
+    Frame {
+        n,
+        geom,
+        params: params.cast(),
+    }
 }
 
 /// The full offload pipeline.
@@ -824,8 +676,9 @@ pub struct MechanicalPipeline {
     runtime: Runtime,
     version: KernelVersion,
     pcie: PcieModel,
-    /// Persistent device + host state, created lazily on the first step.
-    state: Option<ResidentState>,
+    /// Persistent device + host state, at the scalar width the version
+    /// computes in.
+    state: State,
     /// Candidate threshold for the dynamic-parallelism parent kernel.
     pub dynpar_threshold: u32,
     /// Space-filling curve used by the sorting versions (II, III,
@@ -836,6 +689,23 @@ pub struct MechanicalPipeline {
     /// incremental skip must be bitwise-invisible, so flipping this
     /// never changes results (pinned by test).
     pub force_full_rebuild: bool,
+}
+
+enum State {
+    F32(DeviceState<f32>),
+    F64(DeviceState<f64>),
+}
+
+/// What a step reads of the pipeline while it holds the device state
+/// mutably.
+struct StepEnv<'a> {
+    runtime: &'a Runtime,
+    system: &'a SystemSpec,
+    pcie: &'a PcieModel,
+    version: KernelVersion,
+    dynpar_threshold: u32,
+    sort_curve: bdm_morton::Curve,
+    force_full_rebuild: bool,
 }
 
 impl MechanicalPipeline {
@@ -853,7 +723,11 @@ impl MechanicalPipeline {
             runtime: Runtime::new(frontend, system.gpu, trace_sample),
             version,
             pcie: PcieModel::new(system.pcie_bandwidth, system.pcie_latency_s),
-            state: None,
+            state: if version.fp32() {
+                State::F32(DeviceState::new())
+            } else {
+                State::F64(DeviceState::new())
+            },
             dynpar_threshold: 96,
             sort_curve: bdm_morton::Curve::ZOrder,
             force_full_rebuild: false,
@@ -871,15 +745,15 @@ impl MechanicalPipeline {
     }
 
     /// Drop device residency: the next [`Self::step_resident`] performs
-    /// a full re-upload. Callers must invalidate after anything that
-    /// reorders or rewrites host columns wholesale behind the UID
-    /// column's back — the host `reorder` operation, checkpoint restore,
-    /// a shard recut.
+    /// a full re-upload. Callers that permute, add or remove rows need
+    /// not call this — the UID column says so ([`SyncPlan`]). It is for
+    /// whoever rewrites host columns wholesale *under unchanged UIDs*
+    /// and does not want the element-wise patch path, and for tests
+    /// that force the cold path.
     pub fn invalidate_residency(&mut self) {
         match &mut self.state {
-            Some(ResidentState::F32(s)) => s.invalidate(),
-            Some(ResidentState::F64(s)) => s.invalidate(),
-            None => {}
+            State::F32(s) => s.invalidate(),
+            State::F64(s) => s.invalidate(),
         }
     }
 
@@ -889,9 +763,8 @@ impl MechanicalPipeline {
     /// [`Self::invalidate_residency`], and until the first resident step.
     pub fn is_resident(&self) -> bool {
         match &self.state {
-            Some(ResidentState::F32(s)) => s.resident_valid,
-            Some(ResidentState::F64(s)) => s.resident_valid,
-            None => false,
+            State::F32(s) => s.resident_valid,
+            State::F64(s) => s.resident_valid,
         }
     }
 
@@ -899,9 +772,8 @@ impl MechanicalPipeline {
     /// steady-state steps — pinned by test).
     pub fn device_allocated_bytes(&self) -> u64 {
         match &self.state {
-            Some(ResidentState::F32(s)) => s.alloc.allocated_bytes(),
-            Some(ResidentState::F64(s)) => s.alloc.allocated_bytes(),
-            None => 0,
+            State::F32(s) => s.alloc.allocated_bytes(),
+            State::F64(s) => s.alloc.allocated_bytes(),
         }
     }
 
@@ -919,11 +791,7 @@ impl MechanicalPipeline {
         // Invalidate the L2 between steps: each step re-uploads fresh
         // state, so cross-step line reuse would be an artifact.
         self.runtime.device().reset_l2();
-        if self.version.fp32() {
-            self.run::<f32>(scene, params)
-        } else {
-            self.run::<f64>(scene, params)
-        }
+        self.run(scene, None, params)
     }
 
     /// Execute one step with device-resident agent state. `uids`
@@ -942,50 +810,47 @@ impl MechanicalPipeline {
         params: &MechParams<f64>,
     ) -> (Vec<Vec3<f64>>, GpuStepReport) {
         // No reset_l2: cross-step cache reuse is real for resident state.
-        if self.version.fp32() {
-            self.run_resident::<f32>(scene, uids, params)
-        } else {
-            self.run_resident::<f64>(scene, uids, params)
-        }
+        self.run(scene, Some(uids), params)
     }
 
-    fn run<R: Scalar + DeviceWord + FromWord + ResidentSlot>(
+    /// Both entry points: `uids` present = resident.
+    fn run(
         &mut self,
+        scene: &SceneRef<'_>,
+        uids: Option<&[u64]>,
+        params: &MechParams<f64>,
+    ) -> (Vec<Vec3<f64>>, GpuStepReport) {
+        let env = StepEnv {
+            runtime: &self.runtime,
+            system: &self.system,
+            pcie: &self.pcie,
+            version: self.version,
+            dynpar_threshold: self.dynpar_threshold,
+            sort_curve: self.sort_curve,
+            force_full_rebuild: self.force_full_rebuild,
+        };
+        match (&mut self.state, uids) {
+            (State::F32(st), None) => env.rebuilt(st, scene, params),
+            (State::F64(st), None) => env.rebuilt(st, scene, params),
+            (State::F32(st), Some(uids)) => env.resident(st, scene, uids, params),
+            (State::F64(st), Some(uids)) => env.resident(st, scene, uids, params),
+        }
+    }
+}
+
+impl StepEnv<'_> {
+    /// The rebuilt step: sort, upload, build, compute, download
+    /// displacements.
+    fn rebuilt<R: Scalar + DeviceWord + FromWord>(
+        &self,
+        st: &mut DeviceState<R>,
         scene: &SceneRef<'_>,
         params: &MechParams<f64>,
     ) -> (Vec<Vec3<f64>>, GpuStepReport) {
-        let n = scene.xs.len();
-        assert!(n > 0, "empty scene");
-        let params_r: MechParams<R> = params.cast();
-        let space = Aabb::new(scene.space.min.cast::<R>(), scene.space.max.cast::<R>());
-        let box_len = R::from_f64(scene.box_len);
-
-        // Grid geometry (host-side, matches bdm_grid layout).
-        let dims = {
-            let e = space.extents();
-            let dim = |len: R| -> u32 { ((len / box_len).ceil().to_f64() as u32).max(1) };
-            [dim(e.x), dim(e.y), dim(e.z)]
-        };
-        let geom = GridGeom {
-            dims,
-            min: space.min,
-            box_len,
-        };
-        let num_boxes = geom.num_boxes();
-
-        let st = R::slot(&mut self.state);
-        st.ensure_agents(n);
-        st.ensure_boxes(num_boxes);
-        // A rebuilt step overwrites the device columns below; whatever
-        // mirror a previous resident run kept is stale now.
-        st.resident_valid = false;
-        st.grid_valid = false;
-
-        narrow_into(scene.xs, &mut st.hx);
-        narrow_into(scene.ys, &mut st.hy);
-        narrow_into(scene.zs, &mut st.hz);
-        narrow_into(scene.diameters, &mut st.hd);
-        narrow_into(scene.adherences, &mut st.ha);
+        let f = begin_step(st, scene, params);
+        // The device columns are overwritten below; whatever mirror a
+        // previous resident run kept is stale now.
+        st.invalidate();
 
         // Improvement II: host-side space-filling-curve sort of the SoA
         // columns (Z-order by default; see `sort_curve`). Keys are
@@ -996,260 +861,72 @@ impl MechanicalPipeline {
         // 3 inverse gathers after download) is skipped: the upload is a
         // straight memcpy of the host columns.
         let mut sort_gathers = 0u32;
-        let perm = if self.version.sorts() {
-            let keys =
-                bdm_morton::cell_keys(&st.hx, &st.hy, &st.hz, &space, box_len, self.sort_curve);
-            if keys.is_sorted() {
-                None
-            } else {
+        let mut perm = None;
+        if self.version.sorts() {
+            let [xs, ys, zs, ..] = &st.host;
+            let (space, edge) = (f.geom.space(), f.geom.box_length());
+            let keys = bdm_morton::cell_keys(xs, ys, zs, space, edge, self.sort_curve);
+            if !keys.is_sorted() {
                 let p = bdm_soa::Permutation::sorting_by_key(&keys);
-                for col in [&mut st.hx, &mut st.hy, &mut st.hz, &mut st.hd, &mut st.ha] {
+                for col in &mut st.host {
                     p.apply_in_place(col, &mut st.perm_scratch);
                     sort_gathers += 1;
                 }
-                Some(p)
+                perm = Some(p);
             }
-        } else {
-            None
-        };
+        }
 
         // Upload the live prefix of the persistent columns.
-        st.px.upload_at(0, &st.hx);
-        st.py.upload_at(0, &st.hy);
-        st.pz.upload_at(0, &st.hz);
-        st.dd.upload_at(0, &st.hd);
-        st.da.upload_at(0, &st.ha);
-        let mut h2d_bytes = 5 * n as u64 * <R as DeviceWord>::BYTES as u64;
-        let mut h2d_transfers = 5u32;
-        let mut d2h_bytes = 3 * n as u64 * <R as DeviceWord>::BYTES as u64;
-        let mut d2h_transfers = 3u32;
+        let mut sync = PhaseCost::default();
+        for (buf, host) in st.cols.iter().zip(&st.host) {
+            buf.upload_at(0, host);
+        }
+        sync.add_h2d::<R>(5, f.n);
 
-        let build = build_grid(&self.runtime, self.version, st, n, num_boxes, geom);
-        let mech = run_mech(
-            &self.runtime,
-            self.version,
-            &self.system,
-            self.dynpar_threshold,
-            st,
-            n,
-            num_boxes,
-            geom,
-            params_r,
-            true,
-        );
-        h2d_bytes += build.h2d_bytes + mech.h2d_bytes;
-        h2d_transfers += build.h2d_transfers + mech.h2d_transfers;
-        d2h_bytes += build.d2h_bytes + mech.d2h_bytes;
-        d2h_transfers += build.d2h_transfers + mech.d2h_transfers;
-        let midstep_syncs = build.midstep_syncs + mech.midstep_syncs;
+        let grid = self.build_grid(st, &f);
+        let mut mech = self.run_mech(st, &f, true);
 
         // Download and (if sorted) restore the caller's agent order.
-        st.out_x.clear();
-        st.out_x.resize(n, R::ZERO);
-        st.out_y.clear();
-        st.out_y.resize(n, R::ZERO);
-        st.out_z.clear();
-        st.out_z.resize(n, R::ZERO);
-        st.ox.download_at(0, &mut st.out_x);
-        st.oy.download_at(0, &mut st.out_y);
-        st.oz.download_at(0, &mut st.out_z);
+        download(&st.disp, &mut st.down, f.n, &mut mech);
         if let Some(p) = &perm {
             let inv = p.inverse();
-            for col in [&mut st.out_x, &mut st.out_y, &mut st.out_z] {
+            for col in &mut st.down {
                 inv.apply_in_place(col, &mut st.perm_scratch);
                 sort_gathers += 1;
             }
         }
-        let displacements: Vec<Vec3<f64>> = (0..n)
-            .map(|i| {
-                Vec3::new(
-                    st.out_x[i].to_f64(),
-                    st.out_y[i].to_f64(),
-                    st.out_z[i].to_f64(),
-                )
-            })
-            .collect();
-
-        let h2d_s = self.pcie.transfers_time(h2d_transfers, h2d_bytes);
-        let d2h_s = self.pcie.transfers_time(d2h_transfers, d2h_bytes);
-        let mut counters = build.counters.clone();
-        counters.merge(&mech.counters);
-        let mut host = build.host;
-        host.merge(&mech.host);
-        let report = GpuStepReport {
-            h2d_s,
-            d2h_s,
-            build_s: build.secs,
-            mech_s: mech.secs,
-            total_s: h2d_s + build.secs + mech.secs + d2h_s,
-            counters,
-            mech_counters: mech.counters,
-            sort_gathers,
-            bytes_h2d: h2d_bytes,
-            bytes_d2h: d2h_bytes,
-            midstep_syncs,
-            resident: false,
-            host,
-        };
-        (displacements, report)
+        let report = self.report(None, true, sort_gathers, sync, &grid, &mech);
+        (widen(&st.down), report)
     }
 
-    fn run_resident<R: Scalar + DeviceWord + FromWord + ResidentSlot>(
-        &mut self,
+    /// The resident step: sync the difference, build the grid only if a
+    /// voxel key moved, compute, integrate on-device, download positions.
+    fn resident<R: Scalar + DeviceWord + FromWord>(
+        &self,
+        st: &mut DeviceState<R>,
         scene: &SceneRef<'_>,
         uids: &[u64],
         params: &MechParams<f64>,
     ) -> (Vec<Vec3<f64>>, GpuStepReport) {
-        let n = scene.xs.len();
-        assert!(n > 0, "empty scene");
-        assert_eq!(uids.len(), n, "uid column length mismatch");
-        let params_r: MechParams<R> = params.cast();
-        let space = Aabb::new(scene.space.min.cast::<R>(), scene.space.max.cast::<R>());
-        let box_len = R::from_f64(scene.box_len);
-        let dims = {
-            let e = space.extents();
-            let dim = |len: R| -> u32 { ((len / box_len).ceil().to_f64() as u32).max(1) };
-            [dim(e.x), dim(e.y), dim(e.z)]
-        };
-        let geom = GridGeom {
-            dims,
-            min: space.min,
-            box_len,
-        };
-        let num_boxes = geom.num_boxes();
-
-        let force_full = self.force_full_rebuild;
-        let st = R::slot(&mut self.state);
-        st.ensure_agents(n);
-        st.ensure_boxes(num_boxes);
-
-        narrow_into(scene.xs, &mut st.hx);
-        narrow_into(scene.ys, &mut st.hy);
-        narrow_into(scene.zs, &mut st.hz);
-        narrow_into(scene.diameters, &mut st.hd);
-        narrow_into(scene.adherences, &mut st.ha);
+        assert_eq!(uids.len(), scene.xs.len(), "uid column length mismatch");
+        let f = begin_step(st, scene, params);
 
         // --- Sync host → device (only the difference crosses the bus).
         let mut sync = PhaseCost::default();
-        if !st.resident_valid {
-            st.full_resync(uids, &mut sync);
-        } else {
-            let mut resynced = false;
-            if uids == st.uids.as_slice() {
-                // No structural change; scalar edits handled below.
-            } else if n > st.n && uids[..st.n] == st.uids[..] {
-                // Births appended: upload only the new tail rows.
-                let add = n - st.n;
-                st.px.upload_at(st.n, &st.hx[st.n..]);
-                st.py.upload_at(st.n, &st.hy[st.n..]);
-                st.pz.upload_at(st.n, &st.hz[st.n..]);
-                st.dd.upload_at(st.n, &st.hd[st.n..]);
-                st.da.upload_at(st.n, &st.ha[st.n..]);
-                sync.h2d_bytes += 5 * add as u64 * <R as DeviceWord>::BYTES as u64;
-                sync.h2d_transfers += 5;
-                st.mx.extend_from_slice(&st.hx[st.n..]);
-                st.my.extend_from_slice(&st.hy[st.n..]);
-                st.mz.extend_from_slice(&st.hz[st.n..]);
-                st.md.extend_from_slice(&st.hd[st.n..]);
-                st.ma.extend_from_slice(&st.ha[st.n..]);
-                st.uids.extend_from_slice(&uids[st.n..]);
-                st.n = n;
-                st.grid_valid = false;
-            } else if n < st.n {
-                // Deaths: the host's swap-remove leaves a short
-                // `(dst, src)` move list with every source in the
-                // truncated tail. Upload the list, compact on-device.
-                st.uid_slot.clear();
-                for (slot, &u) in st.uids.iter().enumerate() {
-                    st.uid_slot.insert(u, slot as u32);
-                }
-                st.moves_host.clear();
-                let mut compactable = true;
-                for (i, &u) in uids.iter().enumerate() {
-                    if u == st.uids[i] {
-                        continue;
-                    }
-                    match st.uid_slot.get(&u) {
-                        Some(&src) if src as usize >= n => {
-                            st.moves_host.push(i as u32);
-                            st.moves_host.push(src);
-                        }
-                        _ => {
-                            compactable = false;
-                            break;
-                        }
-                    }
-                }
-                if compactable {
-                    let n_moves = st.moves_host.len() / 2;
-                    if n_moves > 0 {
-                        st.moves.upload_at(0, &st.moves_host);
-                        sync.h2d_bytes += st.moves_host.len() as u64 * 4;
-                        sync.h2d_transfers += 1;
-                        let r = self.runtime.dispatch(
-                            &CompactKernel {
-                                n_moves,
-                                moves: &st.moves,
-                                pos_x: &st.px,
-                                pos_y: &st.py,
-                                pos_z: &st.pz,
-                                diameter: &st.dd,
-                                adherence: &st.da,
-                            },
-                            n_moves,
-                            128,
-                            0,
-                        );
-                        sync.add_launch(&r);
-                        for k in 0..n_moves {
-                            let dst = st.moves_host[2 * k] as usize;
-                            let src = st.moves_host[2 * k + 1] as usize;
-                            st.mx[dst] = st.mx[src];
-                            st.my[dst] = st.my[src];
-                            st.mz[dst] = st.mz[src];
-                            st.md[dst] = st.md[src];
-                            st.ma[dst] = st.ma[src];
-                            st.uids[dst] = st.uids[src];
-                        }
-                    }
-                    st.mx.truncate(n);
-                    st.my.truncate(n);
-                    st.mz.truncate(n);
-                    st.md.truncate(n);
-                    st.ma.truncate(n);
-                    st.uids.truncate(n);
-                    st.n = n;
-                    st.grid_valid = false;
-                } else {
-                    st.full_resync(uids, &mut sync);
-                    resynced = true;
-                }
-            } else {
-                // Reorder or unknown churn: start over.
-                st.full_resync(uids, &mut sync);
-                resynced = true;
+        let prev = st.resident_valid.then_some(st.uids.as_slice());
+        let plan = classify(prev, uids, &mut st.uid_slot, &mut st.moves_host);
+        match plan {
+            SyncPlan::Cold | SyncPlan::Permuted | SyncPlan::Churn => {
+                st.upload_rows(0, uids, &mut sync)
             }
-            if !resynced {
-                // Element-level host edits (growth, chemotaxis nudges):
-                // patch individual device words. Each costs an index +
-                // a value on the wire; a quiet column costs nothing.
-                let mut patched_cols = 0u32;
-                let mut patched = 0u64;
-                for (buf, host, mirror) in [
-                    (&st.px, &st.hx, &mut st.mx),
-                    (&st.py, &st.hy, &mut st.my),
-                    (&st.pz, &st.hz, &mut st.mz),
-                    (&st.dd, &st.hd, &mut st.md),
-                    (&st.da, &st.ha, &mut st.ma),
-                ] {
-                    let c = patch_column(buf, host, mirror);
-                    if c > 0 {
-                        patched_cols += 1;
-                        patched += c;
-                    }
-                }
-                sync.h2d_bytes += patched * (4 + <R as DeviceWord>::BYTES as u64);
-                sync.h2d_transfers += patched_cols;
+            SyncPlan::Unchanged => st.patch_edits(&mut sync),
+            SyncPlan::Appended => {
+                st.upload_rows(st.uids.len(), uids, &mut sync);
+                st.patch_edits(&mut sync);
+            }
+            SyncPlan::Compacted => {
+                self.compact(st, f.n, &mut sync);
+                st.patch_edits(&mut sync);
             }
         }
 
@@ -1257,110 +934,278 @@ impl MechanicalPipeline {
         // key of every (mirrored) agent; identical keys ⇒ the grid the
         // device already holds is still exact ⇒ skip the build (and,
         // for version IV, the counting sort + scan round trip).
+        let [mx, my, mz, ..] = &st.mirror;
         st.keys_cur.clear();
-        for i in 0..n {
-            let p = Vec3::new(st.mx[i], st.my[i], st.mz[i]);
-            st.keys_cur.push(geom.box_index(p) as u32);
-        }
+        st.keys_cur
+            .extend((0..f.n).map(|i| f.geom.box_index(Vec3::new(mx[i], my[i], mz[i])) as u32));
         let rebuild = !(st.grid_valid
-            && !force_full
-            && st.prev_geom == Some(geom)
+            && !self.force_full_rebuild
+            && st.prev_geom == Some(f.geom)
             && st.keys_cur == st.prev_keys);
-        let mut build = PhaseCost::default();
+        let mut grid = PhaseCost::default();
         if rebuild {
-            build = build_grid(&self.runtime, self.version, st, n, num_boxes, geom);
+            grid = self.build_grid(st, &f);
             std::mem::swap(&mut st.prev_keys, &mut st.keys_cur);
-            st.prev_geom = Some(geom);
+            st.prev_geom = Some(f.geom);
             st.grid_valid = true;
         }
 
-        let mut mech = run_mech(
-            &self.runtime,
-            self.version,
-            &self.system,
-            self.dynpar_threshold,
-            st,
-            n,
-            num_boxes,
-            geom,
-            params_r,
-            rebuild,
-        );
+        let mut mech = self.run_mech(st, &f, rebuild);
 
         // --- Fold displacements into positions on the device.
-        let integ = self.runtime.dispatch(
-            &IntegrateKernel {
-                n,
-                pos_x: &st.px,
-                pos_y: &st.py,
-                pos_z: &st.pz,
-                disp_x: &st.ox,
-                disp_y: &st.oy,
-                disp_z: &st.oz,
-            },
-            n,
-            128,
-            0,
-        );
-        mech.add_launch(&integ);
+        let integrate = IntegrateKernel {
+            n: f.n,
+            agents: st.agents(),
+            disp: st.out(),
+        };
+        mech.launch(self.runtime, &integrate, f.n);
 
         // --- Inspect: only the three position columns come back.
-        st.out_x.clear();
-        st.out_x.resize(n, R::ZERO);
-        st.out_y.clear();
-        st.out_y.resize(n, R::ZERO);
-        st.out_z.clear();
-        st.out_z.resize(n, R::ZERO);
-        st.px.download_at(0, &mut st.out_x);
-        st.py.download_at(0, &mut st.out_y);
-        st.pz.download_at(0, &mut st.out_z);
-        let d2h_bytes =
-            build.d2h_bytes + mech.d2h_bytes + 3 * n as u64 * <R as DeviceWord>::BYTES as u64;
-        let d2h_transfers = build.d2h_transfers + mech.d2h_transfers + 3;
-        st.mx.clear();
-        st.mx.extend_from_slice(&st.out_x);
-        st.my.clear();
-        st.my.extend_from_slice(&st.out_y);
-        st.mz.clear();
-        st.mz.extend_from_slice(&st.out_z);
-        let positions: Vec<Vec3<f64>> = (0..n)
-            .map(|i| {
-                Vec3::new(
-                    st.out_x[i].to_f64(),
-                    st.out_y[i].to_f64(),
-                    st.out_z[i].to_f64(),
-                )
-            })
-            .collect();
+        download(&st.cols[..3], &mut st.down, f.n, &mut mech);
+        for (mirror, down) in st.mirror.iter_mut().zip(&st.down) {
+            mirror.clone_from(down);
+        }
+        let report = self.report(Some(plan), rebuild, 0, sync, &grid, &mech);
+        (widen(&st.down), report)
+    }
 
-        let h2d_bytes = sync.h2d_bytes + build.h2d_bytes + mech.h2d_bytes;
-        let h2d_transfers = sync.h2d_transfers + build.h2d_transfers + mech.h2d_transfers;
-        let h2d_s = self.pcie.transfers_time(h2d_transfers, h2d_bytes);
-        let d2h_s = self.pcie.transfers_time(d2h_transfers, d2h_bytes);
-        let build_s = sync.secs + build.secs;
-        let mut build_counters = sync.counters;
-        build_counters.merge(&build.counters);
-        let mut counters = build_counters.clone();
-        counters.merge(&mech.counters);
-        let mut host = sync.host;
-        host.merge(&build.host);
-        host.merge(&mech.host);
-        let report = GpuStepReport {
+    /// The step epilogue both entry points share: one fold of the
+    /// step's phases into the report. `sync` (row uploads, compaction)
+    /// counts as build time; `plan` is `None` for a rebuilt step.
+    fn report(
+        &self,
+        plan: Option<SyncPlan>,
+        grid_built: bool,
+        sort_gathers: u32,
+        sync: PhaseCost,
+        grid: &PhaseCost,
+        mech: &PhaseCost,
+    ) -> GpuStepReport {
+        let mut build = sync;
+        build.merge(grid);
+        let mut step = build.clone();
+        step.merge(mech);
+        let h2d_s = self.pcie.transfers_time(step.h2d_transfers, step.h2d_bytes);
+        let d2h_s = self.pcie.transfers_time(step.d2h_transfers, step.d2h_bytes);
+        GpuStepReport {
             h2d_s,
             d2h_s,
-            build_s,
+            build_s: build.secs,
             mech_s: mech.secs,
-            total_s: h2d_s + build_s + mech.secs + d2h_s,
-            counters,
-            mech_counters: mech.counters,
-            sort_gathers: 0,
-            bytes_h2d: h2d_bytes,
-            bytes_d2h: d2h_bytes,
-            midstep_syncs: sync.midstep_syncs + build.midstep_syncs + mech.midstep_syncs,
-            resident: true,
-            host,
+            total_s: h2d_s + build.secs + mech.secs + d2h_s,
+            counters: step.counters,
+            mech_counters: mech.counters.clone(),
+            sort_gathers,
+            bytes_h2d: step.h2d_bytes,
+            bytes_d2h: step.d2h_bytes,
+            midstep_syncs: step.midstep_syncs,
+            resident: plan.is_some(),
+            sync: plan.unwrap_or(SyncPlan::Cold),
+            grid_built,
+            host: step.host,
+        }
+    }
+
+    /// Deaths: upload the move list [`classify`] left in `moves_host`,
+    /// compact the device columns with it, replay it on the mirror.
+    fn compact<R: Scalar + DeviceWord>(
+        &self,
+        st: &mut DeviceState<R>,
+        n: usize,
+        cost: &mut PhaseCost,
+    ) {
+        let n_moves = st.moves_host.len() / 2;
+        if n_moves > 0 {
+            st.moves.upload_at(0, &st.moves_host);
+            cost.add_h2d::<u32>(1, st.moves_host.len());
+            let compact = CompactKernel {
+                n_moves,
+                moves: &st.moves,
+                agents: st.agents(),
+            };
+            cost.launch(self.runtime, &compact, n_moves);
+            for pair in st.moves_host.chunks_exact(2) {
+                let (dst, src) = (pair[0] as usize, pair[1] as usize);
+                for mirror in &mut st.mirror {
+                    mirror[dst] = mirror[src];
+                }
+                st.uids[dst] = st.uids[src];
+            }
+        }
+        for mirror in &mut st.mirror {
+            mirror.truncate(n);
+        }
+        st.uids.truncate(n);
+        st.grid_valid = false;
+    }
+
+    /// Device grid build: atomic list insertion for the paper versions;
+    /// for version IV, the two-pass counting sort with a host-side
+    /// prefix sum in between. The scan is a grid-wide dependency, so it
+    /// reads the counts back and re-uploads the offsets — a PCIe round
+    /// trip (and a mid-step sync) charged the same way version III's
+    /// occupancy readback is.
+    fn build_grid<R: Scalar + DeviceWord>(
+        &self,
+        st: &mut DeviceState<R>,
+        &Frame { n, geom, .. }: &Frame<R>,
+    ) -> PhaseCost {
+        let mut cost = PhaseCost::default();
+        if self.version != KernelVersion::V4Csr {
+            st.chains().reset();
+            let build = GridBuildKernel {
+                n,
+                geom,
+                agents: st.agents(),
+                grid: st.chains(),
+            };
+            cost.launch(self.runtime, &build, n);
+            return cost;
+        }
+        let num_boxes = geom.num_boxes();
+        st.counts.fill_at(0, num_boxes, 0);
+        let count = CsrCountKernel {
+            n,
+            geom,
+            agents: st.agents(),
+            counts: &st.counts,
         };
-        (positions, report)
+        cost.launch(self.runtime, &count, n);
+
+        read_back(&st.counts, num_boxes, &mut st.host_counts, &mut cost);
+        exclusive_scan_into(&st.host_counts, &mut st.starts);
+        st.csr_cursor.upload_at(0, &st.starts[..num_boxes]);
+        cost.add_h2d::<u32>(1, num_boxes);
+
+        let scatter = CsrScatterKernel {
+            n,
+            geom,
+            agents: st.agents(),
+            cells: st.cells(),
+        };
+        cost.launch(self.runtime, &scatter, n);
+        cost
+    }
+
+    /// The mechanical kernel(s) of one step. `refresh_occupancy` tells
+    /// version III whether the grid changed since its cached non-empty
+    /// voxel list (the occupancy readback is skipped when the resident
+    /// path skipped the build).
+    fn run_mech<R: Scalar + DeviceWord + FromWord>(
+        &self,
+        st: &mut DeviceState<R>,
+        &Frame { n, geom, params }: &Frame<R>,
+        refresh_occupancy: bool,
+    ) -> PhaseCost {
+        let mut cost = PhaseCost::default();
+        match self.version {
+            KernelVersion::V0 | KernelVersion::V1Fp32 | KernelVersion::V2Sorted => {
+                let force = ForceKernel {
+                    n,
+                    geom,
+                    agents: st.agents(),
+                    source: st.chains(),
+                    out: st.out(),
+                    params,
+                };
+                cost.launch(self.runtime, &force, n);
+            }
+            KernelVersion::V4Csr => {
+                let force = ForceKernel {
+                    n,
+                    geom,
+                    agents: st.agents(),
+                    source: st.cells(),
+                    out: st.out(),
+                    params,
+                };
+                cost.launch(self.runtime, &force, n);
+            }
+            KernelVersion::V3Shared => {
+                if refresh_occupancy {
+                    // Host needs the voxel occupancy to enumerate non-empty
+                    // voxels and size the blocks — a D2H readback the fused
+                    // version avoids; charge it (and the stall).
+                    let num_boxes = geom.num_boxes();
+                    read_back(&st.box_length, num_boxes, &mut st.host_counts, &mut cost);
+                    st.v3_non_empty.clear();
+                    st.v3_non_empty
+                        .extend((0..num_boxes as u32).filter(|&b| st.host_counts[b as usize] > 0));
+                    let max_len = st.host_counts.iter().copied().max().unwrap_or(0);
+                    st.v3_block_dim = (max_len.max(28)).div_ceil(32) * 32;
+                    st.voxel_ids.upload_at(0, &st.v3_non_empty);
+                    cost.add_h2d::<u32>(1, st.v3_non_empty.len());
+                }
+                // The tile is allocated statically for the worst case —
+                // the paper's kernel cannot know per-voxel occupancy at
+                // compile time. The near-full shared-memory footprint
+                // limits residency to ~1 block/SM, which (together with
+                // the cursor atomics and boundary-check divergence) is
+                // why version III loses to version II.
+                let tile_cap = tile_cap_for(self.system.gpu.shared_mem_per_sm as usize);
+                let k = SharedMechKernel {
+                    geom,
+                    voxel_ids: &st.voxel_ids,
+                    agents: st.agents(),
+                    chains: st.chains(),
+                    out: st.out(),
+                    tile_cap,
+                    params,
+                };
+                let items = st.v3_non_empty.len() * st.v3_block_dim as usize;
+                let shared_bytes = shared_words_for(tile_cap) * 8;
+                cost.add_launch(
+                    &self
+                        .runtime
+                        .dispatch(&k, items, st.v3_block_dim, shared_bytes),
+                );
+            }
+            KernelVersion::DynPar => {
+                // The queue cursor persists across steps now — zero it.
+                st.queue_count.fill_at(0, 1, 0);
+                let parent = ParentKernel {
+                    n,
+                    geom,
+                    agents: st.agents(),
+                    chains: st.chains(),
+                    out: st.out(),
+                    queue: &st.queue,
+                    queue_count: &st.queue_count,
+                    threshold: self.dynpar_threshold,
+                    params,
+                };
+                cost.launch(self.runtime, &parent, n);
+
+                let queue_len = st.queue_count.read(0) as usize;
+                cost.midstep_syncs += 1;
+                if queue_len > 0 {
+                    st.ensure_partials(queue_len * 27 * 3);
+                    // The child kernel only stores nonzero partials, so a
+                    // persistent scratch must be re-zeroed each launch.
+                    st.partials.fill_at(0, queue_len * 27 * 3, R::ZERO);
+                    let child = ChildKernel {
+                        queue_len,
+                        geom,
+                        agents: st.agents(),
+                        chains: st.chains(),
+                        queue: &st.queue,
+                        partials: &st.partials,
+                        params,
+                    };
+                    cost.launch(self.runtime, &child, queue_len * 27);
+                    let finish = FinishKernel {
+                        queue_len,
+                        queue: &st.queue,
+                        partials: &st.partials,
+                        agents: st.agents(),
+                        out: st.out(),
+                        params,
+                    };
+                    cost.launch(self.runtime, &finish, queue_len);
+                }
+            }
+        }
+        cost
     }
 }
 
@@ -1669,11 +1514,6 @@ mod tests {
     const DENSE_N: usize = 640;
     const DENSE_EXTENT: f64 = 4.0;
 
-    /// Version III's tile capacity on `system` — the pipeline's formula.
-    fn tile_cap(system: &SystemSpec) -> usize {
-        ((system.gpu.shared_mem_per_sm as usize / 8).saturating_sub(2) / 5).min(2048)
-    }
-
     fn report_words(r: &GpuStepReport) -> impl Iterator<Item = u64> + '_ {
         let bits = |c: &KernelCounters| fnv(c.field_bits().map(|(_, b)| b));
         [
@@ -1910,10 +1750,10 @@ mod tests {
                 })
                 .max()
                 .unwrap();
+            let tile_cap = tile_cap_for(dense_system.gpu.shared_mem_per_sm as usize);
             assert!(
-                fullest_tile > tile_cap(&dense_system),
-                "version III never overflows: {fullest_tile} <= {}",
-                tile_cap(&dense_system)
+                fullest_tile > tile_cap,
+                "version III never overflows: {fullest_tile} <= {tile_cap}"
             );
         }
         for (is_dense, v, sample, want) in GOLDEN {
@@ -2071,7 +1911,17 @@ mod tests {
         let (mut xs, mut ys, mut zs, mut dm, mut ad) = scene(150, extent, 99);
         let mut uids: Vec<u64> = (0..150).collect();
         let mut out = Vec::new();
-        for step in 0..8 {
+        const PLANS: [SyncPlan; 8] = [
+            SyncPlan::Cold,
+            SyncPlan::Unchanged,
+            SyncPlan::Cold,
+            SyncPlan::Compacted,
+            SyncPlan::Unchanged,
+            SyncPlan::Permuted,
+            SyncPlan::Churn,
+            SyncPlan::Appended,
+        ];
+        for (step, plan) in PLANS.into_iter().enumerate() {
             let sr = SceneRef {
                 xs: &xs,
                 ys: &ys,
@@ -2082,6 +1932,8 @@ mod tests {
                 box_len: 1.0,
             };
             let (pos, r) = p.step_resident(&sr, &uids, &params);
+            assert_eq!(r.sync, plan, "step {step}");
+            assert!(r.grid_built, "every step of the script moves a voxel key");
             out.push(format!(
                 "{:016x} {:016x}",
                 fnv(report_words(&r)),
@@ -2372,5 +2224,109 @@ mod tests {
             b1,
             "rebuilt path must reuse its buffers across steps"
         );
+    }
+
+    /// The sync decision, driven without a device: one case per plan.
+    #[test]
+    fn classify_names_every_way_the_uid_column_can_change() {
+        let prev = [10u64, 11, 12, 13, 14, 15];
+        let (mut slots, mut moves) = (HashMap::new(), Vec::new());
+        let mut plan = |prev: Option<&[u64]>, uids: &[u64]| {
+            let plan = classify(prev, uids, &mut slots, &mut moves);
+            (plan, moves.clone())
+        };
+        assert_eq!(plan(None, &prev).0, SyncPlan::Cold);
+        assert_eq!(plan(Some(&prev), &prev).0, SyncPlan::Unchanged);
+        assert_eq!(
+            plan(Some(&prev), &[10, 11, 12, 13, 14, 15, 16, 17]).0,
+            SyncPlan::Appended
+        );
+        // Swap-remove of rows 1 and 3: the tail back-fills them.
+        assert_eq!(
+            plan(Some(&prev), &[10, 15, 12, 14]),
+            (SyncPlan::Compacted, vec![1, 5, 3, 4])
+        );
+        // A pure tail truncation compacts with no moves at all.
+        assert_eq!(plan(Some(&prev), &prev[..4]), (SyncPlan::Compacted, vec![]));
+        assert_eq!(
+            plan(Some(&prev), &[15, 14, 13, 12, 11, 10]).0,
+            SyncPlan::Permuted
+        );
+        // A removal that shifts rows (source not in the tail), an
+        // unknown uid among the survivors, births onto a moved prefix.
+        assert_eq!(plan(Some(&prev), &[10, 12, 13, 14, 15]).0, SyncPlan::Churn);
+        assert_eq!(plan(Some(&prev), &[10, 99, 12, 13]).0, SyncPlan::Churn);
+        assert_eq!(
+            plan(Some(&prev), &[11, 10, 12, 13, 14, 15, 16]).0,
+            SyncPlan::Churn
+        );
+        let labels: std::collections::HashSet<&str> = [
+            SyncPlan::Cold,
+            SyncPlan::Unchanged,
+            SyncPlan::Appended,
+            SyncPlan::Compacted,
+            SyncPlan::Permuted,
+            SyncPlan::Churn,
+        ]
+        .iter()
+        .map(SyncPlan::label)
+        .collect();
+        assert_eq!(labels.len(), 6);
+    }
+
+    /// A well-formed step, then one with `edit` applied to the scene —
+    /// the malformed-input tests below each break one field.
+    fn step_both_ways(edit: impl Fn(&mut SceneRef<'_>), resident: bool) {
+        let (xs, ys, zs, dm, ad) = scene(100, 8.0, 3);
+        let mut sr = SceneRef {
+            xs: &xs,
+            ys: &ys,
+            zs: &zs,
+            diameters: &dm,
+            adherences: &ad,
+            space: Aabb::new(Vec3::zero(), Vec3::splat(8.0)),
+            box_len: 1.0,
+        };
+        let params = MechParams::default_params();
+        let mut p =
+            MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, KernelVersion::V2Sorted, 1);
+        let uids: Vec<u64> = (0..100).collect();
+        // A well-formed step first, so a short column would find device
+        // rows to leave stale.
+        if resident {
+            p.step_resident(&sr, &uids, &params);
+        } else {
+            p.step(&sr, &params);
+        }
+        edit(&mut sr);
+        if resident {
+            p.step_resident(&sr, &uids, &params);
+        } else {
+            p.step(&sr, &params);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ys column length mismatch")]
+    fn step_rejects_a_short_column() {
+        step_both_ways(|sr| sr.ys = &sr.ys[..99], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "adherences column length mismatch")]
+    fn step_resident_rejects_a_short_column() {
+        step_both_ways(|sr| sr.adherences = &sr.adherences[..40], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "box length must be positive")]
+    fn step_rejects_a_zero_box_len() {
+        step_both_ways(|sr| sr.box_len = 0.0, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "box length must be positive")]
+    fn step_resident_rejects_a_nan_box_len() {
+        step_both_ways(|sr| sr.box_len = f64::NAN, true);
     }
 }

@@ -9,13 +9,14 @@
 
 use bdm_device::specs::SYSTEM_A;
 use bdm_gpu::engine::LaunchResult;
-use bdm_gpu::kernels::geom::GridGeom;
-use bdm_gpu::kernels::grid_build::{reset_grid_buffers, GridBuildKernel};
-use bdm_gpu::kernels::mech::MechKernel;
+use bdm_gpu::kernels::grid_build::GridBuildKernel;
+use bdm_gpu::kernels::layout::{AgentCols, ChainGrid, DispCols};
+use bdm_gpu::kernels::mech::ForceKernel;
 use bdm_gpu::mem::DeviceAllocator;
 use bdm_gpu::{GpuDevice, LaunchConfig};
+use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
-use bdm_math::{SplitMix64, Vec3};
+use bdm_math::{Aabb, SplitMix64, Vec3};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -80,53 +81,45 @@ fn second_identical_launch_performs_zero_heap_allocations() {
         column(0.0, extent),
         column(0.0, extent),
     );
-    let geom = GridGeom {
-        dims: [12, 12, 12],
-        min: Vec3::zero(),
-        box_len: 1.0,
-    };
+    let geom = GridGeometry::new(Aabb::new(Vec3::zero(), Vec3::splat(extent)), 1.0);
+    assert_eq!(geom.dims(), [12, 12, 12]);
 
     let mut alloc = DeviceAllocator::new();
-    let [px, py, pz, d, a, ox, oy, oz] = std::array::from_fn(|_| alloc.alloc::<f64>(n));
-    px.upload(&xs);
-    py.upload(&ys);
-    pz.upload(&zs);
-    d.fill(1.0);
-    a.fill(0.01);
+    let cols = std::array::from_fn(|_| alloc.alloc::<f64>(n));
+    let disp = std::array::from_fn(|_| alloc.alloc::<f64>(n));
+    cols[0].upload(&xs);
+    cols[1].upload(&ys);
+    cols[2].upload(&zs);
+    cols[3].fill(1.0);
+    cols[4].fill(0.01);
     let box_start = alloc.alloc::<u32>(geom.num_boxes());
     let box_length = alloc.alloc::<u32>(geom.num_boxes());
     let successors = alloc.alloc::<u32>(n);
-
-    let build = GridBuildKernel {
-        n,
-        geom,
-        pos_x: &px,
-        pos_y: &py,
-        pos_z: &pz,
+    let grid = ChainGrid {
         box_start: &box_start,
         box_length: &box_length,
         successors: &successors,
     };
-    let mech = MechKernel {
+
+    let build = GridBuildKernel {
         n,
         geom,
-        pos_x: &px,
-        pos_y: &py,
-        pos_z: &pz,
-        diameter: &d,
-        adherence: &a,
-        box_start: &box_start,
-        successors: &successors,
-        out_x: &ox,
-        out_y: &oy,
-        out_z: &oz,
+        agents: AgentCols(&cols),
+        grid,
+    };
+    let mech = ForceKernel {
+        n,
+        geom,
+        agents: AgentCols(&cols),
+        source: grid,
+        out: DispCols(&disp),
         params: MechParams::<f64>::default_params(),
     };
     let cfg = LaunchConfig::for_items(n, 128);
     let dev = GpuDevice::new(SYSTEM_A.gpu);
 
     // Warm-up: the arenas grow to this launch shape.
-    reset_grid_buffers(&box_start, &box_length);
+    grid.reset();
     let (warm_build, first_build) = allocations_in(|| dev.launch(&build, cfg));
     let (warm_mech, first_mech) = allocations_in(|| dev.launch(&mech, cfg));
     assert!(
@@ -138,7 +131,7 @@ fn second_identical_launch_performs_zero_heap_allocations() {
     // Steady state: the same two launches again, on a cold L2 like the
     // first pair.
     dev.reset_l2();
-    reset_grid_buffers(&box_start, &box_length);
+    grid.reset();
     let (steady_build, second_build) = allocations_in(|| dev.launch(&build, cfg));
     let (steady_mech, second_mech) = allocations_in(|| dev.launch(&mech, cfg));
     assert_eq!(steady_build, 0, "grid-build launch allocated");

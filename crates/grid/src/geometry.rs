@@ -5,8 +5,9 @@
 //! ([`crate::CsrGrid`]) — partition space identically: cubic voxels of
 //! edge `box_length` over an axis-aligned box, x-major flat indexing, and
 //! a ≤ 27-voxel neighbor stencil. This module owns that partitioning so
-//! the two layouts (and the GPU-side mirror in `bdm-gpu`) cannot drift
-//! apart.
+//! the two layouts and the device kernels of `bdm-gpu` (which take a
+//! [`GridGeometry`] by value, as a GPU takes constant-memory parameters)
+//! cannot drift apart.
 
 use bdm_math::{Aabb, Scalar, Vec3};
 
@@ -122,7 +123,13 @@ impl<R: Scalar> GridGeometry<R> {
     /// Enumerate the flat indices of the ≤ 27 voxels around `p` (clamped
     /// at the grid boundary, deduplicated).
     pub fn neighbor_boxes(&self, p: Vec3<R>) -> NeighborBoxes {
-        let [cx, cy, cz] = self.box_coords(p);
+        self.neighbor_boxes_of(self.box_coords(p))
+    }
+
+    /// [`Self::neighbor_boxes`] of the voxel at coordinates `c` — for
+    /// callers that start from a voxel, not a position (the device's
+    /// block-per-voxel kernel).
+    pub fn neighbor_boxes_of(&self, [cx, cy, cz]: [u32; 3]) -> NeighborBoxes {
         NeighborBoxes::new(self, cx, cy, cz)
     }
 
@@ -190,6 +197,7 @@ impl ExactSizeIterator for XRuns {
 }
 
 /// Iterator over the flat indices of the ≤ 27 voxels surrounding a point.
+#[derive(Clone)]
 pub struct NeighborBoxes {
     indices: [usize; 27],
     len: usize,

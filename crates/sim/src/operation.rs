@@ -169,13 +169,6 @@ impl Operation for ReorderOp {
                 let perm = Permutation::sorting_by_key(&self.keys);
                 ctx.rm.apply_permutation(&perm, &mut self.scratch);
                 moved = n as u64;
-                // A permutation rewrites every column wholesale, so
-                // the next resident step's uid diff could only conclude
-                // "full resync" anyway — declare it up front instead of
-                // paying the element-wise comparison to discover it.
-                if let Some(p) = ctx.pipeline.as_deref_mut() {
-                    p.invalidate_residency();
-                }
             }
         }
         vec![OpRecord {
@@ -223,13 +216,6 @@ impl Operation for ShardRebalanceOp {
             return Vec::new();
         };
         let (_migrations, resplit) = shards.rebalance(rm, params);
-        if resplit {
-            // A recut re-sorts storage into the new span order on the
-            // next sharded pass — device mirrors go stale wholesale.
-            if let Some(p) = ctx.pipeline.as_deref_mut() {
-                p.invalidate_residency();
-            }
-        }
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),

@@ -769,6 +769,7 @@ mod tests {
             sim.add_cell(cell);
         }
         sim.simulate(WANT_STEPS.len() as u64);
+        let mut permuted = 0;
         let got: Vec<(u64, u32)> = sim
             .profiler()
             .steps()
@@ -777,10 +778,12 @@ mod tests {
                 let r = step.records.iter().find_map(|r| r.gpu.as_ref());
                 let r = r.expect("every step offloads");
                 assert!(r.resident);
+                permuted += (r.sync == bdm_gpu::pipeline::SyncPlan::Permuted) as u32;
                 (r.bytes_h2d, r.midstep_syncs)
             })
             .collect();
         assert_eq!(got, WANT_STEPS);
+        assert!(permuted >= 3, "the scene must reorder while resident");
         let reorders = sim.scheduler().stats();
         let reorders = reorders.iter().find(|s| s.name == "reorder").unwrap();
         assert_eq!(reorders.runs, WANT_STEPS.len() as u64);

@@ -45,3 +45,6 @@ cargo test -q --offline --release -p bdm-sim --lib -- \
     resident_reorder_steps_resync_from_the_uid_diff_alone
 cargo clippy --offline --workspace --all-targets -- -D warnings
 ./scripts/fmt.sh --check
+# Informational, not a gate: the non-test, non-comment size of the code
+# the simplification PRs report against.
+./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs
