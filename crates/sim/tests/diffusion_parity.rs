@@ -182,3 +182,121 @@ fn batched_multi_substance_scene_matches_reference_bitwise() {
         }
     }
 }
+
+/// FNV-1a over the raw IEEE bits of a field.
+fn field_hash(g: &DiffusionGrid) -> u64 {
+    g.concentrations()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Round `round` of the golden script's secretions: five deposits spread
+/// over the space by irrational-ish strides, plus one in each extreme
+/// corner voxel so every wall, edge and corner carries substance.
+fn golden_deposits(g: &mut DiffusionGrid, space: Aabb<f64>, round: u32) {
+    let e = space.extents();
+    let frac = |v: f64| v - v.floor();
+    for i in 0..5 {
+        let f = f64::from(round * 5 + i);
+        let p = space.min
+            + Vec3::new(
+                e.x * frac(f * 0.37 + 0.11),
+                e.y * frac(f * 0.61 + 0.23),
+                e.z * frac(f * 0.83 + 0.05),
+            );
+        assert!(g.secrete(p, 3.0 + f));
+    }
+    assert!(g.secrete(space.min, 7.0 + f64::from(round)));
+    assert!(g.secrete(space.max, 11.0 + f64::from(round)));
+}
+
+/// The fields the engine produced at the commit before the in-place
+/// sweep, as hashes of their raw bits. "Equal to `step_reference`" proves
+/// "equal to the parent" only while the reference itself is untouched;
+/// these values were harvested from a run of that parent and hold both
+/// engines to it: Closed and Dirichlet walls, decay, coefficients deep
+/// into sub-cycling, a non-cubic space (three different h²), lattices
+/// where every plane is a wall (2, 3), below / straddling / above the
+/// lane width (9, 21, 40), secretions between steps, the f32 leg, and a
+/// three-substance scene through the scheduler's `DiffusionOp`.
+#[test]
+fn fields_match_the_parent_goldens() {
+    use bdm_sim::param::Precision::{F32Simd, F64};
+    use BoundaryCondition::{Closed, Dirichlet};
+    let cube = Aabb::cube(8.0);
+    let slab = Aabb::new(Vec3::new(-8.0, -5.0, -3.0), Vec3::new(8.0, 6.0, 10.0));
+    // Four rounds of deposits + one 0.5 step of a lone grid; `substeps`
+    // is what each of those steps must sub-cycle into.
+    let lone = |space, boundary, coefficient, decay, resolution, precision, substeps| {
+        let mut g = DiffusionGrid::new(
+            DiffusionParams {
+                name: "golden",
+                coefficient,
+                decay,
+                resolution,
+                boundary,
+            },
+            space,
+        );
+        assert_eq!(g.substeps_for(0.5), substeps);
+        for round in 0..4 {
+            golden_deposits(&mut g, space, round);
+            g.step_in(0.5, precision);
+        }
+        field_hash(&g)
+    };
+
+    // Three substances stepped by the scheduler, deposits mid-run.
+    let params = SimParams::cube(8.0);
+    let space = params.space;
+    let mut sim = Simulation::new(params);
+    for (coefficient, decay, resolution, boundary) in [
+        (0.1, 0.0, 16, Closed),
+        (0.05, 0.2, 12, Dirichlet),
+        // Stiff enough to sub-cycle at the scheduler's dt.
+        (30.0, 0.0, 21, Closed),
+    ] {
+        sim.add_diffusion_grid(DiffusionParams {
+            name: "golden",
+            coefficient,
+            decay,
+            resolution,
+            boundary,
+        });
+    }
+    for round in 0..3 {
+        for s in 0..3 {
+            golden_deposits(sim.diffusion_grid_mut(s), space, round + s as u32);
+        }
+        sim.simulate(2);
+    }
+    let batched = |s| field_hash(sim.diffusion_grid(s));
+
+    #[rustfmt::skip]
+    let scenes = [
+        ("closed_res2", lone(cube, Closed, 0.4, 0.05, 2, F64, 1), 0x34de_045e_cef5_698c_u64),
+        ("dirichlet_res2", lone(cube, Dirichlet, 0.4, 0.05, 2, F64, 1), 0xb9b2_3f3a_46fd_0825),
+        ("closed_res3", lone(cube, Closed, 0.4, 0.0, 3, F64, 1), 0xaa1d_3c1f_a341_d953),
+        ("dirichlet_res3", lone(cube, Dirichlet, 0.4, 0.05, 3, F64, 1), 0x9187_c85f_ae1a_cef6),
+        ("closed_stiff_res9", lone(cube, Closed, 2.0, 0.01, 9, F64, 6), 0xa7ca_6bfd_075f_4fe3),
+        ("dirichlet_stiff_res9", lone(cube, Dirichlet, 2.0, 0.01, 9, F64, 6), 0x5d94_a9c6_2702_3ac6),
+        ("closed_decay_res21", lone(cube, Closed, 0.1, 0.05, 21, F64, 2), 0x6fa1_0622_0242_6aee),
+        ("dirichlet_decay_res21", lone(cube, Dirichlet, 0.1, 0.05, 21, F64, 2), 0xaae8_ca41_5507_e35d),
+        ("closed_noncubic_res40", lone(slab, Closed, 0.03, 0.02, 40, F64, 3), 0x866d_3bab_3582_ebf8),
+        ("dirichlet_noncubic_res40", lone(slab, Dirichlet, 0.03, 0.02, 40, F64, 3), 0xa62b_3a4e_94d4_5d2e),
+        ("closed_f32_res21", lone(cube, Closed, 0.1, 0.05, 21, F32Simd, 2), 0x115e_02ba_3812_e9fb),
+        ("dirichlet_stiff_f32_res9", lone(cube, Dirichlet, 2.0, 0.01, 9, F32Simd, 6), 0xdb7c_1d93_3890_5d78),
+        ("batched_oxygen_res16", batched(0), 0x2817_f6d5_501e_3934),
+        ("batched_toxin_res12", batched(1), 0xfbf0_f5db_a625_8ff1),
+        ("batched_morphogen_res21", batched(2), 0xdced_5f19_d4c3_6ebf),
+    ];
+    let moved: Vec<String> = scenes
+        .iter()
+        .filter(|(_, got, golden)| got != golden)
+        .map(|(name, got, golden)| format!("{name}: got {got:#018x}, golden {golden:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "fields moved:\n{}", moved.join("\n"));
+}
