@@ -1,8 +1,10 @@
-//! Diffusion engine benchmark: tiled branch-free SIMD stencil vs. the
-//! retained scalar reference sweep, across lattice sizes.
+//! Diffusion engine benchmark: the in-place slab sweep vs. the retained
+//! out-of-place reference sweep, across lattice sizes.
 //!
 //! For each resolution the table reports host wall clocks (median of
-//! five, informational), the deterministic work counters of one step
+//! five, informational), the heap bytes the stepped field holds (one
+//! lattice + the sweep's slab scratch, which grows with the worker
+//! count — informational), the deterministic work counters of one step
 //! (voxel updates, sub-steps, interior fraction, SIMD rows — gated),
 //! and the System A 20-thread modeled times of both engines under the
 //! roofline work model (gated, with a standing `≥1.5×` speedup assert
@@ -76,11 +78,11 @@ fn seeded_grid(res: usize) -> DiffusionGrid {
 }
 
 /// The roofline phases of one `step` at a given precision: 19 FLOPs
-/// per update for both engines; the tiled engine streams 2 words per
-/// interior voxel (neighbor rows ride the (y, z) tile in cache) and 8
-/// words per peeled-face voxel, while the reference sweep gets no
-/// reuse credit — 8 words everywhere (the same accounting DiffusionOp
-/// records per scheduled run).
+/// per update for both engines; the in-place sweep streams 2 words per
+/// interior voxel (read once, written once: the neighbor rows ride the
+/// three hot planes in cache) and 8 words per wall voxel, while the
+/// reference sweep gets no reuse credit — 8 words everywhere (the same
+/// accounting DiffusionOp records per scheduled run).
 fn phases(run: &DiffusionStats, word: f64) -> (Phase, Phase) {
     let updates = run.voxel_updates as f64;
     let interior = run.interior_updates as f64;
@@ -110,10 +112,18 @@ fn main() {
     let model = CpuModel::new(SYSTEM_A.cpu);
     let mut reg = MetricsRegistry::new();
 
-    println!("== diffusion: tiled SIMD stencil vs scalar reference (D={COEFF}, dt={DT}) ==");
+    println!("== diffusion: in-place slab sweep vs out-of-place reference (D={COEFF}, dt={DT}) ==");
     println!(
-        "{:<6} {:>9} {:>9} {:>10} {:>10} {:>12} {:>12} {:>9}",
-        "res", "substeps", "simd_rows", "tiled ms", "ref ms", "tiled model", "ref model", "speedup"
+        "{:<6} {:>9} {:>9} {:>10} {:>10} {:>12} {:>12} {:>12} {:>9}",
+        "res",
+        "substeps",
+        "simd_rows",
+        "tiled ms",
+        "ref ms",
+        "resident KB",
+        "tiled model",
+        "ref model",
+        "speedup"
     );
 
     for res in [16usize, 32, 64] {
@@ -153,13 +163,15 @@ fn main() {
             black_box(wall_ref.step_reference(DT));
         });
 
+        let resident = wall_grid.resident_bytes();
         println!(
-            "{:<6} {:>9} {:>9} {:>10.3} {:>10.3} {:>12.4} {:>12.4} {:>8.2}x",
+            "{:<6} {:>9} {:>9} {:>10.3} {:>10.3} {:>12.1} {:>12.4} {:>12.4} {:>8.2}x",
             format!("{res}^3"),
             run.substeps,
             run.simd_rows,
             tiled_wall,
             ref_wall,
+            resident as f64 / 1024.0,
             tiled_model_ms,
             ref_model_ms,
             speedup
@@ -175,6 +187,7 @@ fn main() {
             &labels,
             run.interior_fraction(),
         );
+        reg.set_gauge("diffusion.resident_bytes", &labels, resident as f64);
         reg.set_gauge(
             "diffusion.modeled_ms",
             &[("res", res_s.as_str()), ("engine", "tiled")],
@@ -240,8 +253,8 @@ fn main() {
     println!("{:<18} {:>10.3}", "serial ms", serial_ms);
     println!(
         "wall clocks on {} workers, informational (never gated): batched forks once over \
-         the substances and sweeps each one's z-tiles inline; serial steps the substances \
-         one after another, forking over z-tiles each time.",
+         the substances and sweeps each one's z-slabs inline; serial steps the substances \
+         one after another, forking over z-slabs each time.",
         rayon::current_num_threads()
     );
     reg.set_gauge("diffusion.batch_substances", &[], BATCH as f64);

@@ -65,6 +65,7 @@ pub fn default_policy(name: &str) -> GatePolicy {
                 | "gpu.grid_build"
                 | "mech.simd_stencils_staged"
                 | "mech.stencils_staged"
+                | "diffusion.resident_bytes"
         )
     {
         // The checkpoint serialize/parse timings and the SIMT
@@ -77,6 +78,8 @@ pub fn default_policy(name: &str) -> GatePolicy {
         // function of the sweep's cut set (a cut that splits a voxel's
         // residents stages it twice), not of the trajectory alone: they
         // say how many agents shared a staged tile, and gate nothing.
+        // The diffusion fields' heap bytes include sweep scratch that
+        // grows with the worker count.
         GatePolicy::informational()
     } else if is_exact(name) {
         GatePolicy::with_tol(0.0)
@@ -258,6 +261,7 @@ mod tests {
         );
         assert!(!default_policy("diffusion.step_wall_ms").gate);
         assert!(!default_policy("diffusion.batch_wall_ms").gate);
+        assert!(!default_policy("diffusion.resident_bytes").gate);
         let modeled = default_policy("profiler.modeled_total_s");
         assert!(modeled.gate && modeled.tol.is_none());
         assert!(default_policy("gpu.total_s").gate);

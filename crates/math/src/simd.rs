@@ -10,9 +10,9 @@
 //!
 //! * a **portable** one — an `#[inline]` per-lane array loop that LLVM
 //!   autovectorizes into AVX/SSE code. It is what the `f64` arithmetic
-//!   (`+ − × ÷`: the diffusion stencil and the f64 force body; LLVM
-//!   already emits the `vaddpd` / `vmulpd` / `vdivpd` pairs, and pinning
-//!   them measured no better) and every non-AVX2 build run;
+//!   (`+ − × ÷` of the f64 force body; LLVM already emits the `vaddpd` /
+//!   `vmulpd` / `vdivpd` pairs, and pinning them measured no better) and
+//!   every non-AVX2 build run;
 //! * an **AVX2** one behind `cfg(target_feature = "avx2")` — the one
 //!   `core::arch` instruction the op *is* (`vsubps`, `vcmpps`,
 //!   `vpaddd`, …), reached through the safe wrappers of the private
@@ -810,10 +810,8 @@ impl F64x8 {
         Self([v; LANES])
     }
 
-    /// Load 8 contiguous lanes from `src` (must hold at least 8). The
-    /// shifted-load idiom of the diffusion stencil: three of these at
-    /// offsets `i-1`, `i`, `i+1` give the full x-neighborhood of eight
-    /// voxels from overlapping unaligned vector loads, with no gather.
+    /// Load 8 contiguous lanes from `src` (must hold at least 8); any
+    /// offset will do — the load is unaligned.
     #[inline(always)]
     pub fn from_slice(src: &[f64]) -> Self {
         let mut out = [0.0f64; LANES];
@@ -916,8 +914,8 @@ impl F64x8 {
 // IEEE `+ - * /`, which LLVM fuses into `vaddpd`/`vmulpd`/`vdivpd`
 // pairs (two AVX2 registers per F64x8). Exactly specified per IEEE 754,
 // so a lane computes bit-for-bit what the equivalent scalar expression
-// computes — the property the diffusion engine's bitwise-parity
-// contract rests on.
+// computes — the property the f64 force body's bitwise parity with its
+// scalar oracle rests on.
 
 impl Add for F64x8 {
     type Output = Self;
@@ -1160,7 +1158,7 @@ mod tests {
 
     #[test]
     fn f64_lane_arithmetic_matches_scalar_bitwise() {
-        // The diffusion stencil's parity contract: every F64x8 op must
+        // The f64 lane bodies' parity contract: every F64x8 op must
         // produce, per lane, the exact bits of the scalar expression.
         let a = F64x8([1.5, -2.25, 0.0, 1e-300, 3.75e7, -0.5, 6.0, 1e-8]);
         let b = F64x8([0.5, 4.0, -1.0, 2e-300, 1.25e3, -0.25, 3.0, 7e-9]);
@@ -1171,8 +1169,8 @@ mod tests {
             assert_eq!(prd.0[l].to_bits(), (a.0[l] * b.0[l]).to_bits());
             assert_eq!(quo.0[l].to_bits(), (a.0[l] / b.0[l]).to_bits());
         }
-        // A composite expression in the stencil's shape keeps bitwise
-        // equality too (same tree, lane by lane).
+        // A composite expression keeps bitwise equality too (same
+        // tree, lane by lane).
         let h2 = F64x8::splat(1.5625);
         let lap = (a + b - F64x8::splat(2.0) * a) / h2;
         for l in 0..LANES {

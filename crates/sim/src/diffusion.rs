@@ -9,17 +9,36 @@
 //! `∂c/∂t = D ∇²c − μ c` on a regular grid over the simulation space,
 //! with closed (zero-flux) or absorbing (Dirichlet-zero) boundaries.
 //!
-//! # The tiled stencil engine
+//! # The in-place sweep
 //!
-//! The sweep peels the six boundary faces out of the inner loop so the
-//! interior is branch-free, cache-blocks the interior over (y, z) row
-//! tiles, and vectorizes the contiguous x-rows with 8-wide SIMD lanes
-//! (three shifted loads at offsets x−1, x, x+1 cover the whole
-//! x-neighborhood without a gather). The lane arithmetic evaluates the
-//! exact scalar expression tree per lane, so the default f64 path is
-//! **bitwise** identical to the retained branchy reference sweep
-//! ([`DiffusionGrid::step_reference`]) — proptested in
-//! `tests/diffusion_parity.rs`.
+//! A field is **one** lattice: a sub-step updates it in place and is
+//! still exactly a Jacobi step. The lattice is cut into contiguous
+//! z-slabs (two per worker, none thinner than eight planes), one rayon
+//! task each. Before the fork, the old plane below
+//! and the old plane above every slab are copied into a small scratch
+//! (at a z-wall the slab's own wall plane — the zero-flux mirror).
+//! Inside a slab the planes are visited in ascending z: new plane `z` is
+//! computed from the three **old** planes `z−1`, `z`, `z+1` into a
+//! two-plane ring, and plane `z−1` is written back only once plane `z`
+//! is done. So every read — in the slab, whose plane `z−1` is still
+//! unwritten when plane `z` needs it, and across slab edges, which read
+//! the snapshots — sees pre-sweep values, and *where* the slabs are cut
+//! cannot show in a single bit. Per task the hot set is three input
+//! planes and the two ring planes (640 KB at 128², f64).
+//!
+//! One plane kernel does the work: the wall rows, wall columns and the
+//! two whole z-wall planes go through the branchy `Stencil::cell`
+//! (mirror at closed walls, zero at Dirichlet walls), every interior row
+//! through `Stencil::row` — a plain indexed loop over seven equal-length
+//! slices that the compiler vectorises at whatever width the target has.
+//! Both evaluate the one expression tree of `Stencil::update`, divisions
+//! included, per element in IEEE arithmetic, so the field is bitwise what
+//! the retained out-of-place reference ([`DiffusionGrid::step_reference`])
+//! computes — proptested in `tests/diffusion_parity.rs`, which also pins
+//! fields harvested from the double-buffered engine this one replaced.
+//! The reference sweeps into its own lazily sized buffer, which the
+//! production path never allocates: an oracle that shared the sweep's
+//! scratch or driver would share its bugs.
 //!
 //! # Stability sub-cycling
 //!
@@ -33,23 +52,17 @@
 //!
 //! # Precision
 //!
-//! An opt-in f32 path (`SimParams::precision = F32Simd`) stages the
-//! field into persistent `f32` ping-pong buffers once per `step`, runs
-//! all sub-steps in f32 through the same macro-generated tiled kernel,
-//! and widens back once. The f32→f64→f32 round trip is exact, so the
-//! path is deterministic; its accuracy envelope is gated by
+//! An opt-in f32 path (`SimParams::precision = F32Simd`) narrows the
+//! field into a persistent `f32` lattice once per `step`, runs all
+//! sub-steps on it in place through the same generic sweep, and widens
+//! back once. The f32→f64→f32 round trip is exact, so the path is
+//! deterministic; its accuracy envelope is gated by
 //! `tests/diffusion_solver.rs` analytic-tolerance tests.
 
 use crate::param::Precision;
-use bdm_math::simd::{F32x8, F64x8, LANES};
-use bdm_math::{Aabb, Vec3};
+use bdm_math::simd::LANES;
+use bdm_math::{Aabb, Scalar, Vec3};
 use rayon::prelude::*;
-
-/// z-slices per rayon work unit of the tiled sweep.
-const Z_TILE: usize = 4;
-/// Interior rows per (y, z) cache block: the block walks z through the
-/// chunk while its three y-neighbor row bands stay resident.
-const Y_TILE: usize = 16;
 
 /// Boundary handling of the diffusion grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,10 +139,11 @@ pub struct DiffusionStats {
     pub voxel_updates: u64,
     /// Stability sub-steps executed.
     pub substeps: u64,
-    /// Voxel updates that went through the branch-free interior sweep
-    /// (the rest are peeled-face updates).
+    /// Voxel updates that went through the branch-free row kernel (the
+    /// rest are wall voxels, updated by the branchy cell).
     pub interior_updates: u64,
-    /// Interior x-rows processed with at least one full 8-lane vector.
+    /// Interior x-rows at least one full 8-lane vector long
+    /// (`resolution ≥ LANES + 2`).
     pub simd_rows: u64,
 }
 
@@ -151,195 +165,151 @@ impl DiffusionStats {
     }
 }
 
-/// The diffusion kernels, generated once for (f64, `F64x8`) and once
-/// for (f32, `F32x8`) from the same source so the two precision paths
-/// cannot drift apart structurally.
-///
-/// `$cell` is one voxel of the pre-tiling branchy kernel (mirror
-/// neighbors at closed walls, pin Dirichlet walls to zero) — it serves
-/// both the peeled faces of the tiled sweep and the full reference
-/// sweep. `$sub` is one tiled sub-step; it returns
-/// `(interior_updates, simd_rows)`.
-///
-/// Parity contract: the vector path evaluates, per lane, the exact
-/// expression tree of the scalar interior update —
-/// `lap = (xm+xp−2·here)/h²x + (ym+yp−2·here)/h²y + (zm+zp−2·here)/h²z`
-/// then `here + dt·(d·lap − decay·here)` — and the `F64x8`/`F32x8`
-/// operators are strict per-lane IEEE ops, so tiled output is bitwise
-/// equal to the reference at equal precision.
-macro_rules! diffusion_kernels {
-    ($cell:ident, $sub:ident, $t:ty, $vt:ty) => {
-        #[allow(clippy::too_many_arguments)]
-        #[inline(always)]
-        fn $cell(
-            c: &[$t],
-            res: usize,
-            x: usize,
-            y: usize,
-            z: usize,
-            h2: [$t; 3],
-            d: $t,
-            decay: $t,
-            dt: $t,
-            dirichlet: bool,
-        ) -> $t {
-            let on_wall =
-                x == 0 || y == 0 || z == 0 || x + 1 == res || y + 1 == res || z + 1 == res;
-            if dirichlet && on_wall {
-                return 0.0;
-            }
-            let at = |xx: usize, yy: usize, zz: usize| c[(zz * res + yy) * res + xx];
-            let here = at(x, y, z);
-            // Zero-flux: mirror the boundary neighbor.
-            let xm = if x == 0 { here } else { at(x - 1, y, z) };
-            let xp = if x + 1 == res { here } else { at(x + 1, y, z) };
-            let ym = if y == 0 { here } else { at(x, y - 1, z) };
-            let yp = if y + 1 == res { here } else { at(x, y + 1, z) };
-            let zm = if z == 0 { here } else { at(x, y, z - 1) };
-            let zp = if z + 1 == res { here } else { at(x, y, z + 1) };
-            let lap = (xm + xp - 2.0 * here) / h2[0]
-                + (ym + yp - 2.0 * here) / h2[1]
-                + (zm + zp - 2.0 * here) / h2[2];
-            here + dt * (d * lap - decay * here)
-        }
+/// Planes of sweep scratch per slab: the two-plane ring — whose second
+/// plane starts a sweep holding the old plane below the slab, which is
+/// read before the ring first wraps onto it — and the old plane above.
+const SLAB_SCRATCH: usize = 3;
+/// Fewest planes a slab is cut to (lattices with fewer are one slab).
+/// Every slab costs `SLAB_SCRATCH` planes of memory and two plane copies
+/// before the fork, so this bounds the scratch at 3/8 of the lattice and
+/// the serial prologue at a quarter of its bytes on any worker count.
+const MIN_SLAB_PLANES: usize = 8;
 
-        #[allow(clippy::too_many_arguments)]
-        fn $sub(
-            c: &[$t],
-            next: &mut [$t],
-            res: usize,
-            h2: [$t; 3],
-            d: $t,
-            decay: $t,
-            dt: $t,
-            dirichlet: bool,
-        ) -> (u64, u64) {
-            let sy = res;
-            let sz = res * res;
-            next.par_chunks_mut(sz * Z_TILE)
-                .enumerate()
-                .map(|(ci, chunk)| {
-                    let z0 = ci * Z_TILE;
-                    let slices = chunk.len() / sz;
-
-                    // Pass 1 — the six peeled faces: whole z-walls, then
-                    // the y-wall rows and x-wall columns of every
-                    // interior slice, all through the branchy cell.
-                    for dz in 0..slices {
-                        let z = z0 + dz;
-                        let s = &mut chunk[dz * sz..(dz + 1) * sz];
-                        if z == 0 || z + 1 == res {
-                            for y in 0..res {
-                                for x in 0..res {
-                                    s[y * res + x] =
-                                        $cell(c, res, x, y, z, h2, d, decay, dt, dirichlet);
-                                }
-                            }
-                            continue;
-                        }
-                        for x in 0..res {
-                            s[x] = $cell(c, res, x, 0, z, h2, d, decay, dt, dirichlet);
-                            s[(res - 1) * res + x] =
-                                $cell(c, res, x, res - 1, z, h2, d, decay, dt, dirichlet);
-                        }
-                        for y in 1..res - 1 {
-                            s[y * res] = $cell(c, res, 0, y, z, h2, d, decay, dt, dirichlet);
-                            s[y * res + res - 1] =
-                                $cell(c, res, res - 1, y, z, h2, d, decay, dt, dirichlet);
-                        }
-                    }
-
-                    // Pass 2 — branch-free interior, cache-blocked over
-                    // (y, z) row tiles: each block streams z through the
-                    // chunk while its three y-neighbor row bands stay
-                    // hot, and vectorizes the contiguous x-rows with
-                    // shifted 8-lane loads.
-                    let mut interior = 0u64;
-                    let mut simd_rows = 0u64;
-                    let vh2x = <$vt>::splat(h2[0]);
-                    let vh2y = <$vt>::splat(h2[1]);
-                    let vh2z = <$vt>::splat(h2[2]);
-                    let vtwo = <$vt>::splat(2.0);
-                    let vd = <$vt>::splat(d);
-                    let vdecay = <$vt>::splat(decay);
-                    let vdt = <$vt>::splat(dt);
-                    for yt in (1..res - 1).step_by(Y_TILE) {
-                        let yhi = (yt + Y_TILE).min(res - 1);
-                        for dz in 0..slices {
-                            let z = z0 + dz;
-                            if z == 0 || z + 1 == res {
-                                continue;
-                            }
-                            for y in yt..yhi {
-                                let base = (z * res + y) * res;
-                                let out = dz * sz + y * res;
-                                let mut x = 1usize;
-                                if res >= LANES + 2 {
-                                    simd_rows += 1;
-                                    while x + LANES < res {
-                                        let here = <$vt>::from_slice(&c[base + x..]);
-                                        let xm = <$vt>::from_slice(&c[base + x - 1..]);
-                                        let xp = <$vt>::from_slice(&c[base + x + 1..]);
-                                        let ym = <$vt>::from_slice(&c[base - sy + x..]);
-                                        let yp = <$vt>::from_slice(&c[base + sy + x..]);
-                                        let zm = <$vt>::from_slice(&c[base - sz + x..]);
-                                        let zp = <$vt>::from_slice(&c[base + sz + x..]);
-                                        let lap = (xm + xp - vtwo * here) / vh2x
-                                            + (ym + yp - vtwo * here) / vh2y
-                                            + (zm + zp - vtwo * here) / vh2z;
-                                        let nv = here + vdt * (vd * lap - vdecay * here);
-                                        nv.write_to_slice(&mut chunk[out + x..]);
-                                        x += LANES;
-                                    }
-                                }
-                                // Scalar tail: the identical expression
-                                // tree, one voxel at a time.
-                                while x < res - 1 {
-                                    let i = base + x;
-                                    let here = c[i];
-                                    let lap = (c[i - 1] + c[i + 1] - 2.0 * here) / h2[0]
-                                        + (c[i - sy] + c[i + sy] - 2.0 * here) / h2[1]
-                                        + (c[i - sz] + c[i + sz] - 2.0 * here) / h2[2];
-                                    chunk[out + x] = here + dt * (d * lap - decay * here);
-                                    x += 1;
-                                }
-                                interior += (res - 2) as u64;
-                            }
-                        }
-                    }
-                    (interior, simd_rows)
-                })
-                .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-        }
-    };
+/// One sub-step's constants at the sweep's precision, and the kernels
+/// over them — generic, so the f64 and f32 paths are one source.
+struct Stencil<T> {
+    res: usize,
+    h2: [T; 3],
+    d: T,
+    decay: T,
+    dt: T,
+    dirichlet: bool,
 }
 
-diffusion_kernels!(branchy_cell_f64, tiled_sub_step_f64, f64, F64x8);
-diffusion_kernels!(branchy_cell_f32, tiled_sub_step_f32, f32, F32x8);
+impl<T: Scalar> Stencil<T> {
+    /// The explicit-Euler update of one voxel from its six neighbors
+    /// `[x−, x+, y−, y+, z−, z+]`: the engine's only expression tree.
+    #[inline(always)]
+    fn update(&self, here: T, [xm, xp, ym, yp, zm, zp]: [T; 6]) -> T {
+        let lap = (xm + xp - T::TWO * here) / self.h2[0]
+            + (ym + yp - T::TWO * here) / self.h2[1]
+            + (zm + zp - T::TWO * here) / self.h2[2];
+        here + self.dt * (self.d * lap - self.decay * here)
+    }
 
-/// One sub-step of the pre-tiling engine: the branchy cell applied to
-/// every voxel, parallel over z-slices. Retained as the bitwise parity
-/// reference and the `bench_diffusion` baseline.
-#[allow(clippy::too_many_arguments)]
-fn reference_sub_step(
-    c: &[f64],
-    next: &mut [f64],
-    res: usize,
-    h2: [f64; 3],
-    d: f64,
-    decay: f64,
-    dt: f64,
-    dirichlet: bool,
-) {
-    next.par_chunks_mut(res * res)
-        .enumerate()
-        .for_each(|(z, s)| {
-            for y in 0..res {
+    /// Voxel `(x, y)` of plane `cur` with every wall test spelled out:
+    /// zero on a Dirichlet wall, the voxel itself as the neighbor beyond
+    /// a closed x- or y-wall. `zm` / `zp` are the planes below and above;
+    /// on a z-wall plane (`z_wall`) the caller passes `cur`, or a copy of
+    /// it, for the one that does not exist.
+    #[inline(always)]
+    fn cell(&self, [zm, cur, zp]: [&[T]; 3], x: usize, y: usize, z_wall: bool) -> T {
+        let res = self.res;
+        let on_wall = z_wall || x == 0 || y == 0 || x + 1 == res || y + 1 == res;
+        if self.dirichlet && on_wall {
+            return T::ZERO;
+        }
+        let i = y * res + x;
+        let here = cur[i];
+        let xm = if x == 0 { here } else { cur[i - 1] };
+        let xp = if x + 1 == res { here } else { cur[i + 1] };
+        let ym = if y == 0 { here } else { cur[i - res] };
+        let yp = if y + 1 == res { here } else { cur[i + res] };
+        self.update(here, [xm, xp, ym, yp, zm[i], zp[i]])
+    }
+
+    /// One interior x-row: `out[i]` from `here[i]` and the six neighbor
+    /// rows. All eight slices have `out`'s length; re-slicing them to it
+    /// up front is what leaves the loop without a bounds check.
+    fn row(&self, out: &mut [T], [xm, here, xp, ym, yp, zm, zp]: [&[T]; 7]) {
+        let n = out.len();
+        let (xm, here, xp) = (&xm[..n], &here[..n], &xp[..n]);
+        let (ym, yp, zm, zp) = (&ym[..n], &yp[..n], &zm[..n], &zp[..n]);
+        for i in 0..n {
+            out[i] = self.update(here[i], [xm[i], xp[i], ym[i], yp[i], zm[i], zp[i]]);
+        }
+    }
+
+    /// The new values of plane `cur` into `out`, from the old planes
+    /// `[below, cur, above]`. Returns the rows that went through
+    /// [`Self::row`].
+    fn plane(&self, out: &mut [T], planes: [&[T]; 3], z_wall: bool) -> u64 {
+        let res = self.res;
+        let [zm, cur, zp] = planes;
+        let mut rows = 0;
+        for y in 0..res {
+            let b = y * res;
+            if z_wall || y == 0 || y + 1 == res {
                 for x in 0..res {
-                    s[y * res + x] = branchy_cell_f64(c, res, x, y, z, h2, d, decay, dt, dirichlet);
+                    out[b + x] = self.cell(planes, x, y, z_wall);
                 }
+                continue;
             }
-        });
+            out[b] = self.cell(planes, 0, y, false);
+            out[b + res - 1] = self.cell(planes, res - 1, y, false);
+            // The voxels between the x-walls, and their neighbor rows.
+            let (lo, hi) = (b + 1, b + res - 1);
+            let inputs = [
+                &cur[lo - 1..hi - 1],
+                &cur[lo..hi],
+                &cur[lo + 1..hi + 1],
+                &cur[lo - res..hi - res],
+                &cur[lo + res..hi + res],
+                &zm[lo..hi],
+                &zp[lo..hi],
+            ];
+            self.row(&mut out[lo..hi], inputs);
+            rows += 1;
+        }
+        rows
+    }
+
+    /// One in-place Jacobi sub-step of the lattice `c` (see the module
+    /// docs). `scratch` is grown to [`SLAB_SCRATCH`] planes per slab.
+    /// Returns the interior rows swept.
+    fn sweep(&self, c: &mut [T], scratch: &mut Vec<T>) -> u64 {
+        let res = self.res;
+        let sz = res * res;
+        // Two slabs per worker — enough to even out a late starter; run
+        // inline, nested under another `par_*` call, that is two slabs —
+        // but none thinner than `MIN_SLAB_PLANES`.
+        let slabs = (2 * rayon::current_num_threads()).min(res / MIN_SLAB_PLANES);
+        let depth = res.div_ceil(slabs.max(1));
+        scratch.resize(res.div_ceil(depth) * SLAB_SCRATCH * sz, T::ZERO);
+        for (s, halo) in scratch.chunks_mut(SLAB_SCRATCH * sz).enumerate() {
+            // Clamped at the z-walls: the wall plane is its own neighbor.
+            let below = (s * depth).saturating_sub(1);
+            let above = ((s + 1) * depth).min(res - 1);
+            halo[sz..2 * sz].copy_from_slice(&c[below * sz..(below + 1) * sz]);
+            halo[2 * sz..].copy_from_slice(&c[above * sz..(above + 1) * sz]);
+        }
+        c.par_chunks_mut(depth * sz)
+            .zip(scratch.par_chunks_mut(SLAB_SCRATCH * sz))
+            .enumerate()
+            .map(|(s, (slab, scratch))| {
+                let (ring, above) = scratch.split_at_mut(2 * sz);
+                // `out` takes the new plane dz while `held` still holds
+                // the new plane dz − 1 (before dz = 0: the old plane
+                // below the slab).
+                let (mut out, mut held) = ring.split_at_mut(sz);
+                let last = slab.len() / sz - 1;
+                let mut rows = 0;
+                for dz in 0..=last {
+                    let at = |dz: usize| &slab[dz * sz..(dz + 1) * sz];
+                    let zm = if dz == 0 { &*held } else { at(dz - 1) };
+                    let zp = if dz == last { &*above } else { at(dz + 1) };
+                    let z = s * depth + dz;
+                    rows += self.plane(out, [zm, at(dz), zp], z == 0 || z + 1 == res);
+                    if dz > 0 {
+                        slab[(dz - 1) * sz..dz * sz].copy_from_slice(held);
+                    }
+                    std::mem::swap(&mut out, &mut held);
+                }
+                slab[last * sz..].copy_from_slice(held);
+                rows
+            })
+            .sum()
+    }
 }
 
 /// A regular-lattice substance concentration field.
@@ -349,14 +319,19 @@ pub struct DiffusionGrid {
     space: Aabb<f64>,
     res: usize,
     voxel_len: Vec3<f64>,
-    /// Concentrations, x-major.
+    /// Concentrations, x-major: the field's only lattice.
     c: Vec<f64>,
-    /// Scratch buffer for the update sweep.
-    next: Vec<f64>,
-    /// f32 ping-pong buffers of the `Precision::F32Simd` path, lazily
-    /// sized on first use. Derived state: never checkpointed.
+    /// Halo snapshots and plane rings of the in-place sweep
+    /// ([`SLAB_SCRATCH`] planes per slab). Derived state, like every
+    /// buffer below: never checkpointed.
+    scratch: Vec<f64>,
+    /// The narrowed lattice of the `Precision::F32Simd` path and its
+    /// sweep scratch, sized on first use.
     c32: Vec<f32>,
-    next32: Vec<f32>,
+    scratch32: Vec<f32>,
+    /// Output lattice of [`DiffusionGrid::step_reference`], sized on
+    /// first use; the production path never touches it.
+    oracle: Vec<f64>,
     /// Cumulative solver telemetry (derived state).
     stats: DiffusionStats,
 }
@@ -371,22 +346,23 @@ impl DiffusionGrid {
         if let Err(msg) = params.validate() {
             panic!("invalid DiffusionParams: {msg}");
         }
-        Self::build(params, space)
+        let n = params.resolution.pow(3);
+        Self::build(params, space, vec![0.0; n])
     }
 
-    fn build(params: DiffusionParams, space: Aabb<f64>) -> Self {
+    fn build(params: DiffusionParams, space: Aabb<f64>, c: Vec<f64>) -> Self {
         let res = params.resolution;
-        let n = res * res * res;
         let e = space.extents();
         Self {
             params,
             space,
             res,
             voxel_len: Vec3::new(e.x / res as f64, e.y / res as f64, e.z / res as f64),
-            c: vec![0.0; n],
-            next: vec![0.0; n],
+            c,
+            scratch: Vec::new(),
             c32: Vec::new(),
-            next32: Vec::new(),
+            scratch32: Vec::new(),
+            oracle: Vec::new(),
             stats: DiffusionStats::default(),
         }
     }
@@ -394,26 +370,23 @@ impl DiffusionGrid {
     /// Rebuild a grid from exported state — the checkpoint import path.
     /// The parameters must pass [`DiffusionParams::validate`] and the
     /// concentration column must have exactly `resolution³` entries;
-    /// anything else is rejected rather than silently reshaped.
+    /// anything else is rejected rather than silently reshaped. `c` is
+    /// adopted as the lattice, not copied.
     pub fn from_parts(
         params: DiffusionParams,
         space: Aabb<f64>,
         c: Vec<f64>,
     ) -> Result<Self, String> {
         params.validate()?;
-        let mut g = Self::build(params, space);
-        if c.len() != g.c.len() {
+        let res = params.resolution;
+        if res.checked_pow(3) != Some(c.len()) {
             return Err(format!(
-                "substance '{}': {} concentration values for a {}³ lattice \
-                 (expected {})",
+                "substance '{}': {} concentration values for a {res}³ lattice",
                 params.name,
                 c.len(),
-                g.res,
-                g.c.len()
             ));
         }
-        g.c = c;
-        Ok(g)
+        Ok(Self::build(params, space, c))
     }
 
     /// Substance parameters.
@@ -422,8 +395,8 @@ impl DiffusionGrid {
     }
 
     /// The raw concentration column, x-major (checkpoint export; the
-    /// update-sweep scratch buffers and stats are derived state and
-    /// never exported).
+    /// sweep scratch, the f32 staging, the oracle buffer and stats are
+    /// derived state and never exported).
     pub fn concentrations(&self) -> &[f64] {
         &self.c
     }
@@ -441,6 +414,13 @@ impl DiffusionGrid {
     /// Cumulative solver telemetry since construction (or restore).
     pub fn stats(&self) -> &DiffusionStats {
         &self.stats
+    }
+
+    /// Heap bytes this field holds, by capacity: the lattice, the sweep
+    /// scratch, the f32 staging and the reference oracle's buffer.
+    pub fn resident_bytes(&self) -> usize {
+        8 * (self.c.capacity() + self.scratch.capacity() + self.oracle.capacity())
+            + 4 * (self.c32.capacity() + self.scratch32.capacity())
     }
 
     #[inline]
@@ -546,7 +526,20 @@ impl DiffusionGrid {
         }
     }
 
-    /// Advance the field by `dt` with the tiled engine at the default
+    /// One sub-step's constants for a sub-step of `dt_sub`, narrowed to
+    /// the sweep's precision.
+    fn stencil<T: Scalar>(&self, dt_sub: f64) -> Stencil<T> {
+        Stencil {
+            res: self.res,
+            h2: self.h2().map(T::from_f64),
+            d: T::from_f64(self.params.coefficient),
+            decay: T::from_f64(self.params.decay),
+            dt: T::from_f64(dt_sub),
+            dirichlet: self.params.boundary == BoundaryCondition::Dirichlet,
+        }
+    }
+
+    /// Advance the field by `dt` with the in-place sweep at the default
     /// f64 precision, sub-cycling as required for stability. Returns the
     /// number of voxel updates (voxels × sub-steps — the work counter
     /// for the CPU timing model).
@@ -558,95 +551,74 @@ impl DiffusionGrid {
     /// run's telemetry (also accumulated into
     /// [`DiffusionGrid::stats`]).
     ///
-    /// `Precision::F32Simd` stages the field into f32 once per call,
-    /// sub-steps in f32, and widens back — cutting stencil memory
-    /// traffic in half at the cost of one staging pass and ~1e-7
-    /// relative truncation per sub-step.
+    /// `Precision::F32Simd` narrows the field into f32 once per call,
+    /// sub-steps in f32, and widens back — half the stencil memory
+    /// traffic per sub-step at the cost of the two conversion passes and
+    /// ~1e-7 relative truncation per sub-step.
     pub fn step_in(&mut self, dt: f64, precision: Precision) -> DiffusionStats {
         let n = self.substeps_for(dt);
         let dt_sub = dt / n as f64;
-        let h2 = self.h2();
-        let d = self.params.coefficient;
-        let decay = self.params.decay;
-        let dirichlet = self.params.boundary == BoundaryCondition::Dirichlet;
-        let mut interior = 0u64;
-        let mut simd_rows = 0u64;
-        match precision {
+        let rows: u64 = match precision {
             Precision::F64 => {
-                for _ in 0..n {
-                    let (i, s) = tiled_sub_step_f64(
-                        &self.c,
-                        &mut self.next,
-                        self.res,
-                        h2,
-                        d,
-                        decay,
-                        dt_sub,
-                        dirichlet,
-                    );
-                    std::mem::swap(&mut self.c, &mut self.next);
-                    interior += i;
-                    simd_rows += s;
-                }
+                let k = self.stencil::<f64>(dt_sub);
+                (0..n)
+                    .map(|_| k.sweep(&mut self.c, &mut self.scratch))
+                    .sum()
             }
             Precision::F32Simd => {
+                let k = self.stencil::<f32>(dt_sub);
                 self.c32.clear();
                 self.c32.extend(self.c.iter().map(|&v| v as f32));
-                self.next32.resize(self.c.len(), 0.0);
-                let h2f = [h2[0] as f32, h2[1] as f32, h2[2] as f32];
-                for _ in 0..n {
-                    let (i, s) = tiled_sub_step_f32(
-                        &self.c32,
-                        &mut self.next32,
-                        self.res,
-                        h2f,
-                        d as f32,
-                        decay as f32,
-                        dt_sub as f32,
-                        dirichlet,
-                    );
-                    std::mem::swap(&mut self.c32, &mut self.next32);
-                    interior += i;
-                    simd_rows += s;
+                let rows = (0..n)
+                    .map(|_| k.sweep(&mut self.c32, &mut self.scratch32))
+                    .sum();
+                for (dst, src) in self.c.iter_mut().zip(&self.c32) {
+                    *dst = f64::from(*src);
                 }
-                for (dst, src) in self.c.iter_mut().zip(self.c32.iter()) {
-                    *dst = *src as f64;
-                }
+                rows
             }
-        }
+        };
         let run = DiffusionStats {
             voxel_updates: n as u64 * self.c.len() as u64,
             substeps: n as u64,
-            interior_updates: interior,
-            simd_rows,
+            interior_updates: rows * (self.res as u64 - 2),
+            simd_rows: if self.res >= LANES + 2 { rows } else { 0 },
         };
         self.stats.accumulate(&run);
         run
     }
 
-    /// Advance the field by `dt` with the pre-tiling branchy z-slice
-    /// sweep — the bitwise parity reference and `bench_diffusion`
-    /// baseline. Sub-cycles exactly like [`DiffusionGrid::step`]; does
-    /// not touch [`DiffusionGrid::stats`]. Returns voxel updates.
+    /// Advance the field by `dt` with the retained reference engine: the
+    /// branchy cell applied to every voxel, out of place, parallel over
+    /// z-planes — the bitwise parity oracle and `bench_diffusion`
+    /// baseline. It shares the cell with the in-place sweep and nothing
+    /// else: not its scratch, not its slab driver. Sub-cycles exactly
+    /// like [`DiffusionGrid::step`]; does not touch
+    /// [`DiffusionGrid::stats`]. Returns voxel updates.
     pub fn step_reference(&mut self, dt: f64) -> u64 {
         let n = self.substeps_for(dt);
-        let dt_sub = dt / n as f64;
-        let h2 = self.h2();
-        let d = self.params.coefficient;
-        let decay = self.params.decay;
-        let dirichlet = self.params.boundary == BoundaryCondition::Dirichlet;
+        let k = self.stencil::<f64>(dt / n as f64);
+        let (res, sz) = (self.res, self.res * self.res);
+        self.oracle.resize(self.c.len(), 0.0);
         for _ in 0..n {
-            reference_sub_step(
-                &self.c,
-                &mut self.next,
-                self.res,
-                h2,
-                d,
-                decay,
-                dt_sub,
-                dirichlet,
-            );
-            std::mem::swap(&mut self.c, &mut self.next);
+            let plane = |z: usize| &self.c[z * sz..(z + 1) * sz];
+            self.oracle
+                .par_chunks_mut(sz)
+                .enumerate()
+                .for_each(|(z, out)| {
+                    // Clamped at the z-walls: the wall plane mirrors itself.
+                    let planes = [
+                        plane(z.saturating_sub(1)),
+                        plane(z),
+                        plane((z + 1).min(res - 1)),
+                    ];
+                    for y in 0..res {
+                        for x in 0..res {
+                            out[y * res + x] = k.cell(planes, x, y, z == 0 || z + 1 == res);
+                        }
+                    }
+                });
+            std::mem::swap(&mut self.c, &mut self.oracle);
         }
         n as u64 * self.c.len() as u64
     }
@@ -831,6 +803,53 @@ mod tests {
             for (va, vb) in a.c.iter().zip(b.c.iter()) {
                 assert_eq!(va.to_bits(), vb.to_bits(), "{boundary:?}");
             }
+        }
+    }
+
+    #[test]
+    fn resident_bytes_is_one_lattice_plus_slab_scratch() {
+        // One worker: two slabs of `SLAB_SCRATCH` planes each, whatever
+        // the machine (the scratch grows with the worker count).
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let lattice = 32 * 32 * 32 * 8;
+        let mut g = DiffusionGrid::new(DiffusionParams::oxygen(), Aabb::cube(8.0));
+        assert_eq!(g.resident_bytes(), lattice);
+        pool.install(|| {
+            g.step(0.5);
+            g.step(0.5);
+        });
+        let stepped = g.resident_bytes();
+        assert_eq!(stepped, lattice + 2 * SLAB_SCRATCH * 32 * 32 * 8);
+        assert!(4 * stepped < 5 * lattice, "{stepped} vs {lattice}");
+        // The f32 leg holds the same again at half the width…
+        pool.install(|| g.step_in(0.5, Precision::F32Simd));
+        assert_eq!(g.resident_bytes(), stepped + stepped / 2);
+        // …and only the reference oracle costs a second lattice.
+        let mut oracle = g.clone();
+        oracle.step_reference(0.5);
+        assert_eq!(oracle.resident_bytes(), g.resident_bytes() + lattice);
+    }
+
+    #[test]
+    fn from_parts_adopts_the_column_it_is_given() {
+        let params = DiffusionParams {
+            resolution: 3,
+            ..DiffusionParams::oxygen()
+        };
+        let column: Vec<f64> = (0..27).map(f64::from).collect();
+        let heap = column.as_ptr();
+        let g = DiffusionGrid::from_parts(params, Aabb::cube(4.0), column).unwrap();
+        assert_eq!(g.concentrations().as_ptr(), heap, "copied, not adopted");
+        assert_eq!(g.concentration_at(Vec3::splat(3.9)), 26.0);
+        assert_eq!(g.resident_bytes(), 27 * 8);
+        for len in [0, 26, 28, 64] {
+            let err = DiffusionGrid::from_parts(params, Aabb::cube(4.0), vec![0.0; len])
+                .expect_err("wrong length");
+            let want = format!("{len} concentration values for a 3³ lattice");
+            assert!(err.contains(&want), "{err}");
         }
     }
 

@@ -474,17 +474,18 @@ impl Operation for BoundSpaceOp {
 // Diffusion
 // ---------------------------------------------------------------------
 
-/// Steps every substance grid through the tiled stencil engine (the
+/// Steps every substance grid through the in-place stencil sweep (the
 /// operation BioDynaMo keeps on the multi-core CPU while the GPU
 /// handles the mechanical interactions). Returns no record when the
 /// simulation has no substances, matching the pre-scheduler profile.
 ///
 /// All substances advance through **one** rayon scope per run — the
-/// batch is a `par_iter_mut` over grids whose tiled sweeps themselves
-/// fork nested z-chunk tasks, so a scene with many small fields keeps
-/// every worker busy instead of draining N serial parallel-sweeps.
-/// Each grid's update is a pure function of its own field, so the batch
-/// is bitwise deterministic under any work-stealing schedule.
+/// batch is a `par_iter_mut` over grids. With at least as many grids
+/// as workers each worker sweeps its grid's z-slabs inline (nested
+/// `par_*` calls do not fork); a lone grid runs on the caller and forks
+/// over its slabs instead. Each grid's update is a pure function of its
+/// own field and of no slab cut, so the batch is bitwise deterministic
+/// under any schedule.
 #[derive(Debug, Default)]
 pub struct DiffusionOp;
 
@@ -510,9 +511,9 @@ impl Operation for DiffusionOp {
         let faces = updates - interior;
         // Work model: 19 FLOPs per stencil update. Interior updates
         // stream 2 words/voxel (read the center row once, write once —
-        // the six neighbor rows ride the (y, z) tile in cache); peeled
-        // faces get no reuse credit and touch all 8 words. The f32 path
-        // halves the word size.
+        // the six neighbor rows ride the sweep's three hot planes in
+        // cache); wall voxels get no reuse credit and touch all 8
+        // words. The f32 path halves the word size.
         let word = if precision == Precision::F64 {
             8.0
         } else {

@@ -15,7 +15,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Every `par_*` loop any operation reaches — agent chunks, the
-    /// fused force passes, grid builds, diffusion tiles, key passes and
+    /// fused force passes, grid builds, diffusion slabs, key passes and
     /// column gathers — runs on the calling thread: the step executes
     /// under a one-worker pool.
     Serial,

@@ -256,6 +256,9 @@ impl Simulation {
             reg.set_gauge("diffusion.substeps", &[], agg.substeps as f64);
             reg.set_gauge("diffusion.interior_fraction", &[], agg.interior_fraction());
             reg.set_gauge("diffusion.simd_rows", &[], agg.simd_rows as f64);
+            // Lattices + sweep scratch + f32 staging + oracle buffers.
+            let resident: usize = self.diffusion.iter().map(|g| g.resident_bytes()).sum();
+            reg.set_gauge("diffusion.resident_bytes", &[], resident as f64);
         }
         self.scheduler.publish_metrics(&mut reg);
         self.profiler.publish_metrics(&mut reg);
@@ -588,10 +591,18 @@ mod tests {
                 CellBuilder::new(Vec3::new(i as f64 * 1.2 - 18.0, 0.0, 0.0)).diameter(2.0),
             );
         }
+        let oxygen = sim.add_diffusion_grid(crate::diffusion::DiffusionParams::oxygen());
         sim.simulate(3);
         let reg = sim.metrics();
         assert_eq!(reg.value("sim.steps_executed", &[]), Some(3.0));
         assert_eq!(reg.value("sim.agents", &[]), Some(30.0));
+        assert_eq!(reg.value("diffusion.substeps", &[]), Some(3.0));
+        // One lattice and the sweep's slab scratch — no second lattice.
+        let field = sim.diffusion_grid(oxygen);
+        let resident = reg.value("diffusion.resident_bytes", &[]).unwrap();
+        assert_eq!(resident, field.resident_bytes() as f64);
+        let lattice = (field.num_voxels() * 8) as f64;
+        assert!(lattice < resident && resident < 2.0 * lattice);
         assert_eq!(
             reg.value("scheduler.op_runs", &[("op", "behaviors")]),
             Some(3.0)

@@ -1,34 +1,40 @@
-//! Bitwise parity of the tiled branch-free SIMD diffusion engine
-//! against the retained scalar reference sweep.
+//! Bitwise parity of the in-place diffusion sweep against the retained
+//! out-of-place reference, and against the engine it replaced.
 //!
-//! The contract (DESIGN §5.12): `DiffusionGrid::step` — peeled faces,
-//! (y, z)-tiled interior, 8-lane shifted-load x-rows — produces the
-//! exact bits of `DiffusionGrid::step_reference`, the pre-tiling
-//! branchy z-slice sweep, for every field, boundary condition,
-//! resolution, and sub-cycling depth. The SIMD lanes evaluate the same
-//! per-voxel expression tree with strict IEEE ops, so this is equality,
-//! not tolerance. Run in release mode by the `diffusion-parity` CI job.
+//! The contract (DESIGN §5.12): `DiffusionGrid::step` — z-slabs swept in
+//! place through a two-plane ring, branchy cells on the walls, a plain
+//! vectorisable row loop inside — produces the exact bits of
+//! `DiffusionGrid::step_reference`, the branchy whole-lattice sweep into
+//! a second buffer, for every field, boundary condition, resolution,
+//! sub-cycling depth and slab partition. Both evaluate one per-voxel
+//! expression tree in IEEE arithmetic, so this is equality, not
+//! tolerance — at any vector width: the `diffusion-parity` CI job runs
+//! the suite in release mode, the `portable-baseline` job again without
+//! AVX2. `fields_match_the_parent_goldens` additionally holds both
+//! engines to fields harvested from the double-buffered tiled engine.
 
 use bdm_math::{Aabb, Vec3};
 use bdm_sim::diffusion::{BoundaryCondition, DiffusionGrid, DiffusionParams};
-use bdm_sim::param::SimParams;
+use bdm_sim::param::{Precision, SimParams};
+use bdm_sim::rayon::{with_shuffled_schedule, ThreadPoolBuilder};
 use bdm_sim::scheduler::ExecMode;
 use bdm_sim::simulation::Simulation;
 use proptest::prelude::*;
 
 fn assert_bitwise_eq(a: &DiffusionGrid, b: &DiffusionGrid, what: &str) {
-    for (i, (va, vb)) in a
-        .concentrations()
+    if let Some(i) = first_difference(a, b) {
+        let (va, vb) = (a.concentrations()[i], b.concentrations()[i]);
+        panic!("{what}: voxel {i} diverged ({va:e} vs {vb:e})");
+    }
+}
+
+/// Index of the first voxel whose bits differ.
+fn first_difference(a: &DiffusionGrid, b: &DiffusionGrid) -> Option<usize> {
+    let differ = |(va, vb): (&f64, &f64)| va.to_bits() != vb.to_bits();
+    a.concentrations()
         .iter()
         .zip(b.concentrations())
-        .enumerate()
-    {
-        assert_eq!(
-            va.to_bits(),
-            vb.to_bits(),
-            "{what}: voxel {i} diverged ({va:e} vs {vb:e})"
-        );
-    }
+        .position(differ)
 }
 
 proptest! {
@@ -36,9 +42,8 @@ proptest! {
 
     /// The core parity sweep: arbitrary source patterns, both boundary
     /// conditions, resolutions below/straddling/above the 8-lane vector
-    /// width (res 8 has no full vector; 21 exercises the scalar tail;
-    /// 16/24 are lane-aligned), and coefficients deep into sub-cycling
-    /// territory.
+    /// width (res 8 has no full vector; 21 leaves a remainder; 16/24 are
+    /// lane-aligned), and coefficients deep into sub-cycling territory.
     #[test]
     fn tiled_step_matches_reference_bitwise(
         sources in proptest::collection::vec(
@@ -119,12 +124,118 @@ proptest! {
             prop_assert_eq!(va.to_bits(), vb.to_bits());
         }
     }
+
+    /// The slab matrix: where the sweep cuts the lattice depends on the
+    /// worker count (two slabs per worker, at most one per eight planes,
+    /// `ceil(res / slabs)` planes each) and must not show in a bit or a
+    /// counter. Pools of 1 / 2 / 3 / 4 / 7 workers over these resolutions
+    /// give one slab (2 … 9: both halos are the lattice's own wall
+    /// planes, at 2 and 3 every plane is a wall), even halves (16, 40),
+    /// ragged last slabs (17: 9 + 8; 25: 9 + 9 + 7; 33: 9 + 9 + 9 + 6)
+    /// and the minimum depth (40 under ≥ 3 workers: 5 × 8). A shuffled
+    /// schedule runs the slabs of the 4-worker cut in a random order on
+    /// one thread. Voxels are unit cubes at every resolution, so the
+    /// sub-cycling depth follows the coefficient alone (≤ 5). The f32
+    /// leg has no reference; its one-worker run is the oracle.
+    #[test]
+    fn any_slab_partition_yields_the_same_bits_and_counters(
+        sources in proptest::collection::vec(
+            ((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 0.1f64..50.0),
+            1..10
+        ),
+        coeff in 0.0f64..0.5,
+        decay in 0.0f64..0.3,
+        dirichlet in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let boundary = if dirichlet {
+            BoundaryCondition::Dirichlet
+        } else {
+            BoundaryCondition::Closed
+        };
+        for res in [2usize, 3, 5, 8, 9, 16, 17, 25, 33, 40] {
+            let space = Aabb::cube(res as f64 / 2.0);
+            let mut start = DiffusionGrid::new(
+                DiffusionParams { name: "p", coefficient: coeff, decay, resolution: res, boundary },
+                space,
+            );
+            let e = space.extents();
+            for ((x, y, z), amount) in &sources {
+                start.secrete(space.min + Vec3::new(e.x * x, e.y * y, e.z * z), *amount);
+            }
+            // Two steps on a pool of `workers`, its slabs forked or
+            // shuffled.
+            let run = |workers: usize, shuffled: bool, precision: Precision| {
+                let mut g = start.clone();
+                let mut steps = || (0..2).for_each(|_| { g.step_in(0.5, precision); });
+                let pool = ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+                pool.install(|| {
+                    if shuffled {
+                        with_shuffled_schedule(seed, steps)
+                    } else {
+                        steps()
+                    }
+                });
+                g
+            };
+            let mut reference = start.clone();
+            for _ in 0..2 {
+                reference.step_reference(0.5);
+            }
+            for precision in [Precision::F64, Precision::F32Simd] {
+                let single = run(1, false, precision);
+                if precision == Precision::F64 {
+                    prop_assert_eq!(first_difference(&single, &reference), None, "res {}", res);
+                }
+                for (workers, shuffled) in
+                    [(2, false), (3, false), (4, false), (7, false), (4, true)]
+                {
+                    let g = run(workers, shuffled, precision);
+                    prop_assert_eq!(
+                        first_difference(&g, &single), None,
+                        "res {} {:?} {:?}, {} workers (shuffled: {})",
+                        res, boundary, precision, workers, shuffled
+                    );
+                    prop_assert_eq!(
+                        g.stats(), single.stats(), "res {}, {} workers", res, workers
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The thinnest slab there is: 73 planes under seven workers are cut
+/// into nine slabs (one per eight planes) of nine planes, which leaves
+/// the last slab the far z-wall plane alone — both its z-neighbours are
+/// halo snapshots, one of them of itself.
+#[test]
+fn a_slab_of_one_wall_plane_matches_reference_bitwise() {
+    for boundary in [BoundaryCondition::Closed, BoundaryCondition::Dirichlet] {
+        let mut swept = DiffusionGrid::new(
+            DiffusionParams {
+                name: "thin",
+                coefficient: 0.3,
+                decay: 0.05,
+                resolution: 73,
+                boundary,
+            },
+            Aabb::cube(36.5),
+        );
+        assert_eq!(swept.substeps_for(0.5), 3);
+        golden_deposits(&mut swept, Aabb::cube(36.5), 0);
+        let mut reference = swept.clone();
+        let pool = ThreadPoolBuilder::new().num_threads(7).build().unwrap();
+        pool.install(|| swept.step(0.5));
+        reference.step_reference(0.5);
+        assert_bitwise_eq(&swept, &reference, &format!("{boundary:?}"));
+    }
 }
 
 /// Multi-substance scenes run through the batched `DiffusionOp` (one
-/// rayon scope over all grids, nested tiled parallelism inside each)
-/// and match per-substance reference integration bitwise — in both
-/// scheduler execution modes.
+/// rayon scope over all grids, each grid's slabs swept inline by the
+/// worker that claimed it) and match per-substance reference
+/// integration bitwise — in both scheduler execution modes.
 #[test]
 fn batched_multi_substance_scene_matches_reference_bitwise() {
     for mode in [ExecMode::Serial, ExecMode::Parallel] {
@@ -181,6 +292,35 @@ fn batched_multi_substance_scene_matches_reference_bitwise() {
             );
         }
     }
+}
+
+/// A scene with fewer substances than workers: `DiffusionOp`'s batch has
+/// one item, runs it on the calling thread, and the sweep inside forks
+/// its slabs across the pool — the path the benchmark's four-field
+/// batch (one grid per worker, slabs inline) never takes.
+#[test]
+fn a_lone_substance_sweeps_slab_parallel_under_the_scheduler() {
+    let params = SimParams::cube(8.0);
+    let dt = params.mech.timestep;
+    let mut sim = Simulation::new(params);
+    let s = sim.add_diffusion_grid(DiffusionParams {
+        name: "lone",
+        coefficient: 30.0,
+        decay: 0.1,
+        resolution: 21,
+        boundary: BoundaryCondition::Closed,
+    });
+    let g = sim.diffusion_grid_mut(s);
+    g.secrete(Vec3::new(7.9, -7.9, 0.5), 80.0);
+    g.secrete(Vec3::new(-3.0, 2.0, -7.9), 25.0);
+    let mut reference = g.clone();
+    assert!(reference.substeps_for(dt) > 1);
+    let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+    pool.install(|| sim.simulate(3));
+    for _ in 0..3 {
+        reference.step_reference(dt);
+    }
+    assert_bitwise_eq(sim.diffusion_grid(s), &reference, "lone substance");
 }
 
 /// FNV-1a over the raw IEEE bits of a field.

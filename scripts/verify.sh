@@ -27,13 +27,22 @@ cargo test -q --offline --release -p bdm-sim --lib -- \
 # `not(avx2)` array bodies, which must produce the same bits — the lane
 # kernels' oracles (f32 and f64; the f64 ops' array bodies have no
 # other coverage) and pinned fingerprints, the f32 determinism and
-# precision suites, and the checkpoint golden bytes.
+# precision suites, the checkpoint golden bytes, and the diffusion
+# suite: the sweep's row loop is vectorised by the compiler, so "same
+# field bits at SSE2 width" is held by its goldens, not by argument.
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
     -p bdm-math -p bdm-sim --lib
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
     --test f32simd_determinism --test precision_claims
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
-    -p bdm-sim --test checkpoint_format
+    -p bdm-sim --test checkpoint_format --test diffusion_parity
+# The diffusion fields against the bits of the double-buffered engine
+# the in-place sweep replaced, and the slab matrix (1 / 2 / 3 / 4 / 7
+# workers and shuffled slab order over even, ragged and single-slab
+# cuts), by name in release.
+cargo test -q --offline --release -p bdm-sim --test diffusion_parity -- \
+    fields_match_the_parent_goldens \
+    any_slab_partition_yields_the_same_bits_and_counters
 # The SIMT engine's steady-state launches must not touch the heap — in
 # release mode, where the optimizer decides what actually allocates.
 cargo test -q --offline --release -p bdm-gpu --test alloc_steady
@@ -47,4 +56,4 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 ./scripts/fmt.sh --check
 # Informational, not a gate: the non-test, non-comment size of the code
 # the simplification PRs report against.
-./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs
+./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs crates/sim/src/diffusion.rs
