@@ -66,6 +66,9 @@ pub fn default_policy(name: &str) -> GatePolicy {
                 | "mech.simd_stencils_staged"
                 | "mech.stencils_staged"
                 | "diffusion.resident_bytes"
+                | "agents.resident_bytes"
+                | "agents.behavior_lists"
+                | "behaviors.commit_ms"
         )
     {
         // The checkpoint serialize/parse timings and the SIMT
@@ -79,7 +82,10 @@ pub fn default_policy(name: &str) -> GatePolicy {
         // residents stages it twice), not of the trajectory alone: they
         // say how many agents shared a staged tile, and gate nothing.
         // The diffusion fields' heap bytes include sweep scratch that
-        // grows with the worker count.
+        // grows with the worker count. The agent columns' bytes follow
+        // their growth history and the behavior table's size the lists
+        // ever seen: a restored run reports less of both for the same
+        // state. The behaviors commit time is one more wall clock.
         GatePolicy::informational()
     } else if is_exact(name) {
         GatePolicy::with_tol(0.0)
@@ -224,6 +230,9 @@ mod tests {
         assert_eq!(default_policy("layouts.csr_index_gap").tol, Some(0.02));
         assert!(!default_policy("mech.simd_stencils_staged").gate);
         assert!(!default_policy("mech.stencils_staged").gate);
+        assert!(!default_policy("agents.resident_bytes").gate);
+        assert!(!default_policy("agents.behavior_lists").gate);
+        assert!(!default_policy("behaviors.commit_ms").gate);
         assert!(!default_policy("layouts.reorder_mech_wall_ms").gate);
         assert_eq!(default_policy("layouts.shard_imbalance").tol, Some(0.02));
         assert_eq!(

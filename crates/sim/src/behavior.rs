@@ -45,6 +45,24 @@ pub enum Behavior {
     },
 }
 
+impl Behavior {
+    /// The variant's tag and its parameters as raw bits — the identity
+    /// behavior lists are interned by. `==` is not one for `f64`
+    /// parameters: `-0.0 == 0.0` though their checkpoint bytes differ,
+    /// and `NaN != NaN`.
+    pub fn to_bits(&self) -> [u64; 3] {
+        match *self {
+            Behavior::GrowthDivision {
+                growth_rate,
+                division_threshold,
+            } => [0, growth_rate.to_bits(), division_threshold.to_bits()],
+            Behavior::Chemotaxis { substance, speed } => [1, substance as u64, speed.to_bits()],
+            Behavior::Secretion { substance, rate } => [2, substance as u64, rate.to_bits()],
+            Behavior::Apoptosis { probability } => [3, probability.to_bits(), 0],
+        }
+    }
+}
+
 /// Sphere volume from a diameter.
 pub fn volume_of(diameter: f64) -> f64 {
     std::f64::consts::PI / 6.0 * diameter * diameter * diameter

@@ -64,7 +64,7 @@ use crate::behavior::Behavior;
 use crate::diffusion::{BoundaryCondition, DiffusionGrid, DiffusionParams};
 use crate::environment::{EnvironmentKind, GpuSystem, GridLayout};
 use crate::param::{Precision, SimParams};
-use crate::rm::ResourceManager;
+use crate::rm::{BehaviorTable, ResourceManager};
 use crate::scheduler::ExecMode;
 use crate::simulation::Simulation;
 use bdm_gpu::frontend::ApiFrontend;
@@ -434,7 +434,8 @@ fn encode_agents(rm: &ResourceManager) -> Vec<u8> {
     e.f64s(rm.diameter_column());
     e.f64s(rm.adherence_column());
     e.u64s(rm.uid_column());
-    for behaviors in rm.behaviors_column() {
+    for i in 0..n {
+        let behaviors = rm.behaviors(i);
         e.u32(behaviors.len() as u32);
         for b in behaviors {
             encode_behavior(&mut e, b);
@@ -656,21 +657,27 @@ fn decode_agents(bytes: &[u8], n_substances: usize) -> Result<ResourceManager, C
     let diameters = d.f64s(n)?;
     let adherences = d.f64s(n)?;
     let uids = d.u64s(n)?;
-    let mut behaviors = Vec::with_capacity(n);
+    // The wire carries a list per agent; memory keeps each distinct one
+    // once. Every list is decoded into the same scratch — which grows
+    // only as behaviors actually decode, whatever a corrupt count claims
+    // — and interned, in storage order.
+    let mut table = BehaviorTable::default();
+    let mut behavior_ids = Vec::with_capacity(n);
+    let mut list = Vec::new();
     for _ in 0..n {
-        let k = d.u32()? as usize;
-        let mut list = Vec::with_capacity(k.min(16));
-        for _ in 0..k {
+        list.clear();
+        for _ in 0..d.u32()? {
             list.push(decode_behavior(&mut d, n_substances)?);
         }
-        behaviors.push(list);
+        behavior_ids.push(table.intern(&list));
     }
     d.finish()?;
     ResourceManager::from_raw_parts(
         SoaVec3::from_columns(x, y, z),
         diameters,
         adherences,
-        behaviors,
+        behavior_ids,
+        table,
         uids,
         next_uid,
         pos_epoch,

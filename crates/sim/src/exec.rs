@@ -19,6 +19,18 @@
 //! is what makes the loop order-independent — and therefore
 //! parallelizable — in the first place.
 //!
+//! Births are plain data. A division buffers one `Copy` record — the
+//! mother's uid and the daughter's [`AgentRow`], whose behavior list is
+//! the mother's interned id, not a copy of her list: 56 bytes, no heap —
+//! and the merge never moves those records. It sorts 16-byte `(mother
+//! uid, chunk, index in chunk)` keys and hands the resource manager an
+//! iterator that reads each record where its chunk left it, so the whole
+//! wave is appended in one pass with every column grown once. The key is
+//! a strict total order (no two births share a chunk *and* an index), so
+//! `sort_unstable` has exactly one result: the stable sort by mother uid
+//! of the chunk-ordered concatenation, same-mother twins in the order
+//! their mother's behaviors produced them.
+//!
 //! Precision note: the same fixed-chunk discipline is what lets the
 //! mixed-precision force pass (`SimParams::precision = F32Simd`, see
 //! `crate::mech::simd_lanes`) stay bitwise deterministic —
@@ -27,9 +39,8 @@
 //! performed here receives identical inputs across serial and parallel
 //! execution at either precision.
 
-use crate::cell::CellBuilder;
 use crate::diffusion::DiffusionGrid;
-use crate::rm::ResourceManager;
+use crate::rm::{AgentRow, ResourceManager};
 use bdm_math::Vec3;
 
 /// One buffered secretion: (secreting agent, substance index, position,
@@ -55,7 +66,7 @@ pub struct ExecutionContext {
     /// only on agent *identity* — not on where the mothers happen to sit
     /// in storage — which keeps trajectories invariant under the host
     /// reorder operation.
-    births: Vec<(u64, CellBuilder)>,
+    births: Vec<(u64, AgentRow)>,
     /// Global indices of agents that die this step (ascending).
     deaths: Vec<usize>,
     /// Buffered substance writes (in discovery order).
@@ -88,8 +99,16 @@ impl ExecutionContext {
 
     /// Buffer a new agent (division daughter of the mother with stable
     /// id `mother_uid`).
-    pub fn push_birth(&mut self, mother_uid: u64, cell: CellBuilder) {
-        self.births.push((mother_uid, cell));
+    pub fn push_birth(&mut self, mother_uid: u64, daughter: AgentRow) {
+        self.births.push((mother_uid, daughter));
+    }
+
+    /// Make room for `additional` more births in one growth step. A
+    /// division asks for as many as its chunk has agents left: in a wave
+    /// every one of them divides too, so the first request is the
+    /// chunk's only allocation and the later ones find the room there.
+    pub fn reserve_births(&mut self, additional: usize) {
+        self.births.reserve(additional);
     }
 
     /// Buffer the death of global agent `i`.
@@ -156,14 +175,16 @@ impl ExecutionContext {
         if any_diameters {
             rm.invalidate_largest_diameter();
         }
-        let mut births: Vec<(u64, CellBuilder)> = Vec::new();
-        for ctx in contexts {
-            births.extend(ctx.births);
+        let births: usize = contexts.iter().map(|ctx| ctx.births.len()).sum();
+        assert!(births <= u32::MAX as usize, "{births} births in one step");
+        let mut order: Vec<(u64, u32, u32)> = Vec::with_capacity(births);
+        for (c, ctx) in contexts.iter().enumerate() {
+            let keys = ctx.births.iter().enumerate();
+            order.extend(keys.map(|(k, &(mother, _))| (mother, c as u32, k as u32)));
         }
-        births.sort_by_key(|b| b.0);
-        for (_, cell) in births {
-            rm.add(cell);
-        }
+        order.sort_unstable();
+        let row = |&(_, c, k): &(u64, u32, u32)| contexts[c as usize].births[k as usize].1;
+        rm.append(order.iter().map(row));
         // Chunks contribute ascending, disjoint index ranges, so the
         // concatenation is already globally sorted; dedup guards against
         // an agent carrying several death-producing behaviors.
@@ -180,11 +201,22 @@ impl ExecutionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::CellBuilder;
     use crate::diffusion::{BoundaryCondition, DiffusionParams};
     use bdm_math::Aabb;
 
     fn cell(x: f64, d: f64) -> CellBuilder {
         CellBuilder::new(Vec3::new(x, 0.0, 0.0)).diameter(d)
+    }
+
+    /// A daughter at `x` carrying the empty list.
+    fn daughter(x: f64, d: f64) -> AgentRow {
+        AgentRow {
+            position: Vec3::new(x, 0.0, 0.0),
+            diameter: d,
+            adherence: 0.4,
+            behaviors: 0,
+        }
     }
 
     #[test]
@@ -196,7 +228,7 @@ mod tests {
         // Chunk 0 (agents 0..3): agent 1 dies, one birth.
         let mut c0 = ExecutionContext::new();
         c0.push_death(1);
-        c0.push_birth(0, cell(100.0, 2.0));
+        c0.push_birth(0, daughter(100.0, 2.0));
         c0.divisions = 1;
         c0.behaviors_run = 3;
         // Chunk 1 (agents 3..6): agents 4 and 5 die.
@@ -263,9 +295,9 @@ mod tests {
             rm.add(cell(i as f64, 1.0));
         }
         let mut c0 = ExecutionContext::new();
-        c0.push_birth(5, cell(105.0, 1.0));
+        c0.push_birth(5, daughter(105.0, 1.0));
         let mut c1 = ExecutionContext::new();
-        c1.push_birth(2, cell(102.0, 1.0));
+        c1.push_birth(2, daughter(102.0, 1.0));
         ExecutionContext::merge_in_order(vec![c0, c1], &mut rm, &mut []);
         assert_eq!(rm.len(), 8);
         // uid 6 goes to mother 2's daughter, uid 7 to mother 5's.

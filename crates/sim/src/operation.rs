@@ -19,14 +19,13 @@
 //! ordered) merge touches shared state.
 
 use crate::behavior::{diameter_of, volume_of, Behavior};
-use crate::cell::CellBuilder;
 use crate::diffusion::{DiffusionGrid, DiffusionStats};
 use crate::environment::EnvironmentKind;
 use crate::exec::ExecutionContext;
 use crate::mech::{self, MechScratch, MechWork};
 use crate::param::{Precision, SimParams};
 use crate::profiler::OpRecord;
-use crate::rm::{AgentChunkMut, AgentShared, ReorderScratch, ResourceManager};
+use crate::rm::{AgentChunkMut, AgentRow, AgentShared, ReorderScratch, ResourceManager};
 use crate::shard::ShardedEnvironment;
 use bdm_device::cpu::Phase;
 use bdm_gpu::pipeline::MechanicalPipeline;
@@ -60,6 +59,8 @@ pub struct OpContext<'a> {
     pub(crate) pipeline: Option<&'a mut MechanicalPipeline>,
     pub(crate) mech_scratch: &'a mut MechScratch,
     pub(crate) last_mech: &'a mut Option<MechWork>,
+    /// Accumulates the behaviors operation's commit (merge) seconds.
+    pub(crate) behaviors_commit_s: &'a mut f64,
     /// Sharded step driver; `Some` when `params.shards.count > 0`.
     pub(crate) shards: Option<&'a mut ShardedEnvironment>,
 }
@@ -287,13 +288,14 @@ fn run_behavior_chunk(
                         let offset = dir * (half_d * 0.5);
                         chunk.set_diameter(k, half_d);
                         chunk.set_position(k, mother_pos - offset);
+                        ec.reserve_births(chunk.len() - k);
                         ec.push_birth(
                             shared.uid(i),
-                            CellBuilder {
+                            AgentRow {
                                 position: mother_pos + offset,
                                 diameter: half_d,
                                 adherence: shared.adherence(i),
-                                behaviors: shared.behaviors(i).to_vec(),
+                                behaviors: shared.behavior_id(i),
                             },
                         );
                     } else {
@@ -349,7 +351,9 @@ impl Operation for BehaviorOp {
                 .map(|chunk| run_behavior_chunk(chunk, &shared, substances, seed, step))
                 .collect()
         };
+        let t_commit = Instant::now();
         let outcome = ExecutionContext::merge_in_order(contexts, ctx.rm, ctx.substances);
+        *ctx.behaviors_commit_s += t_commit.elapsed().as_secs_f64();
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),

@@ -2,12 +2,38 @@
 //!
 //! Mirrors BioDynaMo v0.0.9's structs-of-arrays engine (the property the
 //! paper exploits for cheap device transfers, §IV): every attribute of
-//! every agent lives in its own contiguous column.
+//! every agent lives in its own contiguous column, and every column is
+//! plain `Copy` data (`bdm_soa::Column<T: Copy>`) — a reorder gather, a
+//! swap-remove, a `clone()` and the checkpoint walk are copies of `len`
+//! elements and never touch the heap per agent.
+//!
+//! The one attribute that is not a scalar — an agent's behavior *list* —
+//! is interned: the manager owns a [`BehaviorTable`] of the distinct
+//! lists and the per-agent column holds a `u32` id into it. A population
+//! has a handful of lists (one per cell type) however many agents carry
+//! them, so a daughter inherits her mother's id instead of a fresh copy
+//! of the list.
+//!
+//! * **Lookup is by raw bits** ([`Behavior::to_bits`]), not by `==`:
+//!   `-0.0 == 0.0` and `NaN != NaN`, so equality would merge two lists
+//!   whose checkpoint bytes differ and never find a list holding a NaN
+//!   again. By bits, every parameter round-trips exactly.
+//! * **Ids are not observable.** They are a pure function of the `add`
+//!   sequence (first seen, first numbered; id 0 is the empty list; the
+//!   hash index is looked up, never iterated), but a restored manager
+//!   re-interns in storage order and numbers the same lists differently.
+//!   So no id ever leaves the manager's own columns and the records
+//!   buffered from them within one step ([`AgentRow`]): accessors hand
+//!   out the list, the checkpoint stores each agent's list, and nothing a
+//!   run reports — digest, checkpoint bytes, any metric but the table's
+//!   size — may depend on an id's value.
 
 use crate::behavior::Behavior;
 use crate::cell::CellBuilder;
 use bdm_math::Vec3;
 use bdm_soa::{Column, Permutation, SoaVec3, Vec3ChunkMut};
+use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reusable scratch buffers for [`ResourceManager::apply_permutation`]:
@@ -17,7 +43,110 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct ReorderScratch {
     f64s: Vec<f64>,
     u64s: Vec<u64>,
-    behaviors: Vec<Vec<Behavior>>,
+    u32s: Vec<u32>,
+}
+
+/// The distinct behavior lists of a population (see the module docs).
+#[derive(Debug, Clone)]
+pub struct BehaviorTable {
+    /// Every list back to back: list `id` is
+    /// `flat[starts[id]..starts[id + 1]]`.
+    flat: Vec<Behavior>,
+    starts: Vec<usize>,
+    /// Raw-bit key (three words per behavior) → id.
+    index: HashMap<Vec<u64>, u32>,
+    /// The key being looked up — kept, so a hit allocates nothing.
+    key: Vec<u64>,
+    /// The id [`Self::intern`] returned last: consecutive adds mostly
+    /// share a list, and comparing against it skips the hash.
+    last: u32,
+}
+
+impl Default for BehaviorTable {
+    /// A table holding only the empty list (id 0).
+    fn default() -> Self {
+        Self {
+            flat: Vec::new(),
+            starts: vec![0, 0],
+            index: HashMap::new(),
+            key: Vec::new(),
+            last: 0,
+        }
+    }
+}
+
+/// `list` as the words it is interned by.
+fn bits(list: &[Behavior]) -> impl Iterator<Item = [u64; 3]> + '_ {
+    list.iter().map(Behavior::to_bits)
+}
+
+impl BehaviorTable {
+    /// Number of distinct lists, the empty one included.
+    pub fn lists(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The list behind `id`.
+    ///
+    /// # Panics
+    /// When `id` is not one this table handed out.
+    #[inline(always)]
+    pub fn list(&self, id: u32) -> &[Behavior] {
+        let id = id as usize;
+        &self.flat[self.starts[id]..self.starts[id + 1]]
+    }
+
+    /// The id of `list`, added to the table when no list with the same
+    /// bits is in it yet.
+    pub fn intern(&mut self, list: &[Behavior]) -> u32 {
+        // In this order: the empty list (most benchmark clouds carry
+        // nothing else) costs one branch, a repeat of the previous list
+        // a few word compares, and only a change of list the hash.
+        if list.is_empty() {
+            return 0;
+        }
+        if bits(self.list(self.last)).eq(bits(list)) {
+            return self.last;
+        }
+        self.key.clear();
+        self.key.extend(bits(list).flatten());
+        self.last = match self.index.get(self.key.as_slice()) {
+            Some(&id) => id,
+            None => {
+                let id = u32::try_from(self.lists()).expect("more than u32::MAX behavior lists");
+                self.flat.extend_from_slice(list);
+                self.starts.push(self.flat.len());
+                self.index.insert(self.key.clone(), id);
+                id
+            }
+        };
+        self.last
+    }
+
+    /// Heap bytes the table holds: the lists, their offsets, and the
+    /// index's keys and slots.
+    pub fn resident_bytes(&self) -> usize {
+        self.flat.capacity() * size_of::<Behavior>()
+            + self.starts.capacity() * size_of::<usize>()
+            + self.index.capacity() * size_of::<(Vec<u64>, u32)>()
+            + (3 * self.flat.len() + self.key.capacity()) * size_of::<u64>()
+    }
+}
+
+/// One agent's column values as plain data — what [`ResourceManager::add`]
+/// appends and what a division buffers for its daughter (56 bytes with
+/// the mother's uid beside it, no heap).
+#[derive(Debug, Clone, Copy)]
+pub struct AgentRow {
+    /// Position.
+    pub position: Vec3<f64>,
+    /// Diameter.
+    pub diameter: f64,
+    /// Adherence threshold.
+    pub adherence: f64,
+    /// Behavior-list id in the table of the manager the row is appended
+    /// to — for a daughter, her mother's ([`AgentShared::behavior_id`]).
+    pub behaviors: u32,
 }
 
 /// Cached population maximum diameter, with a holder count.
@@ -113,8 +242,9 @@ pub struct ResourceManager {
     positions: SoaVec3<f64>,
     diameters: Column<f64>,
     adherences: Column<f64>,
-    /// Per-agent behavior lists (usually 0–2 entries).
-    behaviors: Column<Vec<Behavior>>,
+    /// Per-agent behavior-list ids into `table`.
+    behavior_ids: Column<u32>,
+    table: BehaviorTable,
     /// Stable unique ids (survive reordering; seed per-agent RNG streams).
     uids: Column<u64>,
     next_uid: u64,
@@ -148,23 +278,51 @@ impl ResourceManager {
 
     /// Add a cell; returns its index.
     pub fn add(&mut self, cell: CellBuilder) -> usize {
-        let i = self.len();
-        if let Some(cur) = self.largest.get() {
-            if cell.diameter > cur {
-                self.largest.set(cell.diameter, 1);
-            } else if cell.diameter == cur {
-                self.largest.add_holder();
+        let behaviors = self.table.intern(&cell.behaviors);
+        self.append(std::iter::once(AgentRow {
+            position: cell.position,
+            diameter: cell.diameter,
+            adherence: cell.adherence,
+            behaviors,
+        }));
+        self.len() - 1
+    }
+
+    /// Append `rows` in order — the only way agents enter the columns.
+    /// Every column grows once for the whole batch (a division wave
+    /// doubles the population), and each row then does what one
+    /// [`Self::add`] does: the next uid, one tick of both dirty epochs,
+    /// the largest-diameter holder count kept.
+    ///
+    /// # Panics
+    /// On a behavior-list id this manager's table never handed out.
+    pub fn append(&mut self, rows: impl ExactSizeIterator<Item = AgentRow>) {
+        let n = rows.len();
+        self.positions.reserve(n);
+        self.diameters.reserve(n);
+        self.adherences.reserve(n);
+        self.behavior_ids.reserve(n);
+        self.uids.reserve(n);
+        self.pos_epoch += n as u64;
+        self.attr_epoch += n as u64;
+        let lists = self.table.lists();
+        for row in rows {
+            let id = row.behaviors;
+            assert!((id as usize) < lists, "behavior list {id} of {lists}");
+            if let Some(cur) = self.largest.get() {
+                if row.diameter > cur {
+                    self.largest.set(row.diameter, 1);
+                } else if row.diameter == cur {
+                    self.largest.add_holder();
+                }
             }
+            self.positions.push(row.position);
+            self.diameters.push(row.diameter);
+            self.adherences.push(row.adherence);
+            self.behavior_ids.push(id);
+            self.uids.push(self.next_uid);
+            self.next_uid += 1;
         }
-        self.pos_epoch += 1;
-        self.attr_epoch += 1;
-        self.positions.push(cell.position);
-        self.diameters.push(cell.diameter);
-        self.adherences.push(cell.adherence);
-        self.behaviors.push(cell.behaviors);
-        self.uids.push(self.next_uid);
-        self.next_uid += 1;
-        i
     }
 
     /// Remove agent `i` (swap-remove across every column).
@@ -191,7 +349,7 @@ impl ResourceManager {
             self.largest.drop_holder();
         }
         self.adherences.swap_remove(i);
-        self.behaviors.swap_remove(i);
+        self.behavior_ids.swap_remove(i);
         self.uids.swap_remove(i);
         (i < last).then_some(last)
     }
@@ -217,7 +375,7 @@ impl ResourceManager {
         self.diameters.permute(perm, &mut scratch.f64s);
         self.adherences.permute(perm, &mut scratch.f64s);
         self.uids.permute(perm, &mut scratch.u64s);
-        self.behaviors.permute(perm, &mut scratch.behaviors);
+        self.behavior_ids.permute(perm, &mut scratch.u32s);
     }
 
     /// Position of agent `i`.
@@ -283,7 +441,7 @@ impl ResourceManager {
     /// Behaviors of agent `i`.
     #[inline]
     pub fn behaviors(&self, i: usize) -> &[Behavior] {
-        self.behaviors.get(i)
+        self.table.list(*self.behavior_ids.get(i))
     }
 
     /// Largest diameter in the population — BioDynaMo's uniform-grid box
@@ -384,7 +542,8 @@ impl ResourceManager {
             })
             .collect();
         let shared = AgentShared {
-            behaviors: self.behaviors.as_slice(),
+            behavior_ids: self.behavior_ids.as_slice(),
+            table: &self.table,
             uids: self.uids.as_slice(),
             adherences: self.adherences.as_slice(),
         };
@@ -413,7 +572,8 @@ impl ResourceManager {
             .map(|((pos, diam), &start)| AgentChunkMut { start, pos, diam })
             .collect();
         let shared = AgentShared {
-            behaviors: self.behaviors.as_slice(),
+            behavior_ids: self.behavior_ids.as_slice(),
+            table: &self.table,
             uids: self.uids.as_slice(),
             adherences: self.adherences.as_slice(),
         };
@@ -435,9 +595,28 @@ impl ResourceManager {
         self.adherences.as_slice()
     }
 
-    /// Per-agent behavior lists, storage order (checkpoint export).
-    pub fn behaviors_column(&self) -> &[Vec<Behavior>] {
-        self.behaviors.as_slice()
+    /// Per-agent behavior lists, storage order — materialised from the
+    /// id column, for export and tests (stepping reads
+    /// [`Self::behaviors`]).
+    pub fn behaviors_column(&self) -> Vec<&[Behavior]> {
+        let ids = self.behavior_ids.iter();
+        ids.map(|&id| self.table.list(id)).collect()
+    }
+
+    /// Number of distinct behavior lists the population has carried, the
+    /// empty one included.
+    pub fn behavior_lists(&self) -> usize {
+        self.table.lists()
+    }
+
+    /// Heap bytes the agent state holds: every column's capacity times
+    /// its element size (52 bytes per slot), plus the behavior table.
+    pub fn resident_bytes(&self) -> usize {
+        self.positions.allocated_bytes()
+            + (self.diameters.capacity() + self.adherences.capacity()) * size_of::<f64>()
+            + self.uids.capacity() * size_of::<u64>()
+            + self.behavior_ids.capacity() * size_of::<u32>()
+            + self.table.resident_bytes()
     }
 
     /// The next uid [`ResourceManager::add`] would assign — strictly
@@ -450,33 +629,40 @@ impl ResourceManager {
 
     /// Rebuild a manager from exported column state — the checkpoint
     /// import path. Validates what silent acceptance would corrupt:
-    /// column lengths must agree, uids must be unique, and `next_uid`
-    /// must exceed every live uid. The largest-diameter cache starts
-    /// invalid (it is derived state; the first lookup rescans), and the
-    /// dirty epochs are restored verbatim so a re-checkpoint of the
-    /// restored state is byte-identical.
+    /// column lengths must agree, every behavior-list id must be one
+    /// `table` holds, uids must be unique, and `next_uid` must exceed
+    /// every live uid. The largest-diameter cache starts invalid (it is
+    /// derived state; the first lookup rescans), and the dirty epochs
+    /// are restored verbatim so a re-checkpoint of the restored state is
+    /// byte-identical.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         positions: SoaVec3<f64>,
         diameters: Vec<f64>,
         adherences: Vec<f64>,
-        behaviors: Vec<Vec<Behavior>>,
+        behavior_ids: Vec<u32>,
+        table: BehaviorTable,
         uids: Vec<u64>,
         next_uid: u64,
         pos_epoch: u64,
         attr_epoch: u64,
     ) -> Result<Self, String> {
         let n = positions.len();
-        if diameters.len() != n || adherences.len() != n || behaviors.len() != n || uids.len() != n
-        {
+        let lens = [
+            diameters.len(),
+            adherences.len(),
+            behavior_ids.len(),
+            uids.len(),
+        ];
+        if lens != [n; 4] {
             return Err(format!(
-                "column lengths disagree: positions {n}, diameters {}, \
-                 adherences {}, behaviors {}, uids {}",
-                diameters.len(),
-                adherences.len(),
-                behaviors.len(),
-                uids.len()
+                "column lengths disagree: positions {n}, diameters / adherences / \
+                 behaviors / uids {lens:?}"
             ));
+        }
+        let lists = table.lists();
+        if let Some(id) = behavior_ids.iter().find(|&&id| id as usize >= lists) {
+            return Err(format!("behavior list id {id} of a table of {lists}"));
         }
         let mut sorted = uids.clone();
         sorted.sort_unstable();
@@ -494,7 +680,8 @@ impl ResourceManager {
             positions,
             diameters: Column::from_vec(diameters),
             adherences: Column::from_vec(adherences),
-            behaviors: Column::from_vec(behaviors),
+            behavior_ids: Column::from_vec(behavior_ids),
+            table,
             uids: Column::from_vec(uids),
             next_uid,
             largest: MaxDiameterCache::default(),
@@ -582,22 +769,28 @@ impl AgentChunkMut<'_> {
 }
 
 /// Shared (read-only) view of the agent columns a behavior pass never
-/// writes: behavior lists, uids, adherences. One instance is borrowed by
-/// every parallel chunk task, indexed by *global* agent index.
+/// writes: behavior lists (id column + table), uids, adherences. One
+/// instance is borrowed by every parallel chunk task, indexed by *global*
+/// agent index.
 pub struct AgentShared<'a> {
-    behaviors: &'a [Vec<Behavior>],
+    behavior_ids: &'a [u32],
+    table: &'a BehaviorTable,
     uids: &'a [u64],
     adherences: &'a [f64],
 }
 
 impl AgentShared<'_> {
-    /// Behaviors of agent `i` — borrowed, not cloned: the per-agent
-    /// `to_vec()` the serial loop needed (to release the storage borrow
-    /// before mutating) is gone, because deferred mutations go through
-    /// the execution context instead.
+    /// Behaviors of agent `i` — borrowed from the table.
     #[inline(always)]
     pub fn behaviors(&self, i: usize) -> &[Behavior] {
-        &self.behaviors[i]
+        self.table.list(self.behavior_ids[i])
+    }
+
+    /// Agent `i`'s behavior-list id: what a daughter's [`AgentRow`]
+    /// inherits instead of a copy of the list.
+    #[inline(always)]
+    pub fn behavior_id(&self, i: usize) -> u32 {
+        self.behavior_ids[i]
     }
 
     /// Stable unique id of agent `i`.
@@ -923,7 +1116,8 @@ mod tests {
             SoaVec3::from_columns(x.to_vec(), y.to_vec(), z.to_vec()),
             rm.diameter_column().to_vec(),
             rm.adherence_column().to_vec(),
-            rm.behaviors_column().to_vec(),
+            rm.behavior_ids.as_slice().to_vec(),
+            rm.table.clone(),
             rm.uid_column().to_vec(),
             rm.next_uid(),
             rm.positions_epoch(),
@@ -934,46 +1128,166 @@ mod tests {
         assert_eq!(rebuilt.uid(0), 1);
         assert_eq!(rebuilt.next_uid(), 2);
         assert_eq!(rebuilt.position(0), rm.position(0));
+        assert_eq!(rebuilt.behaviors_column(), rm.behaviors_column());
         assert_eq!(rebuilt.largest_diameter(), 4.0, "cache lazily rebuilt");
         assert_eq!(rebuilt.positions_epoch(), rm.positions_epoch());
         assert_eq!(rebuilt.attributes_epoch(), rm.attributes_epoch());
 
+        // One agent at the origin with the given ids / uids / next uid.
+        let one = |diameters: Vec<f64>, ids: Vec<u32>, uids: Vec<u64>, next_uid| {
+            let n = uids.len();
+            ResourceManager::from_raw_parts(
+                SoaVec3::from_columns(vec![0.0; n], vec![0.0; n], vec![0.0; n]),
+                diameters,
+                vec![0.4; n],
+                ids,
+                BehaviorTable::default(),
+                uids,
+                next_uid,
+                0,
+                0,
+            )
+        };
+        assert!(one(vec![1.0], vec![0], vec![0], 1).is_ok());
         // Length mismatch.
-        assert!(ResourceManager::from_raw_parts(
-            SoaVec3::from_columns(vec![0.0], vec![0.0], vec![0.0]),
-            vec![1.0, 2.0],
-            vec![0.4],
-            vec![vec![]],
-            vec![0],
-            1,
-            0,
-            0,
-        )
-        .is_err());
+        assert!(one(vec![1.0, 2.0], vec![0], vec![0], 1).is_err());
+        assert!(one(vec![1.0], vec![0, 0], vec![0], 1).is_err());
         // Duplicate uids.
-        assert!(ResourceManager::from_raw_parts(
-            SoaVec3::from_columns(vec![0.0, 1.0], vec![0.0; 2], vec![0.0; 2]),
-            vec![1.0; 2],
-            vec![0.4; 2],
-            vec![vec![], vec![]],
-            vec![7, 7],
-            8,
-            0,
-            0,
-        )
-        .is_err());
+        assert!(one(vec![1.0; 2], vec![0; 2], vec![7, 7], 8).is_err());
         // next_uid not past the maximum live uid.
-        assert!(ResourceManager::from_raw_parts(
-            SoaVec3::from_columns(vec![0.0], vec![0.0], vec![0.0]),
-            vec![1.0],
-            vec![0.4],
-            vec![vec![]],
-            vec![5],
-            5,
-            0,
-            0,
-        )
-        .is_err());
+        assert!(one(vec![1.0], vec![0], vec![5], 5).is_err());
+        // An id the table never handed out is an error, not an index.
+        let err = one(vec![1.0], vec![1], vec![0], 1).unwrap_err();
+        assert!(err.contains("behavior list id 1"), "{err}");
+    }
+
+    #[test]
+    fn lists_are_interned_by_bits_in_first_seen_order() {
+        let apoptosis = |probability| Behavior::Apoptosis { probability };
+        let grow = Behavior::GrowthDivision {
+            growth_rate: 1.0,
+            division_threshold: 2.0,
+        };
+        let mut t = BehaviorTable::default();
+        assert_eq!((t.lists(), t.list(0)), (1, &[][..]));
+        assert_eq!(t.intern(&[]), 0, "the empty list is id 0");
+        // `0.0 == -0.0` and `NaN != NaN`, yet these are three lists —
+        // and each is found again, the NaN one included.
+        assert_eq!(t.intern(&[apoptosis(0.0)]), 1);
+        assert_eq!(t.intern(&[apoptosis(-0.0)]), 2);
+        assert_eq!(t.intern(&[apoptosis(f64::NAN)]), 3);
+        assert_eq!(t.intern(&[apoptosis(f64::NAN)]), 3, "last-hit path");
+        assert_eq!(t.intern(&[apoptosis(0.0)]), 1, "index path");
+        assert_eq!(t.intern(&[apoptosis(f64::NAN)]), 3, "index path, NaN");
+        // A prefix, an extension and a permutation are lists of their own.
+        assert_eq!(t.intern(&[grow, apoptosis(0.0)]), 4);
+        assert_eq!(t.intern(&[grow]), 5);
+        assert_eq!(t.intern(&[apoptosis(0.0), grow]), 6);
+        assert_eq!(t.intern(&[]), 0);
+        assert_eq!(t.intern(&[grow, apoptosis(0.0)]), 4);
+        assert_eq!(t.lists(), 7);
+        assert_eq!(t.list(2)[0].to_bits(), apoptosis(-0.0).to_bits());
+        assert!(matches!(t.list(3), [Behavior::Apoptosis { probability }] if probability.is_nan()));
+        assert_eq!(t.list(6), &[apoptosis(0.0), grow]);
+        // Same sequence, same ids: a clone continues where this one is.
+        assert_eq!(t.clone().intern(&[grow, grow]), t.intern(&[grow, grow]));
+    }
+
+    #[test]
+    fn append_is_that_many_adds() {
+        let grow = Behavior::GrowthDivision {
+            growth_rate: 1.0,
+            division_threshold: 2.0,
+        };
+        let seed = || {
+            let mut rm = ResourceManager::new();
+            rm.add(cell_at(0.0).diameter(3.0).behavior(grow));
+            rm.add(cell_at(1.0).diameter(5.0));
+            assert_eq!(rm.largest_diameter(), 5.0); // cache valid, one holder
+            rm
+        };
+        // Diameters below, at and above the cached maximum, and a NaN.
+        let wave = [(2.0, 1u32), (5.0, 0), (7.0, 1), (f64::NAN, 0), (7.0, 1)];
+        let mut one_by_one = seed();
+        for (k, &(d, list)) in wave.iter().enumerate() {
+            let mut cell = cell_at(10.0 + k as f64).adherence(0.1 * k as f64);
+            cell.diameter = d;
+            one_by_one.add(if list == 1 { cell.behavior(grow) } else { cell });
+        }
+        let mut batched = seed();
+        batched.append(wave.iter().enumerate().map(|(k, &(d, list))| AgentRow {
+            position: Vec3::new(10.0 + k as f64, 0.0, 0.0),
+            diameter: d,
+            adherence: 0.1 * k as f64,
+            behaviors: list,
+        }));
+        assert_eq!(batched.len(), 7);
+        assert_eq!(batched.uid_column(), one_by_one.uid_column());
+        assert_eq!(batched.next_uid(), one_by_one.next_uid());
+        assert_eq!(batched.position_columns(), one_by_one.position_columns());
+        let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(batched.diameter_column()),
+            bits(one_by_one.diameter_column())
+        );
+        assert_eq!(batched.adherence_column(), one_by_one.adherence_column());
+        assert_eq!(batched.behaviors_column(), one_by_one.behaviors_column());
+        assert_eq!(batched.positions_epoch(), one_by_one.positions_epoch());
+        assert_eq!(batched.attributes_epoch(), one_by_one.attributes_epoch());
+        // The holder count came along: dropping one of the two 7.0s keeps
+        // the cache, dropping the other rescans — on both.
+        for rm in [&mut batched, &mut one_by_one] {
+            assert_eq!(rm.largest_diameter(), 7.0);
+            rm.remove(6);
+            assert_eq!((rm.largest_diameter(), rm.diameter_scan_count()), (7.0, 1));
+            rm.remove(4);
+            assert_eq!((rm.largest_diameter(), rm.diameter_scan_count()), (5.0, 2));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "behavior list 3 of 1")]
+    fn append_rejects_a_foreign_list_id() {
+        ResourceManager::new().append(std::iter::once(AgentRow {
+            position: Vec3::zero(),
+            diameter: 1.0,
+            adherence: 0.4,
+            behaviors: 3,
+        }));
+    }
+
+    #[test]
+    fn resident_bytes_are_the_column_capacities_plus_the_table() {
+        let scene = |list: &[Behavior]| {
+            let mut rm = ResourceManager::new();
+            for i in 0..12 * 12 * 12 {
+                let cell = cell_at(i as f64);
+                rm.add(list.iter().fold(cell, |c, &b| c.behavior(b)));
+            }
+            rm
+        };
+        let bare = scene(&[]);
+        let slots = bare.positions.allocated_bytes() / 8
+            + bare.diameters.capacity()
+            + bare.adherences.capacity()
+            + bare.uids.capacity();
+        assert!(slots >= 6 * 1728 && bare.behavior_ids.capacity() >= 1728);
+        assert_eq!(
+            bare.resident_bytes(),
+            slots * 8 + bare.behavior_ids.capacity() * 4 + bare.table.resident_bytes()
+        );
+        // Three behaviors on every agent: one more table entry — 72 bytes
+        // of list, as many of key, an offset and an index slot — where a
+        // list per agent would be n of them.
+        let b = Behavior::Apoptosis { probability: 0.0 };
+        let busy = scene(&[b, b, b]);
+        assert_eq!((bare.behavior_lists(), busy.behavior_lists()), (1, 2));
+        let grown = busy.resident_bytes() - bare.resident_bytes();
+        assert_eq!(
+            grown,
+            busy.table.resident_bytes() - bare.table.resident_bytes()
+        );
+        assert!((2 * 72..1024).contains(&grown), "{grown} bytes");
     }
 
     #[test]

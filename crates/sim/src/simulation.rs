@@ -30,6 +30,9 @@ pub struct Simulation {
     steps_executed: u64,
     /// Density measured by the last mechanical step (paper's `n`).
     last_mech: Option<MechWork>,
+    /// Wall seconds the behaviors operation has spent committing its
+    /// execution contexts (the merge after the chunk loop), over the run.
+    behaviors_commit_s: f64,
     scheduler: Scheduler,
     /// Hilbert-sharded step driver; `Some` iff `params.shards.count > 0`.
     shards: Option<ShardedEnvironment>,
@@ -76,6 +79,7 @@ impl Simulation {
             mech_scratch: MechScratch::default(),
             steps_executed: 0,
             last_mech: None,
+            behaviors_commit_s: 0.0,
             scheduler,
             shards,
         }
@@ -240,6 +244,17 @@ impl Simulation {
         reg.set_gauge("sim.steps_executed", &[], self.steps_executed as f64);
         reg.set_gauge("sim.agents", &[], self.rm.len() as f64);
         reg.set_gauge("sim.substances", &[], self.diffusion.len() as f64);
+        // Column capacities × element sizes + the behavior table: what the
+        // agent state holds of the process's resident set.
+        let resident = self.rm.resident_bytes();
+        reg.set_gauge("agents.resident_bytes", &[], resident as f64);
+        reg.set_gauge(
+            "agents.behavior_lists",
+            &[],
+            self.rm.behavior_lists() as f64,
+        );
+        // `profiler.op_wall_s{op=behaviors}` minus this is the chunk loop.
+        reg.set_gauge("behaviors.commit_ms", &[], self.behaviors_commit_s * 1e3);
         if !self.diffusion.is_empty() {
             // Aggregate solver telemetry across substances (cumulative
             // since construction/restore — derived state, so a restored
@@ -306,6 +321,7 @@ impl Simulation {
             pipeline: self.pipeline.as_mut(),
             mech_scratch: &mut self.mech_scratch,
             last_mech: &mut self.last_mech,
+            behaviors_commit_s: &mut self.behaviors_commit_s,
             shards: self.shards.as_mut(),
         };
         let profile = self.scheduler.execute(&mut ctx);
@@ -613,6 +629,33 @@ mod tests {
             reg.value("mech.candidates", &[("env", &env)]).unwrap() > 0.0,
             "mechanical work counters expected"
         );
+    }
+
+    /// The memory claim readable from one artifact: the agent columns'
+    /// bytes, the table's size, and the commit share of `behaviors`.
+    #[test]
+    fn metrics_report_agent_bytes_lists_and_the_commit_share() {
+        let mut sim = Simulation::new(SimParams::cube(60.0).with_seed(3));
+        for i in 0..40 {
+            let pos = Vec3::new(i as f64 * 2.5 - 50.0, 0.0, 0.0);
+            sim.add_cell(match i % 3 {
+                0 => CellBuilder::new(pos),
+                1 => growth_cell(pos),
+                _ => growth_cell(pos).behavior(Behavior::Apoptosis { probability: 0.0 }),
+            });
+        }
+        sim.simulate(12);
+        assert!(sim.rm().len() > 40, "the growing cells divided");
+        let reg = sim.metrics();
+        let resident = reg.value("agents.resident_bytes", &[]).unwrap();
+        assert_eq!(resident, sim.rm().resident_bytes() as f64);
+        // 52 bytes per slot, and a table that does not grow with n.
+        let slots = (resident / 52.0) as usize;
+        assert!(slots >= sim.rm().len() && slots < 4 * sim.rm().len() + 64);
+        assert_eq!(reg.value("agents.behavior_lists", &[]), Some(3.0));
+        let commit_ms = reg.value("behaviors.commit_ms", &[]).unwrap();
+        let behaviors_s = reg.value("profiler.op_wall_s", &[("op", "behaviors")]);
+        assert!(commit_ms > 0.0 && commit_ms <= behaviors_s.unwrap() * 1e3);
     }
 
     /// The same agent dividing *and* dying in one step: the daughter is

@@ -4,16 +4,22 @@
 //! the operations the resource manager needs: permutation gather (Z-order
 //! sorting), swap-remove (agent death), and contiguous byte views (device
 //! transfers of exactly this column).
+//!
+//! `T: Copy` is part of the type: a column is plain data, so a gather, a
+//! swap-remove, a clone or a checkpoint walk is a copy of `len` elements
+//! and nothing else. An attribute that owns heap (a list per agent) does
+//! not fit — intern it and store the id, as the resource manager does
+//! with behavior lists.
 
 use crate::perm::Permutation;
 
 /// One agent attribute, stored contiguously for all agents.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Column<T> {
+pub struct Column<T: Copy> {
     data: Vec<T>,
 }
 
-impl<T: Clone + Send + Sync> Column<T> {
+impl<T: Copy + Send + Sync> Column<T> {
     /// Empty column.
     pub fn new() -> Self {
         Self { data: Vec::new() }
@@ -47,6 +53,17 @@ impl<T: Clone + Send + Sync> Column<T> {
     /// `true` when no agents are stored.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// Slots allocated (what the column holds resident, used or not).
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Make room for `additional` more agents in one growth step (a
+    /// division wave reserves once, then appends).
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
     }
 
     /// Append one agent's value.
@@ -120,7 +137,7 @@ impl<T: Clone + Send + Sync> Column<T> {
     }
 }
 
-impl<T: Clone + Send + Sync> FromIterator<T> for Column<T> {
+impl<T: Copy + Send + Sync> FromIterator<T> for Column<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         Self {
             data: iter.into_iter().collect(),
@@ -128,7 +145,7 @@ impl<T: Clone + Send + Sync> FromIterator<T> for Column<T> {
     }
 }
 
-impl<T: Clone + Send + Sync> std::ops::Index<usize> for Column<T> {
+impl<T: Copy + Send + Sync> std::ops::Index<usize> for Column<T> {
     type Output = T;
     #[inline(always)]
     fn index(&self, i: usize) -> &T {
@@ -136,7 +153,7 @@ impl<T: Clone + Send + Sync> std::ops::Index<usize> for Column<T> {
     }
 }
 
-impl<T: Clone + Send + Sync> std::ops::IndexMut<usize> for Column<T> {
+impl<T: Copy + Send + Sync> std::ops::IndexMut<usize> for Column<T> {
     #[inline(always)]
     fn index_mut(&mut self, i: usize) -> &mut T {
         &mut self.data[i]

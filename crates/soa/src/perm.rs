@@ -92,7 +92,7 @@ impl Permutation {
     }
 
     /// Out-of-place gather: returns `new` with `new[i] = data[perm[i]]`.
-    pub fn apply<T: Clone + Send + Sync>(&self, data: &[T]) -> Vec<T> {
+    pub fn apply<T: Copy + Send + Sync>(&self, data: &[T]) -> Vec<T> {
         let mut out = Vec::new();
         self.gather(data, &mut out);
         out
@@ -101,7 +101,7 @@ impl Permutation {
     /// `dst[i] = src[perm[i]]` into `dst`'s own buffer (cleared first) —
     /// no intermediate vector, so a reused `dst` costs one pass over the
     /// column and no allocation.
-    fn gather<T: Clone + Send + Sync>(&self, src: &[T], dst: &mut Vec<T>) {
+    fn gather<T: Copy + Send + Sync>(&self, src: &[T], dst: &mut Vec<T>) {
         assert_eq!(
             src.len(),
             self.gather.len(),
@@ -112,17 +112,17 @@ impl Permutation {
         if src.len() >= PAR_THRESHOLD {
             self.gather
                 .par_iter()
-                .map(|&g| src[g as usize].clone())
+                .map(|&g| src[g as usize])
                 .collect_into_vec(dst);
         } else {
             dst.clear();
-            dst.extend(self.gather.iter().map(|&g| src[g as usize].clone()));
+            dst.extend(self.gather.iter().map(|&g| src[g as usize]));
         }
     }
 
     /// Gather `src` through the permutation into `dst`, reusing `dst`'s
     /// capacity (`dst[i] = src[perm[i]]`; `dst` is cleared first).
-    pub fn gather_into<T: Clone + Send + Sync>(&self, src: &[T], dst: &mut Vec<T>) {
+    pub fn gather_into<T: Copy + Send + Sync>(&self, src: &[T], dst: &mut Vec<T>) {
         // Check the length up front — including on the identity fast
         // path — so a mismatched column fails here with a clear message
         // instead of silently copying a wrong-sized column.
@@ -149,7 +149,7 @@ impl Permutation {
     /// is already in place, so nothing is copied and `scratch` is left
     /// untouched — an amortized reorder pass that finds the population
     /// already sorted costs one O(n) index scan and zero element moves.
-    pub fn apply_in_place<T: Clone + Send + Sync>(&self, data: &mut Vec<T>, scratch: &mut Vec<T>) {
+    pub fn apply_in_place<T: Copy + Send + Sync>(&self, data: &mut Vec<T>, scratch: &mut Vec<T>) {
         self.apply_columns_in_place(&mut [data], scratch);
     }
 
@@ -158,7 +158,7 @@ impl Permutation {
     /// the whole reorder). The identity check runs once up front, so an
     /// already-sorted population costs zero copies no matter how many
     /// columns ride along.
-    pub fn apply_columns_in_place<T: Clone + Send + Sync>(
+    pub fn apply_columns_in_place<T: Copy + Send + Sync>(
         &self,
         columns: &mut [&mut Vec<T>],
         scratch: &mut Vec<T>,

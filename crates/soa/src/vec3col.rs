@@ -12,7 +12,7 @@ use bdm_math::{Scalar, Vec3};
 
 /// SoA storage of one `Vec3` attribute for all agents.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct SoaVec3<R> {
+pub struct SoaVec3<R: Copy> {
     x: Column<R>,
     y: Column<R>,
     z: Column<R>,
@@ -83,6 +83,19 @@ impl<R: Scalar> SoaVec3<R> {
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
         self.x.is_empty()
+    }
+
+    /// Bytes the three columns hold allocated, used or not (resident-set
+    /// accounting; [`Self::bytes`] is the transfer size).
+    pub fn allocated_bytes(&self) -> usize {
+        (self.x.capacity() + self.y.capacity() + self.z.capacity()) * R::BYTES
+    }
+
+    /// Make room for `additional` more agents in every column.
+    pub fn reserve(&mut self, additional: usize) {
+        self.x.reserve(additional);
+        self.y.reserve(additional);
+        self.z.reserve(additional);
     }
 
     /// Append one agent's vector.

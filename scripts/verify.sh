@@ -13,7 +13,8 @@ for threads in 1 2 4; do
         --test csr_determinism --test scheduler_determinism \
         --test f32simd_determinism --test thread_determinism
     RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim \
-        --test shard_determinism --test diffusion_parity --test resume_equivalence
+        --test shard_determinism --test diffusion_parity --test resume_equivalence \
+        --test birth_goldens
 done
 # Both lane bodies of the CSR voxel walk against their per-agent
 # oracles, in release mode (the optimizer must not re-associate the
@@ -27,15 +28,16 @@ cargo test -q --offline --release -p bdm-sim --lib -- \
 # `not(avx2)` array bodies, which must produce the same bits — the lane
 # kernels' oracles (f32 and f64; the f64 ops' array bodies have no
 # other coverage) and pinned fingerprints, the f32 determinism and
-# precision suites, the checkpoint golden bytes, and the diffusion
-# suite: the sweep's row loop is vectorised by the compiler, so "same
-# field bits at SSE2 width" is held by its goldens, not by argument.
+# precision suites, the checkpoint golden bytes, the division-wave
+# goldens, and the diffusion suite: the sweep's row loop is vectorised
+# by the compiler, so "same field bits at SSE2 width" is held by its
+# goldens, not by argument.
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
     -p bdm-math -p bdm-sim --lib
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
     --test f32simd_determinism --test precision_claims
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
-    -p bdm-sim --test checkpoint_format --test diffusion_parity
+    -p bdm-sim --test checkpoint_format --test diffusion_parity --test birth_goldens
 # The diffusion fields against the bits of the double-buffered engine
 # the in-place sweep replaced, and the slab matrix (1 / 2 / 3 / 4 / 7
 # workers and shuffled slab order over even, ragged and single-slab
@@ -43,6 +45,19 @@ RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
 cargo test -q --offline --release -p bdm-sim --test diffusion_parity -- \
     fields_match_the_parent_goldens \
     any_slab_partition_yields_the_same_bits_and_counters
+# Division waves against the bits of the engine that kept a behavior
+# list per agent (storage-order columns, lists, uid counter, epochs,
+# checkpoint bytes), and the allocation counts that engine could not
+# meet: a wave allocates per chunk, a warmed reorder and a restore a
+# constant — by name in release.
+cargo test -q --offline --release -p bdm-sim --test birth_goldens -- \
+    csr_waves_match_the_parent_goldens \
+    kdtree_waves_match_the_parent_goldens \
+    sharded_waves_match_the_parent_goldens
+cargo test -q --offline --release -p bdm-sim --test alloc_births -- \
+    a_division_wave_allocates_per_chunk_not_per_birth \
+    a_warmed_reorder_allocates_a_constant \
+    a_restore_allocates_a_constant
 # The SIMT engine's steady-state launches must not touch the heap — in
 # release mode, where the optimizer decides what actually allocates.
 cargo test -q --offline --release -p bdm-gpu --test alloc_steady
@@ -57,3 +72,4 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # Informational, not a gate: the non-test, non-comment size of the code
 # the simplification PRs report against.
 ./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs crates/sim/src/diffusion.rs
+./scripts/loc.sh crates/sim/src/{rm,exec,operation,checkpoint}.rs crates/soa/src/{column,perm}.rs
