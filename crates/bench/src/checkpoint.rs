@@ -12,26 +12,13 @@
 //! 2 %, and the structural counts (`checkpoint.agents`,
 //! `checkpoint.sections`) must reproduce exactly.
 
-use bdm_bench::{emit, BenchScale};
+use crate::cli::Args;
+use crate::{emit, median_ms};
 use bdm_metrics::MetricsRegistry;
 use bdm_sim::workload::benchmark_a;
 use bdm_sim::{EnvironmentKind, Simulation};
 use std::hint::black_box;
-use std::time::Instant;
-
-const REPS: usize = 5;
-
-fn median_ms(mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[REPS / 2]
-}
+use std::process::ExitCode;
 
 fn ckpt(sim: &Simulation) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -39,9 +26,9 @@ fn ckpt(sim: &Simulation) -> Vec<u8> {
     buf
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = BenchScale::from_env();
+/// `bench_checkpoint [--json[=DIR]]`.
+pub fn main(args: &Args) -> ExitCode {
+    let scale = &args.scale;
 
     let mut sim = benchmark_a(scale.a_cells_per_dim, 0x8);
     sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
@@ -84,10 +71,5 @@ fn main() {
     reg.set_gauge("checkpoint.agents", &[], agents as f64);
     reg.set_gauge("checkpoint.sections", &[], sections as f64);
 
-    if let Some(dir) = emit::json_dir_from_args(&args) {
-        let mut doc = emit::new_doc("checkpoint", &scale);
-        doc.publish(&reg, emit::default_policy);
-        let path = emit::write_doc(&doc, &dir).expect("write BENCH document");
-        println!("\nwrote {} ({} metrics)", path.display(), doc.metrics.len());
-    }
+    emit::finish(args, "checkpoint", &reg, "\n")
 }

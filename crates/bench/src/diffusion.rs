@@ -17,7 +17,8 @@
 //! `--json[=DIR]` serializes `BENCH_diffusion.json` for
 //! `scripts/bench_gate.sh`.
 
-use bdm_bench::{emit, BenchScale};
+use crate::cli::Args;
+use crate::{emit, median_ms};
 use bdm_device::cpu::{CpuModel, Phase};
 use bdm_device::specs::SYSTEM_A;
 use bdm_math::{Aabb, Vec3};
@@ -27,9 +28,8 @@ use bdm_sim::{
     Simulation,
 };
 use std::hint::black_box;
-use std::time::Instant;
+use std::process::ExitCode;
 
-const REPS: usize = 5;
 /// Steps run per parity check / wall-clock measurement.
 const STEPS: u32 = 2;
 /// One stiff-ish substance over a 64-unit box: h = 64/res, so 64³ runs
@@ -38,18 +38,6 @@ const COEFF: f64 = 0.05;
 const DECAY: f64 = 0.01;
 const DT: f64 = 4.0;
 const MODEL_THREADS: u32 = 20;
-
-fn median_ms(mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[REPS / 2]
-}
 
 fn seeded_grid(res: usize) -> DiffusionGrid {
     let mut g = DiffusionGrid::new(
@@ -106,9 +94,8 @@ fn phases(run: &DiffusionStats, word: f64) -> (Phase, Phase) {
     (tiled, reference)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = BenchScale::from_env();
+/// `bench_diffusion [--json[=DIR]]`.
+pub fn main(args: &Args) -> ExitCode {
     let model = CpuModel::new(SYSTEM_A.cpu);
     let mut reg = MetricsRegistry::new();
 
@@ -188,27 +175,15 @@ fn main() {
             run.interior_fraction(),
         );
         reg.set_gauge("diffusion.resident_bytes", &labels, resident as f64);
-        reg.set_gauge(
-            "diffusion.modeled_ms",
-            &[("res", res_s.as_str()), ("engine", "tiled")],
-            tiled_model_ms,
-        );
-        reg.set_gauge(
-            "diffusion.modeled_ms",
-            &[("res", res_s.as_str()), ("engine", "reference")],
-            ref_model_ms,
-        );
         reg.set_gauge("diffusion.speedup_modeled_x", &labels, speedup);
-        reg.set_gauge(
-            "diffusion.step_wall_ms",
-            &[("res", res_s.as_str()), ("engine", "tiled")],
-            tiled_wall,
-        );
-        reg.set_gauge(
-            "diffusion.step_wall_ms",
-            &[("res", res_s.as_str()), ("engine", "reference")],
-            ref_wall,
-        );
+        for (engine, model_ms, wall_ms) in [
+            ("tiled", tiled_model_ms, tiled_wall),
+            ("reference", ref_model_ms, ref_wall),
+        ] {
+            let labels = [("res", res_s.as_str()), ("engine", engine)];
+            reg.set_gauge("diffusion.modeled_ms", &labels, model_ms);
+            reg.set_gauge("diffusion.step_wall_ms", &labels, wall_ms);
+        }
 
         if res == 64 {
             // The ISSUE's acceptance bar, standing: ≥1.5× on the gated
@@ -265,10 +240,5 @@ fn main() {
     );
     reg.set_gauge("diffusion.batch_wall_ms", &[("mode", "serial")], serial_ms);
 
-    if let Some(dir) = emit::json_dir_from_args(&args) {
-        let mut doc = emit::new_doc("diffusion", &scale);
-        doc.publish(&reg, emit::default_policy);
-        let path = emit::write_doc(&doc, &dir).expect("write BENCH document");
-        println!("\nwrote {} ({} metrics)", path.display(), doc.metrics.len());
-    }
+    emit::finish(args, "diffusion", &reg, "\n")
 }

@@ -1,5 +1,6 @@
 //! `BENCH_<name>.json` emission: the machinery behind `--json` flags,
-//! the `bench_json` binary, and `scripts/bench_gate.sh`.
+//! the `bench_json` and `bench_gate` commands, and
+//! `scripts/bench_gate.sh`.
 //!
 //! Every emitted document flows through [`default_policy`], which
 //! decides what the regression gate may compare:
@@ -15,17 +16,18 @@
 //! * everything else (modeled seconds from the CPU/GPU timing models)
 //!   gates at the comparison's default tolerance.
 
+use crate::benchmark_a_offloaded;
+use crate::cli::{usage_error, Args};
 use crate::scale::BenchScale;
-use crate::trace_sample_for;
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
 use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
 use bdm_metrics::{BenchDoc, GatePolicy, JsonValue, MetricsRegistry};
-use bdm_sim::environment::GpuSystem;
 use bdm_sim::workload::benchmark_a;
 use bdm_sim::EnvironmentKind;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 /// Relative tolerance `bench_gate` applies when a sample carries none.
 pub const DEFAULT_TOL: f64 = 0.1;
@@ -157,13 +159,7 @@ pub fn gpu_doc(scale: &BenchScale) -> BenchDoc {
         // re-upload-everything baseline.
         ("v4csr_resident", KernelVersion::V4Csr, true),
     ] {
-        let mut sim = benchmark_a(scale.a_cells_per_dim, 0x8);
-        sim.set_environment(EnvironmentKind::Gpu {
-            system: GpuSystem::A,
-            frontend: ApiFrontend::Cuda,
-            version,
-            trace_sample: trace_sample_for(scale.a_cells(), scale.trace_budget),
-        });
+        let mut sim = benchmark_a_offloaded(scale, ApiFrontend::Cuda, version);
         sim.set_gpu_resident(resident);
         sim.simulate(scale.a_steps);
         let mut reg = MetricsRegistry::new();
@@ -207,6 +203,134 @@ pub fn json_dir_from_args(args: &[String]) -> Option<PathBuf> {
         }
     }
     None
+}
+
+/// Write `doc` under `dir` and say so on stdout (after `lead`); a
+/// directory that cannot be written is the command's failure.
+fn report_written(doc: &BenchDoc, dir: &Path, lead: &str) -> ExitCode {
+    match write_doc(doc, dir) {
+        Ok(path) => {
+            println!(
+                "{lead}wrote {} ({} metrics)",
+                path.display(),
+                doc.metrics.len()
+            );
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!(
+                "bdm-bench: BENCH_{}.json under {}: {e}",
+                doc.name,
+                dir.display()
+            );
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The tail of every `--json[=DIR]` command: when the flag was given,
+/// publish `reg` under the standard policy as `BENCH_<name>.json`.
+pub fn finish(args: &Args, name: &str, reg: &MetricsRegistry, lead: &str) -> ExitCode {
+    let Some(dir) = &args.json else {
+        return ExitCode::SUCCESS;
+    };
+    let mut doc = new_doc(name, &args.scale);
+    doc.publish(reg, default_policy);
+    report_written(&doc, dir, lead)
+}
+
+/// `bench_json [--out=DIR]`: emit the stable observability documents
+/// (`BENCH_sim.json`, `BENCH_gpu.json`: per-op scheduler statistics,
+/// mechanical phase timings and work counters, GPU pipeline timing and
+/// transfer breakdowns) into `DIR` (default `results/`).
+/// `scripts/bench_gate.sh` runs it at smoke scale and diffs the output
+/// against the committed baselines.
+pub fn bench_json(args: &Args) -> ExitCode {
+    let scale = &args.scale;
+    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("results"));
+    println!(
+        "emitting BENCH_*.json at scale '{}' ({}^3 cells, {} steps) into {}",
+        scale.label(),
+        scale.a_cells_per_dim,
+        scale.a_steps,
+        out.display()
+    );
+    for doc in [sim_doc(scale), gpu_doc(scale)] {
+        if report_written(&doc, &out, "  ") != ExitCode::SUCCESS {
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// `bench_gate [--baseline=DIR] --fresh=DIR [--tol=T]`: the
+/// performance-regression gate. Every `BENCH_*.json` under the baseline
+/// directory (default `results/`) must have a fresh counterpart; each
+/// gated metric is compared under a symmetric relative tolerance (the
+/// sample's own `tol` when present, `T` — default [`DEFAULT_TOL`] —
+/// otherwise). Exit code 1 on any regression, missing metric or missing
+/// document. See `scripts/bench_gate.sh` for the CI wiring.
+pub fn bench_gate(args: &Args) -> ExitCode {
+    let Some(fresh) = &args.fresh else {
+        return usage_error("bench_gate: --fresh=DIR is required");
+    };
+    let baseline = args
+        .baseline
+        .clone()
+        .unwrap_or_else(|| PathBuf::from("results"));
+    let tol = args.tol.unwrap_or(DEFAULT_TOL);
+
+    let mut names: Vec<String> = match std::fs::read_dir(&baseline) {
+        Ok(entries) => entries
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect(),
+        Err(e) => {
+            eprintln!("bdm-bench: baseline dir {}: {e}", baseline.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    names.sort();
+    if names.is_empty() {
+        eprintln!(
+            "bdm-bench: no BENCH_*.json baselines under {}",
+            baseline.display()
+        );
+        return ExitCode::FAILURE;
+    }
+
+    let mut failed = false;
+    for name in &names {
+        let fresh_path = fresh.join(name);
+        let report = read_doc(&baseline.join(name))
+            .map_err(|e| format!("unreadable baseline: {e}"))
+            .and_then(|base| {
+                if !fresh_path.exists() {
+                    return Err(format!("no fresh run at {}", fresh_path.display()));
+                }
+                let fresh = read_doc(&fresh_path);
+                let fresh = fresh.map_err(|e| format!("unreadable fresh document: {e}"))?;
+                Ok(bdm_metrics::compare(&base, &fresh, tol))
+            });
+        match report {
+            Ok(report) => {
+                print!("{}", report.render(name));
+                failed |= !report.passed();
+            }
+            Err(why) => {
+                println!("{name}: {why}\n  GATE FAILED");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        return ExitCode::FAILURE;
+    }
+    println!(
+        "bench gate passed ({} documents, default tol {tol})",
+        names.len()
+    );
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

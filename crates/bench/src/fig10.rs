@@ -11,15 +11,15 @@
 //! orders of magnitude, and the GPU's advantage stagnates as density
 //! rises (serial neighbor loop).
 
+use crate::cli::Args;
 use crate::scale::BenchScale;
-use crate::{gpu_totals, mech_phases, table, trace_sample_for};
+use crate::{benchmark_b_offloaded, gpu_totals, mech_phases, table};
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_B;
-use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
-use bdm_sim::environment::GpuSystem;
 use bdm_sim::workload::{benchmark_b, DENSITY_SWEEP};
 use bdm_sim::EnvironmentKind;
+use std::process::ExitCode;
 
 const SEED: u64 = 0xB;
 
@@ -122,13 +122,8 @@ pub fn run_point(scale: &BenchScale, target_n: f64) -> DensityPoint {
         .collect();
 
     // GPU pipeline (best version on the V100).
-    let mut sim = benchmark_b(scale.b_agents, target_n, SEED);
-    sim.set_environment(EnvironmentKind::Gpu {
-        system: GpuSystem::B,
-        frontend: ApiFrontend::Cuda,
-        version: KernelVersion::V2Sorted,
-        trace_sample: trace_sample_for(scale.b_agents, scale.trace_budget),
-    });
+    let version = KernelVersion::V2Sorted;
+    let mut sim = benchmark_b_offloaded(scale, scale.b_agents, target_n, SEED, version);
     sim.simulate(scale.b_steps);
     let (gpu_total, _, _) = gpu_totals(sim.profiler());
 
@@ -147,6 +142,26 @@ pub fn run(scale: &BenchScale) -> Fig10Report {
         points,
         agents: scale.b_agents,
     }
+}
+
+/// `fig10_fig11`: regenerate Figs. 10 + 11, benchmark B runtime and
+/// speedup vs neighborhood density (System B: Xeon Gold 6130 vs Tesla
+/// V100).
+pub fn main(args: &Args) -> ExitCode {
+    let scale = &args.scale;
+    println!(
+        "Figs. 10+11: benchmark B ({} agents, {} steps per density; paper scale: 2M)\n",
+        scale.b_agents, scale.b_steps
+    );
+    let r = run(scale);
+    println!("Fig. 10 — per-step runtime:\n{}", r.render_runtimes());
+    println!(
+        "Fig. 11 — GPU speedup over the multithreaded baseline:\n{}",
+        r.render_speedups()
+    );
+    println!("paper bands: 160–232x vs 4 threads, 71–113x vs 64 threads,");
+    println!("with the speedup stagnating as density rises (serial neighbor loop)");
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -10,15 +10,13 @@
 //!   achieved GFLOP/s of the version II mechanical kernel, plus the L2
 //!   read share the paper quotes from nvprof (39.4 / 40.6 / 41.3 %).
 
+use crate::cli::Args;
 use crate::scale::BenchScale;
-use crate::{gpu_totals, trace_sample_for};
+use crate::{benchmark_b_offloaded, gpu_totals};
 use bdm_device::specs::SYSTEM_B;
-use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
 use bdm_roofline::{ErtSweep, RooflineModel, RooflinePoint, RooflineReport};
-use bdm_sim::environment::GpuSystem;
-use bdm_sim::workload::benchmark_b;
-use bdm_sim::EnvironmentKind;
+use std::process::ExitCode;
 
 const SEED: u64 = 0xC;
 
@@ -53,13 +51,8 @@ impl Fig12Report {
 
 /// Measure one density point's kernel counters.
 pub fn kernel_point(scale: &BenchScale, density: f64) -> RooflinePoint {
-    let mut sim = benchmark_b(scale.roofline_agents, density, SEED);
-    sim.set_environment(EnvironmentKind::Gpu {
-        system: GpuSystem::B,
-        frontend: ApiFrontend::Cuda,
-        version: KernelVersion::V2Sorted,
-        trace_sample: trace_sample_for(scale.roofline_agents, scale.trace_budget),
-    });
+    let (agents, version) = (scale.roofline_agents, KernelVersion::V2Sorted);
+    let mut sim = benchmark_b_offloaded(scale, agents, density, SEED, version);
     sim.simulate(1);
     let (_, counters, mech_s) = gpu_totals(sim.profiler());
     let counters = counters.expect("GPU run must produce counters");
@@ -81,6 +74,22 @@ pub fn run(scale: &BenchScale) -> Fig12Report {
         ert_bandwidth: ert.empirical_bandwidth,
         ert_flops: ert.empirical_flops,
     }
+}
+
+/// `fig12_roofline`: regenerate Fig. 12, the roofline analysis of the
+/// best GPU kernel at three densities on System B, with ERT-measured
+/// ceilings.
+pub fn main(args: &Args) -> ExitCode {
+    println!(
+        "Fig. 12: roofline on the simulated Tesla V100 ({} agents)\n",
+        args.scale.roofline_agents
+    );
+    let r = run(&args.scale);
+    println!("{}", r.render());
+    println!("CSV:\n{}", r.roofline.to_csv());
+    println!("paper: points near the HBM roof, an order of magnitude under the fp32 peak;");
+    println!("L2 read share 39.4% (n=6), 40.6% (n=27), 41.3% (n=47)");
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

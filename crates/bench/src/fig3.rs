@@ -6,11 +6,15 @@
 //! module reruns that profile (work counters from real execution, time
 //! from the System A CPU model) and reports the same shares.
 
+use crate::cli::Args;
+use crate::emit;
 use crate::scale::BenchScale;
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
+use bdm_metrics::MetricsRegistry;
 use bdm_sim::workload::benchmark_a;
 use bdm_sim::EnvironmentKind;
+use std::process::ExitCode;
 
 /// One profile line.
 #[derive(Debug, Clone)]
@@ -76,6 +80,40 @@ pub fn run(scale: &BenchScale) -> Fig3Report {
         rows,
         rendered,
     }
+}
+
+/// `fig3_profile [--json[=DIR]]`: regenerate Fig. 3, the runtime
+/// profile of the cell-division benchmark (kd-tree baseline, modeled on
+/// System A's Xeon at one thread); `--json` also serializes the profile
+/// as `BENCH_fig3.json`.
+pub fn main(args: &Args) -> ExitCode {
+    let scale = &args.scale;
+    println!(
+        "Fig. 3: cell-division benchmark profile ({}^3 = {} cells, {} steps)\n",
+        scale.a_cells_per_dim,
+        scale.a_cells(),
+        scale.a_steps
+    );
+    let r = run(scale);
+    println!("{}", r.rendered);
+    println!(
+        "mechanical interactions share: {:.0}% (forces {:.0}%, neighborhood {:.0}%)",
+        r.mech_share * 100.0,
+        r.forces_share * 100.0,
+        r.neighborhood_share * 100.0
+    );
+    println!("paper reports: forces 51%, neighborhood update 36% (sum 87%)");
+
+    let mut reg = MetricsRegistry::new();
+    for row in &r.rows {
+        let labels = [("op", row.name.as_str())];
+        reg.set_gauge("fig3.modeled_s", &labels, row.modeled_s);
+        reg.set_gauge("fig3.share", &labels, row.share);
+    }
+    reg.set_gauge("fig3.mech_share", &[], r.mech_share);
+    reg.set_gauge("fig3.forces_share", &[], r.forces_share);
+    reg.set_gauge("fig3.neighborhood_share", &[], r.neighborhood_share);
+    emit::finish(args, "fig3", &reg, "")
 }
 
 #[cfg(test)]

@@ -18,15 +18,17 @@
 //! costs would otherwise mask the kernel-level improvements the paper
 //! studies. The with-transfers total is reported alongside.
 
+use crate::cli::Args;
 use crate::scale::BenchScale;
-use crate::{gpu_totals, mech_phases, mech_wall, paper, table, trace_sample_for};
+use crate::{benchmark_a_offloaded, emit, gpu_totals, mech_phases, mech_wall, paper, table};
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
 use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
-use bdm_sim::environment::GpuSystem;
+use bdm_metrics::MetricsRegistry;
 use bdm_sim::workload::benchmark_a;
 use bdm_sim::EnvironmentKind;
+use std::process::ExitCode;
 
 const SEED: u64 = 0x8;
 
@@ -121,13 +123,7 @@ fn run_cpu(scale: &BenchScale, env: EnvironmentKind) -> (Vec<bdm_device::cpu::Ph
 }
 
 fn run_gpu(scale: &BenchScale, version: KernelVersion) -> (f64, f64, usize) {
-    let mut sim = benchmark_a(scale.a_cells_per_dim, SEED);
-    sim.set_environment(EnvironmentKind::Gpu {
-        system: GpuSystem::A,
-        frontend: ApiFrontend::Cuda,
-        version,
-        trace_sample: trace_sample_for(scale.a_cells(), scale.trace_budget),
-    });
+    let mut sim = benchmark_a_offloaded(scale, ApiFrontend::Cuda, version);
     sim.simulate(scale.a_steps);
     let (total, _, _) = gpu_totals(sim.profiler());
     let kernel = crate::gpu_kernel_total(sim.profiler());
@@ -196,6 +192,39 @@ pub fn run(scale: &BenchScale) -> Fig8Report {
         rows,
         final_population,
     }
+}
+
+/// `fig8_fig9 [--json[=DIR]]`: regenerate Figs. 8 + 9, benchmark A
+/// runtimes and speedups across all implementations of the mechanical
+/// interaction operation (System A); `--json` also serializes the rows
+/// as `BENCH_fig8.json`.
+pub fn main(args: &Args) -> ExitCode {
+    let scale = &args.scale;
+    println!(
+        "Figs. 8+9: benchmark A ({}^3 = {} cells, {} steps; paper scale: 64^3)\n",
+        scale.a_cells_per_dim,
+        scale.a_cells(),
+        scale.a_steps
+    );
+    let r = run(scale);
+    println!("{}", r.render());
+    println!("final population: {} cells", r.final_population);
+    println!("\nexpected shape (paper §VI): serial UG ≈ 2x serial kd; 20T UG ≈ 4.3x 20T kd;");
+    println!("GPU v0 ≈ 7.9x 20T kd; I ≈ 2x v0; II ≈ 2.6x I; III ≈ 1.28x slower than II");
+
+    let mut reg = MetricsRegistry::new();
+    for row in &r.rows {
+        let labels = [("impl", row.label.as_str())];
+        reg.set_gauge("fig8.modeled_s", &labels, row.modeled_s);
+        if let Some(t) = row.offload_total_s {
+            reg.set_gauge("fig8.offload_total_s", &labels, t);
+        }
+        if let Some(w) = row.wall_s {
+            reg.set_gauge("fig8.host_wall_s", &labels, w);
+        }
+    }
+    reg.set_gauge("fig8.final_population", &[], r.final_population as f64);
+    emit::finish(args, "fig8", &reg, "")
 }
 
 #[cfg(test)]

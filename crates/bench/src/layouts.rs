@@ -13,54 +13,94 @@
 //! `layouts.shard_mech_modeled_ms`, `layouts.shard_speedup_modeled_x`)
 //! gate at 2 %.
 
-use bdm_bench::{emit, BenchScale};
+use crate::cli::Args;
+use crate::{emit, median, median_ms, REPS};
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
 use bdm_grid::{CsrBuildScratch, CsrGrid, UniformGrid};
 use bdm_math::{Aabb, SplitMix64, Vec3};
 use bdm_metrics::MetricsRegistry;
 use bdm_morton::Curve;
+use bdm_sim::profiler::OpRecord;
 use bdm_sim::workload::benchmark_a;
 use bdm_sim::{CellBuilder, EnvironmentKind, ExecMode, Precision, SimParams, Simulation};
 use bdm_soa::AgentId;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
 
-const REPS: usize = 5;
-
-fn median_ms(mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[REPS / 2]
+/// The random cloud the reorder, precision and sharding tables step:
+/// `n` cells of diameter 4 placed uniformly at ~2 per radius-4 voxel
+/// (the benchmark regime) on the CSR parallel grid, under `params`
+/// (reorder policy, precision, shards).
+pub fn cloud_sim(n: usize, params: impl FnOnce(SimParams) -> SimParams) -> Simulation {
+    let half = (n as f64 / 2.0).cbrt() * 2.0;
+    let mut sim = Simulation::new(params(SimParams::cube(half).with_seed(0x2b)));
+    sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
+    let mut rng = SplitMix64::new(0x2b);
+    for _ in 0..n {
+        sim.add_cell(
+            CellBuilder::new(Vec3::new(
+                rng.uniform(-half, half),
+                rng.uniform(-half, half),
+                rng.uniform(-half, half),
+            ))
+            .diameter(4.0)
+            .adherence(0.01),
+        );
+    }
+    sim
 }
 
-fn cloud(n: usize, extent: f64, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let mut rng = SplitMix64::new(seed);
-    let xs = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
-    let ys = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
-    let zs = (0..n).map(|_| rng.uniform(0.0, extent)).collect();
-    (xs, ys, zs)
+/// The last step's profiler records named in `names`.
+fn last_step_records<'a>(
+    sim: &'a Simulation,
+    names: &'a [&str],
+) -> impl Iterator<Item = &'a OpRecord> + 'a {
+    let last = sim.profiler().steps().last().expect("a step ran");
+    let named = move |r: &&OpRecord| names.contains(&r.name.as_str());
+    last.records.iter().filter(named)
+}
+
+/// Summed wall milliseconds of the last step's records named in
+/// `names`.
+pub fn last_step_wall_ms(sim: &Simulation, names: &[&str]) -> f64 {
+    last_step_records(sim, names).map(|r| r.wall_s).sum::<f64>() * 1e3
+}
+
+/// One warm-up step (caches, scratch, the first sort), then the medians
+/// over [`REPS`] steps of the whole step's wall clock and of the
+/// `records` share of it, in ms.
+fn timed_steps(sim: &mut Simulation, records: &[&str]) -> (f64, f64) {
+    sim.step();
+    let (mut steps, mut shares) = (Vec::with_capacity(REPS), Vec::with_capacity(REPS));
+    for _ in 0..REPS {
+        let t = Instant::now();
+        sim.step();
+        steps.push(t.elapsed().as_secs_f64() * 1e3);
+        shares.push(last_step_wall_ms(sim, records));
+    }
+    (median(&mut steps), median(&mut shares))
 }
 
 fn substrate_table(n: usize, reg: &mut MetricsRegistry) {
     let nn = n.to_string();
-    let mut record = |layout: &str, field: &str, ms: f64| {
-        reg.set_gauge(
-            &format!("layouts.substrate_{field}_wall_ms"),
-            &[("layout", layout), ("n", &nn)],
-            ms,
-        );
+    // One table row, and its medians as `layouts.substrate_*_wall_ms`.
+    let mut row = |layout: &str, build_ms: f64, query_ms: Option<f64>| {
+        let query = query_ms.map_or("-".to_string(), |q| format!("{q:.3}"));
+        println!("{layout:<22} {build_ms:>10.3} {query:>10}");
+        let labels = [("layout", layout), ("n", nn.as_str())];
+        reg.set_gauge("layouts.substrate_build_wall_ms", &labels, build_ms);
+        if let Some(q) = query_ms {
+            reg.set_gauge("layouts.substrate_query_wall_ms", &labels, q);
+        }
     };
     // ~2 agents per voxel at radius 4 — the benchmark regime.
     let extent = (n as f64 / 2.0).cbrt() * 4.0;
     let radius = 4.0;
-    let (xs, ys, zs) = cloud(n, extent, 0x1a);
+    let mut rng = SplitMix64::new(0x1a);
+    let mut column = || -> Vec<f64> { (0..n).map(|_| rng.uniform(0.0, extent)).collect() };
+    let (xs, ys, zs) = (column(), column(), column());
     let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
 
     let query_ms = |search: &dyn Fn(Vec3<f64>, &mut Vec<AgentId>)| {
@@ -83,14 +123,11 @@ fn substrate_table(n: usize, reg: &mut MetricsRegistry) {
     let lb = median_ms(|| {
         black_box(UniformGrid::build_serial(&xs, &ys, &zs, space, radius));
     });
-    println!("{:<22} {:>10.3} {:>10.3}", "linked-list serial", lb, lq);
-    record("linked-list serial", "build", lb);
-    record("linked-list serial", "query", lq);
+    row("linked-list serial", lb, Some(lq));
     let lbp = median_ms(|| {
         black_box(UniformGrid::build_parallel(&xs, &ys, &zs, space, radius));
     });
-    println!("{:<22} {:>10.3} {:>10}", "linked-list parallel", lbp, "-");
-    record("linked-list parallel", "build", lbp);
+    row("linked-list parallel", lbp, None);
 
     let csr = CsrGrid::build_serial(&xs, &ys, &zs, space, radius);
     let cq = query_ms(&|q, out| {
@@ -99,22 +136,18 @@ fn substrate_table(n: usize, reg: &mut MetricsRegistry) {
     let cb = median_ms(|| {
         black_box(CsrGrid::build_serial(&xs, &ys, &zs, space, radius));
     });
-    println!("{:<22} {:>10.3} {:>10.3}", "CSR serial", cb, cq);
-    record("CSR serial", "build", cb);
-    record("CSR serial", "query", cq);
+    row("CSR serial", cb, Some(cq));
     let cbp = median_ms(|| {
         black_box(CsrGrid::build_parallel(&xs, &ys, &zs, space, radius));
     });
-    println!("{:<22} {:>10.3} {:>10}", "CSR parallel", cbp, "-");
-    record("CSR parallel", "build", cbp);
+    row("CSR parallel", cbp, None);
     let mut grid = CsrGrid::build_serial(&xs, &ys, &zs, space, radius);
     let mut scratch = CsrBuildScratch::default();
     let crb = median_ms(|| {
         grid.rebuild_parallel(&xs, &ys, &zs, space, radius, &mut scratch);
         black_box(grid.cell_agents().len());
     });
-    println!("{:<22} {:>10.3} {:>10}", "CSR rebuild (steady)", crb, "-");
-    record("CSR rebuild (steady)", "build", crb);
+    row("CSR rebuild (steady)", crb, None);
 }
 
 fn step_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
@@ -130,8 +163,7 @@ fn step_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     for env in envs {
         let mut sim = benchmark_a(cells_per_dim, 0x8);
         sim.set_environment(env);
-        sim.step(); // warm caches + scratch
-        let ms = median_ms(|| sim.step());
+        let (ms, _) = timed_steps(&mut sim, &[]);
         let label = env.label();
         println!("{:<28} {:>10.3}", label, ms);
         reg.set_gauge("layouts.step_wall_ms", &[("env", label.as_str())], ms);
@@ -148,8 +180,6 @@ fn step_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
 /// deterministic locality gauge the regression gate holds to 2 %.
 fn reorder_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     let n = cells_per_dim * cells_per_dim * cells_per_dim;
-    // ~2 agents per radius-4 voxel — the benchmark regime.
-    let half = (n as f64 / 2.0).cbrt() * 2.0;
     let env = EnvironmentKind::uniform_grid_csr_parallel();
     println!(
         "\n== host reorder: random cloud, {n} cells, {} ==",
@@ -159,50 +189,11 @@ fn reorder_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         "{:<14} {:>10} {:>10} {:>12}",
         "agent order", "step ms", "mech ms", "index gap"
     );
-    for (order, every) in [("insertion", 0u64), ("reordered", 1)] {
-        // `with_reorder` rejects 0 at the builder; 0 here means
-        // "insertion order" — reorder off, which is the default.
-        let mut params = SimParams::cube(half).with_seed(0x2b);
-        if every > 0 {
-            params = params.with_reorder(every);
-        }
-        let mut sim = Simulation::new(params);
-        sim.set_environment(env);
-        let mut rng = SplitMix64::new(0x2b);
-        for _ in 0..n {
-            sim.add_cell(
-                CellBuilder::new(Vec3::new(
-                    rng.uniform(-half, half),
-                    rng.uniform(-half, half),
-                    rng.uniform(-half, half),
-                ))
-                .diameter(4.0)
-                .adherence(0.01),
-            );
-        }
-        sim.step(); // warm caches + scratch (and apply the first sort)
-        let mut step_walls = Vec::with_capacity(REPS);
-        let mut mech_walls = Vec::with_capacity(REPS);
-        for _ in 0..REPS {
-            let t = Instant::now();
-            sim.step();
-            step_walls.push(t.elapsed().as_secs_f64() * 1e3);
-            mech_walls.push(
-                sim.profiler()
-                    .steps()
-                    .last()
-                    .unwrap()
-                    .records
-                    .iter()
-                    .find(|r| r.name == "mechanical forces")
-                    .expect("force record present")
-                    .wall_s
-                    * 1e3,
-            );
-        }
-        step_walls.sort_by(|a, b| a.total_cmp(b));
-        mech_walls.sort_by(|a, b| a.total_cmp(b));
-        let (step_ms, mech_ms) = (step_walls[REPS / 2], mech_walls[REPS / 2]);
+    for (order, reordered) in [("insertion", false), ("reordered", true)] {
+        // Insertion order is reorder off, the default.
+        let params = |p: SimParams| if reordered { p.with_reorder(1) } else { p };
+        let mut sim = cloud_sim(n, params);
+        let (step_ms, mech_ms) = timed_steps(&mut sim, &["mechanical forces"]);
         let label = env.label();
         let gap = sim
             .metrics()
@@ -228,7 +219,6 @@ fn reorder_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
 /// deterministic functions of the trajectory and gate at 2 %.
 fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     let n = cells_per_dim * cells_per_dim * cells_per_dim;
-    let half = (n as f64 / 2.0).cbrt() * 2.0;
     let env = EnvironmentKind::uniform_grid_csr_parallel();
     println!(
         "\n== mixed precision: random cloud (reordered), {n} cells, {} ==",
@@ -240,48 +230,8 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     );
     let mut mech_by_precision = [0.0f64; 2];
     for (slot, precision) in [Precision::F64, Precision::F32Simd].into_iter().enumerate() {
-        let mut sim = Simulation::new(
-            SimParams::cube(half)
-                .with_seed(0x2b)
-                .with_reorder(1)
-                .with_precision(precision),
-        );
-        sim.set_environment(env);
-        let mut rng = SplitMix64::new(0x2b);
-        for _ in 0..n {
-            sim.add_cell(
-                CellBuilder::new(Vec3::new(
-                    rng.uniform(-half, half),
-                    rng.uniform(-half, half),
-                    rng.uniform(-half, half),
-                ))
-                .diameter(4.0)
-                .adherence(0.01),
-            );
-        }
-        sim.step(); // warm caches + scratch (and apply the first sort)
-        let mut step_walls = Vec::with_capacity(REPS);
-        let mut mech_walls = Vec::with_capacity(REPS);
-        for _ in 0..REPS {
-            let t = Instant::now();
-            sim.step();
-            step_walls.push(t.elapsed().as_secs_f64() * 1e3);
-            mech_walls.push(
-                sim.profiler()
-                    .steps()
-                    .last()
-                    .unwrap()
-                    .records
-                    .iter()
-                    .find(|r| r.name == "mechanical forces")
-                    .expect("force record present")
-                    .wall_s
-                    * 1e3,
-            );
-        }
-        step_walls.sort_by(|a, b| a.total_cmp(b));
-        mech_walls.sort_by(|a, b| a.total_cmp(b));
-        let (step_ms, mech_ms) = (step_walls[REPS / 2], mech_walls[REPS / 2]);
+        let mut sim = cloud_sim(n, |p| p.with_reorder(1).with_precision(precision));
+        let (step_ms, mech_ms) = timed_steps(&mut sim, &["mechanical forces"]);
         mech_by_precision[slot] = mech_ms;
         let metrics = sim.metrics();
         let env_label = env.label();
@@ -348,7 +298,6 @@ fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     // per-shard stepping pays (48^3 = 110,592).
     let cells_per_dim = cells_per_dim.max(48);
     let n = cells_per_dim * cells_per_dim * cells_per_dim;
-    let half = (n as f64 / 2.0).cbrt() * 2.0;
     let env = EnvironmentKind::uniform_grid_csr_parallel();
     let model = CpuModel::new(SYSTEM_A.cpu);
     const MODEL_THREADS: u32 = 20;
@@ -369,63 +318,16 @@ fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     let mut modeled_single = 0.0f64;
     let mut modeled_best_multi = f64::INFINITY;
     for shards in [0usize, 1, 2, 4, 8] {
-        let params = if shards == 0 {
-            SimParams::cube(half)
-                .with_seed(0x2b)
-                .with_reorder(1)
-                .with_reorder_curve(Curve::Hilbert)
-        } else {
-            SimParams::cube(half).with_seed(0x2b).with_shards(shards)
-        };
-        let mut sim = Simulation::new(params);
-        sim.set_environment(env);
-        let mut rng = SplitMix64::new(0x2b);
-        for _ in 0..n {
-            sim.add_cell(
-                CellBuilder::new(Vec3::new(
-                    rng.uniform(-half, half),
-                    rng.uniform(-half, half),
-                    rng.uniform(-half, half),
-                ))
-                .diameter(4.0)
-                .adherence(0.01),
-            );
-        }
-        sim.step(); // warm caches + scratch (and apply the first sort)
-        let mut step_walls = Vec::with_capacity(REPS);
-        let mut mech_walls = Vec::with_capacity(REPS);
-        for _ in 0..REPS {
-            let t = Instant::now();
-            sim.step();
-            step_walls.push(t.elapsed().as_secs_f64() * 1e3);
-            mech_walls.push(
-                sim.profiler()
-                    .steps()
-                    .last()
-                    .unwrap()
-                    .records
-                    .iter()
-                    .filter(|r| mech_records.contains(&r.name.as_str()))
-                    .map(|r| r.wall_s)
-                    .sum::<f64>()
-                    * 1e3,
-            );
-        }
-        step_walls.sort_by(|a, b| a.total_cmp(b));
-        mech_walls.sort_by(|a, b| a.total_cmp(b));
-        let (step_ms, mech_ms) = (step_walls[REPS / 2], mech_walls[REPS / 2]);
+        let mut sim = cloud_sim(n, |p| match shards {
+            0 => p.with_reorder(1).with_reorder_curve(Curve::Hilbert),
+            _ => p.with_shards(shards),
+        });
+        let (step_ms, mech_ms) = timed_steps(&mut sim, &mech_records);
         // Model the last step's mech phases at 20 System A threads. The
         // build/force phases of a sharded run fan out across shards, one
         // serial task each, so their thread count is capped at the shard
         // count; the sort and the host reorder are global rayon passes.
-        let modeled_ms: f64 = sim
-            .profiler()
-            .steps()
-            .last()
-            .unwrap()
-            .records
-            .iter()
-            .filter(|r| mech_records.contains(&r.name.as_str()))
+        let modeled_ms: f64 = last_step_records(&sim, &mech_records)
             .flat_map(|r| r.phases.iter())
             .map(|p| {
                 let threads = if shards > 0 && p.name != "shard sort" {
@@ -489,50 +391,29 @@ fn behaviors_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     ] {
         let mut sim = benchmark_a(cells_per_dim, 0x8);
         sim.set_exec_mode(mode);
-        sim.step(); // warm caches + scratch
-                    // Median of the per-step "behaviors" record walls — the op's own
-                    // profiler entry, so mechanics/diffusion don't pollute the number.
-        let mut walls: Vec<f64> = (0..REPS)
-            .map(|_| {
-                sim.step();
-                sim.profiler()
-                    .steps()
-                    .last()
-                    .unwrap()
-                    .records
-                    .iter()
-                    .find(|r| r.name == "behaviors")
-                    .expect("behaviors record present")
-                    .wall_s
-                    * 1e3
-            })
-            .collect();
-        walls.sort_by(|a, b| a.total_cmp(b));
-        println!("{:<28} {:>14.3}", label, walls[REPS / 2]);
+        // The median of the op's own profiler entry, so mechanics and
+        // diffusion don't pollute the number.
+        let (_, behaviors_ms) = timed_steps(&mut sim, &["behaviors"]);
+        println!("{:<28} {:>14.3}", label, behaviors_ms);
         reg.set_gauge(
             "layouts.behaviors_wall_ms",
             &[("mode", label)],
-            walls[REPS / 2],
+            behaviors_ms,
         );
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = BenchScale::from_env();
+/// `bench_layouts [--json[=DIR]]`.
+pub fn main(args: &Args) -> ExitCode {
+    let cells_per_dim = args.scale.a_cells_per_dim;
     let mut reg = MetricsRegistry::new();
     for n in [20_000, 100_000] {
         substrate_table(n, &mut reg);
     }
-    step_table(scale.a_cells_per_dim, &mut reg);
-    reorder_table(scale.a_cells_per_dim, &mut reg);
-    shard_table(scale.a_cells_per_dim, &mut reg);
-    simd_table(scale.a_cells_per_dim, &mut reg);
-    behaviors_table(scale.a_cells_per_dim, &mut reg);
-    if let Some(dir) = emit::json_dir_from_args(&args) {
-        let mut doc = emit::new_doc("layouts", &scale);
-        doc.publish(&reg, emit::default_policy);
-        let path = emit::write_doc(&doc, &dir).expect("write BENCH document");
-        println!("\nwrote {} ({} metrics)", path.display(), doc.metrics.len());
-    }
+    step_table(cells_per_dim, &mut reg);
+    reorder_table(cells_per_dim, &mut reg);
+    shard_table(cells_per_dim, &mut reg);
+    simd_table(cells_per_dim, &mut reg);
+    behaviors_table(cells_per_dim, &mut reg);
+    emit::finish(args, "layouts", &reg, "\n")
 }

@@ -1,43 +1,143 @@
 //! Benchmark harness: regenerates every table and figure of the paper.
 //!
-//! Each `fig*` module exposes a `run(&BenchScale)` function returning
-//! structured rows plus a `render` that prints the same series the paper
-//! reports. The binaries in `src/bin/` are thin wrappers; the files in
-//! `benches/` run reduced-scale versions under `cargo bench`.
+//! One binary, `bdm-bench <command> [arguments]`, dispatched through
+//! [`cli::COMMANDS`] (`bdm-bench list` prints the names). Each `fig*`
+//! module exposes a `run(&BenchScale)` returning structured rows, a
+//! `render` that prints the series the paper reports, and the command's
+//! entry point beside them.
 //!
-//! | artifact | module | binary |
+//! | command | what it prints | module |
 //! |---|---|---|
-//! | Table I   | [`table1`] | `table1` |
-//! | Fig. 3    | [`fig3`]   | `fig3_profile` |
-//! | Figs. 8+9 | [`fig8`]   | `fig8_fig9` |
-//! | Figs. 10+11 | [`fig10`] | `fig10_fig11` |
-//! | Fig. 12   | [`fig12`]  | `fig12_roofline` |
-//! | §VI future work | [`dynpar`] | `ablation_dynpar` |
-//! | reproduction checklist | — | `verify_reproduction` |
-//! | CUDA vs OpenCL | — | `ablation_frontends` |
-//! | Z-order vs Hilbert | — | `ablation_curves` |
-//! | trace-sampling fidelity | — | `ablation_sampling` |
-//! | diagnostics | — | `debug_counters`, `debug_gpu`, `debug_steps` |
+//! | `table1` | Table I | [`table1`] |
+//! | `fig2_visualization` | Fig. 2 (a PPM image) | [`fig2`] |
+//! | `fig3_profile` | Fig. 3 | [`fig3`] |
+//! | `fig8_fig9` | Figs. 8+9 | [`fig8`] |
+//! | `fig10_fig11` | Figs. 10+11 | [`fig10`] |
+//! | `fig12_roofline` | Fig. 12 | [`fig12`] |
+//! | `ablation_dynpar` | §VI future work | [`dynpar`] |
+//! | `ablation_curves` | Z-order vs Hilbert | [`ablation`] |
+//! | `ablation_frontends` | CUDA vs OpenCL | [`ablation`] |
+//! | `ablation_sampling` | trace-sampling fidelity | [`ablation`] |
+//! | `ablation_transfers` | transfer share vs population | [`ablation`] |
+//! | `verify_reproduction` | reproduction checklist | [`verify`] |
+//! | `bench_json` | `BENCH_sim.json`, `BENCH_gpu.json` | [`emit`] |
+//! | `bench_layouts` | grid layouts, reorder, shards, precision | [`layouts`] |
+//! | `bench_diffusion` | diffusion sweep vs reference | [`diffusion`] |
+//! | `bench_checkpoint` | checkpoint cost and stream shape | [`checkpoint`] |
+//! | `bench_threads` | measured vs modeled worker scaling | [`threads`] |
+//! | `bench_gate` | the regression gate over `BENCH_*.json` | [`emit`] |
+//! | `debug_counters` | work counters per environment | [`debug`] |
+//! | `debug_gpu` | GPU step breakdown per version | [`debug`] |
+//! | `debug_steps` | per-step GPU kernel time | [`debug`] |
+//! | `debug_shards` | sharded pass per phase | [`debug`] |
 //!
 //! Scale control: the default sizes finish on a laptop-class machine;
-//! set `BDM_PAPER_SCALE=1` for the paper's full 262,144-cell /
-//! 2-million-agent configurations.
+//! `BDM_BENCH_SCALE=smoke | default | paper` selects another
+//! ([`BenchScale`]; `paper` is the paper's full 262,144-cell /
+//! 2-million-agent configuration, `smoke` the reduced-scale run of any
+//! figure). The `--json[=DIR]` commands also write their numbers as
+//! `BENCH_<name>.json` ([`emit`]).
 
+pub mod ablation;
+pub mod checkpoint;
+pub mod cli;
+pub mod debug;
+pub mod diffusion;
 pub mod dynpar;
 pub mod emit;
 pub mod fig10;
 pub mod fig12;
+pub mod fig2;
 pub mod fig3;
 pub mod fig8;
+pub mod layouts;
 pub mod paper;
 pub mod scale;
 pub mod table;
 pub mod table1;
+pub mod threads;
+pub mod verify;
 
 pub use scale::BenchScale;
 
 use bdm_device::cpu::Phase;
+use bdm_gpu::frontend::ApiFrontend;
+use bdm_gpu::pipeline::KernelVersion;
+use bdm_sim::environment::GpuSystem;
 use bdm_sim::profiler::Profiler;
+use bdm_sim::workload::{benchmark_a, benchmark_b};
+use bdm_sim::{EnvironmentKind, SimParams, Simulation};
+use std::time::Instant;
+
+/// Repetitions behind every reported wall-clock median.
+pub const REPS: usize = 5;
+
+/// The median of `samples` (the upper one of an even count).
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
+}
+
+/// Median wall milliseconds of [`REPS`] calls of `f`.
+pub fn median_ms(mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    median(&mut times)
+}
+
+/// [`benchmark_a`]'s lattice under parameters of the caller's choosing
+/// (reorder policy, precision, shards — what `Simulation::new` reads and
+/// no setter changes afterwards).
+pub fn benchmark_a_with(
+    cells_per_dim: usize,
+    seed: u64,
+    params: impl FnOnce(SimParams) -> SimParams,
+) -> Simulation {
+    let lattice = benchmark_a(cells_per_dim, seed);
+    let mut sim = Simulation::new(params(lattice.params().clone()));
+    *sim.rm_mut() = lattice.rm().clone();
+    sim
+}
+
+/// Benchmark A (seed 0x8 — every System A row shares one trajectory)
+/// with the mechanical operation offloaded to System A's GPU.
+pub fn benchmark_a_offloaded(
+    scale: &BenchScale,
+    frontend: ApiFrontend,
+    version: KernelVersion,
+) -> Simulation {
+    let mut sim = benchmark_a(scale.a_cells_per_dim, 0x8);
+    sim.set_environment(EnvironmentKind::Gpu {
+        system: GpuSystem::A,
+        frontend,
+        version,
+        trace_sample: trace_sample_for(scale.a_cells(), scale.trace_budget),
+    });
+    sim
+}
+
+/// Benchmark B offloaded to System B's GPU through the CUDA frontend.
+pub fn benchmark_b_offloaded(
+    scale: &BenchScale,
+    agents: usize,
+    density: f64,
+    seed: u64,
+    version: KernelVersion,
+) -> Simulation {
+    let mut sim = benchmark_b(agents, density, seed);
+    sim.set_environment(EnvironmentKind::Gpu {
+        system: GpuSystem::B,
+        frontend: ApiFrontend::Cuda,
+        version,
+        trace_sample: trace_sample_for(agents, scale.trace_budget),
+    });
+    sim
+}
 
 /// Names of the profiler records that make up the mechanical
 /// interactions operation on the CPU paths.
@@ -112,8 +212,6 @@ pub fn trace_sample_for(agents: usize, budget: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdm_sim::workload::benchmark_a;
-    use bdm_sim::EnvironmentKind;
 
     #[test]
     fn trace_sample_scales() {

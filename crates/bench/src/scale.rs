@@ -20,6 +20,12 @@ pub struct BenchScale {
     pub trace_budget: u64,
 }
 
+impl Default for BenchScale {
+    fn default() -> Self {
+        Self::default_scale()
+    }
+}
+
 impl BenchScale {
     /// Default scale: finishes in minutes on one core.
     pub fn default_scale() -> Self {
@@ -47,7 +53,7 @@ impl BenchScale {
         }
     }
 
-    /// Tiny scale for `cargo bench` smoke runs and tests.
+    /// Tiny scale for smoke runs, the regression gate and tests.
     pub fn smoke() -> Self {
         Self {
             a_cells_per_dim: 8,
@@ -89,19 +95,19 @@ impl BenchScale {
         }
     }
 
-    /// `BDM_BENCH_SCALE=smoke|default|paper` selects a scale by name
-    /// (what `scripts/bench_gate.sh` uses); otherwise `BDM_PAPER_SCALE=1`
-    /// selects the paper scale; otherwise default.
-    pub fn from_env() -> Self {
-        if let Ok(name) = std::env::var("BDM_BENCH_SCALE") {
-            if let Some(s) = Self::named(&name) {
-                return s;
-            }
-        }
-        match std::env::var("BDM_PAPER_SCALE").as_deref() {
-            Ok("1") | Ok("true") => Self::paper_scale(),
-            _ => Self::default_scale(),
-        }
+    /// The scale `BDM_BENCH_SCALE` names: `smoke`, `default` or `paper`;
+    /// unset means `default`. Anything else is an error naming the
+    /// choices — a typo must not turn a smoke run into a default one.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        let name = value.unwrap_or("default");
+        Self::named(name)
+            .ok_or_else(|| format!("BDM_BENCH_SCALE={name:?}: expected smoke | default | paper"))
+    }
+
+    /// [`Self::parse`] over the process environment.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("BDM_BENCH_SCALE");
+        Self::parse(value.as_deref().map(|v| v.to_string_lossy()).as_deref())
     }
 
     /// Benchmark A population.
@@ -126,6 +132,17 @@ mod tests {
     fn default_is_smaller() {
         let d = BenchScale::default_scale();
         assert!(d.a_cells() < BenchScale::paper_scale().a_cells());
+    }
+
+    #[test]
+    fn the_environment_value_is_validated() {
+        assert_eq!(BenchScale::parse(None).unwrap().label(), "default");
+        assert_eq!(BenchScale::parse(Some("smoke")).unwrap().label(), "smoke");
+        assert_eq!(BenchScale::parse(Some("paper")).unwrap().label(), "paper");
+        for typo in ["smok", "", "Smoke", "1"] {
+            let err = BenchScale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains("smoke | default | paper"), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Table I regenerator: the benchmark system specifications.
 
+use crate::cli::Args;
 use crate::table;
 use bdm_device::specs::{SystemSpec, SYSTEM_A, SYSTEM_B};
+use std::process::ExitCode;
 
 /// Render Table I from the encoded specs.
 pub fn render() -> String {
@@ -37,6 +39,14 @@ pub fn render() -> String {
         ],
         &[row(&SYSTEM_A), row(&SYSTEM_B)],
     )
+}
+
+/// `table1`: regenerate the paper's Table I from the encoded machine
+/// specs.
+pub fn main(_: &Args) -> ExitCode {
+    println!("Table I: Specifications of the systems used for benchmarking\n");
+    println!("{}", render());
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

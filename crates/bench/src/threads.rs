@@ -11,28 +11,23 @@
 //! the same work counters at the same two thread counts, and measured ÷
 //! modeled. Informational: nothing here is gated.
 
-use bdm_bench::BenchScale;
+use crate::cli::Args;
+use crate::scale::BenchScale;
+use crate::{benchmark_a_with, median, REPS};
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
 use bdm_math::Vec3;
-use bdm_sim::workload::CELL_DIAMETER;
 use bdm_sim::{
-    Behavior, BoundaryCondition, CellBuilder, DiffusionParams, EnvironmentKind, Precision,
-    SimParams, Simulation,
+    BoundaryCondition, DiffusionParams, EnvironmentKind, Precision, SimParams, Simulation,
 };
-
-const REPS: usize = 5;
+use std::process::ExitCode;
 
 /// `workload::benchmark_a`'s lattice and division schedule, with the
-/// reorder policy and precision this table needs in the parameters.
+/// reorder policy and precision this table needs in the parameters, on
+/// the CSR grid, plus two diffusing substances.
 fn scene(cells_per_dim: usize, precision: Precision, field_res: usize) -> Simulation {
-    let spacing = CELL_DIAMETER / 1.5;
-    let half = spacing * cells_per_dim as f64 / 2.0 + CELL_DIAMETER;
-    let params = SimParams::cube(half)
-        .with_seed(0x8)
-        .with_reorder(1)
-        .with_precision(precision);
-    let mut sim = Simulation::new(params);
+    let params = |p: SimParams| p.with_reorder(1).with_precision(precision);
+    let mut sim = benchmark_a_with(cells_per_dim, 0x8, params);
     sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
     for name in ["oxygen", "glucose"] {
         let s = sim.add_diffusion_grid(DiffusionParams {
@@ -43,23 +38,6 @@ fn scene(cells_per_dim: usize, precision: Precision, field_res: usize) -> Simula
             boundary: BoundaryCondition::Closed,
         });
         sim.diffusion_grid_mut(s).secrete(Vec3::zero(), 100.0);
-    }
-    let origin = -spacing * (cells_per_dim as f64 - 1.0) / 2.0;
-    let at = |k: usize| origin + k as f64 * spacing;
-    for z in 0..cells_per_dim {
-        for y in 0..cells_per_dim {
-            for x in 0..cells_per_dim {
-                sim.add_cell(
-                    CellBuilder::new(Vec3::new(at(x), at(y), at(z)))
-                        .diameter(CELL_DIAMETER)
-                        .adherence(0.4)
-                        .behavior(Behavior::GrowthDivision {
-                            growth_rate: 45.0,
-                            division_threshold: 10.5,
-                        }),
-                );
-            }
-        }
     }
     sim
 }
@@ -90,17 +68,17 @@ fn run(
 
 /// Median and min–max of one operation's samples, in ms.
 fn spread(samples: &mut [f64]) -> (f64, f64, f64) {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let ms = |s: f64| s * 1e3;
+    let mid = median(samples); // leaves them sorted
     (
-        ms(samples[samples.len() / 2]),
-        ms(samples[0]),
-        ms(samples[samples.len() - 1]),
+        mid * 1e3,
+        samples[0] * 1e3,
+        samples[samples.len() - 1] * 1e3,
     )
 }
 
-fn main() {
-    let scale = BenchScale::from_env();
+/// `bench_threads`.
+pub fn main(args: &Args) -> ExitCode {
+    let scale = &args.scale;
     let model = CpuModel::new(SYSTEM_A.cpu);
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     let workers = rayon::current_num_threads();
@@ -112,15 +90,15 @@ fn main() {
     );
     if workers < 2 || nproc < 2 {
         println!("one worker or one processor: no scaling to measure on this host");
-        return;
+        return ExitCode::SUCCESS;
     }
     for precision in [Precision::F64, Precision::F32Simd] {
         // Alternate the two pools so drift in the host's load lands on both.
         let mut one: Vec<Vec<(String, f64, f64)>> = Vec::new();
         let mut many = Vec::new();
         for _ in 0..REPS {
-            one.push(run(&scale, precision, 1, &model));
-            many.push(run(&scale, precision, workers, &model));
+            one.push(run(scale, precision, 1, &model));
+            many.push(run(scale, precision, workers, &model));
         }
         println!("\n-- {} force pass --", precision.label());
         println!(
@@ -155,4 +133,5 @@ fn main() {
         "\nmodeled x = System A (Table I) roofline at 1 vs {workers} threads over the run's \
          recorded work counters; a serial-modeled phase reads 1.00."
     );
+    ExitCode::SUCCESS
 }

@@ -1,13 +1,11 @@
-//! Reproducibility checklist: run every experiment at the default scale
-//! and grade each of the paper's claims (✔ reproduced / ✗ failed), with
-//! the measured factor next to the paper's.
-//!
-//! ```bash
-//! cargo run --release -p bdm-bench --bin verify_reproduction
-//! ```
+//! Reproducibility checklist: run every experiment and grade each of
+//! the paper's claims (✔ reproduced / ✗ failed), with the measured
+//! factor next to the paper's.
 
-use bdm_bench::{dynpar, fig10, fig12, fig3, fig8, paper, BenchScale};
+use crate::cli::Args;
+use crate::{dynpar, fig10, fig12, fig3, fig8, paper};
 use bdm_gpu::pipeline::KernelVersion;
+use std::process::ExitCode;
 
 struct Check {
     claim: &'static str,
@@ -16,13 +14,16 @@ struct Check {
     pass: bool,
 }
 
-fn main() {
-    let scale = BenchScale::from_env();
+/// `verify_reproduction`: the checklist at the run's scale (the
+/// thresholds are set for the default one); exit code 1 if a claim
+/// fails.
+pub fn main(args: &Args) -> ExitCode {
+    let scale = &args.scale;
     let mut checks: Vec<Check> = Vec::new();
 
     // ---- Fig. 3 ----
     println!("[1/5] Fig. 3 profile…");
-    let f3 = fig3::run(&scale);
+    let f3 = fig3::run(scale);
     checks.push(Check {
         claim: "Fig. 3: mechanical interactions dominate the profile",
         paper: "87% of runtime".into(),
@@ -41,7 +42,7 @@ fn main() {
 
     // ---- Figs. 8/9 ----
     println!("[2/5] Figs. 8+9 benchmark A…");
-    let f8 = fig8::run(&scale);
+    let f8 = fig8::run(scale);
     let s = |label: &str| f8.seconds(label);
     let serial_ratio = s("kd-tree (serial)") / s("uniform grid (serial)");
     checks.push(Check {
@@ -91,8 +92,8 @@ fn main() {
 
     // ---- Figs. 10/11 ----
     println!("[3/5] Figs. 10+11 benchmark B…");
-    let lo = fig10::run_point(&scale, 6.0);
-    let hi = fig10::run_point(&scale, 47.0);
+    let lo = fig10::run_point(scale, 6.0);
+    let hi = fig10::run_point(scale, 47.0);
     checks.push(Check {
         claim: "Fig. 10: CPU thread scaling is marginal (16T → 64T)",
         paper: "marginal".into(),
@@ -122,7 +123,7 @@ fn main() {
 
     // ---- Fig. 12 ----
     println!("[4/5] Fig. 12 roofline…");
-    let f12 = fig12::run(&scale);
+    let f12 = fig12::run(scale);
     let near_roof = f12.roofline.points.iter().all(|p| {
         let att = f12.roofline.model.attainable(p.arithmetic_intensity, false);
         p.gflops * 1e9 > att * 0.2 && p.gflops * 1e9 <= att * (1.0 + 1e-9)
@@ -183,7 +184,7 @@ fn main() {
 
     // ---- Dynamic parallelism (future work) ----
     println!("[5/5] dynamic-parallelism ablation…");
-    let dp = dynpar::run_point(&scale, 6.0);
+    let dp = dynpar::run_point(scale, 6.0);
     checks.push(Check {
         claim: "§VI future work: dynpar breaks even at low density",
         paper: "hypothesized to help".into(),
@@ -212,6 +213,7 @@ fn main() {
         checks.len()
     );
     if failed > 0 {
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -38,11 +38,7 @@
 //!   `+ - * /` or `sqrt` — all exactly specified by IEEE 754, so results
 //!   are bitwise reproducible across machines. No FMA contraction (Rust
 //!   never contracts, and the AVX2 bodies use no fused intrinsic), no
-//!   fast-math. The two *opt-in* approximate ops
-//!   ([`F32x8::rsqrt_nr`], [`F32x8::recip_nr`]) trade that cross-machine
-//!   bitwise guarantee for divider-port-free throughput: ~2·10⁻⁷
-//!   relative error, same-build determinism only (the hardware seed
-//!   differs between AVX2 and the exact fallback).
+//!   fast-math, no approximate reciprocal seeds.
 //! * **Bitwise masking, not branching.** [`M32x8::select`] blends lanes
 //!   through bit operations on the raw `f32` representation, so a
 //!   masked-out lane contributes an exact `+0.0` even when its
@@ -285,6 +281,7 @@ const COMPACTED: [[u8; LANES]; 256] = {
 /// bounds-check branch is a side exit that forbids LLVM from vectorizing
 /// the load loop; the assert hoists the only side exit out of it, after
 /// which `min(last) < len` is provable and every lane's check drops.
+#[cfg(not(target_feature = "avx2"))]
 #[inline(always)]
 fn gather_clamped<T: Copy + Default>(src: &[T], idx: U32x8) -> [T; LANES] {
     assert!(!src.is_empty(), "gather from empty slice");
@@ -309,23 +306,11 @@ impl F32x8 {
         Self([0.0; LANES])
     }
 
-    /// Gather `src[idx[l]]` per lane. Out-of-range lanes clamp to the
-    /// last element instead of panicking: a per-lane bounds-check branch
-    /// is a side exit that forbids LLVM from vectorizing the load loop,
-    /// while the clamped form compiles to a hardware gather
-    /// (`vpgatherdd`-class) or a branchless scalar sequence. Callers
-    /// index with ids already validated against `src` (the clamp is a
-    /// no-op there); an empty `src` still panics.
-    #[inline(always)]
-    pub fn gather(src: &[f32], idx: U32x8) -> Self {
-        Self(gather_clamped(src, idx))
-    }
-
     /// Gather 8 packed `[f32; 4]` records and transpose them into four
     /// lane vectors — the CPU analogue of a `float4` gather on the GPU.
     /// One address computation and one 16-byte load per lane replaces
-    /// four scattered column touches; the clamp rule matches
-    /// [`F32x8::gather`].
+    /// four scattered column touches; out-of-range lanes clamp to the
+    /// last record, as in [`U32x8::gather`].
     ///
     /// On AVX2 targets this compiles to four hardware `vgatherdps`
     /// instructions — the one load shape LLVM cannot autovectorize from
@@ -425,76 +410,6 @@ impl F32x8 {
             }
             Self(out)
         })
-    }
-
-    /// Per-lane `≈ 1/√x` to ~2·10⁻⁷ relative error: hardware
-    /// reciprocal-square-root seed (`vrsqrtps`, ~12-bit) refined by one
-    /// Newton–Raphson step. `vsqrtps`/`vdivps` contend for the single
-    /// divider port and dominate a division-heavy inner loop; the seed +
-    /// refinement run on the ordinary multiply ports instead.
-    ///
-    /// Contract differences from the exact ops — callers must tolerate
-    /// both:
-    /// * `x = 0` yields **NaN**, not `inf` (the refinement multiplies the
-    ///   `inf` seed by `1.5 − 0·inf²`); mask such lanes out.
-    /// * Subnormal `x` is flushed to zero by the hardware seed (NaN out).
-    /// * On non-AVX2 targets the seed is the exactly-rounded `1/√x`, so
-    ///   values differ from the AVX2 build in the last ~2 ulp. Same-build
-    ///   results remain pure functions of the inputs on every target.
-    #[inline(always)]
-    pub fn rsqrt_nr(self) -> Self {
-        #[cfg(target_feature = "avx2")]
-        let seed = {
-            use core::arch::x86_64::*;
-            let mut out = [0.0f32; LANES];
-            // SAFETY: loadu/storeu move 8 lanes between the portable
-            // array and `__m256` with no alignment or validity
-            // assumptions beyond the array bounds, which are exact.
-            unsafe {
-                let v = _mm256_rsqrt_ps(_mm256_loadu_ps(self.0.as_ptr()));
-                _mm256_storeu_ps(out.as_mut_ptr(), v);
-            }
-            Self(out)
-        };
-        #[cfg(not(target_feature = "avx2"))]
-        let seed = {
-            let mut out = [0.0f32; LANES];
-            for l in 0..LANES {
-                out[l] = 1.0 / self.0[l].sqrt();
-            }
-            Self(out)
-        };
-        // One NR step for y ≈ 1/√x: y ← y·(1.5 − 0.5·x·y²).
-        seed * (Self::splat(1.5) - Self::splat(0.5) * self * seed * seed)
-    }
-
-    /// Per-lane `≈ 1/x` to ~1.5·10⁻⁷ relative error: hardware reciprocal
-    /// seed (`vrcpps`) plus one Newton–Raphson step. Same port rationale,
-    /// caveats, and cross-target contract as [`F32x8::rsqrt_nr`]
-    /// (`x = 0` → NaN after refinement).
-    #[inline(always)]
-    pub fn recip_nr(self) -> Self {
-        #[cfg(target_feature = "avx2")]
-        let seed = {
-            use core::arch::x86_64::*;
-            let mut out = [0.0f32; LANES];
-            // SAFETY: as in `rsqrt_nr` — bounds-exact loadu/storeu shims.
-            unsafe {
-                let v = _mm256_rcp_ps(_mm256_loadu_ps(self.0.as_ptr()));
-                _mm256_storeu_ps(out.as_mut_ptr(), v);
-            }
-            Self(out)
-        };
-        #[cfg(not(target_feature = "avx2"))]
-        let seed = {
-            let mut out = [0.0f32; LANES];
-            for l in 0..LANES {
-                out[l] = 1.0 / self.0[l];
-            }
-            Self(out)
-        };
-        // One NR step for y ≈ 1/x: y ← y·(2 − x·y).
-        seed * (Self::splat(2.0) - self * seed)
     }
 
     // The comparisons below are written as branchless
@@ -618,8 +533,9 @@ impl U32x8 {
     }
 
     /// Gather `src[idx[l]]` per lane (`vpgatherdd`); out-of-range lanes
-    /// clamp to the last element, as in [`F32x8::gather`]. `src` must
-    /// hold between 1 and `i32::MAX` elements.
+    /// clamp to the last element instead of panicking (callers index
+    /// with ids already validated against `src`, where the clamp is a
+    /// no-op). `src` must hold between 1 and `i32::MAX` elements.
     #[inline(always)]
     pub fn gather(src: &[u32], idx: Self) -> Self {
         lanes!(avx2::gather_epi32(src, idx), Self(gather_clamped(src, idx)))
@@ -680,13 +596,6 @@ impl U32x8 {
         }
         sum
     }
-
-    /// Sum over lanes of `|self[l] - rhs[l]|` as `u64` — the candidate
-    /// index-gap statistic of the fused CSR pass.
-    #[inline(always)]
-    pub fn abs_diff_sum(self, rhs: Self) -> u64 {
-        self.abs_diff(rhs).reduce_sum()
-    }
 }
 
 /// Lanewise *wrapping* add — the counter-accumulator op (index gaps,
@@ -709,12 +618,6 @@ impl Add for U32x8 {
 }
 
 impl M32x8 {
-    /// All lanes false.
-    #[inline(always)]
-    pub fn none() -> Self {
-        Self([0; LANES])
-    }
-
     /// Lanewise AND.
     #[inline(always)]
     pub fn and(self, rhs: Self) -> Self {
@@ -766,12 +669,6 @@ impl M32x8 {
             }
             U32x8(out)
         })
-    }
-
-    /// `true` if any lane is set.
-    #[inline(always)]
-    pub fn any(self) -> bool {
-        self.bits() != 0
     }
 
     /// Lanewise blend: `if mask { a } else { b }`, as *bit* operations on
@@ -826,7 +723,7 @@ impl F64x8 {
     }
 
     /// Gather `src[idx[l]]` per lane (two `vgatherdpd`); out-of-range
-    /// lanes clamp to the last element, as in [`F32x8::gather`]. `src`
+    /// lanes clamp to the last element, as in [`U32x8::gather`]. `src`
     /// must hold between 1 and `i32::MAX` elements.
     #[inline(always)]
     pub fn gather(src: &[f64], idx: U32x8) -> Self {
@@ -1001,27 +898,7 @@ mod tests {
         assert_eq!(gt.count(), 4);
         let sel = le.select(a, F32x8::zero());
         assert_eq!(sel.0, [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]);
-        assert!(le.any());
-        assert!(!M32x8::none().any());
         assert_eq!(le.and(gt).count(), 0);
-    }
-
-    #[test]
-    fn approximate_reciprocals_hit_newton_accuracy() {
-        let xs = F32x8([0.25, 1.0, 2.0, 16.0, 3.5e-3, 7.0e4, 123.456, 0.9]);
-        let rs = xs.rsqrt_nr();
-        let rc = xs.recip_nr();
-        for l in 0..LANES {
-            let x = xs.0[l] as f64;
-            let rel_rs = (rs.0[l] as f64 - 1.0 / x.sqrt()).abs() * x.sqrt();
-            let rel_rc = (rc.0[l] as f64 - 1.0 / x).abs() * x;
-            assert!(rel_rs < 1e-6, "rsqrt lane {l}: rel err {rel_rs}");
-            assert!(rel_rc < 1e-6, "recip lane {l}: rel err {rel_rc}");
-        }
-        // Documented zero-lane contract: NaN (not inf) after refinement,
-        // so a NaN-propagating caller masks it like any other garbage.
-        assert!(F32x8::zero().rsqrt_nr().0[0].is_nan());
-        assert!(F32x8::zero().recip_nr().0[0].is_nan());
     }
 
     #[test]
@@ -1029,7 +906,7 @@ mod tests {
         let a = F32x8([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let le = a.le(F32x8::splat(4.0));
         assert_eq!(le.ones().0, [1, 1, 1, 1, 0, 0, 0, 0]);
-        assert_eq!(M32x8::none().ones().0, [0; LANES]);
+        assert_eq!(M32x8([0; LANES]).ones().0, [0; LANES]);
         // Vertical accumulation over batches sums to the same total the
         // per-batch horizontal counts would give.
         let mut acc = U32x8::splat(0);
@@ -1054,7 +931,7 @@ mod tests {
             "-inf, 1.0, -1.0, 0.0; NaN/inf lanes fail"
         );
         assert_eq!(a.lt(r).count(), 4);
-        let masked = M32x8::none().select(a, F32x8::zero());
+        let masked = M32x8([0; LANES]).select(a, F32x8::zero());
         for l in 0..LANES {
             assert_eq!(masked.0[l].to_bits(), 0.0f32.to_bits(), "lane {l}");
         }
@@ -1090,15 +967,15 @@ mod tests {
     // The expected sum is written per-lane on purpose, zero terms included.
     #[allow(clippy::identity_op)]
     fn gather_and_ids() {
-        let src = [10.0f32, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0];
+        let src = [10u32, 11, 12, 13, 14, 15, 16, 17, 18];
         let idx = U32x8([8, 0, 3, 3, 1, 7, 2, 5]);
-        let g = F32x8::gather(&src, idx);
-        assert_eq!(g.0, [18.0, 10.0, 13.0, 13.0, 11.0, 17.0, 12.0, 15.0]);
+        let g = U32x8::gather(&src, idx);
+        assert_eq!(g.0, [18, 10, 13, 13, 11, 17, 12, 15]);
         let ids = U32x8::from_slice(&[4, 9, 2, 7, 4, 0, 1, 3]);
         let not_four = ids.ne(U32x8::splat(4));
         assert_eq!(not_four.count(), 6);
         assert_eq!(
-            ids.abs_diff_sum(U32x8::splat(4)),
+            ids.abs_diff(U32x8::splat(4)).reduce_sum(),
             0 + 5 + 2 + 3 + 0 + 4 + 3 + 1
         );
     }
@@ -1135,13 +1012,6 @@ mod tests {
             let want = if odd.0[l] != 0 { x.0[l] } else { y.0[l] };
             assert_eq!(sel.0[l].to_bits(), want.to_bits(), "select {l}");
         }
-    }
-
-    #[test]
-    fn gather_clamps_out_of_range_lanes() {
-        let src = [10.0f32, 11.0, 12.0];
-        let g = F32x8::gather(&src, U32x8([0, 1, 2, 3, 1000, u32::MAX, 2, 0]));
-        assert_eq!(g.0, [10.0, 11.0, 12.0, 12.0, 12.0, 12.0, 12.0, 10.0]);
     }
 
     #[test]

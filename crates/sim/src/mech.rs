@@ -1102,8 +1102,8 @@ impl LaneScratch {
 /// ops, because left to the `[T; 8]` array loops LLVM scalarises the
 /// four `U32x8` statistic accumulators across the batch loop and the
 /// staged body comes out *slower* than the gather it replaces. Exact
-/// IEEE `vsqrtps` / `vdivps` stay: a Newton-refined `rsqrt_nr` /
-/// `recip_nr` variant measured slower.
+/// IEEE `vsqrtps` / `vdivps` stay: a variant seeded by `vrsqrtps` /
+/// `vrcpps` with one Newton step measured slower.
 fn simd_lanes(
     rm: &ResourceManager,
     params: &SimParams,
@@ -1718,11 +1718,8 @@ mod tests {
     /// reorder op and the shard sort do.
     fn sort_along(rm: &mut ResourceManager, params: &SimParams, curve: bdm_morton::Curve) {
         let radius = interaction_radius(rm, params);
-        let (xs, ys, zs) = rm.position_columns();
-        let cells = bdm_morton::cell_keys(xs, ys, zs, &params.space, radius, curve);
-        let keys: Vec<(u64, u64)> = cells.into_iter().zip(rm.uid_column().to_vec()).collect();
-        let perm = bdm_soa::Permutation::sorting_by_key(&keys);
-        rm.apply_permutation(&perm, &mut crate::rm::ReorderScratch::default());
+        let mut scratch = crate::rm::ReorderScratch::default();
+        rm.sort_storage(&params.space, radius, curve, &mut scratch, None);
     }
 
     /// Everything a `MechWork` reports except wall clocks, as one
@@ -2074,8 +2071,8 @@ mod tests {
                     // The batch is latency-bound, not port-bound
                     // (measured IPC ≈ 0.5 — the gathers dominate),
                     // so exact IEEE `vsqrtps`/`vdivps` cost nothing
-                    // extra: a Newton-refined `rsqrt_nr`/`recip_nr`
-                    // variant of this block measured *slower* by
+                    // extra: a variant of this block on Newton-refined
+                    // `vrsqrtps`/`vrcpps` seeds measured *slower* by
                     // lengthening the dependency chain. The two
                     // divisions do fold into one algebraically:
                     // with r_eff = r1·rj/sum_r,

@@ -25,12 +25,13 @@ use crate::exec::ExecutionContext;
 use crate::mech::{self, MechScratch, MechWork};
 use crate::param::{Precision, SimParams};
 use crate::profiler::OpRecord;
-use crate::rm::{AgentChunkMut, AgentRow, AgentShared, ReorderScratch, ResourceManager};
+use crate::rm::{
+    sort_phase, AgentChunkMut, AgentRow, AgentShared, ReorderScratch, ResourceManager,
+};
 use crate::shard::ShardedEnvironment;
 use bdm_device::cpu::Phase;
 use bdm_gpu::pipeline::MechanicalPipeline;
 use bdm_math::{SplitMix64, Vec3};
-use bdm_soa::Permutation;
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -127,7 +128,6 @@ pub fn wall_record(name: &str, wall_s: f64) -> OpRecord {
 /// trajectory (pinned by the purity proptests).
 #[derive(Debug, Default)]
 pub struct ReorderOp {
-    keys: Vec<(u64, u64)>,
     scratch: ReorderScratch,
 }
 
@@ -152,36 +152,18 @@ impl Operation for ReorderOp {
             // The sort buys gather locality; the CSR sweep takes its
             // voxel grouping from the grid itself (`mech::VoxelGroups`).
             let radius = mech::interaction_radius(ctx.rm, ctx.params);
-            let (xs, ys, zs) = ctx.rm.position_columns();
-            let cells = bdm_morton::cell_keys(
-                xs,
-                ys,
-                zs,
+            moved = ctx.rm.sort_storage(
                 &ctx.params.space,
                 radius,
                 ctx.params.reorder.curve,
+                &mut self.scratch,
+                None,
             );
-            self.keys.clear();
-            self.keys
-                .extend(cells.into_iter().zip(ctx.rm.uid_column().iter().copied()));
-            // Identity fast path: an O(n) sortedness scan skips the
-            // argsort *and* every column gather when nothing drifted.
-            if !self.keys.is_sorted() {
-                let perm = Permutation::sorting_by_key(&self.keys);
-                ctx.rm.apply_permutation(&perm, &mut self.scratch);
-                moved = n as u64;
-            }
         }
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),
-            // Key computation + argsort + (amortized) column gathers.
-            phases: vec![Phase::parallel_fp64(
-                "reorder",
-                30.0 * n as f64,
-                32.0 * n as f64 + 136.0 * moved as f64,
-                moved as f64,
-            )],
+            phases: vec![sort_phase("reorder", n, moved, true)],
             gpu: None,
         }]
     }

@@ -30,7 +30,9 @@
 
 use crate::behavior::Behavior;
 use crate::cell::CellBuilder;
-use bdm_math::Vec3;
+use bdm_device::cpu::Phase;
+use bdm_math::{Aabb, Vec3};
+use bdm_morton::Curve;
 use bdm_soa::{Column, Permutation, SoaVec3, Vec3ChunkMut};
 use std::collections::HashMap;
 use std::mem::size_of;
@@ -38,12 +40,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reusable scratch buffers for [`ResourceManager::apply_permutation`]:
 /// one per element type, cascaded across all columns of that type, so a
-/// steady-state reorder allocates nothing.
+/// steady-state reorder allocates nothing — and the `(voxel key, uid)`
+/// staging of [`ResourceManager::sort_storage`].
 #[derive(Debug, Default)]
 pub struct ReorderScratch {
     f64s: Vec<f64>,
     u64s: Vec<u64>,
     u32s: Vec<u32>,
+    pairs: Vec<(u64, u64)>,
+}
+
+/// The modeled cost of one [`ResourceManager::sort_storage`] over `n`
+/// agents of which `moved` were gathered: key computation + argsort +
+/// (amortized) column gathers.
+pub(crate) fn sort_phase(name: &'static str, n: usize, moved: u64, parallel: bool) -> Phase {
+    Phase {
+        parallel,
+        ..Phase::parallel_fp64(
+            name,
+            30.0 * n as f64,
+            32.0 * n as f64 + 136.0 * moved as f64,
+            moved as f64,
+        )
+    }
 }
 
 /// The distinct behavior lists of a population (see the module docs).
@@ -376,6 +395,40 @@ impl ResourceManager {
         self.adherences.permute(perm, &mut scratch.f64s);
         self.uids.permute(perm, &mut scratch.u64s);
         self.behavior_ids.permute(perm, &mut scratch.u32s);
+    }
+
+    /// Sort storage by the pair `(curve key of the agent's voxel in a
+    /// grid of `space` cut at edge `cell_len`, uid)` — a strict total
+    /// order, so the layout is a pure function of per-agent state, and
+    /// within a voxel ascending uid, the order a never-sorted run stores.
+    /// Returns how many agents were gathered: an O(n) sortedness scan
+    /// skips the argsort *and* every column gather when nothing drifted.
+    /// `sorted_keys`, when asked for, receives every agent's voxel key
+    /// in the storage order the call leaves.
+    pub fn sort_storage(
+        &mut self,
+        space: &Aabb<f64>,
+        cell_len: f64,
+        curve: Curve,
+        scratch: &mut ReorderScratch,
+        sorted_keys: Option<&mut Vec<u64>>,
+    ) -> u64 {
+        let (xs, ys, zs) = self.position_columns();
+        let cells = bdm_morton::cell_keys(xs, ys, zs, space, cell_len, curve);
+        let pairs = &mut scratch.pairs;
+        pairs.clear();
+        pairs.extend(cells.into_iter().zip(self.uid_column().iter().copied()));
+        let perm = (!pairs.is_sorted()).then(|| Permutation::sorting_by_key(pairs));
+        if let Some(keys) = sorted_keys {
+            keys.clear();
+            match &perm {
+                None => keys.extend(pairs.iter().map(|&(k, _)| k)),
+                Some(p) => keys.extend(p.gather_indices().iter().map(|&s| pairs[s as usize].0)),
+            }
+        }
+        let Some(perm) = perm else { return 0 };
+        self.apply_permutation(&perm, scratch);
+        self.len() as u64
     }
 
     /// Position of agent `i`.

@@ -37,12 +37,11 @@
 
 use crate::mech::{self, CsrParts, MechScratch, MechWork};
 use crate::param::SimParams;
-use crate::rm::{ReorderScratch, ResourceManager};
-use bdm_device::cpu::Phase;
+use crate::rm::{sort_phase, ReorderScratch, ResourceManager};
 use bdm_grid::{CsrBuildScratch, CsrGrid, GridGeometry};
 use bdm_math::Aabb;
 use bdm_morton::{cell_keys, hilbert_decode3, hilbert_encode3, Curve, ShardMap};
-use bdm_soa::{AgentId, Permutation};
+use bdm_soa::AgentId;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
@@ -71,8 +70,6 @@ pub struct ShardedEnvironment {
     /// Hilbert voxel key of every agent, in (sorted) storage order —
     /// refreshed by [`Self::step`] after the sort.
     keys: Vec<u64>,
-    /// `(key, uid)` sort staging.
-    pairs: Vec<(u64, u64)>,
     sort_scratch: ReorderScratch,
     shards: Vec<ShardState>,
     /// Flat voxel index → Hilbert key, rebuilt when the grid dims
@@ -98,7 +95,6 @@ impl ShardedEnvironment {
         Self {
             map: ShardMap::even(count),
             keys: Vec::new(),
-            pairs: Vec::new(),
             sort_scratch: ReorderScratch::default(),
             shards: Vec::new(),
             key_of_voxel: Vec::new(),
@@ -265,27 +261,13 @@ impl ShardedEnvironment {
         // order); this is what makes the sharded pass bitwise-equal to
         // the unsharded baseline rather than merely equivalent.
         let t0 = Instant::now();
-        {
-            let (xs, ys, zs) = rm.position_columns();
-            let cells = cell_keys(xs, ys, zs, &space, radius, Curve::Hilbert);
-            self.pairs.clear();
-            self.pairs
-                .extend(cells.into_iter().zip(rm.uid_column().iter().copied()));
-        }
-        let mut moved = 0u64;
-        self.keys.clear();
-        if self.pairs.is_sorted() {
-            self.keys.extend(self.pairs.iter().map(|&(k, _)| k));
-        } else {
-            let perm = Permutation::sorting_by_key(&self.pairs);
-            self.keys.extend(
-                perm.gather_indices()
-                    .iter()
-                    .map(|&s| self.pairs[s as usize].0),
-            );
-            rm.apply_permutation(&perm, &mut self.sort_scratch);
-            moved = n as u64;
-        }
+        let moved = rm.sort_storage(
+            &space,
+            radius,
+            Curve::Hilbert,
+            &mut self.sort_scratch,
+            Some(&mut self.keys),
+        );
         let wall_sort = t0.elapsed().as_secs_f64();
 
         // Phase 2: shard ranges, then per-shard grids with ghost halos.
@@ -373,20 +355,7 @@ impl ShardedEnvironment {
         // in the machine model; the sort is a global rayon argsort.
         let shard_parallel = parallel && self.map.shards() > 1;
         let timed = vec![
-            // Key computation + argsort + (amortized) column gathers —
-            // the same model as the host reorder op, because it is the
-            // same work.
-            (
-                Phase {
-                    name: "shard sort",
-                    flops: 30.0 * n as f64,
-                    bytes: 32.0 * n as f64 + 136.0 * moved as f64,
-                    random_accesses: moved as f64,
-                    parallel,
-                    fp64: true,
-                },
-                wall_sort,
-            ),
+            (sort_phase("shard sort", n, moved, parallel), wall_sort),
             // The counting-sort build streams owned + halo members.
             (
                 mech::csr_build_phase(members_total, false, shard_parallel),

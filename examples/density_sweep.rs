@@ -59,5 +59,5 @@ fn main() {
         );
     }
     println!("\nThe GPU's modeled advantage is the paper's Figs. 10/11; run");
-    println!("`cargo run -p bdm-bench --bin fig10_fig11` for the full comparison.");
+    println!("`cargo run -p bdm-bench -- fig10_fig11` for the full comparison.");
 }

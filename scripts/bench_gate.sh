@@ -31,21 +31,26 @@
 # +/-2 %) and the System A modeled engine times
 # (diffusion.modeled_ms, diffusion.speedup_modeled_x at +/-2 %), while
 # diffusion.step_wall_ms / diffusion.batch_wall_ms are informational;
-# the bench binary itself asserts scalar-vs-SIMD bitwise parity and the
-# >=1.5x modeled 64^3 speedup before emitting anything.
-# To re-baseline after an intentional perf change:
-#   BDM_BENCH_SCALE=smoke cargo run --release -p bdm-bench --bin bench_json -- --out=results
-#   BDM_BENCH_SCALE=smoke cargo run --release -p bdm-bench --bin bench_layouts -- --json=results
-#   BDM_BENCH_SCALE=smoke cargo run --release -p bdm-bench --bin bench_checkpoint -- --json=results
-#   BDM_BENCH_SCALE=smoke cargo run --release -p bdm-bench --bin bench_diffusion -- --json=results
+# the bench_diffusion command itself asserts scalar-vs-SIMD bitwise
+# parity and the >=1.5x modeled 64^3 speedup before emitting anything.
+# To re-baseline after an intentional perf change (after
+# `cargo build --release --offline -p bdm-bench`):
+#   BDM_BENCH_SCALE=smoke target/release/bdm-bench bench_json --out=results
+#   BDM_BENCH_SCALE=smoke target/release/bdm-bench bench_layouts --json=results
+#   BDM_BENCH_SCALE=smoke target/release/bdm-bench bench_checkpoint --json=results
+#   BDM_BENCH_SCALE=smoke target/release/bdm-bench bench_diffusion --json=results
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FRESH="$(mktemp -d)"
 trap 'rm -rf "$FRESH"' EXIT
 
-BDM_BENCH_SCALE=smoke cargo run --release --offline -p bdm-bench --bin bench_json -- --out="$FRESH"
-BDM_BENCH_SCALE=smoke cargo run --release --offline -p bdm-bench --bin bench_layouts -- --json="$FRESH"
-BDM_BENCH_SCALE=smoke cargo run --release --offline -p bdm-bench --bin bench_checkpoint -- --json="$FRESH"
-BDM_BENCH_SCALE=smoke cargo run --release --offline -p bdm-bench --bin bench_diffusion -- --json="$FRESH"
-cargo run --release --offline -p bdm-bench --bin bench_gate -- --baseline=results --fresh="$FRESH" "$@"
+# One build, five runs of the one binary.
+cargo build --release --offline -p bdm-bench
+BENCH="${CARGO_TARGET_DIR:-target}/release/bdm-bench"
+export BDM_BENCH_SCALE=smoke
+"$BENCH" bench_json --out="$FRESH"
+"$BENCH" bench_layouts --json="$FRESH"
+"$BENCH" bench_checkpoint --json="$FRESH"
+"$BENCH" bench_diffusion --json="$FRESH"
+"$BENCH" bench_gate --baseline=results --fresh="$FRESH" "$@"

@@ -13,6 +13,7 @@ OWN_PACKAGES=(
   bdm-kdtree
   bdm-grid
   bdm-device
+  bdm-metrics
   bdm-gpu
   bdm-sim
   bdm-roofline

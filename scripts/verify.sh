@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, test, lint — the gate every PR must pass.
-# Fully offline: all third-party crates are vendored under crates/vendor.
+# Fully offline: all third-party crates are vendored under vendor/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,3 +73,4 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # the simplification PRs report against.
 ./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs crates/sim/src/diffusion.rs
 ./scripts/loc.sh crates/sim/src/{rm,exec,operation,checkpoint}.rs crates/soa/src/{column,perm}.rs
+./scripts/loc.sh crates/bench/src

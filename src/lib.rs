@@ -46,9 +46,9 @@
 //! | [`sim`] | the agent-based platform: behaviors, scheduler, environments, diffusion |
 //! | [`roofline`] | ERT + roofline analysis (Fig. 12) |
 //!
-//! Every figure and table of the paper has a regenerator binary in the
-//! `bdm-bench` crate — see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! Every figure and table of the paper has a regenerator command in the
+//! `bdm-bench` crate's one binary — see `DESIGN.md` for the experiment
+//! index and `EXPERIMENTS.md` for paper-vs-measured results.
 
 pub use bdm_device as device;
 pub use bdm_gpu as gpu;
