@@ -76,9 +76,8 @@ pub fn gpu(args: &Args) -> ExitCode {
             c.arithmetic_intensity()
         );
         println!(
-            "   simulator host cost: exec={:.1}ms coalesce={:.1}ms drain={:.1}ms",
+            "   simulator host cost: exec+log={:.1}ms drain={:.1}ms",
             g.host.exec_s * 1e3,
-            g.host.coalesce_s * 1e3,
             g.host.drain_s * 1e3
         );
         println!(

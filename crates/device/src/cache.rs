@@ -9,20 +9,19 @@
 //! across densities, §VI).
 //!
 //! Real GPU L2s are physically partitioned into slices addressed by a hash
-//! of the line address; [`ShardedCache`] mirrors that with one
-//! `parking_lot::Mutex` per slice. Nothing is parallel today: the engine
-//! executes kernel threads, coalesces warps and drains transactions into
-//! this cache on the one calling thread (no `par_*` call exists in
-//! `bdm-gpu` or this crate), and concurrent launches on one `GpuDevice`
-//! serialize on its scratch arena, so these locks are never contended.
-//! The drain must also *stay* one ordered stream — an LRU cache's hit
-//! count depends on the sequence of lines it sees — so what could fork
-//! later is the per-block execute + coalesce phase in front of it, not
-//! the accesses to this cache. The slices model the hardware's
-//! partitioning (and keep `ShardedCache: Sync` for callers that share a
-//! device); they are not a parallel-simulation mechanism.
-
-use parking_lot::Mutex;
+//! of the line address; [`ShardedCache`] mirrors that partitioning with
+//! one [`CacheSim`] per slice and nothing else: it is plain data behind
+//! `&mut`. The SIMT engine keeps it under the one lock a launch already
+//! takes, so a transaction costs no lock of its own, and line, set and
+//! slice come out of shifts and masks fixed in `new` (line size, set count
+//! and slice count are powers of two), never a runtime division.
+//!
+//! The cache must see *one ordered stream* — an LRU cache's hit count
+//! depends on the sequence of lines it sees — so whatever forks later is
+//! the per-block execution in front of the drain, not the accesses to
+//! this cache. (`bdm-device`'s `parking_lot` edge in `Cargo.toml` is idle
+//! since the per-slice mutexes went; it stays listed only because the
+//! lock files record it — ROADMAP item 1 (d).)
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +70,10 @@ impl CacheStats {
 /// simulation speed, not realism of replacement metadata.
 #[derive(Debug)]
 pub struct CacheSim {
-    line_bytes: u64,
-    sets: usize,
+    /// `log2` of the line size: `addr >> line_shift` is the line address.
+    line_shift: u32,
+    /// `sets - 1`; the set count is a power of two.
+    set_mask: usize,
     ways: usize,
     /// `tags[set * ways + way]` = line address or `u64::MAX` when invalid.
     tags: Vec<u64>,
@@ -94,8 +95,8 @@ impl CacheSim {
         // Round down to a power of two so the set index is a mask.
         let sets = 1usize << (usize::BITS - 1 - raw_sets.leading_zeros());
         Self {
-            line_bytes: line_bytes as u64,
-            sets,
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
             ways,
             tags: vec![u64::MAX; sets * ways],
             stamps: vec![0; sets * ways],
@@ -106,45 +107,38 @@ impl CacheSim {
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets
+        self.set_mask + 1
     }
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
     /// Access the line containing `addr`.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         self.clock += 1;
-        let line = addr / self.line_bytes;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.ways;
-        let ways = &mut self.tags[base..base + self.ways];
-        // Hit?
-        for (w, tag) in ways.iter().enumerate() {
-            if *tag == line {
-                self.stamps[base + w] = self.clock;
-                self.stats.hits += 1;
-                return AccessOutcome::Hit;
-            }
+        let line = addr >> self.line_shift;
+        let base = (line as usize & self.set_mask) * self.ways;
+        let tags = &mut self.tags[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        // A line sits in at most one way, so the scan needs no early exit
+        // (an unpredictable branch): the compiler vectorises it.
+        let hit = (0..tags.len()).fold(usize::MAX, |hit, w| if tags[w] == line { w } else { hit });
+        if hit != usize::MAX {
+            stamps[hit] = self.clock;
+            self.stats.hits += 1;
+            return AccessOutcome::Hit;
         }
-        // Miss: fill LRU way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.ways {
-            let s = self.stamps[base + w];
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if s < oldest {
-                oldest = s;
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
+        // Miss: fill the first invalid way, else the least recently used
+        // (an invalid way's stamp is 0 and every valid way's is ≥ 1, and
+        // `min_by_key` returns the first minimum).
+        let victim = (0..tags.len())
+            .min_by_key(|&w| stamps[w])
+            .expect("a cache has at least one way");
+        tags[victim] = line;
+        stamps[victim] = self.clock;
         self.stats.misses += 1;
         AccessOutcome::Miss
     }
@@ -163,51 +157,56 @@ impl CacheSim {
     }
 }
 
-/// An L2 cache partitioned into address-hashed slices, each behind its own
-/// mutex — the partitioning of a real GPU L2. The SIMT engine feeds it
-/// one ordered stream from one thread (see the module docs).
+/// An L2 cache partitioned into address-hashed slices — the partitioning
+/// of a real GPU L2. The SIMT engine feeds it one ordered stream (see the
+/// module docs).
 #[derive(Debug)]
 pub struct ShardedCache {
-    shards: Vec<Mutex<CacheSim>>,
-    line_bytes: u64,
+    shards: Vec<CacheSim>,
+    line_shift: u32,
+    /// `shards.len() - 1`; the slice count is a power of two.
+    shard_mask: usize,
 }
 
 impl ShardedCache {
-    /// Split `capacity_bytes` across `shards` slices.
+    /// Split `capacity_bytes` across `shards` slices (a power of two).
     pub fn new(capacity_bytes: u64, ways: u32, line_bytes: u32, shards: usize) -> Self {
-        assert!(shards >= 1);
+        assert!(
+            shards.is_power_of_two(),
+            "the slice index is a mask: {shards} slices is not a power of two"
+        );
         let per_shard = (capacity_bytes / shards as u64).max(line_bytes as u64 * ways as u64);
         Self {
             shards: (0..shards)
-                .map(|_| Mutex::new(CacheSim::new(per_shard, ways, line_bytes)))
+                .map(|_| CacheSim::new(per_shard, ways, line_bytes))
                 .collect(),
-            line_bytes: line_bytes as u64,
+            line_shift: line_bytes.trailing_zeros(),
+            shard_mask: shards - 1,
         }
     }
 
     /// Access the line containing `addr` through its slice.
-    pub fn access(&self, addr: u64) -> AccessOutcome {
-        let line = addr / self.line_bytes;
+    #[inline]
+    pub fn access(&mut self, addr: u64) -> AccessOutcome {
+        let line = addr >> self.line_shift;
         // Simple multiplicative hash → slice id; keeps neighboring lines in
         // different slices the way real partition hashes do.
-        let shard = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % self.shards.len();
-        self.shards[shard].lock().access(addr)
+        let shard = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize & self.shard_mask;
+        self.shards[shard].access(addr)
     }
 
     /// Aggregate counters across slices.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in &self.shards {
-            total.merge(&s.lock().stats());
+            total.merge(&s.stats());
         }
         total
     }
 
     /// Invalidate all slices and zero all counters.
-    pub fn reset(&self) {
-        for s in &self.shards {
-            s.lock().reset();
-        }
+    pub fn reset(&mut self) {
+        self.shards.iter_mut().for_each(CacheSim::reset);
     }
 }
 
@@ -289,7 +288,7 @@ mod tests {
 
     #[test]
     fn sharded_aggregates_stats() {
-        let c = ShardedCache::new(64 * 1024, 8, 128, 8);
+        let mut c = ShardedCache::new(64 * 1024, 8, 128, 8);
         for i in 0..100u64 {
             c.access(i * 128);
         }
@@ -302,20 +301,30 @@ mod tests {
         assert_eq!(s.hits, 100);
     }
 
+    /// The cache is plain data: threads share it the way `GpuDevice`
+    /// does, behind one lock around the whole thing.
     #[test]
     fn sharded_is_usable_from_threads() {
-        let c = std::sync::Arc::new(ShardedCache::new(64 * 1024, 8, 128, 4));
+        let c = std::sync::Mutex::new(ShardedCache::new(64 * 1024, 8, 128, 4));
         std::thread::scope(|s| {
             for t in 0..4 {
-                let c = c.clone();
+                let c = &c;
                 s.spawn(move || {
                     for i in 0..1000u64 {
-                        c.access((t * 1_000_000 + i) * 128);
+                        c.lock()
+                            .expect("no thread panics holding the lock")
+                            .access((t * 1_000_000 + i) * 128);
                     }
                 });
             }
         });
-        assert_eq!(c.stats().accesses(), 4000);
+        assert_eq!(c.into_inner().unwrap().stats().accesses(), 4000);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn a_slice_count_that_is_not_a_power_of_two_is_refused() {
+        ShardedCache::new(64 * 1024, 8, 128, 12);
     }
 
     #[test]

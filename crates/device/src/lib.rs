@@ -9,8 +9,8 @@
 //! * [`specs`] encodes Table I verbatim — clock rates, core counts,
 //!   memory bandwidths, FP32/FP64 throughput, cache sizes.
 //! * [`cache`] is a set-associative LRU cache simulator used by the GPU
-//!   simulator's L2 model (sharded by address like a real GPU's L2
-//!   slices so warps can be simulated in parallel).
+//!   simulator's L2 model (sliced by address hash like a real GPU's
+//!   L2; plain data behind `&mut`, fed one ordered stream).
 //! * [`cpu`] is an analytic multicore timing model (roofline-style:
 //!   compute / bandwidth / memory-latency terms, NUMA-aware thread
 //!   scaling) fed by per-phase work counters.

@@ -2,11 +2,95 @@
 
 use bdm_device::cpu::{CpuModel, Phase};
 use bdm_device::specs::{SYSTEM_A, SYSTEM_B};
-use bdm_device::{AccessOutcome, CacheSim};
+use bdm_device::{AccessOutcome, CacheSim, ShardedCache};
 use proptest::prelude::*;
+
+/// The sliced L2 as it was before its index arithmetic became shifts and
+/// masks, kept verbatim as the oracle: line by division, slice by
+/// hash-and-modulo, an explicit first-invalid-else-LRU victim scan.
+struct ParentL2 {
+    line_bytes: u64,
+    sets: usize,
+    ways: usize,
+    /// Per slice: (`tags`, `stamps`, `clock`).
+    slices: Vec<(Vec<u64>, Vec<u64>, u64)>,
+}
+
+impl ParentL2 {
+    fn new(capacity_bytes: u64, ways: u32, line_bytes: u32, slices: usize) -> Self {
+        let per_slice = (capacity_bytes / slices as u64).max(line_bytes as u64 * ways as u64);
+        let ways = ways as usize;
+        let lines = (per_slice / line_bytes as u64).max(ways as u64) as usize;
+        let raw_sets = (lines / ways).max(1);
+        let sets = 1usize << (usize::BITS - 1 - raw_sets.leading_zeros());
+        Self {
+            line_bytes: line_bytes as u64,
+            sets,
+            ways,
+            slices: vec![(vec![u64::MAX; sets * ways], vec![0; sets * ways], 0); slices],
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> AccessOutcome {
+        let line = addr / self.line_bytes;
+        let slice = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % self.slices.len();
+        let (tags, stamps, clock) = &mut self.slices[slice];
+        *clock += 1;
+        let base = (line as usize & (self.sets - 1)) * self.ways;
+        for w in 0..self.ways {
+            if tags[base + w] == line {
+                stamps[base + w] = *clock;
+                return AccessOutcome::Hit;
+            }
+        }
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for w in 0..self.ways {
+            if tags[base + w] == u64::MAX {
+                victim = w;
+                break;
+            }
+            if stamps[base + w] < oldest {
+                oldest = stamps[base + w];
+                victim = w;
+            }
+        }
+        tags[base + victim] = line;
+        stamps[base + victim] = *clock;
+        AccessOutcome::Miss
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Shift-and-mask indexing picks the line, slice, set and victim the
+    /// divisions and the modulo picked: every access of a random stream
+    /// (a hot window that evicts constantly, and addresses anywhere) has
+    /// the parent's outcome, across a reset.
+    #[test]
+    fn sharded_cache_matches_the_parent_slice_choice(
+        hot in proptest::collection::vec(0u64..64 * 1024, 1..600),
+        wide in proptest::collection::vec(any::<u64>(), 0..100),
+        ways in 1u32..=16,
+        line_log in 5u32..=8,
+        slices_log in 0u32..=4,
+        capacity_kb in 1u64..64,
+    ) {
+        let (line_bytes, slices) = (1u32 << line_log, 1usize << slices_log);
+        let mut cache = ShardedCache::new(capacity_kb * 1024, ways, line_bytes, slices);
+        let mut parent = ParentL2::new(capacity_kb * 1024, ways, line_bytes, slices);
+        for round in 0..2 {
+            for &addr in hot.iter().chain(&wide).chain(&hot) {
+                prop_assert_eq!(cache.access(addr), parent.access(addr), "addr {}", addr);
+            }
+            prop_assert_eq!(cache.stats().accesses(), (2 * hot.len() + wide.len()) as u64);
+            if round == 0 {
+                cache.reset();
+                parent = ParentL2::new(capacity_kb * 1024, ways, line_bytes, slices);
+            }
+        }
+    }
 
     /// For any access stream: hits + misses = accesses, and re-running
     /// the identical stream on a warmed cache can only improve hits.

@@ -20,28 +20,39 @@
 //!   are charged extra warp cycles.
 //!
 //! Execution is sequential on the calling thread — kernel threads, the
-//! coalescer and the L2 drain alike; nothing here forks — and fully
-//! deterministic: identical inputs give identical counters, which the
-//! tests rely on.
+//! coalescing they do as they log, and the L2 drain alike; nothing here
+//! forks — and fully deterministic: identical inputs give identical
+//! counters, which the tests rely on.
 //!
-//! # The trace path allocates nothing in steady state
+//! # Coalescing happens where the access is logged
 //!
-//! Everything a launch needs between warps lives in one device-owned
-//! `TraceArena`, locked once per launch and grown on first use:
+//! Everything a launch needs lives in one device-owned `TraceArena`,
+//! locked once per launch and grown on first use, so the trace path
+//! allocates nothing in steady state. Its core is a table of **per-key
+//! buckets**: one list of segment ids per slot key, holding that key's
+//! transactions of the *whole batch*.
 //!
-//! * **Coalescing is a merge, not a map.** A lane's slot keys never
-//!   decrease (see `Access`), so the warp's slots come out of a k-way
-//!   merge over the lanes' access lists. Per slot the lanes are visited
-//!   in lane order, so its segments are stored in *first appearance,
-//!   lane-major* order.
-//! * **The batch is three flat vectors.** `segs` holds every slot's
-//!   segments back to back, `slot_ends[i]` is slot `i`'s end offset, and
-//!   `order[i] = key << 32 | i`. Slots are appended warp after warp, so
-//!   sorting `order` as plain integers is the drain order: all warps'
-//!   slot-0 transactions, then slot-1, … — ties broken by warp.
+//! * **An access is written once.** `ThreadCtx::log_access` finds its
+//!   key's bucket and appends the access's segment unless the part of the
+//!   bucket this warp has written (`Bucket::start..`, found by a per-warp
+//!   generation stamp) already holds it. Lanes execute in lane order, so
+//!   a slot's segments land in *first appearance, lane-major* order; warps
+//!   retire in order, so a bucket is *warp-major*. No per-lane access
+//!   list, no merge, no copy into a batch.
+//! * **The buckets are the drain order.** `drain_batch` sorts the short
+//!   list of keys the batch touched and streams each bucket through the
+//!   L2: all warps' slot-0 transactions, then slot-1, … — ties broken by
+//!   warp. Nothing per transaction is sorted or gathered.
+//! * **Atomics** also go to a per-warp `(key, address)` list; sorted at
+//!   retire, its duplicate runs are the serialized operations.
 //!
 //! Both orders are the L2 model's *input* — an LRU cache's hit count
-//! depends on the exact sequence of lines it sees — and must not change.
+//! depends on the exact sequence of lines it sees — and must not change:
+//! the table is a different way of producing the stream the
+//! `BTreeMap`-per-warp coalescer in the tests produces, not a different
+//! stream. It is also what a worker would hand back if blocks ever ran in
+//! parallel: a bucket set is a value, and concatenating the workers'
+//! buckets per key in block order is this stream again.
 
 use crate::counters::KernelCounters;
 use crate::mem::{DeviceBuffer, DeviceWord};
@@ -160,24 +171,9 @@ impl BlockShared {
     }
 }
 
-/// One global-memory access in a lane's trace, tagged with its *slot
-/// key*: (loop iteration << 8) | intra-iteration index. Lanes of a warp
-/// executing the same static load in the same loop iteration share a
-/// slot key — the coalescer merges exactly those accesses, like real
-/// SIMT hardware merges the lanes of one memory instruction.
-///
-/// **Invariant the coalescer's merge relies on:** within one lane's
-/// record the keys never decrease — `slot` only grows and `sub` restarts
-/// only when it does (`log_access` asserts it). They are strictly
-/// increasing except at the saturation point: the intra-slot index is
-/// clamped to 255, so the 256th and every later access of one slot share
-/// key `slot << 8 | 255` and coalesce as if they were one instruction.
-#[derive(Debug, Clone, Copy)]
-struct Access {
-    key: u32,
-    addr: u64,
-    atomic: bool,
-}
+/// Highest slot a thread may open: a slot key is `slot << 8 | sub` in 32
+/// bits, so the 2²⁴-th `begin_slot` would drop high bits.
+const MAX_SLOT: u32 = (1 << 24) - 1;
 
 /// Per-lane execution record, reused across lanes.
 #[derive(Debug, Default)]
@@ -186,7 +182,9 @@ struct LaneRecord {
     cycles: f64,
     flops32: f64,
     flops64: f64,
-    accesses: Vec<Access>,
+    /// The lane's raw global accesses, for the reference coalescer.
+    #[cfg(test)]
+    accesses: Vec<tests::Access>,
     shared_accesses: u64,
     shared_atomics: Vec<u64>,
 }
@@ -197,9 +195,115 @@ impl LaneRecord {
         self.cycles = 0.0;
         self.flops32 = 0.0;
         self.flops64 = 0.0;
+        #[cfg(test)]
         self.accesses.clear();
         self.shared_accesses = 0;
         self.shared_atomics.clear();
+    }
+}
+
+/// One slot key's coalesced transactions: the 128-byte segment ids of
+/// every batched warp that touched the key, warps in retire order, each
+/// warp's distinct segments in first-appearance, lane-major order.
+#[derive(Debug, Default)]
+struct Bucket {
+    segs: Vec<u32>,
+    /// Generation of the last warp that touched this key …
+    stamp: u64,
+    /// … and `segs.len()` at that warp's first touch: `segs[start..]` is
+    /// the slot the warp is coalescing.
+    start: usize,
+}
+
+/// The traced warps' accesses, coalesced as they are logged (module docs).
+///
+/// An access is tagged with its *slot key*: (loop iteration << 8) |
+/// intra-iteration index. Lanes of a warp executing the same static load
+/// in the same loop iteration share a slot key — exactly those accesses
+/// merge, like real SIMT hardware merges the lanes of one memory
+/// instruction. Within one lane the keys never decrease: `slot` only grows
+/// and `sub` restarts only when it does. They are strictly increasing
+/// except at the saturation point: the intra-slot index is clamped to 255,
+/// so the 256th and every later access of one slot share key
+/// `slot << 8 | 255` and coalesce as if they were one instruction.
+///
+/// A lane's intra-slot indices are consecutive from 0, so a row as long
+/// as the largest index seen holds only keys that were touched: the table
+/// grows with the keys a device has seen, never with `max slot × 256`.
+#[derive(Debug, Default)]
+struct TraceTable {
+    /// `rows[slot][sub]` is the bucket of key `slot << 8 | sub`.
+    rows: Vec<Vec<Bucket>>,
+    /// Keys with a non-empty bucket, in first-touch order.
+    touched: Vec<u32>,
+    /// `(key, address)` of the current warp's global atomics.
+    atomics: Vec<(u32, u64)>,
+    /// Traced warps staged since the last drain.
+    batched_warps: usize,
+    /// Generation of the warp being logged: bumped before the warp's
+    /// first lane runs (so ≥ 1, unlike a new bucket's stamp) and never
+    /// reused, so a stale `Bucket::stamp` — an earlier warp's, a panicked
+    /// launch's — never matches.
+    warp: u64,
+    /// `log2` of the transaction segment size.
+    seg_shift: u32,
+}
+
+impl TraceTable {
+    /// Coalesce one access of the current warp into its key's bucket.
+    #[inline(always)]
+    fn log(&mut self, key: u32, addr: u64, atomic: bool) {
+        let (slot, sub) = ((key >> 8) as usize, (key & 255) as usize);
+        if self.rows.get(slot).is_none_or(|row| sub >= row.len()) {
+            self.grow_row(slot, sub);
+        }
+        let bucket = &mut self.rows[slot][sub];
+        // Device addresses are never recycled, so they only grow: checked.
+        let seg = u32::try_from(addr >> self.seg_shift)
+            .expect("device address beyond the 32-bit segment ids of the trace");
+        if bucket.stamp != self.warp {
+            bucket.stamp = self.warp;
+            bucket.start = bucket.segs.len();
+            if bucket.start == 0 {
+                self.touched.push(key);
+            }
+        }
+        // Newest first: neighboring lanes mostly share a segment.
+        if !bucket.segs[bucket.start..].iter().rev().any(|&s| s == seg) {
+            bucket.segs.push(seg);
+        }
+        if atomic {
+            self.atomics.push((key, addr));
+        }
+    }
+
+    /// Make `rows[slot]` exactly `sub + 1` long (`resize_with` alone
+    /// would round a one-bucket row up to four).
+    #[cold]
+    #[inline(never)]
+    fn grow_row(&mut self, slot: usize, sub: usize) {
+        if slot >= self.rows.len() {
+            self.rows.resize_with(slot + 1, Vec::new);
+        }
+        let row = &mut self.rows[slot];
+        row.reserve_exact(sub + 1 - row.len());
+        row.resize_with(sub + 1, Bucket::default);
+    }
+
+    /// Hand the batch to `transaction` in drain order — the touched keys
+    /// ascending, each key's bucket front to back — and leave the table
+    /// empty (of a warp that died half way, too). Buckets keep their
+    /// capacity.
+    fn drain(&mut self, mut transaction: impl FnMut(u64)) {
+        self.atomics.clear();
+        self.batched_warps = 0;
+        self.touched.sort_unstable();
+        for key in self.touched.drain(..) {
+            let bucket = &mut self.rows[(key >> 8) as usize][(key & 255) as usize];
+            for seg in bucket.segs.drain(..) {
+                transaction((seg as u64) << self.seg_shift);
+            }
+        }
     }
 }
 
@@ -208,12 +312,15 @@ impl LaneRecord {
 pub struct ThreadCtx<'a> {
     shared: &'a BlockShared,
     lane: &'a mut LaneRecord,
-    traced: bool,
+    /// Where a traced warp's accesses go; `None` on an untraced warp.
+    trace: Option<&'a mut TraceTable>,
     fp64_cost: f64,
     /// Current slot (loop iteration) of this lane.
     slot: u32,
-    /// Access index within the current slot.
+    /// Access index within the current slot, saturating at 256.
     sub: u32,
+    /// Slot key of this lane's latest traced access.
+    last_key: u32,
     /// Child launches requested via dynamic parallelism in this thread.
     pub(crate) child_launches: u64,
 }
@@ -286,8 +393,12 @@ impl<'a> ThreadCtx<'a> {
     /// the top of a per-candidate loop keeps lanes' accesses *slot
     /// aligned* even when lanes skip work (e.g. the self-exclusion test):
     /// real warps re-converge at the loop head the same way.
+    ///
+    /// # Panics
+    /// On a thread's 2²⁴-th iteration: its slot keys would wrap.
     #[inline(always)]
     pub fn begin_slot(&mut self) {
+        assert!(self.slot < MAX_SLOT, "slot overflow: 2^24 slots per thread");
         self.slot += 1;
         self.sub = 0;
     }
@@ -295,14 +406,15 @@ impl<'a> ThreadCtx<'a> {
     #[inline(always)]
     fn log_access(&mut self, addr: u64, atomic: bool) {
         self.lane.cycles += GLOBAL_ACCESS_LANE_CYCLES;
-        if self.traced {
-            let key = (self.slot << 8) | self.sub.min(255);
-            self.sub += 1;
-            debug_assert!(
-                self.lane.accesses.last().is_none_or(|a| a.key <= key),
-                "a lane's slot keys must never decrease"
-            );
-            self.lane.accesses.push(Access { key, addr, atomic });
+        if let Some(trace) = self.trace.as_deref_mut() {
+            let sub = self.sub.min(255);
+            self.sub = sub + 1;
+            let key = self.slot << 8 | sub;
+            debug_assert!(self.last_key <= key, "a lane's slot keys never decrease");
+            self.last_key = key;
+            trace.log(key, addr, atomic);
+            #[cfg(test)]
+            self.lane.accesses.push(tests::Access { key, addr, atomic });
         }
     }
 
@@ -328,7 +440,7 @@ impl<'a> ThreadCtx<'a> {
     pub fn sh_atomic_add_u32(&mut self, i: usize, v: u32) -> u32 {
         self.lane.cycles += SHARED_ATOMIC_CYCLES;
         self.lane.shared_accesses += 1;
-        if self.traced {
+        if self.trace.is_some() {
             self.lane.shared_atomics.push(i as u64);
         }
         self.shared.fetch_add_u32(i, v)
@@ -382,11 +494,11 @@ impl FromWord for f64 {
 /// a deterministic function of the inputs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostCost {
-    /// Running the kernel's threads (functional work + lane records).
+    /// Running the kernel's threads: the functional work, the lane
+    /// records, and — on traced warps — coalescing every access into its
+    /// bucket as it is logged.
     pub exec_s: f64,
-    /// Aggregating lanes and coalescing traced warps into the batch.
-    pub coalesce_s: f64,
-    /// Sorting the batch and driving it through the L2 model.
+    /// Streaming the batch's buckets through the L2 model.
     pub drain_s: f64,
 }
 
@@ -394,7 +506,6 @@ impl HostCost {
     /// Element-wise accumulation (pipeline totals).
     pub fn merge(&mut self, other: &Self) {
         self.exec_s += other.exec_s;
-        self.coalesce_s += other.coalesce_s;
         self.drain_s += other.drain_s;
     }
 }
@@ -411,43 +522,26 @@ pub struct LaunchResult {
 }
 
 /// Launch scratch owned by the device and reused by every launch: the
-/// warp's lane records, the block's shared memory, and the batch of
+/// warp's lane records, the block's shared memory, and the table of
 /// coalesced transactions awaiting the L2 (layout: module doc). Starts
 /// empty and grows on first use.
 #[derive(Default)]
 struct TraceArena {
     lanes: Vec<LaneRecord>,
     shared: BlockShared,
-    /// Per-lane read position of the coalescer's merge.
-    cursors: Vec<usize>,
-    /// Atomic addresses of the slot being coalesced.
-    atomic_addrs: Vec<u64>,
-    /// Coalesced 128-byte segment ids of every batched slot, back to back.
-    segs: Vec<u64>,
-    /// End offset into `segs` of each batched slot.
-    slot_ends: Vec<u32>,
-    /// `key << 32 | slot index` of each batched slot.
-    order: Vec<u64>,
-    /// Traced warps staged since the last drain.
-    batched_warps: usize,
-}
-
-impl TraceArena {
-    fn clear_batch(&mut self) {
-        self.segs.clear();
-        self.slot_ends.clear();
-        self.order.clear();
-        self.batched_warps = 0;
-    }
+    /// Shared-memory atomic words of the slot being checked for conflicts.
+    shared_slot: Vec<u64>,
+    table: TraceTable,
 }
 
 /// The simulated device: a spec, a live L2 model, and trace configuration.
 pub struct GpuDevice {
     spec: GpuSpec,
-    l2: ShardedCache,
     /// Trace every `trace_sample`-th warp (1 = all warps).
     trace_sample: u64,
-    arena: Mutex<TraceArena>,
+    /// The launch scratch and the L2 model, under the one lock a launch
+    /// takes: the drain reaches the cache through `&mut`.
+    arena: Mutex<(TraceArena, ShardedCache)>,
 }
 
 impl GpuDevice {
@@ -470,11 +564,12 @@ impl GpuDevice {
         let capacity =
             (spec.l2_bytes / sample).max(spec.l2_line_bytes as u64 * spec.l2_ways as u64 * 16);
         let l2 = ShardedCache::new(capacity, spec.l2_ways, spec.l2_line_bytes, 16);
+        let mut arena = TraceArena::default();
+        arena.table.seg_shift = spec.l2_line_bytes.trailing_zeros();
         Self {
             spec,
-            l2,
             trace_sample: sample,
-            arena: Mutex::default(),
+            arena: Mutex::new((arena, l2)),
         }
     }
 
@@ -489,8 +584,9 @@ impl GpuDevice {
     }
 
     /// Invalidate the simulated L2 (e.g. between independent experiments).
+    /// Waits for a launch in flight: the L2 lives under the launch lock.
     pub fn reset_l2(&self) {
-        self.l2.reset();
+        self.arena.lock().1.reset();
     }
 
     /// Execute a kernel launch and return counters + modeled timing.
@@ -531,9 +627,9 @@ impl GpuDevice {
         let resident_warps = self.spec.sm_count as u64 * resident_blocks as u64 * warps_per_block;
         let batch_width = (resident_warps / self.trace_sample).max(1) as usize;
 
-        let arena = &mut *self.arena.lock();
+        let (arena, l2) = &mut *self.arena.lock();
         // A kernel that panicked mid-launch leaves a half-staged batch.
-        arena.clear_batch();
+        arena.table.drain(|_| ());
         arena
             .lanes
             .resize_with(self.spec.warp_size as usize, LaneRecord::default);
@@ -555,6 +651,9 @@ impl GpuDevice {
                     let warp_id = block as u64 * warps_per_block + warp;
                     let traced = warp_id.is_multiple_of(self.trace_sample);
                     let warp_base = warp as u32 * self.spec.warp_size;
+                    // Before the first lane logs: a warp that dies half
+                    // way must not share its generation with the next.
+                    arena.table.warp += 1;
 
                     for (l, lane) in arena.lanes.iter_mut().enumerate() {
                         lane.reset();
@@ -572,27 +671,26 @@ impl GpuDevice {
                         let mut ctx = ThreadCtx {
                             shared: &arena.shared,
                             lane,
-                            traced,
+                            trace: traced.then_some(&mut arena.table),
                             fp64_cost,
                             slot: 0,
                             sub: 0,
+                            last_key: 0,
                             child_launches: 0,
                         };
                         kernel.thread(phase, tid, &mut ctx);
                         counters.child_launches += ctx.child_launches;
                     }
+                    Self::retire_warp(arena, traced, phase == 0, &mut counters);
                     lap(&mut host.exec_s);
-
-                    self.retire_warp(arena, traced, phase == 0, &mut counters);
-                    lap(&mut host.coalesce_s);
-                    if arena.batched_warps >= batch_width {
-                        self.drain_batch(arena, &mut counters);
+                    if arena.table.batched_warps >= batch_width {
+                        Self::drain_batch(&mut arena.table, l2, &mut counters);
                         lap(&mut host.drain_s);
                     }
                 }
             }
         }
-        self.drain_batch(arena, &mut counters);
+        Self::drain_batch(&mut arena.table, l2, &mut counters);
         lap(&mut host.drain_s);
 
         counters.finalize_scaling();
@@ -605,9 +703,9 @@ impl GpuDevice {
     }
 
     /// Aggregate a warp's lane records into the launch counters and, for
-    /// traced warps, coalesce their accesses into the batch.
+    /// traced warps, charge the serialization of the atomics they logged
+    /// (their transactions are already in the table).
     fn retire_warp(
-        &self,
         arena: &mut TraceArena,
         traced: bool,
         count_threads: bool,
@@ -615,12 +713,8 @@ impl GpuDevice {
     ) {
         let TraceArena {
             lanes,
-            cursors,
-            atomic_addrs,
-            segs,
-            slot_ends,
-            order,
-            batched_warps,
+            shared_slot,
+            table,
             ..
         } = arena;
         let mut max_cycles = 0.0f64;
@@ -653,44 +747,13 @@ impl GpuDevice {
         if count_threads {
             counters.warps_traced += 1;
         }
-        *batched_warps += 1;
+        table.batched_warps += 1;
 
-        // Slot-keyed coalescing: lanes' accesses sharing a slot key merge
-        // into transactions (distinct 128-byte segments) — a k-way merge,
-        // one pass over the lanes per slot.
-        let line = self.spec.l2_line_bytes as u64;
-        cursors.clear();
-        cursors.resize(lanes.len(), 0);
-        let mut next_key = lanes
-            .iter()
-            .filter_map(|l| l.accesses.first())
-            .map(|a| a.key)
-            .min();
-        while let Some(key) = next_key {
-            let slot_start = segs.len();
-            atomic_addrs.clear();
-            next_key = None;
-            for (lane, cursor) in lanes.iter().zip(cursors.iter_mut()) {
-                while let Some(a) = lane.accesses.get(*cursor).filter(|a| a.key == key) {
-                    *cursor += 1;
-                    let seg = a.addr / line;
-                    if !segs[slot_start..].contains(&seg) {
-                        segs.push(seg);
-                    }
-                    if a.atomic {
-                        counters.atomic_ops += 1.0;
-                        atomic_addrs.push(a.addr);
-                    }
-                }
-                if let Some(a) = lane.accesses.get(*cursor) {
-                    next_key = Some(next_key.map_or(a.key, |k: u32| k.min(a.key)));
-                }
-            }
-            counters.atomic_serial_cycles += serialization_cycles(atomic_addrs);
-            let index = u32::try_from(slot_ends.len()).expect("batch slot count fits 32 bits");
-            slot_ends.push(u32::try_from(segs.len()).expect("batch segment count fits 32 bits"));
-            order.push((key as u64) << 32 | index as u64);
-        }
+        // Global atomics to one address within one slot serialize: sorted by
+        // (key, address), those are the duplicate runs.
+        counters.atomic_ops += table.atomics.len() as f64;
+        counters.atomic_serial_cycles += serialization_cycles(&mut table.atomics);
+        table.atomics.clear();
 
         // Shared-memory atomic conflicts, slot-aligned by per-lane order.
         let max_sh = lanes
@@ -699,48 +762,39 @@ impl GpuDevice {
             .max()
             .unwrap_or(0);
         for slot in 0..max_sh {
-            atomic_addrs.clear();
-            atomic_addrs.extend(lanes.iter().filter_map(|l| l.shared_atomics.get(slot)));
-            counters.atomic_serial_cycles += serialization_cycles(atomic_addrs);
+            shared_slot.clear();
+            shared_slot.extend(lanes.iter().filter_map(|l| l.shared_atomics.get(slot)));
+            counters.atomic_serial_cycles += serialization_cycles(shared_slot);
         }
     }
 
-    /// Drain the traced-warp batch: interleave all warps' transactions
-    /// round-robin by slot key (modeling concurrent residency) and run
-    /// them through the L2 model.
-    fn drain_batch(&self, arena: &mut TraceArena, counters: &mut KernelCounters) {
-        let line = self.spec.l2_line_bytes as u64;
-        // (key, slot index) orders the merged stream: all warps' slot-0
-        // transactions, then slot-1, …
-        arena.order.sort_unstable();
-        for &word in &arena.order {
-            let slot = word as u32 as usize;
-            let start = slot.checked_sub(1).map_or(0, |p| arena.slot_ends[p]);
-            for &seg in &arena.segs[start as usize..arena.slot_ends[slot] as usize] {
-                counters.global_transactions += 1.0;
-                match self.l2.access(seg * line) {
-                    bdm_device::AccessOutcome::Hit => counters.l2_hits += 1.0,
-                    bdm_device::AccessOutcome::Miss => counters.l2_misses += 1.0,
-                }
+    /// Drain the traced-warp batch through the L2 model: all warps' slot-0
+    /// transactions, then slot-1, …, ties broken by warp — the interleaving
+    /// that models concurrent residency.
+    fn drain_batch(table: &mut TraceTable, l2: &mut ShardedCache, counters: &mut KernelCounters) {
+        table.drain(|addr| {
+            counters.global_transactions += 1.0;
+            match l2.access(addr) {
+                bdm_device::AccessOutcome::Hit => counters.l2_hits += 1.0,
+                bdm_device::AccessOutcome::Miss => counters.l2_misses += 1.0,
             }
-        }
-        arena.clear_batch();
+        });
     }
 }
 
-/// Extra warp cycles of one slot's atomics: those to one address
-/// serialize. Sorts `addrs` in place.
-fn serialization_cycles(addrs: &mut [u64]) -> f64 {
-    addrs.sort_unstable();
-    conflict_cycles(addrs) * ATOMIC_SERIAL_CYCLES
+/// Extra warp cycles of a list of atomics: equal entries serialize.
+/// Sorts `atomics` in place.
+fn serialization_cycles<T: Ord>(atomics: &mut [T]) -> f64 {
+    atomics.sort_unstable();
+    conflict_cycles(atomics) * ATOMIC_SERIAL_CYCLES
 }
 
-/// Serialization count of a sorted address list: Σ over duplicate runs of
+/// Serialization count of a sorted list: Σ over duplicate runs of
 /// (run length − 1).
-fn conflict_cycles(sorted_addrs: &[u64]) -> f64 {
+fn conflict_cycles<T: PartialEq>(sorted: &[T]) -> f64 {
     let mut extra = 0u64;
     let mut run = 1u64;
-    for w in sorted_addrs.windows(2) {
+    for w in sorted.windows(2) {
         if w[0] == w[1] {
             run += 1;
         } else {
@@ -757,6 +811,29 @@ mod tests {
     use super::*;
     use crate::mem::DeviceAllocator;
     use bdm_device::specs::SYSTEM_A;
+
+    /// One global-memory access of a lane as the reference coalescer
+    /// wants it: raw, per lane, tagged with its slot key. Only test
+    /// builds log these; the engine itself keeps no such list.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Access {
+        pub(super) key: u32,
+        pub(super) addr: u64,
+        pub(super) atomic: bool,
+    }
+
+    /// Heap bytes a trace table holds.
+    fn table_bytes(table: &TraceTable) -> usize {
+        use std::mem::size_of;
+        let row_bytes = |row: &Vec<Bucket>| {
+            let segs: usize = row.iter().map(|b| b.segs.capacity() * 4).sum();
+            row.capacity() * size_of::<Bucket>() + segs
+        };
+        table.rows.capacity() * size_of::<Vec<Bucket>>()
+            + table.rows.iter().map(row_bytes).sum::<usize>()
+            + table.touched.capacity() * 4
+            + table.atomics.capacity() * size_of::<(u32, u64)>()
+    }
 
     /// y[i] = a*x[i] + y[i] — the classic saxpy, exercising loads, stores
     /// and FLOPs.
@@ -1025,10 +1102,12 @@ mod tests {
 
     #[test]
     fn a_kernel_panic_does_not_leak_its_batch_into_the_next_launch() {
+        /// Block 1 faults half way through its first warp: lanes 0..16
+        /// have logged (their keys carry the dying warp's generation).
         struct DiesInBlockOne(DeviceBuffer<f32>);
         impl Kernel for DiesInBlockOne {
             fn thread(&self, _: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
-                assert!(tid.block == 0, "device-side fault");
+                assert!(tid.block == 0 || tid.thread < 16, "device-side fault");
                 ctx.ld(&self.0, tid.thread as usize);
             }
         }
@@ -1040,12 +1119,72 @@ mod tests {
             dev.launch(&faulty, cfg);
         }));
         assert!(unwound.is_err());
+        let staged = dev.arena.lock().0.table.touched.len();
+        assert!(staged > 0, "the fault left nothing behind to leak");
+        // Neither the staged segments nor the half-logged warp's stamps
+        // (the next launch's first warp touches the same keys) survive:
+        // the batch never drained, so the L2 is as cold as a new device's.
         let after = dev.launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
         let fresh =
             GpuDevice::new(SYSTEM_A.gpu).launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
-        assert_eq!(
-            after.counters.global_transactions,
-            fresh.counters.global_transactions
+        assert_eq!(after.counters, fresh.counters);
+    }
+
+    /// One access per loop iteration, `trips` iterations, every lane.
+    struct OneAccessSlots {
+        trips: u32,
+        x: DeviceBuffer<f32>,
+    }
+
+    impl Kernel for OneAccessSlots {
+        fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
+            for _ in 0..self.trips {
+                ctx.begin_slot();
+                ctx.ld(&self.x, tid.thread as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn the_trace_table_grows_with_the_keys_touched_not_with_the_slot_count() {
+        let trips = 10_000;
+        let k = OneAccessSlots {
+            trips,
+            x: DeviceAllocator::new().alloc::<f32>(32),
+        };
+        let dev = GpuDevice::new(SYSTEM_A.gpu);
+        let cfg = LaunchConfig {
+            grid_dim: 1,
+            block_dim: 32,
+            shared_words: 0,
+        };
+        let c = dev.launch(&k, cfg).counters;
+        assert_eq!(c.global_transactions, trips as f64);
+        // A row, a bucket header and a few segment ids per key — where a
+        // table indexed by `slot << 8 | sub` spends 256 headers per slot.
+        let bytes = table_bytes(&dev.arena.lock().0.table);
+        let per_key = bytes / trips as usize;
+        assert!(per_key < 128, "{per_key} table bytes per touched key");
+    }
+
+    #[test]
+    #[should_panic(expected = "slot overflow")]
+    fn a_thread_that_would_wrap_its_slot_keys_panics() {
+        struct Spins;
+        impl Kernel for Spins {
+            fn thread(&self, _: usize, _: ThreadId, ctx: &mut ThreadCtx<'_>) {
+                for _ in 0..=MAX_SLOT {
+                    ctx.begin_slot();
+                }
+            }
+        }
+        GpuDevice::new(SYSTEM_A.gpu).launch(
+            &Spins,
+            LaunchConfig {
+                grid_dim: 1,
+                block_dim: 1,
+                shared_words: 0,
+            },
         );
     }
 
@@ -1149,7 +1288,9 @@ mod tests {
     /// The trace path this engine had before the flat arenas, kept
     /// verbatim as the oracle: a `BTreeMap` of per-slot `Vec`s per warp, a
     /// `Vec` of those per batch, and a `(key, warp, slot)` tuple sort to
-    /// drain. Same execution loop, its own lanes and shared memory.
+    /// drain. Same execution loop, its own lanes and shared memory; it
+    /// coalesces the lanes' raw `accesses` (which only test builds log)
+    /// and throws away what its threads log into the `unused` table.
     fn launch_reference<K: Kernel>(
         dev: &GpuDevice,
         kernel: &K,
@@ -1170,7 +1311,7 @@ mod tests {
             for (_, w, k) in order {
                 for &seg in &batch[w][k].1 {
                     counters.global_transactions += 1.0;
-                    match dev.l2.access(seg * line) {
+                    match dev.arena.lock().1.access(seg * line) {
                         bdm_device::AccessOutcome::Hit => counters.l2_hits += 1.0,
                         bdm_device::AccessOutcome::Miss => counters.l2_misses += 1.0,
                     }
@@ -1270,6 +1411,7 @@ mod tests {
         let mut lanes: Vec<LaneRecord> = (0..dev.spec.warp_size)
             .map(|_| LaneRecord::default())
             .collect();
+        let mut unused = TraceTable::default();
         for block in 0..cfg.grid_dim {
             let shared = BlockShared {
                 words: (0..cfg.shared_words).map(|_| AtomicU64::new(0)).collect(),
@@ -1281,6 +1423,8 @@ mod tests {
                 for warp in 0..warps_per_block {
                     let warp_id = block as u64 * warps_per_block + warp;
                     let traced = warp_id.is_multiple_of(dev.trace_sample);
+                    unused.drain(|_| ());
+                    unused.warp += 1;
                     for (l, lane) in lanes.iter_mut().enumerate() {
                         lane.reset();
                         let thread = warp as u32 * dev.spec.warp_size + l as u32;
@@ -1297,10 +1441,11 @@ mod tests {
                         let mut ctx = ThreadCtx {
                             shared: &shared,
                             lane,
-                            traced,
+                            trace: traced.then_some(&mut unused),
                             fp64_cost: dev.spec.fp64_ratio(),
                             slot: 0,
                             sub: 0,
+                            last_key: 0,
                             child_launches: 0,
                         };
                         kernel.thread(phase, tid, &mut ctx);
@@ -1369,8 +1514,10 @@ mod tests {
     /// A random per-lane access list: uneven trip counts (including
     /// lanes that return at once), empty and lopsided slots, addresses
     /// anywhere in a 2048-segment buffer or packed into a few hot words,
-    /// atomics that collide, and now and then a slot long enough to
-    /// saturate the sub-slot index.
+    /// atomics that collide, now and then a slot long enough to
+    /// saturate the sub-slot index, and — what the force kernel's
+    /// neighbor loop looks like — lanes that end in hundreds of
+    /// iterations of one to five accesses, each with its own trip count.
     fn random_lane_script(rng: &mut bdm_math::SplitMix64) -> Vec<Op> {
         let mut ops = Vec::new();
         if rng.below(8) == 0 {
@@ -1385,24 +1532,36 @@ mod tests {
             } else {
                 rng.below(5)
             };
-            // A per-slot stride walks one lane across many segments.
-            let stride = [1, 7, 32, 33, 1024][rng.below(5) as usize];
-            let base = rng.below(SCRIPT_WORDS as u64) as usize;
-            for j in 0..burst as usize {
-                let anywhere = (base + j * stride) % SCRIPT_WORDS;
-                let hot = rng.below(6) as usize * 16;
-                ops.push(match rng.below(10) {
-                    0..=3 => Op::Ld(anywhere),
-                    4 => Op::Ld(hot),
-                    5 => Op::St(anywhere),
-                    6 => Op::AtomicAdd(hot),
-                    7 => Op::AtomicExchange(if rng.below(2) == 0 { hot } else { anywhere }),
-                    8 => Op::SharedAtomic(rng.below(SCRIPT_SHARED_WORDS as u64) as usize),
-                    _ => Op::Flops(1 + rng.below(9) as u32),
-                });
+            random_burst(rng, burst as usize, &mut ops);
+        }
+        if rng.below(6) == 0 {
+            for _ in 0..rng.below(400) {
+                ops.push(Op::BeginSlot);
+                let burst = 1 + rng.below(5);
+                random_burst(rng, burst as usize, &mut ops);
             }
         }
         ops
+    }
+
+    /// `burst` random operations of one slot.
+    fn random_burst(rng: &mut bdm_math::SplitMix64, burst: usize, ops: &mut Vec<Op>) {
+        // A per-slot stride walks one lane across many segments.
+        let stride = [1, 7, 32, 33, 1024][rng.below(5) as usize];
+        let base = rng.below(SCRIPT_WORDS as u64) as usize;
+        for j in 0..burst {
+            let anywhere = (base + j * stride) % SCRIPT_WORDS;
+            let hot = rng.below(6) as usize * 16;
+            ops.push(match rng.below(10) {
+                0..=3 => Op::Ld(anywhere),
+                4 => Op::Ld(hot),
+                5 => Op::St(anywhere),
+                6 => Op::AtomicAdd(hot),
+                7 => Op::AtomicExchange(if rng.below(2) == 0 { hot } else { anywhere }),
+                8 => Op::SharedAtomic(rng.below(SCRIPT_SHARED_WORDS as u64) as usize),
+                _ => Op::Flops(1 + rng.below(9) as u32),
+            });
+        }
     }
 
     proptest::proptest! {
@@ -1411,8 +1570,10 @@ mod tests {
         /// The arena engine and the retained `BTreeMap` oracle agree on
         /// every counter, bit for bit, for arbitrary lane scripts on a
         /// device small enough that batches drain several times per
-        /// launch and the L2 evicts constantly (so any reordering of the
-        /// transaction stream shows up in the hit counts).
+        /// launch — after every traced warp when `drain_per_warp`, as
+        /// sampled figure runs do — and the L2 evicts constantly (so any
+        /// reordering of the transaction stream shows up in the hit
+        /// counts).
         #[test]
         fn arena_engine_matches_the_reference_bit_for_bit(
             seed in proptest::prelude::any::<u64>(),
@@ -1420,15 +1581,19 @@ mod tests {
             block_dim in 1u32..=96,
             phases in 1usize..=3,
             sampled in proptest::prelude::any::<bool>(),
+            drain_per_warp in proptest::prelude::any::<bool>(),
         ) {
+            // One resident block of at most three warps: a stride of 3
+            // (or a one-warp block) makes the batch one warp wide.
             let spec = GpuSpec {
                 sm_count: 1,
-                max_threads_per_sm: 64,
+                max_threads_per_sm: if drain_per_warp { 1 } else { 64 },
                 l2_bytes: 8 * 1024,
                 l2_ways: 2,
                 ..SYSTEM_A.gpu
             };
             let sample = if sampled { 3 } else { 1 };
+            let block_dim = if drain_per_warp && !sampled { block_dim.min(32) } else { block_dim };
             let mut rng = bdm_math::SplitMix64::new(seed);
             let threads = (grid_dim * block_dim) as usize;
             let script: Vec<Vec<Vec<Op>>> = (0..phases)

@@ -290,11 +290,7 @@ impl GpuStepReport {
         self.counters.publish_metrics("gpu.step", labels, reg);
         self.mech_counters.publish_metrics("gpu.mech", labels, reg);
         // The simulator's own host wall clock: informational, never gated.
-        for (phase, secs) in [
-            ("exec", self.host.exec_s),
-            ("coalesce", self.host.coalesce_s),
-            ("drain", self.host.drain_s),
-        ] {
+        for (phase, secs) in [("exec", self.host.exec_s), ("drain", self.host.drain_s)] {
             reg.observe("gpu.host_s", &with("phase", phase), secs);
         }
     }

@@ -1,11 +1,13 @@
 //! Steady-state launches allocate nothing.
 //!
 //! The engine's trace path lives on device-owned arenas that grow on
-//! first use, so once a launch shape has been seen, repeating it must not
-//! touch the heap at all — not per traced warp, not per slot, not per
-//! block of shared memory. (The `BTreeMap`-of-`Vec`s coalescer this
-//! replaced allocated one or two `Vec`s per slot per traced warp: 1,524
-//! on this scene's grid-build launch and 60,555 on its mech launch.)
+//! first use — the per-key buckets above all, which are emptied by the
+//! drain and keep their capacity — so once a launch shape has been seen,
+//! repeating it must not touch the heap at all — not per traced warp,
+//! not per slot, not per block of shared memory. (The `BTreeMap`-of-`Vec`s
+//! coalescer this replaced allocated one or two `Vec`s per slot per traced
+//! warp: 1,524 on this scene's grid-build launch and 60,555 on its mech
+//! launch.)
 
 use bdm_device::specs::SYSTEM_A;
 use bdm_gpu::engine::LaunchResult;
@@ -139,4 +141,17 @@ fn second_identical_launch_performs_zero_heap_allocations() {
     // And it really was the identical work.
     assert_eq!(first_build.counters, second_build.counters);
     assert_eq!(first_mech.counters, second_mech.counters);
+
+    // A resident pipeline's next step: the same two launches once more
+    // with the L2 left warm — the same transactions, more of them hits.
+    grid.reset();
+    let (resident_build, third_build) = allocations_in(|| dev.launch(&build, cfg));
+    let (resident_mech, third_mech) = allocations_in(|| dev.launch(&mech, cfg));
+    assert_eq!(resident_build, 0, "warm grid-build launch allocated");
+    assert_eq!(resident_mech, 0, "warm mech launch allocated");
+    for (cold, warm) in [(&second_build, &third_build), (&second_mech, &third_mech)] {
+        let (cold, warm) = (&cold.counters, &warm.counters);
+        assert_eq!(cold.global_transactions, warm.global_transactions);
+        assert!(warm.l2_hits > cold.l2_hits, "the L2 was not left warm");
+    }
 }

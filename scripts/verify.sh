@@ -58,12 +58,17 @@ cargo test -q --offline --release -p bdm-sim --test alloc_births -- \
     a_division_wave_allocates_per_chunk_not_per_birth \
     a_warmed_reorder_allocates_a_constant \
     a_restore_allocates_a_constant
-# The SIMT engine's steady-state launches must not touch the heap — in
+# The SIMT engine's steady-state launches must not touch the heap (cold
+# and warm L2 alike: the per-key buckets keep their capacity) — in
 # release mode, where the optimizer decides what actually allocates.
-cargo test -q --offline --release -p bdm-gpu --test alloc_steady
-# Every simulated statistic of every kernel version and resident sync
-# path against its parent-commit golden, and the resident reorder pin.
+cargo test -q --offline --release -p bdm-gpu --test alloc_steady -- \
+    second_identical_launch_performs_zero_heap_allocations
+# The log-time coalescer against the retained BTreeMap oracle on random
+# lane scripts, every simulated statistic of every kernel version and
+# resident sync path against its parent-commit golden, and the resident
+# reorder pin.
 cargo test -q --offline --release -p bdm-gpu --lib -- \
+    arena_engine_matches_the_reference_bit_for_bit \
     step_reports_match_the_parent_goldens
 cargo test -q --offline --release -p bdm-sim --lib -- \
     resident_reorder_steps_resync_from_the_uid_diff_alone
