@@ -38,7 +38,8 @@ pub struct KernelCounters {
     /// Transactions that missed L2 and went to device DRAM *(traced)*.
     pub l2_misses: f64,
 
-    /// Shared-memory accesses *(traced)*.
+    /// Shared-memory accesses (exact: every warp's lanes count theirs,
+    /// like the FLOPs).
     pub shared_accesses: f64,
     /// Extra cycles from shared/global atomic serialization within warps
     /// *(traced)*.
@@ -118,7 +119,6 @@ impl KernelCounters {
         self.global_transactions *= scale;
         self.l2_hits *= scale;
         self.l2_misses *= scale;
-        self.shared_accesses *= scale;
         self.atomic_serial_cycles *= scale;
         self.atomic_ops *= scale;
     }
@@ -272,6 +272,7 @@ mod tests {
             l2_hits: 4.0,
             l2_misses: 3.0,
             atomic_ops: 2.0,
+            shared_accesses: 6.0,
             ..Default::default()
         };
         c.finalize_scaling();
@@ -281,6 +282,7 @@ mod tests {
         assert_eq!(c.atomic_ops, 20.0);
         // Exact quantities untouched.
         assert_eq!(c.flops_fp32, 50.0);
+        assert_eq!(c.shared_accesses, 6.0);
     }
 
     #[test]

@@ -1090,6 +1090,30 @@ mod tests {
     }
 
     #[test]
+    fn sampled_tracing_counts_every_warps_shared_accesses_once() {
+        // Every warp adds its lanes' shared accesses, traced or not, so
+        // the count is exact and must not be scaled up with the traced
+        // quantities.
+        let cfg = LaunchConfig {
+            grid_dim: 8,
+            block_dim: 64,
+            shared_words: 64,
+        };
+        let run = |sample| {
+            let k = SharedRoundtrip {
+                out: DeviceAllocator::new().alloc::<f32>(64),
+            };
+            GpuDevice::with_trace_sampling(SYSTEM_A.gpu, sample)
+                .launch(&k, cfg)
+                .counters
+        };
+        let (full, sampled) = (run(1), run(4));
+        assert_eq!(sampled.warps_traced * 4, sampled.warps_run);
+        assert_eq!(full.shared_accesses, 8.0 * 128.0);
+        assert_eq!(sampled.shared_accesses, full.shared_accesses);
+    }
+
+    #[test]
     fn determinism_across_runs() {
         let n = 4096;
         let k = saxpy_setup(n);
