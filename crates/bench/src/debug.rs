@@ -80,6 +80,15 @@ pub fn gpu(args: &Args) -> ExitCode {
             g.host.exec_s * 1e3,
             g.host.drain_s * 1e3
         );
+        // Why: the share of traced accesses the lane filter absorbed
+        // (they repeat the previous lane — sorted input — and never
+        // reach the bucket table).
+        println!(
+            "   traced accesses: {} of {} absorbed by the lane filter ({:.1}%)",
+            g.accesses.filtered,
+            g.accesses.total,
+            100.0 * g.accesses.filtered as f64 / g.accesses.total.max(1) as f64
+        );
         println!(
             "   last step: sync={} grid={}",
             g.sync.label(),

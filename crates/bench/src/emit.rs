@@ -63,6 +63,7 @@ pub fn default_policy(name: &str) -> GatePolicy {
             "checkpoint.write_ms"
                 | "checkpoint.read_ms"
                 | "gpu.host_s"
+                | "gpu.trace_accesses"
                 | "gpu.sync"
                 | "gpu.grid_build"
                 | "mech.simd_stencils_staged"
@@ -75,7 +76,10 @@ pub fn default_policy(name: &str) -> GatePolicy {
     {
         // The checkpoint serialize/parse timings and the SIMT
         // simulator's own host cost are host wall clocks too — they
-        // just don't carry `wall` in their names. The GPU sync-kind and
+        // just don't carry `wall` in their names; the traced accesses by
+        // logging path (lane filter or bucket table) say why that host
+        // cost reads what it reads and count the simulator's work, not
+        // the device's. The GPU sync-kind and
         // grid-build-outcome counts say *why* the gated transfer
         // counters read what they read; gating the explanation too
         // would fail twice for one cause. The stencil-stage
@@ -342,6 +346,7 @@ mod tests {
         assert!(!default_policy("scheduler.op_wall_s").gate);
         assert!(!default_policy("mech.phase_wall_s").gate);
         assert!(!default_policy("gpu.host_s").gate);
+        assert!(!default_policy("gpu.trace_accesses").gate);
         assert_eq!(default_policy("scheduler.op_runs").tol, Some(0.0));
         assert_eq!(default_policy("sim.agents").tol, Some(0.0));
         assert_eq!(default_policy("mech.candidates").tol, Some(0.02));

@@ -32,19 +32,41 @@
 //! buckets**: one list of segment ids per slot key, holding that key's
 //! transactions of the *whole batch*.
 //!
-//! * **An access is written once.** `ThreadCtx::log_access` finds its
-//!   key's bucket and appends the access's segment unless the part of the
-//!   bucket this warp has written (`Bucket::start..`, found by a per-warp
-//!   generation stamp) already holds it. Lanes execute in lane order, so
+//! * **An access is written at most once: filter, else table.** Lanes of
+//!   a warp run one after the other, and on sorted input a lane mostly
+//!   repeats its predecessor — the same neighbors, so the same slot keys
+//!   and the same segments. `TraceTable` therefore keeps the previous
+//!   lane's stream (`prev`: one `key << 32 | segment` record per access,
+//!   in log order) beside the running lane's (`cur`), and an access whose
+//!   record is the previous lane's record of that key goes no further:
+//!   the segment is already in this warp's part of that key's bucket.
+//!   Finding "that key" costs no search per access: `begin_slot` moves a
+//!   cursor to where the previous lane's records of the new slot begin,
+//!   and intra-slot indices count from 0, so the record to compare with is
+//!   the `sub`-th from there. Exact by construction, not by assumption: a
+//!   hit needs a record the previous lane of the *same warp generation*
+//!   logged (the streams are emptied wherever the generation is bumped), a
+//!   miss takes the table path below, so the buckets end up holding what
+//!   they would hold without the filter. What it saves is the walk `rows
+//!   [slot][sub]` → bucket header → tail of `segs`, two dependent loads
+//!   that miss L1 (a lane visits hundreds of other buckets between two
+//!   visits to one key). [`TraceAccesses`] reports the share it absorbed:
+//!   five in six accesses on sorted input, next to none on unsorted.
+//! * **The table path.** `TraceTable::log` finds the key's bucket and
+//!   appends the access's segment unless the part of the bucket this warp
+//!   has written (`Bucket::start..`, found by a per-warp generation stamp)
+//!   already holds it. Lanes execute in lane order, so
 //!   a slot's segments land in *first appearance, lane-major* order; warps
 //!   retire in order, so a bucket is *warp-major*. No per-lane access
-//!   list, no merge, no copy into a batch.
+//!   list outlives the next lane, no merge, no copy into a batch.
 //! * **The buckets are the drain order.** `drain_batch` sorts the short
 //!   list of keys the batch touched and streams each bucket through the
 //!   L2: all warps' slot-0 transactions, then slot-1, … — ties broken by
 //!   warp. Nothing per transaction is sorted or gathered.
-//! * **Atomics** also go to a per-warp `(key, address)` list; sorted at
-//!   retire, its duplicate runs are the serialized operations.
+//! * **Atomics** also go to a per-warp `(key, address)` list — before the
+//!   filter looks at them: a repeated segment is one transaction, but a
+//!   repeated address still serializes; sorted at retire, the list's
+//!   duplicate runs are the serialized operations.
 //!
 //! Both orders are the L2 model's *input* — an LRU cache's hit count
 //! depends on the exact sequence of lines it sees — and must not change:
@@ -175,29 +197,35 @@ impl BlockShared {
 /// bits, so the 2²⁴-th `begin_slot` would drop high bits.
 const MAX_SLOT: u32 = (1 << 24) - 1;
 
-/// Per-lane execution record, reused across lanes.
-#[derive(Debug, Default)]
-struct LaneRecord {
-    active: bool,
+/// What a thread counts as it runs. The running thread's copy lives *by
+/// value* in its [`ThreadCtx`] (see there); `launch` files it in the
+/// lane's record when the thread returns.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneTotals {
     cycles: f64,
     flops32: f64,
     flops64: f64,
+    shared_accesses: u64,
+}
+
+/// Per-lane execution record, reused across lanes: what `retire_warp`
+/// reads across the lanes of a warp.
+#[derive(Debug, Default)]
+struct LaneRecord {
+    active: bool,
+    totals: LaneTotals,
     /// The lane's raw global accesses, for the reference coalescer.
     #[cfg(test)]
     accesses: Vec<tests::Access>,
-    shared_accesses: u64,
     shared_atomics: Vec<u64>,
 }
 
 impl LaneRecord {
     fn reset(&mut self) {
         self.active = false;
-        self.cycles = 0.0;
-        self.flops32 = 0.0;
-        self.flops64 = 0.0;
+        self.totals = LaneTotals::default();
         #[cfg(test)]
         self.accesses.clear();
-        self.shared_accesses = 0;
         self.shared_atomics.clear();
     }
 }
@@ -247,20 +275,66 @@ struct TraceTable {
     warp: u64,
     /// `log2` of the transaction segment size.
     seg_shift: u32,
+    /// The lane filter (module docs): what the previous lane of this
+    /// warp logged, one `key << 32 | segment` record per access in log
+    /// order, closed by a `u64::MAX` sentinel that no record equals and
+    /// no key exceeds (`seek_slot` needs no bound), …
+    prev: Vec<u64>,
+    /// … and the same of the running lane.
+    cur: Vec<u64>,
+    /// Accesses logged by the lanes that ended since the launch began …
+    logged: u64,
+    /// … and the accesses the filter let through to the buckets.
+    reached_table: u64,
 }
 
 impl TraceTable {
-    /// Coalesce one access of the current warp into its key's bucket.
+    /// Where the previous lane's records of `slot` begin in `prev` (or, if
+    /// it logged none, those of the first slot after it), searching on
+    /// from `from`, where an earlier slot's began.
     #[inline(always)]
-    fn log(&mut self, key: u32, addr: u64, atomic: bool) {
+    fn seek_slot(&self, slot: u32, from: usize) -> usize {
+        let first = (slot as u64) << 40;
+        let mut at = from;
+        while self.prev[at] < first {
+            at += 1;
+        }
+        at
+    }
+
+    /// Log one access of the current warp. It is written at most once:
+    /// into its key's bucket, unless the previous lane logged the same
+    /// key and segment. `prev_slot` is `seek_slot` of the key's slot: a
+    /// lane's intra-slot indices are consecutive from 0, so the previous
+    /// lane's record of this key, if it has one, is the `sub`-th from
+    /// there — and whatever else is found there is not equal.
+    #[inline(always)]
+    fn log(&mut self, key: u32, addr: u64, atomic: bool, prev_slot: usize) {
+        // Device addresses are never recycled, so they only grow: checked
+        // (strictly, so that no record equals the sentinel).
+        let seg = addr >> self.seg_shift;
+        assert!(
+            seg < u32::MAX as u64,
+            "device address beyond the 32-bit segment ids of the trace"
+        );
+        if atomic {
+            self.atomics.push((key, addr));
+        }
+        let record = (key as u64) << 32 | seg;
+        self.cur.push(record);
+        if self.prev.get(prev_slot + (key & 255) as usize) == Some(&record) {
+            // The previous lane put this segment into the part of the
+            // bucket this warp is writing, or found it there: the bucket
+            // is stamped, `touched` and holds it.
+            return;
+        }
+        self.reached_table += 1;
         let (slot, sub) = ((key >> 8) as usize, (key & 255) as usize);
         if self.rows.get(slot).is_none_or(|row| sub >= row.len()) {
             self.grow_row(slot, sub);
         }
         let bucket = &mut self.rows[slot][sub];
-        // Device addresses are never recycled, so they only grow: checked.
-        let seg = u32::try_from(addr >> self.seg_shift)
-            .expect("device address beyond the 32-bit segment ids of the trace");
+        let seg = seg as u32;
         if bucket.stamp != self.warp {
             bucket.stamp = self.warp;
             bucket.start = bucket.segs.len();
@@ -272,9 +346,29 @@ impl TraceTable {
         if !bucket.segs[bucket.start..].iter().rev().any(|&s| s == seg) {
             bucket.segs.push(seg);
         }
-        if atomic {
-            self.atomics.push((key, addr));
-        }
+    }
+
+    /// Start a warp: a generation no bucket carries, and no previous lane
+    /// to compare against — neither the last lane of the warp before nor
+    /// a lane of a launch that died.
+    fn begin_warp(&mut self) {
+        self.warp += 1;
+        self.cur.clear();
+        self.prev.clear();
+        self.prev.push(u64::MAX);
+    }
+
+    /// The running lane's stream becomes the one the next lane compares
+    /// against.
+    fn end_lane(&mut self) {
+        self.logged += self.cur.len() as u64;
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        self.prev.push(u64::MAX);
+        self.cur.clear();
+        // Lanes alternate between the two lists: each is kept as large as
+        // the longest lane either has seen, so a repeated launch does not
+        // allocate whichever way round it meets them.
+        self.cur.reserve(self.prev.len());
     }
 
     /// Make `rows[slot]` exactly `sub + 1` long (`resize_with` alone
@@ -309,9 +403,22 @@ impl TraceTable {
 
 /// The per-thread execution context handed to kernels. All device-visible
 /// work must go through it so the performance model sees it.
+///
+/// The running lane's totals are fields of the context itself, not of the
+/// lane's record behind a pointer: every `ld` / `flops` / `iops` adds to
+/// `cycles`, eight times per force candidate, and through a pointer each
+/// addition is a load–add–store round trip through memory that the next
+/// one waits for — a serial chain about as long as the candidate's own
+/// work. A field of the context the kernel holds by `&mut` can stay in a
+/// register.
 pub struct ThreadCtx<'a> {
     shared: &'a BlockShared,
-    lane: &'a mut LaneRecord,
+    totals: LaneTotals,
+    /// Shared-memory atomic words of this lane, in issue order.
+    shared_atomics: &'a mut Vec<u64>,
+    /// The lane's raw global accesses, for the reference coalescer.
+    #[cfg(test)]
+    accesses: &'a mut Vec<tests::Access>,
     /// Where a traced warp's accesses go; `None` on an untraced warp.
     trace: Option<&'a mut TraceTable>,
     fp64_cost: f64,
@@ -321,6 +428,9 @@ pub struct ThreadCtx<'a> {
     sub: u32,
     /// Slot key of this lane's latest traced access.
     last_key: u32,
+    /// Where the previous lane's accesses of the current slot begin in
+    /// `TraceTable::prev` (traced lanes only).
+    prev_slot: usize,
     /// Child launches requested via dynamic parallelism in this thread.
     pub(crate) child_launches: u64,
 }
@@ -332,11 +442,11 @@ impl<'a> ThreadCtx<'a> {
     pub fn flops<R: Scalar>(&mut self, n: u32) {
         let n = n as f64;
         if R::IS_F64 {
-            self.lane.flops64 += n;
-            self.lane.cycles += 0.5 * n * self.fp64_cost;
+            self.totals.flops64 += n;
+            self.totals.cycles += 0.5 * n * self.fp64_cost;
         } else {
-            self.lane.flops32 += n;
-            self.lane.cycles += 0.5 * n;
+            self.totals.flops32 += n;
+            self.totals.cycles += 0.5 * n;
         }
     }
 
@@ -346,11 +456,11 @@ impl<'a> ThreadCtx<'a> {
     pub fn special<R: Scalar>(&mut self, n: u32) {
         let n = n as f64;
         if R::IS_F64 {
-            self.lane.flops64 += n;
-            self.lane.cycles += SPECIAL_OP_CYCLES * n * self.fp64_cost;
+            self.totals.flops64 += n;
+            self.totals.cycles += SPECIAL_OP_CYCLES * n * self.fp64_cost;
         } else {
-            self.lane.flops32 += n;
-            self.lane.cycles += SPECIAL_OP_CYCLES * n;
+            self.totals.flops32 += n;
+            self.totals.cycles += SPECIAL_OP_CYCLES * n;
         }
     }
 
@@ -358,7 +468,7 @@ impl<'a> ThreadCtx<'a> {
     /// part of the FLOP totals).
     #[inline(always)]
     pub fn iops(&mut self, n: u32) {
-        self.lane.cycles += 0.5 * n as f64;
+        self.totals.cycles += 0.5 * n as f64;
     }
 
     /// Global load.
@@ -401,36 +511,39 @@ impl<'a> ThreadCtx<'a> {
         assert!(self.slot < MAX_SLOT, "slot overflow: 2^24 slots per thread");
         self.slot += 1;
         self.sub = 0;
+        if let Some(trace) = self.trace.as_deref() {
+            self.prev_slot = trace.seek_slot(self.slot, self.prev_slot);
+        }
     }
 
     #[inline(always)]
     fn log_access(&mut self, addr: u64, atomic: bool) {
-        self.lane.cycles += GLOBAL_ACCESS_LANE_CYCLES;
+        self.totals.cycles += GLOBAL_ACCESS_LANE_CYCLES;
         if let Some(trace) = self.trace.as_deref_mut() {
             let sub = self.sub.min(255);
             self.sub = sub + 1;
             let key = self.slot << 8 | sub;
             debug_assert!(self.last_key <= key, "a lane's slot keys never decrease");
             self.last_key = key;
-            trace.log(key, addr, atomic);
+            trace.log(key, addr, atomic, self.prev_slot);
             #[cfg(test)]
-            self.lane.accesses.push(tests::Access { key, addr, atomic });
+            self.accesses.push(tests::Access { key, addr, atomic });
         }
     }
 
     /// Shared-memory load of word `i` reinterpreted as `T`.
     #[inline(always)]
     pub fn sh_ld<T: FromWord>(&mut self, i: usize) -> T {
-        self.lane.cycles += SHARED_ACCESS_CYCLES;
-        self.lane.shared_accesses += 1;
+        self.totals.cycles += SHARED_ACCESS_CYCLES;
+        self.totals.shared_accesses += 1;
         T::from_word(self.shared.load(i))
     }
 
     /// Shared-memory store of word `i`.
     #[inline(always)]
     pub fn sh_st<T: FromWord>(&mut self, i: usize, v: T) {
-        self.lane.cycles += SHARED_ACCESS_CYCLES;
-        self.lane.shared_accesses += 1;
+        self.totals.cycles += SHARED_ACCESS_CYCLES;
+        self.totals.shared_accesses += 1;
         self.shared.store(i, T::to_word(v));
     }
 
@@ -438,10 +551,10 @@ impl<'a> ThreadCtx<'a> {
     /// cursor of the paper's shared-memory kernel). Returns the old value.
     #[inline(always)]
     pub fn sh_atomic_add_u32(&mut self, i: usize, v: u32) -> u32 {
-        self.lane.cycles += SHARED_ATOMIC_CYCLES;
-        self.lane.shared_accesses += 1;
+        self.totals.cycles += SHARED_ATOMIC_CYCLES;
+        self.totals.shared_accesses += 1;
         if self.trace.is_some() {
-            self.lane.shared_atomics.push(i as u64);
+            self.shared_atomics.push(i as u64);
         }
         self.shared.fetch_add_u32(i, v)
     }
@@ -495,8 +608,8 @@ impl FromWord for f64 {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostCost {
     /// Running the kernel's threads: the functional work, the lane
-    /// records, and — on traced warps — coalescing every access into its
-    /// bucket as it is logged.
+    /// totals, and — on traced warps — logging every access: past the
+    /// lane filter or coalesced into its bucket.
     pub exec_s: f64,
     /// Streaming the batch's buckets through the L2 model.
     pub drain_s: f64,
@@ -510,6 +623,29 @@ impl HostCost {
     }
 }
 
+/// How the traced warps' global accesses were logged — why the trace path
+/// cost what it cost. Deterministic, but a property of the simulator, not
+/// of the simulated device: kept beside [`HostCost`], outside
+/// [`KernelCounters`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceAccesses {
+    /// Global accesses of traced warps.
+    pub total: u64,
+    /// Those that repeated, key and segment, what the previous lane of
+    /// their warp logged and never reached the bucket table. High where
+    /// neighboring lanes walk the same neighbors (sorted input), near
+    /// zero where they do not.
+    pub filtered: u64,
+}
+
+impl TraceAccesses {
+    /// Element-wise accumulation (pipeline totals).
+    pub fn merge(&mut self, other: &Self) {
+        self.total += other.total;
+        self.filtered += other.filtered;
+    }
+}
+
 /// Result of a kernel launch: counters plus modeled timing.
 #[derive(Debug, Clone)]
 pub struct LaunchResult {
@@ -519,6 +655,8 @@ pub struct LaunchResult {
     pub timing: KernelTiming,
     /// Measured host cost of simulating the launch.
     pub host: HostCost,
+    /// How many traced accesses the lane filter absorbed.
+    pub accesses: TraceAccesses,
 }
 
 /// Launch scratch owned by the device and reused by every launch: the
@@ -630,6 +768,7 @@ impl GpuDevice {
         let (arena, l2) = &mut *self.arena.lock();
         // A kernel that panicked mid-launch leaves a half-staged batch.
         arena.table.drain(|_| ());
+        (arena.table.logged, arena.table.reached_table) = (0, 0);
         arena
             .lanes
             .resize_with(self.spec.warp_size as usize, LaneRecord::default);
@@ -653,7 +792,7 @@ impl GpuDevice {
                     let warp_base = warp as u32 * self.spec.warp_size;
                     // Before the first lane logs: a warp that dies half
                     // way must not share its generation with the next.
-                    arena.table.warp += 1;
+                    arena.table.begin_warp();
 
                     for (l, lane) in arena.lanes.iter_mut().enumerate() {
                         lane.reset();
@@ -670,16 +809,24 @@ impl GpuDevice {
                         };
                         let mut ctx = ThreadCtx {
                             shared: &arena.shared,
-                            lane,
+                            totals: LaneTotals::default(),
+                            shared_atomics: &mut lane.shared_atomics,
+                            #[cfg(test)]
+                            accesses: &mut lane.accesses,
                             trace: traced.then_some(&mut arena.table),
                             fp64_cost,
                             slot: 0,
                             sub: 0,
                             last_key: 0,
+                            prev_slot: 0,
                             child_launches: 0,
                         };
                         kernel.thread(phase, tid, &mut ctx);
                         counters.child_launches += ctx.child_launches;
+                        lane.totals = ctx.totals;
+                        if traced {
+                            arena.table.end_lane();
+                        }
                     }
                     Self::retire_warp(arena, traced, phase == 0, &mut counters);
                     lap(&mut host.exec_s);
@@ -695,10 +842,15 @@ impl GpuDevice {
 
         counters.finalize_scaling();
         let timing = KernelTiming::model(&counters, &self.spec);
+        let accesses = TraceAccesses {
+            total: arena.table.logged,
+            filtered: arena.table.logged - arena.table.reached_table,
+        };
         LaunchResult {
             counters,
             timing,
             host,
+            accesses,
         }
     }
 
@@ -727,11 +879,11 @@ impl GpuDevice {
             if count_threads {
                 counters.threads_run += 1;
             }
-            counters.flops_fp32 += lane.flops32;
-            counters.flops_fp64 += lane.flops64;
-            counters.shared_accesses += lane.shared_accesses as f64;
-            counters.lane_cycles_total += lane.cycles;
-            max_cycles = max_cycles.max(lane.cycles);
+            counters.flops_fp32 += lane.totals.flops32;
+            counters.flops_fp64 += lane.totals.flops64;
+            counters.shared_accesses += lane.totals.shared_accesses as f64;
+            counters.lane_cycles_total += lane.totals.cycles;
+            max_cycles = max_cycles.max(lane.totals.cycles);
         }
         if !any_active {
             return;
@@ -833,6 +985,7 @@ mod tests {
             + table.rows.iter().map(row_bytes).sum::<usize>()
             + table.touched.capacity() * 4
             + table.atomics.capacity() * size_of::<(u32, u64)>()
+            + (table.prev.capacity() + table.cur.capacity()) * 8
     }
 
     /// y[i] = a*x[i] + y[i] — the classic saxpy, exercising loads, stores
@@ -1126,13 +1279,16 @@ mod tests {
 
     #[test]
     fn a_kernel_panic_does_not_leak_its_batch_into_the_next_launch() {
-        /// Block 1 faults half way through its first warp: lanes 0..16
-        /// have logged (their keys carry the dying warp's generation).
+        /// Two loads of one word per lane. Lane 16 of block 1 faults
+        /// between its two: lanes 0..16 have logged (their keys carry the
+        /// dying warp's generation), lane 15's stream is the one the
+        /// filter compares against and lane 16's is half written.
         struct DiesInBlockOne(DeviceBuffer<f32>);
         impl Kernel for DiesInBlockOne {
             fn thread(&self, _: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
+                ctx.ld(&self.0, 0);
                 assert!(tid.block == 0 || tid.thread < 16, "device-side fault");
-                ctx.ld(&self.0, tid.thread as usize);
+                ctx.ld(&self.0, 0);
             }
         }
         let n = 1024;
@@ -1143,15 +1299,33 @@ mod tests {
             dev.launch(&faulty, cfg);
         }));
         assert!(unwound.is_err());
-        let staged = dev.arena.lock().0.table.touched.len();
-        assert!(staged > 0, "the fault left nothing behind to leak");
+        {
+            let table = &dev.arena.lock().0.table;
+            assert!(
+                !table.touched.is_empty() && table.prev.len() > 1 && !table.cur.is_empty(),
+                "the fault left nothing behind to leak"
+            );
+        }
+        // The next launch's first lane repeats the dead lanes' accesses
+        // exactly and still compares against nothing: both reach the table.
+        let one_thread = LaunchConfig::for_items(1, 1);
+        let probe = dev.launch(&faulty, one_thread);
+        let reached_the_table = TraceAccesses {
+            total: 2,
+            filtered: 0,
+        };
+        assert_eq!(probe.accesses, reached_the_table);
+        assert_eq!(probe.counters.global_transactions, 2.0);
         // Neither the staged segments nor the half-logged warp's stamps
         // (the next launch's first warp touches the same keys) survive:
-        // the batch never drained, so the L2 is as cold as a new device's.
+        // the dead batch never drained, so the L2 holds the probe's one
+        // line and nothing else.
         let after = dev.launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
-        let fresh =
-            GpuDevice::new(SYSTEM_A.gpu).launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
+        let fresh_dev = GpuDevice::new(SYSTEM_A.gpu);
+        fresh_dev.launch(&faulty, one_thread);
+        let fresh = fresh_dev.launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
         assert_eq!(after.counters, fresh.counters);
+        assert_eq!(after.accesses, fresh.accesses);
     }
 
     /// One access per loop iteration, `trips` iterations, every lane.
@@ -1184,8 +1358,9 @@ mod tests {
         };
         let c = dev.launch(&k, cfg).counters;
         assert_eq!(c.global_transactions, trips as f64);
-        // A row, a bucket header and a few segment ids per key — where a
-        // table indexed by `slot << 8 | sub` spends 256 headers per slot.
+        // A row, a bucket header, a few segment ids and a record in each
+        // of the filter's two streams per key — where a table indexed by
+        // `slot << 8 | sub` spends 256 headers per slot.
         let bytes = table_bytes(&dev.arena.lock().0.table);
         let per_key = bytes / trips as usize;
         assert!(per_key < 128, "{per_key} table bytes per touched key");
@@ -1356,11 +1531,11 @@ mod tests {
                 if count_threads {
                     counters.threads_run += 1;
                 }
-                counters.flops_fp32 += lane.flops32;
-                counters.flops_fp64 += lane.flops64;
-                counters.shared_accesses += lane.shared_accesses as f64;
-                counters.lane_cycles_total += lane.cycles;
-                max_cycles = max_cycles.max(lane.cycles);
+                counters.flops_fp32 += lane.totals.flops32;
+                counters.flops_fp64 += lane.totals.flops64;
+                counters.shared_accesses += lane.totals.shared_accesses as f64;
+                counters.lane_cycles_total += lane.totals.cycles;
+                max_cycles = max_cycles.max(lane.totals.cycles);
             }
             if !any_active {
                 return;
@@ -1448,7 +1623,7 @@ mod tests {
                     let warp_id = block as u64 * warps_per_block + warp;
                     let traced = warp_id.is_multiple_of(dev.trace_sample);
                     unused.drain(|_| ());
-                    unused.warp += 1;
+                    unused.begin_warp();
                     for (l, lane) in lanes.iter_mut().enumerate() {
                         lane.reset();
                         let thread = warp as u32 * dev.spec.warp_size + l as u32;
@@ -1464,16 +1639,20 @@ mod tests {
                         };
                         let mut ctx = ThreadCtx {
                             shared: &shared,
-                            lane,
+                            totals: LaneTotals::default(),
+                            shared_atomics: &mut lane.shared_atomics,
+                            accesses: &mut lane.accesses,
                             trace: traced.then_some(&mut unused),
                             fp64_cost: dev.spec.fp64_ratio(),
                             slot: 0,
                             sub: 0,
                             last_key: 0,
+                            prev_slot: 0,
                             child_launches: 0,
                         };
                         kernel.thread(phase, tid, &mut ctx);
                         counters.child_launches += ctx.child_launches;
+                        lane.totals = ctx.totals;
                     }
                     retire(&lanes, traced, phase == 0, &mut counters, &mut batch);
                     if batch.len() >= batch_width {
@@ -1588,11 +1767,172 @@ mod tests {
         }
     }
 
+    /// System A cut down to one SM of `max_threads_per_sm` and an 8 KB
+    /// two-way L2: batches drain several times per launch and the L2
+    /// evicts constantly, so a reordered transaction stream shows up in
+    /// the hit counts.
+    fn small_device(max_threads_per_sm: u32) -> GpuSpec {
+        GpuSpec {
+            sm_count: 1,
+            max_threads_per_sm,
+            l2_bytes: 8 * 1024,
+            l2_ways: 2,
+            ..SYSTEM_A.gpu
+        }
+    }
+
+    /// `script[phase][thread]` on that device, checked against the
+    /// oracle; returns how its accesses were logged.
+    fn filtered_run(script: Vec<Vec<Vec<Op>>>, cfg: LaunchConfig) -> TraceAccesses {
+        let spec = small_device(64);
+        let k = Scripted {
+            script,
+            buf: DeviceAllocator::new().alloc::<u32>(SCRIPT_WORDS),
+        };
+        let got = GpuDevice::new(spec).launch(&k, cfg);
+        let want = launch_reference(&GpuDevice::new(spec), &k, cfg);
+        assert_eq!(got.counters, want);
+        got.accesses
+    }
+
+    /// Row `r` of the script buffer: one 128-byte segment per row.
+    fn row(r: usize) -> usize {
+        r * 32
+    }
+
+    #[test]
+    fn the_lane_filter_absorbs_what_the_previous_lane_logged_and_nothing_else() {
+        let one_warp = LaunchConfig {
+            grid_dim: 1,
+            block_dim: 32,
+            shared_words: SCRIPT_SHARED_WORDS,
+        };
+        // Two slots, five accesses, two of them atomics on one word.
+        let s = vec![
+            Op::Ld(row(1)),
+            Op::AtomicAdd(row(2)),
+            Op::BeginSlot,
+            Op::Ld(row(3)),
+            Op::St(row(4)),
+            Op::AtomicExchange(row(2)),
+        ];
+        // The same keys, other segments.
+        let t = vec![
+            Op::Ld(row(11)),
+            Op::AtomicAdd(row(12)),
+            Op::BeginSlot,
+            Op::Ld(row(13)),
+            Op::St(row(14)),
+            Op::AtomicExchange(row(12)),
+        ];
+
+        // A run of one script: every lane but the first is absorbed —
+        // its atomics too, which `filtered_run` saw counted and
+        // serialized as the oracle does (31 conflicts per slot).
+        let run = filtered_run(vec![vec![s.clone(); 32]], one_warp);
+        let (total, filtered) = (32 * 5, 31 * 5);
+        assert_eq!(run, TraceAccesses { total, filtered });
+
+        // A lane equal to the lane two back but not to the previous one
+        // goes to the table every time, which still coalesces it (the
+        // oracle's 2 segments per key, not 32).
+        let alternating = (0..32).map(|l| [&s, &t][l % 2].clone()).collect();
+        let run = filtered_run(vec![alternating], one_warp);
+        let (total, filtered) = (32 * 5, 0);
+        assert_eq!(run, TraceAccesses { total, filtered });
+
+        // A lane that falls out of step inside a slot is back in step at
+        // the next `begin_slot`: lane 1 skips slot 0's second access, lane
+        // 2 repeats lane 1, lane 3 repeats lane 0.
+        let mut short = s.clone();
+        short.remove(1);
+        let lanes = vec![s.clone(), short.clone(), short, s.clone()];
+        let run = filtered_run(
+            vec![lanes],
+            LaunchConfig {
+                block_dim: 4,
+                ..one_warp
+            },
+        );
+        // Lane 1: its 4 accesses all repeat lane 0. Lane 2: all 4. Lane
+        // 3: all but the access lane 2 did not make.
+        let (total, filtered) = (5 + 4 + 4 + 5, 4 + 4 + 4);
+        assert_eq!(run, TraceAccesses { total, filtered });
+
+        // Past 255 accesses in a slot every access has the slot's last
+        // key and `prev` holds that key many times; the filter compares
+        // with the first of them only, the table dedupes the rest.
+        let long: Vec<Op> = (0..300)
+            .map(|j| Op::Ld(row(if j < 255 { j } else { 255 + j % 2 })))
+            .collect();
+        let run = filtered_run(vec![vec![long; 32]], one_warp);
+        // Per repeating lane: 255 unsaturated accesses, and of the 45
+        // saturated ones the 23 to the segment of the first (row 256).
+        let (total, filtered) = (32 * 300, 31 * (255 + 23));
+        assert_eq!(run, TraceAccesses { total, filtered });
+
+        // Nothing is matched across a warp generation: blocks of a full
+        // and an 8-lane warp, two phases, every thread the same script —
+        // lane 0 of each warp repeats the last lane of the warp before
+        // (a partial one, another block's, the phase before's) and goes
+        // to the table all the same.
+        let ragged = LaunchConfig {
+            grid_dim: 2,
+            block_dim: 40,
+            shared_words: SCRIPT_SHARED_WORDS,
+        };
+        let run = filtered_run(vec![vec![s.clone(); 80]; 2], ragged);
+        let (total, filtered) = (2 * 80 * 5, 2 * 2 * (31 + 7) * 5);
+        assert_eq!(run, TraceAccesses { total, filtered });
+    }
+
+    /// One phase's scripts, thread by thread, as sorted input looks to
+    /// the lane filter: runs of consecutive lanes sharing one script
+    /// (atomics and saturated slots included) that cross warp and block
+    /// boundaries — so lane 0 of a warp repeats the last lane of the warp
+    /// before, a partial one when `block_dim` is ragged —, lanes equal to
+    /// the lane two back but not to the previous one, and near repeats
+    /// that drop, swap or add an access and fall out of step. `carry` is
+    /// the last thread's script of the phase before: thread 0 may repeat
+    /// it across the barrier.
+    fn random_phase_script(
+        rng: &mut bdm_math::SplitMix64,
+        threads: usize,
+        carry: Option<&Vec<Op>>,
+    ) -> Vec<Vec<Op>> {
+        let mut lanes: Vec<Vec<Op>> = Vec::with_capacity(threads);
+        for t in 0..threads {
+            let previous = lanes.last().or(carry);
+            let two_back = t.checked_sub(2).map(|i| &lanes[i]);
+            let script = match (rng.below(8), previous, two_back) {
+                (0..=2, Some(previous), _) => previous.clone(),
+                (3, _, Some(two_back)) => two_back.clone(),
+                (4, Some(previous), _) => {
+                    let mut near = Vec::with_capacity(previous.len() + 1);
+                    for &op in previous {
+                        match rng.below(16) {
+                            0 => {}
+                            1 => near.push(Op::Ld(rng.below(SCRIPT_WORDS as u64) as usize)),
+                            2 => near.extend([op, Op::Ld(rng.below(6) as usize * 16)]),
+                            _ => near.push(op),
+                        }
+                    }
+                    near
+                }
+                _ => random_lane_script(rng),
+            };
+            lanes.push(script);
+        }
+        lanes
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// The arena engine and the retained `BTreeMap` oracle agree on
-        /// every counter, bit for bit, for arbitrary lane scripts on a
+        /// every counter, bit for bit, for arbitrary lane scripts — lanes
+        /// that repeat their neighbors, which the lane filter absorbs, and
+        /// lanes that share nothing — on a
         /// device small enough that batches drain several times per
         /// launch — after every traced warp when `drain_per_warp`, as
         /// sampled figure runs do — and the L2 evicts constantly (so any
@@ -1609,20 +1949,17 @@ mod tests {
         ) {
             // One resident block of at most three warps: a stride of 3
             // (or a one-warp block) makes the batch one warp wide.
-            let spec = GpuSpec {
-                sm_count: 1,
-                max_threads_per_sm: if drain_per_warp { 1 } else { 64 },
-                l2_bytes: 8 * 1024,
-                l2_ways: 2,
-                ..SYSTEM_A.gpu
-            };
+            let spec = small_device(if drain_per_warp { 1 } else { 64 });
             let sample = if sampled { 3 } else { 1 };
             let block_dim = if drain_per_warp && !sampled { block_dim.min(32) } else { block_dim };
             let mut rng = bdm_math::SplitMix64::new(seed);
             let threads = (grid_dim * block_dim) as usize;
-            let script: Vec<Vec<Vec<Op>>> = (0..phases)
-                .map(|_| (0..threads).map(|_| random_lane_script(&mut rng)).collect())
-                .collect();
+            let mut script: Vec<Vec<Vec<Op>>> = Vec::with_capacity(phases);
+            for _ in 0..phases {
+                let carry = script.last().and_then(|phase| phase.last());
+                let phase = random_phase_script(&mut rng, threads, carry);
+                script.push(phase);
+            }
             let mut alloc = DeviceAllocator::new();
             let k = Scripted { script, buf: alloc.alloc::<u32>(SCRIPT_WORDS) };
             let cfg = LaunchConfig { grid_dim, block_dim, shared_words: SCRIPT_SHARED_WORDS };

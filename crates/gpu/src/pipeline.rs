@@ -49,7 +49,7 @@
 //! because both grid builds are pure functions of the (unchanged) keys.
 
 use crate::counters::KernelCounters;
-use crate::engine::{FromWord, HostCost, Kernel, LaunchResult};
+use crate::engine::{FromWord, HostCost, Kernel, LaunchResult, TraceAccesses};
 use crate::frontend::{ApiFrontend, Runtime};
 use crate::kernels::csr::{exclusive_scan_into, CsrCountKernel, CsrScatterKernel};
 use crate::kernels::dynpar::{ChildKernel, FinishKernel, ParentKernel};
@@ -255,6 +255,9 @@ pub struct GpuStepReport {
     /// Host wall clock the SIMT simulator spent on the step's launches
     /// (measured, not modeled — the one nondeterministic field).
     pub host: HostCost,
+    /// How many of the step's traced accesses the engine's lane filter
+    /// absorbed — why `host.exec_s` reads what it reads.
+    pub accesses: TraceAccesses,
 }
 
 impl GpuStepReport {
@@ -292,6 +295,13 @@ impl GpuStepReport {
         // The simulator's own host wall clock: informational, never gated.
         for (phase, secs) in [("exec", self.host.exec_s), ("drain", self.host.drain_s)] {
             reg.observe("gpu.host_s", &with("phase", phase), secs);
+        }
+        // Why it cost that: the traced accesses by the path that logged
+        // them. Informational too — a count of the simulator's work, not
+        // of the device's.
+        let TraceAccesses { total, filtered } = self.accesses;
+        for (path, n) in [("filter", filtered), ("table", total - filtered)] {
+            reg.inc_counter("gpu.trace_accesses", &with("path", path), n as f64);
         }
     }
 }
@@ -335,6 +345,7 @@ struct PhaseCost {
     counters: KernelCounters,
     secs: f64,
     host: HostCost,
+    accesses: TraceAccesses,
     h2d_bytes: u64,
     h2d_transfers: u32,
     d2h_bytes: u64,
@@ -348,6 +359,7 @@ impl PhaseCost {
         self.counters.merge(&r.counters);
         self.secs += r.timing.total_s;
         self.host.merge(&r.host);
+        self.accesses.merge(&r.accesses);
     }
 
     /// Launch `kernel` at one thread per item (128-thread groups, no
@@ -373,6 +385,7 @@ impl PhaseCost {
         self.counters.merge(&later.counters);
         self.secs += later.secs;
         self.host.merge(&later.host);
+        self.accesses.merge(&later.accesses);
         self.h2d_bytes += later.h2d_bytes;
         self.h2d_transfers += later.h2d_transfers;
         self.d2h_bytes += later.d2h_bytes;
@@ -999,6 +1012,7 @@ impl StepEnv<'_> {
             sync: plan.unwrap_or(SyncPlan::Cold),
             grid_built,
             host: step.host,
+            accesses: step.accesses,
         }
     }
 

@@ -10,11 +10,11 @@
 //! launch.)
 
 use bdm_device::specs::SYSTEM_A;
-use bdm_gpu::engine::LaunchResult;
+use bdm_gpu::engine::{Kernel, LaunchResult, ThreadCtx, ThreadId};
 use bdm_gpu::kernels::grid_build::GridBuildKernel;
 use bdm_gpu::kernels::layout::{AgentCols, ChainGrid, DispCols};
 use bdm_gpu::kernels::mech::ForceKernel;
-use bdm_gpu::mem::DeviceAllocator;
+use bdm_gpu::mem::{DeviceAllocator, DeviceBuffer};
 use bdm_gpu::{GpuDevice, LaunchConfig};
 use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
@@ -71,59 +71,106 @@ fn allocations_in(f: impl FnOnce() -> LaunchResult) -> (u64, LaunchResult) {
     (ALLOCATIONS.with(Cell::get) - before, r)
 }
 
+/// 12³ voxels of ≈ 1.2 agents each on the device, with the chained grid
+/// the two launches of a step build and walk.
+struct Scene {
+    n: usize,
+    geom: GridGeometry<f64>,
+    cols: [DeviceBuffer<f64>; 5],
+    disp: [DeviceBuffer<f64>; 3],
+    box_start: DeviceBuffer<u32>,
+    box_length: DeviceBuffer<u32>,
+    successors: DeviceBuffer<u32>,
+}
+
+impl Scene {
+    /// `n` uniformly random agents; `sorted` stores them voxel by voxel,
+    /// so that neighboring lanes walk the same chains.
+    fn new(n: usize, sorted: bool) -> Self {
+        let extent = 12.0;
+        let mut rng = SplitMix64::new(17);
+        let mut column =
+            |lo: f64, hi: f64| -> Vec<f64> { (0..n).map(|_| rng.uniform(lo, hi)).collect() };
+        let (xs, ys, zs) = (
+            column(0.0, extent),
+            column(0.0, extent),
+            column(0.0, extent),
+        );
+        let mut order: Vec<usize> = (0..n).collect();
+        if sorted {
+            order.sort_by_key(|&i| [zs[i] as u32, ys[i] as u32, xs[i] as u32]);
+        }
+        let stored = |col: &[f64]| -> Vec<f64> { order.iter().map(|&i| col[i]).collect() };
+        let geom = GridGeometry::new(Aabb::new(Vec3::zero(), Vec3::splat(extent)), 1.0);
+        assert_eq!(geom.dims(), [12, 12, 12]);
+
+        let mut alloc = DeviceAllocator::new();
+        let cols: [DeviceBuffer<f64>; 5] = std::array::from_fn(|_| alloc.alloc::<f64>(n));
+        let disp = std::array::from_fn(|_| alloc.alloc::<f64>(n));
+        cols[0].upload(&stored(&xs));
+        cols[1].upload(&stored(&ys));
+        cols[2].upload(&stored(&zs));
+        cols[3].fill(1.0);
+        cols[4].fill(0.01);
+        Self {
+            n,
+            geom,
+            cols,
+            disp,
+            box_start: alloc.alloc::<u32>(geom.num_boxes()),
+            box_length: alloc.alloc::<u32>(geom.num_boxes()),
+            successors: alloc.alloc::<u32>(n),
+        }
+    }
+
+    fn grid(&self) -> ChainGrid<'_> {
+        ChainGrid {
+            box_start: &self.box_start,
+            box_length: &self.box_length,
+            successors: &self.successors,
+        }
+    }
+
+    /// Reset and rebuild the grid: the launch's heap allocations and
+    /// result.
+    fn build(&self, dev: &GpuDevice, cfg: LaunchConfig) -> (u64, LaunchResult) {
+        let build = GridBuildKernel {
+            n: self.n,
+            geom: self.geom,
+            agents: AgentCols(&self.cols),
+            grid: self.grid(),
+        };
+        self.grid().reset();
+        allocations_in(|| dev.launch(&build, cfg))
+    }
+
+    /// The force launch over the grid as `build` left it.
+    fn mech(&self, dev: &GpuDevice, cfg: LaunchConfig) -> (u64, LaunchResult) {
+        let mech = ForceKernel {
+            n: self.n,
+            geom: self.geom,
+            agents: AgentCols(&self.cols),
+            source: self.grid(),
+            out: DispCols(&self.disp),
+            params: MechParams::<f64>::default_params(),
+        };
+        allocations_in(|| dev.launch(&mech, cfg))
+    }
+
+    /// One step's two launches.
+    fn step(&self, dev: &GpuDevice, cfg: LaunchConfig) -> [(u64, LaunchResult); 2] {
+        [self.build(dev, cfg), self.mech(dev, cfg)]
+    }
+}
+
 #[test]
 fn second_identical_launch_performs_zero_heap_allocations() {
-    let n = 2000;
-    let extent = 12.0;
-    let mut rng = SplitMix64::new(17);
-    let mut column =
-        |lo: f64, hi: f64| -> Vec<f64> { (0..n).map(|_| rng.uniform(lo, hi)).collect() };
-    let (xs, ys, zs) = (
-        column(0.0, extent),
-        column(0.0, extent),
-        column(0.0, extent),
-    );
-    let geom = GridGeometry::new(Aabb::new(Vec3::zero(), Vec3::splat(extent)), 1.0);
-    assert_eq!(geom.dims(), [12, 12, 12]);
-
-    let mut alloc = DeviceAllocator::new();
-    let cols = std::array::from_fn(|_| alloc.alloc::<f64>(n));
-    let disp = std::array::from_fn(|_| alloc.alloc::<f64>(n));
-    cols[0].upload(&xs);
-    cols[1].upload(&ys);
-    cols[2].upload(&zs);
-    cols[3].fill(1.0);
-    cols[4].fill(0.01);
-    let box_start = alloc.alloc::<u32>(geom.num_boxes());
-    let box_length = alloc.alloc::<u32>(geom.num_boxes());
-    let successors = alloc.alloc::<u32>(n);
-    let grid = ChainGrid {
-        box_start: &box_start,
-        box_length: &box_length,
-        successors: &successors,
-    };
-
-    let build = GridBuildKernel {
-        n,
-        geom,
-        agents: AgentCols(&cols),
-        grid,
-    };
-    let mech = ForceKernel {
-        n,
-        geom,
-        agents: AgentCols(&cols),
-        source: grid,
-        out: DispCols(&disp),
-        params: MechParams::<f64>::default_params(),
-    };
-    let cfg = LaunchConfig::for_items(n, 128);
+    let scene = Scene::new(2000, false);
+    let cfg = LaunchConfig::for_items(scene.n, 128);
     let dev = GpuDevice::new(SYSTEM_A.gpu);
 
     // Warm-up: the arenas grow to this launch shape.
-    grid.reset();
-    let (warm_build, first_build) = allocations_in(|| dev.launch(&build, cfg));
-    let (warm_mech, first_mech) = allocations_in(|| dev.launch(&mech, cfg));
+    let [(warm_build, first_build), (warm_mech, first_mech)] = scene.step(&dev, cfg);
     assert!(
         warm_build > 0 && warm_mech > 0,
         "the counting allocator is not installed"
@@ -133,9 +180,7 @@ fn second_identical_launch_performs_zero_heap_allocations() {
     // Steady state: the same two launches again, on a cold L2 like the
     // first pair.
     dev.reset_l2();
-    grid.reset();
-    let (steady_build, second_build) = allocations_in(|| dev.launch(&build, cfg));
-    let (steady_mech, second_mech) = allocations_in(|| dev.launch(&mech, cfg));
+    let [(steady_build, second_build), (steady_mech, second_mech)] = scene.step(&dev, cfg);
     assert_eq!(steady_build, 0, "grid-build launch allocated");
     assert_eq!(steady_mech, 0, "mech launch allocated");
     // And it really was the identical work.
@@ -144,9 +189,7 @@ fn second_identical_launch_performs_zero_heap_allocations() {
 
     // A resident pipeline's next step: the same two launches once more
     // with the L2 left warm — the same transactions, more of them hits.
-    grid.reset();
-    let (resident_build, third_build) = allocations_in(|| dev.launch(&build, cfg));
-    let (resident_mech, third_mech) = allocations_in(|| dev.launch(&mech, cfg));
+    let [(resident_build, third_build), (resident_mech, third_mech)] = scene.step(&dev, cfg);
     assert_eq!(resident_build, 0, "warm grid-build launch allocated");
     assert_eq!(resident_mech, 0, "warm mech launch allocated");
     for (cold, warm) in [(&second_build, &third_build), (&second_mech, &third_mech)] {
@@ -154,4 +197,52 @@ fn second_identical_launch_performs_zero_heap_allocations() {
         assert_eq!(cold.global_transactions, warm.global_transactions);
         assert!(warm.l2_hits > cold.l2_hits, "the L2 was not left warm");
     }
+}
+
+/// The lane filter's two streams live in the arena too. On sorted storage
+/// it absorbs most accesses, lanes differ widely in length (a stream is as
+/// long as its lane's neighbor walk), and after an odd number of lanes the
+/// two streams have traded places — each must already be as large as the
+/// longest lane the *other* has seen. The extreme of that is a launch of
+/// one lane: the repeat logs into the stream the first launch never wrote.
+#[test]
+fn second_sorted_scene_launch_performs_zero_heap_allocations() {
+    let scene = Scene::new(1875, true);
+    let cfg = LaunchConfig::for_items(scene.n, 125);
+    assert_eq!(cfg.total_threads() % 2, 1);
+    let dev = GpuDevice::new(SYSTEM_A.gpu);
+
+    let [_, (warm_mech, first_mech)] = scene.step(&dev, cfg);
+    assert!(warm_mech > 0, "the counting allocator is not installed");
+    let logged = first_mech.accesses;
+    assert!(
+        logged.filtered * 2 > logged.total,
+        "sorted lanes should mostly repeat their neighbors: {logged:?}"
+    );
+
+    // The force launch alone (the grid stands): an odd number of lanes
+    // since it last began. The same accesses on a warmer L2.
+    let (steady_mech, second_mech) = scene.mech(&dev, cfg);
+    assert_eq!(steady_mech, 0, "mech launch allocated");
+    assert_eq!(first_mech.accesses, second_mech.accesses);
+    assert_eq!(
+        first_mech.counters.global_transactions,
+        second_mech.counters.global_transactions
+    );
+
+    /// A thousand loads, far more than a lane of the scene makes.
+    struct LongLane<'a>(&'a DeviceBuffer<f64>);
+    impl Kernel for LongLane<'_> {
+        fn thread(&self, _: usize, _: ThreadId, ctx: &mut ThreadCtx<'_>) {
+            for i in 0..1000 {
+                ctx.begin_slot();
+                ctx.ld(self.0, i);
+            }
+        }
+    }
+    let (lane, one_lane) = (LongLane(&scene.cols[0]), LaunchConfig::for_items(1, 1));
+    let (warm, _) = allocations_in(|| dev.launch(&lane, one_lane));
+    let (steady, _) = allocations_in(|| dev.launch(&lane, one_lane));
+    assert!(warm > 0, "the long lane fitted the arena as it was");
+    assert_eq!(steady, 0, "one-lane launch allocated");
 }

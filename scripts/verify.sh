@@ -59,16 +59,24 @@ cargo test -q --offline --release -p bdm-sim --test alloc_births -- \
     a_warmed_reorder_allocates_a_constant \
     a_restore_allocates_a_constant
 # The SIMT engine's steady-state launches must not touch the heap (cold
-# and warm L2 alike: the per-key buckets keep their capacity) — in
-# release mode, where the optimizer decides what actually allocates.
+# and warm L2 alike: the per-key buckets keep their capacity; sorted
+# storage and a one-lane launch alike: the lane filter's two streams
+# trade places) — in release mode, where the optimizer decides what
+# actually allocates.
 cargo test -q --offline --release -p bdm-gpu --test alloc_steady -- \
-    second_identical_launch_performs_zero_heap_allocations
-# The log-time coalescer against the retained BTreeMap oracle on random
-# lane scripts, every simulated statistic of every kernel version and
-# resident sync path against its parent-commit golden, and the resident
-# reorder pin.
+    second_identical_launch_performs_zero_heap_allocations \
+    second_sorted_scene_launch_performs_zero_heap_allocations
+# The log-time coalescer and the lane filter in front of it against the
+# retained BTreeMap oracle on random lane scripts (lanes that repeat,
+# alternate with and fall out of step with their neighbors), the
+# filter's exact counts, a launch that died mid-lane, every simulated
+# statistic of every kernel version and resident sync path against its
+# parent-commit golden, and the resident reorder pin.
 cargo test -q --offline --release -p bdm-gpu --lib -- \
     arena_engine_matches_the_reference_bit_for_bit \
+    the_lane_filter_absorbs_what_the_previous_lane_logged_and_nothing_else \
+    a_kernel_panic_does_not_leak_its_batch_into_the_next_launch \
+    sampled_tracing_counts_every_warps_shared_accesses_once \
     step_reports_match_the_parent_goldens
 cargo test -q --offline --release -p bdm-sim --lib -- \
     resident_reorder_steps_resync_from_the_uid_diff_alone
