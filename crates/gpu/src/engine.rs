@@ -344,7 +344,7 @@ impl TraceTable {
         }
         // Newest first: neighboring lanes mostly share a segment.
         if !bucket.segs[bucket.start..].iter().rev().any(|&s| s == seg) {
-            bucket.segs.push(seg);
+            push_seg(&mut bucket.segs, seg);
         }
     }
 
@@ -399,6 +399,19 @@ impl TraceTable {
             }
         }
     }
+}
+
+/// Append `seg` to a bucket, growing it by a quarter (at least 4 ids)
+/// where `Vec::push` would double it: the buckets hold every transaction
+/// of a batch, and doubling leaves up to half of that capacity unused.
+/// Still geometric, so the appends stay amortized O(1), and the capacity
+/// is kept across drains, so a repeated launch does not allocate.
+#[inline(always)]
+fn push_seg(segs: &mut Vec<u32>, seg: u32) {
+    if segs.len() == segs.capacity() {
+        segs.reserve_exact((segs.len() / 4).max(4));
+    }
+    segs.push(seg);
 }
 
 /// The per-thread execution context handed to kernels. All device-visible
