@@ -80,6 +80,15 @@ pub fn gpu(args: &Args) -> ExitCode {
             g.host.exec_s * 1e3,
             g.host.drain_s * 1e3
         );
+        // Why: how much of the exec ran in launches whose blocks commute
+        // and so fork across the host workers (the rest ran in order).
+        println!(
+            "   exec in forked launches: {:.1}% ({} forked in {} chunks, {} in order)",
+            100.0 * g.host.forked_s / g.host.exec_s.max(f64::MIN_POSITIVE),
+            g.launches.forked,
+            g.launches.chunks - g.launches.ordered as u64,
+            g.launches.ordered
+        );
         // Why: the share of traced accesses the lane filter absorbed
         // (they repeat the previous lane — sorted input — and never
         // reach the bucket table).

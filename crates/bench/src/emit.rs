@@ -64,6 +64,7 @@ pub fn default_policy(name: &str) -> GatePolicy {
                 | "checkpoint.read_ms"
                 | "gpu.host_s"
                 | "gpu.trace_accesses"
+                | "gpu.launches"
                 | "gpu.sync"
                 | "gpu.grid_build"
                 | "mech.simd_stencils_staged"
@@ -79,7 +80,8 @@ pub fn default_policy(name: &str) -> GatePolicy {
         // just don't carry `wall` in their names; the traced accesses by
         // logging path (lane filter or bucket table) say why that host
         // cost reads what it reads and count the simulator's work, not
-        // the device's. The GPU sync-kind and
+        // the device's, as do the launches by how their blocks ran
+        // (forked across the host workers or in order). The GPU sync-kind and
         // grid-build-outcome counts say *why* the gated transfer
         // counters read what they read; gating the explanation too
         // would fail twice for one cause. The stencil-stage
@@ -347,6 +349,7 @@ mod tests {
         assert!(!default_policy("mech.phase_wall_s").gate);
         assert!(!default_policy("gpu.host_s").gate);
         assert!(!default_policy("gpu.trace_accesses").gate);
+        assert!(!default_policy("gpu.launches").gate);
         assert_eq!(default_policy("scheduler.op_runs").tol, Some(0.0));
         assert_eq!(default_policy("sim.agents").tol, Some(0.0));
         assert_eq!(default_policy("mech.candidates").tol, Some(0.02));

@@ -19,18 +19,52 @@
 //! * Atomic operations to the same address within a slot serialize and
 //!   are charged extra warp cycles.
 //!
-//! Execution is sequential on the calling thread — kernel threads, the
-//! coalescing they do as they log, and the L2 drain alike; nothing here
-//! forks — and fully deterministic: identical inputs give identical
-//! counters, which the tests rely on.
+//! Fully deterministic: identical inputs give identical counters, at any
+//! host worker count, which the tests rely on.
+//!
+//! # Blocks fork, the L2 drain does not
+//!
+//! A kernel whose blocks commute ([`Kernel::blocks_commute`]: no global
+//! atomic, no block reading what another block of the launch writes) is
+//! cut into contiguous chunks of blocks, `CHUNKS_PER_WORKER` per worker
+//! of the vendored `rayon` (one chunk when there is one worker), and the
+//! workers claim the chunks from its cursor: `par_iter_mut` over the
+//! chunks' arenas, so `RAYON_NUM_THREADS`, `ThreadPool::install` and the
+//! shuffled test schedule govern it like every other `par_*` loop. Any
+//! other kernel runs the same loop as one chunk of all its blocks, in
+//! order, on the calling thread. Either way each chunk runs its threads
+//! and logs its traced warps into its own arena; after the join, one pass
+//! on the calling thread streams the logged transactions through the L2
+//! model, which must see one ordered stream (an LRU cache's hit count
+//! depends on the sequence of lines it is shown). Every counter comes out
+//! bit for bit as if one thread had run the blocks in order, whatever the
+//! worker count and claim order — by construction:
+//!
+//! * **Batch boundaries.** Traced warps drain in batches of a fixed width
+//!   (see `launch`), counted in launch order: block-major, then phase,
+//!   then warp. Which warps are traced depends on the warp id alone, so
+//!   the number of traced warp runs before a chunk's first block is a
+//!   closed form of `grid_dim`, `block_dim`, the phase count and the trace
+//!   stride, and a chunk cuts its bucket set at each boundary it contains.
+//! * **Drain order.** The drain walks batches in order, keys ascending
+//!   within a batch and, for each key, the chunks in block order — the
+//!   stream one table filled warp by warp would hold.
+//! * **Counts.** Threads, warps, FLOPs (sums of `u32` counts), shared
+//!   accesses, atomics, serialization cycles, barriers and child launches
+//!   are integers: summed per chunk, they add up exactly in any order.
+//! * **Cycle sums.** A lane's cycles are not integers (an FP64 op costs
+//!   `fp64_ratio()`, not a power of two), so their sums depend on the
+//!   order of the additions. Each chunk logs one value per active lane
+//!   and one maximum per warp, and the merge adds the logs up chunk by
+//!   chunk: the additions of an in-order launch, in its order.
 //!
 //! # Coalescing happens where the access is logged
 //!
-//! Everything a launch needs lives in one device-owned `TraceArena`,
-//! locked once per launch and grown on first use, so the trace path
-//! allocates nothing in steady state. Its core is a table of **per-key
-//! buckets**: one list of segment ids per slot key, holding that key's
-//! transactions of the *whole batch*.
+//! Everything a chunk needs lives in its own `ChunkArena`, pooled in the
+//! device, locked once per launch and grown on first use, so the trace
+//! path allocates nothing in steady state. Its core is a table of
+//! **per-key buckets**: one list of segment ids per slot key, holding that
+//! key's transactions of every batch the chunk overlaps.
 //!
 //! * **An access is written at most once: filter, else table.** Lanes of
 //!   a warp run one after the other, and on sorted input a lane mostly
@@ -59,30 +93,33 @@
 //!   a slot's segments land in *first appearance, lane-major* order; warps
 //!   retire in order, so a bucket is *warp-major*. No per-lane access
 //!   list outlives the next lane, no merge, no copy into a batch.
-//! * **The buckets are the drain order.** `drain_batch` sorts the short
-//!   list of keys the batch touched and streams each bucket through the
-//!   L2: all warps' slot-0 transactions, then slot-1, … — ties broken by
-//!   warp. Nothing per transaction is sorted or gathered.
+//! * **Batch cuts.** A chunk that crosses a batch boundary sorts the keys
+//!   the closing batch touched and ends that batch's part of each of
+//!   their buckets with a `CUT` id; the next batch's warps append behind
+//!   it. The buckets keep every batch of the chunk until the drain.
+//! * **The buckets are the drain order.** The drain merges the chunks'
+//!   sorted key lists and streams each bucket part through the L2: all
+//!   warps' slot-0 transactions, then slot-1, … — ties broken by warp.
+//!   Nothing per transaction is sorted or gathered.
 //! * **Atomics** also go to a per-warp `(key, address)` list — before the
 //!   filter looks at them: a repeated segment is one transaction, but a
 //!   repeated address still serializes; sorted at retire, the list's
 //!   duplicate runs are the serialized operations.
 //!
-//! Both orders are the L2 model's *input* — an LRU cache's hit count
-//! depends on the exact sequence of lines it sees — and must not change:
-//! the table is a different way of producing the stream the
-//! `BTreeMap`-per-warp coalescer in the tests produces, not a different
-//! stream. It is also what a worker would hand back if blocks ever ran in
-//! parallel: a bucket set is a value, and concatenating the workers'
-//! buckets per key in block order is this stream again.
+//! Both orders are the L2 model's *input* and must not change: the table
+//! is a different way of producing the stream the `BTreeMap`-per-warp
+//! coalescer in the tests produces, not a different stream.
 
 use crate::counters::KernelCounters;
 use crate::mem::{DeviceBuffer, DeviceWord};
 use crate::timing::KernelTiming;
 use bdm_device::cache::ShardedCache;
 use bdm_device::specs::GpuSpec;
+use bdm_grid::rayon;
+use bdm_grid::rayon::prelude::*;
 use bdm_math::Scalar;
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -97,6 +134,22 @@ const SHARED_ATOMIC_CYCLES: f64 = 10.0;
 const GLOBAL_ACCESS_LANE_CYCLES: f64 = 0.25;
 /// Issue-cycle multiplier for `sqrt`/division (SFU/iterative ops).
 const SPECIAL_OP_CYCLES: f64 = 8.0;
+
+/// Block chunks per host worker in a launch whose blocks commute: enough
+/// that workers claiming from one cursor even out blocks of unequal cost
+/// (dense regions' force threads walk longer lists), few enough that the
+/// chunks' tables and the drain's merge over them stay small.
+const CHUNKS_PER_WORKER: usize = 4;
+
+/// Chunks a launch is cut into: one for a kernel whose blocks must run in
+/// order or a single worker, else [`CHUNKS_PER_WORKER`] per worker (never
+/// more than there are blocks). A function of these two numbers only.
+fn chunk_count(grid_dim: u32, commute: bool, workers: usize) -> usize {
+    if !commute || workers <= 1 {
+        return 1;
+    }
+    (workers * CHUNKS_PER_WORKER).min(grid_dim as usize)
+}
 
 /// Launch geometry.
 #[derive(Debug, Clone, Copy)]
@@ -152,10 +205,24 @@ impl ThreadId {
 /// A device kernel. Block-wide barriers are expressed as *phases*: the
 /// engine runs every thread of a block through phase 0, then phase 1, …
 /// — semantically `__syncthreads()` between consecutive phases.
-pub trait Kernel {
+///
+/// `Sync` because blocks that commute run on several host threads at once.
+pub trait Kernel: Sync {
     /// Number of barrier-separated phases (default 1 = no barrier).
     fn phases(&self) -> usize {
         1
+    }
+    /// Whether the launch's blocks commute: no thread issues a global
+    /// atomic (its return value would depend on which block got there
+    /// first) and no block reads a device word another block of the same
+    /// launch writes. Such a launch forks its blocks across host workers
+    /// (module docs); the device words and every counter come out as if
+    /// the blocks ran in order. Default `false`: the blocks run in order on
+    /// the calling thread. A global atomic in a launch that declares it
+    /// panics, at every worker count, so a wrong declaration fails loudly
+    /// instead of changing bits.
+    fn blocks_commute(&self) -> bool {
+        false
     }
     /// Execute one thread's work for one phase.
     fn thread(&self, phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>);
@@ -230,9 +297,16 @@ impl LaneRecord {
     }
 }
 
-/// One slot key's coalesced transactions: the 128-byte segment ids of
-/// every batched warp that touched the key, warps in retire order, each
-/// warp's distinct segments in first-appearance, lane-major order.
+/// Closes a batch's part of a bucket in a chunk that crosses a batch
+/// boundary: the next batch's segments follow it. Segment ids are checked
+/// below `u32::MAX` where they are logged, so none equals it.
+const CUT: u32 = u32::MAX;
+
+/// One slot key's coalesced transactions in one chunk: the 128-byte
+/// segment ids of every traced warp of the chunk that touched the key,
+/// warps in retire order, each warp's distinct segments in
+/// first-appearance, lane-major order, and a [`CUT`] after each batch but
+/// the chunk's last.
 #[derive(Debug, Default)]
 struct Bucket {
     segs: Vec<u32>,
@@ -240,7 +314,17 @@ struct Bucket {
     stamp: u64,
     /// … and `segs.len()` at that warp's first touch: `segs[start..]` is
     /// the slot the warp is coalescing.
-    start: usize,
+    start: u32,
+    /// Where the drain resumes: the first id of the next batch's part.
+    drained: u32,
+}
+
+/// A batch whose keys a chunk has cut: its index in the launch and where
+/// its keys end in [`TraceTable::touched`].
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    batch: u64,
+    end: usize,
 }
 
 /// The traced warps' accesses, coalesced as they are logged (module docs).
@@ -262,12 +346,18 @@ struct Bucket {
 struct TraceTable {
     /// `rows[slot][sub]` is the bucket of key `slot << 8 | sub`.
     rows: Vec<Vec<Bucket>>,
-    /// Keys with a non-empty bucket, in first-touch order.
+    /// The keys each batch touched, batch after batch: the cut ones
+    /// ascending (their drain order), then the open batch's in
+    /// first-touch order.
     touched: Vec<u32>,
+    /// The cut batches, in launch order.
+    pieces: Vec<Piece>,
+    /// The drain's position: the next key in `touched` …
+    next_key: usize,
+    /// … and the piece it belongs to.
+    next_piece: usize,
     /// `(key, address)` of the current warp's global atomics.
     atomics: Vec<(u32, u64)>,
-    /// Traced warps staged since the last drain.
-    batched_warps: usize,
     /// Generation of the warp being logged: bumped before the warp's
     /// first lane runs (so ≥ 1, unlike a new bucket's stamp) and never
     /// reused, so a stale `Bucket::stamp` — an earlier warp's, a panicked
@@ -311,7 +401,8 @@ impl TraceTable {
     #[inline(always)]
     fn log(&mut self, key: u32, addr: u64, atomic: bool, prev_slot: usize) {
         // Device addresses are never recycled, so they only grow: checked
-        // (strictly, so that no record equals the sentinel).
+        // (strictly, so that no record equals the sentinel and no segment
+        // id equals `CUT`).
         let seg = addr >> self.seg_shift;
         assert!(
             seg < u32::MAX as u64,
@@ -337,13 +428,16 @@ impl TraceTable {
         let seg = seg as u32;
         if bucket.stamp != self.warp {
             bucket.stamp = self.warp;
-            bucket.start = bucket.segs.len();
-            if bucket.start == 0 {
+            bucket.start = bucket.segs.len() as u32;
+            // The batch's first touch of the key: nothing before it in
+            // this chunk, or an earlier batch's part, cut.
+            if bucket.segs.last().is_none_or(|&s| s == CUT) {
                 self.touched.push(key);
             }
         }
         // Newest first: neighboring lanes mostly share a segment.
-        if !bucket.segs[bucket.start..].iter().rev().any(|&s| s == seg) {
+        let warp_part = &bucket.segs[bucket.start as usize..];
+        if !warp_part.iter().rev().any(|&s| s == seg) {
             push_seg(&mut bucket.segs, seg);
         }
     }
@@ -384,20 +478,76 @@ impl TraceTable {
         row.resize_with(sub + 1, Bucket::default);
     }
 
-    /// Hand the batch to `transaction` in drain order — the touched keys
-    /// ascending, each key's bucket front to back — and leave the table
-    /// empty (of a warp that died half way, too). Buckets keep their
-    /// capacity.
-    fn drain(&mut self, mut transaction: impl FnMut(u64)) {
-        self.atomics.clear();
-        self.batched_warps = 0;
-        self.touched.sort_unstable();
-        for key in self.touched.drain(..) {
-            let bucket = &mut self.rows[(key >> 8) as usize][(key & 255) as usize];
-            for seg in bucket.segs.drain(..) {
-                transaction((seg as u64) << self.seg_shift);
+    fn bucket(&mut self, key: u32) -> &mut Bucket {
+        &mut self.rows[(key >> 8) as usize][(key & 255) as usize]
+    }
+
+    /// Close batch `batch` — every key it touched since the last cut —
+    /// in drain order: its keys ascending. With `more` warps of the chunk
+    /// to come, a [`CUT`] ends its part of each of their buckets.
+    fn cut(&mut self, batch: u64, more: bool) {
+        let from = self.pieces.last().map_or(0, |p| p.end);
+        if from == self.touched.len() {
+            return;
+        }
+        self.touched[from..].sort_unstable();
+        if more {
+            for i in from..self.touched.len() {
+                let key = self.touched[i];
+                push_seg(&mut self.bucket(key).segs, CUT);
             }
         }
+        let end = self.touched.len();
+        self.pieces.push(Piece { batch, end });
+    }
+
+    /// The drain's next key, as `batch << 32 | key` — the chunks' common
+    /// drain order — or `None` once every batch has been streamed.
+    fn head(&mut self) -> Option<u64> {
+        let key = *self.touched.get(self.next_key)?;
+        while self.pieces[self.next_piece].end <= self.next_key {
+            self.next_piece += 1;
+        }
+        Some(self.pieces[self.next_piece].batch << 32 | key as u64)
+    }
+
+    /// Hand the next key's part of its batch to `transaction`, front to
+    /// back: up to its `CUT`, or to the end of the bucket. A bucket is
+    /// emptied (its capacity kept) with its last part.
+    fn drain_head(&mut self, transaction: &mut impl FnMut(u64)) {
+        let key = self.touched[self.next_key];
+        self.next_key += 1;
+        let seg_shift = self.seg_shift;
+        let bucket = self.bucket(key);
+        let part = &bucket.segs[bucket.drained as usize..];
+        let len = part.iter().position(|&s| s == CUT).unwrap_or(part.len());
+        for &seg in &part[..len] {
+            transaction((seg as u64) << seg_shift);
+        }
+        let drained = bucket.drained as usize + len + 1;
+        if drained >= bucket.segs.len() {
+            bucket.segs.clear();
+            bucket.drained = 0;
+        } else {
+            bucket.drained = drained as u32;
+        }
+    }
+
+    /// Empty the table for a new launch. A drained launch left only its
+    /// key lists; a launch that panicked left staged buckets from
+    /// `next_key` on, and a warp's atomics.
+    fn clear(&mut self) {
+        for i in self.next_key..self.touched.len() {
+            let key = self.touched[i];
+            let bucket = self.bucket(key);
+            bucket.segs.clear();
+            bucket.drained = 0;
+        }
+        self.touched.clear();
+        self.pieces.clear();
+        (self.next_key, self.next_piece) = (0, 0);
+        self.atomics.clear();
+        (self.logged, self.reached_table) = (0, 0);
     }
 }
 
@@ -435,6 +585,8 @@ pub struct ThreadCtx<'a> {
     /// Where a traced warp's accesses go; `None` on an untraced warp.
     trace: Option<&'a mut TraceTable>,
     fp64_cost: f64,
+    /// The launch declared that its blocks commute: no global atomics.
+    commute: bool,
     /// Current slot (loop iteration) of this lane.
     slot: u32,
     /// Access index within the current slot, saturating at 256.
@@ -499,17 +651,33 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Global atomic exchange.
+    ///
+    /// # Panics
+    /// In a launch whose kernel declares [`Kernel::blocks_commute`].
     #[inline(always)]
     pub fn atomic_exchange<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>, i: usize, v: T) -> T {
+        self.check_atomic();
         self.log_access(buf.addr(i), true);
         buf.atomic_exchange(i, v)
     }
 
     /// Global atomic add.
+    ///
+    /// # Panics
+    /// In a launch whose kernel declares [`Kernel::blocks_commute`].
     #[inline(always)]
     pub fn atomic_add<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>, i: usize, v: T) -> T {
+        self.check_atomic();
         self.log_access(buf.addr(i), true);
         buf.atomic_add(i, v)
+    }
+
+    #[inline(always)]
+    fn check_atomic(&self) {
+        assert!(
+            !self.commute,
+            "global atomic in a kernel that declares commuting blocks"
+        );
     }
 
     /// Mark the start of a data-dependent loop iteration. Calling this at
@@ -620,11 +788,15 @@ impl FromWord for f64 {
 /// a deterministic function of the inputs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostCost {
-    /// Running the kernel's threads: the functional work, the lane
-    /// totals, and — on traced warps — logging every access: past the
-    /// lane filter or coalesced into its bucket.
+    /// Running the kernel's threads, chunks forked across the host
+    /// workers or not: the functional work, the lane totals, and — on
+    /// traced warps — logging every access: past the lane filter or
+    /// coalesced into its bucket.
     pub exec_s: f64,
-    /// Streaming the batch's buckets through the L2 model.
+    /// The part of `exec_s` spent in launches whose blocks commute.
+    pub forked_s: f64,
+    /// Merging the chunks' counters and streaming their buckets through
+    /// the L2 model.
     pub drain_s: f64,
 }
 
@@ -632,6 +804,7 @@ impl HostCost {
     /// Element-wise accumulation (pipeline totals).
     pub fn merge(&mut self, other: &Self) {
         self.exec_s += other.exec_s;
+        self.forked_s += other.forked_s;
         self.drain_s += other.drain_s;
     }
 }
@@ -659,6 +832,30 @@ impl TraceAccesses {
     }
 }
 
+/// How launches ran their blocks — why their exec time reads what it
+/// reads. A property of the kernel and of the host's worker count, not of
+/// the simulated device: kept beside [`HostCost`], outside
+/// [`KernelCounters`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Launches {
+    /// Launches of kernels whose blocks commute, cut into chunks that the
+    /// host workers claim.
+    pub forked: u32,
+    /// Launches that ran their blocks in order, as one chunk.
+    pub ordered: u32,
+    /// Block chunks over all of them.
+    pub chunks: u64,
+}
+
+impl Launches {
+    /// Element-wise accumulation (pipeline totals).
+    pub fn merge(&mut self, other: &Self) {
+        self.forked += other.forked;
+        self.ordered += other.ordered;
+        self.chunks += other.chunks;
+    }
+}
+
 /// Result of a kernel launch: counters plus modeled timing.
 #[derive(Debug, Clone)]
 pub struct LaunchResult {
@@ -668,21 +865,209 @@ pub struct LaunchResult {
     pub timing: KernelTiming,
     /// Measured host cost of simulating the launch.
     pub host: HostCost,
+    /// Whether its blocks forked, and into how many chunks.
+    pub launches: Launches,
     /// How many traced accesses the lane filter absorbed.
     pub accesses: TraceAccesses,
 }
 
-/// Launch scratch owned by the device and reused by every launch: the
-/// warp's lane records, the block's shared memory, and the table of
-/// coalesced transactions awaiting the L2 (layout: module doc). Starts
-/// empty and grows on first use.
+/// One block chunk's launch scratch, owned by the device and reused by
+/// every launch: the warp's lane records, the block's shared memory, the
+/// table of coalesced transactions awaiting the L2 (layout: module doc),
+/// and what the chunk's warps add to the counters. Starts empty and grows
+/// on first use.
 #[derive(Default)]
-struct TraceArena {
+struct ChunkArena {
     lanes: Vec<LaneRecord>,
     shared: BlockShared,
     /// Shared-memory atomic words of the slot being checked for conflicts.
     shared_slot: Vec<u64>,
     table: TraceTable,
+    /// The chunk's integer-valued counters (its cycle sums stay 0) …
+    counters: KernelCounters,
+    /// … its active lanes' cycles in execution order …
+    lane_cycles: Vec<f64>,
+    /// … and its warps' slowest-lane cycles.
+    warp_cycles: Vec<f64>,
+}
+
+impl ChunkArena {
+    /// Ready the arena for a launch on warps of `warp_size` lanes.
+    fn begin(&mut self, warp_size: usize) {
+        // A kernel that panicked mid-launch leaves a half-staged table.
+        self.table.clear();
+        self.lanes.resize_with(warp_size, LaneRecord::default);
+        self.counters = KernelCounters::default();
+        self.lane_cycles.clear();
+        self.warp_cycles.clear();
+    }
+
+    /// Aggregate a warp's lane records into the chunk's counters and
+    /// logs and, for traced warps, charge the serialization of the atomics
+    /// they logged (their transactions are already in the table).
+    fn retire_warp(&mut self, traced: bool, count_threads: bool) {
+        let Self {
+            lanes,
+            shared_slot,
+            table,
+            counters,
+            lane_cycles,
+            warp_cycles,
+            ..
+        } = self;
+        // Lane 0 of every warp is a thread of the block: there is no warp
+        // without an active lane.
+        let mut max_cycles = 0.0f64;
+        for lane in lanes.iter().filter(|l| l.active) {
+            if count_threads {
+                counters.threads_run += 1;
+            }
+            counters.flops_fp32 += lane.totals.flops32;
+            counters.flops_fp64 += lane.totals.flops64;
+            counters.shared_accesses += lane.totals.shared_accesses as f64;
+            lane_cycles.push(lane.totals.cycles);
+            max_cycles = max_cycles.max(lane.totals.cycles);
+        }
+        if count_threads {
+            counters.warps_run += 1;
+        }
+        warp_cycles.push(max_cycles);
+
+        if !traced {
+            return;
+        }
+        if count_threads {
+            counters.warps_traced += 1;
+        }
+
+        // Global atomics to one address within one slot serialize: sorted by
+        // (key, address), those are the duplicate runs.
+        counters.atomic_ops += table.atomics.len() as f64;
+        counters.atomic_serial_cycles += serialization_cycles(&mut table.atomics);
+        table.atomics.clear();
+
+        // Shared-memory atomic conflicts, slot-aligned by per-lane order.
+        let max_sh = lanes
+            .iter()
+            .map(|l| l.shared_atomics.len())
+            .max()
+            .unwrap_or(0);
+        for slot in 0..max_sh {
+            shared_slot.clear();
+            shared_slot.extend(lanes.iter().filter_map(|l| l.shared_atomics.get(slot)));
+            counters.atomic_serial_cycles += serialization_cycles(shared_slot);
+        }
+    }
+}
+
+/// What every chunk of one launch runs and needs to know.
+struct LaunchPlan<'k, K> {
+    kernel: &'k K,
+    cfg: LaunchConfig,
+    phases: usize,
+    warps_per_block: u64,
+    warp_size: u32,
+    /// Every `trace_sample`-th warp id is traced.
+    trace_sample: u64,
+    /// Traced warp runs per L2 batch (see `launch`).
+    batch_width: u64,
+    fp64_cost: f64,
+    /// [`Kernel::blocks_commute`]: its global atomics panic.
+    commute: bool,
+    chunks: usize,
+}
+
+impl<K: Kernel> LaunchPlan<'_, K> {
+    /// Blocks of chunk `c`: the grid cut into `chunks` contiguous ranges,
+    /// as even as integer division makes them.
+    fn blocks(&self, c: usize) -> Range<u32> {
+        let at = |c: usize| (c as u64 * self.cfg.grid_dim as u64 / self.chunks as u64) as u32;
+        at(c)..at(c + 1)
+    }
+
+    /// Run chunk `c`'s blocks, every phase and warp of each in order, into
+    /// `arena`, cutting its table wherever a batch of the whole launch
+    /// ends.
+    fn run_chunk(&self, c: usize, arena: &mut ChunkArena) {
+        let blocks = self.blocks(c);
+        // Traced warp runs before the chunk's first: every block runs all
+        // phases of its warps, and a warp is traced by its id alone.
+        let traced_ids = (blocks.start as u64 * self.warps_per_block).div_ceil(self.trace_sample);
+        let mut traced_runs = self.phases as u64 * traced_ids;
+        for block in blocks {
+            arena.shared.rezero(self.cfg.shared_words);
+            for phase in 0..self.phases {
+                if phase > 0 {
+                    arena.counters.barriers += 1;
+                }
+                for warp in 0..self.warps_per_block {
+                    let warp_id = block as u64 * self.warps_per_block + warp;
+                    let traced = warp_id.is_multiple_of(self.trace_sample);
+                    self.run_warp(arena, block, phase, warp as u32, traced);
+                    arena.retire_warp(traced, phase == 0);
+                    if traced {
+                        traced_runs += 1;
+                        if traced_runs.is_multiple_of(self.batch_width) {
+                            arena.table.cut(traced_runs / self.batch_width - 1, true);
+                        }
+                    }
+                }
+            }
+        }
+        // The open batch: the one of the chunk's last traced warp.
+        let last_batch = traced_runs.saturating_sub(1) / self.batch_width;
+        arena.table.cut(last_batch, false);
+    }
+
+    /// Run the lanes of one warp, one after the other.
+    fn run_warp(&self, arena: &mut ChunkArena, block: u32, phase: usize, warp: u32, traced: bool) {
+        let ChunkArena {
+            lanes,
+            shared,
+            table,
+            counters,
+            ..
+        } = arena;
+        // Before the first lane logs: a warp that dies half way must not
+        // share its generation with the next.
+        table.begin_warp();
+        let warp_base = warp * self.warp_size;
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            lane.reset();
+            let thread = warp_base + l as u32;
+            if thread >= self.cfg.block_dim {
+                continue;
+            }
+            lane.active = true;
+            let tid = ThreadId {
+                block,
+                thread,
+                block_dim: self.cfg.block_dim,
+                grid_dim: self.cfg.grid_dim,
+            };
+            let mut ctx = ThreadCtx {
+                shared,
+                totals: LaneTotals::default(),
+                shared_atomics: &mut lane.shared_atomics,
+                #[cfg(test)]
+                accesses: &mut lane.accesses,
+                trace: traced.then_some(&mut *table),
+                fp64_cost: self.fp64_cost,
+                commute: self.commute,
+                slot: 0,
+                sub: 0,
+                last_key: 0,
+                prev_slot: 0,
+                child_launches: 0,
+            };
+            self.kernel.thread(phase, tid, &mut ctx);
+            counters.child_launches += ctx.child_launches;
+            lane.totals = ctx.totals;
+            if traced {
+                table.end_lane();
+            }
+        }
+    }
 }
 
 /// The simulated device: a spec, a live L2 model, and trace configuration.
@@ -690,9 +1075,9 @@ pub struct GpuDevice {
     spec: GpuSpec,
     /// Trace every `trace_sample`-th warp (1 = all warps).
     trace_sample: u64,
-    /// The launch scratch and the L2 model, under the one lock a launch
-    /// takes: the drain reaches the cache through `&mut`.
-    arena: Mutex<(TraceArena, ShardedCache)>,
+    /// The chunks' launch scratch and the L2 model, under the one lock a
+    /// launch takes: the drain reaches the cache through `&mut`.
+    chunks: Mutex<(Vec<ChunkArena>, ShardedCache)>,
 }
 
 impl GpuDevice {
@@ -715,12 +1100,10 @@ impl GpuDevice {
         let capacity =
             (spec.l2_bytes / sample).max(spec.l2_line_bytes as u64 * spec.l2_ways as u64 * 16);
         let l2 = ShardedCache::new(capacity, spec.l2_ways, spec.l2_line_bytes, 16);
-        let mut arena = TraceArena::default();
-        arena.table.seg_shift = spec.l2_line_bytes.trailing_zeros();
         Self {
             spec,
             trace_sample: sample,
-            arena: Mutex::new((arena, l2)),
+            chunks: Mutex::new((Vec::new(), l2)),
         }
     }
 
@@ -737,11 +1120,13 @@ impl GpuDevice {
     /// Invalidate the simulated L2 (e.g. between independent experiments).
     /// Waits for a launch in flight: the L2 lives under the launch lock.
     pub fn reset_l2(&self) {
-        self.arena.lock().1.reset();
+        self.chunks.lock().1.reset();
     }
 
     /// Execute a kernel launch and return counters + modeled timing.
-    /// Launches on one device serialize on its scratch arena.
+    /// Launches on one device serialize on its scratch arenas; the blocks
+    /// of one launch fork across the host workers when they commute
+    /// (module docs).
     pub fn launch<K: Kernel>(&self, kernel: &K, cfg: LaunchConfig) -> LaunchResult {
         assert!(cfg.block_dim > 0 && cfg.grid_dim > 0, "empty launch");
         assert!(
@@ -749,11 +1134,7 @@ impl GpuDevice {
             "shared memory request exceeds the device's {} bytes per SM",
             self.spec.shared_mem_per_sm
         );
-        let mut counters = KernelCounters::default();
-        let mut host = HostCost::default();
-        let phases = kernel.phases();
         let warps_per_block = cfg.block_dim.div_ceil(self.spec.warp_size) as u64;
-        let fp64_cost = self.spec.fp64_ratio();
 
         // Occupancy: how many blocks fit one SM, limited by the thread
         // budget and by shared memory. Drives both the latency-hiding
@@ -767,7 +1148,6 @@ impl GpuDevice {
             };
             by_threads.min(by_shared).min(32)
         };
-        counters.occupancy_warps_per_sm = (resident_blocks as u64 * warps_per_block) as f64;
 
         // The device runs `sm_count × resident_blocks × warps_per_block`
         // warps concurrently; their memory streams interleave at the L2.
@@ -776,174 +1156,107 @@ impl GpuDevice {
         // their transactions drained round-robin per slot across a batch
         // of this width (scaled down by the trace sampling stride).
         let resident_warps = self.spec.sm_count as u64 * resident_blocks as u64 * warps_per_block;
-        let batch_width = (resident_warps / self.trace_sample).max(1) as usize;
-
-        let (arena, l2) = &mut *self.arena.lock();
-        // A kernel that panicked mid-launch leaves a half-staged batch.
-        arena.table.drain(|_| ());
-        (arena.table.logged, arena.table.reached_table) = (0, 0);
-        arena
-            .lanes
-            .resize_with(self.spec.warp_size as usize, LaneRecord::default);
-
-        let mut clock = Instant::now();
-        // Charge the wall clock since the last call to one phase.
-        let mut lap = |phase_s: &mut f64| {
-            let now = Instant::now();
-            *phase_s += (now - clock).as_secs_f64();
-            clock = now;
+        let commute = kernel.blocks_commute();
+        let plan = LaunchPlan {
+            kernel,
+            cfg,
+            phases: kernel.phases(),
+            warps_per_block,
+            warp_size: self.spec.warp_size,
+            trace_sample: self.trace_sample,
+            batch_width: (resident_warps / self.trace_sample).max(1),
+            fp64_cost: self.spec.fp64_ratio(),
+            commute,
+            chunks: chunk_count(cfg.grid_dim, commute, rayon::current_num_threads()),
         };
-        for block in 0..cfg.grid_dim {
-            arena.shared.rezero(cfg.shared_words);
-            for phase in 0..phases {
-                if phase > 0 {
-                    counters.barriers += 1;
-                }
-                for warp in 0..warps_per_block {
-                    let warp_id = block as u64 * warps_per_block + warp;
-                    let traced = warp_id.is_multiple_of(self.trace_sample);
-                    let warp_base = warp as u32 * self.spec.warp_size;
-                    // Before the first lane logs: a warp that dies half
-                    // way must not share its generation with the next.
-                    arena.table.begin_warp();
 
-                    for (l, lane) in arena.lanes.iter_mut().enumerate() {
-                        lane.reset();
-                        let thread = warp_base + l as u32;
-                        if thread >= cfg.block_dim {
-                            continue;
-                        }
-                        lane.active = true;
-                        let tid = ThreadId {
-                            block,
-                            thread,
-                            block_dim: cfg.block_dim,
-                            grid_dim: cfg.grid_dim,
-                        };
-                        let mut ctx = ThreadCtx {
-                            shared: &arena.shared,
-                            totals: LaneTotals::default(),
-                            shared_atomics: &mut lane.shared_atomics,
-                            #[cfg(test)]
-                            accesses: &mut lane.accesses,
-                            trace: traced.then_some(&mut arena.table),
-                            fp64_cost,
-                            slot: 0,
-                            sub: 0,
-                            last_key: 0,
-                            prev_slot: 0,
-                            child_launches: 0,
-                        };
-                        kernel.thread(phase, tid, &mut ctx);
-                        counters.child_launches += ctx.child_launches;
-                        lane.totals = ctx.totals;
-                        if traced {
-                            arena.table.end_lane();
-                        }
-                    }
-                    Self::retire_warp(arena, traced, phase == 0, &mut counters);
-                    lap(&mut host.exec_s);
-                    if arena.table.batched_warps >= batch_width {
-                        Self::drain_batch(&mut arena.table, l2, &mut counters);
-                        lap(&mut host.drain_s);
-                    }
-                }
+        let (pool, l2) = &mut *self.chunks.lock();
+        if pool.len() < plan.chunks {
+            let seg_shift = self.spec.l2_line_bytes.trailing_zeros();
+            pool.resize_with(plan.chunks, || {
+                let mut arena = ChunkArena::default();
+                arena.table.seg_shift = seg_shift;
+                arena
+            });
+        }
+        let arenas = &mut pool[..plan.chunks];
+        for arena in arenas.iter_mut() {
+            arena.begin(self.spec.warp_size as usize);
+        }
+
+        let clock = Instant::now();
+        arenas
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(c, arena)| plan.run_chunk(c, arena));
+        let exec_s = clock.elapsed().as_secs_f64();
+
+        let clock = Instant::now();
+        let mut counters = KernelCounters {
+            occupancy_warps_per_sm: (resident_blocks as u64 * warps_per_block) as f64,
+            ..Default::default()
+        };
+        let mut accesses = TraceAccesses::default();
+        for arena in arenas.iter() {
+            counters.merge(&arena.counters);
+            let table = &arena.table;
+            accesses.merge(&TraceAccesses {
+                total: table.logged,
+                filtered: table.logged - table.reached_table,
+            });
+        }
+        // The in-order launch's additions, in its order.
+        for arena in arenas.iter() {
+            for &cycles in &arena.lane_cycles {
+                counters.lane_cycles_total += cycles;
+            }
+            for &cycles in &arena.warp_cycles {
+                counters.compute_warp_cycles += cycles;
             }
         }
-        Self::drain_batch(&mut arena.table, l2, &mut counters);
-        lap(&mut host.drain_s);
+        Self::drain(arenas, l2, &mut counters);
+        let drain_s = clock.elapsed().as_secs_f64();
 
         counters.finalize_scaling();
         let timing = KernelTiming::model(&counters, &self.spec);
-        let accesses = TraceAccesses {
-            total: arena.table.logged,
-            filtered: arena.table.logged - arena.table.reached_table,
-        };
         LaunchResult {
             counters,
             timing,
-            host,
+            host: HostCost {
+                exec_s,
+                forked_s: if commute { exec_s } else { 0.0 },
+                drain_s,
+            },
+            launches: Launches {
+                forked: commute as u32,
+                ordered: !commute as u32,
+                chunks: plan.chunks as u64,
+            },
             accesses,
         }
     }
 
-    /// Aggregate a warp's lane records into the launch counters and, for
-    /// traced warps, charge the serialization of the atomics they logged
-    /// (their transactions are already in the table).
-    fn retire_warp(
-        arena: &mut TraceArena,
-        traced: bool,
-        count_threads: bool,
-        counters: &mut KernelCounters,
-    ) {
-        let TraceArena {
-            lanes,
-            shared_slot,
-            table,
-            ..
-        } = arena;
-        let mut max_cycles = 0.0f64;
-        let mut any_active = false;
-        for lane in lanes.iter() {
-            if !lane.active {
-                continue;
-            }
-            any_active = true;
-            if count_threads {
-                counters.threads_run += 1;
-            }
-            counters.flops_fp32 += lane.totals.flops32;
-            counters.flops_fp64 += lane.totals.flops64;
-            counters.shared_accesses += lane.totals.shared_accesses as f64;
-            counters.lane_cycles_total += lane.totals.cycles;
-            max_cycles = max_cycles.max(lane.totals.cycles);
-        }
-        if !any_active {
-            return;
-        }
-        if count_threads {
-            counters.warps_run += 1;
-        }
-        counters.compute_warp_cycles += max_cycles;
-
-        if !traced {
-            return;
-        }
-        if count_threads {
-            counters.warps_traced += 1;
-        }
-        table.batched_warps += 1;
-
-        // Global atomics to one address within one slot serialize: sorted by
-        // (key, address), those are the duplicate runs.
-        counters.atomic_ops += table.atomics.len() as f64;
-        counters.atomic_serial_cycles += serialization_cycles(&mut table.atomics);
-        table.atomics.clear();
-
-        // Shared-memory atomic conflicts, slot-aligned by per-lane order.
-        let max_sh = lanes
-            .iter()
-            .map(|l| l.shared_atomics.len())
-            .max()
-            .unwrap_or(0);
-        for slot in 0..max_sh {
-            shared_slot.clear();
-            shared_slot.extend(lanes.iter().filter_map(|l| l.shared_atomics.get(slot)));
-            counters.atomic_serial_cycles += serialization_cycles(shared_slot);
-        }
-    }
-
-    /// Drain the traced-warp batch through the L2 model: all warps' slot-0
-    /// transactions, then slot-1, …, ties broken by warp — the interleaving
-    /// that models concurrent residency.
-    fn drain_batch(table: &mut TraceTable, l2: &mut ShardedCache, counters: &mut KernelCounters) {
-        table.drain(|addr| {
+    /// Stream the chunks' transactions through the L2 model: batch after
+    /// batch, keys ascending within a batch — all warps' slot-0
+    /// transactions, then slot-1, … — and each key's chunks in block
+    /// order, ties broken by warp: the interleaving that models concurrent
+    /// residency. Each chunk's table already lists its keys in that order,
+    /// so this merges the lists. Leaves every bucket empty.
+    fn drain(arenas: &mut [ChunkArena], l2: &mut ShardedCache, counters: &mut KernelCounters) {
+        let mut transaction = |addr| {
             counters.global_transactions += 1.0;
             match l2.access(addr) {
                 bdm_device::AccessOutcome::Hit => counters.l2_hits += 1.0,
                 bdm_device::AccessOutcome::Miss => counters.l2_misses += 1.0,
             }
-        });
+        };
+        while let Some(next) = arenas.iter_mut().filter_map(|a| a.table.head()).min() {
+            for arena in arenas.iter_mut() {
+                if arena.table.head() == Some(next) {
+                    arena.table.drain_head(&mut transaction);
+                }
+            }
+        }
     }
 }
 
@@ -997,6 +1310,7 @@ mod tests {
         table.rows.capacity() * size_of::<Vec<Bucket>>()
             + table.rows.iter().map(row_bytes).sum::<usize>()
             + table.touched.capacity() * 4
+            + table.pieces.capacity() * size_of::<Piece>()
             + table.atomics.capacity() * size_of::<(u32, u64)>()
             + (table.prev.capacity() + table.cur.capacity()) * 8
     }
@@ -1011,6 +1325,9 @@ mod tests {
     }
 
     impl Kernel for Saxpy {
+        fn blocks_commute(&self) -> bool {
+            true
+        }
         fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
             let i = tid.global() as usize;
             if i >= self.n {
@@ -1290,33 +1607,76 @@ mod tests {
         assert_eq!(a.counters, b.counters);
     }
 
+    /// Runs `f` with every `par_*` call it makes forking onto `workers`
+    /// host threads.
+    fn on_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(workers)
+            .build()
+            .expect("pool")
+            .install(f)
+    }
+
     #[test]
     fn a_kernel_panic_does_not_leak_its_batch_into_the_next_launch() {
-        /// Two loads of one word per lane. Lane 16 of block 1 faults
-        /// between its two: lanes 0..16 have logged (their keys carry the
-        /// dying warp's generation), lane 15's stream is the one the
-        /// filter compares against and lane 16's is half written.
-        struct DiesInBlockOne(DeviceBuffer<f32>);
-        impl Kernel for DiesInBlockOne {
+        /// Two loads of one word per lane, in eight blocks that commute.
+        /// Lane 16 of the last block faults between its two, on a worker
+        /// other than the one running block 0, which holds its first lane
+        /// until then: a later chunk dies mid-warp while the first one is
+        /// mid-block. In the dying chunk, lanes 0..16 have logged (their
+        /// keys carry the dying warp's generation), lane 15's stream is
+        /// the one the filter compares against and lane 16's is half
+        /// written; the other chunks staged batches that never drain.
+        struct DiesOnAnotherWorker {
+            buf: DeviceBuffer<f32>,
+            block_zero: std::sync::Mutex<Option<std::thread::ThreadId>>,
+            died: std::sync::atomic::AtomicBool,
+        }
+        impl Kernel for DiesOnAnotherWorker {
+            fn blocks_commute(&self) -> bool {
+                true
+            }
             fn thread(&self, _: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
-                ctx.ld(&self.0, 0);
-                assert!(tid.block == 0 || tid.thread < 16, "device-side fault");
-                ctx.ld(&self.0, 0);
+                ctx.ld(&self.buf, 0);
+                let me = std::thread::current().id();
+                if tid.block == 0 && tid.thread == 0 {
+                    *self.block_zero.lock().unwrap() = Some(me);
+                    let until = Instant::now() + std::time::Duration::from_secs(30);
+                    while !self.died.load(Ordering::Acquire) && Instant::now() < until {
+                        std::thread::yield_now();
+                    }
+                }
+                let elsewhere = *self.block_zero.lock().unwrap() != Some(me);
+                if tid.block == tid.grid_dim - 1 && tid.thread >= 16 && elsewhere {
+                    self.died.store(true, Ordering::Release);
+                    panic!("device-side fault");
+                }
+                ctx.ld(&self.buf, 0);
             }
         }
-        let n = 1024;
+        let n = 4096;
         let dev = GpuDevice::new(SYSTEM_A.gpu);
-        let faulty = DiesInBlockOne(DeviceAllocator::new().alloc::<f32>(64));
-        let cfg = LaunchConfig::for_items(128, 64);
+        let faulty = DiesOnAnotherWorker {
+            buf: DeviceAllocator::new().alloc::<f32>(64),
+            block_zero: Default::default(),
+            died: Default::default(),
+        };
+        let cfg = LaunchConfig::for_items(512, 64);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dev.launch(&faulty, cfg);
+            on_workers(2, || dev.launch(&faulty, cfg));
         }));
         assert!(unwound.is_err());
         {
-            let table = &dev.arena.lock().0.table;
+            let pool = &dev.chunks.lock().0;
+            assert_eq!(pool.len(), 8, "two workers cut eight chunks");
+            let dying = &pool[7].table;
             assert!(
-                !table.touched.is_empty() && table.prev.len() > 1 && !table.cur.is_empty(),
+                !dying.touched.is_empty() && dying.prev.len() > 1 && !dying.cur.is_empty(),
                 "the fault left nothing behind to leak"
+            );
+            assert!(
+                !pool[0].table.pieces.is_empty(),
+                "the first chunk was not cut"
             );
         }
         // The next launch's first lane repeats the dead lanes' accesses
@@ -1330,10 +1690,12 @@ mod tests {
         assert_eq!(probe.accesses, reached_the_table);
         assert_eq!(probe.counters.global_transactions, 2.0);
         // Neither the staged segments nor the half-logged warp's stamps
-        // (the next launch's first warp touches the same keys) survive:
-        // the dead batch never drained, so the L2 holds the probe's one
-        // line and nothing else.
-        let after = dev.launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
+        // (the next launch's warps touch the same keys) survive in any
+        // chunk: the dead batches never drained, so the L2 holds the
+        // probe's one line and nothing else.
+        let saxpy = || dev.launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
+        let after = on_workers(2, saxpy);
+        assert_eq!(after.launches.chunks, 8);
         let fresh_dev = GpuDevice::new(SYSTEM_A.gpu);
         fresh_dev.launch(&faulty, one_thread);
         let fresh = fresh_dev.launch(&saxpy_setup(n), LaunchConfig::for_items(n, 256));
@@ -1374,7 +1736,7 @@ mod tests {
         // A row, a bucket header, a few segment ids and a record in each
         // of the filter's two streams per key — where a table indexed by
         // `slot << 8 | sub` spends 256 headers per slot.
-        let bytes = table_bytes(&dev.arena.lock().0.table);
+        let bytes = table_bytes(&dev.chunks.lock().0[0].table);
         let per_key = bytes / trips as usize;
         assert!(per_key < 128, "{per_key} table bytes per touched key");
     }
@@ -1523,7 +1885,7 @@ mod tests {
             for (_, w, k) in order {
                 for &seg in &batch[w][k].1 {
                     counters.global_transactions += 1.0;
-                    match dev.arena.lock().1.access(seg * line) {
+                    match dev.chunks.lock().1.access(seg * line) {
                         bdm_device::AccessOutcome::Hit => counters.l2_hits += 1.0,
                         bdm_device::AccessOutcome::Miss => counters.l2_misses += 1.0,
                     }
@@ -1635,7 +1997,7 @@ mod tests {
                 for warp in 0..warps_per_block {
                     let warp_id = block as u64 * warps_per_block + warp;
                     let traced = warp_id.is_multiple_of(dev.trace_sample);
-                    unused.drain(|_| ());
+                    unused.clear();
                     unused.begin_warp();
                     for (l, lane) in lanes.iter_mut().enumerate() {
                         lane.reset();
@@ -1657,6 +2019,7 @@ mod tests {
                             accesses: &mut lane.accesses,
                             trace: traced.then_some(&mut unused),
                             fp64_cost: dev.spec.fp64_ratio(),
+                            commute: false,
                             slot: 0,
                             sub: 0,
                             last_key: 0,
@@ -1691,15 +2054,21 @@ mod tests {
         Flops(u32),
     }
 
-    /// Runs `script[phase][global thread]`, whatever it says.
+    /// Runs `script[phase][global thread]`, whatever it says, declaring
+    /// `commute`. (The loads and stores race across blocks, but nothing a
+    /// script does depends on a loaded value: the counters see addresses.)
     struct Scripted {
         script: Vec<Vec<Vec<Op>>>,
         buf: DeviceBuffer<u32>,
+        commute: bool,
     }
 
     impl Kernel for Scripted {
         fn phases(&self) -> usize {
             self.script.len()
+        }
+        fn blocks_commute(&self) -> bool {
+            self.commute
         }
         fn thread(&self, phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
             for &op in &self.script[phase][tid.global() as usize] {
@@ -1801,6 +2170,7 @@ mod tests {
         let k = Scripted {
             script,
             buf: DeviceAllocator::new().alloc::<u32>(SCRIPT_WORDS),
+            commute: false,
         };
         let got = GpuDevice::new(spec).launch(&k, cfg);
         let want = launch_reference(&GpuDevice::new(spec), &k, cfg);
@@ -1939,32 +2309,53 @@ mod tests {
         lanes
     }
 
+    /// The same scripts with every global atomic turned into a load: a
+    /// kernel that may declare commuting blocks.
+    fn without_global_atomics(script: &mut [Vec<Vec<Op>>]) {
+        for op in script.iter_mut().flatten().flatten() {
+            if let Op::AtomicAdd(i) | Op::AtomicExchange(i) = *op {
+                *op = Op::Ld(i);
+            }
+        }
+    }
+
+    /// The ways a launch can run its chunks: in order on 1–4 workers, and
+    /// in a shuffled order on one thread, cut for four.
+    fn under_each_schedule(seed: u64, mut launch: impl FnMut(&str)) {
+        for workers in 1..=4 {
+            on_workers(workers, || launch(&format!("{workers} workers")));
+        }
+        rayon::with_shuffled_schedule(seed, || on_workers(4, || launch("a shuffled schedule")));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// The arena engine and the retained `BTreeMap` oracle agree on
         /// every counter, bit for bit, for arbitrary lane scripts — lanes
         /// that repeat their neighbors, which the lane filter absorbs, and
-        /// lanes that share nothing — on a
-        /// device small enough that batches drain several times per
-        /// launch — after every traced warp when `drain_per_warp`, as
-        /// sampled figure runs do — and the L2 evicts constantly (so any
-        /// reordering of the transaction stream shows up in the hit
-        /// counts).
+        /// lanes that share nothing — on a device small enough that
+        /// batches drain several times per launch and the L2 evicts
+        /// constantly (so any reordering of the transaction stream shows
+        /// up in the hit counts). A batch is `resident × warps per block
+        /// ÷ sample` traced warps wide: from one warp, as sampled figure
+        /// runs drain, to several blocks, so boundaries fall mid-block and
+        /// between the phases of a block. Scripts without global atomics
+        /// declare commuting blocks and fork into chunks — more chunks
+        /// than blocks, or several blocks each — on 1–4 workers and in a
+        /// shuffled claim order; the FP64 op counts make the cycle sums
+        /// order-sensitive.
         #[test]
         fn arena_engine_matches_the_reference_bit_for_bit(
             seed in proptest::prelude::any::<u64>(),
-            grid_dim in 1u32..6,
+            grid_dim in 1u32..=12,
             block_dim in 1u32..=96,
             phases in 1usize..=3,
-            sampled in proptest::prelude::any::<bool>(),
-            drain_per_warp in proptest::prelude::any::<bool>(),
+            sample in 1u64..=5,
+            resident in 1u32..=6,
+            commute in proptest::prelude::any::<bool>(),
         ) {
-            // One resident block of at most three warps: a stride of 3
-            // (or a one-warp block) makes the batch one warp wide.
-            let spec = small_device(if drain_per_warp { 1 } else { 64 });
-            let sample = if sampled { 3 } else { 1 };
-            let block_dim = if drain_per_warp && !sampled { block_dim.min(32) } else { block_dim };
+            let spec = small_device(resident * block_dim);
             let mut rng = bdm_math::SplitMix64::new(seed);
             let threads = (grid_dim * block_dim) as usize;
             let mut script: Vec<Vec<Vec<Op>>> = Vec::with_capacity(phases);
@@ -1973,19 +2364,56 @@ mod tests {
                 let phase = random_phase_script(&mut rng, threads, carry);
                 script.push(phase);
             }
-            let mut alloc = DeviceAllocator::new();
-            let k = Scripted { script, buf: alloc.alloc::<u32>(SCRIPT_WORDS) };
-            let cfg = LaunchConfig { grid_dim, block_dim, shared_words: SCRIPT_SHARED_WORDS };
-            let dev = GpuDevice::with_trace_sampling(spec, sample);
-            let oracle = GpuDevice::with_trace_sampling(spec, sample);
-            // Twice, so the second launch runs on warm arenas and a warm L2.
-            for round in 0..2 {
-                let got = dev.launch(&k, cfg).counters;
-                let want = launch_reference(&oracle, &k, cfg);
-                for ((field, g), (_, w)) in got.field_bits().into_iter().zip(want.field_bits()) {
-                    proptest::prop_assert_eq!(g, w, "{} differs in round {}", field, round);
-                }
+            if commute {
+                without_global_atomics(&mut script);
             }
+            let mut alloc = DeviceAllocator::new();
+            let k = Scripted { script, buf: alloc.alloc::<u32>(SCRIPT_WORDS), commute };
+            let cfg = LaunchConfig { grid_dim, block_dim, shared_words: SCRIPT_SHARED_WORDS };
+            // Twice, so the second launch runs on warm arenas and a warm L2.
+            let oracle = GpuDevice::with_trace_sampling(spec, sample);
+            let want: Vec<KernelCounters> =
+                (0..2).map(|_| launch_reference(&oracle, &k, cfg)).collect();
+            let mut diverged = None;
+            under_each_schedule(seed, |schedule| {
+                let dev = GpuDevice::with_trace_sampling(spec, sample);
+                for (round, want) in want.iter().enumerate() {
+                    let got = dev.launch(&k, cfg).counters;
+                    let fields = got.field_bits().into_iter().zip(want.field_bits());
+                    for ((field, g), (_, w)) in fields {
+                        if g != w && diverged.is_none() {
+                            diverged = Some(format!("{field} differs in round {round} on {schedule}"));
+                        }
+                    }
+                }
+            });
+            proptest::prop_assert!(diverged.is_none(), "{}", diverged.unwrap_or_default());
+        }
+    }
+
+    #[test]
+    fn a_global_atomic_in_a_kernel_that_declares_commuting_blocks_panics() {
+        // The atomic sits in an untraced warp: the guard does not depend
+        // on tracing, nor on the launch forking.
+        let mut lanes = vec![vec![Op::Ld(0)]; 128];
+        lanes[100] = vec![Op::Ld(0), Op::AtomicAdd(7)];
+        let k = Scripted {
+            script: vec![lanes],
+            buf: DeviceAllocator::new().alloc::<u32>(SCRIPT_WORDS),
+            commute: true,
+        };
+        let cfg = LaunchConfig::for_items(128, 32);
+        for workers in 1..=4 {
+            let dev = GpuDevice::with_trace_sampling(SYSTEM_A.gpu, 2);
+            let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                on_workers(workers, || dev.launch(&k, cfg))
+            }))
+            .expect_err("the atomic went through");
+            let message = fault.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(
+                message.contains("commuting blocks"),
+                "{workers} workers: {message}"
+            );
         }
     }
 

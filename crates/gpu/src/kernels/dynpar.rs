@@ -104,6 +104,12 @@ pub struct ChildKernel<'a, R: Scalar + DeviceWord> {
 }
 
 impl<R: Scalar + DeviceWord> Kernel for ChildKernel<'_, R> {
+    /// A work item reads the queue, the agents and the grid, which the
+    /// launch does not write, and stores its own three partials.
+    fn blocks_commute(&self) -> bool {
+        true
+    }
+
     fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let w = tid.global() as usize;
         if w >= self.queue_len * 27 {
@@ -149,6 +155,12 @@ pub struct FinishKernel<'a, R: Scalar + DeviceWord> {
 }
 
 impl<R: Scalar + DeviceWord> Kernel for FinishKernel<'_, R> {
+    /// A thread reads the partials the child launch wrote and stores the
+    /// displacement of its own queued cell (each is queued once).
+    fn blocks_commute(&self) -> bool {
+        true
+    }
+
     fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let k = tid.global() as usize;
         if k >= self.queue_len {

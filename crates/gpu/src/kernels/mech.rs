@@ -34,7 +34,7 @@ use bdm_math::{Scalar, Vec3};
 
 /// Where a force thread's candidates come from: a grid layout that can
 /// enumerate the agents of the ≤ 27 voxels around voxel `c`.
-pub trait CandidateSource: Copy {
+pub trait CandidateSource: Copy + Sync {
     /// Call `visit(ctx, j)` for every agent `j` in the stencil of `c`
     /// (the thread's own agent included), one slot per candidate.
     fn for_each_candidate<R: Scalar>(
@@ -175,6 +175,12 @@ pub struct ForceKernel<'a, R: Scalar + DeviceWord, S: CandidateSource> {
 }
 
 impl<R: Scalar + DeviceWord, S: CandidateSource> Kernel for ForceKernel<'_, R, S> {
+    /// A thread reads the agent columns and the grid, which nothing in the
+    /// launch writes, and stores its own agent's displacement.
+    fn blocks_commute(&self) -> bool {
+        true
+    }
+
     fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let i = tid.global() as usize;
         if i >= self.n {

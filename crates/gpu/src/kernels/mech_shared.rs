@@ -69,6 +69,13 @@ impl<R: Scalar + DeviceWord + FromWord> Kernel for SharedMechKernel<'_, R> {
         2
     }
 
+    /// The tile is the block's shared memory and its cursor a shared
+    /// atomic; globally a block reads the agent columns and the grid and
+    /// stores the displacements of its own voxel's agents.
+    fn blocks_commute(&self) -> bool {
+        true
+    }
+
     fn thread(&self, phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let center_flat = ctx.ld(self.voxel_ids, tid.block as usize) as usize;
         let mut boxes = self

@@ -27,6 +27,11 @@ pub struct IntegrateKernel<'a, R: Scalar + DeviceWord> {
 }
 
 impl<R: Scalar + DeviceWord> Kernel for IntegrateKernel<'_, R> {
+    /// A thread reads and writes its own agent's row only.
+    fn blocks_commute(&self) -> bool {
+        true
+    }
+
     fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let i = tid.global() as usize;
         if i >= self.n {

@@ -49,7 +49,7 @@
 //! because both grid builds are pure functions of the (unchanged) keys.
 
 use crate::counters::KernelCounters;
-use crate::engine::{FromWord, HostCost, Kernel, LaunchResult, TraceAccesses};
+use crate::engine::{FromWord, HostCost, Kernel, LaunchResult, Launches, TraceAccesses};
 use crate::frontend::{ApiFrontend, Runtime};
 use crate::kernels::csr::{exclusive_scan_into, CsrCountKernel, CsrScatterKernel};
 use crate::kernels::dynpar::{ChildKernel, FinishKernel, ParentKernel};
@@ -258,6 +258,9 @@ pub struct GpuStepReport {
     /// How many of the step's traced accesses the engine's lane filter
     /// absorbed — why `host.exec_s` reads what it reads.
     pub accesses: TraceAccesses,
+    /// How many of the step's launches forked their blocks across the
+    /// host workers, and into how many chunks — the other reason.
+    pub launches: Launches,
 }
 
 impl GpuStepReport {
@@ -303,6 +306,14 @@ impl GpuStepReport {
         for (path, n) in [("filter", filtered), ("table", total - filtered)] {
             reg.inc_counter("gpu.trace_accesses", &with("path", path), n as f64);
         }
+        // And how the launches ran their blocks: forked (the kernel's
+        // blocks commute) or in order.
+        let Launches {
+            forked, ordered, ..
+        } = self.launches;
+        for (exec, n) in [("forked", forked), ("ordered", ordered)] {
+            reg.inc_counter("gpu.launches", &with("exec", exec), n as f64);
+        }
     }
 }
 
@@ -346,6 +357,7 @@ struct PhaseCost {
     secs: f64,
     host: HostCost,
     accesses: TraceAccesses,
+    launches: Launches,
     h2d_bytes: u64,
     h2d_transfers: u32,
     d2h_bytes: u64,
@@ -360,6 +372,7 @@ impl PhaseCost {
         self.secs += r.timing.total_s;
         self.host.merge(&r.host);
         self.accesses.merge(&r.accesses);
+        self.launches.merge(&r.launches);
     }
 
     /// Launch `kernel` at one thread per item (128-thread groups, no
@@ -386,6 +399,7 @@ impl PhaseCost {
         self.secs += later.secs;
         self.host.merge(&later.host);
         self.accesses.merge(&later.accesses);
+        self.launches.merge(&later.launches);
         self.h2d_bytes += later.h2d_bytes;
         self.h2d_transfers += later.h2d_transfers;
         self.d2h_bytes += later.d2h_bytes;
@@ -1013,6 +1027,7 @@ impl StepEnv<'_> {
             grid_built,
             host: step.host,
             accesses: step.accesses,
+            launches: step.launches,
         }
     }
 

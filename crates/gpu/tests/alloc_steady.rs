@@ -1,13 +1,16 @@
-//! Steady-state launches allocate nothing.
+//! Steady-state launches allocate nothing of their own.
 //!
-//! The engine's trace path lives on device-owned arenas that grow on
-//! first use — the per-key buckets above all, which are emptied by the
-//! drain and keep their capacity — so once a launch shape has been seen,
-//! repeating it must not touch the heap at all — not per traced warp,
-//! not per slot, not per block of shared memory. (The `BTreeMap`-of-`Vec`s
-//! coalescer this replaced allocated one or two `Vec`s per slot per traced
-//! warp: 1,524 on this scene's grid-build launch and 60,555 on its mech
-//! launch.)
+//! The engine's trace path lives on device-owned arenas, one per block
+//! chunk, that grow on first use — the per-key buckets above all, which
+//! are emptied by the drain and keep their capacity — so once a launch
+//! shape has been seen, repeating it must not touch the heap — not per
+//! traced warp, not per slot, not per block of shared memory, not per
+//! chunk. On one worker that is zero allocations; a launch that forks its
+//! blocks onto more workers allocates what the fork-join itself does
+//! (spawning the helper threads), and nothing that scales with the scene.
+//! (The `BTreeMap`-of-`Vec`s coalescer this replaced allocated one or two
+//! `Vec`s per slot per traced warp: 1,524 on this scene's grid-build
+//! launch and 60,555 on its mech launch.)
 
 use bdm_device::specs::SYSTEM_A;
 use bdm_gpu::engine::{Kernel, LaunchResult, ThreadCtx, ThreadId};
@@ -16,6 +19,8 @@ use bdm_gpu::kernels::layout::{AgentCols, ChainGrid, DispCols};
 use bdm_gpu::kernels::mech::ForceKernel;
 use bdm_gpu::mem::{DeviceAllocator, DeviceBuffer};
 use bdm_gpu::{GpuDevice, LaunchConfig};
+use bdm_grid::rayon::prelude::*;
+use bdm_grid::rayon::ThreadPoolBuilder;
 use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
 use bdm_math::{Aabb, SplitMix64, Vec3};
@@ -65,14 +70,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Heap allocations `f` performs on this thread.
-fn allocations_in(f: impl FnOnce() -> LaunchResult) -> (u64, LaunchResult) {
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let r = f();
     (ALLOCATIONS.with(Cell::get) - before, r)
 }
 
-/// 12³ voxels of ≈ 1.2 agents each on the device, with the chained grid
-/// the two launches of a step build and walk.
+/// Runs `f` with every `par_*` call it makes (a launch's included)
+/// forking onto `workers` threads.
+fn on_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    ThreadPoolBuilder::new()
+        .num_threads(workers)
+        .build()
+        .expect("pool")
+        .install(f)
+}
+
+/// `n` agents in an `extent`³ cube of unit voxels on the device, with the
+/// chained grid the two launches of a step build and walk.
 struct Scene {
     n: usize,
     geom: GridGeometry<f64>,
@@ -86,8 +101,7 @@ struct Scene {
 impl Scene {
     /// `n` uniformly random agents; `sorted` stores them voxel by voxel,
     /// so that neighboring lanes walk the same chains.
-    fn new(n: usize, sorted: bool) -> Self {
-        let extent = 12.0;
+    fn new(n: usize, extent: f64, sorted: bool) -> Self {
         let mut rng = SplitMix64::new(17);
         let mut column =
             |lo: f64, hi: f64| -> Vec<f64> { (0..n).map(|_| rng.uniform(lo, hi)).collect() };
@@ -102,7 +116,7 @@ impl Scene {
         }
         let stored = |col: &[f64]| -> Vec<f64> { order.iter().map(|&i| col[i]).collect() };
         let geom = GridGeometry::new(Aabb::new(Vec3::zero(), Vec3::splat(extent)), 1.0);
-        assert_eq!(geom.dims(), [12, 12, 12]);
+        assert_eq!(geom.dims(), [extent as u32; 3]);
 
         let mut alloc = DeviceAllocator::new();
         let cols: [DeviceBuffer<f64>; 5] = std::array::from_fn(|_| alloc.alloc::<f64>(n));
@@ -163,9 +177,18 @@ impl Scene {
     }
 }
 
+/// 2,000 agents, ≈ 1.2 per voxel.
+fn small_scene(sorted: bool) -> Scene {
+    Scene::new(2000, 12.0, sorted)
+}
+
 #[test]
 fn second_identical_launch_performs_zero_heap_allocations() {
-    let scene = Scene::new(2000, false);
+    on_workers(1, second_identical_launch);
+}
+
+fn second_identical_launch() {
+    let scene = small_scene(false);
     let cfg = LaunchConfig::for_items(scene.n, 128);
     let dev = GpuDevice::new(SYSTEM_A.gpu);
 
@@ -207,7 +230,11 @@ fn second_identical_launch_performs_zero_heap_allocations() {
 /// one lane: the repeat logs into the stream the first launch never wrote.
 #[test]
 fn second_sorted_scene_launch_performs_zero_heap_allocations() {
-    let scene = Scene::new(1875, true);
+    on_workers(1, second_sorted_scene_launch);
+}
+
+fn second_sorted_scene_launch() {
+    let scene = Scene::new(1875, 12.0, true);
     let cfg = LaunchConfig::for_items(scene.n, 125);
     assert_eq!(cfg.total_threads() % 2, 1);
     let dev = GpuDevice::new(SYSTEM_A.gpu);
@@ -245,4 +272,33 @@ fn second_sorted_scene_launch_performs_zero_heap_allocations() {
     let (steady, _) = allocations_in(|| dev.launch(&lane, one_lane));
     assert!(warm > 0, "the long lane fitted the arena as it was");
     assert_eq!(steady, 0, "one-lane launch allocated");
+}
+
+/// On two workers the force launch forks its blocks into eight chunks.
+/// What it allocates on the launching thread is then exactly what an empty
+/// `par_*` loop of eight items allocates there — the helper thread's spawn
+/// — and the same for a scene ten times as large (in the same density):
+/// nothing scales with lanes, keys or chunks. The in-order grid build
+/// spawns nothing and allocates nothing.
+#[test]
+fn a_forked_launch_allocates_only_what_the_fork_join_does() {
+    on_workers(2, || {
+        let mut items = [0u8; 8];
+        let mut fork_join = || allocations_in(|| items.par_iter_mut().for_each(|i| *i += 1)).0;
+        fork_join();
+        let fork_join = fork_join();
+        assert!(fork_join > 0, "the empty loop did not fork");
+
+        for (n, extent) in [(2_000, 12.0), (20_000, 26.0)] {
+            let scene = Scene::new(n, extent, false);
+            let cfg = LaunchConfig::for_items(scene.n, 128);
+            let dev = GpuDevice::new(SYSTEM_A.gpu);
+            scene.step(&dev, cfg);
+            dev.reset_l2();
+            let [(build, _), (mech, steady)] = scene.step(&dev, cfg);
+            assert_eq!(build, 0, "{n} agents: the in-order grid build allocated");
+            assert_eq!((steady.launches.forked, steady.launches.chunks), (1, 8));
+            assert_eq!(mech, fork_join, "{n} agents: the forked launch allocated");
+        }
+    });
 }

@@ -36,6 +36,12 @@ mod geometry;
 pub use csr::{CsrBuildScratch, CsrGrid};
 pub use geometry::{GridGeometry, NeighborBoxes};
 
+/// The worker pool under the parallel builds (the vendored fork-join
+/// `rayon`), re-exported for the crates that fork on the same pool
+/// without a dependency of their own: `bdm-gpu`'s engine runs the blocks
+/// of a launch on it.
+pub use rayon;
+
 use bdm_math::{Aabb, Scalar, Vec3};
 use bdm_soa::AgentId;
 use rayon::prelude::*;

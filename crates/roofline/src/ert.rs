@@ -21,6 +21,11 @@ struct ErtKernel<'a, R: Scalar + DeviceWord> {
 }
 
 impl<R: Scalar + DeviceWord> Kernel for ErtKernel<'_, R> {
+    /// A thread reads and writes its own element only.
+    fn blocks_commute(&self) -> bool {
+        true
+    }
+
     fn thread(&self, _phase: usize, tid: ThreadId, ctx: &mut ThreadCtx<'_>) {
         let i = tid.global() as usize;
         if i >= self.n {

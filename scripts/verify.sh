@@ -58,26 +58,37 @@ cargo test -q --offline --release -p bdm-sim --test alloc_births -- \
     a_division_wave_allocates_per_chunk_not_per_birth \
     a_warmed_reorder_allocates_a_constant \
     a_restore_allocates_a_constant
-# The SIMT engine's steady-state launches must not touch the heap (cold
-# and warm L2 alike: the per-key buckets keep their capacity; sorted
-# storage and a one-lane launch alike: the lane filter's two streams
-# trade places) — in release mode, where the optimizer decides what
-# actually allocates.
-cargo test -q --offline --release -p bdm-gpu --test alloc_steady -- \
-    second_identical_launch_performs_zero_heap_allocations \
-    second_sorted_scene_launch_performs_zero_heap_allocations
-# The log-time coalescer and the lane filter in front of it against the
-# retained BTreeMap oracle on random lane scripts (lanes that repeat,
-# alternate with and fall out of step with their neighbors), the
-# filter's exact counts, a launch that died mid-lane, every simulated
-# statistic of every kernel version and resident sync path against its
-# parent-commit golden, and the resident reorder pin.
-cargo test -q --offline --release -p bdm-gpu --lib -- \
-    arena_engine_matches_the_reference_bit_for_bit \
-    the_lane_filter_absorbs_what_the_previous_lane_logged_and_nothing_else \
-    a_kernel_panic_does_not_leak_its_batch_into_the_next_launch \
-    sampled_tracing_counts_every_warps_shared_accesses_once \
-    step_reports_match_the_parent_goldens
+# The SIMT engine at 1, 2 and 4 workers (launches whose blocks commute
+# fork onto them): steady-state launches must not touch the heap on one
+# worker (cold and warm L2 alike: the per-key buckets keep their
+# capacity; sorted storage and a one-lane launch alike: the lane
+# filter's two streams trade places) and allocate only the fork-join's
+# own on two, at any scene size — in release mode, where the optimizer
+# decides what actually allocates. The log-time coalescer and the lane
+# filter in front of it against the retained BTreeMap oracle on random
+# lane scripts (lanes that repeat, alternate with and fall out of step
+# with their neighbors; commuting scripts forked on 1-4 workers and in
+# shuffled order), the filter's exact counts, a launch that died
+# mid-lane in a later chunk, the commuting-blocks guard on global
+# atomics, every simulated statistic of every kernel version and
+# resident sync path against its parent-commit golden, and the resident
+# reorder pin. (The GPU offload's positions and counters across
+# schedules, `gpu_offload_is_schedule_independent`, run with
+# thread_determinism in the thread matrix above.)
+for threads in 1 2 4; do
+    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-gpu \
+        --test alloc_steady -- \
+        second_identical_launch_performs_zero_heap_allocations \
+        second_sorted_scene_launch_performs_zero_heap_allocations \
+        a_forked_launch_allocates_only_what_the_fork_join_does
+    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-gpu --lib -- \
+        arena_engine_matches_the_reference_bit_for_bit \
+        the_lane_filter_absorbs_what_the_previous_lane_logged_and_nothing_else \
+        a_kernel_panic_does_not_leak_its_batch_into_the_next_launch \
+        a_global_atomic_in_a_kernel_that_declares_commuting_blocks_panics \
+        sampled_tracing_counts_every_warps_shared_accesses_once \
+        step_reports_match_the_parent_goldens
+done
 cargo test -q --offline --release -p bdm-sim --lib -- \
     resident_reorder_steps_resync_from_the_uid_diff_alone
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -2,14 +2,16 @@
 //! a run is the same byte string whether its `par_*` loops ran on one
 //! worker, on two, on four (oversubscribed on a two-processor host) or
 //! on one thread visiting the blocks of every loop in a seeded random
-//! order — for every host environment, with division and secretion
-//! churn and a reorder every step.
+//! order — for every host environment and the GPU offload, with division
+//! and secretion churn and a reorder every step. For the GPU, so is
+//! every simulated counter of every step.
 //!
 //! Scene sizes are chosen so the loops really fork: the CSR f64 scene
 //! exceeds the parallel build's 32 Ki-agent chunk (so its `unsafe`
 //! disjoint scatters run concurrently) and the key / argsort / gather
 //! passes' 16 Ki thresholds; the others span several 4 Ki-agent chunks
-//! of their force passes.
+//! of their force passes. The GPU scene's force launches have more
+//! blocks than the engine cuts chunks at four workers.
 
 use biodynamo::math::SplitMix64;
 use biodynamo::prelude::*;
@@ -61,17 +63,30 @@ fn scene(n: usize, configure: Configure, env: EnvironmentKind) -> Simulation {
     sim
 }
 
-fn final_checkpoint(mut sim: Simulation) -> Vec<u8> {
+/// The final checkpoint, then every GPU step's counters (every field of
+/// the step's and of its force kernel's, printed to round-trip).
+fn final_state(mut sim: Simulation) -> (Vec<u8>, Vec<String>) {
     let born = sim.rm().len();
     sim.simulate(STEPS);
     assert!(sim.rm().len() > born, "the scene must divide");
     let mut bytes = Vec::new();
     sim.checkpoint(&mut bytes).expect("checkpoint to memory");
-    bytes
+    let records = sim.profiler().steps().iter().flat_map(|s| &s.records);
+    let counters = records
+        .filter_map(|r| r.gpu.as_ref())
+        .map(|g| format!("{:?} {:?}", g.counters, g.mech_counters))
+        .collect();
+    (bytes, counters)
 }
 
-fn assert_schedule_independent(n: usize, configure: Configure, env: EnvironmentKind) {
-    let run = || final_checkpoint(scene(n, configure, env));
+/// Asserts the run's final state is the same on every schedule; returns
+/// it.
+fn assert_schedule_independent(
+    n: usize,
+    configure: Configure,
+    env: EnvironmentKind,
+) -> (Vec<u8>, Vec<String>) {
+    let run = || final_state(scene(n, configure, env));
     let on = |workers: usize| {
         ThreadPoolBuilder::new()
             .num_threads(workers)
@@ -89,6 +104,7 @@ fn assert_schedule_independent(n: usize, configure: Configure, env: EnvironmentK
             "shuffled schedule {seed} diverged"
         );
     }
+    reference
 }
 
 #[test]
@@ -124,4 +140,29 @@ fn linked_list_is_schedule_independent() {
 #[test]
 fn kd_tree_is_schedule_independent() {
     assert_schedule_independent(10_000, |p| p, EnvironmentKind::KdTree);
+}
+
+#[test]
+fn gpu_offload_is_schedule_independent() {
+    // Versions II (the force kernel over chains), III (shared-memory
+    // tiles, two phases per block) and IV (over CSR cells): their force
+    // launches fork, the grid builds run in order.
+    for version in [
+        KernelVersion::V2Sorted,
+        KernelVersion::V3Shared,
+        KernelVersion::V4Csr,
+    ] {
+        let env = EnvironmentKind::Gpu {
+            system: GpuSystem::A,
+            frontend: ApiFrontend::Cuda,
+            version,
+            trace_sample: 1,
+        };
+        let (_, counters) = assert_schedule_independent(2_500, |p| p, env);
+        assert_eq!(
+            counters.len() as u64,
+            STEPS,
+            "{version:?}: one report a step"
+        );
+    }
 }
