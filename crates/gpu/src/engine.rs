@@ -305,8 +305,8 @@ const CUT: u32 = u32::MAX;
 /// One slot key's coalesced transactions in one chunk: the 128-byte
 /// segment ids of every traced warp of the chunk that touched the key,
 /// warps in retire order, each warp's distinct segments in
-/// first-appearance, lane-major order, and a [`CUT`] after each batch but
-/// the chunk's last.
+/// first-appearance, lane-major order, and a [`CUT`] after each batch
+/// that ended at a boundary inside the chunk.
 #[derive(Debug, Default)]
 struct Bucket {
     segs: Vec<u32>,
@@ -352,6 +352,9 @@ struct TraceTable {
     touched: Vec<u32>,
     /// The cut batches, in launch order.
     pieces: Vec<Piece>,
+    /// Whether a batch ended inside the chunk, i.e. any bucket holds a
+    /// [`CUT`].
+    cut_inside: bool,
     /// The drain's position: the next key in `touched` …
     next_key: usize,
     /// … and the piece it belongs to.
@@ -492,6 +495,7 @@ impl TraceTable {
         }
         self.touched[from..].sort_unstable();
         if more {
+            self.cut_inside = true;
             for i in from..self.touched.len() {
                 let key = self.touched[i];
                 push_seg(&mut self.bucket(key).segs, CUT);
@@ -517,10 +521,13 @@ impl TraceTable {
     fn drain_head(&mut self, transaction: &mut impl FnMut(u64)) {
         let key = self.touched[self.next_key];
         self.next_key += 1;
-        let seg_shift = self.seg_shift;
+        let (seg_shift, cut_inside) = (self.seg_shift, self.cut_inside);
         let bucket = self.bucket(key);
         let part = &bucket.segs[bucket.drained as usize..];
-        let len = part.iter().position(|&s| s == CUT).unwrap_or(part.len());
+        let len = match cut_inside {
+            true => part.iter().position(|&s| s == CUT).unwrap_or(part.len()),
+            false => part.len(),
+        };
         for &seg in &part[..len] {
             transaction((seg as u64) << seg_shift);
         }
@@ -545,6 +552,7 @@ impl TraceTable {
         }
         self.touched.clear();
         self.pieces.clear();
+        self.cut_inside = false;
         (self.next_key, self.next_piece) = (0, 0);
         self.atomics.clear();
         (self.logged, self.reached_table) = (0, 0);
