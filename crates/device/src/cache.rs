@@ -17,11 +17,14 @@
 //! and slice count are powers of two), never a runtime division.
 //!
 //! The cache must see *one ordered stream* — an LRU cache's hit count
-//! depends on the sequence of lines it sees — so whatever forks later is
-//! the per-block execution in front of the drain, not the accesses to
-//! this cache. (`bdm-device`'s `parking_lot` edge in `Cargo.toml` is idle
-//! since the per-slice mutexes went; it stays listed only because the
-//! lock files record it — ROADMAP item 1 (d).)
+//! depends on the sequence of lines it sees — so what forks is the
+//! per-block execution in front of the drain, never the accesses to this
+//! cache: the engine's drain walks the forked chunks' transactions in the
+//! in-order launch's sequence, on one thread. (Forking the drain by
+//! slice was measured and lost: each worker has to walk the whole stream
+//! to find its slice's lines.) (`bdm-device`'s `parking_lot` edge in
+//! `Cargo.toml` is idle since the per-slice mutexes went; it stays listed
+//! only because the lock files record it — ROADMAP item 1 (d).)
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -32,7 +32,8 @@
 //! * [`counters`] — per-kernel performance counters (`nvprof` stand-in).
 //! * [`engine`] — the SIMT execution engine: blocks → warps → lanes, with
 //!   per-warp coalescing, an L2 cache simulation, and divergence
-//!   accounting. Deterministic and single-threaded.
+//!   accounting. Deterministic at any host worker count: blocks that
+//!   commute fork across the workers, the L2 sees one ordered stream.
 //! * [`timing`] — converts counters into seconds on a given [`bdm_device::GpuSpec`].
 //! * [`frontend`] — thin CUDA-style and OpenCL-style launch APIs (the
 //!   paper implements both; they drive the identical engine).

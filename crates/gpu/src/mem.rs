@@ -2,10 +2,11 @@
 //!
 //! Each [`DeviceBuffer`] lives at a base address handed out by a bump
 //! allocator, so the cache/coalescing models see a realistic flat address
-//! space. Element storage is atomic words: the engine executes lanes
-//! sequentially today, but atomics keep the functional semantics
-//! identical to a GPU's (relaxed loads/stores compile to plain moves on
-//! x86, so this costs nothing).
+//! space. Element storage is atomic words, which keeps the functional
+//! semantics a GPU's: the blocks of a launch that declares commuting
+//! blocks run on several host threads at once, sharing the buffers, and
+//! a kernel's atomics behave as device atomics (relaxed loads/stores
+//! compile to plain moves on x86, so this costs nothing).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
