@@ -73,6 +73,8 @@ pub fn default_policy(name: &str) -> GatePolicy {
                 | "agents.resident_bytes"
                 | "agents.behavior_lists"
                 | "behaviors.commit_ms"
+                | "reorder.resident_bytes"
+                | "reorder.runs"
         )
     {
         // The checkpoint serialize/parse timings and the SIMT
@@ -93,7 +95,10 @@ pub fn default_policy(name: &str) -> GatePolicy {
         // grows with the worker count. The agent columns' bytes follow
         // their growth history and the behavior table's size the lists
         // ever seen: a restored run reports less of both for the same
-        // state. The behaviors commit time is one more wall clock.
+        // state. The behaviors commit time is one more wall clock. The
+        // reorder's scratch bytes follow the largest population it
+        // gathered, and its runs by outcome say why `reorder`'s wall time
+        // reads what it reads (and restart at zero on a restore).
         GatePolicy::informational()
     } else if is_exact(name) {
         GatePolicy::with_tol(0.0)
@@ -365,6 +370,8 @@ mod tests {
         assert!(!default_policy("agents.resident_bytes").gate);
         assert!(!default_policy("agents.behavior_lists").gate);
         assert!(!default_policy("behaviors.commit_ms").gate);
+        assert!(!default_policy("reorder.resident_bytes").gate);
+        assert!(!default_policy("reorder.runs").gate);
         assert!(!default_policy("layouts.reorder_mech_wall_ms").gate);
         assert_eq!(default_policy("layouts.shard_imbalance").tol, Some(0.02));
         assert_eq!(

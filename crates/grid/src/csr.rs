@@ -24,18 +24,22 @@
 //!
 //! # Incremental maintenance
 //!
-//! The grid remembers the clamped voxel key of every agent from its
-//! last build (plus a geometry signature). A rebuild first recomputes
-//! the keys — the cheap pass — and, when they are identical, *skips*
-//! the counting sort and scatter entirely: the stored CSR arrays are a
-//! pure function of the keys, so skipping is bitwise-invisible (pinned
-//! by tests). This mirrors the GPU pipeline's resident grid skip and
-//! turns the common no-crossing timestep into a single read-only sweep.
+//! The grid remembers the geometry signature of its last full build. A
+//! rebuild first recomputes every agent's clamped voxel key — the cheap
+//! pass — and, when the population and the geometry are unchanged and
+//! every slot of every voxel still holds an agent of that voxel, *skips*
+//! the counting sort and scatter entirely. Each agent sits in exactly one
+//! slot, so that is "no agent changed voxel", and the stored CSR arrays
+//! are a pure function of the keys: skipping is bitwise-invisible (pinned
+//! by tests), and the check needs no second copy of the keys. This
+//! mirrors the GPU pipeline's resident grid skip and turns the common
+//! no-crossing timestep into a single read-only sweep.
 
 use crate::{GridGeometry, NeighborBoxes, QueryCounters};
 use bdm_math::{Aabb, Scalar, Vec3};
 use bdm_soa::AgentId;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Agents-per-chunk granule of the parallel build. The chunk count is a
 /// function of `n` alone — never of the worker-thread count — so the
@@ -120,12 +124,10 @@ pub struct CsrGrid<R> {
     cell_starts: Vec<u32>,
     /// All agent ids, grouped by voxel, ascending id within a voxel.
     cell_agents: Vec<AgentId>,
-    /// Per-agent voxel keys of the last full build (the incremental
-    /// check), together with the geometry they were computed against.
+    /// The geometry of the last full build (the incremental check).
     /// `None` after a member-subset build — those arrays are not a pure
     /// function of full-column keys.
     built_sig: Option<BuildSig>,
-    prev_keys: Vec<u32>,
 }
 
 impl<R: Scalar> CsrGrid<R> {
@@ -135,7 +137,6 @@ impl<R: Scalar> CsrGrid<R> {
             cell_starts: Vec::new(),
             cell_agents: Vec::new(),
             built_sig: None,
-            prev_keys: Vec::new(),
         }
     }
 
@@ -209,7 +210,7 @@ impl<R: Scalar> CsrGrid<R> {
         // CSR arrays are a pure function of both ⇒ skip the sort.
         let sig = BuildSig::of(&geom);
         self.geom = geom;
-        if self.built_sig == Some(sig) && scratch.voxel_of == self.prev_keys {
+        if self.built_sig == Some(sig) && self.holds(&scratch.voxel_of, 0..n) {
             return true;
         }
 
@@ -242,10 +243,23 @@ impl<R: Scalar> CsrGrid<R> {
             self.cell_agents[pos as usize] = AgentId::from_index(i);
         }
 
-        self.prev_keys.clear();
-        self.prev_keys.extend_from_slice(&scratch.voxel_of);
         self.built_sig = Some(sig);
         false
+    }
+
+    /// `true` when this grid indexes `voxel_of.len()` agents and every
+    /// slot of `slots` lies in the range of its agent's voxel
+    /// `voxel_of[agent]`. The ranges are disjoint, so over all slots, with
+    /// an unchanged geometry, that is exactly "every voxel's slots hold
+    /// its agents": a rebuild would reproduce the arrays. O(slots) reads,
+    /// whatever the voxel count.
+    fn holds(&self, voxel_of: &[u32], slots: Range<usize>) -> bool {
+        let starts = &self.cell_starts;
+        self.cell_agents.len() == voxel_of.len()
+            && slots.into_iter().all(|s| {
+                let v = voxel_of[self.cell_agents[s].index()] as usize;
+                (starts[v] as usize..starts[v + 1] as usize).contains(&s)
+            })
     }
 
     /// [`Self::build_parallel`], but reusing this grid's arrays and
@@ -287,8 +301,18 @@ impl<R: Scalar> CsrGrid<R> {
 
         let sig = BuildSig::of(&geom);
         self.geom = geom;
-        if self.built_sig == Some(sig) && scratch.voxel_of == self.prev_keys {
-            return true;
+        if self.built_sig == Some(sig) {
+            let mut held = [true; MAX_CHUNKS];
+            held[..num_chunks]
+                .par_iter_mut()
+                .enumerate()
+                .for_each(|(c, held)| {
+                    let slots = (c * chunk_len).min(n)..((c + 1) * chunk_len).min(n);
+                    *held = self.holds(&scratch.voxel_of, slots);
+                });
+            if held.iter().all(|&h| h) {
+                return true;
+            }
         }
 
         // Per-chunk histograms over the precomputed keys.
@@ -348,8 +372,6 @@ impl<R: Scalar> CsrGrid<R> {
                 }
             });
 
-        self.prev_keys.clear();
-        self.prev_keys.extend_from_slice(&scratch.voxel_of);
         self.built_sig = Some(sig);
         false
     }
@@ -814,6 +836,33 @@ mod tests {
         assert!(g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
         // Boundary crossing: rebuild.
         xs[0] += 2.0;
+        assert!(!g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
+        // Two agents of different voxels trade places: same count, same
+        // occupancy per voxel, but each slot now names the wrong agent.
+        let other = (1..xs.len())
+            .find(|&i| {
+                g.box_index(Vec3::new(xs[i], ys[i], zs[i]))
+                    != g.box_index(Vec3::new(xs[0], ys[0], zs[0]))
+            })
+            .expect("a second voxel");
+        let (mut ys, mut zs) = (ys, zs);
+        for col in [&mut xs, &mut ys, &mut zs] {
+            col.swap(0, other);
+        }
+        for build in [CsrGrid::rebuild_serial, CsrGrid::rebuild_parallel] {
+            let mut g = g.clone();
+            assert!(!build(
+                &mut g,
+                &xs,
+                &ys,
+                &zs,
+                space(10.0),
+                2.0,
+                &mut scratch
+            ));
+            let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(10.0), 2.0);
+            assert_eq!(g.cell_agents, fresh.cell_agents);
+        }
         assert!(!g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
         // Geometry change with identical positions: rebuild.
         assert!(!g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.5, &mut scratch));

@@ -1,12 +1,14 @@
-//! Property-based tests for the Z-order curve, the Hilbert curve, and
-//! the curve-span shard map built on top of them.
+//! Property-based tests for the Z-order curve, the Hilbert curve, the
+//! curve-span shard map built on top of them, and the radix argsort.
 
-use bdm_math::{Aabb, Vec3};
+use bdm_math::{Aabb, SplitMix64, Vec3};
 use bdm_morton::{
     cell_keys, compact, decode3, encode2, encode3, hilbert_decode3, hilbert_encode3, quantize,
-    spread, Curve, ShardMap, COORD_BITS, COORD_MAX,
+    spread, Curve, RadixArgsort, ShardMap, COORD_BITS, COORD_MAX,
 };
+use bdm_soa::Permutation;
 use proptest::prelude::*;
+use rayon::ThreadPoolBuilder;
 
 proptest! {
     /// spread/compact are inverse for every 21-bit value.
@@ -163,5 +165,54 @@ proptest! {
                 prop_assert_eq!(map.shard_of(w[0]), map.shard_of(w[1]));
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The radix argsort is a stable comparison sort of `(key, tie)`
+    /// pairs: the same permutation for keys of 1 to 64 bits (one to six
+    /// digit passes), offset far from zero or not, random, few distinct
+    /// or already ordered, with and without ties (which may repeat), on 1,
+    /// 2 and 4 workers and on shuffled part schedules.
+    #[test]
+    fn radix_argsort_matches_the_comparison_sort(
+        n in 0usize..6000,
+        bits in 1u32..=64,
+        pattern in 0u32..3,
+        seed in any::<u64>(),
+        offset in any::<u64>(),
+        with_ties in any::<bool>(),
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let mask = u64::MAX >> (64 - bits);
+        let base = offset & !mask;
+        let mut keys: Vec<u64> = (0..n)
+            .map(|_| match pattern {
+                0 => rng.next_u64() & mask,
+                _ => (rng.next_u64() % 5) * (mask / 4),
+            })
+            .map(|k| base | k)
+            .collect();
+        if pattern == 2 {
+            keys.sort_unstable();
+        }
+        let ties: Vec<u64> = (0..n).map(|_| rng.next_u64() % 40).collect();
+        let ties = with_ties.then_some(ties.as_slice());
+        let want = match ties {
+            Some(ties) => {
+                let pairs: Vec<(u64, u64)> = keys.iter().copied().zip(ties.iter().copied()).collect();
+                Permutation::sorting_by_key(&pairs)
+            }
+            None => Permutation::sorting_by_key(&keys),
+        };
+        let sort = || RadixArgsort::default().sort(&keys, ties).to_vec();
+        for workers in [1, 2, 4] {
+            let pool = ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+            prop_assert_eq!(pool.install(sort), want.gather_indices(), "{} workers", workers);
+        }
+        let shuffled = rayon::with_shuffled_schedule(seed, sort);
+        prop_assert_eq!(shuffled, want.gather_indices(), "shuffled schedule");
     }
 }

@@ -135,7 +135,7 @@ pub mod work_model {
     pub const CSR_BUILD_RANDOM_PER_AGENT: f64 = 0.125;
     /// Bytes per agent of a *skipped* incremental rebuild: pass 1 still
     /// reads the position (24 B) and writes the voxel id (4 B), plus the
-    /// previous-key compare read (4 B); the counting sort never runs.
+    /// slot check's read of it (4 B); the counting sort never runs.
     pub const CSR_BUILD_SKIP_BYTES_PER_AGENT: f64 = 32.0;
     /// FLOPs per tested candidate (the same distance test as the
     /// linked-list pass).

@@ -59,6 +59,7 @@ pub struct OpContext<'a> {
     pub substances: &'a mut [DiffusionGrid],
     pub(crate) pipeline: Option<&'a mut MechanicalPipeline>,
     pub(crate) mech_scratch: &'a mut MechScratch,
+    pub(crate) reorder: &'a mut ReorderState,
     pub(crate) last_mech: &'a mut Option<MechWork>,
     /// Accumulates the behaviors operation's commit (merge) seconds.
     pub(crate) behaviors_commit_s: &'a mut f64,
@@ -126,9 +127,19 @@ pub fn wall_record(name: &str, wall_s: f64) -> OpRecord {
 /// storage order the op happened to find. Combined with the uid-keyed
 /// merges in [`crate::exec`], enabling the reorder cannot change any
 /// trajectory (pinned by the purity proptests).
+///
+/// Its scratch and run counts live in the [`crate::Simulation`]
+/// ([`ReorderState`]), where `Simulation::metrics` reads them.
 #[derive(Debug, Default)]
-pub struct ReorderOp {
-    scratch: ReorderScratch,
+pub struct ReorderOp;
+
+/// What the reorder operation keeps across steps: its scratch, and how
+/// many of its runs found storage sorted and how many gathered.
+#[derive(Debug, Default)]
+pub(crate) struct ReorderState {
+    pub(crate) scratch: ReorderScratch,
+    pub(crate) sorted: u64,
+    pub(crate) gathered: u64,
 }
 
 impl Operation for ReorderOp {
@@ -156,9 +167,14 @@ impl Operation for ReorderOp {
                 &ctx.params.space,
                 radius,
                 ctx.params.reorder.curve,
-                &mut self.scratch,
+                &mut ctx.reorder.scratch,
                 None,
             );
+        }
+        if moved == 0 {
+            ctx.reorder.sorted += 1;
+        } else {
+            ctx.reorder.gathered += 1;
         }
         vec![OpRecord {
             name: self.name().into(),

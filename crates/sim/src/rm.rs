@@ -32,22 +32,29 @@ use crate::behavior::Behavior;
 use crate::cell::CellBuilder;
 use bdm_device::cpu::Phase;
 use bdm_math::{Aabb, Vec3};
-use bdm_morton::Curve;
-use bdm_soa::{Column, Permutation, SoaVec3, Vec3ChunkMut};
+use bdm_morton::{CellCurve, Curve, RadixArgsort};
+use bdm_soa::{gather_words, Column, Permutation, SoaVec3, Vec3ChunkMut};
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Reusable scratch buffers for [`ResourceManager::apply_permutation`]:
-/// one per element type, cascaded across all columns of that type, so a
-/// steady-state reorder allocates nothing — and the `(voxel key, uid)`
-/// staging of [`ResourceManager::sort_storage`].
+/// Reusable scratch of [`ResourceManager::sort_storage`] and
+/// [`ResourceManager::apply_permutation`]: one word per agent — the cell
+/// keys while the argsort runs, then every column's gathered values in
+/// turn — and the argsort's two index buffers and histograms. 16 bytes
+/// per agent and 64 KiB in all; held across steps, a reorder of a
+/// population no larger than the last allocates nothing.
 #[derive(Debug, Default)]
 pub struct ReorderScratch {
-    f64s: Vec<f64>,
-    u64s: Vec<u64>,
-    u32s: Vec<u32>,
-    pairs: Vec<(u64, u64)>,
+    words: Vec<u64>,
+    argsort: RadixArgsort,
+}
+
+impl ReorderScratch {
+    /// Heap bytes the scratch holds: capacity times element size.
+    pub fn resident_bytes(&self) -> usize {
+        self.words.capacity() * size_of::<u64>() + self.argsort.resident_bytes()
+    }
 }
 
 /// The modeled cost of one [`ResourceManager::sort_storage`] over `n`
@@ -382,27 +389,39 @@ impl ResourceManager {
     /// largest-diameter cache is untouched — a permutation cannot change
     /// the population maximum.
     ///
-    /// The scratch cascades through all columns; an identity permutation
-    /// costs zero copies (see `Permutation::apply_in_place`).
+    /// Every column goes through the scratch's one word buffer
+    /// (`bdm_soa::gather_words`).
     pub fn apply_permutation(&mut self, perm: &Permutation, scratch: &mut ReorderScratch) {
         assert_eq!(perm.len(), self.len(), "permutation/population mismatch");
+        self.gather(perm.gather_indices(), &mut scratch.words);
+    }
+
+    /// [`Self::apply_permutation`] by raw gather indices (a bijection of
+    /// `0..len`) through `words`.
+    fn gather(&mut self, order: &[u32], words: &mut Vec<u64>) {
         // Index-addressed consumers (the f32 mirrors) see a different
         // column even though the multiset of agents is unchanged.
         self.pos_epoch += 1;
         self.attr_epoch += 1;
-        self.positions.permute(perm, &mut scratch.f64s);
-        self.diameters.permute(perm, &mut scratch.f64s);
-        self.adherences.permute(perm, &mut scratch.f64s);
-        self.uids.permute(perm, &mut scratch.u64s);
-        self.behavior_ids.permute(perm, &mut scratch.u32s);
+        let (xs, ys, zs) = self.positions.as_mut_slices();
+        for col in [xs, ys, zs] {
+            gather_words(order, col, words);
+        }
+        gather_words(order, self.diameters.as_mut_slice(), words);
+        gather_words(order, self.adherences.as_mut_slice(), words);
+        gather_words(order, self.uids.as_mut_slice(), words);
+        gather_words(order, self.behavior_ids.as_mut_slice(), words);
     }
 
     /// Sort storage by the pair `(curve key of the agent's voxel in a
     /// grid of `space` cut at edge `cell_len`, uid)` — a strict total
     /// order, so the layout is a pure function of per-agent state, and
     /// within a voxel ascending uid, the order a never-sorted run stores.
-    /// Returns how many agents were gathered: an O(n) sortedness scan
-    /// skips the argsort *and* every column gather when nothing drifted.
+    /// Returns how many agents were gathered: a parallel sortedness scan
+    /// that writes nothing skips the argsort *and* every column gather
+    /// when nothing drifted. Otherwise the keys go into the scratch's
+    /// word buffer, [`RadixArgsort`] orders them (each voxel's run by
+    /// uid), and every column gathers through the same buffer.
     /// `sorted_keys`, when asked for, receives every agent's voxel key
     /// in the storage order the call leaves.
     pub fn sort_storage(
@@ -413,22 +432,23 @@ impl ResourceManager {
         scratch: &mut ReorderScratch,
         sorted_keys: Option<&mut Vec<u64>>,
     ) -> u64 {
+        let cells = CellCurve::new(space, cell_len, curve);
         let (xs, ys, zs) = self.position_columns();
-        let cells = bdm_morton::cell_keys(xs, ys, zs, space, cell_len, curve);
-        let pairs = &mut scratch.pairs;
-        pairs.clear();
-        pairs.extend(cells.into_iter().zip(self.uid_column().iter().copied()));
-        let perm = (!pairs.is_sorted()).then(|| Permutation::sorting_by_key(pairs));
+        let uids = self.uid_column();
+        let moved = if cells.is_sorted_with(xs, ys, zs, uids) {
+            0
+        } else {
+            let ReorderScratch { words, argsort } = scratch;
+            cells.keys_into(xs, ys, zs, words);
+            let order = argsort.sort(words, Some(uids));
+            self.gather(order, words);
+            self.len() as u64
+        };
         if let Some(keys) = sorted_keys {
-            keys.clear();
-            match &perm {
-                None => keys.extend(pairs.iter().map(|&(k, _)| k)),
-                Some(p) => keys.extend(p.gather_indices().iter().map(|&s| pairs[s as usize].0)),
-            }
+            let (xs, ys, zs) = self.position_columns();
+            cells.keys_into(xs, ys, zs, keys);
         }
-        let Some(perm) = perm else { return 0 };
-        self.apply_permutation(&perm, scratch);
-        self.len() as u64
+        moved
     }
 
     /// Position of agent `i`.
@@ -941,7 +961,7 @@ mod tests {
         }
         // A permutation cannot change the population maximum.
         assert_eq!(rm.largest_diameter(), max_before);
-        // Scratch is reused across calls (identity costs zero copies).
+        // Scratch is reused across calls.
         rm.apply_permutation(&Permutation::identity(4), &mut scratch);
         assert_eq!(rm.uid(0), 3);
     }

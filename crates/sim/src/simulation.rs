@@ -10,7 +10,7 @@ use crate::cell::CellBuilder;
 use crate::diffusion::{DiffusionGrid, DiffusionParams};
 use crate::environment::EnvironmentKind;
 use crate::mech::{MechScratch, MechWork};
-use crate::operation::{OpContext, Operation, ReorderOp, ShardRebalanceOp};
+use crate::operation::{OpContext, Operation, ReorderOp, ReorderState, ShardRebalanceOp};
 use crate::param::SimParams;
 use crate::profiler::Profiler;
 use crate::rm::ResourceManager;
@@ -27,6 +27,7 @@ pub struct Simulation {
     profiler: Profiler,
     pipeline: Option<MechanicalPipeline>,
     mech_scratch: MechScratch,
+    reorder: ReorderState,
     steps_executed: u64,
     /// Density measured by the last mechanical step (paper's `n`).
     last_mech: Option<MechWork>,
@@ -54,7 +55,7 @@ impl Simulation {
             scheduler.add_front(Box::new(ShardRebalanceOp));
             scheduler.set_frequency("shard rebalance", params.shards.rebalance_every);
         }
-        scheduler.add_front(Box::new(ReorderOp::default()));
+        scheduler.add_front(Box::new(ReorderOp));
         if params.reorder.every > 0 {
             scheduler.set_frequency("reorder", params.reorder.every);
         } else {
@@ -77,6 +78,7 @@ impl Simulation {
             profiler: Profiler::new(),
             pipeline: None,
             mech_scratch: MechScratch::default(),
+            reorder: ReorderState::default(),
             steps_executed: 0,
             last_mech: None,
             behaviors_commit_s: 0.0,
@@ -255,6 +257,16 @@ impl Simulation {
         );
         // `profiler.op_wall_s{op=behaviors}` minus this is the chunk loop.
         reg.set_gauge("behaviors.commit_ms", &[], self.behaviors_commit_s * 1e3);
+        // The reorder's scratch (16 bytes per agent of its largest
+        // gather, 64 KiB of histograms), and why its runs cost what they
+        // did: a sorted run is one scan, a gathered one the argsort and
+        // seven column gathers.
+        let reorder = &self.reorder;
+        let resident = reorder.scratch.resident_bytes();
+        reg.set_gauge("reorder.resident_bytes", &[], resident as f64);
+        for (outcome, runs) in [("sorted", reorder.sorted), ("gathered", reorder.gathered)] {
+            reg.inc_counter("reorder.runs", &[("outcome", outcome)], runs as f64);
+        }
         if !self.diffusion.is_empty() {
             // Aggregate solver telemetry across substances (cumulative
             // since construction/restore — derived state, so a restored
@@ -320,6 +332,7 @@ impl Simulation {
             substances: &mut self.diffusion,
             pipeline: self.pipeline.as_mut(),
             mech_scratch: &mut self.mech_scratch,
+            reorder: &mut self.reorder,
             last_mech: &mut self.last_mech,
             behaviors_commit_s: &mut self.behaviors_commit_s,
             shards: self.shards.as_mut(),
@@ -656,6 +669,27 @@ mod tests {
         let commit_ms = reg.value("behaviors.commit_ms", &[]).unwrap();
         let behaviors_s = reg.value("profiler.op_wall_s", &[("op", "behaviors")]);
         assert!(commit_ms > 0.0 && commit_ms <= behaviors_s.unwrap() * 1e3);
+    }
+
+    /// The reorder's scratch and its runs, read from one artifact: a
+    /// frozen cloud gathers once and then finds its storage sorted, and
+    /// the scratch holds 16 bytes per agent and the histograms — no pair
+    /// buffer, no typed gather columns.
+    #[test]
+    fn metrics_report_the_reorder_scratch_and_its_runs() {
+        let mut sim = crate::workload::benchmark_b(3000, 27.0, 5);
+        assert!(sim.scheduler_mut().set_enabled("reorder", true));
+        sim.simulate(4);
+        let reg = sim.metrics();
+        let runs = |outcome| reg.value("reorder.runs", &[("outcome", outcome)]);
+        assert_eq!((runs("gathered"), runs("sorted")), (Some(1.0), Some(3.0)));
+        let resident = reg.value("reorder.resident_bytes", &[]).unwrap();
+        assert_eq!(resident, sim.reorder.scratch.resident_bytes() as f64);
+        let per_agent = 16.0 * sim.rm().len() as f64;
+        assert!(
+            per_agent <= resident && resident <= per_agent + 256.0 * 1024.0,
+            "{resident} bytes"
+        );
     }
 
     /// The same agent dividing *and* dying in one step: the daughter is

@@ -4,17 +4,22 @@
 //! record, so nothing on the birth, reorder or restore path may touch
 //! the allocator once per agent: a division wave allocates per *chunk*
 //! (its execution context's buffers) plus a constant (the merge's key
-//! vector, one growth step per column); a warmed reorder and a restore
-//! allocate a constant, whatever the population. The engine this
-//! replaced paid one `Vec<Behavior>` per birth, per gathered agent and
-//! per restored agent — 21,952 / 27,648 / 27,648 allocations on the
-//! scenes below, which now take 20 / 8 / 28.
+//! vector, one growth step per column); a restore allocates a constant,
+//! whatever the population; and a warm reorder allocates nothing at all
+//! on one worker (its scratch keeps every buffer it needs) and on two
+//! only what its fork-joins do. The engine this replaced paid one
+//! `Vec<Behavior>` per birth, per gathered agent and per restored agent
+//! — 21,952 / 27,648 / 27,648 allocations on the scenes below, which now
+//! take 20 / 0 / 28.
 //!
 //! Counted with the thread-local allocator of `bdm-gpu`'s
 //! `alloc_steady`, with the step's `par_*` loops on the calling thread
 //! (`ExecMode::Serial`), so every allocation of a step is this thread's.
 
+use bdm_sim::mech;
 use bdm_sim::operation::AGENT_CHUNK;
+use bdm_sim::rayon::ThreadPoolBuilder;
+use bdm_sim::rm::{ReorderScratch, ResourceManager};
 use bdm_sim::scheduler::ExecMode;
 use bdm_sim::simulation::Simulation;
 use bdm_sim::workload::benchmark_a;
@@ -112,33 +117,46 @@ fn a_division_wave_allocates_per_chunk_not_per_birth() {
     );
 }
 
-/// Allocations of one reorder that really gathers, on storage a division
-/// wave scrambled and with scratch an earlier reorder of the same
-/// population warmed.
-fn warmed_reorder_allocations(cells_per_dim: usize) -> u64 {
+/// Allocations of two warm reorders of the scene after its first wave,
+/// run on `workers` workers: one that gathers (storage the wave's
+/// appended daughters and two steps of motion scrambled) and one that
+/// finds the result sorted, both with scratch that sorted the same
+/// population before.
+fn warm_reorder_allocations(cells_per_dim: usize, workers: usize) -> [u64; 2] {
     let mut sim = wave_scene(cells_per_dim);
     let n = sim.rm().len();
-    // The wave at step 1; the reorder of step 2 grows the scratch to the
-    // doubled population, the one of step 4 is measured.
     sim.simulate(4);
     assert_eq!(sim.rm().len(), 2 * n);
-    isolate(&mut sim, "reorder");
-    let before = sim.rm().uid_column().to_vec();
-    let (allocations, ()) = allocations_in(|| sim.step());
-    assert_eq!(sim.steps_executed(), 5);
-    assert_ne!(sim.rm().uid_column(), before, "an identity reorder");
-    allocations
+    let (space, curve) = (sim.params().space, sim.params().reorder.curve);
+    let radius = mech::interaction_radius(sim.rm(), sim.params());
+    let sort = |rm: &mut ResourceManager, scratch: &mut ReorderScratch| {
+        rm.sort_storage(&space, radius, curve, scratch, None)
+    };
+    let mut scratch = ReorderScratch::default();
+    let pool = ThreadPoolBuilder::new().num_threads(workers).build();
+    pool.expect("pool").install(|| {
+        assert_eq!(sort(&mut sim.rm().clone(), &mut scratch), 2 * n as u64);
+        let mut rm = sim.rm().clone();
+        let (gathering, moved) = allocations_in(|| sort(&mut rm, &mut scratch));
+        assert_eq!(moved, 2 * n as u64, "an identity reorder");
+        let (sorted, moved) = allocations_in(|| sort(&mut rm, &mut scratch));
+        assert_eq!(moved, 0, "the gather left storage unsorted");
+        [gathering, sorted]
+    })
 }
 
 #[test]
 fn a_warmed_reorder_allocates_a_constant() {
+    for cells_per_dim in [12, 24] {
+        let one = warm_reorder_allocations(cells_per_dim, 1);
+        assert_eq!(one, [0, 0], "{cells_per_dim}³ cells on one worker");
+    }
     let (small, large) = (
-        warmed_reorder_allocations(12),
-        warmed_reorder_allocations(24),
+        warm_reorder_allocations(12, 2),
+        warm_reorder_allocations(24, 2),
     );
-    assert!(small > 0, "the counting allocator is not installed");
-    assert_eq!(large, small, "8x the agents");
-    assert!(large < 32, "{large} allocations");
+    assert!(small[0] > 0, "the counting allocator is not installed");
+    assert_eq!(large, small, "8x the agents, on two workers");
 }
 
 /// Allocations of restoring the scene's checkpoint after its first wave.

@@ -1,11 +1,15 @@
 //! Property-based tests of the platform's physical invariants.
 
-use bdm_math::{Aabb, Vec3};
+use bdm_math::{Aabb, SplitMix64, Vec3};
+use bdm_morton::{cell_keys, Curve};
 use bdm_sim::behavior::{volume_of, Behavior};
 use bdm_sim::cell::CellBuilder;
 use bdm_sim::diffusion::{BoundaryCondition, DiffusionGrid, DiffusionParams};
 use bdm_sim::param::SimParams;
+use bdm_sim::rayon::{with_shuffled_schedule, ThreadPoolBuilder};
+use bdm_sim::rm::{BehaviorTable, ReorderScratch, ResourceManager};
 use bdm_sim::simulation::Simulation;
+use bdm_soa::{parts, Permutation, SoaVec3};
 use proptest::prelude::*;
 
 /// `SimParams::with_reorder` rejects 0 at the builder (a scheduled op
@@ -384,5 +388,131 @@ proptest! {
             off.diffusion_grid(0).total_mass().to_bits(),
             on.diffusion_grid(0).total_mass().to_bits()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `ResourceManager::sort_storage` leaves every column in the order a
+    /// comparison sort of `(cell key, uid)` gives, bit for bit, reports
+    /// the keys in that order (what the shards read), and gathers only
+    /// when that order is not the storage order already — for empty,
+    /// one-agent and one-voxel populations, duplicate positions,
+    /// positions outside the space, infinite and NaN ones, both curves,
+    /// grids whose keys need one to four digit passes, uids in any order,
+    /// storage unsorted, sorted, or sorted within each part of the scan
+    /// but not across them, on 1, 2 and 4 workers and on shuffled part
+    /// schedules.
+    #[test]
+    fn sort_storage_orders_like_the_comparison_sort(
+        n in 0usize..5000,
+        cell in 0usize..4,
+        hilbert in any::<bool>(),
+        one_voxel in any::<bool>(),
+        storage in 0u32..3,
+        seed in any::<u64>(),
+    ) {
+        let space = Aabb::new(Vec3::splat(-50.0), Vec3::splat(50.0));
+        // 1, 15, 112 and 10,000 voxels per axis.
+        let cell_len = [100.0, 7.0, 0.9, 0.01][cell];
+        let curve = if hilbert { Curve::Hilbert } else { Curve::ZOrder };
+        let rng = &mut SplitMix64::new(seed);
+        let mut pos: Vec<Vec3<f64>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = match rng.next_u64() % 64 {
+                _ if one_voxel => Vec3::splat(rng.uniform(1.0, 1.005)),
+                0 => Vec3::new(f64::NAN, rng.uniform(-50.0, 50.0), 0.0),
+                1 => Vec3::new(f64::INFINITY, f64::NEG_INFINITY, 3.0),
+                2..=5 if i > 0 => pos[(rng.next_u64() % i as u64) as usize],
+                _ => Vec3::new(rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)),
+            };
+            pos.push(p);
+        }
+        // Distinct uids in a random order.
+        let mut uids: Vec<u64> = (0..n as u64).map(|u| 3 * u + 7).collect();
+        for i in (1..n).rev() {
+            uids.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        if storage > 0 {
+            // Sorted already, or each of the scan's parts sorted with the
+            // parts in descending order: only the checks across part
+            // boundaries see that the second is not.
+            let keys = cell_keys(
+                &pos.iter().map(|p| p.x).collect::<Vec<_>>(),
+                &pos.iter().map(|p| p.y).collect::<Vec<_>>(),
+                &pos.iter().map(|p| p.z).collect::<Vec<_>>(),
+                &space,
+                cell_len,
+                curve,
+            );
+            let pairs: Vec<(u64, u64)> = keys.into_iter().zip(uids.iter().copied()).collect();
+            let mut order = Permutation::sorting_by_key(&pairs).gather_indices().to_vec();
+            if storage == 2 {
+                let (count, len) = parts(n);
+                let mut end = n;
+                let mut reversed = Vec::with_capacity(n);
+                for p in 0..count {
+                    let size = len.min(n - p * len);
+                    reversed.extend_from_slice(&order[end - size..end]);
+                    end -= size;
+                }
+                order = reversed;
+            }
+            pos = order.iter().map(|&i| pos[i as usize]).collect();
+            uids = order.iter().map(|&i| uids[i as usize]).collect();
+        }
+        let mut table = BehaviorTable::default();
+        let lists: Vec<u32> = (1..5)
+            .map(|k| table.intern(&[Behavior::Apoptosis { probability: 0.1 * k as f64 }]))
+            .collect();
+        let rm = ResourceManager::from_raw_parts(
+            SoaVec3::from_vecs(&pos),
+            (0..n).map(|_| rng.uniform(1.0, 2.0)).collect(),
+            (0..n).map(|_| rng.uniform(0.0, 1.0)).collect(),
+            (0..n).map(|_| lists[(rng.next_u64() % 4) as usize]).collect(),
+            table,
+            uids.clone(),
+            3 * n as u64 + 7,
+            0,
+            0,
+        )
+        .unwrap();
+
+        let (xs, ys, zs) = rm.position_columns();
+        let keys = cell_keys(xs, ys, zs, &space, cell_len, curve);
+        let pairs: Vec<(u64, u64)> = keys.iter().copied().zip(uids).collect();
+        let want = Permutation::sorting_by_key(&pairs);
+        let moves = if pairs.is_sorted() { 0 } else { n as u64 };
+        let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let columns = |rm: &ResourceManager| {
+            let (xs, ys, zs) = rm.position_columns();
+            let f64s = [xs, ys, zs, rm.diameter_column(), rm.adherence_column()];
+            let lists: Vec<Vec<Behavior>> =
+                rm.behaviors_column().into_iter().map(<[Behavior]>::to_vec).collect();
+            (f64s.map(bits), rm.uid_column().to_vec(), lists)
+        };
+        let (f64s, uids, lists) = columns(&rm);
+        let lists = want.gather_indices().iter().map(|&g| lists[g as usize].clone()).collect();
+        let expected = (f64s.map(|c| want.apply(&c)), want.apply(&uids), lists);
+        let sort = || {
+            let (mut sorted, mut scratch, mut out) = (rm.clone(), ReorderScratch::default(), Vec::new());
+            let moved = sorted.sort_storage(&space, cell_len, curve, &mut scratch, Some(&mut out));
+            // Again, on the sorted storage and the warm scratch: a scan.
+            let again = sorted.sort_storage(&space, cell_len, curve, &mut scratch, None);
+            (moved, again, columns(&sorted), out)
+        };
+        let want_keys = want.apply(&keys);
+        for workers in [1, 2, 4] {
+            let pool = ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+            let (moved, again, got, out) = pool.install(sort);
+            prop_assert_eq!((moved, again), (moves, 0), "{} workers", workers);
+            prop_assert!(got == expected, "{} workers: columns out of order", workers);
+            prop_assert_eq!(&out, &want_keys, "{} workers", workers);
+        }
+        let (moved, _, got, out) = with_shuffled_schedule(seed, sort);
+        prop_assert_eq!(moved, moves);
+        prop_assert!(got == expected, "shuffled: columns out of order");
+        prop_assert_eq!(out, want_keys);
     }
 }

@@ -1,17 +1,16 @@
 //! A single SoA attribute column.
 //!
 //! `Column<T>` is a thin, purpose-revealing wrapper over `Vec<T>` that adds
-//! the operations the resource manager needs: permutation gather (Z-order
-//! sorting), swap-remove (agent death), and contiguous byte views (device
-//! transfers of exactly this column).
+//! the operations the resource manager needs: mutable slices (the Z-order
+//! sort gathers them through [`crate::gather_words`]), swap-remove (agent
+//! death), and contiguous byte views (device transfers of exactly this
+//! column).
 //!
 //! `T: Copy` is part of the type: a column is plain data, so a gather, a
 //! swap-remove, a clone or a checkpoint walk is a copy of `len` elements
 //! and nothing else. An attribute that owns heap (a list per agent) does
 //! not fit — intern it and store the id, as the resource manager does
 //! with behavior lists.
-
-use crate::perm::Permutation;
 
 /// One agent attribute, stored contiguously for all agents.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -105,11 +104,6 @@ impl<T: Copy + Send + Sync> Column<T> {
         &mut self.data
     }
 
-    /// Reorder the column by `perm` (gather convention), reusing `scratch`.
-    pub fn permute(&mut self, perm: &Permutation, scratch: &mut Vec<T>) {
-        perm.apply_in_place(&mut self.data, scratch);
-    }
-
     /// Drop all agents but keep the allocation.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -181,15 +175,6 @@ mod tests {
         let removed = c.swap_remove(1);
         assert_eq!(removed, 20);
         assert_eq!(c.as_slice(), &[10, 40, 30]);
-    }
-
-    #[test]
-    fn permute_reorders() {
-        let mut c: Column<i32> = [3, 1, 2].into_iter().collect();
-        let perm = Permutation::sorting_by_key(c.as_slice());
-        let mut scratch = Vec::new();
-        c.permute(&perm, &mut scratch);
-        assert_eq!(c.as_slice(), &[1, 2, 3]);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!    gather per column (see [`Permutation`]).
 //!
 //! The crate provides [`Column`] (one attribute array), [`SoaVec3`] (a
-//! 3-component attribute stored as three scalar columns), and
-//! [`Permutation`] (validated index permutations with parallel gather).
+//! 3-component attribute stored as three scalar columns), [`Permutation`]
+//! (validated index permutations with parallel gather), and
+//! [`gather_words`] (a column reordered through a shared word buffer).
 
 pub mod column;
 pub mod mirror;
@@ -25,7 +26,7 @@ pub mod vec3col;
 
 pub use column::Column;
 pub use mirror::{F32Mirror, F32x4Mirror};
-pub use perm::Permutation;
+pub use perm::{gather_words, parts, Permutation, Word, MAX_PARTS};
 pub use vec3col::{split_mut_at, SoaVec3, Vec3ChunkMut};
 
 /// Index of an agent inside the resource manager's SoA columns.

@@ -4,12 +4,101 @@
 //! sort is realized as: compute Morton keys → argsort → apply the resulting
 //! permutation to every column. This module owns the "apply to every
 //! column" half; `bdm-morton` owns key computation and argsort.
+//!
+//! Two ways to apply it: [`Permutation`] gathers each column into a
+//! scratch column of its own type and swaps the two, and [`gather_words`]
+//! gathers any column whose elements fit a `u64` ([`Word`]) through one
+//! shared word buffer — a population of mixed column types reorders
+//! through 8 bytes per agent of scratch.
 
 use rayon::prelude::*;
 
 /// Threshold below which gathers run serially; rayon's fork/join overhead
 /// dominates for tiny columns.
 const PAR_THRESHOLD: usize = 1 << 14;
+
+/// Most parts a reorder pass ([`parts`]) cuts its agents into.
+pub const MAX_PARTS: usize = 8;
+
+/// Fewest agents a reorder part gets, so a small population stays one
+/// part (and one thread).
+const MIN_PART: usize = 1024;
+
+/// `(parts, part_len)` of a reorder pass over `n` agents: part `p` covers
+/// `p * part_len .. min((p + 1) * part_len, n)`. A function of `n` alone —
+/// never of the worker count — so whatever a pass computes per part (a
+/// histogram, a sortedness verdict) is the same on any schedule.
+pub fn parts(n: usize) -> (usize, usize) {
+    let parts = n.div_ceil(MIN_PART).clamp(1, MAX_PARTS);
+    (parts, n.div_ceil(parts).max(1))
+}
+
+/// A column element that round-trips through one `u64` word, bit for
+/// bit — what lets every column of a population gather through one
+/// 8-byte buffer ([`gather_words`]).
+pub trait Word: Copy + Send + Sync {
+    /// The element as a word.
+    fn to_word(self) -> u64;
+    /// The element [`Self::to_word`] made `w` from.
+    fn from_word(w: u64) -> Self;
+}
+
+impl Word for f64 {
+    fn to_word(self) -> u64 {
+        self.to_bits()
+    }
+    fn from_word(w: u64) -> Self {
+        f64::from_bits(w)
+    }
+}
+
+impl Word for u64 {
+    fn to_word(self) -> u64 {
+        self
+    }
+    fn from_word(w: u64) -> Self {
+        w
+    }
+}
+
+impl Word for u32 {
+    fn to_word(self) -> u64 {
+        self.into()
+    }
+    fn from_word(w: u64) -> Self {
+        w as u32
+    }
+}
+
+/// Reorder `col` in place by the gather indices `order` (`new[k] =
+/// old[order[k]]`, which must be a bijection of `0..col.len()`), through
+/// `words`: the gathered elements go into the buffer and are copied back.
+/// `words` grows to `col.len()` and keeps its capacity, so the columns of
+/// one population share it and a warm reorder allocates nothing.
+///
+/// # Panics
+/// When `order` and `col` differ in length, or an index is out of range.
+pub fn gather_words<T: Word>(order: &[u32], col: &mut [T], words: &mut Vec<u64>) {
+    let n = col.len();
+    assert_eq!(order.len(), n, "gather order / column length mismatch");
+    // Longer contents are overwritten below; only growth writes zeros.
+    words.resize(n, 0);
+    let (_, len) = parts(n);
+    let src = &*col;
+    words.par_chunks_mut(len).enumerate().for_each(|(p, out)| {
+        let order = &order[p * len..];
+        for (w, &g) in out.iter_mut().zip(order) {
+            *w = src[g as usize].to_word();
+        }
+    });
+    col.par_chunks_mut(len)
+        .zip(words.par_chunks(len))
+        .for_each(|(dst, src)| {
+            for (d, &w) in dst.iter_mut().zip(src) {
+                *d = T::from_word(w);
+            }
+        });
+}
 
 /// A permutation of `0..len`, stored in *gather* convention:
 /// `new[i] = old[perm[i]]`.

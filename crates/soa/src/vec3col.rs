@@ -7,7 +7,6 @@
 //! (Z-order-sorted) agents issues one coalesced transaction.
 
 use crate::column::Column;
-use crate::perm::Permutation;
 use bdm_math::{Scalar, Vec3};
 
 /// SoA storage of one `Vec3` attribute for all agents.
@@ -149,13 +148,6 @@ impl<R: Scalar> SoaVec3<R> {
             self.y.as_mut_slice(),
             self.z.as_mut_slice(),
         )
-    }
-
-    /// Reorder all three columns by the same permutation.
-    pub fn permute(&mut self, perm: &Permutation, scratch: &mut Vec<R>) {
-        self.x.permute(perm, scratch);
-        self.y.permute(perm, scratch);
-        self.z.permute(perm, scratch);
     }
 
     /// Resize, filling new agents with `v`.
@@ -353,17 +345,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(0), Vec3::new(7.0, 8.0, 9.0));
         assert_eq!(s.get(1), Vec3::new(4.0, 5.0, 6.0));
-    }
-
-    #[test]
-    fn permute_moves_all_components_together() {
-        let mut s = sample();
-        let perm = Permutation::new(vec![2, 0, 1]);
-        let mut scratch = Vec::new();
-        s.permute(&perm, &mut scratch);
-        assert_eq!(s.get(0), Vec3::new(7.0, 8.0, 9.0));
-        assert_eq!(s.get(1), Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(s.get(2), Vec3::new(4.0, 5.0, 6.0));
     }
 
     #[test]

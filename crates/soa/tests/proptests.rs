@@ -1,7 +1,7 @@
 //! Property-based tests for the SoA substrate.
 
 use bdm_math::Vec3;
-use bdm_soa::{Column, Permutation, SoaVec3};
+use bdm_soa::{gather_words, Column, Permutation, SoaVec3};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -63,7 +63,8 @@ proptest! {
         prop_assert_eq!(p.compose(&q).apply(&data), p.apply(&q.apply(&data)));
     }
 
-    /// SoaVec3 permutation keeps (x, y, z) triples together.
+    /// Gathering a SoaVec3's three columns keeps (x, y, z) triples
+    /// together.
     #[test]
     fn soavec3_triples_stay_together(perm in permutation_strategy()) {
         let n = perm.len();
@@ -71,14 +72,40 @@ proptest! {
             .map(|i| Vec3::new(i as f64, i as f64 + 0.25, i as f64 + 0.5))
             .collect();
         let mut soa = SoaVec3::from_vecs(&vecs);
-        let mut scratch = Vec::new();
-        soa.permute(&perm, &mut scratch);
+        let mut words = Vec::new();
+        let (xs, ys, zs) = soa.as_mut_slices();
+        for col in [xs, ys, zs] {
+            gather_words(perm.gather_indices(), col, &mut words);
+        }
         for i in 0..n {
             let v = soa.get(i);
             // A valid triple satisfies y = x + 0.25 and z = x + 0.5.
             prop_assert_eq!(v.y, v.x + 0.25);
             prop_assert_eq!(v.z, v.x + 0.5);
         }
+    }
+
+    /// Gathering through the shared word buffer is `Permutation::apply`,
+    /// bit for bit (NaN payloads and signed zeros included), for every
+    /// column type, whatever the buffer held before.
+    #[test]
+    fn gather_words_is_apply(perm in permutation_strategy(), seed in any::<u64>()) {
+        let n = perm.len();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let bits: Vec<u64> = (0..n).map(|_| rand::RngCore::next_u64(&mut rng)).collect();
+        let mut words = bits.iter().rev().copied().take(n / 2).collect();
+        let mut f64s: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        gather_words(perm.gather_indices(), &mut f64s, &mut words);
+        let want: Vec<u64> = perm.apply(&bits);
+        prop_assert_eq!(f64s.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want.clone());
+        let mut u64s = bits.clone();
+        gather_words(perm.gather_indices(), &mut u64s, &mut words);
+        prop_assert_eq!(&u64s, &want);
+        let mut u32s: Vec<u32> = bits.iter().map(|&b| (b >> 32) as u32).collect();
+        let want32 = perm.apply(&u32s);
+        gather_words(perm.gather_indices(), &mut u32s, &mut words);
+        prop_assert_eq!(u32s, want32);
+        prop_assert_eq!(words.len(), n);
     }
 
     /// Column swap_remove preserves the multiset minus the removed element.

@@ -15,6 +15,17 @@ for threads in 1 2 4; do
     RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim \
         --test shard_determinism --test diffusion_parity --test resume_equivalence \
         --test birth_goldens
+    # The reorder's radix argsort and its column gathers against the
+    # comparison sort (the tests pin 1 / 2 / 4 workers and shuffled part
+    # schedules themselves; this varies the default pool around them),
+    # and a warm reorder's allocations: none on one worker, as many at
+    # 12³ as at 24³ cells on two.
+    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-morton \
+        --test proptests -- radix_argsort_matches_the_comparison_sort
+    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim \
+        --test proptests --test alloc_births -- \
+        sort_storage_orders_like_the_comparison_sort \
+        a_warmed_reorder_allocates_a_constant
 done
 # Both lane bodies of the CSR voxel walk against their per-agent
 # oracles, in release mode (the optimizer must not re-associate the
@@ -48,15 +59,14 @@ cargo test -q --offline --release -p bdm-sim --test diffusion_parity -- \
 # Division waves against the bits of the engine that kept a behavior
 # list per agent (storage-order columns, lists, uid counter, epochs,
 # checkpoint bytes), and the allocation counts that engine could not
-# meet: a wave allocates per chunk, a warmed reorder and a restore a
-# constant — by name in release.
+# meet: a wave allocates per chunk, a restore a constant (the warm
+# reorder's count runs in the thread matrix above) — by name in release.
 cargo test -q --offline --release -p bdm-sim --test birth_goldens -- \
     csr_waves_match_the_parent_goldens \
     kdtree_waves_match_the_parent_goldens \
     sharded_waves_match_the_parent_goldens
 cargo test -q --offline --release -p bdm-sim --test alloc_births -- \
     a_division_wave_allocates_per_chunk_not_per_birth \
-    a_warmed_reorder_allocates_a_constant \
     a_restore_allocates_a_constant
 # The SIMT engine at 1, 2 and 4 workers (launches whose blocks commute
 # fork onto them): steady-state launches must not touch the heap on one
