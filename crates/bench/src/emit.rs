@@ -74,6 +74,9 @@ pub fn default_policy(name: &str) -> GatePolicy {
                 | "agents.behavior_lists"
                 | "behaviors.commit_ms"
                 | "step.buffer_bytes"
+                | "grid.resident_bytes"
+                | "mech.lane_scratch_bytes"
+                | "mech.lane_scratches"
                 | "reorder.runs"
         )
     {
@@ -97,8 +100,10 @@ pub fn default_policy(name: &str) -> GatePolicy {
         // ever seen: a restored run reports less of both for the same
         // state. The behaviors commit time is one more wall clock. The
         // step buffer's bytes follow the largest population a step held,
-        // and the reorder's runs by outcome say why `reorder`'s wall time
-        // reads what it reads (and restart at zero on a restore).
+        // the grid's its growth history, the lane scratches' count and
+        // bytes how many workers ran sweep parts at once, and the
+        // reorder's runs by outcome say why `reorder`'s wall time reads
+        // what it reads (and restart at zero on a restore).
         GatePolicy::informational()
     } else if is_exact(name) {
         GatePolicy::with_tol(0.0)
@@ -371,6 +376,9 @@ mod tests {
         assert!(!default_policy("agents.behavior_lists").gate);
         assert!(!default_policy("behaviors.commit_ms").gate);
         assert!(!default_policy("step.buffer_bytes").gate);
+        assert!(!default_policy("grid.resident_bytes").gate);
+        assert!(!default_policy("mech.lane_scratch_bytes").gate);
+        assert!(!default_policy("mech.lane_scratches").gate);
         assert!(!default_policy("reorder.runs").gate);
         assert!(!default_policy("layouts.reorder_mech_wall_ms").gate);
         assert_eq!(default_policy("layouts.shard_imbalance").tol, Some(0.02));

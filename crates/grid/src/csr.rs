@@ -34,11 +34,22 @@
 //! by tests), and the check needs no second copy of the keys. This
 //! mirrors the GPU pipeline's resident grid skip and turns the common
 //! no-crossing timestep into a single read-only sweep.
+//!
+//! # Memory
+//!
+//! The grid holds its offsets and one id per agent. A build's working
+//! memory — a voxel id per agent and, in the parallel build, one
+//! histogram per build chunk — comes from a [`BuildMemory`]: a
+//! `bdm_soa::StepBuffer` the caller holds for other phases anyway (the
+//! host step's sweep writes its displacements there next), or a
+//! [`CsrBuildScratch`], the memory the grid owns for callers that lend
+//! none. Both run the same build bodies.
 
 use crate::{GridGeometry, NeighborBoxes, QueryCounters};
 use bdm_math::{Aabb, Scalar, Vec3};
-use bdm_soa::AgentId;
+use bdm_soa::{AgentId, StepBuffer};
 use rayon::prelude::*;
+use std::mem::size_of;
 use std::ops::Range;
 
 /// Agents-per-chunk granule of the parallel build. The chunk count is a
@@ -84,18 +95,47 @@ impl BuildSig {
     }
 }
 
-/// Reusable working memory for CSR builds: the per-agent voxel-id array
-/// and the per-chunk histograms. Hold one of these across timesteps and
+/// Working memory a CSR build owns for callers that lend it none: one
+/// `u32` per agent (its voxel id, filled by pass 1 and consumed by pass
+/// 2) and the per-chunk voxel histograms, rewritten in place into
+/// scatter cursors by the prefix scan. Hold one across timesteps and
 /// every [`CsrGrid::rebuild_serial`] / [`CsrGrid::rebuild_parallel`]
-/// after the first is allocation-free in steady state.
+/// after the first is allocation-free in steady state. A caller that
+/// holds a [`StepBuffer`] lends it instead.
 #[derive(Debug, Default)]
 pub struct CsrBuildScratch {
-    /// Voxel id of each agent (filled by pass 1, consumed by pass 2).
-    voxel_of: Vec<u32>,
-    /// Per-chunk voxel histograms, rewritten in place into scatter
-    /// cursors by the prefix scan. The serial build uses `hists[0]` as
-    /// its single cursor array.
-    hists: Vec<Vec<u32>>,
+    indices: Vec<u32>,
+}
+
+impl CsrBuildScratch {
+    /// Heap bytes the scratch holds.
+    pub fn resident_bytes(&self) -> usize {
+        self.indices.capacity() * size_of::<u32>()
+    }
+}
+
+/// Where a build takes its voxel ids and histograms from: a
+/// [`CsrBuildScratch`], or a [`StepBuffer`] lent for the call (whose
+/// contents the build leaves unspecified).
+pub trait BuildMemory {
+    /// One `u32` per agent, then `extra` more.
+    fn indices(&mut self, agents: usize, extra: usize) -> (&mut [u32], &mut [u32]);
+}
+
+impl BuildMemory for CsrBuildScratch {
+    fn indices(&mut self, agents: usize, extra: usize) -> (&mut [u32], &mut [u32]) {
+        if self.indices.len() < agents + extra {
+            self.indices.resize(agents + extra, 0);
+        }
+        let (first, rest) = self.indices.split_at_mut(agents);
+        (first, &mut rest[..extra])
+    }
+}
+
+impl BuildMemory for StepBuffer {
+    fn indices(&mut self, agents: usize, extra: usize) -> (&mut [u32], &mut [u32]) {
+        StepBuffer::indices(self, agents, extra)
+    }
 }
 
 /// The uniform grid in CSR counting-sort layout.
@@ -178,7 +218,7 @@ impl<R: Scalar> CsrGrid<R> {
     }
 
     /// [`Self::build_serial`], but reusing this grid's arrays and
-    /// `scratch`: the per-timestep rebuild allocates nothing once the
+    /// `memory`: the per-timestep rebuild allocates nothing once the
     /// buffers have grown to steady-state size.
     ///
     /// Incremental: when no agent's clamped voxel key changed since the
@@ -192,7 +232,7 @@ impl<R: Scalar> CsrGrid<R> {
         zs: &[R],
         space: Aabb<R>,
         box_length: R,
-        scratch: &mut CsrBuildScratch,
+        memory: &mut impl BuildMemory,
     ) -> bool {
         let geom = GridGeometry::new(space, box_length);
         let num_boxes = geom.num_boxes();
@@ -200,17 +240,16 @@ impl<R: Scalar> CsrGrid<R> {
         assert!(n < u32::MAX as usize, "agent count overflows CSR offsets");
 
         // Pass 1: voxel of every agent.
-        scratch.voxel_of.clear();
-        scratch.voxel_of.resize(n, 0);
-        for i in 0..n {
-            scratch.voxel_of[i] = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
+        let (voxel_of, cursor) = memory.indices(n, num_boxes);
+        for (i, v) in voxel_of.iter_mut().enumerate() {
+            *v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
         }
 
         // Incremental check: same geometry + same keys ⇒ the stored
         // CSR arrays are a pure function of both ⇒ skip the sort.
         let sig = BuildSig::of(&geom);
         self.geom = geom;
-        if self.built_sig == Some(sig) && self.holds(&scratch.voxel_of, 0..n) {
+        if self.built_sig == Some(sig) && self.holds(voxel_of, 0..n) {
             return true;
         }
 
@@ -218,7 +257,7 @@ impl<R: Scalar> CsrGrid<R> {
         // (`cell_starts[v + 1] = count(v)`).
         self.cell_starts.clear();
         self.cell_starts.resize(num_boxes + 1, 0);
-        for &v in &scratch.voxel_of {
+        for &v in voxel_of.iter() {
             self.cell_starts[v as usize + 1] += 1;
         }
 
@@ -229,15 +268,10 @@ impl<R: Scalar> CsrGrid<R> {
         }
 
         // Pass 2: stable scatter (ascending i ⇒ ascending id per voxel).
-        scratch
-            .hists
-            .resize_with(1.max(scratch.hists.len()), Vec::new);
-        let cursor = &mut scratch.hists[0];
-        cursor.clear();
-        cursor.extend_from_slice(&self.cell_starts[..num_boxes]);
+        cursor.copy_from_slice(&self.cell_starts[..num_boxes]);
         self.cell_agents.clear();
         self.cell_agents.resize(n, AgentId::NULL);
-        for (i, &v) in scratch.voxel_of.iter().enumerate() {
+        for (i, &v) in voxel_of.iter().enumerate() {
             let pos = cursor[v as usize];
             cursor[v as usize] += 1;
             self.cell_agents[pos as usize] = AgentId::from_index(i);
@@ -263,7 +297,7 @@ impl<R: Scalar> CsrGrid<R> {
     }
 
     /// [`Self::build_parallel`], but reusing this grid's arrays and
-    /// `scratch` (see [`Self::rebuild_serial`]). Output is bitwise
+    /// `memory` (see [`Self::rebuild_serial`]). Output is bitwise
     /// identical to the serial rebuild — including the incremental
     /// fast path: unchanged keys skip the sort and return `true`.
     pub fn rebuild_parallel(
@@ -273,7 +307,7 @@ impl<R: Scalar> CsrGrid<R> {
         zs: &[R],
         space: Aabb<R>,
         box_length: R,
-        scratch: &mut CsrBuildScratch,
+        memory: &mut impl BuildMemory,
     ) -> bool {
         let geom = GridGeometry::new(space, box_length);
         let num_boxes = geom.num_boxes();
@@ -285,19 +319,17 @@ impl<R: Scalar> CsrGrid<R> {
 
         // Pass 1 (parallel over chunks): voxel ids. Histograms wait
         // until the incremental check has decided a rebuild is needed.
-        scratch.voxel_of.clear();
-        scratch.voxel_of.resize(n, 0);
-        let vout = SendPtr(scratch.voxel_of.as_mut_ptr());
-        (0..num_chunks).into_par_iter().for_each(|c| {
-            let vout = &vout;
-            let base = c * chunk_len;
-            let end = (base + chunk_len).min(n);
-            for i in base..end {
-                let v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
-                // SAFETY: chunk index ranges [base, end) are disjoint.
-                unsafe { *vout.0.add(i) = v };
-            }
-        });
+        let (voxel_of, hists) = memory.indices(n, num_chunks * num_boxes);
+        voxel_of
+            .par_chunks_mut(chunk_len)
+            .enumerate()
+            .for_each(|(c, out)| {
+                for (k, v) in out.iter_mut().enumerate() {
+                    let i = c * chunk_len + k;
+                    *v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
+                }
+            });
+        let voxel_of = &*voxel_of;
 
         let sig = BuildSig::of(&geom);
         self.geom = geom;
@@ -308,7 +340,7 @@ impl<R: Scalar> CsrGrid<R> {
                 .enumerate()
                 .for_each(|(c, held)| {
                     let slots = (c * chunk_len).min(n)..((c + 1) * chunk_len).min(n);
-                    *held = self.holds(&scratch.voxel_of, slots);
+                    *held = self.holds(voxel_of, slots);
                 });
             if held.iter().all(|&h| h) {
                 return true;
@@ -316,17 +348,13 @@ impl<R: Scalar> CsrGrid<R> {
         }
 
         // Per-chunk histograms over the precomputed keys.
-        scratch.hists.resize_with(num_chunks, Vec::new);
-        let voxel_of = &scratch.voxel_of;
-        scratch
-            .hists
-            .par_iter_mut()
+        hists
+            .par_chunks_mut(num_boxes)
             .enumerate()
             .for_each(|(c, hist)| {
-                hist.clear();
-                hist.resize(num_boxes, 0);
+                hist.fill(0);
                 let base = c * chunk_len;
-                for &v in &voxel_of[base..(base + chunk_len).min(n)] {
+                for &v in &voxel_of[base.min(n)..(base + chunk_len).min(n)] {
                     hist[v as usize] += 1;
                 }
             });
@@ -340,10 +368,9 @@ impl<R: Scalar> CsrGrid<R> {
         let mut running = 0u32;
         for v in 0..num_boxes {
             self.cell_starts[v] = running;
-            for hist in scratch.hists.iter_mut() {
-                let cnt = hist[v];
-                hist[v] = running;
-                running += cnt;
+            for c in 0..num_chunks {
+                let slot = &mut hists[c * num_boxes + v];
+                (*slot, running) = (running, running + *slot);
             }
         }
         self.cell_starts[num_boxes] = running;
@@ -352,15 +379,13 @@ impl<R: Scalar> CsrGrid<R> {
         self.cell_agents.clear();
         self.cell_agents.resize(n, AgentId::NULL);
         let out = SendPtr(self.cell_agents.as_mut_ptr());
-        let voxel_of = &scratch.voxel_of;
-        scratch
-            .hists
-            .par_iter_mut()
+        hists
+            .par_chunks_mut(num_boxes)
             .enumerate()
             .for_each(|(c, cursor)| {
                 let out = &out;
                 let base = c * chunk_len;
-                let chunk = &voxel_of[base..(base + chunk_len).min(n)];
+                let chunk = &voxel_of[base.min(n)..(base + chunk_len).min(n)];
                 for (k, &v) in chunk.iter().enumerate() {
                     let pos = cursor[v as usize];
                     cursor[v as usize] += 1;
@@ -413,14 +438,13 @@ impl<R: Scalar> CsrGrid<R> {
         self.built_sig = None;
 
         // Pass 1: voxel of every member; counts into shifted cell_starts.
-        scratch.voxel_of.clear();
-        scratch.voxel_of.resize(n, 0);
+        let (voxel_of, cursor) = scratch.indices(n, num_boxes);
         self.cell_starts.clear();
         self.cell_starts.resize(num_boxes + 1, 0);
         for (k, id) in members.iter().enumerate() {
             let i = id.index();
             let v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
-            scratch.voxel_of[k] = v;
+            voxel_of[k] = v;
             self.cell_starts[v as usize + 1] += 1;
         }
 
@@ -430,15 +454,10 @@ impl<R: Scalar> CsrGrid<R> {
         }
 
         // Pass 2: stable scatter of the member ids themselves.
-        scratch
-            .hists
-            .resize_with(1.max(scratch.hists.len()), Vec::new);
-        let cursor = &mut scratch.hists[0];
-        cursor.clear();
-        cursor.extend_from_slice(&self.cell_starts[..num_boxes]);
+        cursor.copy_from_slice(&self.cell_starts[..num_boxes]);
         self.cell_agents.clear();
         self.cell_agents.resize(n, AgentId::NULL);
-        for (k, &v) in scratch.voxel_of.iter().enumerate() {
+        for (k, &v) in voxel_of.iter().enumerate() {
             let pos = cursor[v as usize];
             cursor[v as usize] += 1;
             self.cell_agents[pos as usize] = members[k];
@@ -479,6 +498,11 @@ impl<R: Scalar> CsrGrid<R> {
     #[inline]
     pub fn space(&self) -> &Aabb<R> {
         self.geom.space()
+    }
+
+    /// Heap bytes the grid holds: its offsets and its agent ids.
+    pub fn resident_bytes(&self) -> usize {
+        (self.cell_starts.capacity() + self.cell_agents.capacity()) * size_of::<u32>()
     }
 
     /// The exclusive prefix sums (`num_boxes + 1` entries) — uploaded as
@@ -696,6 +720,33 @@ mod tests {
             g.rebuild_serial(&xs, &ys, &zs, space(10.0), edge, &mut scratch);
             assert_eq!(g.cell_agents, fresh.cell_agents);
         }
+    }
+
+    #[test]
+    fn a_lent_buffer_builds_what_the_owned_scratch_builds() {
+        // A step buffer a previous borrower left dirty, lent to builds
+        // over changing scenes — past one build chunk, so the histograms
+        // of several chunks share it — and to the incremental check.
+        let mut buffer = StepBuffer::default();
+        buffer.vec3s(64).fill(Vec3::splat(f64::NAN));
+        let mut g = CsrGrid::build_serial(&[], &[], &[], space(20.0), 2.0);
+        for (n, seed, edge) in [(500, 1, 2.0), (BUILD_CHUNK + 900, 2, 3.0), (200, 3, 2.5)] {
+            let (xs, ys, zs) = cloud(n, seed, 20.0);
+            let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(20.0), edge);
+            // A new scene rebuilds; the same one again skips, either way.
+            for (parallel, skips) in [(true, false), (false, true), (true, true)] {
+                let skipped = if parallel {
+                    g.rebuild_parallel(&xs, &ys, &zs, space(20.0), edge, &mut buffer)
+                } else {
+                    g.rebuild_serial(&xs, &ys, &zs, space(20.0), edge, &mut buffer)
+                };
+                assert_eq!(skipped, skips, "{n} agents");
+                assert_eq!(g.cell_starts, fresh.cell_starts, "{n} agents");
+                assert_eq!(g.cell_agents, fresh.cell_agents, "{n} agents");
+            }
+        }
+        // Ids and histograms fit the sweep's 24 bytes per agent.
+        assert_eq!(buffer.resident_bytes(), 24 * (BUILD_CHUNK + 900));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 mod csr;
 mod geometry;
 
-pub use csr::{CsrBuildScratch, CsrGrid};
+pub use csr::{BuildMemory, CsrBuildScratch, CsrGrid};
 pub use geometry::{GridGeometry, NeighborBoxes};
 
 /// The worker pool under the parallel builds (the vendored fork-join

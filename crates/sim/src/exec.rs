@@ -10,7 +10,8 @@
 //! grid build: the agent range is cut into **fixed-size chunks**, one
 //! context per chunk, and contexts are merged **in chunk order** — so
 //! the trajectory is bitwise identical no matter how many threads ran
-//! the chunks, and identical to a serial chunk-by-chunk execution.
+//! the chunks, and identical to a serial chunk-by-chunk execution. We
+//! keep that recipe for births too, but drop their buffer (below).
 //!
 //! Semantics note: deferring secretions means every gradient read inside
 //! one behaviors pass sees the substance field as of the *start* of the
@@ -19,19 +20,17 @@
 //! is what makes the loop order-independent — and therefore
 //! parallelizable — in the first place.
 //!
-//! Births are plain data. A division buffers one `Copy` record — the
-//! mother's uid and the daughter's [`AgentRow`], whose behavior list is
-//! the mother's interned id, not a copy of her list: 56 bytes, no heap —
-//! and the merge never moves those records. It sorts 16-byte `(mother
-//! uid, chunk, index in chunk)` keys, written into the step buffer the
-//! force sweep later writes its displacements into (`bdm_soa::StepBuffer`),
-//! and hands the resource manager an
-//! iterator that reads each record where its chunk left it, so the whole
-//! wave is appended in one pass with every column grown once. The key is
-//! a strict total order (no two births share a chunk *and* an index), so
-//! `sort_unstable` has exactly one result: the stable sort by mother uid
-//! of the chunk-ordered concatenation, same-mother twins in the order
-//! their mother's behaviors produced them.
+//! Births are not buffered here. A behaviors pass that may divide
+//! (`ResourceManager::divisions`) reserves room in every agent column for
+//! as many daughters as the agents' lists allow, and each chunk writes its
+//! daughters straight into its own window of that room, its mothers'
+//! uids beside them in the step buffer (`bdm_soa::StepBuffer`). The
+//! pass's commit orders the daughters by `(mother uid, chunk, order within
+//! the chunk)` — a strict total order — with a parallel radix argsort of
+//! those uids, and gathers every column's tail into place: the stable
+//! sort by mother uid of the chunk-ordered births, same-mother twins in
+//! the order their mother's behaviors produced them. A context only
+//! counts its chunk's divisions.
 //!
 //! Precision note: the same fixed-chunk discipline is what lets the
 //! mixed-precision force pass (`SimParams::precision = F32Simd`, see
@@ -42,9 +41,8 @@
 //! execution at either precision.
 
 use crate::diffusion::DiffusionGrid;
-use crate::rm::{AgentRow, ResourceManager};
+use crate::rm::ResourceManager;
 use bdm_math::Vec3;
-use bdm_soa::StepBuffer;
 
 /// One buffered secretion: (secreting agent, substance index, position,
 /// amount).
@@ -59,17 +57,12 @@ struct Secretion {
 /// Deferred mutations recorded by one chunk of an agent loop.
 ///
 /// The loop body gets direct mutable access to its *own* agent's columns
-/// (through [`crate::rm::AgentChunkMut`]) and records everything else
-/// here; [`ExecutionContext::merge_in_order`] applies the buffers to the
-/// shared state after the loop, in chunk order.
+/// and daughters' window (through [`crate::rm::AgentChunkMut`]) and
+/// records everything else here; [`ExecutionContext::merge_in_order`]
+/// applies the buffers to the shared state after the loop, in chunk
+/// order.
 #[derive(Debug, Default)]
 pub struct ExecutionContext {
-    /// Daughters to append, tagged with their mother's stable uid. The
-    /// merge sorts them by that uid, so daughter uid assignment depends
-    /// only on agent *identity* — not on where the mothers happen to sit
-    /// in storage — which keeps trajectories invariant under the host
-    /// reorder operation.
-    births: Vec<(u64, AgentRow)>,
     /// Global indices of agents that die this step (ascending).
     deaths: Vec<usize>,
     /// Buffered substance writes (in discovery order).
@@ -100,20 +93,6 @@ impl ExecutionContext {
         Self::default()
     }
 
-    /// Buffer a new agent (division daughter of the mother with stable
-    /// id `mother_uid`).
-    pub fn push_birth(&mut self, mother_uid: u64, daughter: AgentRow) {
-        self.births.push((mother_uid, daughter));
-    }
-
-    /// Make room for `additional` more births in one growth step. A
-    /// division asks for as many as its chunk has agents left: in a wave
-    /// every one of them divides too, so the first request is the
-    /// chunk's only allocation and the later ones find the room there.
-    pub fn reserve_births(&mut self, additional: usize) {
-        self.births.reserve(additional);
-    }
-
     /// Buffer the death of global agent `i`.
     pub fn push_death(&mut self, i: usize) {
         self.deaths.push(i);
@@ -138,29 +117,27 @@ impl ExecutionContext {
     /// Apply every chunk's deferred mutations to the shared state:
     ///
     /// 1. secretions (substance fields), sorted by secreting uid,
-    /// 2. births, sorted by mother uid (daughters take ascending indices
-    ///    past the pre-pass population),
-    /// 3. deaths (swap-removed highest-index-first so no pending death
+    /// 2. deaths (swap-removed highest-index-first so no pending death
     ///    index is invalidated by an earlier removal).
+    ///
+    /// The pass's daughters are already appended (`Divisions::commit`),
+    /// so a death swap-removes across the grown population.
     ///
     /// Because the chunk partition is fixed and each buffer merges in a
     /// canonical order, the post-merge state is identical whether the
     /// chunks were processed serially or in parallel. Ordering
-    /// secretions and births by **stable uid** (rather than chunk /
-    /// storage order) additionally makes the merge invariant under the
+    /// secretions (and births) by **stable uid** rather than chunk /
+    /// storage order additionally makes the merge invariant under the
     /// host reorder operation: permuting agent storage cannot change
     /// which uid a daughter receives or the floating-point order of
     /// substance deposits. In a population that has never been reordered
     /// and never lost an agent, storage order *is* ascending-uid order,
-    /// so both sorts are stable no-ops and legacy trajectories are
+    /// so the sort is a stable no-op and legacy trajectories are
     /// unchanged.
-    ///
-    /// The births' sort keys borrow `buffer`, the step buffer.
     pub fn merge_in_order(
         contexts: Vec<ExecutionContext>,
         rm: &mut ResourceManager,
         substances: &mut [DiffusionGrid],
-        buffer: &mut StepBuffer,
     ) -> MergeOutcome {
         let mut out = MergeOutcome::default();
         let mut deaths: Vec<usize> = Vec::new();
@@ -181,20 +158,6 @@ impl ExecutionContext {
         if any_diameters {
             rm.invalidate_largest_diameter();
         }
-        let births: usize = contexts.iter().map(|ctx| ctx.births.len()).sum();
-        assert!(births <= u32::MAX as usize, "{births} births in one step");
-        // `[mother, chunk << 32 | index]` orders as `(mother, chunk,
-        // index)` does.
-        let keys = buffer.pairs(births);
-        let mut slots = keys.iter_mut();
-        for (c, ctx) in contexts.iter().enumerate() {
-            for (k, &(mother, _)) in ctx.births.iter().enumerate() {
-                *slots.next().expect("one key per birth") = [mother, (c as u64) << 32 | k as u64];
-            }
-        }
-        keys.sort_unstable();
-        let row = |&[_, at]: &[u64; 2]| contexts[(at >> 32) as usize].births[at as u32 as usize].1;
-        rm.append(keys.iter().map(row));
         // Chunks contribute ascending, disjoint index ranges, so the
         // concatenation is already globally sorted; dedup guards against
         // an agent carrying several death-producing behaviors.
@@ -211,19 +174,27 @@ impl ExecutionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::behavior::Behavior;
     use crate::cell::CellBuilder;
     use crate::diffusion::{BoundaryCondition, DiffusionParams};
+    use crate::rm::{AgentChunkMut, AgentRow};
     use bdm_math::Aabb;
+    use bdm_soa::StepBuffer;
 
     fn cell(x: f64, d: f64) -> CellBuilder {
         CellBuilder::new(Vec3::new(x, 0.0, 0.0)).diameter(d)
     }
 
-    /// A step buffer whose words a previous borrower left set.
-    fn buffer() -> StepBuffer {
-        let mut buffer = StepBuffer::default();
-        buffer.pairs(8).fill([u64::MAX; 2]);
-        buffer
+    /// `n` agents whose list lets each divide once a step.
+    fn dividing(n: usize) -> ResourceManager {
+        let mut rm = ResourceManager::new();
+        for i in 0..n {
+            rm.add(cell(i as f64, 1.0).behavior(Behavior::GrowthDivision {
+                growth_rate: 0.0,
+                division_threshold: 10.0,
+            }));
+        }
+        rm
     }
 
     /// A daughter at `x` carrying the empty list.
@@ -236,24 +207,40 @@ mod tests {
         }
     }
 
+    /// One division pass over `cuts`, `body` per chunk; returns the
+    /// contexts and the births the commit appended.
+    fn pass(
+        rm: &mut ResourceManager,
+        cuts: &[usize],
+        buffer: &mut StepBuffer,
+        body: impl Fn(&mut AgentChunkMut<'_>) -> ExecutionContext,
+    ) -> (Vec<ExecutionContext>, usize) {
+        let mut divisions = rm.divisions(cuts, buffer);
+        let (chunks, _shared) = divisions.chunks();
+        let contexts = chunks.into_iter().map(|mut c| body(&mut c)).collect();
+        (contexts, divisions.commit())
+    }
+
     #[test]
     fn merge_applies_births_then_deaths() {
-        let mut rm = ResourceManager::new();
-        for i in 0..6 {
-            rm.add(cell(i as f64, 1.0));
-        }
-        // Chunk 0 (agents 0..3): agent 1 dies, one birth.
-        let mut c0 = ExecutionContext::new();
-        c0.push_death(1);
-        c0.push_birth(0, daughter(100.0, 2.0));
-        c0.divisions = 1;
-        c0.behaviors_run = 3;
-        // Chunk 1 (agents 3..6): agents 4 and 5 die.
-        let mut c1 = ExecutionContext::new();
-        c1.push_death(4);
-        c1.push_death(5);
-        c1.behaviors_run = 3;
-        let out = ExecutionContext::merge_in_order(vec![c0, c1], &mut rm, &mut [], &mut buffer());
+        let mut rm = dividing(6);
+        let (contexts, births) = pass(&mut rm, &[0, 3, 6], &mut StepBuffer::default(), |c| {
+            let mut ec = ExecutionContext::new();
+            ec.behaviors_run = 3;
+            if c.start() == 0 {
+                // Chunk 0 (agents 0..3): agent 1 dies, one birth.
+                ec.push_death(1);
+                c.add_daughter(0, daughter(100.0, 2.0));
+                ec.divisions = 1;
+            } else {
+                // Chunk 1 (agents 3..6): agents 4 and 5 die.
+                ec.push_death(4);
+                ec.push_death(5);
+            }
+            ec
+        });
+        assert_eq!(births, 1);
+        let out = ExecutionContext::merge_in_order(contexts, &mut rm, &mut []);
         assert_eq!(out.behaviors_run, 6);
         assert_eq!(out.divisions, 1);
         assert_eq!(out.deaths, 3);
@@ -275,7 +262,7 @@ mod tests {
         // Two death-producing behaviors on the same agent.
         c.push_death(0);
         c.push_death(0);
-        let out = ExecutionContext::merge_in_order(vec![c], &mut rm, &mut [], &mut buffer());
+        let out = ExecutionContext::merge_in_order(vec![c], &mut rm, &mut []);
         assert_eq!(out.deaths, 1);
         assert_eq!(rm.len(), 1);
     }
@@ -298,7 +285,7 @@ mod tests {
         c0.push_secretion(0, 0, Vec3::zero(), 2.0);
         let mut c1 = ExecutionContext::new();
         c1.push_secretion(1, 0, Vec3::new(5.0, 5.0, 5.0), 3.0);
-        ExecutionContext::merge_in_order(vec![c0, c1], &mut rm, &mut grids, &mut buffer());
+        ExecutionContext::merge_in_order(vec![c0, c1], &mut rm, &mut grids);
         assert!((grids[0].total_mass() - 5.0).abs() < 1e-9);
     }
 
@@ -307,16 +294,17 @@ mod tests {
         // Mothers discovered in chunk order 5, 2 (e.g. because storage
         // was reordered): daughters must still append in mother-uid
         // order, so the reorder cannot change uid assignment.
-        let mut rm = ResourceManager::new();
-        for i in 0..6 {
-            rm.add(cell(i as f64, 1.0));
-        }
-        let mut c0 = ExecutionContext::new();
-        c0.push_birth(5, daughter(105.0, 1.0));
-        let mut c1 = ExecutionContext::new();
-        c1.push_birth(2, daughter(102.0, 1.0));
-        ExecutionContext::merge_in_order(vec![c0, c1], &mut rm, &mut [], &mut buffer());
-        assert_eq!(rm.len(), 8);
+        let mut rm = dividing(6);
+        let (_, births) = pass(&mut rm, &[0, 3, 6], &mut StepBuffer::default(), |c| {
+            let (mother, x) = if c.start() == 0 {
+                (5, 105.0)
+            } else {
+                (2, 102.0)
+            };
+            c.add_daughter(mother, daughter(x, 1.0));
+            ExecutionContext::new()
+        });
+        assert_eq!((births, rm.len()), (2, 8));
         // uid 6 goes to mother 2's daughter, uid 7 to mother 5's.
         assert_eq!((rm.uid(6), rm.position(6).x), (6, 102.0));
         assert_eq!((rm.uid(7), rm.position(7).x), (7, 105.0));
@@ -324,23 +312,24 @@ mod tests {
 
     #[test]
     fn the_merge_sorts_its_keys_in_the_step_buffer() {
-        let mut rm = ResourceManager::new();
-        for i in 0..2 {
-            rm.add(cell(i as f64, 1.0));
-        }
-        // The sweep's view of two agents is six words: room for three
-        // birth keys, so the merge allocates none.
+        let mut rm = dividing(3);
+        // The sweep's view of three agents is nine words: room for the
+        // three slots' keys and their two index arrays, so the pass
+        // allocates none.
         let mut buffer = StepBuffer::default();
-        buffer.vec3s(2).fill(Vec3::splat(f64::NAN));
-        let mut c0 = ExecutionContext::new();
-        c0.push_birth(1, daughter(101.0, 1.0));
-        c0.push_birth(0, daughter(100.0, 1.0));
-        let mut c1 = ExecutionContext::new();
-        c1.push_birth(0, daughter(200.0, 1.0));
-        ExecutionContext::merge_in_order(vec![c0, c1], &mut rm, &mut [], &mut buffer);
-        assert_eq!(buffer.resident_bytes(), 48);
+        buffer.vec3s(3).fill(Vec3::splat(f64::NAN));
+        let (_, births) = pass(&mut rm, &[0, 2, 3], &mut buffer, |c| {
+            if c.start() == 0 {
+                c.add_daughter(1, daughter(101.0, 1.0));
+                c.add_daughter(0, daughter(100.0, 1.0));
+            } else {
+                c.add_daughter(0, daughter(200.0, 1.0));
+            }
+            ExecutionContext::new()
+        });
+        assert_eq!((births, buffer.resident_bytes()), (3, 72));
         // Mother uid first, then chunk, then order within the chunk.
-        let xs: Vec<f64> = (2..5).map(|i| rm.position(i).x).collect();
+        let xs: Vec<f64> = (3..6).map(|i| rm.position(i).x).collect();
         assert_eq!(xs, [100.0, 200.0, 101.0]);
     }
 
@@ -350,12 +339,7 @@ mod tests {
         rm.add(cell(0.0, 3.0));
         assert_eq!(rm.largest_diameter(), 3.0);
         // No diameter writes: the cache survives the merge.
-        ExecutionContext::merge_in_order(
-            vec![ExecutionContext::new()],
-            &mut rm,
-            &mut [],
-            &mut buffer(),
-        );
+        ExecutionContext::merge_in_order(vec![ExecutionContext::new()], &mut rm, &mut []);
         assert_eq!(rm.largest_diameter(), 3.0);
         // A chunk that wrote diameters forces invalidation.
         let (mut chunks, _shared) = rm.behavior_chunks(8);
@@ -363,7 +347,7 @@ mod tests {
         drop(chunks);
         let mut c = ExecutionContext::new();
         c.mark_diameter_write();
-        ExecutionContext::merge_in_order(vec![c], &mut rm, &mut [], &mut buffer());
+        ExecutionContext::merge_in_order(vec![c], &mut rm, &mut []);
         assert_eq!(rm.largest_diameter(), 5.0);
     }
 }

@@ -29,7 +29,8 @@
 //!   voxel's stencil is staged once (`LaneScratch::stage`), each resident
 //!   is read *from the tile* (entry `center + rank`: no per-agent voxel
 //!   lookup, no self load), displacements come back in slot order and
-//!   `apply_displacements` maps slot → agent through `cell_agents()`.
+//!   the integration maps slot → agent through `cell_agents()`
+//!   (`ResourceManager::translate_each`, in parallel parts).
 //!   Storage order does not enter. The sharded driver walks the same
 //!   groups in its own `(voxel, id)`-sorted storage order, so its parts
 //!   stay agent ranges. Two lane bodies run under the walk, picked by
@@ -52,13 +53,14 @@ use crate::rm::ResourceManager;
 use crate::shard::ShardedEnvironment;
 use bdm_device::cpu::Phase;
 use bdm_gpu::pipeline::{GpuStepReport, MechanicalPipeline, SceneRef};
-use bdm_grid::{CsrBuildScratch, CsrGrid, QueryCounters, UniformGrid};
+use bdm_grid::{CsrGrid, QueryCounters, UniformGrid};
 use bdm_kdtree::KdTree;
 use bdm_math::interaction;
 use bdm_math::simd::{F32x8, F64x8, U32x8, LANES};
 use bdm_math::{Aabb, Vec3};
 use bdm_soa::{AgentId, F32Mirror, F32x4Mirror, StepBuffer};
 use rayon::prelude::*;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Work-model constants: how executed algorithmic events convert into the
@@ -314,19 +316,18 @@ pub fn interaction_radius(rm: &ResourceManager, params: &SimParams) -> f64 {
 
 /// Reusable per-step working memory for the CPU mechanical paths: the
 /// step's one per-agent buffer every sweep writes its displacements
-/// into, plus the CSR path's grid arrays, counting-sort build scratch and
-/// f32 mirrors, all persist across steps, so a steady-state CSR step
-/// allocates nothing. The [`crate::Simulation`] owns one of these for its
+/// into, plus the CSR path's grid arrays, f32 mirrors and lane scratch,
+/// all persist across steps, so a steady-state CSR step allocates
+/// nothing. The [`crate::Simulation`] owns one of these for its
 /// lifetime; one-shot callers can pass a fresh default.
 #[derive(Default)]
 pub struct MechScratch {
     /// Global CSR grid, rebuilt in place every unsharded step.
-    csr: Option<CsrGrid<f64>>,
-    /// Counting-sort working memory (voxel ids + chunk histograms).
-    build: CsrBuildScratch,
+    pub(crate) csr: Option<CsrGrid<f64>>,
     /// The step buffer: the force sweep's displacements (every CPU path,
-    /// sharded or not), lent between sweeps to the reorder — the shard
-    /// sort's included — and to the birth merge.
+    /// sharded or not), lent before the sweep to the global CSR build (its
+    /// voxel ids and histograms), and between sweeps to the reorder — the
+    /// shard sort's included — and to a division wave.
     pub(crate) buffer: StepBuffer,
     /// `f32` shadows of the hot columns for the mixed-precision pass,
     /// refreshed lazily on the resource manager's dirty epochs. Epochs
@@ -334,8 +335,24 @@ pub struct MechScratch {
     /// simulation for its lifetime (the `Simulation` owns its scratch,
     /// which enforces this).
     mirrors: SimdMirrors,
-    /// The 8-lane body's stage and pass buffers, one per sweep part.
+    /// The CSR bodies' stage and pass buffers: a pool a sweep part takes
+    /// one from and returns it to, so it holds one per worker that ran a
+    /// part at once, not one per part.
     lanes: Vec<LaneScratch>,
+}
+
+impl MechScratch {
+    /// Heap bytes of the global CSR grid (the one the unsharded sweep
+    /// walks).
+    pub(crate) fn grid_bytes(&self) -> usize {
+        self.csr.as_ref().map_or(0, CsrGrid::resident_bytes)
+    }
+
+    /// How many lane scratches the pool holds, and their heap bytes.
+    pub(crate) fn lane_scratch(&self) -> (usize, usize) {
+        let bytes = self.lanes.iter().map(LaneScratch::resident_bytes).sum();
+        (self.lanes.len(), bytes)
+    }
 }
 
 /// The `f64 → f32` shadows the SIMD pass gathers from: a packed
@@ -565,9 +582,10 @@ impl<'a> SweepParts<'a> {
 /// The one host force sweep. Borrows the displacements from the step
 /// buffer, zeroes them, splits them at
 /// `parts.cuts` (a tiling of `0..n`), runs `lanes(agents, part, first
-/// entry, part's slice, part's lane scratch)` on every part as its own
-/// rayon task (the scratch persists across steps; only the CSR bodies use
-/// it), sums the statistics, integrates, and builds the step's
+/// entry, part's slice, a lane scratch)` on every part as its own rayon
+/// task (the scratches persist across steps in a pool, one per worker that
+/// ran a part at once; only the CSR bodies use them), sums the
+/// statistics, integrates in parallel, and builds the step's
 /// [`MechWork`] — the one place the force phase is priced. `timed` holds
 /// the phases that already ran (build, search, shard sort, mirror
 /// refresh) with their wall clocks; `parallel` is the force phase's flag
@@ -593,29 +611,29 @@ fn force_sweep(
     let disp = buffer.vec3s(rm.len());
     disp.fill(Vec3::zero());
     let SweepParts { cuts, agent_of } = parts;
-    let parts = cuts.len().saturating_sub(1);
-    if lane_scratch.len() < parts {
-        lane_scratch.resize_with(parts, LaneScratch::default);
-    }
     let agents = &*rm;
+    let pool = Mutex::new(std::mem::take(lane_scratch));
+    const POISONED: &str = "a sweep part panicked holding the lane pool";
+    let take = || pool.lock().expect(POISONED).pop().unwrap_or_default();
     let parts: Vec<SweepStats> = bdm_soa::split_mut_at(disp, cuts)
         .into_par_iter()
-        .zip(lane_scratch[..parts].par_iter_mut())
         .enumerate()
-        .map(|(part, (out, slot))| {
-            // The part runs on a stack copy of its scratch: the `Vec`
-            // headers in `lane_scratch` are adjacent, so a body that
-            // wrote one per stage (a `clear`, a `resize`) would trade
-            // its cache line with the worker on the next part all sweep
-            // long. Today's stages only write a header when a buffer
-            // grows; this keeps the sweep indifferent to that. The
-            // buffers go back afterwards, so capacities persist.
-            let mut lane = std::mem::take(slot);
+        .map(|(part, out)| {
+            // The part runs on a stack copy of a pooled scratch: a body
+            // that wrote a `Vec` header per stage (a `clear`, a `resize`)
+            // would otherwise trade its cache line with the worker next
+            // to it all sweep long. The buffers go back afterwards, so
+            // capacities persist. Which scratch a part gets depends on
+            // the schedule; its contents never reach a result, because
+            // every buffer is grow-only and read only below what the
+            // current stage wrote.
+            let mut lane = take();
             let stats = lanes(agents, part, cuts[part], out, &mut lane);
-            *slot = lane;
+            pool.lock().expect(POISONED).push(lane);
             stats
         })
         .collect();
+    *lane_scratch = pool.into_inner().expect(POISONED);
     let wall_sweep = t.elapsed().as_secs_f64();
     let mut stats = SweepStats::default();
     for s in &parts {
@@ -626,7 +644,9 @@ fn force_sweep(
         stats.simd.pad_lanes += s.simd.pad_lanes;
         stats.staged += s.staged;
     }
-    apply_displacements(rm, disp, agent_of);
+    // SAFETY: `agent_of` is the `cell_agents()` of a full CSR build (see
+    // `csr_sweep`), which holds every agent exactly once.
+    unsafe { rm.translate_each(disp, agent_of) };
 
     use work_model as wm;
     let n = rm.len() as f64;
@@ -683,25 +703,6 @@ fn force_sweep(
         stencils_staged: csr.then_some(stats.staged),
         simd: (model == ForceModel::CsrF32).then_some(stats.simd),
         ..Default::default()
-    }
-}
-
-/// Move agent `agent_of[k]` (agent `k` when `None`) by `disp[k]`.
-fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>], agent_of: Option<&[AgentId]>) {
-    let mut translate = |i: usize, d: Vec3<f64>| {
-        if d != Vec3::zero() {
-            rm.translate(i, d);
-        }
-    };
-    match agent_of {
-        None => disp.iter().enumerate().for_each(|(i, &d)| translate(i, d)),
-        Some(agents) => {
-            debug_assert_eq!(agents.len(), disp.len());
-            agents
-                .iter()
-                .zip(disp)
-                .for_each(|(id, &d)| translate(id.index(), d))
-        }
     }
 }
 
@@ -945,6 +946,16 @@ fn grow<T: Clone + Default>(col: &mut Vec<T>, len: usize) {
 }
 
 impl LaneScratch {
+    /// Heap bytes the buffers hold.
+    fn resident_bytes(&self) -> usize {
+        let words = [&self.wx, &self.wy, &self.wz].map(Vec::capacity);
+        let narrow = [
+            &self.px, &self.py, &self.pz, &self.dj, &self.fx, &self.fy, &self.fz,
+        ];
+        let narrow = narrow.map(Vec::capacity).iter().sum::<usize>();
+        8 * words.iter().sum::<usize>() + 4 * (narrow + self.ids.capacity() + self.near.capacity())
+    }
+
     /// Stage the candidate ids of a voxel's stencil — a function of the
     /// voxel alone.
     fn stage(&mut self, grid: &CsrGrid<f64>, group: &VoxelGroup) -> Tile {
@@ -1537,19 +1548,21 @@ fn cpu_grid_csr_step(
     let radius = interaction_radius(rm, params);
     let space = params.space;
 
-    // Counting-sort CSR build, reusing the scratch arrays. The grid
-    // leaves its slot for the sweep (which borrows the rest of the
-    // scratch) and returns to it afterwards.
+    // Counting-sort CSR build in the step buffer, which the sweep then
+    // takes for its displacements. The grid leaves its slot for the sweep
+    // (which borrows the rest of the scratch) and returns to it
+    // afterwards.
     let t0 = Instant::now();
     let (xs, ys, zs) = rm.position_columns();
     let mut grid = scratch
         .csr
         .take()
         .unwrap_or_else(|| empty_csr(space, radius));
+    let buffer = &mut scratch.buffer;
     let skipped = if parallel {
-        grid.rebuild_parallel(xs, ys, zs, space, radius, &mut scratch.build)
+        grid.rebuild_parallel(xs, ys, zs, space, radius, buffer)
     } else {
-        grid.rebuild_serial(xs, ys, zs, space, radius, &mut scratch.build)
+        grid.rebuild_serial(xs, ys, zs, space, radius, buffer)
     };
     let build = (
         csr_build_phase(n, skipped, parallel),
@@ -1683,7 +1696,8 @@ fn gpu_step(
         report
     } else {
         let (disp, report) = pipeline.step(&scene, &params.mech);
-        apply_displacements(rm, &disp, None);
+        // SAFETY: no index map — entry `k` moves agent `k`.
+        unsafe { rm.translate_each(&disp, None) };
         report
     };
     MechWork::offloaded(report)
@@ -2539,7 +2553,8 @@ mod tests {
         let mut want = rm.clone();
         let mut disp = vec![Vec3::zero(); rm.len()];
         scalar_lanes(&rm, &params, &grid, 0, &mut disp);
-        apply_displacements(&mut want, &disp, None);
+        // SAFETY: no index map — entry `k` moves agent `k`.
+        unsafe { want.translate_each(&disp, None) };
         let by_uid = |rm: &ResourceManager| -> Vec<(u64, [u64; 3])> {
             let mut at: Vec<_> = (0..rm.len())
                 .map(|i| {
@@ -2582,9 +2597,12 @@ mod tests {
             mechanical_step(&mut fresh, &params, &env, None);
             assert_eq!(positions(&rm), positions(&fresh), "{env:?} {precision:?}");
         }
-        // The CSR bodies' per-part stage lives there too: once a step
-        // has sized it, a second step over the same (frozen) scene finds
-        // every buffer large enough — the sweep's tasks allocate nothing.
+        // The CSR bodies' stage lives there too, one per worker that ran a
+        // part: once a step has sized it, a second step over the same
+        // (frozen) scene finds every buffer large enough — the sweep's
+        // tasks allocate nothing.
+        let one_worker = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+        let one_worker = one_worker.expect("pool");
         for (precision, columns) in [(Precision::F32Simd, 8), (Precision::F64, 5)] {
             let mut params = SimParams::cube(6.0).with_precision(precision);
             params.mech.max_displacement = 0.0;
@@ -2601,15 +2619,21 @@ mod tests {
                 };
                 scratch.lanes.iter().map(cap).collect()
             };
-            mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+            let step = |rm: &mut ResourceManager, scratch: &mut MechScratch| {
+                one_worker
+                    .install(|| mechanical_step_with_scratch(rm, &params, &env, None, scratch))
+            };
+            step(&mut rm, &mut scratch);
             let first = capacities(&scratch);
-            assert_eq!(first.len(), 2, "one stage per sweep part");
-            for caps in &first {
-                // The tile's ids plus the body's own columns, and only those.
-                let sized = caps.iter().filter(|&&c| c >= LANES).count();
-                assert_eq!((sized, caps[0] >= LANES), (columns, true), "{precision:?}");
-            }
-            mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+            assert_eq!(first.len(), 1, "one stage for the one worker's two parts");
+            // The tile's ids plus the body's own columns, and only those.
+            let sized = first[0].iter().filter(|&&c| c >= LANES).count();
+            assert_eq!(
+                (sized, first[0][0] >= LANES),
+                (columns, true),
+                "{precision:?}"
+            );
+            step(&mut rm, &mut scratch);
             assert_eq!(capacities(&scratch), first, "{precision:?}");
         }
     }

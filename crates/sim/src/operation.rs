@@ -73,6 +73,14 @@ impl OpContext<'_> {
             .as_deref()
             .and_then(|s| s.behavior_cuts(self.rm.len(), AGENT_CHUNK))
     }
+
+    /// The agent loops' cut points: [`Self::shard_cuts`], or every
+    /// [`AGENT_CHUNK`] agents.
+    fn agent_cuts(&self) -> Vec<usize> {
+        let n = self.rm.len();
+        let uniform = || (0..n).step_by(AGENT_CHUNK).chain([n]).collect();
+        self.shard_cuts().unwrap_or_else(uniform)
+    }
 }
 
 /// One schedulable unit of per-step work.
@@ -237,11 +245,13 @@ impl Operation for ShardRebalanceOp {
 /// secretion, apoptosis.
 ///
 /// The agent loop is chunked ([`AGENT_CHUNK`]); each chunk owns its
-/// agents' position/diameter columns ([`AgentChunkMut`]) and buffers
-/// births, deaths, and secretions in an [`ExecutionContext`]. Chunks run
-/// under rayon (on the calling thread in the scheduler's serial mode)
-/// and the contexts merge in chunk order, so every worker count produces
-/// the bitwise-identical trajectory.
+/// agents' position/diameter columns and its window of the room the
+/// columns reserved for daughters ([`AgentChunkMut`], from
+/// [`ResourceManager::divisions`]), and buffers deaths and secretions in
+/// an [`ExecutionContext`]. Chunks run under rayon (on the calling thread
+/// in the scheduler's serial mode); the daughters are appended in mother
+/// uid order and the contexts merge in chunk order, so every worker count
+/// produces the bitwise-identical trajectory.
 ///
 /// Deferred-secretion semantics: substance deposits land at merge time,
 /// so every gradient read inside the pass sees the field as of the start
@@ -285,8 +295,7 @@ fn run_behavior_chunk(
                         let offset = dir * (half_d * 0.5);
                         chunk.set_diameter(k, half_d);
                         chunk.set_position(k, mother_pos - offset);
-                        ec.reserve_births(chunk.len() - k);
-                        ec.push_birth(
+                        chunk.add_daughter(
                             shared.uid(i),
                             AgentRow {
                                 position: mother_pos + offset,
@@ -336,21 +345,20 @@ impl Operation for BehaviorOp {
         // order. Both partitions are ascending tilings of the agent
         // range, so the merged outcome (birth order, death order,
         // uid-sorted secretions) is bitwise identical either way.
-        let cuts = ctx.shard_cuts();
+        let cuts = ctx.agent_cuts();
+        // The daughters' keys borrow the step buffer.
+        let mut divisions = ctx.rm.divisions(&cuts, &mut ctx.mech_scratch.buffer);
         let contexts: Vec<ExecutionContext> = {
             let substances: &[DiffusionGrid] = ctx.substances;
-            let (chunks, shared) = match &cuts {
-                Some(cuts) => ctx.rm.behavior_chunks_at(cuts),
-                None => ctx.rm.behavior_chunks(AGENT_CHUNK),
-            };
+            let (chunks, shared) = divisions.chunks();
             chunks
                 .into_par_iter()
                 .map(|chunk| run_behavior_chunk(chunk, &shared, substances, seed, step))
                 .collect()
         };
         let t_commit = Instant::now();
-        let buffer = &mut ctx.mech_scratch.buffer;
-        let outcome = ExecutionContext::merge_in_order(contexts, ctx.rm, ctx.substances, buffer);
+        divisions.commit();
+        let outcome = ExecutionContext::merge_in_order(contexts, ctx.rm, ctx.substances);
         *ctx.behaviors_commit_s += t_commit.elapsed().as_secs_f64();
         vec![OpRecord {
             name: self.name().into(),
@@ -451,11 +459,8 @@ impl Operation for BoundSpaceOp {
             }
             clamped
         };
-        let cuts = ctx.shard_cuts();
-        let (chunks, _shared) = match &cuts {
-            Some(cuts) => ctx.rm.behavior_chunks_at(cuts),
-            None => ctx.rm.behavior_chunks(AGENT_CHUNK),
-        };
+        let cuts = ctx.agent_cuts();
+        let (chunks, _shared) = ctx.rm.behavior_chunks_at(&cuts);
         let counts: Vec<u64> = chunks.into_par_iter().map(clamp_chunk).collect();
         let clamped: u64 = counts.iter().sum();
         vec![OpRecord {

@@ -27,15 +27,28 @@
 //!   out the list, the checkpoint stores each agent's list, and nothing a
 //!   run reports — digest, checkpoint bytes, any metric but the table's
 //!   size — may depend on an id's value.
+//!
+//! Agents enter the columns two ways. [`ResourceManager::append`] (and
+//! `add`, an append of one) pushes rows. A division wave writes in place:
+//! [`ResourceManager::divisions`] reserves room in every column for as
+//! many daughters as the agents' lists allow (the table caches each
+//! list's `GrowthDivision` count), each chunk of the behaviors pass writes
+//! its daughters into its own window of that room
+//! ([`AgentChunkMut::add_daughter`]), and [`Divisions::commit`] gathers
+//! them into place in mother-uid order through the step buffer — the
+//! daughters exist nowhere but in the columns.
 
 use crate::behavior::Behavior;
 use crate::cell::CellBuilder;
 use bdm_device::cpu::Phase;
 use bdm_math::{Aabb, Vec3};
 use bdm_morton::{radix_argsort, CellCurve, Curve};
-use bdm_soa::{gather_words, Column, Permutation, SoaVec3, StepBuffer, Vec3ChunkMut};
+use bdm_soa::{
+    gather_words, split_mut_at, AgentId, Column, Permutation, SoaVec3, StepBuffer, Vec3ChunkMut,
+};
+use rayon::prelude::*;
 use std::collections::HashMap;
-use std::mem::size_of;
+use std::mem::{size_of, MaybeUninit};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The modeled cost of one [`ResourceManager::sort_storage`] over `n`
@@ -67,6 +80,9 @@ pub struct BehaviorTable {
     /// The id [`Self::intern`] returned last: consecutive adds mostly
     /// share a list, and comparing against it skips the hash.
     last: u32,
+    /// Per list, its [`Behavior::GrowthDivision`] entries: how many
+    /// daughters an agent carrying it may have in one step.
+    divisions: Vec<u32>,
 }
 
 impl Default for BehaviorTable {
@@ -78,6 +94,7 @@ impl Default for BehaviorTable {
             index: HashMap::new(),
             key: Vec::new(),
             last: 0,
+            divisions: vec![0],
         }
     }
 }
@@ -123,6 +140,9 @@ impl BehaviorTable {
                 let id = u32::try_from(self.lists()).expect("more than u32::MAX behavior lists");
                 self.flat.extend_from_slice(list);
                 self.starts.push(self.flat.len());
+                let divides = |b: &&Behavior| matches!(b, Behavior::GrowthDivision { .. });
+                self.divisions
+                    .push(list.iter().filter(divides).count() as u32);
                 self.index.insert(self.key.clone(), id);
                 id
             }
@@ -130,19 +150,25 @@ impl BehaviorTable {
         self.last
     }
 
-    /// Heap bytes the table holds: the lists, their offsets, and the
-    /// index's keys and slots.
+    /// `true` when some list holds a [`Behavior::GrowthDivision`].
+    fn divides(&self) -> bool {
+        self.divisions.iter().any(|&d| d > 0)
+    }
+
+    /// Heap bytes the table holds: the lists, their offsets and division
+    /// counts, and the index's keys and slots.
     pub fn resident_bytes(&self) -> usize {
         self.flat.capacity() * size_of::<Behavior>()
             + self.starts.capacity() * size_of::<usize>()
+            + self.divisions.capacity() * size_of::<u32>()
             + self.index.capacity() * size_of::<(Vec<u64>, u32)>()
             + (3 * self.flat.len() + self.key.capacity()) * size_of::<u64>()
     }
 }
 
 /// One agent's column values as plain data — what [`ResourceManager::add`]
-/// appends and what a division buffers for its daughter (56 bytes with
-/// the mother's uid beside it, no heap).
+/// appends and what a division writes for its daughter
+/// ([`AgentChunkMut::add_daughter`]).
 #[derive(Debug, Clone, Copy)]
 pub struct AgentRow {
     /// Position.
@@ -193,6 +219,17 @@ impl MaxDiameterCache {
         debug_assert!(v.to_bits() != Self::INVALID);
         self.bits.store(v.to_bits(), Ordering::Relaxed);
         self.holders.store(holders, Ordering::Relaxed);
+    }
+
+    /// An agent of diameter `d` joined the population.
+    fn note_appended(&self, d: f64) {
+        if let Some(cur) = self.get() {
+            if d > cur {
+                self.set(d, 1);
+            } else if d == cur {
+                self.add_holder();
+            }
+        }
     }
 
     /// One more agent now carries the cached maximum.
@@ -316,13 +353,7 @@ impl ResourceManager {
         for row in rows {
             let id = row.behaviors;
             assert!((id as usize) < lists, "behavior list {id} of {lists}");
-            if let Some(cur) = self.largest.get() {
-                if row.diameter > cur {
-                    self.largest.set(row.diameter, 1);
-                } else if row.diameter == cur {
-                    self.largest.add_holder();
-                }
-            }
+            self.largest.note_appended(row.diameter);
             self.positions.push(row.position);
             self.diameters.push(row.diameter);
             self.adherences.push(row.adherence);
@@ -597,6 +628,7 @@ impl ResourceManager {
                 start: c * chunk,
                 pos,
                 diam,
+                daughters: Daughters::default(),
             })
             .collect();
         let shared = AgentShared {
@@ -627,7 +659,12 @@ impl ResourceManager {
             .into_iter()
             .zip(bdm_soa::split_mut_at(self.diameters.as_mut_slice(), cuts))
             .zip(cuts.iter())
-            .map(|((pos, diam), &start)| AgentChunkMut { start, pos, diam })
+            .map(|((pos, diam), &start)| AgentChunkMut {
+                start,
+                pos,
+                diam,
+                daughters: Daughters::default(),
+            })
             .collect();
         let shared = AgentShared {
             behavior_ids: self.behavior_ids.as_slice(),
@@ -636,6 +673,97 @@ impl ResourceManager {
             adherences: self.adherences.as_slice(),
         };
         (views, shared)
+    }
+
+    /// Start a behaviors pass over the chunks between `cuts` (same
+    /// contract as [`Self::behavior_chunks_at`]) whose agents may divide:
+    /// every column reserves room for as many daughters as the agents'
+    /// lists allow — per chunk, the sum over its agents of their list's
+    /// [`Behavior::GrowthDivision`] entries — and each chunk gets a window
+    /// of that room, in chunk order, when [`Divisions::chunks`] hands out
+    /// the views. When no list divides, nothing is reserved. The mothers'
+    /// uids go into `buffer`, one word per slot.
+    pub fn divisions<'a>(
+        &'a mut self,
+        cuts: &'a [usize],
+        buffer: &'a mut StepBuffer,
+    ) -> Divisions<'a> {
+        let chunks = cuts.len().saturating_sub(1);
+        let mut starts = vec![0; chunks + 1];
+        if self.table.divides() {
+            let (ids, divisions) = (self.behavior_ids.as_slice(), &self.table.divisions);
+            let room: Vec<usize> = (0..chunks)
+                .into_par_iter()
+                .map(|c| {
+                    let ids = &ids[cuts[c]..cuts[c + 1]];
+                    ids.iter().map(|&id| divisions[id as usize] as usize).sum()
+                })
+                .collect();
+            for (c, room) in room.into_iter().enumerate() {
+                starts[c + 1] = starts[c] + room;
+            }
+        }
+        let room = starts[chunks];
+        assert!(room < u32::MAX as usize, "room for {room} daughters");
+        Divisions {
+            rm: self,
+            buffer,
+            cuts,
+            starts,
+            born: vec![0; chunks],
+        }
+    }
+
+    /// Move agent `agent_of[k]` (agent `k` when `None`) by `disp[k]`, in
+    /// parallel parts ([`bdm_soa::parts`]). Each non-zero displacement
+    /// ticks the position epoch once, as [`Self::translate`] does.
+    ///
+    /// # Safety
+    /// `agent_of`, when given, names no agent twice (a full CSR build's
+    /// `cell_agents()`: a permutation of the agents).
+    ///
+    /// # Panics
+    /// When `disp` is not one entry per agent, or `agent_of` not one agent
+    /// per entry or names one past the population.
+    pub(crate) unsafe fn translate_each(
+        &mut self,
+        disp: &[Vec3<f64>],
+        agent_of: Option<&[AgentId]>,
+    ) {
+        let n = self.len();
+        assert_eq!(disp.len(), n, "one displacement per agent");
+        if let Some(agents) = agent_of {
+            assert_eq!(agents.len(), n, "one agent per displacement");
+        }
+        let (xs, ys, zs) = self.positions.as_mut_slices();
+        let cols = Columns([xs, ys, zs].map(|c| c.as_mut_ptr()));
+        let (count, len) = bdm_soa::parts(n);
+        let moved: u64 = (0..count)
+            .into_par_iter()
+            .map(|p| {
+                let cols = &cols;
+                let mut moved = 0;
+                for k in (p * len).min(n)..((p + 1) * len).min(n) {
+                    let d = disp[k];
+                    if d == Vec3::zero() {
+                        continue;
+                    }
+                    let i = agent_of.map_or(k, |agents| agents[k].index());
+                    assert!(i < n, "agent {i} of {n}");
+                    // SAFETY: `i < n` is inside every column, and no other
+                    // entry names agent `i` (the caller's contract), so
+                    // this part is the only one touching its coordinates.
+                    unsafe {
+                        *cols.0[0].add(i) += d.x;
+                        *cols.0[1].add(i) += d.y;
+                        *cols.0[2].add(i) += d.z;
+                    }
+                    moved += 1;
+                }
+                moved
+            })
+            .sum();
+        self.pos_epoch += moved;
     }
 
     /// Diameter column.
@@ -767,13 +895,161 @@ impl ResourceManager {
     }
 }
 
+/// The three position columns, written by the parts of
+/// [`ResourceManager::translate_each`] at the agents each owns.
+struct Columns([*mut f64; 3]);
+
+// SAFETY: the parts write disjoint agents' coordinates (the caller's
+// contract of `translate_each`), and `f64` is plain data.
+unsafe impl Sync for Columns {}
+
+/// A behaviors pass whose chunks may divide, from
+/// [`ResourceManager::divisions`]: [`Self::chunks`] hands out the chunk
+/// views with their daughters' windows, and [`Self::commit`] appends what
+/// they wrote.
+#[must_use = "daughters reach the columns only through `commit`"]
+pub struct Divisions<'a> {
+    rm: &'a mut ResourceManager,
+    buffer: &'a mut StepBuffer,
+    cuts: &'a [usize],
+    /// Chunk `c`'s daughters go to spare slots `starts[c]..starts[c + 1]`.
+    starts: Vec<usize>,
+    /// How many of its slots chunk `c` filled (a prefix of its window).
+    born: Vec<usize>,
+}
+
+/// `starts` has one window per chunk of `cuts`.
+const WINDOW: &str = "one window per chunk";
+
+impl Divisions<'_> {
+    /// [`ResourceManager::behavior_chunks_at`] of the pass's cuts, each
+    /// chunk with its window for [`AgentChunkMut::add_daughter`]; the
+    /// first call reserves the room. A second call hands out the same
+    /// windows, filled as far as the first left them.
+    pub fn chunks(&mut self) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
+        let (rm, cuts, starts) = (&mut *self.rm, self.cuts, &self.starts);
+        rm.pos_epoch += 1;
+        let room = starts[starts.len() - 1];
+        let (pos, [x, y, z]) = rm.positions.split_spare(room);
+        let (diam, diameter) = rm.diameters.split_spare(room);
+        let (adherences, adherence) = rm.adherences.split_spare(room);
+        let (behavior_ids, behaviors) = rm.behavior_ids.split_spare(room);
+        let (mothers, _, _) = self.buffer.words_and_indices(room);
+        let mut f64s =
+            [x, y, z, diameter, adherence].map(|col| split_mut_at(col, starts).into_iter());
+        let mut behaviors = split_mut_at(behaviors, starts).into_iter();
+        let mut mothers = split_mut_at(&mut mothers[..room], starts).into_iter();
+        let views = bdm_soa::chunks_at(pos, cuts)
+            .into_iter()
+            .zip(split_mut_at(diam, cuts))
+            .zip(cuts.iter().zip(&mut self.born))
+            .map(|((pos, diam), (&start, born))| AgentChunkMut {
+                start,
+                pos,
+                diam,
+                daughters: Daughters {
+                    f64s: f64s.each_mut().map(|w| w.next().expect(WINDOW)),
+                    behaviors: behaviors.next().expect(WINDOW),
+                    mothers: mothers.next().expect(WINDOW),
+                    born: Some(born),
+                },
+            })
+            .collect();
+        let shared = AgentShared {
+            behavior_ids,
+            table: &rm.table,
+            uids: rm.uids.as_slice(),
+            adherences,
+        };
+        (views, shared)
+    }
+
+    /// Append every daughter the chunks wrote as agents `n..n + births`,
+    /// in `(mother uid, chunk, order within the chunk)` order, and return
+    /// `births`. Each window's mother uids move down into one run in
+    /// chunk order, [`radix_argsort`] orders the run by uid (stable, so
+    /// slot order breaks ties), and every column gathers its daughters
+    /// through the same words (`Column::append_from_spare`), which also
+    /// closes the gaps of agents that could divide but did not. The
+    /// daughters then take the uids `next_uid..` in that order, and each
+    /// does what an [`ResourceManager::append`]ed row does to the epochs
+    /// and the largest-diameter bookkeeping.
+    pub fn commit(self) -> usize {
+        let Self {
+            rm,
+            buffer,
+            starts,
+            mut born,
+            ..
+        } = self;
+        let births: usize = born.iter().sum();
+        if births == 0 {
+            return 0;
+        }
+        let n = rm.len();
+        let (words, order, spare) = buffer.words_and_indices(starts[starts.len() - 1]);
+        // `born` becomes each chunk's first index in the run.
+        let mut run = 0;
+        for (c, first) in born.iter_mut().enumerate() {
+            words.copy_within(starts[c]..starts[c] + *first, run);
+            (*first, run) = (run, run + *first);
+        }
+        let (words, order) = (&mut words[..births], &mut order[..births]);
+        radix_argsort(words, None, order, &mut spare[..births]);
+        let (_, len) = bdm_soa::parts(births);
+        order.par_chunks_mut(len).for_each(|part| {
+            for k in part {
+                let c = born.partition_point(|&first| first <= *k as usize) - 1;
+                *k = (*k as usize - born[c] + starts[c]) as u32;
+            }
+        });
+        // SAFETY: `order` names slot `starts[c] + j` for each `j <
+        // born[c]` of each chunk `c` — the ones `add_daughter` wrote, in
+        // every one of these columns — and the columns have not changed
+        // length or grown since: `self` held the only borrow of `rm`.
+        unsafe {
+            rm.positions.append_from_spare(order, words);
+            rm.diameters.append_from_spare(order, words);
+            rm.adherences.append_from_spare(order, words);
+            rm.behavior_ids.append_from_spare(order, words);
+        }
+        rm.uids.reserve(births);
+        for uid in rm.next_uid..rm.next_uid + births as u64 {
+            rm.uids.push(uid);
+        }
+        rm.next_uid += births as u64;
+        rm.pos_epoch += births as u64;
+        rm.attr_epoch += births as u64;
+        for &d in &rm.diameters.as_slice()[n..] {
+            rm.largest.note_appended(d);
+        }
+        births
+    }
+}
+
+/// One chunk's window of the spare slots its daughters go to: empty for
+/// a chunk whose agents cannot divide, and in every view that is not
+/// [`Divisions::chunks`]'s.
+#[derive(Default)]
+struct Daughters<'a> {
+    /// x, y, z, diameter, adherence.
+    f64s: [&'a mut [MaybeUninit<f64>]; 5],
+    behaviors: &'a mut [MaybeUninit<u32>],
+    /// Each slot's mother uid: the key the commit orders them by.
+    mothers: &'a mut [u64],
+    /// Slots written so far, the pass's count for this chunk.
+    born: Option<&'a mut usize>,
+}
+
 /// Disjoint mutable window over one chunk of agents' writable state
-/// (position + diameter). Indices are chunk-local; [`AgentChunkMut::start`]
-/// maps them back to global agent indices.
+/// (position + diameter), and over the room its daughters go to.
+/// Indices are chunk-local; [`AgentChunkMut::start`] maps them back to
+/// global agent indices.
 pub struct AgentChunkMut<'a> {
     start: usize,
     pos: Vec3ChunkMut<'a, f64>,
     diam: &'a mut [f64],
+    daughters: Daughters<'a>,
 }
 
 impl AgentChunkMut<'_> {
@@ -823,6 +1099,32 @@ impl AgentChunkMut<'_> {
     #[inline(always)]
     pub fn set_diameter(&mut self, k: usize, d: f64) {
         self.diam[k] = d;
+    }
+
+    /// Write a daughter of the agent with uid `mother` into the chunk's
+    /// next free slot; [`Divisions::commit`] appends her.
+    ///
+    /// # Panics
+    /// When the window is full: a chunk of [`Divisions::chunks`] has room
+    /// for one daughter per [`Behavior::GrowthDivision`] entry of its
+    /// agents' lists, any other view for none.
+    pub fn add_daughter(&mut self, mother: u64, row: AgentRow) {
+        let d = &mut self.daughters;
+        let j = d.born.as_deref().map_or(0, |&born| born);
+        assert!(j < d.mothers.len(), "no room for a daughter of {mother}");
+        let p = row.position;
+        for (col, v) in d
+            .f64s
+            .iter_mut()
+            .zip([p.x, p.y, p.z, row.diameter, row.adherence])
+        {
+            col[j].write(v);
+        }
+        d.behaviors[j].write(row.behaviors);
+        d.mothers[j] = mother;
+        if let Some(born) = d.born.as_deref_mut() {
+            *born += 1;
+        }
     }
 }
 

@@ -143,6 +143,14 @@ impl ShardedEnvironment {
         self.rebalances
     }
 
+    /// Heap bytes of the shard-local grids and their build scratch.
+    pub(crate) fn grid_bytes(&self) -> usize {
+        let shard = |st: &ShardState| {
+            st.grid.as_ref().map_or(0, CsrGrid::resident_bytes) + st.build.resident_bytes()
+        };
+        self.shards.iter().map(shard).sum()
+    }
+
     /// Total halo agents of the last sharded step.
     pub fn halo_agents(&self) -> u64 {
         self.halo_per_shard.iter().sum()

@@ -257,13 +257,25 @@ impl Simulation {
         );
         // `profiler.op_wall_s{op=behaviors}` minus this is the chunk loop.
         reg.set_gauge("behaviors.commit_ms", &[], self.behaviors_commit_s * 1e3);
-        // The one per-agent buffer the force sweep, the reorder and the
-        // birth merge borrow in turn (24 bytes per agent of the largest
-        // population a step held), and why the reorder's runs cost what
+        // The one per-agent buffer the force sweep, the CSR build, the
+        // reorder and a division wave borrow in turn (24 bytes per agent
+        // of the largest population a step held), and why the reorder's runs cost what
         // they did: a sorted run is one scan, a gathered one the argsort
         // and seven column gathers.
         let resident = self.mech_scratch.buffer.resident_bytes();
         reg.set_gauge("step.buffer_bytes", &[], resident as f64);
+        // The rest of what a CSR step holds: the grid(s) — offsets and
+        // one id per agent; the global build borrows the step buffer — and
+        // the lane bodies' stage buffers, one set per worker.
+        let shards = self
+            .shards
+            .as_ref()
+            .map_or(0, ShardedEnvironment::grid_bytes);
+        let grid = self.mech_scratch.grid_bytes() + shards;
+        reg.set_gauge("grid.resident_bytes", &[], grid as f64);
+        let (scratches, bytes) = self.mech_scratch.lane_scratch();
+        reg.set_gauge("mech.lane_scratches", &[], scratches as f64);
+        reg.set_gauge("mech.lane_scratch_bytes", &[], bytes as f64);
         let reorder = &self.reorder;
         for (outcome, runs) in [("sorted", reorder.sorted), ("gathered", reorder.gathered)] {
             reg.inc_counter("reorder.runs", &[("outcome", outcome)], runs as f64);
@@ -708,6 +720,48 @@ mod tests {
         }
         sharded.simulate(2);
         assert_eq!(step_buffer(&sharded), 24.0 * 600.0);
+    }
+
+    /// What a CSR step holds per agent, read from one artifact: after a
+    /// division wave and the CSR step that follows it, the step buffer's
+    /// 24 bytes per agent, the grid's offsets and one id per agent, and
+    /// the columns' capacities. The build borrows the step buffer, the
+    /// wave kept no record of its daughters, and the sweep's lane
+    /// scratches number no more than the workers that ran its parts —
+    /// their bytes a function of the stencils, not of the population.
+    #[test]
+    fn a_csr_step_holds_the_columns_the_step_buffer_and_the_grid() {
+        for workers in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(workers);
+            let mut wave = crate::workload::benchmark_a(12, 5);
+            wave.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
+            pool.build().expect("pool").install(|| wave.simulate(3));
+            let n = wave.rm().len();
+            assert_eq!(n, 2 * 12 * 12 * 12, "one division wave");
+            let reg = wave.metrics();
+            let value = |name| reg.value(name, &[]).unwrap();
+            assert_eq!(value("step.buffer_bytes"), 24.0 * n as f64);
+            let grid = wave.mech_scratch.csr.as_ref().expect("a CSR step ran");
+            assert_eq!(grid.num_agents(), n);
+            let offsets = 4 * (grid.num_boxes() + 1);
+            assert_eq!(value("grid.resident_bytes"), grid.resident_bytes() as f64);
+            assert!(grid.resident_bytes() <= 4 * n + offsets + 4 * n / 2);
+            let (scratches, bytes) = wave.mech_scratch.lane_scratch();
+            assert_eq!(value("mech.lane_scratches"), scratches as f64);
+            assert_eq!(value("mech.lane_scratch_bytes"), bytes as f64);
+            assert!(
+                (1..=workers).contains(&scratches),
+                "{scratches} on {workers}"
+            );
+            assert!(
+                bytes < 16 * 1024 * scratches,
+                "{bytes} bytes of lane scratch"
+            );
+            // The columns hold room for the next wave and no copy of it.
+            let resident = value("agents.resident_bytes");
+            assert_eq!(resident, wave.rm().resident_bytes() as f64);
+            assert!(resident < 52.0 * 4.0 * n as f64, "{resident} bytes");
+        }
     }
 
     /// The same agent dividing *and* dying in one step: the daughter is

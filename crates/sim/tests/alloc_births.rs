@@ -1,17 +1,16 @@
 //! Heap allocations scale with chunks, not with agents.
 //!
-//! Every agent column is plain `Copy` data and a birth is a 56-byte
-//! record, so nothing on the birth, reorder or restore path may touch
-//! the allocator once per agent: a division wave allocates per *chunk*
-//! (its execution context's buffers) plus a constant (one growth step
-//! per column; the merge's sort keys borrow the step buffer); a restore
-//! allocates a constant, whatever the population; and a warm reorder
-//! allocates nothing at all on one worker (the step buffer holds every
-//! word it needs) and on two only what its fork-joins do. The engine
-//! this replaced paid one
-//! `Vec<Behavior>` per birth, per gathered agent and per restored agent
-//! — 21,952 / 27,648 / 27,648 allocations on the scenes below, which now
-//! take 20 / 0 / 28.
+//! Every agent column is plain `Copy` data and a daughter is written
+//! straight into the columns' reserved room, so nothing on the birth,
+//! reorder or restore path may touch the allocator once per agent, or
+//! once per chunk: a division wave allocates a constant (one growth step
+//! per column; the daughters' keys and their sort borrow the step
+//! buffer), whatever the population; so does a restore; and a warm
+//! reorder allocates nothing at all on one worker (the step buffer holds
+//! every word it needs) and on two only what its fork-joins do. The
+//! engine that kept a `Vec<Behavior>` per agent paid one per birth, per
+//! gathered agent and per restored agent — 21,952 / 27,648 / 27,648
+//! allocations on the scenes below.
 //!
 //! Counted with the thread-local allocator of `bdm-gpu`'s
 //! `alloc_steady`, with the step's `par_*` loops on the calling thread
@@ -100,23 +99,27 @@ fn isolate(sim: &mut Simulation, op: &str) {
     }
 }
 
-#[test]
-fn a_division_wave_allocates_per_chunk_not_per_birth() {
-    let mut sim = wave_scene(28);
+/// Allocations of the scene's first division wave, behaviors only: the
+/// chunk loop, the daughters' commit and the merge.
+fn wave_allocations(cells_per_dim: usize) -> u64 {
+    let mut sim = wave_scene(cells_per_dim);
     let n = sim.rm().len();
     sim.step();
     assert_eq!(sim.rm().len(), n, "no division before step 1");
-    // The wave step alone, behaviors only: chunk loop + merge + append.
     isolate(&mut sim, "behaviors");
     let (allocations, ()) = allocations_in(|| sim.step());
-    let births = sim.rm().len() - n;
-    assert!(births >= 20_000, "{births} births");
-    assert!(allocations > 0, "the counting allocator is not installed");
-    let chunks = n.div_ceil(AGENT_CHUNK) as u64;
-    assert!(
-        allocations < 64 + 8 * chunks,
-        "{allocations} allocations for {births} births in {chunks} chunks"
-    );
+    assert_eq!(sim.rm().len(), 2 * n, "every cell divided");
+    allocations
+}
+
+#[test]
+fn a_division_wave_allocates_a_constant() {
+    let (small, large) = (wave_allocations(14), wave_allocations(28));
+    assert!(small > 0, "the counting allocator is not installed");
+    let chunks = [14usize, 28].map(|c| c.pow(3).div_ceil(AGENT_CHUNK));
+    assert_eq!(chunks, [1, 6]);
+    assert_eq!(large, small, "8x the agents and 6x the chunks");
+    assert!(large < 64, "{large} allocations");
 }
 
 /// Allocations of two warm reorders of the scene after its first wave,

@@ -5,9 +5,11 @@ use bdm_morton::{cell_keys, Curve};
 use bdm_sim::behavior::{volume_of, Behavior};
 use bdm_sim::cell::CellBuilder;
 use bdm_sim::diffusion::{BoundaryCondition, DiffusionGrid, DiffusionParams};
+use bdm_sim::exec::ExecutionContext;
 use bdm_sim::param::SimParams;
+use bdm_sim::rayon::prelude::*;
 use bdm_sim::rayon::{with_shuffled_schedule, ThreadPoolBuilder};
-use bdm_sim::rm::{BehaviorTable, ResourceManager};
+use bdm_sim::rm::{AgentChunkMut, AgentRow, AgentShared, BehaviorTable, ResourceManager};
 use bdm_sim::simulation::Simulation;
 use bdm_soa::{parts, Permutation, SoaVec3, StepBuffer};
 use proptest::prelude::*;
@@ -516,5 +518,217 @@ proptest! {
         prop_assert_eq!(moved, moves);
         prop_assert!(got == expected, "shuffled: columns out of order");
         prop_assert_eq!(out, want_keys);
+    }
+}
+
+/// A roll of agent `uid`'s behavior entry `entry`.
+fn roll(uid: u64, entry: usize) -> u64 {
+    SplitMix64::new(uid.wrapping_mul(31).wrapping_add(entry as u64)).next_u64()
+}
+
+/// One chunk of a behaviors pass that divides two of three
+/// `GrowthDivision` entries (each into a daughter of its own), kills one
+/// of five `Apoptosis` entries and deposits every `Secretion`. Daughters
+/// go into the chunk's window, or into `out` when given; `touch` halves
+/// each mother's diameter through the chunk view. Returns the context and
+/// whether a diameter was written.
+fn wave_chunk(
+    chunk: &mut AgentChunkMut<'_>,
+    shared: &AgentShared<'_>,
+    touch: bool,
+    mut out: Option<&mut Vec<(u64, AgentRow)>>,
+) -> (ExecutionContext, bool) {
+    let (mut ec, mut wrote) = (ExecutionContext::new(), false);
+    for k in 0..chunk.len() {
+        let i = chunk.start() + k;
+        let uid = shared.uid(i);
+        for (entry, behavior) in shared.behaviors(i).iter().enumerate() {
+            let roll = roll(uid, entry);
+            match behavior {
+                Behavior::GrowthDivision { .. } if !roll.is_multiple_of(3) => {
+                    let (p, d) = (chunk.position(k), chunk.diameter(k));
+                    if touch {
+                        chunk.set_diameter(k, d * 0.5);
+                        wrote = true;
+                    }
+                    let row = AgentRow {
+                        position: p + Vec3::splat(1.0 + entry as f64),
+                        diameter: d * 0.5 + (roll % 4) as f64,
+                        adherence: shared.adherence(i),
+                        behaviors: shared.behavior_id(i),
+                    };
+                    ec.divisions += 1;
+                    match out.as_deref_mut() {
+                        Some(out) => out.push((uid, row)),
+                        None => chunk.add_daughter(uid, row),
+                    }
+                }
+                Behavior::Apoptosis { .. } if roll.is_multiple_of(5) => ec.push_death(i),
+                Behavior::Secretion { rate, .. } => {
+                    ec.push_secretion(uid, 0, chunk.position(k), *rate + (roll % 8) as f64)
+                }
+                _ => {}
+            }
+        }
+    }
+    (ec, wrote)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Daughters written into the columns' reserved room and appended by
+    /// `Divisions::commit` leave every column bit, the uids, `next_uid`,
+    /// both epochs, the largest diameter and its scan count and the
+    /// substance field exactly as the buffered merge they replaced: each
+    /// daughter appended as an `AgentRow` through `ResourceManager::append`
+    /// in `(mother uid, chunk, index in chunk)` order, between the
+    /// diameter invalidation and the deaths. For lists with 0, 1 and 2
+    /// `GrowthDivision` entries (an agent dividing twice in a step),
+    /// waves where only some agents divide, apoptosis and secretion in the
+    /// same step, mothers whose uids are not ascending in storage, uniform
+    /// and sharded cuts (empty windows included), empty populations, and
+    /// on 1, 2 and 4 workers and shuffled chunk schedules.
+    #[test]
+    fn births_in_place_match_the_buffered_merge(
+        n in 0usize..3000,
+        seed in any::<u64>(),
+        chunk in 0usize..4,
+        sharded in any::<bool>(),
+        scrambled in any::<bool>(),
+        touch in any::<bool>(),
+    ) {
+        let rng = &mut SplitMix64::new(seed);
+        let grow = Behavior::GrowthDivision { growth_rate: 1.0, division_threshold: 2.0 };
+        let die = Behavior::Apoptosis { probability: 0.2 };
+        let secrete = Behavior::Secretion { substance: 0, rate: 0.5 };
+        let mut table = BehaviorTable::default();
+        let lists = [
+            table.intern(&[]),
+            table.intern(&[grow]),
+            table.intern(&[grow, die, secrete]),
+            table.intern(&[secrete, grow, grow]),
+            table.intern(&[die, secrete]),
+        ];
+        let mut uids: Vec<u64> = (0..n as u64).map(|u| 2 * u + 1).collect();
+        if scrambled {
+            for i in (1..n).rev() {
+                uids.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+        }
+        let pos: Vec<Vec3<f64>> = (0..n)
+            .map(|_| Vec3::new(rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0)))
+            .collect();
+        let rm = ResourceManager::from_raw_parts(
+            SoaVec3::from_vecs(&pos),
+            (0..n).map(|_| rng.uniform(1.0, 4.0)).collect(),
+            (0..n).map(|_| rng.uniform(0.0, 1.0)).collect(),
+            (0..n).map(|_| lists[(rng.next_u64() % 5) as usize]).collect(),
+            table,
+            uids,
+            2 * n as u64 + 5,
+            7,
+            11,
+        )
+        .unwrap();
+        // A valid cache, so the appends' holder bookkeeping shows.
+        rm.largest_diameter();
+        let cuts: Vec<usize> = if sharded {
+            let mut cuts: Vec<usize> = (0..6).map(|_| (rng.next_u64() % (n as u64 + 1)) as usize).collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            cuts
+        } else {
+            (0..n).step_by([1, 7, 64, 4096][chunk]).chain([n]).collect()
+        };
+        let grid = || {
+            let params = DiffusionParams {
+                name: "s",
+                coefficient: 0.1,
+                decay: 0.0,
+                resolution: 4,
+                boundary: BoundaryCondition::Closed,
+            };
+            DiffusionGrid::new(params, Aabb::cube(10.0))
+        };
+
+        // The oracle: daughters buffered per chunk, sorted, appended.
+        let mut want = rm.clone();
+        let mut want_field = grid();
+        let (contexts, births, wrote) = {
+            let (chunks, shared) = want.behavior_chunks_at(&cuts);
+            let mut births = Vec::new();
+            let mut contexts = Vec::new();
+            let mut wrote = false;
+            for (c, mut view) in chunks.into_iter().enumerate() {
+                let mut out = Vec::new();
+                let (ec, w) = wave_chunk(&mut view, &shared, touch, Some(&mut out));
+                births.extend(out.into_iter().enumerate().map(|(k, (m, row))| ((m, c, k), row)));
+                contexts.push(ec);
+                wrote |= w;
+            }
+            (contexts, births, wrote)
+        };
+        let mut births = births;
+        births.sort_by_key(|&(key, _)| key);
+        if wrote {
+            want.invalidate_largest_diameter();
+        }
+        let divisions = births.len();
+        want.append(births.into_iter().map(|(_, row)| row));
+        ExecutionContext::merge_in_order(contexts, &mut want, std::slice::from_mut(&mut want_field));
+
+        let state = |rm: &ResourceManager, field: &DiffusionGrid| {
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (xs, ys, zs) = rm.position_columns();
+            let columns = [xs, ys, zs, rm.diameter_column(), rm.adherence_column()].map(bits);
+            let lists: Vec<Vec<u64>> = rm
+                .behaviors_column()
+                .into_iter()
+                .map(|l| l.iter().flat_map(Behavior::to_bits).collect())
+                .collect();
+            let largest = rm.largest_diameter().to_bits();
+            (
+                columns,
+                lists,
+                rm.uid_column().to_vec(),
+                [rm.next_uid(), rm.positions_epoch(), rm.attributes_epoch()],
+                (largest, rm.diameter_scan_count()),
+                field.total_mass().to_bits(),
+            )
+        };
+        let expected = state(&want, &want_field);
+
+        let in_place = || {
+            let (mut rm, mut field, mut buffer) = (rm.clone(), grid(), StepBuffer::default());
+            // A buffer a previous borrower left dirty.
+            buffer.vec3s(n).fill(Vec3::splat(f64::NAN));
+            let mut pass = rm.divisions(&cuts, &mut buffer);
+            let contexts: Vec<ExecutionContext> = {
+                let (chunks, shared) = pass.chunks();
+                chunks
+                    .into_par_iter()
+                    .map(|mut view| {
+                        let (mut ec, wrote) = wave_chunk(&mut view, &shared, touch, None);
+                        if wrote {
+                            ec.mark_diameter_write();
+                        }
+                        ec
+                    })
+                    .collect()
+            };
+            let births = pass.commit();
+            let out = ExecutionContext::merge_in_order(contexts, &mut rm, std::slice::from_mut(&mut field));
+            assert_eq!(out.divisions as usize, births);
+            (births, state(&rm, &field))
+        };
+        for workers in [1, 2, 4] {
+            let pool = ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+            let (got_births, got) = pool.install(in_place);
+            prop_assert_eq!(got_births, divisions, "{} workers", workers);
+            prop_assert!(got == expected, "{} workers: state differs from the oracle", workers);
+        }
+        let (_, got) = with_shuffled_schedule(seed, in_place);
+        prop_assert!(got == expected, "shuffled: state differs from the oracle");
     }
 }

@@ -1,13 +1,15 @@
 //! One per-agent buffer that a step's phases borrow in turn.
 //!
-//! Three phases of a host step need a buffer of plain words for the
+//! Four phases of a host step need a buffer of plain words for the
 //! length of their own call, and they never overlap: the reorder (a
 //! `u64` per agent — its key, then each column's gathered values — and
-//! the argsort's two `u32` index arrays), the birth merge (a two-word
-//! sort key per birth) and the force sweep (a `Vec3<f64>` displacement
-//! per agent). [`StepBuffer`] is that memory, held once and lent to each
-//! as the type it needs: a step holds its largest borrower's bytes, not
-//! the sum of all three.
+//! the argsort's two `u32` index arrays), a division wave (a mother uid
+//! per daughter slot the chunks may fill, then the same word and index
+//! arrays per daughter to order and append them), the CSR grid build (a
+//! `u32` voxel id per agent and a histogram per build chunk) and the force
+//! sweep (a `Vec3<f64>` displacement per agent). [`StepBuffer`] is that
+//! memory, held once and lent to each as the type it needs: a step holds
+//! its largest borrower's bytes, not the sum of all four.
 
 use bdm_math::Vec3;
 use std::mem::{align_of, size_of, size_of_val};
@@ -26,8 +28,6 @@ unsafe trait Plain: Copy {}
 
 // SAFETY: an integer accepts any bits; align 4 divides 8.
 unsafe impl Plain for u32 {}
-// SAFETY: two `u64`s: no padding, align 8, any bits.
-unsafe impl Plain for [u64; 2] {}
 // SAFETY: `Vec3` is `repr(C)` over three `f64`s: 24 bytes, no padding,
 // align 8, and every bit pattern is some `f64`.
 unsafe impl Plain for Vec3<f64> {}
@@ -77,9 +77,12 @@ impl StepBuffer {
         (words, first, second)
     }
 
-    /// `count` two-word records.
-    pub fn pairs(&mut self, count: usize) -> &mut [[u64; 2]] {
-        view(self.words(2 * count))
+    /// One `u32` per agent, then `extra` more — the sizing of the other
+    /// views, unless the extra needs more.
+    pub fn indices(&mut self, agents: usize, extra: usize) -> (&mut [u32], &mut [u32]) {
+        let len = (AGENT_WORDS * agents).max((agents + extra).div_ceil(2));
+        let (first, rest) = view(self.words(len)).split_at_mut(agents);
+        (first, &mut rest[..extra])
     }
 
     /// Heap bytes the buffer holds.
@@ -107,12 +110,14 @@ mod tests {
         assert_eq!(disp.len(), 100);
         assert_eq!(disp[33].x.to_bits(), u64::MAX);
         assert_eq!(buf.resident_bytes(), 2400);
-        // 150 birth keys fit the 300 words (word 99 is the second half
-        // of key 49); 151 grow the block.
-        assert_eq!(buf.pairs(150)[49][1], u64::MAX);
+        // The grid build's voxel ids and 500 histogram counters fit the
+        // 300 words (word 99 is counters 98 and 99); 501 grow the block.
+        let (ids, hists) = buf.indices(100, 500);
+        assert_eq!((ids.len(), hists.len()), (100, 500));
+        assert_eq!(hists[98..100], [u32::MAX; 2]);
         assert_eq!(buf.resident_bytes(), 2400);
-        assert_eq!(buf.pairs(151).len(), 151);
-        assert_eq!(buf.resident_bytes(), 2416);
-        assert!(buf.pairs(0).is_empty() && buf.vec3s(0).is_empty());
+        assert_eq!(buf.indices(100, 501).1.len(), 501);
+        assert_eq!(buf.resident_bytes(), 2408);
+        assert!(buf.indices(0, 0).0.is_empty() && buf.vec3s(0).is_empty());
     }
 }

@@ -11,6 +11,17 @@
 //! and nothing else. An attribute that owns heap (a list per agent) does
 //! not fit — intern it and store the id, as the resource manager does
 //! with behavior lists.
+//!
+//! A division wave writes its daughters straight into a column's spare
+//! capacity ([`Column::split_spare`]), each chunk of agents into its own
+//! window, and appends them afterwards in a canonical order
+//! ([`Column::append_from_spare`]) — the same gather through one word per
+//! element as [`crate::gather_words`], and no record of the daughters
+//! anywhere else.
+
+use crate::perm::{gather_with, parts, Word};
+use rayon::prelude::*;
+use std::mem::MaybeUninit;
 
 /// One agent attribute, stored contiguously for all agents.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -68,6 +79,66 @@ impl<T: Copy + Send + Sync> Column<T> {
     /// Append one agent's value.
     pub fn push(&mut self, v: T) {
         self.data.push(v);
+    }
+
+    /// The elements, and the first `additional` slots past them, reserved
+    /// first. What is written to a slot stays until the column grows or
+    /// changes length; the pages a wave never writes are never touched.
+    pub fn split_spare(&mut self, additional: usize) -> (&mut [T], &mut [MaybeUninit<T>]) {
+        self.data.reserve(additional);
+        let len = self.data.len();
+        let ptr = self.data.as_mut_ptr();
+        // SAFETY: `reserve` left room for `len + additional` elements: the
+        // first `len` are initialised and the next `additional` lie inside
+        // the allocation, so the two slices are in bounds, disjoint, and
+        // covered by the exclusive borrow of `self`.
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(ptr, len),
+                std::slice::from_raw_parts_mut(ptr.add(len).cast(), additional),
+            )
+        }
+    }
+
+    /// Append spare slot `order[k]` as element `len + k`, for every `k`, in
+    /// parallel parts ([`parts`]) through `words`, one per appended
+    /// element: the slots are read into the words first, so `order` may
+    /// name any slots, the appended ones included.
+    ///
+    /// # Safety
+    /// Every slot `order` names was written through [`Self::split_spare`]
+    /// since the column last grew or changed length.
+    ///
+    /// # Panics
+    /// When `order` and `words` differ in length, or a slot is past the
+    /// spare capacity.
+    pub unsafe fn append_from_spare(&mut self, order: &[u32], words: &mut [u64])
+    where
+        T: Word,
+    {
+        let m = order.len();
+        assert_eq!(words.len(), m, "one word per appended element");
+        let spare = self.data.spare_capacity_mut();
+        assert!(
+            m <= spare.len(),
+            "{m} elements past a spare of {}",
+            spare.len()
+        );
+        let src = &*spare;
+        // SAFETY: the caller wrote every slot `order` names (`[]` panics
+        // on one past the spare).
+        gather_with(order, words, |g| unsafe { src[g].assume_init() }.to_word());
+        let (_, len) = parts(m);
+        spare[..m]
+            .par_chunks_mut(len)
+            .zip(words.par_chunks(len))
+            .for_each(|(dst, src)| {
+                for (d, &w) in dst.iter_mut().zip(src) {
+                    d.write(T::from_word(w));
+                }
+            });
+        // SAFETY: the loop above wrote the first `m` spare slots.
+        unsafe { self.data.set_len(self.data.len() + m) };
     }
 
     /// Remove agent `i` by moving the last agent into its slot (O(1), does
@@ -206,6 +277,22 @@ mod tests {
             }
         }
         assert_eq!(c.as_slice(), &[0, 10, 20, 30, 40, 50, 60]);
+    }
+
+    #[test]
+    fn spare_slots_append_in_the_order_given() {
+        let mut c: Column<u32> = [1, 2].into_iter().collect();
+        // Slots 0, 2 and 4 written; 1 and 3 left as the gaps of a wave.
+        let (agents, spare) = c.split_spare(5);
+        assert_eq!(agents, &[1, 2]);
+        for (k, slot) in spare.iter_mut().enumerate().step_by(2) {
+            slot.write(10 + k as u32);
+        }
+        assert_eq!(c.len(), 2);
+        let mut words = [u64::MAX; 3];
+        // SAFETY: slots 4, 0 and 2 were written above.
+        unsafe { c.append_from_spare(&[4, 0, 2], &mut words) };
+        assert_eq!(c.as_slice(), &[1, 2, 14, 10, 12]);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use buffer::StepBuffer;
 pub use column::Column;
 pub use mirror::{F32Mirror, F32x4Mirror};
 pub use perm::{gather_words, parts, Permutation, Word, MAX_PARTS};
-pub use vec3col::{split_mut_at, SoaVec3, Vec3ChunkMut};
+pub use vec3col::{chunks_at, split_mut_at, SoaVec3, Vec3ChunkMut, Vec3Spare};
 
 /// Index of an agent inside the resource manager's SoA columns.
 ///

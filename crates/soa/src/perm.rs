@@ -84,12 +84,7 @@ pub fn gather_words<T: Word>(order: &[u32], col: &mut [T], words: &mut [u64]) {
     assert_eq!(words.len(), n, "one word per element");
     let (_, len) = parts(n);
     let src = &*col;
-    words.par_chunks_mut(len).enumerate().for_each(|(p, out)| {
-        let order = &order[p * len..];
-        for (w, &g) in out.iter_mut().zip(order) {
-            *w = src[g as usize].to_word();
-        }
-    });
+    gather_with(order, words, |g| src[g].to_word());
     col.par_chunks_mut(len)
         .zip(words.par_chunks(len))
         .for_each(|(dst, src)| {
@@ -97,6 +92,18 @@ pub fn gather_words<T: Word>(order: &[u32], col: &mut [T], words: &mut [u64]) {
                 *d = T::from_word(w);
             }
         });
+}
+
+/// `words[k] = read(order[k])` for every `k`, in the parallel parts of
+/// [`parts`]`(words.len())`.
+pub(crate) fn gather_with(order: &[u32], words: &mut [u64], read: impl Fn(usize) -> u64 + Sync) {
+    let (_, len) = parts(words.len());
+    words.par_chunks_mut(len).enumerate().for_each(|(p, out)| {
+        let order = &order[p * len..];
+        for (w, &g) in out.iter_mut().zip(order) {
+            *w = read(g as usize);
+        }
+    });
 }
 
 /// A permutation of `0..len`, stored in *gather* convention:

@@ -7,7 +7,9 @@
 //! (Z-order-sorted) agents issues one coalesced transaction.
 
 use crate::column::Column;
+use crate::perm::Word;
 use bdm_math::{Scalar, Vec3};
+use std::mem::MaybeUninit;
 
 /// SoA storage of one `Vec3` attribute for all agents.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -95,6 +97,29 @@ impl<R: Scalar> SoaVec3<R> {
         self.x.reserve(additional);
         self.y.reserve(additional);
         self.z.reserve(additional);
+    }
+
+    /// [`Column::split_spare`] of the three component columns: the
+    /// components, and `additional` spare slots past each.
+    pub fn split_spare(&mut self, additional: usize) -> Vec3Spare<'_, R> {
+        let [(x, sx), (y, sy), (z, sz)] =
+            [&mut self.x, &mut self.y, &mut self.z].map(|c| c.split_spare(additional));
+        ([x, y, z], [sx, sy, sz])
+    }
+
+    /// [`Column::append_from_spare`] of the three component columns.
+    ///
+    /// # Safety
+    /// Every slot `order` names was written in all three columns through
+    /// [`Self::split_spare`] since they last grew or changed length.
+    pub unsafe fn append_from_spare(&mut self, order: &[u32], words: &mut [u64])
+    where
+        R: Word,
+    {
+        for c in [&mut self.x, &mut self.y, &mut self.z] {
+            // SAFETY: forwarded contract.
+            unsafe { c.append_from_spare(order, words) };
+        }
     }
 
     /// Append one agent's vector.
@@ -189,36 +214,29 @@ impl<R: Scalar> SoaVec3<R> {
     /// non-decreasing, start at 0, and end at `len()`; window `w`
     /// covers agents `cuts[w]..cuts[w + 1]`.
     pub fn chunks_mut_at(&mut self, cuts: &[usize]) -> Vec<Vec3ChunkMut<'_, R>> {
-        let n = self.len();
-        assert_eq!(cuts.first().copied(), Some(0), "cuts must start at 0");
-        assert_eq!(cuts.last().copied(), Some(n), "cuts must end at len()");
-        assert!(
-            cuts.windows(2).all(|w| w[0] <= w[1]),
-            "cuts must be non-decreasing"
-        );
-        let (mut x, mut y, mut z) = self.as_mut_slices();
-        let mut out = Vec::with_capacity(cuts.len() - 1);
-        for w in cuts.windows(2) {
-            let len = w[1] - w[0];
-            let (xa, xb) = x.split_at_mut(len);
-            let (ya, yb) = y.split_at_mut(len);
-            let (za, zb) = z.split_at_mut(len);
-            out.push(Vec3ChunkMut {
-                x: xa,
-                y: ya,
-                z: za,
-            });
-            x = xb;
-            y = yb;
-            z = zb;
-        }
-        out
+        let (x, y, z) = self.as_mut_slices();
+        chunks_at([x, y, z], cuts)
     }
 
     /// Total bytes of the three columns (transfer-size accounting).
     pub fn bytes(&self) -> usize {
         3 * self.len() * R::BYTES
     }
+}
+
+/// What [`SoaVec3::split_spare`] returns: the `x`, `y` and `z` components,
+/// and the spare slots past each.
+pub type Vec3Spare<'a, R> = ([&'a mut [R]; 3], [&'a mut [MaybeUninit<R>]; 3]);
+
+/// [`SoaVec3::chunks_mut_at`] over three component slices of equal
+/// length.
+pub fn chunks_at<'a, R>([x, y, z]: [&'a mut [R]; 3], cuts: &[usize]) -> Vec<Vec3ChunkMut<'a, R>> {
+    let [x, y, z] = [x, y, z].map(|c| split_mut_at(c, cuts));
+    x.into_iter()
+        .zip(y)
+        .zip(z)
+        .map(|((x, y), z)| Vec3ChunkMut { x, y, z })
+        .collect()
 }
 
 /// Split a mutable slice at explicit cut points (same contract as
