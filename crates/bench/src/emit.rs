@@ -78,6 +78,8 @@ pub fn default_policy(name: &str) -> GatePolicy {
                 | "mech.lane_scratch_bytes"
                 | "mech.lane_scratches"
                 | "reorder.runs"
+                | "reorder.checks_skipped"
+                | "mech.csr_rebuild"
         )
     {
         // The checkpoint serialize/parse timings and the SIMT
@@ -103,7 +105,9 @@ pub fn default_policy(name: &str) -> GatePolicy {
         // the grid's its growth history, the lane scratches' count and
         // bytes how many workers ran sweep parts at once, and the
         // reorder's runs by outcome say why `reorder`'s wall time reads
-        // what it reads (and restart at zero on a restore).
+        // what it reads (and restart at zero on a restore), as do its
+        // scans skipped on an unchanged position stamp and the CSR
+        // rebuild's reason for the neighborhood build's.
         GatePolicy::informational()
     } else if is_exact(name) {
         GatePolicy::with_tol(0.0)
@@ -360,6 +364,9 @@ mod tests {
         assert!(!default_policy("gpu.host_s").gate);
         assert!(!default_policy("gpu.trace_accesses").gate);
         assert!(!default_policy("gpu.launches").gate);
+        assert!(!default_policy("mech.csr_rebuild").gate);
+        assert!(!default_policy("reorder.checks_skipped").gate);
+        assert!(!default_policy("reorder.runs").gate);
         assert_eq!(default_policy("scheduler.op_runs").tol, Some(0.0));
         assert_eq!(default_policy("sim.agents").tol, Some(0.0));
         assert_eq!(default_policy("mech.candidates").tol, Some(0.02));

@@ -35,6 +35,12 @@
 //! mirrors the GPU pipeline's resident grid skip and turns the common
 //! no-crossing timestep into a single read-only sweep.
 //!
+//! That sweep is still O(n). A caller that can prove the columns did not
+//! change at all since the last full build skips the call instead:
+//! [`CsrGrid::is_full_build_of`] says whether the arrays are a full build
+//! of a given geometry, and the host step pairs it with the resource
+//! manager's position stamp.
+//!
 //! # Memory
 //!
 //! The grid holds its offsets and one id per agent. A build's working
@@ -462,6 +468,21 @@ impl<R: Scalar> CsrGrid<R> {
             cursor[v as usize] += 1;
             self.cell_agents[pos as usize] = members[k];
         }
+    }
+
+    /// `true` when the arrays are those of a full build
+    /// ([`Self::rebuild_serial`] / [`Self::rebuild_parallel`], skipped or
+    /// not) over exactly this `space` and `box_length`, compared by bit
+    /// pattern. A member-subset build never matches. Together with a
+    /// caller's proof that the columns are the ones that build read (the
+    /// host step keys it on the resource manager's position stamp), this
+    /// is what a rebuild would conclude without pass 1 or the slot check.
+    pub fn is_full_build_of(&self, space: Aabb<R>, box_length: R) -> bool {
+        let bits = |v: Vec3<R>| [v.x, v.y, v.z].map(|c| c.to_f64().to_bits());
+        let same = |a: &Aabb<R>| bits(a.min) == bits(space.min) && bits(a.max) == bits(space.max);
+        self.built_sig.is_some()
+            && self.geom.box_length().to_f64().to_bits() == box_length.to_f64().to_bits()
+            && same(self.geom.space())
     }
 
     /// The shared voxel geometry.

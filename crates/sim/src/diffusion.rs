@@ -63,6 +63,43 @@ use crate::param::Precision;
 use bdm_math::simd::LANES;
 use bdm_math::{Aabb, Scalar, Vec3};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Bytes between two lattice writes of [`fault_in`]: the page size, or a
+/// divisor of it.
+const PAGE_BYTES: usize = 4096;
+
+// `fault_in` addresses an `f64` as an `AtomicU64`.
+const _: () = assert!(std::mem::align_of::<f64>() >= std::mem::align_of::<AtomicU64>());
+
+/// Write-fault every page of every lattice that has not been faulted yet,
+/// forked over the grids; the step calls it before its first operation.
+///
+/// A new lattice is zero pages the allocator has not mapped yet. Left to
+/// itself, the first step's chemotaxis maps them by *reading* the shared
+/// zero page, and the sweep then copy-on-write faults each one again.
+/// One write per page first makes that one fault, taken in parallel.
+/// The write is a `lock cmpxchg` of 0 for 0 on one word per page: it
+/// changes no value (a word that is not 0 stays what it is), yet it is a
+/// store to the page. An idempotent read-modify-write (`fetch_or(0)`)
+/// would not do: it compiles to a fenced load.
+pub(crate) fn fault_in(grids: &mut [DiffusionGrid]) {
+    if grids.iter().all(|g| g.faulted) {
+        return;
+    }
+    grids.par_iter_mut().for_each(|g| {
+        if !g.faulted {
+            for word in g.c.iter_mut().step_by(PAGE_BYTES / 8) {
+                // SAFETY: `word` is a live, exclusively borrowed `f64`,
+                // aligned for an `AtomicU64` (asserted above), and no
+                // other access to it exists while the atomic view does.
+                let word = unsafe { AtomicU64::from_ptr((word as *mut f64).cast()) };
+                let _ = word.compare_exchange(0, 0, Ordering::Relaxed, Ordering::Relaxed);
+            }
+            g.faulted = true;
+        }
+    });
+}
 
 /// Boundary handling of the diffusion grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,6 +371,8 @@ pub struct DiffusionGrid {
     oracle: Vec<f64>,
     /// Cumulative solver telemetry (derived state).
     stats: DiffusionStats,
+    /// `true` once [`fault_in`] has written every page of `c`.
+    faulted: bool,
 }
 
 impl DiffusionGrid {
@@ -364,6 +403,7 @@ impl DiffusionGrid {
             scratch32: Vec::new(),
             oracle: Vec::new(),
             stats: DiffusionStats::default(),
+            faulted: false,
         }
     }
 

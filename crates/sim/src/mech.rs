@@ -221,6 +221,44 @@ pub struct MechWork {
     /// agent changed voxel (incremental maintenance); `0` on every
     /// rebuild and on the non-CSR paths.
     pub csr_rebuilds_skipped: u64,
+    /// Why the global CSR grid was or was not rebuilt this step; `None`
+    /// off the unsharded CSR path.
+    pub csr_rebuild: Option<CsrRebuild>,
+}
+
+/// Why the global CSR grid was or was not rebuilt (the
+/// `mech.csr_rebuild{reason}` label).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CsrRebuild {
+    /// Skipped without a look at the columns: the position stamp and the
+    /// population equal those of the grid's last full build of the same
+    /// geometry.
+    Unchanged,
+    /// Skipped after the O(n) check: every agent is still in its voxel.
+    Held,
+    /// Rebuilt: the grid was not a full build of this step's geometry
+    /// (the first step, or the interaction radius changed).
+    Geometry,
+    /// Rebuilt: same geometry, but an agent changed voxel or the
+    /// population changed.
+    Moved,
+}
+
+impl CsrRebuild {
+    /// The metric label.
+    pub fn label(self) -> &'static str {
+        match self {
+            CsrRebuild::Unchanged => "unchanged",
+            CsrRebuild::Held => "held",
+            CsrRebuild::Geometry => "geometry",
+            CsrRebuild::Moved => "moved",
+        }
+    }
+
+    /// `true` when the grid kept its arrays.
+    fn skipped(self) -> bool {
+        matches!(self, CsrRebuild::Unchanged | CsrRebuild::Held)
+    }
 }
 
 impl MechWork {
@@ -266,6 +304,10 @@ impl MechWork {
             &labels,
             self.csr_rebuilds_skipped as f64,
         );
+        if let Some(reason) = self.csr_rebuild {
+            let labels = [("env", env), ("reason", reason.label())];
+            reg.inc_counter("mech.csr_rebuild", &labels, 1.0);
+        }
         if let Some(gap) = self.index_gap {
             reg.set_gauge("mech.csr_index_gap", &labels, gap);
         }
@@ -319,21 +361,26 @@ pub fn interaction_radius(rm: &ResourceManager, params: &SimParams) -> f64 {
 /// into, plus the CSR path's grid arrays, f32 mirrors and lane scratch,
 /// all persist across steps, so a steady-state CSR step allocates
 /// nothing. The [`crate::Simulation`] owns one of these for its
-/// lifetime; one-shot callers can pass a fresh default.
+/// lifetime; one-shot callers can pass a fresh default. The grid and the
+/// mirrors are keyed on the resource manager's process-unique stamps, so
+/// a scratch passed a different manager (a clone, a restored one) never
+/// reuses what it derived from another.
 #[derive(Default)]
 pub struct MechScratch {
     /// Global CSR grid, rebuilt in place every unsharded step.
     pub(crate) csr: Option<CsrGrid<f64>>,
+    /// `(position stamp, agents)` the global grid was last built or
+    /// verified against: while both hold and the grid is a full build of
+    /// the step's geometry, the rebuild is skipped without reading the
+    /// columns.
+    csr_key: Option<(u64, usize)>,
     /// The step buffer: the force sweep's displacements (every CPU path,
     /// sharded or not), lent before the sweep to the global CSR build (its
     /// voxel ids and histograms), and between sweeps to the reorder — the
     /// shard sort's included — and to a division wave.
     pub(crate) buffer: StepBuffer,
     /// `f32` shadows of the hot columns for the mixed-precision pass,
-    /// refreshed lazily on the resource manager's dirty epochs. Epochs
-    /// are compared by value, so one scratch must stay with one
-    /// simulation for its lifetime (the `Simulation` owns its scratch,
-    /// which enforces this).
+    /// refreshed lazily on the resource manager's stamps.
     mirrors: SimdMirrors,
     /// The CSR bodies' stage and pass buffers: a pool a sweep part takes
     /// one from and returns it to, so it holds one per worker that ran a
@@ -359,7 +406,7 @@ impl MechScratch {
 /// `[x, y, z, diameter]` record mirror (the per-candidate gather is one
 /// 16-byte load instead of four scattered column touches — the CPU
 /// `float4` idiom of the paper's GPU kernels), plus a plain adherence
-/// column read once per agent. The packed record spans two dirty-epoch
+/// column read once per agent. The packed record spans two stamp
 /// families (positions and attributes) and re-converts whole when either
 /// moves.
 #[derive(Default)]
@@ -370,15 +417,16 @@ struct SimdMirrors {
 
 impl SimdMirrors {
     /// Bring every mirror up to date; returns total component
-    /// conversions (0 when all epochs are unchanged — e.g. a frozen
-    /// scene).
+    /// conversions: 0 when both stamps are those of the last refresh —
+    /// a frozen scene's every step after the first, since a behaviors or
+    /// bound-space pass that writes nothing leaves the position stamp
+    /// alone.
     fn refresh(&mut self, rm: &ResourceManager) -> u64 {
         let (xs, ys, zs) = rm.position_columns();
-        let pos_epoch = rm.positions_epoch();
-        let attr_epoch = rm.attributes_epoch();
+        let (pos, attr) = (rm.position_stamp(), rm.attribute_stamp());
         self.posd
-            .refresh(pos_epoch, attr_epoch, xs, ys, zs, rm.diameter_column())
-            + self.adh.refresh(attr_epoch, rm.adherence_column())
+            .refresh(pos, attr, xs, ys, zs, rm.diameter_column())
+            + self.adh.refresh(attr, rm.adherence_column())
     }
 }
 
@@ -1552,26 +1600,43 @@ fn cpu_grid_csr_step(
     // takes for its displacements. The grid leaves its slot for the sweep
     // (which borrows the rest of the scratch) and returns to it
     // afterwards.
+    //
+    // A grid built (or verified) against this very position stamp and
+    // population, on this geometry, is what the rebuild would conclude
+    // without reading a column.
     let t0 = Instant::now();
     let (xs, ys, zs) = rm.position_columns();
-    let mut grid = scratch
-        .csr
-        .take()
-        .unwrap_or_else(|| empty_csr(space, radius));
-    let buffer = &mut scratch.buffer;
-    let skipped = if parallel {
-        grid.rebuild_parallel(xs, ys, zs, space, radius, buffer)
+    let kept = scratch.csr.take();
+    let same_geometry = kept
+        .as_ref()
+        .is_some_and(|grid| grid.is_full_build_of(space, radius));
+    let mut grid = kept.unwrap_or_else(|| empty_csr(space, radius));
+    let key = (rm.position_stamp(), n);
+    let reason = if same_geometry && scratch.csr_key == Some(key) {
+        CsrRebuild::Unchanged
     } else {
-        grid.rebuild_serial(xs, ys, zs, space, radius, buffer)
+        let buffer = &mut scratch.buffer;
+        let held = if parallel {
+            grid.rebuild_parallel(xs, ys, zs, space, radius, buffer)
+        } else {
+            grid.rebuild_serial(xs, ys, zs, space, radius, buffer)
+        };
+        match (held, same_geometry) {
+            (true, _) => CsrRebuild::Held,
+            (false, true) => CsrRebuild::Moved,
+            (false, false) => CsrRebuild::Geometry,
+        }
     };
+    scratch.csr_key = Some(key);
     let build = (
-        csr_build_phase(n, skipped, parallel),
+        csr_build_phase(n, reason.skipped(), parallel),
         t0.elapsed().as_secs_f64(),
     );
 
     let parts = CsrParts::Global(&grid);
     let mut work = csr_sweep(rm, params, scratch, vec![build], parts, true);
-    work.csr_rebuilds_skipped = skipped as u64;
+    work.csr_rebuilds_skipped = reason.skipped() as u64;
+    work.csr_rebuild = Some(reason);
     scratch.csr = Some(grid);
     work
 }
@@ -2872,5 +2937,256 @@ mod tests {
             1,
             "tie-deaths must not degenerate into per-step column scans"
         );
+    }
+
+    /// What a position stamp promises: the positions' bits, the uids and
+    /// the length.
+    type StampedState = (Vec<u64>, Vec<u64>);
+
+    fn stamped_state(rm: &ResourceManager) -> StampedState {
+        let (xs, ys, zs) = rm.position_columns();
+        let bits = xs.iter().chain(ys).chain(zs).map(|v| v.to_bits());
+        (bits.collect(), rm.uid_column().to_vec())
+    }
+
+    /// One mechanical step of `rm` through `scratch`, checked against the
+    /// full checks it may skip: a grid kept unread equals a fresh
+    /// parallel build of the columns the step read, and the `f32` mirrors
+    /// equal a fresh conversion of them, whether they re-converted or not.
+    fn checked_mech_step(
+        rm: &mut ResourceManager,
+        params: &SimParams,
+        parallel: bool,
+        scratch: &mut MechScratch,
+    ) -> MechWork {
+        let before = rm.clone();
+        let env = EnvironmentKind::UniformGrid {
+            layout: GridLayout::Csr,
+            parallel,
+        };
+        let work = mechanical_step_with_scratch(rm, params, &env, None, scratch);
+        let (xs, ys, zs) = before.position_columns();
+        let radius = interaction_radius(&before, params);
+        let fresh = CsrGrid::build_parallel(xs, ys, zs, params.space, radius);
+        let grid = scratch.csr.as_ref().expect("a CSR step keeps its grid");
+        assert_eq!(grid.cell_starts(), fresh.cell_starts());
+        assert_eq!(grid.cell_agents(), fresh.cell_agents());
+        let d = before.diameter_column();
+        let posd: Vec<[f32; 4]> = (0..before.len())
+            .map(|i| [xs[i], ys[i], zs[i], d[i]].map(|v| v as f32))
+            .collect();
+        assert_eq!(scratch.mirrors.posd.as_slice(), &posd[..]);
+        let adh: Vec<f32> = before
+            .adherence_column()
+            .iter()
+            .map(|&v| v as f32)
+            .collect();
+        assert_eq!(scratch.mirrors.adh.as_slice(), &adh[..]);
+        work
+    }
+
+    /// Random mutation sequences against the stamp: whenever a stamp
+    /// value recurs, the columns it keys are bit-identical; every skip
+    /// (grid, mirrors, reorder scan) agrees with the check it skipped;
+    /// and a scratch or a reorder verdict carried to another manager (a
+    /// clone, a restored one) never skips. Returns how many grid,
+    /// mirror and reorder-scan skips the sequence took.
+    fn stamp_oracle_case(seed: u64, ops: &[(u8, u64)]) -> [u32; 3] {
+        use crate::behavior::Behavior;
+        use crate::operation::ReorderState;
+        use crate::rm::AgentRow;
+        use bdm_morton::{CellCurve, Curve};
+        use bdm_soa::{Permutation, StepBuffer};
+
+        let mut params = SimParams::cube(6.0)
+            .with_precision(Precision::F32Simd)
+            .with_reorder(1);
+        let moving = params.mech.max_displacement;
+        let divides = Behavior::GrowthDivision {
+            growth_rate: 0.0,
+            division_threshold: 1e9,
+        };
+        let mut rm = random_population(40 + (seed % 60) as usize, 5.5, seed);
+        let mut scratch = MechScratch::default();
+        let mut reorder = ReorderState::default();
+        let mut buffer = StepBuffer::default();
+        let mut seen: std::collections::HashMap<u64, StampedState> = Default::default();
+        let mut skips = [0u32; 3];
+        for &(op, arg) in ops {
+            let n = rm.len();
+            let i = (arg % n as u64) as usize;
+            let mut r = SplitMix64::new(arg);
+            let point = |r: &mut SplitMix64| {
+                Vec3::new(
+                    r.uniform(-5.5, 5.5),
+                    r.uniform(-5.5, 5.5),
+                    r.uniform(-5.5, 5.5),
+                )
+            };
+            match op {
+                0 => {
+                    let cell = CellBuilder::new(point(&mut r)).diameter(2.0);
+                    let cell = if arg % 2 == 0 {
+                        cell.behavior(divides)
+                    } else {
+                        cell
+                    };
+                    rm.add(cell);
+                }
+                1 if n > 8 => {
+                    rm.remove(i);
+                }
+                2 => {
+                    let p = if arg % 2 == 0 {
+                        rm.position(i)
+                    } else {
+                        point(&mut r)
+                    };
+                    rm.set_position(i, p);
+                }
+                3 => {
+                    let d = if arg % 2 == 0 {
+                        Vec3::zero()
+                    } else {
+                        point(&mut r) * 0.1
+                    };
+                    rm.translate(i, d);
+                }
+                4 | 5 => {
+                    // Chunk views; with op 5 one of them writes.
+                    let step = 1 + (arg % 17) as usize;
+                    let cuts: Vec<usize> = (0..n).step_by(step).chain([n]).collect();
+                    let (chunks, _) = rm.behavior_chunks_at(&cuts);
+                    for mut chunk in chunks {
+                        let k = i.wrapping_sub(chunk.start());
+                        if op == 5 && k < chunk.len() {
+                            let p = chunk.position(k);
+                            chunk.set_position(k, p + Vec3::new(0.0, 0.0, 0.01));
+                        }
+                    }
+                    let _ = rm.behavior_chunks(1 + i);
+                }
+                6 => {
+                    // A division wave: every dividing agent whose roll
+                    // says so gets a daughter.
+                    let cuts: Vec<usize> = (0..n).step_by(7).chain([n]).collect();
+                    let mut divisions = rm.divisions(&cuts, &mut buffer);
+                    let (chunks, shared) = divisions.chunks();
+                    for mut chunk in chunks {
+                        for k in 0..chunk.len() {
+                            let g = chunk.start() + k;
+                            let rolls = shared.uid(g).wrapping_mul(arg | 1) % 3 == 0;
+                            if shared.behaviors(g).contains(&divides) && rolls {
+                                let row = AgentRow {
+                                    position: chunk.position(k) + Vec3::new(0.5, 0.0, 0.0),
+                                    diameter: chunk.diameter(k),
+                                    adherence: shared.adherence(g),
+                                    behaviors: shared.behavior_id(g),
+                                };
+                                chunk.add_daughter(shared.uid(g), row);
+                            }
+                        }
+                    }
+                    divisions.commit();
+                }
+                7 => {
+                    let mut order: Vec<u32> = (0..n as u32).collect();
+                    for k in (1..n).rev() {
+                        order.swap(k, r.below(k as u64 + 1) as usize);
+                    }
+                    rm.apply_permutation(&Permutation::new(order), &mut buffer);
+                }
+                8 => {
+                    let curve = [Curve::ZOrder, Curve::Hilbert][(arg % 2) as usize];
+                    let radius = interaction_radius(&rm, &params);
+                    rm.sort_storage(&params.space, radius, curve, &mut buffer, None);
+                }
+                9 => {
+                    let mut disp = vec![Vec3::zero(); n];
+                    if arg % 2 == 1 {
+                        disp[i] = Vec3::new(0.0, 0.02, 0.0);
+                    }
+                    // SAFETY: no index map — entry `k` moves agent `k`.
+                    unsafe { rm.translate_each(&disp, None) };
+                }
+                10 => rm = rm.clone(),
+                11 => {
+                    let mut sim = crate::Simulation::new(params.clone());
+                    *sim.rm_mut() = std::mem::take(&mut rm);
+                    let mut bytes = Vec::new();
+                    sim.checkpoint(&mut bytes).expect("checkpoint to Vec");
+                    let mut back = crate::Simulation::restore(&mut bytes.as_slice());
+                    rm = std::mem::take(back.as_mut().expect("restore").rm_mut());
+                }
+                12 | 13 => {
+                    params.mech.max_displacement = if op == 12 { 0.0 } else { moving };
+                    let work = checked_mech_step(&mut rm, &params, arg % 2 == 0, &mut scratch);
+                    skips[0] += (work.csr_rebuild == Some(CsrRebuild::Unchanged)) as u32;
+                    skips[1] += (work.simd.unwrap().refresh_copies == 0) as u32;
+                }
+                14 => {
+                    let skipped = reorder.checks_skipped;
+                    reorder.run(&mut rm, &params, &mut buffer);
+                    let radius = interaction_radius(&rm, &params);
+                    let cells = CellCurve::new(&params.space, radius, params.reorder.curve);
+                    let (xs, ys, zs) = rm.position_columns();
+                    assert!(rm.len() < 2 || cells.is_sorted_with(xs, ys, zs, rm.uid_column()));
+                    skips[2] += (reorder.checks_skipped > skipped) as u32;
+                }
+                15 => {
+                    // The scratch and the verdict on another manager with
+                    // the very same columns: nothing carries over.
+                    let mut other = rm.clone();
+                    let skipped = reorder.checks_skipped;
+                    reorder.run(&mut other, &params, &mut buffer);
+                    assert_eq!(reorder.checks_skipped, skipped);
+                    params.mech.max_displacement = 0.0;
+                    let work = checked_mech_step(&mut other, &params, true, &mut scratch);
+                    assert_ne!(work.csr_rebuild, Some(CsrRebuild::Unchanged));
+                    assert_eq!(work.simd.unwrap().refresh_copies, 5 * other.len() as u64);
+                }
+                _ => {}
+            }
+            let state = stamped_state(&rm);
+            let seen = seen
+                .entry(rm.position_stamp())
+                .or_insert_with(|| state.clone());
+            assert_eq!(
+                *seen, state,
+                "op {op}: an unchanged stamp keys unchanged columns"
+            );
+        }
+        skips
+    }
+
+    #[test]
+    fn the_stamp_oracle_reaches_every_skip() {
+        // Reorder, reorder, step, step: the second reorder skips its
+        // scan, the second step its rebuild and its mirror copies. Then a
+        // writing chunk view, a clone and a restore each end the streak.
+        let (reorder, step) = ((14, 0), (12, 0));
+        let streak = [reorder, reorder, step, step];
+        assert_eq!(stamp_oracle_case(7, &streak), [1, 1, 1]);
+        for cut in [(5, 3), (10, 0), (11, 0)] {
+            let ops = [reorder, step, cut, reorder, step];
+            assert_eq!(stamp_oracle_case(7, &ops), [0, 0, 0], "{cut:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The position stamp's skips against the full checks they
+        /// replace, over random sequences of adds, removes, sets,
+        /// translates, chunk views that do and do not write, division
+        /// waves, permutations, sorts, clones, restores, mechanical steps
+        /// and reorders.
+        #[test]
+        fn position_stamp_skips_match_the_full_checks(
+            seed in 0u64..10_000,
+            ops in proptest::collection::vec((0u8..16, proptest::prelude::any::<u64>()), 1..48),
+        ) {
+            stamp_oracle_case(seed, &ops);
+        }
     }
 }

@@ -30,6 +30,8 @@ use crate::shard::ShardedEnvironment;
 use bdm_device::cpu::Phase;
 use bdm_gpu::pipeline::MechanicalPipeline;
 use bdm_math::{SplitMix64, Vec3};
+use bdm_morton::Curve;
+use bdm_soa::StepBuffer;
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -134,30 +136,41 @@ pub fn wall_record(name: &str, wall_s: f64) -> OpRecord {
 /// merges in [`crate::exec`], enabling the reorder cannot change any
 /// trajectory (pinned by the purity proptests).
 ///
+/// A run that finds the resource manager's position stamp, population,
+/// radius and curve as the last run that left storage sorted skips the
+/// sortedness scan: the columns it would read are bit-identical, so the
+/// scan would find them sorted again. Such a run counts as `sorted`.
+///
 /// It holds no memory of its own: its keys, gather words and index arrays
 /// borrow the step buffer the force sweep writes its displacements into
-/// ([`MechScratch`]). Its run counts live in the [`crate::Simulation`]
-/// ([`ReorderState`]), where `Simulation::metrics` reads them.
+/// ([`MechScratch`]). Its run counts and its last sorted key live in the
+/// [`crate::Simulation`] ([`ReorderState`]), where `Simulation::metrics`
+/// reads them.
 #[derive(Debug, Default)]
 pub struct ReorderOp;
 
 /// How many of the reorder operation's runs found storage sorted and how
-/// many gathered.
+/// many gathered, how many of the sorted ones skipped the scan, and what
+/// the last run that left storage sorted saw.
 #[derive(Debug, Default)]
 pub(crate) struct ReorderState {
     pub(crate) sorted: u64,
     pub(crate) gathered: u64,
+    pub(crate) checks_skipped: u64,
+    sorted_key: Option<SortedKey>,
 }
 
-impl Operation for ReorderOp {
-    fn name(&self) -> &str {
-        "reorder"
-    }
-
-    fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
-        let t = Instant::now();
-        let n = ctx.rm.len();
-        let mut moved = 0u64;
+impl ReorderState {
+    /// One reorder of `rm`'s storage; returns how many agents were
+    /// gathered, and counts the run.
+    pub(crate) fn run(
+        &mut self,
+        rm: &mut ResourceManager,
+        params: &SimParams,
+        buffer: &mut StepBuffer,
+    ) -> u64 {
+        let n = rm.len();
+        let mut moved = 0;
         if n > 1 {
             // Quantize at the cell edge the uniform grid uses, with the
             // same dims clamp, so "same key" == "same grid voxel" — of a
@@ -169,20 +182,50 @@ impl Operation for ReorderOp {
             // storage (0.08–0.10 after a division wave appends daughters).
             // The sort buys gather locality; the CSR sweep takes its
             // voxel grouping from the grid itself (`mech::VoxelGroups`).
-            let radius = mech::interaction_radius(ctx.rm, ctx.params);
-            moved = ctx.rm.sort_storage(
-                &ctx.params.space,
-                radius,
-                ctx.params.reorder.curve,
-                &mut ctx.mech_scratch.buffer,
-                None,
-            );
+            let radius = mech::interaction_radius(rm, params);
+            let curve = params.reorder.curve;
+            let key = |rm: &ResourceManager| SortedKey {
+                stamp: rm.position_stamp(),
+                agents: n,
+                radius_bits: radius.to_bits(),
+                curve,
+            };
+            if self.sorted_key == Some(key(rm)) {
+                self.checks_skipped += 1;
+            } else {
+                moved = rm.sort_storage(&params.space, radius, curve, buffer, None);
+                self.sorted_key = Some(key(rm));
+            }
         }
         if moved == 0 {
-            ctx.reorder.sorted += 1;
+            self.sorted += 1;
         } else {
-            ctx.reorder.gathered += 1;
+            self.gathered += 1;
         }
+        moved
+    }
+}
+
+/// The inputs of a sort that left storage sorted: equal inputs, equal
+/// verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SortedKey {
+    stamp: u64,
+    agents: usize,
+    radius_bits: u64,
+    curve: Curve,
+}
+
+impl Operation for ReorderOp {
+    fn name(&self) -> &str {
+        "reorder"
+    }
+
+    fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
+        let t = Instant::now();
+        let n = ctx.rm.len();
+        let buffer = &mut ctx.mech_scratch.buffer;
+        let moved = ctx.reorder.run(ctx.rm, ctx.params, buffer);
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),
@@ -448,16 +491,26 @@ impl Operation for BoundSpaceOp {
         let n = ctx.rm.len();
         let space = ctx.params.space;
         let clamp_chunk = move |mut chunk: AgentChunkMut<'_>| -> u64 {
-            let mut clamped = 0u64;
-            for k in 0..chunk.len() {
-                let p = chunk.position(k);
-                let q = space.clamp_point(p);
-                if q != p {
-                    chunk.set_position(k, q);
-                    clamped += 1;
+            // Most chunks have nothing to clamp. Count first, in a loop
+            // that writes nothing and vectorizes; the writing loop below
+            // cannot (a view's first position write marks the position
+            // stamp), so it runs only where some agent is outside.
+            let outside = (0..chunk.len())
+                .filter(|&k| {
+                    let p = chunk.position(k);
+                    space.clamp_point(p) != p
+                })
+                .count();
+            if outside > 0 {
+                for k in 0..chunk.len() {
+                    let p = chunk.position(k);
+                    let q = space.clamp_point(p);
+                    if q != p {
+                        chunk.set_position(k, q);
+                    }
                 }
             }
-            clamped
+            outside as u64
         };
         let cuts = ctx.agent_cuts();
         let (chunks, _shared) = ctx.rm.behavior_chunks_at(&cuts);

@@ -37,6 +37,14 @@
 //! ([`AgentChunkMut::add_daughter`]), and [`Divisions::commit`] gathers
 //! them into place in mother-uid order through the step buffer — the
 //! daughters exist nowhere but in the columns.
+//!
+//! Two kinds of change counter sit beside the columns. The *dirty
+//! epochs* tick conservatively (every hand-out of raw chunk views ticks
+//! the position epoch) and are part of the checkpoint. The *stamps*
+//! ([`ResourceManager::position_stamp`]) move only on real writes and are
+//! drawn from one process-wide counter, so a stamp that did not move
+//! proves the columns did not change: the reorder's sortedness scan, the
+//! CSR rebuild and the `f32` mirrors skip on it.
 
 use crate::behavior::Behavior;
 use crate::cell::CellBuilder;
@@ -83,6 +91,9 @@ pub struct BehaviorTable {
     /// Per list, its [`Behavior::GrowthDivision`] entries: how many
     /// daughters an agent carrying it may have in one step.
     divisions: Vec<u32>,
+    /// One past the largest substance index any list names (0 when none
+    /// does): how many diffusion grids a step over these lists needs.
+    substances: usize,
 }
 
 impl Default for BehaviorTable {
@@ -95,6 +106,7 @@ impl Default for BehaviorTable {
             key: Vec::new(),
             last: 0,
             divisions: vec![0],
+            substances: 0,
         }
     }
 }
@@ -143,6 +155,13 @@ impl BehaviorTable {
                 let divides = |b: &&Behavior| matches!(b, Behavior::GrowthDivision { .. });
                 self.divisions
                     .push(list.iter().filter(divides).count() as u32);
+                for b in list {
+                    if let Behavior::Chemotaxis { substance, .. }
+                    | Behavior::Secretion { substance, .. } = *b
+                    {
+                        self.substances = self.substances.max(substance + 1);
+                    }
+                }
                 self.index.insert(self.key.clone(), id);
                 id
             }
@@ -279,6 +298,69 @@ impl Clone for MaxDiameterCache {
     }
 }
 
+/// Where every [`Stamp`] value comes from: one process-wide counter, so
+/// no two managers — a clone and its original, a restored manager and
+/// the one it was saved from — ever hand out the same value.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// A process-unique key of one column family's current contents: two
+/// reads return the same value exactly when no write reached the family
+/// in between, so a derived copy (a grid, a mirror, a sortedness
+/// verdict) keyed on it is current when the key matches — whichever
+/// manager it was built from. Unlike the dirty epochs it is not
+/// serialized and moves only on real writes, not on every hand-out of
+/// raw views.
+///
+/// Stored as one word: [`Self::CHANGED`] after a write, otherwise the
+/// value the last read drew. A write is a plain store (through `&mut`,
+/// or from a chunk view through `&`), and the next read draws a fresh
+/// value; a new or cloned stamp starts changed.
+#[derive(Debug)]
+struct Stamp(AtomicU64);
+
+impl Stamp {
+    /// "Written since the last read": no value is ever drawn as 0.
+    const CHANGED: u64 = 0;
+
+    /// The family changed.
+    fn touch(&mut self) {
+        *self.0.get_mut() = Self::CHANGED;
+    }
+
+    /// The family changed through a chunk view, which holds `&self`.
+    fn mark(&self) {
+        self.0.store(Self::CHANGED, Ordering::Relaxed);
+    }
+
+    /// The current value: the last one drawn, or a fresh one after a
+    /// write (two racing readers agree on whichever draw lands first).
+    fn get(&self) -> u64 {
+        let v = self.0.load(Ordering::Relaxed);
+        if v != Self::CHANGED {
+            return v;
+        }
+        let fresh = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        let (changed, relaxed) = (Self::CHANGED, Ordering::Relaxed);
+        match self.0.compare_exchange(changed, fresh, relaxed, relaxed) {
+            Ok(_) => fresh,
+            Err(drawn) => drawn,
+        }
+    }
+}
+
+impl Default for Stamp {
+    fn default() -> Self {
+        Self(AtomicU64::new(Self::CHANGED))
+    }
+}
+
+impl Clone for Stamp {
+    /// A copy is a different manager: it draws its own value.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// SoA storage of the whole agent population (precision: `f64`,
 /// BioDynaMo's storage default; GPU versions narrow on upload).
 #[derive(Debug, Clone, Default)]
@@ -294,14 +376,19 @@ pub struct ResourceManager {
     next_uid: u64,
     largest: MaxDiameterCache,
     /// Dirty epoch of the position columns: bumped by every mutation that
-    /// can change any stored coordinate (or the column length/order).
-    /// Consumers holding derived copies — the mechanical pass's `f32`
-    /// mirrors — compare epochs instead of data to decide whether to
-    /// re-convert (see `bdm_soa::F32Mirror`).
+    /// can change any stored coordinate (or the column length/order), and
+    /// conservatively by every hand-out of raw chunk views, written or
+    /// not. Checkpointed verbatim; derived copies key on `pos_stamp`.
     pos_epoch: u64,
     /// Dirty epoch of the per-agent attribute columns (diameters,
     /// adherences), same contract as `pos_epoch`.
     attr_epoch: u64,
+    /// Position stamp: moves exactly when a stored coordinate, the
+    /// population or its storage order changes (see
+    /// [`Self::position_stamp`]).
+    pos_stamp: Stamp,
+    /// Attribute stamp: moves wherever `attr_epoch` ticks.
+    attr_stamp: Stamp,
 }
 
 impl ResourceManager {
@@ -349,6 +436,10 @@ impl ResourceManager {
         self.uids.reserve(n);
         self.pos_epoch += n as u64;
         self.attr_epoch += n as u64;
+        if n > 0 {
+            self.pos_stamp.touch();
+            self.attr_stamp.touch();
+        }
         let lists = self.table.lists();
         for row in rows {
             let id = row.behaviors;
@@ -378,6 +469,8 @@ impl ResourceManager {
         let last = self.len() - 1;
         self.pos_epoch += 1;
         self.attr_epoch += 1;
+        self.pos_stamp.touch();
+        self.attr_stamp.touch();
         self.positions.swap_remove(i);
         let d = self.diameters.swap_remove(i);
         // The removed agent may have been a maximum holder; only the last
@@ -416,6 +509,8 @@ impl ResourceManager {
         // column even though the multiset of agents is unchanged.
         self.pos_epoch += 1;
         self.attr_epoch += 1;
+        self.pos_stamp.touch();
+        self.attr_stamp.touch();
         let (xs, ys, zs) = self.positions.as_mut_slices();
         for col in [xs, ys, zs] {
             gather_words(order, col, words);
@@ -477,6 +572,7 @@ impl ResourceManager {
     #[inline]
     pub fn set_position(&mut self, i: usize, p: Vec3<f64>) {
         self.pos_epoch += 1;
+        self.pos_stamp.touch();
         self.positions.set(i, p);
     }
 
@@ -484,6 +580,7 @@ impl ResourceManager {
     #[inline]
     pub fn translate(&mut self, i: usize, delta: Vec3<f64>) {
         self.pos_epoch += 1;
+        self.pos_stamp.touch();
         self.positions.add_assign(i, delta);
     }
 
@@ -497,6 +594,7 @@ impl ResourceManager {
     #[inline]
     pub fn set_diameter(&mut self, i: usize, d: f64) {
         self.attr_epoch += 1;
+        self.attr_stamp.touch();
         if let Some(cur) = self.largest.get() {
             let old = *self.diameters.get(i);
             if d > cur {
@@ -573,6 +671,7 @@ impl ResourceManager {
     /// through the raw chunk views of [`ResourceManager::behavior_chunks`].
     pub fn invalidate_largest_diameter(&mut self) {
         self.attr_epoch += 1;
+        self.attr_stamp.touch();
         self.largest.invalidate();
     }
 
@@ -583,9 +682,11 @@ impl ResourceManager {
     }
 
     /// Dirty epoch of the position columns: changes whenever any stored
-    /// coordinate (or the column length/order) may have changed. Pass to
-    /// `bdm_soa::F32Mirror::refresh` to keep a cast copy current without
-    /// re-converting unchanged data.
+    /// coordinate (or the column length/order) may have changed — also on
+    /// every hand-out of raw chunk views, whether or not a view writes.
+    /// It is part of the checkpoint (restored verbatim, so a re-checkpoint
+    /// is byte-identical) and only ever grows; a derived copy keys on
+    /// [`Self::position_stamp`] instead.
     pub fn positions_epoch(&self) -> u64 {
         self.pos_epoch
     }
@@ -594,6 +695,28 @@ impl ResourceManager {
     /// same contract as [`ResourceManager::positions_epoch`].
     pub fn attributes_epoch(&self) -> u64 {
         self.attr_epoch
+    }
+
+    /// The position stamp: a process-unique value that moves exactly when
+    /// a stored coordinate, the population or its storage order changes —
+    /// `append` / `add` of at least one row, `remove`, every gather
+    /// (`apply_permutation`, a `sort_storage` that gathers), `set_position`,
+    /// `translate`, a `translate_each` with a non-zero displacement, a
+    /// `Divisions::commit` with births, and a chunk view that called
+    /// `set_position` or `translate`. Handing out views that write nothing
+    /// leaves it alone. A new, cloned or restored manager draws its own,
+    /// so equal stamps mean the same manager with bit-identical positions,
+    /// uids and length: what the reorder's sortedness verdict, the CSR
+    /// grid and the `f32` position mirror are keyed on. Not checkpointed.
+    pub fn position_stamp(&self) -> u64 {
+        self.pos_stamp.get()
+    }
+
+    /// The attribute stamp: [`Self::position_stamp`]'s contract for the
+    /// diameter and adherence columns, moving wherever
+    /// [`Self::attributes_epoch`] ticks.
+    pub fn attribute_stamp(&self) -> u64 {
+        self.attr_stamp.get()
     }
 
     /// Split the per-agent *mutable* state (position, diameter) into
@@ -611,24 +734,23 @@ impl ResourceManager {
     /// that do so must call
     /// [`ResourceManager::invalidate_largest_diameter`] afterwards (the
     /// behaviors operation does this in its merge phase).
+    ///
+    /// The position epoch ticks up front, conservatively (the checkpoint
+    /// format records it); the position stamp moves only if a view calls
+    /// [`AgentChunkMut::set_position`] or [`AgentChunkMut::translate`].
     pub fn behavior_chunks(&mut self, chunk: usize) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
         assert!(chunk > 0, "chunk size must be positive");
-        // Conservative: handing out raw mutable position views may dirty
-        // any coordinate (the bound-space clamp runs every step), so the
-        // position epoch advances up front. Raw *diameter* writes are
-        // covered by the caller's mandatory
+        // Raw *diameter* writes are covered by the caller's mandatory
         // `invalidate_largest_diameter`, which bumps the attribute epoch.
         self.pos_epoch += 1;
+        let moved = &self.pos_stamp;
         let views = self
             .positions
             .chunks_mut(chunk)
             .zip(self.diameters.chunks_mut(chunk))
             .enumerate()
-            .map(|(c, (pos, diam))| AgentChunkMut {
-                start: c * chunk,
-                pos,
-                diam,
-                daughters: Daughters::default(),
+            .map(|(c, (pos, diam))| {
+                AgentChunkMut::new(c * chunk, pos, diam, moved, Daughters::default())
             })
             .collect();
         let shared = AgentShared {
@@ -653,17 +775,15 @@ impl ResourceManager {
         cuts: &[usize],
     ) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
         self.pos_epoch += 1;
+        let moved = &self.pos_stamp;
         let views = self
             .positions
             .chunks_mut_at(cuts)
             .into_iter()
             .zip(bdm_soa::split_mut_at(self.diameters.as_mut_slice(), cuts))
             .zip(cuts.iter())
-            .map(|((pos, diam), &start)| AgentChunkMut {
-                start,
-                pos,
-                diam,
-                daughters: Daughters::default(),
+            .map(|((pos, diam), &start)| {
+                AgentChunkMut::new(start, pos, diam, moved, Daughters::default())
             })
             .collect();
         let shared = AgentShared {
@@ -716,7 +836,8 @@ impl ResourceManager {
 
     /// Move agent `agent_of[k]` (agent `k` when `None`) by `disp[k]`, in
     /// parallel parts ([`bdm_soa::parts`]). Each non-zero displacement
-    /// ticks the position epoch once, as [`Self::translate`] does.
+    /// ticks the position epoch once, as [`Self::translate`] does, and
+    /// the position stamp moves when there was one.
     ///
     /// # Safety
     /// `agent_of`, when given, names no agent twice (a full CSR build's
@@ -764,6 +885,9 @@ impl ResourceManager {
             })
             .sum();
         self.pos_epoch += moved;
+        if moved > 0 {
+            self.pos_stamp.touch();
+        }
     }
 
     /// Diameter column.
@@ -795,6 +919,12 @@ impl ResourceManager {
         self.table.lists()
     }
 
+    /// How many diffusion grids the behavior lists the population has
+    /// carried need: one past the largest substance index they name.
+    pub fn substances_named(&self) -> usize {
+        self.table.substances
+    }
+
     /// Heap bytes the agent state holds: every column's capacity times
     /// its element size (52 bytes per slot), plus the behavior table.
     pub fn resident_bytes(&self) -> usize {
@@ -818,9 +948,9 @@ impl ResourceManager {
     /// column lengths must agree, every behavior-list id must be one
     /// `table` holds, uids must be unique, and `next_uid` must exceed
     /// every live uid. The largest-diameter cache starts invalid (it is
-    /// derived state; the first lookup rescans), and the dirty epochs
-    /// are restored verbatim so a re-checkpoint of the restored state is
-    /// byte-identical.
+    /// derived state; the first lookup rescans), the stamps are the new
+    /// manager's own, and the dirty epochs are restored verbatim so a
+    /// re-checkpoint of the restored state is byte-identical.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         positions: SoaVec3<f64>,
@@ -873,6 +1003,8 @@ impl ResourceManager {
             largest: MaxDiameterCache::default(),
             pos_epoch,
             attr_epoch,
+            pos_stamp: Stamp::default(),
+            attr_stamp: Stamp::default(),
         })
     }
 
@@ -929,6 +1061,7 @@ impl Divisions<'_> {
     pub fn chunks(&mut self) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
         let (rm, cuts, starts) = (&mut *self.rm, self.cuts, &self.starts);
         rm.pos_epoch += 1;
+        let moved = &rm.pos_stamp;
         let room = starts[starts.len() - 1];
         let (pos, [x, y, z]) = rm.positions.split_spare(room);
         let (diam, diameter) = rm.diameters.split_spare(room);
@@ -943,16 +1076,14 @@ impl Divisions<'_> {
             .into_iter()
             .zip(split_mut_at(diam, cuts))
             .zip(cuts.iter().zip(&mut self.born))
-            .map(|((pos, diam), (&start, born))| AgentChunkMut {
-                start,
-                pos,
-                diam,
-                daughters: Daughters {
+            .map(|((pos, diam), (&start, born))| {
+                let daughters = Daughters {
                     f64s: f64s.each_mut().map(|w| w.next().expect(WINDOW)),
                     behaviors: behaviors.next().expect(WINDOW),
                     mothers: mothers.next().expect(WINDOW),
                     born: Some(born),
-                },
+                };
+                AgentChunkMut::new(start, pos, diam, moved, daughters)
             })
             .collect();
         let shared = AgentShared {
@@ -1020,6 +1151,8 @@ impl Divisions<'_> {
         rm.next_uid += births as u64;
         rm.pos_epoch += births as u64;
         rm.attr_epoch += births as u64;
+        rm.pos_stamp.touch();
+        rm.attr_stamp.touch();
         for &d in &rm.diameters.as_slice()[n..] {
             rm.largest.note_appended(d);
         }
@@ -1050,9 +1183,39 @@ pub struct AgentChunkMut<'a> {
     pos: Vec3ChunkMut<'a, f64>,
     diam: &'a mut [f64],
     daughters: Daughters<'a>,
+    /// The manager's position stamp, marked on the view's first position
+    /// write (once, so parallel views do not share a hot cache line).
+    stamp: &'a Stamp,
+    moved: bool,
 }
 
-impl AgentChunkMut<'_> {
+impl<'a> AgentChunkMut<'a> {
+    fn new(
+        start: usize,
+        pos: Vec3ChunkMut<'a, f64>,
+        diam: &'a mut [f64],
+        stamp: &'a Stamp,
+        daughters: Daughters<'a>,
+    ) -> Self {
+        Self {
+            start,
+            pos,
+            diam,
+            daughters,
+            stamp,
+            moved: false,
+        }
+    }
+
+    /// A stored position is about to change.
+    #[inline(always)]
+    fn mark_moved(&mut self) {
+        if !self.moved {
+            self.moved = true;
+            self.stamp.mark();
+        }
+    }
+
     /// Global index of this chunk's first agent.
     #[inline(always)]
     pub fn start(&self) -> usize {
@@ -1079,12 +1242,14 @@ impl AgentChunkMut<'_> {
     /// Overwrite local agent `k`'s position.
     #[inline(always)]
     pub fn set_position(&mut self, k: usize, p: Vec3<f64>) {
+        self.mark_moved();
         self.pos.set(k, p);
     }
 
     /// Translate local agent `k`.
     #[inline(always)]
     pub fn translate(&mut self, k: usize, delta: Vec3<f64>) {
+        self.mark_moved();
         self.pos.add_assign(k, delta);
     }
 
@@ -1379,6 +1544,35 @@ mod tests {
         rm.remove(0);
         assert!(rm.positions_epoch() > p5);
         assert!(rm.attributes_epoch() > a5);
+    }
+
+    #[test]
+    fn stamps_move_only_on_real_writes() {
+        let mut rm = ResourceManager::new();
+        for i in 0..10 {
+            rm.add(cell_at(i as f64));
+        }
+        let (s0, a0) = (rm.position_stamp(), rm.attribute_stamp());
+        assert_eq!(rm.position_stamp(), s0, "reading draws once");
+        let (chunks, _) = rm.behavior_chunks(4);
+        drop(chunks);
+        let (chunks, _) = rm.behavior_chunks_at(&[0, 5, 10]);
+        drop(chunks);
+        // SAFETY: no index map — entry `k` moves agent `k`.
+        unsafe { rm.translate_each(&[Vec3::zero(); 10], None) };
+        assert_eq!(rm.position_stamp(), s0, "views that write nothing");
+        let (mut chunks, _) = rm.behavior_chunks(4);
+        chunks[1].translate(0, Vec3::zero());
+        drop(chunks);
+        let s1 = rm.position_stamp();
+        assert_ne!(s1, s0, "a view that wrote");
+        assert_eq!(rm.attribute_stamp(), a0, "positions only");
+        let copy = rm.clone();
+        let (c, r) = (copy.position_stamp(), rm.position_stamp());
+        assert!(c != s1 && r == s1, "a clone draws its own");
+        rm.set_diameter(0, 2.0);
+        assert_ne!(rm.attribute_stamp(), a0);
+        assert_eq!(rm.position_stamp(), s1);
     }
 
     #[test]

@@ -222,6 +222,7 @@ impl Scheduler {
     }
 
     fn run_ops(&mut self, ctx: &mut OpContext<'_>) -> StepProfile {
+        crate::diffusion::fault_in(ctx.substances);
         let mut profile = StepProfile::default();
         for slot in &mut self.ops {
             if !slot.enabled || !ctx.step.is_multiple_of(slot.frequency) {

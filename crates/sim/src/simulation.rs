@@ -280,6 +280,8 @@ impl Simulation {
         for (outcome, runs) in [("sorted", reorder.sorted), ("gathered", reorder.gathered)] {
             reg.inc_counter("reorder.runs", &[("outcome", outcome)], runs as f64);
         }
+        // The sorted runs that took the position stamp's word for it.
+        reg.inc_counter("reorder.checks_skipped", &[], reorder.checks_skipped as f64);
         if !self.diffusion.is_empty() {
             // Aggregate solver telemetry across substances (cumulative
             // since construction/restore — derived state, so a restored
@@ -336,7 +338,17 @@ impl Simulation {
     /// in pipeline order (default: behaviors → mechanical interactions →
     /// bound space → diffusion → user operations) and the records they
     /// emit become this step's profile.
+    ///
+    /// # Panics
+    /// Before anything mutates, when a behavior list names a substance
+    /// index the simulation has no diffusion grid for.
     pub fn step(&mut self) {
+        let (named, grids) = (self.rm.substances_named(), self.diffusion.len());
+        assert!(
+            named <= grids,
+            "a behavior names substance {}, but the simulation has {grids} diffusion grid(s)",
+            named - 1
+        );
         let mut ctx = OpContext {
             step: self.steps_executed,
             params: &self.params,
@@ -430,6 +442,33 @@ mod tests {
         assert!(names.contains(&"mechanical forces".to_string()));
         assert!(names.contains(&"bound space".to_string()));
         assert!(names.contains(&"diffusion".to_string()));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a behavior names substance 2, but the simulation has 1 diffusion grid(s)"
+    )]
+    fn a_behavior_naming_a_missing_substance_panics_before_the_step() {
+        let mut sim = Simulation::new(SimParams::cube(10.0));
+        sim.add_diffusion_grid(DiffusionParams {
+            name: "signal",
+            coefficient: 0.2,
+            decay: 0.0,
+            resolution: 8,
+            boundary: BoundaryCondition::Closed,
+        });
+        sim.add_cell(
+            CellBuilder::new(Vec3::zero())
+                .behavior(Behavior::Chemotaxis {
+                    substance: 0,
+                    speed: 1.0,
+                })
+                .behavior(Behavior::Secretion {
+                    substance: 2,
+                    rate: 1.0,
+                }),
+        );
+        sim.step();
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //! advances, so consecutive steps over an unchanged column pay zero
 //! conversion traffic.
 //!
-//! The epoch is owned by the source container (the resource manager bumps
-//! one counter per mutation family); the mirror just remembers the epoch
-//! it last copied at. That makes the refresh decision deterministic — a
-//! pure function of the mutation history, never of timing — so the
-//! "copies performed" count is a gateable benchmark metric. A mirror is
-//! therefore also keyed to *one* source container for its lifetime:
-//! reusing it against a different container with a coincidentally equal
-//! epoch would wrongly skip the copy (the sim crate's `MechScratch` owns
-//! its mirrors per simulation, which enforces this).
+//! The epoch is owned by the source container; the mirror just remembers
+//! the epoch it last copied at. That makes the refresh decision
+//! deterministic — a pure function of the mutation history, never of
+//! timing — so the "copies performed" count is a gateable benchmark
+//! metric. A value that two containers could share would let a mirror
+//! reused against the other one wrongly skip the copy, so the sim crate
+//! passes its resource manager's process-unique *stamps*, which no other
+//! container (a clone, a restored copy) ever hands out.
 
 /// An `f32` shadow of an `f64` column, refreshed on epoch change.
 #[derive(Debug, Clone, Default)]

@@ -29,6 +29,14 @@ for threads in 1 2 4; do
         births_in_place_match_the_buffered_merge \
         a_warmed_reorder_allocates_a_constant \
         a_division_wave_allocates_a_constant
+    # The position stamp's skips (reorder scan, CSR rebuild, f32
+    # mirrors) against the full checks they replace, and a frozen scene
+    # through `Simulation::step` that re-verifies nothing after step 0.
+    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim --lib -- \
+        position_stamp_skips_match_the_full_checks \
+        the_stamp_oracle_reaches_every_skip
+    RAYON_NUM_THREADS=$threads cargo test -q --offline --release \
+        --test f32simd_determinism -- a_frozen_scene_re_verifies_nothing_after_step_zero
 done
 # Both lane bodies of the CSR voxel walk against their per-agent
 # oracles, in release mode (the optimizer must not re-associate the

@@ -133,3 +133,64 @@ proptest! {
         }
     }
 }
+
+/// A frozen `F32Simd` CSR scene stepped through `Simulation::step` at 1,
+/// 2 and 4 workers: after step 0 no agent moves, so no step re-verifies
+/// anything — the reorder counts every run `sorted` and skips its scan,
+/// the grid rebuild is skipped without reading the columns, and the
+/// `f32` mirrors copy nothing. The positions are the same bits at every
+/// worker count.
+#[test]
+fn a_frozen_scene_re_verifies_nothing_after_step_zero() {
+    const AGENTS: usize = 8_000;
+    const STEPS: u64 = 4;
+    let run = |threads: usize| {
+        let mut params = SimParams::cube(60.0)
+            .with_seed(3)
+            .with_precision(Precision::F32Simd)
+            .with_reorder(1);
+        params.mech.max_displacement = 0.0;
+        let mut sim = Simulation::new(params);
+        sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
+        let mut rng = biodynamo::math::SplitMix64::new(3);
+        for _ in 0..AGENTS {
+            let mut c = || rng.uniform(-58.0, 58.0);
+            sim.add_cell(CellBuilder::new(Vec3::new(c(), c(), c())).diameter(9.8));
+        }
+        let pool = biodynamo::sim::rayon::ThreadPoolBuilder::new().num_threads(threads);
+        let pool = pool.build().expect("pool");
+        for step in 0..STEPS {
+            pool.install(|| sim.step());
+            let m = sim.metrics();
+            let env = sim.environment().label();
+            let at = |name: &str, labels: &[(&str, &str)]| m.value(name, labels).unwrap_or(0.0);
+            let mech = |name: &str| at(name, &[("env", env.as_str())]);
+            let rebuild =
+                |reason: &str| at("mech.csr_rebuild", &[("env", &env), ("reason", reason)]);
+            let runs = |outcome: &str| at("reorder.runs", &[("outcome", outcome)]);
+            // Step 0 sorts the random storage, builds the grid and
+            // converts every mirror; nothing after it moves.
+            let later = step as f64;
+            let want_copies = if step == 0 { 5 * AGENTS } else { 0 };
+            assert_eq!(
+                mech("mech.f32_refresh_copies"),
+                want_copies as f64,
+                "{threads} workers, step {step}"
+            );
+            assert_eq!(mech("mech.csr_rebuilds_skipped"), (step > 0) as u8 as f64);
+            assert_eq!(rebuild("unchanged"), (step > 0) as u8 as f64);
+            assert_eq!(rebuild("geometry"), (step == 0) as u8 as f64);
+            assert_eq!((runs("sorted"), runs("gathered")), (later, 1.0));
+            assert_eq!(at("reorder.checks_skipped", &[]), later);
+        }
+        let rm = sim.rm();
+        let mut out: Vec<(u64, [u64; 3])> = (0..rm.len())
+            .map(|i| (rm.uid(i), rm.position(i).to_array().map(f64::to_bits)))
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    let one = run(1);
+    assert_eq!(run(2), one);
+    assert_eq!(run(4), one);
+}
