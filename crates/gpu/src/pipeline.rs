@@ -64,6 +64,8 @@ use bdm_device::transfer::PcieModel;
 use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
 use bdm_math::{Aabb, Scalar, Vec3};
+use bdm_morton::{radix_argsort, CellCurve};
+use bdm_soa::{gather_words, StepBuffer, Word};
 use std::collections::HashMap;
 
 /// Which of the paper's kernel versions to run.
@@ -461,7 +463,9 @@ struct DeviceState<R: Scalar + DeviceWord> {
     starts: Vec<u32>,
     /// Download staging for the three columns a step returns.
     down: [Vec<R>; 3],
-    perm_scratch: Vec<R>,
+    /// The rebuilt step's sort: curve keys (then the gathers' words),
+    /// the gather order, and its inverse for the download.
+    sort: StepBuffer,
     // Residency bookkeeping.
     /// Device agent columns mirror `mirror`/`uids` below.
     resident_valid: bool,
@@ -510,7 +514,7 @@ impl<R: Scalar + DeviceWord> DeviceState<R> {
             host_counts: Vec::new(),
             starts: Vec::new(),
             down: Default::default(),
-            perm_scratch: Vec::new(),
+            sort: StepBuffer::default(),
             resident_valid: false,
             grid_valid: false,
             mirror: Default::default(),
@@ -864,7 +868,7 @@ impl MechanicalPipeline {
 impl StepEnv<'_> {
     /// The rebuilt step: sort, upload, build, compute, download
     /// displacements.
-    fn rebuilt<R: Scalar + DeviceWord + FromWord>(
+    fn rebuilt<R: Scalar + DeviceWord + FromWord + Word>(
         &self,
         st: &mut DeviceState<R>,
         scene: &SceneRef<'_>,
@@ -876,26 +880,29 @@ impl StepEnv<'_> {
         st.invalidate();
 
         // Improvement II: host-side space-filling-curve sort of the SoA
-        // columns (Z-order by default; see `sort_curve`). Keys are
-        // voxel keys clamped to the grid dims — the same keys the
-        // resident `reorder` operation sorts by — so when the caller's
-        // columns already arrive in curve order the keys come out
-        // non-decreasing and the whole permutation (5 upload gathers +
-        // 3 inverse gathers after download) is skipped: the upload is a
-        // straight memcpy of the host columns.
+        // columns (Z-order by default; see `sort_curve`), by the host
+        // reorder's machinery. Keys are voxel keys clamped to the grid
+        // dims — the same keys the resident `reorder` operation sorts
+        // by — so when the caller's columns already arrive in curve
+        // order the keys come out non-decreasing and the whole
+        // permutation (5 upload gathers + 3 inverse gathers after
+        // download) is skipped: the upload is a straight memcpy of the
+        // host columns. Otherwise the stable radix argsort orders the
+        // keys, and every column gathers through the keys' words.
         let mut sort_gathers = 0u32;
-        let mut perm = None;
+        let mut sorted = false;
         if self.version.sorts() {
             let [xs, ys, zs, ..] = &st.host;
-            let (space, edge) = (f.geom.space(), f.geom.box_length());
-            let keys = bdm_morton::cell_keys(xs, ys, zs, space, edge, self.sort_curve);
+            let cells = CellCurve::new(f.geom.space(), f.geom.box_length(), self.sort_curve);
+            let (keys, order, spare) = st.sort.words_and_indices(f.n);
+            cells.keys_into(xs, ys, zs, keys);
             if !keys.is_sorted() {
-                let p = bdm_soa::Permutation::sorting_by_key(&keys);
+                radix_argsort(keys, None, order, spare);
                 for col in &mut st.host {
-                    p.apply_in_place(col, &mut st.perm_scratch);
+                    gather_words(order, col, keys);
                     sort_gathers += 1;
                 }
-                perm = Some(p);
+                sorted = true;
             }
         }
 
@@ -909,12 +916,17 @@ impl StepEnv<'_> {
         let grid = self.build_grid(st, &f);
         let mut mech = self.run_mech(st, &f, true);
 
-        // Download and (if sorted) restore the caller's agent order.
+        // Download and (if sorted) restore the caller's agent order:
+        // the same borrow of the step buffer hands back the gather order,
+        // whose inverse goes into the argsort's spare array.
         download(&st.disp, &mut st.down, f.n, &mut mech);
-        if let Some(p) = &perm {
-            let inv = p.inverse();
+        if sorted {
+            let (words, order, inverse) = st.sort.words_and_indices(f.n);
+            for (k, &i) in order.iter().enumerate() {
+                inverse[i as usize] = k as u32;
+            }
             for col in &mut st.down {
-                inv.apply_in_place(col, &mut st.perm_scratch);
+                gather_words(inverse, col, words);
                 sort_gathers += 1;
             }
         }
@@ -1412,13 +1424,13 @@ mod tests {
         let (_, r0) = pipe(KernelVersion::V1Fp32).step(&scrambled, &params);
         assert_eq!(r0.sort_gathers, 0, "non-sorting version never gathers");
 
-        // Pre-sort the host columns along the same curve — what the
+        // Pre-sort the host columns along the same curve, the way the
         // resident `reorder` operation does between steps.
-        let keys = bdm_morton::cell_keys(&xs, &ys, &zs, &space, 1.0, bdm_morton::Curve::ZOrder);
-        let p = bdm_soa::Permutation::sorting_by_key(&keys);
-        let mut scratch = Vec::new();
+        let (mut keys, mut order, mut spare) = (vec![0; n], vec![0; n], vec![0; n]);
+        CellCurve::new(&space, 1.0, bdm_morton::Curve::ZOrder).keys_into(&xs, &ys, &zs, &mut keys);
+        radix_argsort(&keys, None, &mut order, &mut spare);
         for col in [&mut xs, &mut ys, &mut zs] {
-            p.apply_in_place(col, &mut scratch);
+            gather_words(&order, col, &mut keys);
         }
         let sorted = SceneRef {
             xs: &xs,

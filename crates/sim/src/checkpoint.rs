@@ -14,18 +14,21 @@
 //!    `operation::run_behavior_chunk`), so restoring the agent columns
 //!    and `steps_executed` restores the randomness.
 //! 2. Everything else a step touches is *derived* state, rebuilt from
-//!    the columns on demand: neighborhood grids, f32 mirrors (epoch
-//!    refresh), the largest-diameter cache, per-shard CSR grids, the
-//!    diffusion scratch buffer, the GPU pipeline (a pure function of the
-//!    environment configuration). None of it is serialized.
+//!    the columns on demand: neighborhood grids, f32 mirrors (keyed on
+//!    the resource manager's stamps), the largest-diameter cache,
+//!    per-shard CSR grids, the diffusion scratch buffer, the GPU pipeline
+//!    (a pure function of the environment configuration). None of it is
+//!    serialized.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! Little-endian throughout; all `f64` values are raw IEEE-754 bit
 //! patterns (`to_bits`), so round-trips are bitwise by construction.
-//! Version 2 appends the `gpu_resident` flag (one byte) to PARAMS;
+//! Version 2 appended the `gpu_resident` flag (one byte) to PARAMS;
 //! version-1 streams still restore, with the flag defaulting to `false`
-//! (the knob did not exist when they were written).
+//! (the knob did not exist when they were written). Version 3 drops the
+//! two dirty-epoch words that versions 1 and 2 wrote after `next_uid` in
+//! AGENTS; restoring an older stream reads and discards them.
 //!
 //! ```text
 //! header   magic "BDMCKPT\0" (8) · version u32 · section_count u32
@@ -37,7 +40,7 @@
 //! |-----|-----------|---------------------------------------------------|
 //! | 1   | META      | steps_executed, exec mode, environment kind       |
 //! | 2   | PARAMS    | the full `SimParams`                              |
-//! | 3   | AGENTS    | SoA columns, behavior lists, uid counter, epochs  |
+//! | 3   | AGENTS    | SoA columns, behavior lists, uid counter          |
 //! | 4   | DIFFUSION | per-substance params + concentration column       |
 //! | 5   | SCHEDULER | per-op (name, frequency, enabled, runs)           |
 //! | 6   | SHARDS    | span bounds, migration base snapshot, counters    |
@@ -79,7 +82,7 @@ pub const MAGIC: [u8; 8] = *b"BDMCKPT\0";
 /// Schema version this build writes. Bumping it without updating the
 /// committed golden fixture fails the format tests. Restore also
 /// accepts every earlier version down to [`MIN_FORMAT_VERSION`].
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Oldest schema version restore still reads (version 1 lacked the
 /// `gpu_resident` byte in PARAMS; it decodes with the flag off).
 pub const MIN_FORMAT_VERSION: u32 = 1;
@@ -98,11 +101,13 @@ pub enum CheckpointError {
     Io(std::io::Error),
     /// The stream does not start with [`MAGIC`].
     BadMagic,
-    /// The stream's schema version is not [`FORMAT_VERSION`].
+    /// The stream's schema version is outside
+    /// [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`].
     UnsupportedVersion {
         /// Version found in the stream.
         found: u32,
-        /// Version this build supports.
+        /// Newest version this build reads ([`FORMAT_VERSION`]); it
+        /// reads every version from [`MIN_FORMAT_VERSION`] up to it.
         supported: u32,
     },
     /// The stream ended inside the header, the section table, or a
@@ -133,7 +138,8 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadMagic => write!(f, "not a checkpoint stream (bad magic)"),
             CheckpointError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported checkpoint version {found} (this build reads {supported})"
+                "unsupported checkpoint version {found} (this build reads \
+                 {MIN_FORMAT_VERSION}..={supported})"
             ),
             CheckpointError::Truncated => write!(f, "checkpoint stream is truncated"),
             CheckpointError::SectionOverflow {
@@ -425,8 +431,6 @@ fn encode_agents(rm: &ResourceManager) -> Vec<u8> {
     let n = rm.len();
     e.u64(n as u64);
     e.u64(rm.next_uid());
-    e.u64(rm.positions_epoch());
-    e.u64(rm.attributes_epoch());
     let (x, y, z) = rm.position_columns();
     e.f64s(x);
     e.f64s(y);
@@ -643,14 +647,20 @@ fn decode_behavior(d: &mut Dec<'_>, n_substances: usize) -> Result<Behavior, Che
     })
 }
 
-fn decode_agents(bytes: &[u8], n_substances: usize) -> Result<ResourceManager, CheckpointError> {
+fn decode_agents(
+    bytes: &[u8],
+    n_substances: usize,
+    version: u32,
+) -> Result<ResourceManager, CheckpointError> {
     let mut d = Dec::new(bytes);
     // Each agent needs ≥ 52 bytes (6 f64 + uid + behavior count); the
     // conservative 8-byte bound keeps corrupt counts from allocating.
     let n = d.count(8)?;
     let next_uid = d.u64()?;
-    let pos_epoch = d.u64()?;
-    let attr_epoch = d.u64()?;
+    // Versions 1 and 2 carry two dirty-epoch words here: read, unused.
+    if version < 3 {
+        d.take(16)?;
+    }
     let x = d.f64s(n)?;
     let y = d.f64s(n)?;
     let z = d.f64s(n)?;
@@ -680,8 +690,6 @@ fn decode_agents(bytes: &[u8], n_substances: usize) -> Result<ResourceManager, C
         table,
         uids,
         next_uid,
-        pos_epoch,
-        attr_epoch,
     )
     .map_err(corrupt)
 }
@@ -918,7 +926,7 @@ impl Simulation {
 
         let meta = decode_meta(find(TAG_META, "META")?)?;
         let grids = decode_diffusion(find(TAG_DIFFUSION, "DIFFUSION")?, params.space)?;
-        let rm = decode_agents(find(TAG_AGENTS, "AGENTS")?, grids.len())?;
+        let rm = decode_agents(find(TAG_AGENTS, "AGENTS")?, grids.len(), version)?;
         let sched = decode_scheduler(find(TAG_SCHEDULER, "SCHEDULER")?)?;
         let shard_state = shard_bytes
             .map(|b| decode_shards(b, params.shards.count))

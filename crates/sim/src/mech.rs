@@ -183,7 +183,7 @@ pub struct SimdWork {
     /// lane-occupancy ratio.
     pub pad_lanes: u64,
     /// `f64 → f32` mirror elements re-converted this step; `0` for every
-    /// column whose dirty epoch did not advance since the previous step.
+    /// column whose stamp did not move since the previous step.
     pub refresh_copies: u64,
 }
 
@@ -1677,7 +1677,7 @@ pub(crate) fn csr_sweep(
     let model = match params.precision {
         Precision::F64 => ForceModel::Csr,
         Precision::F32Simd => {
-            // Lazy on the dirty epochs: columns untouched since the
+            // Lazy on the stamps: columns untouched since the
             // previous step cost nothing (diameters/adherences of a
             // non-growing population).
             let t = Instant::now();
@@ -2862,7 +2862,7 @@ mod tests {
     #[test]
     fn f32simd_mirror_refresh_is_lazy_across_steps() {
         // Frozen scene (max_displacement = 0): nothing mutates between
-        // steps, so the second step's dirty epochs are unchanged and the
+        // steps, so the second step's stamps are unchanged and the
         // mirrors must not re-convert anything.
         let mut params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
         params.mech.max_displacement = 0.0;
@@ -2875,7 +2875,7 @@ mod tests {
         assert_eq!(
             w2.simd.unwrap().refresh_copies,
             0,
-            "clean epochs: no copies"
+            "unmoved stamps: no copies"
         );
         // Unfreeze: displacements dirty the position columns only — the
         // attribute mirrors (diameters/adherences) stay clean forever in

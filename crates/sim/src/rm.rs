@@ -38,13 +38,12 @@
 //! them into place in mother-uid order through the step buffer — the
 //! daughters exist nowhere but in the columns.
 //!
-//! Two kinds of change counter sit beside the columns. The *dirty
-//! epochs* tick conservatively (every hand-out of raw chunk views ticks
-//! the position epoch) and are part of the checkpoint. The *stamps*
-//! ([`ResourceManager::position_stamp`]) move only on real writes and are
-//! drawn from one process-wide counter, so a stamp that did not move
-//! proves the columns did not change: the reorder's sortedness scan, the
-//! CSR rebuild and the `f32` mirrors skip on it.
+//! One kind of change counter sits beside the columns: the *stamps*
+//! ([`ResourceManager::position_stamp`], [`ResourceManager::attribute_stamp`]).
+//! They move only on real writes and are drawn from one process-wide
+//! counter, so a stamp that did not move proves the columns did not
+//! change: the reorder's sortedness scan, the CSR rebuild and the `f32`
+//! mirrors skip on it. They are derived state, never checkpointed.
 
 use crate::behavior::Behavior;
 use crate::cell::CellBuilder;
@@ -307,9 +306,8 @@ static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 /// reads return the same value exactly when no write reached the family
 /// in between, so a derived copy (a grid, a mirror, a sortedness
 /// verdict) keyed on it is current when the key matches — whichever
-/// manager it was built from. Unlike the dirty epochs it is not
-/// serialized and moves only on real writes, not on every hand-out of
-/// raw views.
+/// manager it was built from. It is not serialized, and it moves only on
+/// real writes, not on every hand-out of raw views.
 ///
 /// Stored as one word: [`Self::CHANGED`] after a write, otherwise the
 /// value the last read drew. A write is a plain store (through `&mut`,
@@ -375,19 +373,13 @@ pub struct ResourceManager {
     uids: Column<u64>,
     next_uid: u64,
     largest: MaxDiameterCache,
-    /// Dirty epoch of the position columns: bumped by every mutation that
-    /// can change any stored coordinate (or the column length/order), and
-    /// conservatively by every hand-out of raw chunk views, written or
-    /// not. Checkpointed verbatim; derived copies key on `pos_stamp`.
-    pos_epoch: u64,
-    /// Dirty epoch of the per-agent attribute columns (diameters,
-    /// adherences), same contract as `pos_epoch`.
-    attr_epoch: u64,
     /// Position stamp: moves exactly when a stored coordinate, the
     /// population or its storage order changes (see
     /// [`Self::position_stamp`]).
     pos_stamp: Stamp,
-    /// Attribute stamp: moves wherever `attr_epoch` ticks.
+    /// Attribute stamp: moves when a diameter or adherence, the
+    /// population or its storage order changes (see
+    /// [`Self::attribute_stamp`]).
     attr_stamp: Stamp,
 }
 
@@ -422,8 +414,8 @@ impl ResourceManager {
     /// Append `rows` in order — the only way agents enter the columns.
     /// Every column grows once for the whole batch (a division wave
     /// doubles the population), and each row then does what one
-    /// [`Self::add`] does: the next uid, one tick of both dirty epochs,
-    /// the largest-diameter holder count kept.
+    /// [`Self::add`] does: the next uid, the largest-diameter holder
+    /// count kept. Both stamps move when there is at least one row.
     ///
     /// # Panics
     /// On a behavior-list id this manager's table never handed out.
@@ -434,8 +426,6 @@ impl ResourceManager {
         self.adherences.reserve(n);
         self.behavior_ids.reserve(n);
         self.uids.reserve(n);
-        self.pos_epoch += n as u64;
-        self.attr_epoch += n as u64;
         if n > 0 {
             self.pos_stamp.touch();
             self.attr_stamp.touch();
@@ -467,8 +457,6 @@ impl ResourceManager {
     /// remap through the returned index.
     pub fn remove(&mut self, i: usize) -> Option<usize> {
         let last = self.len() - 1;
-        self.pos_epoch += 1;
-        self.attr_epoch += 1;
         self.pos_stamp.touch();
         self.attr_stamp.touch();
         self.positions.swap_remove(i);
@@ -507,8 +495,6 @@ impl ResourceManager {
     fn gather(&mut self, order: &[u32], words: &mut [u64]) {
         // Index-addressed consumers (the f32 mirrors) see a different
         // column even though the multiset of agents is unchanged.
-        self.pos_epoch += 1;
-        self.attr_epoch += 1;
         self.pos_stamp.touch();
         self.attr_stamp.touch();
         let (xs, ys, zs) = self.positions.as_mut_slices();
@@ -571,7 +557,6 @@ impl ResourceManager {
     /// Overwrite agent `i`'s position.
     #[inline]
     pub fn set_position(&mut self, i: usize, p: Vec3<f64>) {
-        self.pos_epoch += 1;
         self.pos_stamp.touch();
         self.positions.set(i, p);
     }
@@ -579,7 +564,6 @@ impl ResourceManager {
     /// Translate agent `i`.
     #[inline]
     pub fn translate(&mut self, i: usize, delta: Vec3<f64>) {
-        self.pos_epoch += 1;
         self.pos_stamp.touch();
         self.positions.add_assign(i, delta);
     }
@@ -593,7 +577,6 @@ impl ResourceManager {
     /// Overwrite agent `i`'s diameter.
     #[inline]
     pub fn set_diameter(&mut self, i: usize, d: f64) {
-        self.attr_epoch += 1;
         self.attr_stamp.touch();
         if let Some(cur) = self.largest.get() {
             let old = *self.diameters.get(i);
@@ -670,7 +653,6 @@ impl ResourceManager {
     /// writes diameters *around* [`ResourceManager::set_diameter`] — i.e.
     /// through the raw chunk views of [`ResourceManager::behavior_chunks`].
     pub fn invalidate_largest_diameter(&mut self) {
-        self.attr_epoch += 1;
         self.attr_stamp.touch();
         self.largest.invalidate();
     }
@@ -679,22 +661,6 @@ impl ResourceManager {
     /// the GPU pipeline uploads.
     pub fn position_columns(&self) -> (&[f64], &[f64], &[f64]) {
         self.positions.as_slices()
-    }
-
-    /// Dirty epoch of the position columns: changes whenever any stored
-    /// coordinate (or the column length/order) may have changed — also on
-    /// every hand-out of raw chunk views, whether or not a view writes.
-    /// It is part of the checkpoint (restored verbatim, so a re-checkpoint
-    /// is byte-identical) and only ever grows; a derived copy keys on
-    /// [`Self::position_stamp`] instead.
-    pub fn positions_epoch(&self) -> u64 {
-        self.pos_epoch
-    }
-
-    /// Dirty epoch of the attribute columns (diameters, adherences);
-    /// same contract as [`ResourceManager::positions_epoch`].
-    pub fn attributes_epoch(&self) -> u64 {
-        self.attr_epoch
     }
 
     /// The position stamp: a process-unique value that moves exactly when
@@ -713,8 +679,12 @@ impl ResourceManager {
     }
 
     /// The attribute stamp: [`Self::position_stamp`]'s contract for the
-    /// diameter and adherence columns, moving wherever
-    /// [`Self::attributes_epoch`] ticks.
+    /// diameter and adherence columns. It moves on `append` / `add` of at
+    /// least one row, `remove`, every gather, `set_diameter`,
+    /// `invalidate_largest_diameter` (which every raw diameter write
+    /// through a chunk view must be followed by) and a
+    /// `Divisions::commit` with births. A write of positions alone does
+    /// not move it.
     pub fn attribute_stamp(&self) -> u64 {
         self.attr_stamp.get()
     }
@@ -735,14 +705,12 @@ impl ResourceManager {
     /// [`ResourceManager::invalidate_largest_diameter`] afterwards (the
     /// behaviors operation does this in its merge phase).
     ///
-    /// The position epoch ticks up front, conservatively (the checkpoint
-    /// format records it); the position stamp moves only if a view calls
+    /// The position stamp moves only if a view calls
     /// [`AgentChunkMut::set_position`] or [`AgentChunkMut::translate`].
     pub fn behavior_chunks(&mut self, chunk: usize) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
         assert!(chunk > 0, "chunk size must be positive");
         // Raw *diameter* writes are covered by the caller's mandatory
-        // `invalidate_largest_diameter`, which bumps the attribute epoch.
-        self.pos_epoch += 1;
+        // `invalidate_largest_diameter`, which moves the attribute stamp.
         let moved = &self.pos_stamp;
         let views = self
             .positions
@@ -774,7 +742,6 @@ impl ResourceManager {
         &mut self,
         cuts: &[usize],
     ) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
-        self.pos_epoch += 1;
         let moved = &self.pos_stamp;
         let views = self
             .positions
@@ -835,9 +802,8 @@ impl ResourceManager {
     }
 
     /// Move agent `agent_of[k]` (agent `k` when `None`) by `disp[k]`, in
-    /// parallel parts ([`bdm_soa::parts`]). Each non-zero displacement
-    /// ticks the position epoch once, as [`Self::translate`] does, and
-    /// the position stamp moves when there was one.
+    /// parallel parts ([`bdm_soa::parts`]). The position stamp moves when
+    /// a displacement was non-zero.
     ///
     /// # Safety
     /// `agent_of`, when given, names no agent twice (a full CSR build's
@@ -884,7 +850,6 @@ impl ResourceManager {
                 moved
             })
             .sum();
-        self.pos_epoch += moved;
         if moved > 0 {
             self.pos_stamp.touch();
         }
@@ -948,9 +913,8 @@ impl ResourceManager {
     /// column lengths must agree, every behavior-list id must be one
     /// `table` holds, uids must be unique, and `next_uid` must exceed
     /// every live uid. The largest-diameter cache starts invalid (it is
-    /// derived state; the first lookup rescans), the stamps are the new
-    /// manager's own, and the dirty epochs are restored verbatim so a
-    /// re-checkpoint of the restored state is byte-identical.
+    /// derived state; the first lookup rescans), and the stamps are the
+    /// new manager's own.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         positions: SoaVec3<f64>,
@@ -960,8 +924,6 @@ impl ResourceManager {
         table: BehaviorTable,
         uids: Vec<u64>,
         next_uid: u64,
-        pos_epoch: u64,
-        attr_epoch: u64,
     ) -> Result<Self, String> {
         let n = positions.len();
         let lens = [
@@ -1001,8 +963,6 @@ impl ResourceManager {
             uids: Column::from_vec(uids),
             next_uid,
             largest: MaxDiameterCache::default(),
-            pos_epoch,
-            attr_epoch,
             pos_stamp: Stamp::default(),
             attr_stamp: Stamp::default(),
         })
@@ -1060,7 +1020,6 @@ impl Divisions<'_> {
     /// windows, filled as far as the first left them.
     pub fn chunks(&mut self) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
         let (rm, cuts, starts) = (&mut *self.rm, self.cuts, &self.starts);
-        rm.pos_epoch += 1;
         let moved = &rm.pos_stamp;
         let room = starts[starts.len() - 1];
         let (pos, [x, y, z]) = rm.positions.split_spare(room);
@@ -1103,7 +1062,7 @@ impl Divisions<'_> {
     /// through the same words (`Column::append_from_spare`), which also
     /// closes the gaps of agents that could divide but did not. The
     /// daughters then take the uids `next_uid..` in that order, and each
-    /// does what an [`ResourceManager::append`]ed row does to the epochs
+    /// does what an [`ResourceManager::append`]ed row does to the stamps
     /// and the largest-diameter bookkeeping.
     pub fn commit(self) -> usize {
         let Self {
@@ -1149,8 +1108,6 @@ impl Divisions<'_> {
             rm.uids.push(uid);
         }
         rm.next_uid += births as u64;
-        rm.pos_epoch += births as u64;
-        rm.attr_epoch += births as u64;
         rm.pos_stamp.touch();
         rm.attr_stamp.touch();
         for &d in &rm.diameters.as_slice()[n..] {
@@ -1502,57 +1459,13 @@ mod tests {
     }
 
     #[test]
-    fn epochs_track_mutation_families() {
-        let mut rm = ResourceManager::new();
-        let (p0, a0) = (rm.positions_epoch(), rm.attributes_epoch());
-        rm.add(cell_at(0.0).diameter(2.0));
-        assert!(rm.positions_epoch() > p0, "add dirties positions");
-        assert!(rm.attributes_epoch() > a0, "add dirties attributes");
-
-        let (p1, a1) = (rm.positions_epoch(), rm.attributes_epoch());
-        rm.translate(0, Vec3::new(1.0, 0.0, 0.0));
-        rm.set_position(0, Vec3::zero());
-        assert!(rm.positions_epoch() > p1);
-        assert_eq!(rm.attributes_epoch(), a1, "moves leave attributes clean");
-
-        let (p2, a2) = (rm.positions_epoch(), rm.attributes_epoch());
-        rm.set_diameter(0, 3.0);
-        assert_eq!(rm.positions_epoch(), p2, "growth leaves positions clean");
-        assert!(rm.attributes_epoch() > a2);
-
-        let p3 = rm.positions_epoch();
-        let (chunks, _shared) = rm.behavior_chunks(8);
-        drop(chunks);
-        assert!(
-            rm.positions_epoch() > p3,
-            "raw chunk views conservatively dirty positions"
-        );
-        let a3 = rm.attributes_epoch();
-        rm.invalidate_largest_diameter();
-        assert!(
-            rm.attributes_epoch() > a3,
-            "raw diameter writes dirty attrs"
-        );
-
-        rm.add(cell_at(1.0));
-        let (p4, a4) = (rm.positions_epoch(), rm.attributes_epoch());
-        rm.apply_permutation(&Permutation::new(vec![1, 0]), &mut StepBuffer::default());
-        assert!(rm.positions_epoch() > p4, "reorder dirties positions");
-        assert!(rm.attributes_epoch() > a4, "reorder dirties attributes");
-
-        let (p5, a5) = (rm.positions_epoch(), rm.attributes_epoch());
-        rm.remove(0);
-        assert!(rm.positions_epoch() > p5);
-        assert!(rm.attributes_epoch() > a5);
-    }
-
-    #[test]
     fn stamps_move_only_on_real_writes() {
         let mut rm = ResourceManager::new();
         for i in 0..10 {
             rm.add(cell_at(i as f64));
         }
-        let (s0, a0) = (rm.position_stamp(), rm.attribute_stamp());
+        let stamps = |rm: &ResourceManager| (rm.position_stamp(), rm.attribute_stamp());
+        let (s0, a0) = stamps(&rm);
         assert_eq!(rm.position_stamp(), s0, "reading draws once");
         let (chunks, _) = rm.behavior_chunks(4);
         drop(chunks);
@@ -1560,7 +1473,12 @@ mod tests {
         drop(chunks);
         // SAFETY: no index map — entry `k` moves agent `k`.
         unsafe { rm.translate_each(&[Vec3::zero(); 10], None) };
-        assert_eq!(rm.position_stamp(), s0, "views that write nothing");
+        rm.append(std::iter::empty());
+        assert_eq!(
+            stamps(&rm),
+            (s0, a0),
+            "views and appends that write nothing"
+        );
         let (mut chunks, _) = rm.behavior_chunks(4);
         chunks[1].translate(0, Vec3::zero());
         drop(chunks);
@@ -1570,9 +1488,82 @@ mod tests {
         let copy = rm.clone();
         let (c, r) = (copy.position_stamp(), rm.position_stamp());
         assert!(c != s1 && r == s1, "a clone draws its own");
-        rm.set_diameter(0, 2.0);
-        assert_ne!(rm.attribute_stamp(), a0);
-        assert_eq!(rm.position_stamp(), s1);
+
+        // One step per mutation family: which of the two stamps it moves.
+        let moves = |rm: &mut ResourceManager, what: &str, f: &dyn Fn(&mut ResourceManager)| {
+            let before = stamps(rm);
+            f(rm);
+            let after = stamps(rm);
+            let moved = (after.0 != before.0, after.1 != before.1);
+            assert_eq!(after, stamps(rm), "{what}: reading draws once");
+            (what.to_string(), moved)
+        };
+        let grow = Behavior::GrowthDivision {
+            growth_rate: 1.0,
+            division_threshold: 2.0,
+        };
+        let divide = |rm: &mut ResourceManager, daughters: bool| {
+            let n = rm.len();
+            let cuts = [0, n / 2, n];
+            let mut buffer = StepBuffer::default();
+            let mut pass = rm.divisions(&cuts, &mut buffer);
+            let (mut chunks, shared) = pass.chunks();
+            for chunk in chunks.iter_mut().filter(|_| daughters) {
+                let g = chunk.start();
+                if shared.behaviors(g).contains(&grow) {
+                    let row = AgentRow {
+                        position: chunk.position(0) + Vec3::new(0.5, 0.0, 0.0),
+                        diameter: chunk.diameter(0),
+                        adherence: shared.adherence(g),
+                        behaviors: shared.behavior_id(g),
+                    };
+                    chunk.add_daughter(shared.uid(g), row);
+                }
+            }
+            drop(chunks);
+            pass.commit()
+        };
+        let families = [
+            moves(&mut rm, "add", &|rm| {
+                rm.add(cell_at(20.0).behavior(grow));
+            }),
+            moves(&mut rm, "translate", &|rm| {
+                rm.translate(0, Vec3::new(1.0, 0.0, 0.0))
+            }),
+            moves(&mut rm, "set_position", &|rm| {
+                rm.set_position(0, Vec3::zero())
+            }),
+            moves(&mut rm, "set_diameter", &|rm| rm.set_diameter(0, 3.0)),
+            moves(&mut rm, "invalidate_largest_diameter", &|rm| {
+                rm.invalidate_largest_diameter()
+            }),
+            moves(&mut rm, "apply_permutation", &|rm| {
+                let order = (0..rm.len() as u32).rev().collect();
+                rm.apply_permutation(&Permutation::new(order), &mut StepBuffer::default())
+            }),
+            moves(&mut rm, "remove", &|rm| {
+                rm.remove(3);
+            }),
+            moves(&mut rm, "commit without births", &|rm| {
+                assert_eq!(divide(rm, false), 0);
+            }),
+            moves(&mut rm, "commit with births", &|rm| {
+                assert_eq!(divide(rm, true), 1);
+            }),
+        ];
+        let both = (true, true);
+        let want = [
+            ("add", both),
+            ("translate", (true, false)),
+            ("set_position", (true, false)),
+            ("set_diameter", (false, true)),
+            ("invalidate_largest_diameter", (false, true)),
+            ("apply_permutation", both),
+            ("remove", both),
+            ("commit without births", (false, false)),
+            ("commit with births", both),
+        ];
+        assert_eq!(families, want.map(|(w, m)| (w.to_string(), m)));
     }
 
     #[test]
@@ -1671,8 +1662,6 @@ mod tests {
             rm.table.clone(),
             rm.uid_column().to_vec(),
             rm.next_uid(),
-            rm.positions_epoch(),
-            rm.attributes_epoch(),
         )
         .unwrap();
         assert_eq!(rebuilt.len(), 1);
@@ -1681,8 +1670,6 @@ mod tests {
         assert_eq!(rebuilt.position(0), rm.position(0));
         assert_eq!(rebuilt.behaviors_column(), rm.behaviors_column());
         assert_eq!(rebuilt.largest_diameter(), 4.0, "cache lazily rebuilt");
-        assert_eq!(rebuilt.positions_epoch(), rm.positions_epoch());
-        assert_eq!(rebuilt.attributes_epoch(), rm.attributes_epoch());
 
         // One agent at the origin with the given ids / uids / next uid.
         let one = |diameters: Vec<f64>, ids: Vec<u32>, uids: Vec<u64>, next_uid| {
@@ -1695,8 +1682,6 @@ mod tests {
                 BehaviorTable::default(),
                 uids,
                 next_uid,
-                0,
-                0,
             )
         };
         assert!(one(vec![1.0], vec![0], vec![0], 1).is_ok());
@@ -1783,8 +1768,6 @@ mod tests {
         );
         assert_eq!(batched.adherence_column(), one_by_one.adherence_column());
         assert_eq!(batched.behaviors_column(), one_by_one.behaviors_column());
-        assert_eq!(batched.positions_epoch(), one_by_one.positions_epoch());
-        assert_eq!(batched.attributes_epoch(), one_by_one.attributes_epoch());
         // The holder count came along: dropping one of the two 7.0s keeps
         // the cache, dropping the other rescans — on both.
         for rm in [&mut batched, &mut one_by_one] {

@@ -919,7 +919,9 @@ mod tests {
     /// the resident step's uid diff finds the new row order by itself
     /// and re-uploads. Pinned to the transfers and the final state of
     /// the commit whose `ReorderOp` still called `invalidate_residency`
-    /// before each permuted step (hard-coded from a run of it).
+    /// before each permuted step (hard-coded from a run of it; the
+    /// checkpoint hash is of that run's stream in format 3, i.e. with
+    /// AGENTS' two dirty-epoch words cut out).
     #[test]
     fn resident_reorder_steps_resync_from_the_uid_diff_alone() {
         const WANT_STEPS: [(u64, u32); 10] = [
@@ -934,7 +936,7 @@ mod tests {
             (3820, 1),
             (3820, 1),
         ];
-        const WANT_CHECKPOINT: u64 = 0x0742_9174_da61_1230;
+        const WANT_CHECKPOINT: u64 = 0x4681_ed7d_b3bb_e045;
         let mut sim = Simulation::new(
             SimParams::cube(10.0)
                 .with_seed(5)

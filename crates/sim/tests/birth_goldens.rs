@@ -3,13 +3,16 @@
 //! `thread_determinism` and `resume_equivalence` compare a run with
 //! itself — serial against parallel, resumed against uninterrupted — so
 //! a change that moves *every* run the same way (a daughter taking a
-//! different uid, an epoch advancing by one instead of by the birth
-//! count, a behavior list inherited from the wrong mother) passes them
-//! all. The hashes below were harvested from the commit before the
+//! different uid, the uid counter advancing by one instead of by the
+//! birth count, a behavior list inherited from the wrong mother) passes
+//! them all. The hashes below were harvested from the commit before the
 //! agent columns became plain data and must hold unmodified after it:
 //! per scene, the **storage-order** uid / position / diameter /
 //! adherence columns as raw bits, every agent's behavior list, the uid
-//! counter, both dirty epochs, and the full checkpoint stream.
+//! counter, and the full checkpoint stream. The stream hashes are of
+//! checkpoint format 3: the parent's format-2 streams with their two
+//! dirty-epoch words cut out of AGENTS (and the version word and the
+//! AGENTS length adjusted to match), nothing else moved.
 //!
 //! The scenes are scripted to reach every branch of the birth merge:
 //! two division waves with a reorder every second step (mothers meet
@@ -98,8 +101,7 @@ struct Golden {
     diameters: u64,
     adherences: u64,
     behaviors: u64,
-    /// `next_uid`, `positions_epoch`, `attributes_epoch`.
-    counters: [u64; 3],
+    next_uid: u64,
     checkpoint: u64,
 }
 
@@ -124,7 +126,7 @@ fn golden(sim: &Simulation) -> Golden {
                 list.iter().for_each(|b| hash_behavior(h, b));
             }
         }),
-        counters: [rm.next_uid(), rm.positions_epoch(), rm.attributes_epoch()],
+        next_uid: rm.next_uid(),
         checkpoint: hash(&|h| h.bytes(&ckpt(sim))),
     }
 }
@@ -263,8 +265,8 @@ fn csr_waves_match_the_parent_goldens() {
                     diameters: 4749611131450722110,
                     adherences: 6437383753809130470,
                     behaviors: 4059340867923332713,
-                    counters: [8504, 29088, 8645],
-                    checkpoint: 3764263123652580205,
+                    next_uid: 8504,
+                    checkpoint: 10910117169730311597,
                 },
             ),
             (
@@ -276,8 +278,8 @@ fn csr_waves_match_the_parent_goldens() {
                     diameters: 14483280719596625029,
                     adherences: 7418087335557137344,
                     behaviors: 2483284822236308729,
-                    counters: [22458, 127131, 26287],
-                    checkpoint: 11580084644924311383,
+                    next_uid: 22458,
+                    checkpoint: 12534452927706341261,
                 },
             ),
         ],
@@ -301,8 +303,8 @@ fn kdtree_waves_match_the_parent_goldens() {
                 diameters: 1498941655473700495,
                 adherences: 13241923482924668412,
                 behaviors: 12999135130589041971,
-                counters: [6405, 35215, 7607],
-                checkpoint: 8368138268658271514,
+                next_uid: 6405,
+                checkpoint: 10061482373841521909,
             },
         )],
     );
@@ -328,8 +330,8 @@ fn sharded_waves_match_the_parent_goldens() {
                 diameters: 16381675027063329101,
                 adherences: 17078752110128846972,
                 behaviors: 17876063106100662212,
-                counters: [24064, 131679, 28647],
-                checkpoint: 15786883862468402884,
+                next_uid: 24064,
+                checkpoint: 6341081854805258192,
             },
         )],
     );

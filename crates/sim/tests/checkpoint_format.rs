@@ -3,14 +3,16 @@
 //! Two jobs:
 //!
 //! 1. **Golden fixture.** A checkpoint of a fixed scene is committed at
-//!    `tests/fixtures/checkpoint_v2.bin` and compared byte-for-byte
+//!    `tests/fixtures/checkpoint_v3.bin` and compared byte-for-byte
 //!    against a freshly serialized copy. Any format drift — field order,
 //!    widths, a [`bdm_sim::checkpoint::FORMAT_VERSION`] bump — fails the
 //!    test until the fixture is deliberately regenerated with
 //!    `BDM_UPDATE_CHECKPOINT_FIXTURE=1 cargo test -p bdm-sim --test
 //!    checkpoint_format`. The fixture scene is built with exact decimal
 //!    arithmetic and **zero simulation steps** (no libm transcendentals),
-//!    so its bytes are identical on every platform.
+//!    so its bytes are identical on every platform. The v1 and v2
+//!    fixtures of the same scene are retained, never regenerated: they
+//!    must keep restoring, and rewrite as the current version.
 //!
 //! 2. **Negative paths.** Every malformed-input class maps to its own
 //!    [`CheckpointError`] variant, restore never panics, and no
@@ -28,6 +30,13 @@ use bdm_sim::simulation::Simulation;
 use proptest::prelude::*;
 
 const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/checkpoint_v3.bin"
+);
+
+/// Retained v2 stream: AGENTS still carries the two dirty-epoch words
+/// after `next_uid`, which restore reads and discards.
+const FIXTURE_V2: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/checkpoint_v2.bin"
 );
@@ -171,13 +180,13 @@ fn golden_fixture_matches_byte_for_byte() {
         )
     });
     assert_eq!(
-        FORMAT_VERSION, 2,
+        FORMAT_VERSION, 3,
         "FORMAT_VERSION changed: bump the fixture file name to checkpoint_v{FORMAT_VERSION}.bin, \
          regenerate it, and update this test's expectations"
     );
     assert_eq!(
         bytes, golden,
-        "checkpoint wire format drifted from the committed v2 fixture; if the change is \
+        "checkpoint wire format drifted from the committed v3 fixture; if the change is \
          intentional, bump FORMAT_VERSION and regenerate with BDM_UPDATE_CHECKPOINT_FIXTURE=1"
     );
 }
@@ -214,7 +223,8 @@ fn golden_fixture_restores_with_expected_contents() {
 /// A committed v1 stream (no `gpu_resident` byte) still restores:
 /// `MIN_FORMAT_VERSION` is a promise, not decoration. The flag defaults
 /// off, and re-checkpointing emits a current-version stream that is the
-/// old payload plus exactly the appended PARAMS byte.
+/// old payload plus exactly the appended PARAMS byte, minus the two
+/// dirty-epoch words version 3 no longer writes.
 #[test]
 fn v1_fixture_restores_with_residency_defaulted_off() {
     let golden = std::fs::read(FIXTURE_V1).expect("retained v1 fixture present");
@@ -233,7 +243,29 @@ fn v1_fixture_restores_with_residency_defaulted_off() {
         u32::from_le_bytes(rewritten[8..12].try_into().unwrap()),
         FORMAT_VERSION
     );
-    assert_eq!(rewritten.len(), golden.len() + 1);
+    assert_eq!(rewritten.len(), golden.len() + 1 - 16);
+}
+
+/// The committed v2 stream restores and rewrites as exactly the v3
+/// fixture, which is the v2 bytes with the version word set to 3, the
+/// AGENTS `byte_len` reduced by 16, and the two dirty-epoch words (16
+/// bytes at AGENTS offset 16, after the agent count and `next_uid`) cut
+/// out — nothing else moved.
+#[test]
+fn a_v2_stream_rewrites_as_v3_without_its_epochs() {
+    let v2 = std::fs::read(FIXTURE_V2).expect("retained v2 fixture present");
+    assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), 2);
+    let sim = Simulation::restore(&mut &v2[..]).expect("v2 stream restores");
+    let rewritten = ckpt(&sim);
+    let v3 = std::fs::read(FIXTURE).expect("golden fixture present");
+    assert_eq!(rewritten, v3, "a rewritten v2 stream is the v3 fixture");
+
+    let mut want = v2.clone();
+    want[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let (entry, payload, len) = locate(&v2, 3);
+    want[entry + 4..entry + 12].copy_from_slice(&(len as u64 - 16).to_le_bytes());
+    want.drain(payload + 16..payload + 32);
+    assert_eq!(rewritten, want, "v2 minus its epochs");
 }
 
 #[test]
@@ -276,9 +308,14 @@ fn unsupported_version_reports_both_versions() {
     let mut bytes = valid_bytes();
     bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
     match restore_err(&bytes) {
-        Err(CheckpointError::UnsupportedVersion { found, supported }) => {
+        Err(e @ CheckpointError::UnsupportedVersion { found, supported }) => {
             assert_eq!(found, 99);
             assert_eq!(supported, FORMAT_VERSION);
+            // The message names the whole range restore accepts.
+            let msg = e.to_string();
+            let range = format!("{MIN_FORMAT_VERSION}..={FORMAT_VERSION}");
+            assert!(msg.contains("99") && msg.contains(&range), "{msg}");
+            assert_eq!(range, "1..=3");
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }

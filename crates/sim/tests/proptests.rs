@@ -476,8 +476,6 @@ proptest! {
             table,
             uids.clone(),
             3 * n as u64 + 7,
-            0,
-            0,
         )
         .unwrap();
 
@@ -579,7 +577,7 @@ proptest! {
 
     /// Daughters written into the columns' reserved room and appended by
     /// `Divisions::commit` leave every column bit, the uids, `next_uid`,
-    /// both epochs, the largest diameter and its scan count and the
+    /// the largest diameter and its scan count and the
     /// substance field exactly as the buffered merge they replaced: each
     /// daughter appended as an `AgentRow` through `ResourceManager::append`
     /// in `(mother uid, chunk, index in chunk)` order, between the
@@ -627,8 +625,6 @@ proptest! {
             table,
             uids,
             2 * n as u64 + 5,
-            7,
-            11,
         )
         .unwrap();
         // A valid cache, so the appends' holder bookkeeping shows.
@@ -692,7 +688,7 @@ proptest! {
                 columns,
                 lists,
                 rm.uid_column().to_vec(),
-                [rm.next_uid(), rm.positions_epoch(), rm.attributes_epoch()],
+                rm.next_uid(),
                 (largest, rm.diameter_scan_count()),
                 field.total_mass().to_bits(),
             )

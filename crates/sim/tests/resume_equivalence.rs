@@ -8,7 +8,7 @@
 //!
 //! The strongest single assertion is at the bottom of the harness:
 //! `checkpoint(uninterrupted @ n) == checkpoint(resumed @ n)` **as raw
-//! bytes**. Every serialized field — columns, epochs, uid counter,
+//! bytes**. Every serialized field — columns, uid counter,
 //! diffusion fields, scheduler counters, shard spans and assignment
 //! snapshots — participates in that comparison, so any divergence
 //! anywhere in the captured state fails the test. The per-field
@@ -16,7 +16,8 @@
 //!
 //! Additionally each checkpoint must be *byte-idempotent*: checkpointing
 //! the freshly-restored simulation reproduces the original stream
-//! exactly (epochs and counters are restored verbatim, not re-derived).
+//! exactly (the uid and scheduler counters are restored verbatim, not
+//! re-derived).
 
 use bdm_math::{SplitMix64, Vec3};
 use bdm_sim::behavior::Behavior;
@@ -159,7 +160,7 @@ fn assert_resume_equivalent(build: &dyn Fn() -> Simulation, k: u64, n: u64, what
     let mut restored = Simulation::restore(&mut &bytes[..]).expect("restore own checkpoint");
 
     // Byte idempotence: re-checkpointing the restored state reproduces
-    // the stream exactly (epochs/counters restored verbatim).
+    // the stream exactly (counters restored verbatim).
     assert_eq!(
         bytes,
         ckpt(&restored),

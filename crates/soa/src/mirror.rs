@@ -5,12 +5,12 @@
 //! `f64` — BioDynaMo's storage default, and the precision the rest of the
 //! pipeline (behaviors, displacement integration) keeps. Rather than
 //! narrowing the storage, each hot column gets an [`F32Mirror`]: a cast
-//! copy that is refreshed only when the source column's *dirty epoch*
-//! advances, so consecutive steps over an unchanged column pay zero
-//! conversion traffic.
+//! copy that is refreshed only when the source column's *key* changes,
+//! so consecutive steps over an unchanged column pay zero conversion
+//! traffic.
 //!
-//! The epoch is owned by the source container; the mirror just remembers
-//! the epoch it last copied at. That makes the refresh decision
+//! The key is owned by the source container; the mirror just remembers
+//! the key it last copied at. That makes the refresh decision
 //! deterministic — a pure function of the mutation history, never of
 //! timing — so the "copies performed" count is a gateable benchmark
 //! metric. A value that two containers could share would let a mirror
@@ -18,12 +18,12 @@
 //! passes its resource manager's process-unique *stamps*, which no other
 //! container (a clone, a restored copy) ever hands out.
 
-/// An `f32` shadow of an `f64` column, refreshed on epoch change.
+/// An `f32` shadow of an `f64` column, refreshed when its key changes.
 #[derive(Debug, Clone, Default)]
 pub struct F32Mirror {
     data: Vec<f32>,
-    /// Epoch of the last refresh; `None` until the first one.
-    epoch: Option<u64>,
+    /// Key of the last refresh; `None` until the first one.
+    key: Option<u64>,
 }
 
 impl F32Mirror {
@@ -32,17 +32,17 @@ impl F32Mirror {
         Self::default()
     }
 
-    /// Bring the mirror up to date with `src` if `epoch` differs from the
-    /// last refreshed epoch (or the length drifted — a cheap belt-and-
+    /// Bring the mirror up to date with `src` if `key` differs from the
+    /// last refreshed key (or the length drifted — a cheap belt-and-
     /// braces check). Returns the number of elements converted: `src.len()`
     /// on a refresh, `0` when the mirror was already clean.
-    pub fn refresh(&mut self, epoch: u64, src: &[f64]) -> u64 {
-        if self.epoch == Some(epoch) && self.data.len() == src.len() {
+    pub fn refresh(&mut self, key: u64, src: &[f64]) -> u64 {
+        if self.key == Some(key) && self.data.len() == src.len() {
             return 0;
         }
         self.data.clear();
         self.data.extend(src.iter().map(|&v| v as f32));
-        self.epoch = Some(epoch);
+        self.key = Some(key);
         src.len() as u64
     }
 
@@ -61,12 +61,6 @@ impl F32Mirror {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// Forget the refresh epoch: the next [`F32Mirror::refresh`] copies
-    /// unconditionally.
-    pub fn invalidate(&mut self) {
-        self.epoch = None;
-    }
 }
 
 /// A packed `[x, y, z, w]` `f32` record mirror over four `f64` columns —
@@ -79,17 +73,17 @@ impl F32Mirror {
 /// makes a lane gather a single address computation and a single
 /// aligned-within-line load.
 ///
-/// The four source columns may be keyed to two different dirty epochs
-/// (here: positions and attributes); the packed record re-converts
-/// whole when *either* epoch moves, trading a few redundant component
+/// The four source columns may be keyed to two different keys (here:
+/// the position and the attribute stamp); the packed record re-converts
+/// whole when *either* key moves, trading a few redundant component
 /// conversions for the packed layout. Same determinism contract as
-/// [`F32Mirror`]: the refresh decision is a pure function of the epoch
-/// pair, and the mirror must stay with one source container.
+/// [`F32Mirror`]: the refresh decision is a pure function of the key
+/// pair.
 #[derive(Debug, Clone, Default)]
 pub struct F32x4Mirror {
     data: Vec<[f32; 4]>,
-    /// Epoch pair of the last refresh; `None` until the first one.
-    epochs: Option<(u64, u64)>,
+    /// Key pair of the last refresh; `None` until the first one.
+    keys: Option<(u64, u64)>,
 }
 
 impl F32x4Mirror {
@@ -98,14 +92,14 @@ impl F32x4Mirror {
         Self::default()
     }
 
-    /// Refresh from the four equal-length source columns if either epoch
+    /// Refresh from the four equal-length source columns if either key
     /// differs from the last refresh (or the length drifted). Returns the
     /// number of component conversions performed: `4 * len` on a refresh,
     /// `0` when clean.
     pub fn refresh(
         &mut self,
-        epoch_a: u64,
-        epoch_b: u64,
+        key_a: u64,
+        key_b: u64,
         xs: &[f64],
         ys: &[f64],
         zs: &[f64],
@@ -115,7 +109,7 @@ impl F32x4Mirror {
             xs.len() == ys.len() && ys.len() == zs.len() && zs.len() == ws.len(),
             "packed mirror sources must be equal length"
         );
-        if self.epochs == Some((epoch_a, epoch_b)) && self.data.len() == xs.len() {
+        if self.keys == Some((key_a, key_b)) && self.data.len() == xs.len() {
             return 0;
         }
         self.data.clear();
@@ -126,7 +120,7 @@ impl F32x4Mirror {
                 .zip(ws)
                 .map(|(((&x, &y), &z), &w)| [x as f32, y as f32, z as f32, w as f32]),
         );
-        self.epochs = Some((epoch_a, epoch_b));
+        self.keys = Some((key_a, key_b));
         4 * xs.len() as u64
     }
 
@@ -145,12 +139,6 @@ impl F32x4Mirror {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// Forget the refresh epochs: the next [`F32x4Mirror::refresh`] copies
-    /// unconditionally.
-    pub fn invalidate(&mut self) {
-        self.epochs = None;
-    }
 }
 
 #[cfg(test)]
@@ -164,14 +152,14 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.refresh(7, &src), 3, "first refresh always copies");
         assert_eq!(m.as_slice(), &[1.0f32, 2.5, -3.25]);
-        assert_eq!(m.refresh(7, &src), 0, "same epoch: clean");
-        assert_eq!(m.refresh(8, &src), 3, "bumped epoch: recopy");
+        assert_eq!(m.refresh(7, &src), 0, "same key: clean");
+        assert_eq!(m.refresh(8, &src), 3, "new key: recopy");
         assert_eq!(m.len(), 3);
     }
 
     #[test]
     fn length_drift_forces_a_copy() {
-        // Defensive: even with a stale epoch value, a length mismatch can
+        // Defensive: even with a stale key, a length mismatch can
         // never serve wrong-sized data.
         let mut m = F32Mirror::new();
         m.refresh(1, &[1.0, 2.0]);
@@ -190,14 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_forgets_the_epoch() {
-        let mut m = F32Mirror::new();
-        m.refresh(3, &[4.0]);
-        m.invalidate();
-        assert_eq!(m.refresh(3, &[4.0]), 1, "copies again after invalidate");
-    }
-
-    #[test]
     fn packed_mirror_refreshes_on_either_epoch() {
         let xs = [1.0f64, 2.0];
         let ys = [3.0f64, 4.0];
@@ -210,16 +190,10 @@ mod tests {
             m.as_slice(),
             &[[1.0f32, 3.0, 5.0, 7.0], [2.0f32, 4.0, 6.0, 8.0]]
         );
-        assert_eq!(m.refresh(1, 1, &xs, &ys, &zs, &ws), 0, "both epochs clean");
-        assert_eq!(m.refresh(2, 1, &xs, &ys, &zs, &ws), 8, "first epoch moved");
-        assert_eq!(m.refresh(2, 2, &xs, &ys, &zs, &ws), 8, "second epoch moved");
+        assert_eq!(m.refresh(1, 1, &xs, &ys, &zs, &ws), 0, "both keys clean");
+        assert_eq!(m.refresh(2, 1, &xs, &ys, &zs, &ws), 8, "first key moved");
+        assert_eq!(m.refresh(2, 2, &xs, &ys, &zs, &ws), 8, "second key moved");
         assert_eq!(m.len(), 2);
-        m.invalidate();
-        assert_eq!(
-            m.refresh(2, 2, &xs, &ys, &zs, &ws),
-            8,
-            "invalidate recopies"
-        );
     }
 
     #[test]

@@ -52,6 +52,15 @@ impl Word for f64 {
     }
 }
 
+impl Word for f32 {
+    fn to_word(self) -> u64 {
+        self.to_bits().into()
+    }
+    fn from_word(w: u64) -> Self {
+        f32::from_bits(w as u32)
+    }
+}
+
 impl Word for u64 {
     fn to_word(self) -> u64 {
         self
@@ -143,16 +152,12 @@ impl Permutation {
         }
     }
 
-    /// Argsort: the permutation that orders `keys` ascending (stable, so
-    /// equal Morton keys — agents in the same voxel — keep their relative
-    /// order, which keeps the parallel and serial pipelines bit-identical).
-    pub fn sorting_by_key<K: Ord + Send + Sync + Copy>(keys: &[K]) -> Self {
+    /// Argsort by a comparison sort: the permutation that orders `keys`
+    /// ascending (stable, so equal keys keep their relative order). The
+    /// oracle `bdm_morton::radix_argsort` is checked against.
+    pub fn sorting_by_key<K: Ord + Copy>(keys: &[K]) -> Self {
         let mut idx: Vec<u32> = (0..keys.len() as u32).collect();
-        if keys.len() >= PAR_THRESHOLD {
-            idx.par_sort_by_key(|&i| keys[i as usize]);
-        } else {
-            idx.sort_by_key(|&i| keys[i as usize]);
-        }
+        idx.sort_by_key(|&i| keys[i as usize]);
         Self { gather: idx }
     }
 
@@ -174,16 +179,6 @@ impl Permutation {
     /// Raw gather indices (`new[i] = old[g[i]]`).
     pub fn gather_indices(&self) -> &[u32] {
         &self.gather
-    }
-
-    /// The inverse permutation: if `self` maps old→new by gather, the
-    /// inverse maps new→old. `self.apply(&inverse.apply(&x)) == x`.
-    pub fn inverse(&self) -> Self {
-        let mut inv = vec![0u32; self.gather.len()];
-        for (new_pos, &old_pos) in self.gather.iter().enumerate() {
-            inv[old_pos as usize] = new_pos as u32;
-        }
-        Self { gather: inv }
     }
 
     /// Out-of-place gather: returns `new` with `new[i] = data[perm[i]]`.
@@ -215,44 +210,15 @@ impl Permutation {
         }
     }
 
-    /// Gather `src` through the permutation into `dst`, reusing `dst`'s
-    /// capacity (`dst[i] = src[perm[i]]`; `dst` is cleared first).
-    pub fn gather_into<T: Copy + Send + Sync>(&self, src: &[T], dst: &mut Vec<T>) {
-        // Check the length up front — including on the identity fast
-        // path — so a mismatched column fails here with a clear message
-        // instead of silently copying a wrong-sized column.
-        assert_eq!(
-            src.len(),
-            self.gather.len(),
-            "column length {} does not match permutation length {}",
-            src.len(),
-            self.gather.len()
-        );
-        if self.is_identity() {
-            dst.clear();
-            dst.extend_from_slice(src);
-        } else {
-            self.gather(src, dst);
-        }
-    }
-
-    /// In-place gather through a scratch buffer (reuses `scratch`'s
-    /// capacity; on a non-identity permutation, leaves `scratch` holding
-    /// the old data).
+    /// Apply the permutation to several same-typed columns in place,
+    /// cascading one scratch buffer across all of them (one allocation
+    /// amortized over the whole reorder; on a non-identity permutation,
+    /// `scratch` is left holding the last column's old data).
     ///
-    /// Identity fast path: when the permutation is the identity the data
-    /// is already in place, so nothing is copied and `scratch` is left
-    /// untouched — an amortized reorder pass that finds the population
-    /// already sorted costs one O(n) index scan and zero element moves.
-    pub fn apply_in_place<T: Copy + Send + Sync>(&self, data: &mut Vec<T>, scratch: &mut Vec<T>) {
-        self.apply_columns_in_place(&mut [data], scratch);
-    }
-
-    /// Apply the permutation to several same-typed columns, cascading one
-    /// scratch buffer across all of them (one allocation amortized over
-    /// the whole reorder). The identity check runs once up front, so an
-    /// already-sorted population costs zero copies no matter how many
-    /// columns ride along.
+    /// Identity fast path: the identity check runs once up front, and then
+    /// nothing is copied and `scratch` is left untouched — an already-sorted
+    /// population costs one O(n) index scan and zero element moves, however
+    /// many columns ride along. The column lengths are checked either way.
     pub fn apply_columns_in_place<T: Copy + Send + Sync>(
         &self,
         columns: &mut [&mut Vec<T>],
@@ -275,17 +241,6 @@ impl Permutation {
             std::mem::swap(*col, scratch);
         }
     }
-
-    /// Composition: `(self ∘ other)` first applies `other`, then `self`.
-    pub fn compose(&self, other: &Self) -> Self {
-        assert_eq!(self.len(), other.len());
-        let gather = self
-            .gather
-            .iter()
-            .map(|&g| other.gather[g as usize])
-            .collect();
-        Self { gather }
-    }
 }
 
 #[cfg(test)]
@@ -307,15 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_roundtrip() {
-        let p = Permutation::new(vec![3, 1, 0, 2]);
-        let data = vec![1.0, 2.0, 3.0, 4.0];
-        let shuffled = p.apply(&data);
-        let restored = p.inverse().apply(&shuffled);
-        assert_eq!(restored, data);
-    }
-
-    #[test]
     fn sorting_by_key_sorts() {
         let keys = [5u64, 1, 4, 2, 3];
         let p = Permutation::sorting_by_key(&keys);
@@ -333,55 +279,20 @@ mod tests {
     }
 
     #[test]
-    fn compose_applies_right_then_left() {
-        let rot = Permutation::new(vec![1, 2, 0]); // new[i] = old[i+1 mod 3]
-        let composed = rot.compose(&rot);
-        let data = vec![0, 1, 2];
-        assert_eq!(composed.apply(&data), rot.apply(&rot.apply(&data)));
-    }
-
-    #[test]
-    fn apply_in_place_matches_apply() {
-        let p = Permutation::new(vec![2, 0, 3, 1]);
-        let data = vec![9, 8, 7, 6];
-        let expected = p.apply(&data);
-        let mut d = data.clone();
-        let mut scratch = Vec::new();
-        p.apply_in_place(&mut d, &mut scratch);
-        assert_eq!(d, expected);
-        assert_eq!(scratch, data); // scratch holds the pre-gather data
-    }
-
-    #[test]
-    fn gather_into_matches_apply_and_reuses_dst() {
-        let p = Permutation::new(vec![2, 0, 3, 1]);
-        let data = vec![9, 8, 7, 6];
-        let mut dst = Vec::with_capacity(16);
-        let cap = dst.capacity();
-        p.gather_into(&data, &mut dst);
-        assert_eq!(dst, p.apply(&data));
-        assert_eq!(dst.capacity(), cap, "dst capacity is reused");
-    }
-
-    #[test]
-    fn identity_apply_in_place_is_zero_copy() {
-        // The identity fast path must neither move the data buffer nor
+    fn identity_apply_columns_in_place_is_zero_copy() {
+        // The identity fast path must neither move a column's buffer nor
         // touch the scratch — sentinel contents survive unchanged.
-        let p = Permutation::identity(4);
-        let mut data = vec![1, 2, 3, 4];
-        let ptr = data.as_ptr();
+        let mut a = vec![1, 2, 3, 4];
+        let mut b = vec![5, 6, 7, 8];
+        let ptr = a.as_ptr();
         let mut scratch = vec![99, 99];
-        p.apply_in_place(&mut data, &mut scratch);
-        assert_eq!(data, vec![1, 2, 3, 4]);
-        assert_eq!(data.as_ptr(), ptr, "identity must not reallocate data");
+        Permutation::identity(4).apply_columns_in_place(&mut [&mut a, &mut b], &mut scratch);
+        assert_eq!(
+            (a.as_slice(), b.as_slice()),
+            (&[1, 2, 3, 4][..], &[5, 6, 7, 8][..])
+        );
+        assert_eq!(a.as_ptr(), ptr, "identity must not reallocate a column");
         assert_eq!(scratch, vec![99, 99], "identity must not touch scratch");
-
-        let mut cols = [vec![1.0, 2.0], vec![3.0, 4.0]];
-        let [ref mut a, ref mut b] = cols;
-        let mut scratch = vec![7.0];
-        Permutation::identity(2).apply_columns_in_place(&mut [a, b], &mut scratch);
-        assert_eq!(scratch, vec![7.0], "multi-column identity is zero-copy");
-        assert_eq!(cols, [vec![1.0, 2.0], vec![3.0, 4.0]]);
     }
 
     #[test]
@@ -393,13 +304,11 @@ mod tests {
         p.apply_columns_in_place(&mut [&mut a, &mut b], &mut scratch);
         assert_eq!(a, p.apply(&[10, 20, 30]));
         assert_eq!(b, p.apply(&[40, 50, 60]));
-    }
-
-    #[test]
-    #[should_panic]
-    fn identity_apply_in_place_still_checks_length() {
-        let p = Permutation::identity(3);
-        p.apply_in_place(&mut vec![1, 2], &mut Vec::new());
+        assert_eq!(
+            scratch,
+            vec![40, 50, 60],
+            "scratch holds the last old column"
+        );
     }
 
     #[test]
@@ -421,15 +330,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "column length 2 does not match permutation length 3")]
-    fn gather_into_rejects_length_mismatch_even_for_identity() {
-        let mut dst = Vec::new();
-        Permutation::identity(3).gather_into(&[1, 2], &mut dst);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match permutation length")]
+    #[should_panic(expected = "column length 1 does not match permutation length 3")]
     fn apply_columns_in_place_rejects_length_mismatch() {
+        // Even for the identity, whose fast path copies nothing.
         let mut short = vec![1.0];
         let mut scratch = Vec::new();
         Permutation::identity(3).apply_columns_in_place(&mut [&mut short], &mut scratch);

@@ -68,7 +68,7 @@ cargo test -q --offline --release -p bdm-sim --test diffusion_parity -- \
     fields_match_the_parent_goldens \
     any_slab_partition_yields_the_same_bits_and_counters
 # Division waves against the bits of the engine that kept a behavior
-# list per agent (storage-order columns, lists, uid counter, epochs,
+# list per agent (storage-order columns, lists, uid counter,
 # checkpoint bytes), and the allocation counts that engine could not
 # meet: a wave and a restore allocate a constant (the warm reorder's
 # count runs in the thread matrix above) — by name in release.
@@ -112,6 +112,11 @@ for threads in 1 2 4; do
 done
 cargo test -q --offline --release -p bdm-sim --lib -- \
     resident_reorder_steps_resync_from_the_uid_diff_alone
+# The benchmark harness (its own package under benchmark/) builds and
+# passes its unit tests against this tree: a change to the public API it
+# calls fails here, not in the next benchmark run.
+cargo build --offline --release --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --offline --workspace --all-targets -- -D warnings
 ./scripts/fmt.sh --check
 # Informational, not a gate: the non-test, non-comment size of the code
