@@ -1488,7 +1488,18 @@ mod tests {
         let copy = rm.clone();
         let (c, r) = (copy.position_stamp(), rm.position_stamp());
         assert!(c != s1 && r == s1, "a clone draws its own");
+        rm.set_diameter(0, 2.0);
+        assert_ne!(rm.attribute_stamp(), a0);
+        assert_eq!(rm.position_stamp(), s1);
+    }
 
+    #[test]
+    fn stamps_track_mutation_families() {
+        let mut rm = ResourceManager::new();
+        for i in 0..10 {
+            rm.add(cell_at(i as f64));
+        }
+        let stamps = |rm: &ResourceManager| (rm.position_stamp(), rm.attribute_stamp());
         // One step per mutation family: which of the two stamps it moves.
         let moves = |rm: &mut ResourceManager, what: &str, f: &dyn Fn(&mut ResourceManager)| {
             let before = stamps(rm);

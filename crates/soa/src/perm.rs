@@ -296,6 +296,18 @@ mod tests {
     }
 
     #[test]
+    fn apply_columns_in_place_matches_apply() {
+        let p = Permutation::new(vec![2, 0, 3, 1]);
+        let data = vec![9, 8, 7, 6];
+        let expected = p.apply(&data);
+        let mut d = data.clone();
+        let mut scratch = Vec::new();
+        p.apply_columns_in_place(&mut [&mut d], &mut scratch);
+        assert_eq!(d, expected);
+        assert_eq!(scratch, data); // scratch holds the pre-gather data
+    }
+
+    #[test]
     fn apply_columns_in_place_cascades_one_scratch() {
         let p = Permutation::new(vec![1, 2, 0]);
         let mut a = vec![10, 20, 30];
@@ -327,6 +339,19 @@ mod tests {
     #[should_panic]
     fn apply_rejects_length_mismatch() {
         Permutation::identity(3).apply(&[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column length 2 does not match permutation length 3")]
+    fn apply_rejects_length_mismatch_even_for_identity() {
+        Permutation::identity(3).apply(&[1, 2]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn identity_apply_columns_in_place_still_checks_length() {
+        let p = Permutation::identity(3);
+        p.apply_columns_in_place(&mut [&mut vec![1, 2]], &mut Vec::new());
     }
 
     #[test]
