@@ -697,6 +697,9 @@ fn begin_step<R: Scalar + DeviceWord>(
     }
 }
 
+/// Candidate threshold for the dynamic-parallelism parent kernel.
+const DYNPAR_THRESHOLD: u32 = 96;
+
 /// The full offload pipeline.
 pub struct MechanicalPipeline {
     system: SystemSpec,
@@ -706,8 +709,6 @@ pub struct MechanicalPipeline {
     /// Persistent device + host state, at the scalar width the version
     /// computes in.
     state: State,
-    /// Candidate threshold for the dynamic-parallelism parent kernel.
-    pub dynpar_threshold: u32,
     /// Space-filling curve used by the sorting versions (II, III,
     /// dynpar). Z-order is the paper's choice; Hilbert is the ablation.
     pub sort_curve: bdm_morton::Curve,
@@ -730,7 +731,6 @@ struct StepEnv<'a> {
     system: &'a SystemSpec,
     pcie: &'a PcieModel,
     version: KernelVersion,
-    dynpar_threshold: u32,
     sort_curve: bdm_morton::Curve,
     force_full_rebuild: bool,
 }
@@ -755,7 +755,6 @@ impl MechanicalPipeline {
             } else {
                 State::F64(DeviceState::new())
             },
-            dynpar_threshold: 96,
             sort_curve: bdm_morton::Curve::ZOrder,
             force_full_rebuild: false,
         }
@@ -852,7 +851,6 @@ impl MechanicalPipeline {
             system: &self.system,
             pcie: &self.pcie,
             version: self.version,
-            dynpar_threshold: self.dynpar_threshold,
             sort_curve: self.sort_curve,
             force_full_rebuild: self.force_full_rebuild,
         };
@@ -1208,7 +1206,7 @@ impl StepEnv<'_> {
                     out: st.out(),
                     queue: &st.queue,
                     queue_count: &st.queue_count,
-                    threshold: self.dynpar_threshold,
+                    threshold: DYNPAR_THRESHOLD,
                     params,
                 };
                 cost.launch(self.runtime, &parent, n);

@@ -71,9 +71,6 @@ pub struct ExecutionContext {
     pub behaviors_run: u64,
     /// Divisions performed (profiling).
     pub divisions: u64,
-    /// `true` when the chunk wrote any diameter through the raw views —
-    /// the merge then invalidates the largest-diameter cache.
-    diameters_written: bool,
 }
 
 /// Counters produced by merging all chunk contexts of one pass.
@@ -109,11 +106,6 @@ impl ExecutionContext {
         });
     }
 
-    /// Record that this chunk wrote diameters through the raw views.
-    pub fn mark_diameter_write(&mut self) {
-        self.diameters_written = true;
-    }
-
     /// Apply every chunk's deferred mutations to the shared state:
     ///
     /// 1. secretions (substance fields), sorted by secreting uid,
@@ -142,11 +134,9 @@ impl ExecutionContext {
         let mut out = MergeOutcome::default();
         let mut deaths: Vec<usize> = Vec::new();
         let mut secretions: Vec<Secretion> = Vec::new();
-        let mut any_diameters = false;
         for ctx in &contexts {
             out.behaviors_run += ctx.behaviors_run;
             out.divisions += ctx.divisions;
-            any_diameters |= ctx.diameters_written;
             secretions.extend_from_slice(&ctx.secretions);
             debug_assert!(ctx.deaths.windows(2).all(|w| w[0] <= w[1]));
             deaths.extend_from_slice(&ctx.deaths);
@@ -154,9 +144,6 @@ impl ExecutionContext {
         secretions.sort_by_key(|s| s.uid);
         for s in &secretions {
             substances[s.substance].secrete(s.position, s.rate);
-        }
-        if any_diameters {
-            rm.invalidate_largest_diameter();
         }
         // Chunks contribute ascending, disjoint index ranges, so the
         // concatenation is already globally sorted; dedup guards against
@@ -334,20 +321,24 @@ mod tests {
     }
 
     #[test]
-    fn merge_invalidates_diameter_cache_only_when_written() {
+    fn merges_leave_the_diameter_memo_to_the_views() {
         let mut rm = ResourceManager::new();
         rm.add(cell(0.0, 3.0));
         assert_eq!(rm.largest_diameter(), 3.0);
-        // No diameter writes: the cache survives the merge.
+        let memo = |rm: &ResourceManager| (rm.attribute_stamp(), rm.diameter_scan_count());
+        let before = memo(&rm);
+        // A merge of contexts that wrote nothing keeps the memo.
         ExecutionContext::merge_in_order(vec![ExecutionContext::new()], &mut rm, &mut []);
         assert_eq!(rm.largest_diameter(), 3.0);
-        // A chunk that wrote diameters forces invalidation.
-        let (mut chunks, _shared) = rm.behavior_chunks(8);
+        assert_eq!(memo(&rm), before);
+        // A view's diameter write reaches the next lookup; the merge
+        // after it has nothing to add.
+        let (mut chunks, _shared) = rm.behavior_chunks_at(&[0, 1]);
         chunks[0].set_diameter(0, 5.0);
         drop(chunks);
-        let mut c = ExecutionContext::new();
-        c.mark_diameter_write();
-        ExecutionContext::merge_in_order(vec![c], &mut rm, &mut []);
         assert_eq!(rm.largest_diameter(), 5.0);
+        ExecutionContext::merge_in_order(vec![ExecutionContext::new()], &mut rm, &mut []);
+        assert_eq!(rm.largest_diameter(), 5.0);
+        assert_eq!(rm.diameter_scan_count(), before.1 + 1);
     }
 }

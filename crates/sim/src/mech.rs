@@ -369,11 +369,11 @@ pub fn interaction_radius(rm: &ResourceManager, params: &SimParams) -> f64 {
 pub struct MechScratch {
     /// Global CSR grid, rebuilt in place every unsharded step.
     pub(crate) csr: Option<CsrGrid<f64>>,
-    /// `(position stamp, agents)` the global grid was last built or
-    /// verified against: while both hold and the grid is a full build of
-    /// the step's geometry, the rebuild is skipped without reading the
-    /// columns.
-    csr_key: Option<(u64, usize)>,
+    /// The position stamp the global grid was last built or verified
+    /// against: while it holds (it moves on every change of the
+    /// population too) and the grid is a full build of the step's
+    /// geometry, the rebuild is skipped without reading the columns.
+    csr_key: Option<u64>,
     /// The step buffer: the force sweep's displacements (every CPU path,
     /// sharded or not), lent before the sweep to the global CSR build (its
     /// voxel ids and histograms), and between sweeps to the reorder — the
@@ -1601,9 +1601,9 @@ fn cpu_grid_csr_step(
     // (which borrows the rest of the scratch) and returns to it
     // afterwards.
     //
-    // A grid built (or verified) against this very position stamp and
-    // population, on this geometry, is what the rebuild would conclude
-    // without reading a column.
+    // A grid built (or verified) against this very position stamp, on
+    // this geometry, is what the rebuild would conclude without reading a
+    // column.
     let t0 = Instant::now();
     let (xs, ys, zs) = rm.position_columns();
     let kept = scratch.csr.take();
@@ -1611,7 +1611,7 @@ fn cpu_grid_csr_step(
         .as_ref()
         .is_some_and(|grid| grid.is_full_build_of(space, radius));
     let mut grid = kept.unwrap_or_else(|| empty_csr(space, radius));
-    let key = (rm.position_stamp(), n);
+    let key = rm.position_stamp();
     let reason = if same_geometry && scratch.csr_key == Some(key) {
         CsrRebuild::Unchanged
     } else {
@@ -2914,29 +2914,25 @@ mod tests {
 
     #[test]
     fn interaction_radius_reuses_the_diameter_cache_across_steps() {
-        // The satellite fix, observed end-to-end: a uniform-diameter
-        // population steps many times (every step calls
-        // `interaction_radius` → `largest_diameter`) and even loses
-        // agents — the diameter column must be scanned exactly once.
-        let params = SimParams::cube(6.0);
+        // Every step calls `interaction_radius` → `largest_diameter`; on
+        // a scene whose diameters do not change, only the first one
+        // scans the column.
+        let mut params = SimParams::cube(6.0);
+        params.mech.max_displacement = 0.0;
         let mut rm = random_population(300, 5.5, 23);
         let mut scratch = MechScratch::default();
         let env = EnvironmentKind::uniform_grid_csr_parallel();
         for _ in 0..5 {
             mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
         }
-        assert_eq!(rm.diameter_scan_count(), 1, "one memoized scan, ever");
-        // Deaths in a uniform-diameter population always remove "a
-        // maximum holder" — the holder count keeps the cache alive.
+        assert_eq!(rm.diameter_scan_count(), 1, "no scan after step 1");
+        // A death moves the attribute stamp: at most one scan per step.
         for _ in 0..10 {
+            let before = rm.diameter_scan_count();
             rm.remove(0);
             mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+            assert!(rm.diameter_scan_count() - before <= 1);
         }
-        assert_eq!(
-            rm.diameter_scan_count(),
-            1,
-            "tie-deaths must not degenerate into per-step column scans"
-        );
     }
 
     /// What a position stamp promises: the positions' bits, the uids and
@@ -3011,6 +3007,7 @@ mod tests {
         let mut reorder = ReorderState::default();
         let mut buffer = StepBuffer::default();
         let mut seen: std::collections::HashMap<u64, StampedState> = Default::default();
+        let mut seen_attr: std::collections::HashMap<u64, [Vec<u64>; 2]> = Default::default();
         let mut skips = [0u32; 3];
         for &(op, arg) in ops {
             let n = rm.len();
@@ -3053,18 +3050,22 @@ mod tests {
                     rm.translate(i, d);
                 }
                 4 | 5 => {
-                    // Chunk views; with op 5 one of them writes.
+                    // Chunk views; with op 5 one of them writes a
+                    // position (odd `arg`) or a diameter (even).
                     let step = 1 + (arg % 17) as usize;
                     let cuts: Vec<usize> = (0..n).step_by(step).chain([n]).collect();
                     let (chunks, _) = rm.behavior_chunks_at(&cuts);
                     for mut chunk in chunks {
                         let k = i.wrapping_sub(chunk.start());
-                        if op == 5 && k < chunk.len() {
+                        if op == 5 && k < chunk.len() && arg % 2 == 1 {
                             let p = chunk.position(k);
                             chunk.set_position(k, p + Vec3::new(0.0, 0.0, 0.01));
+                        } else if op == 5 && k < chunk.len() {
+                            let d = chunk.diameter(k);
+                            chunk.set_diameter(k, d * (1.0 + (arg % 5) as f64 * 0.05));
                         }
                     }
-                    let _ = rm.behavior_chunks(1 + i);
+                    let _ = rm.behavior_chunks_at(&[0, i, n]);
                 }
                 6 => {
                     // A division wave: every dividing agent whose roll
@@ -3155,6 +3156,14 @@ mod tests {
                 *seen, state,
                 "op {op}: an unchanged stamp keys unchanged columns"
             );
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let state = [rm.diameter_column(), rm.adherence_column()].map(bits);
+            let seen = seen_attr
+                .entry(rm.attribute_stamp())
+                .or_insert_with(|| state.clone());
+            assert_eq!(*seen, state, "op {op}: the attribute stamp likewise");
+            let scan = rm.diameter_column().iter().fold(0.0f64, |v, &d| v.max(d));
+            assert_eq!(rm.largest_diameter(), scan, "op {op}: the memo is current");
         }
         skips
     }
@@ -3163,7 +3172,8 @@ mod tests {
     fn the_stamp_oracle_reaches_every_skip() {
         // Reorder, reorder, step, step: the second reorder skips its
         // scan, the second step its rebuild and its mirror copies. Then a
-        // writing chunk view, a clone and a restore each end the streak.
+        // chunk view that writes a position, a clone and a restore each
+        // end the streak; one that grows a cell ends the mirrors'.
         let (reorder, step) = ((14, 0), (12, 0));
         let streak = [reorder, reorder, step, step];
         assert_eq!(stamp_oracle_case(7, &streak), [1, 1, 1]);
@@ -3171,16 +3181,18 @@ mod tests {
             let ops = [reorder, step, cut, reorder, step];
             assert_eq!(stamp_oracle_case(7, &ops), [0, 0, 0], "{cut:?}");
         }
+        let grow = (5, 2);
+        assert_eq!(stamp_oracle_case(7, &[step, step, grow, step])[1], 1);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The position stamp's skips against the full checks they
-        /// replace, over random sequences of adds, removes, sets,
-        /// translates, chunk views that do and do not write, division
-        /// waves, permutations, sorts, clones, restores, mechanical steps
-        /// and reorders.
+        /// The stamps' skips against the full checks they replace, and
+        /// the largest diameter against a scan, over random sequences of
+        /// adds, removes, sets, translates, chunk views that write
+        /// positions, diameters or nothing, division waves, permutations,
+        /// sorts, clones, restores, mechanical steps and reorders.
         #[test]
         fn position_stamp_skips_match_the_full_checks(
             seed in 0u64..10_000,

@@ -136,10 +136,11 @@ pub fn wall_record(name: &str, wall_s: f64) -> OpRecord {
 /// merges in [`crate::exec`], enabling the reorder cannot change any
 /// trajectory (pinned by the purity proptests).
 ///
-/// A run that finds the resource manager's position stamp, population,
-/// radius and curve as the last run that left storage sorted skips the
-/// sortedness scan: the columns it would read are bit-identical, so the
-/// scan would find them sorted again. Such a run counts as `sorted`.
+/// A run that finds the resource manager's position stamp, radius and
+/// curve as the last run that left storage sorted skips the sortedness
+/// scan: the columns it would read are bit-identical (the stamp moves on
+/// every change of the population too), so the scan would find them
+/// sorted again. Such a run counts as `sorted`.
 ///
 /// It holds no memory of its own: its keys, gather words and index arrays
 /// borrow the step buffer the force sweep writes its displacements into
@@ -186,7 +187,6 @@ impl ReorderState {
             let curve = params.reorder.curve;
             let key = |rm: &ResourceManager| SortedKey {
                 stamp: rm.position_stamp(),
-                agents: n,
                 radius_bits: radius.to_bits(),
                 curve,
             };
@@ -211,7 +211,6 @@ impl ReorderState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SortedKey {
     stamp: u64,
-    agents: usize,
     radius_bits: u64,
     curve: Curve,
 }
@@ -350,7 +349,6 @@ fn run_behavior_chunk(
                     } else {
                         chunk.set_diameter(k, new_d);
                     }
-                    ec.mark_diameter_write();
                 }
                 Behavior::Chemotaxis { substance, speed } => {
                     let p = chunk.position(k);

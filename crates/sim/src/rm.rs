@@ -42,8 +42,9 @@
 //! ([`ResourceManager::position_stamp`], [`ResourceManager::attribute_stamp`]).
 //! They move only on real writes and are drawn from one process-wide
 //! counter, so a stamp that did not move proves the columns did not
-//! change: the reorder's sortedness scan, the CSR rebuild and the `f32`
-//! mirrors skip on it. They are derived state, never checkpointed.
+//! change: the reorder's sortedness scan, the CSR rebuild, the `f32`
+//! mirrors and the largest diameter skip on it. They are derived state,
+//! never checkpointed.
 
 use crate::behavior::Behavior;
 use crate::cell::CellBuilder;
@@ -200,99 +201,26 @@ pub struct AgentRow {
     pub behaviors: u32,
 }
 
-/// Cached population maximum diameter, with a holder count.
-///
-/// The uniform-grid box-length policy reads [`ResourceManager::largest_diameter`]
-/// on *every* grid build; re-scanning all agents each step is pure waste
-/// whenever no diameter changed (benchmark B never grows a cell). The
-/// value is an `AtomicU64` holding the `f64` bit pattern so the read
-/// path works through `&self` (the resource manager is shared across
-/// rayon workers during the mechanical pass); `u64::MAX` — a NaN bit
-/// pattern no finite diameter produces — marks it invalid.
-///
-/// `holders` counts how many agents currently carry the maximum. Without
-/// it, removing *any* maximum-diameter agent had to pessimistically
-/// invalidate — and in a uniform-diameter population (every benchmark
-/// cloud) every death is a "maximum" death, so each step's
-/// `interaction_radius` lookup degenerated into a full column scan.
-/// With the count, removals and shrinks only invalidate when the *last*
-/// holder goes away. `scans` counts the full-column rescans actually
-/// performed, so tests and benches can pin cache effectiveness.
-#[derive(Debug)]
-struct MaxDiameterCache {
+/// The largest diameter, memoized on the attribute stamp it was scanned
+/// at: [`ResourceManager::largest_diameter`] returns `bits` while the
+/// stamp still reads `stamp`, and rescans the column otherwise. Sweep
+/// parts read it concurrently through `&self`, so a scan stores the value
+/// before its stamp (Release) and a lookup reads the stamp first
+/// (Acquire). `stamp` 0 is no stamp (none is ever drawn as 0); a clone
+/// starts there. `scans` counts the rescans.
+#[derive(Debug, Default)]
+struct DiameterMemo {
+    stamp: AtomicU64,
     bits: AtomicU64,
-    holders: AtomicU64,
     scans: AtomicU64,
 }
 
-impl MaxDiameterCache {
-    const INVALID: u64 = u64::MAX;
-
-    fn get(&self) -> Option<f64> {
-        let bits = self.bits.load(Ordering::Relaxed);
-        (bits != Self::INVALID).then(|| f64::from_bits(bits))
-    }
-
-    fn set(&self, v: f64, holders: u64) {
-        debug_assert!(v.to_bits() != Self::INVALID);
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-        self.holders.store(holders, Ordering::Relaxed);
-    }
-
-    /// An agent of diameter `d` joined the population.
-    fn note_appended(&self, d: f64) {
-        if let Some(cur) = self.get() {
-            if d > cur {
-                self.set(d, 1);
-            } else if d == cur {
-                self.add_holder();
-            }
-        }
-    }
-
-    /// One more agent now carries the cached maximum.
-    fn add_holder(&self) {
-        self.holders.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One agent carrying the cached maximum went away (removed or
-    /// shrunk); only the last holder's departure invalidates.
-    fn drop_holder(&self) {
-        if self.holders.fetch_sub(1, Ordering::Relaxed) <= 1 {
-            self.invalidate();
-        }
-    }
-
-    fn invalidate(&self) {
-        self.bits.store(Self::INVALID, Ordering::Relaxed);
-        self.holders.store(0, Ordering::Relaxed);
-    }
-
-    fn note_scan(&self) {
-        self.scans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn scans(&self) -> u64 {
-        self.scans.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for MaxDiameterCache {
-    fn default() -> Self {
-        Self {
-            bits: AtomicU64::new(Self::INVALID),
-            holders: AtomicU64::new(0),
-            scans: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Clone for MaxDiameterCache {
+impl Clone for DiameterMemo {
     fn clone(&self) -> Self {
+        let scans = AtomicU64::new(self.scans.load(Ordering::Relaxed));
         Self {
-            bits: AtomicU64::new(self.bits.load(Ordering::Relaxed)),
-            holders: AtomicU64::new(self.holders.load(Ordering::Relaxed)),
-            scans: AtomicU64::new(self.scans.load(Ordering::Relaxed)),
+            scans,
+            ..Self::default()
         }
     }
 }
@@ -372,7 +300,7 @@ pub struct ResourceManager {
     /// Stable unique ids (survive reordering; seed per-agent RNG streams).
     uids: Column<u64>,
     next_uid: u64,
-    largest: MaxDiameterCache,
+    largest: DiameterMemo,
     /// Position stamp: moves exactly when a stored coordinate, the
     /// population or its storage order changes (see
     /// [`Self::position_stamp`]).
@@ -413,9 +341,9 @@ impl ResourceManager {
 
     /// Append `rows` in order — the only way agents enter the columns.
     /// Every column grows once for the whole batch (a division wave
-    /// doubles the population), and each row then does what one
-    /// [`Self::add`] does: the next uid, the largest-diameter holder
-    /// count kept. Both stamps move when there is at least one row.
+    /// doubles the population), and each row then takes the next uid, as
+    /// one [`Self::add`] does. Both stamps move when there is at least
+    /// one row.
     ///
     /// # Panics
     /// On a behavior-list id this manager's table never handed out.
@@ -434,7 +362,6 @@ impl ResourceManager {
         for row in rows {
             let id = row.behaviors;
             assert!((id as usize) < lists, "behavior list {id} of {lists}");
-            self.largest.note_appended(row.diameter);
             self.positions.push(row.position);
             self.diameters.push(row.diameter);
             self.adherences.push(row.adherence);
@@ -460,13 +387,7 @@ impl ResourceManager {
         self.pos_stamp.touch();
         self.attr_stamp.touch();
         self.positions.swap_remove(i);
-        let d = self.diameters.swap_remove(i);
-        // The removed agent may have been a maximum holder; only the last
-        // holder's departure forces a rescan (uniform-diameter populations
-        // lose "a maximum" on every death).
-        if self.largest.get() == Some(d) {
-            self.largest.drop_holder();
-        }
+        self.diameters.swap_remove(i);
         self.adherences.swap_remove(i);
         self.behavior_ids.swap_remove(i);
         self.uids.swap_remove(i);
@@ -478,9 +399,8 @@ impl ResourceManager {
     /// after sorting `perm` along a space-filling curve, agents that are
     /// close in space are close in every SoA column. Identity stable:
     /// `uids` travel with their agents, so per-uid identity (and the
-    /// uid-seeded RNG streams) survive any number of reorders. The
-    /// largest-diameter cache is untouched — a permutation cannot change
-    /// the population maximum.
+    /// uid-seeded RNG streams) survive any number of reorders. Both
+    /// stamps move: index-addressed consumers see different columns.
     ///
     /// Every column goes through one word per agent borrowed from
     /// `buffer` (`bdm_soa::gather_words`).
@@ -578,21 +498,6 @@ impl ResourceManager {
     #[inline]
     pub fn set_diameter(&mut self, i: usize, d: f64) {
         self.attr_stamp.touch();
-        if let Some(cur) = self.largest.get() {
-            let old = *self.diameters.get(i);
-            if d > cur {
-                self.largest.set(d, 1);
-            } else if d == cur {
-                if old != cur {
-                    // Grew into a tie with the maximum.
-                    self.largest.add_holder();
-                }
-            } else if old == cur {
-                // Shrunk a maximum holder; rescans only when it was the
-                // last one.
-                self.largest.drop_holder();
-            }
-        }
         self.diameters.set(i, d);
     }
 
@@ -617,44 +522,34 @@ impl ResourceManager {
     /// Largest diameter in the population — BioDynaMo's uniform-grid box
     /// length policy ("each voxel … determined by the largest agent").
     ///
-    /// O(1) when the cache is valid; otherwise one counted rescan whose
-    /// result (maximum *and* how many agents hold it) is memoized until
-    /// the last holder is removed/shrunk or a raw write invalidates it.
+    /// Memoized on the attribute stamp: O(1) while the stamp has not
+    /// moved since the last scan, otherwise one counted scan of the
+    /// column. Every diameter write moves the stamp, whether through
+    /// [`Self::set_diameter`] or a chunk view's
+    /// [`AgentChunkMut::set_diameter`], so no write can leave it stale.
     pub fn largest_diameter(&self) -> f64 {
-        if let Some(v) = self.largest.get() {
-            return v;
+        let (stamp, memo) = (self.attr_stamp.get(), &self.largest);
+        if memo.stamp.load(Ordering::Acquire) == stamp {
+            return f64::from_bits(memo.bits.load(Ordering::Relaxed));
         }
-        self.largest.note_scan();
+        memo.scans.fetch_add(1, Ordering::Relaxed);
         let mut v = 0.0f64;
-        let mut holders = 0u64;
         for &d in self.diameters.iter() {
             if d > v {
                 v = d;
-                holders = 1;
-            } else if d == v {
-                holders += 1;
             }
         }
-        // An empty population scans to (0.0, 0 holders); the count only
-        // matters while agents exist, and the first `add` re-seeds it.
-        self.largest.set(v, holders);
+        memo.bits.store(v.to_bits(), Ordering::Relaxed);
+        memo.stamp.store(stamp, Ordering::Release);
         v
     }
 
     /// Number of full diameter-column scans [`ResourceManager::largest_diameter`]
-    /// has performed over this manager's lifetime. Steady-state stepping
-    /// must not grow this — the cache (plus its maximum-holder count) is
-    /// what keeps the per-step `interaction_radius` lookup O(1).
+    /// has performed over this manager's lifetime: one per attribute
+    /// stamp it was asked at, so a step that writes no diameter and
+    /// moves no agent between columns adds none.
     pub fn diameter_scan_count(&self) -> u64 {
-        self.largest.scans()
-    }
-
-    /// Drop the cached largest diameter. Must be called by anything that
-    /// writes diameters *around* [`ResourceManager::set_diameter`] — i.e.
-    /// through the raw chunk views of [`ResourceManager::behavior_chunks`].
-    pub fn invalidate_largest_diameter(&mut self) {
-        self.attr_stamp.touch();
-        self.largest.invalidate();
+        self.largest.scans.load(Ordering::Relaxed)
     }
 
     /// The position columns `(x, y, z)` — what the environments index and
@@ -680,69 +575,38 @@ impl ResourceManager {
 
     /// The attribute stamp: [`Self::position_stamp`]'s contract for the
     /// diameter and adherence columns. It moves on `append` / `add` of at
-    /// least one row, `remove`, every gather, `set_diameter`,
-    /// `invalidate_largest_diameter` (which every raw diameter write
-    /// through a chunk view must be followed by) and a
-    /// `Divisions::commit` with births. A write of positions alone does
-    /// not move it.
+    /// least one row, `remove`, every gather, `set_diameter`, a
+    /// `Divisions::commit` with births, and a chunk view that called
+    /// [`AgentChunkMut::set_diameter`]. A write of positions alone does
+    /// not move it. What [`Self::largest_diameter`] and the `f32` mirrors
+    /// of the diameters and adherences are keyed on.
     pub fn attribute_stamp(&self) -> u64 {
         self.attr_stamp.get()
     }
 
     /// Split the per-agent *mutable* state (position, diameter) into
-    /// disjoint fixed-size chunk views, alongside one shared view of the
+    /// disjoint chunk views at `cuts` — window `w` covers agents
+    /// `cuts[w]..cuts[w + 1]` — alongside one shared view of the
     /// read-only columns (behaviors, uids, adherences).
     ///
     /// This is the substrate of the parallel agent operations: each rayon
     /// task owns one [`AgentChunkMut`] (no aliasing, no locks), while the
-    /// [`AgentShared`] columns are read from every task. The fixed chunk
-    /// size keeps the partition identical no matter how many threads run,
-    /// which is what makes chunk-ordered merges bitwise deterministic.
+    /// [`AgentShared`] columns are read from every task. Cuts that do not
+    /// depend on the worker count (every `AGENT_CHUNK` agents, or each
+    /// shard's range subdivided so no chunk straddles a shard boundary)
+    /// keep the partition identical however many threads run, which is
+    /// what makes chunk-ordered merges bitwise deterministic.
     ///
-    /// Writing diameters through the raw views bypasses the
-    /// [`ResourceManager::largest_diameter`] cache maintenance; callers
-    /// that do so must call
-    /// [`ResourceManager::invalidate_largest_diameter`] afterwards (the
-    /// behaviors operation does this in its merge phase).
-    ///
-    /// The position stamp moves only if a view calls
-    /// [`AgentChunkMut::set_position`] or [`AgentChunkMut::translate`].
-    pub fn behavior_chunks(&mut self, chunk: usize) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
-        assert!(chunk > 0, "chunk size must be positive");
-        // Raw *diameter* writes are covered by the caller's mandatory
-        // `invalidate_largest_diameter`, which moves the attribute stamp.
-        let moved = &self.pos_stamp;
-        let views = self
-            .positions
-            .chunks_mut(chunk)
-            .zip(self.diameters.chunks_mut(chunk))
-            .enumerate()
-            .map(|(c, (pos, diam))| {
-                AgentChunkMut::new(c * chunk, pos, diam, moved, Daughters::default())
-            })
-            .collect();
-        let shared = AgentShared {
-            behavior_ids: self.behavior_ids.as_slice(),
-            table: &self.table,
-            uids: self.uids.as_slice(),
-            adherences: self.adherences.as_slice(),
-        };
-        (views, shared)
-    }
-
-    /// [`Self::behavior_chunks`], but partitioned at explicit `cuts`
-    /// instead of a uniform chunk size: window `w` covers agents
-    /// `cuts[w]..cuts[w + 1]`. This is the sharded partition — each
-    /// shard's contiguous agent range subdivided into work chunks, so
-    /// chunk boundaries never straddle a shard boundary and per-shard
-    /// contexts merge in shard-then-chunk order. Same cache contract as
-    /// [`Self::behavior_chunks`] (raw diameter writes require
-    /// [`Self::invalidate_largest_diameter`] afterwards).
+    /// A view marks the position stamp on its first
+    /// [`AgentChunkMut::set_position`] or [`AgentChunkMut::translate`],
+    /// and the attribute stamp on its first
+    /// [`AgentChunkMut::set_diameter`]; views that write nothing move
+    /// neither.
     pub fn behavior_chunks_at(
         &mut self,
         cuts: &[usize],
     ) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
-        let moved = &self.pos_stamp;
+        let stamps = (&self.pos_stamp, &self.attr_stamp);
         let views = self
             .positions
             .chunks_mut_at(cuts)
@@ -750,7 +614,7 @@ impl ResourceManager {
             .zip(bdm_soa::split_mut_at(self.diameters.as_mut_slice(), cuts))
             .zip(cuts.iter())
             .map(|((pos, diam), &start)| {
-                AgentChunkMut::new(start, pos, diam, moved, Daughters::default())
+                AgentChunkMut::new(start, pos, diam, stamps, Daughters::default())
             })
             .collect();
         let shared = AgentShared {
@@ -912,9 +776,8 @@ impl ResourceManager {
     /// import path. Validates what silent acceptance would corrupt:
     /// column lengths must agree, every behavior-list id must be one
     /// `table` holds, uids must be unique, and `next_uid` must exceed
-    /// every live uid. The largest-diameter cache starts invalid (it is
-    /// derived state; the first lookup rescans), and the stamps are the
-    /// new manager's own.
+    /// every live uid. The stamps are the new manager's own, so the
+    /// first [`Self::largest_diameter`] scans.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         positions: SoaVec3<f64>,
@@ -962,7 +825,7 @@ impl ResourceManager {
             table,
             uids: Column::from_vec(uids),
             next_uid,
-            largest: MaxDiameterCache::default(),
+            largest: DiameterMemo::default(),
             pos_stamp: Stamp::default(),
             attr_stamp: Stamp::default(),
         })
@@ -1020,7 +883,7 @@ impl Divisions<'_> {
     /// windows, filled as far as the first left them.
     pub fn chunks(&mut self) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
         let (rm, cuts, starts) = (&mut *self.rm, self.cuts, &self.starts);
-        let moved = &rm.pos_stamp;
+        let stamps = (&rm.pos_stamp, &rm.attr_stamp);
         let room = starts[starts.len() - 1];
         let (pos, [x, y, z]) = rm.positions.split_spare(room);
         let (diam, diameter) = rm.diameters.split_spare(room);
@@ -1042,7 +905,7 @@ impl Divisions<'_> {
                     mothers: mothers.next().expect(WINDOW),
                     born: Some(born),
                 };
-                AgentChunkMut::new(start, pos, diam, moved, daughters)
+                AgentChunkMut::new(start, pos, diam, stamps, daughters)
             })
             .collect();
         let shared = AgentShared {
@@ -1061,9 +924,8 @@ impl Divisions<'_> {
     /// slot order breaks ties), and every column gathers its daughters
     /// through the same words (`Column::append_from_spare`), which also
     /// closes the gaps of agents that could divide but did not. The
-    /// daughters then take the uids `next_uid..` in that order, and each
-    /// does what an [`ResourceManager::append`]ed row does to the stamps
-    /// and the largest-diameter bookkeeping.
+    /// daughters then take the uids `next_uid..` in that order, and the
+    /// stamps move as an [`ResourceManager::append`] of them moves them.
     pub fn commit(self) -> usize {
         let Self {
             rm,
@@ -1076,7 +938,6 @@ impl Divisions<'_> {
         if births == 0 {
             return 0;
         }
-        let n = rm.len();
         let (words, order, spare) = buffer.words_and_indices(starts[starts.len() - 1]);
         // `born` becomes each chunk's first index in the run.
         let mut run = 0;
@@ -1110,9 +971,6 @@ impl Divisions<'_> {
         rm.next_uid += births as u64;
         rm.pos_stamp.touch();
         rm.attr_stamp.touch();
-        for &d in &rm.diameters.as_slice()[n..] {
-            rm.largest.note_appended(d);
-        }
         births
     }
 }
@@ -1140,10 +998,12 @@ pub struct AgentChunkMut<'a> {
     pos: Vec3ChunkMut<'a, f64>,
     diam: &'a mut [f64],
     daughters: Daughters<'a>,
-    /// The manager's position stamp, marked on the view's first position
-    /// write (once, so parallel views do not share a hot cache line).
-    stamp: &'a Stamp,
+    /// The manager's position and attribute stamps, each marked on the
+    /// view's first write to its columns (once, so parallel views do not
+    /// share a hot cache line).
+    stamps: (&'a Stamp, &'a Stamp),
     moved: bool,
+    resized: bool,
 }
 
 impl<'a> AgentChunkMut<'a> {
@@ -1151,7 +1011,7 @@ impl<'a> AgentChunkMut<'a> {
         start: usize,
         pos: Vec3ChunkMut<'a, f64>,
         diam: &'a mut [f64],
-        stamp: &'a Stamp,
+        stamps: (&'a Stamp, &'a Stamp),
         daughters: Daughters<'a>,
     ) -> Self {
         Self {
@@ -1159,8 +1019,9 @@ impl<'a> AgentChunkMut<'a> {
             pos,
             diam,
             daughters,
-            stamp,
+            stamps,
             moved: false,
+            resized: false,
         }
     }
 
@@ -1169,7 +1030,7 @@ impl<'a> AgentChunkMut<'a> {
     fn mark_moved(&mut self) {
         if !self.moved {
             self.moved = true;
-            self.stamp.mark();
+            self.stamps.0.mark();
         }
     }
 
@@ -1216,10 +1077,13 @@ impl<'a> AgentChunkMut<'a> {
         self.diam[k]
     }
 
-    /// Overwrite local agent `k`'s diameter (raw write — the owning
-    /// operation invalidates the largest-diameter cache at merge time).
+    /// Overwrite local agent `k`'s diameter.
     #[inline(always)]
     pub fn set_diameter(&mut self, k: usize, d: f64) {
+        if !self.resized {
+            self.resized = true;
+            self.stamps.1.mark();
+        }
         self.diam[k] = d;
     }
 
@@ -1386,8 +1250,8 @@ mod tests {
 
     #[test]
     fn largest_diameter_cache_survives_mutation_sequences() {
-        // Every mutation path (add / grow / shrink / remove / raw chunk
-        // write + invalidate) must leave the cache agreeing with a rescan.
+        // Every mutation path (add / grow / shrink / remove / chunk view
+        // write) must leave the memo agreeing with a rescan.
         let oracle =
             |rm: &ResourceManager| (0..rm.len()).map(|i| rm.diameter(i)).fold(0.0, f64::max);
         let mut rm = ResourceManager::new();
@@ -1404,11 +1268,10 @@ mod tests {
         // Remove the max holder.
         rm.remove(1);
         assert_eq!(rm.largest_diameter(), oracle(&rm));
-        // Raw chunk write + explicit invalidation.
-        let (mut chunks, _shared) = rm.behavior_chunks(16);
+        // A chunk view's write, and nothing else.
+        let (mut chunks, _shared) = rm.behavior_chunks_at(&[0, rm.len()]);
         chunks[0].set_diameter(0, 20.0);
         drop(chunks);
-        rm.invalidate_largest_diameter();
         assert_eq!(rm.largest_diameter(), 20.0);
         // Ties: two max holders, removing one keeps the other.
         let mut rm = ResourceManager::new();
@@ -1420,42 +1283,62 @@ mod tests {
     }
 
     #[test]
-    fn largest_diameter_holder_count_avoids_rescans() {
-        // The satellite fix: a uniform-diameter population (every
-        // benchmark cloud) removes "a maximum holder" on every death.
-        // The holder count must keep the cache valid until the *last*
-        // holder goes, so steady churn costs zero column scans.
+    fn largest_diameter_scans_once_per_change() {
+        // A uniform-diameter population (every benchmark cloud) read on
+        // every grid build: one scan, however many lookups.
         let mut rm = ResourceManager::new();
         for i in 0..100 {
             rm.add(cell_at(i as f64).diameter(4.0));
         }
         assert_eq!(rm.diameter_scan_count(), 0, "adds never scan");
-        assert_eq!(rm.largest_diameter(), 4.0);
-        assert_eq!(rm.diameter_scan_count(), 1, "first lookup scans once");
-        for _ in 0..50 {
-            rm.remove(0);
+        for _ in 0..100 {
             assert_eq!(rm.largest_diameter(), 4.0);
         }
-        assert_eq!(
-            rm.diameter_scan_count(),
-            1,
-            "tie-removals must reuse the cache, not rescan per step"
-        );
-        // Growing one agent re-seeds a single holder; shrinking it back
-        // below the rest is the only event that forces a second scan.
-        rm.set_diameter(0, 9.0);
-        assert_eq!(rm.largest_diameter(), 9.0);
-        assert_eq!(rm.diameter_scan_count(), 1);
-        rm.set_diameter(0, 1.0);
-        assert_eq!(rm.largest_diameter(), 4.0);
-        assert_eq!(rm.diameter_scan_count(), 2);
-        // Growing an agent into a tie, then removing the original holder:
-        // still no scan.
-        rm.set_diameter(1, 4.0); // already 4.0 → still a holder either way
-        rm.set_diameter(0, 4.0); // 1.0 → joins the tie
-        rm.remove(0);
-        assert_eq!(rm.largest_diameter(), 4.0);
-        assert_eq!(rm.diameter_scan_count(), 2);
+        assert_eq!(rm.diameter_scan_count(), 1, "100 lookups, one scan");
+        // Then every mutation family: the next two lookups read what a
+        // scan reads, for one scan when the family writes diameters or
+        // moves agents between slots, and none when it does not.
+        let oracle = |rm: &ResourceManager| {
+            let column = rm.diameter_column().iter();
+            column.fold(0.0, |v: f64, &d| if d > v { d } else { v })
+        };
+        // (scans the next lookups may take, the change)
+        type Change<'a> = (u64, &'a dyn Fn(&mut ResourceManager));
+        let changes: [Change; 9] = [
+            (1, &|rm| rm.set_diameter(0, 9.0)),
+            (1, &|rm| rm.set_diameter(0, 1.0)),
+            (1, &|rm| {
+                rm.remove(3);
+            }),
+            (1, &|rm| {
+                rm.add(cell_at(-1.0).diameter(6.5));
+            }),
+            (0, &|rm| rm.set_position(2, Vec3::splat(1.0))),
+            (1, &|rm| {
+                let order = (0..rm.len() as u32).rev().collect();
+                rm.apply_permutation(&Permutation::new(order), &mut StepBuffer::default())
+            }),
+            (1, &|rm| {
+                let (mut chunks, _) = rm.behavior_chunks_at(&[0, 10, rm.len()]);
+                chunks[1].set_diameter(4, 11.0);
+            }),
+            (1, &|rm| {
+                let (mut chunks, _) = rm.behavior_chunks_at(&[0, rm.len()]);
+                let k = (0..chunks[0].len()).find(|&k| chunks[0].diameter(k) == 11.0);
+                chunks[0].set_diameter(k.expect("the grown agent"), 2.0);
+            }),
+            (0, &|rm| {
+                let (chunks, _) = rm.behavior_chunks_at(&[0, 50, rm.len()]);
+                drop(chunks);
+            }),
+        ];
+        for (k, (want, change)) in changes.iter().enumerate() {
+            let before = rm.diameter_scan_count();
+            change(&mut rm);
+            assert_eq!(rm.largest_diameter(), oracle(&rm), "change {k}");
+            assert_eq!(rm.largest_diameter(), oracle(&rm), "change {k}");
+            assert_eq!(rm.diameter_scan_count() - before, *want, "change {k}");
+        }
     }
 
     #[test]
@@ -1467,7 +1350,7 @@ mod tests {
         let stamps = |rm: &ResourceManager| (rm.position_stamp(), rm.attribute_stamp());
         let (s0, a0) = stamps(&rm);
         assert_eq!(rm.position_stamp(), s0, "reading draws once");
-        let (chunks, _) = rm.behavior_chunks(4);
+        let (chunks, _) = rm.behavior_chunks_at(&[0, 4, 8, 10]);
         drop(chunks);
         let (chunks, _) = rm.behavior_chunks_at(&[0, 5, 10]);
         drop(chunks);
@@ -1479,7 +1362,7 @@ mod tests {
             (s0, a0),
             "views and appends that write nothing"
         );
-        let (mut chunks, _) = rm.behavior_chunks(4);
+        let (mut chunks, _) = rm.behavior_chunks_at(&[0, 4, 8, 10]);
         chunks[1].translate(0, Vec3::zero());
         drop(chunks);
         let s1 = rm.position_stamp();
@@ -1545,8 +1428,9 @@ mod tests {
                 rm.set_position(0, Vec3::zero())
             }),
             moves(&mut rm, "set_diameter", &|rm| rm.set_diameter(0, 3.0)),
-            moves(&mut rm, "invalidate_largest_diameter", &|rm| {
-                rm.invalidate_largest_diameter()
+            moves(&mut rm, "view set_diameter", &|rm| {
+                let (mut chunks, _) = rm.behavior_chunks_at(&[0, 4, rm.len()]);
+                chunks[1].set_diameter(0, 3.0);
             }),
             moves(&mut rm, "apply_permutation", &|rm| {
                 let order = (0..rm.len() as u32).rev().collect();
@@ -1568,7 +1452,7 @@ mod tests {
             ("translate", (true, false)),
             ("set_position", (true, false)),
             ("set_diameter", (false, true)),
-            ("invalidate_largest_diameter", (false, true)),
+            ("view set_diameter", (false, true)),
             ("apply_permutation", both),
             ("remove", both),
             ("commit without births", (false, false)),
@@ -1587,7 +1471,7 @@ mod tests {
                     .behavior(Behavior::Apoptosis { probability: 0.0 }),
             );
         }
-        let (chunks, shared) = rm.behavior_chunks(4);
+        let (chunks, shared) = rm.behavior_chunks_at(&[0, 4, 8, 10]);
         assert_eq!(chunks.len(), 3);
         assert_eq!(chunks[1].start(), 4);
         assert_eq!(chunks[2].len(), 2);
@@ -1602,7 +1486,6 @@ mod tests {
                 chunk.set_position(k, chunk.position(k) + Vec3::new(0.0, 0.0, 2.0));
             }
         }
-        rm.invalidate_largest_diameter();
         for i in 0..10 {
             assert_eq!(rm.position(i), Vec3::new(i as f64, 1.0, 2.0));
         }
@@ -1750,7 +1633,7 @@ mod tests {
             let mut rm = ResourceManager::new();
             rm.add(cell_at(0.0).diameter(3.0).behavior(grow));
             rm.add(cell_at(1.0).diameter(5.0));
-            assert_eq!(rm.largest_diameter(), 5.0); // cache valid, one holder
+            assert_eq!(rm.largest_diameter(), 5.0);
             rm
         };
         // Diameters below, at and above the cached maximum, and a NaN.
@@ -1779,14 +1662,14 @@ mod tests {
         );
         assert_eq!(batched.adherence_column(), one_by_one.adherence_column());
         assert_eq!(batched.behaviors_column(), one_by_one.behaviors_column());
-        // The holder count came along: dropping one of the two 7.0s keeps
-        // the cache, dropping the other rescans — on both.
+        // Dropping one of the two 7.0s keeps the maximum, dropping the
+        // other finds the 5.0 — on both.
         for rm in [&mut batched, &mut one_by_one] {
             assert_eq!(rm.largest_diameter(), 7.0);
             rm.remove(6);
-            assert_eq!((rm.largest_diameter(), rm.diameter_scan_count()), (7.0, 1));
+            assert_eq!(rm.largest_diameter(), 7.0);
             rm.remove(4);
-            assert_eq!((rm.largest_diameter(), rm.diameter_scan_count()), (5.0, 2));
+            assert_eq!(rm.largest_diameter(), 5.0);
         }
     }
 

@@ -535,8 +535,8 @@ fn wave_chunk(
     shared: &AgentShared<'_>,
     touch: bool,
     mut out: Option<&mut Vec<(u64, AgentRow)>>,
-) -> (ExecutionContext, bool) {
-    let (mut ec, mut wrote) = (ExecutionContext::new(), false);
+) -> ExecutionContext {
+    let mut ec = ExecutionContext::new();
     for k in 0..chunk.len() {
         let i = chunk.start() + k;
         let uid = shared.uid(i);
@@ -547,7 +547,6 @@ fn wave_chunk(
                     let (p, d) = (chunk.position(k), chunk.diameter(k));
                     if touch {
                         chunk.set_diameter(k, d * 0.5);
-                        wrote = true;
                     }
                     let row = AgentRow {
                         position: p + Vec3::splat(1.0 + entry as f64),
@@ -569,7 +568,7 @@ fn wave_chunk(
             }
         }
     }
-    (ec, wrote)
+    ec
 }
 
 proptest! {
@@ -577,16 +576,16 @@ proptest! {
 
     /// Daughters written into the columns' reserved room and appended by
     /// `Divisions::commit` leave every column bit, the uids, `next_uid`,
-    /// the largest diameter and its scan count and the
-    /// substance field exactly as the buffered merge they replaced: each
-    /// daughter appended as an `AgentRow` through `ResourceManager::append`
-    /// in `(mother uid, chunk, index in chunk)` order, between the
-    /// diameter invalidation and the deaths. For lists with 0, 1 and 2
-    /// `GrowthDivision` entries (an agent dividing twice in a step),
-    /// waves where only some agents divide, apoptosis and secretion in the
-    /// same step, mothers whose uids are not ascending in storage, uniform
-    /// and sharded cuts (empty windows included), empty populations, and
-    /// on 1, 2 and 4 workers and shuffled chunk schedules.
+    /// the largest diameter and its scan count and the substance field
+    /// exactly as the buffered merge they replaced: each daughter
+    /// appended as an `AgentRow` through `ResourceManager::append` in
+    /// `(mother uid, chunk, index in chunk)` order, before the deaths.
+    /// For lists with 0, 1 and 2 `GrowthDivision` entries (an agent
+    /// dividing twice in a step), waves where only some agents divide,
+    /// apoptosis and secretion in the same step, mothers whose uids are
+    /// not ascending in storage, uniform and sharded cuts (empty windows
+    /// included), empty populations, and on 1, 2 and 4 workers and
+    /// shuffled chunk schedules.
     #[test]
     fn births_in_place_match_the_buffered_merge(
         n in 0usize..3000,
@@ -627,8 +626,6 @@ proptest! {
             2 * n as u64 + 5,
         )
         .unwrap();
-        // A valid cache, so the appends' holder bookkeeping shows.
-        rm.largest_diameter();
         let cuts: Vec<usize> = if sharded {
             let mut cuts: Vec<usize> = (0..6).map(|_| (rng.next_u64() % (n as u64 + 1)) as usize).collect();
             cuts.extend([0, n]);
@@ -651,25 +648,18 @@ proptest! {
         // The oracle: daughters buffered per chunk, sorted, appended.
         let mut want = rm.clone();
         let mut want_field = grid();
-        let (contexts, births, wrote) = {
+        let (contexts, mut births) = {
             let (chunks, shared) = want.behavior_chunks_at(&cuts);
             let mut births = Vec::new();
             let mut contexts = Vec::new();
-            let mut wrote = false;
             for (c, mut view) in chunks.into_iter().enumerate() {
                 let mut out = Vec::new();
-                let (ec, w) = wave_chunk(&mut view, &shared, touch, Some(&mut out));
+                contexts.push(wave_chunk(&mut view, &shared, touch, Some(&mut out)));
                 births.extend(out.into_iter().enumerate().map(|(k, (m, row))| ((m, c, k), row)));
-                contexts.push(ec);
-                wrote |= w;
             }
-            (contexts, births, wrote)
+            (contexts, births)
         };
-        let mut births = births;
         births.sort_by_key(|&(key, _)| key);
-        if wrote {
-            want.invalidate_largest_diameter();
-        }
         let divisions = births.len();
         want.append(births.into_iter().map(|(_, row)| row));
         ExecutionContext::merge_in_order(contexts, &mut want, std::slice::from_mut(&mut want_field));
@@ -704,13 +694,7 @@ proptest! {
                 let (chunks, shared) = pass.chunks();
                 chunks
                     .into_par_iter()
-                    .map(|mut view| {
-                        let (mut ec, wrote) = wave_chunk(&mut view, &shared, touch, None);
-                        if wrote {
-                            ec.mark_diameter_write();
-                        }
-                        ec
-                    })
+                    .map(|mut view| wave_chunk(&mut view, &shared, touch, None))
                     .collect()
             };
             let births = pass.commit();

@@ -194,3 +194,93 @@ fn a_frozen_scene_re_verifies_nothing_after_step_zero() {
     assert_eq!(run(2), one);
     assert_eq!(run(4), one);
 }
+
+/// Grows every cell once, through `ResourceManager::behavior_chunks_at`
+/// views and nothing else — what a user operation may do.
+struct GrowOnce {
+    by: f64,
+    done: bool,
+}
+
+impl Operation for GrowOnce {
+    fn name(&self) -> &str {
+        "grow once"
+    }
+
+    fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
+        use biodynamo::sim::rayon::prelude::*;
+        if !std::mem::replace(&mut self.done, true) {
+            let n = ctx.rm.len();
+            let cuts: Vec<usize> = (0..n).step_by(50).chain([n]).collect();
+            let (chunks, _) = ctx.rm.behavior_chunks_at(&cuts);
+            chunks.into_par_iter().for_each(|mut chunk| {
+                for k in 0..chunk.len() {
+                    chunk.set_diameter(k, chunk.diameter(k) + self.by);
+                }
+            });
+        }
+        Vec::new()
+    }
+}
+
+/// A user operation that grows cells through chunk views, and makes no
+/// other call, reaches everything keyed on the diameters: the largest
+/// diameter (the grid's voxel edge), the attribute stamp, and so the
+/// `f32` mirrors — the next step converts them again and moves every
+/// agent as a fresh simulation of the same columns does.
+#[test]
+fn diameters_grown_through_chunk_views_reach_the_grid_and_the_mirrors() {
+    let params = SimParams::cube(20.0)
+        .with_seed(5)
+        .with_precision(Precision::F32Simd);
+    let env = EnvironmentKind::uniform_grid_csr_parallel();
+    let new_sim = || {
+        let mut sim = Simulation::new(params.clone());
+        sim.set_environment(env);
+        sim
+    };
+    let bits = |sim: &Simulation| {
+        let (xs, ys, zs) = sim.rm().position_columns();
+        let all = xs.iter().chain(ys).chain(zs);
+        all.map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let label = env.label();
+    let copies = |sim: &Simulation| {
+        let labels = [("env", label.as_str())];
+        sim.metrics().value("mech.f32_refresh_copies", &labels)
+    };
+    // Cells of diameter 1 three apart: nothing touches, nothing moves.
+    let mut sim = new_sim();
+    let mut rng = biodynamo::math::SplitMix64::new(5);
+    for i in 0..216 {
+        let mut at = |c: usize| (c % 6) as f64 * 3.0 - 7.5 + rng.uniform(-0.2, 0.2);
+        let p = Vec3::new(at(i), at(i / 6), at(i / 36));
+        sim.add_cell(CellBuilder::new(p).diameter(1.0));
+    }
+    sim.simulate(2);
+    assert_eq!(copies(&sim), Some(0.0), "a frozen scene");
+    let (stamp, frozen) = (sim.rm().attribute_stamp(), bits(&sim));
+
+    // The step's mechanics moves nothing; the operation, last in the
+    // pipeline, grows every cell to diameter 4.
+    sim.add_operation(Box::new(GrowOnce {
+        by: 3.0,
+        done: false,
+    }));
+    sim.step();
+    assert_eq!(bits(&sim), frozen);
+    assert_eq!(sim.rm().largest_diameter(), 4.0);
+    assert_ne!(sim.rm().attribute_stamp(), stamp);
+
+    let mut fresh = new_sim();
+    let rm = sim.rm();
+    for i in 0..rm.len() {
+        let cell = CellBuilder::new(rm.position(i)).diameter(rm.diameter(i));
+        fresh.add_cell(cell.adherence(rm.adherence(i)));
+    }
+    sim.step();
+    fresh.step();
+    assert!(copies(&sim).is_some_and(|c| c > 0.0), "the mirrors convert");
+    assert_ne!(bits(&sim), frozen, "grown cells push apart");
+    assert_eq!(bits(&sim), bits(&fresh));
+}
