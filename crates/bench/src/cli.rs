@@ -8,7 +8,7 @@
 //! not know is a usage error (exit code 2), never silently ignored.
 
 use crate::scale::BenchScale;
-use crate::{ablation, checkpoint, debug, diffusion, dynpar, emit, layouts, threads, verify};
+use crate::{ablation, checkpoint, diffusion, dynpar, emit, layouts, threads, verify};
 use crate::{fig10, fig12, fig2, fig3, fig8, table1};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,8 +29,6 @@ pub enum Flag {
     Tol,
     /// A positional output path.
     Path,
-    /// A positional agent count.
-    Count,
 }
 
 impl Flag {
@@ -43,15 +41,12 @@ impl Flag {
             Flag::Fresh => "--fresh=DIR",
             Flag::Tol => "[--tol=T]",
             Flag::Path => "[PATH]",
-            Flag::Count => "[N]",
         }
     }
 
     /// Which flag `arg` spells, if any.
     fn of(arg: &str) -> Option<Self> {
         if !arg.starts_with('-') {
-            // Only one of the two positionals is ever accepted by a
-            // command; `Args::parse` resolves which.
             return Some(Flag::Path);
         }
         let (key, value) = match arg.split_once('=') {
@@ -86,8 +81,6 @@ pub struct Args {
     pub tol: Option<f64>,
     /// The positional output path.
     pub path: Option<PathBuf>,
-    /// The positional agent count.
-    pub count: Option<usize>,
 }
 
 impl Args {
@@ -106,7 +99,6 @@ impl Args {
         let mut seen = Vec::new();
         for arg in raw {
             let flag = match Flag::of(arg) {
-                Some(Flag::Path) if accepted.contains(&Flag::Count) => Flag::Count,
                 Some(flag) if accepted.contains(&flag) => flag,
                 _ => return Err(format!("unknown argument {arg:?}: the command {}", takes())),
             };
@@ -127,10 +119,6 @@ impl Args {
                 Flag::Tol => {
                     let tol = value.parse().ok().filter(|t: &f64| *t >= 0.0);
                     args.tol = Some(tol.ok_or(format!("{arg}: T must be a number >= 0"))?);
-                }
-                Flag::Count => {
-                    let n = value.parse().ok().filter(|n: &usize| *n > 0);
-                    args.count = Some(n.ok_or(format!("{arg:?}: N must be a positive integer"))?);
                 }
             }
         }
@@ -153,7 +141,6 @@ const JSON: &[Flag] = &[Flag::Json];
 const OUT: &[Flag] = &[Flag::Out];
 const GATE: &[Flag] = &[Flag::Baseline, Flag::Fresh, Flag::Tol];
 const PATH: &[Flag] = &[Flag::Path];
-const COUNT: &[Flag] = &[Flag::Count];
 
 /// Every command, in the order `list` and the usage text print them —
 /// one row each, kept aligned by hand.
@@ -177,10 +164,7 @@ pub const COMMANDS: &[Command] = &[
     ("bench_checkpoint",    JSON,  "checkpoint write/read cost and stream shape",             checkpoint::main),
     ("bench_threads",       NONE,  "measured vs modeled 1 -> N-worker scaling per phase",     threads::main),
     ("bench_gate",          GATE,  "fresh BENCH_*.json vs the baselines (exit 1: regressed)", emit::bench_gate),
-    ("debug_counters",      NONE,  "work counters of one step per environment",               debug::counters),
-    ("debug_gpu",           NONE,  "per-version GPU step breakdown on benchmark A",           debug::gpu),
-    ("debug_steps",         NONE,  "per-step GPU kernel time for versions I and II",          debug::steps),
-    ("debug_shards",        COUNT, "per-phase wall clocks of the sharded mechanical pass",    debug::shards),
+    ("debug_metrics",       NONE,  "every published metric, one document per scene",          emit::debug_metrics),
 ];
 
 /// `flags` as one usage line spells them.
@@ -256,14 +240,13 @@ mod tests {
             parse(&["a.ppm"], &[Flag::Path]).unwrap().path,
             Some("a.ppm".into())
         );
-        assert_eq!(parse(&["4096"], &[Flag::Count]).unwrap().count, Some(4096));
         let none = parse(&[], GATE).unwrap();
         assert!(none.fresh.is_none() && none.tol.is_none() && none.json.is_none());
     }
 
     #[test]
     fn what_a_command_does_not_take_is_an_error_naming_what_it_does() {
-        let cases: [(&[&str], &[Flag]); 13] = [
+        let cases: [(&[&str], &[Flag]); 10] = [
             (&["--json"], &[]),
             (&["--jsonx"], JSON),
             (&["--out"], &[Flag::Out]),
@@ -271,12 +254,9 @@ mod tests {
             (&["stray"], JSON),
             (&["-h"], &[Flag::Path]),
             (&["a", "b"], &[Flag::Path]),
-            (&["7", "8"], &[Flag::Count]),
             (&["--json", "--json=d"], JSON),
             (&["--tol=fast"], &[Flag::Tol]),
             (&["--tol=-1"], &[Flag::Tol]),
-            (&["0"], &[Flag::Count]),
-            (&["many"], &[Flag::Count]),
         ];
         for (raw, accepted) in cases {
             let err = parse(raw, accepted).unwrap_err();

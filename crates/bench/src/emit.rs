@@ -1,5 +1,5 @@
 //! `BENCH_<name>.json` emission: the machinery behind `--json` flags,
-//! the `bench_json` and `bench_gate` commands, and
+//! the `bench_json`, `bench_gate` and `debug_metrics` commands, and
 //! `scripts/bench_gate.sh`.
 //!
 //! Every emitted document flows through [`default_policy`], which
@@ -16,16 +16,17 @@
 //! * everything else (modeled seconds from the CPU/GPU timing models)
 //!   gates at the comparison's default tolerance.
 
-use crate::benchmark_a_offloaded;
 use crate::cli::{usage_error, Args};
 use crate::scale::BenchScale;
+use crate::{benchmark_a_offloaded, benchmark_a_with};
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
 use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
 use bdm_metrics::{BenchDoc, GatePolicy, JsonValue, MetricsRegistry};
+use bdm_sim::profiler::Profiler;
 use bdm_sim::workload::benchmark_a;
-use bdm_sim::EnvironmentKind;
+use bdm_sim::{EnvironmentKind, Precision};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -183,16 +184,68 @@ pub fn gpu_doc(scale: &BenchScale) -> BenchDoc {
         sim.set_gpu_resident(resident);
         sim.simulate(scale.a_steps);
         let mut reg = MetricsRegistry::new();
-        for step in sim.profiler().steps() {
-            for r in &step.records {
-                if let Some(g) = &r.gpu {
-                    g.publish_metrics(&[("version", key)], &mut reg);
-                }
-            }
-        }
+        publish_gpu_steps(sim.profiler(), &[("version", key)], &mut reg);
         doc.publish(&reg, default_policy);
     }
     doc
+}
+
+/// Publish every GPU step report `profiler` recorded under `labels`:
+/// the modeled times as one observation per step (a histogram's count,
+/// min and max give the per-step spread), the counters summed over the
+/// run.
+pub fn publish_gpu_steps(profiler: &Profiler, labels: &[(&str, &str)], reg: &mut MetricsRegistry) {
+    let records = profiler.steps().iter().flat_map(|s| &s.records);
+    for g in records.filter_map(|r| r.gpu.as_ref()) {
+        g.publish_metrics(labels, reg);
+    }
+}
+
+/// `debug_metrics`: the numbers behind the figures, one
+/// [`bdm_sim::Simulation::metrics`] document per scene — benchmark A at the
+/// run's scale on five CPU setups, then offloaded to System A (CUDA)
+/// once per kernel version. A GPU scene's `gpu.*{env=…}` series are its
+/// last step's report; the `gpu.*{version=…}` series fold in every
+/// step ([`publish_gpu_steps`]). Per-agent ratios, DRAM bytes
+/// (`l2_misses` × 128) and arithmetic intensity follow from the
+/// published counters and `sim.agents`.
+pub fn debug_metrics(args: &Args) -> ExitCode {
+    let scale = &args.scale;
+    let ll = EnvironmentKind::uniform_grid_parallel();
+    let csr = EnvironmentKind::uniform_grid_csr_parallel();
+    let (fp64, simd) = (Precision::F64, Precision::F32Simd);
+    let cpu = [
+        ("kd-tree", EnvironmentKind::KdTree, fp64, None),
+        ("grid parallel", ll, fp64, None),
+        ("csr f64", csr, fp64, None),
+        ("csr f32-simd", csr, simd, None),
+        ("csr f64 4 shards", csr, fp64, Some(4)),
+    ];
+    for (scene, env, precision, shards) in cpu {
+        let mut sim = benchmark_a_with(scale.a_cells_per_dim, 0x8, |p| match shards {
+            Some(n) => p.with_precision(precision).with_shards(n),
+            None => p.with_precision(precision),
+        });
+        sim.set_environment(env);
+        sim.simulate(scale.a_steps);
+        print_scene(scene, &sim.metrics());
+    }
+    for version in KernelVersion::ALL {
+        let mut sim = benchmark_a_offloaded(scale, ApiFrontend::Cuda, version);
+        sim.simulate(scale.a_steps);
+        let mut reg = sim.metrics();
+        publish_gpu_steps(sim.profiler(), &[("version", version.label())], &mut reg);
+        print_scene(version.label(), &reg);
+    }
+    ExitCode::SUCCESS
+}
+
+/// One `debug_metrics` document: the scene's name and its registry.
+fn print_scene(scene: &str, reg: &MetricsRegistry) {
+    let mut doc = JsonValue::obj();
+    doc.push("scene", JsonValue::Str(scene.into()));
+    doc.push("metrics", reg.to_json());
+    print!("{}", doc.to_pretty());
 }
 
 /// Write `BENCH_<doc.name>.json` under `dir` (created if needed);

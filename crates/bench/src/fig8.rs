@@ -67,15 +67,6 @@ impl Fig8Report {
             .modeled_s
     }
 
-    /// Fig. 9: speedups against a baseline row.
-    pub fn speedups_vs(&self, baseline: &str) -> Vec<(String, f64)> {
-        let base = self.seconds(baseline);
-        self.rows
-            .iter()
-            .map(|r| (r.label.clone(), base / r.modeled_s))
-            .collect()
-    }
-
     /// Render Fig. 8 (runtimes) + Fig. 9 (speedups vs the serial kd-tree
     /// baseline) as one table.
     pub fn render(&self) -> String {

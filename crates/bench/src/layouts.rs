@@ -33,7 +33,7 @@ use std::time::Instant;
 /// `n` cells of diameter 4 placed uniformly at ~2 per radius-4 voxel
 /// (the benchmark regime) on the CSR parallel grid, under `params`
 /// (reorder policy, precision, shards).
-pub fn cloud_sim(n: usize, params: impl FnOnce(SimParams) -> SimParams) -> Simulation {
+fn cloud_sim(n: usize, params: impl FnOnce(SimParams) -> SimParams) -> Simulation {
     let half = (n as f64 / 2.0).cbrt() * 2.0;
     let mut sim = Simulation::new(params(SimParams::cube(half).with_seed(0x2b)));
     sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
@@ -64,7 +64,7 @@ fn last_step_records<'a>(
 
 /// Summed wall milliseconds of the last step's records named in
 /// `names`.
-pub fn last_step_wall_ms(sim: &Simulation, names: &[&str]) -> f64 {
+fn last_step_wall_ms(sim: &Simulation, names: &[&str]) -> f64 {
     last_step_records(sim, names).map(|r| r.wall_s).sum::<f64>() * 1e3
 }
 

@@ -26,10 +26,7 @@
 //! | `bench_checkpoint` | checkpoint cost and stream shape | [`checkpoint`] |
 //! | `bench_threads` | measured vs modeled worker scaling | [`threads`] |
 //! | `bench_gate` | the regression gate over `BENCH_*.json` | [`emit`] |
-//! | `debug_counters` | work counters per environment | [`debug`] |
-//! | `debug_gpu` | GPU step breakdown per version | [`debug`] |
-//! | `debug_steps` | per-step GPU kernel time | [`debug`] |
-//! | `debug_shards` | sharded pass per phase | [`debug`] |
+//! | `debug_metrics` | every published metric, per scene | [`emit`] |
 //!
 //! Scale control: the default sizes finish on a laptop-class machine;
 //! `BDM_BENCH_SCALE=smoke | default | paper` selects another
@@ -41,7 +38,6 @@
 pub mod ablation;
 pub mod checkpoint;
 pub mod cli;
-pub mod debug;
 pub mod diffusion;
 pub mod dynpar;
 pub mod emit;

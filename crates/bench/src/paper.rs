@@ -42,11 +42,6 @@ pub mod fig3 {
     pub const NEIGHBORHOOD_SHARE: f64 = 0.36;
 }
 
-/// Format a "ours vs paper" ratio annotation.
-pub fn vs_paper(ours: f64, paper: f64) -> String {
-    format!("{:.2}x of paper", ours / paper)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -1,13 +1,15 @@
-//! The `bdm-bench` binary from the outside: every old bin's name is a
-//! command, committed artifacts regenerate byte for byte, and anything
-//! the dispatch table does not know exits 2 with the valid choices on
-//! stderr instead of being ignored.
+//! The `bdm-bench` binary from the outside: every old bin it still ships
+//! is a command under its name, committed artifacts regenerate byte for
+//! byte, and anything the dispatch table does not know exits 2 with the
+//! valid choices on stderr instead of being ignored.
 
+use bdm_metrics::JsonValue;
 use std::path::Path;
 use std::process::{Command, Output};
 
-/// The 22 binaries the one binary replaced, by their unchanged names.
-const OLD_BINS: [&str; 22] = [
+/// The binaries the one binary replaced and still ships, by their
+/// unchanged names (the four `debug_*` printers became `debug_metrics`).
+const OLD_BINS: [&str; 18] = [
     "ablation_curves",
     "ablation_dynpar",
     "ablation_frontends",
@@ -19,10 +21,6 @@ const OLD_BINS: [&str; 22] = [
     "bench_json",
     "bench_layouts",
     "bench_threads",
-    "debug_counters",
-    "debug_gpu",
-    "debug_shards",
-    "debug_steps",
     "fig10_fig11",
     "fig12_roofline",
     "fig2_visualization",
@@ -64,7 +62,9 @@ fn list_prints_one_command_per_old_bin() {
     assert!(out.status.success());
     let mut listed: Vec<String> = text(&out.stdout).lines().map(String::from).collect();
     listed.sort();
-    assert_eq!(listed, OLD_BINS);
+    let mut want = [&OLD_BINS[..], &["debug_metrics"]].concat();
+    want.sort();
+    assert_eq!(listed, want);
 }
 
 #[test]
@@ -99,7 +99,11 @@ fn what_the_table_does_not_know_exits_2_with_the_choices() {
         None,
         &["--tol=x"],
     );
-    usage_error(&["debug_shards", "lots"], None, &["positive integer"]);
+    usage_error(
+        &["fig2_visualization", "a.ppm", "lots"],
+        None,
+        &["repeats an argument"],
+    );
     usage_error(&["table1"], Some("bogus"), &["smoke | default | paper"]);
     usage_error(&["table1"], Some("smok"), &["smoke | default | paper"]);
 }
@@ -120,4 +124,50 @@ fn the_gate_passes_on_its_own_baselines() {
     std::fs::remove_dir_all(&empty).unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(text(&out.stdout).contains("GATE FAILED"));
+}
+
+/// `debug_metrics` prints one metrics document per scene — five CPU
+/// setups and the six kernel versions — and nothing the four printers
+/// it replaced showed is missing from them.
+#[test]
+fn debug_metrics_prints_one_document_per_scene_with_every_family() {
+    let out = bdm_bench(&["debug_metrics"], Some("smoke"));
+    assert!(out.status.success());
+    let stdout = text(&out.stdout);
+    let docs: Vec<JsonValue> = stdout
+        .split_inclusive("\n}\n")
+        .map(|doc| JsonValue::parse(doc).expect("one JSON document per scene"))
+        .collect();
+    assert_eq!(docs.len(), 11);
+    let series: Vec<(&str, &JsonValue)> = docs
+        .iter()
+        .flat_map(|doc| doc.get("metrics").and_then(JsonValue::as_arr).unwrap())
+        .map(|m| (m.get("name").and_then(JsonValue::as_str).unwrap(), m))
+        .collect();
+    for family in [
+        "mech.candidates",
+        "mech.csr_index_gap",
+        "mech.stencils_staged",
+        "mech.simd_lanes_utilized",
+        "mech.phase_flops",
+        "shard.halo_agents",
+        "gpu.h2d_s",
+        "gpu.mech.global_transactions",
+        "gpu.mech.l2_read_share",
+        "gpu.mech.compute_warp_cycles",
+        "gpu.trace_accesses",
+        "gpu.launches",
+        "gpu.sync",
+        "gpu.grid_build",
+    ] {
+        assert!(
+            series.iter().any(|(name, _)| *name == family),
+            "no {family}"
+        );
+    }
+    let forked = series.iter().any(|(name, m)| {
+        let phase = m.get("labels").and_then(|l| l.get("phase"));
+        *name == "gpu.host_s" && phase.and_then(JsonValue::as_str) == Some("forked")
+    });
+    assert!(forked, "no gpu.host_s{{phase=forked}}");
 }

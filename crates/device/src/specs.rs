@@ -54,15 +54,6 @@ impl GpuSpec {
         self.fp32_flops / self.fp64_flops
     }
 
-    /// Peak FLOP/s at the given precision.
-    pub fn peak_flops(&self, fp64: bool) -> f64 {
-        if fp64 {
-            self.fp64_flops
-        } else {
-            self.fp32_flops
-        }
-    }
-
     /// Total FP32 lanes (for per-SM issue modeling): peak = lanes × clock
     /// × 2 (FMA counts as two FLOPs).
     pub fn fp32_lanes(&self) -> f64 {

@@ -142,11 +142,13 @@ impl KernelCounters {
         c(reg, "warps_run", self.warps_run as f64);
         c(reg, "flops_fp32", self.flops_fp32);
         c(reg, "flops_fp64", self.flops_fp64);
+        c(reg, "compute_warp_cycles", self.compute_warp_cycles);
         c(reg, "global_transactions", self.global_transactions);
         c(reg, "l2_hits", self.l2_hits);
         c(reg, "l2_misses", self.l2_misses);
         c(reg, "shared_accesses", self.shared_accesses);
         c(reg, "atomic_ops", self.atomic_ops);
+        c(reg, "atomic_serial_cycles", self.atomic_serial_cycles);
         c(reg, "barriers", self.barriers as f64);
         reg.set_gauge(
             &format!("{prefix}.warp_efficiency"),
@@ -250,6 +252,17 @@ mod tests {
         assert_eq!(c.l2_bytes(), 20.0 * 128.0);
         assert_eq!(c.l2_read_share(), 0.6);
         assert!((c.arithmetic_intensity() - 1500.0 / 1024.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn warp_efficiency_is_mean_over_max() {
+        let c = KernelCounters {
+            compute_warp_cycles: 1e6,
+            lane_cycles_total: 2.4e7,
+            ..Default::default()
+        };
+        // 2.4e7 / (32 × 1e6) = 0.75.
+        assert!((c.warp_efficiency() - 0.75).abs() < 1e-12);
     }
 
     #[test]

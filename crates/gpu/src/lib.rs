@@ -48,7 +48,6 @@ pub mod frontend;
 pub mod kernels;
 pub mod mem;
 pub mod pipeline;
-pub mod report;
 pub mod timing;
 
 pub use counters::KernelCounters;

@@ -298,7 +298,14 @@ impl GpuStepReport {
         self.counters.publish_metrics("gpu.step", labels, reg);
         self.mech_counters.publish_metrics("gpu.mech", labels, reg);
         // The simulator's own host wall clock: informational, never gated.
-        for (phase, secs) in [("exec", self.host.exec_s), ("drain", self.host.drain_s)] {
+        // `forked` is the part of `exec` spent in launches whose blocks
+        // commute.
+        let HostCost {
+            exec_s,
+            forked_s,
+            drain_s,
+        } = self.host;
+        for (phase, secs) in [("exec", exec_s), ("forked", forked_s), ("drain", drain_s)] {
             reg.observe("gpu.host_s", &with("phase", phase), secs);
         }
         // Why it cost that: the traced accesses by the path that logged
@@ -461,8 +468,6 @@ struct DeviceState<R: Scalar + DeviceWord> {
     /// stall fix: the scan no longer allocates per step).
     host_counts: Vec<u32>,
     starts: Vec<u32>,
-    /// Download staging for the three columns a step returns.
-    down: [Vec<R>; 3],
     /// The rebuilt step's sort: curve keys (then the gathers' words),
     /// the gather order, and its inverse for the download.
     sort: StepBuffer,
@@ -471,6 +476,9 @@ struct DeviceState<R: Scalar + DeviceWord> {
     resident_valid: bool,
     /// Device grid buffers describe the *current* device positions.
     grid_valid: bool,
+    /// The host copy of the device columns: what a resident step last
+    /// uploaded, patched or downloaded. A rebuilt step, which leaves it
+    /// invalid, stages its displacements in the first three columns.
     mirror: [Vec<R>; 5],
     /// The UID column the device rows were uploaded under.
     uids: Vec<u64>,
@@ -513,7 +521,6 @@ impl<R: Scalar + DeviceWord> DeviceState<R> {
             host: Default::default(),
             host_counts: Vec::new(),
             starts: Vec::new(),
-            down: Default::default(),
             sort: StepBuffer::default(),
             resident_valid: false,
             grid_valid: false,
@@ -637,11 +644,11 @@ impl<R: Scalar + DeviceWord> DeviceState<R> {
     }
 }
 
-/// Download the live prefix of three device columns into the staging
-/// columns, charged to `cost`.
+/// Download the live prefix of three device columns into the first
+/// three host columns of `into`, charged to `cost`.
 fn download<R: Scalar + DeviceWord>(
     from: &[DeviceBuffer<R>],
-    into: &mut [Vec<R>; 3],
+    into: &mut [Vec<R>],
     n: usize,
     cost: &mut PhaseCost,
 ) {
@@ -653,8 +660,9 @@ fn download<R: Scalar + DeviceWord>(
     cost.add_d2h::<R>(3, n);
 }
 
-/// The staged x / y / z columns as the caller's FP64 vectors.
-fn widen<R: Scalar>([xs, ys, zs]: &[Vec<R>; 3]) -> Vec<Vec3<f64>> {
+/// The first three host columns (x / y / z) as the caller's FP64
+/// vectors.
+fn widen<R: Scalar>([xs, ys, zs, ..]: &[Vec<R>; 5]) -> Vec<Vec3<f64>> {
     (0..xs.len())
         .map(|i| Vec3::new(xs[i].to_f64(), ys[i].to_f64(), zs[i].to_f64()))
         .collect()
@@ -712,11 +720,6 @@ pub struct MechanicalPipeline {
     /// Space-filling curve used by the sorting versions (II, III,
     /// dynpar). Z-order is the paper's choice; Hilbert is the ablation.
     pub sort_curve: bdm_morton::Curve,
-    /// Debug/ablation knob: make the resident path rebuild the grid
-    /// every step even when no agent crossed a voxel boundary. The
-    /// incremental skip must be bitwise-invisible, so flipping this
-    /// never changes results (pinned by test).
-    pub force_full_rebuild: bool,
 }
 
 enum State {
@@ -732,7 +735,6 @@ struct StepEnv<'a> {
     pcie: &'a PcieModel,
     version: KernelVersion,
     sort_curve: bdm_morton::Curve,
-    force_full_rebuild: bool,
 }
 
 impl MechanicalPipeline {
@@ -756,7 +758,6 @@ impl MechanicalPipeline {
                 State::F64(DeviceState::new())
             },
             sort_curve: bdm_morton::Curve::ZOrder,
-            force_full_rebuild: false,
         }
     }
 
@@ -852,7 +853,6 @@ impl MechanicalPipeline {
             pcie: &self.pcie,
             version: self.version,
             sort_curve: self.sort_curve,
-            force_full_rebuild: self.force_full_rebuild,
         };
         match (&mut self.state, uids) {
             (State::F32(st), None) => env.rebuilt(st, scene, params),
@@ -917,19 +917,19 @@ impl StepEnv<'_> {
         // Download and (if sorted) restore the caller's agent order:
         // the same borrow of the step buffer hands back the gather order,
         // whose inverse goes into the argsort's spare array.
-        download(&st.disp, &mut st.down, f.n, &mut mech);
+        download(&st.disp, &mut st.mirror, f.n, &mut mech);
         if sorted {
             let (words, order, inverse) = st.sort.words_and_indices(f.n);
             for (k, &i) in order.iter().enumerate() {
                 inverse[i as usize] = k as u32;
             }
-            for col in &mut st.down {
+            for col in &mut st.mirror[..3] {
                 gather_words(inverse, col, words);
                 sort_gathers += 1;
             }
         }
         let report = self.report(None, true, sort_gathers, sync, &grid, &mech);
-        (widen(&st.down), report)
+        (widen(&st.mirror), report)
     }
 
     /// The resident step: sync the difference, build the grid only if a
@@ -971,10 +971,8 @@ impl StepEnv<'_> {
         st.keys_cur.clear();
         st.keys_cur
             .extend((0..f.n).map(|i| f.geom.box_index(Vec3::new(mx[i], my[i], mz[i])) as u32));
-        let rebuild = !(st.grid_valid
-            && !self.force_full_rebuild
-            && st.prev_geom == Some(f.geom)
-            && st.keys_cur == st.prev_keys);
+        let rebuild =
+            !(st.grid_valid && st.prev_geom == Some(f.geom) && st.keys_cur == st.prev_keys);
         let mut grid = PhaseCost::default();
         if rebuild {
             grid = self.build_grid(st, &f);
@@ -993,13 +991,11 @@ impl StepEnv<'_> {
         };
         mech.launch(self.runtime, &integrate, f.n);
 
-        // --- Inspect: only the three position columns come back.
-        download(&st.cols[..3], &mut st.down, f.n, &mut mech);
-        for (mirror, down) in st.mirror.iter_mut().zip(&st.down) {
-            mirror.clone_from(down);
-        }
+        // --- Inspect: only the three position columns come back, into
+        // the mirror.
+        download(&st.cols[..3], &mut st.mirror, f.n, &mut mech);
         let report = self.report(Some(plan), rebuild, 0, sync, &grid, &mech);
-        (widen(&st.down), report)
+        (widen(&st.mirror), report)
     }
 
     /// The step epilogue both entry points share: one fold of the
@@ -1260,6 +1256,24 @@ mod tests {
         (xs, ys, zs, vec![1.0; n], vec![0.01; n])
     }
 
+    /// The scene over the five columns (x, y, z, diameters,
+    /// adherences) in `space`, voxels `box_len` wide.
+    fn scene_ref<'a>(
+        [xs, ys, zs, diameters, adherences]: [&'a [f64]; 5],
+        space: Aabb<f64>,
+        box_len: f64,
+    ) -> SceneRef<'a> {
+        SceneRef {
+            xs,
+            ys,
+            zs,
+            diameters,
+            adherences,
+            space,
+            box_len,
+        }
+    }
+
     fn split(positions: &[Vec3<f64>]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         (
             positions.iter().map(|p| p.x).collect(),
@@ -1272,15 +1286,11 @@ mod tests {
         let n = 400;
         let extent = 8.0;
         let (xs, ys, zs, dm, ad) = scene(n, extent, 7);
-        let sr = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space: Aabb::new(Vec3::zero(), Vec3::splat(extent)),
-            box_len: 1.0,
-        };
+        let sr = scene_ref(
+            [&xs, &ys, &zs, &dm, &ad],
+            Aabb::new(Vec3::zero(), Vec3::splat(extent)),
+            1.0,
+        );
         let mut p = MechanicalPipeline::new(SYSTEM_A, frontend, v, 1);
         p.step(&sr, &MechParams::default_params())
     }
@@ -1362,15 +1372,11 @@ mod tests {
         let n = 300;
         let extent = 8.0;
         let (xs, ys, zs, dm, ad) = scene(n, extent, 13);
-        let sr = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space: Aabb::new(Vec3::zero(), Vec3::splat(extent)),
-            box_len: 1.0,
-        };
+        let sr = scene_ref(
+            [&xs, &ys, &zs, &dm, &ad],
+            Aabb::new(Vec3::zero(), Vec3::splat(extent)),
+            1.0,
+        );
         let params = MechParams::default_params();
         let mut z =
             MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, KernelVersion::V2Sorted, 1);
@@ -1405,15 +1411,7 @@ mod tests {
         let pipe = |v| MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, v, 1);
 
         let (sx, sy, sz) = (xs.clone(), ys.clone(), zs.clone());
-        let scrambled = SceneRef {
-            xs: &sx,
-            ys: &sy,
-            zs: &sz,
-            diameters: &dm,
-            adherences: &ad,
-            space,
-            box_len: 1.0,
-        };
+        let scrambled = scene_ref([&sx, &sy, &sz, &dm, &ad], space, 1.0);
         let (_, r) = pipe(KernelVersion::V2Sorted).step(&scrambled, &params);
         assert_eq!(
             r.sort_gathers, 8,
@@ -1430,15 +1428,7 @@ mod tests {
         for col in [&mut xs, &mut ys, &mut zs] {
             gather_words(&order, col, &mut keys);
         }
-        let sorted = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space,
-            box_len: 1.0,
-        };
+        let sorted = scene_ref([&xs, &ys, &zs, &dm, &ad], space, 1.0);
         let (_, rs) = pipe(KernelVersion::V2Sorted).step(&sorted, &params);
         assert_eq!(
             rs.sort_gathers, 0,
@@ -1454,15 +1444,7 @@ mod tests {
         assert!(r1.resident);
         assert!(r1.bytes_h2d > 0, "first resident step uploads the columns");
         let (x2, y2, z2) = split(&p1);
-        let scene2 = SceneRef {
-            xs: &x2,
-            ys: &y2,
-            zs: &z2,
-            diameters: &dm,
-            adherences: &ad,
-            space,
-            box_len: 1.0,
-        };
+        let scene2 = scene_ref([&x2, &y2, &z2, &dm, &ad], space, 1.0);
         let (_, r2) = rp.step_resident(&scene2, &uids, &params);
         assert_eq!(r2.sort_gathers, 0, "resident step never gathers");
         assert_eq!(
@@ -1480,15 +1462,11 @@ mod tests {
         let n = 3000;
         let extent = 10.0;
         let (xs, ys, zs, dm, ad) = scene(n, extent, 42);
-        let sr = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space: Aabb::new(Vec3::zero(), Vec3::splat(extent)),
-            box_len: 1.0,
-        };
+        let sr = scene_ref(
+            [&xs, &ys, &zs, &dm, &ad],
+            Aabb::new(Vec3::zero(), Vec3::splat(extent)),
+            1.0,
+        );
         let params = MechParams::default_params();
         let run = |v: KernelVersion| {
             MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, v, 1)
@@ -1802,15 +1780,11 @@ mod tests {
             } else {
                 (system, &sparse, 9.0)
             };
-            let sr = SceneRef {
-                xs,
-                ys,
-                zs,
-                diameters: dm,
-                adherences: ad,
-                space: Aabb::new(Vec3::zero(), Vec3::splat(extent)),
-                box_len: 1.0,
-            };
+            let sr = scene_ref(
+                [xs, ys, zs, dm, ad],
+                Aabb::new(Vec3::zero(), Vec3::splat(extent)),
+                1.0,
+            );
             for frontend in [ApiFrontend::Cuda, ApiFrontend::OpenCl] {
                 let mut p = MechanicalPipeline::new(system, frontend, v, sample);
                 let (disp, r) = p.step(&sr, &MechParams::default_params());
@@ -1962,15 +1936,7 @@ mod tests {
             SyncPlan::Appended,
         ];
         for (step, plan) in PLANS.into_iter().enumerate() {
-            let sr = SceneRef {
-                xs: &xs,
-                ys: &ys,
-                zs: &zs,
-                diameters: &dm,
-                adherences: &ad,
-                space,
-                box_len: 1.0,
-            };
+            let sr = scene_ref([&xs, &ys, &zs, &dm, &ad], space, 1.0);
             let (pos, r) = p.step_resident(&sr, &uids, &params);
             assert_eq!(r.sync, plan, "step {step}");
             assert!(r.grid_built, "every step of the script moves a voxel key");
@@ -2061,17 +2027,8 @@ mod tests {
             let mut next_uid = 150u64;
             let mut a = MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, v, 1);
             let mut b = MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, v, 1);
-            b.force_full_rebuild = true;
             for step in 0..6 {
-                let sr = SceneRef {
-                    xs: &xs,
-                    ys: &ys,
-                    zs: &zs,
-                    diameters: &dm,
-                    adherences: &ad,
-                    space,
-                    box_len: 1.0,
-                };
+                let sr = scene_ref([&xs, &ys, &zs, &dm, &ad], space, 1.0);
                 let (pa, ra) = a.step_resident(&sr, &uids, &params);
                 b.invalidate_residency();
                 let (pb, _) = b.step_resident(&sr, &uids, &params);
@@ -2162,33 +2119,20 @@ mod tests {
         let space = Aabb::new(Vec3::zero(), Vec3::splat(16.0));
         let uids: Vec<u64> = (0..n as u64).collect();
         let params = MechParams::default_params();
-        let sr = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space,
-            box_len: 2.0,
-        };
+        let sr = scene_ref([&xs, &ys, &zs, &dm, &ad], space, 2.0);
         for v in KernelVersion::ALL {
             let mut p = MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, v, 1);
+            // `f` drops its residency before every step: a full upload
+            // and grid build each time.
             let mut f = MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, v, 1);
-            f.force_full_rebuild = true;
             let (p1, r1) = p.step_resident(&sr, &uids, &params);
+            f.invalidate_residency();
             let (q1, _) = f.step_resident(&sr, &uids, &params);
             assert!(r1.build_s > 0.0, "{v:?}: first step must build the grid");
             let (x2, y2, z2) = split(&p1);
-            let sr2 = SceneRef {
-                xs: &x2,
-                ys: &y2,
-                zs: &z2,
-                diameters: &dm,
-                adherences: &ad,
-                space,
-                box_len: 2.0,
-            };
+            let sr2 = scene_ref([&x2, &y2, &z2, &dm, &ad], space, 2.0);
             let (p2, r2) = p.step_resident(&sr2, &uids, &params);
+            f.invalidate_residency();
             let (q2, rf2) = f.step_resident(&sr2, &uids, &params);
             assert_eq!(
                 r2.build_s, 0.0,
@@ -2219,15 +2163,7 @@ mod tests {
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
         let params = MechParams::default_params();
         let uids: Vec<u64> = (0..n as u64).collect();
-        let sr = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space,
-            box_len: 1.0,
-        };
+        let sr = scene_ref([&xs, &ys, &zs, &dm, &ad], space, 1.0);
 
         let mut p = MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, KernelVersion::V4Csr, 1);
         let (mut pos, _) = p.step_resident(&sr, &uids, &params);
@@ -2235,15 +2171,7 @@ mod tests {
         assert!(bytes > 0);
         for _ in 0..4 {
             let (x2, y2, z2) = split(&pos);
-            let sr2 = SceneRef {
-                xs: &x2,
-                ys: &y2,
-                zs: &z2,
-                diameters: &dm,
-                adherences: &ad,
-                space,
-                box_len: 1.0,
-            };
+            let sr2 = scene_ref([&x2, &y2, &z2, &dm, &ad], space, 1.0);
             let (np, r) = p.step_resident(&sr2, &uids, &params);
             assert!(r.resident);
             assert_eq!(
@@ -2318,15 +2246,11 @@ mod tests {
     /// the malformed-input tests below each break one field.
     fn step_both_ways(edit: impl Fn(&mut SceneRef<'_>), resident: bool) {
         let (xs, ys, zs, dm, ad) = scene(100, 8.0, 3);
-        let mut sr = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space: Aabb::new(Vec3::zero(), Vec3::splat(8.0)),
-            box_len: 1.0,
-        };
+        let mut sr = scene_ref(
+            [&xs, &ys, &zs, &dm, &ad],
+            Aabb::new(Vec3::zero(), Vec3::splat(8.0)),
+            1.0,
+        );
         let params = MechParams::default_params();
         let mut p =
             MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, KernelVersion::V2Sorted, 1);

@@ -94,15 +94,6 @@ impl KernelTiming {
             bound,
         }
     }
-
-    /// Achieved GFLOP/s given the counters this timing was modeled from.
-    pub fn achieved_gflops(&self, c: &KernelCounters) -> f64 {
-        if self.total_s == 0.0 {
-            0.0
-        } else {
-            c.total_flops() / self.total_s / 1e9
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,15 +173,5 @@ mod tests {
         let t = KernelTiming::model(&c, &SYSTEM_A.gpu);
         let expected = 1000.0 * CHILD_LAUNCH_OVERHEAD_S / SYSTEM_A.gpu.sm_count as f64;
         assert!(t.overhead_s >= expected);
-    }
-
-    #[test]
-    fn achieved_gflops_consistent() {
-        let mut c = base_counters();
-        c.compute_warp_cycles = 1e6;
-        c.flops_fp32 = 1e9;
-        let t = KernelTiming::model(&c, &SYSTEM_A.gpu);
-        let g = t.achieved_gflops(&c);
-        assert!((g - 1e9 / t.total_s / 1e9).abs() < 1e-9);
     }
 }

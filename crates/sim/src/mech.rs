@@ -2758,9 +2758,10 @@ mod tests {
         let mut b = a.clone();
         let mut pa = mk();
         let mut pb = mk();
-        pb.force_full_rebuild = true;
         for step in 0..4 {
             let wa = mechanical_step(&mut a, &params, &env, Some(&mut pa));
+            // A full re-upload and grid build every step.
+            pb.invalidate_residency();
             mechanical_step(&mut b, &params, &env, Some(&mut pb));
             let ra = wa.gpu.expect("gpu report");
             assert!(ra.resident, "step {step} not resident");

@@ -148,12 +148,6 @@ impl SimParams {
         self
     }
 
-    /// Builder-style mechanical-parameter override.
-    pub fn with_mech(mut self, mech: MechParams<f64>) -> Self {
-        self.mech = mech;
-        self
-    }
-
     /// Builder-style interaction-radius override.
     pub fn with_interaction_radius(mut self, r: f64) -> Self {
         self.interaction_radius = Some(r);
