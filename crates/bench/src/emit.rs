@@ -424,7 +424,6 @@ mod tests {
         assert_eq!(default_policy("sim.agents").tol, Some(0.0));
         assert_eq!(default_policy("mech.candidates").tol, Some(0.02));
         assert_eq!(default_policy("mech.simd_lanes_utilized").tol, Some(0.02));
-        assert_eq!(default_policy("mech.f32_refresh_copies").tol, Some(0.02));
         assert!(!default_policy("layouts.simd_mech_wall_ms").gate);
         assert!(!default_policy("layouts.simd_speedup_wall_x").gate);
         assert_eq!(default_policy("gpu.mech.flops_fp32").tol, Some(0.02));

@@ -8,10 +8,9 @@
 //! `BENCH_layouts.json` — host wall clocks are emitted ungated (context,
 //! not gate input), while the deterministic locality/utilization/
 //! decomposition counters (`layouts.csr_index_gap`,
-//! `mech.simd_lanes_utilized`, `mech.f32_refresh_copies`,
-//! `layouts.shard_imbalance`, `layouts.shard_halo_fraction`,
-//! `layouts.shard_mech_modeled_ms`, `layouts.shard_speedup_modeled_x`)
-//! gate at 2 %.
+//! `mech.simd_lanes_utilized`, `layouts.shard_imbalance`,
+//! `layouts.shard_halo_fraction`, `layouts.shard_mech_modeled_ms`,
+//! `layouts.shard_speedup_modeled_x`) gate at 2 %.
 
 use crate::cli::Args;
 use crate::{emit, median, median_ms, REPS};
@@ -214,9 +213,9 @@ fn reorder_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
 /// cloud as [`reorder_table`] — Z-order sorted every step so x-runs are
 /// long — stepped at `Precision::F64` (scalar baseline) and
 /// `Precision::F32Simd` (fused 8-lane f32 force pass). Wall clocks and
-/// the speedup ratio are informational; the SIMD utilization counters
-/// (`mech.simd_lanes_utilized`, `mech.f32_refresh_copies`) are
-/// deterministic functions of the trajectory and gate at 2 %.
+/// the speedup ratio are informational; the SIMD utilization counter
+/// (`mech.simd_lanes_utilized`) is a deterministic function of the
+/// trajectory and gates at 2 %.
 fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     let n = cells_per_dim * cells_per_dim * cells_per_dim;
     let env = EnvironmentKind::uniform_grid_csr_parallel();
@@ -225,8 +224,8 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         env.label()
     );
     println!(
-        "{:<12} {:>10} {:>10} {:>14} {:>14} {:>12} {:>14}",
-        "precision", "step ms", "mech ms", "simd lanes", "f32 copies", "index gap", "stencil reuse"
+        "{:<12} {:>10} {:>10} {:>14} {:>12} {:>14}",
+        "precision", "step ms", "mech ms", "simd lanes", "index gap", "stencil reuse"
     );
     let mut mech_by_precision = [0.0f64; 2];
     for (slot, precision) in [Precision::F64, Precision::F32Simd].into_iter().enumerate() {
@@ -237,21 +236,16 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         let env_label = env.label();
         let env_labels = [("env", env_label.as_str())];
         let read = |name: &str| metrics.value(name, &env_labels).unwrap_or(0.0);
-        let (lanes, copies, gap) = (
-            read("mech.simd_lanes_utilized"),
-            read("mech.f32_refresh_copies"),
-            read("mech.csr_index_gap"),
-        );
+        let (lanes, gap) = (read("mech.simd_lanes_utilized"), read("mech.csr_index_gap"));
         let work = sim.last_mech_work().expect("the CSR step ran");
         let reuse = work.stencil_reuse(n).expect("a CSR sweep stages stencils");
         let reuse = format!("{reuse:.3}");
         println!(
-            "{:<12} {:>10.3} {:>10.3} {:>14.0} {:>14.0} {:>12.2} {:>14}",
+            "{:<12} {:>10.3} {:>10.3} {:>14.0} {:>12.2} {:>14}",
             precision.label(),
             step_ms,
             mech_ms,
             lanes,
-            copies,
             gap,
             reuse
         );
@@ -261,7 +255,6 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         let staged = work.stencils_staged.expect("a CSR sweep stages stencils") as f64;
         if precision == Precision::F32Simd {
             reg.set_gauge("mech.simd_lanes_utilized", &labels, lanes);
-            reg.set_gauge("mech.f32_refresh_copies", &labels, copies);
             reg.set_gauge("mech.simd_stencils_staged", &labels, staged);
         } else {
             reg.set_gauge("mech.stencils_staged", &labels, staged);

@@ -71,7 +71,15 @@ const MAX_CHUNKS: usize = 8;
 /// Raw-pointer wrapper so disjoint-by-construction parallel scatters can
 /// write through a shared base pointer.
 struct SendPtr<T>(*mut T);
+// SAFETY: the one field is a pointer to `T`s that the sending thread
+// owns; moving it to another thread moves only the right to write those
+// `T`s, which `T: Send` allows. Every write through it is an `unsafe`
+// block that proves its slots are disjoint from every other thread's.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: a shared `&SendPtr` exposes only the pointer itself (no read
+// or write of a `T`); the scatter that shares it across workers writes
+// each slot from exactly one of them, as its `unsafe` block states, and
+// only plain `T: Send` values cross threads that way.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Identity of the geometry a key set was computed against. Keys are a

@@ -22,11 +22,11 @@
 //!   scalar slots and re-packs them every batch, and the voxel-staged
 //!   kernel measured *slower* than the per-agent gather it replaces
 //!   until its instruction selection was pinned here. The indexed
-//!   gathers ([`F32x8::gather4`], [`F64x8::gather`], [`U32x8::gather`]:
-//!   `vgatherdps` / `vgatherdpd` / `vpgatherdd`) are the one load shape
-//!   LLVM cannot form on its own at all, and a compare that should end
-//!   as a bitmask in a general register ([`F64x8::le_bits`]: `vcmppd` +
-//!   `vmovmskpd`) is another it rarely finds.
+//!   gathers ([`F64x8::gather`], [`U32x8::gather`]: `vgatherdpd` /
+//!   `vpgatherdd`) are the one load shape LLVM cannot form on its own
+//!   at all, and a compare that should end as a bitmask in a general
+//!   register ([`F64x8::le_bits`]: `vcmppd` + `vmovmskpd`) is another it
+//!   rarely finds.
 //!
 //! Which body a build compiled never shows in a result: CI runs the
 //! kernel's oracle, the determinism suites and the checkpoint goldens
@@ -189,6 +189,13 @@ mod avx2 {
                 _mm256_add_pd(acc[1], _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v))),
             ])
         };
+        // `v[l] as f32` (round to nearest): `vcvtpd2ps` per register
+        // half, the halves joined by `vinsertf128`.
+        narrow_pd(v: F64x8) -> F32x8 = {
+            let v = pd(v);
+            let lo = _mm256_castps128_ps256(_mm256_cvtpd_ps(v[0]));
+            f32x8(_mm256_insertf128_ps::<1>(lo, _mm256_cvtpd_ps(v[1])))
+        };
         // The f64 ops: one instruction per register half.
         sqrt_pd(a: F64x8) -> F64x8 = {
             let a = pd(a);
@@ -304,82 +311,6 @@ impl F32x8 {
     #[inline(always)]
     pub fn zero() -> Self {
         Self([0.0; LANES])
-    }
-
-    /// Gather 8 packed `[f32; 4]` records and transpose them into four
-    /// lane vectors — the CPU analogue of a `float4` gather on the GPU.
-    /// One address computation and one 16-byte load per lane replaces
-    /// four scattered column touches; out-of-range lanes clamp to the
-    /// last record, as in [`U32x8::gather`].
-    ///
-    /// On AVX2 targets this compiles to four hardware `vgatherdps`
-    /// instructions — the one load shape LLVM cannot autovectorize from
-    /// scalar IR. Written as per-lane record loads, the 8×4 transpose
-    /// becomes ~30 port-5-only shuffle µops per batch, which measures as
-    /// *the* throughput bottleneck of the fused force pass; the
-    /// hardware gather eliminates the transpose entirely. Both paths
-    /// load identical `f32` values, so results are bitwise equal.
-    #[cfg(target_feature = "avx2")]
-    #[inline(always)]
-    pub fn gather4(src: &[[f32; 4]], idx: U32x8) -> [Self; 4] {
-        use core::arch::x86_64::*;
-        assert!(!src.is_empty(), "gather from empty slice");
-        // Element offsets are built in i32 lanes: 4·idx + 3 must not
-        // wrap. Far below any realistic agent count.
-        assert!(
-            src.len() <= i32::MAX as usize / 4,
-            "gather4 source too large"
-        );
-        let last = (src.len() - 1) as u32;
-        // SAFETY: every lane offset is
-        // clamped to `last` first (`vpminud`), so each of the eight
-        // 16-byte records the hardware gathers touch lies inside `src`,
-        // which is immutably borrowed for the whole call. The
-        // loadu/storeu shims move lanes between the portable `[f32; 8]`
-        // representation and `__m256` without alignment assumptions.
-        unsafe {
-            let idxv = _mm256_loadu_si256(idx.0.as_ptr() as *const __m256i);
-            let cl = _mm256_min_epu32(idxv, _mm256_set1_epi32(last as i32));
-            // Record index → f32 element index (each record is 4 lanes).
-            let elem = _mm256_slli_epi32::<2>(cl);
-            let base = src.as_ptr() as *const f32;
-            let mut out = [Self::zero(); 4];
-            for (c, lanes) in out.iter_mut().enumerate() {
-                let off = _mm256_add_epi32(elem, _mm256_set1_epi32(c as i32));
-                let v = _mm256_i32gather_ps::<4>(base, off);
-                _mm256_storeu_ps(lanes.0.as_mut_ptr(), v);
-            }
-            out
-        }
-    }
-
-    /// Portable fallback: clamped per-lane record loads; LLVM builds
-    /// the transpose from shuffles. Bitwise-identical results to the
-    /// AVX2 path.
-    #[cfg(not(target_feature = "avx2"))]
-    #[inline(always)]
-    pub fn gather4(src: &[[f32; 4]], idx: U32x8) -> [Self; 4] {
-        assert!(!src.is_empty(), "gather from empty slice");
-        let last = src.len() - 1;
-        // Clamp as a u32 lane op first (`vpminud`) — clamping the
-        // zero-extended usize per lane instead costs a scalar
-        // compare+cmov chain on eight 64-bit registers.
-        // (a u32 lane can't index past u32::MAX anyway, so saturating
-        // the bound there keeps the clamp exact for any slice length).
-        let lastv = last.min(u32::MAX as usize) as u32;
-        let mut cl = [0u32; LANES];
-        for l in 0..LANES {
-            cl[l] = idx.0[l].min(lastv);
-        }
-        let mut out = [[0.0f32; LANES]; 4];
-        for l in 0..LANES {
-            let rec = src[cl[l] as usize];
-            out[0][l] = rec[0];
-            out[1][l] = rec[1];
-            out[2][l] = rec[2];
-            out[3][l] = rec[3];
-        }
-        [Self(out[0]), Self(out[1]), Self(out[2]), Self(out[3])]
     }
 
     /// Load 8 contiguous lanes from `src` (must hold at least 8).
@@ -782,6 +713,19 @@ impl F64x8 {
         })
     }
 
+    /// Each lane rounded to the nearest `f32` — `v as f32` per lane
+    /// (`vcvtpd2ps`).
+    #[inline(always)]
+    pub fn narrow(self) -> F32x8 {
+        lanes!(avx2::narrow_pd(self), {
+            let mut out = [0.0f32; LANES];
+            for l in 0..LANES {
+                out[l] = self.0[l] as f32;
+            }
+            F32x8(out)
+        })
+    }
+
     /// Widen each `f32` lane to `f64` (exact) and add it to the running
     /// lane sum (`vcvtps2pd` + `vaddpd`).
     #[inline(always)]
@@ -1015,15 +959,43 @@ mod tests {
     }
 
     #[test]
-    fn gather4_transposes_packed_records() {
-        let src: Vec<[f32; 4]> = (0..6)
-            .map(|r| [r as f32, 10.0 + r as f32, 20.0 + r as f32, 30.0 + r as f32])
-            .collect();
-        let [x, y, z, w] = F32x8::gather4(&src, U32x8([5, 0, 2, 2, 4, 1, 3, 99]));
-        assert_eq!(x.0, [5.0, 0.0, 2.0, 2.0, 4.0, 1.0, 3.0, 5.0]);
-        assert_eq!(y.0, [15.0, 10.0, 12.0, 12.0, 14.0, 11.0, 13.0, 15.0]);
-        assert_eq!(z.0, [25.0, 20.0, 22.0, 22.0, 24.0, 21.0, 23.0, 25.0]);
-        assert_eq!(w.0, [35.0, 30.0, 32.0, 32.0, 34.0, 31.0, 33.0, 35.0]);
+    fn narrowing_rounds_each_lane_like_as_f32() {
+        // Whichever body the build compiled: ties to even, overflow to
+        // ±inf, underflow to subnormals and ±0, NaN stays NaN.
+        let h = 0.5 * f32::EPSILON as f64;
+        let cases = [
+            F64x8([
+                0.1,
+                -2.5e-3,
+                1.0 + h,
+                1.0 + 3.0 * h,
+                -0.0,
+                1e300,
+                -1e300,
+                3.0,
+            ]),
+            F64x8([
+                1e-40,
+                -1e-46,
+                1e-50,
+                f64::INFINITY,
+                f64::NAN,
+                5.0,
+                -7.25,
+                16777217.0,
+            ]),
+        ];
+        for v in cases {
+            let got = v.narrow();
+            for l in 0..LANES {
+                let want = v.0[l] as f32;
+                if want.is_nan() {
+                    assert!(got.0[l].is_nan(), "lane {l}");
+                } else {
+                    assert_eq!(got.0[l].to_bits(), want.to_bits(), "lane {l} of {v:?}");
+                }
+            }
+        }
     }
 
     #[test]

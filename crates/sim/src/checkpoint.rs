@@ -14,8 +14,8 @@
 //!    `operation::run_behavior_chunk`), so restoring the agent columns
 //!    and `steps_executed` restores the randomness.
 //! 2. Everything else a step touches is *derived* state, rebuilt from
-//!    the columns on demand: neighborhood grids, f32 mirrors (keyed on
-//!    the resource manager's stamps), the largest-diameter cache,
+//!    the columns on demand: neighborhood grids (keyed on the resource
+//!    manager's stamps), the largest-diameter cache,
 //!    per-shard CSR grids, the diffusion scratch buffer, the GPU pipeline
 //!    (a pure function of the environment configuration). None of it is
 //!    serialized.

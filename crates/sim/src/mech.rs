@@ -58,7 +58,7 @@ use bdm_kdtree::KdTree;
 use bdm_math::interaction;
 use bdm_math::simd::{F32x8, F64x8, U32x8, LANES};
 use bdm_math::{Aabb, Vec3};
-use bdm_soa::{AgentId, F32Mirror, F32x4Mirror, StepBuffer};
+use bdm_soa::{AgentId, StepBuffer};
 use rayon::prelude::*;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -162,9 +162,6 @@ pub mod work_model {
     /// Fixed per-agent bytes of the f32 pass: own f32 state (20 B,
     /// position + diameter + adherence) + f64 displacement write (24 B).
     pub const SIMD_FIXED_BYTES_PER_AGENT: f64 = 44.0;
-    /// Bytes per element of the f32 mirror refresh: one f64 read (8 B) +
-    /// one f32 write (4 B).
-    pub const SIMD_REFRESH_BYTES_PER_ELEMENT: f64 = 12.0;
 }
 
 /// Deterministic statistics of the mixed-precision SIMD pass — exact
@@ -182,8 +179,9 @@ pub struct SimdWork {
     /// `lanes_utilized / (lanes_utilized + pad_lanes)` is the pass's
     /// lane-occupancy ratio.
     pub pad_lanes: u64,
-    /// `f64 → f32` mirror elements re-converted this step; `0` for every
-    /// column whose stamp did not move since the previous step.
+    /// Always `0`: the f32 body narrows the f64 columns while it stages
+    /// a voxel's tile and keeps no `f32` copy to refresh. Kept for
+    /// readers of the field.
     pub refresh_copies: u64,
 }
 
@@ -327,11 +325,6 @@ impl MechWork {
                 simd.lanes_utilized as f64,
             );
             reg.inc_counter("mech.simd_pad_lanes", &labels, simd.pad_lanes as f64);
-            reg.inc_counter(
-                "mech.f32_refresh_copies",
-                &labels,
-                simd.refresh_copies as f64,
-            );
         }
         for (i, phase) in self.phases.iter().enumerate() {
             let labels = [("env", env), ("phase", phase.name)];
@@ -358,13 +351,13 @@ pub fn interaction_radius(rm: &ResourceManager, params: &SimParams) -> f64 {
 
 /// Reusable per-step working memory for the CPU mechanical paths: the
 /// step's one per-agent buffer every sweep writes its displacements
-/// into, plus the CSR path's grid arrays, f32 mirrors and lane scratch,
-/// all persist across steps, so a steady-state CSR step allocates
-/// nothing. The [`crate::Simulation`] owns one of these for its
-/// lifetime; one-shot callers can pass a fresh default. The grid and the
-/// mirrors are keyed on the resource manager's process-unique stamps, so
-/// a scratch passed a different manager (a clone, a restored one) never
-/// reuses what it derived from another.
+/// into, plus the CSR path's grid arrays and lane scratch, all persist
+/// across steps, so a steady-state CSR step allocates nothing. The
+/// [`crate::Simulation`] owns one of these for its lifetime; one-shot
+/// callers can pass a fresh default. The grid is keyed on the resource
+/// manager's process-unique position stamp, so a scratch passed a
+/// different manager (a clone, a restored one) never reuses a grid it
+/// built for another.
 #[derive(Default)]
 pub struct MechScratch {
     /// Global CSR grid, rebuilt in place every unsharded step.
@@ -379,9 +372,6 @@ pub struct MechScratch {
     /// voxel ids and histograms), and between sweeps to the reorder — the
     /// shard sort's included — and to a division wave.
     pub(crate) buffer: StepBuffer,
-    /// `f32` shadows of the hot columns for the mixed-precision pass,
-    /// refreshed lazily on the resource manager's stamps.
-    mirrors: SimdMirrors,
     /// The CSR bodies' stage and pass buffers: a pool a sweep part takes
     /// one from and returns it to, so it holds one per worker that ran a
     /// part at once, not one per part.
@@ -399,34 +389,6 @@ impl MechScratch {
     pub(crate) fn lane_scratch(&self) -> (usize, usize) {
         let bytes = self.lanes.iter().map(LaneScratch::resident_bytes).sum();
         (self.lanes.len(), bytes)
-    }
-}
-
-/// The `f64 → f32` shadows the SIMD pass gathers from: a packed
-/// `[x, y, z, diameter]` record mirror (the per-candidate gather is one
-/// 16-byte load instead of four scattered column touches — the CPU
-/// `float4` idiom of the paper's GPU kernels), plus a plain adherence
-/// column read once per agent. The packed record spans two stamp
-/// families (positions and attributes) and re-converts whole when either
-/// moves.
-#[derive(Default)]
-struct SimdMirrors {
-    posd: F32x4Mirror,
-    adh: F32Mirror,
-}
-
-impl SimdMirrors {
-    /// Bring every mirror up to date; returns total component
-    /// conversions: 0 when both stamps are those of the last refresh —
-    /// a frozen scene's every step after the first, since a behaviors or
-    /// bound-space pass that writes nothing leaves the position stamp
-    /// alone.
-    fn refresh(&mut self, rm: &ResourceManager) -> u64 {
-        let (xs, ys, zs) = rm.position_columns();
-        let (pos, attr) = (rm.position_stamp(), rm.attribute_stamp());
-        self.posd
-            .refresh(pos, attr, xs, ys, zs, rm.diameter_column())
-            + self.adh.refresh(attr, rm.adherence_column())
     }
 }
 
@@ -952,9 +914,8 @@ struct LaneScratch {
     /// [`LANES`] multiple ([`Tile::padded`]; the buffer itself is
     /// grow-only like the columns).
     ids: Vec<u32>,
-    /// `f32` body: the candidates' `[x, y, z, diameter]` records,
-    /// gathered once per stage and transposed into columns, so pass A
-    /// loads contiguously.
+    /// `f32` body: the candidates' `x, y, z, diameter`, narrowed from
+    /// the f64 columns once per stage, so pass A loads contiguously.
     px: Vec<f32>,
     py: Vec<f32>,
     pz: Vec<f32>,
@@ -1053,8 +1014,15 @@ impl LaneScratch {
         }
     }
 
-    /// [`Self::stage`] plus the candidates' `f32` records as columns.
-    fn stage_f32(&mut self, grid: &CsrGrid<f64>, posd: &[[f32; 4]], group: &VoxelGroup) -> Tile {
+    /// [`Self::stage`] plus the candidates' `x, y, z, diameter` as `f32`
+    /// columns, each rounded to nearest from its f64 column.
+    fn stage_f32(
+        &mut self,
+        grid: &CsrGrid<f64>,
+        (xs, ys, zs): (&[f64], &[f64], &[f64]),
+        diameters: &[f64],
+        group: &VoxelGroup,
+    ) -> Tile {
         let tile = self.stage(grid, group);
         let padded = tile.padded;
         for col in [
@@ -1070,11 +1038,11 @@ impl LaneScratch {
         }
         for off in (0..padded).step_by(LANES) {
             let idv = U32x8::from_slice(&self.ids[off..]);
-            let [x, y, z, d] = F32x8::gather4(posd, idv);
-            x.write_to_slice(&mut self.px[off..]);
-            y.write_to_slice(&mut self.py[off..]);
-            z.write_to_slice(&mut self.pz[off..]);
-            d.write_to_slice(&mut self.dj[off..]);
+            let [x, y, z, d] = load_block([xs, ys, zs, diameters], idv);
+            x.narrow().write_to_slice(&mut self.px[off..]);
+            y.narrow().write_to_slice(&mut self.py[off..]);
+            z.narrow().write_to_slice(&mut self.pz[off..]);
+            d.narrow().write_to_slice(&mut self.dj[off..]);
         }
         tile
     }
@@ -1096,12 +1064,39 @@ impl LaneScratch {
         grow(&mut self.near, padded);
         for off in (0..padded).step_by(LANES) {
             let idv = U32x8::from_slice(&self.ids[off..]);
-            F64x8::gather(xs, idv).write_to_slice(&mut self.wx[off..]);
-            F64x8::gather(ys, idv).write_to_slice(&mut self.wy[off..]);
-            F64x8::gather(zs, idv).write_to_slice(&mut self.wz[off..]);
+            let [x, y, z] = load_block([xs, ys, zs], idv);
+            x.write_to_slice(&mut self.wx[off..]);
+            y.write_to_slice(&mut self.wy[off..]);
+            z.write_to_slice(&mut self.wz[off..]);
         }
         tile
     }
+}
+
+/// Lane `l` of `first..first + LANES`.
+const RUN: U32x8 = U32x8([0, 1, 2, 3, 4, 5, 6, 7]);
+
+/// Each column's values under an 8-id block: contiguous loads when the
+/// ids are exactly the agents `first..first + LANES` — most blocks of a
+/// tile on Z-sorted storage — else gathers. All eight lanes are
+/// compared: a block whose ends are `first` and `first + 7` may still
+/// hold other ids between them.
+#[inline(always)]
+fn load_block<const N: usize>(cols: [&[f64]; N], idv: U32x8) -> [F64x8; N] {
+    let first = idv.0[0];
+    let mut out = [F64x8::zero(); N];
+    // Loops, not `array::map`: a closure that may panic (the slice
+    // bound) turns `map` into an out-of-line `try_map` call per block.
+    if idv.ne(U32x8::splat(first) + RUN).bits() == 0 {
+        for (v, col) in out.iter_mut().zip(cols) {
+            *v = F64x8::from_slice(&col[first as usize..]);
+        }
+    } else {
+        for (v, col) in out.iter_mut().zip(cols) {
+            *v = F64x8::gather(col, idv);
+        }
+    }
+    out
 }
 
 /// 8-lane `f32` lanes — the paper's Improvement I (FP64→FP32) applied to
@@ -1115,10 +1110,12 @@ impl LaneScratch {
 ///
 /// * **the unit of iteration is the voxel.** `groups` is the part as
 ///   non-empty voxels ([`VoxelGroups`]); each is staged once
-///   ([`LaneScratch::stage_f32`]: the ≤ 9 x-runs' ids concatenated, their
-///   `f32` records gathered from the lazily refreshed mirrors with
-///   [`F32x8::gather4`] and transposed into four contiguous columns) and
-///   then swept resident by resident. A resident needs no lookup of its
+///   ([`LaneScratch::stage_f32`]: the ≤ 9 x-runs' ids concatenated, and
+///   their `x, y, z, diameter` loaded from the f64 columns — one
+///   contiguous load per column for an 8-id block that is a run of
+///   consecutive agents, a gather otherwise — and narrowed to four
+///   contiguous `f32` columns with [`F64x8::narrow`]) and then swept
+///   resident by resident. A resident needs no lookup of its
 ///   own: it is tile entry `center + rank`, id and record both. This is
 ///   the paper's Improvement III, which *loses* 28 % on the GPU —
 ///   building the shared-memory tile there takes atomics and its boundary
@@ -1147,9 +1144,9 @@ impl LaneScratch {
 ///   of the reorder policy — unlike the f64 path, which is
 ///   reorder-invariant;
 /// * displacement integration stays f64: `interaction::displacement`
-///   over the f64-accumulated force, with the (f32-mirrored) adherence
-///   widened back — the per-step tolerance budget is spent on the force
-///   kernel, not on the integrator.
+///   over the f64-accumulated force, with the adherence rounded to
+///   `f32` and widened back — the per-step tolerance budget is spent on
+///   the force kernel, not on the integrator.
 ///
 /// What the batch loop compiles to (x86-64-v3, `objdump` of the
 /// benchmark binary; DESIGN §5.8 has the table). Per 8-lane batch the
@@ -1168,15 +1165,13 @@ impl LaneScratch {
 fn simd_lanes(
     rm: &ResourceManager,
     params: &SimParams,
-    mirrors: &SimdMirrors,
     grid: &CsrGrid<f64>,
     groups: VoxelGroups<'_>,
     out: &mut [Vec3<f64>],
     lane: &mut LaneScratch,
 ) -> SweepStats {
-    let posd = mirrors.posd.as_slice();
-    let adh = mirrors.adh.as_slice();
-    let mech = &params.mech;
+    let positions = rm.position_columns();
+    let (diam, adh, mech) = (rm.diameter_column(), rm.adherence_column(), &params.mech);
     let radius = interaction_radius(rm, params);
     let rep32 = mech.repulsion as f32;
     let att32 = mech.attraction as f32;
@@ -1189,7 +1184,7 @@ fn simd_lanes(
     let mut stats = SweepStats::default();
     let mut out = out.iter_mut();
     for group in groups {
-        let tile = lane.stage_f32(grid, posd, &group);
+        let tile = lane.stage_f32(grid, positions, diam, &group);
         let (len, batched, boxes) = (tile.len, tile.padded, tile.boxes);
         stats.staged += 1;
         let residents = out.by_ref().take(group.ranks.len());
@@ -1295,7 +1290,8 @@ fn simd_lanes(
             stats.contacts += contact_acc.reduce_sum();
             stats.gap_sum += gap_acc.reduce_sum();
             let force = Vec3::new(ax.reduce(), ay.reduce(), az.reduce());
-            *slot = interaction::displacement(force, adh[i as usize] as f64, mech);
+            let adherence = adh[i as usize] as f32 as f64;
+            *slot = interaction::displacement(force, adherence, mech);
         }
     }
     debug_assert!(out.next().is_none(), "the groups cover the part");
@@ -1659,8 +1655,7 @@ pub(crate) enum CsrParts<'a> {
     },
 }
 
-/// What every CSR step does once its grid(s) exist: bring the f32
-/// mirrors up to date when the precision asks for them, walk every part
+/// What every CSR step does once its grid(s) exist: walk every part
 /// voxel by voxel ([`VoxelGroups`]) through the precision's lane body,
 /// integrate, and report. Shared by the global pass and
 /// [`ShardedEnvironment::step`], which is why sharding works at either
@@ -1669,32 +1664,15 @@ pub(crate) fn csr_sweep(
     rm: &mut ResourceManager,
     params: &SimParams,
     scratch: &mut MechScratch,
-    mut timed: Vec<(Phase, f64)>,
+    timed: Vec<(Phase, f64)>,
     parts: CsrParts<'_>,
     parallel: bool,
 ) -> MechWork {
-    let mut refresh_copies = 0;
     let model = match params.precision {
         Precision::F64 => ForceModel::Csr,
-        Precision::F32Simd => {
-            // Lazy on the stamps: columns untouched since the
-            // previous step cost nothing (diameters/adherences of a
-            // non-growing population).
-            let t = Instant::now();
-            refresh_copies = scratch.mirrors.refresh(rm);
-            let refresh = Phase {
-                name: "f32 mirror refresh",
-                flops: refresh_copies as f64,
-                bytes: work_model::SIMD_REFRESH_BYTES_PER_ELEMENT * refresh_copies as f64,
-                random_accesses: 0.0,
-                parallel: false,
-                fp64: false,
-            };
-            timed.push((refresh, t.elapsed().as_secs_f64()));
-            ForceModel::CsrF32
-        }
+        Precision::F32Simd => ForceModel::CsrF32,
     };
-    let (bufs, mirrors) = ((&mut scratch.buffer, &mut scratch.lanes), &scratch.mirrors);
+    let bufs = (&mut scratch.buffer, &mut scratch.lanes);
     let lanes = |rm: &ResourceManager,
                  c: usize,
                  base: usize,
@@ -1709,7 +1687,7 @@ pub(crate) fn csr_sweep(
             }
         };
         match model {
-            ForceModel::CsrF32 => simd_lanes(rm, params, mirrors, grid, groups, out, lane),
+            ForceModel::CsrF32 => simd_lanes(rm, params, grid, groups, out, lane),
             _ => f64_lanes(rm, params, grid, groups, out, lane),
         }
     };
@@ -1724,11 +1702,7 @@ pub(crate) fn csr_sweep(
         }
         CsrParts::Shards { cuts, .. } => SweepParts::of_storage(cuts),
     };
-    let mut work = force_sweep(rm, bufs, timed, parts, model, parallel, lanes);
-    if let Some(simd) = &mut work.simd {
-        simd.refresh_copies = refresh_copies;
-    }
-    work
+    force_sweep(rm, bufs, timed, parts, model, parallel, lanes)
 }
 
 fn gpu_step(
@@ -1912,9 +1886,8 @@ mod tests {
                 "csr f64, parallel build {parallel}"
             );
             let want = format!(
-                "{build} f32 mirror refresh:3000.0:36000.0:0.0:false:false \
-                 mechanical forces:648132.0:770120.0:4101.666666666666:true:false \
-                 | {grid} {gap} simd=Some((37186, 2110, 3000)) skip=0"
+                "{build} mechanical forces:648132.0:770120.0:4101.666666666666:true:false \
+                 | {grid} {gap} simd=Some((37186, 2110, 0)) skip=0"
             );
             assert_eq!(
                 fingerprint(&csr32.0),
@@ -1942,13 +1915,13 @@ mod tests {
         // same candidates); the CSR layout charges less dependent random
         // access than the linked list in build and query alike; the f32
         // lanes carry every candidate, pad stencil remainders with the
-        // agent's own id, convert all 5 mirrored columns on a first step,
-        // and roughly halve the candidate gather traffic (Improvement I).
+        // agent's own id, and roughly halve the candidate gather traffic
+        // (Improvement I).
         let (ll_w, csr_w, f32_w) = (&ll[1].0, &csr[1].0 .0, &csr[1].1 .0);
         assert!(kd.0.contacts > 0, "the scene is dense enough to move");
         assert!(csr_w.phases[0].random_accesses < ll_w.phases[0].random_accesses);
         assert!(csr_w.phases[1].random_accesses < ll_w.phases[1].random_accesses);
-        assert!(f32_w.phases[2].bytes < csr_w.phases[1].bytes * 0.7);
+        assert!(f32_w.phases[1].bytes < csr_w.phases[1].bytes * 0.7);
 
         // Displacements. The build flavour never changes a bit, and the
         // shard-local grids reproduce every per-voxel id slice, so CSR
@@ -1973,21 +1946,21 @@ mod tests {
     }
 
     /// The per-agent gather kernel the voxel-staged [`simd_lanes`]
-    /// replaced, verbatim: every agent re-derives its x-runs, re-copies
-    /// its candidate ids and re-gathers their records. Kept as the
-    /// oracle of the tests below — same candidate sequence, same lane
-    /// assignment, so every bit and every counter must agree.
+    /// replaced: every agent re-derives its x-runs, re-copies its
+    /// candidate ids and re-reads their records, each value narrowed by a
+    /// scalar `as f32` (no lane op, no staged tile). Kept as the oracle of
+    /// the tests below — same candidate sequence, same lane assignment,
+    /// so every bit and every counter must agree.
     fn simd_lanes_reference(
         rm: &ResourceManager,
         params: &SimParams,
-        mirrors: &SimdMirrors,
         grid: &CsrGrid<f64>,
         base: usize,
         out: &mut [Vec3<f64>],
     ) -> SweepStats {
         let (xs64, ys64, zs64) = rm.position_columns();
-        let posd = mirrors.posd.as_slice();
-        let adh = mirrors.adh.as_slice();
+        let (diam, adh) = (rm.diameter_column(), rm.adherence_column());
+        let narrowed = |col: &[f64], idv: U32x8| F32x8(idv.0.map(|j| col[j as usize] as f32));
         let mech = &params.mech;
         let radius = interaction_radius(rm, params);
         let rep32 = mech.repulsion as f32;
@@ -2021,9 +1994,8 @@ mod tests {
             let i = base + k;
             // Stencil runs come from the f64 geometry, like the build.
             let p1_64 = Vec3::new(xs64[i], ys64[i], zs64[i]);
-            let rec = posd[i];
-            let q = Vec3::new(rec[0], rec[1], rec[2]);
-            let r1 = rec[3] * 0.5f32;
+            let q = Vec3::new(xs64[i] as f32, ys64[i] as f32, zs64[i] as f32);
+            let r1 = diam[i] as f32 * 0.5f32;
             let iv = U32x8::splat(i as u32);
             let (qx, qy, qz) = (F32x8::splat(q.x), F32x8::splat(q.y), F32x8::splat(q.z));
             let r1v = F32x8::splat(r1);
@@ -2136,7 +2108,7 @@ mod tests {
                 while off + LANES <= batched {
                     let idv = U32x8::from_slice(&cs[off..off + LANES]);
                     let valid = idv.ne(iv);
-                    let [px, py, pz, dj] = F32x8::gather4(posd, idv);
+                    let [px, py, pz, dj] = [xs64, ys64, zs64, diam].map(|c| narrowed(c, idv));
                     let dx = qx - px;
                     let dy = qy - py;
                     let dz = qz - pz;
@@ -2197,7 +2169,7 @@ mod tests {
                 stats.gap_sum += gap_acc.reduce_sum();
             }
             let force = Vec3::new(ax.reduce(), ay.reduce(), az.reduce());
-            *slot = interaction::displacement(force, adh[i] as f64, mech);
+            *slot = interaction::displacement(force, adh[i] as f32 as f64, mech);
         }
 
         stats
@@ -2234,10 +2206,6 @@ mod tests {
         lane: &mut LaneScratch,
     ) -> u64 {
         let f32_body = params.precision == Precision::F32Simd;
-        let mut mirrors = SimdMirrors::default();
-        if f32_body {
-            mirrors.refresh(rm);
-        }
         let fields = |s: &SweepStats| {
             [
                 s.counters.points_tested,
@@ -2266,7 +2234,7 @@ mod tests {
             };
             let mut got = vec![Vec3::zero(); range.len()];
             let g = if f32_body {
-                simd_lanes(rm, params, &mirrors, grid, groups, &mut got, lane)
+                simd_lanes(rm, params, grid, groups, &mut got, lane)
             } else {
                 f64_lanes(rm, params, grid, groups, &mut got, lane)
             };
@@ -2275,7 +2243,7 @@ mod tests {
             for (&i, got) in agents.iter().zip(&got) {
                 let mut want = [Vec3::zero()];
                 let w = if f32_body {
-                    simd_lanes_reference(rm, params, &mirrors, grid, i, &mut want)
+                    simd_lanes_reference(rm, params, grid, i, &mut want)
                 } else {
                     scalar_lanes(rm, params, *grid, i, &mut want)
                 };
@@ -2546,6 +2514,78 @@ mod tests {
         }
     }
 
+    /// Every 8-id block the f32 stage loads for `grid`'s voxels, pad
+    /// lanes included, and whether it is one run of consecutive agents
+    /// (the blocks [`load_block`] reads contiguously).
+    fn staged_blocks(grid: &CsrGrid<f64>, n: usize) -> Vec<(Vec<u32>, bool)> {
+        let mut lane = LaneScratch::default();
+        let mut blocks = Vec::new();
+        for group in VoxelGroups::of_slots(grid, 0..n) {
+            let tile = lane.stage(grid, &group);
+            for block in lane.ids[..tile.padded].chunks(LANES) {
+                let run = block.iter().zip(block[0]..).all(|(&id, k)| id == k);
+                blocks.push((block.to_vec(), run));
+            }
+        }
+        blocks
+    }
+
+    /// The f32 stage's two loads against the oracle, each on a scene
+    /// built to reach an edge of it: a run of 8 consecutive agents that
+    /// ends at the last agent (the contiguous load reads the columns'
+    /// last 8 values), a block whose first and last ids are 7 apart but
+    /// whose middle is not a run (only an all-lane check sends it to the
+    /// gather), and shuffled storage, where every block gathers.
+    #[test]
+    fn staged_lanes_match_the_per_agent_kernel_on_loader_edges() {
+        let params = SimParams::cube(6.0)
+            .with_precision(Precision::F32Simd)
+            .with_interaction_radius(2.0);
+        let scene = |at: &[(f64, f64)]| {
+            let mut rm = ResourceManager::new();
+            for (k, &(x, y)) in at.iter().enumerate() {
+                let cell = CellBuilder::new(Vec3::new(x, y, 0.5));
+                rm.add(
+                    cell.diameter(1.0 + 0.05 * k as f64)
+                        .adherence(0.01 + 0.003 * k as f64),
+                );
+            }
+            rm
+        };
+        // Three agents far away, then 16 in one voxel: its tile is agents
+        // 3..19, two runs, the second ending at the last agent.
+        let mut at = vec![(-5.5, -5.5), (-5.0, -5.2), (-5.3, -4.8)];
+        at.extend((0..16).map(|k| (0.1 + 0.11 * k as f64, 0.3 + 0.07 * k as f64)));
+        let last_run = scene(&at);
+        // Agents 0, 1, 2, 5 in voxel x ∈ [0, 2), 3, 4, 6, 7 in its +x
+        // neighbor: the run through both stages [0, 1, 2, 5, 3, 4, 6, 7].
+        let split: Vec<(f64, f64)> = [0.2, 0.9, 1.5, 2.3, 3.1, 1.8, 2.7, 3.6]
+            .iter()
+            .zip(0..)
+            .map(|(&x, k)| (x, 0.2 + 0.2 * k as f64))
+            .collect();
+        let ends_only = scene(&split);
+        let (mut shuffled, _) = oracle_scene(3, Some(2.0), true, Precision::F32Simd);
+        store(&mut shuffled, &params, Storage::Shuffled, 3);
+
+        // Every agent against the oracle; returns the blocks staged.
+        let checked = |rm: &ResourceManager| {
+            let grid = global_grid(rm, &params);
+            let parts = [(0..rm.len(), &grid)];
+            assert_matches_reference(rm, &params, Cut::Slots, &parts, &mut LaneScratch::default());
+            staged_blocks(&grid, rm.len())
+        };
+        let runs = checked(&last_run).into_iter().filter(|(_, run)| *run);
+        let runs: Vec<Vec<u32>> = runs.map(|(block, _)| block).collect();
+        assert_eq!(runs, [(3..11).collect::<Vec<_>>(), (11..19).collect()]);
+        // Both voxels stage the one block.
+        let block = (vec![0, 1, 2, 5, 3, 4, 6, 7], false);
+        assert_eq!(checked(&ends_only), [block.clone(), block]);
+        let blocks = checked(&shuffled);
+        assert!(blocks.len() > 100, "{} blocks", blocks.len());
+        assert!(blocks.iter().all(|(_, run)| !run), "every block gathers");
+    }
+
     #[test]
     fn a_single_agent_stages_its_own_stencil() {
         for (precision, pad_lanes) in [(Precision::F32Simd, Some(7)), (Precision::F64, None)] {
@@ -2640,7 +2680,7 @@ mod tests {
     #[test]
     fn scratch_is_reused_across_steps() {
         // Every CPU path sweeps into the scratch (the CSR paths also keep
-        // their grid and f32 mirrors there): a second step through the
+        // their grid there): a second step through the
         // same scratch matches fresh runs.
         for (env, precision) in [
             (EnvironmentKind::KdTree, Precision::F64),
@@ -2861,39 +2901,6 @@ mod tests {
     }
 
     #[test]
-    fn f32simd_mirror_refresh_is_lazy_across_steps() {
-        // Frozen scene (max_displacement = 0): nothing mutates between
-        // steps, so the second step's stamps are unchanged and the
-        // mirrors must not re-convert anything.
-        let mut params = SimParams::cube(6.0).with_precision(Precision::F32Simd);
-        params.mech.max_displacement = 0.0;
-        let mut rm = random_population(300, 5.5, 23);
-        let mut scratch = MechScratch::default();
-        let env = EnvironmentKind::uniform_grid_csr_parallel();
-        let w1 = mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        assert_eq!(w1.simd.unwrap().refresh_copies, 5 * 300);
-        let w2 = mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        assert_eq!(
-            w2.simd.unwrap().refresh_copies,
-            0,
-            "unmoved stamps: no copies"
-        );
-        // Unfreeze: displacements dirty the position columns only — the
-        // attribute mirrors (diameters/adherences) stay clean forever in
-        // a non-growing population.
-        params.mech.max_displacement = 3.0;
-        let w3 = mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        assert!(w3.contacts > 0);
-        let w4 = mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
-        assert_eq!(
-            w4.simd.unwrap().refresh_copies,
-            4 * 300,
-            "moved agents recopy the packed gather record (whole, 4 \
-             components) but not the adherence mirror"
-        );
-    }
-
-    #[test]
     fn precision_knob_only_reaches_the_csr_path() {
         // The other environments have no vectorized pass: the knob is
         // documented to be a no-op there, bitwise.
@@ -2947,9 +2954,8 @@ mod tests {
     }
 
     /// One mechanical step of `rm` through `scratch`, checked against the
-    /// full checks it may skip: a grid kept unread equals a fresh
-    /// parallel build of the columns the step read, and the `f32` mirrors
-    /// equal a fresh conversion of them, whether they re-converted or not.
+    /// full check it may skip: a grid kept unread equals a fresh parallel
+    /// build of the columns the step read.
     fn checked_mech_step(
         rm: &mut ResourceManager,
         params: &SimParams,
@@ -2968,27 +2974,16 @@ mod tests {
         let grid = scratch.csr.as_ref().expect("a CSR step keeps its grid");
         assert_eq!(grid.cell_starts(), fresh.cell_starts());
         assert_eq!(grid.cell_agents(), fresh.cell_agents());
-        let d = before.diameter_column();
-        let posd: Vec<[f32; 4]> = (0..before.len())
-            .map(|i| [xs[i], ys[i], zs[i], d[i]].map(|v| v as f32))
-            .collect();
-        assert_eq!(scratch.mirrors.posd.as_slice(), &posd[..]);
-        let adh: Vec<f32> = before
-            .adherence_column()
-            .iter()
-            .map(|&v| v as f32)
-            .collect();
-        assert_eq!(scratch.mirrors.adh.as_slice(), &adh[..]);
         work
     }
 
     /// Random mutation sequences against the stamp: whenever a stamp
     /// value recurs, the columns it keys are bit-identical; every skip
-    /// (grid, mirrors, reorder scan) agrees with the check it skipped;
-    /// and a scratch or a reorder verdict carried to another manager (a
-    /// clone, a restored one) never skips. Returns how many grid,
-    /// mirror and reorder-scan skips the sequence took.
-    fn stamp_oracle_case(seed: u64, ops: &[(u8, u64)]) -> [u32; 3] {
+    /// (grid, reorder scan) agrees with the check it skipped; and a
+    /// scratch or a reorder verdict carried to another manager (a clone,
+    /// a restored one) never skips. Returns how many grid and
+    /// reorder-scan skips the sequence took.
+    fn stamp_oracle_case(seed: u64, ops: &[(u8, u64)]) -> [u32; 2] {
         use crate::behavior::Behavior;
         use crate::operation::ReorderState;
         use crate::rm::AgentRow;
@@ -3009,7 +3004,7 @@ mod tests {
         let mut buffer = StepBuffer::default();
         let mut seen: std::collections::HashMap<u64, StampedState> = Default::default();
         let mut seen_attr: std::collections::HashMap<u64, [Vec<u64>; 2]> = Default::default();
-        let mut skips = [0u32; 3];
+        let mut skips = [0u32; 2];
         for &(op, arg) in ops {
             let n = rm.len();
             let i = (arg % n as u64) as usize;
@@ -3124,7 +3119,6 @@ mod tests {
                     params.mech.max_displacement = if op == 12 { 0.0 } else { moving };
                     let work = checked_mech_step(&mut rm, &params, arg % 2 == 0, &mut scratch);
                     skips[0] += (work.csr_rebuild == Some(CsrRebuild::Unchanged)) as u32;
-                    skips[1] += (work.simd.unwrap().refresh_copies == 0) as u32;
                 }
                 14 => {
                     let skipped = reorder.checks_skipped;
@@ -3133,7 +3127,7 @@ mod tests {
                     let cells = CellCurve::new(&params.space, radius, params.reorder.curve);
                     let (xs, ys, zs) = rm.position_columns();
                     assert!(rm.len() < 2 || cells.is_sorted_with(xs, ys, zs, rm.uid_column()));
-                    skips[2] += (reorder.checks_skipped > skipped) as u32;
+                    skips[1] += (reorder.checks_skipped > skipped) as u32;
                 }
                 15 => {
                     // The scratch and the verdict on another manager with
@@ -3145,7 +3139,6 @@ mod tests {
                     params.mech.max_displacement = 0.0;
                     let work = checked_mech_step(&mut other, &params, true, &mut scratch);
                     assert_ne!(work.csr_rebuild, Some(CsrRebuild::Unchanged));
-                    assert_eq!(work.simd.unwrap().refresh_copies, 5 * other.len() as u64);
                 }
                 _ => {}
             }
@@ -3172,18 +3165,15 @@ mod tests {
     #[test]
     fn the_stamp_oracle_reaches_every_skip() {
         // Reorder, reorder, step, step: the second reorder skips its
-        // scan, the second step its rebuild and its mirror copies. Then a
-        // chunk view that writes a position, a clone and a restore each
-        // end the streak; one that grows a cell ends the mirrors'.
+        // scan, the second step its rebuild. Then a chunk view that
+        // writes a position, a clone and a restore each end the streak.
         let (reorder, step) = ((14, 0), (12, 0));
         let streak = [reorder, reorder, step, step];
-        assert_eq!(stamp_oracle_case(7, &streak), [1, 1, 1]);
+        assert_eq!(stamp_oracle_case(7, &streak), [1, 1]);
         for cut in [(5, 3), (10, 0), (11, 0)] {
             let ops = [reorder, step, cut, reorder, step];
-            assert_eq!(stamp_oracle_case(7, &ops), [0, 0, 0], "{cut:?}");
+            assert_eq!(stamp_oracle_case(7, &ops), [0, 0], "{cut:?}");
         }
-        let grow = (5, 2);
-        assert_eq!(stamp_oracle_case(7, &[step, step, grow, step])[1], 1);
     }
 
     proptest::proptest! {

@@ -1,13 +1,14 @@
 //! Lazily refreshed `f64 → f32` column mirrors.
 //!
-//! The mixed-precision force pass (paper Improvement I on the CPU) reads
-//! positions and diameters as `f32`, but the resource manager stores
-//! `f64` — BioDynaMo's storage default, and the precision the rest of the
-//! pipeline (behaviors, displacement integration) keeps. Rather than
-//! narrowing the storage, each hot column gets an [`F32Mirror`]: a cast
-//! copy that is refreshed only when the source column's *key* changes,
-//! so consecutive steps over an unchanged column pay zero conversion
-//! traffic.
+//! No library code uses these any more: the mixed-precision force pass
+//! (paper Improvement I on the CPU) narrows the `f64` columns itself
+//! while it stages a voxel's candidate tile (`bdm_sim::mech`), so it
+//! keeps no full-length `f32` copy. The types stay for the benchmark
+//! harness's `soa.mirror_refresh_ms` probe, which times a full refresh.
+//!
+//! An [`F32Mirror`] is a cast copy of an `f64` column that is refreshed
+//! only when the source column's *key* changes, so consecutive refreshes
+//! over an unchanged column pay zero conversion traffic.
 //!
 //! The key is owned by the source container; the mirror just remembers
 //! the key it last copied at. That makes the refresh decision

@@ -9,9 +9,8 @@
 # context and never compared. The mixed-precision rows of
 # BENCH_layouts.json follow the same split: layouts.simd_*_wall_ms and
 # the f64/f32 speedup ratio are informational, while the SIMD
-# utilization counters (mech.simd_lanes_utilized,
-# mech.f32_refresh_copies) are deterministic functions of the
-# trajectory and gate at +/-2 %. The Hilbert-sharding rows split the
+# utilization counter (mech.simd_lanes_utilized) is a deterministic
+# function of the trajectory and gates at +/-2 %. The Hilbert-sharding rows split the
 # same way: layouts.shard_*_wall_ms are informational, while the
 # shard-map telemetry (layouts.shard_imbalance,
 # layouts.shard_halo_fraction) and the System A modeled mech times

@@ -29,10 +29,10 @@ for threads in 1 2 4; do
         births_in_place_match_the_buffered_merge \
         a_warmed_reorder_allocates_a_constant \
         a_division_wave_allocates_a_constant
-    # The stamps' skips (reorder scan, CSR rebuild, f32 mirrors, largest
-    # diameter) against the full checks they replace, a frozen scene
-    # through `Simulation::step` that re-verifies nothing after step 0,
-    # and a user operation growing cells through chunk views alone.
+    # The stamps' skips (reorder scan, CSR rebuild, largest diameter)
+    # against the full checks they replace, a frozen scene through
+    # `Simulation::step` that re-verifies nothing after step 0, and a
+    # user operation growing cells through chunk views alone.
     RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim --lib -- \
         position_stamp_skips_match_the_full_checks \
         the_stamp_oracle_reaches_every_skip \
@@ -40,7 +40,7 @@ for threads in 1 2 4; do
         merges_leave_the_diameter_memo_to_the_views
     RAYON_NUM_THREADS=$threads cargo test -q --offline --release \
         --test f32simd_determinism -- a_frozen_scene_re_verifies_nothing_after_step_zero \
-        diameters_grown_through_chunk_views_reach_the_grid_and_the_mirrors
+        diameters_grown_through_chunk_views_reach_the_grid_and_the_f32_tile
 done
 # Both lane bodies of the CSR voxel walk against their per-agent
 # oracles, in release mode (the optimizer must not re-associate the

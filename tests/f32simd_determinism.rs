@@ -137,9 +137,8 @@ proptest! {
 /// A frozen `F32Simd` CSR scene stepped through `Simulation::step` at 1,
 /// 2 and 4 workers: after step 0 no agent moves, so no step re-verifies
 /// anything — the reorder counts every run `sorted` and skips its scan,
-/// the grid rebuild is skipped without reading the columns, and the
-/// `f32` mirrors copy nothing. The positions are the same bits at every
-/// worker count.
+/// and the grid rebuild is skipped without reading the columns. The
+/// positions are the same bits at every worker count.
 #[test]
 fn a_frozen_scene_re_verifies_nothing_after_step_zero() {
     const AGENTS: usize = 8_000;
@@ -168,16 +167,14 @@ fn a_frozen_scene_re_verifies_nothing_after_step_zero() {
             let rebuild =
                 |reason: &str| at("mech.csr_rebuild", &[("env", &env), ("reason", reason)]);
             let runs = |outcome: &str| at("reorder.runs", &[("outcome", outcome)]);
-            // Step 0 sorts the random storage, builds the grid and
-            // converts every mirror; nothing after it moves.
+            // Step 0 sorts the random storage and builds the grid;
+            // nothing after it moves.
             let later = step as f64;
-            let want_copies = if step == 0 { 5 * AGENTS } else { 0 };
             assert_eq!(
-                mech("mech.f32_refresh_copies"),
-                want_copies as f64,
+                mech("mech.csr_rebuilds_skipped"),
+                (step > 0) as u8 as f64,
                 "{threads} workers, step {step}"
             );
-            assert_eq!(mech("mech.csr_rebuilds_skipped"), (step > 0) as u8 as f64);
             assert_eq!(rebuild("unchanged"), (step > 0) as u8 as f64);
             assert_eq!(rebuild("geometry"), (step == 0) as u8 as f64);
             assert_eq!((runs("sorted"), runs("gathered")), (later, 1.0));
@@ -225,11 +222,11 @@ impl Operation for GrowOnce {
 
 /// A user operation that grows cells through chunk views, and makes no
 /// other call, reaches everything keyed on the diameters: the largest
-/// diameter (the grid's voxel edge), the attribute stamp, and so the
-/// `f32` mirrors — the next step converts them again and moves every
-/// agent as a fresh simulation of the same columns does.
+/// diameter (the grid's voxel edge), the attribute stamp, and the `f32`
+/// tile the next step stages from the diameter column — that step moves
+/// every agent as a fresh simulation of the same columns does.
 #[test]
-fn diameters_grown_through_chunk_views_reach_the_grid_and_the_mirrors() {
+fn diameters_grown_through_chunk_views_reach_the_grid_and_the_f32_tile() {
     let params = SimParams::cube(20.0)
         .with_seed(5)
         .with_precision(Precision::F32Simd);
@@ -244,11 +241,6 @@ fn diameters_grown_through_chunk_views_reach_the_grid_and_the_mirrors() {
         let all = xs.iter().chain(ys).chain(zs);
         all.map(|v| v.to_bits()).collect::<Vec<_>>()
     };
-    let label = env.label();
-    let copies = |sim: &Simulation| {
-        let labels = [("env", label.as_str())];
-        sim.metrics().value("mech.f32_refresh_copies", &labels)
-    };
     // Cells of diameter 1 three apart: nothing touches, nothing moves.
     let mut sim = new_sim();
     let mut rng = biodynamo::math::SplitMix64::new(5);
@@ -258,7 +250,6 @@ fn diameters_grown_through_chunk_views_reach_the_grid_and_the_mirrors() {
         sim.add_cell(CellBuilder::new(p).diameter(1.0));
     }
     sim.simulate(2);
-    assert_eq!(copies(&sim), Some(0.0), "a frozen scene");
     let (stamp, frozen) = (sim.rm().attribute_stamp(), bits(&sim));
 
     // The step's mechanics moves nothing; the operation, last in the
@@ -280,7 +271,6 @@ fn diameters_grown_through_chunk_views_reach_the_grid_and_the_mirrors() {
     }
     sim.step();
     fresh.step();
-    assert!(copies(&sim).is_some_and(|c| c > 0.0), "the mirrors convert");
     assert_ne!(bits(&sim), frozen, "grown cells push apart");
     assert_eq!(bits(&sim), bits(&fresh));
 }
