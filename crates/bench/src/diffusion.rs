@@ -2,9 +2,9 @@
 //! out-of-place reference sweep, across lattice sizes.
 //!
 //! For each resolution the table reports host wall clocks (median of
-//! five, informational), the heap bytes the stepped field holds (one
-//! lattice + the sweep's slab scratch, which grows with the worker
-//! count — informational), the deterministic work counters of one step
+//! five, informational), the heap bytes the stepped field holds (its
+//! lattice: the sweep's planes are borrowed — informational), the
+//! deterministic work counters of one step
 //! (voxel updates, sub-steps, interior fraction, SIMD rows — gated),
 //! and the System A 20-thread modeled times of both engines under the
 //! roofline work model (gated, with a standing `≥1.5×` speedup assert
@@ -228,8 +228,8 @@ pub fn main(args: &Args) -> ExitCode {
     println!("{:<18} {:>10.3}", "serial ms", serial_ms);
     println!(
         "wall clocks on {} workers, informational (never gated): batched forks once over \
-         the substances and sweeps each one's z-slabs inline; serial steps the substances \
-         one after another, forking over z-slabs each time.",
+         the substances and sweeps each one inline as one z-slab; serial steps the \
+         substances one after another, forking over z-slabs each time.",
         rayon::current_num_threads()
     );
     reg.set_gauge("diffusion.batch_substances", &[], BATCH as f64);

@@ -97,13 +97,15 @@ pub fn default_policy(name: &str) -> GatePolicy {
         // function of the sweep's cut set (a cut that splits a voxel's
         // residents stages it twice), not of the trajectory alone: they
         // say how many agents shared a staged tile, and gate nothing.
-        // The diffusion fields' heap bytes include sweep scratch that
-        // grows with the worker count. The agent columns' bytes follow
-        // their growth history and the behavior table's size the lists
-        // ever seen: a restored run reports less of both for the same
-        // state. The behaviors commit time is one more wall clock. The
-        // step buffer's bytes follow the largest population a step held,
-        // the grid's its growth history, the lane scratches' count and
+        // The diffusion fields' heap bytes include the f32 staging and
+        // the oracle's lattice once something asked for them. The agent
+        // columns' bytes follow their growth history and the behavior
+        // table's size the lists ever seen: a restored run reports less
+        // of both for the same state. The behaviors commit time is one
+        // more wall clock. The step buffer's bytes follow the largest
+        // population a step held and, on a scene with fields, the worker
+        // count (a diffusion window per worker), the grid's its growth
+        // history, the lane scratches' count and
         // bytes how many workers ran sweep parts at once, and the
         // reorder's runs by outcome say why `reorder`'s wall time reads
         // what it reads (and restart at zero on a restore), as do its

@@ -44,8 +44,9 @@
 //! # Memory
 //!
 //! The grid holds its offsets and one id per agent. A build's working
-//! memory — a voxel id per agent and, in the parallel build, one
-//! histogram per build chunk — comes from a [`BuildMemory`]: a
+//! memory — a voxel id per agent and, in a parallel build of more than
+//! one chunk, one histogram per chunk (a one-chunk build scatters
+//! through its own offsets) — comes from a [`BuildMemory`]: a
 //! `bdm_soa::StepBuffer` the caller holds for other phases anyway (the
 //! host step's sweep writes its displacements there next), or a
 //! [`CsrBuildScratch`], the memory the grid owns for callers that lend
@@ -111,8 +112,9 @@ impl BuildSig {
 
 /// Working memory a CSR build owns for callers that lend it none: one
 /// `u32` per agent (its voxel id, filled by pass 1 and consumed by pass
-/// 2) and the per-chunk voxel histograms, rewritten in place into
-/// scatter cursors by the prefix scan. Hold one across timesteps and
+/// 2) and, for more than one build chunk, the per-chunk voxel
+/// histograms, rewritten in place into scatter cursors by the prefix
+/// scan. Hold one across timesteps and
 /// every [`CsrGrid::rebuild_serial`] / [`CsrGrid::rebuild_parallel`]
 /// after the first is allocation-free in steady state. A caller that
 /// holds a [`StepBuffer`] lends it instead.
@@ -197,14 +199,8 @@ impl<R: Scalar> CsrGrid<R> {
     /// Serial two-pass counting-sort build.
     pub fn build_serial(xs: &[R], ys: &[R], zs: &[R], space: Aabb<R>, box_length: R) -> Self {
         let mut grid = Self::empty(space, box_length);
-        grid.rebuild_serial(
-            xs,
-            ys,
-            zs,
-            space,
-            box_length,
-            &mut CsrBuildScratch::default(),
-        );
+        let memory = &mut CsrBuildScratch::default();
+        grid.rebuild_serial(xs, ys, zs, space, box_length, memory);
         grid
     }
 
@@ -220,14 +216,8 @@ impl<R: Scalar> CsrGrid<R> {
     /// CSR ranges bit-identical to serial accumulation.
     pub fn build_parallel(xs: &[R], ys: &[R], zs: &[R], space: Aabb<R>, box_length: R) -> Self {
         let mut grid = Self::empty(space, box_length);
-        grid.rebuild_parallel(
-            xs,
-            ys,
-            zs,
-            space,
-            box_length,
-            &mut CsrBuildScratch::default(),
-        );
+        let memory = &mut CsrBuildScratch::default();
+        grid.rebuild_parallel(xs, ys, zs, space, box_length, memory);
         grid
     }
 
@@ -248,66 +238,7 @@ impl<R: Scalar> CsrGrid<R> {
         box_length: R,
         memory: &mut impl BuildMemory,
     ) -> bool {
-        let geom = GridGeometry::new(space, box_length);
-        let num_boxes = geom.num_boxes();
-        let n = xs.len();
-        assert!(n < u32::MAX as usize, "agent count overflows CSR offsets");
-
-        // Pass 1: voxel of every agent.
-        let (voxel_of, cursor) = memory.indices(n, num_boxes);
-        for (i, v) in voxel_of.iter_mut().enumerate() {
-            *v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
-        }
-
-        // Incremental check: same geometry + same keys ⇒ the stored
-        // CSR arrays are a pure function of both ⇒ skip the sort.
-        let sig = BuildSig::of(&geom);
-        self.geom = geom;
-        if self.built_sig == Some(sig) && self.holds(voxel_of, 0..n) {
-            return true;
-        }
-
-        // Counts accumulate into the shifted cell_starts slots
-        // (`cell_starts[v + 1] = count(v)`).
-        self.cell_starts.clear();
-        self.cell_starts.resize(num_boxes + 1, 0);
-        for &v in voxel_of.iter() {
-            self.cell_starts[v as usize + 1] += 1;
-        }
-
-        // In-place inclusive scan over the shifted counts ⇒ exclusive
-        // prefix sums with the grand total in the last slot.
-        for v in 1..=num_boxes {
-            self.cell_starts[v] += self.cell_starts[v - 1];
-        }
-
-        // Pass 2: stable scatter (ascending i ⇒ ascending id per voxel).
-        cursor.copy_from_slice(&self.cell_starts[..num_boxes]);
-        self.cell_agents.clear();
-        self.cell_agents.resize(n, AgentId::NULL);
-        for (i, &v) in voxel_of.iter().enumerate() {
-            let pos = cursor[v as usize];
-            cursor[v as usize] += 1;
-            self.cell_agents[pos as usize] = AgentId::from_index(i);
-        }
-
-        self.built_sig = Some(sig);
-        false
-    }
-
-    /// `true` when this grid indexes `voxel_of.len()` agents and every
-    /// slot of `slots` lies in the range of its agent's voxel
-    /// `voxel_of[agent]`. The ranges are disjoint, so over all slots, with
-    /// an unchanged geometry, that is exactly "every voxel's slots hold
-    /// its agents": a rebuild would reproduce the arrays. O(slots) reads,
-    /// whatever the voxel count.
-    fn holds(&self, voxel_of: &[u32], slots: Range<usize>) -> bool {
-        let starts = &self.cell_starts;
-        self.cell_agents.len() == voxel_of.len()
-            && slots.into_iter().all(|s| {
-                let v = voxel_of[self.cell_agents[s].index()] as usize;
-                (starts[v] as usize..starts[v + 1] as usize).contains(&s)
-            })
+        self.rebuild_in_chunks(1, [xs, ys, zs], space, box_length, memory)
     }
 
     /// [`Self::build_parallel`], but reusing this grid's arrays and
@@ -323,55 +254,77 @@ impl<R: Scalar> CsrGrid<R> {
         box_length: R,
         memory: &mut impl BuildMemory,
     ) -> bool {
+        let chunks = xs.len().div_ceil(BUILD_CHUNK).clamp(1, MAX_CHUNKS);
+        self.rebuild_in_chunks(chunks, [xs, ys, zs], space, box_length, memory)
+    }
+
+    /// The full build over `num_chunks` chunks of agents. One chunk is
+    /// the serial counting sort ([`Self::sort_one_chunk`]) and borrows
+    /// one `u32` per agent; more chunks count into a histogram each,
+    /// which they borrow besides, and scatter in parallel.
+    fn rebuild_in_chunks(
+        &mut self,
+        num_chunks: usize,
+        [xs, ys, zs]: [&[R]; 3],
+        space: Aabb<R>,
+        box_length: R,
+        memory: &mut impl BuildMemory,
+    ) -> bool {
         let geom = GridGeometry::new(space, box_length);
         let num_boxes = geom.num_boxes();
         let n = xs.len();
         assert!(n < u32::MAX as usize, "agent count overflows CSR offsets");
-
-        let num_chunks = n.div_ceil(BUILD_CHUNK).clamp(1, MAX_CHUNKS);
         let chunk_len = n.div_ceil(num_chunks).max(1);
 
         // Pass 1 (parallel over chunks): voxel ids. Histograms wait
         // until the incremental check has decided a rebuild is needed.
-        let (voxel_of, hists) = memory.indices(n, num_chunks * num_boxes);
-        voxel_of
-            .par_chunks_mut(chunk_len)
-            .enumerate()
-            .for_each(|(c, out)| {
-                for (k, v) in out.iter_mut().enumerate() {
-                    let i = c * chunk_len + k;
-                    *v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
-                }
-            });
+        let hist_len = if num_chunks == 1 {
+            0
+        } else {
+            num_chunks * num_boxes
+        };
+        let (voxel_of, hists) = memory.indices(n, hist_len);
+        let chunks = voxel_of.par_chunks_mut(chunk_len).enumerate();
+        chunks.for_each(|(c, out)| {
+            for (k, v) in out.iter_mut().enumerate() {
+                let i = c * chunk_len + k;
+                *v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
+            }
+        });
         let voxel_of = &*voxel_of;
 
+        // Incremental check: same geometry + same keys ⇒ the stored
+        // CSR arrays are a pure function of both ⇒ skip the sort.
         let sig = BuildSig::of(&geom);
         self.geom = geom;
         if self.built_sig == Some(sig) {
             let mut held = [true; MAX_CHUNKS];
-            held[..num_chunks]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(c, held)| {
-                    let slots = (c * chunk_len).min(n)..((c + 1) * chunk_len).min(n);
-                    *held = self.holds(voxel_of, slots);
-                });
+            let chunks = held[..num_chunks].par_iter_mut().enumerate();
+            chunks.for_each(|(c, held)| {
+                let slots = (c * chunk_len).min(n)..((c + 1) * chunk_len).min(n);
+                *held = self.holds(voxel_of, slots);
+            });
             if held.iter().all(|&h| h) {
                 return true;
             }
         }
+        self.built_sig = Some(sig);
+        if num_chunks == 1 {
+            self.sort_one_chunk(voxel_of, AgentId::from_index);
+            return false;
+        }
 
-        // Per-chunk histograms over the precomputed keys.
-        hists
-            .par_chunks_mut(num_boxes)
-            .enumerate()
-            .for_each(|(c, hist)| {
-                hist.fill(0);
-                let base = c * chunk_len;
-                for &v in &voxel_of[base.min(n)..(base + chunk_len).min(n)] {
-                    hist[v as usize] += 1;
-                }
-            });
+        // Per-chunk histograms over the precomputed keys (with more than
+        // one chunk, every chunk holds agents).
+        debug_assert_eq!(n.div_ceil(chunk_len), num_chunks);
+        let chunks = voxel_of.par_chunks(chunk_len);
+        let chunks = hists.par_chunks_mut(num_boxes).zip(chunks);
+        chunks.for_each(|(hist, chunk)| {
+            hist.fill(0);
+            for &v in chunk {
+                hist[v as usize] += 1;
+            }
+        });
 
         // Sequential scan: per-voxel totals → cell_starts, then rewrite
         // each chunk's histogram entry into that chunk's scatter base for
@@ -393,26 +346,64 @@ impl<R: Scalar> CsrGrid<R> {
         self.cell_agents.clear();
         self.cell_agents.resize(n, AgentId::NULL);
         let out = SendPtr(self.cell_agents.as_mut_ptr());
-        hists
-            .par_chunks_mut(num_boxes)
-            .enumerate()
-            .for_each(|(c, cursor)| {
-                let out = &out;
-                let base = c * chunk_len;
-                let chunk = &voxel_of[base.min(n)..(base + chunk_len).min(n)];
-                for (k, &v) in chunk.iter().enumerate() {
-                    let pos = cursor[v as usize];
-                    cursor[v as usize] += 1;
-                    // SAFETY: the scan above hands every chunk disjoint
-                    // slot ranges per voxel ([hist[c][v], hist[c+1][v])),
-                    // so no two chunks write the same index and every
-                    // index < n is written exactly once.
-                    unsafe { *out.0.add(pos as usize) = AgentId::from_index(base + k) };
-                }
-            });
-
-        self.built_sig = Some(sig);
+        let chunks = voxel_of.par_chunks(chunk_len).enumerate();
+        let chunks = hists.par_chunks_mut(num_boxes).zip(chunks);
+        chunks.for_each(|(cursor, (c, chunk))| {
+            let out = &out;
+            for (k, &v) in chunk.iter().enumerate() {
+                let pos = cursor[v as usize];
+                cursor[v as usize] += 1;
+                // SAFETY: the scan above hands every chunk disjoint slot
+                // ranges per voxel ([hist[c][v], hist[c+1][v])), so no two
+                // chunks write the same index and every index < n is
+                // written exactly once.
+                unsafe { *out.0.add(pos as usize) = AgentId::from_index(c * chunk_len + k) };
+            }
+        });
         false
+    }
+
+    /// The serial counting sort: entry `k` goes to voxel `voxel_of[k]` as
+    /// `id(k)`, stable in `k`. `cell_starts` is its own scatter cursor:
+    /// the counts go into the shifted slots (`cell_starts[v + 1] =
+    /// count(v)`), an inclusive scan turns slot `v` into voxel `v`'s first
+    /// index, the scatter advances it to voxel `v`'s end — voxel `v + 1`'s
+    /// start — and one shift puts every start back in its own slot.
+    fn sort_one_chunk(&mut self, voxel_of: &[u32], id: impl Fn(usize) -> AgentId) {
+        let num_boxes = self.geom.num_boxes();
+        let starts = &mut self.cell_starts;
+        starts.clear();
+        starts.resize(num_boxes + 1, 0);
+        for &v in voxel_of {
+            starts[v as usize + 1] += 1;
+        }
+        for v in 1..=num_boxes {
+            starts[v] += starts[v - 1];
+        }
+        self.cell_agents.clear();
+        self.cell_agents.resize(voxel_of.len(), AgentId::NULL);
+        for (k, &v) in voxel_of.iter().enumerate() {
+            let cursor = &mut starts[v as usize];
+            self.cell_agents[*cursor as usize] = id(k);
+            *cursor += 1;
+        }
+        starts.copy_within(..num_boxes, 1);
+        starts[0] = 0;
+    }
+
+    /// `true` when this grid indexes `voxel_of.len()` agents and every
+    /// slot of `slots` lies in the range of its agent's voxel
+    /// `voxel_of[agent]`. The ranges are disjoint, so over all slots, with
+    /// an unchanged geometry, that is exactly "every voxel's slots hold
+    /// its agents": a rebuild would reproduce the arrays. O(slots) reads,
+    /// whatever the voxel count.
+    fn holds(&self, voxel_of: &[u32], slots: Range<usize>) -> bool {
+        let starts = &self.cell_starts;
+        self.cell_agents.len() == voxel_of.len()
+            && slots.into_iter().all(|s| {
+                let v = voxel_of[self.cell_agents[s].index()] as usize;
+                (starts[v] as usize..starts[v + 1] as usize).contains(&s)
+            })
     }
 
     /// Rebuild the grid over an explicit **subset** of agents: only
@@ -441,41 +432,19 @@ impl<R: Scalar> CsrGrid<R> {
         box_length: R,
         scratch: &mut CsrBuildScratch,
     ) {
-        let geom = GridGeometry::new(space, box_length);
-        let num_boxes = geom.num_boxes();
         let n = members.len();
         assert!(n < u32::MAX as usize, "agent count overflows CSR offsets");
-        self.geom = geom;
+        self.geom = GridGeometry::new(space, box_length);
         // A subset build is not a pure function of full-column keys:
         // drop the incremental signature so the next full rebuild can
         // never falsely skip over shard-local contents.
         self.built_sig = None;
-
-        // Pass 1: voxel of every member; counts into shifted cell_starts.
-        let (voxel_of, cursor) = scratch.indices(n, num_boxes);
-        self.cell_starts.clear();
-        self.cell_starts.resize(num_boxes + 1, 0);
-        for (k, id) in members.iter().enumerate() {
+        let (voxel_of, _) = scratch.indices(n, 0);
+        for (v, id) in voxel_of.iter_mut().zip(members) {
             let i = id.index();
-            let v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
-            voxel_of[k] = v;
-            self.cell_starts[v as usize + 1] += 1;
+            *v = self.geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
         }
-
-        // In-place scan ⇒ exclusive prefix sums.
-        for v in 1..=num_boxes {
-            self.cell_starts[v] += self.cell_starts[v - 1];
-        }
-
-        // Pass 2: stable scatter of the member ids themselves.
-        cursor.copy_from_slice(&self.cell_starts[..num_boxes]);
-        self.cell_agents.clear();
-        self.cell_agents.resize(n, AgentId::NULL);
-        for (k, &v) in voxel_of.iter().enumerate() {
-            let pos = cursor[v as usize];
-            cursor[v as usize] += 1;
-            self.cell_agents[pos as usize] = members[k];
-        }
+        self.sort_one_chunk(voxel_of, |k| members[k]);
     }
 
     /// `true` when the arrays are those of a full build

@@ -13,10 +13,12 @@
 //!
 //! A field is **one** lattice: a sub-step updates it in place and is
 //! still exactly a Jacobi step. The lattice is cut into contiguous
-//! z-slabs (two per worker, none thinner than eight planes), one rayon
-//! task each. Before the fork, the old plane below
-//! and the old plane above every slab are copied into a small scratch
-//! (at a z-wall the slab's own wall plane — the zero-flux mirror).
+//! z-slabs (none thinner than eight planes), one rayon task each: two
+//! per worker for a grid swept alone, one for a grid swept inline by the
+//! worker of a batch ([`step_all`]). Before the fork, the old plane below
+//! and the old plane above every slab are copied into a window of planes
+//! the step buffer lends (at a z-wall the slab's own wall plane — the
+//! zero-flux mirror).
 //! Inside a slab the planes are visited in ascending z: new plane `z` is
 //! computed from the three **old** planes `z−1`, `z`, `z+1` into a
 //! two-plane ring, and plane `z−1` is written back only once plane `z`
@@ -25,6 +27,15 @@
 //! the snapshots — sees pre-sweep values, and *where* the slabs are cut
 //! cannot show in a single bit. Per task the hot set is three input
 //! planes and the two ring planes (640 KB at 128², f64).
+//!
+//! A field owns its lattice and nothing of the sweep: the ring and halo
+//! planes are a window of the step's [`StepBuffer`], one per grid swept
+//! at once and handed from a pool the way the force sweep hands out its
+//! lane scratches. A batch of four 128³ fields on two workers borrows
+//! two windows of three planes, 786,432 bytes, where each field used to
+//! keep its own six. [`DiffusionGrid::step_in`] lends itself a transient
+//! buffer. The window's contents never reach a result: a sweep writes
+//! every plane it reads before reading it.
 //!
 //! One plane kernel does the work: the wall rows, wall columns and the
 //! two whole z-wall planes go through the branchy `Stencil::cell`
@@ -62,6 +73,7 @@
 use crate::param::Precision;
 use bdm_math::simd::LANES;
 use bdm_math::{Aabb, Scalar, Vec3};
+use bdm_soa::StepBuffer;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -194,23 +206,72 @@ impl DiffusionStats {
         }
     }
 
-    fn accumulate(&mut self, run: &DiffusionStats) {
-        self.voxel_updates += run.voxel_updates;
-        self.substeps += run.substeps;
-        self.interior_updates += run.interior_updates;
-        self.simd_rows += run.simd_rows;
+    /// Both runs' counts together.
+    pub(crate) fn plus(self, run: DiffusionStats) -> DiffusionStats {
+        DiffusionStats {
+            voxel_updates: self.voxel_updates + run.voxel_updates,
+            substeps: self.substeps + run.substeps,
+            interior_updates: self.interior_updates + run.interior_updates,
+            simd_rows: self.simd_rows + run.simd_rows,
+        }
     }
 }
 
-/// Planes of sweep scratch per slab: the two-plane ring — whose second
+/// Planes of sweep window per slab: the two-plane ring — whose second
 /// plane starts a sweep holding the old plane below the slab, which is
 /// read before the ring first wraps onto it — and the old plane above.
 const SLAB_SCRATCH: usize = 3;
 /// Fewest planes a slab is cut to (lattices with fewer are one slab).
 /// Every slab costs `SLAB_SCRATCH` planes of memory and two plane copies
-/// before the fork, so this bounds the scratch at 3/8 of the lattice and
+/// before the fork, so this bounds the window at 3/8 of the lattice and
 /// the serial prologue at a quarter of its bytes on any worker count.
 const MIN_SLAB_PLANES: usize = 8;
+
+/// A sweep's window of planes, at the precision it sweeps in.
+enum Window<'a> {
+    F64(&'a mut [f64]),
+    F32(&'a mut [f32]),
+}
+
+/// Step every grid of a batch by `dt` at `precision`, forked over the
+/// grids; returns the sum of the grids' runs. A lone grid on several
+/// workers forks two slabs per worker; otherwise each grid is swept
+/// inline by the worker that took it, as one slab, and at most one grid
+/// per worker is swept at once. Every sweep borrows its window from
+/// `buffer` (see the module docs).
+pub(crate) fn step_all(
+    grids: &mut [DiffusionGrid],
+    dt: f64,
+    precision: Precision,
+    buffer: &mut StepBuffer,
+) -> DiffusionStats {
+    let workers = rayon::current_num_threads();
+    // Two slabs on one worker would even nothing out and cost three
+    // more planes; none is thinner than `MIN_SLAB_PLANES`.
+    let lone = grids.len() == 1 && workers > 1;
+    let slabs = if lone { 2 * workers } else { 1 };
+    let cut = |g: &DiffusionGrid| slabs.min(g.res / MIN_SLAB_PLANES).max(1);
+    let len = grids.iter().map(|g| cut(g) * SLAB_SCRATCH * g.res * g.res);
+    let (count, len) = (grids.len().min(workers), len.max().unwrap_or(0));
+    let windows: Vec<Window> = match precision {
+        Precision::F64 => buffer.windows(count, len).map(Window::F64).collect(),
+        Precision::F32Simd => buffer.windows(count, len).map(Window::F32).collect(),
+    };
+    let pool = std::sync::Mutex::new(windows);
+    const POISONED: &str = "a sweep panicked holding the window pool";
+    let take = || pool.lock().expect(POISONED).pop();
+    grids
+        .par_iter_mut()
+        .map(|g| {
+            // Which window a grid gets depends on the schedule; what is
+            // in it never reaches a result.
+            let mut window = take().expect("no more grids at once than workers");
+            let run = g.advance(dt, &mut window, cut(g));
+            pool.lock().expect(POISONED).push(window);
+            run
+        })
+        .reduce(DiffusionStats::default, DiffusionStats::plus)
+}
 
 /// One sub-step's constants at the sweep's precision, and the kernels
 /// over them — generic, so the f64 and f32 paths are one source.
@@ -301,19 +362,16 @@ impl<T: Scalar> Stencil<T> {
         rows
     }
 
-    /// One in-place Jacobi sub-step of the lattice `c` (see the module
-    /// docs). `scratch` is grown to [`SLAB_SCRATCH`] planes per slab.
-    /// Returns the interior rows swept.
-    fn sweep(&self, c: &mut [T], scratch: &mut Vec<T>) -> u64 {
+    /// One in-place Jacobi sub-step of the lattice `c`, cut into at most
+    /// `slabs` slabs of `ceil(res / slabs)` planes, whose ring and halo
+    /// planes are the first [`SLAB_SCRATCH`] planes per slab of `window`
+    /// (see the module docs). Returns the interior rows swept.
+    fn sweep(&self, c: &mut [T], window: &mut [T], slabs: usize) -> u64 {
         let res = self.res;
         let sz = res * res;
-        // Two slabs per worker — enough to even out a late starter; run
-        // inline, nested under another `par_*` call, that is two slabs —
-        // but none thinner than `MIN_SLAB_PLANES`.
-        let slabs = (2 * rayon::current_num_threads()).min(res / MIN_SLAB_PLANES);
-        let depth = res.div_ceil(slabs.max(1));
-        scratch.resize(res.div_ceil(depth) * SLAB_SCRATCH * sz, T::ZERO);
-        for (s, halo) in scratch.chunks_mut(SLAB_SCRATCH * sz).enumerate() {
+        let depth = res.div_ceil(slabs);
+        let window = &mut window[..res.div_ceil(depth) * SLAB_SCRATCH * sz];
+        for (s, halo) in window.chunks_mut(SLAB_SCRATCH * sz).enumerate() {
             // Clamped at the z-walls: the wall plane is its own neighbor.
             let below = (s * depth).saturating_sub(1);
             let above = ((s + 1) * depth).min(res - 1);
@@ -321,10 +379,10 @@ impl<T: Scalar> Stencil<T> {
             halo[2 * sz..].copy_from_slice(&c[above * sz..(above + 1) * sz]);
         }
         c.par_chunks_mut(depth * sz)
-            .zip(scratch.par_chunks_mut(SLAB_SCRATCH * sz))
+            .zip(window.par_chunks_mut(SLAB_SCRATCH * sz))
             .enumerate()
-            .map(|(s, (slab, scratch))| {
-                let (ring, above) = scratch.split_at_mut(2 * sz);
+            .map(|(s, (slab, window))| {
+                let (ring, above) = window.split_at_mut(2 * sz);
                 // `out` takes the new plane dz while `held` still holds
                 // the new plane dz − 1 (before dz = 0: the old plane
                 // below the slab).
@@ -358,14 +416,10 @@ pub struct DiffusionGrid {
     voxel_len: Vec3<f64>,
     /// Concentrations, x-major: the field's only lattice.
     c: Vec<f64>,
-    /// Halo snapshots and plane rings of the in-place sweep
-    /// ([`SLAB_SCRATCH`] planes per slab). Derived state, like every
-    /// buffer below: never checkpointed.
-    scratch: Vec<f64>,
-    /// The narrowed lattice of the `Precision::F32Simd` path and its
-    /// sweep scratch, sized on first use.
+    /// The narrowed lattice of the `Precision::F32Simd` path, sized on
+    /// first use. Derived state, like every buffer below: never
+    /// checkpointed.
     c32: Vec<f32>,
-    scratch32: Vec<f32>,
     /// Output lattice of [`DiffusionGrid::step_reference`], sized on
     /// first use; the production path never touches it.
     oracle: Vec<f64>,
@@ -398,9 +452,7 @@ impl DiffusionGrid {
             res,
             voxel_len: Vec3::new(e.x / res as f64, e.y / res as f64, e.z / res as f64),
             c,
-            scratch: Vec::new(),
             c32: Vec::new(),
-            scratch32: Vec::new(),
             oracle: Vec::new(),
             stats: DiffusionStats::default(),
             faulted: false,
@@ -435,8 +487,8 @@ impl DiffusionGrid {
     }
 
     /// The raw concentration column, x-major (checkpoint export; the
-    /// sweep scratch, the f32 staging, the oracle buffer and stats are
-    /// derived state and never exported).
+    /// f32 staging, the oracle buffer and stats are derived state and
+    /// never exported).
     pub fn concentrations(&self) -> &[f64] {
         &self.c
     }
@@ -456,11 +508,11 @@ impl DiffusionGrid {
         &self.stats
     }
 
-    /// Heap bytes this field holds, by capacity: the lattice, the sweep
-    /// scratch, the f32 staging and the reference oracle's buffer.
+    /// Heap bytes this field holds, by capacity: the lattice, the f32
+    /// staging and the reference oracle's buffer. The sweep's planes are
+    /// the step buffer's.
     pub fn resident_bytes(&self) -> usize {
-        8 * (self.c.capacity() + self.scratch.capacity() + self.oracle.capacity())
-            + 4 * (self.c32.capacity() + self.scratch32.capacity())
+        8 * (self.c.capacity() + self.oracle.capacity()) + 4 * self.c32.capacity()
     }
 
     #[inline]
@@ -595,23 +647,29 @@ impl DiffusionGrid {
     /// sub-steps in f32, and widens back — half the stencil memory
     /// traffic per sub-step at the cost of the two conversion passes and
     /// ~1e-7 relative truncation per sub-step.
+    ///
+    /// The sweep's planes come from a buffer allocated for the call; a
+    /// simulation's batch lends its step buffer instead.
     pub fn step_in(&mut self, dt: f64, precision: Precision) -> DiffusionStats {
+        let grids = std::slice::from_mut(self);
+        step_all(grids, dt, precision, &mut StepBuffer::default())
+    }
+
+    /// [`Self::step_in`] at the window's precision, cut into at most
+    /// `slabs` slabs.
+    fn advance(&mut self, dt: f64, window: &mut Window<'_>, slabs: usize) -> DiffusionStats {
         let n = self.substeps_for(dt);
         let dt_sub = dt / n as f64;
-        let rows: u64 = match precision {
-            Precision::F64 => {
+        let rows: u64 = match window {
+            Window::F64(window) => {
                 let k = self.stencil::<f64>(dt_sub);
-                (0..n)
-                    .map(|_| k.sweep(&mut self.c, &mut self.scratch))
-                    .sum()
+                (0..n).map(|_| k.sweep(&mut self.c, window, slabs)).sum()
             }
-            Precision::F32Simd => {
+            Window::F32(window) => {
                 let k = self.stencil::<f32>(dt_sub);
                 self.c32.clear();
                 self.c32.extend(self.c.iter().map(|&v| v as f32));
-                let rows = (0..n)
-                    .map(|_| k.sweep(&mut self.c32, &mut self.scratch32))
-                    .sum();
+                let rows = (0..n).map(|_| k.sweep(&mut self.c32, window, slabs)).sum();
                 for (dst, src) in self.c.iter_mut().zip(&self.c32) {
                     *dst = f64::from(*src);
                 }
@@ -624,7 +682,7 @@ impl DiffusionGrid {
             interior_updates: rows * (self.res as u64 - 2),
             simd_rows: if self.res >= LANES + 2 { rows } else { 0 },
         };
-        self.stats.accumulate(&run);
+        self.stats = self.stats.plus(run);
         run
     }
 
@@ -846,31 +904,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resident_bytes_is_one_lattice_plus_slab_scratch() {
-        // One worker: two slabs of `SLAB_SCRATCH` planes each, whatever
-        // the machine (the scratch grows with the worker count).
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
+    fn pool(workers: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(workers)
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn a_stepped_field_holds_its_lattice_alone() {
         let lattice = 32 * 32 * 32 * 8;
         let mut g = DiffusionGrid::new(DiffusionParams::oxygen(), Aabb::cube(8.0));
         assert_eq!(g.resident_bytes(), lattice);
-        pool.install(|| {
-            g.step(0.5);
-            g.step(0.5);
-        });
-        let stepped = g.resident_bytes();
-        assert_eq!(stepped, lattice + 2 * SLAB_SCRATCH * 32 * 32 * 8);
-        assert!(4 * stepped < 5 * lattice, "{stepped} vs {lattice}");
-        // The f32 leg holds the same again at half the width…
-        pool.install(|| g.step_in(0.5, Precision::F32Simd));
-        assert_eq!(g.resident_bytes(), stepped + stepped / 2);
+        for workers in [1, 2, 4] {
+            pool(workers).install(|| {
+                g.step(0.5);
+                g.step(0.5);
+            });
+            assert_eq!(g.resident_bytes(), lattice, "{workers} workers");
+        }
+        // The f32 leg keeps its narrowed lattice…
+        g.step_in(0.5, Precision::F32Simd);
+        assert_eq!(g.resident_bytes(), lattice + lattice / 2);
         // …and only the reference oracle costs a second lattice.
         let mut oracle = g.clone();
         oracle.step_reference(0.5);
         assert_eq!(oracle.resident_bytes(), g.resident_bytes() + lattice);
+    }
+
+    /// A batch borrows one window per grid swept at once, each one slab
+    /// of the largest grid; a lone grid one window of two slabs per
+    /// worker, none thinner than eight planes. The windows' bits never
+    /// show: every worker count steps the fields to the same bits.
+    #[test]
+    fn a_batch_borrows_one_window_per_worker() {
+        let fields = |res: [usize; 4]| -> Vec<DiffusionGrid> {
+            res.iter()
+                .map(|&resolution| {
+                    let mut g = DiffusionGrid::new(
+                        DiffusionParams {
+                            resolution,
+                            ..DiffusionParams::oxygen()
+                        },
+                        Aabb::cube(8.0),
+                    );
+                    g.secrete(Vec3::new(1.0, -2.0, 3.0), 50.0);
+                    g
+                })
+                .collect()
+        };
+        let plane = |res: usize, word: usize| SLAB_SCRATCH * res * res * word;
+        let mut want = None;
+        for workers in [1, 2, 4] {
+            for (precision, word) in [(Precision::F64, 8), (Precision::F32Simd, 4)] {
+                let mut grids = fields([16, 24, 12, 24]);
+                let mut buffer = StepBuffer::default();
+                pool(workers).install(|| step_all(&mut grids, 0.5, precision, &mut buffer));
+                let windows = workers.min(4) * plane(24, word);
+                assert_eq!(buffer.resident_bytes(), windows, "{workers} workers");
+                // A lone 24³ grid: two slabs per worker, at most three.
+                let mut buffer = StepBuffer::default();
+                pool(workers).install(|| step_all(&mut grids[3..], 0.5, precision, &mut buffer));
+                let slabs = if workers == 1 { 1 } else { 3 };
+                assert_eq!(buffer.resident_bytes(), slabs * plane(24, word));
+                let bits: Vec<Vec<u64>> = grids
+                    .iter()
+                    .map(|g| g.c.iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                match &want {
+                    None => want = Some((precision, bits)),
+                    Some((p, want)) if *p == precision => assert!(*want == bits),
+                    Some(_) => {}
+                }
+            }
+        }
     }
 
     #[test]

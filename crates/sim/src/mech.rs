@@ -589,16 +589,22 @@ impl<'a> SweepParts<'a> {
     }
 }
 
+/// What a debug build fills the displacements with before a sweep: a
+/// quiet NaN whose payload no arithmetic produces, so an entry no lane
+/// body wrote moves its agent to NaN and shows in the buffer by its bits.
+const DISPLACEMENT_POISON: f64 = f64::from_bits(0x7ff8_dead_0bad_f00d);
+
 /// The one host force sweep. Borrows the displacements from the step
-/// buffer, zeroes them, splits them at
-/// `parts.cuts` (a tiling of `0..n`), runs `lanes(agents, part, first
-/// entry, part's slice, a lane scratch)` on every part as its own rayon
-/// task (the scratches persist across steps in a pool, one per worker that
-/// ran a part at once; only the CSR bodies use them), sums the
-/// statistics, integrates in parallel, and builds the step's
-/// [`MechWork`] — the one place the force phase is priced. `timed` holds
-/// the phases that already ran (build, search, shard sort, mirror
-/// refresh) with their wall clocks; `parallel` is the force phase's flag
+/// buffer, splits them at `parts.cuts` (a tiling of `0..n`), runs
+/// `lanes(agents, part, first entry, part's slice, a lane scratch)` on
+/// every part as its own rayon task (the scratches persist across steps
+/// in a pool, one per worker that ran a part at once; only the CSR
+/// bodies use them), sums the statistics, integrates in parallel, and
+/// builds the step's [`MechWork`] — the one place the force phase is
+/// priced. Every body writes every entry of its slice, so nothing
+/// zeroes the buffer first (a debug build poisons it instead).
+/// `timed` holds the phases that already ran (build, search, shard
+/// sort) with their wall clocks; `parallel` is the force phase's flag
 /// in the machine model. The sweep's own wall clock stops before
 /// integration, on every path.
 ///
@@ -619,7 +625,9 @@ fn force_sweep(
 ) -> MechWork {
     let t = Instant::now();
     let disp = buffer.vec3s(rm.len());
-    disp.fill(Vec3::zero());
+    if cfg!(debug_assertions) {
+        disp.fill(Vec3::splat(DISPLACEMENT_POISON));
+    }
     let SweepParts { cuts, agent_of } = parts;
     let agents = &*rm;
     let pool = Mutex::new(std::mem::take(lane_scratch));
@@ -1141,8 +1149,12 @@ fn load_block<const N: usize>(cols: [&[f64]; N], idv: U32x8) -> [F64x8; N] {
 ///   within the ±1e-5 per-step envelope pinned by
 ///   `tests/precision_claims.rs`, and because storage order changes
 ///   lane packing (hence rounding), f32 trajectories are also a function
-///   of the reorder policy — unlike the f64 path, which is
-///   reorder-invariant;
+///   of the reorder policy. So are f64 ones, in general: the f64 body
+///   sums a voxel's candidates in storage order, which is uid order —
+///   and the f64 bits those of a never-reordered run — only while every
+///   voxel's residents are in uid order at the sweep. A reorder that cut
+///   its cells at another radius, or agents that moved after it, break
+///   that (`a_reorder_keeps_f64_bits_only_while_voxels_hold_uid_order`);
 /// * displacement integration stays f64: `interaction::displacement`
 ///   over the f64-accumulated force, with the adherence rounded to
 ///   `f32` and widened back — the per-step tolerance budget is spent on
@@ -1805,6 +1817,93 @@ mod tests {
             w.index_gap,
             w.csr_rebuilds_skipped
         )
+    }
+
+    /// The CSR f64 body sums a voxel's candidates in storage order, so a
+    /// reorder leaves its bits alone exactly while every voxel's
+    /// residents are in uid order at the sweep. A moving scene that does
+    /// not grow, reordered before every sweep on the sweep's own voxels,
+    /// keeps that order and every bit. A growing one does not: its
+    /// radius grows after the reorder cut its cells, and its cells move
+    /// and divide in between.
+    #[test]
+    fn a_reorder_keeps_f64_bits_only_while_voxels_hold_uid_order() {
+        use crate::simulation::Simulation;
+        let by_uid = |sim: &Simulation| {
+            let rm = sim.rm();
+            let mut bits: Vec<(u64, [u64; 3])> = (0..rm.len())
+                .map(|i| {
+                    let p = rm.position(i);
+                    (rm.uid(i), [p.x, p.y, p.z].map(f64::to_bits))
+                })
+                .collect();
+            bits.sort_unstable();
+            bits
+        };
+        let run = |mut sim: Simulation, reorder: bool, steps: u64| {
+            sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
+            assert!(sim.scheduler_mut().set_enabled("reorder", reorder));
+            assert!(sim.scheduler_mut().set_frequency("reorder", 1));
+            sim.simulate(steps);
+            by_uid(&sim)
+        };
+        let cloud = || {
+            let mut sim = Simulation::new(SimParams::cube(12.0).with_seed(3));
+            for p in positions(&random_population(3000, 11.0, 5)) {
+                sim.add_cell(CellBuilder::new(p).diameter(2.5).adherence(0.01));
+            }
+            sim
+        };
+        let moved = run(cloud(), false, 3);
+        assert_ne!(moved, run(cloud(), false, 0), "the cloud moves");
+        assert_eq!(run(cloud(), true, 3), moved);
+        let growing = || crate::workload::benchmark_a(8, 7);
+        assert_ne!(run(growing(), true, 3), run(growing(), false, 3));
+    }
+
+    /// Nothing zeroes the displacements before a sweep, so every lane
+    /// body must write every entry of its part. A debug build poisons
+    /// the buffer first; after a step on every host path — kd lists, the
+    /// linked list, CSR at f64 and f32 (several parts each), and four
+    /// shards at both precisions — no entry holds the poison's bits and
+    /// no agent moved to NaN.
+    #[test]
+    fn no_sweep_leaves_a_poisoned_displacement_behind() {
+        let rm = random_population(2 * CSR_PASS_CHUNK + 100, 9.0, 31);
+        let check = |rm: &ResourceManager, scratch: &mut MechScratch, what: &str| {
+            let disp = scratch.buffer.vec3s(rm.len());
+            let poisoned = |d: &&Vec3<f64>| {
+                [d.x, d.y, d.z]
+                    .map(f64::to_bits)
+                    .contains(&DISPLACEMENT_POISON.to_bits())
+            };
+            assert_eq!(disp.iter().find(poisoned), None, "{what}");
+            assert!(
+                positions(rm).iter().all(|p| p.norm_squared().is_finite()),
+                "{what}"
+            );
+        };
+        let csr = EnvironmentKind::uniform_grid_csr_parallel();
+        for (env, precision) in [
+            (EnvironmentKind::KdTree, Precision::F64),
+            (EnvironmentKind::uniform_grid_parallel(), Precision::F64),
+            (csr, Precision::F64),
+            (csr, Precision::F32Simd),
+        ] {
+            let params = SimParams::cube(10.0).with_precision(precision);
+            let (mut rm, mut scratch) = (rm.clone(), MechScratch::default());
+            mechanical_step_with_scratch(&mut rm, &params, &env, None, &mut scratch);
+            check(&rm, &mut scratch, &format!("{env:?} {precision:?}"));
+        }
+        for precision in [Precision::F64, Precision::F32Simd] {
+            let params = SimParams::cube(10.0)
+                .with_precision(precision)
+                .with_shards(4);
+            let (mut rm, mut scratch) = (rm.clone(), MechScratch::default());
+            let mut driver = ShardedEnvironment::new(4);
+            driver.step(&mut rm, &params, true, &mut scratch);
+            check(&rm, &mut scratch, &format!("4 shards {precision:?}"));
+        }
     }
 
     /// One scene through every neighbor source and lane body the sweep

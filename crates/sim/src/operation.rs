@@ -19,7 +19,7 @@
 //! ordered) merge touches shared state.
 
 use crate::behavior::{diameter_of, volume_of, Behavior};
-use crate::diffusion::{DiffusionGrid, DiffusionStats};
+use crate::diffusion::{step_all, DiffusionGrid};
 use crate::environment::EnvironmentKind;
 use crate::exec::ExecutionContext;
 use crate::mech::{self, MechScratch, MechWork};
@@ -538,12 +538,13 @@ impl Operation for BoundSpaceOp {
 /// simulation has no substances, matching the pre-scheduler profile.
 ///
 /// All substances advance through **one** rayon scope per run — the
-/// batch is a `par_iter_mut` over grids. With at least as many grids
-/// as workers each worker sweeps its grid's z-slabs inline (nested
-/// `par_*` calls do not fork); a lone grid runs on the caller and forks
-/// over its slabs instead. Each grid's update is a pure function of its
-/// own field and of no slab cut, so the batch is bitwise deterministic
-/// under any schedule.
+/// batch is a `par_iter_mut` over grids. With two or more grids each
+/// worker sweeps the grid it took as one z-slab inline (nested `par_*`
+/// calls do not fork); a lone grid runs on the caller and forks over
+/// two slabs per worker instead. The sweeps borrow their planes from
+/// the step buffer, one window per grid swept at once. Each grid's
+/// update is a pure function of its own field and of no slab cut or
+/// window, so the batch is bitwise deterministic under any schedule.
 #[derive(Debug, Default)]
 pub struct DiffusionOp;
 
@@ -559,24 +560,16 @@ impl Operation for DiffusionOp {
         let t = Instant::now();
         let dt = ctx.params.mech.timestep;
         let precision = ctx.params.precision;
-        let runs: Vec<DiffusionStats> = ctx
-            .substances
-            .par_iter_mut()
-            .map(|g| g.step_in(dt, precision))
-            .collect();
-        let updates: u64 = runs.iter().map(|r| r.voxel_updates).sum();
-        let interior: u64 = runs.iter().map(|r| r.interior_updates).sum();
+        let run = step_all(ctx.substances, dt, precision, &mut ctx.mech_scratch.buffer);
+        let (updates, interior) = (run.voxel_updates, run.interior_updates);
         let faces = updates - interior;
         // Work model: 19 FLOPs per stencil update. Interior updates
         // stream 2 words/voxel (read the center row once, write once —
         // the six neighbor rows ride the sweep's three hot planes in
         // cache); wall voxels get no reuse credit and touch all 8
         // words. The f32 path halves the word size.
-        let word = if precision == Precision::F64 {
-            8.0
-        } else {
-            4.0
-        };
+        let fp64 = precision == Precision::F64;
+        let word = if fp64 { 8.0 } else { 4.0 };
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),
@@ -586,7 +579,7 @@ impl Operation for DiffusionOp {
                 bytes: word * (2.0 * interior as f64 + 8.0 * faces as f64),
                 random_accesses: 0.0,
                 parallel: true,
-                fp64: precision == Precision::F64,
+                fp64,
             }],
             gpu: None,
         }]

@@ -7,7 +7,7 @@
 //! profiling, per-op frequency, and enable/disable.
 
 use crate::cell::CellBuilder;
-use crate::diffusion::{DiffusionGrid, DiffusionParams};
+use crate::diffusion::{DiffusionGrid, DiffusionParams, DiffusionStats};
 use crate::environment::EnvironmentKind;
 use crate::mech::{MechScratch, MechWork};
 use crate::operation::{OpContext, Operation, ReorderOp, ReorderState, ShardRebalanceOp};
@@ -257,11 +257,12 @@ impl Simulation {
         );
         // `profiler.op_wall_s{op=behaviors}` minus this is the chunk loop.
         reg.set_gauge("behaviors.commit_ms", &[], self.behaviors_commit_s * 1e3);
-        // The one per-agent buffer the force sweep, the CSR build, the
-        // reorder and a division wave borrow in turn (24 bytes per agent
-        // of the largest population a step held), and why the reorder's runs cost what
-        // they did: a sorted run is one scan, a gathered one the argsort
-        // and seven column gathers.
+        // The one buffer the force sweep, the CSR build, the reorder, a
+        // division wave and the diffusion sweep borrow in turn (24 bytes
+        // per agent of the largest population a step held, unless the
+        // diffusion windows need more), and why the reorder's runs cost
+        // what they did: a sorted run is one scan, a gathered one the
+        // argsort and seven column gathers.
         let resident = self.mech_scratch.buffer.resident_bytes();
         reg.set_gauge("step.buffer_bytes", &[], resident as f64);
         // The rest of what a CSR step holds: the grid(s) — offsets and
@@ -286,19 +287,14 @@ impl Simulation {
             // Aggregate solver telemetry across substances (cumulative
             // since construction/restore — derived state, so a restored
             // run restarts these at zero).
-            let mut agg = crate::diffusion::DiffusionStats::default();
-            for g in &self.diffusion {
-                let s = g.stats();
-                agg.voxel_updates += s.voxel_updates;
-                agg.substeps += s.substeps;
-                agg.interior_updates += s.interior_updates;
-                agg.simd_rows += s.simd_rows;
-            }
+            let stats = self.diffusion.iter().map(|g| *g.stats());
+            let agg = stats.fold(Default::default(), DiffusionStats::plus);
             reg.set_gauge("diffusion.voxel_updates", &[], agg.voxel_updates as f64);
             reg.set_gauge("diffusion.substeps", &[], agg.substeps as f64);
             reg.set_gauge("diffusion.interior_fraction", &[], agg.interior_fraction());
             reg.set_gauge("diffusion.simd_rows", &[], agg.simd_rows as f64);
-            // Lattices + sweep scratch + f32 staging + oracle buffers.
+            // Lattices + f32 staging + oracle buffers (the sweep's planes
+            // are the step buffer's).
             let resident: usize = self.diffusion.iter().map(|g| g.resident_bytes()).sum();
             reg.set_gauge("diffusion.resident_bytes", &[], resident as f64);
         }
@@ -678,12 +674,12 @@ mod tests {
         assert_eq!(reg.value("sim.steps_executed", &[]), Some(3.0));
         assert_eq!(reg.value("sim.agents", &[]), Some(30.0));
         assert_eq!(reg.value("diffusion.substeps", &[]), Some(3.0));
-        // One lattice and the sweep's slab scratch — no second lattice.
+        // One lattice and nothing else: the sweep's planes are the step
+        // buffer's.
         let field = sim.diffusion_grid(oxygen);
         let resident = reg.value("diffusion.resident_bytes", &[]).unwrap();
         assert_eq!(resident, field.resident_bytes() as f64);
-        let lattice = (field.num_voxels() * 8) as f64;
-        assert!(lattice < resident && resident < 2.0 * lattice);
+        assert_eq!(resident, (field.num_voxels() * 8) as f64);
         assert_eq!(
             reg.value("scheduler.op_runs", &[("op", "behaviors")]),
             Some(3.0)
@@ -694,6 +690,45 @@ mod tests {
             reg.value("mech.candidates", &[("env", &env)]).unwrap() > 0.0,
             "mechanical work counters expected"
         );
+    }
+
+    /// Four fields through the scheduler's batch on 1, 2 and 4 workers:
+    /// the sweeps borrow one window of the step buffer per worker (one
+    /// slab, three 24² planes, each), so the buffer holds its largest
+    /// borrower — the force sweep's 24 bytes per agent on one worker, the
+    /// windows on two and four — and not their sum; and the fields' bits
+    /// do not depend on which window a grid swept on.
+    #[test]
+    fn four_fields_hold_the_step_buffer_at_its_largest_borrower() {
+        let agents = 800;
+        let run = |workers: usize| {
+            let mut sim = Simulation::new(SimParams::cube(40.0).with_seed(5));
+            for f in 0..4 {
+                let s = sim.add_diffusion_grid(DiffusionParams {
+                    coefficient: 0.5 + f as f64,
+                    resolution: 24,
+                    ..DiffusionParams::oxygen()
+                });
+                sim.diffusion_grid_mut(s)
+                    .secrete(Vec3::splat(f as f64), 50.0);
+            }
+            for k in 0..agents {
+                let at = |m: usize| (k * m % 97) as f64 * 0.8 - 38.8;
+                sim.add_cell(CellBuilder::new(Vec3::new(at(1), at(7), at(31))));
+            }
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build();
+            pool.unwrap().install(|| sim.simulate(3));
+            let bytes = sim.metrics().value("step.buffer_bytes", &[]).unwrap();
+            let bits = (0..4).flat_map(|s| sim.diffusion_grid(s).concentrations().to_vec());
+            (bytes as usize, bits.map(f64::to_bits).collect::<Vec<_>>())
+        };
+        let (_, one) = run(1);
+        for workers in [1, 2, 4] {
+            let (bytes, bits) = run(workers);
+            let windows = workers.min(4) * 3 * 24 * 24 * 8;
+            assert_eq!(bytes, windows.max(24 * agents), "{workers} workers");
+            assert!(bits == one, "{workers} workers");
+        }
     }
 
     /// The memory claim readable from one artifact: the agent columns'

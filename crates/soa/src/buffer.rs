@@ -1,18 +1,21 @@
 //! One per-agent buffer that a step's phases borrow in turn.
 //!
-//! Four phases of a host step need a buffer of plain words for the
+//! Five phases of a host step need a buffer of plain words for the
 //! length of their own call, and they never overlap: the reorder (a
 //! `u64` per agent — its key, then each column's gathered values — and
 //! the argsort's two `u32` index arrays), a division wave (a mother uid
 //! per daughter slot the chunks may fill, then the same word and index
 //! arrays per daughter to order and append them), the CSR grid build (a
-//! `u32` voxel id per agent and a histogram per build chunk) and the force
-//! sweep (a `Vec3<f64>` displacement per agent). [`StepBuffer`] is that
-//! memory, held once and lent to each as the type it needs: a step holds
-//! its largest borrower's bytes, not the sum of all four.
+//! `u32` voxel id per agent, and a histogram per build chunk when there
+//! is more than one), the force sweep (a `Vec3<f64>` displacement per
+//! agent) and the diffusion sweep (a window of `f64` or `f32` planes per
+//! field swept at once). [`StepBuffer`] is that memory, held once and
+//! lent to each as the type it needs: a step holds its largest
+//! borrower's bytes, not the sum of all five.
 
 use bdm_math::Vec3;
 use std::mem::{align_of, size_of, size_of_val};
+use std::slice::ChunksExactMut;
 
 /// Words per agent of the widest per-agent view, [`StepBuffer::vec3s`].
 /// Every per-agent view sizes the buffer by it, so a population grows
@@ -24,13 +27,19 @@ const AGENT_WORDS: usize = size_of::<Vec3<f64>>() / size_of::<u64>();
 /// # Safety
 /// An implementor has no padding and no invalid bit patterns (any bytes
 /// are a value), and its alignment divides a `u64`'s.
-unsafe trait Plain: Copy {}
+pub unsafe trait Plain: Copy {}
 
 // SAFETY: an integer accepts any bits; align 4 divides 8.
 unsafe impl Plain for u32 {}
 // SAFETY: `Vec3` is `repr(C)` over three `f64`s: 24 bytes, no padding,
 // align 8, and every bit pattern is some `f64`.
 unsafe impl Plain for Vec3<f64> {}
+// SAFETY: 8 bytes, align 8, and every bit pattern is some `f64` (a NaN
+// among them).
+unsafe impl Plain for f64 {}
+// SAFETY: 4 bytes, align 4 divides 8, and every bit pattern is some
+// `f32`.
+unsafe impl Plain for f32 {}
 
 /// `words` as the `T`s that fit in them whole.
 fn view<T: Plain>(words: &mut [u64]) -> &mut [T] {
@@ -85,6 +94,13 @@ impl StepBuffer {
         (first, &mut rest[..extra])
     }
 
+    /// `count` windows of `len` `T`s each, side by side — sized by
+    /// themselves, not by a population.
+    pub fn windows<T: Plain>(&mut self, count: usize, len: usize) -> ChunksExactMut<'_, T> {
+        let words = (count * len * size_of::<T>()).div_ceil(size_of::<u64>());
+        view(self.words(words))[..count * len].chunks_exact_mut(len.max(1))
+    }
+
     /// Heap bytes the buffer holds.
     pub fn resident_bytes(&self) -> usize {
         self.words.capacity() * size_of::<u64>()
@@ -119,5 +135,36 @@ mod tests {
         assert_eq!(buf.indices(100, 501).1.len(), 501);
         assert_eq!(buf.resident_bytes(), 2408);
         assert!(buf.indices(0, 0).0.is_empty() && buf.vec3s(0).is_empty());
+    }
+
+    #[test]
+    fn diffusion_windows_tile_the_block_at_either_width() {
+        let mut buf = StepBuffer::default();
+        // Three windows of five `f32`s: 60 bytes, rounded up to 8 words.
+        let windows: Vec<_> = buf.windows::<f32>(3, 5).collect();
+        assert_eq!(windows.iter().map(|w| w.len()).collect::<Vec<_>>(), [5; 3]);
+        for (k, w) in windows.into_iter().enumerate() {
+            w.fill(k as f32 + 0.5);
+        }
+        assert_eq!(buf.resident_bytes(), 64);
+        // The same bytes as `f64`s: the first word holds window 0's first
+        // two `f32`s, word 7 the last one of window 2 and a spare half.
+        let words: Vec<_> = buf.windows::<f64>(2, 4).collect();
+        assert_eq!(
+            words[0][0].to_bits(),
+            u64::from(0.5f32.to_bits()) * 0x1_0000_0001
+        );
+        assert_eq!(words[1][3].to_bits() as u32, 2.5f32.to_bits());
+        assert_eq!(buf.resident_bytes(), 64);
+        // Wider windows grow the block; a per-agent view then fits in it.
+        for w in buf.windows::<f64>(2, 9) {
+            w.fill(-1.0);
+        }
+        assert_eq!(buf.resident_bytes(), 144);
+        assert_eq!(buf.vec3s(6)[5].z, -1.0);
+        assert_eq!(
+            buf.windows::<f64>(0, 9).len() + buf.windows::<f32>(4, 0).len(),
+            0
+        );
     }
 }

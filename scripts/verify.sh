@@ -121,6 +121,13 @@ cargo test -q --offline --release -p bdm-sim --lib -- \
 # calls fails here, not in the next benchmark run.
 cargo build --offline --release --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# AddressSanitizer over the tests that drive the `unsafe` code, where
+# the nightly toolchain it needs is installed.
+if cargo +nightly --version >/dev/null 2>&1; then
+    ./scripts/sanitize.sh
+else
+    echo "verify: no nightly toolchain, AddressSanitizer lane skipped" >&2
+fi
 cargo clippy --offline --workspace --all-targets -- -D warnings
 ./scripts/fmt.sh --check
 # Informational, not a gate: the non-test, non-comment size of the code

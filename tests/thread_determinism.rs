@@ -23,20 +23,23 @@ const SHUFFLE_SEEDS: std::ops::Range<u64> = 0..8;
 type Configure = fn(SimParams) -> SimParams;
 
 /// `n` agents at ~2 neighbors each; every fifth divides within the run,
-/// every seventh secretes into a field whose sweep has several tiles.
-fn scene(n: usize, configure: Configure, env: EnvironmentKind) -> Simulation {
+/// every seventh secretes into one of `fields` fields whose sweeps have
+/// several tiles.
+fn scene(n: usize, fields: usize, configure: Configure, env: EnvironmentKind) -> Simulation {
     let half = (n as f64).cbrt() * 2.5;
     let mut sim = Simulation::new(configure(
         SimParams::cube(half).with_seed(0x7d).with_reorder(1),
     ));
     sim.set_environment(env);
-    let substance = sim.add_diffusion_grid(DiffusionParams {
-        name: "signal",
-        coefficient: 0.1,
-        decay: 0.01,
-        resolution: 16,
-        boundary: BoundaryCondition::Closed,
-    });
+    for f in 0..fields {
+        sim.add_diffusion_grid(DiffusionParams {
+            name: "signal",
+            coefficient: 0.1 / (f + 1) as f64,
+            decay: 0.01,
+            resolution: 16,
+            boundary: BoundaryCondition::Closed,
+        });
+    }
     let mut rng = SplitMix64::new(0x7d);
     for k in 0..n {
         let mut cell = CellBuilder::new(Vec3::new(
@@ -54,7 +57,7 @@ fn scene(n: usize, configure: Configure, env: EnvironmentKind) -> Simulation {
         }
         if k % 7 == 0 {
             cell = cell.behavior(Behavior::Secretion {
-                substance,
+                substance: k / 7 % fields,
                 rate: 2.0,
             });
         }
@@ -86,7 +89,17 @@ fn assert_schedule_independent(
     configure: Configure,
     env: EnvironmentKind,
 ) -> (Vec<u8>, Vec<String>) {
-    let run = || final_state(scene(n, configure, env));
+    assert_fields_schedule_independent(n, 1, configure, env)
+}
+
+/// [`assert_schedule_independent`] on a scene with `fields` fields.
+fn assert_fields_schedule_independent(
+    n: usize,
+    fields: usize,
+    configure: Configure,
+    env: EnvironmentKind,
+) -> (Vec<u8>, Vec<String>) {
+    let run = || final_state(scene(n, fields, configure, env));
     let on = |workers: usize| {
         ThreadPoolBuilder::new()
             .num_threads(workers)
@@ -130,6 +143,17 @@ fn four_shards_are_schedule_independent() {
         |p| p.with_shards(4).with_precision(Precision::F32Simd),
         csr,
     );
+}
+
+/// As many fields as the widest pool has workers: every worker sweeps
+/// the field it took inline, on a window of the step buffer popped from
+/// the pool in schedule order — at either precision.
+#[test]
+fn four_fields_are_schedule_independent() {
+    let csr = EnvironmentKind::uniform_grid_csr_parallel();
+    assert_fields_schedule_independent(10_000, 4, |p| p, csr);
+    let f32simd = |p: SimParams| p.with_precision(Precision::F32Simd);
+    assert_fields_schedule_independent(10_000, 4, f32simd, csr);
 }
 
 #[test]
