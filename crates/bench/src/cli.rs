@@ -8,7 +8,7 @@
 //! not know is a usage error (exit code 2), never silently ignored.
 
 use crate::scale::BenchScale;
-use crate::{ablation, checkpoint, diffusion, dynpar, emit, layouts, threads, verify};
+use crate::{ablation, checkpoint, diffusion, dynpar, emit, layouts, verify};
 use crate::{fig10, fig12, fig2, fig3, fig8, table1};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -162,7 +162,6 @@ pub const COMMANDS: &[Command] = &[
     ("bench_layouts",       JSON,  "grid layouts, reorder, sharding, precision, behaviors",   layouts::main),
     ("bench_diffusion",     JSON,  "in-place diffusion sweep vs the reference sweep",         diffusion::main),
     ("bench_checkpoint",    JSON,  "checkpoint write/read cost and stream shape",             checkpoint::main),
-    ("bench_threads",       NONE,  "measured vs modeled 1 -> N-worker scaling per phase",     threads::main),
     ("bench_gate",          GATE,  "fresh BENCH_*.json vs the baselines (exit 1: regressed)", emit::bench_gate),
     ("debug_metrics",       NONE,  "every published metric, one document per scene",          emit::debug_metrics),
 ];

@@ -24,7 +24,6 @@
 //! | `bench_layouts` | grid layouts, reorder, shards, precision | [`layouts`] |
 //! | `bench_diffusion` | diffusion sweep vs reference | [`diffusion`] |
 //! | `bench_checkpoint` | checkpoint cost and stream shape | [`checkpoint`] |
-//! | `bench_threads` | measured vs modeled worker scaling | [`threads`] |
 //! | `bench_gate` | the regression gate over `BENCH_*.json` | [`emit`] |
 //! | `debug_metrics` | every published metric, per scene | [`emit`] |
 //!
@@ -51,7 +50,6 @@ pub mod paper;
 pub mod scale;
 pub mod table;
 pub mod table1;
-pub mod threads;
 pub mod verify;
 
 pub use scale::BenchScale;

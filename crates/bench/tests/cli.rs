@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 
 /// The binaries the one binary replaced and still ships, by their
 /// unchanged names (the four `debug_*` printers became `debug_metrics`).
-const OLD_BINS: [&str; 18] = [
+const OLD_BINS: [&str; 17] = [
     "ablation_curves",
     "ablation_dynpar",
     "ablation_frontends",
@@ -20,7 +20,6 @@ const OLD_BINS: [&str; 18] = [
     "bench_gate",
     "bench_json",
     "bench_layouts",
-    "bench_threads",
     "fig10_fig11",
     "fig12_roofline",
     "fig2_visualization",

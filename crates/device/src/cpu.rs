@@ -2,7 +2,7 @@
 //!
 //! This environment has two processors, so the paper's 4–64-thread
 //! sweeps cannot be wall-clocked (the one step that can, 1 → 2 workers,
-//! is measured beside this model's prediction by `bench_threads`).
+//! is the benchmark harness's `par.serial_over_parallel`).
 //! Instead, each CPU-side operation of the simulation is *executed for
 //! real* (so its algorithmic work counters — FLOPs, bytes touched, random
 //! accesses — are genuine) and its runtime on the Table I Xeons is then

@@ -452,7 +452,7 @@ impl Operation for MechanicalOp {
                 name: "mechanical interactions (GPU)".into(),
                 wall_s: wall,
                 phases: Vec::new(),
-                gpu: work.gpu.clone(),
+                gpu: work.gpu.clone().map(Box::new),
             });
         } else {
             for (k, phase) in work.phases.iter().enumerate() {

@@ -18,8 +18,10 @@ pub struct OpRecord {
     pub wall_s: f64,
     /// Work counters for the CPU timing model (empty for GPU offload).
     pub phases: Vec<Phase>,
-    /// The GPU offload report, when applicable.
-    pub gpu: Option<GpuStepReport>,
+    /// The GPU offload report, when applicable; boxed, so a CPU
+    /// operation's record (the profiler keeps one per operation per step)
+    /// does not carry the report's bytes inline.
+    pub gpu: Option<Box<GpuStepReport>>,
 }
 
 /// All operations of one step.

@@ -10,7 +10,8 @@
 //! every word it needs) and on two only what its fork-joins do. The
 //! engine that kept a `Vec<Behavior>` per agent paid one per birth, per
 //! gathered agent and per restored agent — 21,952 / 27,648 / 27,648
-//! allocations on the scenes below.
+//! allocations on the scenes below. And a step on a scene that neither
+//! divides nor dies keeps nothing but its profile records.
 //!
 //! Counted with the thread-local allocator of `bdm-gpu`'s
 //! `alloc_steady`, with the step's `par_*` loops on the calling thread
@@ -22,7 +23,7 @@ use bdm_sim::rayon::ThreadPoolBuilder;
 use bdm_sim::rm::ResourceManager;
 use bdm_sim::scheduler::ExecMode;
 use bdm_sim::simulation::Simulation;
-use bdm_sim::workload::benchmark_a;
+use bdm_sim::workload::{benchmark_a, benchmark_b};
 use bdm_soa::StepBuffer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,36 +32,44 @@ thread_local! {
     /// Heap allocations made by this thread (the test harness's other
     /// threads must not pollute the count).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus the bytes it freed.
+    static RETAINED: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
-fn count_one() {
+fn count_one(grown: usize, freed: usize) {
     // `try_with`: the allocator also runs during thread teardown.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    retain(grown, freed);
+}
+
+fn retain(grown: usize, freed: usize) {
+    let _ = RETAINED.try_with(|c| c.set(c.get() + grown as i64 - freed as i64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter bump that neither allocates nor unwinds.
+// upholds the `GlobalAlloc` contract; the only addition is thread-local
+// counter updates that neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size(), 0);
         // SAFETY: the caller's `layout` obligations pass through as is.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size(), 0);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size, layout.size());
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // this `layout` — the caller's contract, forwarded.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        retain(0, layout.size());
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -74,6 +83,13 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let r = f();
     (ALLOCATIONS.with(Cell::get) - before, r)
+}
+
+/// Heap bytes `f` leaves allocated on this thread.
+fn retained_in<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = RETAINED.with(Cell::get);
+    let r = f();
+    (RETAINED.with(Cell::get) - before, r)
 }
 
 /// Benchmark A (`cells_per_dim`³ cells, all dividing on step 1) with a
@@ -183,4 +199,27 @@ fn a_restore_allocates_a_constant() {
     assert!(small > 0, "the counting allocator is not installed");
     assert_eq!(large, small, "8x the agents");
     assert!(large < 128, "{large} allocations");
+}
+
+/// A warm step of a scene without births or deaths holds on to its
+/// profile records and nothing else. A CPU operation's record is a name,
+/// a wall time and one phase; its GPU report, which a CPU step never
+/// fills, is boxed (inline it would be 384 of the record's 440 bytes).
+#[test]
+fn a_frozen_step_retains_only_its_profile_records() {
+    let mut sim = benchmark_b(2_000, 27.0, 7);
+    sim.set_exec_mode(ExecMode::Serial);
+    sim.simulate(8);
+    let steps = 64;
+    let (bytes, ()) = retained_in(|| sim.simulate(steps));
+    let records = sim.profiler().steps().last().expect("a step").records.len();
+    assert!(records > 0);
+    let per_record = bytes / (steps as i64 * records as i64);
+    assert!(per_record > 0, "the counting allocator is not installed");
+    // A 64-byte record, its name and one 48-byte phase read 137 bytes a
+    // record; with the report inline, 513.
+    assert!(
+        per_record < 192,
+        "{bytes} bytes retained over {steps} steps of {records} records"
+    );
 }

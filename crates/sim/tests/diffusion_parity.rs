@@ -8,10 +8,11 @@
 //! a second buffer, for every field, boundary condition, resolution,
 //! sub-cycling depth and slab partition. Both evaluate one per-voxel
 //! expression tree in IEEE arithmetic, so this is equality, not
-//! tolerance — at any vector width: the `diffusion-parity` CI job runs
-//! the suite in release mode, the `portable-baseline` job again without
-//! AVX2. `fields_match_the_parent_goldens` additionally holds both
-//! engines to fields harvested from the double-buffered tiled engine.
+//! tolerance — at any vector width: the `release` stage of
+//! `scripts/verify.sh` runs the suite in release mode, the `portable`
+//! stage again without AVX2. `fields_match_the_parent_goldens`
+//! additionally holds both engines to fields harvested from the
+//! double-buffered tiled engine.
 
 use bdm_math::{Aabb, Vec3};
 use bdm_sim::diffusion::{BoundaryCondition, DiffusionGrid, DiffusionParams};

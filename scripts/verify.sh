@@ -1,138 +1,217 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, lint — the gate every PR must pass.
+# Tier-1 verification, the one manifest of every gate a change must pass.
+# Each stage below names its tests and says why they are there; CI runs
+# the stages as one job matrix read from `--list`.
 # Fully offline: all third-party crates are vendored under vendor/.
+# Usage: scripts/verify.sh           every stage, in order
+#        scripts/verify.sh --list    the stage names, one a line
+#        scripts/verify.sh <stage>   one stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline --workspace
-cargo test -q --offline --workspace
-# Thread matrix: the bitwise suites again at 1, 2 and 4 workers (the
-# default run above used the processor count).
-for threads in 1 2 4; do
-    RAYON_NUM_THREADS=$threads cargo test -q --offline --release \
-        --test csr_determinism --test scheduler_determinism \
-        --test f32simd_determinism --test thread_determinism
-    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim \
-        --test shard_determinism --test diffusion_parity --test resume_equivalence \
-        --test birth_goldens
-    # The reorder's radix argsort and its column gathers against the
-    # comparison sort, and daughters written into the columns against the
-    # buffered merge they replaced (the tests pin 1 / 2 / 4 workers and
-    # shuffled schedules themselves; this varies the default pool around
-    # them); a warm reorder's allocations: none on one worker, as many at
-    # 12³ as at 24³ cells on two; and a wave's, as many at 14³ as at 28³.
-    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-morton \
-        --test proptests -- radix_argsort_matches_the_comparison_sort
-    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim \
-        --test proptests --test alloc_births -- \
-        sort_storage_orders_like_the_comparison_sort \
-        births_in_place_match_the_buffered_merge \
-        a_warmed_reorder_allocates_a_constant \
-        a_division_wave_allocates_a_constant
-    # The stamps' skips (reorder scan, CSR rebuild, largest diameter)
-    # against the full checks they replace, a frozen scene through
-    # `Simulation::step` that re-verifies nothing after step 0, and a
-    # user operation growing cells through chunk views alone.
-    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-sim --lib -- \
-        position_stamp_skips_match_the_full_checks \
-        the_stamp_oracle_reaches_every_skip \
-        largest_diameter_scans_once_per_change \
-        merges_leave_the_diameter_memo_to_the_views
-    RAYON_NUM_THREADS=$threads cargo test -q --offline --release \
-        --test f32simd_determinism -- a_frozen_scene_re_verifies_nothing_after_step_zero \
-        diameters_grown_through_chunk_views_reach_the_grid_and_the_f32_tile
-done
-# Both lane bodies of the CSR voxel walk against their per-agent
-# oracles, in release mode (the optimizer must not re-associate the
-# in-order f64 accumulation), and the stage count.
-cargo test -q --offline --release -p bdm-sim --lib -- \
-    staged_lanes_match_the_per_agent_kernel \
-    staged_f64_lanes_match_the_scalar_kernel_bitwise \
-    every_voxel_is_staged_once \
-    a_step_on_shuffled_storage_moves_every_agent_as_the_oracle_does
-# Portable baseline: without x86-64-v3 the lane ops compile their
-# `not(avx2)` array bodies, which must produce the same bits — the lane
-# kernels' oracles (f32 and f64; the f64 ops' array bodies have no
-# other coverage) and pinned fingerprints, the f32 determinism and
-# precision suites, the checkpoint golden bytes, the division-wave
-# goldens, and the diffusion suite: the sweep's row loop is vectorised
-# by the compiler, so "same field bits at SSE2 width" is held by its
-# goldens, not by argument.
-RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
-    -p bdm-math -p bdm-sim --lib
-RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
-    --test f32simd_determinism --test precision_claims
-RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline --release \
-    -p bdm-sim --test checkpoint_format --test diffusion_parity --test birth_goldens
-# The diffusion fields against the bits of the double-buffered engine
-# the in-place sweep replaced, and the slab matrix (1 / 2 / 3 / 4 / 7
-# workers and shuffled slab order over even, ragged and single-slab
-# cuts), by name in release.
-cargo test -q --offline --release -p bdm-sim --test diffusion_parity -- \
-    fields_match_the_parent_goldens \
-    any_slab_partition_yields_the_same_bits_and_counters
-# Division waves against the bits of the engine that kept a behavior
-# list per agent (storage-order columns, lists, uid counter,
-# checkpoint bytes), and the allocation counts that engine could not
-# meet: a wave and a restore allocate a constant (the warm reorder's
-# count runs in the thread matrix above) — by name in release.
-cargo test -q --offline --release -p bdm-sim --test birth_goldens -- \
-    csr_waves_match_the_parent_goldens \
-    kdtree_waves_match_the_parent_goldens \
-    sharded_waves_match_the_parent_goldens
-cargo test -q --offline --release -p bdm-sim --test alloc_births -- \
-    a_division_wave_allocates_a_constant \
-    a_restore_allocates_a_constant
-# The SIMT engine at 1, 2 and 4 workers (launches whose blocks commute
-# fork onto them): steady-state launches must not touch the heap on one
-# worker (cold and warm L2 alike: the per-key buckets keep their
-# capacity; sorted storage and a one-lane launch alike: the lane
-# filter's two streams trade places) and allocate only the fork-join's
-# own on two, at any scene size — in release mode, where the optimizer
-# decides what actually allocates. The log-time coalescer and the lane
-# filter in front of it against the retained BTreeMap oracle on random
-# lane scripts (lanes that repeat, alternate with and fall out of step
-# with their neighbors; commuting scripts forked on 1-4 workers and in
-# shuffled order), the filter's exact counts, a launch that died
-# mid-lane in a later chunk, the commuting-blocks guard on global
-# atomics, every simulated statistic of every kernel version and
-# resident sync path against its parent-commit golden, and the resident
-# reorder pin. (The GPU offload's positions and counters across
-# schedules, `gpu_offload_is_schedule_independent`, run with
-# thread_determinism in the thread matrix above.)
-for threads in 1 2 4; do
-    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-gpu \
-        --test alloc_steady -- \
-        second_identical_launch_performs_zero_heap_allocations \
-        second_sorted_scene_launch_performs_zero_heap_allocations \
-        a_forked_launch_allocates_only_what_the_fork_join_does
-    RAYON_NUM_THREADS=$threads cargo test -q --offline --release -p bdm-gpu --lib -- \
-        arena_engine_matches_the_reference_bit_for_bit \
-        the_lane_filter_absorbs_what_the_previous_lane_logged_and_nothing_else \
-        a_kernel_panic_does_not_leak_its_batch_into_the_next_launch \
-        a_global_atomic_in_a_kernel_that_declares_commuting_blocks_panics \
-        sampled_tracing_counts_every_warps_shared_accesses_once \
-        step_reports_match_the_parent_goldens
-done
-cargo test -q --offline --release -p bdm-sim --lib -- \
-    resident_reorder_steps_resync_from_the_uid_diff_alone
-# The benchmark harness (its own package under benchmark/) builds and
-# passes its unit tests against this tree: a change to the public API it
-# calls fails here, not in the next benchmark run.
-cargo build --offline --release --manifest-path benchmark/Cargo.toml
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
-# AddressSanitizer over the tests that drive the `unsafe` code, where
-# the nightly toolchain it needs is installed.
-if cargo +nightly --version >/dev/null 2>&1; then
-    ./scripts/sanitize.sh
-else
-    echo "verify: no nightly toolchain, AddressSanitizer lane skipped" >&2
-fi
-cargo clippy --offline --workspace --all-targets -- -D warnings
-./scripts/fmt.sh --check
-# Informational, not a gate: the non-test, non-comment size of the code
-# the simplification PRs report against.
-./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs crates/sim/src/diffusion.rs
-./scripts/loc.sh crates/sim/src/{rm,exec,operation,checkpoint}.rs crates/soa/src/{column,perm,buffer}.rs
-./scripts/loc.sh crates/grid/src/csr.rs
-./scripts/loc.sh crates/bench/src
+STAGES=(build test release matrix-1 matrix-2 matrix-4 portable harness gate sanitize lint)
+
+# `cargo <args> -- <names>`, once `-- --list` has shown that every name
+# selects at least one test of the invocation: a filter that matches
+# nothing passes after running nothing, so a renamed or misspelled test
+# would otherwise drop out of the gate silently.
+named() {
+    local args=() listed name
+    while [[ $1 != -- ]]; do args+=("$1"); shift; done
+    shift
+    listed=$(cargo "${args[@]}" -- --list --format=terse)
+    for name in "$@"; do
+        if ! grep -qF -- "$name" <<<"$listed"; then
+            echo "verify: '$name' selects no test of: cargo ${args[*]}" >&2
+            return 1
+        fi
+    done
+    cargo "${args[@]}" -- "$@"
+}
+
+nightly() { cargo +nightly --version >/dev/null 2>&1; }
+
+# Each stage runs in a subshell, so what it exports ends with it.
+stage() (
+    echo "== verify: $1" >&2
+    case $1 in
+    build)
+        cargo build --release --offline --workspace ;;
+    test)
+        cargo test -q --offline --workspace ;;
+    release)
+        # The contracts, in release mode at the default worker count (the
+        # optimizer must not re-associate f64 sums or change the f32 SIMD
+        # rounding): the paper's Improvement I claims (fp32-vs-fp64
+        # envelope, four-way bitwise determinism of the mixed-precision
+        # pass); serial == sharded at 1 / 2 / 4 / 8 shards across every
+        # environment with churn, migration and rebalancing; the diffusion
+        # field bitwise the out-of-place reference's, against the bits of
+        # the double-buffered engine it replaced, over the slab matrix, and
+        # on its closed-form anchors; checkpoint at k, restore, run to n
+        # == an uninterrupted run, the committed v3 fixture byte for byte
+        # (v1 / v2 still restore) and malformed streams as errors; division
+        # waves against the bits of the engine that kept a behavior list
+        # per agent (the determinism suites compare a run with itself);
+        # and the allocations that engine could not meet: a wave and a
+        # restore allocate a constant, a warm reorder nothing on one
+        # worker.
+        cargo test -q --offline --release --test precision_claims --test f32simd_determinism
+        cargo test -q --offline --release -p bdm-sim --test shard_determinism \
+            --test diffusion_parity --test diffusion_solver --test resume_equivalence \
+            --test checkpoint_format --test birth_goldens --test alloc_births
+        # Both lane bodies of the CSR voxel walk against their retained
+        # per-agent kernels, bit for bit (the 8-lane f32 body against the
+        # gather kernel, the f64 body against the scalar one), and the
+        # stage count (non-empty voxels plus part splits, sorted or not);
+        # and a resident GPU step finding a host reorder from the uid
+        # diff alone (transfers and checkpoint pinned to the commit that
+        # still announced it).
+        named test -q --offline --release -p bdm-sim --lib -- \
+            staged_lanes_match_the_per_agent_kernel \
+            staged_f64_lanes_match_the_scalar_kernel_bitwise \
+            every_voxel_is_staged_once \
+            a_step_on_shuffled_storage_moves_every_agent_as_the_oracle_does \
+            resident_reorder_steps_resync_from_the_uid_diff_alone ;;
+    matrix-1 | matrix-2 | matrix-4)
+        # The bitwise contracts under a real schedule: every `par_*` loop
+        # and every SIMT launch whose blocks commute forks onto this many
+        # workers (4 oversubscribes a 2-processor runner), and serial ==
+        # parallel == sharded == resumed must hold at each count;
+        # thread_determinism also compares 1 / 2 / 4 workers and shuffled
+        # block schedules inside one process, the GPU offload's among them.
+        export RAYON_NUM_THREADS=${1#matrix-}
+        cargo test -q --offline --release --test csr_determinism \
+            --test scheduler_determinism --test f32simd_determinism --test thread_determinism
+        cargo test -q --offline --release -p bdm-sim --test shard_determinism \
+            --test diffusion_parity --test resume_equivalence --test birth_goldens
+        # A repeated SIMT launch allocates nothing on one worker (cold or
+        # warm L2, random or sorted storage, one lane) and only what the
+        # fork-join itself does on two, at any scene size.
+        cargo test -q --offline --release -p bdm-gpu --test alloc_steady
+        # The reorder's radix argsort and gathers against the comparison
+        # sort, and daughters written into the columns against the
+        # buffered merge (both pin 1 / 2 / 4 workers and shuffled
+        # schedules inside; this varies the pool around them); a warm
+        # reorder allocates as much at 12³ as at 24³ cells on two workers,
+        # a wave as much at 14³ as at 28³.
+        named test -q --offline --release -p bdm-morton --test proptests -- \
+            radix_argsort_matches_the_comparison_sort
+        named test -q --offline --release -p bdm-sim --test proptests --test alloc_births -- \
+            sort_storage_orders_like_the_comparison_sort \
+            births_in_place_match_the_buffered_merge \
+            a_warmed_reorder_allocates_a_constant \
+            a_division_wave_allocates_a_constant
+        # The stamps' skips (reorder scan, CSR rebuild, largest diameter)
+        # against the full checks they replace on random edit sequences,
+        # the largest diameter's one scan per change, the merge leaving
+        # that memo to the views; and the resident GPU step's uid diff.
+        named test -q --offline --release -p bdm-sim --lib -- \
+            position_stamp_skips_match_the_full_checks \
+            the_stamp_oracle_reaches_every_skip \
+            largest_diameter_scans_once_per_change \
+            merges_leave_the_diameter_memo_to_the_views \
+            resident_reorder_steps_resync_from_the_uid_diff_alone
+        # The SIMT engine's trace path: the log-time coalescer and the
+        # lane filter in front of it against the retained BTreeMap oracle
+        # on random lane scripts (commuting ones forked on 1-4 workers and
+        # shuffled), the filter's exact counts, a launch that died mid-lane
+        # leaving the next nothing, the commuting-blocks guard on global
+        # atomics, sampled tracing, and every kernel version's and resident
+        # sync path's step report against its parent-commit golden.
+        named test -q --offline --release -p bdm-gpu --lib -- \
+            arena_engine_matches_the_reference_bit_for_bit \
+            the_lane_filter_absorbs_what_the_previous_lane_logged_and_nothing_else \
+            a_kernel_panic_does_not_leak_its_batch_into_the_next_launch \
+            a_global_atomic_in_a_kernel_that_declares_commuting_blocks_panics \
+            sampled_tracing_counts_every_warps_shared_accesses_once \
+            step_reports_match_the_parent_goldens ;;
+    portable)
+        # Without x86-64-v3 the lane ops of `bdm_math::simd` compile their
+        # `not(avx2)` array bodies, which must produce the same bits: the
+        # lane kernels' oracles and pinned fingerprints (the f64 ops' array
+        # bodies have no other coverage), the f32 determinism and precision
+        # suites, the checkpoint golden bytes, the division-wave goldens
+        # and the diffusion goldens (the sweep's row loop is vectorised by
+        # the compiler, so "same bits at SSE2 width" is held by them, not
+        # by argument). A second set of artifacts in target/.
+        export RUSTFLAGS="-C target-cpu=x86-64"
+        cargo test -q --offline --release -p bdm-math -p bdm-sim --lib
+        cargo test -q --offline --release --test f32simd_determinism --test precision_claims
+        cargo test -q --offline --release -p bdm-sim --test checkpoint_format \
+            --test diffusion_parity --test birth_goldens ;;
+    harness)
+        # The benchmark harness (its own package under benchmark/, its
+        # artifacts in benchmark/target/) builds, passes its unit tests and
+        # runs every workload once at one-eighth size against this tree, so
+        # a change to the API it calls fails here, not in the next
+        # benchmark run. `--quick` records nothing.
+        cargo build --offline --release --manifest-path benchmark/Cargo.toml
+        cargo test -q --offline --manifest-path benchmark/Cargo.toml
+        benchmark/run.sh --quick ;;
+    gate)
+        # The gated BENCH_*.json metrics at smoke scale against results/
+        # (its `bench_layouts` and `bench_diffusion` runs are the tables'
+        # smokes; `bench_diffusion` asserts its own parity and modeled
+        # speedup), and every scene's metrics document.
+        ./scripts/bench_gate.sh
+        BDM_BENCH_SCALE=smoke "${CARGO_TARGET_DIR:-target}/release/bdm-bench" debug_metrics >/dev/null ;;
+    sanitize)
+        # AddressSanitizer over the tests that drive the workspace's
+        # `unsafe` code, so an out-of-bounds or use-after-free access
+        # through a raw pointer or a reinterpreted slice (the step buffer's
+        # typed views and the diffusion windows it lends, the CSR build's
+        # disjoint scatter, births written into reserved column room, the
+        # parallel integration, the lattices' first touch) aborts the test
+        # that made it: the lib tests of the crates that hold it, the
+        # births-in-place and reorder oracles, the stamps' skips through a
+        # whole step, and every host environment's schedule matrix at two
+        # workers. Debug build, artifacts in target/x86_64-unknown-linux-gnu/;
+        # RUSTFLAGS replaces .cargo/config.toml's flag, so it is repeated.
+        if ! nightly; then
+            echo "verify: stage sanitize needs the nightly toolchain (cargo +nightly)" >&2
+            exit 1
+        fi
+        export RUSTFLAGS="-Zsanitizer=address -C target-cpu=x86-64-v3"
+        asan=(+nightly test -q --offline --target x86_64-unknown-linux-gnu)
+        cargo "${asan[@]}" -p bdm-soa -p bdm-sim -p bdm-grid -p bdm-morton -p bdm-math --lib
+        named "${asan[@]}" -p bdm-morton --test proptests -- \
+            radix_argsort_matches_the_comparison_sort
+        named "${asan[@]}" -p bdm-sim --test proptests -- \
+            births_in_place_match_the_buffered_merge \
+            sort_storage_orders_like_the_comparison_sort
+        named "${asan[@]}" --test f32simd_determinism -- \
+            a_frozen_scene_re_verifies_nothing_after_step_zero \
+            diameters_grown_through_chunk_views_reach_the_grid_and_the_f32_tile
+        RAYON_NUM_THREADS=2 cargo "${asan[@]}" --test thread_determinism ;;
+    lint)
+        cargo clippy --offline --workspace --all-targets -- -D warnings
+        # Our own packages only: vendored crates keep upstream style.
+        ./scripts/fmt.sh --check
+        # Informational, not a gate: the non-test, non-comment size of the
+        # code the simplification PRs report against.
+        ./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs crates/sim/src/diffusion.rs
+        ./scripts/loc.sh crates/sim/src/{rm,exec,operation,checkpoint}.rs crates/soa/src/{column,perm,buffer}.rs
+        ./scripts/loc.sh crates/grid/src/csr.rs
+        ./scripts/loc.sh crates/bench/src ;;
+    *)
+        echo "verify: unknown stage '$1'; the stages are: ${STAGES[*]}" >&2
+        exit 2 ;;
+    esac
+)
+
+case $# in
+0)
+    for s in "${STAGES[@]}"; do
+        if [[ $s == sanitize ]] && ! nightly; then
+            echo "verify: no nightly toolchain, stage sanitize skipped" >&2
+            continue
+        fi
+        stage "$s"
+    done ;;
+1)
+    if [[ $1 == --list ]]; then printf '%s\n' "${STAGES[@]}"; else stage "$1"; fi ;;
+*)
+    echo "usage: $0 [--list | <stage>]" >&2
+    exit 2 ;;
+esac
