@@ -1,9 +1,9 @@
-//! Ablations beside the paper's figures: the sort curve, the API
-//! frontend, the simulator's trace sampling, and the transfer share.
+//! Ablations beside the paper's figures: the sort curve, the simulator's
+//! trace sampling, and the transfer share.
 //! (`ablation_dynpar` lives with its sweep in [`crate::dynpar`].)
 
 use crate::cli::Args;
-use crate::{benchmark_a_offloaded, gpu_kernel_total, trace_sample_for};
+use crate::trace_sample_for;
 use bdm_device::specs::{SystemSpec, SYSTEM_A, SYSTEM_B};
 use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::{KernelVersion, MechanicalPipeline, SceneRef};
@@ -69,40 +69,6 @@ pub fn curves(args: &Args) -> ExitCode {
     println!("\nthe paper's cheap Z-order already captures nearly all the locality the");
     println!("kernel can use; Hilbert's jump-free path buys little on top (its win is");
     println!("marginally fewer transactions at high density for a costlier key)");
-    ExitCode::SUCCESS
-}
-
-/// `ablation_frontends`: the paper implements the kernels "in CUDA and
-/// OpenCL to address GPUs from all major vendors" (§IV-B) and reports
-/// both drive the same algorithm. Runs benchmark A's best kernel under
-/// both frontends and checks runtime and counter parity.
-pub fn frontends(args: &Args) -> ExitCode {
-    let scale = &args.scale;
-    println!(
-        "Frontend ablation: benchmark A ({}^3 cells), GPU version II on System A\n",
-        scale.a_cells_per_dim
-    );
-    let mut results = Vec::new();
-    for frontend in [ApiFrontend::Cuda, ApiFrontend::OpenCl] {
-        let mut sim = benchmark_a_offloaded(scale, frontend, KernelVersion::V2Sorted);
-        sim.simulate(scale.a_steps);
-        let kernel = gpu_kernel_total(sim.profiler());
-        let checksum: f64 = (0..sim.rm().len())
-            .map(|i| sim.rm().position(i).to_array().iter().sum::<f64>())
-            .sum();
-        println!(
-            "{:<8} kernel {:>8.2} ms   final population {}   position checksum {:+.9e}",
-            frontend.name(),
-            kernel * 1e3,
-            sim.rm().len(),
-            checksum
-        );
-        results.push((kernel, checksum));
-    }
-    let dt = (results[0].0 - results[1].0).abs() / results[0].0;
-    assert!(dt < 1e-9, "frontends must model identically");
-    assert_eq!(results[0].1, results[1].1, "physics must be bit-identical");
-    println!("\nboth frontends drive the identical engine: runtimes and physics match exactly");
     ExitCode::SUCCESS
 }
 

@@ -154,7 +154,6 @@ pub const COMMANDS: &[Command] = &[
     ("fig12_roofline",      NONE,  "Fig. 12: roofline of GPU version II, ERT ceilings",       fig12::main),
     ("ablation_dynpar",     NONE,  "dynamic parallelism vs GPU version II (§VI)",             dynpar::main),
     ("ablation_curves",     NONE,  "Z-order vs Hilbert sort under GPU version II",            ablation::curves),
-    ("ablation_frontends",  NONE,  "CUDA vs OpenCL: runtime and physics parity",              ablation::frontends),
     ("ablation_sampling",   NONE,  "modeled kernel time vs trace-sampling stride",            ablation::sampling),
     ("ablation_transfers",  NONE,  "PCIe transfer share vs population",                       ablation::transfers),
     ("verify_reproduction", NONE,  "grade the paper's claims (exit 1 if one fails)",          verify::main),

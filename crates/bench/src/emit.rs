@@ -21,7 +21,6 @@ use crate::scale::BenchScale;
 use crate::{benchmark_a_offloaded, benchmark_a_with};
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
-use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
 use bdm_metrics::{BenchDoc, GatePolicy, JsonValue, MetricsRegistry};
 use bdm_sim::profiler::Profiler;
@@ -182,7 +181,7 @@ pub fn gpu_doc(scale: &BenchScale) -> BenchDoc {
         // re-upload-everything baseline.
         ("v4csr_resident", KernelVersion::V4Csr, true),
     ] {
-        let mut sim = benchmark_a_offloaded(scale, ApiFrontend::Cuda, version);
+        let mut sim = benchmark_a_offloaded(scale, version);
         sim.set_gpu_resident(resident);
         sim.simulate(scale.a_steps);
         let mut reg = MetricsRegistry::new();
@@ -233,7 +232,7 @@ pub fn debug_metrics(args: &Args) -> ExitCode {
         print_scene(scene, &sim.metrics());
     }
     for version in KernelVersion::ALL {
-        let mut sim = benchmark_a_offloaded(scale, ApiFrontend::Cuda, version);
+        let mut sim = benchmark_a_offloaded(scale, version);
         sim.simulate(scale.a_steps);
         let mut reg = sim.metrics();
         publish_gpu_steps(sim.profiler(), &[("version", version.label())], &mut reg);

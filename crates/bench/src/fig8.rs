@@ -23,7 +23,6 @@ use crate::scale::BenchScale;
 use crate::{benchmark_a_offloaded, emit, gpu_totals, mech_phases, mech_wall, paper, table};
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
-use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
 use bdm_metrics::MetricsRegistry;
 use bdm_sim::workload::benchmark_a;
@@ -114,7 +113,7 @@ fn run_cpu(scale: &BenchScale, env: EnvironmentKind) -> (Vec<bdm_device::cpu::Ph
 }
 
 fn run_gpu(scale: &BenchScale, version: KernelVersion) -> (f64, f64, usize) {
-    let mut sim = benchmark_a_offloaded(scale, ApiFrontend::Cuda, version);
+    let mut sim = benchmark_a_offloaded(scale, version);
     sim.simulate(scale.a_steps);
     let (total, _, _) = gpu_totals(sim.profiler());
     let kernel = crate::gpu_kernel_total(sim.profiler());

@@ -16,7 +16,6 @@
 //! | `fig12_roofline` | Fig. 12 | [`fig12`] |
 //! | `ablation_dynpar` | §VI future work | [`dynpar`] |
 //! | `ablation_curves` | Z-order vs Hilbert | [`ablation`] |
-//! | `ablation_frontends` | CUDA vs OpenCL | [`ablation`] |
 //! | `ablation_sampling` | trace-sampling fidelity | [`ablation`] |
 //! | `ablation_transfers` | transfer share vs population | [`ablation`] |
 //! | `verify_reproduction` | reproduction checklist | [`verify`] |
@@ -99,16 +98,13 @@ pub fn benchmark_a_with(
 }
 
 /// Benchmark A (seed 0x8 — every System A row shares one trajectory)
-/// with the mechanical operation offloaded to System A's GPU.
-pub fn benchmark_a_offloaded(
-    scale: &BenchScale,
-    frontend: ApiFrontend,
-    version: KernelVersion,
-) -> Simulation {
+/// with the mechanical operation offloaded to System A's GPU through the
+/// CUDA frontend.
+pub fn benchmark_a_offloaded(scale: &BenchScale, version: KernelVersion) -> Simulation {
     let mut sim = benchmark_a(scale.a_cells_per_dim, 0x8);
     sim.set_environment(EnvironmentKind::Gpu {
         system: GpuSystem::A,
-        frontend,
+        frontend: ApiFrontend::Cuda,
         version,
         trace_sample: trace_sample_for(scale.a_cells(), scale.trace_budget),
     });

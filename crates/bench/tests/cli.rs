@@ -9,10 +9,9 @@ use std::process::{Command, Output};
 
 /// The binaries the one binary replaced and still ships, by their
 /// unchanged names (the four `debug_*` printers became `debug_metrics`).
-const OLD_BINS: [&str; 17] = [
+const OLD_BINS: [&str; 16] = [
     "ablation_curves",
     "ablation_dynpar",
-    "ablation_frontends",
     "ablation_sampling",
     "ablation_transfers",
     "bench_checkpoint",
@@ -53,6 +52,28 @@ fn table1_regenerates_the_committed_artifact() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let committed = std::fs::read(root.join("results/table1.txt")).unwrap();
     assert_eq!(text(&out.stdout), text(&committed));
+}
+
+/// Every committed `results/*.txt` is a command's output (a
+/// `_paper_scale` suffix marks the `BDM_BENCH_SCALE=paper` run), so a
+/// deleted command cannot leave its artifact behind.
+#[test]
+fn every_text_result_names_a_command() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut artifacts = 0;
+    for entry in std::fs::read_dir(root.join("results")).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let Some(stem) = name.strip_suffix(".txt") else {
+            continue;
+        };
+        let command = stem.strip_suffix("_paper_scale").unwrap_or(stem);
+        assert!(
+            bdm_bench::cli::COMMANDS.iter().any(|c| c.0 == command),
+            "results/{name} names no bdm-bench command"
+        );
+        artifacts += 1;
+    }
+    assert!(artifacts > 0, "no results/*.txt");
 }
 
 #[test]

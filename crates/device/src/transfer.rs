@@ -27,11 +27,6 @@ impl PcieModel {
         }
     }
 
-    /// Seconds to move one transfer of `bytes`.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
-        self.latency_s + bytes as f64 / self.bandwidth
-    }
-
     /// Seconds to move `n` separate transfers totaling `bytes`
     /// (each pays the fixed latency; batching columns into fewer copies
     /// is a real optimization this makes visible).
@@ -47,14 +42,16 @@ mod tests {
     #[test]
     fn time_is_latency_plus_bytes_over_bw() {
         let m = PcieModel::new(12e9, 10e-6);
-        let t = m.transfer_time(12_000_000); // 1 ms of wire time
+        let t = m.transfers_time(1, 12_000_000); // 1 ms of wire time
         assert!((t - (10e-6 + 1e-3)).abs() < 1e-12);
     }
 
     #[test]
     fn fp32_halves_wire_time() {
         let m = PcieModel::new(12e9, 0.0);
-        assert!((m.transfer_time(8_000_000) / m.transfer_time(4_000_000) - 2.0).abs() < 1e-9);
+        assert!(
+            (m.transfers_time(1, 8_000_000) / m.transfers_time(1, 4_000_000) - 2.0).abs() < 1e-9
+        );
     }
 
     #[test]

@@ -163,8 +163,10 @@ pub struct LaunchConfig {
 }
 
 impl LaunchConfig {
-    /// One thread per work item, 256-thread blocks (the launch shape the
-    /// paper's one-thread-per-cell kernels use).
+    /// One thread per work item in blocks of `block_dim`, rounded up to
+    /// whole blocks, no shared memory: the one launch shape of both APIs
+    /// (CUDA's `⌈items / blockDim⌉` blocks, OpenCL's global size rounded
+    /// up to whole work-groups). An empty launch still runs one block.
     pub fn for_items(items: usize, block_dim: u32) -> Self {
         let items = items.max(1) as u64;
         let grid_dim = items.div_ceil(block_dim as u64) as u32;

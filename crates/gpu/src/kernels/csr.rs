@@ -121,16 +121,9 @@ impl CandidateSource for CsrCells<'_> {
 }
 
 /// Host-side exclusive prefix sum of the downloaded counts — the scan
-/// between the two build passes. Returns `counts.len() + 1` offsets.
-pub fn exclusive_scan(counts: &[u32]) -> Vec<u32> {
-    let mut starts = Vec::new();
-    exclusive_scan_into(counts, &mut starts);
-    starts
-}
-
-/// [`exclusive_scan`] into a caller-owned buffer, so the per-step scan of
-/// a pipeline that keeps its scratch resident allocates nothing in steady
-/// state.
+/// between the two build passes — as `counts.len() + 1` offsets into a
+/// caller-owned buffer, so the per-step scan of a pipeline that keeps its
+/// scratch resident allocates nothing in steady state.
 pub fn exclusive_scan_into(counts: &[u32], starts: &mut Vec<u32>) {
     starts.clear();
     starts.reserve(counts.len() + 1);
@@ -192,7 +185,8 @@ mod tests {
         );
         let mut host_counts = vec![0u32; num_boxes];
         counts.download(&mut host_counts);
-        let starts = exclusive_scan(&host_counts);
+        let mut starts = Vec::new();
+        exclusive_scan_into(&host_counts, &mut starts);
         cursor.upload(&starts[..num_boxes]);
         dev.dev.launch(
             &CsrScatterKernel {
@@ -308,7 +302,10 @@ mod tests {
 
     #[test]
     fn exclusive_scan_offsets() {
-        assert_eq!(exclusive_scan(&[]), vec![0]);
-        assert_eq!(exclusive_scan(&[3, 0, 2]), vec![0, 3, 3, 5]);
+        let mut starts = vec![7; 9];
+        exclusive_scan_into(&[], &mut starts);
+        assert_eq!(starts, [0]);
+        exclusive_scan_into(&[3, 0, 2], &mut starts);
+        assert_eq!(starts, [0, 3, 3, 5]);
     }
 }

@@ -1,5 +1,6 @@
-//! Trace-driven SIMT GPU simulator with CUDA- and OpenCL-style frontends,
-//! plus the paper's mechanical-interaction kernels (v0 through III and the
+//! Trace-driven SIMT GPU simulator with one launch path (a
+//! [`LaunchConfig`] on a [`GpuDevice`]), plus the paper's
+//! mechanical-interaction kernels (v0 through III and the
 //! dynamic-parallelism future-work variant).
 //!
 //! # Why a simulator
@@ -35,8 +36,9 @@
 //!   accounting. Deterministic at any host worker count: blocks that
 //!   commute fork across the workers, the L2 sees one ordered stream.
 //! * [`timing`] — converts counters into seconds on a given [`bdm_device::GpuSpec`].
-//! * [`frontend`] — thin CUDA-style and OpenCL-style launch APIs (the
-//!   paper implements both; they drive the identical engine).
+//! * [`frontend`] — the CUDA / OpenCL label a result carries (the paper
+//!   implements both APIs; their launches are the same grid on the same
+//!   engine, so the label selects no code).
 //! * [`kernels`] — the uniform-grid build kernel and the four mechanical
 //!   interaction kernel versions, plus dynamic parallelism.
 //! * [`pipeline`] — the full offload pipeline (H2D → build grid → forces
@@ -52,7 +54,7 @@ pub mod timing;
 
 pub use counters::KernelCounters;
 pub use engine::{GpuDevice, Kernel, LaunchConfig, ThreadCtx, ThreadId};
-pub use frontend::{ApiFrontend, CudaRuntime, OpenClRuntime};
+pub use frontend::ApiFrontend;
 pub use mem::{DeviceBuffer, DeviceWord};
 pub use pipeline::{GpuStepReport, KernelVersion, MechanicalPipeline};
 pub use timing::KernelTiming;

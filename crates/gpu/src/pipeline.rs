@@ -49,8 +49,10 @@
 //! because both grid builds are pure functions of the (unchanged) keys.
 
 use crate::counters::KernelCounters;
-use crate::engine::{FromWord, HostCost, Kernel, LaunchResult, Launches, TraceAccesses};
-use crate::frontend::{ApiFrontend, Runtime};
+use crate::engine::{
+    FromWord, GpuDevice, HostCost, Kernel, LaunchConfig, LaunchResult, Launches, TraceAccesses,
+};
+use crate::frontend::ApiFrontend;
 use crate::kernels::csr::{exclusive_scan_into, CsrCountKernel, CsrScatterKernel};
 use crate::kernels::dynpar::{ChildKernel, FinishKernel, ParentKernel};
 use crate::kernels::grid_build::GridBuildKernel;
@@ -386,8 +388,8 @@ impl PhaseCost {
 
     /// Launch `kernel` at one thread per item (128-thread groups, no
     /// shared memory) and account it to this phase.
-    fn launch<K: Kernel>(&mut self, runtime: &Runtime, kernel: &K, items: usize) {
-        self.add_launch(&runtime.dispatch(kernel, items, 128, 0));
+    fn launch<K: Kernel>(&mut self, device: &GpuDevice, kernel: &K, items: usize) {
+        self.add_launch(&device.launch(kernel, LaunchConfig::for_items(items, 128)));
     }
 
     /// Account `columns` uploads of `rows` device words of `W` each.
@@ -711,7 +713,7 @@ const DYNPAR_THRESHOLD: u32 = 96;
 /// The full offload pipeline.
 pub struct MechanicalPipeline {
     system: SystemSpec,
-    runtime: Runtime,
+    device: GpuDevice,
     version: KernelVersion,
     pcie: PcieModel,
     /// Persistent device + host state, at the scalar width the version
@@ -730,7 +732,7 @@ enum State {
 /// What a step reads of the pipeline while it holds the device state
 /// mutably.
 struct StepEnv<'a> {
-    runtime: &'a Runtime,
+    device: &'a GpuDevice,
     system: &'a SystemSpec,
     pcie: &'a PcieModel,
     version: KernelVersion,
@@ -738,18 +740,20 @@ struct StepEnv<'a> {
 }
 
 impl MechanicalPipeline {
-    /// Build a pipeline for a system/frontend/version combination.
+    /// Build a pipeline for a system/version combination.
     /// `trace_sample` = trace every n-th warp (1 = all; larger values
-    /// bound simulation cost on big scenes).
+    /// bound simulation cost on big scenes). `frontend` selects no code:
+    /// CUDA and OpenCL launch the same grid on the same device, so the
+    /// label lives in the caller's results ([`ApiFrontend`]).
     pub fn new(
         system: SystemSpec,
-        frontend: ApiFrontend,
+        _frontend: ApiFrontend,
         version: KernelVersion,
         trace_sample: u64,
     ) -> Self {
         Self {
             system,
-            runtime: Runtime::new(frontend, system.gpu, trace_sample),
+            device: GpuDevice::with_trace_sampling(system.gpu, trace_sample),
             version,
             pcie: PcieModel::new(system.pcie_bandwidth, system.pcie_latency_s),
             state: if version.fp32() {
@@ -817,7 +821,7 @@ impl MechanicalPipeline {
     ) -> (Vec<Vec3<f64>>, GpuStepReport) {
         // Invalidate the L2 between steps: each step re-uploads fresh
         // state, so cross-step line reuse would be an artifact.
-        self.runtime.device().reset_l2();
+        self.device.reset_l2();
         self.run(scene, None, params)
     }
 
@@ -848,7 +852,7 @@ impl MechanicalPipeline {
         params: &MechParams<f64>,
     ) -> (Vec<Vec3<f64>>, GpuStepReport) {
         let env = StepEnv {
-            runtime: &self.runtime,
+            device: &self.device,
             system: &self.system,
             pcie: &self.pcie,
             version: self.version,
@@ -989,7 +993,7 @@ impl StepEnv<'_> {
             agents: st.agents(),
             disp: st.out(),
         };
-        mech.launch(self.runtime, &integrate, f.n);
+        mech.launch(self.device, &integrate, f.n);
 
         // --- Inspect: only the three position columns come back, into
         // the mirror.
@@ -1054,7 +1058,7 @@ impl StepEnv<'_> {
                 moves: &st.moves,
                 agents: st.agents(),
             };
-            cost.launch(self.runtime, &compact, n_moves);
+            cost.launch(self.device, &compact, n_moves);
             for pair in st.moves_host.chunks_exact(2) {
                 let (dst, src) = (pair[0] as usize, pair[1] as usize);
                 for mirror in &mut st.mirror {
@@ -1090,7 +1094,7 @@ impl StepEnv<'_> {
                 agents: st.agents(),
                 grid: st.chains(),
             };
-            cost.launch(self.runtime, &build, n);
+            cost.launch(self.device, &build, n);
             return cost;
         }
         let num_boxes = geom.num_boxes();
@@ -1101,7 +1105,7 @@ impl StepEnv<'_> {
             agents: st.agents(),
             counts: &st.counts,
         };
-        cost.launch(self.runtime, &count, n);
+        cost.launch(self.device, &count, n);
 
         read_back(&st.counts, num_boxes, &mut st.host_counts, &mut cost);
         exclusive_scan_into(&st.host_counts, &mut st.starts);
@@ -1114,7 +1118,7 @@ impl StepEnv<'_> {
             agents: st.agents(),
             cells: st.cells(),
         };
-        cost.launch(self.runtime, &scatter, n);
+        cost.launch(self.device, &scatter, n);
         cost
     }
 
@@ -1139,7 +1143,7 @@ impl StepEnv<'_> {
                     out: st.out(),
                     params,
                 };
-                cost.launch(self.runtime, &force, n);
+                cost.launch(self.device, &force, n);
             }
             KernelVersion::V4Csr => {
                 let force = ForceKernel {
@@ -1150,7 +1154,7 @@ impl StepEnv<'_> {
                     out: st.out(),
                     params,
                 };
-                cost.launch(self.runtime, &force, n);
+                cost.launch(self.device, &force, n);
             }
             KernelVersion::V3Shared => {
                 if refresh_occupancy {
@@ -1184,12 +1188,11 @@ impl StepEnv<'_> {
                     params,
                 };
                 let items = st.v3_non_empty.len() * st.v3_block_dim as usize;
-                let shared_bytes = shared_words_for(tile_cap) * 8;
-                cost.add_launch(
-                    &self
-                        .runtime
-                        .dispatch(&k, items, st.v3_block_dim, shared_bytes),
-                );
+                let cfg = LaunchConfig {
+                    shared_words: shared_words_for(tile_cap),
+                    ..LaunchConfig::for_items(items, st.v3_block_dim)
+                };
+                cost.add_launch(&self.device.launch(&k, cfg));
             }
             KernelVersion::DynPar => {
                 // The queue cursor persists across steps now — zero it.
@@ -1205,7 +1208,7 @@ impl StepEnv<'_> {
                     threshold: DYNPAR_THRESHOLD,
                     params,
                 };
-                cost.launch(self.runtime, &parent, n);
+                cost.launch(self.device, &parent, n);
 
                 let queue_len = st.queue_count.read(0) as usize;
                 cost.midstep_syncs += 1;
@@ -1223,7 +1226,7 @@ impl StepEnv<'_> {
                         partials: &st.partials,
                         params,
                     };
-                    cost.launch(self.runtime, &child, queue_len * 27);
+                    cost.launch(self.device, &child, queue_len * 27);
                     let finish = FinishKernel {
                         queue_len,
                         queue: &st.queue,
@@ -1232,7 +1235,7 @@ impl StepEnv<'_> {
                         out: st.out(),
                         params,
                     };
-                    cost.launch(self.runtime, &finish, queue_len);
+                    cost.launch(self.device, &finish, queue_len);
                 }
             }
         }

@@ -29,29 +29,6 @@ impl<R: Scalar> Aabb<R> {
         Self::new(Vec3::splat(-half), Vec3::splat(half))
     }
 
-    /// Degenerate box containing a single point.
-    pub fn point(p: Vec3<R>) -> Self {
-        Self { min: p, max: p }
-    }
-
-    /// Smallest box containing every point of the iterator, or `None` when
-    /// the iterator is empty.
-    pub fn from_points<I: IntoIterator<Item = Vec3<R>>>(points: I) -> Option<Self> {
-        let mut it = points.into_iter();
-        let first = it.next()?;
-        let mut b = Self::point(first);
-        for p in it {
-            b.grow(p);
-        }
-        Some(b)
-    }
-
-    /// Expand to contain `p`.
-    pub fn grow(&mut self, p: Vec3<R>) {
-        self.min = self.min.min(p);
-        self.max = self.max.max(p);
-    }
-
     /// Expand every face outward by `margin`.
     pub fn inflate(&self, margin: R) -> Self {
         Self {
@@ -86,36 +63,10 @@ impl<R: Scalar> Aabb<R> {
             && p.z <= self.max.z
     }
 
-    /// Union of two boxes.
-    pub fn union(&self, other: &Self) -> Self {
-        Self {
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-        }
-    }
-
     /// Clamp a point onto the box (the `BoundSpace` operation uses this to
     /// keep agents inside the simulation space).
     pub fn clamp_point(&self, p: Vec3<R>) -> Vec3<R> {
         p.clamp(self.min, self.max)
-    }
-
-    /// Squared distance from `p` to the box (zero when inside). Used by the
-    /// kd-tree pruning test: a subtree is skipped when the squared distance
-    /// from the query point to the subtree's box exceeds the query radius².
-    pub fn distance_squared_to(&self, p: Vec3<R>) -> R {
-        let mut d2 = R::ZERO;
-        for i in 0..3 {
-            let v = p[i];
-            if v < self.min[i] {
-                let d = self.min[i] - v;
-                d2 += d * d;
-            } else if v > self.max[i] {
-                let d = v - self.max[i];
-                d2 += d * d;
-            }
-        }
-        d2
     }
 }
 
@@ -146,39 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn from_points_covers_all() {
-        let pts = [
-            Vec3::new(1.0, -1.0, 0.0),
-            Vec3::new(-2.0, 3.0, 5.0),
-            Vec3::new(0.0, 0.0, -4.0),
-        ];
-        let bb = Aabb::from_points(pts).unwrap();
-        for p in pts {
-            assert!(bb.contains(p));
-        }
-        assert_eq!(bb.min, Vec3::new(-2.0, -1.0, -4.0));
-        assert_eq!(bb.max, Vec3::new(1.0, 3.0, 5.0));
-    }
-
-    #[test]
-    fn from_points_empty_is_none() {
-        assert!(Aabb::<f64>::from_points(std::iter::empty()).is_none());
-    }
-
-    #[test]
     fn inflate_grows_every_face() {
         let bb = b().inflate(1.0);
         assert_eq!(bb.min, Vec3::new(-1.0, -1.0, -1.0));
         assert_eq!(bb.max, Vec3::new(3.0, 5.0, 7.0));
-    }
-
-    #[test]
-    fn union_covers_both() {
-        let a = Aabb::new(Vec3::splat(0.0), Vec3::splat(1.0));
-        let c = Aabb::new(Vec3::splat(2.0), Vec3::splat(3.0));
-        let u = a.union(&c);
-        assert_eq!(u.min, Vec3::splat(0.0));
-        assert_eq!(u.max, Vec3::splat(3.0));
     }
 
     #[test]
@@ -190,20 +112,6 @@ mod tests {
         );
         let inside = Vec3::new(1.0, 2.0, 3.0);
         assert_eq!(bb.clamp_point(inside), inside);
-    }
-
-    #[test]
-    fn distance_squared_inside_is_zero() {
-        let bb = b();
-        assert_eq!(bb.distance_squared_to(Vec3::new(1.0, 1.0, 1.0)), 0.0);
-    }
-
-    #[test]
-    fn distance_squared_outside() {
-        let bb = b();
-        // 1 unit beyond max.x, 2 beyond max.y.
-        let d2 = bb.distance_squared_to(Vec3::new(3.0, 6.0, 3.0));
-        assert_eq!(d2, 1.0 + 4.0);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -104,20 +99,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-}
-
-/// Geometric mean of a non-empty slice of positive values; the customary
-/// aggregate for speedup factors across workloads.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geometric mean of empty slice");
-    let log_sum: f64 = values
-        .iter()
-        .map(|&v| {
-            assert!(v > 0.0, "geometric mean requires positive values, got {v}");
-            v.ln()
-        })
-        .sum();
-    (log_sum / values.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -139,7 +120,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -177,19 +157,6 @@ mod tests {
         empty.merge(&other);
         assert_eq!(empty.count(), 3);
         assert!((empty.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_of_speedups() {
-        let g = geometric_mean(&[2.0, 8.0]);
-        assert!((g - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[5.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn geometric_mean_rejects_nonpositive() {
-        geometric_mean(&[1.0, 0.0]);
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl<R: Scalar> Vec3<R> {
     pub fn to_array(self) -> [R; 3] {
         [self.x, self.y, self.z]
     }
-
-    /// Build from a fixed-size array.
-    pub fn from_array(a: [R; 3]) -> Self {
-        Self::new(a[0], a[1], a[2])
-    }
 }
 
 impl<R: Scalar> Index<usize> for Vec3<R> {
@@ -313,6 +308,7 @@ mod tests {
     #[test]
     fn array_roundtrip() {
         let a = v(1.0, 2.0, 3.0);
-        assert_eq!(Vec3::from_array(a.to_array()), a);
+        let [x, y, z] = a.to_array();
+        assert_eq!(Vec3::new(x, y, z), a);
     }
 }

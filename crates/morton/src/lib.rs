@@ -153,22 +153,6 @@ pub fn zvalue<R: Scalar>(p: Vec3<R>, space: &Aabb<R>, cell_len: R) -> u64 {
     encode3(x, y, z)
 }
 
-/// Compute the Z-values of all positions in parallel.
-///
-/// `xs`, `ys`, `zs` are the SoA position columns; `cell_len` is normally
-/// the uniform-grid box length, so agents in the same grid voxel share a
-/// key (the stable argsort then keeps them adjacent).
-pub fn zvalues<R: Scalar>(xs: &[R], ys: &[R], zs: &[R], space: &Aabb<R>, cell_len: R) -> Vec<u64> {
-    assert_eq!(xs.len(), ys.len());
-    assert_eq!(xs.len(), zs.len());
-    let compute = |i: usize| zvalue(Vec3::new(xs[i], ys[i], zs[i]), space, cell_len);
-    if xs.len() >= 1 << 14 {
-        (0..xs.len()).into_par_iter().map(compute).collect()
-    } else {
-        (0..xs.len()).map(compute).collect()
-    }
-}
-
 /// The curve keys of a uniform grid's voxels: positions quantized like
 /// [`quantize`] at `cell_len`, but additionally clamped above to the
 /// per-axis voxel counts a uniform grid derives from the same space and
@@ -307,35 +291,6 @@ pub fn sort_permutation_with<R: Scalar>(
     Permutation::new_unchecked(order)
 }
 
-/// Average index distance in the given order between spatial neighbors —
-/// a locality diagnostic used by tests and the benchmark harness to verify
-/// that Morton sorting actually improves memory locality. O(n²); intended
-/// for diagnostic sample sizes only.
-pub fn mean_neighbor_index_distance(positions: &[(f64, f64, f64)], radius: f64) -> f64 {
-    let n = positions.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let r2 = radius * radius;
-    let mut total = 0.0f64;
-    let mut count = 0u64;
-    for i in 0..n {
-        let (xi, yi, zi) = positions[i];
-        for (j, &(xj, yj, zj)) in positions.iter().enumerate().skip(i + 1) {
-            let d2 = (xi - xj).powi(2) + (yi - yj).powi(2) + (zi - zj).powi(2);
-            if d2 <= r2 {
-                total += (j - i) as f64;
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,7 +376,7 @@ mod tests {
         let ys: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 16.0)).collect();
         let zs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 16.0)).collect();
         let perm = sort_permutation(&xs, &ys, &zs, &space, 1.0);
-        let keys = zvalues(&xs, &ys, &zs, &space, 1.0);
+        let keys = cell_keys(&xs, &ys, &zs, &space, 1.0, Curve::ZOrder);
         let sorted = perm.apply(&keys);
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -443,8 +398,21 @@ mod tests {
             .iter()
             .map(|&i| (xs[i as usize], ys[i as usize], zs[i as usize]))
             .collect();
-        let before = mean_neighbor_index_distance(&unsorted, 3.0);
-        let after = mean_neighbor_index_distance(&sorted, 3.0);
+        // Average index distance between spatial neighbors, O(n²).
+        let mean_gap = |points: &[(f64, f64, f64)]| {
+            let (mut total, mut count) = (0.0, 0u64);
+            for (i, &(xi, yi, zi)) in points.iter().enumerate() {
+                for (j, &(xj, yj, zj)) in points.iter().enumerate().skip(i + 1) {
+                    let d2 = (xi - xj).powi(2) + (yi - yj).powi(2) + (zi - zj).powi(2);
+                    if d2 <= 3.0 * 3.0 {
+                        total += (j - i) as f64;
+                        count += 1;
+                    }
+                }
+            }
+            total / count as f64
+        };
+        let (before, after) = (mean_gap(&unsorted), mean_gap(&sorted));
         assert!(
             after < before * 0.5,
             "expected ≥2× locality improvement, got before={before:.1} after={after:.1}"

@@ -69,7 +69,8 @@ pub enum EnvironmentKind {
     Gpu {
         /// Simulated system.
         system: GpuSystem,
-        /// CUDA- or OpenCL-style runtime.
+        /// CUDA or OpenCL: the API the results are labelled with (both
+        /// launch the same grid on the same simulated engine).
         frontend: ApiFrontend,
         /// Kernel version (v0 … III, dynpar).
         version: KernelVersion,

@@ -3,13 +3,13 @@
 //! BioDynaMo renders its cell-division demo through ParaView; this
 //! reproduction exports the same information (position, diameter, and a
 //! scalar the renderer can color by — Fig. 2 colors by diameter) as CSV,
-//! which any plotting tool ingests. Snapshots round-trip, so they double
-//! as a simple checkpoint format for tests.
+//! which any plotting tool ingests. Floats are written in Rust's shortest
+//! round-trip form, so a reader gets every bit back.
 
 use crate::rm::ResourceManager;
 use crate::simulation::Simulation;
 use bdm_math::Vec3;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// One agent's exported state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,77 +72,6 @@ impl Snapshot {
         }
         Ok(())
     }
-
-    /// Parse a snapshot written by [`Snapshot::write_csv`].
-    pub fn read_csv<R: BufRead>(r: R) -> io::Result<Self> {
-        let mut snap = Snapshot::default();
-        for (lineno, line) in r.lines().enumerate() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() || line == "uid,x,y,z,diameter" {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# step = ") {
-                snap.step = rest.trim().parse().map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("line {lineno}: {e}"))
-                })?;
-                continue;
-            }
-            let mut parts = line.split(',');
-            let mut next = |what: &str| -> io::Result<&str> {
-                parts.next().ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("line {lineno}: missing {what}"),
-                    )
-                })
-            };
-            let parse_err =
-                |e: std::num::ParseFloatError| io::Error::new(io::ErrorKind::InvalidData, e);
-            let uid: u64 = next("uid")?
-                .parse()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
-            let x: f64 = next("x")?.parse().map_err(parse_err)?;
-            let y: f64 = next("y")?.parse().map_err(parse_err)?;
-            let z: f64 = next("z")?.parse().map_err(parse_err)?;
-            let diameter: f64 = next("diameter")?.parse().map_err(parse_err)?;
-            snap.rows.push(SnapshotRow {
-                uid,
-                position: Vec3::new(x, y, z),
-                diameter,
-            });
-        }
-        Ok(snap)
-    }
-
-    /// Histogram of diameters in `bins` equal-width buckets — the data
-    /// behind Fig. 2's color scale.
-    pub fn diameter_histogram(&self, bins: usize) -> Vec<(f64, usize)> {
-        assert!(bins > 0);
-        if self.rows.is_empty() {
-            return Vec::new();
-        }
-        let lo = self
-            .rows
-            .iter()
-            .map(|r| r.diameter)
-            .fold(f64::INFINITY, f64::min);
-        let hi = self
-            .rows
-            .iter()
-            .map(|r| r.diameter)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let width = ((hi - lo) / bins as f64).max(1e-12);
-        let mut hist = vec![0usize; bins];
-        for r in &self.rows {
-            let b = (((r.diameter - lo) / width) as usize).min(bins - 1);
-            hist[b] += 1;
-        }
-        hist.into_iter()
-            .enumerate()
-            .map(|(i, c)| (lo + (i as f64 + 0.5) * width, c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -161,14 +90,35 @@ mod tests {
         sim
     }
 
-    #[test]
-    fn csv_roundtrip() {
-        let sim = sample_sim();
-        let snap = Snapshot::capture(&sim);
+    fn csv(snap: &Snapshot) -> String {
         let mut buf = Vec::new();
         snap.write_csv(&mut buf).unwrap();
-        let parsed = Snapshot::read_csv(buf.as_slice()).unwrap();
-        assert_eq!(parsed, snap);
+        String::from_utf8(buf).unwrap()
+    }
+
+    /// The rows of `csv`'s text, parsed back field by field.
+    fn rows_of(text: &str) -> Vec<SnapshotRow> {
+        let rows = text.lines().skip(2).map(|line| {
+            let f: Vec<&str> = line.split(',').collect();
+            assert_eq!(f.len(), 5, "{line}");
+            let x = |k: usize| f[k].parse::<f64>().unwrap();
+            SnapshotRow {
+                uid: f[0].parse().unwrap(),
+                position: Vec3::new(x(1), x(2), x(3)),
+                diameter: x(4),
+            }
+        });
+        rows.collect()
+    }
+
+    #[test]
+    fn csv_roundtrip() {
+        let snap = Snapshot::capture(&sample_sim());
+        let text = csv(&snap);
+        assert!(text.starts_with("# step = 0\nuid,x,y,z,diameter\n"));
+        let line = text.lines().nth(2 + 3).unwrap();
+        assert_eq!(line, format!("{},3,0.5,-1.25,5", snap.rows[3].uid));
+        assert_eq!(rows_of(&text), snap.rows);
     }
 
     #[test]
@@ -182,100 +132,57 @@ mod tests {
     }
 
     #[test]
-    fn read_rejects_malformed_rows() {
-        let bad = "# step = 1\nuid,x,y,z,diameter\n1,2,3\n";
-        assert!(Snapshot::read_csv(bad.as_bytes()).is_err());
-        let bad_num = "# step = 1\n1,2,x,4,5\n";
-        assert!(Snapshot::read_csv(bad_num.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn histogram_buckets_sum_to_population() {
-        let sim = sample_sim();
-        let snap = Snapshot::capture(&sim);
-        let hist = snap.diameter_histogram(3);
-        assert_eq!(hist.iter().map(|&(_, c)| c).sum::<usize>(), 5);
-        // Centers are ascending.
-        assert!(hist.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn histogram_bin_edges_assign_and_clamp() {
-        // Diameters 1, 2, 3 over 2 bins → width 1.0 with edges [1, 2, 3].
-        let rows = [1.0, 2.0, 3.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| SnapshotRow {
-                uid: i as u64,
-                position: Vec3::zero(),
-                diameter: d,
-            })
-            .collect();
-        let snap = Snapshot { step: 0, rows };
-        let hist = snap.diameter_histogram(2);
-        // A value on an interior edge opens the upper bin; the maximum
-        // sits exactly on the top edge and must clamp into the last bin
-        // instead of indexing out of range.
-        assert_eq!(hist, vec![(1.5, 1), (2.5, 2)]);
-    }
-
-    #[test]
-    fn histogram_of_identical_diameters_uses_floored_width() {
-        // lo == hi collapses the range; the 1e-12 width floor keeps the
-        // bucket index finite and everything lands in bin 0.
-        let rows = (0..4)
-            .map(|i| SnapshotRow {
-                uid: i,
-                position: Vec3::zero(),
-                diameter: 2.5,
-            })
-            .collect();
-        let snap = Snapshot { step: 0, rows };
-        let hist = snap.diameter_histogram(3);
-        assert_eq!(hist.iter().map(|&(_, c)| c).sum::<usize>(), 4);
-        assert_eq!(hist[0].1, 4);
-        assert!((hist[0].0 - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn csv_roundtrip_preserves_full_float_precision() {
         // Stepped positions carry full-mantissa f64s; Rust's shortest
-        // round-trip float formatting must bring every bit back.
+        // round-trip float formatting must write every bit.
         let mut sim = sample_sim();
         sim.simulate(2);
         let snap = Snapshot::capture(&sim);
-        let mut buf = Vec::new();
-        snap.write_csv(&mut buf).unwrap();
-        let parsed = Snapshot::read_csv(buf.as_slice()).unwrap();
+        let text = csv(&snap);
+        assert!(text.starts_with("# step = 2\n"));
+        let parsed = rows_of(&text);
         assert_eq!(parsed.len(), snap.len());
-        for (a, b) in snap.rows.iter().zip(&parsed.rows) {
+        for (a, b) in snap.rows.iter().zip(&parsed) {
             assert_eq!(a.uid, b.uid);
             assert_eq!(a.position.x.to_bits(), b.position.x.to_bits());
             assert_eq!(a.position.y.to_bits(), b.position.y.to_bits());
             assert_eq!(a.position.z.to_bits(), b.position.z.to_bits());
             assert_eq!(a.diameter.to_bits(), b.diameter.to_bits());
         }
+        assert!(
+            snap.rows.iter().any(|r| r.position.x.fract() != 0.0),
+            "the cells must have moved off the lattice"
+        );
+    }
+
+    /// The step of `csv`'s `# step = n` header, `None` when it is malformed.
+    fn step_of(text: &str) -> Option<u64> {
+        text.lines().next()?.strip_prefix("# step = ")?.parse().ok()
     }
 
     #[test]
     fn step_header_roundtrips_and_rejects_garbage() {
-        let snap = Snapshot {
-            step: 17,
-            rows: Vec::new(),
-        };
-        let mut buf = Vec::new();
-        snap.write_csv(&mut buf).unwrap();
-        assert_eq!(Snapshot::read_csv(buf.as_slice()).unwrap().step, 17);
-        assert!(Snapshot::read_csv("# step = banana\n".as_bytes()).is_err());
+        for step in [0, 17, u64::MAX] {
+            let snap = Snapshot {
+                step,
+                rows: Vec::new(),
+            };
+            assert_eq!(step_of(&csv(&snap)), Some(step));
+        }
+        assert_eq!(step_of("# step = banana\n"), None);
+        assert_eq!(step_of("uid,x,y,z,diameter\n"), None);
     }
 
     #[test]
     fn empty_snapshot_is_fine() {
-        let snap = Snapshot::default();
-        let mut buf = Vec::new();
-        snap.write_csv(&mut buf).unwrap();
-        let parsed = Snapshot::read_csv(buf.as_slice()).unwrap();
-        assert!(parsed.is_empty());
-        assert!(snap.diameter_histogram(4).is_empty());
+        let snap = Snapshot {
+            step: 17,
+            rows: Vec::new(),
+        };
+        assert_eq!(csv(&snap), "# step = 17\nuid,x,y,z,diameter\n");
+        assert_eq!(
+            csv(&Snapshot::default()),
+            "# step = 0\nuid,x,y,z,diameter\n"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Simulation-wide parameters.
 
 use bdm_math::interaction::MechParams;
-use bdm_math::{Aabb, Vec3};
+use bdm_math::Aabb;
 use bdm_morton::Curve;
 
 /// Host-side space-filling-curve reorder policy (the paper's Improvement
@@ -298,21 +298,17 @@ impl Default for SimParams {
     }
 }
 
-/// Convenience: center of the configured space.
-pub fn space_center(p: &SimParams) -> Vec3<f64> {
-    p.space.center()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdm_math::Vec3;
 
     #[test]
     fn cube_space_is_symmetric() {
         let p = SimParams::cube(50.0);
         assert_eq!(p.space.min, Vec3::splat(-50.0));
         assert_eq!(p.space.max, Vec3::splat(50.0));
-        assert_eq!(space_center(&p), Vec3::zero());
+        assert_eq!(p.space.center(), Vec3::zero());
     }
 
     #[test]

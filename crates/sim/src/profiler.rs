@@ -75,19 +75,6 @@ impl Profiler {
             .collect()
     }
 
-    /// Fractions of total wall time per operation (the Fig. 3 pie).
-    /// When no wall time has been recorded at all there is no meaningful
-    /// share, so every operation reports an explicit 0 (not its raw
-    /// total, which would silently change the quantity's meaning).
-    pub fn wall_shares(&self) -> Vec<(String, f64)> {
-        let totals = self.wall_totals();
-        let sum: f64 = totals.iter().map(|(_, t)| t).sum();
-        if sum == 0.0 {
-            return totals.into_iter().map(|(n, _)| (n, 0.0)).collect();
-        }
-        totals.into_iter().map(|(n, t)| (n, t / sum)).collect()
-    }
-
     /// Modeled total seconds on a Table I CPU at `threads` threads
     /// (sums every recorded phase through the model; GPU-offloaded
     /// operations contribute their modeled device time instead).
@@ -210,8 +197,6 @@ mod tests {
         });
         let totals = p.wall_totals();
         assert_eq!(totals, vec![("a".into(), 4.0), ("b".into(), 2.0)]);
-        let shares = p.wall_shares();
-        assert!((shares[0].1 - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -240,19 +225,6 @@ mod tests {
         assert!(text.contains("mechanical forces"));
         assert!(text.contains("behaviors"));
         assert!(text.contains('%'));
-    }
-
-    #[test]
-    fn zero_wall_time_yields_zero_shares() {
-        // Regression: wall_shares used to return the raw totals vector
-        // unchanged when the total was 0 — callers treating the numbers
-        // as fractions would silently read totals instead.
-        let mut p = Profiler::new();
-        p.push(StepProfile {
-            records: vec![record("a", 0.0, 1e6), record("b", 0.0, 1e6)],
-        });
-        let shares = p.wall_shares();
-        assert_eq!(shares, vec![("a".into(), 0.0), ("b".into(), 0.0)]);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl Image {
         }
         Ok(())
     }
-
-    /// Count pixels differing from `background` (test helper).
-    pub fn foreground_pixels(&self, background: [u8; 3]) -> usize {
-        self.pixels.iter().filter(|&&p| p != background).count()
-    }
 }
 
 /// Blue→red colormap over `[0, 1]` (Fig. 2's diameter scale).
@@ -165,6 +160,11 @@ mod tests {
 
     const BG: [u8; 3] = [20, 20, 24];
 
+    /// Pixels differing from the background.
+    fn painted(img: &Image) -> usize {
+        img.pixels.iter().filter(|&&p| p != BG).count()
+    }
+
     #[test]
     fn colormap_endpoints_and_monotone_red() {
         assert_eq!(colormap(0.0), [0, 0, 255]);
@@ -186,8 +186,8 @@ mod tests {
         assert_eq!(img.get(20, 24), [255, 0, 0]);
         assert_eq!(img.get(20, 27), BG);
         // Roughly πr² pixels painted.
-        let painted = img.foreground_pixels(BG) as f64;
-        assert!((painted - std::f64::consts::PI * 25.0).abs() < 15.0);
+        let area = painted(&img) as f64;
+        assert!((area - std::f64::consts::PI * 25.0).abs() < 15.0);
     }
 
     #[test]
@@ -197,11 +197,11 @@ mod tests {
         rm.add(CellBuilder::new(Vec3::new(5.0, 5.0, 50.0)).diameter(4.0)); // far off-plane
         let space = Aabb::cube(20.0);
         let img = render_cross_section(&rm, &space, 0.0, 3.0, 100);
-        assert!(img.foreground_pixels(BG) > 0, "in-plane cell must render");
+        assert!(painted(&img) > 0, "in-plane cell must render");
         // Only one disk: the painted area matches a single r=5px disk.
-        let painted = img.foreground_pixels(BG) as f64;
+        let area = painted(&img) as f64;
         let r_px = 2.0 * 100.0 / 40.0; // radius 2 in a 40-unit-wide, 100px image
-        assert!((painted - std::f64::consts::PI * r_px * r_px).abs() < 20.0);
+        assert!((area - std::f64::consts::PI * r_px * r_px).abs() < 20.0);
     }
 
     #[test]

@@ -671,7 +671,8 @@ impl ResourceManager {
     ///
     /// # Safety
     /// `agent_of`, when given, names no agent twice (a full CSR build's
-    /// `cell_agents()`: a permutation of the agents).
+    /// `cell_agents()`: a permutation of the agents). Debug builds check
+    /// this and panic.
     ///
     /// # Panics
     /// When `disp` is not one entry per agent, or `agent_of` not one agent
@@ -685,6 +686,19 @@ impl ResourceManager {
         assert_eq!(disp.len(), n, "one displacement per agent");
         if let Some(agents) = agent_of {
             assert_eq!(agents.len(), n, "one agent per displacement");
+            // The safety contract, witnessed where it costs nothing in
+            // release: each agent is named at most once.
+            #[cfg(debug_assertions)]
+            {
+                let mut named = vec![false; n];
+                for a in agents {
+                    let i = a.index();
+                    assert!(
+                        i >= n || !std::mem::replace(&mut named[i], true),
+                        "agent {i} named twice"
+                    );
+                }
+            }
         }
         let (xs, ys, zs) = self.positions.as_mut_slices();
         let cols = Columns([xs, ys, zs].map(|c| c.as_mut_ptr()));
@@ -1339,6 +1353,19 @@ mod tests {
             assert_eq!(rm.largest_diameter(), oracle(&rm), "change {k}");
             assert_eq!(rm.diameter_scan_count() - before, *want, "change {k}");
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "agent 2 named twice")]
+    fn translate_each_rejects_an_agent_named_twice() {
+        let mut rm = ResourceManager::new();
+        for i in 0..4 {
+            rm.add(cell_at(i as f64));
+        }
+        let agent_of = [0, 2, 1, 2].map(AgentId);
+        // SAFETY: the debug witness panics before any part moves an agent.
+        unsafe { rm.translate_each(&[Vec3::zero(); 4], Some(&agent_of)) };
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl TimeSeries {
         &self.samples
     }
 
-    /// Peak population over the run (0 when empty).
-    pub fn peak_population(&self) -> usize {
-        self.samples.iter().map(|s| s.population).max().unwrap_or(0)
-    }
-
     /// Write as CSV: `step,population,total_volume,mean_diameter,
     /// mean_density,substance_0,…`.
     pub fn write_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
@@ -162,7 +157,8 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.run_and_record(&mut sim, 5, 1);
         assert_eq!(ts.samples().len(), 5);
-        assert!(ts.peak_population() > 4, "population should grow");
+        let peak = ts.samples().iter().map(|s| s.population).max();
+        assert!(peak > Some(4), "population should grow");
         // Steps are strictly increasing.
         assert!(ts.samples().windows(2).all(|w| w[0].step < w[1].step));
         // Substance mass accumulates monotonically (closed boundary,

@@ -1,5 +1,5 @@
-//! Drive the GPU offload pipeline directly: both API frontends, every
-//! kernel version, with the simulator's performance counters — the
+//! Drive the GPU offload pipeline directly: every kernel version under
+//! both API labels, with the simulator's performance counters — the
 //! reproduction's equivalent of an `nvprof` session (§V).
 //!
 //! ```bash
@@ -50,7 +50,9 @@ fn main() {
         );
     }
 
-    // The two frontends drive the identical engine (§IV-B).
+    // The paper runs both APIs (§IV-B); here CUDA and OpenCL are labels on
+    // one launch path (the same grid on the same engine), so the two rows
+    // must print the same kernel time and checksum.
     println!("\nfrontend check (version II):");
     for frontend in [ApiFrontend::Cuda, ApiFrontend::OpenCl] {
         let mut pipeline = MechanicalPipeline::new(

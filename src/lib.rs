@@ -42,7 +42,7 @@
 //! | [`kdtree`] | the baseline neighborhood method |
 //! | [`grid`] | the uniform grid (Figs. 4/5) |
 //! | [`device`] | Table I machine specs, cache simulator, CPU timing model |
-//! | [`gpu`] | SIMT GPU simulator, CUDA/OpenCL frontends, kernels v0–III + dynamic parallelism |
+//! | [`gpu`] | SIMT GPU simulator (one launch path, CUDA/OpenCL labels), kernels v0–III + dynamic parallelism |
 //! | [`sim`] | the agent-based platform: behaviors, scheduler, environments, diffusion |
 //! | [`roofline`] | ERT + roofline analysis (Fig. 12) |
 //!
