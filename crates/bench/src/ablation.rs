@@ -1,5 +1,5 @@
-//! Ablations beside the paper's figures: the sort curve, the simulator's
-//! trace sampling, and the transfer share.
+//! Ablations beside the paper's figures: the simulator's trace sampling
+//! and the transfer share.
 //! (`ablation_dynpar` lives with its sweep in [`crate::dynpar`].)
 
 use crate::cli::Args;
@@ -8,7 +8,6 @@ use bdm_device::specs::{SystemSpec, SYSTEM_A, SYSTEM_B};
 use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::{KernelVersion, MechanicalPipeline, SceneRef};
 use bdm_math::interaction::MechParams;
-use bdm_morton::Curve;
 use bdm_sim::workload::benchmark_b;
 use bdm_sim::Simulation;
 use std::process::ExitCode;
@@ -32,44 +31,6 @@ fn scene(sim: &Simulation) -> SceneRef<'_> {
 /// `stride`-th warp.
 fn version_two(system: SystemSpec, stride: u64) -> MechanicalPipeline {
     MechanicalPipeline::new(system, ApiFrontend::Cuda, KernelVersion::V2Sorted, stride)
-}
-
-/// `ablation_curves`: the paper chose the Z-order curve for Improvement
-/// II because its key is a cheap bit interleave (§IV-D). The Hilbert
-/// curve is the textbook alternative with strictly better locality (no
-/// inter-octant jumps). Does it buy anything on the mechanical kernel?
-pub fn curves(args: &Args) -> ExitCode {
-    let scale = &args.scale;
-    println!(
-        "Curve ablation: benchmark B ({} agents), GPU version II on System B\n",
-        scale.b_agents
-    );
-    println!(
-        "{:>9} {:>10} {:>14} {:>12} {:>12} {:>10}",
-        "density", "curve", "kernel (ms)", "txns", "DRAM MB", "L2 share"
-    );
-    for density in [6.0, 27.0, 47.0] {
-        let sim = benchmark_b(scale.b_agents, density, 0xE);
-        for curve in [Curve::ZOrder, Curve::Hilbert] {
-            let stride = trace_sample_for(scale.b_agents, scale.trace_budget);
-            let mut p = version_two(SYSTEM_B, stride);
-            p.sort_curve = curve;
-            let (_, report) = p.step(&scene(&sim), &MechParams::default_params());
-            let c = &report.mech_counters;
-            println!(
-                "{density:>9.0} {:>10} {:>14.2} {:>12.2e} {:>12.1} {:>9.1}%",
-                curve.name(),
-                report.mech_s * 1e3,
-                c.global_transactions,
-                c.dram_bytes() / 1e6,
-                c.l2_read_share() * 100.0
-            );
-        }
-    }
-    println!("\nthe paper's cheap Z-order already captures nearly all the locality the");
-    println!("kernel can use; Hilbert's jump-free path buys little on top (its win is");
-    println!("marginally fewer transactions at high density for a costlier key)");
-    ExitCode::SUCCESS
 }
 
 /// `ablation_sampling`: how sensitive are the simulator's modeled

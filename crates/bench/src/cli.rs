@@ -153,12 +153,11 @@ pub const COMMANDS: &[Command] = &[
     ("fig10_fig11",         NONE,  "Figs. 10+11: benchmark B runtime and speedup vs density", fig10::main),
     ("fig12_roofline",      NONE,  "Fig. 12: roofline of GPU version II, ERT ceilings",       fig12::main),
     ("ablation_dynpar",     NONE,  "dynamic parallelism vs GPU version II (§VI)",             dynpar::main),
-    ("ablation_curves",     NONE,  "Z-order vs Hilbert sort under GPU version II",            ablation::curves),
     ("ablation_sampling",   NONE,  "modeled kernel time vs trace-sampling stride",            ablation::sampling),
     ("ablation_transfers",  NONE,  "PCIe transfer share vs population",                       ablation::transfers),
     ("verify_reproduction", NONE,  "grade the paper's claims (exit 1 if one fails)",          verify::main),
     ("bench_json",          OUT,   "write BENCH_sim.json + BENCH_gpu.json",                   emit::bench_json),
-    ("bench_layouts",       JSON,  "grid layouts, reorder, sharding, precision, behaviors",   layouts::main),
+    ("bench_layouts",       JSON,  "CSR storage policies: reorder, precision, sharding",      layouts::main),
     ("bench_diffusion",     JSON,  "in-place diffusion sweep vs the reference sweep",         diffusion::main),
     ("bench_checkpoint",    JSON,  "checkpoint write/read cost and stream shape",             checkpoint::main),
     ("bench_gate",          GATE,  "fresh BENCH_*.json vs the baselines (exit 1: regressed)", emit::bench_gate),

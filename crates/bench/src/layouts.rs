@@ -1,9 +1,10 @@
-//! Wall-clock comparison of the two CPU grid layouts: the paper's
-//! linked-list uniform grid vs the post-paper CSR counting-sort layout.
-//!
-//! Prints one table of raw substrate costs (build + 1k radius queries on
-//! a uniform cloud) and one of full mechanical-step times on the
-//! benchmark-A scene, per environment. Median of five repetitions.
+//! Wall-clock and locality tables of the CSR grid's storage policies on
+//! one random cloud: insertion order vs the host Z-order reorder, f64 vs
+//! the mixed-precision force pass, and the unsharded pass vs 1/2/4/8
+//! Hilbert shards. Median of five repetitions. (Raw grid build / query
+//! costs, whole mechanical steps and the behaviors operation are timed
+//! at workload scale by the `benchmark/` harness: `grid.*`, `kdtree.*`,
+//! `mech.step_ms.*`, `sim.behaviors_ms`.)
 //! `--json[=DIR]` additionally serializes the medians as
 //! `BENCH_layouts.json` — host wall clocks are emitted ungated (context,
 //! not gate input), while the deterministic locality/utilization/
@@ -13,18 +14,13 @@
 //! `layouts.shard_speedup_modeled_x`) gate at 2 %.
 
 use crate::cli::Args;
-use crate::{emit, median, median_ms, REPS};
+use crate::{emit, median, REPS};
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
-use bdm_grid::{CsrBuildScratch, CsrGrid, UniformGrid};
-use bdm_math::{Aabb, SplitMix64, Vec3};
+use bdm_math::{SplitMix64, Vec3};
 use bdm_metrics::MetricsRegistry;
-use bdm_morton::Curve;
 use bdm_sim::profiler::OpRecord;
-use bdm_sim::workload::benchmark_a;
-use bdm_sim::{CellBuilder, EnvironmentKind, ExecMode, Precision, SimParams, Simulation};
-use bdm_soa::AgentId;
-use std::hint::black_box;
+use bdm_sim::{CellBuilder, EnvironmentKind, Precision, SimParams, Simulation};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -80,93 +76,6 @@ fn timed_steps(sim: &mut Simulation, records: &[&str]) -> (f64, f64) {
         shares.push(last_step_wall_ms(sim, records));
     }
     (median(&mut steps), median(&mut shares))
-}
-
-fn substrate_table(n: usize, reg: &mut MetricsRegistry) {
-    let nn = n.to_string();
-    // One table row, and its medians as `layouts.substrate_*_wall_ms`.
-    let mut row = |layout: &str, build_ms: f64, query_ms: Option<f64>| {
-        let query = query_ms.map_or("-".to_string(), |q| format!("{q:.3}"));
-        println!("{layout:<22} {build_ms:>10.3} {query:>10}");
-        let labels = [("layout", layout), ("n", nn.as_str())];
-        reg.set_gauge("layouts.substrate_build_wall_ms", &labels, build_ms);
-        if let Some(q) = query_ms {
-            reg.set_gauge("layouts.substrate_query_wall_ms", &labels, q);
-        }
-    };
-    // ~2 agents per voxel at radius 4 — the benchmark regime.
-    let extent = (n as f64 / 2.0).cbrt() * 4.0;
-    let radius = 4.0;
-    let mut rng = SplitMix64::new(0x1a);
-    let mut column = || -> Vec<f64> { (0..n).map(|_| rng.uniform(0.0, extent)).collect() };
-    let (xs, ys, zs) = (column(), column(), column());
-    let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
-
-    let query_ms = |search: &dyn Fn(Vec3<f64>, &mut Vec<AgentId>)| {
-        let mut out = Vec::new();
-        median_ms(|| {
-            for i in (0..n).step_by((n / 1000).max(1)) {
-                search(Vec3::new(xs[i], ys[i], zs[i]), &mut out);
-                black_box(out.len());
-            }
-        })
-    };
-
-    println!("\n== substrate: n={n}, ~2 agents/voxel, 1k queries ==");
-    println!("{:<22} {:>10} {:>10}", "layout", "build ms", "query ms");
-
-    let linked = UniformGrid::build_serial(&xs, &ys, &zs, space, radius);
-    let lq = query_ms(&|q, out| {
-        linked.radius_search(&xs, &ys, &zs, q, radius, None, out);
-    });
-    let lb = median_ms(|| {
-        black_box(UniformGrid::build_serial(&xs, &ys, &zs, space, radius));
-    });
-    row("linked-list serial", lb, Some(lq));
-    let lbp = median_ms(|| {
-        black_box(UniformGrid::build_parallel(&xs, &ys, &zs, space, radius));
-    });
-    row("linked-list parallel", lbp, None);
-
-    let csr = CsrGrid::build_serial(&xs, &ys, &zs, space, radius);
-    let cq = query_ms(&|q, out| {
-        csr.radius_search(&xs, &ys, &zs, q, radius, None, out);
-    });
-    let cb = median_ms(|| {
-        black_box(CsrGrid::build_serial(&xs, &ys, &zs, space, radius));
-    });
-    row("CSR serial", cb, Some(cq));
-    let cbp = median_ms(|| {
-        black_box(CsrGrid::build_parallel(&xs, &ys, &zs, space, radius));
-    });
-    row("CSR parallel", cbp, None);
-    let mut grid = CsrGrid::build_serial(&xs, &ys, &zs, space, radius);
-    let mut scratch = CsrBuildScratch::default();
-    let crb = median_ms(|| {
-        grid.rebuild_parallel(&xs, &ys, &zs, space, radius, &mut scratch);
-        black_box(grid.cell_agents().len());
-    });
-    row("CSR rebuild (steady)", crb, None);
-}
-
-fn step_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
-    let envs = [
-        EnvironmentKind::uniform_grid_serial(),
-        EnvironmentKind::uniform_grid_parallel(),
-        EnvironmentKind::uniform_grid_csr_serial(),
-        EnvironmentKind::uniform_grid_csr_parallel(),
-    ];
-    let n = cells_per_dim * cells_per_dim * cells_per_dim;
-    println!("\n== mechanical step: benchmark A, {n} cells ==");
-    println!("{:<28} {:>10}", "environment", "step ms");
-    for env in envs {
-        let mut sim = benchmark_a(cells_per_dim, 0x8);
-        sim.set_environment(env);
-        let (ms, _) = timed_steps(&mut sim, &[]);
-        let label = env.label();
-        println!("{:<28} {:>10.3}", label, ms);
-        reg.set_gauge("layouts.step_wall_ms", &[("env", label.as_str())], ms);
-    }
 }
 
 /// The host-reorder comparison (paper §V Improvement II on the CPU):
@@ -269,7 +178,7 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
 }
 
 /// Hilbert-sharded domain decomposition: the same random cloud stepped
-/// on the CSR parallel grid, unsharded (with an every-step Hilbert
+/// on the CSR parallel grid, unsharded (with an every-step Z-order
 /// reorder so both configurations pay for locality) and at 1/2/4/8
 /// shards. The mech column sums the pass's own records — canonical
 /// sort / host reorder, CSR build(s), force pass — so the decomposition
@@ -312,7 +221,7 @@ fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     let mut modeled_best_multi = f64::INFINITY;
     for shards in [0usize, 1, 2, 4, 8] {
         let mut sim = cloud_sim(n, |p| match shards {
-            0 => p.with_reorder(1).with_reorder_curve(Curve::Hilbert),
+            0 => p.with_reorder(1),
             _ => p.with_shards(shards),
         });
         let (step_ms, mech_ms) = timed_steps(&mut sim, &mech_records);
@@ -374,39 +283,12 @@ fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     );
 }
 
-fn behaviors_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
-    let n = cells_per_dim * cells_per_dim * cells_per_dim;
-    println!("\n== behaviors operation: benchmark A, {n} cells (growing) ==");
-    println!("{:<28} {:>14}", "execution mode", "behaviors ms");
-    for (label, mode) in [
-        ("serial chunks", ExecMode::Serial),
-        ("rayon chunks", ExecMode::Parallel),
-    ] {
-        let mut sim = benchmark_a(cells_per_dim, 0x8);
-        sim.set_exec_mode(mode);
-        // The median of the op's own profiler entry, so mechanics and
-        // diffusion don't pollute the number.
-        let (_, behaviors_ms) = timed_steps(&mut sim, &["behaviors"]);
-        println!("{:<28} {:>14.3}", label, behaviors_ms);
-        reg.set_gauge(
-            "layouts.behaviors_wall_ms",
-            &[("mode", label)],
-            behaviors_ms,
-        );
-    }
-}
-
 /// `bench_layouts [--json[=DIR]]`.
 pub fn main(args: &Args) -> ExitCode {
     let cells_per_dim = args.scale.a_cells_per_dim;
     let mut reg = MetricsRegistry::new();
-    for n in [20_000, 100_000] {
-        substrate_table(n, &mut reg);
-    }
-    step_table(cells_per_dim, &mut reg);
     reorder_table(cells_per_dim, &mut reg);
     shard_table(cells_per_dim, &mut reg);
     simd_table(cells_per_dim, &mut reg);
-    behaviors_table(cells_per_dim, &mut reg);
     emit::finish(args, "layouts", &reg, "\n")
 }

@@ -15,12 +15,11 @@
 //! | `fig10_fig11` | Figs. 10+11 | [`fig10`] |
 //! | `fig12_roofline` | Fig. 12 | [`fig12`] |
 //! | `ablation_dynpar` | §VI future work | [`dynpar`] |
-//! | `ablation_curves` | Z-order vs Hilbert | [`ablation`] |
 //! | `ablation_sampling` | trace-sampling fidelity | [`ablation`] |
 //! | `ablation_transfers` | transfer share vs population | [`ablation`] |
 //! | `verify_reproduction` | reproduction checklist | [`verify`] |
 //! | `bench_json` | `BENCH_sim.json`, `BENCH_gpu.json` | [`emit`] |
-//! | `bench_layouts` | grid layouts, reorder, shards, precision | [`layouts`] |
+//! | `bench_layouts` | CSR reorder, precision and shard tables | [`layouts`] |
 //! | `bench_diffusion` | diffusion sweep vs reference | [`diffusion`] |
 //! | `bench_checkpoint` | checkpoint cost and stream shape | [`checkpoint`] |
 //! | `bench_gate` | the regression gate over `BENCH_*.json` | [`emit`] |

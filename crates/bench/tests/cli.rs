@@ -9,8 +9,7 @@ use std::process::{Command, Output};
 
 /// The binaries the one binary replaced and still ships, by their
 /// unchanged names (the four `debug_*` printers became `debug_metrics`).
-const OLD_BINS: [&str; 16] = [
-    "ablation_curves",
+const OLD_BINS: [&str; 15] = [
     "ablation_dynpar",
     "ablation_sampling",
     "ablation_transfers",

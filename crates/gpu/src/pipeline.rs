@@ -66,7 +66,7 @@ use bdm_device::transfer::PcieModel;
 use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
 use bdm_math::{Aabb, Scalar, Vec3};
-use bdm_morton::{radix_argsort, CellCurve};
+use bdm_morton::{radix_argsort, CellCurve, Curve};
 use bdm_soa::{gather_words, StepBuffer, Word};
 use std::collections::HashMap;
 
@@ -232,10 +232,9 @@ pub struct GpuStepReport {
     pub mech_counters: KernelCounters,
     /// Host-side gather passes spent permuting columns for Improvement
     /// II: 5 on upload + 3 on the inverse at download for a sorting
-    /// version, 0 when the caller's columns already arrived in
-    /// `sort_curve` order (or the version does not sort). The host
-    /// `reorder` operation keeps resident state in curve order exactly
-    /// so this stays 0 and the upload degenerates to a straight memcpy.
+    /// version, 0 when the caller's columns already arrived in Z-order
+    /// (or the version does not sort). The host `reorder` operation
+    /// keeps resident state in Z-order exactly so this stays 0 and the upload degenerates to a straight memcpy.
     /// A resident step never gathers: device order is never disturbed.
     pub sort_gathers: u32,
     /// Host→device payload bytes this step actually moved. The pinned
@@ -719,9 +718,6 @@ pub struct MechanicalPipeline {
     /// Persistent device + host state, at the scalar width the version
     /// computes in.
     state: State,
-    /// Space-filling curve used by the sorting versions (II, III,
-    /// dynpar). Z-order is the paper's choice; Hilbert is the ablation.
-    pub sort_curve: bdm_morton::Curve,
 }
 
 enum State {
@@ -736,7 +732,6 @@ struct StepEnv<'a> {
     system: &'a SystemSpec,
     pcie: &'a PcieModel,
     version: KernelVersion,
-    sort_curve: bdm_morton::Curve,
 }
 
 impl MechanicalPipeline {
@@ -761,7 +756,6 @@ impl MechanicalPipeline {
             } else {
                 State::F64(DeviceState::new())
             },
-            sort_curve: bdm_morton::Curve::ZOrder,
         }
     }
 
@@ -856,7 +850,6 @@ impl MechanicalPipeline {
             system: &self.system,
             pcie: &self.pcie,
             version: self.version,
-            sort_curve: self.sort_curve,
         };
         match (&mut self.state, uids) {
             (State::F32(st), None) => env.rebuilt(st, scene, params),
@@ -881,13 +874,11 @@ impl StepEnv<'_> {
         // previous resident run kept is stale now.
         st.invalidate();
 
-        // Improvement II: host-side space-filling-curve sort of the SoA
-        // columns (Z-order by default; see `sort_curve`), by the host
-        // reorder's machinery. Keys are voxel keys clamped to the grid
-        // dims — the same keys the resident `reorder` operation sorts
-        // by — so when the caller's columns already arrive in curve
-        // order the keys come out non-decreasing and the whole
-        // permutation (5 upload gathers + 3 inverse gathers after
+        // Improvement II: host-side Z-order sort of the SoA columns, by
+        // the host reorder's machinery. Keys are voxel keys clamped to the
+        // grid dims — the same keys the resident `reorder` operation sorts
+        // by — so when the caller's columns already arrive in Z-order the
+        // keys come out non-decreasing and the whole permutation (5 upload gathers + 3 inverse gathers after
         // download) is skipped: the upload is a straight memcpy of the
         // host columns. Otherwise the stable radix argsort orders the
         // keys, and every column gathers through the keys' words.
@@ -895,7 +886,7 @@ impl StepEnv<'_> {
         let mut sorted = false;
         if self.version.sorts() {
             let [xs, ys, zs, ..] = &st.host;
-            let cells = CellCurve::new(f.geom.space(), f.geom.box_length(), self.sort_curve);
+            let cells = CellCurve::new(f.geom.space(), f.geom.box_length(), Curve::ZOrder);
             let (keys, order, spare) = st.sort.words_and_indices(f.n);
             cells.keys_into(xs, ys, zs, keys);
             if !keys.is_sorted() {
@@ -1370,37 +1361,11 @@ mod tests {
         assert_eq!(labels.len(), KernelVersion::ALL.len());
     }
 
-    #[test]
-    fn hilbert_sorting_pipeline_matches_zorder() {
-        let n = 300;
-        let extent = 8.0;
-        let (xs, ys, zs, dm, ad) = scene(n, extent, 13);
-        let sr = scene_ref(
-            [&xs, &ys, &zs, &dm, &ad],
-            Aabb::new(Vec3::zero(), Vec3::splat(extent)),
-            1.0,
-        );
-        let params = MechParams::default_params();
-        let mut z =
-            MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, KernelVersion::V2Sorted, 1);
-        let mut h =
-            MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, KernelVersion::V2Sorted, 1);
-        h.sort_curve = bdm_morton::Curve::Hilbert;
-        let (dz, _) = z.step(&sr, &params);
-        let (dh, _) = h.step(&sr, &params);
-        // The curve changes only iteration order: FP32 reassociation noise.
-        let mut max_err = 0.0f64;
-        for i in 0..n {
-            max_err = max_err.max((dz[i] - dh[i]).norm());
-        }
-        assert!(max_err < 1e-4, "curves disagree by {max_err}");
-    }
-
     /// Acceptance pin for the host-reorder integration: a scrambled
     /// scene costs a sorting version exactly 8 gather passes (5 column
     /// uploads + 3 inverse downloads); a scene whose columns already
-    /// arrive in `sort_curve` order costs 0 — the pipeline detects the
-    /// non-decreasing keys and uploads the columns as-is. Non-sorting
+    /// arrive in Z-order costs 0 — the pipeline detects the non-decreasing
+    /// keys and uploads the columns as-is. Non-sorting
     /// versions never gather. And the resident path tops both: a
     /// steady-state resident step performs 0 gathers *and* 0 upload
     /// bytes — the agent columns never cross the bus again.
@@ -1426,7 +1391,7 @@ mod tests {
         // Pre-sort the host columns along the same curve, the way the
         // resident `reorder` operation does between steps.
         let (mut keys, mut order, mut spare) = (vec![0; n], vec![0; n], vec![0; n]);
-        CellCurve::new(&space, 1.0, bdm_morton::Curve::ZOrder).keys_into(&xs, &ys, &zs, &mut keys);
+        CellCurve::new(&space, 1.0, Curve::ZOrder).keys_into(&xs, &ys, &zs, &mut keys);
         radix_argsort(&keys, None, &mut order, &mut spare);
         for col in [&mut xs, &mut ys, &mut zs] {
             gather_words(&order, col, &mut keys);

@@ -4,8 +4,8 @@
 //! is a cheap bit interleave. The Hilbert curve is the classic
 //! alternative: unlike the Z-curve it has **no long jumps** — consecutive
 //! keys always sit one voxel apart — at the cost of a more expensive key
-//! computation. The `ablation_curves` benchmark compares both as the
-//! sorting curve of the GPU pipeline.
+//! computation. The shard driver cuts its spans along it; agent storage
+//! and the GPU presort keep the Z-order.
 //!
 //! Implementation: John Skilling, *"Programming the Hilbert curve"*,
 //! AIP Conf. Proc. 707 (2004) — the transpose representation, converted

@@ -37,7 +37,7 @@ pub enum Curve {
     /// Z-order / Morton — the paper's choice (cheap bit interleave).
     #[default]
     ZOrder,
-    /// Hilbert — no long jumps, costlier keys (the ablation alternative).
+    /// Hilbert — no long jumps, costlier keys (the shard driver's spans).
     Hilbert,
 }
 
@@ -48,14 +48,6 @@ impl Curve {
         match self {
             Curve::ZOrder => encode3(x, y, z),
             Curve::Hilbert => hilbert_encode3(x, y, z),
-        }
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Curve::ZOrder => "z-order",
-            Curve::Hilbert => "hilbert",
         }
     }
 }
@@ -430,7 +422,7 @@ mod tests {
         let zs = [7.5, 8.0];
         for curve in [Curve::ZOrder, Curve::Hilbert] {
             let keys = cell_keys(&xs, &ys, &zs, &space, 1.0, curve);
-            assert_eq!(keys[0], keys[1], "{} boundary clamp", curve.name());
+            assert_eq!(keys[0], keys[1], "{curve:?} boundary clamp");
             assert_eq!(keys[0], curve.key(7, 7, 7));
         }
         // Interior agents agree with the unclamped quantization.

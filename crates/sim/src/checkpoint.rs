@@ -28,7 +28,10 @@
 //! version-1 streams still restore, with the flag defaulting to `false`
 //! (the knob did not exist when they were written). Version 3 drops the
 //! two dirty-epoch words that versions 1 and 2 wrote after `next_uid` in
-//! AGENTS; restoring an older stream reads and discards them.
+//! AGENTS; restoring an older stream reads and discards them. PARAMS
+//! still carries the storage-curve byte of every version: it is written
+//! 0 (Z-order), and a 1 (the retired Hilbert storage order) restores as
+//! [`CheckpointError::InvalidParams`].
 //!
 //! ```text
 //! header   magic "BDMCKPT\0" (8) · version u32 · section_count u32
@@ -72,7 +75,7 @@ use crate::scheduler::ExecMode;
 use crate::simulation::Simulation;
 use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
-use bdm_morton::{Curve, ShardMap};
+use bdm_morton::ShardMap;
 use bdm_soa::SoaVec3;
 use std::fmt;
 use std::io::{Read, Write};
@@ -383,10 +386,9 @@ fn encode_params(p: &SimParams) -> Vec<u8> {
             e.f64(r);
         }
     }
-    e.u8(match p.reorder.curve {
-        Curve::ZOrder => 0,
-        Curve::Hilbert => 1,
-    });
+    // The storage curve: always the Z-order (0) since Hilbert storage
+    // (1) was retired; the byte keeps format 3's layout.
+    e.u8(0);
     e.u64(p.reorder.every);
     e.u8(match p.precision {
         Precision::F64 => 0,
@@ -586,11 +588,15 @@ fn decode_params(bytes: &[u8], version: u32) -> Result<SimParams, CheckpointErro
         1 => Some(d.f64()?),
         f => return Err(corrupt(format!("bad interaction_radius flag {f}"))),
     };
-    p.reorder.curve = match d.u8()? {
-        0 => Curve::ZOrder,
-        1 => Curve::Hilbert,
+    match d.u8()? {
+        0 => {}
+        1 => {
+            return Err(CheckpointError::InvalidParams(
+                "reorder curve 1 (Hilbert) is retired: storage keeps the Z-order".into(),
+            ))
+        }
         c => return Err(corrupt(format!("unknown reorder curve {c}"))),
-    };
+    }
     p.reorder.every = d.u64()?;
     p.precision = match d.u8()? {
         0 => Precision::F64,

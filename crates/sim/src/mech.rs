@@ -3223,7 +3223,7 @@ mod tests {
                     let skipped = reorder.checks_skipped;
                     reorder.run(&mut rm, &params, &mut buffer);
                     let radius = interaction_radius(&rm, &params);
-                    let cells = CellCurve::new(&params.space, radius, params.reorder.curve);
+                    let cells = CellCurve::new(&params.space, radius, Curve::ZOrder);
                     let (xs, ys, zs) = rm.position_columns();
                     assert!(rm.len() < 2 || cells.is_sorted_with(xs, ys, zs, rm.uid_column()));
                     skips[1] += (reorder.checks_skipped > skipped) as u32;

@@ -116,31 +116,31 @@ pub fn wall_record(name: &str, wall_s: f64) -> OpRecord {
 // Host reorder (the paper's Improvement II, applied to resident state)
 // ---------------------------------------------------------------------
 
-/// Sorts the resident SoA columns along a space-filling curve so that
+/// Sorts the resident SoA columns along the Z-order curve so that
 /// spatial neighbors are also memory neighbors — the paper's Improvement
 /// II (§IV-D/§V), applied to the *CPU-resident* state instead of only at
 /// GPU upload. Downstream beneficiaries: the CSR counting-sort build
 /// scatters near-sequentially, the fused force pass gathers neighbor
 /// positions with near-unit stride, and the GPU pipeline detects that
-/// host order already matches its curve and skips its per-step
+/// host order already matches its Z-order presort and skips its per-step
 /// permutation.
 ///
 /// Scheduled with frequency `params.reorder.every` (drift policy: agents
 /// move slowly relative to the voxel size, so sortedness decays over
 /// many steps and the sort amortizes). Disabled when `every == 0`.
 ///
-/// Determinism: agents sort by the pair `(curve key of their grid voxel,
+/// Determinism: agents sort by the pair `(Z-order key of their grid voxel,
 /// uid)` — a strict total order over the population, so the resulting
 /// layout is a pure function of per-agent state, independent of the
 /// storage order the op happened to find. Combined with the uid-keyed
 /// merges in [`crate::exec`], enabling the reorder cannot change any
 /// trajectory (pinned by the purity proptests).
 ///
-/// A run that finds the resource manager's position stamp, radius and
-/// curve as the last run that left storage sorted skips the sortedness
-/// scan: the columns it would read are bit-identical (the stamp moves on
-/// every change of the population too), so the scan would find them
-/// sorted again. Such a run counts as `sorted`.
+/// A run that finds the resource manager's position stamp and radius as
+/// the last run that left storage sorted skips the sortedness scan: the
+/// columns it would read are bit-identical (the stamp moves on every
+/// change of the population too), so the scan would find them sorted
+/// again. Such a run counts as `sorted`.
 ///
 /// It holds no memory of its own: its keys, gather words and index arrays
 /// borrow the step buffer the force sweep writes its displacements into
@@ -184,16 +184,14 @@ impl ReorderState {
             // The sort buys gather locality; the CSR sweep takes its
             // voxel grouping from the grid itself (`mech::VoxelGroups`).
             let radius = mech::interaction_radius(rm, params);
-            let curve = params.reorder.curve;
             let key = |rm: &ResourceManager| SortedKey {
                 stamp: rm.position_stamp(),
                 radius_bits: radius.to_bits(),
-                curve,
             };
             if self.sorted_key == Some(key(rm)) {
                 self.checks_skipped += 1;
             } else {
-                moved = rm.sort_storage(&params.space, radius, curve, buffer, None);
+                moved = rm.sort_storage(&params.space, radius, Curve::ZOrder, buffer, None);
                 self.sorted_key = Some(key(rm));
             }
         }
@@ -212,7 +210,6 @@ impl ReorderState {
 struct SortedKey {
     stamp: u64,
     radius_bits: u64,
-    curve: Curve,
 }
 
 impl Operation for ReorderOp {

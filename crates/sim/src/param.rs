@@ -2,29 +2,17 @@
 
 use bdm_math::interaction::MechParams;
 use bdm_math::Aabb;
-use bdm_morton::Curve;
 
-/// Host-side space-filling-curve reorder policy (the paper's Improvement
-/// II applied to the resident SoA columns, not just the GPU upload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Host-side reorder policy: the paper's Improvement II applied to the
+/// resident SoA columns, not just the GPU upload, along the Z-order curve
+/// the GPU presort keys on too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReorderParams {
-    /// Which curve orders the agents (Z-order is the paper's choice;
-    /// Hilbert is the no-long-jumps ablation alternative).
-    pub curve: Curve,
     /// Re-sort every `every` steps; `0` disables the reorder operation
     /// entirely (insertion order — the pre-reorder behavior). Because
     /// agents drift slowly relative to the voxel size, sortedness decays
     /// over many steps and the sort cost amortizes (§V).
     pub every: u64,
-}
-
-impl Default for ReorderParams {
-    fn default() -> Self {
-        Self {
-            curve: Curve::ZOrder,
-            every: 0,
-        }
-    }
 }
 
 /// Hilbert-sharded domain decomposition policy: partition the simulation
@@ -66,23 +54,27 @@ impl Default for ShardParams {
 }
 
 /// Arithmetic precision of the CPU mechanical force pass (the paper's
-/// Improvement I brought to the host).
+/// Improvement I brought to the host) and of the diffusion sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Scalar `f64` throughout — BioDynaMo's storage default and the
     /// bitwise-reproducibility reference. The default.
     #[default]
     F64,
-    /// Mixed precision: the fused CSR search+force pass reads `f32`
-    /// mirrors of the hot columns through 8-wide SIMD lanes, while
-    /// per-agent force accumulation and displacement integration stay
-    /// `f64`. Deterministic (serial ≡ parallel, run ≡ rerun, bitwise) but
-    /// *different* from [`Precision::F64`] within a documented ±1e-5
-    /// per-step envelope; storage order (reorder on/off) changes lane
-    /// packing and therefore rounding, so trajectories are a function of
-    /// storage order too. Only the CSR uniform-grid environment has a
-    /// vectorized pass; every other environment ignores the knob and
-    /// runs `f64` (see `bdm_sim::mech`).
+    /// Mixed precision. Mechanics: the CSR voxel walk narrows each staged
+    /// stencil's positions and diameters from the `f64` columns to `f32`
+    /// (no column is kept in `f32`) and tests and forces them through
+    /// 8-wide SIMD lanes, while per-agent force accumulation and
+    /// displacement integration stay `f64`. Deterministic (serial ≡
+    /// parallel, run ≡ rerun, bitwise) but *different* from
+    /// [`Precision::F64`] within a documented ±1e-5 per-step envelope;
+    /// storage order (reorder on/off) changes lane packing and therefore
+    /// rounding, so trajectories are a function of storage order too.
+    /// Only the CSR environments (global or sharded) have an `f32` force
+    /// body; the kd-tree, linked-list and GPU environments run their own
+    /// force pass whatever this says (see `bdm_sim::mech`). Diffusion:
+    /// every field sweeps on a narrowed `f32` lattice, in any
+    /// environment (see `bdm_sim::diffusion`).
     F32Simd,
 }
 
@@ -155,7 +147,7 @@ impl SimParams {
     }
 
     /// Builder-style reorder frequency: re-sort the agent columns along
-    /// `reorder.curve` every `every` steps.
+    /// the Z-order curve every `every` steps.
     ///
     /// Panics on `every == 0`: a zero frequency would register a reorder
     /// op that never fires. Reorder is off by default — to leave it off,
@@ -198,12 +190,6 @@ impl SimParams {
         );
         self.shards.rebalance_every = every;
         self.shards.imbalance_threshold = imbalance_threshold;
-        self
-    }
-
-    /// Builder-style reorder-curve override.
-    pub fn with_reorder_curve(mut self, curve: Curve) -> Self {
-        self.reorder.curve = curve;
         self
     }
 
@@ -316,19 +302,16 @@ mod tests {
         let p = SimParams::cube(1.0)
             .with_seed(99)
             .with_interaction_radius(2.5)
-            .with_reorder(50)
-            .with_reorder_curve(Curve::Hilbert);
+            .with_reorder(50);
         assert_eq!(p.seed, 99);
         assert_eq!(p.interaction_radius, Some(2.5));
         assert_eq!(p.reorder.every, 50);
-        assert_eq!(p.reorder.curve, Curve::Hilbert);
     }
 
     #[test]
     fn reorder_defaults_off() {
         let p = SimParams::default();
         assert_eq!(p.reorder.every, 0, "reorder is opt-in");
-        assert_eq!(p.reorder.curve, Curve::ZOrder);
     }
 
     #[test]

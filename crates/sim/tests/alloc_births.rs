@@ -17,6 +17,7 @@
 //! `alloc_steady`, with the step's `par_*` loops on the calling thread
 //! (`ExecMode::Serial`), so every allocation of a step is this thread's.
 
+use bdm_morton::Curve;
 use bdm_sim::mech;
 use bdm_sim::operation::AGENT_CHUNK;
 use bdm_sim::rayon::ThreadPoolBuilder;
@@ -148,10 +149,10 @@ fn warm_reorder_allocations(cells_per_dim: usize, workers: usize) -> [u64; 2] {
     let n = sim.rm().len();
     sim.simulate(4);
     assert_eq!(sim.rm().len(), 2 * n);
-    let (space, curve) = (sim.params().space, sim.params().reorder.curve);
+    let space = sim.params().space;
     let radius = mech::interaction_radius(sim.rm(), sim.params());
     let sort = |rm: &mut ResourceManager, buffer: &mut StepBuffer| {
-        rm.sort_storage(&space, radius, curve, buffer, None)
+        rm.sort_storage(&space, radius, Curve::ZOrder, buffer, None)
     };
     let mut buffer = StepBuffer::default();
     let pool = ThreadPoolBuilder::new().num_threads(workers).build();

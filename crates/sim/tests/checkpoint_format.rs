@@ -402,6 +402,27 @@ fn zeroing_the_shard_count_is_invalid_params() {
     }
 }
 
+/// The PARAMS curve byte is always written 0 (Z-order); a 1 names the
+/// retired Hilbert storage order and must come back as a structured
+/// params error, not a panic or a silently Z-ordered restore.
+#[test]
+fn a_retired_reorder_curve_is_invalid_params() {
+    let mut bytes = valid_bytes();
+    let (_, payload, _) = locate(&bytes, 2);
+    // PARAMS layout: space 6×f64 (48) + mech 4×f64 (32) + seed u64 (8)
+    // + interaction_radius flag (1) + value (8, Some in the fixture)
+    // → curve u8.
+    let off = payload + 48 + 32 + 8 + 1 + 8;
+    assert_eq!(bytes[off], 0, "every stream writes the Z-order curve");
+    bytes[off] = 1;
+    match restore_err(&bytes) {
+        Err(CheckpointError::InvalidParams(msg)) => {
+            assert!(msg.contains("Hilbert"), "unexpected message: {msg}");
+        }
+        other => panic!("expected InvalidParams, got {other:?}"),
+    }
+}
+
 #[test]
 fn missing_required_section_is_corrupt() {
     // Unsharded stream: the last section is SCHEDULER, which is required.

@@ -177,7 +177,7 @@ proptest! {
 
     /// Host-side Z-order reorder is *observationally pure*: per-uid
     /// trajectories are bitwise identical with reorder off vs on (every
-    /// step, either curve) for every environment kind and both execution
+    /// step) for every environment kind and both execution
     /// modes. Death-free dense scene — contacts everywhere, so this pins
     /// the neighbor-accumulation order canonicalization (uid tie-break in
     /// the sort, uid-sorted kd neighbor lists): with the sort running
@@ -187,20 +187,14 @@ proptest! {
     /// (At frequency > 1 agents drift between sorts and within-voxel
     /// order goes stale; see `reorder_drift_stays_within_tolerance`.)
     #[test]
-    fn reorder_is_observationally_pure(
-        seed in 0u64..500,
-        hilbert in any::<bool>(),
-    ) {
+    fn reorder_is_observationally_pure(seed in 0u64..500) {
         use bdm_math::SplitMix64;
-        use bdm_morton::Curve;
         use bdm_sim::environment::EnvironmentKind;
         use bdm_sim::scheduler::ExecMode;
         use std::collections::HashMap;
 
-        let curve = if hilbert { Curve::Hilbert } else { Curve::ZOrder };
         let build = |every: u64, env: EnvironmentKind, mode: ExecMode| {
-            let params = reorder_every(SimParams::cube(10.0).with_seed(seed), every)
-                .with_reorder_curve(curve);
+            let params = reorder_every(SimParams::cube(10.0).with_seed(seed), every);
             let mut sim = Simulation::new(params);
             sim.set_environment(env);
             sim.scheduler_mut().set_mode(mode);

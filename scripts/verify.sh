@@ -185,9 +185,15 @@ stage() (
             diameters_grown_through_chunk_views_reach_the_grid_and_the_f32_tile
         RAYON_NUM_THREADS=2 cargo "${asan[@]}" --test thread_determinism ;;
     lint)
+        # Includes the workspace lints of Cargo.toml: every `unsafe` block
+        # carries a `SAFETY:` note, and an `unsafe fn` wraps and justifies
+        # each unsafe operation in its body.
         cargo clippy --offline --workspace --all-targets -- -D warnings
         # Our own packages only: vendored crates keep upstream style.
         ./scripts/fmt.sh --check
+        # Every file, module path and type / item DESIGN.md's experiment
+        # index (§6) and model structure (§8) name in backticks exists.
+        ./scripts/doc_names.sh
         # Informational, not a gate: the non-test, non-comment size of the
         # code the simplification PRs report against.
         ./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs crates/sim/src/diffusion.rs
