@@ -610,17 +610,6 @@ impl<R: Scalar> CsrGrid<R> {
         out.clear();
         self.for_each_within(xs, ys, zs, q, radius, exclude, |id| out.push(id))
     }
-
-    /// Histogram of agents per voxel (CSR twin of
-    /// `UniformGrid::occupancy_histogram`).
-    pub fn occupancy_histogram(&self) -> Vec<(u32, usize)> {
-        let mut counts: std::collections::BTreeMap<u32, usize> = Default::default();
-        for v in 0..self.num_boxes() {
-            let len = self.cell_starts[v + 1] - self.cell_starts[v];
-            *counts.entry(len).or_default() += 1;
-        }
-        counts.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -998,16 +987,5 @@ mod tests {
         let zs = vec![0.5, 9.5];
         let g = CsrGrid::build_serial(&xs, &ys, &zs, space(10.0), 2.0);
         assert_eq!(*g.cell_starts().last().unwrap(), 2);
-    }
-
-    #[test]
-    fn occupancy_histogram_sums() {
-        let (xs, ys, zs) = cloud(200, 12, 8.0);
-        let g = CsrGrid::build_serial(&xs, &ys, &zs, space(8.0), 2.0);
-        let hist = g.occupancy_histogram();
-        let boxes: usize = hist.iter().map(|&(_, c)| c).sum();
-        let agents: usize = hist.iter().map(|&(len, c)| len as usize * c).sum();
-        assert_eq!(boxes, g.num_boxes());
-        assert_eq!(agents, 200);
     }
 }

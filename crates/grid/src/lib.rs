@@ -351,16 +351,6 @@ impl<R: Scalar> UniformGrid<R> {
         out.clear();
         self.for_each_within(xs, ys, zs, q, radius, exclude, |id| out.push(id))
     }
-
-    /// Histogram of agents per voxel — used by tests and by the density
-    /// benchmark to report the realized neighborhood density.
-    pub fn occupancy_histogram(&self) -> Vec<(u32, usize)> {
-        let mut counts: std::collections::BTreeMap<u32, usize> = Default::default();
-        for b in &self.boxes {
-            *counts.entry(b.length).or_default() += 1;
-        }
-        counts.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -574,16 +564,5 @@ mod tests {
         let mut ids: Vec<u32> = got.iter().map(|a| a.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, expected);
-    }
-
-    #[test]
-    fn occupancy_histogram_sums() {
-        let (xs, ys, zs) = cloud(200, 12, 8.0);
-        let g = UniformGrid::build_serial(&xs, &ys, &zs, space(8.0), 2.0);
-        let hist = g.occupancy_histogram();
-        let boxes: usize = hist.iter().map(|&(_, c)| c).sum();
-        let agents: usize = hist.iter().map(|&(len, c)| len as usize * c).sum();
-        assert_eq!(boxes, g.num_boxes());
-        assert_eq!(agents, 200);
     }
 }

@@ -138,13 +138,6 @@ pub fn quantize<R: Scalar>(p: Vec3<R>, space: &Aabb<R>, cell_len: R) -> (u32, u3
     (q(rel.x), q(rel.y), q(rel.z))
 }
 
-/// Z-value of a position (quantized at `cell_len` within `space`).
-#[inline]
-pub fn zvalue<R: Scalar>(p: Vec3<R>, space: &Aabb<R>, cell_len: R) -> u64 {
-    let (x, y, z) = quantize(p, space, cell_len);
-    encode3(x, y, z)
-}
-
 /// The curve keys of a uniform grid's voxels: positions quantized like
 /// [`quantize`] at `cell_len`, but additionally clamped above to the
 /// per-axis voxel counts a uniform grid derives from the same space and
@@ -347,16 +340,6 @@ mod tests {
         assert_eq!(quantize(Vec3::splat(0.0), &space, 1.0), (0, 0, 0));
         assert_eq!(quantize(Vec3::new(0.99, 1.0, 9.99), &space, 1.0), (0, 1, 9));
         assert_eq!(quantize(Vec3::splat(-5.0), &space, 1.0), (0, 0, 0));
-    }
-
-    #[test]
-    fn zvalue_same_voxel_same_key() {
-        let space = Aabb::new(Vec3::new(0.0f64, 0.0, 0.0), Vec3::splat(8.0));
-        let a = zvalue(Vec3::new(1.1, 2.2, 3.3), &space, 1.0);
-        let b = zvalue(Vec3::new(1.9, 2.8, 3.9), &space, 1.0);
-        assert_eq!(a, b);
-        let c = zvalue(Vec3::new(7.5, 7.5, 7.5), &space, 1.0);
-        assert_ne!(a, c);
     }
 
     #[test]

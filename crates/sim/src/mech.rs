@@ -30,7 +30,7 @@
 //!   is read *from the tile* (entry `center + rank`: no per-agent voxel
 //!   lookup, no self load), displacements come back in slot order and
 //!   the integration maps slot → agent through `cell_agents()`
-//!   (`ResourceManager::translate_each`, in parallel parts).
+//!   (`ResourceManager::translate_each`, a serial scatter).
 //!   Storage order does not enter. The sharded driver walks the same
 //!   groups in its own `(voxel, id)`-sorted storage order, so its parts
 //!   stay agent ranges. Two lane bodies run under the walk, picked by
@@ -662,9 +662,7 @@ fn force_sweep(
         stats.simd.pad_lanes += s.simd.pad_lanes;
         stats.staged += s.staged;
     }
-    // SAFETY: `agent_of` is the `cell_agents()` of a full CSR build (see
-    // `csr_sweep`), which holds every agent exactly once.
-    unsafe { rm.translate_each(disp, agent_of) };
+    rm.translate_each(disp, agent_of);
 
     use work_model as wm;
     let n = rm.len() as f64;
@@ -977,7 +975,7 @@ impl LaneScratch {
     /// voxel alone.
     fn stage(&mut self, grid: &CsrGrid<f64>, group: &VoxelGroup) -> Tile {
         let (starts, voxel) = (grid.cell_starts(), group.voxel);
-        let agents = bdm_soa::ids_as_raw(grid.cell_agents());
+        let agents = grid.cell_agents();
         let (mut len, mut boxes, mut center) = (0usize, 0u64, 0usize);
         for (first, count) in grid.geometry().x_runs_of(group.coords) {
             let last = first + count as usize;
@@ -997,12 +995,13 @@ impl LaneScratch {
             let mut from = lo;
             loop {
                 let to = len + from - lo;
-                let Some(block) = agents.get(from..from + LANES) else {
+                let Some(block) = agents[from..].first_chunk::<LANES>() else {
                     // The last ids of the array: exactly the run's rest.
-                    self.ids[to..to + hi - from].copy_from_slice(&agents[from..hi]);
+                    let rest = self.ids[to..].iter_mut().zip(&agents[from..hi]);
+                    rest.for_each(|(to, id)| *to = id.0);
                     break;
                 };
-                self.ids[to..to + LANES].copy_from_slice(block);
+                self.ids[to..to + LANES].copy_from_slice(&block.map(|id| id.0));
                 from += LANES;
                 if from >= hi {
                     break;
@@ -1747,8 +1746,7 @@ fn gpu_step(
         report
     } else {
         let (disp, report) = pipeline.step(&scene, &params.mech);
-        // SAFETY: no index map — entry `k` moves agent `k`.
-        unsafe { rm.translate_each(&disp, None) };
+        rm.translate_each(&disp, None);
         report
     };
     MechWork::offloaded(report)
@@ -2070,10 +2068,7 @@ mod tests {
         let repv = F32x8::splat(rep32);
         let attv = F32x8::splat(att32);
         let epsv = F32x8::splat(f32::EPSILON);
-        // Raw CSR views for the candidate-append fast path: offsets plus the
-        // id array as plain `u32`s (zero-copy; `AgentId` is transparent).
-        let starts = grid.cell_starts();
-        let ids_raw = bdm_soa::ids_as_raw(grid.cell_agents());
+        let (starts, agents) = (grid.cell_starts(), grid.cell_agents());
         let mut stats = SweepStats::default();
         // Per-chunk candidate buffer, reused across agents. In the
         // benchmark regime an x-run holds only ~6 agents — below
@@ -2122,40 +2117,7 @@ mod tests {
                 stats.counters.boxes_scanned += count as u64;
                 let lo = starts[first] as usize;
                 let hi = starts[first + count as usize] as usize;
-                let rl = hi - lo;
-                let old = cand.len();
-                // Append the run with LANES-wide block copies instead
-                // of `extend`: a stencil is ~9 runs of ~6 ids, and a
-                // million per-element append loops per step cost more
-                // than the force arithmetic they feed. The copy may
-                // read up to LANES−1 ids past the run (never past the
-                // CSR array — the guard falls back to an exact tail
-                // copy there) and write as far past `rl` into
-                // reserved capacity; the final `set_len` keeps
-                // exactly the run's ids, so the candidate sequence
-                // is identical to the scalar pass's.
-                cand.reserve(rl + LANES);
-                // SAFETY: capacity ≥ old + rl + LANES (the reserve
-                // above), so every write below — including the
-                // LANES-wide over-write — lands inside allocated
-                // capacity; reads stay inside `ids_raw` by the
-                // `src_end` guard; `set_len(old + rl)` only exposes
-                // lanes the loop wrote (`o` covers `0..rl`).
-                unsafe {
-                    let dst = cand.as_mut_ptr().add(old);
-                    let src = ids_raw.as_ptr().add(lo);
-                    let mut o = 0usize;
-                    while o < rl {
-                        if lo + o + LANES <= ids_raw.len() {
-                            core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), LANES);
-                            o += LANES;
-                        } else {
-                            core::ptr::copy_nonoverlapping(src.add(o), dst.add(o), rl - o);
-                            break;
-                        }
-                    }
-                    cand.set_len(old + rl);
-                }
+                cand.extend(agents[lo..hi].iter().map(|id| id.0));
             }
             // Masked-load fallback for the stencil remainder: fill
             // the last partial batch with the agent's own id. Self
@@ -2165,20 +2127,7 @@ mod tests {
             // no separate scalar tail path exists.
             let len = cand.len();
             let pad = len.next_multiple_of(LANES) - len;
-            if pad > 0 {
-                // SAFETY: a non-multiple length means at least one
-                // run appended above, whose reserve left ≥ LANES
-                // spare capacity past `len`; one LANES-wide splat
-                // write plus `set_len` replaces up to LANES−1
-                // scalar pushes.
-                unsafe {
-                    let dst = cand.as_mut_ptr().add(len);
-                    for l in 0..LANES {
-                        dst.add(l).write(i as u32);
-                    }
-                    cand.set_len(len + pad);
-                }
-            }
+            cand.resize(len + pad, i as u32);
             stats.simd.pad_lanes += pad as u64;
             {
                 // Pass A: 8-wide f32 math, contributions *stored* to
@@ -2757,8 +2706,7 @@ mod tests {
         let mut want = rm.clone();
         let mut disp = vec![Vec3::zero(); rm.len()];
         scalar_lanes(&rm, &params, &grid, 0, &mut disp);
-        // SAFETY: no index map — entry `k` moves agent `k`.
-        unsafe { want.translate_each(&disp, None) };
+        want.translate_each(&disp, None);
         let by_uid = |rm: &ResourceManager| -> Vec<(u64, [u64; 3])> {
             let mut at: Vec<_> = (0..rm.len())
                 .map(|i| {
@@ -3202,8 +3150,7 @@ mod tests {
                     if arg % 2 == 1 {
                         disp[i] = Vec3::new(0.0, 0.02, 0.0);
                     }
-                    // SAFETY: no index map — entry `k` moves agent `k`.
-                    unsafe { rm.translate_each(&disp, None) };
+                    rm.translate_each(&disp, None);
                 }
                 10 => rm = rm.clone(),
                 11 => {

@@ -227,11 +227,23 @@ impl SimParams {
                 ));
             }
         }
-        if self.mech.timestep <= 0.0 {
+        let mech = &self.mech;
+        if !(mech.timestep.is_finite() && mech.timestep > 0.0) {
             return Err(format!(
-                "mech.timestep must be positive; got {}",
-                self.mech.timestep
+                "mech.timestep must be positive and finite; got {}",
+                mech.timestep
             ));
+        }
+        for (name, k) in [
+            ("repulsion", mech.repulsion),
+            ("attraction", mech.attraction),
+        ] {
+            if !k.is_finite() {
+                return Err(format!("mech.{name} must be finite; got {k}"));
+            }
+        }
+        if mech.max_displacement.is_nan() {
+            return Err("mech.max_displacement must not be NaN".to_string());
         }
         if let Some(r) = self.interaction_radius {
             if !r.is_finite() || r <= 0.0 {
@@ -372,6 +384,32 @@ mod tests {
         let mut p = SimParams::cube(1.0);
         p.mech.timestep = 0.0;
         assert!(p.validate().unwrap_err().contains("timestep"));
+    }
+
+    /// A non-finite coefficient or timestep would write NaN or ∞ into
+    /// every agent whose force clears its adherence; a NaN clamp clamps
+    /// nothing.
+    #[test]
+    fn validate_rejects_non_finite_mechanics() {
+        let rejects = |field: &str, set: &dyn Fn(&mut SimParams)| {
+            let mut p = SimParams::cube(1.0);
+            set(&mut p);
+            let err = p.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            rejects("timestep", &|p| p.mech.timestep = bad);
+            rejects("repulsion", &|p| p.mech.repulsion = bad);
+            rejects("attraction", &|p| p.mech.attraction = bad);
+        }
+        rejects("max_displacement", &|p| p.mech.max_displacement = f64::NAN);
+        // A zero or unbounded clamp stays valid: zero freezes the agents
+        // (benchmark B), infinity clamps nothing.
+        for max in [0.0, f64::INFINITY] {
+            let mut p = SimParams::cube(1.0);
+            p.mech.max_displacement = max;
+            assert!(p.validate().is_ok(), "{max}");
+        }
     }
 
     #[test]

@@ -665,70 +665,57 @@ impl ResourceManager {
         }
     }
 
-    /// Move agent `agent_of[k]` (agent `k` when `None`) by `disp[k]`, in
-    /// parallel parts ([`bdm_soa::parts`]). The position stamp moves when
-    /// a displacement was non-zero.
+    /// Move agent `agent_of[k]` (agent `k` when `None`) by `disp[k]`. The
+    /// position stamp moves when a displacement was non-zero.
     ///
-    /// # Safety
-    /// `agent_of`, when given, names no agent twice (a full CSR build's
-    /// `cell_agents()`: a permutation of the agents). Debug builds check
-    /// this and panic.
+    /// Without an index map the columns and the displacements split into
+    /// the same parallel parts ([`bdm_soa::parts`]), zipped; through one
+    /// (a full CSR build's `cell_agents()`, slot → agent) the scatter runs
+    /// serially, each write bounds-checked.
     ///
     /// # Panics
     /// When `disp` is not one entry per agent, or `agent_of` not one agent
     /// per entry or names one past the population.
-    pub(crate) unsafe fn translate_each(
-        &mut self,
-        disp: &[Vec3<f64>],
-        agent_of: Option<&[AgentId]>,
-    ) {
+    pub(crate) fn translate_each(&mut self, disp: &[Vec3<f64>], agent_of: Option<&[AgentId]>) {
         let n = self.len();
         assert_eq!(disp.len(), n, "one displacement per agent");
-        if let Some(agents) = agent_of {
-            assert_eq!(agents.len(), n, "one agent per displacement");
-            // The safety contract, witnessed where it costs nothing in
-            // release: each agent is named at most once.
-            #[cfg(debug_assertions)]
-            {
-                let mut named = vec![false; n];
-                for a in agents {
-                    let i = a.index();
-                    assert!(
-                        i >= n || !std::mem::replace(&mut named[i], true),
-                        "agent {i} named twice"
-                    );
-                }
-            }
-        }
         let (xs, ys, zs) = self.positions.as_mut_slices();
-        let cols = Columns([xs, ys, zs].map(|c| c.as_mut_ptr()));
-        let (count, len) = bdm_soa::parts(n);
-        let moved: u64 = (0..count)
-            .into_par_iter()
-            .map(|p| {
-                let cols = &cols;
-                let mut moved = 0;
-                for k in (p * len).min(n)..((p + 1) * len).min(n) {
-                    let d = disp[k];
-                    if d == Vec3::zero() {
-                        continue;
+        let moved = match agent_of {
+            Some(agents) => {
+                assert_eq!(agents.len(), n, "one agent per displacement");
+                let mut moved = false;
+                for (&d, a) in disp.iter().zip(agents) {
+                    if d != Vec3::zero() {
+                        let i = a.index();
+                        xs[i] += d.x;
+                        ys[i] += d.y;
+                        zs[i] += d.z;
+                        moved = true;
                     }
-                    let i = agent_of.map_or(k, |agents| agents[k].index());
-                    assert!(i < n, "agent {i} of {n}");
-                    // SAFETY: `i < n` is inside every column, and no other
-                    // entry names agent `i` (the caller's contract), so
-                    // this part is the only one touching its coordinates.
-                    unsafe {
-                        *cols.0[0].add(i) += d.x;
-                        *cols.0[1].add(i) += d.y;
-                        *cols.0[2].add(i) += d.z;
-                    }
-                    moved += 1;
                 }
                 moved
-            })
-            .sum();
-        if moved > 0 {
+            }
+            None => {
+                let (_, len) = bdm_soa::parts(n);
+                let parts = xs.par_chunks_mut(len).zip(ys.par_chunks_mut(len));
+                let parts = parts.zip(zs.par_chunks_mut(len)).zip(disp.par_chunks(len));
+                parts
+                    .map(|(((xs, ys), zs), disp)| {
+                        let mut moved = false;
+                        for (k, &d) in disp.iter().enumerate() {
+                            if d != Vec3::zero() {
+                                xs[k] += d.x;
+                                ys[k] += d.y;
+                                zs[k] += d.z;
+                                moved = true;
+                            }
+                        }
+                        moved
+                    })
+                    .reduce(|| false, |a, b| a || b)
+            }
+        };
+        if moved {
             self.pos_stamp.touch();
         }
     }
@@ -863,14 +850,6 @@ impl ResourceManager {
         sum / n
     }
 }
-
-/// The three position columns, written by the parts of
-/// [`ResourceManager::translate_each`] at the agents each owns.
-struct Columns([*mut f64; 3]);
-
-// SAFETY: the parts write disjoint agents' coordinates (the caller's
-// contract of `translate_each`), and `f64` is plain data.
-unsafe impl Sync for Columns {}
 
 /// A behaviors pass whose chunks may divide, from
 /// [`ResourceManager::divisions`]: [`Self::chunks`] hands out the chunk
@@ -1355,19 +1334,6 @@ mod tests {
         }
     }
 
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "agent 2 named twice")]
-    fn translate_each_rejects_an_agent_named_twice() {
-        let mut rm = ResourceManager::new();
-        for i in 0..4 {
-            rm.add(cell_at(i as f64));
-        }
-        let agent_of = [0, 2, 1, 2].map(AgentId);
-        // SAFETY: the debug witness panics before any part moves an agent.
-        unsafe { rm.translate_each(&[Vec3::zero(); 4], Some(&agent_of)) };
-    }
-
     #[test]
     fn stamps_move_only_on_real_writes() {
         let mut rm = ResourceManager::new();
@@ -1381,8 +1347,7 @@ mod tests {
         drop(chunks);
         let (chunks, _) = rm.behavior_chunks_at(&[0, 5, 10]);
         drop(chunks);
-        // SAFETY: no index map — entry `k` moves agent `k`.
-        unsafe { rm.translate_each(&[Vec3::zero(); 10], None) };
+        rm.translate_each(&[Vec3::zero(); 10], None);
         rm.append(std::iter::empty());
         assert_eq!(
             stamps(&rm),

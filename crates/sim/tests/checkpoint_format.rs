@@ -367,6 +367,16 @@ fn section_length_overflow_is_reported_with_context() {
     }
 }
 
+/// `bytes` restores as `InvalidParams`, its message naming `word`.
+fn assert_invalid_params(bytes: &[u8], word: &str) {
+    match restore_err(bytes) {
+        Err(CheckpointError::InvalidParams(msg)) => {
+            assert!(msg.contains(word), "{word}: unexpected message: {msg}");
+        }
+        other => panic!("{word}: expected InvalidParams, got {other:?}"),
+    }
+}
+
 /// Satellite 4 (restore path): params claim 2 shards but the SHARDS
 /// section is gone — `SimParams::validate_for_restore` rejects the
 /// combination instead of fabricating an even span map.
@@ -374,12 +384,7 @@ fn section_length_overflow_is_reported_with_context() {
 fn stripping_the_shards_section_is_invalid_params() {
     let bytes = valid_bytes();
     let stripped = strip_last_section(&bytes);
-    match restore_err(&stripped) {
-        Err(CheckpointError::InvalidParams(msg)) => {
-            assert!(msg.contains("shard"), "unexpected message: {msg}");
-        }
-        other => panic!("expected InvalidParams, got {other:?}"),
-    }
+    assert_invalid_params(&stripped, "shard");
 }
 
 /// Satellite 4, the other direction: the SHARDS section is present but
@@ -394,12 +399,7 @@ fn zeroing_the_shard_count_is_invalid_params() {
     let off = payload + 48 + 32 + 8 + 1 + 8 + 1 + 8 + 1;
     assert!(off + 8 <= payload + len);
     bytes[off..off + 8].copy_from_slice(&0u64.to_le_bytes());
-    match restore_err(&bytes) {
-        Err(CheckpointError::InvalidParams(msg)) => {
-            assert!(msg.contains("shard"), "unexpected message: {msg}");
-        }
-        other => panic!("expected InvalidParams, got {other:?}"),
-    }
+    assert_invalid_params(&bytes, "shard");
 }
 
 /// The PARAMS curve byte is always written 0 (Z-order); a 1 names the
@@ -415,11 +415,29 @@ fn a_retired_reorder_curve_is_invalid_params() {
     let off = payload + 48 + 32 + 8 + 1 + 8;
     assert_eq!(bytes[off], 0, "every stream writes the Z-order curve");
     bytes[off] = 1;
-    match restore_err(&bytes) {
-        Err(CheckpointError::InvalidParams(msg)) => {
-            assert!(msg.contains("Hilbert"), "unexpected message: {msg}");
-        }
-        other => panic!("expected InvalidParams, got {other:?}"),
+    assert_invalid_params(&bytes, "Hilbert");
+}
+
+/// A stream whose mechanics are not finite (a NaN or infinite timestep,
+/// an infinite repulsion, a NaN attraction or displacement clamp)
+/// restores as a structured params error, not as a simulation whose
+/// first step writes NaN into the agents.
+#[test]
+fn non_finite_mechanics_are_invalid_params() {
+    // PARAMS layout: space 6×f64 (48) → mech repulsion, attraction,
+    // timestep, max_displacement (f64 each).
+    for (field, k, bad) in [
+        ("timestep", 2, f64::NAN),
+        ("timestep", 2, f64::INFINITY),
+        ("repulsion", 0, f64::INFINITY),
+        ("attraction", 1, f64::NAN),
+        ("max_displacement", 3, f64::NAN),
+    ] {
+        let mut bytes = valid_bytes();
+        let (_, payload, _) = locate(&bytes, 2);
+        let off = payload + 48 + 8 * k;
+        bytes[off..off + 8].copy_from_slice(&bad.to_le_bytes());
+        assert_invalid_params(&bytes, field);
     }
 }
 

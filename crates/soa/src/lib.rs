@@ -38,11 +38,9 @@ pub use vec3col::{chunks_at, split_mut_at, SoaVec3, Vec3ChunkMut, Vec3Spare};
 /// agents, and halving the index width halves the memory traffic of the
 /// uniform-grid linked lists on the (simulated) GPU.
 ///
-/// `repr(transparent)` guarantees the layout matches `u32` exactly, so
-/// bulk consumers (the fused SIMD force pass, GPU-side buffers) may
-/// reinterpret an id slice as raw `u32`s without a copy.
+/// Bulk consumers that want plain `u32` lanes (the force sweep's staged
+/// candidate tiles, GPU-side buffers) copy the indices out, `id.0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(transparent)]
 pub struct AgentId(pub u32);
 
 impl AgentId {
@@ -82,29 +80,9 @@ impl AgentId {
     }
 }
 
-/// View an id slice as its raw `u32` indices, zero-copy.
-///
-/// Sound because [`AgentId`] is `repr(transparent)` over `u32`: same
-/// size and alignment, and every bit pattern is valid for both (the
-/// [`AgentId::NULL`] sentinel is just `u32::MAX`). Bulk consumers use
-/// this to feed id runs straight into vector lanes or device buffers.
-#[inline]
-pub fn ids_as_raw(ids: &[AgentId]) -> &[u32] {
-    // SAFETY: repr(transparent) guarantees identical layout, and `u32`
-    // has no validity constraints an `AgentId` could violate.
-    unsafe { core::slice::from_raw_parts(ids.as_ptr().cast(), ids.len()) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_view_as_raw_u32() {
-        let ids = [AgentId(3), AgentId::NULL, AgentId(0)];
-        assert_eq!(ids_as_raw(&ids), &[3, u32::MAX, 0]);
-        assert!(ids_as_raw(&[]).is_empty());
-    }
 
     #[test]
     fn agent_id_roundtrip() {

@@ -161,12 +161,12 @@ stage() (
         # `unsafe` code, so an out-of-bounds or use-after-free access
         # through a raw pointer or a reinterpreted slice (the step buffer's
         # typed views and the diffusion windows it lends, the CSR build's
-        # disjoint scatter, births written into reserved column room, the
-        # parallel integration, the lattices' first touch) aborts the test
-        # that made it: the lib tests of the crates that hold it, the
-        # births-in-place and reorder oracles, the stamps' skips through a
-        # whole step, and every host environment's schedule matrix at two
-        # workers. Debug build, artifacts in target/x86_64-unknown-linux-gnu/;
+        # and the radix argsort's disjoint scatters, births written into
+        # reserved column room, the lattices' first touch, the AVX2 lane
+        # ops) aborts the test that made it: the lib tests of the crates
+        # that hold it, the births-in-place and reorder oracles, the
+        # stamps' skips through a whole step, and every host environment's
+        # schedule matrix at two workers. Debug build, artifacts in target/x86_64-unknown-linux-gnu/;
         # RUSTFLAGS replaces .cargo/config.toml's flag, so it is repeated.
         if ! nightly; then
             echo "verify: stage sanitize needs the nightly toolchain (cargo +nightly)" >&2
