@@ -17,10 +17,12 @@
 //! A 27-voxel query iterates 27 contiguous slices: streaming loads on
 //! the CPU, coalesced loads on the (simulated) GPU. The build is a
 //! two-pass counting sort — count per voxel, exclusive prefix sum,
-//! scatter — which is *stable*, so the parallel build produces output
-//! bitwise identical to the serial build with no fix-up (the
-//! linked-list `build_parallel` gets there by relinking the lists its
-//! racing insertions leave out of order).
+//! scatter — which is *stable*, and the arrays are a pure function of
+//! the voxel keys: the parallel build computes the keys (and the
+//! incremental check below) in parallel parts and then runs the same
+//! serial sort, so it is bitwise identical to the serial build with no
+//! fix-up (the linked-list `build_parallel` gets there by relinking the
+//! lists its racing insertions leave out of order).
 //!
 //! # Incremental maintenance
 //!
@@ -44,44 +46,19 @@
 //! # Memory
 //!
 //! The grid holds its offsets and one id per agent. A build's working
-//! memory — a voxel id per agent and, in a parallel build of more than
-//! one chunk, one histogram per chunk (a one-chunk build scatters
-//! through its own offsets) — comes from a [`BuildMemory`]: a
-//! `bdm_soa::StepBuffer` the caller holds for other phases anyway (the
-//! host step's sweep writes its displacements there next), or a
-//! [`CsrBuildScratch`], the memory the grid owns for callers that lend
-//! none. Both run the same build bodies.
+//! memory — one voxel id per agent, whatever the voxel count (the sort
+//! scatters through the grid's own offsets) — comes from a
+//! [`BuildMemory`]: a `bdm_soa::StepBuffer` the caller holds for other
+//! phases anyway (the host step's sweep writes its displacements there
+//! next), or a [`CsrBuildScratch`], the memory the grid owns for
+//! callers that lend none. Both run the same build bodies.
 
 use crate::{GridGeometry, NeighborBoxes, QueryCounters};
 use bdm_math::{Aabb, Scalar, Vec3};
-use bdm_soa::{AgentId, StepBuffer};
+use bdm_soa::{AgentId, StepBuffer, MAX_PARTS};
 use rayon::prelude::*;
 use std::mem::size_of;
 use std::ops::Range;
-
-/// Agents-per-chunk granule of the parallel build. The chunk count is a
-/// function of `n` alone — never of the worker-thread count — so the
-/// scatter offsets, and therefore the output, are identical no matter
-/// how the chunks are scheduled.
-const BUILD_CHUNK: usize = 32 * 1024;
-
-/// Upper bound on parallel-build chunks; bounds the per-chunk histogram
-/// memory at `MAX_CHUNKS × num_boxes × 4` bytes.
-const MAX_CHUNKS: usize = 8;
-
-/// Raw-pointer wrapper so disjoint-by-construction parallel scatters can
-/// write through a shared base pointer.
-struct SendPtr<T>(*mut T);
-// SAFETY: the one field is a pointer to `T`s that the sending thread
-// owns; moving it to another thread moves only the right to write those
-// `T`s, which `T: Send` allows. Every write through it is an `unsafe`
-// block that proves its slots are disjoint from every other thread's.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: a shared `&SendPtr` exposes only the pointer itself (no read
-// or write of a `T`); the scatter that shares it across workers writes
-// each slot from exactly one of them, as its `unsafe` block states, and
-// only plain `T: Send` values cross threads that way.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Identity of the geometry a key set was computed against. Keys are a
 /// pure function of (position, geometry); equal signature + equal keys
@@ -112,9 +89,7 @@ impl BuildSig {
 
 /// Working memory a CSR build owns for callers that lend it none: one
 /// `u32` per agent (its voxel id, filled by pass 1 and consumed by pass
-/// 2) and, for more than one build chunk, the per-chunk voxel
-/// histograms, rewritten in place into scatter cursors by the prefix
-/// scan. Hold one across timesteps and
+/// 2). Hold one across timesteps and
 /// every [`CsrGrid::rebuild_serial`] / [`CsrGrid::rebuild_parallel`]
 /// after the first is allocation-free in steady state. A caller that
 /// holds a [`StepBuffer`] lends it instead.
@@ -130,27 +105,26 @@ impl CsrBuildScratch {
     }
 }
 
-/// Where a build takes its voxel ids and histograms from: a
-/// [`CsrBuildScratch`], or a [`StepBuffer`] lent for the call (whose
-/// contents the build leaves unspecified).
+/// Where a build takes its voxel ids from: a [`CsrBuildScratch`], or a
+/// [`StepBuffer`] lent for the call (whose contents the build leaves
+/// unspecified).
 pub trait BuildMemory {
-    /// One `u32` per agent, then `extra` more.
-    fn indices(&mut self, agents: usize, extra: usize) -> (&mut [u32], &mut [u32]);
+    /// One `u32` per agent.
+    fn indices(&mut self, agents: usize) -> &mut [u32];
 }
 
 impl BuildMemory for CsrBuildScratch {
-    fn indices(&mut self, agents: usize, extra: usize) -> (&mut [u32], &mut [u32]) {
-        if self.indices.len() < agents + extra {
-            self.indices.resize(agents + extra, 0);
+    fn indices(&mut self, agents: usize) -> &mut [u32] {
+        if self.indices.len() < agents {
+            self.indices.resize(agents, 0);
         }
-        let (first, rest) = self.indices.split_at_mut(agents);
-        (first, &mut rest[..extra])
+        &mut self.indices[..agents]
     }
 }
 
 impl BuildMemory for StepBuffer {
-    fn indices(&mut self, agents: usize, extra: usize) -> (&mut [u32], &mut [u32]) {
-        StepBuffer::indices(self, agents, extra)
+    fn indices(&mut self, agents: usize) -> &mut [u32] {
+        StepBuffer::indices(self, agents)
     }
 }
 
@@ -204,13 +178,9 @@ impl<R: Scalar> CsrGrid<R> {
         grid
     }
 
-    /// Parallel two-pass counting-sort build.
-    ///
-    /// Deterministic by construction: agents are split into chunks whose
-    /// count depends only on `n`, each chunk histograms its voxels
-    /// independently, a sequential scan turns the per-chunk histograms
-    /// into disjoint scatter offsets, and each chunk then writes its
-    /// agents — in index order — into its own slots. The output is
+    /// Two-pass counting-sort build whose voxel keys are computed in
+    /// parallel parts (`bdm_soa::parts`, a function of `n` alone); the
+    /// count, scan and scatter are the serial build's. The output is
     /// **bitwise identical** to [`CsrGrid::build_serial`] (asserted by
     /// tests), which in turn makes parallel FP64 force accumulation over
     /// CSR ranges bit-identical to serial accumulation.
@@ -238,13 +208,15 @@ impl<R: Scalar> CsrGrid<R> {
         box_length: R,
         memory: &mut impl BuildMemory,
     ) -> bool {
-        self.rebuild_in_chunks(1, [xs, ys, zs], space, box_length, memory)
+        let one_part = (1, xs.len().max(1));
+        self.rebuild_in_parts(one_part, [xs, ys, zs], space, box_length, memory)
     }
 
     /// [`Self::build_parallel`], but reusing this grid's arrays and
     /// `memory` (see [`Self::rebuild_serial`]). Output is bitwise
     /// identical to the serial rebuild — including the incremental
-    /// fast path: unchanged keys skip the sort and return `true`.
+    /// fast path, whose check runs in parallel parts too: unchanged keys
+    /// skip the sort and return `true`.
     pub fn rebuild_parallel(
         &mut self,
         xs: &[R],
@@ -254,43 +226,37 @@ impl<R: Scalar> CsrGrid<R> {
         box_length: R,
         memory: &mut impl BuildMemory,
     ) -> bool {
-        let chunks = xs.len().div_ceil(BUILD_CHUNK).clamp(1, MAX_CHUNKS);
-        self.rebuild_in_chunks(chunks, [xs, ys, zs], space, box_length, memory)
+        let parts = bdm_soa::parts(xs.len());
+        self.rebuild_in_parts(parts, [xs, ys, zs], space, box_length, memory)
     }
 
-    /// The full build over `num_chunks` chunks of agents. One chunk is
-    /// the serial counting sort ([`Self::sort_one_chunk`]) and borrows
-    /// one `u32` per agent; more chunks count into a histogram each,
-    /// which they borrow besides, and scatter in parallel.
-    fn rebuild_in_chunks(
+    /// The full build: the voxel keys and the incremental check run over
+    /// `count` parts of `len` agents, in parallel when there are more
+    /// than one; changed keys then go through [`Self::counting_sort`],
+    /// which borrows nothing besides the keys.
+    fn rebuild_in_parts(
         &mut self,
-        num_chunks: usize,
+        (count, len): (usize, usize),
         [xs, ys, zs]: [&[R]; 3],
         space: Aabb<R>,
         box_length: R,
         memory: &mut impl BuildMemory,
     ) -> bool {
         let geom = GridGeometry::new(space, box_length);
-        let num_boxes = geom.num_boxes();
         let n = xs.len();
         assert!(n < u32::MAX as usize, "agent count overflows CSR offsets");
-        let chunk_len = n.div_ceil(num_chunks).max(1);
 
-        // Pass 1 (parallel over chunks): voxel ids. Histograms wait
-        // until the incremental check has decided a rebuild is needed.
-        let hist_len = if num_chunks == 1 {
-            0
-        } else {
-            num_chunks * num_boxes
-        };
-        let (voxel_of, hists) = memory.indices(n, hist_len);
-        let chunks = voxel_of.par_chunks_mut(chunk_len).enumerate();
-        chunks.for_each(|(c, out)| {
-            for (k, v) in out.iter_mut().enumerate() {
-                let i = c * chunk_len + k;
-                *v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
-            }
-        });
+        // Pass 1 (parallel over parts): voxel ids.
+        let voxel_of = memory.indices(n);
+        voxel_of
+            .par_chunks_mut(len)
+            .enumerate()
+            .for_each(|(p, part)| {
+                for (k, v) in part.iter_mut().enumerate() {
+                    let i = p * len + k;
+                    *v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
+                }
+            });
         let voxel_of = &*voxel_of;
 
         // Incremental check: same geometry + same keys ⇒ the stored
@@ -298,68 +264,20 @@ impl<R: Scalar> CsrGrid<R> {
         let sig = BuildSig::of(&geom);
         self.geom = geom;
         if self.built_sig == Some(sig) {
-            let mut held = [true; MAX_CHUNKS];
-            let chunks = held[..num_chunks].par_iter_mut().enumerate();
-            chunks.for_each(|(c, held)| {
-                let slots = (c * chunk_len).min(n)..((c + 1) * chunk_len).min(n);
-                *held = self.holds(voxel_of, slots);
-            });
+            let mut held = [true; MAX_PARTS];
+            held[..count]
+                .par_iter_mut()
+                .enumerate()
+                .for_each(|(p, held)| {
+                    let slots = (p * len).min(n)..((p + 1) * len).min(n);
+                    *held = self.holds(voxel_of, slots);
+                });
             if held.iter().all(|&h| h) {
                 return true;
             }
         }
         self.built_sig = Some(sig);
-        if num_chunks == 1 {
-            self.sort_one_chunk(voxel_of, AgentId::from_index);
-            return false;
-        }
-
-        // Per-chunk histograms over the precomputed keys (with more than
-        // one chunk, every chunk holds agents).
-        debug_assert_eq!(n.div_ceil(chunk_len), num_chunks);
-        let chunks = voxel_of.par_chunks(chunk_len);
-        let chunks = hists.par_chunks_mut(num_boxes).zip(chunks);
-        chunks.for_each(|(hist, chunk)| {
-            hist.fill(0);
-            for &v in chunk {
-                hist[v as usize] += 1;
-            }
-        });
-
-        // Sequential scan: per-voxel totals → cell_starts, then rewrite
-        // each chunk's histogram entry into that chunk's scatter base for
-        // the voxel. O(num_chunks × num_boxes), trivially cheap next to
-        // the passes over agents.
-        self.cell_starts.clear();
-        self.cell_starts.resize(num_boxes + 1, 0);
-        let mut running = 0u32;
-        for v in 0..num_boxes {
-            self.cell_starts[v] = running;
-            for c in 0..num_chunks {
-                let slot = &mut hists[c * num_boxes + v];
-                (*slot, running) = (running, running + *slot);
-            }
-        }
-        self.cell_starts[num_boxes] = running;
-
-        // Pass 2 (parallel over chunks): disjoint stable scatter.
-        self.cell_agents.clear();
-        self.cell_agents.resize(n, AgentId::NULL);
-        let out = SendPtr(self.cell_agents.as_mut_ptr());
-        let chunks = voxel_of.par_chunks(chunk_len).enumerate();
-        let chunks = hists.par_chunks_mut(num_boxes).zip(chunks);
-        chunks.for_each(|(cursor, (c, chunk))| {
-            let out = &out;
-            for (k, &v) in chunk.iter().enumerate() {
-                let pos = cursor[v as usize];
-                cursor[v as usize] += 1;
-                // SAFETY: the scan above hands every chunk disjoint slot
-                // ranges per voxel ([hist[c][v], hist[c+1][v])), so no two
-                // chunks write the same index and every index < n is
-                // written exactly once.
-                unsafe { *out.0.add(pos as usize) = AgentId::from_index(c * chunk_len + k) };
-            }
-        });
+        self.counting_sort(voxel_of, AgentId::from_index);
         false
     }
 
@@ -369,7 +287,7 @@ impl<R: Scalar> CsrGrid<R> {
     /// count(v)`), an inclusive scan turns slot `v` into voxel `v`'s first
     /// index, the scatter advances it to voxel `v`'s end — voxel `v + 1`'s
     /// start — and one shift puts every start back in its own slot.
-    fn sort_one_chunk(&mut self, voxel_of: &[u32], id: impl Fn(usize) -> AgentId) {
+    fn counting_sort(&mut self, voxel_of: &[u32], id: impl Fn(usize) -> AgentId) {
         let num_boxes = self.geom.num_boxes();
         let starts = &mut self.cell_starts;
         starts.clear();
@@ -439,12 +357,12 @@ impl<R: Scalar> CsrGrid<R> {
         // drop the incremental signature so the next full rebuild can
         // never falsely skip over shard-local contents.
         self.built_sig = None;
-        let (voxel_of, _) = scratch.indices(n, 0);
+        let voxel_of = scratch.indices(n);
         for (v, id) in voxel_of.iter_mut().zip(members) {
             let i = id.index();
             *v = self.geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
         }
-        self.sort_one_chunk(voxel_of, |k| members[k]);
+        self.counting_sort(voxel_of, |k| members[k]);
     }
 
     /// `true` when the arrays are those of a full build
@@ -629,6 +547,9 @@ mod tests {
         Aabb::new(Vec3::zero(), Vec3::splat(extent))
     }
 
+    /// A population past 32 Ki agents: eight key parts.
+    const PAST_32_KI: usize = 32 * 1024 + 900;
+
     #[test]
     fn ranges_partition_all_agents() {
         let (xs, ys, zs) = cloud(500, 1, 20.0);
@@ -662,13 +583,11 @@ mod tests {
 
     #[test]
     fn parallel_build_is_bitwise_identical_to_serial() {
-        // Cross the BUILD_CHUNK threshold so multiple chunks engage.
-        let n = 3 * BUILD_CHUNK + 1234;
-        let (xs, ys, zs) = cloud(n, 3, 60.0);
+        let (xs, ys, zs) = cloud(3 * PAST_32_KI, 3, 60.0);
         let s = CsrGrid::build_serial(&xs, &ys, &zs, space(60.0), 3.0);
         let build = || CsrGrid::build_parallel(&xs, &ys, &zs, space(60.0), 3.0);
-        // The four chunks' disjoint scatters on 1, 2 and 4 (oversubscribed)
-        // workers, several times each, then in shuffled chunk orders.
+        // The eight parts' key passes on 1, 2 and 4 (oversubscribed)
+        // workers, several times each, then in shuffled part orders.
         for round in 0..12 {
             let workers = [1, 2, 4][round % 3];
             let pool = rayon::ThreadPoolBuilder::new().num_threads(workers);
@@ -712,14 +631,27 @@ mod tests {
     #[test]
     fn a_lent_buffer_builds_what_the_owned_scratch_builds() {
         // A step buffer a previous borrower left dirty, lent to builds
-        // over changing scenes — past one build chunk, so the histograms
-        // of several chunks share it — and to the incremental check.
+        // over changing scenes — past 32 Ki agents, the last in 512,000
+        // voxels, 80³ at edge 0.25 — and to the incremental check.
         let mut buffer = StepBuffer::default();
         buffer.vec3s(64).fill(Vec3::splat(f64::NAN));
         let mut g = CsrGrid::build_serial(&[], &[], &[], space(20.0), 2.0);
-        for (n, seed, edge) in [(500, 1, 2.0), (BUILD_CHUNK + 900, 2, 3.0), (200, 3, 2.5)] {
+        let scenes = [
+            (500, 1, 2.0),
+            (PAST_32_KI, 2, 3.0),
+            (200, 3, 2.5),
+            (40_000, 4, 0.25),
+        ];
+        for (n, seed, edge) in scenes {
             let (xs, ys, zs) = cloud(n, seed, 20.0);
             let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(20.0), edge);
+            // An owned scratch holds one voxel id per agent, however
+            // many voxels there are.
+            let mut scratch = CsrBuildScratch::default();
+            let mut owned = CsrGrid::build_serial(&[], &[], &[], space(20.0), edge);
+            owned.rebuild_parallel(&xs, &ys, &zs, space(20.0), edge, &mut scratch);
+            assert_eq!(owned.cell_agents, fresh.cell_agents, "{n} agents");
+            assert_eq!(scratch.resident_bytes(), 4 * n, "{n} agents");
             // A new scene rebuilds; the same one again skips, either way.
             for (parallel, skips) in [(true, false), (false, true), (true, true)] {
                 let skipped = if parallel {
@@ -732,8 +664,9 @@ mod tests {
                 assert_eq!(g.cell_agents, fresh.cell_agents, "{n} agents");
             }
         }
-        // Ids and histograms fit the sweep's 24 bytes per agent.
-        assert_eq!(buffer.resident_bytes(), 24 * (BUILD_CHUNK + 900));
+        // The ids fit the sweep's 24 bytes per agent, on the sparse
+        // scene too.
+        assert_eq!(buffer.resident_bytes(), 24 * 40_000);
     }
 
     #[test]

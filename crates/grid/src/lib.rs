@@ -26,9 +26,10 @@
 //! lock-free atomic head-insertion the paper credits for the 4.3×
 //! multithreaded advantage over the kd-tree (followed by a pass that
 //! puts each voxel's list back into the serial build's order), for
-//! [`CsrGrid`] a chunked counting sort that is deterministic by
-//! construction. Either parallel build equals its serial one bit for
-//! bit at every worker count.
+//! [`CsrGrid`] voxel keys computed in parallel parts and then the serial
+//! build's one stable counting sort, deterministic by construction.
+//! Either parallel build equals its serial one bit for bit at every
+//! worker count.
 
 mod csr;
 mod geometry;

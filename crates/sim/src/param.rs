@@ -253,7 +253,10 @@ impl SimParams {
             }
         }
         let e = self.space.extents();
-        if !(e.x > 0.0 && e.y > 0.0 && e.z > 0.0) {
+        if ![e.x, e.y, e.z]
+            .iter()
+            .all(|len| len.is_finite() && *len > 0.0)
+        {
             return Err(format!(
                 "space must have positive, finite extent on every axis; got \
                  ({}, {}, {})",
@@ -432,6 +435,27 @@ mod tests {
         assert!(p.validate().unwrap_err().contains("extent"));
         p.space.max.x = f64::NAN;
         assert!(p.validate().is_err());
+    }
+
+    /// An unbounded space would ask the grid for `u32::MAX` voxels per
+    /// axis on the first step; an extent that overflows is as unbounded.
+    #[test]
+    fn validate_rejects_a_non_finite_space() {
+        let sets: [fn(&mut SimParams); 4] = [
+            |p| p.space.max.x = f64::INFINITY,
+            |p| p.space.min.y = f64::NEG_INFINITY,
+            |p| (p.space.min.z, p.space.max.z) = (f64::NEG_INFINITY, f64::INFINITY),
+            |p| (p.space.min.x, p.space.max.x) = (-f64::MAX, f64::MAX),
+        ];
+        for (k, set) in sets.iter().enumerate() {
+            let mut p = SimParams::cube(10.0);
+            set(&mut p);
+            let err = p.validate().unwrap_err();
+            assert!(
+                err.contains("space") && err.contains("finite"),
+                "{k}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -421,21 +421,24 @@ fn a_retired_reorder_curve_is_invalid_params() {
 /// A stream whose mechanics are not finite (a NaN or infinite timestep,
 /// an infinite repulsion, a NaN attraction or displacement clamp)
 /// restores as a structured params error, not as a simulation whose
-/// first step writes NaN into the agents.
+/// first step writes NaN into the agents; so does one whose space is
+/// unbounded, whose first step would ask for `u32::MAX` voxels per axis.
 #[test]
 fn non_finite_mechanics_are_invalid_params() {
-    // PARAMS layout: space 6×f64 (48) → mech repulsion, attraction,
-    // timestep, max_displacement (f64 each).
+    // PARAMS layout: space min xyz, max xyz (6×f64, words 0–5) → mech
+    // repulsion, attraction, timestep, max_displacement (words 6–9).
     for (field, k, bad) in [
-        ("timestep", 2, f64::NAN),
-        ("timestep", 2, f64::INFINITY),
-        ("repulsion", 0, f64::INFINITY),
-        ("attraction", 1, f64::NAN),
-        ("max_displacement", 3, f64::NAN),
+        ("space", 0, f64::NEG_INFINITY),
+        ("space", 3, f64::INFINITY),
+        ("timestep", 8, f64::NAN),
+        ("timestep", 8, f64::INFINITY),
+        ("repulsion", 6, f64::INFINITY),
+        ("attraction", 7, f64::NAN),
+        ("max_displacement", 9, f64::NAN),
     ] {
         let mut bytes = valid_bytes();
         let (_, payload, _) = locate(&bytes, 2);
-        let off = payload + 48 + 8 * k;
+        let off = payload + 8 * k;
         bytes[off..off + 8].copy_from_slice(&bad.to_le_bytes());
         assert_invalid_params(&bytes, field);
     }

@@ -6,12 +6,11 @@
 //! the argsort's two `u32` index arrays), a division wave (a mother uid
 //! per daughter slot the chunks may fill, then the same word and index
 //! arrays per daughter to order and append them), the CSR grid build (a
-//! `u32` voxel id per agent, and a histogram per build chunk when there
-//! is more than one), the force sweep (a `Vec3<f64>` displacement per
-//! agent) and the diffusion sweep (a window of `f64` or `f32` planes per
-//! field swept at once). [`StepBuffer`] is that memory, held once and
-//! lent to each as the type it needs: a step holds its largest
-//! borrower's bytes, not the sum of all five.
+//! `u32` voxel id per agent), the force sweep (a `Vec3<f64>`
+//! displacement per agent) and the diffusion sweep (a window of `f64` or
+//! `f32` planes per field swept at once). [`StepBuffer`] is that
+//! memory, held once and lent to each as the type it needs: a step
+//! holds its largest borrower's bytes, not the sum of all five.
 
 use bdm_math::Vec3;
 use std::mem::{align_of, size_of, size_of_val};
@@ -86,12 +85,9 @@ impl StepBuffer {
         (words, first, second)
     }
 
-    /// One `u32` per agent, then `extra` more — the sizing of the other
-    /// views, unless the extra needs more.
-    pub fn indices(&mut self, agents: usize, extra: usize) -> (&mut [u32], &mut [u32]) {
-        let len = (AGENT_WORDS * agents).max((agents + extra).div_ceil(2));
-        let (first, rest) = view(self.words(len)).split_at_mut(agents);
-        (first, &mut rest[..extra])
+    /// One `u32` per agent.
+    pub fn indices(&mut self, agents: usize) -> &mut [u32] {
+        &mut view(self.words(AGENT_WORDS * agents))[..agents]
     }
 
     /// `count` windows of `len` `T`s each, side by side — sized by
@@ -126,15 +122,15 @@ mod tests {
         assert_eq!(disp.len(), 100);
         assert_eq!(disp[33].x.to_bits(), u64::MAX);
         assert_eq!(buf.resident_bytes(), 2400);
-        // The grid build's voxel ids and 500 histogram counters fit the
-        // 300 words (word 99 is counters 98 and 99); 501 grow the block.
-        let (ids, hists) = buf.indices(100, 500);
-        assert_eq!((ids.len(), hists.len()), (100, 500));
-        assert_eq!(hists[98..100], [u32::MAX; 2]);
+        // The grid build's voxel ids are the same block's first 50 words
+        // (word 49 is ids 98 and 99).
+        let ids = buf.indices(100);
+        assert_eq!(ids.len(), 100);
+        assert_eq!(ids[98..100], [0; 2]);
+        buf.vec3s(100)[16].y = f64::from_bits(u64::MAX);
+        assert_eq!(buf.indices(100)[98..100], [u32::MAX; 2]);
         assert_eq!(buf.resident_bytes(), 2400);
-        assert_eq!(buf.indices(100, 501).1.len(), 501);
-        assert_eq!(buf.resident_bytes(), 2408);
-        assert!(buf.indices(0, 0).0.is_empty() && buf.vec3s(0).is_empty());
+        assert!(buf.indices(0).is_empty() && buf.vec3s(0).is_empty());
     }
 
     #[test]

@@ -17,14 +17,15 @@ use rayon::prelude::*;
 /// dominates for tiny columns.
 const PAR_THRESHOLD: usize = 1 << 14;
 
-/// Most parts a reorder pass ([`parts`]) cuts its agents into.
+/// Most parts a pass cut by [`parts`] has.
 pub const MAX_PARTS: usize = 8;
 
-/// Fewest agents a reorder part gets, so a small population stays one
+/// Fewest agents a part gets, so a small population stays one
 /// part (and one thread).
 const MIN_PART: usize = 1024;
 
-/// `(parts, part_len)` of a reorder pass over `n` agents: part `p` covers
+/// `(parts, part_len)` of a parallel pass over `n` agents (the reorder's,
+/// the CSR build's key pass and skip check): part `p` covers
 /// `p * part_len .. min((p + 1) * part_len, n)`. A function of `n` alone —
 /// never of the worker count — so whatever a pass computes per part (a
 /// histogram, a sortedness verdict) is the same on any schedule.

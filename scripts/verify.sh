@@ -160,11 +160,12 @@ stage() (
         # AddressSanitizer over the tests that drive the workspace's
         # `unsafe` code, so an out-of-bounds or use-after-free access
         # through a raw pointer or a reinterpreted slice (the step buffer's
-        # typed views and the diffusion windows it lends, the CSR build's
-        # and the radix argsort's disjoint scatters, births written into
-        # reserved column room, the lattices' first touch, the AVX2 lane
-        # ops) aborts the test that made it: the lib tests of the crates
-        # that hold it, the births-in-place and reorder oracles, the
+        # typed views and the diffusion windows it lends, the radix
+        # argsort's disjoint scatter, births written into reserved column
+        # room, the lattices' first touch, the AVX2 lane ops) aborts the
+        # test that made it: the lib tests of the crates that hold it or
+        # drive it (bdm-grid's CSR builds borrow the step buffer's `u32`
+        # view), the births-in-place and reorder oracles, the
         # stamps' skips through a whole step, and every host environment's
         # schedule matrix at two workers. Debug build, artifacts in target/x86_64-unknown-linux-gnu/;
         # RUSTFLAGS replaces .cargo/config.toml's flag, so it is repeated.
@@ -194,6 +195,11 @@ stage() (
         # Every file, module path and type / item DESIGN.md's experiment
         # index (§6) and model structure (§8) name in backticks exists.
         ./scripts/doc_names.sh
+        # Every `unsafe` site keeps its place with a number: per file, the
+        # sites equal the rows of EXPERIMENTS.md "`unsafe`, with its
+        # number" that name it, so a site cannot arrive without the
+        # measurement that pays for it, nor a row outlive its site.
+        ./scripts/unsafe_rows.sh
         # Informational, not a gate: the non-test, non-comment size of the
         # code the simplification PRs report against.
         ./scripts/loc.sh crates/gpu/src crates/sim/src/mech.rs crates/sim/src/diffusion.rs

@@ -1,9 +1,10 @@
-//! The parallel CSR grid build is *deterministic*: it partitions agents
-//! into fixed chunks and merges per-chunk histograms in chunk order, so
-//! it produces the same `cell_agents` ordering as the serial counting
-//! sort. Because the fused mechanics pass accumulates forces in that
-//! storage order, serial and parallel CSR environments must yield
-//! bitwise-identical FP64 trajectories — not merely tolerance-equal.
+//! The parallel CSR grid build is *deterministic*: it computes the voxel
+//! keys in parallel parts and then runs the serial build's one stable
+//! counting sort over them, so it produces the same `cell_agents`
+//! ordering as the serial build. Because the fused mechanics pass
+//! accumulates forces in that storage order, serial and parallel CSR
+//! environments must yield bitwise-identical FP64 trajectories — not
+//! merely tolerance-equal.
 //!
 //! This is the guarantee that makes the CSR layout safe to enable in
 //! reproducibility-sensitive runs where the linked-list layout's

@@ -7,11 +7,11 @@
 //! every simulated counter of every step.
 //!
 //! Scene sizes are chosen so the loops really fork: the CSR f64 scene
-//! exceeds the parallel build's 32 Ki-agent chunk (so its `unsafe`
-//! disjoint scatters run concurrently) and the key / argsort / gather
-//! passes' 16 Ki thresholds; the others span several 4 Ki-agent chunks
-//! of their force passes. The GPU scene's force launches have more
-//! blocks than the engine cuts chunks at four workers.
+//! spans all eight parts of the CSR build's key pass and skip check and
+//! exceeds the reorder key / argsort / gather passes' 16 Ki thresholds;
+//! the others span several 4 Ki-agent chunks of their force passes. The
+//! GPU scene's force launches have more blocks than the engine cuts
+//! chunks at four workers.
 
 use biodynamo::math::SplitMix64;
 use biodynamo::prelude::*;
