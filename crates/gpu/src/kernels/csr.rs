@@ -165,7 +165,7 @@ mod tests {
         let extent = 9.0;
         let (xs, ys, zs) = scene(n, extent, 11);
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
-        let host = CsrGrid::build_serial(&xs, &ys, &zs, space, 1.1);
+        let host = CsrGrid::build_parallel(&xs, &ys, &zs, space, 1.1);
 
         let geom = *host.geometry();
         let num_boxes = geom.num_boxes();
@@ -231,7 +231,7 @@ mod tests {
         let params = MechParams::<f64>::default_params();
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
         let box_len = 2.0 * radius;
-        let host = CsrGrid::build_serial(&xs, &ys, &zs, space, box_len);
+        let host = CsrGrid::build_parallel(&xs, &ys, &zs, space, box_len);
         let geom = *host.geometry();
 
         let mut dev = DeviceScene::upload(geom, [&xs, &ys, &zs], 2.0 * radius, adh);

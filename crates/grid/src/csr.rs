@@ -18,11 +18,12 @@
 //! the CPU, coalesced loads on the (simulated) GPU. The build is a
 //! two-pass counting sort — count per voxel, exclusive prefix sum,
 //! scatter — which is *stable*, and the arrays are a pure function of
-//! the voxel keys: the parallel build computes the keys (and the
-//! incremental check below) in parallel parts and then runs the same
-//! serial sort, so it is bitwise identical to the serial build with no
-//! fix-up (the linked-list `build_parallel` gets there by relinking the
-//! lists its racing insertions leave out of order).
+//! the voxel keys. There is one build: it computes the keys (and the
+//! incremental check below) in the parallel parts of `bdm_soa::parts`
+//! and then runs one serial sort, so its output is the same on any
+//! worker count with no fix-up (the linked-list `build_parallel` gets
+//! there by relinking the lists its racing insertions leave out of
+//! order). Under a one-worker pool it is the serial build.
 //!
 //! # Incremental maintenance
 //!
@@ -89,10 +90,9 @@ impl BuildSig {
 
 /// Working memory a CSR build owns for callers that lend it none: one
 /// `u32` per agent (its voxel id, filled by pass 1 and consumed by pass
-/// 2). Hold one across timesteps and
-/// every [`CsrGrid::rebuild_serial`] / [`CsrGrid::rebuild_parallel`]
-/// after the first is allocation-free in steady state. A caller that
-/// holds a [`StepBuffer`] lends it instead.
+/// 2). Hold one across timesteps and every
+/// [`CsrGrid::rebuild_parallel`] after the first is allocation-free in
+/// steady state. A caller that holds a [`StepBuffer`] lends it instead.
 #[derive(Debug, Default)]
 pub struct CsrBuildScratch {
     indices: Vec<u32>,
@@ -138,7 +138,7 @@ impl BuildMemory for StepBuffer {
 /// let ys = [0.5, 0.5, 0.5];
 /// let zs = [0.5, 0.5, 0.5];
 /// let space = Aabb::new(Vec3::zero(), Vec3::splat(4.0));
-/// let grid = CsrGrid::build_serial(&xs, &ys, &zs, space, 1.0);
+/// let grid = CsrGrid::build_parallel(&xs, &ys, &zs, space, 1.0);
 ///
 /// // Agents 0 and 1 share voxel (0,0,0); the range is contiguous and
 /// // sorted by id.
@@ -170,20 +170,13 @@ impl<R: Scalar> CsrGrid<R> {
         }
     }
 
-    /// Serial two-pass counting-sort build.
-    pub fn build_serial(xs: &[R], ys: &[R], zs: &[R], space: Aabb<R>, box_length: R) -> Self {
-        let mut grid = Self::empty(space, box_length);
-        let memory = &mut CsrBuildScratch::default();
-        grid.rebuild_serial(xs, ys, zs, space, box_length, memory);
-        grid
-    }
-
-    /// Two-pass counting-sort build whose voxel keys are computed in
-    /// parallel parts (`bdm_soa::parts`, a function of `n` alone); the
-    /// count, scan and scatter are the serial build's. The output is
-    /// **bitwise identical** to [`CsrGrid::build_serial`] (asserted by
-    /// tests), which in turn makes parallel FP64 force accumulation over
-    /// CSR ranges bit-identical to serial accumulation.
+    /// Two-pass counting-sort build whose voxel keys are computed in the
+    /// parallel parts of `bdm_soa::parts` (a function of `n` alone),
+    /// followed by one stable counting sort. The arrays are a pure
+    /// function of the keys — every voxel's agents in ascending id, on
+    /// any worker count (asserted by tests) — which makes parallel FP64
+    /// force accumulation over CSR ranges bit-identical to serial
+    /// accumulation. Under a one-worker pool it is the serial build.
     pub fn build_parallel(xs: &[R], ys: &[R], zs: &[R], space: Aabb<R>, box_length: R) -> Self {
         let mut grid = Self::empty(space, box_length);
         let memory = &mut CsrBuildScratch::default();
@@ -191,32 +184,16 @@ impl<R: Scalar> CsrGrid<R> {
         grid
     }
 
-    /// [`Self::build_serial`], but reusing this grid's arrays and
+    /// [`Self::build_parallel`], but reusing this grid's arrays and
     /// `memory`: the per-timestep rebuild allocates nothing once the
     /// buffers have grown to steady-state size.
     ///
     /// Incremental: when no agent's clamped voxel key changed since the
     /// last full build of this grid (same geometry, same keys), the
     /// counting sort is skipped — the stored arrays are already exact —
-    /// and the call returns `true`. Returns `false` when it rebuilt.
-    pub fn rebuild_serial(
-        &mut self,
-        xs: &[R],
-        ys: &[R],
-        zs: &[R],
-        space: Aabb<R>,
-        box_length: R,
-        memory: &mut impl BuildMemory,
-    ) -> bool {
-        let one_part = (1, xs.len().max(1));
-        self.rebuild_in_parts(one_part, [xs, ys, zs], space, box_length, memory)
-    }
-
-    /// [`Self::build_parallel`], but reusing this grid's arrays and
-    /// `memory` (see [`Self::rebuild_serial`]). Output is bitwise
-    /// identical to the serial rebuild — including the incremental
-    /// fast path, whose check runs in parallel parts too: unchanged keys
-    /// skip the sort and return `true`.
+    /// and the call returns `true`. Returns `false` when it rebuilt. The
+    /// check runs in the key pass's parts; changed keys then go through
+    /// `Self::counting_sort`, which borrows nothing besides the keys.
     pub fn rebuild_parallel(
         &mut self,
         xs: &[R],
@@ -226,25 +203,10 @@ impl<R: Scalar> CsrGrid<R> {
         box_length: R,
         memory: &mut impl BuildMemory,
     ) -> bool {
-        let parts = bdm_soa::parts(xs.len());
-        self.rebuild_in_parts(parts, [xs, ys, zs], space, box_length, memory)
-    }
-
-    /// The full build: the voxel keys and the incremental check run over
-    /// `count` parts of `len` agents, in parallel when there are more
-    /// than one; changed keys then go through [`Self::counting_sort`],
-    /// which borrows nothing besides the keys.
-    fn rebuild_in_parts(
-        &mut self,
-        (count, len): (usize, usize),
-        [xs, ys, zs]: [&[R]; 3],
-        space: Aabb<R>,
-        box_length: R,
-        memory: &mut impl BuildMemory,
-    ) -> bool {
         let geom = GridGeometry::new(space, box_length);
         let n = xs.len();
         assert!(n < u32::MAX as usize, "agent count overflows CSR offsets");
+        let (count, len) = bdm_soa::parts(n);
 
         // Pass 1 (parallel over parts): voxel ids.
         let voxel_of = memory.indices(n);
@@ -336,7 +298,7 @@ impl<R: Scalar> CsrGrid<R> {
     /// agents arrive from a single ascending-id run of `members` — the
     /// case for Hilbert-sorted storage, where one voxel is one
     /// contiguous key run — each per-voxel slice is bitwise identical
-    /// to the corresponding slice of a full [`Self::rebuild_serial`]
+    /// to the corresponding slice of a full [`Self::rebuild_parallel`]
     /// over the same columns, which is what keeps sharded force
     /// accumulation bit-identical to the unsharded pass.
     #[allow(clippy::too_many_arguments)]
@@ -366,8 +328,7 @@ impl<R: Scalar> CsrGrid<R> {
     }
 
     /// `true` when the arrays are those of a full build
-    /// ([`Self::rebuild_serial`] / [`Self::rebuild_parallel`], skipped or
-    /// not) over exactly this `space` and `box_length`, compared by bit
+    /// ([`Self::rebuild_parallel`], skipped or not) over exactly this `space` and `box_length`, compared by bit
     /// pattern. A member-subset build never matches. Together with a
     /// caller's proof that the columns are the ones that build read (the
     /// host step keys it on the resource manager's position stamp), this
@@ -550,10 +511,16 @@ mod tests {
     /// A population past 32 Ki agents: eight key parts.
     const PAST_32_KI: usize = 32 * 1024 + 900;
 
+    /// `f` on a one-worker pool: the serial run of a build.
+    fn one_worker<T>(f: impl FnOnce() -> T) -> T {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(1);
+        pool.build().expect("pool").install(f)
+    }
+
     #[test]
     fn ranges_partition_all_agents() {
         let (xs, ys, zs) = cloud(500, 1, 20.0);
-        let g = CsrGrid::build_serial(&xs, &ys, &zs, space(20.0), 2.5);
+        let g = CsrGrid::build_parallel(&xs, &ys, &zs, space(20.0), 2.5);
         assert_eq!(g.cell_starts().len(), g.num_boxes() + 1);
         assert_eq!(*g.cell_starts().last().unwrap() as usize, 500);
         let mut seen = vec![false; 500];
@@ -569,7 +536,7 @@ mod tests {
     #[test]
     fn every_agent_is_in_its_own_cell_sorted_by_id() {
         let (xs, ys, zs) = cloud(300, 2, 10.0);
-        let g = CsrGrid::build_serial(&xs, &ys, &zs, space(10.0), 1.5);
+        let g = CsrGrid::build_parallel(&xs, &ys, &zs, space(10.0), 1.5);
         for i in 0..300 {
             let v = g.box_index(Vec3::new(xs[i], ys[i], zs[i]));
             let cell = g.cell_range(v);
@@ -581,34 +548,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_build_is_bitwise_identical_to_serial() {
-        let (xs, ys, zs) = cloud(3 * PAST_32_KI, 3, 60.0);
-        let s = CsrGrid::build_serial(&xs, &ys, &zs, space(60.0), 3.0);
-        let build = || CsrGrid::build_parallel(&xs, &ys, &zs, space(60.0), 3.0);
-        // The eight parts' key passes on 1, 2 and 4 (oversubscribed)
-        // workers, several times each, then in shuffled part orders.
+    /// The build of `n` agents is the stable sort of the ids by voxel —
+    /// checked against a comparison sort of `(voxel, id)` and against
+    /// the serial build (the one-worker run) — on 1, 2 and 4
+    /// (oversubscribed) workers, several times each, and under shuffled
+    /// part orders.
+    fn assert_build_is_the_voxel_then_id_sort(n: usize, seed: u64, extent: f64, edge: f64) {
+        let (xs, ys, zs) = cloud(n, seed, extent);
+        let geom = GridGeometry::new(space(extent), edge);
+        let voxel = |i: usize| geom.box_index(Vec3::new(xs[i], ys[i], zs[i]));
+        let mut ids: Vec<usize> = (0..n).collect();
+        ids.sort_by_key(|&i| (voxel(i), i));
+        let agents: Vec<AgentId> = ids.into_iter().map(AgentId::from_index).collect();
+        let mut starts = vec![0u32; geom.num_boxes() + 1];
+        for i in 0..n {
+            starts[voxel(i) + 1] += 1;
+        }
+        for v in 1..starts.len() {
+            starts[v] += starts[v - 1];
+        }
+        let build = || CsrGrid::build_parallel(&xs, &ys, &zs, space(extent), edge);
+        let serial = one_worker(build);
+        let check = |g: CsrGrid<f64>, run: String| {
+            assert_eq!(g.cell_starts, starts, "{n} agents, {run}");
+            assert_eq!(g.cell_agents, agents, "{n} agents, {run}");
+            assert_eq!(g.cell_starts, serial.cell_starts, "{n} agents, {run}");
+            assert_eq!(g.cell_agents, serial.cell_agents, "{n} agents, {run}");
+        };
         for round in 0..12 {
             let workers = [1, 2, 4][round % 3];
             let pool = rayon::ThreadPoolBuilder::new().num_threads(workers);
-            let p = pool.build().expect("pool").install(build);
-            assert_eq!(s.cell_starts, p.cell_starts, "{workers} workers");
-            assert_eq!(s.cell_agents, p.cell_agents, "{workers} workers");
+            check(
+                pool.build().expect("pool").install(build),
+                format!("{workers} workers"),
+            );
         }
         for seed in 0..4 {
-            let p = rayon::with_shuffled_schedule(seed, build);
-            assert_eq!(s.cell_starts, p.cell_starts, "shuffle {seed}");
-            assert_eq!(s.cell_agents, p.cell_agents, "shuffle {seed}");
+            check(
+                rayon::with_shuffled_schedule(seed, build),
+                format!("shuffle {seed}"),
+            );
         }
     }
 
+    /// Eight key parts.
+    #[test]
+    fn parallel_build_is_bitwise_identical_to_serial() {
+        assert_build_is_the_voxel_then_id_sort(3 * PAST_32_KI, 3, 60.0, 3.0);
+    }
+
+    /// One key part.
     #[test]
     fn parallel_build_small_input_is_bitwise_identical() {
-        let (xs, ys, zs) = cloud(777, 4, 12.0);
-        let s = CsrGrid::build_serial(&xs, &ys, &zs, space(12.0), 2.0);
-        let p = CsrGrid::build_parallel(&xs, &ys, &zs, space(12.0), 2.0);
-        assert_eq!(s.cell_starts, p.cell_starts);
-        assert_eq!(s.cell_agents, p.cell_agents);
+        assert_build_is_the_voxel_then_id_sort(777, 4, 12.0, 2.0);
     }
 
     #[test]
@@ -616,14 +608,14 @@ mod tests {
         // Agent count and voxel edge both change between rebuilds; the
         // reused-buffer result must match a fresh build every time.
         let mut scratch = CsrBuildScratch::default();
-        let mut g = CsrGrid::build_serial(&[], &[], &[], space(10.0), 2.0);
+        let mut g = CsrGrid::build_parallel(&[], &[], &[], space(10.0), 2.0);
         for (n, seed, edge) in [(500usize, 1u64, 2.0f64), (200, 2, 1.5), (800, 3, 2.5)] {
             let (xs, ys, zs) = cloud(n, seed, 10.0);
             g.rebuild_parallel(&xs, &ys, &zs, space(10.0), edge, &mut scratch);
-            let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(10.0), edge);
+            let fresh = CsrGrid::build_parallel(&xs, &ys, &zs, space(10.0), edge);
             assert_eq!(g.cell_starts, fresh.cell_starts);
             assert_eq!(g.cell_agents, fresh.cell_agents);
-            g.rebuild_serial(&xs, &ys, &zs, space(10.0), edge, &mut scratch);
+            one_worker(|| g.rebuild_parallel(&xs, &ys, &zs, space(10.0), edge, &mut scratch));
             assert_eq!(g.cell_agents, fresh.cell_agents);
         }
     }
@@ -635,7 +627,7 @@ mod tests {
         // voxels, 80³ at edge 0.25 — and to the incremental check.
         let mut buffer = StepBuffer::default();
         buffer.vec3s(64).fill(Vec3::splat(f64::NAN));
-        let mut g = CsrGrid::build_serial(&[], &[], &[], space(20.0), 2.0);
+        let mut g = CsrGrid::build_parallel(&[], &[], &[], space(20.0), 2.0);
         let scenes = [
             (500, 1, 2.0),
             (PAST_32_KI, 2, 3.0),
@@ -644,20 +636,23 @@ mod tests {
         ];
         for (n, seed, edge) in scenes {
             let (xs, ys, zs) = cloud(n, seed, 20.0);
-            let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(20.0), edge);
+            let fresh = CsrGrid::build_parallel(&xs, &ys, &zs, space(20.0), edge);
             // An owned scratch holds one voxel id per agent, however
             // many voxels there are.
             let mut scratch = CsrBuildScratch::default();
-            let mut owned = CsrGrid::build_serial(&[], &[], &[], space(20.0), edge);
+            let mut owned = CsrGrid::build_parallel(&[], &[], &[], space(20.0), edge);
             owned.rebuild_parallel(&xs, &ys, &zs, space(20.0), edge, &mut scratch);
             assert_eq!(owned.cell_agents, fresh.cell_agents, "{n} agents");
             assert_eq!(scratch.resident_bytes(), 4 * n, "{n} agents");
-            // A new scene rebuilds; the same one again skips, either way.
-            for (parallel, skips) in [(true, false), (false, true), (true, true)] {
-                let skipped = if parallel {
-                    g.rebuild_parallel(&xs, &ys, &zs, space(20.0), edge, &mut buffer)
+            // A new scene rebuilds; the same one again skips, on one
+            // worker or on the ambient pool.
+            for (serial, skips) in [(false, false), (true, true), (false, true)] {
+                let mut rebuild =
+                    || g.rebuild_parallel(&xs, &ys, &zs, space(20.0), edge, &mut buffer);
+                let skipped = if serial {
+                    one_worker(rebuild)
                 } else {
-                    g.rebuild_serial(&xs, &ys, &zs, space(20.0), edge, &mut buffer)
+                    rebuild()
                 };
                 assert_eq!(skipped, skips, "{n} agents");
                 assert_eq!(g.cell_starts, fresh.cell_starts, "{n} agents");
@@ -672,13 +667,13 @@ mod tests {
     #[test]
     fn member_subset_build_matches_filtered_full_build() {
         let (xs, ys, zs) = cloud(400, 9, 16.0);
-        let full = CsrGrid::build_serial(&xs, &ys, &zs, space(16.0), 2.0);
+        let full = CsrGrid::build_parallel(&xs, &ys, &zs, space(16.0), 2.0);
         // Subset = two contiguous ascending-id ranges (the shard shape:
         // an owned range plus a halo range).
         let members: Vec<AgentId> = (50..200).chain(300..370).map(AgentId::from_index).collect();
         let in_subset =
             |id: &AgentId| (50..200).contains(&id.index()) || (300..370).contains(&id.index());
-        let mut sub = CsrGrid::build_serial(&[], &[], &[], space(16.0), 2.0);
+        let mut sub = CsrGrid::build_parallel(&[], &[], &[], space(16.0), 2.0);
         let mut scratch = CsrBuildScratch::default();
         sub.rebuild_from_members(&xs, &ys, &zs, &members, space(16.0), 2.0, &mut scratch);
         assert_eq!(sub.num_agents(), members.len());
@@ -696,9 +691,9 @@ mod tests {
     #[test]
     fn member_build_with_everyone_is_bitwise_identical_to_full_build() {
         let (xs, ys, zs) = cloud(600, 10, 12.0);
-        let full = CsrGrid::build_serial(&xs, &ys, &zs, space(12.0), 1.5);
+        let full = CsrGrid::build_parallel(&xs, &ys, &zs, space(12.0), 1.5);
         let members: Vec<AgentId> = (0..600).map(AgentId::from_index).collect();
-        let mut sub = CsrGrid::build_serial(&[], &[], &[], space(12.0), 1.5);
+        let mut sub = CsrGrid::build_parallel(&[], &[], &[], space(12.0), 1.5);
         sub.rebuild_from_members(
             &xs,
             &ys,
@@ -714,8 +709,8 @@ mod tests {
 
     /// Property test over random churn sequences: whatever mix of
     /// within-voxel jiggle, cross-voxel moves, births, and deaths a
-    /// step applies, the incremental rebuild (serial and parallel, with
-    /// persistent scratch) is bitwise identical to a fresh full build —
+    /// step applies, the incremental rebuild (on one worker and on the
+    /// ambient pool, with persistent scratch) is bitwise identical to a fresh full build —
     /// and both the skip path and the rebuild path are exercised.
     #[test]
     fn incremental_rebuild_matches_fresh_build_across_random_churn() {
@@ -724,8 +719,8 @@ mod tests {
         for seed in [70u64, 71, 72] {
             let mut rng = SplitMix64::new(seed);
             let (mut xs, mut ys, mut zs) = cloud(400, seed ^ 0xABCD, extent);
-            let mut gs = CsrGrid::build_serial(&[], &[], &[], space(extent), edge);
-            let mut gp = CsrGrid::build_serial(&[], &[], &[], space(extent), edge);
+            let mut gs = CsrGrid::build_parallel(&[], &[], &[], space(extent), edge);
+            let mut gp = CsrGrid::build_parallel(&[], &[], &[], space(extent), edge);
             let mut ss = CsrBuildScratch::default();
             let mut sp = CsrBuildScratch::default();
             let mut skipped = 0u32;
@@ -767,15 +762,16 @@ mod tests {
                         }
                     }
                 }
-                let a = gs.rebuild_serial(&xs, &ys, &zs, space(extent), edge, &mut ss);
+                let a =
+                    one_worker(|| gs.rebuild_parallel(&xs, &ys, &zs, space(extent), edge, &mut ss));
                 let b = gp.rebuild_parallel(&xs, &ys, &zs, space(extent), edge, &mut sp);
-                assert_eq!(a, b, "serial and parallel must agree on skipping");
+                assert_eq!(a, b, "one worker and the pool must agree on skipping");
                 if a {
                     skipped += 1;
                 } else {
                     rebuilt += 1;
                 }
-                let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(extent), edge);
+                let fresh = CsrGrid::build_parallel(&xs, &ys, &zs, space(extent), edge);
                 assert_eq!(gs.cell_starts, fresh.cell_starts, "round {round}");
                 assert_eq!(gs.cell_agents, fresh.cell_agents, "round {round}");
                 assert_eq!(gp.cell_starts, fresh.cell_starts, "round {round}");
@@ -792,22 +788,22 @@ mod tests {
     #[test]
     fn rebuild_skips_only_when_no_agent_crosses_a_voxel() {
         let (mut xs, ys, zs) = cloud(200, 8, 10.0);
-        let mut g = CsrGrid::build_serial(&[], &[], &[], space(10.0), 2.0);
+        let mut g = CsrGrid::build_parallel(&[], &[], &[], space(10.0), 2.0);
         let mut scratch = CsrBuildScratch::default();
-        assert!(!g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
+        assert!(!g.rebuild_parallel(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
         assert!(
-            g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch),
+            g.rebuild_parallel(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch),
             "unchanged scene must skip"
         );
         // Within-voxel motion changes positions but not keys: skipped.
         let old = xs[0];
         xs[0] = (old / 2.0).floor() * 2.0 + 1.0; // voxel center
-        assert!(g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
+        assert!(g.rebuild_parallel(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
         xs[0] += 0.5; // stays inside the 2.0-wide voxel
-        assert!(g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
+        assert!(g.rebuild_parallel(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
         // Boundary crossing: rebuild.
         xs[0] += 2.0;
-        assert!(!g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
+        assert!(!g.rebuild_parallel(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
         // Two agents of different voxels trade places: same count, same
         // occupancy per voxel, but each slot now names the wrong agent.
         let other = (1..xs.len())
@@ -820,24 +816,12 @@ mod tests {
         for col in [&mut xs, &mut ys, &mut zs] {
             col.swap(0, other);
         }
-        for build in [CsrGrid::rebuild_serial, CsrGrid::rebuild_parallel] {
-            let mut g = g.clone();
-            assert!(!build(
-                &mut g,
-                &xs,
-                &ys,
-                &zs,
-                space(10.0),
-                2.0,
-                &mut scratch
-            ));
-            let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(10.0), 2.0);
-            assert_eq!(g.cell_agents, fresh.cell_agents);
-        }
-        assert!(!g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
+        assert!(!g.rebuild_parallel(&xs, &ys, &zs, space(10.0), 2.0, &mut scratch));
+        let fresh = CsrGrid::build_parallel(&xs, &ys, &zs, space(10.0), 2.0);
+        assert_eq!(g.cell_agents, fresh.cell_agents);
         // Geometry change with identical positions: rebuild.
-        assert!(!g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.5, &mut scratch));
-        let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(10.0), 2.5);
+        assert!(!g.rebuild_parallel(&xs, &ys, &zs, space(10.0), 2.5, &mut scratch));
+        let fresh = CsrGrid::build_parallel(&xs, &ys, &zs, space(10.0), 2.5);
         assert_eq!(g.cell_agents, fresh.cell_agents);
     }
 
@@ -846,18 +830,18 @@ mod tests {
     #[test]
     fn member_rebuild_invalidates_the_incremental_signature() {
         let (xs, ys, zs) = cloud(300, 11, 12.0);
-        let mut g = CsrGrid::build_serial(&[], &[], &[], space(12.0), 2.0);
+        let mut g = CsrGrid::build_parallel(&[], &[], &[], space(12.0), 2.0);
         let mut scratch = CsrBuildScratch::default();
-        assert!(!g.rebuild_serial(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch));
-        assert!(g.rebuild_serial(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch));
+        assert!(!g.rebuild_parallel(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch));
+        assert!(g.rebuild_parallel(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch));
         let members: Vec<AgentId> = (0..100).map(AgentId::from_index).collect();
         g.rebuild_from_members(&xs, &ys, &zs, &members, space(12.0), 2.0, &mut scratch);
         assert_eq!(g.num_agents(), 100);
         assert!(
-            !g.rebuild_serial(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch),
+            !g.rebuild_parallel(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch),
             "a shard recut must clear the skip signature"
         );
-        let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(12.0), 2.0);
+        let fresh = CsrGrid::build_parallel(&xs, &ys, &zs, space(12.0), 2.0);
         assert_eq!(g.cell_starts, fresh.cell_starts);
         assert_eq!(g.cell_agents, fresh.cell_agents);
     }
@@ -865,7 +849,7 @@ mod tests {
     #[test]
     fn radius_search_matches_brute_force() {
         let (xs, ys, zs) = cloud(600, 5, 15.0);
-        let g = CsrGrid::build_serial(&xs, &ys, &zs, space(15.0), 2.0);
+        let g = CsrGrid::build_parallel(&xs, &ys, &zs, space(15.0), 2.0);
         let mut rng = SplitMix64::new(6);
         for _ in 0..40 {
             let q = Vec3::new(
@@ -892,7 +876,7 @@ mod tests {
     #[test]
     fn counters_match_linked_list_layout() {
         let (xs, ys, zs) = cloud(400, 7, 12.0);
-        let csr = CsrGrid::build_serial(&xs, &ys, &zs, space(12.0), 2.0);
+        let csr = CsrGrid::build_parallel(&xs, &ys, &zs, space(12.0), 2.0);
         let ll = crate::UniformGrid::build_serial(&xs, &ys, &zs, space(12.0), 2.0);
         let q = Vec3::splat(6.0);
         let mut sink = Vec::new();
@@ -905,7 +889,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_agent_grids() {
-        let g = CsrGrid::<f64>::build_serial(&[], &[], &[], space(10.0), 2.0);
+        let g = CsrGrid::<f64>::build_parallel(&[], &[], &[], space(10.0), 2.0);
         assert_eq!(g.num_agents(), 0);
         assert!(g.cell_range(0).is_empty());
         let g = CsrGrid::build_parallel(&[1.0], &[1.0], &[1.0], space(10.0), 2.0);
@@ -918,7 +902,7 @@ mod tests {
         let xs = vec![-5.0, 15.0];
         let ys = vec![0.5, 9.5];
         let zs = vec![0.5, 9.5];
-        let g = CsrGrid::build_serial(&xs, &ys, &zs, space(10.0), 2.0);
+        let g = CsrGrid::build_parallel(&xs, &ys, &zs, space(10.0), 2.0);
         assert_eq!(*g.cell_starts().last().unwrap(), 2);
     }
 }

@@ -20,16 +20,15 @@
 //!   `csr` module docs for the layout and its determinism guarantee.
 //!
 //! The grid is rebuilt every timestep "to take into account the addition,
-//! deletion, and movement of agents". Construction comes in two flavors
-//! for either layout: serial (the apples-to-apples comparison against the
-//! serial kd-tree build) and rayon-parallel — for [`UniformGrid`] the
-//! lock-free atomic head-insertion the paper credits for the 4.3×
-//! multithreaded advantage over the kd-tree (followed by a pass that
-//! puts each voxel's list back into the serial build's order), for
-//! [`CsrGrid`] voxel keys computed in parallel parts and then the serial
-//! build's one stable counting sort, deterministic by construction.
-//! Either parallel build equals its serial one bit for bit at every
-//! worker count.
+//! deletion, and movement of agents". [`UniformGrid`] comes in two
+//! flavors: serial (the apples-to-apples comparison against the serial
+//! kd-tree build) and the lock-free atomic head-insertion the paper
+//! credits for the 4.3× multithreaded advantage over the kd-tree
+//! (followed by a pass that puts each voxel's list back into the serial
+//! build's order), equal to the serial build bit for bit at every worker
+//! count. [`CsrGrid`] has one build — voxel keys computed in parallel
+//! parts, then one stable counting sort — deterministic by construction
+//! and serial under a one-worker pool.
 
 mod csr;
 mod geometry;
@@ -44,12 +43,9 @@ pub use geometry::{GridGeometry, NeighborBoxes};
 pub use rayon;
 
 use bdm_math::{Aabb, Scalar, Vec3};
-use bdm_soa::AgentId;
+use bdm_soa::{AgentId, CHUNK};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Voxels per task of the parallel build's conversion pass.
-const CONVERT_CHUNK: usize = 4 * 1024;
 
 /// One voxel of the grid — the paper's `Box` class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,17 +171,18 @@ impl<R: Scalar> UniformGrid<R> {
             successors[i].store(old, Ordering::Release);
         });
 
-        // Conversion (parallel over voxel blocks): plain boxes, lists
-        // relinked into descending id order where the race left another.
+        // Conversion (parallel over `CHUNK`-voxel blocks, each with its
+        // own id buffer): plain boxes, lists relinked into descending id
+        // order where the race left another.
         let mut boxes = vec![GridBox::EMPTY; num_boxes];
         boxes
-            .par_chunks_mut(CONVERT_CHUNK)
+            .par_chunks_mut(CHUNK)
             .enumerate()
             .for_each(|(c, chunk)| {
                 let mut ids: Vec<u32> = Vec::new();
                 for (k, slot) in chunk.iter_mut().enumerate() {
                     ids.clear();
-                    let mut id = heads[c * CONVERT_CHUNK + k].load(Ordering::Acquire);
+                    let mut id = heads[c * CHUNK + k].load(Ordering::Acquire);
                     while id != AgentId::NULL.0 {
                         ids.push(id);
                         id = successors[id as usize].load(Ordering::Acquire);

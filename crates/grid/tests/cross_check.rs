@@ -106,7 +106,7 @@ proptest! {
         let box_len = 4.0;
         let r = r_q as f64 * 0.5; // ≤ 4.0 = box_len
         let grid = UniformGrid::build_serial(&xs, &ys, &zs, space, box_len);
-        let csr = CsrGrid::build_serial(&xs, &ys, &zs, space, box_len);
+        let csr = CsrGrid::build_parallel(&xs, &ys, &zs, space, box_len);
         let q = Vec3::new(qi.0 as f64 * 0.5, qi.1 as f64 * 0.5, qi.2 as f64 * 0.5);
         let got = grid_ids(&grid, &xs, &ys, &zs, q, r, None);
         let got_csr = csr_ids(&csr, &xs, &ys, &zs, q, r, None);
@@ -122,8 +122,7 @@ proptest! {
     }
 
     /// The three layouts answer arbitrary (non-lattice) clouds with the
-    /// same neighbor sets, and the deterministic parallel CSR build is
-    /// structurally identical to the serial one.
+    /// same neighbor sets.
     #[test]
     fn csr_equals_linked_list_and_kdtree(
         seed in 0u64..1000,
@@ -138,10 +137,7 @@ proptest! {
         let space = Aabb::new(Vec3::zero(), Vec3::splat(extent));
         let radius = 2.0;
         let linked = UniformGrid::build_serial(&xs, &ys, &zs, space, radius);
-        let csr = CsrGrid::build_serial(&xs, &ys, &zs, space, radius);
-        let csr_par = CsrGrid::build_parallel(&xs, &ys, &zs, space, radius);
-        prop_assert_eq!(csr.cell_starts(), csr_par.cell_starts());
-        prop_assert_eq!(csr.cell_agents(), csr_par.cell_agents());
+        let csr = CsrGrid::build_parallel(&xs, &ys, &zs, space, radius);
         let tree = KdTree::build(&xs, &ys, &zs);
         for i in (0..n).step_by(13) {
             let q = Vec3::new(xs[i], ys[i], zs[i]);

@@ -3,6 +3,18 @@
 use crate::behavior::Behavior;
 use bdm_math::Vec3;
 
+/// A cell's diameter is positive and finite — the one rule the builder
+/// and the checkpoint import apply.
+pub(crate) fn valid_diameter(d: f64) -> bool {
+    d > 0.0 && d.is_finite()
+}
+
+/// A cell's adherence is non-negative and finite — the one rule the
+/// builder and the checkpoint import apply.
+pub(crate) fn valid_adherence(a: f64) -> bool {
+    a >= 0.0 && a.is_finite()
+}
+
 /// Builder for a spherical cellular agent.
 #[derive(Debug, Clone)]
 pub struct CellBuilder {
@@ -25,15 +37,21 @@ impl CellBuilder {
     }
 
     /// Set the diameter.
+    ///
+    /// # Panics
+    /// Unless `d` is positive and finite.
     pub fn diameter(mut self, d: f64) -> Self {
-        assert!(d > 0.0, "diameter must be positive");
+        assert!(valid_diameter(d), "diameter must be positive and finite");
         self.diameter = d;
         self
     }
 
     /// Set the adherence threshold (force needed to move the cell).
+    ///
+    /// # Panics
+    /// Unless `a` is non-negative and finite.
     pub fn adherence(mut self, a: f64) -> Self {
-        assert!(a >= 0.0, "adherence must be non-negative");
+        assert!(valid_adherence(a), "adherence must be finite and >= 0");
         self.adherence = a;
         self
     }
@@ -70,5 +88,17 @@ mod tests {
     #[should_panic]
     fn zero_diameter_rejected() {
         CellBuilder::new(Vec3::zero()).diameter(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "diameter must be positive and finite")]
+    fn infinite_diameter_rejected() {
+        CellBuilder::new(Vec3::zero()).diameter(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "adherence must be finite and >= 0")]
+    fn infinite_adherence_rejected() {
+        CellBuilder::new(Vec3::zero()).adherence(f64::INFINITY);
     }
 }

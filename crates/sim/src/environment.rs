@@ -45,8 +45,8 @@ pub enum GridLayout {
     /// candidate visit.
     LinkedList,
     /// CSR counting-sort layout (`cell_starts` prefix sums + contiguous
-    /// `cell_agents`): queries stream 27 slices, and the parallel build
-    /// is deterministic. Post-paper optimization; see
+    /// `cell_agents`): queries stream 27 slices, and its one build gives
+    /// the same arrays on any worker count. Post-paper optimization; see
     /// `bdm_grid::CsrGrid`.
     Csr,
 }
@@ -62,7 +62,11 @@ pub enum EnvironmentKind {
     UniformGrid {
         /// Linked-list (paper-faithful) or CSR storage.
         layout: GridLayout,
-        /// Parallel grid construction.
+        /// Parallel grid construction. The linked-list layout runs its
+        /// lock-free parallel build when set and its serial build
+        /// otherwise. The CSR layout has one build, so for it the flag
+        /// only labels the modeled build phase; a serial CSR run is
+        /// [`crate::scheduler::ExecMode::Serial`].
         parallel: bool,
     },
     /// GPU offload of grid build + mechanical forces.
@@ -97,7 +101,8 @@ impl EnvironmentKind {
         }
     }
 
-    /// Uniform grid, CSR layout, serial construction.
+    /// Uniform grid, CSR layout, build phase modeled serial (see
+    /// [`EnvironmentKind::UniformGrid`]'s `parallel`).
     pub fn uniform_grid_csr_serial() -> Self {
         EnvironmentKind::UniformGrid {
             layout: GridLayout::Csr,
@@ -105,7 +110,7 @@ impl EnvironmentKind {
         }
     }
 
-    /// Uniform grid, CSR layout, deterministic parallel construction.
+    /// Uniform grid, CSR layout, build phase modeled parallel.
     pub fn uniform_grid_csr_parallel() -> Self {
         EnvironmentKind::UniformGrid {
             layout: GridLayout::Csr,

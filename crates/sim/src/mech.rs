@@ -467,19 +467,7 @@ trait NeighborSource: Sync {
     fn for_each_candidate(&self, i: usize, p: Vec3<f64>, visit: impl FnMut(usize)) -> u64;
 }
 
-/// Agents per part of a global (unsharded) sweep. Fixed (not derived
-/// from the thread count) so the sweep is chunked identically no matter
-/// how rayon schedules it; each agent's FP64 accumulation is independent,
-/// so the displacements are bitwise reproducible across serial and
-/// parallel runs.
-pub(crate) const CSR_PASS_CHUNK: usize = 4 * 1024;
-
-/// Cut points of the global sweep: `0..n` every [`CSR_PASS_CHUNK`].
-fn chunk_cuts(n: usize) -> Vec<usize> {
-    (0..n).step_by(CSR_PASS_CHUNK).chain([n]).collect()
-}
-
-/// The neighbor lists of one [`CSR_PASS_CHUNK`]-agent chunk, flat: agent
+/// The neighbor lists of one [`bdm_soa::CHUNK`]-agent chunk, flat: agent
 /// `base + k` owns `ids[offsets[k]..offsets[k + 1]]`. One buffer pair
 /// per chunk instead of one `Vec` per agent — a worker thread then
 /// allocates twice per 4 Ki agents, not once per agent for the caller to
@@ -539,7 +527,7 @@ impl NeighborSource for CsrGrid<f64> {
 
 /// An empty CSR grid for a scratch slot to rebuild in place.
 pub(crate) fn empty_csr(space: Aabb<f64>, radius: f64) -> CsrGrid<f64> {
-    CsrGrid::build_serial(&[], &[], &[], space, radius)
+    CsrGrid::build_parallel(&[], &[], &[], space, radius)
 }
 
 /// What one part of a sweep counted. Integer sums, so any partition of
@@ -609,8 +597,8 @@ const DISPLACEMENT_POISON: f64 = f64::from_bits(0x7ff8_dead_0bad_f00d);
 /// integration, on every path.
 ///
 /// Per-agent results are independent writes into disjoint slices and the
-/// statistics are integer sums, so neither the partition (every
-/// [`CSR_PASS_CHUNK`] globally, the shard ranges when sharded) nor the
+/// statistics are integer sums, so neither the partition
+/// ([`bdm_soa::chunk_cuts`] globally, the shard ranges when sharded) nor the
 /// schedule can affect a displacement bit or a modeled counter
 /// ([`MechWork::stencils_staged`] alone counts something per part).
 fn force_sweep(
@@ -1470,7 +1458,7 @@ fn cpu_kdtree_step(
     // which keeps kd trajectories invariant under the host reorder.
     let uids = rm.uid_column();
     let t1 = Instant::now();
-    let cuts = chunk_cuts(n);
+    let cuts = bdm_soa::chunk_cuts(n);
     let query_results: Vec<(ChunkLists, bdm_kdtree::QueryCounters)> = (0..cuts.len() - 1)
         .into_par_iter()
         .map(|c| {
@@ -1561,7 +1549,7 @@ fn cpu_grid_step(
 
     // Phase 2: fused neighbor scan + force computation.
     let bufs = (&mut scratch.buffer, &mut scratch.lanes);
-    let (cuts, model) = (chunk_cuts(n), ForceModel::LinkedList);
+    let (cuts, model) = (bdm_soa::chunk_cuts(n), ForceModel::LinkedList);
     force_sweep(
         rm,
         bufs,
@@ -1593,6 +1581,10 @@ pub(crate) fn csr_build_phase(members: usize, skipped: bool, parallel: bool) -> 
     }
 }
 
+/// The global CSR step. `parallel` is the environment's build flag: it
+/// only labels the modeled build phase — the one build runs its key pass
+/// in parallel parts on however many workers the step executes under (a
+/// serial run is [`crate::scheduler::ExecMode::Serial`]).
 fn cpu_grid_csr_step(
     rm: &mut ResourceManager,
     params: &SimParams,
@@ -1622,12 +1614,7 @@ fn cpu_grid_csr_step(
     let reason = if same_geometry && scratch.csr_key == Some(key) {
         CsrRebuild::Unchanged
     } else {
-        let buffer = &mut scratch.buffer;
-        let held = if parallel {
-            grid.rebuild_parallel(xs, ys, zs, space, radius, buffer)
-        } else {
-            grid.rebuild_serial(xs, ys, zs, space, radius, buffer)
-        };
+        let held = grid.rebuild_parallel(xs, ys, zs, space, radius, &mut scratch.buffer);
         match (held, same_geometry) {
             (true, _) => CsrRebuild::Held,
             (false, true) => CsrRebuild::Moved,
@@ -1652,7 +1639,7 @@ fn cpu_grid_csr_step(
 #[derive(Clone, Copy)]
 pub(crate) enum CsrParts<'a> {
     /// One grid over every agent, walked in its own order: the parts are
-    /// [`CSR_PASS_CHUNK`]-slot ranges of `grid.cell_agents()` — the
+    /// [`bdm_soa::CHUNK`]-slot ranges of `grid.cell_agents()` — the
     /// voxel-grouped order, rebuilt every step on the geometry the sweep
     /// uses, so every voxel is staged once whatever storage looks like —
     /// and the displacements come back in slot order.
@@ -1705,7 +1692,7 @@ pub(crate) fn csr_sweep(
     let global_cuts;
     let parts = match parts {
         CsrParts::Global(grid) => {
-            global_cuts = chunk_cuts(rm.len());
+            global_cuts = bdm_soa::chunk_cuts(rm.len());
             SweepParts {
                 cuts: &global_cuts,
                 agent_of: Some(grid.cell_agents()),
@@ -1867,7 +1854,7 @@ mod tests {
     /// no agent moved to NaN.
     #[test]
     fn no_sweep_leaves_a_poisoned_displacement_behind() {
-        let rm = random_population(2 * CSR_PASS_CHUNK + 100, 9.0, 31);
+        let rm = random_population(2 * bdm_soa::CHUNK + 100, 9.0, 31);
         let check = |rm: &ResourceManager, scratch: &mut MechScratch, what: &str| {
             let disp = scratch.buffer.vec3s(rm.len());
             let poisoned = |d: &&Vec3<f64>| {
@@ -2453,7 +2440,7 @@ mod tests {
     fn global_grid(rm: &ResourceManager, params: &SimParams) -> CsrGrid<f64> {
         let (xs, ys, zs) = rm.position_columns();
         let radius = interaction_radius(rm, params);
-        CsrGrid::build_serial(xs, ys, zs, params.space, radius)
+        CsrGrid::build_parallel(xs, ys, zs, params.space, radius)
     }
 
     /// Cut `0..n` at `cuts` random points — nothing aligns them to voxels,
@@ -2670,7 +2657,7 @@ mod tests {
                 let mut rm = sim.rm().clone();
                 store(&mut rm, &params, storage, 11);
                 let grid = global_grid(&rm, &params);
-                let cuts = chunk_cuts(rm.len());
+                let cuts = bdm_soa::chunk_cuts(rm.len());
                 let parts: Vec<OraclePart<'_>> =
                     cuts.windows(2).map(|w| (w[0]..w[1], &grid)).collect();
                 let lane = &mut LaneScratch::default();
@@ -2759,7 +2746,7 @@ mod tests {
             let mut params = SimParams::cube(6.0).with_precision(precision);
             params.mech.max_displacement = 0.0;
             let env = EnvironmentKind::uniform_grid_csr_parallel();
-            let mut rm = random_population(CSR_PASS_CHUNK + 300, 5.5, 23);
+            let mut rm = random_population(bdm_soa::CHUNK + 300, 5.5, 23);
             let mut scratch = MechScratch::default();
             let capacities = |scratch: &MechScratch| -> Vec<Vec<usize>> {
                 let cap = |l: &LaneScratch| {

@@ -35,12 +35,6 @@ use bdm_soa::StepBuffer;
 use rayon::prelude::*;
 use std::time::Instant;
 
-/// Fixed agent-chunk size for parallel operations. Independent of the
-/// worker count (like `CSR_PASS_CHUNK` in the grid build) so the chunk
-/// partition — and therefore every chunk-ordered merge — is identical
-/// whether one thread or sixty-four execute the chunks.
-pub const AGENT_CHUNK: usize = 4 * 1024;
-
 /// Everything an operation may touch during one step.
 ///
 /// Built from disjoint borrows of the [`crate::simulation::Simulation`]
@@ -68,20 +62,15 @@ pub struct OpContext<'a> {
 }
 
 impl OpContext<'_> {
-    /// Shard-then-chunk cut points for the agent loops, when sharding is
-    /// on and the cached shard ranges tile the current population.
-    fn shard_cuts(&self) -> Option<Vec<usize>> {
-        self.shards
-            .as_deref()
-            .and_then(|s| s.behavior_cuts(self.rm.len(), AGENT_CHUNK))
-    }
-
-    /// The agent loops' cut points: [`Self::shard_cuts`], or every
-    /// [`AGENT_CHUNK`] agents.
+    /// The agent loops' cut points: the shard-then-chunk cuts when
+    /// sharding is on and the cached shard ranges tile the current
+    /// population, else [`bdm_soa::chunk_cuts`]. Either is a function of
+    /// the population alone, so every chunk-ordered merge is identical
+    /// whether one thread or sixty-four execute the chunks.
     fn agent_cuts(&self) -> Vec<usize> {
         let n = self.rm.len();
-        let uniform = || (0..n).step_by(AGENT_CHUNK).chain([n]).collect();
-        self.shard_cuts().unwrap_or_else(uniform)
+        let shard_cuts = self.shards.as_deref().and_then(|s| s.behavior_cuts(n));
+        shard_cuts.unwrap_or_else(|| bdm_soa::chunk_cuts(n))
     }
 }
 
@@ -283,7 +272,7 @@ impl Operation for ShardRebalanceOp {
 /// Runs every agent's behavior list: growth/division, chemotaxis,
 /// secretion, apoptosis.
 ///
-/// The agent loop is chunked ([`AGENT_CHUNK`]); each chunk owns its
+/// The agent loop is chunked ([`bdm_soa::CHUNK`]); each chunk owns its
 /// agents' position/diameter columns and its window of the room the
 /// columns reserved for daughters ([`AgentChunkMut`], from
 /// [`ResourceManager::divisions`]), and buffers deaths and secretions in

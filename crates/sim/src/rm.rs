@@ -47,7 +47,7 @@
 //! never checkpointed.
 
 use crate::behavior::Behavior;
-use crate::cell::CellBuilder;
+use crate::cell::{valid_adherence, valid_diameter, CellBuilder};
 use bdm_device::cpu::Phase;
 use bdm_math::{Aabb, Vec3};
 use bdm_morton::{radix_argsort, CellCurve, Curve};
@@ -592,8 +592,8 @@ impl ResourceManager {
     /// This is the substrate of the parallel agent operations: each rayon
     /// task owns one [`AgentChunkMut`] (no aliasing, no locks), while the
     /// [`AgentShared`] columns are read from every task. Cuts that do not
-    /// depend on the worker count (every `AGENT_CHUNK` agents, or each
-    /// shard's range subdivided so no chunk straddles a shard boundary)
+    /// depend on the worker count ([`bdm_soa::chunk_cuts`], or each
+    /// shard's range cut by it so no chunk straddles a shard boundary)
     /// keep the partition identical however many threads run, which is
     /// what makes chunk-ordered merges bitwise deterministic.
     ///
@@ -775,10 +775,12 @@ impl ResourceManager {
 
     /// Rebuild a manager from exported column state — the checkpoint
     /// import path. Validates what silent acceptance would corrupt:
-    /// column lengths must agree, every behavior-list id must be one
-    /// `table` holds, uids must be unique, and `next_uid` must exceed
-    /// every live uid. The stamps are the new manager's own, so the
-    /// first [`Self::largest_diameter`] scans.
+    /// column lengths must agree, every diameter and adherence must pass
+    /// the rule [`CellBuilder`] applies (a diameter is positive and
+    /// finite, an adherence non-negative and finite), every behavior-list
+    /// id must be one `table` holds, uids must be unique, and `next_uid`
+    /// must exceed every live uid. The stamps are the new manager's own,
+    /// so the first [`Self::largest_diameter`] scans.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         positions: SoaVec3<f64>,
@@ -800,6 +802,15 @@ impl ResourceManager {
             return Err(format!(
                 "column lengths disagree: positions {n}, diameters / adherences / \
                  behaviors / uids {lens:?}"
+            ));
+        }
+        if let Some(i) = diameters.iter().position(|&d| !valid_diameter(d)) {
+            return Err(format!("agent {i}: diameter {} out of range", diameters[i]));
+        }
+        if let Some(i) = adherences.iter().position(|&a| !valid_adherence(a)) {
+            return Err(format!(
+                "agent {i}: adherence {} out of range",
+                adherences[i]
             ));
         }
         let lists = table.lists();
@@ -1581,6 +1592,11 @@ mod tests {
         // An id the table never handed out is an error, not an index.
         let err = one(vec![1.0], vec![1], vec![0], 1).unwrap_err();
         assert!(err.contains("behavior list id 1"), "{err}");
+        // A diameter the builder would reject.
+        for d in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = one(vec![d], vec![0], vec![0], 1).unwrap_err();
+            assert!(err.contains("diameter"), "{err}");
+        }
     }
 
     #[test]

@@ -192,26 +192,22 @@ impl ShardedEnvironment {
     }
 
     /// Shard-then-chunk cut points for the behavior/bound-space agent
-    /// loops: every shard range, subdivided at `chunk`. `None` when the
-    /// cached ranges don't tile the current population (population
-    /// changed since the last sharded mechanical step, or none ran yet)
-    /// — callers fall back to plain fixed-size chunking. Both
+    /// loops: every shard range, cut by [`bdm_soa::chunk_cuts`]. `None`
+    /// when the cached ranges don't tile the current population
+    /// (population changed since the last sharded mechanical step, or
+    /// none ran yet) — callers fall back to plain fixed-size chunking. Both
     /// partitions are ascending tilings of `0..n`, so the chunk-ordered
     /// context merge produces bitwise-identical outcomes either way;
     /// the shard cuts just keep each execution context shard-local.
-    pub(crate) fn behavior_cuts(&self, n: usize, chunk: usize) -> Option<Vec<usize>> {
+    pub(crate) fn behavior_cuts(&self, n: usize) -> Option<Vec<usize>> {
         let last = self.ranges.last()?;
         if last.end != n {
             return None;
         }
-        let mut cuts = Vec::with_capacity(self.ranges.len() + n / chunk + 1);
-        cuts.push(0);
+        let mut cuts = vec![0];
         for r in &self.ranges {
-            let mut c = r.start;
-            while c < r.end {
-                c = (c + chunk).min(r.end);
-                cuts.push(c);
-            }
+            let within = bdm_soa::chunk_cuts(r.len());
+            cuts.extend(within[1..].iter().map(|c| r.start + c));
         }
         debug_assert_eq!(cuts.last(), Some(&n));
         Some(cuts)

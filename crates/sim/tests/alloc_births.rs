@@ -19,13 +19,12 @@
 
 use bdm_morton::Curve;
 use bdm_sim::mech;
-use bdm_sim::operation::AGENT_CHUNK;
 use bdm_sim::rayon::ThreadPoolBuilder;
 use bdm_sim::rm::ResourceManager;
 use bdm_sim::scheduler::ExecMode;
 use bdm_sim::simulation::Simulation;
 use bdm_sim::workload::{benchmark_a, benchmark_b};
-use bdm_soa::StepBuffer;
+use bdm_soa::{StepBuffer, CHUNK};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -133,7 +132,7 @@ fn wave_allocations(cells_per_dim: usize) -> u64 {
 fn a_division_wave_allocates_a_constant() {
     let (small, large) = (wave_allocations(14), wave_allocations(28));
     assert!(small > 0, "the counting allocator is not installed");
-    let chunks = [14usize, 28].map(|c| c.pow(3).div_ceil(AGENT_CHUNK));
+    let chunks = [14usize, 28].map(|c| c.pow(3).div_ceil(CHUNK));
     assert_eq!(chunks, [1, 6]);
     assert_eq!(large, small, "8x the agents and 6x the chunks");
     assert!(large < 64, "{large} allocations");

@@ -377,6 +377,16 @@ fn assert_invalid_params(bytes: &[u8], word: &str) {
     }
 }
 
+/// `bytes` restores as `Corrupt`, its message naming `word`.
+fn assert_corrupt(bytes: &[u8], word: &str) {
+    match restore_err(bytes) {
+        Err(CheckpointError::Corrupt(msg)) => {
+            assert!(msg.contains(word), "{word}: unexpected message: {msg}");
+        }
+        other => panic!("{word}: expected Corrupt, got {other:?}"),
+    }
+}
+
 /// Satellite 4 (restore path): params claim 2 shards but the SHARDS
 /// section is gone — `SimParams::validate_for_restore` rejects the
 /// combination instead of fabricating an even span map.
@@ -444,16 +454,30 @@ fn non_finite_mechanics_are_invalid_params() {
     }
 }
 
+/// An agent whose diameter is not positive and finite, or whose
+/// adherence is not non-negative and finite — values `CellBuilder`
+/// refuses — restores as `Corrupt`, naming the field.
+#[test]
+fn agents_the_builder_rejects_are_corrupt() {
+    // AGENTS layout (v3): count u64, next_uid u64, then the x, y, z,
+    // diameter and adherence columns (n f64 each); agent 0 is patched.
+    let diameters = [0.0, -2.0, f64::NAN, f64::INFINITY].map(|v| ("diameter", 3, v));
+    let adherences = [-0.5, f64::NAN, f64::INFINITY].map(|v| ("adherence", 4, v));
+    for (field, column, bad) in diameters.into_iter().chain(adherences) {
+        let mut bytes = valid_bytes();
+        let (_, payload, _) = locate(&bytes, 3);
+        let n = u64::from_le_bytes(bytes[payload..payload + 8].try_into().unwrap()) as usize;
+        let off = payload + 16 + 8 * column * n;
+        bytes[off..off + 8].copy_from_slice(&bad.to_le_bytes());
+        assert_corrupt(&bytes, field);
+    }
+}
+
 #[test]
 fn missing_required_section_is_corrupt() {
     // Unsharded stream: the last section is SCHEDULER, which is required.
     let stripped = strip_last_section(&ckpt(&fixture_sim(0)));
-    match restore_err(&stripped) {
-        Err(CheckpointError::Corrupt(msg)) => {
-            assert!(msg.contains("SCHEDULER"), "unexpected message: {msg}");
-        }
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
+    assert_corrupt(&stripped, "SCHEDULER");
 }
 
 #[test]
@@ -469,13 +493,7 @@ fn behavior_with_dangling_substance_index_is_corrupt() {
                 rate: 1.0,
             }),
     );
-    let bytes = ckpt(&sim);
-    match restore_err(&bytes) {
-        Err(CheckpointError::Corrupt(msg)) => {
-            assert!(msg.contains("substance"), "unexpected message: {msg}");
-        }
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
+    assert_corrupt(&ckpt(&sim), "substance");
 }
 
 #[test]

@@ -19,7 +19,8 @@
 //! element as [`crate::gather_words`], and no record of the daughters
 //! anywhere else.
 
-use crate::perm::{gather_with, parts, Word};
+use crate::partition::parts;
+use crate::perm::{gather_with, Word};
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
 

@@ -17,19 +17,23 @@
 //! The crate provides [`Column`] (one attribute array), [`SoaVec3`] (a
 //! 3-component attribute stored as three scalar columns), [`Permutation`]
 //! (validated index permutations with parallel gather), [`gather_words`]
-//! (a column reordered through a shared word buffer), and [`StepBuffer`]
-//! (the one per-agent buffer a step's phases borrow in turn).
+//! (a column reordered through a shared word buffer), [`StepBuffer`]
+//! (the one per-agent buffer a step's phases borrow in turn), and the
+//! one partition policy of the host passes ([`parts`], [`chunk_cuts`]:
+//! cuts that depend on the population alone, never on the worker count).
 
 pub mod buffer;
 pub mod column;
 pub mod mirror;
+pub mod partition;
 pub mod perm;
 pub mod vec3col;
 
 pub use buffer::StepBuffer;
 pub use column::Column;
 pub use mirror::{F32Mirror, F32x4Mirror};
-pub use perm::{gather_words, parts, Permutation, Word, MAX_PARTS};
+pub use partition::{chunk_cuts, parts, CHUNK, MAX_PARTS};
+pub use perm::{gather_words, Permutation, Word};
 pub use vec3col::{chunks_at, split_mut_at, SoaVec3, Vec3ChunkMut, Vec3Spare};
 
 /// Index of an agent inside the resource manager's SoA columns.

@@ -11,28 +11,8 @@
 //! shared word buffer — a population of mixed column types reorders
 //! through 8 bytes per agent of scratch.
 
+use crate::partition::parts;
 use rayon::prelude::*;
-
-/// Threshold below which gathers run serially; rayon's fork/join overhead
-/// dominates for tiny columns.
-const PAR_THRESHOLD: usize = 1 << 14;
-
-/// Most parts a pass cut by [`parts`] has.
-pub const MAX_PARTS: usize = 8;
-
-/// Fewest agents a part gets, so a small population stays one
-/// part (and one thread).
-const MIN_PART: usize = 1024;
-
-/// `(parts, part_len)` of a parallel pass over `n` agents (the reorder's,
-/// the CSR build's key pass and skip check): part `p` covers
-/// `p * part_len .. min((p + 1) * part_len, n)`. A function of `n` alone —
-/// never of the worker count — so whatever a pass computes per part (a
-/// histogram, a sortedness verdict) is the same on any schedule.
-pub fn parts(n: usize) -> (usize, usize) {
-    let parts = n.div_ceil(MIN_PART).clamp(1, MAX_PARTS);
-    (parts, n.div_ceil(parts).max(1))
-}
 
 /// A column element that round-trips through one `u64` word, bit for
 /// bit — what lets every column of a population gather through one
@@ -200,7 +180,7 @@ impl Permutation {
             src.len(),
             self.gather.len()
         );
-        if src.len() >= PAR_THRESHOLD {
+        if parts(src.len()).0 > 1 {
             self.gather
                 .par_iter()
                 .map(|&g| src[g as usize])
@@ -366,12 +346,25 @@ mod tests {
 
     #[test]
     fn large_parallel_gather_matches_serial() {
-        let n = PAR_THRESHOLD * 2;
+        let n = 1 << 15;
         let keys: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761) % 1000).collect();
         let p = Permutation::sorting_by_key(&keys);
         let gathered = p.apply(&keys);
         let mut expected = keys.clone();
         expected.sort_unstable();
         assert_eq!(gathered, expected);
+    }
+
+    /// One part (1,024 elements) gathers on the calling thread, one more
+    /// element forks: both equal a plain serial gather.
+    #[test]
+    fn gather_at_the_fork_point_matches_a_serial_gather() {
+        for n in [1024, 1025] {
+            assert_eq!(parts(n).0, n - 1023, "{n} elements");
+            let data: Vec<u64> = (0..n as u64).map(|i| i * 7 + 3).collect();
+            let order: Vec<u32> = (0..n as u32).map(|i| (i * 389) % n as u32).collect();
+            let serial: Vec<u64> = order.iter().map(|&g| data[g as usize]).collect();
+            assert_eq!(Permutation::new(order).apply(&data), serial, "{n}");
+        }
     }
 }

@@ -89,6 +89,11 @@ stage() (
         # warm L2, random or sorted storage, one lane) and only what the
         # fork-join itself does on two, at any scene size.
         cargo test -q --offline --release -p bdm-gpu --test alloc_steady
+        # The grid and soa lib tests: the linked-list build's racing
+        # insertions and their relink pass, the CSR key pass and skip
+        # check in their parts, and the gathers on either side of the
+        # fork point, on this many default workers.
+        cargo test -q --offline --release -p bdm-grid -p bdm-soa --lib
         # The reorder's radix argsort and gathers against the comparison
         # sort, and daughters written into the columns against the
         # buffered merge (both pin 1 / 2 / 4 workers and shuffled

@@ -1,10 +1,11 @@
-//! The parallel CSR grid build is *deterministic*: it computes the voxel
-//! keys in parallel parts and then runs the serial build's one stable
-//! counting sort over them, so it produces the same `cell_agents`
-//! ordering as the serial build. Because the fused mechanics pass
-//! accumulates forces in that storage order, serial and parallel CSR
-//! environments must yield bitwise-identical FP64 trajectories — not
-//! merely tolerance-equal.
+//! The CSR grid has one build: it computes the voxel keys in parallel
+//! parts and then runs one stable counting sort over them, so its
+//! `cell_agents` ordering is the same on any worker count. Because the
+//! fused mechanics pass accumulates forces in that storage order, the
+//! serial and parallel CSR environments must yield bitwise-identical
+//! FP64 trajectories — not merely tolerance-equal — on one worker or
+//! two. The environments' `parallel` flag only labels the modeled build
+//! phase; a serial run is `ExecMode::Serial`.
 //!
 //! This is the guarantee that makes the CSR layout safe to enable in
 //! reproducibility-sensitive runs where the linked-list layout's
@@ -12,16 +13,20 @@
 
 use biodynamo::math::SplitMix64;
 use biodynamo::prelude::*;
+use biodynamo::sim::rayon::ThreadPoolBuilder;
 
-fn random_scene(n: usize, seed: u64) -> Simulation {
-    let mut sim = Simulation::new(SimParams::cube(25.0).with_seed(seed));
+/// `n` cells at random in the cube of half-edge `half`, 3 away from
+/// its faces.
+fn random_scene(n: usize, seed: u64, half: f64) -> Simulation {
+    let mut sim = Simulation::new(SimParams::cube(half).with_seed(seed));
     let mut rng = SplitMix64::new(seed);
+    let inner = half - 3.0;
     for _ in 0..n {
         sim.add_cell(
             CellBuilder::new(Vec3::new(
-                rng.uniform(-22.0, 22.0),
-                rng.uniform(-22.0, 22.0),
-                rng.uniform(-22.0, 22.0),
+                rng.uniform(-inner, inner),
+                rng.uniform(-inner, inner),
+                rng.uniform(-inner, inner),
             ))
             .diameter(rng.uniform(4.0, 8.0))
             .adherence(0.05),
@@ -31,10 +36,44 @@ fn random_scene(n: usize, seed: u64) -> Simulation {
 }
 
 fn positions(env: EnvironmentKind, n: usize, seed: u64, steps: u64) -> Vec<Vec3<f64>> {
-    let mut sim = random_scene(n, seed);
+    let mut sim = random_scene(n, seed, 25.0);
     sim.set_environment(env);
     sim.simulate(steps);
     (0..sim.rm().len()).map(|i| sim.rm().position(i)).collect()
+}
+
+/// What one mechanical step of a CSR environment shows: the positions
+/// after it, why the grid was or was not rebuilt (`mech.csr_rebuild`'s
+/// `reason`), the sweep's candidates / contacts / neighbors, and the
+/// modeled build phase's `parallel` flag.
+struct Step {
+    positions: Vec<Vec3<f64>>,
+    rebuild: &'static str,
+    counts: [u64; 3],
+    build_parallel: bool,
+}
+
+/// 60 steps of 1,500 cells (two key-pass parts) in `env` on `workers`
+/// workers: a scene that relaxes until it freezes.
+fn trace(env: EnvironmentKind, workers: usize) -> Vec<Step> {
+    let pool = ThreadPoolBuilder::new().num_threads(workers);
+    pool.build().expect("pool").install(|| {
+        let mut sim = random_scene(1500, 99, 38.0);
+        sim.set_environment(env);
+        (0..60)
+            .map(|_| {
+                sim.step();
+                let work = sim.last_mech_work().expect("a mechanical step");
+                let build = work.phases.iter().find(|p| p.name == "neighborhood build");
+                Step {
+                    positions: (0..sim.rm().len()).map(|i| sim.rm().position(i)).collect(),
+                    rebuild: work.csr_rebuild.expect("the global CSR step").label(),
+                    counts: [work.candidates, work.contacts, work.neighbors],
+                    build_parallel: build.expect("a build phase").parallel,
+                }
+            })
+            .collect()
+    })
 }
 
 #[test]
@@ -47,6 +86,30 @@ fn serial_and_parallel_csr_are_bitwise_identical() {
             serial, parallel,
             "CSR serial vs parallel diverged (n={n}, seed={seed})"
         );
+    }
+    // The traced scene's steps rebuild, then hold (agents move within their voxels), then skip unchanged. Both
+    // environments on one worker and on two see the same steps, rebuilds
+    // and counters; only the build phase's label tells them apart.
+    let reference = trace(EnvironmentKind::uniform_grid_csr_serial(), 1);
+    let reasons: Vec<_> = reference.iter().map(|s| s.rebuild).collect();
+    for reason in ["held", "unchanged"] {
+        assert!(reasons.contains(&reason), "no {reason} step: {reasons:?}");
+    }
+    assert!(reference.iter().all(|s| !s.build_parallel));
+    for (env, parallel) in [
+        (EnvironmentKind::uniform_grid_csr_serial(), false),
+        (EnvironmentKind::uniform_grid_csr_parallel(), true),
+    ] {
+        for workers in [1, 2] {
+            let run = trace(env, workers);
+            for (k, (got, want)) in run.iter().zip(&reference).enumerate() {
+                let at = format!("{} on {workers} workers, step {k}", env.label());
+                assert_eq!(got.positions, want.positions, "{at}");
+                assert_eq!(got.rebuild, want.rebuild, "{at}");
+                assert_eq!(got.counts, want.counts, "{at}");
+                assert_eq!(got.build_parallel, parallel, "{at}");
+            }
+        }
     }
 }
 
