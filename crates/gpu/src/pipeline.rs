@@ -21,7 +21,7 @@
 //!
 //! # Device residency
 //!
-//! The pipeline owns a persistent [`DeviceState`]: every device buffer is
+//! The pipeline owns a persistent `DeviceState`: every device buffer is
 //! allocated once and grown geometrically, so steady-state steps perform
 //! zero allocations. Two entry points share it (and one step frame: the
 //! same prologue, grid build, kernels, download and report):

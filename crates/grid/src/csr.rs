@@ -659,9 +659,9 @@ mod tests {
                 assert_eq!(g.cell_agents, fresh.cell_agents, "{n} agents");
             }
         }
-        // The ids fit the sweep's 24 bytes per agent, on the sparse
+        // The ids fit the reorder's 16 bytes per agent, on the sparse
         // scene too.
-        assert_eq!(buffer.resident_bytes(), 24 * 40_000);
+        assert_eq!(buffer.resident_bytes(), 16 * 40_000);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the sort behind the host reorder and [`crate::sort_permutation_with`].
 //!
 //! The keys are sorted by their digits, least significant first: each
-//! pass is a stable counting sort on [`DIGIT_BITS`] bits of `key - min`,
+//! pass is a stable counting sort on `DIGIT_BITS` bits of `key - min`,
 //! and only as many passes run as the keys' range has digits (two for
 //! any grid of up to 2²² voxels). Ties, when given, then order each run
 //! of equal keys. The result is the strict total order `(key, tie,
@@ -15,7 +15,7 @@
 //! ordered scan, and scatters every part in order. The output is
 //! therefore the same at any worker count and on any schedule. Scratch
 //! is the caller's two `u32` index buffers and, on the stack,
-//! [`MAX_PARTS`] histograms of 2^[`DIGIT_BITS`] counters (64 KiB),
+//! [`MAX_PARTS`] histograms of 2^`DIGIT_BITS` counters (64 KiB),
 //! whatever the keys' range: the sort holds nothing between calls.
 
 use bdm_soa::{parts, MAX_PARTS};

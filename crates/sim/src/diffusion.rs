@@ -15,7 +15,7 @@
 //! still exactly a Jacobi step. The lattice is cut into contiguous
 //! z-slabs (none thinner than eight planes), one rayon task each: two
 //! per worker for a grid swept alone, one for a grid swept inline by the
-//! worker of a batch ([`step_all`]). Before the fork, the old plane below
+//! worker of a batch (`step_all`). Before the fork, the old plane below
 //! and the old plane above every slab are copied into a window of planes
 //! the step buffer lends (at a z-wall the slab's own wall plane — the
 //! zero-flux mirror).

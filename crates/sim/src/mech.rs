@@ -30,7 +30,10 @@
 //!   is read *from the tile* (entry `center + rank`: no per-agent voxel
 //!   lookup, no self load), displacements come back in slot order and
 //!   the integration maps slot → agent through `cell_agents()`
-//!   (`ResourceManager::translate_each`, a serial scatter).
+//!   (`ResourceManager::translate_each`, a serial scatter). The parts
+//!   run in bands of at least `bdm_soa::BAND_CHUNKS` chunks, each band
+//!   integrated once the next is swept, so the displacements of two
+//!   bands are held, not one per agent (`band_starts`).
 //!   Storage order does not enter. The sharded driver walks the same
 //!   groups in its own `(voxel, id)`-sorted storage order, so its parts
 //!   stay agent ranges. Two lane bodies run under the walk, picked by
@@ -368,7 +371,8 @@ pub struct MechScratch {
     /// geometry, the rebuild is skipped without reading the columns.
     csr_key: Option<u64>,
     /// The step buffer: the force sweep's displacements (every CPU path,
-    /// sharded or not), lent before the sweep to the global CSR build (its
+    /// sharded or not; two bands' worth on the global CSR sweep), lent
+    /// before the sweep to the global CSR build (its
     /// voxel ids and histograms), and between sweeps to the reorder — the
     /// shard sort's included — and to a division wave.
     pub(crate) buffer: StepBuffer,
@@ -376,6 +380,9 @@ pub struct MechScratch {
     /// one from and returns it to, so it holds one per worker that ran a
     /// part at once, not one per part.
     lanes: Vec<LaneScratch>,
+    /// The global CSR sweep's band starts ([`band_starts`]), refilled
+    /// every step.
+    bands: Vec<usize>,
 }
 
 impl MechScratch {
@@ -444,7 +451,7 @@ pub(crate) fn mechanical_step_sharded(
             parallel,
         } => match shards {
             Some(shards) => shards.step(rm, params, *parallel, scratch),
-            None => cpu_grid_csr_step(rm, params, *parallel, scratch),
+            None => cpu_grid_csr_step(rm, params, *parallel, scratch, bdm_soa::BAND_CHUNKS),
         },
         EnvironmentKind::Gpu { .. } => {
             let pipeline = pipeline.expect("GPU environment requires a pipeline");
@@ -544,6 +551,19 @@ struct SweepStats {
     simd: SimdWork,
 }
 
+impl SweepStats {
+    /// Both parts' counts.
+    fn add(mut self, s: SweepStats) -> SweepStats {
+        self.counters.merge(&s.counters);
+        self.contacts += s.contacts;
+        self.gap_sum += s.gap_sum;
+        self.simd.lanes_utilized += s.simd.lanes_utilized;
+        self.simd.pad_lanes += s.simd.pad_lanes;
+        self.staged += s.staged;
+        self
+    }
+}
+
 /// The modeled flavour of a sweep: which work-model constants price its
 /// force phase, and which statistics its [`MechWork`] reports.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -558,22 +578,45 @@ enum ForceModel {
     CsrF32,
 }
 
-/// How a sweep tiles its displacement buffer: part `c` writes entries
+/// How a sweep tiles its displacements: part `c` writes entries
 /// `cuts[c]..cuts[c + 1]`, and entry `k` moves agent `agent_of[k]` —
-/// `None` when the buffer is in storage order (entry `k` is agent `k`).
+/// `None` when the entries are in storage order (entry `k` is agent
+/// `k`). The parts run in bands: band `b` is parts
+/// `bands[b]..bands[b + 1]`, the last band running to the last part.
 #[derive(Clone, Copy)]
 struct SweepParts<'a> {
     cuts: &'a [usize],
     agent_of: Option<&'a [AgentId]>,
+    bands: &'a [usize],
 }
 
 impl<'a> SweepParts<'a> {
-    /// Parts of a buffer in storage order.
+    /// Parts of a buffer in storage order, in one band.
     fn of_storage(cuts: &'a [usize]) -> Self {
         Self {
             cuts,
             agent_of: None,
+            bands: &[0],
         }
+    }
+
+    /// The parts of band `b`.
+    fn band_parts(&self, b: usize) -> std::ops::Range<usize> {
+        let end = self.bands.get(b + 1).map_or(self.cuts.len() - 1, |&p| p);
+        self.bands[b]..end
+    }
+
+    /// The entries of band `b`.
+    fn band(&self, b: usize) -> std::ops::Range<usize> {
+        let parts = self.band_parts(b);
+        self.cuts[parts.start]..self.cuts[parts.end]
+    }
+
+    /// The entries of the longest band of every other one from `first`:
+    /// the length of the region those bands take turns in.
+    fn region(&self, first: usize) -> usize {
+        let bands = (first..self.bands.len()).step_by(2);
+        bands.map(|b| self.band(b).len()).max().unwrap_or(0)
     }
 }
 
@@ -582,25 +625,35 @@ impl<'a> SweepParts<'a> {
 /// body wrote moves its agent to NaN and shows in the buffer by its bits.
 const DISPLACEMENT_POISON: f64 = f64::from_bits(0x7ff8_dead_0bad_f00d);
 
-/// The one host force sweep. Borrows the displacements from the step
-/// buffer, splits them at `parts.cuts` (a tiling of `0..n`), runs
-/// `lanes(agents, part, first entry, part's slice, a lane scratch)` on
-/// every part as its own rayon task (the scratches persist across steps
-/// in a pool, one per worker that ran a part at once; only the CSR
-/// bodies use them), sums the statistics, integrates in parallel, and
-/// builds the step's [`MechWork`] — the one place the force phase is
-/// priced. Every body writes every entry of its slice, so nothing
-/// zeroes the buffer first (a debug build poisons it instead).
-/// `timed` holds the phases that already ran (build, search, shard
-/// sort) with their wall clocks; `parallel` is the force phase's flag
-/// in the machine model. The sweep's own wall clock stops before
-/// integration, on every path.
+/// The one host force sweep. Runs `lanes(agents, part, first entry,
+/// part's slice, a lane scratch)` on every part of `parts` as its own
+/// rayon task (the scratches persist across steps in a pool, one per
+/// worker that ran a part at once; only the CSR bodies use them), band
+/// by band, sums the statistics, integrates, and builds the step's
+/// [`MechWork`] — the one place the force phase is priced. `timed`
+/// holds the phases that already ran (build, search, shard sort) with
+/// their wall clocks; `parallel` is the force phase's flag in the
+/// machine model. The sweep's own wall clock excludes integration, on
+/// every path.
+///
+/// The displacements are borrowed from the step buffer as two regions,
+/// which the bands take turns in: once band `b` is swept, band `b − 1`
+/// is integrated ([`ResourceManager::translate_each`]: in parallel parts
+/// in storage order, a serial scatter through `agent_of`), and the last
+/// band once every band is swept. One band (the kd, linked-list and sharded
+/// sweeps) holds one entry per agent and integrates at the end; the
+/// global CSR sweep's bands ([`band_starts`]) hold two bands' entries,
+/// which is exact because no stencil of band `b + 1` reads an agent of
+/// band `b − 1` — a debug build's [`LaneScratch::stage`] checks it.
+/// Every body writes every entry of its slice, so nothing zeroes the
+/// buffer first (a debug build poisons each band's slice instead).
 ///
 /// Per-agent results are independent writes into disjoint slices and the
 /// statistics are integer sums, so neither the partition
-/// ([`bdm_soa::chunk_cuts`] globally, the shard ranges when sharded) nor the
-/// schedule can affect a displacement bit or a modeled counter
-/// ([`MechWork::stencils_staged`] alone counts something per part).
+/// ([`bdm_soa::chunk_cuts`] globally, the shard ranges when sharded), the
+/// bands nor the schedule can affect a displacement bit or a modeled
+/// counter ([`MechWork::stencils_staged`] alone counts something per
+/// part).
 fn force_sweep(
     rm: &mut ResourceManager,
     (buffer, lane_scratch): (&mut StepBuffer, &mut Vec<LaneScratch>),
@@ -611,46 +664,68 @@ fn force_sweep(
     lanes: impl Fn(&ResourceManager, usize, usize, &mut [Vec3<f64>], &mut LaneScratch) -> SweepStats
         + Sync,
 ) -> MechWork {
-    let t = Instant::now();
-    let disp = buffer.vec3s(rm.len());
-    if cfg!(debug_assertions) {
-        disp.fill(Vec3::splat(DISPLACEMENT_POISON));
-    }
-    let SweepParts { cuts, agent_of } = parts;
-    let agents = &*rm;
+    let SweepParts {
+        cuts,
+        agent_of,
+        bands,
+    } = parts;
+    let disp = buffer.vec3s(parts.region(0) + parts.region(1));
+    let (even, odd) = disp.split_at_mut(parts.region(0));
+    let regions = [even, odd];
     let pool = Mutex::new(std::mem::take(lane_scratch));
     const POISONED: &str = "a sweep part panicked holding the lane pool";
     let take = || pool.lock().expect(POISONED).pop().unwrap_or_default();
-    let parts: Vec<SweepStats> = bdm_soa::split_mut_at(disp, cuts)
-        .into_par_iter()
-        .enumerate()
-        .map(|(part, out)| {
-            // The part runs on a stack copy of a pooled scratch: a body
-            // that wrote a `Vec` header per stage (a `clear`, a `resize`)
-            // would otherwise trade its cache line with the worker next
-            // to it all sweep long. The buffers go back afterwards, so
-            // capacities persist. Which scratch a part gets depends on
-            // the schedule; its contents never reach a result, because
-            // every buffer is grow-only and read only below what the
-            // current stage wrote.
-            let mut lane = take();
-            let stats = lanes(agents, part, cuts[part], out, &mut lane);
-            pool.lock().expect(POISONED).push(lane);
-            stats
-        })
-        .collect();
-    *lane_scratch = pool.into_inner().expect(POISONED);
-    let wall_sweep = t.elapsed().as_secs_f64();
     let mut stats = SweepStats::default();
-    for s in &parts {
-        stats.counters.merge(&s.counters);
-        stats.contacts += s.contacts;
-        stats.gap_sum += s.gap_sum;
-        stats.simd.lanes_utilized += s.simd.lanes_utilized;
-        stats.simd.pad_lanes += s.simd.pad_lanes;
-        stats.staged += s.staged;
+    let mut wall_sweep = 0.0;
+    // Sweep band `b`, then integrate band `b − 1`; the step past the last
+    // band only integrates.
+    for b in 0..=bands.len() {
+        if b < bands.len() {
+            let t = Instant::now();
+            let mut out = &mut regions[b % 2][..parts.band(b).len()];
+            if cfg!(debug_assertions) {
+                out.fill(Vec3::splat(DISPLACEMENT_POISON));
+            }
+            // Band `b − 1` is not integrated yet; those before it are.
+            let settled = b.checked_sub(1).map_or(0, |w| parts.band(w).start);
+            let outs: Vec<_> = parts
+                .band_parts(b)
+                .map(|part| {
+                    let len = cuts[part + 1] - cuts[part];
+                    let (head, tail) = std::mem::take(&mut out).split_at_mut(len);
+                    out = tail;
+                    (part, head)
+                })
+                .collect();
+            let agents = &*rm;
+            let band = outs
+                .into_par_iter()
+                .map(|(part, out)| {
+                    // The part runs on a stack copy of a pooled scratch: a
+                    // body that wrote a `Vec` header per stage (a `clear`,
+                    // a `resize`) would otherwise trade its cache line with
+                    // the worker next to it all sweep long. The buffers go
+                    // back afterwards, so capacities persist. Which scratch
+                    // a part gets depends on the schedule; its contents
+                    // never reach a result, because every buffer is
+                    // grow-only and read only below what the current stage
+                    // wrote.
+                    let mut lane = take();
+                    lane.settled = settled;
+                    let stats = lanes(agents, part, cuts[part], out, &mut lane);
+                    pool.lock().expect(POISONED).push(lane);
+                    stats
+                })
+                .reduce(SweepStats::default, SweepStats::add);
+            wall_sweep += t.elapsed().as_secs_f64();
+            stats = stats.add(band);
+        }
+        if let Some(w) = b.checked_sub(1) {
+            let entries = parts.band(w);
+            rm.translate_each(&regions[w % 2][..entries.len()], entries, agent_of);
+        }
     }
-    rm.translate_each(disp, agent_of);
+    *lane_scratch = pool.into_inner().expect(POISONED);
 
     use work_model as wm;
     let n = rm.len() as f64;
@@ -927,6 +1002,10 @@ struct LaneScratch {
     /// `f64` body: tile positions of the candidates inside the radius,
     /// in candidate order — pass 1's output, pass 2's input.
     near: Vec<u32>,
+    /// Slots of `cell_agents()` below this one were integrated before the
+    /// current band ([`force_sweep`]); a debug build's stage panics if it
+    /// gathers one. 0 outside the banded global sweep.
+    settled: usize,
 }
 
 /// What [`LaneScratch::stage`] staged.
@@ -968,6 +1047,11 @@ impl LaneScratch {
         for (first, count) in grid.geometry().x_runs_of(group.coords) {
             let last = first + count as usize;
             let (lo, hi) = (starts[first] as usize, starts[last] as usize);
+            debug_assert!(
+                lo == hi || lo >= self.settled,
+                "voxel {voxel}'s stencil reads slot {lo}, integrated before slot {}",
+                self.settled
+            );
             if (first..last).contains(&voxel) {
                 center = len + starts[voxel] as usize - lo;
             }
@@ -1584,12 +1668,15 @@ pub(crate) fn csr_build_phase(members: usize, skipped: bool, parallel: bool) -> 
 /// The global CSR step. `parallel` is the environment's build flag: it
 /// only labels the modeled build phase — the one build runs its key pass
 /// in parallel parts on however many workers the step executes under (a
-/// serial run is [`crate::scheduler::ExecMode::Serial`]).
+/// serial run is [`crate::scheduler::ExecMode::Serial`]). The sweep runs
+/// in bands of at least `band_chunks` chunks ([`bdm_soa::BAND_CHUNKS`];
+/// any length gives the same bits).
 fn cpu_grid_csr_step(
     rm: &mut ResourceManager,
     params: &SimParams,
     parallel: bool,
     scratch: &mut MechScratch,
+    band_chunks: usize,
 ) -> MechWork {
     let n = rm.len();
     let radius = interaction_radius(rm, params);
@@ -1627,7 +1714,10 @@ fn cpu_grid_csr_step(
         t0.elapsed().as_secs_f64(),
     );
 
-    let parts = CsrParts::Global(&grid);
+    let parts = CsrParts::Global {
+        grid: &grid,
+        band_chunks,
+    };
     let mut work = csr_sweep(rm, params, scratch, vec![build], parts, true);
     work.csr_rebuilds_skipped = reason.skipped() as u64;
     work.csr_rebuild = Some(reason);
@@ -1642,15 +1732,47 @@ pub(crate) enum CsrParts<'a> {
     /// [`bdm_soa::CHUNK`]-slot ranges of `grid.cell_agents()` — the
     /// voxel-grouped order, rebuilt every step on the geometry the sweep
     /// uses, so every voxel is staged once whatever storage looks like —
-    /// and the displacements come back in slot order.
-    Global(&'a CsrGrid<f64>),
+    /// in bands of at least `band_chunks` of them ([`band_starts`]), and
+    /// the displacements come back in slot order.
+    Global {
+        grid: &'a CsrGrid<f64>,
+        band_chunks: usize,
+    },
     /// Storage sorted by `(voxel, id)`, cut at the shard ranges; part `s`
     /// is agents `cuts[s]..cuts[s + 1]` under the shard-local `grids[s]`,
-    /// walked in storage order.
+    /// walked in storage order, in one band.
     Shards {
         cuts: &'a [usize],
         grids: &'a [&'a CsrGrid<f64>],
     },
+}
+
+/// The bands of the global CSR sweep over the chunks between `cuts`
+/// (slots of `grid.cell_agents()`), as the chunk each band starts at,
+/// into `bands`. The chunks are dealt evenly into as many bands as hold
+/// `chunks` each, at least one (a short last band would leave workers
+/// idle behind a join), and a band after the first absorbs the next one
+/// while the voxel holding the slot past its end lies within the
+/// stencil's reach — `dx·dy + dx + 1` flat voxels,
+/// [`bdm_grid::GridGeometry::x_runs_of`] — of the voxel holding the
+/// slot before its start. So no stencil of band `w + 1` reads an agent
+/// of band `w − 1`, which [`force_sweep`] integrates before it sweeps
+/// band `w + 1`.
+fn band_starts(grid: &CsrGrid<f64>, cuts: &[usize], chunks: usize, bands: &mut Vec<usize>) {
+    let [dx, dy, _] = grid.dims().map(|d| d as usize);
+    let reach = dx * dy + dx + 1;
+    let starts = grid.cell_starts();
+    let voxel_of = |slot: usize| starts.partition_point(|&s| s as usize <= slot) - 1;
+    let total = cuts.len() - 1;
+    let even = (total / chunks).max(1);
+    bands.clear();
+    bands.push(0);
+    for b in 1..even {
+        let (start, next) = (bands[bands.len() - 1], b * total / even);
+        if start == 0 || voxel_of(cuts[next]) - voxel_of(cuts[start] - 1) > reach {
+            bands.push(next);
+        }
+    }
 }
 
 /// What every CSR step does once its grid(s) exist: walk every part
@@ -1670,7 +1792,12 @@ pub(crate) fn csr_sweep(
         Precision::F64 => ForceModel::Csr,
         Precision::F32Simd => ForceModel::CsrF32,
     };
-    let bufs = (&mut scratch.buffer, &mut scratch.lanes);
+    let MechScratch {
+        buffer,
+        lanes: pool,
+        bands,
+        ..
+    } = scratch;
     let lanes = |rm: &ResourceManager,
                  c: usize,
                  base: usize,
@@ -1678,7 +1805,7 @@ pub(crate) fn csr_sweep(
                  lane: &mut LaneScratch| {
         let part = base..base + out.len();
         let (grid, groups) = match parts {
-            CsrParts::Global(grid) => (grid, VoxelGroups::of_slots(grid, part)),
+            CsrParts::Global { grid, .. } => (grid, VoxelGroups::of_slots(grid, part)),
             CsrParts::Shards { grids, .. } => {
                 let groups = VoxelGroups::of_sorted_storage(grids[c], rm.position_columns(), part);
                 (grids[c], groups)
@@ -1691,16 +1818,18 @@ pub(crate) fn csr_sweep(
     };
     let global_cuts;
     let parts = match parts {
-        CsrParts::Global(grid) => {
+        CsrParts::Global { grid, band_chunks } => {
             global_cuts = bdm_soa::chunk_cuts(rm.len());
+            band_starts(grid, &global_cuts, band_chunks, bands);
             SweepParts {
                 cuts: &global_cuts,
                 agent_of: Some(grid.cell_agents()),
+                bands,
             }
         }
         CsrParts::Shards { cuts, .. } => SweepParts::of_storage(cuts),
     };
-    force_sweep(rm, bufs, timed, parts, model, parallel, lanes)
+    force_sweep(rm, (buffer, pool), timed, parts, model, parallel, lanes)
 }
 
 fn gpu_step(
@@ -1733,7 +1862,7 @@ fn gpu_step(
         report
     } else {
         let (disp, report) = pipeline.step(&scene, &params.mech);
-        rm.translate_each(&disp, None);
+        rm.translate_each(&disp, 0..rm.len(), None);
         report
     };
     MechWork::offloaded(report)
@@ -1856,7 +1985,10 @@ mod tests {
     fn no_sweep_leaves_a_poisoned_displacement_behind() {
         let rm = random_population(2 * bdm_soa::CHUNK + 100, 9.0, 31);
         let check = |rm: &ResourceManager, scratch: &mut MechScratch, what: &str| {
-            let disp = scratch.buffer.vec3s(rm.len());
+            // Every record the buffer holds: both band regions and
+            // whatever an earlier borrower left past them.
+            let records = scratch.buffer.resident_bytes() / size_of::<Vec3<f64>>();
+            let disp = scratch.buffer.vec3s(records);
             let poisoned = |d: &&Vec3<f64>| {
                 [d.x, d.y, d.z]
                     .map(f64::to_bits)
@@ -1888,6 +2020,15 @@ mod tests {
             let mut driver = ShardedEnvironment::new(4);
             driver.step(&mut rm, &params, true, &mut scratch);
             check(&rm, &mut scratch, &format!("4 shards {precision:?}"));
+        }
+        // The global CSR sweep in one-chunk bands, which take turns in
+        // two regions of the buffer.
+        for precision in [Precision::F64, Precision::F32Simd] {
+            let params = SimParams::cube(10.0).with_precision(precision);
+            let (mut rm, mut scratch) = (rm.clone(), MechScratch::default());
+            cpu_grid_csr_step(&mut rm, &params, true, &mut scratch, 1);
+            assert_eq!(scratch.bands, [0, 1, 2], "{precision:?}");
+            check(&rm, &mut scratch, &format!("CSR bands {precision:?}"));
         }
     }
 
@@ -2693,7 +2834,7 @@ mod tests {
         let mut want = rm.clone();
         let mut disp = vec![Vec3::zero(); rm.len()];
         scalar_lanes(&rm, &params, &grid, 0, &mut disp);
-        want.translate_each(&disp, None);
+        want.translate_each(&disp, 0..rm.len(), None);
         let by_uid = |rm: &ResourceManager| -> Vec<(u64, [u64; 3])> {
             let mut at: Vec<_> = (0..rm.len())
                 .map(|i| {
@@ -2737,15 +2878,15 @@ mod tests {
             assert_eq!(positions(&rm), positions(&fresh), "{env:?} {precision:?}");
         }
         // The CSR bodies' stage lives there too, one per worker that ran a
-        // part: once a step has sized it, a second step over the same
-        // (frozen) scene finds every buffer large enough — the sweep's
-        // tasks allocate nothing.
+        // part, and so do the global sweep's band starts (here one-chunk
+        // bands, two of them): once a step has sized them, a second step
+        // over the same (frozen) scene finds every buffer large enough —
+        // the sweep's tasks allocate nothing, and neither do the bands.
         let one_worker = rayon::ThreadPoolBuilder::new().num_threads(1).build();
         let one_worker = one_worker.expect("pool");
         for (precision, columns) in [(Precision::F32Simd, 8), (Precision::F64, 5)] {
             let mut params = SimParams::cube(6.0).with_precision(precision);
             params.mech.max_displacement = 0.0;
-            let env = EnvironmentKind::uniform_grid_csr_parallel();
             let mut rm = random_population(bdm_soa::CHUNK + 300, 5.5, 23);
             let mut scratch = MechScratch::default();
             let capacities = |scratch: &MechScratch| -> Vec<Vec<usize>> {
@@ -2759,11 +2900,16 @@ mod tests {
                 scratch.lanes.iter().map(cap).collect()
             };
             let step = |rm: &mut ResourceManager, scratch: &mut MechScratch| {
-                one_worker
-                    .install(|| mechanical_step_with_scratch(rm, &params, &env, None, scratch))
+                one_worker.install(|| cpu_grid_csr_step(rm, &params, true, scratch, 1))
+            };
+            let bands = |scratch: &MechScratch| {
+                let held = scratch.buffer.resident_bytes();
+                (scratch.bands.clone(), scratch.bands.as_ptr(), held)
             };
             step(&mut rm, &mut scratch);
             let first = capacities(&scratch);
+            let first_bands = bands(&scratch);
+            assert_eq!(first_bands.0, [0, 1], "{precision:?}");
             assert_eq!(first.len(), 1, "one stage for the one worker's two parts");
             // The tile's ids plus the body's own columns, and only those.
             let sized = first[0].iter().filter(|&&c| c >= LANES).count();
@@ -2774,7 +2920,133 @@ mod tests {
             );
             step(&mut rm, &mut scratch);
             assert_eq!(capacities(&scratch), first, "{precision:?}");
+            assert_eq!(bands(&scratch), first_bands, "{precision:?}");
         }
+    }
+
+    /// `per_layer` agents of diameter 2 on each of the `layers` bottom
+    /// voxel layers of a 40³-voxel cube: sparse in the volume and dense
+    /// in a layer, so a chunk spans less than a layer — less than the
+    /// stencil's reach — and a band must merge with the chunks after it
+    /// until it does.
+    fn slab(layers: usize, per_layer: usize, seed: u64) -> (ResourceManager, SimParams) {
+        let (half, edge) = (40.0, 2.0);
+        let mut rng = SplitMix64::new(seed);
+        let mut rm = ResourceManager::new();
+        for layer in 0..layers {
+            let z = -half + edge * (layer as f64 + 0.5);
+            for _ in 0..per_layer {
+                let at = Vec3::new(
+                    rng.uniform(-half, half),
+                    rng.uniform(-half, half),
+                    z + rng.uniform(-0.9, 0.9),
+                );
+                rm.add(CellBuilder::new(at).diameter(edge).adherence(0.01));
+            }
+        }
+        (rm, SimParams::cube(half))
+    }
+
+    /// One global CSR step of `rm` in bands of `band_chunks` chunks: the
+    /// bands, what the sweep counted, and every position's bits.
+    fn banded_step(
+        rm: &ResourceManager,
+        params: &SimParams,
+        band_chunks: usize,
+    ) -> (Vec<usize>, String, Vec<[u64; 3]>) {
+        let (mut rm, mut scratch) = (rm.clone(), MechScratch::default());
+        let work = cpu_grid_csr_step(&mut rm, params, true, &mut scratch, band_chunks);
+        let counted = format!(
+            "c={} k={} n={} staged={:?} gap={:?}",
+            work.candidates,
+            work.contacts,
+            work.neighbors,
+            work.stencils_staged,
+            work.index_gap.map(f64::to_bits)
+        );
+        let bits = positions(&rm).into_iter();
+        let bits = bits.map(|p| [p.x, p.y, p.z].map(f64::to_bits)).collect();
+        (scratch.bands, counted, bits)
+    }
+
+    /// The global CSR sweep integrates band `w − 1` once band `w` is
+    /// swept, so its bands must not change a bit. One-chunk bands — one
+    /// per chunk on a dense cloud (the `f64` body), merged for the
+    /// stencil's reach on a sparse slab (the `f32` body) — move every
+    /// agent to the bits one band moves it to and count the same
+    /// candidates, contacts, neighbors, stages and index gap, on 1, 2 and
+    /// 4 workers and under a shuffled schedule.
+    #[test]
+    fn banded_sweeps_match_the_one_band_sweep() {
+        let chunk = bdm_soa::CHUNK;
+        let dense = random_population(3 * chunk, 14.0, 41);
+        let dense = (dense, SimParams::cube(14.0), Precision::F64);
+        let (slab, params) = slab(2, 3 * chunk, 43);
+        let sparse = (slab, params, Precision::F32Simd);
+        for (scene, (rm, params, precision)) in [("dense", dense), ("sparse", sparse)] {
+            let params = params.with_precision(precision);
+            let chunks = bdm_soa::chunk_cuts(rm.len()).len() - 1;
+            let (one, counted, bits) = banded_step(&rm, &params, usize::MAX);
+            assert_eq!(one, [0], "{scene}");
+            let banded = || banded_step(&rm, &params, 1);
+            let mut runs: Vec<_> = [1, 2, 4]
+                .map(|workers| {
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build();
+                    (
+                        format!("{workers} workers"),
+                        pool.expect("pool").install(banded),
+                    )
+                })
+                .into();
+            let shuffled = rayon::with_shuffled_schedule(7, banded);
+            runs.push(("a shuffled schedule".into(), shuffled));
+            let bands = &runs[0].1 .0;
+            match scene {
+                "dense" => assert_eq!(*bands, (0..chunks).collect::<Vec<_>>()),
+                _ => assert!(
+                    bands.len() >= 3 && bands.len() < chunks,
+                    "bands {bands:?} of {chunks} chunks"
+                ),
+            }
+            for (how, (got_bands, got, got_bits)) in &runs {
+                assert_eq!(got_bands, bands, "{scene}, {how}");
+                assert_eq!(*got, counted, "{scene}, {how}");
+                assert!(*got_bits == bits, "{scene}, {how}");
+            }
+        }
+    }
+
+    /// What the reach merge prevents, caught: one band per chunk on the
+    /// sparse slab, unmerged, has band `w + 1`'s stencils read agents
+    /// of band `w − 1`, which the sweep has already moved — the debug
+    /// build's stage panics on the first such read.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "integrated before slot")]
+    fn a_stencil_reading_an_integrated_band_panics() {
+        let (mut rm, params) = slab(2, 3 * bdm_soa::CHUNK, 43);
+        let grid = global_grid(&rm, &params);
+        let cuts = bdm_soa::chunk_cuts(rm.len());
+        let bands: Vec<usize> = (0..cuts.len() - 1).collect();
+        let parts = SweepParts {
+            cuts: &cuts,
+            agent_of: Some(grid.cell_agents()),
+            bands: &bands,
+        };
+        let mut scratch = MechScratch::default();
+        let bufs = (&mut scratch.buffer, &mut scratch.lanes);
+        force_sweep(
+            &mut rm,
+            bufs,
+            Vec::new(),
+            parts,
+            ForceModel::Csr,
+            true,
+            |rm, _, base, out, lane| {
+                let groups = VoxelGroups::of_slots(&grid, base..base + out.len());
+                f64_lanes(rm, &params, &grid, groups, out, lane)
+            },
+        );
     }
 
     #[test]
@@ -3137,7 +3409,7 @@ mod tests {
                     if arg % 2 == 1 {
                         disp[i] = Vec3::new(0.0, 0.02, 0.0);
                     }
-                    rm.translate_each(&disp, None);
+                    rm.translate_each(&disp, 0..rm.len(), None);
                 }
                 10 => rm = rm.clone(),
                 11 => {

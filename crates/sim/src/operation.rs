@@ -134,7 +134,7 @@ pub fn wall_record(name: &str, wall_s: f64) -> OpRecord {
 /// It holds no memory of its own: its keys, gather words and index arrays
 /// borrow the step buffer the force sweep writes its displacements into
 /// ([`MechScratch`]). Its run counts and its last sorted key live in the
-/// [`crate::Simulation`] ([`ReorderState`]), where `Simulation::metrics`
+/// [`crate::Simulation`] (`ReorderState`), where `Simulation::metrics`
 /// reads them.
 #[derive(Debug, Default)]
 pub struct ReorderOp;

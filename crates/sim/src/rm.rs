@@ -665,26 +665,34 @@ impl ResourceManager {
         }
     }
 
-    /// Move agent `agent_of[k]` (agent `k` when `None`) by `disp[k]`. The
-    /// position stamp moves when a displacement was non-zero.
+    /// Move the agents at `slots` by `disp`: entry `k` moves agent
+    /// `agent_of[slots.start + k]` (agent `slots.start + k` when `None`).
+    /// The position stamp moves when a displacement was non-zero.
     ///
-    /// Without an index map the columns and the displacements split into
-    /// the same parallel parts ([`bdm_soa::parts`]), zipped; through one
-    /// (a full CSR build's `cell_agents()`, slot → agent) the scatter runs
-    /// serially, each write bounds-checked.
+    /// Without an index map the columns' range and the displacements
+    /// split into the same parallel parts ([`bdm_soa::parts`]), zipped;
+    /// through one (a full CSR build's `cell_agents()`, slot → agent) the
+    /// scatter runs serially, each write bounds-checked.
     ///
     /// # Panics
-    /// When `disp` is not one entry per agent, or `agent_of` not one agent
-    /// per entry or names one past the population.
-    pub(crate) fn translate_each(&mut self, disp: &[Vec3<f64>], agent_of: Option<&[AgentId]>) {
+    /// When `disp` is not one entry per slot, `slots` runs past the
+    /// population, or `agent_of` is not one agent per slot of the
+    /// population or names one past it.
+    pub(crate) fn translate_each(
+        &mut self,
+        disp: &[Vec3<f64>],
+        slots: std::ops::Range<usize>,
+        agent_of: Option<&[AgentId]>,
+    ) {
         let n = self.len();
-        assert_eq!(disp.len(), n, "one displacement per agent");
+        assert_eq!(disp.len(), slots.len(), "one displacement per slot");
+        assert!(slots.end <= n, "slots {slots:?} of {n} agents");
         let (xs, ys, zs) = self.positions.as_mut_slices();
         let moved = match agent_of {
             Some(agents) => {
-                assert_eq!(agents.len(), n, "one agent per displacement");
+                assert_eq!(agents.len(), n, "one agent per slot");
                 let mut moved = false;
-                for (&d, a) in disp.iter().zip(agents) {
+                for (&d, a) in disp.iter().zip(&agents[slots]) {
                     if d != Vec3::zero() {
                         let i = a.index();
                         xs[i] += d.x;
@@ -696,7 +704,8 @@ impl ResourceManager {
                 moved
             }
             None => {
-                let (_, len) = bdm_soa::parts(n);
+                let (_, len) = bdm_soa::parts(slots.len());
+                let [xs, ys, zs] = [xs, ys, zs].map(|col| &mut col[slots.clone()]);
                 let parts = xs.par_chunks_mut(len).zip(ys.par_chunks_mut(len));
                 let parts = parts.zip(zs.par_chunks_mut(len)).zip(disp.par_chunks(len));
                 parts
@@ -1358,7 +1367,7 @@ mod tests {
         drop(chunks);
         let (chunks, _) = rm.behavior_chunks_at(&[0, 5, 10]);
         drop(chunks);
-        rm.translate_each(&[Vec3::zero(); 10], None);
+        rm.translate_each(&[Vec3::zero(); 10], 0..10, None);
         rm.append(std::iter::empty());
         assert_eq!(
             stamps(&rm),

@@ -9,7 +9,7 @@
 //! agents plus a read-only **ghost halo** of boundary agents from
 //! neighboring shards. The force pass itself is not this module's: the
 //! driver hands its shard ranges (as cut points) and shard-local grids
-//! to [`crate::mech::csr_sweep`] — the same sweep, at the same two
+//! to `mech::csr_sweep` — the same sweep, at the same two
 //! precisions, the global CSR pass runs — and each shard becomes one
 //! part on its own rayon task.
 //!
@@ -63,8 +63,8 @@ struct ShardState {
 ///
 /// Owned by [`crate::Simulation`] when `SimParams::shards.count > 0`;
 /// the mechanical operation routes the CSR environments (either
-/// precision) through [`ShardedEnvironment::step`] and the scheduled
-/// rebalance op calls [`ShardedEnvironment::rebalance`].
+/// precision) through `ShardedEnvironment::step` and the scheduled
+/// rebalance op calls `ShardedEnvironment::rebalance`.
 pub struct ShardedEnvironment {
     map: ShardMap,
     /// Hilbert voxel key of every agent, in (sorted) storage order —

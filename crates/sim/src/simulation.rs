@@ -838,6 +838,30 @@ mod tests {
         }
     }
 
+    /// The global CSR sweep holds two bands of displacements, not one
+    /// per agent: after a step over at least three bands the step buffer
+    /// is at most the 16 bytes per agent the grid build's voxel ids (and
+    /// a reorder's words and indices) borrow, where one displacement per
+    /// agent would hold 24.
+    #[test]
+    fn a_csr_step_of_three_bands_holds_at_most_16_bytes_per_agent() {
+        let n = 200_000;
+        let bands = (bdm_soa::chunk_cuts(n).len() - 1) / bdm_soa::BAND_CHUNKS;
+        assert!(bands >= 3, "{bands} bands");
+        let mut sim = Simulation::new(SimParams::cube(60.0).with_seed(9));
+        sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
+        let mut rng = bdm_math::SplitMix64::new(9);
+        for _ in 0..n {
+            let mut at = || rng.uniform(-59.0, 59.0);
+            let pos = Vec3::new(at(), at(), at());
+            sim.add_cell(CellBuilder::new(pos).diameter(2.0));
+        }
+        sim.simulate(1);
+        let bytes = sim.metrics().value("step.buffer_bytes", &[]).unwrap();
+        assert_eq!(bytes, sim.mech_scratch.buffer.resident_bytes() as f64);
+        assert!(bytes <= 16.0 * n as f64, "{bytes} bytes for {n} agents");
+    }
+
     /// The same agent dividing *and* dying in one step: the daughter is
     /// appended first, then the mother's death swap-removes across the
     /// grown population — under both execution modes, identically.

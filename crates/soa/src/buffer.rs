@@ -6,20 +6,25 @@
 //! the argsort's two `u32` index arrays), a division wave (a mother uid
 //! per daughter slot the chunks may fill, then the same word and index
 //! arrays per daughter to order and append them), the CSR grid build (a
-//! `u32` voxel id per agent), the force sweep (a `Vec3<f64>`
-//! displacement per agent) and the diffusion sweep (a window of `f64` or
-//! `f32` planes per field swept at once). [`StepBuffer`] is that
-//! memory, held once and lent to each as the type it needs: a step
-//! holds its largest borrower's bytes, not the sum of all five.
+//! `u32` voxel id per agent), the force sweep (`Vec3<f64>`
+//! displacements: one per agent, or two bands' worth on the global CSR
+//! sweep, which integrates each band before it sweeps the one after
+//! next) and the diffusion sweep (a window of `f64` or `f32` planes per
+//! field swept at once). [`StepBuffer`] is that memory, held once and
+//! lent to each as the type it needs: a step holds its largest
+//! borrower's bytes, not the sum of all five.
 
 use bdm_math::Vec3;
 use std::mem::{align_of, size_of, size_of_val};
 use std::slice::ChunksExactMut;
 
-/// Words per agent of the widest per-agent view, [`StepBuffer::vec3s`].
-/// Every per-agent view sizes the buffer by it, so a population grows
-/// the buffer once, whichever view a step borrows first.
-const AGENT_WORDS: usize = size_of::<Vec3<f64>>() / size_of::<u64>();
+/// Words per agent of the widest per-agent view: the reorder's and a
+/// division wave's word and two indices
+/// ([`StepBuffer::words_and_indices`]). Every per-agent view sizes the
+/// buffer by it, so a population grows the buffer once, whichever view a
+/// step borrows first. The displacements ([`StepBuffer::vec3s`]) are
+/// sized by their caller: a banded sweep holds fewer than one per agent.
+const AGENT_WORDS: usize = 2;
 
 /// Plain data a run of `u64` words can be viewed as.
 ///
@@ -72,9 +77,10 @@ impl StepBuffer {
         &mut self.words[..len]
     }
 
-    /// One `Vec3<f64>` per agent.
-    pub fn vec3s(&mut self, agents: usize) -> &mut [Vec3<f64>] {
-        view(self.words(AGENT_WORDS * agents))
+    /// `len` `Vec3<f64>`s — sized by themselves, not by a population:
+    /// one per agent is 24 bytes, wider than any per-agent view.
+    pub fn vec3s(&mut self, len: usize) -> &mut [Vec3<f64>] {
+        view(self.words(len * size_of::<Vec3<f64>>() / size_of::<u64>()))
     }
 
     /// One word per agent, then two arrays of one `u32` per agent.
@@ -111,24 +117,31 @@ mod tests {
     fn the_views_share_one_block_sized_for_the_widest() {
         let mut buf = StepBuffer::default();
         assert_eq!(buf.resident_bytes(), 0);
-        // The reorder's view first: it sizes the block for the sweep's.
+        // The reorder's view first: it sizes the block for every
+        // per-agent view, at two words per agent.
         let (words, first, second) = buf.words_and_indices(100);
         assert_eq!((words.len(), first.len(), second.len()), (100, 100, 100));
         words[99] = u64::MAX;
-        assert_eq!(buf.resident_bytes(), 2400);
-        // The sweep's view is the same 2,400 bytes: word 99 is the x of
-        // record 33.
-        let disp = buf.vec3s(100);
-        assert_eq!(disp.len(), 100);
+        assert_eq!(buf.resident_bytes(), 1600);
+        // Displacements are sized by their caller: 66 of them fit in the
+        // same 1,600 bytes, and word 99 is the x of record 33.
+        let disp = buf.vec3s(66);
+        assert_eq!(disp.len(), 66);
         assert_eq!(disp[33].x.to_bits(), u64::MAX);
-        assert_eq!(buf.resident_bytes(), 2400);
+        assert_eq!(buf.resident_bytes(), 1600);
         // The grid build's voxel ids are the same block's first 50 words
         // (word 49 is ids 98 and 99).
         let ids = buf.indices(100);
         assert_eq!(ids.len(), 100);
         assert_eq!(ids[98..100], [0; 2]);
-        buf.vec3s(100)[16].y = f64::from_bits(u64::MAX);
+        buf.vec3s(66)[16].y = f64::from_bits(u64::MAX);
         assert_eq!(buf.indices(100)[98..100], [u32::MAX; 2]);
+        assert_eq!(buf.resident_bytes(), 1600);
+        // One displacement per agent outgrows the per-agent views; they
+        // then fit in its block.
+        assert_eq!(buf.vec3s(100).len(), 100);
+        assert_eq!(buf.resident_bytes(), 2400);
+        assert_eq!(buf.words_and_indices(100).0.len(), 100);
         assert_eq!(buf.resident_bytes(), 2400);
         assert!(buf.indices(0).is_empty() && buf.vec3s(0).is_empty());
     }

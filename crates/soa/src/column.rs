@@ -190,17 +190,6 @@ impl<T: Copy + Send + Sync> Column<T> {
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.data.iter()
     }
-
-    /// Disjoint mutable views over consecutive `size`-agent chunks.
-    ///
-    /// The chunks partition the column, so they can be written from
-    /// different threads simultaneously; chunking by a *fixed* size
-    /// (instead of dividing by the thread count) keeps the partition —
-    /// and therefore any per-chunk reduction order — independent of how
-    /// many workers execute it.
-    pub fn chunks_mut(&mut self, size: usize) -> std::slice::ChunksMut<'_, T> {
-        self.data.chunks_mut(size)
-    }
 }
 
 impl<T: Copy + Send + Sync> FromIterator<T> for Column<T> {
@@ -265,19 +254,6 @@ mod tests {
         c.push(1);
         c.clear();
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn chunks_mut_are_disjoint_windows() {
-        let mut c: Column<i32> = (0..7).collect();
-        let chunks: Vec<&mut [i32]> = c.chunks_mut(3).collect();
-        assert_eq!(chunks.len(), 3);
-        for chunk in chunks {
-            for v in chunk.iter_mut() {
-                *v *= 10;
-            }
-        }
-        assert_eq!(c.as_slice(), &[0, 10, 20, 30, 40, 50, 60]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod vec3col;
 pub use buffer::StepBuffer;
 pub use column::Column;
 pub use mirror::{F32Mirror, F32x4Mirror};
-pub use partition::{chunk_cuts, parts, CHUNK, MAX_PARTS};
+pub use partition::{chunk_cuts, parts, BAND_CHUNKS, CHUNK, MAX_PARTS};
 pub use perm::{gather_words, Permutation, Word};
 pub use vec3col::{chunks_at, split_mut_at, SoaVec3, Vec3ChunkMut, Vec3Spare};
 

@@ -15,6 +15,11 @@
 //!   scratch and staged stencils, a kd chunk's neighbor lists, a grid
 //!   conversion block's id buffer) into fixed [`CHUNK`]-sized chunks,
 //!   as many as the population needs.
+//!
+//! A pass that finishes its chunks in order may also group them into
+//! bands of at least [`BAND_CHUNKS`] (the global CSR force sweep: it
+//! integrates one band's displacements while holding the next band's,
+//! so it needs two bands' buffer, not one entry per agent).
 
 /// Most parts a pass cut by [`parts`] has.
 pub const MAX_PARTS: usize = 8;
@@ -25,6 +30,16 @@ const MIN_PART: usize = 1024;
 
 /// Items per chunk of a pass cut by [`chunk_cuts`].
 pub const CHUNK: usize = 4 * 1024;
+
+/// Chunks a band holds at least when a pass cut by [`chunk_cuts`] works
+/// through its chunks band by band. The global CSR force sweep deals its
+/// chunks evenly into as many bands as hold this many, then merges a
+/// band with the next until it spans the force stencil's reach. Two
+/// bands of 8–9 chunks hold 1.6–1.8 MB of displacements, about what the
+/// CSR grid's ids touch at the paper's Benchmark A peak (442,368
+/// agents). 16-chunk bands held that peak 1.1 MB higher and
+/// `frozen_dense`'s above the one-band sweep's, and ran no faster.
+pub const BAND_CHUNKS: usize = 8;
 
 /// `(parts, part_len)` of a parallel pass over `n` agents (the
 /// reorder's gathers, the CSR build's key pass and skip check, the radix

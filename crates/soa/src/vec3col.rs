@@ -194,23 +194,13 @@ impl<R: Scalar> SoaVec3<R> {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Disjoint mutable views over consecutive `size`-agent chunks of all
-    /// three component columns — the substrate for embarrassingly parallel
-    /// per-agent writes (each rayon task owns one chunk, no two tasks
-    /// alias). The fixed chunk size keeps the partition independent of
-    /// the worker count, so chunk-ordered merges are deterministic.
-    pub fn chunks_mut(&mut self, size: usize) -> impl Iterator<Item = Vec3ChunkMut<'_, R>> {
-        self.x
-            .chunks_mut(size)
-            .zip(self.y.chunks_mut(size))
-            .zip(self.z.chunks_mut(size))
-            .map(|((x, y), z)| Vec3ChunkMut { x, y, z })
-    }
-
     /// Disjoint mutable views over the windows between consecutive
-    /// `cuts` — the variable-size sibling of [`Self::chunks_mut`], used
-    /// when the partition must respect externally imposed boundaries
-    /// (shard ranges subdivided into work chunks). `cuts` must be
+    /// `cuts` of all three component columns — the substrate for
+    /// embarrassingly parallel per-agent writes (each rayon task owns one
+    /// window, no two tasks alias). Cuts that depend on the population
+    /// alone ([`crate::chunk_cuts`], or shard ranges subdivided by it)
+    /// keep the partition independent of the worker count, so
+    /// window-ordered merges are deterministic. `cuts` must be
     /// non-decreasing, start at 0, and end at `len()`; window `w`
     /// covers agents `cuts[w]..cuts[w + 1]`.
     pub fn chunks_mut_at(&mut self, cuts: &[usize]) -> Vec<Vec3ChunkMut<'_, R>> {
@@ -263,7 +253,7 @@ pub fn split_mut_at<'a, T>(mut data: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut
 
 /// A disjoint mutable window over one chunk of a [`SoaVec3`]: the same
 /// agent range of the `x`, `y`, and `z` columns. Produced by
-/// [`SoaVec3::chunks_mut`]; indices are chunk-local.
+/// [`SoaVec3::chunks_mut_at`]; indices are chunk-local.
 pub struct Vec3ChunkMut<'a, R> {
     x: &'a mut [R],
     y: &'a mut [R],
@@ -378,25 +368,6 @@ mod tests {
         assert_eq!(s.bytes(), 3 * 3 * 8);
         let f: SoaVec3<f32> = SoaVec3::filled(Vec3::zero(), 10);
         assert_eq!(f.bytes(), 3 * 10 * 4);
-    }
-
-    #[test]
-    fn chunks_mut_partition_and_write_back() {
-        let mut s: SoaVec3<f64> = SoaVec3::filled(Vec3::zero(), 10);
-        let chunks: Vec<_> = s.chunks_mut(4).collect();
-        assert_eq!(chunks.len(), 3, "10 agents in chunks of 4 → 4+4+2");
-        assert_eq!(chunks[0].len(), 4);
-        assert_eq!(chunks[2].len(), 2);
-        for (c, mut chunk) in chunks.into_iter().enumerate() {
-            for k in 0..chunk.len() {
-                chunk.set(k, Vec3::splat((c * 4 + k) as f64));
-                chunk.add_assign(k, Vec3::new(0.5, 0.0, 0.0));
-            }
-        }
-        // Writes through the chunk views land in the parent columns.
-        for i in 0..10 {
-            assert_eq!(s.get(i), Vec3::new(i as f64 + 0.5, i as f64, i as f64));
-        }
     }
 
     #[test]

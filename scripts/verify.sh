@@ -117,6 +117,15 @@ stage() (
             largest_diameter_scans_once_per_change \
             merges_leave_the_diameter_memo_to_the_views \
             resident_reorder_steps_resync_from_the_uid_diff_alone
+        # The global CSR sweep in bands, each integrated once the next is
+        # swept: one-chunk bands (one per chunk on a dense cloud, merged
+        # for the stencil's reach on a sparse slab) against one band, bit
+        # for bit and counter for counter, at 1 / 2 / 4 workers and
+        # shuffled inside; and the step buffer at two bands'
+        # displacements, not one per agent.
+        named test -q --offline --release -p bdm-sim --lib -- \
+            banded_sweeps_match_the_one_band_sweep \
+            a_csr_step_of_three_bands_holds_at_most_16_bytes_per_agent
         # The SIMT engine's trace path: the log-time coalescer and the
         # lane filter in front of it against the retained BTreeMap oracle
         # on random lane scripts (commuting ones forked on 1-4 workers and
@@ -170,7 +179,10 @@ stage() (
         # room, the lattices' first touch, the AVX2 lane ops) aborts the
         # test that made it: the lib tests of the crates that hold it or
         # drive it (bdm-grid's CSR builds borrow the step buffer's `u32`
-        # view), the births-in-place and reorder oracles, the
+        # view; bdm-sim's include the banded sweep's two tests,
+        # banded_sweeps_match_the_one_band_sweep and, debug builds only,
+        # a_stencil_reading_an_integrated_band_panics, whose bands skip
+        # the reach merge), the births-in-place and reorder oracles, the
         # stamps' skips through a whole step, and every host environment's
         # schedule matrix at two workers. Debug build, artifacts in target/x86_64-unknown-linux-gnu/;
         # RUSTFLAGS replaces .cargo/config.toml's flag, so it is repeated.
@@ -197,6 +209,11 @@ stage() (
         cargo clippy --offline --workspace --all-targets -- -D warnings
         # Our own packages only: vendored crates keep upstream style.
         ./scripts/fmt.sh --check
+        # Rustdoc over our own packages, warnings denied: an intra-doc
+        # link to an item that does not exist, or that is private where
+        # the linking docs are public, fails here.
+        RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
+            --exclude parking_lot --exclude proptest --exclude rand --exclude rayon
         # Every file, module path and type / item DESIGN.md's experiment
         # index (§6) and model structure (§8) name in backticks exists.
         ./scripts/doc_names.sh
