@@ -118,6 +118,7 @@ use bdm_device::specs::GpuSpec;
 use bdm_grid::rayon;
 use bdm_grid::rayon::prelude::*;
 use bdm_math::Scalar;
+use bdm_soa::Word;
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -724,7 +725,7 @@ impl<'a> ThreadCtx<'a> {
 
     /// Shared-memory load of word `i` reinterpreted as `T`.
     #[inline(always)]
-    pub fn sh_ld<T: FromWord>(&mut self, i: usize) -> T {
+    pub fn sh_ld<T: DeviceWord + Word>(&mut self, i: usize) -> T {
         self.totals.cycles += SHARED_ACCESS_CYCLES;
         self.totals.shared_accesses += 1;
         T::from_word(self.shared.load(i))
@@ -732,10 +733,10 @@ impl<'a> ThreadCtx<'a> {
 
     /// Shared-memory store of word `i`.
     #[inline(always)]
-    pub fn sh_st<T: FromWord>(&mut self, i: usize, v: T) {
+    pub fn sh_st<T: DeviceWord + Word>(&mut self, i: usize, v: T) {
         self.totals.cycles += SHARED_ACCESS_CYCLES;
         self.totals.shared_accesses += 1;
-        self.shared.store(i, T::to_word(v));
+        self.shared.store(i, v.to_word());
     }
 
     /// Shared-memory atomic add on a `u32` counter word (the tile-append
@@ -755,41 +756,6 @@ impl<'a> ThreadCtx<'a> {
     #[inline(always)]
     pub fn launch_child(&mut self) {
         self.child_launches += 1;
-    }
-}
-
-/// Conversion between shared-memory 8-byte words and device scalars.
-pub trait FromWord: DeviceWord {
-    /// Reinterpret a word as `Self`.
-    fn from_word(w: u64) -> Self;
-    /// Reinterpret `Self` as a word.
-    fn to_word(v: Self) -> u64;
-}
-
-impl FromWord for u32 {
-    fn from_word(w: u64) -> u32 {
-        w as u32
-    }
-    fn to_word(v: u32) -> u64 {
-        v as u64
-    }
-}
-
-impl FromWord for f32 {
-    fn from_word(w: u64) -> f32 {
-        f32::from_bits(w as u32)
-    }
-    fn to_word(v: f32) -> u64 {
-        v.to_bits() as u64
-    }
-}
-
-impl FromWord for f64 {
-    fn from_word(w: u64) -> f64 {
-        f64::from_bits(w)
-    }
-    fn to_word(v: f64) -> u64 {
-        v.to_bits()
     }
 }
 

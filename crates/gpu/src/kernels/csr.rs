@@ -264,14 +264,14 @@ mod tests {
             let p1 = Vec3::new(xs[i], ys[i], zs[i]);
             let mut force = Vec3::zero();
             let mut ids = Vec::new();
-            host.radius_search(
+            host.for_each_within(
                 &xs,
                 &ys,
                 &zs,
                 p1,
                 box_len,
                 Some(bdm_soa::AgentId(i as u32)),
-                &mut ids,
+                |id| ids.push(id),
             );
             ids.sort_unstable();
             for id in ids {

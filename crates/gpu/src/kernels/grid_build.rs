@@ -62,11 +62,11 @@ mod tests {
         assert!(r.counters.atomic_ops > 0.0);
 
         // Same voxel populations...
-        for flat in 0..host.num_boxes() {
+        for flat in 0..host.geometry().num_boxes() {
             assert_eq!(scene.box_length.read(flat), host.boxes()[flat].length);
         }
         // ...and the same *sets* per voxel (order may differ).
-        for flat in 0..host.num_boxes() {
+        for flat in 0..host.geometry().num_boxes() {
             let mut dev_ids = Vec::new();
             let mut cur = scene.box_start.read(flat);
             while cur != NULL_ID {

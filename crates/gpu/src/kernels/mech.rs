@@ -254,15 +254,9 @@ mod tests {
             let p1 = Vec3::new(xs[i], ys[i], zs[i]);
             let mut force = Vec3::zero();
             let mut ids = Vec::new();
-            host_grid.radius_search(
-                &xs,
-                &ys,
-                &zs,
-                p1,
-                box_len,
-                Some(AgentId(i as u32)),
-                &mut ids,
-            );
+            host_grid.for_each_within(&xs, &ys, &zs, p1, box_len, Some(AgentId(i as u32)), |id| {
+                ids.push(id)
+            });
             // Sum in a canonical order (ids ascending) to sidestep FP
             // association differences; tolerance below covers the rest.
             ids.sort_unstable();

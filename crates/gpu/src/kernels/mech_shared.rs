@@ -21,13 +21,14 @@
 //!   memory. If the tile overflowed its capacity, the thread falls back
 //!   to the global-memory walk so results stay exact.
 
-use crate::engine::{FromWord, Kernel, ThreadCtx, ThreadId};
+use crate::engine::{Kernel, ThreadCtx, ThreadId};
 use crate::kernels::layout::{AgentCols, ChainGrid, DispCols};
 use crate::kernels::mech::{accumulate_candidate, store_displacement, Subject};
 use crate::mem::{DeviceBuffer, DeviceWord};
 use bdm_grid::GridGeometry;
 use bdm_math::interaction::MechParams;
 use bdm_math::{Scalar, Vec3};
+use bdm_soa::Word;
 
 /// Shared-memory words reserved ahead of the tile entries
 /// (word 0 = cursor, word 1 = overflow flag).
@@ -64,7 +65,7 @@ pub struct SharedMechKernel<'a, R: Scalar + DeviceWord> {
     pub params: MechParams<R>,
 }
 
-impl<R: Scalar + DeviceWord + FromWord> Kernel for SharedMechKernel<'_, R> {
+impl<R: Scalar + DeviceWord + Word> Kernel for SharedMechKernel<'_, R> {
     fn phases(&self) -> usize {
         2
     }

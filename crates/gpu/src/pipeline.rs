@@ -50,7 +50,7 @@
 
 use crate::counters::KernelCounters;
 use crate::engine::{
-    FromWord, GpuDevice, HostCost, Kernel, LaunchConfig, LaunchResult, Launches, TraceAccesses,
+    GpuDevice, HostCost, Kernel, LaunchConfig, LaunchResult, Launches, TraceAccesses,
 };
 use crate::frontend::ApiFrontend;
 use crate::kernels::csr::{exclusive_scan_into, CsrCountKernel, CsrScatterKernel};
@@ -863,7 +863,7 @@ impl MechanicalPipeline {
 impl StepEnv<'_> {
     /// The rebuilt step: sort, upload, build, compute, download
     /// displacements.
-    fn rebuilt<R: Scalar + DeviceWord + FromWord + Word>(
+    fn rebuilt<R: Scalar + DeviceWord + Word>(
         &self,
         st: &mut DeviceState<R>,
         scene: &SceneRef<'_>,
@@ -929,7 +929,7 @@ impl StepEnv<'_> {
 
     /// The resident step: sync the difference, build the grid only if a
     /// voxel key moved, compute, integrate on-device, download positions.
-    fn resident<R: Scalar + DeviceWord + FromWord>(
+    fn resident<R: Scalar + DeviceWord + Word>(
         &self,
         st: &mut DeviceState<R>,
         scene: &SceneRef<'_>,
@@ -966,8 +966,9 @@ impl StepEnv<'_> {
         st.keys_cur.clear();
         st.keys_cur
             .extend((0..f.n).map(|i| f.geom.box_index(Vec3::new(mx[i], my[i], mz[i])) as u32));
-        let rebuild =
-            !(st.grid_valid && st.prev_geom == Some(f.geom) && st.keys_cur == st.prev_keys);
+        let rebuild = !(st.grid_valid
+            && st.prev_geom.is_some_and(|g| g.same_as(&f.geom))
+            && st.keys_cur == st.prev_keys);
         let mut grid = PhaseCost::default();
         if rebuild {
             grid = self.build_grid(st, &f);
@@ -1117,7 +1118,7 @@ impl StepEnv<'_> {
     /// version III whether the grid changed since its cached non-empty
     /// voxel list (the occupancy readback is skipped when the resident
     /// path skipped the build).
-    fn run_mech<R: Scalar + DeviceWord + FromWord>(
+    fn run_mech<R: Scalar + DeviceWord + Word>(
         &self,
         st: &mut DeviceState<R>,
         &Frame { n, geom, params }: &Frame<R>,
@@ -1730,7 +1731,8 @@ mod tests {
             let grid = bdm_grid::UniformGrid::build_serial(xs, ys, zs, space, 1.0);
             let fullest_tile = (0..xs.len())
                 .map(|i| {
-                    grid.neighbor_boxes(Vec3::new(xs[i], ys[i], zs[i]))
+                    grid.geometry()
+                        .neighbor_boxes(Vec3::new(xs[i], ys[i], zs[i]))
                         .map(|b| grid.boxes()[b].length as usize)
                         .sum::<usize>()
                 })

@@ -27,9 +27,10 @@
 //!
 //! # Incremental maintenance
 //!
-//! The grid remembers the geometry signature of its last full build. A
-//! rebuild first recomputes every agent's clamped voxel key — the cheap
-//! pass — and, when the population and the geometry are unchanged and
+//! The grid remembers whether its arrays are a full build of its
+//! geometry ([`GridGeometry::same_as`] says whether a rebuild's geometry
+//! is that one). A rebuild first recomputes every agent's clamped voxel
+//! key — the cheap pass — and, when the population and the geometry are unchanged and
 //! every slot of every voxel still holds an agent of that voxel, *skips*
 //! the counting sort and scatter entirely. Each agent sits in exactly one
 //! slot, so that is "no agent changed voxel", and the stored CSR arrays
@@ -54,39 +55,12 @@
 //! next), or a [`CsrBuildScratch`], the memory the grid owns for
 //! callers that lend none. Both run the same build bodies.
 
-use crate::{GridGeometry, NeighborBoxes, QueryCounters};
+use crate::{gate, GridGeometry, QueryCounters};
 use bdm_math::{Aabb, Scalar, Vec3};
 use bdm_soa::{AgentId, StepBuffer, MAX_PARTS};
 use rayon::prelude::*;
 use std::mem::size_of;
 use std::ops::Range;
-
-/// Identity of the geometry a key set was computed against. Keys are a
-/// pure function of (position, geometry); equal signature + equal keys
-/// ⇒ the stored CSR arrays are still exact. Scalar fields are compared
-/// by bit pattern, so an FP32 grid and an FP64 grid of the "same"
-/// space can never falsely alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BuildSig {
-    dims: [u32; 3],
-    min_bits: [u64; 3],
-    box_len_bits: u64,
-}
-
-impl BuildSig {
-    fn of<R: Scalar>(geom: &GridGeometry<R>) -> Self {
-        let mn = geom.space().min;
-        Self {
-            dims: geom.dims(),
-            min_bits: [
-                mn.x.to_f64().to_bits(),
-                mn.y.to_f64().to_bits(),
-                mn.z.to_f64().to_bits(),
-            ],
-            box_len_bits: geom.box_length().to_f64().to_bits(),
-        }
-    }
-}
 
 /// Working memory a CSR build owns for callers that lend it none: one
 /// `u32` per agent (its voxel id, filled by pass 1 and consumed by pass
@@ -142,7 +116,7 @@ impl BuildMemory for StepBuffer {
 ///
 /// // Agents 0 and 1 share voxel (0,0,0); the range is contiguous and
 /// // sorted by id.
-/// let voxel = grid.box_index(Vec3::new(0.5, 0.5, 0.5));
+/// let voxel = grid.geometry().box_index(Vec3::new(0.5, 0.5, 0.5));
 /// let ids: Vec<u32> = grid.cell_range(voxel).iter().map(|a| a.0).collect();
 /// assert_eq!(ids, vec![0, 1]);
 /// ```
@@ -154,10 +128,10 @@ pub struct CsrGrid<R> {
     cell_starts: Vec<u32>,
     /// All agent ids, grouped by voxel, ascending id within a voxel.
     cell_agents: Vec<AgentId>,
-    /// The geometry of the last full build (the incremental check).
-    /// `None` after a member-subset build — those arrays are not a pure
-    /// function of full-column keys.
-    built_sig: Option<BuildSig>,
+    /// `true` when the arrays are a full build over `geom` (the
+    /// incremental check). `false` after a member-subset build — those
+    /// arrays are not a pure function of full-column keys.
+    full: bool,
 }
 
 impl<R: Scalar> CsrGrid<R> {
@@ -166,7 +140,7 @@ impl<R: Scalar> CsrGrid<R> {
             geom: GridGeometry::new(space, box_length),
             cell_starts: Vec::new(),
             cell_agents: Vec::new(),
-            built_sig: None,
+            full: false,
         }
     }
 
@@ -223,9 +197,9 @@ impl<R: Scalar> CsrGrid<R> {
 
         // Incremental check: same geometry + same keys ⇒ the stored
         // CSR arrays are a pure function of both ⇒ skip the sort.
-        let sig = BuildSig::of(&geom);
+        let same = self.full && self.geom.same_as(&geom);
         self.geom = geom;
-        if self.built_sig == Some(sig) {
+        if same {
             let mut held = [true; MAX_PARTS];
             held[..count]
                 .par_iter_mut()
@@ -238,7 +212,7 @@ impl<R: Scalar> CsrGrid<R> {
                 return true;
             }
         }
-        self.built_sig = Some(sig);
+        self.full = true;
         self.counting_sort(voxel_of, AgentId::from_index);
         false
     }
@@ -316,9 +290,8 @@ impl<R: Scalar> CsrGrid<R> {
         assert!(n < u32::MAX as usize, "agent count overflows CSR offsets");
         self.geom = GridGeometry::new(space, box_length);
         // A subset build is not a pure function of full-column keys:
-        // drop the incremental signature so the next full rebuild can
-        // never falsely skip over shard-local contents.
-        self.built_sig = None;
+        // the next full rebuild must never skip over shard-local contents.
+        self.full = false;
         let voxel_of = scratch.indices(n);
         for (v, id) in voxel_of.iter_mut().zip(members) {
             let i = id.index();
@@ -328,17 +301,14 @@ impl<R: Scalar> CsrGrid<R> {
     }
 
     /// `true` when the arrays are those of a full build
-    /// ([`Self::rebuild_parallel`], skipped or not) over exactly this `space` and `box_length`, compared by bit
-    /// pattern. A member-subset build never matches. Together with a
-    /// caller's proof that the columns are the ones that build read (the
-    /// host step keys it on the resource manager's position stamp), this
-    /// is what a rebuild would conclude without pass 1 or the slot check.
+    /// ([`Self::rebuild_parallel`], skipped or not) over the geometry of
+    /// `space` and `box_length` ([`GridGeometry::same_as`]). A
+    /// member-subset build never matches. Together with a caller's proof
+    /// that the columns are the ones that build read (the host step keys
+    /// it on the resource manager's position stamp), this is what a
+    /// rebuild would conclude without pass 1 or the slot check.
     pub fn is_full_build_of(&self, space: Aabb<R>, box_length: R) -> bool {
-        let bits = |v: Vec3<R>| [v.x, v.y, v.z].map(|c| c.to_f64().to_bits());
-        let same = |a: &Aabb<R>| bits(a.min) == bits(space.min) && bits(a.max) == bits(space.max);
-        self.built_sig.is_some()
-            && self.geom.box_length().to_f64().to_bits() == box_length.to_f64().to_bits()
-            && same(self.geom.space())
+        self.full && self.geom.same_as(&GridGeometry::new(space, box_length))
     }
 
     /// The shared voxel geometry.
@@ -347,34 +317,10 @@ impl<R: Scalar> CsrGrid<R> {
         &self.geom
     }
 
-    /// Voxel edge length.
-    #[inline]
-    pub fn box_length(&self) -> R {
-        self.geom.box_length()
-    }
-
-    /// Voxels per axis.
-    #[inline]
-    pub fn dims(&self) -> [u32; 3] {
-        self.geom.dims()
-    }
-
-    /// Total number of voxels.
-    #[inline]
-    pub fn num_boxes(&self) -> usize {
-        self.geom.num_boxes()
-    }
-
     /// Number of indexed agents.
     #[inline]
     pub fn num_agents(&self) -> usize {
         self.cell_agents.len()
-    }
-
-    /// The covered space.
-    #[inline]
-    pub fn space(&self) -> &Aabb<R> {
-        self.geom.space()
     }
 
     /// Heap bytes the grid holds: its offsets and its agent ids.
@@ -415,31 +361,34 @@ impl<R: Scalar> CsrGrid<R> {
         &self.cell_agents[lo..hi]
     }
 
-    /// Integer voxel coordinates of a position (see
-    /// [`GridGeometry::box_coords`] for the clamp semantics).
-    #[inline]
-    pub fn box_coords(&self, p: Vec3<R>) -> [u32; 3] {
-        self.geom.box_coords(p)
+    /// The voxel whose range holds slot `slot` of [`Self::cell_agents`]
+    /// (of the empty voxels that share a boundary with it, the last): the
+    /// one search from a slot back to its voxel.
+    pub fn voxel_of_slot(&self, slot: usize) -> usize {
+        self.cell_starts.partition_point(|&s| s as usize <= slot) - 1
     }
 
-    /// Flat voxel index of a position (x-major).
+    /// Visit every agent of the ≤ 27 voxels around `p`, as ≤ 9 contiguous
+    /// slices ([`GridGeometry::x_runs`]) in stencil order, and return the
+    /// voxels scanned. The one candidate walk of this layout.
     #[inline]
-    pub fn box_index(&self, p: Vec3<R>) -> usize {
-        self.geom.box_index(p)
-    }
-
-    /// Enumerate the flat indices of the ≤ 27 voxels around `p`.
-    pub fn neighbor_boxes(&self, p: Vec3<R>) -> NeighborBoxes {
-        self.geom.neighbor_boxes(p)
+    pub fn for_each_in_stencil(&self, p: Vec3<R>, mut visit: impl FnMut(AgentId)) -> u64 {
+        let mut scanned = 0u64;
+        for (first, count) in self.geom.x_runs(p) {
+            scanned += count as u64;
+            for &id in self.run_range(first, count) {
+                visit(id);
+            }
+        }
+        scanned
     }
 
     /// Visit every agent within `radius` of `q`, excluding `exclude`.
     ///
-    /// Same contract as `UniformGrid::for_each_within` (correctness
-    /// requires `radius ≤ box_length`), but candidate enumeration is ≤ 9
-    /// contiguous slice scans ([`GridGeometry::x_runs`]) instead of 27
-    /// linked-list walks. `boxes_scanned` still counts voxels, so the
-    /// counters stay comparable across layouts.
+    /// Same contract and counters as `UniformGrid::for_each_within`
+    /// (correctness requires `radius ≤ box_length`), but candidate
+    /// enumeration is [`Self::for_each_in_stencil`]: ≤ 9 contiguous slice
+    /// scans instead of 27 linked-list walks.
     #[allow(clippy::too_many_arguments)]
     pub fn for_each_within<F: FnMut(AgentId)>(
         &self,
@@ -449,45 +398,20 @@ impl<R: Scalar> CsrGrid<R> {
         q: Vec3<R>,
         radius: R,
         exclude: Option<AgentId>,
-        mut visit: F,
+        visit: F,
     ) -> QueryCounters {
-        debug_assert!(
-            radius <= self.geom.box_length(),
-            "query radius exceeds the voxel edge; the 27-box stencil would miss neighbors"
-        );
         let mut counters = QueryCounters::default();
-        let r2 = radius * radius;
-        for (first, count) in self.geom.x_runs(q) {
-            counters.boxes_scanned += count as u64;
-            for &id in self.run_range(first, count) {
-                if Some(id) != exclude {
-                    counters.points_tested += 1;
-                    let i = id.index();
-                    let d = Vec3::new(xs[i], ys[i], zs[i]) - q;
-                    if d.norm_squared() <= r2 {
-                        counters.neighbors_found += 1;
-                        visit(id);
-                    }
-                }
-            }
-        }
+        let gate = gate(
+            &self.geom,
+            (xs, ys, zs),
+            q,
+            radius,
+            exclude,
+            &mut counters,
+            visit,
+        );
+        counters.boxes_scanned = self.for_each_in_stencil(q, gate);
         counters
-    }
-
-    /// Collect neighbor ids into `out` (cleared first).
-    #[allow(clippy::too_many_arguments)]
-    pub fn radius_search(
-        &self,
-        xs: &[R],
-        ys: &[R],
-        zs: &[R],
-        q: Vec3<R>,
-        radius: R,
-        exclude: Option<AgentId>,
-        out: &mut Vec<AgentId>,
-    ) -> QueryCounters {
-        out.clear();
-        self.for_each_within(xs, ys, zs, q, radius, exclude, |id| out.push(id))
     }
 }
 
@@ -521,10 +445,10 @@ mod tests {
     fn ranges_partition_all_agents() {
         let (xs, ys, zs) = cloud(500, 1, 20.0);
         let g = CsrGrid::build_parallel(&xs, &ys, &zs, space(20.0), 2.5);
-        assert_eq!(g.cell_starts().len(), g.num_boxes() + 1);
+        assert_eq!(g.cell_starts().len(), g.geometry().num_boxes() + 1);
         assert_eq!(*g.cell_starts().last().unwrap() as usize, 500);
         let mut seen = vec![false; 500];
-        for v in 0..g.num_boxes() {
+        for v in 0..g.geometry().num_boxes() {
             for &id in g.cell_range(v) {
                 assert!(!seen[id.index()], "agent {} appears twice", id.0);
                 seen[id.index()] = true;
@@ -538,7 +462,7 @@ mod tests {
         let (xs, ys, zs) = cloud(300, 2, 10.0);
         let g = CsrGrid::build_parallel(&xs, &ys, &zs, space(10.0), 1.5);
         for i in 0..300 {
-            let v = g.box_index(Vec3::new(xs[i], ys[i], zs[i]));
+            let v = g.geometry().box_index(Vec3::new(xs[i], ys[i], zs[i]));
             let cell = g.cell_range(v);
             assert!(cell.iter().any(|id| id.index() == i));
             assert!(
@@ -677,7 +601,7 @@ mod tests {
         let mut scratch = CsrBuildScratch::default();
         sub.rebuild_from_members(&xs, &ys, &zs, &members, space(16.0), 2.0, &mut scratch);
         assert_eq!(sub.num_agents(), members.len());
-        for v in 0..full.num_boxes() {
+        for v in 0..full.geometry().num_boxes() {
             let expected: Vec<AgentId> = full
                 .cell_range(v)
                 .iter()
@@ -808,8 +732,8 @@ mod tests {
         // occupancy per voxel, but each slot now names the wrong agent.
         let other = (1..xs.len())
             .find(|&i| {
-                g.box_index(Vec3::new(xs[i], ys[i], zs[i]))
-                    != g.box_index(Vec3::new(xs[0], ys[0], zs[0]))
+                g.geometry().box_index(Vec3::new(xs[i], ys[i], zs[i]))
+                    != g.geometry().box_index(Vec3::new(xs[0], ys[0], zs[0]))
             })
             .expect("a second voxel");
         let (mut ys, mut zs) = (ys, zs);
@@ -846,6 +770,31 @@ mod tests {
         assert_eq!(g.cell_agents, fresh.cell_agents);
     }
 
+    /// The skip and [`CsrGrid::is_full_build_of`] ask one question: a
+    /// geometry that differs by one bit of the edge or of a corner — the
+    /// voxel counts unchanged, or a `-0.0` for a `0.0` — is never skipped
+    /// onto, and once built it is.
+    #[test]
+    fn a_geometry_is_full_build_of_rejects_is_rebuilt() {
+        let (xs, ys, zs) = cloud(300, 12, 12.0);
+        let bump = |v: f64| f64::from_bits(v.to_bits() ^ 1);
+        let base = space(12.0);
+        let others = [
+            (base, bump(2.0)),
+            (Aabb::new(base.min, Vec3::new(bump(12.0), 12.0, 12.0)), 2.0),
+            (Aabb::new(Vec3::new(-0.0, 0.0, 0.0), base.max), 2.0),
+        ];
+        let mut scratch = CsrBuildScratch::default();
+        for (other, edge) in others {
+            let mut g = CsrGrid::build_parallel(&xs, &ys, &zs, base, 2.0);
+            assert!(g.is_full_build_of(base, 2.0));
+            assert!(!g.is_full_build_of(other, edge), "{other:?} at {edge}");
+            assert!(!g.rebuild_parallel(&xs, &ys, &zs, other, edge, &mut scratch));
+            assert!(g.is_full_build_of(other, edge));
+            assert!(g.rebuild_parallel(&xs, &ys, &zs, other, edge, &mut scratch));
+        }
+    }
+
     #[test]
     fn radius_search_matches_brute_force() {
         let (xs, ys, zs) = cloud(600, 5, 15.0);
@@ -859,7 +808,7 @@ mod tests {
             );
             let r = rng.uniform(0.2, 2.0);
             let mut got = Vec::new();
-            g.radius_search(&xs, &ys, &zs, q, r, None, &mut got);
+            g.for_each_within(&xs, &ys, &zs, q, r, None, |id| got.push(id));
             let mut got: Vec<u32> = got.iter().map(|a| a.0).collect();
             got.sort_unstable();
             let r2 = r * r;
@@ -880,8 +829,8 @@ mod tests {
         let ll = crate::UniformGrid::build_serial(&xs, &ys, &zs, space(12.0), 2.0);
         let q = Vec3::splat(6.0);
         let mut sink = Vec::new();
-        let a = csr.radius_search(&xs, &ys, &zs, q, 2.0, None, &mut sink);
-        let b = ll.radius_search(&xs, &ys, &zs, q, 2.0, None, &mut sink);
+        let a = csr.for_each_within(&xs, &ys, &zs, q, 2.0, None, |id| sink.push(id));
+        let b = ll.for_each_within(&xs, &ys, &zs, q, 2.0, None, |id| sink.push(id));
         // Same stencil, same candidates, same acceptances — only the
         // storage layout differs.
         assert_eq!(a, b);
@@ -894,7 +843,10 @@ mod tests {
         assert!(g.cell_range(0).is_empty());
         let g = CsrGrid::build_parallel(&[1.0], &[1.0], &[1.0], space(10.0), 2.0);
         assert_eq!(g.num_agents(), 1);
-        assert_eq!(g.cell_range(g.box_index(Vec3::splat(1.0))).len(), 1);
+        assert_eq!(
+            g.cell_range(g.geometry().box_index(Vec3::splat(1.0))).len(),
+            1
+        );
     }
 
     #[test]

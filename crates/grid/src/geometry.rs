@@ -7,13 +7,16 @@
 //! a ≤ 27-voxel neighbor stencil. This module owns that partitioning so
 //! the two layouts and the device kernels of `bdm-gpu` (which take a
 //! [`GridGeometry`] by value, as a GPU takes constant-memory parameters)
-//! cannot drift apart.
+//! cannot drift apart. Its voxel counts and position → voxel mapping are
+//! [`Aabb::voxel_dims`] and [`Aabb::voxel_of`], the rule the Z-order keys
+//! of `bdm-morton` cut space by too, and [`GridGeometry::same_as`] is the
+//! one test of "the same grid".
 
 use bdm_math::{Aabb, Scalar, Vec3};
 
 /// The spatial partitioning of a uniform grid: voxel edge, per-axis voxel
 /// counts, and the covered space.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct GridGeometry<R> {
     /// Edge length of a cubic voxel. Must be ≥ the largest interaction
     /// radius for the 27-voxel query to be exhaustive.
@@ -28,13 +31,24 @@ impl<R: Scalar> GridGeometry<R> {
     /// Compute the voxel layout for `space` and voxel edge `box_length`.
     pub fn new(space: Aabb<R>, box_length: R) -> Self {
         assert!(box_length > R::ZERO, "box length must be positive");
-        let e = space.extents();
-        let dim = |len: R| -> u32 { ((len / box_length).ceil().to_f64() as u32).max(1) };
         Self {
             box_length,
-            dims: [dim(e.x), dim(e.y), dim(e.z)],
+            dims: space.voxel_dims(box_length),
             space,
         }
+    }
+
+    /// `true` when `other` cuts the same space at the same edge, every
+    /// coordinate compared by bit pattern (so `-0.0` is not `0.0`, and a
+    /// grid is never "the same" as one a rounding away). The voxel counts
+    /// follow from those seven numbers. The one "same grid" test: the CSR
+    /// rebuild's skip and the GPU pipeline's both ask it.
+    pub fn same_as(&self, other: &Self) -> bool {
+        let bits = |g: &Self| {
+            let (lo, hi) = (g.space.min, g.space.max);
+            [g.box_length, lo.x, lo.y, lo.z, hi.x, hi.y, hi.z].map(|c| c.to_f64().to_bits())
+        };
+        bits(self) == bits(other)
     }
 
     /// Voxel edge length.
@@ -61,7 +75,9 @@ impl<R: Scalar> GridGeometry<R> {
         &self.space
     }
 
-    /// Integer voxel coordinates of a position.
+    /// Integer voxel coordinates of a position, by the host's one voxel
+    /// rule ([`Aabb::voxel_of`], which the curve keys of `bdm-morton` also
+    /// call).
     ///
     /// Clamp semantics: a **finite** position outside the covered space is
     /// clamped onto the nearest boundary voxel, so escaped-but-finite
@@ -79,20 +95,7 @@ impl<R: Scalar> GridGeometry<R> {
             "non-finite position {:?} cannot be assigned a voxel",
             (p.x.to_f64(), p.y.to_f64(), p.z.to_f64())
         );
-        let rel = p - self.space.min;
-        let coord = |v: R, d: u32| -> u32 {
-            let idx = (v / self.box_length).floor().to_f64();
-            if idx < 0.0 {
-                0
-            } else {
-                (idx as u64).min(d as u64 - 1) as u32
-            }
-        };
-        [
-            coord(rel.x, self.dims[0]),
-            coord(rel.y, self.dims[1]),
-            coord(rel.z, self.dims[2]),
-        ]
+        self.space.voxel_of(p, self.box_length, self.dims)
     }
 
     /// Flat voxel index of a position (x-major).
@@ -121,16 +124,25 @@ impl<R: Scalar> GridGeometry<R> {
     }
 
     /// Enumerate the flat indices of the ≤ 27 voxels around `p` (clamped
-    /// at the grid boundary, deduplicated).
-    pub fn neighbor_boxes(&self, p: Vec3<R>) -> NeighborBoxes {
+    /// at the grid boundary, deduplicated), x fastest, then y, then z.
+    pub fn neighbor_boxes(&self, p: Vec3<R>) -> impl ExactSizeIterator<Item = usize> + Clone {
         self.neighbor_boxes_of(self.box_coords(p))
     }
 
     /// [`Self::neighbor_boxes`] of the voxel at coordinates `c` — for
     /// callers that start from a voxel, not a position (the device's
-    /// block-per-voxel kernel).
-    pub fn neighbor_boxes_of(&self, [cx, cy, cz]: [u32; 3]) -> NeighborBoxes {
-        NeighborBoxes::new(self, cx, cy, cz)
+    /// block-per-voxel kernel): the voxels of its [`Self::x_runs_of`],
+    /// one by one.
+    pub fn neighbor_boxes_of(&self, c: [u32; 3]) -> impl ExactSizeIterator<Item = usize> + Clone {
+        let mut boxes = [0usize; 27];
+        let mut len = 0;
+        for (first, count) in self.x_runs_of(c) {
+            for flat in first..first + count as usize {
+                boxes[len] = flat;
+                len += 1;
+            }
+        }
+        boxes.into_iter().take(len)
     }
 
     /// The same stencil as [`Self::neighbor_boxes`], collapsed into ≤ 9
@@ -141,14 +153,17 @@ impl<R: Scalar> GridGeometry<R> {
     /// whole run as one slice bounded by two offsets — the reason
     /// [`crate::CsrGrid`] queries touch ≤ 18 offsets where the linked
     /// list dereferences 27 heads.
-    pub fn x_runs(&self, p: Vec3<R>) -> XRuns {
+    pub fn x_runs(&self, p: Vec3<R>) -> impl ExactSizeIterator<Item = (usize, u32)> + Clone {
         self.x_runs_of(self.box_coords(p))
     }
 
     /// [`Self::x_runs`] of the voxel at coordinates `c`: the stencil is
     /// a function of the voxel alone, so a sweep that walks voxels asks
     /// once per voxel instead of once per resident.
-    pub fn x_runs_of(&self, [cx, cy, cz]: [u32; 3]) -> XRuns {
+    pub fn x_runs_of(
+        &self,
+        [cx, cy, cz]: [u32; 3],
+    ) -> impl ExactSizeIterator<Item = (usize, u32)> + Clone {
         let range = |c: u32, d: u32| {
             let lo = c.saturating_sub(1);
             let hi = (c + 1).min(d - 1);
@@ -165,86 +180,7 @@ impl<R: Scalar> GridGeometry<R> {
                 len += 1;
             }
         }
-        XRuns { runs, len, next: 0 }
-    }
-}
-
-/// Iterator over the ≤ 9 x-runs of a neighbor stencil — see
-/// [`GridGeometry::x_runs`].
-pub struct XRuns {
-    runs: [(usize, u32); 9],
-    len: usize,
-    next: usize,
-}
-
-impl Iterator for XRuns {
-    type Item = (usize, u32);
-    fn next(&mut self) -> Option<(usize, u32)> {
-        if self.next < self.len {
-            let v = self.runs[self.next];
-            self.next += 1;
-            Some(v)
-        } else {
-            None
-        }
-    }
-}
-
-impl ExactSizeIterator for XRuns {
-    fn len(&self) -> usize {
-        self.len - self.next
-    }
-}
-
-/// Iterator over the flat indices of the ≤ 27 voxels surrounding a point.
-#[derive(Clone)]
-pub struct NeighborBoxes {
-    indices: [usize; 27],
-    len: usize,
-    next: usize,
-}
-
-impl NeighborBoxes {
-    fn new<R: Scalar>(geom: &GridGeometry<R>, cx: u32, cy: u32, cz: u32) -> Self {
-        let mut indices = [0usize; 27];
-        let mut len = 0;
-        let range = |c: u32, d: u32| {
-            let lo = c.saturating_sub(1);
-            let hi = (c + 1).min(d - 1);
-            lo..=hi
-        };
-        for z in range(cz, geom.dims[2]) {
-            for y in range(cy, geom.dims[1]) {
-                for x in range(cx, geom.dims[0]) {
-                    indices[len] = geom.flat_index(x, y, z);
-                    len += 1;
-                }
-            }
-        }
-        Self {
-            indices,
-            len,
-            next: 0,
-        }
-    }
-}
-
-impl Iterator for NeighborBoxes {
-    type Item = usize;
-    fn next(&mut self) -> Option<usize> {
-        if self.next < self.len {
-            let v = self.indices[self.next];
-            self.next += 1;
-            Some(v)
-        } else {
-            None
-        }
-    }
-}
-
-impl ExactSizeIterator for NeighborBoxes {
-    fn len(&self) -> usize {
-        self.len - self.next
+        runs.into_iter().take(len)
     }
 }
 
@@ -275,6 +211,25 @@ mod tests {
     #[cfg(debug_assertions)]
     fn infinite_positions_are_rejected_in_debug() {
         geom(10.0, 2.0).box_coords(Vec3::new(1.0, f64::INFINITY, 1.0));
+    }
+
+    #[test]
+    fn same_as_matches_only_the_same_bits() {
+        let space = Aabb::new(Vec3::new(-0.0, 1.5, -3.0), Vec3::new(10.0, 7.25, 4.0));
+        let g = GridGeometry::new(space, 1.3);
+        assert!(g.same_as(&GridGeometry::new(space, 1.3)));
+        let bump = |v: f64| f64::from_bits(v.to_bits() ^ 1);
+        assert!(!g.same_as(&GridGeometry::new(space, bump(1.3))));
+        // One bit of any coordinate, whether or not it moves a voxel count.
+        let (lo, hi) = (space.min, space.max);
+        for k in 0..6 {
+            let mut c = [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z];
+            c[k] = bump(c[k]);
+            let moved = Aabb::new(Vec3::new(c[0], c[1], c[2]), Vec3::new(c[3], c[4], c[5]));
+            assert!(!g.same_as(&GridGeometry::new(moved, 1.3)), "coordinate {k}");
+        }
+        let positive_zero = Aabb::new(Vec3::new(0.0, lo.y, lo.z), hi);
+        assert!(!g.same_as(&GridGeometry::new(positive_zero, 1.3)));
     }
 
     #[test]

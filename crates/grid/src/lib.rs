@@ -34,7 +34,7 @@ mod csr;
 mod geometry;
 
 pub use csr::{BuildMemory, CsrBuildScratch, CsrGrid};
-pub use geometry::{GridGeometry, NeighborBoxes};
+pub use geometry::GridGeometry;
 
 /// The worker pool under the parallel builds (the vendored fork-join
 /// `rayon`), re-exported for the crates that fork on the same pool
@@ -91,7 +91,6 @@ impl QueryCounters {
 /// ```
 /// use bdm_grid::UniformGrid;
 /// use bdm_math::{Aabb, Vec3};
-/// use bdm_soa::AgentId;
 ///
 /// // Three agents on a line, voxel edge 1.0.
 /// let xs = [0.2, 0.8, 3.5];
@@ -100,9 +99,9 @@ impl QueryCounters {
 /// let space = Aabb::new(Vec3::zero(), Vec3::splat(4.0));
 /// let grid = UniformGrid::build_serial(&xs, &ys, &zs, space, 1.0);
 ///
-/// let mut hits = Vec::new();
-/// grid.radius_search(&xs, &ys, &zs, Vec3::new(0.5, 0.5, 0.5), 1.0, None, &mut hits);
-/// let mut ids: Vec<u32> = hits.iter().map(|a| a.0).collect();
+/// let mut ids = Vec::new();
+/// let q = Vec3::new(0.5, 0.5, 0.5);
+/// grid.for_each_within(&xs, &ys, &zs, q, 1.0, None, |a| ids.push(a.0));
 /// ids.sort();
 /// assert_eq!(ids, vec![0, 1]); // agent 2 is out of range
 /// ```
@@ -225,29 +224,9 @@ impl<R: Scalar> UniformGrid<R> {
         &self.geom
     }
 
-    /// Voxel edge length.
-    pub fn box_length(&self) -> R {
-        self.geom.box_length()
-    }
-
-    /// Voxels per axis.
-    pub fn dims(&self) -> [u32; 3] {
-        self.geom.dims()
-    }
-
-    /// Total number of voxels.
-    pub fn num_boxes(&self) -> usize {
-        self.boxes.len()
-    }
-
     /// Number of indexed agents.
     pub fn num_agents(&self) -> usize {
         self.num_agents
-    }
-
-    /// The covered space.
-    pub fn space(&self) -> &Aabb<R> {
-        self.geom.space()
     }
 
     /// All voxels (the GPU environment uploads these as flat buffers).
@@ -260,25 +239,6 @@ impl<R: Scalar> UniformGrid<R> {
         &self.successors
     }
 
-    /// Integer voxel coordinates of a position (see
-    /// [`GridGeometry::box_coords`] for the clamp semantics).
-    #[inline]
-    pub fn box_coords(&self, p: Vec3<R>) -> [u32; 3] {
-        self.geom.box_coords(p)
-    }
-
-    /// Flat voxel index of a position (x-major).
-    #[inline]
-    pub fn box_index(&self, p: Vec3<R>) -> usize {
-        self.geom.box_index(p)
-    }
-
-    /// Flat index of voxel coordinates.
-    #[inline]
-    pub fn flat_index(&self, cx: u32, cy: u32, cz: u32) -> usize {
-        self.geom.flat_index(cx, cy, cz)
-    }
-
     /// Walk the agents of one voxel (via the successor list).
     pub fn for_each_in_box<F: FnMut(AgentId)>(&self, flat: usize, mut visit: F) {
         let mut cur = self.boxes[flat].start;
@@ -288,10 +248,18 @@ impl<R: Scalar> UniformGrid<R> {
         }
     }
 
-    /// Enumerate the flat indices of the ≤ 27 voxels around `p` (clamped
-    /// at the grid boundary, deduplicated).
-    pub fn neighbor_boxes(&self, p: Vec3<R>) -> NeighborBoxes {
-        self.geom.neighbor_boxes(p)
+    /// Visit every agent of the ≤ 27 voxels around `p` — the 27 head
+    /// chains of Fig. 5, in stencil order — and return the voxels
+    /// scanned. The one candidate walk of this layout: the host sweep and
+    /// [`Self::for_each_within`] both take it.
+    #[inline]
+    pub fn for_each_in_stencil(&self, p: Vec3<R>, mut visit: impl FnMut(AgentId)) -> u64 {
+        let boxes = self.geom.neighbor_boxes(p);
+        let scanned = boxes.len() as u64;
+        for flat in boxes {
+            self.for_each_in_box(flat, &mut visit);
+        }
+        scanned
     }
 
     /// Visit every agent within `radius` of `q`, excluding `exclude`.
@@ -307,47 +275,50 @@ impl<R: Scalar> UniformGrid<R> {
         q: Vec3<R>,
         radius: R,
         exclude: Option<AgentId>,
-        mut visit: F,
+        visit: F,
     ) -> QueryCounters {
-        debug_assert!(
-            radius <= self.geom.box_length(),
-            "query radius exceeds the voxel edge; the 27-box stencil would miss neighbors"
-        );
         let mut counters = QueryCounters::default();
-        let r2 = radius * radius;
-        for flat in self.geom.neighbor_boxes(q) {
-            counters.boxes_scanned += 1;
-            let mut cur = self.boxes[flat].start;
-            while !cur.is_null() {
-                if Some(cur) != exclude {
-                    counters.points_tested += 1;
-                    let i = cur.index();
-                    let d = Vec3::new(xs[i], ys[i], zs[i]) - q;
-                    if d.norm_squared() <= r2 {
-                        counters.neighbors_found += 1;
-                        visit(cur);
-                    }
-                }
-                cur = self.successors[cur.index()];
-            }
-        }
+        let gate = gate(
+            &self.geom,
+            (xs, ys, zs),
+            q,
+            radius,
+            exclude,
+            &mut counters,
+            visit,
+        );
+        counters.boxes_scanned = self.for_each_in_stencil(q, gate);
         counters
     }
+}
 
-    /// Collect neighbor ids into `out` (cleared first).
-    #[allow(clippy::too_many_arguments)]
-    pub fn radius_search(
-        &self,
-        xs: &[R],
-        ys: &[R],
-        zs: &[R],
-        q: Vec3<R>,
-        radius: R,
-        exclude: Option<AgentId>,
-        out: &mut Vec<AgentId>,
-    ) -> QueryCounters {
-        out.clear();
-        self.for_each_within(xs, ys, zs, q, radius, exclude, |id| out.push(id))
+/// The distance gate of a radius query, one for both layouts: `visit`
+/// wrapped so that each candidate a stencil walk offers is counted,
+/// tested against `radius` around `q` (`exclude` skipped) and visited
+/// when within it.
+fn gate<'a, R: Scalar>(
+    geom: &GridGeometry<R>,
+    (xs, ys, zs): (&'a [R], &'a [R], &'a [R]),
+    q: Vec3<R>,
+    radius: R,
+    exclude: Option<AgentId>,
+    counters: &'a mut QueryCounters,
+    mut visit: impl FnMut(AgentId) + 'a,
+) -> impl FnMut(AgentId) + 'a {
+    debug_assert!(
+        radius <= geom.box_length(),
+        "query radius exceeds the voxel edge; the 27-box stencil would miss neighbors"
+    );
+    let r2 = radius * radius;
+    move |id| {
+        if Some(id) != exclude {
+            counters.points_tested += 1;
+            let i = id.index();
+            if (Vec3::new(xs[i], ys[i], zs[i]) - q).norm_squared() <= r2 {
+                counters.neighbors_found += 1;
+                visit(id);
+            }
+        }
     }
 }
 
@@ -371,11 +342,11 @@ mod tests {
     #[test]
     fn layout_counts_voxels() {
         let g = UniformGrid::build_serial(&[], &[], &[], space(10.0), 2.0);
-        assert_eq!(g.dims(), [5, 5, 5]);
-        assert_eq!(g.num_boxes(), 125);
+        assert_eq!(g.geometry().dims(), [5, 5, 5]);
+        assert_eq!(g.geometry().num_boxes(), 125);
         // Non-divisible extents round up.
         let g = UniformGrid::build_serial(&[], &[], &[], space(10.0), 3.0);
-        assert_eq!(g.dims(), [4, 4, 4]);
+        assert_eq!(g.geometry().dims(), [4, 4, 4]);
     }
 
     #[test]
@@ -390,7 +361,7 @@ mod tests {
     fn linked_list_walk_matches_length() {
         let (xs, ys, zs) = cloud(300, 2, 10.0);
         let g = UniformGrid::build_serial(&xs, &ys, &zs, space(10.0), 2.0);
-        for flat in 0..g.num_boxes() {
+        for flat in 0..g.geometry().num_boxes() {
             let mut walked = 0;
             g.for_each_in_box(flat, |_| walked += 1);
             assert_eq!(walked, g.boxes()[flat].length);
@@ -402,7 +373,7 @@ mod tests {
         let (xs, ys, zs) = cloud(200, 3, 10.0);
         let g = UniformGrid::build_serial(&xs, &ys, &zs, space(10.0), 1.5);
         for i in 0..200 {
-            let flat = g.box_index(Vec3::new(xs[i], ys[i], zs[i]));
+            let flat = g.geometry().box_index(Vec3::new(xs[i], ys[i], zs[i]));
             let mut found = false;
             g.for_each_in_box(flat, |id| found |= id.index() == i);
             assert!(found, "agent {i} missing from its voxel");
@@ -445,7 +416,7 @@ mod tests {
             );
             let r = rng.uniform(0.2, 2.0);
             let mut got = Vec::new();
-            g.radius_search(&xs, &ys, &zs, q, r, None, &mut got);
+            g.for_each_within(&xs, &ys, &zs, q, r, None, |id| got.push(id));
             let mut got: Vec<u32> = got.iter().map(|a| a.0).collect();
             got.sort_unstable();
             let r2 = r * r;
@@ -465,21 +436,21 @@ mod tests {
         let g = UniformGrid::build_serial(&xs, &ys, &zs, space(5.0), 2.0);
         let q = Vec3::new(xs[7], ys[7], zs[7]);
         let mut got = Vec::new();
-        g.radius_search(&xs, &ys, &zs, q, 2.0, Some(AgentId(7)), &mut got);
+        g.for_each_within(&xs, &ys, &zs, q, 2.0, Some(AgentId(7)), |id| got.push(id));
         assert!(!got.contains(&AgentId(7)));
     }
 
     #[test]
     fn neighbor_boxes_interior_is_27() {
         let g = UniformGrid::build_serial(&[], &[], &[], space(10.0), 1.0);
-        let nb = g.neighbor_boxes(Vec3::splat(5.5));
+        let nb = g.geometry().neighbor_boxes(Vec3::splat(5.5));
         assert_eq!(nb.count(), 27);
     }
 
     #[test]
     fn neighbor_boxes_corner_is_8() {
         let g = UniformGrid::build_serial(&[], &[], &[], space(10.0), 1.0);
-        let nb = g.neighbor_boxes(Vec3::splat(0.1));
+        let nb = g.geometry().neighbor_boxes(Vec3::splat(0.1));
         assert_eq!(nb.count(), 8);
     }
 
@@ -487,7 +458,7 @@ mod tests {
     fn neighbor_boxes_face_is_18() {
         let g = UniformGrid::build_serial(&[], &[], &[], space(10.0), 1.0);
         // Interior in x and y, on the low z face.
-        let nb = g.neighbor_boxes(Vec3::new(5.5, 5.5, 0.1));
+        let nb = g.geometry().neighbor_boxes(Vec3::new(5.5, 5.5, 0.1));
         assert_eq!(nb.count(), 18);
     }
 
@@ -497,9 +468,11 @@ mod tests {
         let ys = vec![0.5, 0.6];
         let zs = vec![0.5, 0.6];
         let g = UniformGrid::build_serial(&xs, &ys, &zs, space(1.0), 2.0);
-        assert_eq!(g.num_boxes(), 1);
+        assert_eq!(g.geometry().num_boxes(), 1);
         let mut got = Vec::new();
-        g.radius_search(&xs, &ys, &zs, Vec3::splat(0.5), 1.0, None, &mut got);
+        g.for_each_within(&xs, &ys, &zs, Vec3::splat(0.5), 1.0, None, |id| {
+            got.push(id)
+        });
         assert_eq!(got.len(), 2);
     }
 
@@ -508,7 +481,9 @@ mod tests {
         let (xs, ys, zs) = cloud(500, 10, 10.0);
         let g = UniformGrid::build_serial(&xs, &ys, &zs, space(10.0), 2.0);
         let mut out = Vec::new();
-        let c = g.radius_search(&xs, &ys, &zs, Vec3::splat(5.0), 2.0, None, &mut out);
+        let c = g.for_each_within(&xs, &ys, &zs, Vec3::splat(5.0), 2.0, None, |id| {
+            out.push(id)
+        });
         assert_eq!(c.boxes_scanned, 27);
         assert_eq!(c.neighbors_found as usize, out.len());
         assert!(c.points_tested >= c.neighbors_found);
@@ -529,7 +504,7 @@ mod tests {
     #[test]
     fn neighbor_boxes_exact_size_iterator() {
         let g = UniformGrid::build_serial(&[], &[], &[], space(10.0), 1.0);
-        let mut nb = g.neighbor_boxes(Vec3::splat(5.5));
+        let mut nb = g.geometry().neighbor_boxes(Vec3::splat(5.5));
         assert_eq!(nb.len(), 27);
         nb.next();
         nb.next();
@@ -548,10 +523,10 @@ mod tests {
         let zs = vec![3.0; n];
         let flat_space = Aabb::new(Vec3::new(0.0, 0.0, 3.0), Vec3::new(20.0, 20.0, 3.0));
         let g = UniformGrid::build_serial(&xs, &ys, &zs, flat_space, 2.0);
-        assert_eq!(g.dims()[2], 1);
+        assert_eq!(g.geometry().dims()[2], 1);
         let q = Vec3::new(xs[0], ys[0], 3.0);
         let mut got = Vec::new();
-        g.radius_search(&xs, &ys, &zs, q, 2.0, Some(AgentId(0)), &mut got);
+        g.for_each_within(&xs, &ys, &zs, q, 2.0, Some(AgentId(0)), |id| got.push(id));
         let r2 = 4.0;
         let expected: Vec<u32> = (1..n as u32)
             .filter(|&i| {

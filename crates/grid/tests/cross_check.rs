@@ -18,9 +18,8 @@ fn grid_ids(
     r: f64,
     exclude: Option<AgentId>,
 ) -> Vec<u32> {
-    let mut out = Vec::new();
-    g.radius_search(xs, ys, zs, q, r, exclude, &mut out);
-    let mut ids: Vec<u32> = out.iter().map(|a| a.0).collect();
+    let mut ids = Vec::new();
+    g.for_each_within(xs, ys, zs, q, r, exclude, |a| ids.push(a.0));
     ids.sort_unstable();
     ids
 }
@@ -42,7 +41,7 @@ fn grid_equals_kdtree_on_random_clouds() {
             let q = Vec3::new(xs[i], ys[i], zs[i]);
             let from_grid = grid_ids(&grid, &xs, &ys, &zs, q, radius, Some(AgentId(i as u32)));
             let mut from_tree = Vec::new();
-            tree.radius_search(q, radius, Some(i as u32), &mut from_tree);
+            tree.for_each_within(q, radius, Some(i as u32), |id| from_tree.push(id));
             from_tree.sort_unstable();
             assert_eq!(from_grid, from_tree, "trial {trial} query {i}");
         }
@@ -65,7 +64,7 @@ fn parallel_grid_equals_kdtree() {
         let q = Vec3::new(xs[i], ys[i], zs[i]);
         let from_grid = grid_ids(&grid, &xs, &ys, &zs, q, radius, Some(AgentId(i as u32)));
         let mut from_tree = Vec::new();
-        tree.radius_search(q, radius, Some(i as u32), &mut from_tree);
+        tree.for_each_within(q, radius, Some(i as u32), |id| from_tree.push(id));
         from_tree.sort_unstable();
         assert_eq!(from_grid, from_tree, "query {i}");
     }
@@ -80,9 +79,8 @@ fn csr_ids(
     r: f64,
     exclude: Option<AgentId>,
 ) -> Vec<u32> {
-    let mut out = Vec::new();
-    g.radius_search(xs, ys, zs, q, r, exclude, &mut out);
-    let mut ids: Vec<u32> = out.iter().map(|a| a.0).collect();
+    let mut ids = Vec::new();
+    g.for_each_within(xs, ys, zs, q, r, exclude, |a| ids.push(a.0));
     ids.sort_unstable();
     ids
 }
@@ -145,7 +143,7 @@ proptest! {
             let from_linked = grid_ids(&linked, &xs, &ys, &zs, q, radius, ex);
             let from_csr = csr_ids(&csr, &xs, &ys, &zs, q, radius, ex);
             let mut from_tree = Vec::new();
-            tree.radius_search(q, radius, Some(i as u32), &mut from_tree);
+            tree.for_each_within(q, radius, Some(i as u32), |id| from_tree.push(id));
             from_tree.sort_unstable();
             prop_assert_eq!(&from_csr, &from_linked, "csr vs linked, query {}", i);
             prop_assert_eq!(&from_csr, &from_tree, "csr vs kd-tree, query {}", i);

@@ -80,7 +80,7 @@ pub struct BuildStats {
 ///
 /// let tree = KdTree::build(&[0.0, 1.0, 5.0], &[0.0; 3], &[0.0; 3]);
 /// let mut out = Vec::new();
-/// tree.radius_search(Vec3::new(0.0, 0.0, 0.0), 1.5, Some(0), &mut out);
+/// tree.for_each_within(Vec3::new(0.0, 0.0, 0.0), 1.5, Some(0), |id| out.push(id));
 /// assert_eq!(out, vec![1]); // point 5.0 is too far; point 0 is excluded
 /// ```
 #[derive(Debug, Clone)]
@@ -307,18 +307,6 @@ impl<R: Scalar> KdTree<R> {
         }
         counters
     }
-
-    /// Collect neighbor ids into `out` (cleared first).
-    pub fn radius_search(
-        &self,
-        q: Vec3<R>,
-        radius: R,
-        exclude: Option<u32>,
-        out: &mut Vec<u32>,
-    ) -> QueryCounters {
-        out.clear();
-        self.for_each_within(q, radius, exclude, |id| out.push(id))
-    }
 }
 
 #[cfg(test)]
@@ -359,7 +347,7 @@ mod tests {
         let t = KdTree::<f64>::build(&[], &[], &[]);
         assert!(t.is_empty());
         let mut out = Vec::new();
-        let c = t.radius_search(Vec3::zero(), 1.0, None, &mut out);
+        let c = t.for_each_within(Vec3::zero(), 1.0, None, |id| out.push(id));
         assert!(out.is_empty());
         assert_eq!(c.nodes_visited, 0);
     }
@@ -368,9 +356,10 @@ mod tests {
     fn single_point() {
         let t = KdTree::build(&[1.0], &[2.0], &[3.0]);
         let mut out = Vec::new();
-        t.radius_search(Vec3::new(1.0, 2.0, 3.0), 0.5, None, &mut out);
+        t.for_each_within(Vec3::new(1.0, 2.0, 3.0), 0.5, None, |id| out.push(id));
         assert_eq!(out, vec![0]);
-        t.radius_search(Vec3::new(9.0, 9.0, 9.0), 0.5, None, &mut out);
+        out.clear();
+        t.for_each_within(Vec3::new(9.0, 9.0, 9.0), 0.5, None, |id| out.push(id));
         assert!(out.is_empty());
     }
 
@@ -387,7 +376,7 @@ mod tests {
             );
             let r = rng.uniform(0.5, 5.0);
             let mut got = Vec::new();
-            t.radius_search(q, r, None, &mut got);
+            t.for_each_within(q, r, None, |id| got.push(id));
             got.sort_unstable();
             let expected = brute_force(&xs, &ys, &zs, q, r, None);
             assert_eq!(got, expected);
@@ -400,7 +389,7 @@ mod tests {
         let t = KdTree::build(&xs, &ys, &zs);
         let q = Vec3::new(xs[10], ys[10], zs[10]);
         let mut got = Vec::new();
-        t.radius_search(q, 2.0, Some(10), &mut got);
+        t.for_each_within(q, 2.0, Some(10), |id| got.push(id));
         assert!(!got.contains(&10));
         got.sort_unstable();
         assert_eq!(got, brute_force(&xs, &ys, &zs, q, 2.0, Some(10)));
@@ -416,7 +405,7 @@ mod tests {
         let zs = vec![3.0; n];
         let t = KdTree::build(&xs, &ys, &zs);
         let mut out = Vec::new();
-        t.radius_search(Vec3::new(1.0, 2.0, 3.0), 0.1, None, &mut out);
+        t.for_each_within(Vec3::new(1.0, 2.0, 3.0), 0.1, None, |id| out.push(id));
         assert_eq!(out.len(), n);
     }
 
@@ -425,7 +414,7 @@ mod tests {
         let (xs, ys, zs) = cloud(2000, 5, 30.0);
         let t = KdTree::build(&xs, &ys, &zs);
         let mut out = Vec::new();
-        let c = t.radius_search(Vec3::splat(15.0), 3.0, None, &mut out);
+        let c = t.for_each_within(Vec3::splat(15.0), 3.0, None, |id| out.push(id));
         assert!(c.nodes_visited > 0);
         assert!(c.points_tested >= out.len() as u64);
         assert_eq!(c.neighbors_found, out.len() as u64);
@@ -449,7 +438,7 @@ mod tests {
     fn query_on_boundary_radius_inclusive() {
         let t = KdTree::build(&[0.0, 3.0], &[0.0, 0.0], &[0.0, 0.0]);
         let mut out = Vec::new();
-        t.radius_search(Vec3::zero(), 3.0, None, &mut out);
+        t.for_each_within(Vec3::zero(), 3.0, None, |id| out.push(id));
         out.sort_unstable();
         assert_eq!(out, vec![0, 1]); // distance exactly 3.0 is included
     }
@@ -465,7 +454,7 @@ mod tests {
         let zs = vec![-2.0; n];
         let t = KdTree::build(&xs, &ys, &zs);
         let mut out = Vec::new();
-        t.radius_search(Vec3::new(25.0, 1.0, -2.0), 0.55, None, &mut out);
+        t.for_each_within(Vec3::new(25.0, 1.0, -2.0), 0.55, None, |id| out.push(id));
         out.sort_unstable();
         // Points at x ∈ [24.45, 25.55]: indices 245..=255.
         assert_eq!(out, (245u32..=255).collect::<Vec<_>>());
@@ -487,7 +476,7 @@ mod tests {
         }
         let t = KdTree::build(&xs, &ys, &zs);
         let mut out = Vec::new();
-        let c = t.radius_search(Vec3::new(2.5, 2.5, 2.5), 2.0, None, &mut out);
+        let c = t.for_each_within(Vec3::new(2.5, 2.5, 2.5), 2.0, None, |id| out.push(id));
         assert!(c.points_tested <= 300, "tested {} points", c.points_tested);
         assert!(out.iter().all(|&i| i < 300));
     }
@@ -503,8 +492,8 @@ mod tests {
         let q = Vec3::new(5.0f64, 5.0, 5.0);
         let mut o64 = Vec::new();
         let mut o32 = Vec::new();
-        t64.radius_search(q, 2.5, None, &mut o64);
-        t32.radius_search(q.cast::<f32>(), 2.5, None, &mut o32);
+        t64.for_each_within(q, 2.5, None, |id| o64.push(id));
+        t32.for_each_within(q.cast::<f32>(), 2.5, None, |id| o32.push(id));
         o64.sort_unstable();
         o32.sort_unstable();
         // With random (non-pathological) data the boundary set is empty,

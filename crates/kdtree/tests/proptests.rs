@@ -33,7 +33,7 @@ proptest! {
         let qv = Vec3::new(q.0 as f64 * 0.25, q.1 as f64 * 0.25, q.2 as f64 * 0.25);
         let r = r_quarter as f64 * 0.25;
         let mut got = Vec::new();
-        tree.radius_search(qv, r, None, &mut got);
+        tree.for_each_within(qv, r, None, |id| got.push(id));
         got.sort_unstable();
         prop_assert_eq!(got, brute(&xs, &ys, &zs, qv, r));
     }
@@ -50,7 +50,7 @@ proptest! {
         let tree = KdTree::build(&xs, &ys, &zs);
         let q = Vec3::new(xs[0], ys[0], zs[0]);
         let mut out = Vec::new();
-        let c = tree.radius_search(q, r, Some(0), &mut out);
+        let c = tree.for_each_within(q, r, Some(0), |id| out.push(id));
         prop_assert_eq!(c.neighbors_found as usize, out.len());
         prop_assert!(c.points_tested >= c.neighbors_found);
         prop_assert!(!out.contains(&0));

@@ -68,6 +68,40 @@ impl<R: Scalar> Aabb<R> {
     pub fn clamp_point(&self, p: Vec3<R>) -> Vec3<R> {
         p.clamp(self.min, self.max)
     }
+
+    /// Voxels per axis when the box is cut into cubes of edge `edge`:
+    /// `ceil(extent / edge)`, at least 1.
+    ///
+    /// This and [`Self::voxel_of`] are the one voxel rule of the host:
+    /// the uniform grids and the space-filling-curve keys both cut space
+    /// through them, so "same curve key" is "same grid voxel".
+    #[inline]
+    pub fn voxel_dims(&self, edge: R) -> [u32; 3] {
+        let e = self.extents();
+        [e.x, e.y, e.z].map(|len| ((len / edge).ceil().to_f64() as u32).max(1))
+    }
+
+    /// Voxel coordinates of `p` in the cut of edge `edge` with `dims`
+    /// voxels per axis: `floor((p − min) / edge)`, negative → 0, clamped
+    /// to `dims − 1`. A finite position outside the box lands in the
+    /// nearest boundary voxel, and so does one on the max faces.
+    #[inline]
+    pub fn voxel_of(&self, p: Vec3<R>, edge: R, dims: [u32; 3]) -> [u32; 3] {
+        let rel = p - self.min;
+        let coord = |v: R, d: u32| -> u32 {
+            let idx = (v / edge).floor().to_f64();
+            if idx < 0.0 {
+                0
+            } else {
+                (idx as u64).min(d as u64 - 1) as u32
+            }
+        };
+        [
+            coord(rel.x, dims[0]),
+            coord(rel.y, dims[1]),
+            coord(rel.z, dims[2]),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //!
 //! The workflow the paper applies to BioDynaMo, reproduced here:
 //!
-//! 1. quantize each agent's position into integer voxel coordinates
-//!    ([`quantize`]),
+//! 1. cut space into the uniform grid's own voxels and find each
+//!    agent's ([`bdm_math::Aabb::voxel_of`], the host's one position →
+//!    voxel rule, through [`CellCurve`]),
 //! 2. interleave the coordinate bits into a 63-bit Z-value
 //!    ([`encode3`]),
 //! 3. argsort agents by Z-value ([`radix_argsort`], a radix sort on the
@@ -42,7 +43,7 @@ pub enum Curve {
 }
 
 impl Curve {
-    /// Key of quantized coordinates under this curve.
+    /// Key of voxel coordinates under this curve.
     #[inline]
     pub fn key(&self, x: u32, y: u32, z: u32) -> u64 {
         match self {
@@ -54,7 +55,7 @@ impl Curve {
 
 /// Bits kept per coordinate. 3 × 21 = 63 bits fit a `u64` Z-value.
 pub const COORD_BITS: u32 = 21;
-/// Maximum representable quantized coordinate.
+/// Largest voxel coordinate a key encodes.
 pub const COORD_MAX: u32 = (1 << COORD_BITS) - 1;
 
 /// Spread the low 21 bits of `v` so that consecutive input bits land three
@@ -120,37 +121,15 @@ pub fn encode2(x: u32, y: u32) -> u64 {
     sx | (sy << 1)
 }
 
-/// Quantize a position inside `space` into integer voxel coordinates with
-/// voxel edge `cell_len`. Positions below the lower boundary clamp to 0;
-/// coordinates saturate at [`COORD_MAX`].
-#[inline]
-pub fn quantize<R: Scalar>(p: Vec3<R>, space: &Aabb<R>, cell_len: R) -> (u32, u32, u32) {
-    debug_assert!(cell_len > R::ZERO);
-    let rel = p - space.min;
-    let q = |v: R| -> u32 {
-        let idx = (v / cell_len).floor().to_f64();
-        if idx < 0.0 {
-            0
-        } else {
-            (idx as u64).min(COORD_MAX as u64) as u32
-        }
-    };
-    (q(rel.x), q(rel.y), q(rel.z))
-}
-
-/// The curve keys of a uniform grid's voxels: positions quantized like
-/// [`quantize`] at `cell_len`, but additionally clamped above to the
-/// per-axis voxel counts a uniform grid derives from the same space and
-/// edge (`ceil(extent / cell_len)`, at least 1 — `bdm_grid`'s
-/// `GridGeometry` convention), then keyed along `curve`.
+/// The curve keys of a uniform grid's voxels: each position's voxel by
+/// the grid's own rule ([`Aabb::voxel_dims`] and [`Aabb::voxel_of`] at
+/// edge `cell_len`, which `bdm_grid`'s `GridGeometry` calls too), keyed
+/// along `curve`.
 ///
-/// The distinction matters exactly on the upper domain boundary: an agent
-/// sitting at `space.max` quantizes into a phantom cell one past the last
-/// voxel, while every grid layout clamps it into the boundary voxel. By
-/// clamping the same way, "agents share a key" coincides *exactly* with
-/// "agents share a grid voxel", which is what lets downstream consumers
-/// (the host reorder op, the GPU pipeline's sorted-input detection) treat
-/// key order as grid order.
+/// So "agents share a key" is *exactly* "agents share a grid voxel" —
+/// an agent on `space.max` shares the boundary voxel's key — which is
+/// what lets downstream consumers (the host reorder op, the GPU
+/// pipeline's sorted-input detection) treat key order as grid order.
 #[derive(Debug, Clone, Copy)]
 pub struct CellCurve<R> {
     space: Aabb<R>,
@@ -162,13 +141,14 @@ pub struct CellCurve<R> {
 impl<R: Scalar> CellCurve<R> {
     /// The voxels of the grid cut at edge `cell_len` over `space`, along
     /// `curve`.
+    ///
+    /// A grid of more than `COORD_MAX + 1` voxels along an axis keys its
+    /// far voxels as the last one the curve encodes.
     pub fn new(space: &Aabb<R>, cell_len: R, curve: Curve) -> Self {
-        let e = space.extents();
-        let dim = |len: R| -> u32 { ((len / cell_len).ceil().to_f64() as u32).max(1) };
         Self {
             space: *space,
             cell_len,
-            dims: [dim(e.x), dim(e.y), dim(e.z)],
+            dims: space.voxel_dims(cell_len).map(|d| d.min(COORD_MAX + 1)),
             curve,
         }
     }
@@ -176,9 +156,9 @@ impl<R: Scalar> CellCurve<R> {
     /// Key of the voxel holding `(x, y, z)`.
     #[inline]
     pub fn key(&self, x: R, y: R, z: R) -> u64 {
-        let (x, y, z) = quantize(Vec3::new(x, y, z), &self.space, self.cell_len);
-        let [dx, dy, dz] = self.dims;
-        self.curve.key(x.min(dx - 1), y.min(dy - 1), z.min(dz - 1))
+        let p = Vec3::new(x, y, z);
+        let [x, y, z] = self.space.voxel_of(p, self.cell_len, self.dims);
+        self.curve.key(x, y, z)
     }
 
     /// Every position's key into `out`, one slot per position, in
@@ -223,7 +203,7 @@ impl<R: Scalar> CellCurve<R> {
     }
 }
 
-/// Curve keys of all positions, quantized into **grid voxels** (see
+/// Curve keys of all positions, keyed by their **grid voxels** (see
 /// [`CellCurve`]).
 pub fn cell_keys<R: Scalar>(
     xs: &[R],
@@ -250,8 +230,8 @@ pub fn sort_permutation<R: Scalar>(
 }
 
 /// The permutation that sorts agents along the chosen space-filling
-/// curve (quantized at `cell_len` within `space`; stable, so agents
-/// sharing a key keep their order), by [`radix_argsort`].
+/// curve by their [`cell_keys`] (stable, so agents sharing a voxel keep
+/// their order), by [`radix_argsort`].
 pub fn sort_permutation_with<R: Scalar>(
     xs: &[R],
     ys: &[R],
@@ -260,17 +240,7 @@ pub fn sort_permutation_with<R: Scalar>(
     cell_len: R,
     curve: Curve,
 ) -> Permutation {
-    assert_eq!(xs.len(), ys.len());
-    assert_eq!(xs.len(), zs.len());
-    let compute = |i: usize| {
-        let (x, y, z) = quantize(Vec3::new(xs[i], ys[i], zs[i]), space, cell_len);
-        curve.key(x, y, z)
-    };
-    let keys: Vec<u64> = if xs.len() >= 1 << 14 {
-        (0..xs.len()).into_par_iter().map(compute).collect()
-    } else {
-        (0..xs.len()).map(compute).collect()
-    };
+    let keys = cell_keys(xs, ys, zs, space, cell_len, curve);
     let mut order = vec![0; keys.len()];
     radix_argsort(&keys, None, &mut order, &mut vec![0; keys.len()]);
     Permutation::new_unchecked(order)
@@ -334,12 +304,17 @@ mod tests {
         assert_eq!(first_block, vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
     }
 
+    /// The voxel rule the keys cut space by ([`Aabb::voxel_of`]).
     #[test]
     fn quantize_boundaries() {
         let space = Aabb::new(Vec3::new(0.0f64, 0.0, 0.0), Vec3::splat(10.0));
-        assert_eq!(quantize(Vec3::splat(0.0), &space, 1.0), (0, 0, 0));
-        assert_eq!(quantize(Vec3::new(0.99, 1.0, 9.99), &space, 1.0), (0, 1, 9));
-        assert_eq!(quantize(Vec3::splat(-5.0), &space, 1.0), (0, 0, 0));
+        let dims = space.voxel_dims(1.0);
+        assert_eq!(dims, [10; 3]);
+        let voxel = |p| space.voxel_of(p, 1.0, dims);
+        assert_eq!(voxel(Vec3::splat(0.0)), [0, 0, 0]);
+        assert_eq!(voxel(Vec3::new(0.99, 1.0, 9.99)), [0, 1, 9]);
+        assert_eq!(voxel(Vec3::splat(-5.0)), [0, 0, 0]);
+        assert_eq!(voxel(Vec3::splat(10.0)), [9, 9, 9]);
     }
 
     #[test]
@@ -417,10 +392,31 @@ mod tests {
     fn f32_and_f64_quantize_identically_on_grid_points() {
         let space64 = Aabb::new(Vec3::new(0.0f64, 0.0, 0.0), Vec3::splat(64.0));
         let space32 = Aabb::new(Vec3::new(0.0f32, 0.0, 0.0), Vec3::splat(64.0));
+        let dims = space64.voxel_dims(1.0);
+        assert_eq!(dims, space32.voxel_dims(1.0));
         for i in 0..32u32 {
             let p64 = Vec3::new(i as f64 + 0.5, 1.5, 2.5);
             let p32 = Vec3::new(i as f32 + 0.5, 1.5, 2.5);
-            assert_eq!(quantize(p64, &space64, 1.0), quantize(p32, &space32, 1.0));
+            assert_eq!(
+                space64.voxel_of(p64, 1.0, dims),
+                space32.voxel_of(p32, 1.0, dims)
+            );
+        }
+    }
+
+    /// An agent on `space.max` sorts as the boundary voxel it is keyed
+    /// into, not as a voxel past the grid.
+    #[test]
+    fn sort_permutation_keys_the_upper_boundary_into_the_grid() {
+        let space = Aabb::new(Vec3::new(0.0f64, 0.0, 0.0), Vec3::splat(8.0));
+        let (xs, ys, zs) = ([8.0, 7.5], [8.0, 7.5], [8.0, 7.5]);
+        for curve in [Curve::ZOrder, Curve::Hilbert] {
+            let keys = cell_keys(&xs, &ys, &zs, &space, 1.0, curve);
+            assert_eq!(
+                sort_permutation_with(&xs, &ys, &zs, &space, 1.0, curve),
+                Permutation::sorting_by_key(&keys),
+                "{curve:?}"
+            );
         }
     }
 }

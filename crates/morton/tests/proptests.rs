@@ -3,8 +3,8 @@
 
 use bdm_math::{Aabb, SplitMix64, Vec3};
 use bdm_morton::{
-    cell_keys, compact, decode3, encode2, encode3, hilbert_decode3, hilbert_encode3, quantize,
-    radix_argsort, spread, Curve, ShardMap, COORD_BITS, COORD_MAX,
+    cell_keys, compact, decode3, encode2, encode3, hilbert_decode3, hilbert_encode3, radix_argsort,
+    spread, Curve, ShardMap, COORD_BITS, COORD_MAX,
 };
 use bdm_soa::Permutation;
 use proptest::prelude::*;
@@ -72,8 +72,9 @@ proptest! {
         prop_assert_eq!(ord2, ord3);
     }
 
-    /// Quantization is translation-consistent: shifting the space and the
-    /// point by the same offset yields the same voxel coordinates.
+    /// The voxel rule ([`Aabb::voxel_of`]) is translation-consistent:
+    /// shifting the space and the point by the same offset yields the
+    /// same voxel coordinates.
     #[test]
     fn quantize_translation_invariant(
         px in 0.0f64..100.0, py in 0.0f64..100.0, pz in 0.0f64..100.0,
@@ -86,9 +87,10 @@ proptest! {
         );
         let p = Vec3::new(px, py, pz);
         let ps = p + Vec3::splat(shift);
+        let dims = space.voxel_dims(1.0);
         prop_assert_eq!(
-            quantize(p, &space, 1.0),
-            quantize(ps, &shifted, 1.0)
+            space.voxel_of(p, 1.0, dims),
+            shifted.voxel_of(ps, 1.0, dims)
         );
     }
 

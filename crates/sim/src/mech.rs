@@ -503,12 +503,7 @@ impl NeighborSource for ChunkLists {
 impl NeighborSource for UniformGrid<f64> {
     #[inline]
     fn for_each_candidate(&self, _i: usize, p: Vec3<f64>, mut visit: impl FnMut(usize)) -> u64 {
-        let boxes = self.neighbor_boxes(p);
-        let scanned = boxes.len() as u64;
-        for flat in boxes {
-            self.for_each_in_box(flat, |id| visit(id.index()));
-        }
-        scanned
+        self.for_each_in_stencil(p, |id| visit(id.index()))
     }
 }
 
@@ -521,14 +516,7 @@ impl NeighborSource for UniformGrid<f64> {
 impl NeighborSource for CsrGrid<f64> {
     #[inline]
     fn for_each_candidate(&self, _i: usize, p: Vec3<f64>, mut visit: impl FnMut(usize)) -> u64 {
-        let mut scanned = 0u64;
-        for (first, count) in self.geometry().x_runs(p) {
-            scanned += count as u64;
-            for id in self.run_range(first, count) {
-                visit(id.index());
-            }
-        }
-        scanned
+        self.for_each_in_stencil(p, |id| visit(id.index()))
     }
 }
 
@@ -880,10 +868,7 @@ enum GroupOrder<'a> {
 
 impl<'a> VoxelGroups<'a> {
     fn of_slots(grid: &'a CsrGrid<f64>, slots: std::ops::Range<usize>) -> Self {
-        // The last voxel starting at or before the first slot.
-        let starts = grid.cell_starts();
-        let voxel = starts.partition_point(|&s| s as usize <= slots.start);
-        let voxel = voxel.saturating_sub(1);
+        let voxel = grid.voxel_of_slot(slots.start);
         let coords = grid.geometry().coords_of(voxel);
         Self {
             grid,
@@ -917,7 +902,7 @@ impl Iterator for VoxelGroups<'_> {
         match &mut self.order {
             GroupOrder::Slots { voxel, coords } => {
                 let starts = self.grid.cell_starts();
-                let [dx, dy, _] = self.grid.dims();
+                let [dx, dy, _] = self.grid.geometry().dims();
                 while starts[*voxel + 1] as usize <= self.next {
                     *voxel += 1;
                     let [cx, cy, cz] = coords;
@@ -1759,17 +1744,17 @@ pub(crate) enum CsrParts<'a> {
 /// of band `w − 1`, which [`force_sweep`] integrates before it sweeps
 /// band `w + 1`.
 fn band_starts(grid: &CsrGrid<f64>, cuts: &[usize], chunks: usize, bands: &mut Vec<usize>) {
-    let [dx, dy, _] = grid.dims().map(|d| d as usize);
+    let [dx, dy, _] = grid.geometry().dims().map(|d| d as usize);
     let reach = dx * dy + dx + 1;
-    let starts = grid.cell_starts();
-    let voxel_of = |slot: usize| starts.partition_point(|&s| s as usize <= slot) - 1;
     let total = cuts.len() - 1;
     let even = (total / chunks).max(1);
     bands.clear();
     bands.push(0);
     for b in 1..even {
         let (start, next) = (bands[bands.len() - 1], b * total / even);
-        if start == 0 || voxel_of(cuts[next]) - voxel_of(cuts[start] - 1) > reach {
+        if start == 0
+            || grid.voxel_of_slot(cuts[next]) - grid.voxel_of_slot(cuts[start] - 1) > reach
+        {
             bands.push(next);
         }
     }
@@ -2428,7 +2413,7 @@ mod tests {
                 for (sum, field) in want_fields.iter_mut().zip(fields(&w)) {
                     *sum += field;
                 }
-                voxels.insert(grid.box_index(rm.position(i)));
+                voxels.insert(grid.geometry().box_index(rm.position(i)));
             }
             assert_eq!(fields(&g), want_fields, "statistics of {cut:?} {range:?}");
             assert_eq!(g.staged, voxels.len() as u64, "stages of {cut:?} {range:?}");

@@ -21,7 +21,8 @@
 //!    touches voxels that are owned or explicitly imported as halo, so
 //!    every candidate the global grid would test is present.
 //! 2. **Per-voxel list equality.** Same-key ⇔ same-voxel (the curve keys
-//!    quantize exactly like [`bdm_grid::GridGeometry::box_coords`]), so
+//!    and [`bdm_grid::GridGeometry::box_coords`] both call
+//!    [`bdm_math::Aabb::voxel_of`]), so
 //!    a voxel's agents form one contiguous ascending run of the sorted
 //!    storage; the stable member build
 //!    ([`CsrGrid::rebuild_from_members`]) therefore reproduces every

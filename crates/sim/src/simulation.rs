@@ -817,7 +817,7 @@ mod tests {
             assert_eq!(value("step.buffer_bytes"), 24.0 * n as f64);
             let grid = wave.mech_scratch.csr.as_ref().expect("a CSR step ran");
             assert_eq!(grid.num_agents(), n);
-            let offsets = 4 * (grid.num_boxes() + 1);
+            let offsets = 4 * (grid.geometry().num_boxes() + 1);
             assert_eq!(value("grid.resident_bytes"), grid.resident_bytes() as f64);
             assert!(grid.resident_bytes() <= 4 * n + offsets + 4 * n / 2);
             let (scratches, bytes) = wave.mech_scratch.lane_scratch();

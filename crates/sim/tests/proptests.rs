@@ -1,7 +1,8 @@
 //! Property-based tests of the platform's physical invariants.
 
-use bdm_math::{Aabb, SplitMix64, Vec3};
-use bdm_morton::{cell_keys, Curve};
+use bdm_grid::GridGeometry;
+use bdm_math::{Aabb, Scalar, SplitMix64, Vec3};
+use bdm_morton::{cell_keys, CellCurve, Curve};
 use bdm_sim::behavior::{volume_of, Behavior};
 use bdm_sim::cell::CellBuilder;
 use bdm_sim::diffusion::{BoundaryCondition, DiffusionGrid, DiffusionParams};
@@ -384,6 +385,58 @@ proptest! {
             off.diffusion_grid(0).total_mass().to_bits(),
             on.diffusion_grid(0).total_mass().to_bits()
         );
+    }
+}
+
+/// The key `CellCurve` gives `p` beside the curve's key of the voxel
+/// `GridGeometry::box_coords` puts `p` in, along each curve.
+fn keys_both_ways<R: Scalar>(space: Aabb<R>, edge: R, p: Vec3<R>) -> [(u64, u64); 2] {
+    let [x, y, z] = GridGeometry::new(space, edge).box_coords(p);
+    [Curve::ZOrder, Curve::Hilbert].map(|curve| {
+        (
+            CellCurve::new(&space, edge, curve).key(p.x, p.y, p.z),
+            curve.key(x, y, z),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The reorder's curve keys and the grids cut space by one voxel
+    /// rule: the key of a position is the curve's key of its grid voxel,
+    /// at `f64` and at `f32`, on non-cubic spaces with negative and
+    /// positive minima, for points inside, on the min and max faces and
+    /// corners, and finitely outside.
+    #[test]
+    fn curve_keys_are_the_keys_of_grid_voxels(
+        min in (-50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0),
+        extent in (0.5f64..60.0, 0.5f64..60.0, 0.5f64..60.0),
+        edge in 0.3f64..10.0,
+        points in proptest::collection::vec(
+            ((0u8..4, -0.3f64..1.3), (0u8..4, -0.3f64..1.3), (0u8..4, -0.3f64..1.3)),
+            1..24,
+        ),
+    ) {
+        let lo = Vec3::new(min.0, min.1, min.2);
+        let space = Aabb::new(lo, lo + Vec3::new(extent.0, extent.1, extent.2));
+        // Per axis: a fraction of the extent (twice as likely), the max
+        // face, or the min face.
+        let at = |(face, u): (u8, f64), lo: f64, hi: f64| match face {
+            2 => hi,
+            3 => lo,
+            _ => lo + u * (hi - lo),
+        };
+        let (hi, space32) = (space.max, Aabb::new(lo.cast::<f32>(), space.max.cast::<f32>()));
+        for &(px, py, pz) in &points {
+            let p = Vec3::new(at(px, lo.x, hi.x), at(py, lo.y, hi.y), at(pz, lo.z, hi.z));
+            for (curve, grid) in keys_both_ways(space, edge, p) {
+                prop_assert_eq!(curve, grid, "f64 {:?} in {:?} at {}", p, space, edge);
+            }
+            for (curve, grid) in keys_both_ways(space32, edge as f32, p.cast::<f32>()) {
+                prop_assert_eq!(curve, grid, "f32 {:?} in {:?} at {}", p, space32, edge);
+            }
+        }
     }
 }
 

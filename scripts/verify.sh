@@ -159,9 +159,11 @@ stage() (
         # artifacts in benchmark/target/) builds, passes its unit tests and
         # runs every workload once at one-eighth size against this tree, so
         # a change to the API it calls fails here, not in the next
-        # benchmark run. `--quick` records nothing.
-        cargo build --offline --release --manifest-path benchmark/Cargo.toml
-        cargo test -q --offline --manifest-path benchmark/Cargo.toml
+        # benchmark run. `--quick` records nothing. `--locked`: a change
+        # that adds or drops a crate edge fails here instead of rewriting
+        # benchmark/Cargo.lock, which only a benchmark change may touch.
+        cargo build --offline --locked --release --manifest-path benchmark/Cargo.toml
+        cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
         benchmark/run.sh --quick ;;
     gate)
         # The gated BENCH_*.json metrics at smoke scale against results/
