@@ -159,7 +159,7 @@ pub const COMMANDS: &[Command] = &[
     ("bench_json",          OUT,   "write BENCH_sim.json + BENCH_gpu.json",                   emit::bench_json),
     ("bench_layouts",       JSON,  "CSR storage policies: reorder, precision, sharding",      layouts::main),
     ("bench_diffusion",     JSON,  "in-place diffusion sweep vs the reference sweep",         diffusion::main),
-    ("bench_checkpoint",    JSON,  "checkpoint write/read cost and stream shape",             checkpoint::main),
+    ("bench_checkpoint",    JSON,  "checkpoint stream shape and resume check",                checkpoint::main),
     ("bench_gate",          GATE,  "fresh BENCH_*.json vs the baselines (exit 1: regressed)", emit::bench_gate),
     ("debug_metrics",       NONE,  "every published metric, one document per scene",          emit::debug_metrics),
 ];

@@ -1,36 +1,31 @@
 //! Diffusion engine benchmark: the in-place slab sweep vs. the retained
 //! out-of-place reference sweep, across lattice sizes.
 //!
-//! For each resolution the table reports host wall clocks (median of
-//! five, informational), the heap bytes the stepped field holds (its
-//! lattice: the sweep's planes are borrowed — informational), the
-//! deterministic work counters of one step
-//! (voxel updates, sub-steps, interior fraction, SIMD rows — gated),
-//! and the System A 20-thread modeled times of both engines under the
-//! roofline work model (gated, with a standing `≥1.5×` speedup assert
-//! at 64³). Every run also re-verifies the bitwise parity contract
-//! between the two engines — a divergence fails loudly before any
-//! metrics are emitted. A final section times a multi-substance scene
-//! batched through one rayon scope against per-grid stepping — two
-//! schedules of the same work on the same workers (informational).
+//! For each resolution the table reports the heap bytes the stepped
+//! field holds (its lattice: the sweep's planes are borrowed — printed,
+//! not gated), the deterministic work counters of one step (voxel
+//! updates, sub-steps, interior fraction, SIMD rows) and the System A
+//! 20-thread modeled times of both engines under the roofline work
+//! model (with a standing `≥1.5×` speedup assert at 64³). Every run
+//! also re-verifies the bitwise parity contract between the two engines
+//! — a divergence fails loudly before any metrics are emitted. Nothing
+//! here is timed: the `benchmark/` harness times the sweep at workload
+//! scale (`diffusion.*`), and a simulation's diffusion wall clock is in
+//! [`Simulation::metrics`](bdm_sim::Simulation::metrics).
 //!
-//! `--json[=DIR]` serializes `BENCH_diffusion.json` for
-//! `scripts/bench_gate.sh`.
+//! `--json[=DIR]` serializes the counters and modeled times as
+//! `BENCH_diffusion.json` for `scripts/bench_gate.sh`.
 
 use crate::cli::Args;
-use crate::{emit, median_ms};
+use crate::emit;
 use bdm_device::cpu::{CpuModel, Phase};
 use bdm_device::specs::SYSTEM_A;
 use bdm_math::{Aabb, Vec3};
 use bdm_metrics::MetricsRegistry;
-use bdm_sim::{
-    BoundaryCondition, DiffusionGrid, DiffusionParams, DiffusionStats, Precision, SimParams,
-    Simulation,
-};
-use std::hint::black_box;
+use bdm_sim::{BoundaryCondition, DiffusionGrid, DiffusionParams, DiffusionStats, Precision};
 use std::process::ExitCode;
 
-/// Steps run per parity check / wall-clock measurement.
+/// Steps run per parity check.
 const STEPS: u32 = 2;
 /// One stiff-ish substance over a 64-unit box: h = 64/res, so 64³ runs
 /// at λ = D·dt·Σ1/h² = 0.6 → 4 sub-steps, while 16³/32³ stay at 1.
@@ -101,16 +96,8 @@ pub fn main(args: &Args) -> ExitCode {
 
     println!("== diffusion: in-place slab sweep vs out-of-place reference (D={COEFF}, dt={DT}) ==");
     println!(
-        "{:<6} {:>9} {:>9} {:>10} {:>10} {:>12} {:>12} {:>12} {:>9}",
-        "res",
-        "substeps",
-        "simd_rows",
-        "tiled ms",
-        "ref ms",
-        "resident KB",
-        "tiled model",
-        "ref model",
-        "speedup"
+        "{:<6} {:>9} {:>9} {:>12} {:>12} {:>12} {:>9}",
+        "res", "substeps", "simd_rows", "resident KB", "tiled model", "ref model", "speedup"
     );
 
     for res in [16usize, 32, 64] {
@@ -141,24 +128,12 @@ pub fn main(args: &Args) -> ExitCode {
         let ref_model_ms = model.phase_time(&ref_phase, MODEL_THREADS).seconds * 1e3;
         let speedup = ref_model_ms / tiled_model_ms;
 
-        let mut wall_grid = seeded_grid(res);
-        let tiled_wall = median_ms(|| {
-            black_box(wall_grid.step(DT));
-        });
-        let mut wall_ref = seeded_grid(res);
-        let ref_wall = median_ms(|| {
-            black_box(wall_ref.step_reference(DT));
-        });
-
-        let resident = wall_grid.resident_bytes();
         println!(
-            "{:<6} {:>9} {:>9} {:>10.3} {:>10.3} {:>12.1} {:>12.4} {:>12.4} {:>8.2}x",
+            "{:<6} {:>9} {:>9} {:>12.1} {:>12.4} {:>12.4} {:>8.2}x",
             format!("{res}^3"),
             run.substeps,
             run.simd_rows,
-            tiled_wall,
-            ref_wall,
-            resident as f64 / 1024.0,
+            tiled.resident_bytes() as f64 / 1024.0,
             tiled_model_ms,
             ref_model_ms,
             speedup
@@ -174,15 +149,10 @@ pub fn main(args: &Args) -> ExitCode {
             &labels,
             run.interior_fraction(),
         );
-        reg.set_gauge("diffusion.resident_bytes", &labels, resident as f64);
         reg.set_gauge("diffusion.speedup_modeled_x", &labels, speedup);
-        for (engine, model_ms, wall_ms) in [
-            ("tiled", tiled_model_ms, tiled_wall),
-            ("reference", ref_model_ms, ref_wall),
-        ] {
+        for (engine, model_ms) in [("tiled", tiled_model_ms), ("reference", ref_model_ms)] {
             let labels = [("res", res_s.as_str()), ("engine", engine)];
             reg.set_gauge("diffusion.modeled_ms", &labels, model_ms);
-            reg.set_gauge("diffusion.step_wall_ms", &labels, wall_ms);
         }
 
         if res == 64 {
@@ -196,49 +166,6 @@ pub fn main(args: &Args) -> ExitCode {
             );
         }
     }
-
-    // Multi-substance batching: one rayon scope over all grids
-    // (DiffusionOp's batch) vs stepping the same grids one after another.
-    const BATCH: usize = 6;
-    let mut sim = Simulation::new(SimParams::cube(32.0));
-    let dt = sim.params().mech.timestep;
-    let mut serial: Vec<DiffusionGrid> = Vec::new();
-    for i in 0..BATCH {
-        let s = sim.add_diffusion_grid(DiffusionParams {
-            name: "batch",
-            coefficient: COEFF,
-            decay: 0.0,
-            resolution: 24 + 2 * i,
-            boundary: BoundaryCondition::Closed,
-        });
-        sim.diffusion_grid_mut(s)
-            .secrete(Vec3::new(i as f64, -(i as f64), 2.0), 50.0);
-        serial.push(sim.diffusion_grid_mut(s).clone());
-    }
-    let batched_ms = median_ms(|| {
-        sim.simulate(1);
-    });
-    let serial_ms = median_ms(|| {
-        for g in serial.iter_mut() {
-            black_box(g.step(dt));
-        }
-    });
-    println!("\n== batching: {BATCH} substances per step ==");
-    println!("{:<18} {:>10.3}", "batched ms", batched_ms);
-    println!("{:<18} {:>10.3}", "serial ms", serial_ms);
-    println!(
-        "wall clocks on {} workers, informational (never gated): batched forks once over \
-         the substances and sweeps each one inline as one z-slab; serial steps the \
-         substances one after another, forking over z-slabs each time.",
-        rayon::current_num_threads()
-    );
-    reg.set_gauge("diffusion.batch_substances", &[], BATCH as f64);
-    reg.set_gauge(
-        "diffusion.batch_wall_ms",
-        &[("mode", "batched")],
-        batched_ms,
-    );
-    reg.set_gauge("diffusion.batch_wall_ms", &[("mode", "serial")], serial_ms);
 
     emit::finish(args, "diffusion", &reg, "\n")
 }

@@ -3,10 +3,13 @@
 //! `scripts/bench_gate.sh`.
 //!
 //! Every emitted document flows through [`default_policy`], which
-//! decides what the regression gate may compare:
+//! decides what a document holds and how the regression gate compares
+//! it. A document holds only gated rows:
 //!
-//! * anything with `wall` in its name is a **host wall clock** —
-//!   nondeterministic, emitted ungated (context only);
+//! * host wall clocks (anything with `wall` in its name, and a few more)
+//!   and counts that depend on the worker count or on the run's history
+//!   are **not written** — [`bdm_sim::Simulation::metrics`] and
+//!   `debug_metrics` still publish them;
 //! * discrete structural quantities (step counts, run counts,
 //!   populations, configured frequencies) are **exact** — tolerance 0;
 //! * algorithmic work counters (candidates, contacts, FLOPs, memory
@@ -50,13 +53,12 @@ fn is_exact(name: &str) -> bool {
             | "diffusion.voxel_updates"
             | "diffusion.substeps"
             | "diffusion.simd_rows"
-            | "diffusion.batch_substances"
     )
 }
 
 /// The standard gating policy for every emitted document (see the
-/// module docs for the tiers).
-pub fn default_policy(name: &str) -> GatePolicy {
+/// module docs for the tiers); `None` for a series no document holds.
+pub fn default_policy(name: &str) -> Option<GatePolicy> {
     if name.contains("wall")
         || matches!(
             name,
@@ -82,7 +84,7 @@ pub fn default_policy(name: &str) -> GatePolicy {
                 | "mech.csr_rebuild"
         )
     {
-        // The checkpoint serialize/parse timings and the SIMT
+        // Not written. The checkpoint serialize/parse timings and the SIMT
         // simulator's own host cost are host wall clocks too — they
         // just don't carry `wall` in their names; the traced accesses by
         // logging path (lane filter or bucket table) say why that host
@@ -110,9 +112,9 @@ pub fn default_policy(name: &str) -> GatePolicy {
         // what it reads (and restart at zero on a restore), as do its
         // scans skipped on an unchanged position stamp and the CSR
         // rebuild's reason for the neighborhood build's.
-        GatePolicy::informational()
+        None
     } else if is_exact(name) {
-        GatePolicy::with_tol(0.0)
+        Some(GatePolicy::with_tol(0.0))
     } else if name.starts_with("mech.")
         || name.starts_with("gpu.step.")
         || name.starts_with("gpu.mech.")
@@ -126,15 +128,15 @@ pub fn default_policy(name: &str) -> GatePolicy {
         || name.starts_with("diffusion.")
     {
         // `layouts.shard_*` and `diffusion.*` wall clocks never reach
-        // this tier — the `wall` branch above catches them — so what
+        // this tier — the branch above keeps them out — so what
         // gates here is the deterministic shard-map telemetry
         // (imbalance, halo fraction), the System A modeled mech and
         // diffusion times / speedups (pure functions of the
         // trajectories' phase counters), and the diffusion interior
         // fraction.
-        GatePolicy::with_tol(0.02)
+        Some(GatePolicy::with_tol(0.02))
     } else {
-        GatePolicy::gated()
+        Some(GatePolicy::gated())
     }
 }
 
@@ -315,7 +317,7 @@ pub fn finish(args: &Args, name: &str, reg: &MetricsRegistry, lead: &str) -> Exi
 
 /// `bench_json [--out=DIR]`: emit the stable observability documents
 /// (`BENCH_sim.json`, `BENCH_gpu.json`: per-op scheduler statistics,
-/// mechanical phase timings and work counters, GPU pipeline timing and
+/// mechanical phase work counters, GPU pipeline timing and
 /// transfer breakdowns) into `DIR` (default `results/`).
 /// `scripts/bench_gate.sh` runs it at smoke scale and diffs the output
 /// against the committed baselines.
@@ -339,11 +341,12 @@ pub fn bench_json(args: &Args) -> ExitCode {
 
 /// `bench_gate [--baseline=DIR] --fresh=DIR [--tol=T]`: the
 /// performance-regression gate. Every `BENCH_*.json` under the baseline
-/// directory (default `results/`) must have a fresh counterpart; each
-/// gated metric is compared under a symmetric relative tolerance (the
-/// sample's own `tol` when present, `T` — default [`DEFAULT_TOL`] —
-/// otherwise). Exit code 1 on any regression, missing metric or missing
-/// document. See `scripts/bench_gate.sh` for the CI wiring.
+/// directory (default `results/`) must have a fresh counterpart with
+/// exactly its metric keys; each metric is compared under a symmetric
+/// relative tolerance (the sample's own `tol` when present, `T` —
+/// default [`DEFAULT_TOL`] — otherwise). Exit code 1 on any regression,
+/// missing or extra metric, or missing document. See
+/// `scripts/bench_gate.sh` for the CI wiring.
 pub fn bench_gate(args: &Args) -> ExitCode {
     let Some(fresh) = &args.fresh else {
         return usage_error("bench_gate: --fresh=DIR is required");
@@ -413,74 +416,58 @@ mod tests {
 
     #[test]
     fn policy_tiers() {
-        assert!(!default_policy("scheduler.op_wall_s").gate);
-        assert!(!default_policy("mech.phase_wall_s").gate);
-        assert!(!default_policy("gpu.host_s").gate);
-        assert!(!default_policy("gpu.trace_accesses").gate);
-        assert!(!default_policy("gpu.launches").gate);
-        assert!(!default_policy("mech.csr_rebuild").gate);
-        assert!(!default_policy("reorder.checks_skipped").gate);
-        assert!(!default_policy("reorder.runs").gate);
-        assert_eq!(default_policy("scheduler.op_runs").tol, Some(0.0));
-        assert_eq!(default_policy("sim.agents").tol, Some(0.0));
-        assert_eq!(default_policy("mech.candidates").tol, Some(0.02));
-        assert_eq!(default_policy("mech.simd_lanes_utilized").tol, Some(0.02));
-        assert!(!default_policy("layouts.simd_mech_wall_ms").gate);
-        assert!(!default_policy("layouts.simd_speedup_wall_x").gate);
-        assert_eq!(default_policy("gpu.mech.flops_fp32").tol, Some(0.02));
-        assert_eq!(default_policy("gpu.sort_gathers").tol, Some(0.0));
-        assert_eq!(default_policy("layouts.csr_index_gap").tol, Some(0.02));
-        assert!(!default_policy("mech.simd_stencils_staged").gate);
-        assert!(!default_policy("mech.stencils_staged").gate);
-        assert!(!default_policy("agents.resident_bytes").gate);
-        assert!(!default_policy("agents.behavior_lists").gate);
-        assert!(!default_policy("behaviors.commit_ms").gate);
-        assert!(!default_policy("step.buffer_bytes").gate);
-        assert!(!default_policy("grid.resident_bytes").gate);
-        assert!(!default_policy("mech.lane_scratch_bytes").gate);
-        assert!(!default_policy("mech.lane_scratches").gate);
-        assert!(!default_policy("reorder.runs").gate);
-        assert!(!default_policy("layouts.reorder_mech_wall_ms").gate);
-        assert_eq!(default_policy("layouts.shard_imbalance").tol, Some(0.02));
-        assert_eq!(
-            default_policy("layouts.shard_halo_fraction").tol,
-            Some(0.02)
-        );
-        assert_eq!(
-            default_policy("layouts.shard_mech_modeled_ms").tol,
-            Some(0.02)
-        );
-        assert_eq!(
-            default_policy("layouts.shard_speedup_modeled_x").tol,
-            Some(0.02)
-        );
-        assert!(!default_policy("layouts.shard_step_wall_ms").gate);
-        assert!(!default_policy("layouts.shard_mech_wall_ms").gate);
-        assert!(!default_policy("checkpoint.write_ms").gate);
-        assert!(!default_policy("checkpoint.read_ms").gate);
-        assert_eq!(default_policy("checkpoint.bytes_total").tol, Some(0.02));
-        assert_eq!(default_policy("checkpoint.bytes_per_agent").tol, Some(0.02));
-        assert_eq!(default_policy("checkpoint.agents").tol, Some(0.0));
-        assert_eq!(default_policy("checkpoint.sections").tol, Some(0.0));
-        assert_eq!(default_policy("diffusion.voxel_updates").tol, Some(0.0));
-        assert_eq!(default_policy("diffusion.substeps").tol, Some(0.0));
-        assert_eq!(default_policy("diffusion.simd_rows").tol, Some(0.0));
-        assert_eq!(default_policy("diffusion.batch_substances").tol, Some(0.0));
-        assert_eq!(default_policy("diffusion.modeled_ms").tol, Some(0.02));
-        assert_eq!(
-            default_policy("diffusion.speedup_modeled_x").tol,
-            Some(0.02)
-        );
-        assert_eq!(
-            default_policy("diffusion.interior_fraction").tol,
-            Some(0.02)
-        );
-        assert!(!default_policy("diffusion.step_wall_ms").gate);
-        assert!(!default_policy("diffusion.batch_wall_ms").gate);
-        assert!(!default_policy("diffusion.resident_bytes").gate);
-        let modeled = default_policy("profiler.modeled_total_s");
-        assert!(modeled.gate && modeled.tol.is_none());
-        assert!(default_policy("gpu.total_s").gate);
+        let tol = |name: &str| default_policy(name).expect("a written series").tol;
+        assert!(default_policy("scheduler.op_wall_s").is_none());
+        assert!(default_policy("mech.phase_wall_s").is_none());
+        assert!(default_policy("gpu.host_s").is_none());
+        assert!(default_policy("gpu.trace_accesses").is_none());
+        assert!(default_policy("gpu.launches").is_none());
+        assert!(default_policy("mech.csr_rebuild").is_none());
+        assert!(default_policy("reorder.checks_skipped").is_none());
+        assert!(default_policy("reorder.runs").is_none());
+        assert_eq!(tol("scheduler.op_runs"), Some(0.0));
+        assert_eq!(tol("sim.agents"), Some(0.0));
+        assert_eq!(tol("mech.candidates"), Some(0.02));
+        assert_eq!(tol("mech.simd_lanes_utilized"), Some(0.02));
+        assert!(default_policy("layouts.simd_mech_wall_ms").is_none());
+        assert!(default_policy("layouts.simd_speedup_wall_x").is_none());
+        assert_eq!(tol("gpu.mech.flops_fp32"), Some(0.02));
+        assert_eq!(tol("gpu.sort_gathers"), Some(0.0));
+        assert_eq!(tol("layouts.csr_index_gap"), Some(0.02));
+        assert!(default_policy("mech.simd_stencils_staged").is_none());
+        assert!(default_policy("mech.stencils_staged").is_none());
+        assert!(default_policy("agents.resident_bytes").is_none());
+        assert!(default_policy("agents.behavior_lists").is_none());
+        assert!(default_policy("behaviors.commit_ms").is_none());
+        assert!(default_policy("step.buffer_bytes").is_none());
+        assert!(default_policy("grid.resident_bytes").is_none());
+        assert!(default_policy("mech.lane_scratch_bytes").is_none());
+        assert!(default_policy("mech.lane_scratches").is_none());
+        assert!(default_policy("reorder.runs").is_none());
+        assert!(default_policy("layouts.reorder_mech_wall_ms").is_none());
+        assert_eq!(tol("layouts.shard_imbalance"), Some(0.02));
+        assert_eq!(tol("layouts.shard_halo_fraction"), Some(0.02));
+        assert_eq!(tol("layouts.shard_mech_modeled_ms"), Some(0.02));
+        assert_eq!(tol("layouts.shard_speedup_modeled_x"), Some(0.02));
+        assert!(default_policy("layouts.shard_step_wall_ms").is_none());
+        assert!(default_policy("layouts.shard_mech_wall_ms").is_none());
+        assert!(default_policy("checkpoint.write_ms").is_none());
+        assert!(default_policy("checkpoint.read_ms").is_none());
+        assert_eq!(tol("checkpoint.bytes_total"), Some(0.02));
+        assert_eq!(tol("checkpoint.bytes_per_agent"), Some(0.02));
+        assert_eq!(tol("checkpoint.agents"), Some(0.0));
+        assert_eq!(tol("checkpoint.sections"), Some(0.0));
+        assert_eq!(tol("diffusion.voxel_updates"), Some(0.0));
+        assert_eq!(tol("diffusion.substeps"), Some(0.0));
+        assert_eq!(tol("diffusion.simd_rows"), Some(0.0));
+        assert_eq!(tol("diffusion.modeled_ms"), Some(0.02));
+        assert_eq!(tol("diffusion.speedup_modeled_x"), Some(0.02));
+        assert_eq!(tol("diffusion.interior_fraction"), Some(0.02));
+        assert!(default_policy("diffusion.step_wall_ms").is_none());
+        assert!(default_policy("diffusion.batch_wall_ms").is_none());
+        assert!(default_policy("diffusion.resident_bytes").is_none());
+        assert_eq!(tol("profiler.modeled_total_s"), None);
+        assert_eq!(tol("gpu.total_s"), None);
     }
 
     #[test]

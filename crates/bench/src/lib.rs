@@ -21,7 +21,7 @@
 //! | `bench_json` | `BENCH_sim.json`, `BENCH_gpu.json` | [`emit`] |
 //! | `bench_layouts` | CSR reorder, precision and shard tables | [`layouts`] |
 //! | `bench_diffusion` | diffusion sweep vs reference | [`diffusion`] |
-//! | `bench_checkpoint` | checkpoint cost and stream shape | [`checkpoint`] |
+//! | `bench_checkpoint` | checkpoint stream shape | [`checkpoint`] |
 //! | `bench_gate` | the regression gate over `BENCH_*.json` | [`emit`] |
 //! | `debug_metrics` | every published metric, per scene | [`emit`] |
 //!
@@ -59,28 +59,6 @@ use bdm_sim::environment::GpuSystem;
 use bdm_sim::profiler::Profiler;
 use bdm_sim::workload::{benchmark_a, benchmark_b};
 use bdm_sim::{EnvironmentKind, SimParams, Simulation};
-use std::time::Instant;
-
-/// Repetitions behind every reported wall-clock median.
-pub const REPS: usize = 5;
-
-/// The median of `samples` (the upper one of an even count).
-pub fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Median wall milliseconds of [`REPS`] calls of `f`.
-pub fn median_ms(mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    median(&mut times)
-}
 
 /// [`benchmark_a`]'s lattice under parameters of the caller's choosing
 /// (reorder policy, precision, shards — what `Simulation::new` reads and

@@ -1,10 +1,11 @@
 //! End-to-end coverage of the observability layer over the *real*
 //! emitters: schema round-trip of the `BENCH_*.json` documents, run
-//! determinism of everything the gate compares, and the gate's behavior
-//! on a deliberately slowed fixture.
+//! determinism of everything the gate compares, the committed baselines
+//! holding only rows the gate compares, and the gate's behavior on a
+//! deliberately slowed fixture.
 
 use bdm_bench::{emit, BenchScale};
-use bdm_metrics::{compare, BenchDoc, JsonValue};
+use bdm_metrics::{compare, BenchDoc, JsonValue, MetricKind};
 
 #[test]
 fn documents_roundtrip_through_json() {
@@ -28,23 +29,34 @@ fn sim_document_covers_the_advertised_surface() {
     let doc = emit::sim_doc(&BenchScale::smoke());
     let has = |prefix: &str| doc.metrics.iter().any(|m| m.name.starts_with(prefix));
     // Per-op scheduler stats, mech work counters + phase breakdown,
-    // profiler wall + modeled times.
+    // profiler modeled times.
     for prefix in [
         "scheduler.op_runs",
         "scheduler.op_frequency",
         "mech.candidates",
         "mech.contacts",
         "mech.phase_flops",
-        "mech.phase_wall_s",
         "profiler.modeled_total_s",
         "sim.agents",
     ] {
         assert!(has(prefix), "sim doc lacks {prefix}");
     }
-    // Wall clocks must never be gated.
-    for m in &doc.metrics {
-        if m.name.contains("wall") {
-            assert!(!m.policy.gate, "{} is a gated wall clock", m.name);
+    // No committed document holds a row the policy keeps out (a wall
+    // clock, a schedule-dependent count): every row it holds is gated.
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for name in ["sim", "gpu", "layouts", "checkpoint", "diffusion"] {
+        let doc = emit::read_doc(&results.join(format!("BENCH_{name}.json"))).unwrap();
+        for m in &doc.metrics {
+            // A histogram row is `<series>.count` / `.sum` / `.min` / `.max`.
+            let series = match m.kind {
+                MetricKind::Histogram => m.name.rsplit_once('.').map_or(&*m.name, |(s, _)| s),
+                _ => &m.name,
+            };
+            assert!(
+                emit::default_policy(series).is_some(),
+                "BENCH_{name}.json holds {}, which no document may hold",
+                m.key()
+            );
         }
     }
 }
@@ -73,20 +85,21 @@ fn gpu_document_covers_the_pipeline_breakdown() {
             );
         }
     }
-    // The modeled GPU timings are deterministic, so they must be gated.
+    // The modeled GPU timings are deterministic, so they are gated at the
+    // default tolerance.
     let total = doc
         .metrics
         .iter()
         .find(|m| m.name == "gpu.total_s.sum")
         .expect("gpu.total_s histogram");
-    assert!(total.policy.gate);
+    assert_eq!(total.policy.tol, None);
 }
 
 #[test]
 fn gated_metrics_are_deterministic_across_runs() {
     // Two fresh in-process runs must agree on every gated metric at zero
     // tolerance — the property the whole regression gate stands on.
-    // (Wall clocks differ between runs; they are ungated and skipped.)
+    // (Wall clocks differ between runs; no document holds them.)
     let scale = BenchScale::smoke();
     let a = emit::sim_doc(&scale);
     let b = emit::sim_doc(&scale);
@@ -96,7 +109,7 @@ fn gated_metrics_are_deterministic_across_runs() {
         "nondeterministic gated metrics:\n{}",
         r.render("sim")
     );
-    assert!(r.checked > 0 && r.skipped > 0);
+    assert_eq!(r.checked, a.metrics.len());
 }
 
 #[test]

@@ -298,7 +298,8 @@ impl GpuStepReport {
         reg.inc_counter("gpu.grid_build", &with("outcome", outcome), 1.0);
         self.counters.publish_metrics("gpu.step", labels, reg);
         self.mech_counters.publish_metrics("gpu.mech", labels, reg);
-        // The simulator's own host wall clock: informational, never gated.
+        // The simulator's own host wall clock: never written to a
+        // `BENCH_*.json` document.
         // `forked` is the part of `exec` spent in launches whose blocks
         // commute.
         let HostCost {

@@ -238,6 +238,13 @@ mod tests {
         assert_eq!(g.neighbor_boxes(Vec3::splat(5.5)).count(), 27);
         assert_eq!(g.neighbor_boxes(Vec3::splat(0.1)).count(), 8);
         assert_eq!(g.neighbor_boxes(Vec3::new(5.5, 5.5, 0.1)).count(), 18);
+        // An exact-size iterator: `len` counts what is left.
+        let mut nb = g.neighbor_boxes(Vec3::splat(5.5));
+        assert_eq!(nb.len(), 27);
+        nb.next();
+        nb.next();
+        assert_eq!(nb.len(), 25);
+        assert_eq!(nb.count(), 25);
     }
 
     #[test]

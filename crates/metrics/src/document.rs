@@ -10,18 +10,19 @@
 //!   "context": { "scale": "smoke", "seed": "8" },
 //!   "metrics": [
 //!     { "name": "gpu.mech_s", "labels": { "version": "v2" },
-//!       "kind": "gauge", "value": 0.0123, "gate": true, "tol": 0.1 },
+//!       "kind": "gauge", "value": 0.0123, "tol": 0.1 },
 //!     ...
 //!   ]
 //! }
 //! ```
 //!
-//! Every metric carries its own gating policy: `gate: false` marks
-//! informational series (host wall clocks — nondeterministic by nature),
-//! and an optional `tol` overrides the gate's default relative
-//! tolerance (exact discrete quantities like op-run counts set `0`).
-//! [`compare`] then needs no out-of-band configuration: the baseline
-//! file *is* the contract.
+//! A document holds only rows the gate compares: a series the publishing
+//! policy keeps out (a host wall clock, a schedule-dependent count) is
+//! not written at all. A row's optional `tol` overrides the gate's
+//! default relative tolerance (exact discrete quantities like op-run
+//! counts set `0`). [`compare`] then needs no out-of-band
+//! configuration: the baseline file *is* the contract — every row it
+//! holds is compared, and a fresh document must carry exactly its keys.
 
 use crate::json::JsonValue;
 use crate::registry::{MetricData, MetricKind, MetricsRegistry};
@@ -32,8 +33,6 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Gating policy attached to one metric sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatePolicy {
-    /// `false` marks the sample informational (never compared).
-    pub gate: bool,
     /// Relative tolerance override; `None` uses the gate's default.
     pub tol: Option<f64>,
 }
@@ -41,26 +40,12 @@ pub struct GatePolicy {
 impl GatePolicy {
     /// Gated at the default tolerance.
     pub fn gated() -> Self {
-        Self {
-            gate: true,
-            tol: None,
-        }
+        Self { tol: None }
     }
 
     /// Gated with an explicit relative tolerance (`0.0` = exact match).
     pub fn with_tol(tol: f64) -> Self {
-        Self {
-            gate: true,
-            tol: Some(tol),
-        }
-    }
-
-    /// Informational only.
-    pub fn informational() -> Self {
-        Self {
-            gate: false,
-            tol: None,
-        }
+        Self { tol: Some(tol) }
     }
 }
 
@@ -121,12 +106,15 @@ impl BenchDoc {
     }
 
     /// Flatten a registry into the document. `policy` maps a metric name
-    /// to its gating policy (called once per series; histogram component
-    /// samples inherit the series' policy, with `.count` forced exact
-    /// and `.sum`/`.min`/`.max` inheriting).
-    pub fn publish(&mut self, reg: &MetricsRegistry, policy: impl Fn(&str) -> GatePolicy) {
+    /// to its gating policy, or to `None` for a series the document does
+    /// not hold (called once per series; histogram component samples
+    /// inherit the series' policy, with `.count` forced exact and
+    /// `.sum`/`.min`/`.max` inheriting).
+    pub fn publish(&mut self, reg: &MetricsRegistry, policy: impl Fn(&str) -> Option<GatePolicy>) {
         for (name, labels, data) in reg.iter() {
-            let p = policy(name);
+            let Some(p) = policy(name) else {
+                continue;
+            };
             let mut push = |suffix: &str, kind: MetricKind, value: f64, policy: GatePolicy| {
                 self.metrics.push(MetricSample {
                     name: format!("{name}{suffix}"),
@@ -140,13 +128,8 @@ impl BenchDoc {
                 MetricData::Counter(v) => push("", MetricKind::Counter, *v, p),
                 MetricData::Gauge(v) => push("", MetricKind::Gauge, *v, p),
                 MetricData::Histogram(h) => {
-                    let count_policy = if p.gate { GatePolicy::with_tol(0.0) } else { p };
-                    push(
-                        ".count",
-                        MetricKind::Histogram,
-                        h.count as f64,
-                        count_policy,
-                    );
+                    let exact = GatePolicy::with_tol(0.0);
+                    push(".count", MetricKind::Histogram, h.count as f64, exact);
                     push(".sum", MetricKind::Histogram, h.sum, p);
                     push(".min", MetricKind::Histogram, h.min, p);
                     push(".max", MetricKind::Histogram, h.max, p);
@@ -177,7 +160,6 @@ impl BenchDoc {
             entry.push("labels", lbl);
             entry.push("kind", JsonValue::Str(m.kind.as_str().into()));
             entry.push("value", JsonValue::Num(m.value));
-            entry.push("gate", JsonValue::Bool(m.policy.gate));
             if let Some(tol) = m.policy.tol {
                 entry.push("tol", JsonValue::Num(tol));
             }
@@ -242,17 +224,13 @@ impl BenchDoc {
                 .get("value")
                 .and_then(JsonValue::as_f64)
                 .ok_or("metric missing value")?;
-            let gate = entry
-                .get("gate")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(true);
             let tol = entry.get("tol").and_then(JsonValue::as_f64);
             metrics.push(MetricSample {
                 name,
                 labels,
                 kind,
                 value,
-                policy: GatePolicy { gate, tol },
+                policy: GatePolicy { tol },
             });
         }
         Ok(Self {
@@ -281,32 +259,27 @@ pub struct Regression {
 /// Outcome of comparing a fresh document against a baseline.
 #[derive(Debug, Clone, Default)]
 pub struct CompareReport {
-    /// Gated metrics compared.
+    /// Metrics compared.
     pub checked: usize,
-    /// Informational metrics skipped.
-    pub skipped: usize,
     /// Metrics outside tolerance.
     pub regressions: Vec<Regression>,
-    /// Gated baseline metrics absent from the fresh run (schema drift —
-    /// a failure).
+    /// Baseline metrics absent from the fresh run (schema drift — a
+    /// failure).
     pub missing: Vec<String>,
-    /// Fresh metrics absent from the baseline (new coverage — reported,
-    /// not failed; re-baseline to adopt them).
+    /// Fresh metrics absent from the baseline (a failure too: the gate
+    /// would never hold them; re-baseline to adopt them).
     pub unbaselined: Vec<String>,
 }
 
 impl CompareReport {
     /// `true` when the gate passes.
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
+        self.regressions.is_empty() && self.missing.is_empty() && self.unbaselined.is_empty()
     }
 
     /// Human-readable gate report.
     pub fn render(&self, doc_name: &str) -> String {
-        let mut out = format!(
-            "{doc_name}: {} gated metrics checked, {} informational skipped\n",
-            self.checked, self.skipped
-        );
+        let mut out = format!("{doc_name}: {} gated metrics checked\n", self.checked);
         for r in &self.regressions {
             out.push_str(&format!(
                 "  FAIL {}: baseline {} -> fresh {} (rel {:+.2}%, tol {:.2}%)\n",
@@ -324,7 +297,7 @@ impl CompareReport {
         }
         for key in &self.unbaselined {
             out.push_str(&format!(
-                "  note {key}: not in baseline (re-baseline to adopt)\n"
+                "  FAIL {key}: in fresh run, not in baseline (re-baseline to adopt)\n"
             ));
         }
         out.push_str(if self.passed() {
@@ -341,9 +314,9 @@ impl CompareReport {
 /// non-zero).
 const ABS_EPS: f64 = 1e-12;
 
-/// Compare `fresh` against `baseline`. The baseline's per-metric policy
-/// governs: `gate: false` samples are skipped, `tol` overrides
-/// `default_tol`. The check is symmetric — a large *improvement* also
+/// Compare `fresh` against `baseline`: both must hold the same keys, and
+/// every value must lie within the baseline row's `tol` (`default_tol`
+/// when it carries none). The check is symmetric — a large *improvement* also
 /// fails, which is deliberate: it means the committed baseline no longer
 /// describes the code and must be consciously re-recorded.
 pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, default_tol: f64) -> CompareReport {
@@ -354,10 +327,6 @@ pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, default_tol: f64) -> Compa
     for base in &baseline.metrics {
         let key = base.key();
         seen.insert(key.clone());
-        if !base.policy.gate {
-            report.skipped += 1;
-            continue;
-        }
         let Some(f) = fresh_by_key.get(&key) else {
             report.missing.push(key);
             continue;
@@ -446,23 +415,18 @@ mod tests {
     }
 
     #[test]
-    fn informational_metrics_are_skipped() {
-        let base = doc_with(&[("wall_s", 1.0, GatePolicy::informational())]);
-        let fresh = doc_with(&[("wall_s", 100.0, GatePolicy::informational())]);
-        let r = compare(&base, &fresh, 0.1);
-        assert!(r.passed());
-        assert_eq!(r.skipped, 1);
-        assert_eq!(r.checked, 0);
-    }
-
-    #[test]
-    fn missing_gated_metric_fails_extra_is_noted() {
-        let base = doc_with(&[("a", 1.0, GatePolicy::gated())]);
-        let fresh = doc_with(&[("b", 1.0, GatePolicy::gated())]);
-        let r = compare(&base, &fresh, 0.1);
+    fn a_missing_or_an_extra_gated_key_fails() {
+        let a = ("a", 1.0, GatePolicy::gated());
+        let b = ("b", 1.0, GatePolicy::gated());
+        let base = doc_with(&[a]);
+        let r = compare(&base, &doc_with(&[]), 0.1);
         assert!(!r.passed());
         assert_eq!(r.missing, vec!["a{env=csr}"]);
+        let r = compare(&base, &doc_with(&[a, b]), 0.1);
+        assert!(!r.passed());
+        assert_eq!(r.checked, 1);
         assert_eq!(r.unbaselined, vec!["b{env=csr}"]);
+        assert!(r.render("test").contains("FAIL b{env=csr}"));
     }
 
     #[test]
@@ -477,19 +441,18 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.inc_counter("runs", &[("op", "behaviors")], 5.0);
         reg.set_gauge("modeled_s", &[("env", "csr")], 0.125);
-        reg.observe("wall_s", &[("op", "behaviors")], 0.5);
-        reg.observe("wall_s", &[("op", "behaviors")], 1.5);
+        reg.observe("step_s", &[("op", "behaviors")], 0.5);
+        reg.observe("step_s", &[("op", "behaviors")], 1.5);
+        reg.set_gauge("wall_s", &[], 0.25);
         let mut doc = BenchDoc::new("roundtrip");
         doc.push_context("seed", 8);
-        doc.publish(&reg, |name| {
-            if name.contains("wall") {
-                GatePolicy::informational()
-            } else if name == "runs" {
-                GatePolicy::with_tol(0.0)
-            } else {
-                GatePolicy::gated()
-            }
+        doc.publish(&reg, |name| match name {
+            "wall_s" => None,
+            "runs" => Some(GatePolicy::with_tol(0.0)),
+            _ => Some(GatePolicy::gated()),
         });
+        // A series the policy keeps out is not written.
+        assert!(doc.metrics.iter().all(|m| m.name != "wall_s"));
         let text = doc.to_json().to_pretty();
         let parsed = BenchDoc::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, doc);
@@ -504,7 +467,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.observe("h", &[], 2.0);
         let mut doc = BenchDoc::new("h");
-        doc.publish(&reg, |_| GatePolicy::gated());
+        doc.publish(&reg, |_| Some(GatePolicy::gated()));
         let names: Vec<&str> = doc.metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, vec!["h.count", "h.max", "h.min", "h.sum"]);
         let count = doc.metrics.iter().find(|m| m.name == "h.count").unwrap();

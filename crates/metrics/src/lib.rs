@@ -19,8 +19,8 @@
 //!
 //! Everything here is deliberately free of wall-clock reads and
 //! randomness: the gate compares *modeled* times and *work counters*,
-//! which are deterministic functions of the simulated trajectory, while
-//! host wall times travel alongside as ungated context.
+//! which are deterministic functions of the simulated trajectory; host
+//! wall times are not written into a document at all.
 
 pub mod document;
 pub mod json;

@@ -294,7 +294,8 @@ impl MechWork {
     /// metrics registry under an `env` label. The algorithmic counters
     /// (candidates/contacts/neighbors, phase FLOPs/bytes) are exact
     /// functions of the trajectory and gateable; the per-phase host wall
-    /// seconds ride along as informational gauges.
+    /// seconds ride along for a reader of the registry; no `BENCH_*.json`
+    /// document holds them.
     pub fn publish_metrics(&self, env: &str, reg: &mut bdm_metrics::MetricsRegistry) {
         let labels = [("env", env)];
         reg.inc_counter("mech.candidates", &labels, self.candidates as f64);

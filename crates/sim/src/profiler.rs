@@ -56,23 +56,7 @@ impl Profiler {
     /// Total wall seconds per operation name, aggregated over all steps,
     /// in first-appearance order.
     pub fn wall_totals(&self) -> Vec<(String, f64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut totals: std::collections::HashMap<String, f64> = Default::default();
-        for step in &self.steps {
-            for r in &step.records {
-                if !totals.contains_key(&r.name) {
-                    order.push(r.name.clone());
-                }
-                *totals.entry(r.name.clone()).or_default() += r.wall_s;
-            }
-        }
-        order
-            .into_iter()
-            .map(|name| {
-                let t = totals[&name];
-                (name, t)
-            })
-            .collect()
+        self.per_op(|r| r.wall_s)
     }
 
     /// Modeled total seconds on a Table I CPU at `threads` threads
@@ -93,32 +77,27 @@ impl Profiler {
 
     /// Modeled seconds per operation name at `threads` threads.
     pub fn modeled_per_op(&self, model: &CpuModel, threads: u32) -> Vec<(String, f64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut totals: std::collections::HashMap<String, f64> = Default::default();
-        for step in &self.steps {
-            for r in &step.records {
-                if !totals.contains_key(&r.name) {
-                    order.push(r.name.clone());
-                }
-                let mut t = model.total_time(&r.phases, threads);
-                if let Some(g) = &r.gpu {
-                    t += g.total_s;
-                }
-                *totals.entry(r.name.clone()).or_default() += t;
+        self.per_op(|r| {
+            model.total_time(&r.phases, threads) + r.gpu.as_ref().map_or(0.0, |g| g.total_s)
+        })
+    }
+
+    /// `value` of every record summed per operation name over all
+    /// steps, in first-appearance order.
+    fn per_op(&self, value: impl Fn(&OpRecord) -> f64) -> Vec<(String, f64)> {
+        let mut totals: Vec<(String, f64)> = Vec::new();
+        for r in self.steps.iter().flat_map(|s| &s.records) {
+            match totals.iter_mut().find(|(name, _)| *name == r.name) {
+                Some((_, total)) => *total += value(r),
+                None => totals.push((r.name.clone(), value(r))),
             }
         }
-        order
-            .into_iter()
-            .map(|name| {
-                let t = totals[&name];
-                (name, t)
-            })
-            .collect()
+        totals
     }
 
     /// Publish host-measured quantities into a metrics registry:
     /// recorded step count and per-operation wall totals. Wall clocks
-    /// are nondeterministic, so emitters mark them ungated.
+    /// are nondeterministic, so no `BENCH_*.json` document holds them.
     pub fn publish_metrics(&self, reg: &mut bdm_metrics::MetricsRegistry) {
         reg.set_gauge("profiler.steps", &[], self.steps.len() as f64);
         for (name, t) in self.wall_totals() {

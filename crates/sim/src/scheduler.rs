@@ -40,6 +40,19 @@ struct OpSlot {
     wall_s: f64,
 }
 
+impl OpSlot {
+    /// A fresh slot: every step, enabled, never run.
+    fn new(op: Box<dyn Operation>) -> Self {
+        Self {
+            op,
+            frequency: 1,
+            enabled: true,
+            runs: 0,
+            wall_s: 0.0,
+        }
+    }
+}
+
 /// Per-operation scheduling statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpStats {
@@ -83,29 +96,14 @@ impl Scheduler {
 
     /// Append an operation to the end of the pipeline.
     pub fn add(&mut self, op: Box<dyn Operation>) {
-        self.ops.push(OpSlot {
-            op,
-            frequency: 1,
-            enabled: true,
-            runs: 0,
-            wall_s: 0.0,
-        });
+        self.ops.push(OpSlot::new(op));
     }
 
     /// Insert an operation at the *front* of the pipeline — for stages
     /// that must see (and shape) the storage before every other op, like
     /// the host reorder.
     pub fn add_front(&mut self, op: Box<dyn Operation>) {
-        self.ops.insert(
-            0,
-            OpSlot {
-                op,
-                frequency: 1,
-                enabled: true,
-                runs: 0,
-                wall_s: 0.0,
-            },
-        );
+        self.ops.insert(0, OpSlot::new(op));
     }
 
     /// Execution mode of the step's `par_*` loops.
@@ -162,7 +160,8 @@ impl Scheduler {
 
     /// Publish per-operation scheduling statistics into a metrics
     /// registry: run counts and configuration as exact counters/gauges,
-    /// accumulated host wall seconds as an (informational) gauge.
+    /// accumulated host wall seconds as a gauge no `BENCH_*.json`
+    /// document holds.
     pub fn publish_metrics(&self, reg: &mut bdm_metrics::MetricsRegistry) {
         for s in &self.ops {
             let labels = [("op", s.op.name())];

@@ -166,11 +166,15 @@ stage() (
         cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
         benchmark/run.sh --quick ;;
     gate)
-        # The gated BENCH_*.json metrics at smoke scale against results/
+        # The BENCH_*.json documents at smoke scale against results/
         # (its `bench_layouts` and `bench_diffusion` runs are the tables'
         # smokes; `bench_diffusion` asserts its own parity and modeled
-        # speedup), and every scene's metrics document.
+        # speedup), and every scene's metrics document. Every row a
+        # document holds is gated, so the documents run twice: at the
+        # default worker count and on one worker, where a row whose value
+        # or key set depends on the worker count fails.
         ./scripts/bench_gate.sh
+        RAYON_NUM_THREADS=1 ./scripts/bench_gate.sh
         BDM_BENCH_SCALE=smoke "${CARGO_TARGET_DIR:-target}/release/bdm-bench" debug_metrics >/dev/null ;;
     sanitize)
         # AddressSanitizer over the tests that drive the workspace's
