@@ -18,11 +18,12 @@
 
 use crate::cli::Args;
 use crate::emit;
-use bdm_device::cpu::{CpuModel, Phase};
+use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
 use bdm_math::{Aabb, Vec3};
 use bdm_metrics::MetricsRegistry;
-use bdm_sim::{BoundaryCondition, DiffusionGrid, DiffusionParams, DiffusionStats, Precision};
+use bdm_sim::work_model as wm;
+use bdm_sim::{BoundaryCondition, DiffusionGrid, DiffusionParams, Precision};
 use std::process::ExitCode;
 
 /// Steps run per parity check.
@@ -60,35 +61,6 @@ fn seeded_grid(res: usize) -> DiffusionGrid {
     g
 }
 
-/// The roofline phases of one `step` at a given precision: 19 FLOPs
-/// per update for both engines; the in-place sweep streams 2 words per
-/// interior voxel (read once, written once: the neighbor rows ride the
-/// three hot planes in cache) and 8 words per wall voxel, while the
-/// reference sweep gets no reuse credit — 8 words everywhere (the same
-/// accounting DiffusionOp records per scheduled run).
-fn phases(run: &DiffusionStats, word: f64) -> (Phase, Phase) {
-    let updates = run.voxel_updates as f64;
-    let interior = run.interior_updates as f64;
-    let faces = updates - interior;
-    let tiled = Phase {
-        name: "diffusion tiled",
-        flops: 19.0 * updates,
-        bytes: word * (2.0 * interior + 8.0 * faces),
-        random_accesses: 0.0,
-        parallel: true,
-        fp64: true,
-    };
-    let reference = Phase {
-        name: "diffusion reference",
-        flops: 19.0 * updates,
-        bytes: word * 8.0 * updates,
-        random_accesses: 0.0,
-        parallel: true,
-        fp64: true,
-    };
-    (tiled, reference)
-}
-
 /// `bench_diffusion [--json[=DIR]]`.
 pub fn main(args: &Args) -> ExitCode {
     let model = CpuModel::new(SYSTEM_A.cpu);
@@ -123,7 +95,8 @@ pub fn main(args: &Args) -> ExitCode {
 
         // Deterministic work counters of one step.
         let run = seeded_grid(res).step_in(DT, Precision::F64);
-        let (tiled_phase, ref_phase) = phases(&run, 8.0);
+        let tiled_phase = wm::diffusion(&run, Precision::F64);
+        let ref_phase = wm::diffusion_reference(&run);
         let tiled_model_ms = model.phase_time(&tiled_phase, MODEL_THREADS).seconds * 1e3;
         let ref_model_ms = model.phase_time(&ref_phase, MODEL_THREADS).seconds * 1e3;
         let speedup = ref_model_ms / tiled_model_ms;

@@ -69,7 +69,6 @@ pub fn default_policy(name: &str) -> Option<GatePolicy> {
                 | "gpu.launches"
                 | "gpu.sync"
                 | "gpu.grid_build"
-                | "mech.simd_stencils_staged"
                 | "mech.stencils_staged"
                 | "diffusion.resident_bytes"
                 | "agents.resident_bytes"
@@ -434,7 +433,6 @@ mod tests {
         assert_eq!(tol("gpu.mech.flops_fp32"), Some(0.02));
         assert_eq!(tol("gpu.sort_gathers"), Some(0.0));
         assert_eq!(tol("layouts.csr_index_gap"), Some(0.02));
-        assert!(default_policy("mech.simd_stencils_staged").is_none());
         assert!(default_policy("mech.stencils_staged").is_none());
         assert!(default_policy("agents.resident_bytes").is_none());
         assert!(default_policy("agents.behavior_lists").is_none());

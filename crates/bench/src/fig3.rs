@@ -12,6 +12,7 @@ use crate::scale::BenchScale;
 use bdm_device::cpu::CpuModel;
 use bdm_device::specs::SYSTEM_A;
 use bdm_metrics::MetricsRegistry;
+use bdm_sim::work_model::{MECHANICAL_FORCES, NEIGHBORHOOD_BUILD, NEIGHBORHOOD_SEARCH};
 use bdm_sim::workload::benchmark_a;
 use bdm_sim::EnvironmentKind;
 use std::process::ExitCode;
@@ -70,8 +71,8 @@ pub fn run(scale: &BenchScale) -> Fig3Report {
             .map(|r| r.share)
             .sum()
     };
-    let forces_share = share_of("mechanical forces");
-    let neighborhood_share = share_of("neighborhood build") + share_of("neighborhood search");
+    let forces_share = share_of(MECHANICAL_FORCES);
+    let neighborhood_share = share_of(NEIGHBORHOOD_BUILD) + share_of(NEIGHBORHOOD_SEARCH);
     let rendered = sim.profiler().render_breakdown(&model, threads);
     Fig3Report {
         mech_share: forces_share + neighborhood_share,

@@ -20,6 +20,7 @@ use bdm_device::specs::SYSTEM_A;
 use bdm_math::{SplitMix64, Vec3};
 use bdm_metrics::MetricsRegistry;
 use bdm_sim::profiler::OpRecord;
+use bdm_sim::work_model::{MECH_PHASES, REORDER, SHARD_SORT};
 use bdm_sim::{CellBuilder, EnvironmentKind, Precision, SimParams, Simulation};
 use std::process::ExitCode;
 
@@ -50,14 +51,12 @@ fn cloud_sim(n: usize, params: impl FnOnce(SimParams) -> SimParams) -> Simulatio
     sim
 }
 
-/// The last step's profiler records named in `names`.
-fn last_step_records<'a>(
-    sim: &'a Simulation,
-    names: &'a [&str],
-) -> impl Iterator<Item = &'a OpRecord> + 'a {
+/// The last step's profiler records of the mechanical interactions
+/// operation and the host reorder.
+fn last_step_mech_records(sim: &Simulation) -> impl Iterator<Item = &OpRecord> {
     let last = sim.profiler().steps().last().expect("a step ran");
-    let named = move |r: &&OpRecord| names.contains(&r.name.as_str());
-    last.records.iter().filter(named)
+    let mech = |r: &&OpRecord| r.name == REORDER || MECH_PHASES.contains(&r.name.as_str());
+    last.records.iter().filter(mech)
 }
 
 /// The host-reorder comparison (paper §V Improvement II on the CPU):
@@ -165,12 +164,6 @@ fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         "{:<12} {:>13} {:>11} {:>11}",
         "shards", "modeled ms", "imbalance", "halo frac"
     );
-    let mech_records = [
-        "reorder",
-        "shard sort",
-        "neighborhood build",
-        "mechanical forces",
-    ];
     let mut modeled_single = 0.0f64;
     let mut modeled_best_multi = f64::INFINITY;
     for shards in [0usize, 1, 2, 4, 8] {
@@ -183,10 +176,10 @@ fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
         // build/force phases of a sharded run fan out across shards, one
         // serial task each, so their thread count is capped at the shard
         // count; the sort and the host reorder are global rayon passes.
-        let modeled_ms: f64 = last_step_records(&sim, &mech_records)
+        let modeled_ms: f64 = last_step_mech_records(&sim)
             .flat_map(|r| r.phases.iter())
             .map(|p| {
-                let threads = if shards > 0 && p.name != "shard sort" {
+                let threads = if shards > 0 && p.name != SHARD_SORT {
                     MODEL_THREADS.min(shards as u32)
                 } else {
                     MODEL_THREADS

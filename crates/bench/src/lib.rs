@@ -57,6 +57,7 @@ use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
 use bdm_sim::environment::GpuSystem;
 use bdm_sim::profiler::Profiler;
+use bdm_sim::work_model::MECH_PHASES;
 use bdm_sim::workload::{benchmark_a, benchmark_b};
 use bdm_sim::{EnvironmentKind, SimParams, Simulation};
 
@@ -106,26 +107,12 @@ pub fn benchmark_b_offloaded(
     sim
 }
 
-/// Names of the profiler records that make up the mechanical
-/// interactions operation on the CPU paths.
-pub const MECH_OP_RECORDS: [&str; 3] = [
-    "neighborhood build",
-    "neighborhood search",
-    "mechanical forces",
-];
-
 /// Collect the work phases of the mechanical op across all recorded
 /// steps (the quantity Figs. 8–11 time).
 pub fn mech_phases(profiler: &Profiler) -> Vec<Phase> {
-    let mut phases = Vec::new();
-    for step in profiler.steps() {
-        for r in &step.records {
-            if MECH_OP_RECORDS.contains(&r.name.as_str()) {
-                phases.extend(r.phases.iter().copied());
-            }
-        }
-    }
-    phases
+    let records = profiler.steps().iter().flat_map(|s| &s.records);
+    let mech = records.filter(|r| MECH_PHASES.contains(&r.name.as_str()));
+    mech.flat_map(|r| r.phases.iter().copied()).collect()
 }
 
 /// Sum of wall seconds of the mechanical op across steps.
@@ -134,7 +121,7 @@ pub fn mech_wall(profiler: &Profiler) -> f64 {
         .steps()
         .iter()
         .flat_map(|s| &s.records)
-        .filter(|r| MECH_OP_RECORDS.contains(&r.name.as_str()) || r.gpu.is_some())
+        .filter(|r| MECH_PHASES.contains(&r.name.as_str()) || r.gpu.is_some())
         .map(|r| r.wall_s)
         .sum()
 }

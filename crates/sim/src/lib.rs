@@ -45,6 +45,7 @@ pub mod scheduler;
 pub mod shard;
 pub mod simulation;
 pub mod timeseries;
+pub mod work_model;
 pub mod workload;
 
 pub use behavior::Behavior;

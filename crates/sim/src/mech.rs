@@ -47,13 +47,13 @@
 //! Besides producing displacements, every phase reports a
 //! [`bdm_device::cpu::Phase`] of *work counters* (FLOPs, bytes, random
 //! accesses) derived from the genuinely executed algorithmic work — the
-//! input to the Table I CPU timing model. The mapping constants are
-//! documented on [`work_model`].
+//! input to the Table I CPU timing model, priced by [`crate::work_model`].
 
 use crate::environment::{EnvironmentKind, GridLayout};
 use crate::param::{Precision, SimParams};
 use crate::rm::ResourceManager;
 use crate::shard::ShardedEnvironment;
+use crate::work_model::{self as wm, ForcePass};
 use bdm_device::cpu::Phase;
 use bdm_gpu::pipeline::{GpuStepReport, MechanicalPipeline, SceneRef};
 use bdm_grid::{CsrGrid, QueryCounters, UniformGrid};
@@ -65,107 +65,6 @@ use bdm_soa::{AgentId, StepBuffer};
 use rayon::prelude::*;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Work-model constants: how executed algorithmic events convert into the
-/// bytes/random-access counters of the CPU timing model.
-///
-/// * a candidate distance test touches one agent's state: position (24 B)
-///   plus diameter (8 B) ⇒ 32 B;
-/// * a tree-node hop or a successor-link hop is one dependent random
-///   access;
-/// * the kd-tree build streams the point set once per level
-///   (read + write ≈ 48 B per point per level) and is **serial**;
-/// * the grid build streams each agent once (position read + two list
-///   writes ≈ 60 B) with one scattered head update.
-pub mod work_model {
-    // ----- kd-tree pipeline (the BioDynaMo v0.0.9 baseline) -----
-    // Calibration note: the baseline's per-event costs are deliberately
-    // *heavier* than the lean uniform-grid pass below. The v0.0.9 kd
-    // pipeline materializes per-agent neighbor lists (std::vector
-    // appends), traverses pointer-linked tree nodes, and runs the force
-    // pass through virtual behavior dispatch — which is why the authors'
-    // tight fused uniform-grid rewrite beats it 2× even serially (§VI).
-
-    /// Bytes per point per tree level during the (serial) kd build.
-    pub const KD_BUILD_BYTES_PER_POINT_LEVEL: f64 = 48.0;
-    /// FLOPs per point per level (comparisons/swaps) during the kd build.
-    pub const KD_BUILD_FLOPS_PER_POINT_LEVEL: f64 = 4.0;
-    /// FLOPs per candidate in the kd search (the distance test; traversal
-    /// costs are captured by the random-access term).
-    pub const KD_SEARCH_FLOPS_PER_CANDIDATE: f64 = 8.0;
-    /// Bytes per candidate in the kd search (leaf-contiguous point data).
-    pub const KD_SEARCH_BYTES_PER_CANDIDATE: f64 = 24.0;
-    /// FLOPs-equivalent per stored neighbor in the list-based force pass
-    /// (Eq. 1 plus virtual dispatch and AoS staging).
-    pub const FORCE_FLOPS_PER_NEIGHBOR: f64 = 125.0;
-    /// Bytes per stored neighbor in the list-based force pass.
-    pub const FORCE_BYTES_PER_NEIGHBOR: f64 = 96.0;
-    /// Bytes per agent of fixed force-phase traffic (own state + output).
-    pub const FORCE_FIXED_BYTES_PER_AGENT: f64 = 120.0;
-    /// FLOPs per agent of displacement integration.
-    pub const FORCE_FIXED_FLOPS_PER_AGENT: f64 = 50.0;
-
-    // ----- uniform-grid pipeline (the paper's §IV-A rewrite) -----
-
-    /// Bytes per agent for the grid build (position read + list writes).
-    pub const GRID_BUILD_BYTES_PER_AGENT: f64 = 60.0;
-    /// FLOPs per tested candidate in the fused grid pass (distance test).
-    pub const UG_FLOPS_PER_CANDIDATE: f64 = 12.0;
-    /// Bytes per tested candidate in the fused grid pass.
-    pub const UG_BYTES_PER_CANDIDATE: f64 = 32.0;
-    /// FLOPs per contact in the fused grid pass (lean Eq. 1, no
-    /// dispatch overhead — the pass was written for the paper).
-    pub const UG_FLOPS_PER_CONTACT: f64 = 25.0;
-    /// Fixed per-agent cost of the fused pass.
-    pub const UG_FIXED_FLOPS_PER_AGENT: f64 = 15.0;
-    /// Fixed per-agent bytes of the fused pass (own state + output).
-    pub const UG_FIXED_BYTES_PER_AGENT: f64 = 80.0;
-
-    // ----- CSR uniform-grid pipeline (post-paper layout) -----
-    // The counting-sort build streams the agents twice (position read +
-    // voxel-id write, then voxel-id read + id scatter) instead of doing
-    // one scattered list-head update per agent, and queries read each
-    // voxel's ids as one contiguous slice instead of chasing successor
-    // links — so the CSR constants shift cost out of the
-    // `random_accesses` term and into streaming bytes.
-
-    /// Bytes per agent of the CSR counting-sort build: pass 1 reads the
-    /// position (24 B) and writes the voxel id (4 B); pass 2 re-reads the
-    /// voxel id (4 B), reads a cursor (4 B), and writes the agent id
-    /// (4 B); prefix-scan traffic amortizes to ~4 B.
-    pub const CSR_BUILD_BYTES_PER_AGENT: f64 = 44.0;
-    /// Scattered accesses per agent during the build: the histogram and
-    /// cursor updates hit a `num_boxes`-sized array that is mostly
-    /// cache-resident, so only a fraction goes to memory.
-    pub const CSR_BUILD_RANDOM_PER_AGENT: f64 = 0.125;
-    /// Bytes per agent of a *skipped* incremental rebuild: pass 1 still
-    /// reads the position (24 B) and writes the voxel id (4 B), plus the
-    /// slot check's read of it (4 B); the counting sort never runs.
-    pub const CSR_BUILD_SKIP_BYTES_PER_AGENT: f64 = 32.0;
-    /// FLOPs per tested candidate (the same distance test as the
-    /// linked-list pass).
-    pub const CSR_FLOPS_PER_CANDIDATE: f64 = 12.0;
-    /// Bytes per tested candidate: streamed id (4 B) + gathered position
-    /// (24 B) + diameter (8 B). No successor link.
-    pub const CSR_BYTES_PER_CANDIDATE: f64 = 36.0;
-    /// Dependent accesses per scanned stencil voxel: the 27-voxel stencil
-    /// is 9 contiguous x-runs of 3 voxels, so only every third voxel
-    /// starts a new stream (vs. one list-head chase per voxel for the
-    /// linked list).
-    pub const CSR_RANDOM_PER_BOX: f64 = 1.0 / 3.0;
-
-    // ----- mixed-precision SIMD CSR pass (paper Improvement I, on the
-    // CPU): same candidate enumeration as the CSR pass above, but the
-    // gathered per-candidate state narrows to f32 — the memory-bound
-    // gather term halves, which is exactly the Improvement I mechanism.
-
-    /// Bytes per tested candidate of the f32 pass: streamed id (4 B) +
-    /// gathered f32 position (12 B) + f32 diameter (4 B).
-    pub const SIMD_BYTES_PER_CANDIDATE: f64 = 20.0;
-    /// Fixed per-agent bytes of the f32 pass: own f32 state (20 B,
-    /// position + diameter + adherence) + f64 displacement write (24 B).
-    pub const SIMD_FIXED_BYTES_PER_AGENT: f64 = 44.0;
-}
 
 /// Deterministic statistics of the mixed-precision SIMD pass — exact
 /// functions of the trajectory and the batching geometry, so they are
@@ -314,13 +213,7 @@ impl MechWork {
             reg.set_gauge("mech.csr_index_gap", &labels, gap);
         }
         if let Some(staged) = self.stencils_staged {
-            // One series per lane body, under the name the f32 one
-            // already had.
-            let name = match self.simd {
-                Some(_) => "mech.simd_stencils_staged",
-                None => "mech.stencils_staged",
-            };
-            reg.inc_counter(name, &labels, staged as f64);
+            reg.inc_counter("mech.stencils_staged", &labels, staged as f64);
         }
         if let Some(simd) = &self.simd {
             reg.inc_counter(
@@ -553,20 +446,6 @@ impl SweepStats {
     }
 }
 
-/// The modeled flavour of a sweep: which work-model constants price its
-/// force phase, and which statistics its [`MechWork`] reports.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ForceModel {
-    /// Cached kd neighbor lists (the v0.0.9 baseline's force pass).
-    Lists,
-    /// Fused pass over the linked-list grid.
-    LinkedList,
-    /// Fused pass over CSR runs, scalar f64.
-    Csr,
-    /// Fused pass over CSR runs, 8-lane f32.
-    CsrF32,
-}
-
 /// How a sweep tiles its displacements: part `c` writes entries
 /// `cuts[c]..cuts[c + 1]`, and entry `k` moves agent `agent_of[k]` —
 /// `None` when the entries are in storage order (entry `k` is agent
@@ -619,7 +498,7 @@ const DISPLACEMENT_POISON: f64 = f64::from_bits(0x7ff8_dead_0bad_f00d);
 /// rayon task (the scratches persist across steps in a pool, one per
 /// worker that ran a part at once; only the CSR bodies use them), band
 /// by band, sums the statistics, integrates, and builds the step's
-/// [`MechWork`] — the one place the force phase is priced. `timed`
+/// [`MechWork`], its force phase priced as `pass` ([`wm::forces`]). `timed`
 /// holds the phases that already ran (build, search, shard sort) with
 /// their wall clocks; `parallel` is the force phase's flag in the
 /// machine model. The sweep's own wall clock excludes integration, on
@@ -648,7 +527,7 @@ fn force_sweep(
     (buffer, lane_scratch): (&mut StepBuffer, &mut Vec<LaneScratch>),
     mut timed: Vec<(Phase, f64)>,
     parts: SweepParts<'_>,
-    model: ForceModel,
+    pass: ForcePass,
     parallel: bool,
     lanes: impl Fn(&ResourceManager, usize, usize, &mut [Vec3<f64>], &mut LaneScratch) -> SweepStats
         + Sync,
@@ -716,50 +595,10 @@ fn force_sweep(
     }
     *lane_scratch = pool.into_inner().expect(POISONED);
 
-    use work_model as wm;
-    let n = rm.len() as f64;
-    let candidates = stats.counters.points_tested as f64;
-    let contacts = stats.contacts as f64;
-    let neighbors = stats.counters.neighbors_found as f64;
-    let boxes = stats.counters.boxes_scanned as f64;
-    let fused_flops = |per_candidate: f64| {
-        per_candidate * candidates
-            + wm::UG_FLOPS_PER_CONTACT * contacts
-            + wm::UG_FIXED_FLOPS_PER_AGENT * n
-    };
-    let (flops, bytes, random_accesses) = match model {
-        ForceModel::Lists => (
-            wm::FORCE_FLOPS_PER_NEIGHBOR * neighbors + wm::FORCE_FIXED_FLOPS_PER_AGENT * n,
-            wm::FORCE_BYTES_PER_NEIGHBOR * neighbors + wm::FORCE_FIXED_BYTES_PER_AGENT * n,
-            neighbors,
-        ),
-        ForceModel::LinkedList => (
-            fused_flops(wm::UG_FLOPS_PER_CANDIDATE),
-            wm::UG_BYTES_PER_CANDIDATE * candidates + wm::UG_FIXED_BYTES_PER_AGENT * n,
-            boxes,
-        ),
-        ForceModel::Csr => (
-            fused_flops(wm::CSR_FLOPS_PER_CANDIDATE),
-            wm::CSR_BYTES_PER_CANDIDATE * candidates + wm::UG_FIXED_BYTES_PER_AGENT * n,
-            wm::CSR_RANDOM_PER_BOX * boxes,
-        ),
-        ForceModel::CsrF32 => (
-            fused_flops(wm::CSR_FLOPS_PER_CANDIDATE),
-            wm::SIMD_BYTES_PER_CANDIDATE * candidates + wm::SIMD_FIXED_BYTES_PER_AGENT * n,
-            wm::CSR_RANDOM_PER_BOX * boxes,
-        ),
-    };
-    let forces = Phase {
-        name: "mechanical forces",
-        flops,
-        bytes,
-        random_accesses,
-        parallel,
-        fp64: model != ForceModel::CsrF32,
-    };
+    let forces = wm::forces(pass, rm.len(), &stats.counters, stats.contacts, parallel);
     timed.push((forces, wall_sweep));
     let (phases, wall_s) = timed.into_iter().unzip();
-    let csr = matches!(model, ForceModel::Csr | ForceModel::CsrF32);
+    let csr = matches!(pass, ForcePass::Csr(_));
     MechWork {
         phases,
         wall_s,
@@ -767,9 +606,9 @@ fn force_sweep(
         contacts: stats.contacts,
         neighbors: stats.counters.neighbors_found,
         index_gap: (csr && stats.counters.points_tested > 0)
-            .then(|| stats.gap_sum as f64 / candidates),
+            .then(|| stats.gap_sum as f64 / stats.counters.points_tested as f64),
         stencils_staged: csr.then_some(stats.staged),
-        simd: (model == ForceModel::CsrF32).then_some(stats.simd),
+        simd: (pass == ForcePass::Csr(Precision::F32Simd)).then_some(stats.simd),
         ..Default::default()
     }
 }
@@ -1555,34 +1394,18 @@ fn cpu_kdtree_step(
         counters.merge(&c);
         lists.push(list);
     }
-    let build = Phase::serial_fp64(
-        "neighborhood build",
-        work_model::KD_BUILD_FLOPS_PER_POINT_LEVEL
-            * build_stats.points as f64
-            * build_stats.depth as f64,
-        work_model::KD_BUILD_BYTES_PER_POINT_LEVEL
-            * build_stats.points as f64
-            * build_stats.depth as f64,
-        build_stats.nodes as f64 / 4.0,
-    );
-    let search = Phase::parallel_fp64(
-        "neighborhood search",
-        work_model::KD_SEARCH_FLOPS_PER_CANDIDATE * counters.points_tested as f64,
-        work_model::KD_SEARCH_BYTES_PER_CANDIDATE * counters.points_tested as f64,
-        // Upper tree levels stay cache-resident; only about half the
-        // node hops go to memory.
-        counters.nodes_visited as f64 / 2.0,
-    );
+    let build = wm::kd_build(&build_stats);
+    let search = wm::kd_search(&counters);
     let timed = vec![(build, wall_build), (search, wall_search)];
 
     // Phase 3: forces over the cached lists.
-    let (bufs, model) = ((&mut scratch.buffer, &mut scratch.lanes), ForceModel::Lists);
+    let (bufs, pass) = ((&mut scratch.buffer, &mut scratch.lanes), ForcePass::Lists);
     let mut work = force_sweep(
         rm,
         bufs,
         timed,
         SweepParts::of_storage(&cuts),
-        model,
+        pass,
         true,
         |rm, c, base, out, _| scalar_lanes(rm, params, &lists[c], base, out),
     );
@@ -1610,45 +1433,23 @@ fn cpu_grid_step(
     } else {
         UniformGrid::build_serial(xs, ys, zs, params.space, radius)
     };
-    let bytes = work_model::GRID_BUILD_BYTES_PER_AGENT * n as f64;
-    let build = Phase {
-        parallel,
-        ..Phase::parallel_fp64("neighborhood build", 0.0, bytes, n as f64)
-    };
-    let timed = vec![(build, t0.elapsed().as_secs_f64())];
+    let timed = vec![(
+        wm::linked_list_build(n, parallel),
+        t0.elapsed().as_secs_f64(),
+    )];
 
     // Phase 2: fused neighbor scan + force computation.
     let bufs = (&mut scratch.buffer, &mut scratch.lanes);
-    let (cuts, model) = (bdm_soa::chunk_cuts(n), ForceModel::LinkedList);
+    let (cuts, pass) = (bdm_soa::chunk_cuts(n), ForcePass::LinkedList);
     force_sweep(
         rm,
         bufs,
         timed,
         SweepParts::of_storage(&cuts),
-        model,
+        pass,
         true,
         |rm, _, base, out, _| scalar_lanes(rm, params, &grid, base, out),
     )
-}
-
-/// The modeled counting-sort build over `members` agents (a shard's
-/// members include its halo); a skipped incremental rebuild only
-/// streams the voxel-key compare.
-pub(crate) fn csr_build_phase(members: usize, skipped: bool, parallel: bool) -> Phase {
-    use work_model as wm;
-    let m = members as f64;
-    let (bytes, random) = if skipped {
-        (wm::CSR_BUILD_SKIP_BYTES_PER_AGENT * m, 0.0)
-    } else {
-        (
-            wm::CSR_BUILD_BYTES_PER_AGENT * m,
-            wm::CSR_BUILD_RANDOM_PER_AGENT * m,
-        )
-    };
-    Phase {
-        parallel,
-        ..Phase::parallel_fp64("neighborhood build", 0.0, bytes, random)
-    }
 }
 
 /// The global CSR step. `parallel` is the environment's build flag: it
@@ -1696,7 +1497,7 @@ fn cpu_grid_csr_step(
     };
     scratch.csr_key = Some(key);
     let build = (
-        csr_build_phase(n, reason.skipped(), parallel),
+        wm::csr_build(n, reason.skipped(), parallel),
         t0.elapsed().as_secs_f64(),
     );
 
@@ -1774,10 +1575,6 @@ pub(crate) fn csr_sweep(
     parts: CsrParts<'_>,
     parallel: bool,
 ) -> MechWork {
-    let model = match params.precision {
-        Precision::F64 => ForceModel::Csr,
-        Precision::F32Simd => ForceModel::CsrF32,
-    };
     let MechScratch {
         buffer,
         lanes: pool,
@@ -1797,9 +1594,9 @@ pub(crate) fn csr_sweep(
                 (grids[c], groups)
             }
         };
-        match model {
-            ForceModel::CsrF32 => simd_lanes(rm, params, grid, groups, out, lane),
-            _ => f64_lanes(rm, params, grid, groups, out, lane),
+        match params.precision {
+            Precision::F32Simd => simd_lanes(rm, params, grid, groups, out, lane),
+            Precision::F64 => f64_lanes(rm, params, grid, groups, out, lane),
         }
     };
     let global_cuts;
@@ -1815,7 +1612,8 @@ pub(crate) fn csr_sweep(
         }
         CsrParts::Shards { cuts, .. } => SweepParts::of_storage(cuts),
     };
-    force_sweep(rm, (buffer, pool), timed, parts, model, parallel, lanes)
+    let pass = ForcePass::Csr(params.precision);
+    force_sweep(rm, (buffer, pool), timed, parts, pass, parallel, lanes)
 }
 
 fn gpu_step(
@@ -3026,7 +2824,7 @@ mod tests {
             bufs,
             Vec::new(),
             parts,
-            ForceModel::Csr,
+            ForcePass::Csr(Precision::F64),
             true,
             |rm, _, base, out, lane| {
                 let groups = VoxelGroups::of_slots(&grid, base..base + out.len());

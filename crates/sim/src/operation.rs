@@ -23,11 +23,11 @@ use crate::diffusion::{step_all, DiffusionGrid};
 use crate::environment::EnvironmentKind;
 use crate::exec::ExecutionContext;
 use crate::mech::{self, MechScratch, MechWork};
-use crate::param::{Precision, SimParams};
+use crate::param::SimParams;
 use crate::profiler::OpRecord;
-use crate::rm::{sort_phase, AgentChunkMut, AgentRow, AgentShared, ResourceManager};
+use crate::rm::{AgentChunkMut, AgentRow, AgentShared, ResourceManager};
 use crate::shard::ShardedEnvironment;
-use bdm_device::cpu::Phase;
+use crate::work_model as wm;
 use bdm_gpu::pipeline::MechanicalPipeline;
 use bdm_math::{SplitMix64, Vec3};
 use bdm_morton::Curve;
@@ -203,7 +203,7 @@ struct SortedKey {
 
 impl Operation for ReorderOp {
     fn name(&self) -> &str {
-        "reorder"
+        wm::REORDER
     }
 
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
@@ -214,7 +214,7 @@ impl Operation for ReorderOp {
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),
-            phases: vec![sort_phase("reorder", n, moved, true)],
+            phases: vec![wm::sort(wm::REORDER, n, moved, true)],
             gpu: None,
         }]
     }
@@ -239,7 +239,7 @@ pub struct ShardRebalanceOp;
 
 impl Operation for ShardRebalanceOp {
     fn name(&self) -> &str {
-        "shard rebalance"
+        wm::SHARD_REBALANCE
     }
 
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
@@ -253,13 +253,7 @@ impl Operation for ShardRebalanceOp {
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),
-            // Key computation + uid-sorted diff + key sort.
-            phases: vec![Phase::parallel_fp64(
-                "shard rebalance",
-                40.0 * n as f64,
-                48.0 * n as f64,
-                resplit as u64 as f64,
-            )],
+            phases: vec![wm::shard_rebalance(n, resplit)],
             gpu: None,
         }]
     }
@@ -361,7 +355,7 @@ fn run_behavior_chunk(
 
 impl Operation for BehaviorOp {
     fn name(&self) -> &str {
-        "behaviors"
+        wm::BEHAVIORS
     }
 
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
@@ -390,12 +384,7 @@ impl Operation for BehaviorOp {
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),
-            phases: vec![Phase::parallel_fp64(
-                "behaviors",
-                20.0 * outcome.behaviors_run as f64 + 60.0 * outcome.divisions as f64,
-                64.0 * outcome.behaviors_run as f64,
-                outcome.divisions as f64,
-            )],
+            phases: vec![wm::behaviors(outcome.behaviors_run, outcome.divisions)],
             gpu: None,
         }]
     }
@@ -467,7 +456,7 @@ pub struct BoundSpaceOp;
 
 impl Operation for BoundSpaceOp {
     fn name(&self) -> &str {
-        "bound space"
+        wm::BOUND_SPACE
     }
 
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
@@ -503,12 +492,7 @@ impl Operation for BoundSpaceOp {
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),
-            phases: vec![Phase::parallel_fp64(
-                "bound space",
-                6.0 * n as f64,
-                48.0 * n as f64,
-                clamped as f64,
-            )],
+            phases: vec![wm::bound_space(n, clamped)],
             gpu: None,
         }]
     }
@@ -536,7 +520,7 @@ pub struct DiffusionOp;
 
 impl Operation for DiffusionOp {
     fn name(&self) -> &str {
-        "diffusion"
+        wm::DIFFUSION
     }
 
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
@@ -547,26 +531,10 @@ impl Operation for DiffusionOp {
         let dt = ctx.params.mech.timestep;
         let precision = ctx.params.precision;
         let run = step_all(ctx.substances, dt, precision, &mut ctx.mech_scratch.buffer);
-        let (updates, interior) = (run.voxel_updates, run.interior_updates);
-        let faces = updates - interior;
-        // Work model: 19 FLOPs per stencil update. Interior updates
-        // stream 2 words/voxel (read the center row once, write once —
-        // the six neighbor rows ride the sweep's three hot planes in
-        // cache); wall voxels get no reuse credit and touch all 8
-        // words. The f32 path halves the word size.
-        let fp64 = precision == Precision::F64;
-        let word = if fp64 { 8.0 } else { 4.0 };
         vec![OpRecord {
             name: self.name().into(),
             wall_s: t.elapsed().as_secs_f64(),
-            phases: vec![Phase {
-                name: "diffusion",
-                flops: 19.0 * updates as f64,
-                bytes: word * (2.0 * interior as f64 + 8.0 * faces as f64),
-                random_accesses: 0.0,
-                parallel: true,
-                fp64,
-            }],
+            phases: vec![wm::diffusion(&run, precision)],
             gpu: None,
         }]
     }

@@ -48,7 +48,6 @@
 
 use crate::behavior::Behavior;
 use crate::cell::{valid_adherence, valid_diameter, CellBuilder};
-use bdm_device::cpu::Phase;
 use bdm_math::{Aabb, Vec3};
 use bdm_morton::{radix_argsort, CellCurve, Curve};
 use bdm_soa::{
@@ -58,21 +57,6 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::mem::{size_of, MaybeUninit};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The modeled cost of one [`ResourceManager::sort_storage`] over `n`
-/// agents of which `moved` were gathered: key computation + argsort +
-/// (amortized) column gathers.
-pub(crate) fn sort_phase(name: &'static str, n: usize, moved: u64, parallel: bool) -> Phase {
-    Phase {
-        parallel,
-        ..Phase::parallel_fp64(
-            name,
-            30.0 * n as f64,
-            32.0 * n as f64 + 136.0 * moved as f64,
-            moved as f64,
-        )
-    }
-}
 
 /// The distinct behavior lists of a population (see the module docs).
 #[derive(Debug, Clone)]

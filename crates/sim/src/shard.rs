@@ -38,7 +38,8 @@
 
 use crate::mech::{self, CsrParts, MechScratch, MechWork};
 use crate::param::SimParams;
-use crate::rm::{sort_phase, ResourceManager};
+use crate::rm::ResourceManager;
+use crate::work_model as wm;
 use bdm_grid::{CsrBuildScratch, CsrGrid, GridGeometry};
 use bdm_math::Aabb;
 use bdm_morton::{cell_keys, hilbert_decode3, hilbert_encode3, Curve, ShardMap};
@@ -359,10 +360,10 @@ impl ShardedEnvironment {
         // in the machine model; the sort is a global rayon argsort.
         let shard_parallel = parallel && self.map.shards() > 1;
         let timed = vec![
-            (sort_phase("shard sort", n, moved, parallel), wall_sort),
+            (wm::sort(wm::SHARD_SORT, n, moved, parallel), wall_sort),
             // The counting-sort build streams owned + halo members.
             (
-                mech::csr_build_phase(members_total, false, shard_parallel),
+                wm::csr_build(members_total, false, shard_parallel),
                 wall_build,
             ),
         ];

@@ -36,7 +36,9 @@ stage() (
     echo "== verify: $1" >&2
     case $1 in
     build)
-        cargo build --release --offline --workspace ;;
+        # `--locked`: a manifest edit that leaves the root Cargo.lock stale
+        # fails here instead of rewriting the lock on the next build.
+        cargo build --release --offline --locked --workspace ;;
     test)
         cargo test -q --offline --workspace ;;
     release)
