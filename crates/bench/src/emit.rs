@@ -70,6 +70,7 @@ pub fn default_policy(name: &str) -> Option<GatePolicy> {
                 | "gpu.sync"
                 | "gpu.grid_build"
                 | "mech.stencils_staged"
+                | "mech.simd_blocks_evaluated"
                 | "diffusion.resident_bytes"
                 | "agents.resident_bytes"
                 | "agents.behavior_lists"
@@ -110,7 +111,8 @@ pub fn default_policy(name: &str) -> Option<GatePolicy> {
         // reorder's runs by outcome say why `reorder`'s wall time reads
         // what it reads (and restart at zero on a restore), as do its
         // scans skipped on an unchanged position stamp and the CSR
-        // rebuild's reason for the neighborhood build's.
+        // rebuild's reason for the neighborhood build's, and the f32
+        // body's blocks that passed its radius gate for its force time.
         None
     } else if is_exact(name) {
         Some(GatePolicy::with_tol(0.0))
@@ -434,6 +436,7 @@ mod tests {
         assert_eq!(tol("gpu.sort_gathers"), Some(0.0));
         assert_eq!(tol("layouts.csr_index_gap"), Some(0.02));
         assert!(default_policy("mech.stencils_staged").is_none());
+        assert!(default_policy("mech.simd_blocks_evaluated").is_none());
         assert!(default_policy("agents.resident_bytes").is_none());
         assert!(default_policy("agents.behavior_lists").is_none());
         assert!(default_policy("behaviors.commit_ms").is_none());

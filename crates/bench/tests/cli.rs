@@ -168,6 +168,7 @@ fn debug_metrics_prints_one_document_per_scene_with_every_family() {
         "mech.csr_index_gap",
         "mech.stencils_staged",
         "mech.simd_lanes_utilized",
+        "mech.simd_blocks_evaluated",
         "mech.phase_flops",
         "shard.halo_agents",
         "gpu.h2d_s",

@@ -171,6 +171,7 @@ mod avx2 {
         ));
         and_mask(a: M32x8, b: M32x8) -> M32x8 = m32x8(_mm256_and_si256(mask(a), mask(b)));
         ones(m: M32x8) -> U32x8 = u32x8(_mm256_and_si256(mask(m), _mm256_set1_epi32(1)));
+        any_lane(m: M32x8) -> bool = _mm256_movemask_ps(_mm256_castsi256_ps(mask(m))) != 0;
         add_epi32(a: U32x8, b: U32x8) -> U32x8 = u32x8(_mm256_add_epi32(epi32(a), epi32(b)));
         ne_epi32(a: U32x8, b: U32x8) -> M32x8 = m32x8(_mm256_xor_si256(
             _mm256_cmpeq_epi32(epi32(a), epi32(b)),
@@ -583,6 +584,13 @@ impl M32x8 {
         self.bits().count_ones()
     }
 
+    /// Whether any lane is true — `bits() != 0` (`vmovmskps` + `test`),
+    /// pinned for a branch-free per-batch test in a hot loop.
+    #[inline(always)]
+    pub fn any(self) -> bool {
+        lanes!(avx2::any_lane(self), self.bits() != 0)
+    }
+
     /// The mask as 0/1 integer lanes (`vpand` with a splat of 1).
     ///
     /// This is the vertical-counting primitive: a loop that needs "how
@@ -947,7 +955,12 @@ mod tests {
         let x = F32x8([1.0, -2.0, f32::NAN, 4.0, -0.0, 6.0, f32::INFINITY, 8.0]);
         let y = F32x8([-1.0, 0.5, 3.0, f32::NAN, 0.0, -6.0, 7.0, f32::NEG_INFINITY]);
         let sel = odd.select(x, y);
+        assert_eq!(odd.any(), odd.bits() != 0, "any");
         for l in 0..LANES {
+            let mut one = M32x8::default();
+            assert!(!one.any(), "any of no lane");
+            one.0[l] = !0;
+            assert!(one.any(), "any of lane {l}");
             assert_eq!(ne.0[l], if a.0[l] != b.0[l] { !0 } else { 0 }, "ne {l}");
             assert_eq!(ad.0[l], a.0[l].abs_diff(b.0[l]), "abs_diff {l}");
             assert_eq!(sum.0[l], a.0[l].wrapping_add(b.0[l]), "add {l}");

@@ -85,6 +85,11 @@ pub struct SimdWork {
     /// a voxel's tile and keeps no `f32` copy to refresh. Kept for
     /// readers of the field.
     pub refresh_copies: u64,
+    /// 8-lane blocks Eq. 1 ran on: per agent, the blocks of its tile
+    /// with a lane inside the interaction radius (its own block always
+    /// is). `1 − blocks_evaluated · LANES / (lanes_utilized + pad_lanes +
+    /// agents)` is the share of the tile the radius gate skipped.
+    pub blocks_evaluated: u64,
 }
 
 /// Outcome of one mechanical step. The default is the empty outcome (no
@@ -222,6 +227,11 @@ impl MechWork {
                 simd.lanes_utilized as f64,
             );
             reg.inc_counter("mech.simd_pad_lanes", &labels, simd.pad_lanes as f64);
+            reg.inc_counter(
+                "mech.simd_blocks_evaluated",
+                &labels,
+                simd.blocks_evaluated as f64,
+            );
         }
         for (i, phase) in self.phases.iter().enumerate() {
             let labels = [("env", env), ("phase", phase.name)];
@@ -441,6 +451,7 @@ impl SweepStats {
         self.gap_sum += s.gap_sum;
         self.simd.lanes_utilized += s.simd.lanes_utilized;
         self.simd.pad_lanes += s.simd.pad_lanes;
+        self.simd.blocks_evaluated += s.simd.blocks_evaluated;
         self.staged += s.staged;
         self
     }
@@ -825,7 +836,9 @@ struct LaneScratch {
     wy: Vec<f64>,
     wz: Vec<f64>,
     /// `f64` body: tile positions of the candidates inside the radius,
-    /// in candidate order — pass 1's output, pass 2's input.
+    /// in candidate order — pass 1's output, pass 2's input. `f32` body:
+    /// tile offsets of the 8-lane blocks with a lane inside the radius,
+    /// ascending — the gate's output, Eq. 1's and pass B's input.
     near: Vec<u32>,
     /// Slots of `cell_agents()` below this one were integrated before the
     /// current band ([`force_sweep`]); a debug build's stage panics if it
@@ -940,6 +953,7 @@ impl LaneScratch {
         ] {
             grow(col, padded);
         }
+        grow(&mut self.near, padded / LANES);
         for off in (0..padded).step_by(LANES) {
             let idv = U32x8::from_slice(&self.ids[off..]);
             let [x, y, z, d] = load_block([xs, ys, zs, diameters], idv);
@@ -1034,16 +1048,30 @@ fn load_block<const N: usize>(cols: [&[f64]; N], idv: U32x8) -> [F64x8; N] {
 ///   whatever record sits under it — there is no scalar tail path, and
 ///   `pad_lanes` and the gap are what padding a per-agent gather with
 ///   the self id produces, bit for bit;
-/// * pass A runs Eq. 1 on contiguous 8-wide loads through the lane types
-///   of [`bdm_math::simd`] and *stores* its contributions; pass B widens
-///   and accumulates them **per lane in f64** ([`F64x8`]), reduced in
-///   lane-index order. The accumulation order is a pure function of the
-///   candidate sequence and the batching geometry — never of thread
-///   scheduling, of how the agents are partitioned or of what was
-///   staged when — so the path is bitwise deterministic (serial ≡
-///   parallel ≡ sharded, run ≡ rerun). It *differs* from the f64 path
-///   within the ±1e-5 per-step envelope pinned by
-///   `tests/precision_claims.rs`, and because storage order changes
+/// * **Eq. 1 runs only on the blocks that hold a neighbor.** Pass A is
+///   two loops over the tile's 8-lane blocks, on contiguous loads through
+///   the lane types of [`bdm_math::simd`]. A lean gate over every block
+///   computes `dist2` and the index gap and lists, branch-free, the
+///   blocks with a lane at `dist2 ≤ r²` (≈ 45 % of them on Benchmark B;
+///   the agent's own block always, at distance 0). Eq. 1 then runs on the
+///   listed blocks alone, with the `valid` mask and the neighbor and
+///   contact counts, and *stores* its contributions; pass B widens and
+///   accumulates the listed blocks' **per lane in f64** ([`F64x8`]), in
+///   ascending order, reduced in lane-index order. That is exact, bit for
+///   bit and counter for counter, against evaluating every block: an
+///   unlisted block has no lane inside the radius, so every contribution
+///   it would store is `+0.0` and every count 0; a lane sum starts at
+///   `+0.0` and a round-to-nearest sum is `−0.0` only when both addends
+///   are, so no lane sum is ever `−0.0`, and adding `+0.0` to it changes
+///   no bit. Every tile entry but the agent is a valid lane, so
+///   `lanes_utilized` is `len − 1` per resident, counted without a mask.
+///   The accumulation order is a pure function of the candidate
+///   sequence and the batching geometry — never of thread scheduling,
+///   of how the agents are partitioned or of what was staged when — so
+///   the path is bitwise deterministic (serial ≡ parallel ≡ sharded,
+///   run ≡ rerun). It *differs* from the f64 path within the ±1e-5
+///   per-step envelope pinned by `tests/precision_claims.rs`, and
+///   because storage order changes
 ///   lane packing (hence rounding), f32 trajectories are also a function
 ///   of the reorder policy. So are f64 ones, in general: the f64 body
 ///   sums a voxel's candidates in storage order, which is uid order —
@@ -1061,13 +1089,16 @@ fn load_block<const N: usize>(cols: [&[f64]; N], idv: U32x8) -> [F64x8; N] {
 /// per-agent-gather body retired 139 instructions — pass A 86, four of
 /// them `vgatherdps`, pass B 53, mostly `vinsertps` / `vblendps` /
 /// `vextractf128` re-packing scalarised lanes — in ≈ 17.7 ns on one
-/// worker of this host. This body retires 84 (pass A 70 with no gather,
-/// pass B 13.5: `vcvtps2pd` + `vaddpd` from memory) in ≈ 9.1 ns, and
-/// the gathers run once per voxel. The loop is throughput-bound; its
-/// instruction selection is pinned by the `avx2` bodies of the lane
-/// ops, because left to the `[T; 8]` array loops LLVM scalarises the
-/// four `U32x8` statistic accumulators across the batch loop and the
-/// staged body comes out *slower* than the gather it replaces. Exact
+/// worker of this host. The staged body without the gate retired 84
+/// (pass A 70 with no gather, pass B 13.5: `vcvtps2pd` + `vaddpd` from
+/// memory) in ≈ 9.1 ns, and the gathers run once per voxel. This body's
+/// gate retires 29 per block and a listed block 83 more (Eq. 1 62, pass
+/// B 21), two `vsqrtps` and a `vdivps` of them, on 45 % of the blocks.
+/// The loops are throughput-bound; their instruction selection is
+/// pinned by the `avx2` bodies of the lane ops, because left to the
+/// `[T; 8]` array loops LLVM scalarises the `U32x8` statistic
+/// accumulators across the batch loop and the staged body comes out
+/// *slower* than the gather it replaces. Exact
 /// IEEE `vsqrtps` / `vdivps` stay: a variant seeded by `vrsqrtps` /
 /// `vrcpps` with one Newton step measured slower.
 fn simd_lanes(
@@ -1104,22 +1135,13 @@ fn simd_lanes(
             let iv = U32x8::splat(i);
             let (qx, qy, qz) = (F32x8::splat(q.x), F32x8::splat(q.y), F32x8::splat(q.z));
             let r1v = F32x8::splat(r1);
-            let (mut ax, mut ay, mut az) = (F64x8::zero(), F64x8::zero(), F64x8::zero());
-            // Per-agent statistic accumulators, vertical form: each batch
-            // adds its masks as 0/1 lanes ([`M32x8::ones`], a `vpand` +
-            // `vpaddd` per counter) and the horizontal reduction happens
-            // once per agent. Lane sums stay far below u32 range for any
-            // realistic stencil (counts gain ≤ 1 per batch; the index gap
-            // is bounded by agent count per candidate, ≤ ~10⁹ per lane).
-            let (mut lane_acc, mut neigh_acc, mut contact_acc) =
-                (U32x8::splat(0), U32x8::splat(0), U32x8::splat(0));
-            let mut gap_acc = U32x8::splat(0);
             // The tile's pad lanes take this agent's own id, which is all
-            // `valid` looks at; the records under them are never used.
+            // `valid` looks at: a record under one may list its block for
+            // Eq. 1, never count or contribute.
             lane.ids[len..batched].fill(i);
             stats.simd.pad_lanes += (batched - len) as u64;
-            // Pin every buffer to exactly `batched` elements: the loop
-            // bound then *proves* each 8-lane window is in range.
+            // Pin every buffer to exactly `batched` elements: the gate's
+            // loop bound then *proves* each 8-lane window is in range.
             let cs = &lane.ids[..batched];
             let (pxs, pys, pzs, djs) = (
                 &lane.px[..batched],
@@ -1132,17 +1154,46 @@ fn simd_lanes(
                 &mut lane.fy[..batched],
                 &mut lane.fz[..batched],
             );
-            // Pass A: 8-wide f32 math, contributions *stored* rather than
-            // accumulated here — six f64 accumulator registers live across
-            // this loop would spill it.
+            let hot = &mut lane.near[..batched / LANES];
+            // Pass A, first loop — the gate: every block, `dist2 ≤ r²`
+            // and the index gap only. A block's offset is written at the
+            // cursor either way and kept by advancing the cursor when a
+            // lane passed — no branch per block. The own block always
+            // passes (distance 0). The gap's lane sums stay far below u32
+            // range (≤ ~10⁹ per lane: the agent count per candidate).
+            let mut gap_acc = U32x8::splat(0);
+            let mut listed = 0usize;
             let mut off = 0usize;
             while off + LANES <= batched {
-                let idv = U32x8::from_slice(&cs[off..off + LANES]);
+                let dx = qx - F32x8::from_slice(&pxs[off..off + LANES]);
+                let dy = qy - F32x8::from_slice(&pys[off..off + LANES]);
+                let dz = qz - F32x8::from_slice(&pzs[off..off + LANES]);
+                let dist2 = dx * dx + dy * dy + dz * dz;
+                hot[listed] = off as u32;
+                listed += dist2.le(r2v).any() as usize;
+                // The self lane contributes |i − i| = 0: no mask.
+                gap_acc = gap_acc + U32x8::from_slice(&cs[off..off + LANES]).abs_diff(iv);
+                off += LANES;
+            }
+            let hot = &hot[..listed];
+            // Per-agent statistic accumulators, vertical form: each listed
+            // block adds its masks as 0/1 lanes ([`M32x8::ones`], a `vpand`
+            // + `vpaddd` per counter) and the horizontal reduction happens
+            // once per agent. Lane sums stay far below u32 range for any
+            // realistic stencil (counts gain ≤ 1 per block).
+            let (mut neigh_acc, mut contact_acc) = (U32x8::splat(0), U32x8::splat(0));
+            // Pass A, second loop — Eq. 1 on the listed blocks, their
+            // contributions *stored* rather than accumulated here: six
+            // f64 accumulator registers live across this loop would
+            // spill it.
+            for &off in hot {
+                let off = off as usize;
+                let idv = U32x8::from_slice(&cs[off..]);
                 let valid = idv.ne(iv);
-                let px = F32x8::from_slice(&pxs[off..off + LANES]);
-                let py = F32x8::from_slice(&pys[off..off + LANES]);
-                let pz = F32x8::from_slice(&pzs[off..off + LANES]);
-                let dj = F32x8::from_slice(&djs[off..off + LANES]);
+                let px = F32x8::from_slice(&pxs[off..]);
+                let py = F32x8::from_slice(&pys[off..]);
+                let pz = F32x8::from_slice(&pzs[off..]);
+                let dj = F32x8::from_slice(&djs[off..]);
                 let dx = qx - px;
                 let dy = qy - py;
                 let dz = qz - pz;
@@ -1151,11 +1202,11 @@ fn simd_lanes(
                 let rj = dj * halfv;
                 let sum_r = r1v + rj;
                 let dist = dist2.sqrt();
-                // Eq. 1 evaluated unconditionally on every lane; the contact
-                // mask (the scalar kernel's two early-outs plus the radius
-                // gate) discards the NaN/inf garbage of non-contact lanes
-                // bitwise. The two divisions fold into one algebraically:
-                // with r_eff = r1·rj/sum_r,
+                // Eq. 1 evaluated on every lane of a listed block; the
+                // contact mask (the scalar kernel's two early-outs plus
+                // the radius gate) discards the NaN/inf garbage of
+                // non-contact lanes bitwise. The two divisions fold into
+                // one algebraically: with r_eff = r1·rj/sum_r,
                 //   mag/dist = (rep·δ·sum_r − att·√(r1·rj·δ·sum_r))
                 //              / (sum_r·dist)
                 // because √(r_eff·δ)·sum_r = √(r1·rj·δ·sum_r).
@@ -1167,33 +1218,32 @@ fn simd_lanes(
                 let zero = F32x8::zero();
                 contact
                     .select(dx * scale, zero)
-                    .write_to_slice(&mut fxs[off..off + LANES]);
+                    .write_to_slice(&mut fxs[off..]);
                 contact
                     .select(dy * scale, zero)
-                    .write_to_slice(&mut fys[off..off + LANES]);
+                    .write_to_slice(&mut fys[off..]);
                 contact
                     .select(dz * scale, zero)
-                    .write_to_slice(&mut fzs[off..off + LANES]);
-                lane_acc = lane_acc + valid.ones();
+                    .write_to_slice(&mut fzs[off..]);
                 neigh_acc = neigh_acc + neighbor.ones();
                 contact_acc = contact_acc + contact.ones();
-                // The self lane contributes |i − i| = 0: no mask.
-                gap_acc = gap_acc + idv.abs_diff(iv);
-                off += LANES;
             }
-            // Pass B: widen and accumulate the stored contributions in f64.
-            // Lane assignment and reduce order are exactly pass A's, so the
-            // result is bit-identical to a fused accumulate.
-            let mut off2 = 0usize;
-            while off2 + LANES <= batched {
-                ax.accumulate(F32x8::from_slice(&fxs[off2..off2 + LANES]));
-                ay.accumulate(F32x8::from_slice(&fys[off2..off2 + LANES]));
-                az.accumulate(F32x8::from_slice(&fzs[off2..off2 + LANES]));
-                off2 += LANES;
+            // Pass B: widen and accumulate the listed blocks' stored
+            // contributions in f64, in ascending block order. An unlisted
+            // block would add +0.0 to every lane, and no lane sum is ever
+            // −0.0, so the result is bit-identical to accumulating every
+            // block.
+            let (mut ax, mut ay, mut az) = (F64x8::zero(), F64x8::zero(), F64x8::zero());
+            for &off in hot {
+                let off = off as usize;
+                ax.accumulate(F32x8::from_slice(&fxs[off..]));
+                ay.accumulate(F32x8::from_slice(&fys[off..]));
+                az.accumulate(F32x8::from_slice(&fzs[off..]));
             }
-            let lanes_n = lane_acc.reduce_sum();
-            stats.counters.points_tested += lanes_n;
-            stats.simd.lanes_utilized += lanes_n;
+            // Every tile entry but the agent itself rides a valid lane.
+            stats.counters.points_tested += len as u64 - 1;
+            stats.simd.lanes_utilized += len as u64 - 1;
+            stats.simd.blocks_evaluated += listed as u64;
             stats.counters.neighbors_found += neigh_acc.reduce_sum();
             stats.contacts += contact_acc.reduce_sum();
             stats.gap_sum += gap_acc.reduce_sum();
@@ -2569,6 +2619,52 @@ mod tests {
         }
     }
 
+    /// The f32 body's radius gate at its two edges, against the oracle
+    /// and by the blocks it lists: a candidate at exactly the radius
+    /// (`dist2 == r²` in f32) in lane 7 of a block that is not the
+    /// agent's own lists that block — the gate is `≤`, as the neighbor
+    /// test is — and a lone agent, whose tile is its own block alone,
+    /// lists that one block.
+    #[test]
+    fn the_radius_gate_lists_boundary_and_own_blocks() {
+        let params = SimParams::cube(6.0)
+            .with_precision(Precision::F32Simd)
+            .with_interaction_radius(2.0);
+        let cell = |p: Vec3<f64>| CellBuilder::new(p).diameter(3.0).adherence(0.01);
+        // Voxels are 2 wide from −6: agent 0 alone in [0, 2)³, 14 agents
+        // 2.5 away in the next y row (the run after its own), and one
+        // exactly 2 above it in the next z layer (the run after that):
+        // tile entries 0, 1..15 and 15 — lane 7 of block 1.
+        let mut rm = ResourceManager::new();
+        rm.add(cell(Vec3::new(1.0, 1.0, 1.0)));
+        for k in 0..14 {
+            rm.add(cell(Vec3::new(-1.5 + 0.35 * k as f64, 3.5, 1.0)));
+        }
+        rm.add(cell(Vec3::new(1.0, 1.0, 3.0)));
+        let grid = global_grid(&rm, &params);
+        let agents = grid.cell_agents();
+        let slot = agents
+            .iter()
+            .position(|id| id.index() == 0)
+            .expect("agent 0");
+        let mut lane = LaneScratch::default();
+        let group = VoxelGroups::of_slots(&grid, slot..slot + 1).next();
+        let tile = lane.stage(&grid, &group.expect("agent 0's voxel"));
+        assert_eq!((tile.center, tile.len, lane.ids[15]), (0, 16, 15));
+        let parts = [(0..rm.len(), &grid)];
+        assert_matches_reference(&rm, &params, Cut::Slots, &parts, &mut lane);
+        // Agent `slot`'s neighbors and the blocks Eq. 1 ran on for it.
+        let mut evaluated = |rm: &ResourceManager, grid: &CsrGrid<f64>, slot: usize| {
+            let (groups, lane) = (VoxelGroups::of_slots(grid, slot..slot + 1), &mut lane);
+            let stats = simd_lanes(rm, &params, grid, groups, &mut [Vec3::zero()], lane);
+            (stats.counters.neighbors_found, stats.simd.blocks_evaluated)
+        };
+        assert_eq!(evaluated(&rm, &grid, slot), (1, 2));
+        let mut alone = ResourceManager::new();
+        alone.add(cell(Vec3::new(1.0, 1.0, 1.0)));
+        assert_eq!(evaluated(&alone, &global_grid(&alone, &params), 0), (0, 1));
+    }
+
     /// The stage count is a function of the grid and the cuts: every
     /// non-empty voxel is staged once, plus once more per part boundary
     /// that splits its residents — on sorted and on shuffled storage
@@ -2668,7 +2764,7 @@ mod tests {
         // the sweep's tasks allocate nothing, and neither do the bands.
         let one_worker = rayon::ThreadPoolBuilder::new().num_threads(1).build();
         let one_worker = one_worker.expect("pool");
-        for (precision, columns) in [(Precision::F32Simd, 8), (Precision::F64, 5)] {
+        for (precision, columns) in [(Precision::F32Simd, 9), (Precision::F64, 5)] {
             let mut params = SimParams::cube(6.0).with_precision(precision);
             params.mech.max_displacement = 0.0;
             let mut rm = random_population(bdm_soa::CHUNK + 300, 5.5, 23);

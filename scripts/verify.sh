@@ -64,13 +64,15 @@ stage() (
             --test checkpoint_format --test birth_goldens --test alloc_births
         # Both lane bodies of the CSR voxel walk against their retained
         # per-agent kernels, bit for bit (the 8-lane f32 body against the
-        # gather kernel, the f64 body against the scalar one), and the
+        # gather kernel, the f64 body against the scalar one), the f32
+        # body's radius gate at exactly the radius and on a lone agent, and the
         # stage count (non-empty voxels plus part splits, sorted or not);
         # and a resident GPU step finding a host reorder from the uid
         # diff alone (transfers and checkpoint pinned to the commit that
         # still announced it).
         named test -q --offline --release -p bdm-sim --lib -- \
             staged_lanes_match_the_per_agent_kernel \
+            the_radius_gate_lists_boundary_and_own_blocks \
             staged_f64_lanes_match_the_scalar_kernel_bitwise \
             every_voxel_is_staged_once \
             a_step_on_shuffled_storage_moves_every_agent_as_the_oracle_does \
@@ -96,6 +98,10 @@ stage() (
         # check in their parts, and the gathers on either side of the
         # fork point, on this many default workers.
         cargo test -q --offline --release -p bdm-grid -p bdm-soa --lib
+        # The fork-join executor itself: index-ordered results, the
+        # sequential fold's bits, nested calls inline, panics, the shuffled
+        # schedule, and blocks that differ in size by at most one.
+        cargo test -q --offline --release -p rayon
         # The reorder's radix argsort and gathers against the comparison
         # sort, and daughters written into the columns against the
         # buffered merge (both pin 1 / 2 / 4 workers and shuffled
