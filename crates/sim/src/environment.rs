@@ -7,7 +7,7 @@
 //! * [`EnvironmentKind::KdTree`] — the v0.0.9 baseline: serial kd-tree
 //!   build + per-agent radius search;
 //! * [`EnvironmentKind::UniformGrid`] — the paper's §IV-A replacement
-//!   (Fig. 5), with serial or lock-free parallel build, in either the
+//!   (Fig. 5), with its build modeled serial or parallel, in either the
 //!   paper-faithful linked-list storage or the post-paper CSR
 //!   counting-sort layout (see [`GridLayout`]);
 //! * [`EnvironmentKind::Gpu`] — the §IV-B offload: grid build and force
@@ -56,16 +56,16 @@ pub enum GridLayout {
 pub enum EnvironmentKind {
     /// Serial kd-tree build + radius search (the replaced baseline).
     KdTree,
-    /// Uniform grid on the CPU, in either storage layout, with serial or
-    /// rayon-parallel construction (the parallel linked-list build is
-    /// the multithreaded winner of §VI).
+    /// Uniform grid on the CPU, in either storage layout, with its build
+    /// modeled serial or parallel (the parallel linked-list build is the
+    /// multithreaded winner of §VI).
     UniformGrid {
         /// Linked-list (paper-faithful) or CSR storage.
         layout: GridLayout,
-        /// Parallel grid construction. The linked-list layout runs its
-        /// lock-free parallel build when set and its serial build
-        /// otherwise. The CSR layout has one build, so for it the flag
-        /// only labels the modeled build phase; a serial CSR run is
+        /// Parallel grid construction, as the modeled build phase is
+        /// labelled. Each layout runs one build whatever the flag: the
+        /// linked list its lock-free parallel build (the serial build's
+        /// grid bit for bit), CSR its one counting sort. A serial run is
         /// [`crate::scheduler::ExecMode::Serial`].
         parallel: bool,
     },
@@ -84,7 +84,8 @@ pub enum EnvironmentKind {
 }
 
 impl EnvironmentKind {
-    /// Uniform grid, linked-list layout, serial construction.
+    /// Uniform grid, linked-list layout, build phase modeled serial (see
+    /// [`EnvironmentKind::UniformGrid`]'s `parallel`).
     pub fn uniform_grid_serial() -> Self {
         EnvironmentKind::UniformGrid {
             layout: GridLayout::LinkedList,
@@ -92,8 +93,8 @@ impl EnvironmentKind {
         }
     }
 
-    /// Uniform grid, linked-list layout, parallel construction (the
-    /// paper's multithreaded CPU winner).
+    /// Uniform grid, linked-list layout, build phase modeled parallel
+    /// (the paper's multithreaded CPU winner).
     pub fn uniform_grid_parallel() -> Self {
         EnvironmentKind::UniformGrid {
             layout: GridLayout::LinkedList,

@@ -1466,6 +1466,11 @@ fn cpu_kdtree_step(
     work
 }
 
+/// The linked-list step. `parallel` is the environment's build flag: it
+/// only labels the modeled build phase — the parallel build is the
+/// serial build's grid bit for bit, so it is the one that runs, on
+/// however many workers the step executes under (a serial run is
+/// [`crate::scheduler::ExecMode::Serial`]).
 fn cpu_grid_step(
     rm: &mut ResourceManager,
     params: &SimParams,
@@ -1478,11 +1483,7 @@ fn cpu_grid_step(
     // Phase 1: grid build (Fig. 5 structure).
     let t0 = Instant::now();
     let (xs, ys, zs) = rm.position_columns();
-    let grid = if parallel {
-        UniformGrid::build_parallel(xs, ys, zs, params.space, radius)
-    } else {
-        UniformGrid::build_serial(xs, ys, zs, params.space, radius)
-    };
+    let grid = UniformGrid::build_parallel(xs, ys, zs, params.space, radius);
     let timed = vec![(
         wm::linked_list_build(n, parallel),
         t0.elapsed().as_secs_f64(),

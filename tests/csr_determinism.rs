@@ -5,7 +5,9 @@
 //! serial and parallel CSR environments must yield bitwise-identical
 //! FP64 trajectories — not merely tolerance-equal — on one worker or
 //! two. The environments' `parallel` flag only labels the modeled build
-//! phase; a serial run is `ExecMode::Serial`.
+//! phase; a serial run is `ExecMode::Serial`. The linked-list pair keeps
+//! the same contract: its one build is the parallel one, which is the
+//! serial build's grid bit for bit.
 //!
 //! This is the guarantee that makes the CSR layout safe to enable in
 //! reproducibility-sensitive runs where the linked-list layout's
@@ -42,13 +44,14 @@ fn positions(env: EnvironmentKind, n: usize, seed: u64, steps: u64) -> Vec<Vec3<
     (0..sim.rm().len()).map(|i| sim.rm().position(i)).collect()
 }
 
-/// What one mechanical step of a CSR environment shows: the positions
-/// after it, why the grid was or was not rebuilt (`mech.csr_rebuild`'s
-/// `reason`), the sweep's candidates / contacts / neighbors, and the
-/// modeled build phase's `parallel` flag.
+/// What one mechanical step of a grid environment shows: the positions
+/// after it, why a CSR grid was or was not rebuilt (`mech.csr_rebuild`'s
+/// `reason`; `None` for the linked list, which builds every step), the
+/// sweep's candidates / contacts / neighbors, and the modeled build
+/// phase's `parallel` flag.
 struct Step {
     positions: Vec<Vec3<f64>>,
-    rebuild: &'static str,
+    rebuild: Option<&'static str>,
     counts: [u64; 3],
     build_parallel: bool,
 }
@@ -67,7 +70,7 @@ fn trace(env: EnvironmentKind, workers: usize) -> Vec<Step> {
                 let build = work.phases.iter().find(|p| p.name == "neighborhood build");
                 Step {
                     positions: (0..sim.rm().len()).map(|i| sim.rm().position(i)).collect(),
-                    rebuild: work.csr_rebuild.expect("the global CSR step").label(),
+                    rebuild: work.csr_rebuild.map(|r| r.label()),
                     counts: [work.candidates, work.contacts, work.neighbors],
                     build_parallel: build.expect("a build phase").parallel,
                 }
@@ -87,27 +90,42 @@ fn serial_and_parallel_csr_are_bitwise_identical() {
             "CSR serial vs parallel diverged (n={n}, seed={seed})"
         );
     }
-    // The traced scene's steps rebuild, then hold (agents move within their voxels), then skip unchanged. Both
-    // environments on one worker and on two see the same steps, rebuilds
-    // and counters; only the build phase's label tells them apart.
-    let reference = trace(EnvironmentKind::uniform_grid_csr_serial(), 1);
-    let reasons: Vec<_> = reference.iter().map(|s| s.rebuild).collect();
-    for reason in ["held", "unchanged"] {
-        assert!(reasons.contains(&reason), "no {reason} step: {reasons:?}");
-    }
-    assert!(reference.iter().all(|s| !s.build_parallel));
-    for (env, parallel) in [
-        (EnvironmentKind::uniform_grid_csr_serial(), false),
-        (EnvironmentKind::uniform_grid_csr_parallel(), true),
-    ] {
-        for workers in [1, 2] {
-            let run = trace(env, workers);
-            for (k, (got, want)) in run.iter().zip(&reference).enumerate() {
-                let at = format!("{} on {workers} workers, step {k}", env.label());
-                assert_eq!(got.positions, want.positions, "{at}");
-                assert_eq!(got.rebuild, want.rebuild, "{at}");
-                assert_eq!(got.counts, want.counts, "{at}");
-                assert_eq!(got.build_parallel, parallel, "{at}");
+    // The traced CSR scene's steps rebuild, then hold (agents move within
+    // their voxels), then skip unchanged. Each layout's pair of
+    // environments, on one worker and on two, sees the same steps,
+    // rebuilds and counters; only the build phase's label tells the two
+    // of a pair apart.
+    let pairs = [
+        (
+            EnvironmentKind::uniform_grid_csr_serial(),
+            EnvironmentKind::uniform_grid_csr_parallel(),
+        ),
+        (
+            EnvironmentKind::uniform_grid_serial(),
+            EnvironmentKind::uniform_grid_parallel(),
+        ),
+    ];
+    for (serial, parallel) in pairs {
+        let reference = trace(serial, 1);
+        let reasons: Vec<_> = reference.iter().map(|s| s.rebuild).collect();
+        if serial == EnvironmentKind::uniform_grid_csr_serial() {
+            for reason in ["held", "unchanged"] {
+                assert!(reasons.contains(&Some(reason)), "no {reason} step: {reasons:?}");
+            }
+        } else {
+            assert!(reasons.iter().all(Option::is_none), "{reasons:?}");
+        }
+        assert!(reference.iter().all(|s| !s.build_parallel));
+        for (env, label) in [(serial, false), (parallel, true)] {
+            for workers in [1, 2] {
+                let run = trace(env, workers);
+                for (k, (got, want)) in run.iter().zip(&reference).enumerate() {
+                    let at = format!("{} on {workers} workers, step {k}", env.label());
+                    assert_eq!(got.positions, want.positions, "{at}");
+                    assert_eq!(got.rebuild, want.rebuild, "{at}");
+                    assert_eq!(got.counts, want.counts, "{at}");
+                    assert_eq!(got.build_parallel, label, "{at}");
+                }
             }
         }
     }
