@@ -27,7 +27,8 @@ impl Default for BenchScale {
 }
 
 impl BenchScale {
-    /// Default scale: finishes in minutes on one core.
+    /// Default scale: finishes in minutes. The modeled times do not
+    /// depend on the host or its worker count.
     pub fn default_scale() -> Self {
         Self {
             a_cells_per_dim: 48,

@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # DESIGN.md §6 (experiment index) and §8 (final model structure) name the
-# code they describe in backticks; this fails when one of those names no
+# code they describe in backticks, and so does every line of a current-
+# state page such as EXPERIMENTS.md; this fails when one of those names no
 # longer exists, so a rename or a deletion cannot leave the map stale.
+# A file named DESIGN.md is checked in §6 and §8 only; any other document
+# on every line, up to a closing "## Index of the per-PR logs", which
+# quotes their headings as they stood (the logs under results/log/ are
+# history and are not checked).
 # What is checked, by the shape of the backticked text:
 #   file        `kernels/layout.rs`, `results/x.txt`: the path exists from
 #               the repository root, or some file under crates/ ends in it
@@ -15,17 +20,29 @@
 #   CONSTANT    `SYSTEM_A`: a const or static, or an environment variable
 #               some source reads (`"RAYON_NUM_THREADS"`)
 #   snake_name  `csr_sweep`, `cell_agents()`: a fn, module, const or
-#               static, or the stem of a `.rs` file (a test target)
+#               static, or the stem of a `.rs` file (a test target); on a
+#               whole-document check also a name some source quotes
+#               (`"fig8_fig9"`, `"frozen_dense"`, `"run_s"`: a bdm-bench
+#               command, a workload, a metric)
 # Anything else — one plain word, an expression, a metric name, a
 # command line — is prose and is not checked. Definitions are looked for
 # in the workspace's own Rust source (crates/, src/, tests/, examples/)
-# and in vendor/rayon, whose API the text names.
-# Usage: scripts/doc_names.sh [DESIGN.md]
+# and in vendor/rayon, whose API the text names; a whole-document check
+# also reads benchmark/src, which defines the workloads and their metrics.
+# Usage: scripts/doc_names.sh [DESIGN.md | EXPERIMENTS.md | <doc>]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 doc=${1:-DESIGN.md}
 src=(crates src tests examples vendor/rayon)
+# The lines checked: DESIGN.md's two sections, or the whole document.
+if [[ $(basename "$doc") == DESIGN.md ]]; then
+    whole=0 scope="§6 / §8"
+else
+    whole=1 scope="(every line)"
+    src+=(benchmark/src)
+fi
 std_types=" Vec Copy Clone Option Result Box String Send Sync Default "
+std_items=" set_len assume_init from_raw_parts_mut available_parallelism should_panic "
 
 defined() { grep -rqE --include='*.rs' -- "$1" "${src[@]}"; }
 def_of() { defined "\\b(fn|struct|enum|trait|type|union|const|static|mod|macro_rules!)[[:space:]]+$1\\b"; }
@@ -82,8 +99,10 @@ check() {
         kind=constant
         defined "\\b(const|static)[[:space:]]+$name\\b|\"$name\""
     elif [[ $name =~ ^[a-z][a-z0-9]*_[a-z0-9_]+$ ]]; then
+        [[ $std_items == *" $name "* ]] && return 0
         kind=item
-        def_of "$name" || find "${src[@]}" -name "$name.rs" | grep -q .
+        def_of "$name" || find "${src[@]}" -name "$name.rs" | grep -q . ||
+            { ((whole)) && defined "\"$name\""; }
     else
         return 0
     fi || {
@@ -97,9 +116,10 @@ checked=0
 failed=0
 while IFS=$'\t' read -r line name; do
     check "$name" || failed=$((failed + 1))
-done < <(awk '
+done < <(awk -v whole="$whole" '
     /^## / { on = ($2 == "6." || $2 == "8.") }
-    on {
+    whole && /^## Index of the per-PR logs/ { exit }
+    on || whole {
         s = $0
         while (match(s, /`[^`]+`/)) {
             printf "%d\t%s\n", NR, substr(s, RSTART + 1, RLENGTH - 2)
@@ -108,7 +128,7 @@ done < <(awk '
     }' "$doc")
 
 if ((failed > 0)); then
-    echo "doc_names: $failed of the names in $doc §6 / §8 are stale" >&2
+    echo "doc_names: $failed of the names in $doc $scope are stale" >&2
     exit 1
 fi
-echo "doc_names: all $checked checked names in $doc §6 / §8 exist"
+echo "doc_names: all $checked checked names in $doc $scope exist"

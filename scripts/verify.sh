@@ -229,8 +229,16 @@ stage() (
         RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
             --exclude parking_lot --exclude proptest --exclude rand --exclude rayon
         # Every file, module path and type / item DESIGN.md's experiment
-        # index (§6) and model structure (§8) name in backticks exists.
+        # index (§6) and model structure (§8) name in backticks exists, and
+        # so does every one the current-state page EXPERIMENTS.md names
+        # (its per-PR logs under results/log/ are history, not checked).
         ./scripts/doc_names.sh
+        ./scripts/doc_names.sh EXPERIMENTS.md
+        # Every `EXPERIMENTS.md "<title>"` quote in CHANGES.md, ROADMAP.md
+        # and DESIGN.md starts a title of EXPERIMENTS.md or of a log it
+        # links, and every relative link of EXPERIMENTS.md, DESIGN.md and
+        # README.md names a file.
+        ./scripts/doc_refs.sh
         # Every `unsafe` site keeps its place with a number: per file, the
         # sites equal the rows of EXPERIMENTS.md "`unsafe`, with its
         # number" that name it, so a site cannot arrive without the

@@ -110,7 +110,10 @@ fn serial_and_parallel_csr_are_bitwise_identical() {
         let reasons: Vec<_> = reference.iter().map(|s| s.rebuild).collect();
         if serial == EnvironmentKind::uniform_grid_csr_serial() {
             for reason in ["held", "unchanged"] {
-                assert!(reasons.contains(&Some(reason)), "no {reason} step: {reasons:?}");
+                assert!(
+                    reasons.contains(&Some(reason)),
+                    "no {reason} step: {reasons:?}"
+                );
             }
         } else {
             assert!(reasons.iter().all(Option::is_none), "{reasons:?}");
