@@ -66,6 +66,7 @@ pub fn default_policy(name: &str) -> Option<GatePolicy> {
                 | "checkpoint.read_ms"
                 | "gpu.host_s"
                 | "gpu.trace_accesses"
+                | "gpu.trace_bytes"
                 | "gpu.launches"
                 | "gpu.sync"
                 | "gpu.grid_build"
@@ -422,6 +423,7 @@ mod tests {
         assert!(default_policy("mech.phase_wall_s").is_none());
         assert!(default_policy("gpu.host_s").is_none());
         assert!(default_policy("gpu.trace_accesses").is_none());
+        assert!(default_policy("gpu.trace_bytes").is_none());
         assert!(default_policy("gpu.launches").is_none());
         assert!(default_policy("mech.csr_rebuild").is_none());
         assert!(default_policy("reorder.checks_skipped").is_none());

@@ -176,6 +176,7 @@ fn debug_metrics_prints_one_document_per_scene_with_every_family() {
         "gpu.mech.l2_read_share",
         "gpu.mech.compute_warp_cycles",
         "gpu.trace_accesses",
+        "gpu.trace_bytes",
         "gpu.launches",
         "gpu.sync",
         "gpu.grid_build",

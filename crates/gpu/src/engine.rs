@@ -82,7 +82,7 @@
 //!   logged (the streams are emptied wherever the generation is bumped), a
 //!   miss takes the table path below, so the buckets end up holding what
 //!   they would hold without the filter. What it saves is the walk `rows
-//!   [slot][sub]` → bucket header → tail of `segs`, two dependent loads
+//!   [slot][sub]` → bucket header → tail of `words`, two dependent loads
 //!   that miss L1 (a lane visits hundreds of other buckets between two
 //!   visits to one key). [`TraceAccesses`] reports the share it absorbed:
 //!   five in six accesses on sorted input, next to none on unsorted.
@@ -93,14 +93,27 @@
 //!   a slot's segments land in *first appearance, lane-major* order; warps
 //!   retire in order, so a bucket is *warp-major*. No per-lane access
 //!   list outlives the next lane, no merge, no copy into a batch.
+//! * **Ids are held as steps.** A bucket keeps a segment id as one `u16`
+//!   code word, its step from the id before it in the bucket: on sorted
+//!   input consecutive ids of a key are neighbors, so every id but a
+//!   part's first fits, and that one (or any longer step) is a `FULL`
+//!   word and the id's two halves. The header keeps what the table path
+//!   needs in full — the last id, and the one the running warp's part
+//!   follows — so nothing is decoded to append, and the warp's part only
+//!   to look for an id that is not the newest. Until the drain a bucket
+//!   holds its batches' transactions, two bytes each: a launch that is
+//!   one L2 batch (a scene of fewer warps than the device holds resident)
+//!   keeps every one of them.
 //! * **Batch cuts.** A chunk that crosses a batch boundary sorts the keys
 //!   the closing batch touched and ends that batch's part of each of
-//!   their buckets with a `CUT` id; the next batch's warps append behind
-//!   it. The buckets keep every batch of the chunk until the drain.
+//!   their buckets with a `CUT` word; the next batch's warps append
+//!   behind it, their first id in full. The buckets keep every batch of
+//!   the chunk until the drain.
 //! * **The buckets are the drain order.** The drain merges the chunks'
-//!   sorted key lists and streams each bucket part through the L2: all
-//!   warps' slot-0 transactions, then slot-1, … — ties broken by warp.
-//!   Nothing per transaction is sorted or gathered.
+//!   sorted key lists and streams each bucket part through the L2,
+//!   decoding it as it goes: all warps' slot-0 transactions, then slot-1,
+//!   … — ties broken by warp. Nothing per transaction is sorted or
+//!   gathered.
 //! * **Atomics** also go to a per-warp `(key, address)` list — before the
 //!   filter looks at them: a repeated segment is one transaction, but a
 //!   repeated address still serializes; sorted at retire, the list's
@@ -300,26 +313,133 @@ impl LaneRecord {
     }
 }
 
-/// Closes a batch's part of a bucket in a chunk that crosses a batch
-/// boundary: the next batch's segments follow it. Segment ids are checked
-/// below `u32::MAX` where they are logged, so none equals it.
-const CUT: u32 = u32::MAX;
+/// The code word that ends a batch's part of a bucket in a chunk that
+/// crosses a batch boundary: the next batch's segments follow it.
+const CUT: u16 = i16::MIN as u16;
+/// The code word that a segment id's low and high halves follow: a part's
+/// first id, and one further than [`WORD_STEPS`] from the id before it.
+const FULL: u16 = CUT + 1;
+/// The steps from the id before it that a segment id's code word holds:
+/// the `i16` range but for [`CUT`] and [`FULL`].
+const WORD_STEPS: std::ops::RangeInclusive<i32> = FULL as i16 as i32 + 1..=i16::MAX as i32;
+/// `Bucket::last` where there is no id before the next: an empty bucket,
+/// and after a [`CUT`]. Segment ids are checked below `u32::MAX` where they
+/// are logged, so none equals it.
+const NO_SEG: u32 = u32::MAX;
+
+/// The id the code at `words[*at..]` stands for after the id `last`; moves
+/// `at` past the code.
+#[inline(always)]
+fn read_seg(words: &[u16], at: &mut usize, last: u32) -> u32 {
+    let word = words[*at];
+    *at += 1;
+    if word != FULL {
+        // Sign-extended: the difference is taken modulo 2^32.
+        return last.wrapping_add(word as i16 as u32);
+    }
+    *at += 2;
+    u32::from(words[*at - 2]) | u32::from(words[*at - 1]) << 16
+}
 
 /// One slot key's coalesced transactions in one chunk: the 128-byte
 /// segment ids of every traced warp of the chunk that touched the key,
 /// warps in retire order, each warp's distinct segments in
 /// first-appearance, lane-major order, and a [`CUT`] after each batch
-/// that ended at a boundary inside the chunk.
-#[derive(Debug, Default)]
+/// that ended at a boundary inside the chunk. The ids are held as code
+/// words, two bytes an id: its step from the id before it in the
+/// bucket, modulo 2³², or [`FULL`] and the id. On
+/// sorted input consecutive ids of a key are neighbors, so every id but a
+/// part's first is one word.
+#[derive(Debug)]
 struct Bucket {
-    segs: Vec<u32>,
+    words: Vec<u16>,
     /// Generation of the last warp that touched this key …
     stamp: u64,
-    /// … and `segs.len()` at that warp's first touch: `segs[start..]` is
-    /// the slot the warp is coalescing.
+    /// … `words.len()` at that warp's first touch: `words[start..]` is
+    /// the slot the warp is coalescing …
     start: u32,
-    /// Where the drain resumes: the first id of the next batch's part.
+    /// … and the id its first code follows (`last` at that touch).
+    base: u32,
+    /// The id the next code follows: the last one appended, or [`NO_SEG`].
+    last: u32,
+    /// Where the drain resumes: the first code of the next batch's part.
     drained: u32,
+}
+
+impl Default for Bucket {
+    fn default() -> Self {
+        Bucket {
+            words: Vec::new(),
+            stamp: 0,
+            start: 0,
+            base: NO_SEG,
+            last: NO_SEG,
+            drained: 0,
+        }
+    }
+}
+
+impl Bucket {
+    /// Append `seg`: its step from the last id, or in full. The words
+    /// grow by a quarter (at least 4) where `Vec::push` would double them:
+    /// the buckets hold a launch's transactions until the drain, and
+    /// doubling leaves up to half of that capacity unused. Still geometric,
+    /// so the appends stay amortized O(1), and the capacity is kept across
+    /// drains, so a repeated launch does not allocate.
+    #[inline(always)]
+    fn push_seg(&mut self, seg: u32) {
+        self.reserve();
+        let delta = seg.wrapping_sub(self.last) as i32;
+        if self.last != NO_SEG && WORD_STEPS.contains(&delta) {
+            self.words.push(delta as u16);
+        } else {
+            self.words
+                .extend_from_slice(&[FULL, seg as u16, (seg >> 16) as u16]);
+        }
+        self.last = seg;
+    }
+
+    /// End the open batch's part: the next id is coded in full.
+    fn push_cut(&mut self) {
+        self.reserve();
+        self.words.push(CUT);
+        self.last = NO_SEG;
+    }
+
+    /// Room for the longest code: [`FULL`] and two halves.
+    #[inline(always)]
+    fn reserve(&mut self) {
+        let words = &mut self.words;
+        if words.capacity() - words.len() < 3 {
+            words.reserve_exact((words.len() / 4).max(4));
+        }
+    }
+
+    /// Whether the part the running warp has written holds `seg`: the
+    /// newest id first — neighboring lanes mostly share a segment —, then
+    /// the part decoded from `base` on.
+    #[inline(always)]
+    fn warp_part_holds(&self, seg: u32) -> bool {
+        if self.last == seg {
+            return true;
+        }
+        let part = &self.words[self.start as usize..];
+        let (mut at, mut id) = (0, self.base);
+        while at < part.len() {
+            id = read_seg(part, &mut at, id);
+            if id == seg {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Empty the bucket, keeping its capacity.
+    fn clear(&mut self) {
+        self.words.clear();
+        self.last = NO_SEG;
+        self.drained = 0;
+    }
 }
 
 /// A batch whose keys a chunk has cut: its index in the launch and where
@@ -355,9 +475,6 @@ struct TraceTable {
     touched: Vec<u32>,
     /// The cut batches, in launch order.
     pieces: Vec<Piece>,
-    /// Whether a batch ended inside the chunk, i.e. any bucket holds a
-    /// [`CUT`].
-    cut_inside: bool,
     /// The drain's position: the next key in `touched` …
     next_key: usize,
     /// … and the piece it belongs to.
@@ -408,7 +525,7 @@ impl TraceTable {
     fn log(&mut self, key: u32, addr: u64, atomic: bool, prev_slot: usize) {
         // Device addresses are never recycled, so they only grow: checked
         // (strictly, so that no record equals the sentinel and no segment
-        // id equals `CUT`).
+        // id `NO_SEG`).
         let seg = addr >> self.seg_shift;
         assert!(
             seg < u32::MAX as u64,
@@ -434,18 +551,17 @@ impl TraceTable {
         let seg = seg as u32;
         if bucket.stamp != self.warp {
             bucket.stamp = self.warp;
-            bucket.start = bucket.segs.len() as u32;
+            bucket.start = bucket.words.len() as u32;
+            bucket.base = bucket.last;
             // The batch's first touch of the key: nothing before it in
             // this chunk, or an earlier batch's part, cut.
-            if bucket.segs.last().is_none_or(|&s| s == CUT) {
+            if bucket.last == NO_SEG {
                 self.touched.push(key);
             }
+        } else if bucket.warp_part_holds(seg) {
+            return;
         }
-        // Newest first: neighboring lanes mostly share a segment.
-        let warp_part = &bucket.segs[bucket.start as usize..];
-        if !warp_part.iter().rev().any(|&s| s == seg) {
-            push_seg(&mut bucket.segs, seg);
-        }
+        bucket.push_seg(seg);
     }
 
     /// Start a warp: a generation no bucket carries, and no previous lane
@@ -498,10 +614,9 @@ impl TraceTable {
         }
         self.touched[from..].sort_unstable();
         if more {
-            self.cut_inside = true;
             for i in from..self.touched.len() {
                 let key = self.touched[i];
-                push_seg(&mut self.bucket(key).segs, CUT);
+                self.bucket(key).push_cut();
             }
         }
         let end = self.touched.len();
@@ -519,27 +634,23 @@ impl TraceTable {
     }
 
     /// Hand the next key's part of its batch to `transaction`, front to
-    /// back: up to its `CUT`, or to the end of the bucket. A bucket is
-    /// emptied (its capacity kept) with its last part.
+    /// back, decoding as it goes: up to its `CUT`, or to the end of the
+    /// bucket. A bucket is emptied (its capacity kept) with its last part.
     fn drain_head(&mut self, transaction: &mut impl FnMut(u64)) {
         let key = self.touched[self.next_key];
         self.next_key += 1;
-        let (seg_shift, cut_inside) = (self.seg_shift, self.cut_inside);
+        let seg_shift = self.seg_shift;
         let bucket = self.bucket(key);
-        let part = &bucket.segs[bucket.drained as usize..];
-        let len = match cut_inside {
-            true => part.iter().position(|&s| s == CUT).unwrap_or(part.len()),
-            false => part.len(),
-        };
-        for &seg in &part[..len] {
+        let words = &bucket.words;
+        let (mut at, mut seg) = (bucket.drained as usize, NO_SEG);
+        while at < words.len() && words[at] != CUT {
+            seg = read_seg(words, &mut at, seg);
             transaction((seg as u64) << seg_shift);
         }
-        let drained = bucket.drained as usize + len + 1;
-        if drained >= bucket.segs.len() {
-            bucket.segs.clear();
-            bucket.drained = 0;
+        if at + 1 >= words.len() {
+            bucket.clear();
         } else {
-            bucket.drained = drained as u32;
+            bucket.drained = at as u32 + 1;
         }
     }
 
@@ -549,30 +660,31 @@ impl TraceTable {
     fn clear(&mut self) {
         for i in self.next_key..self.touched.len() {
             let key = self.touched[i];
-            let bucket = self.bucket(key);
-            bucket.segs.clear();
-            bucket.drained = 0;
+            self.bucket(key).clear();
         }
         self.touched.clear();
         self.pieces.clear();
-        self.cut_inside = false;
         (self.next_key, self.next_piece) = (0, 0);
         self.atomics.clear();
         (self.logged, self.reached_table) = (0, 0);
     }
-}
 
-/// Append `seg` to a bucket, growing it by a quarter (at least 4 ids)
-/// where `Vec::push` would double it: the buckets hold every transaction
-/// of a batch, and doubling leaves up to half of that capacity unused.
-/// Still geometric, so the appends stay amortized O(1), and the capacity
-/// is kept across drains, so a repeated launch does not allocate.
-#[inline(always)]
-fn push_seg(segs: &mut Vec<u32>, seg: u32) {
-    if segs.len() == segs.capacity() {
-        segs.reserve_exact((segs.len() / 4).max(4));
+    /// Heap bytes the table holds: its rows, their bucket headers and
+    /// code words, its key, piece and atomics lists and the filter's streams,
+    /// by capacity.
+    fn held_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let row_bytes = |row: &Vec<Bucket>| {
+            let words: usize = row.iter().map(|b| b.words.capacity() * 2).sum();
+            row.capacity() * size_of::<Bucket>() + words
+        };
+        self.rows.capacity() * size_of::<Vec<Bucket>>()
+            + self.rows.iter().map(row_bytes).sum::<usize>()
+            + self.touched.capacity() * size_of::<u32>()
+            + self.pieces.capacity() * size_of::<Piece>()
+            + self.atomics.capacity() * size_of::<(u32, u64)>()
+            + (self.prev.capacity() + self.cur.capacity()) * size_of::<u64>()
     }
-    segs.push(seg);
 }
 
 /// The per-thread execution context handed to kernels. All device-visible
@@ -1099,6 +1211,14 @@ impl GpuDevice {
         self.chunks.lock().1.reset();
     }
 
+    /// Heap bytes the chunks' trace tables hold, by capacity. They are
+    /// kept across launches, so this is what the largest launch the device
+    /// has run needed. Waits for a launch in flight.
+    pub fn trace_bytes(&self) -> u64 {
+        let pool = &self.chunks.lock().0;
+        pool.iter().map(|a| a.table.held_bytes() as u64).sum()
+    }
+
     /// Execute a kernel launch and return counters + modeled timing.
     /// Launches on one device serialize on its scratch arenas; the blocks
     /// of one launch fork across the host workers when they commute
@@ -1274,21 +1394,6 @@ mod tests {
         pub(super) key: u32,
         pub(super) addr: u64,
         pub(super) atomic: bool,
-    }
-
-    /// Heap bytes a trace table holds.
-    fn table_bytes(table: &TraceTable) -> usize {
-        use std::mem::size_of;
-        let row_bytes = |row: &Vec<Bucket>| {
-            let segs: usize = row.iter().map(|b| b.segs.capacity() * 4).sum();
-            row.capacity() * size_of::<Bucket>() + segs
-        };
-        table.rows.capacity() * size_of::<Vec<Bucket>>()
-            + table.rows.iter().map(row_bytes).sum::<usize>()
-            + table.touched.capacity() * 4
-            + table.pieces.capacity() * size_of::<Piece>()
-            + table.atomics.capacity() * size_of::<(u32, u64)>()
-            + (table.prev.capacity() + table.cur.capacity()) * 8
     }
 
     /// y[i] = a*x[i] + y[i] — the classic saxpy, exercising loads, stores
@@ -1712,9 +1817,185 @@ mod tests {
         // A row, a bucket header, a few segment ids and a record in each
         // of the filter's two streams per key — where a table indexed by
         // `slot << 8 | sub` spends 256 headers per slot.
-        let bytes = table_bytes(&dev.chunks.lock().0[0].table);
+        let bytes = dev.chunks.lock().0[0].table.held_bytes();
         let per_key = bytes / trips as usize;
         assert!(per_key < 128, "{per_key} table bytes per touched key");
+    }
+
+    /// Log `warps` into one key of `table`, one warp after the other and
+    /// one lane per id; `cut` after the warps of each batch but the last.
+    fn log_one_key(table: &mut TraceTable, key: u32, batches: &[&[&[u32]]]) {
+        for (batch, warps) in batches.iter().enumerate() {
+            for lanes in *warps {
+                table.begin_warp();
+                for &seg in *lanes {
+                    let prev_slot = table.seek_slot(key >> 8, 0);
+                    table.log(key, (seg as u64) << table.seg_shift, false, prev_slot);
+                    table.end_lane();
+                }
+            }
+            table.cut(batch as u64, batch + 1 < batches.len());
+        }
+    }
+
+    /// The drained parts of a table, in drain order.
+    fn drain_parts(table: &mut TraceTable) -> Vec<Vec<u32>> {
+        let mut parts = Vec::new();
+        while table.head().is_some() {
+            let mut part = Vec::new();
+            let shift = table.seg_shift;
+            table.drain_head(&mut |addr| part.push((addr >> shift) as u32));
+            parts.push(part);
+        }
+        parts
+    }
+
+    /// Words of the code of each id after the one before it in a part:
+    /// one for a step in −32,766 … 32,767 (modulo 2³²), three for a
+    /// part's first id and for a longer step.
+    fn code_words(part: &[u32]) -> usize {
+        let step = |w: &[u32]| w[1].wrapping_sub(w[0]) as i32;
+        3 + part
+            .windows(2)
+            .map(|w| {
+                if (-32_766..=32_767).contains(&step(w)) {
+                    1
+                } else {
+                    3
+                }
+            })
+            .sum::<usize>()
+    }
+
+    #[test]
+    fn a_bucket_codes_every_step_exactly_and_resumes_after_a_cut() {
+        let mut table = TraceTable {
+            seg_shift: 7,
+            ..Default::default()
+        };
+        let key = 3 << 8;
+        // One id a warp: steps at both ends of a code word and just past
+        // them, on both signs (the two words below the range are `FULL`
+        // and `CUT`), a repeat across warps, and id 0 next to the largest
+        // id, which is a step of 2 modulo 2³² either way.
+        let mut ids = vec![1 << 20];
+        for step in [
+            0i64, 1, -1, 32_767, -32_766, 32_768, -32_767, -32_768, 65_536,
+        ] {
+            ids.push((*ids.last().unwrap() as i64 + step) as u32);
+        }
+        let top = u32::MAX - 1;
+        ids.extend([0, top, 0, top, 1 << 31]);
+        let one_a_warp: Vec<&[u32]> = ids.chunks(1).collect();
+        // A second batch, after the cut, whose first id is coded in full
+        // again; one warp's lanes revisit long-coded ids of its own part,
+        // which the table finds by decoding it from its base and drops.
+        let (a, b, c) = (5, top, 1 << 31);
+        let second: [&[u32]; 2] = [&[top, 0, 1 << 20], &[a, b, a, c, b, a]];
+        log_one_key(&mut table, key, &[&one_a_warp, &second]);
+
+        let bucket = &table.rows[3][0];
+        let want = [ids.clone(), vec![top, 0, 1 << 20, a, b, c]];
+        assert_eq!(
+            bucket.words.len(),
+            code_words(&want[0]) + 1 + code_words(&want[1])
+        );
+        assert_eq!(bucket.words[code_words(&want[0])], CUT);
+        assert_eq!(drain_parts(&mut table), want);
+        let bucket = &table.rows[3][0];
+        assert!(bucket.words.is_empty() && bucket.words.capacity() > 0);
+        assert_eq!((bucket.last, bucket.drained), (NO_SEG, 0));
+    }
+
+    /// A launch of four blocks in one chunk, on the cut down device whose
+    /// batches are a block wide: its buckets are drained across a cut
+    /// after every block,
+    /// and each lane steps between the two buffers of a script, so long
+    /// codes sit on both sides of each cut. The stream the L2 sees is the
+    /// oracle's, bit for bit.
+    #[test]
+    fn a_bucket_drained_across_cuts_streams_what_the_reference_does() {
+        // Lane `l` of warp `w`: a near and a far word of one key each,
+        // ordered by the parity of `l + w`, then the near word again.
+        let near = |l: usize, w: usize| ((l + 7 * w) % 2048) * 32;
+        let far = |l: usize, w: usize| SCRIPT_WORDS + ((3 * l + w) % 2048) * 32;
+        let lanes = (0..4 * 64)
+            .map(|t| {
+                let (l, w) = (t % 32, t / 32);
+                let [x, y] = match (l + w) % 2 {
+                    0 => [near(l, w), far(l, w)],
+                    _ => [far(l, w), near(l, w)],
+                };
+                vec![Op::Ld(x), Op::Ld(y), Op::BeginSlot, Op::Ld(near(l, w))]
+            })
+            .collect();
+        let k = Scripted::new(vec![lanes], false);
+        let cfg = LaunchConfig {
+            grid_dim: 4,
+            block_dim: 64,
+            shared_words: SCRIPT_SHARED_WORDS,
+        };
+        let spec = small_device(64);
+        let dev = GpuDevice::new(spec);
+        let got = dev.launch(&k, cfg);
+        assert_eq!(
+            got.counters,
+            launch_reference(&GpuDevice::new(spec), &k, cfg)
+        );
+        let pool = &dev.chunks.lock().0;
+        assert_eq!(pool.len(), 1);
+        assert_eq!(pool[0].table.pieces.len(), 4, "one batch per block");
+    }
+
+    /// On sorted input consecutive ids of a key are neighbors, so a bucket
+    /// holds about a code word per transaction, not a `u32`: a sorted
+    /// Benchmark B force launch (≈ 27 neighbors per agent, one L2 batch,
+    /// so every id waits in its bucket until the drain), forked into eight
+    /// chunks as on two workers, holds at most 2.5 bytes of segment codes
+    /// per transaction it drains. (`u32` ids grown by a quarter held 4.5.)
+    #[test]
+    fn a_sorted_force_launch_holds_at_most_two_and_a_half_bytes_a_transaction() {
+        use crate::kernels::layout::testing::DeviceScene;
+        use crate::kernels::mech::ForceKernel;
+        use bdm_grid::GridGeometry;
+        use bdm_math::interaction::MechParams;
+        use bdm_math::{Aabb, SplitMix64, Vec3};
+
+        // Benchmark B's density with unit diameters: n · (4/3)π / side³ = 27.
+        let n = 12_000;
+        let side = (n as f64 * 4.0 / 3.0 * std::f64::consts::PI / 27.0).cbrt();
+        let mut rng = SplitMix64::new(7);
+        let mut agents: Vec<[f64; 3]> = (0..n)
+            .map(|_| std::array::from_fn(|_| rng.uniform(0.0, side)))
+            .collect();
+        agents.sort_by_key(|p| [p[2] as u32, p[1] as u32, p[0] as u32]);
+        let column = |d: usize| -> Vec<f64> { agents.iter().map(|p| p[d]).collect() };
+        let space = Aabb::new(Vec3::zero(), Vec3::splat(side as f32));
+        let geom = GridGeometry::new(space, 1.0f32);
+        let scene = DeviceScene::upload(geom, [&column(0), &column(1), &column(2)], 1.0, 0.4);
+        let force = ForceKernel {
+            n,
+            geom,
+            agents: scene.agents(),
+            source: scene.chains(),
+            out: scene.out(),
+            params: MechParams::<f32>::default_params(),
+        };
+        let r = on_workers(2, || {
+            scene.build_chains(128);
+            scene.dev.launch(&force, LaunchConfig::for_items(n, 128))
+        });
+        assert_eq!(r.launches.chunks, 8);
+        let pool = &scene.dev.chunks.lock().0;
+        let words: usize = (pool.iter())
+            .flat_map(|arena| arena.table.rows.iter().flatten())
+            .map(|bucket| bucket.words.capacity())
+            .sum();
+        let per_transaction = 2.0 * words as f64 / r.counters.global_transactions;
+        assert!(
+            per_transaction <= 2.5,
+            "{per_transaction:.2} bytes a transaction"
+        );
     }
 
     #[test]
@@ -2033,10 +2314,32 @@ mod tests {
     /// Runs `script[phase][global thread]`, whatever it says, declaring
     /// `commute`. (The loads and stores race across blocks, but nothing a
     /// script does depends on a loaded value: the counters see addresses.)
+    /// A word index below [`SCRIPT_WORDS`] is one of `buf`, the rest are
+    /// `far`'s.
     struct Scripted {
         script: Vec<Vec<Vec<Op>>>,
         buf: DeviceBuffer<u32>,
+        far: DeviceBuffer<u32>,
         commute: bool,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<Vec<Vec<Op>>>, commute: bool) -> Self {
+            Scripted {
+                script,
+                buf: DeviceAllocator::new().alloc::<u32>(SCRIPT_WORDS),
+                far: DeviceBuffer::with_base(FAR_SEGMENT << 7, SCRIPT_WORDS),
+                commute,
+            }
+        }
+
+        /// The buffer word `i` lies in, and its index there.
+        fn word(&self, i: usize) -> (&DeviceBuffer<u32>, usize) {
+            match i.checked_sub(SCRIPT_WORDS) {
+                Some(j) => (&self.far, j),
+                None => (&self.buf, i),
+            }
+        }
     }
 
     impl Kernel for Scripted {
@@ -2051,14 +2354,20 @@ mod tests {
                 match op {
                     Op::BeginSlot => ctx.begin_slot(),
                     Op::Ld(i) => {
-                        ctx.ld(&self.buf, i);
+                        let (buf, i) = self.word(i);
+                        ctx.ld(buf, i);
                     }
-                    Op::St(i) => ctx.st(&self.buf, i, 1),
+                    Op::St(i) => {
+                        let (buf, i) = self.word(i);
+                        ctx.st(buf, i, 1);
+                    }
                     Op::AtomicAdd(i) => {
-                        ctx.atomic_add(&self.buf, i, 1);
+                        let (buf, i) = self.word(i);
+                        ctx.atomic_add(buf, i, 1);
                     }
                     Op::AtomicExchange(i) => {
-                        ctx.atomic_exchange(&self.buf, i, 1);
+                        let (buf, i) = self.word(i);
+                        ctx.atomic_exchange(buf, i, 1);
                     }
                     Op::SharedAtomic(w) => {
                         ctx.sh_atomic_add_u32(w, 1);
@@ -2069,12 +2378,18 @@ mod tests {
         }
     }
 
+    /// Words of each of a script's two buffers: 2048 segments.
     const SCRIPT_WORDS: usize = 32 * 2048;
+    /// The far buffer's first segment. The near one's are 1 … 2048, so a
+    /// step between the two is 29,696 to 33,791 segments long, either
+    /// way: across both ends of the range a bucket's code word holds.
+    const FAR_SEGMENT: u64 = (1 << 15) - 1024;
     const SCRIPT_SHARED_WORDS: usize = 4;
 
     /// A random per-lane access list: uneven trip counts (including
     /// lanes that return at once), empty and lopsided slots, addresses
-    /// anywhere in a 2048-segment buffer or packed into a few hot words,
+    /// anywhere in two 2048-segment buffers far apart or packed into a few
+    /// hot words,
     /// atomics that collide, now and then a slot long enough to
     /// saturate the sub-slot index, and — what the force kernel's
     /// neighbor loop looks like — lanes that end in hundreds of
@@ -2109,9 +2424,9 @@ mod tests {
     fn random_burst(rng: &mut bdm_math::SplitMix64, burst: usize, ops: &mut Vec<Op>) {
         // A per-slot stride walks one lane across many segments.
         let stride = [1, 7, 32, 33, 1024][rng.below(5) as usize];
-        let base = rng.below(SCRIPT_WORDS as u64) as usize;
+        let base = rng.below(2 * SCRIPT_WORDS as u64) as usize;
         for j in 0..burst {
-            let anywhere = (base + j * stride) % SCRIPT_WORDS;
+            let anywhere = (base + j * stride) % (2 * SCRIPT_WORDS);
             let hot = rng.below(6) as usize * 16;
             ops.push(match rng.below(10) {
                 0..=3 => Op::Ld(anywhere),
@@ -2143,11 +2458,7 @@ mod tests {
     /// oracle; returns how its accesses were logged.
     fn filtered_run(script: Vec<Vec<Vec<Op>>>, cfg: LaunchConfig) -> TraceAccesses {
         let spec = small_device(64);
-        let k = Scripted {
-            script,
-            buf: DeviceAllocator::new().alloc::<u32>(SCRIPT_WORDS),
-            commute: false,
-        };
+        let k = Scripted::new(script, false);
         let got = GpuDevice::new(spec).launch(&k, cfg);
         let want = launch_reference(&GpuDevice::new(spec), &k, cfg);
         assert_eq!(got.counters, want);
@@ -2271,7 +2582,7 @@ mod tests {
                     for &op in previous {
                         match rng.below(16) {
                             0 => {}
-                            1 => near.push(Op::Ld(rng.below(SCRIPT_WORDS as u64) as usize)),
+                            1 => near.push(Op::Ld(rng.below(2 * SCRIPT_WORDS as u64) as usize)),
                             2 => near.extend([op, Op::Ld(rng.below(6) as usize * 16)]),
                             _ => near.push(op),
                         }
@@ -2310,7 +2621,9 @@ mod tests {
         /// The arena engine and the retained `BTreeMap` oracle agree on
         /// every counter, bit for bit, for arbitrary lane scripts — lanes
         /// that repeat their neighbors, which the lane filter absorbs, and
-        /// lanes that share nothing — on a device small enough that
+        /// lanes that share nothing; addresses in two buffers so far apart
+        /// that a bucket's ids step across both ends of a code word — on a
+        /// device small enough that
         /// batches drain several times per launch and the L2 evicts
         /// constantly (so any reordering of the transaction stream shows
         /// up in the hit counts). A batch is `resident × warps per block
@@ -2343,8 +2656,7 @@ mod tests {
             if commute {
                 without_global_atomics(&mut script);
             }
-            let mut alloc = DeviceAllocator::new();
-            let k = Scripted { script, buf: alloc.alloc::<u32>(SCRIPT_WORDS), commute };
+            let k = Scripted::new(script, commute);
             let cfg = LaunchConfig { grid_dim, block_dim, shared_words: SCRIPT_SHARED_WORDS };
             // Twice, so the second launch runs on warm arenas and a warm L2.
             let oracle = GpuDevice::with_trace_sampling(spec, sample);
@@ -2373,11 +2685,7 @@ mod tests {
         // on tracing, nor on the launch forking.
         let mut lanes = vec![vec![Op::Ld(0)]; 128];
         lanes[100] = vec![Op::Ld(0), Op::AtomicAdd(7)];
-        let k = Scripted {
-            script: vec![lanes],
-            buf: DeviceAllocator::new().alloc::<u32>(SCRIPT_WORDS),
-            commute: true,
-        };
+        let k = Scripted::new(vec![lanes], true);
         let cfg = LaunchConfig::for_items(128, 32);
         for workers in 1..=4 {
             let dev = GpuDevice::with_trace_sampling(SYSTEM_A.gpu, 2);

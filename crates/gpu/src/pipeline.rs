@@ -264,6 +264,10 @@ pub struct GpuStepReport {
     /// How many of the step's launches forked their blocks across the
     /// host workers, and into how many chunks — the other reason.
     pub launches: Launches,
+    /// Heap bytes the engine's trace tables hold after the step
+    /// ([`GpuDevice::trace_bytes`]): the simulator's own memory, not the
+    /// device's.
+    pub trace_bytes: u64,
 }
 
 impl GpuStepReport {
@@ -317,6 +321,8 @@ impl GpuStepReport {
         for (path, n) in [("filter", filtered), ("table", total - filtered)] {
             reg.inc_counter("gpu.trace_accesses", &with("path", path), n as f64);
         }
+        // What the simulator holds to trace them: informational as well.
+        reg.set_gauge("gpu.trace_bytes", labels, self.trace_bytes as f64);
         // And how the launches ran their blocks: forked (the kernel's
         // blocks commute) or in order.
         let Launches {
@@ -1031,6 +1037,7 @@ impl StepEnv<'_> {
             host: step.host,
             accesses: step.accesses,
             launches: step.launches,
+            trace_bytes: self.device.trace_bytes(),
         }
     }
 

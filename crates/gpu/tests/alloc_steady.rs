@@ -2,7 +2,8 @@
 //!
 //! The engine's trace path lives on device-owned arenas, one per block
 //! chunk, that grow on first use — the per-key buckets above all, which
-//! are emptied by the drain and keep their capacity — so once a launch
+//! hold a batch's transactions as two-byte code words until the drain
+//! empties them and keep their capacity — so once a launch
 //! shape has been seen, repeating it must not touch the heap — not per
 //! traced warp, not per slot, not per block of shared memory, not per
 //! chunk. On one worker that is zero allocations; a launch that forks its

@@ -140,9 +140,14 @@ stage() (
         # shuffled), the filter's exact counts, a launch that died mid-lane
         # leaving the next nothing, the commuting-blocks guard on global
         # atomics, sampled tracing, and every kernel version's and resident
-        # sync path's step report against its parent-commit golden.
+        # sync path's step report against its parent-commit golden; the
+        # buckets' code words at every step length, across cuts, and what
+        # they hold on a sorted force launch.
         named test -q --offline --release -p bdm-gpu --lib -- \
             arena_engine_matches_the_reference_bit_for_bit \
+            a_bucket_codes_every_step_exactly_and_resumes_after_a_cut \
+            a_bucket_drained_across_cuts_streams_what_the_reference_does \
+            a_sorted_force_launch_holds_at_most_two_and_a_half_bytes_a_transaction \
             the_lane_filter_absorbs_what_the_previous_lane_logged_and_nothing_else \
             a_kernel_panic_does_not_leak_its_batch_into_the_next_launch \
             a_global_atomic_in_a_kernel_that_declares_commuting_blocks_panics \
