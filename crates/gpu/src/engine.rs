@@ -1822,8 +1822,8 @@ mod tests {
         assert!(per_key < 128, "{per_key} table bytes per touched key");
     }
 
-    /// Log `warps` into one key of `table`, one warp after the other and
-    /// one lane per id; `cut` after the warps of each batch but the last.
+    /// Log `batches` of warps into one key of `table`, one lane per id,
+    /// and `cut` after each batch; more warps follow all but the last.
     fn log_one_key(table: &mut TraceTable, key: u32, batches: &[&[&[u32]]]) {
         for (batch, warps) in batches.iter().enumerate() {
             for lanes in *warps {
@@ -1888,8 +1888,9 @@ mod tests {
         ids.extend([0, top, 0, top, 1 << 31]);
         let one_a_warp: Vec<&[u32]> = ids.chunks(1).collect();
         // A second batch, after the cut, whose first id is coded in full
-        // again; one warp's lanes revisit long-coded ids of its own part,
-        // which the table finds by decoding it from its base and drops.
+        // again; one warp's lanes revisit ids of its own part across long
+        // codes, which the table finds by decoding it from its base and
+        // drops.
         let (a, b, c) = (5, top, 1 << 31);
         let second: [&[u32]; 2] = [&[top, 0, 1 << 20], &[a, b, a, c, b, a]];
         log_one_key(&mut table, key, &[&one_a_warp, &second]);
@@ -1909,9 +1910,8 @@ mod tests {
 
     /// A launch of four blocks in one chunk, on the cut down device whose
     /// batches are a block wide: its buckets are drained across a cut
-    /// after every block,
-    /// and each lane steps between the two buffers of a script, so long
-    /// codes sit on both sides of each cut. The stream the L2 sees is the
+    /// after every block, and each lane steps between the two buffers of
+    /// a script, so long codes sit on both sides of each cut. The stream the L2 sees is the
     /// oracle's, bit for bit.
     #[test]
     fn a_bucket_drained_across_cuts_streams_what_the_reference_does() {
